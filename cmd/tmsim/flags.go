@@ -4,11 +4,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/cm"
 	"repro/internal/contention"
 	"repro/internal/harness"
-	"repro/internal/machine"
 	"repro/internal/oltp"
 )
 
@@ -16,18 +16,16 @@ import (
 // explicitly passed (so validation can tell a default apart from an
 // explicit choice).
 type config struct {
-	experiment   string
-	scaleName    string
-	policy       string
-	sched        string
-	windowCycles uint64
-	seed         uint64
-	seeds        int
-	csvPath      string
-	parallel     int
-	progress     bool
-	metricsOut   string
-	txstatsOut   string
+	experiment string
+	scaleName  string
+	policy     string
+	seed       uint64
+	seeds      int
+	csvPath    string
+	parallel   int
+	progress   bool
+	metricsOut string
+	txstatsOut string
 
 	traceOut      string
 	traceFormat   string
@@ -56,7 +54,8 @@ type config struct {
 	set map[string]bool
 }
 
-// knownExperiments are the -experiment values main dispatches on.
+// knownExperiments are the -experiment values main dispatches on; the
+// flag's usage text is built from it.
 var knownExperiments = []string{
 	"params", "fig5", "fig6", "fig7", "fig8", "ablate", "extended",
 	"footprints", "policies", "litmus", "latency", "scale", "oltp", "all",
@@ -69,11 +68,9 @@ func parseConfig(args []string, errOut io.Writer) (*config, error) {
 	cfg := &config{}
 	fs := flag.NewFlagSet("tmsim", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	fs.StringVar(&cfg.experiment, "experiment", "all", "fig5 | fig6 | fig7 | fig8 | ablate | extended | footprints | policies | litmus | latency | scale | params | all")
+	fs.StringVar(&cfg.experiment, "experiment", "all", strings.Join(knownExperiments, " | "))
 	fs.StringVar(&cfg.scaleName, "scale", "full", "small | full")
 	fs.StringVar(&cfg.policy, "policy", "exp", "contention-management policy: exp | linear | karma | serialize")
-	fs.StringVar(&cfg.sched, "sched", "fast", "engine scheduler: fast | reference | parallel (results are bit-identical; only wall clock differs)")
-	fs.Uint64Var(&cfg.windowCycles, "window-cycles", 0, "parallel-scheduler window width in simulated cycles (0 = engine default; requires -sched parallel)")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "machine RNG seed")
 	fs.IntVar(&cfg.seeds, "seeds", 0, "run fig5 across seeds 1..N and report mean/min/max")
 	fs.StringVar(&cfg.csvPath, "csv", "", "also write the fig5 sweep as CSV to this file")
@@ -120,13 +117,6 @@ func (cfg *config) spec() cm.Spec {
 	return s
 }
 
-// applySched writes the -sched / -window-cycles selection into params.
-func (cfg *config) applySched(p *machine.Params) {
-	p.ReferenceScheduler = cfg.sched == "reference"
-	p.ParallelScheduler = cfg.sched == "parallel"
-	p.WindowCycles = cfg.windowCycles
-}
-
 // scale resolves -scale (validate has already vetted it).
 func (cfg *config) scale() harness.Scale {
 	if cfg.scaleName == "small" {
@@ -164,14 +154,6 @@ func (cfg *config) validate() error {
 	}
 	if _, err := cm.ParseSpec(cfg.policy); err != nil {
 		return fmt.Errorf("-policy %q: want one of %v", cfg.policy, cm.Kinds)
-	}
-	switch cfg.sched {
-	case "fast", "reference", "parallel":
-	default:
-		return fmt.Errorf("unknown scheduler %q (want fast, reference, or parallel)", cfg.sched)
-	}
-	if cfg.set["window-cycles"] && cfg.sched != "parallel" {
-		return fmt.Errorf("-window-cycles requires -sched parallel")
 	}
 	if cfg.seeds < 0 {
 		return fmt.Errorf("-seeds %d: want >= 0", cfg.seeds)

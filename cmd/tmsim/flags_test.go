@@ -104,3 +104,30 @@ func TestParseConfigDefaults(t *testing.T) {
 		t.Fatalf("set = %v, want empty", cfg.set)
 	}
 }
+
+// TestExperimentUsageListsEveryExperiment: the -experiment help text is
+// built from knownExperiments, so -h names every value main dispatches
+// on, and a removed flag is a parse error rather than silently accepted.
+func TestExperimentUsageListsEveryExperiment(t *testing.T) {
+	var help strings.Builder
+	if _, err := parseConfig([]string{"-h"}, &help); err == nil {
+		t.Fatal("-h parsed without error")
+	}
+	usage := help.String()
+	i := strings.Index(usage, "-experiment")
+	if i < 0 {
+		t.Fatalf("-h output lacks -experiment:\n%s", usage)
+	}
+	line := usage[i:]
+	if j := strings.Index(line, "\n  -"); j >= 0 {
+		line = line[:j]
+	}
+	for _, e := range knownExperiments {
+		if !strings.Contains(line, e) {
+			t.Errorf("-experiment usage omits %q: %s", e, line)
+		}
+	}
+	if _, err := parseConfig([]string{"-sched", "parallel"}, io.Discard); err == nil {
+		t.Error("-sched parsed; the flag was removed")
+	}
+}

@@ -22,13 +22,9 @@
 // -scale small runs quick versions; -scale full (default) runs the sizes
 // recorded in EXPERIMENTS.md. Runs are deterministic for a given -seed.
 //
-// -sched selects the engine scheduler every simulated machine runs
-// under: fast (the run-ahead serial scheduler, default), reference (the
-// executable specification), or parallel (the time-windowed parallel
-// scheduler, DESIGN.md §14; -window-cycles tunes its host-side window
-// width). Simulated results are bit-identical across all three — the
-// choice only affects wall-clock time, with parallel using multiple
-// host cores per cell.
+// Every simulated machine runs under the engine's one production
+// scheduler (run-ahead, globally serialized; DESIGN.md §12); host
+// parallelism is across sweep cells (-parallel), never inside one.
 //
 // -policy selects the contention-management (backoff) policy every
 // system retries under: exp (the paper's capped exponential, default),
@@ -73,7 +69,7 @@
 //	    per-system saturation knees. -oltp-arrival picks poisson or mmpp
 //	    arrivals; -oltp-theta and -oltp-{read,rmw,scan}-pct set the
 //	    default skew and request mix the load axis runs at. Byte-identical
-//	    for every -parallel value and -sched engine. -txstats-out and
+//	    for every -parallel value. -txstats-out and
 //	    -contention-out compose with it (lifecycle accounting and conflict
 //	    attribution are always on for this experiment).
 //	tmsim -trace-out t.json -trace-format chrome [-trace-workload genome
@@ -131,7 +127,6 @@ func main() {
 	scale := cfg.scale()
 	opt := harness.DefaultOptions()
 	opt.Params.Seed = cfg.seed
-	cfg.applySched(&opt.Params)
 	opt.CM = cfg.spec()
 	if cfg.contentionOut != "" {
 		opt.Contention = true

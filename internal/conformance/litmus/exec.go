@@ -70,16 +70,6 @@ func (r RunResult) WeakHistory() []tmtest.TxRecord {
 	return h
 }
 
-// Sched selects which engine scheduler litmus machines run under. The
-// zero value is the serial fast path; Parallel selects the windowed-
-// parallel scheduler (machine.Params.ParallelScheduler) with the given
-// window width (0 = engine default). Conformance verdicts must not
-// depend on this choice.
-type Sched struct {
-	Parallel     bool
-	WindowCycles uint64
-}
-
 // Execute runs p on the named system under sch, on a fresh machine.
 //
 // Every operation is pinned to its schedule slot's absolute time with
@@ -90,11 +80,6 @@ type Sched struct {
 // which is exactly what a litmus test wants (the anomaly window is the
 // first attempt; convergence after an abort just has to terminate).
 func Execute(system string, p *Program, sch Schedule) (res RunResult) {
-	return ExecuteSched(system, p, sch, Sched{})
-}
-
-// ExecuteSched is Execute under an explicit engine-scheduler choice.
-func ExecuteSched(system string, p *Program, sch Schedule, sd Sched) (res RunResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("litmus %s on %s: panic: %v", p.Name, system, r)
@@ -112,8 +97,6 @@ func ExecuteSched(system string, p *Program, sch Schedule, sd Sched) (res RunRes
 	params.MemBytes = 1 << 20
 	params.Quantum = 0 // no timer interrupts: the schedule is the only control flow
 	params.MaxSteps = 5_000_000
-	params.ParallelScheduler = sd.Parallel
-	params.WindowCycles = sd.WindowCycles
 	m := machine.New(params)
 	sys := newSystem(system, m)
 	rec := tmtest.NewRecorder(sys)
@@ -237,11 +220,6 @@ func (s SweepResult) Check(c Class) bool {
 // Sweep executes p on system under every (order, gap) schedule and
 // aggregates outcomes and checks against the oracle.
 func Sweep(system string, p *Program, oracle *OutcomeSet, orders [][]int, gaps []uint64) SweepResult {
-	return SweepSched(system, p, oracle, orders, gaps, Sched{})
-}
-
-// SweepSched is Sweep under an explicit engine-scheduler choice.
-func SweepSched(system string, p *Program, oracle *OutcomeSet, orders [][]int, gaps []uint64, sd Sched) SweepResult {
 	res := SweepResult{
 		Observed: NewOutcomeSet(),
 		StrongOK: true,
@@ -254,7 +232,7 @@ func SweepSched(system string, p *Program, oracle *OutcomeSet, orders [][]int, g
 	for _, order := range orders {
 		for _, gap := range gaps {
 			res.Schedules++
-			run := ExecuteSched(system, p, Schedule{Order: order, Gap: gap}, sd)
+			run := Execute(system, p, Schedule{Order: order, Gap: gap})
 			if run.Err != nil {
 				errs[run.Err.Error()] = true
 				continue

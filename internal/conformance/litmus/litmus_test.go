@@ -337,30 +337,3 @@ func ExampleProgram() {
 	// Output:
 	// [x=1 y=1 t1:r0=0 t1:r1=0 x=1 y=1 t1:r0=0 t1:r1=1 x=1 y=1 t1:r0=1 t1:r1=1]
 }
-
-// TestCuratedSuiteParallelScheduler re-runs the conformance gate with
-// every cell's machine under the windowed-parallel scheduler (DESIGN.md
-// §14) and requires the report — verdicts, observed states, witnesses,
-// everything — to be byte-identical to the serial-scheduler report.
-// This is the litmus half of the parallel scheduler's proof obligation:
-// not merely "still passes", but "indistinguishable".
-func TestCuratedSuiteParallelScheduler(t *testing.T) {
-	cfg := SmallConfig()
-	cfg.Enums = nil
-	render := func(sd Sched) []byte {
-		c := cfg
-		c.Sched = sd
-		var buf bytes.Buffer
-		if err := Run(c).WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(Sched{})
-	for _, sd := range []Sched{{Parallel: true}, {Parallel: true, WindowCycles: 97}} {
-		got := render(sd)
-		if !bytes.Equal(got, serial) {
-			t.Errorf("window=%d: parallel-scheduler report differs from serial report", sd.WindowCycles)
-		}
-	}
-}

@@ -29,11 +29,6 @@ type Config struct {
 	Gaps     []uint64
 	// Seed drives order sampling.
 	Seed uint64
-	// Sched selects the engine scheduler every cell's machine runs
-	// under. The report must be byte-identical for every choice —
-	// running the gate under the windowed-parallel scheduler is part of
-	// that scheduler's determinism proof obligation (DESIGN.md §14).
-	Sched Sched
 }
 
 // SmallConfig is the CI-sized sweep: the full curated suite plus a
@@ -206,7 +201,7 @@ func Run(cfg Config) *Report {
 				}
 				c := cells[n]
 				pe, system := progs[c.pi], cfg.Systems[c.si]
-				sw := SweepSched(system, pe.p, oracles[c.pi], orders[c.pi], cfg.Gaps, cfg.Sched)
+				sw := Sweep(system, pe.p, oracles[c.pi], orders[c.pi], cfg.Gaps)
 				class := ClassOf(system)
 				verdicts[c.pi][c.si] = SystemVerdict{
 					System:    system,

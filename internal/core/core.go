@@ -120,11 +120,11 @@ func (s *System) CM() *cm.Manager {
 
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	return tm.Ordered(&exec{
+	return &exec{
 		s: s,
 		u: btm.New(p),
 		t: s.stm.Thread(p),
-	})
+	}
 }
 
 // exec is the per-thread hybrid execution context.

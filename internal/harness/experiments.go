@@ -86,9 +86,8 @@ func PrintFigure5(w io.Writer, data []Figure5Data, scale Scale) {
 }
 
 // ScaleProcCounts is the `-experiment scale` x-axis: simulated-processor
-// counts beyond the paper's 16, exercising the 256-processor directory
-// and sized for the windowed-parallel scheduler (DESIGN.md §14). The
-// small scale keeps unit tests fast.
+// counts beyond the paper's 16, exercising the 256-processor directory.
+// The small scale keeps unit tests fast.
 func ScaleProcCounts(s Scale) []int {
 	if s == ScaleFull {
 		return []int{64, 128, 256}
@@ -113,9 +112,7 @@ func ScaleBenchmark(s Scale) WorkloadFactory {
 }
 
 // ScaleSweep runs the Figure-5-style scaling study: scalemix speedup
-// over sequential at every ScaleProcCounts processor count. The engine
-// scheduler comes from opt.Params (tmsim's -sched flag); results are
-// bit-identical across schedulers, only the wall clock differs.
+// over sequential at every ScaleProcCounts processor count.
 func (r *Runner) ScaleSweep(opt Options, scale Scale) (Figure5Data, error) {
 	f := ScaleBenchmark(scale)
 	procs := ScaleProcCounts(scale)

@@ -45,32 +45,3 @@ func TestFigure5GoldenDefaultPolicy(t *testing.T) {
 		t.Fatalf("Figure 5 output drifted from the golden capture.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
-
-// TestFigure5GoldenParallelScheduler runs the same small-scale Figure 5
-// sweep with every cell's machine under the windowed-parallel scheduler
-// (machine.Params.ParallelScheduler, DESIGN.md §14) and requires the
-// rendered output to match the same golden capture byte for byte. The
-// golden was produced by the serial schedulers, so passing here is the
-// end-to-end bit-identity proof for the parallel engine across every
-// system and thread count the figure sweeps.
-func TestFigure5GoldenParallelScheduler(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "fig5_small.golden"))
-	if err != nil {
-		t.Fatalf("missing golden: %v", err)
-	}
-	for _, window := range []uint64{0, 777} {
-		opt := DefaultOptions()
-		opt.Params.Seed = 1
-		opt.Params.ParallelScheduler = true
-		opt.Params.WindowCycles = window
-		data, err := Parallel(0).Figure5(opt, ScaleSmall)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		PrintFigure5(&sb, data, ScaleSmall)
-		if sb.String() != string(golden) {
-			t.Errorf("window=%d: parallel-scheduler Figure 5 output drifted from the serial golden", window)
-		}
-	}
-}

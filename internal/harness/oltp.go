@@ -169,7 +169,7 @@ type OLTPKnee struct {
 // OLTPReport is the deterministic `tmsim-oltp/v1` artifact: sweep
 // points in job order plus per-system knees. Cells are pure functions of
 // their Job, and assembly follows the fixed job order, so encodings are
-// byte-identical for every -parallel worker count and -sched engine.
+// byte-identical for every -parallel worker count.
 type OLTPReport struct {
 	Schema          string           `json:"schema"`
 	Arrival         oltp.ArrivalKind `json:"arrival"`
@@ -218,7 +218,7 @@ func oltpCells(scale Scale, sc OLTPSweepConfig) []oltpCell {
 // percentiles) and conflict attribution enabled, producing the
 // tmsim-oltp/v1 report. Like every sweep, cells fan out across the
 // Runner's worker pool and the assembled report is bit-identical at any
-// worker count and under every scheduler.
+// worker count.
 func (r *Runner) OLTP(opt Options, scale Scale, sc OLTPSweepConfig) (*OLTPReport, error) {
 	opt.TxStats = true
 	opt.Contention = true

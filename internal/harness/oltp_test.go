@@ -32,22 +32,18 @@ func TestOLTPReportBitIdentical(t *testing.T) {
 	if _, got := oltpSmallReport(t, Parallel(8)); !bytes.Equal(ref, got) {
 		t.Error("report differs between -parallel 1 and -parallel 8 sweeps")
 	}
-	for _, sched := range []string{"reference", "parallel"} {
-		r := Parallel(4)
-		opt := testOptions()
-		opt.Params.ReferenceScheduler = sched == "reference"
-		opt.Params.ParallelScheduler = sched == "parallel"
-		rep, err := r.OLTP(opt, ScaleSmall, DefaultOLTPSweep())
-		if err != nil {
-			t.Fatalf("%s: %v", sched, err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ref, buf.Bytes()) {
-			t.Errorf("report differs under the %s scheduler", sched)
-		}
+	opt := testOptions()
+	opt.Params.ReferenceScheduler = true
+	rep, err := Parallel(4).OLTP(opt, ScaleSmall, DefaultOLTPSweep())
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ref, buf.Bytes()) {
+		t.Error("report differs under the reference scheduler")
 	}
 }
 

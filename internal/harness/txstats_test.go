@@ -70,30 +70,17 @@ func TestTxStatsReportDeterministicAcrossWorkers(t *testing.T) {
 
 // TestTxStatsReportSchedulerBitIdentical is the txstats counterpart of
 // TestScaleSweepSchedulerBitIdentical: the report must be byte-identical
-// whether the cells ran under the run-ahead serial scheduler, the
-// reference scheduler, or the windowed-parallel scheduler (default and
-// deliberately odd window) — the recorder observes simulated time only,
-// so the engine's host-side execution strategy must not leak into it.
+// whether the cells ran under the run-ahead scheduler or the reference
+// scheduler — the recorder observes simulated time only, so the engine's
+// host-side execution strategy must not leak into it.
 func TestTxStatsReportSchedulerBitIdentical(t *testing.T) {
-	run := func(reference, parallel bool, window uint64) []byte {
+	run := func(reference bool) []byte {
 		opt := txstatsOptions()
 		opt.Params.ReferenceScheduler = reference
-		opt.Params.ParallelScheduler = parallel
-		opt.Params.WindowCycles = window
 		return renderTxStats(t, 1, txstatsJobs(t, opt))
 	}
-	ref := run(false, false, 0)
-	for name, cfg := range map[string]struct {
-		reference, parallel bool
-		window              uint64
-	}{
-		"reference":    {reference: true},
-		"parallel":     {parallel: true},
-		"parallel-w97": {parallel: true, window: 97},
-	} {
-		if got := run(cfg.reference, cfg.parallel, cfg.window); !bytes.Equal(ref, got) {
-			t.Errorf("%s: txstats report differs from the fast scheduler", name)
-		}
+	if !bytes.Equal(run(false), run(true)) {
+		t.Error("txstats report differs between the fast and reference schedulers")
 	}
 }
 

@@ -95,10 +95,7 @@ func (h *Hist) String() string {
 }
 
 // RecordSWFootprint lets software TMs feed their committed transactions'
-// footprints into the machine-wide histogram. Self-bracketed in an
-// ordered section (the histogram is shared state).
+// footprints into the machine-wide histogram.
 func (p *Proc) RecordSWFootprint(lines int) {
-	p.sp.EnterOrdered(0)
-	defer p.sp.ExitOrdered()
 	p.m.Count.SWFootprint.Add(lines)
 }

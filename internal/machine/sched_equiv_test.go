@@ -1,45 +1,15 @@
 package machine
 
-import (
-	"fmt"
-	"testing"
-)
-
-// schedParams enumerates the scheduler configurations every machine-level
-// differential test must agree across: the fast run-ahead path, the
-// reference scheduler (the executable specification, DESIGN.md §12), and
-// the windowed-parallel scheduler (DESIGN.md §14) at several window
-// widths, including widths chosen to land window boundaries mid-
-// transaction.
-func schedParams(base Params) map[string]Params {
-	mk := func(ref, par bool, window uint64) Params {
-		p := base
-		p.ReferenceScheduler = ref
-		p.ParallelScheduler = par
-		p.WindowCycles = window
-		return p
-	}
-	return map[string]Params{
-		"fast":         mk(false, false, 0),
-		"reference":    mk(true, false, 0),
-		"parallel":     mk(false, true, 0),
-		"parallel-w64": mk(false, true, 64),
-		"parallel-w1k": mk(false, true, 1000),
-	}
-}
+import "testing"
 
 // TestReferenceSchedulerBitIdentical runs a contended transactional
-// workload under the fast-path, reference (Params.ReferenceScheduler),
-// and windowed-parallel (Params.ParallelScheduler) schedulers and
-// requires bit-identical simulated results: final cycle count, per-proc
-// clocks, event counters, and committed memory. This is the
-// machine-level differential test pinning both production schedulers to
-// the specification.
-//
-// The workload draws from the machine's shared Rand, so each iteration
-// brackets itself with BeginOrdered/EndOrdered — a no-op under the
-// serial schedulers, and exactly what keeps the draw order schedule-
-// deterministic under the parallel one.
+// workload under the run-ahead fast path and the reference scheduler
+// (Params.ReferenceScheduler, the executable specification of DESIGN.md
+// §12) and requires bit-identical simulated results: final cycle count,
+// per-proc clocks, event counters, and committed memory. This is the
+// machine-level differential test pinning the production scheduler to
+// the specification. The workload draws from the machine's shared Rand,
+// so the draw order is itself part of what must match.
 func TestReferenceSchedulerBitIdentical(t *testing.T) {
 	const procs = 4
 
@@ -51,7 +21,6 @@ func TestReferenceSchedulerBitIdentical(t *testing.T) {
 			ws[i] = func(p *Proc) {
 				r := p.Machine().Rand
 				for iter := 0; iter < 40; iter++ {
-					p.BeginOrdered(0)
 					addr := uint64(r.Intn(16)) * 64 // 16 hot lines
 					p.BeginHW(p.Machine().NextAge(), true)
 					_, out := p.TxRead(addr)
@@ -61,9 +30,7 @@ func TestReferenceSchedulerBitIdentical(t *testing.T) {
 					if p.HW() != nil {
 						p.CommitHW()
 					}
-					pause := uint64(r.Intn(30))
-					p.EndOrdered()
-					p.Elapse(pause)
+					p.Elapse(uint64(r.Intn(30)))
 				}
 			}
 		}
@@ -71,98 +38,41 @@ func TestReferenceSchedulerBitIdentical(t *testing.T) {
 		return m
 	}
 
-	base := testParams(procs)
-	ref := run(schedParams(base)["reference"])
-	for name, params := range schedParams(base) {
-		if name == "reference" {
-			continue
+	refParams := testParams(procs)
+	refParams.ReferenceScheduler = true
+	ref := run(refParams)
+	t.Run("fast", func(t *testing.T) {
+		got := run(testParams(procs))
+		if got.Cycles() != ref.Cycles() {
+			t.Errorf("total cycles: fast %d, reference %d", got.Cycles(), ref.Cycles())
 		}
-		t.Run(name, func(t *testing.T) {
-			got := run(params)
-			if got.Cycles() != ref.Cycles() {
-				t.Errorf("total cycles: %s %d, reference %d", name, got.Cycles(), ref.Cycles())
+		for i := 0; i < procs; i++ {
+			gn, rn := got.Proc(i).Now(), ref.Proc(i).Now()
+			if gn != rn {
+				t.Errorf("proc %d clock: fast %d, reference %d", i, gn, rn)
 			}
-			for i := 0; i < procs; i++ {
-				gn, rn := got.Proc(i).Now(), ref.Proc(i).Now()
-				if gn != rn {
-					t.Errorf("proc %d clock: %s %d, reference %d", i, name, gn, rn)
-				}
+		}
+		if got.Count != ref.Count {
+			t.Errorf("counters diverge:\nfast      %+v\nreference %+v", got.Count, ref.Count)
+		}
+		for line := uint64(0); line < 16; line++ {
+			addr := line * 64
+			gv, rv := got.Mem.Read64(addr), ref.Mem.Read64(addr)
+			if gv != rv {
+				t.Errorf("mem[%#x]: fast %d, reference %d", addr, gv, rv)
 			}
-			if got.Count != ref.Count {
-				t.Errorf("counters diverge:\n%-9s %+v\nreference %+v", name, got.Count, ref.Count)
-			}
-			for line := uint64(0); line < 16; line++ {
-				addr := line * 64
-				gv, rv := got.Mem.Read64(addr), ref.Mem.Read64(addr)
-				if gv != rv {
-					t.Errorf("mem[%#x]: %s %d, reference %d", addr, name, gv, rv)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// TestParallelSchedulerRepeatable re-runs the same parallel-mode workload
-// several times: host goroutine scheduling varies between runs, the
-// simulated outcome must not.
-func TestParallelSchedulerRepeatable(t *testing.T) {
-	run := func() string {
-		params := testParams(3)
-		params.ParallelScheduler = true
-		params.WindowCycles = 256
-		m := New(params)
-		ws := make([]func(*Proc), 3)
-		for i := 0; i < 3; i++ {
-			ws[i] = func(p *Proc) {
-				for iter := 0; iter < 25; iter++ {
-					p.BeginOrdered(0)
-					p.BeginHW(p.Machine().NextAge(), true)
-					_, out := p.TxRead(uint64(iter%4) * 64)
-					if out.Kind == OK {
-						p.TxWrite(uint64(iter%4)*64, uint64(p.ID()*100+iter))
-					}
-					if p.HW() != nil {
-						p.CommitHW()
-					}
-					p.EndOrdered()
-					p.Elapse(uint64(7 * (p.ID() + 1)))
-				}
-			}
+// TestProcsLimit pins the Params validation added with the
+// 256-processor directory: a machine beyond cache.MaxProcs must be
+// rejected.
+func TestProcsLimit(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("257 procs: expected panic")
 		}
-		m.Run(ws)
-		img := ""
-		for line := uint64(0); line < 4; line++ {
-			img += fmt.Sprintf("%d:%d ", line, m.Mem.Read64(line*64))
-		}
-		return fmt.Sprintf("cycles=%d count=%+v mem=%s", m.Cycles(), m.Count, img)
-	}
-	want := run()
-	for i := 0; i < 10; i++ {
-		if got := run(); got != want {
-			t.Fatalf("run %d diverged:\ngot  %s\nwant %s", i, got, want)
-		}
-	}
-}
-
-// TestParallelSchedulerProcsLimit pins the Params validation added with
-// the 256-processor directory: a machine beyond cache.MaxProcs must be
-// rejected, and both schedulers cannot be selected at once.
-func TestParallelSchedulerProcsLimit(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	expectPanic("procs over limit", func() {
-		New(testParams(257))
-	})
-	expectPanic("both schedulers", func() {
-		p := testParams(2)
-		p.ReferenceScheduler = true
-		p.ParallelScheduler = true
-		New(p)
-	})
+	}()
+	New(testParams(257))
 }

@@ -109,8 +109,8 @@ type Trace struct {
 }
 
 // EnableTrace starts recording up to limit events (most recent kept).
-// Events are appended from inside the machine's ordered operations, so
-// the recorded sequence is deterministic and identical under every
+// Events are appended by the processor holding the execution token, so
+// the recorded sequence is deterministic and identical under either
 // scheduler. Call EnableTrace itself before Run.
 func (m *Machine) EnableTrace(limit int) *Trace {
 	if limit <= 0 {
@@ -178,10 +178,7 @@ func (p *Proc) record(kind TraceKind, reason AbortReason, addr, age uint64, flag
 }
 
 // RecordSW lets software TMs log their transaction lifecycle into the
-// shared trace. Self-bracketed in an ordered section so trace events
-// land in deterministic schedule order.
+// shared trace.
 func (p *Proc) RecordSW(kind TraceKind, reason AbortReason, age uint64) {
-	p.sp.EnterOrdered(0)
-	defer p.sp.ExitOrdered()
 	p.record(kind, reason, 0, age, FlagAge)
 }

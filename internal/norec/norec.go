@@ -81,12 +81,12 @@ type System struct {
 	lockAddr uint64
 	htmAddr  uint64
 
-	// Host-side shadow of the protocol state (safe: tm.Ordered brackets
-	// every Exec, so system state is only touched inside ordered
-	// sections). seq mirrors the seqlock value; lockOwner is the
-	// processor holding it (-1 when free); lastWriter is the processor
-	// whose commit most recently advanced either counter (-1 when none),
-	// used to attribute value-validation failures.
+	// Host-side shadow of the protocol state (safe: only the processor
+	// holding the execution token touches it). seq mirrors the seqlock
+	// value; lockOwner is the processor holding it (-1 when free);
+	// lastWriter is the processor whose commit most recently advanced
+	// either counter (-1 when none), used to attribute
+	// value-validation failures.
 	seq        uint64
 	lockOwner  int
 	lastWriter int
@@ -131,7 +131,7 @@ func (s *System) Stats() *tm.Stats { return &s.stats }
 
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	return tm.Ordered(&exec{s: s, p: p, u: btm.New(p)})
+	return &exec{s: s, p: p, u: btm.New(p)}
 }
 
 // logEntry is one value-log record: the value this transaction observed

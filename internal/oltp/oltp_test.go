@@ -76,29 +76,25 @@ func TestResponseAtLeastServiceLatency(t *testing.T) {
 }
 
 // TestRunDeterministicAcrossSchedulers: one oltp cell produces identical
-// cycles, stats, and lifecycle reports under the fast, reference, and
-// windowed-parallel engine schedulers.
+// cycles, stats, and lifecycle reports under the fast and reference
+// engine schedulers.
 func TestRunDeterministicAcrossSchedulers(t *testing.T) {
 	type outcome struct {
 		cycles    uint64
 		requests  uint64
 		committed uint64
 	}
-	run := func(reference, parallel bool) outcome {
+	run := func(reference bool) outcome {
 		opt := testOptions()
 		opt.Params.ReferenceScheduler = reference
-		opt.Params.ParallelScheduler = parallel
 		res := harness.Run(harness.UFOHybrid, oltp.New(testConfig()), 2, opt)
 		if res.Err != nil {
-			t.Fatalf("reference=%v parallel=%v: %v", reference, parallel, res.Err)
+			t.Fatalf("reference=%v: %v", reference, res.Err)
 		}
 		return outcome{res.Cycles, res.TxStats.Requests, res.TxStats.Committed}
 	}
-	fast := run(false, false)
-	if ref := run(true, false); ref != fast {
+	fast := run(false)
+	if ref := run(true); ref != fast {
 		t.Errorf("reference scheduler diverged: %+v vs %+v", ref, fast)
-	}
-	if par := run(false, true); par != fast {
-		t.Errorf("parallel scheduler diverged: %+v vs %+v", par, fast)
 	}
 }

@@ -83,6 +83,18 @@ func TestCompareGate(t *testing.T) {
 		t.Fatalf("missing gated entry not flagged: %+v", regs)
 	}
 
+	// Ungated entry missing from the current report (a baseline row
+	// whose benchmark was since deleted): informational, not a failure.
+	dropped := NewReport("d")
+	dropped.Add(Entry{Name: "Figure5Sweep", NsPerOp: 1000, SimCyclesPerOp: 50})
+	deltas := Compare(base, dropped, gate, 0.15)
+	if regs := Regressions(deltas); len(regs) != 0 {
+		t.Fatalf("missing ungated entry tripped the gate: %+v", regs)
+	}
+	if d := deltas[1]; d.Name != "fig5/x" || !d.Missing || d.Gated {
+		t.Fatalf("missing ungated entry not reported as such: %+v", d)
+	}
+
 	// Exercise the formatter on every status.
 	out := Format(Compare(base, slow, gate, 0.15), 0.15)
 	if out == "" {

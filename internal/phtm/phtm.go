@@ -89,7 +89,7 @@ func (s *System) Stats() *tm.Stats { return s.stm.Stats() }
 
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	return tm.Ordered(&exec{s: s, u: btm.New(p), t: s.stm.Thread(p)})
+	return &exec{s: s, u: btm.New(p), t: s.stm.Thread(p)}
 }
 
 type exec struct {

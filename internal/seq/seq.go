@@ -55,7 +55,7 @@ func (s *System) Name() string {
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
 // Exec implements tm.System.
-func (s *System) Exec(p *machine.Proc) tm.Exec { return tm.Ordered(&exec{s: s, p: p}) }
+func (s *System) Exec(p *machine.Proc) tm.Exec { return &exec{s: s, p: p} }
 
 type exec struct {
 	s        *System

@@ -18,9 +18,8 @@ func NewRand(seed uint64) *Rand {
 }
 
 // Uint64 returns the next pseudo-random value. The sequence is a pure
-// function of the seed, so draw order determines the values; callers
-// sharing a Rand across processors must draw inside ordered sections
-// (machine.Machine.Rand's accessors arrange this).
+// function of the seed, so draw order determines the values; a Rand
+// shared across processors is drawn in schedule order.
 func (r *Rand) Uint64() uint64 {
 	x := r.state
 	x ^= x >> 12
@@ -46,8 +45,7 @@ func (r *Rand) Float64() float64 {
 }
 
 // Fork derives an independent generator, useful for giving each simulated
-// thread its own proc-local stream without sharing state (and therefore
-// without needing ordered sections to draw).
+// thread its own stream whose values do not depend on the schedule.
 func (r *Rand) Fork() *Rand {
 	return NewRand(r.Uint64() ^ 0xD1B54A32D192ED03)
 }

@@ -5,15 +5,10 @@ import (
 	"testing"
 )
 
-// These tests pin the run-ahead fast path (DESIGN.md §12) and the
-// time-windowed parallel scheduler (DESIGN.md §14) to the retained
-// reference scheduler (Config.Reference): all must produce exactly the
+// These tests pin the run-ahead fast path (DESIGN.md §12) to the retained
+// reference scheduler (Config.Reference): both must produce exactly the
 // same step sequence — the interleaving of (processor, clock) pairs across
-// every scheduling point — on the same script. The serial schedulers
-// serialize execution outright; under the parallel scheduler the scripts
-// bracket every shared-state action in EnterOrdered/ExitOrdered (no-ops in
-// the serial modes), which is exactly the contract the machine layers
-// follow.
+// every scheduling point — on the same script.
 
 type step struct {
 	id  int
@@ -21,25 +16,13 @@ type step struct {
 }
 
 // schedConfigs enumerates the scheduler implementations under test on top
-// of base. The reference scheduler is the executable specification; the
-// parallel entries include stress window widths (1 cycle forces a barrier
-// crossing at nearly every elapse) because window width must never affect
-// the schedule.
+// of base. The reference scheduler is the executable specification.
 func schedConfigs(base Config) map[string]Config {
 	ref := base
 	ref.Reference = true
-	par := base
-	par.Parallel = true
-	parW1 := par
-	parW1.WindowCycles = 1
-	parW7 := par
-	parW7.WindowCycles = 7
 	return map[string]Config{
-		"fast":        base,
-		"reference":   ref,
-		"parallel":    par,
-		"parallel-w1": parW1,
-		"parallel-w7": parW7,
+		"fast":      base,
+		"reference": ref,
 	}
 }
 
@@ -60,7 +43,7 @@ func diffTraces(t *testing.T, got, ref []step, label string) {
 }
 
 // TestScheduleTraceEquivalenceFixedScript drives a handcrafted script
-// through every scheduler: clock ties (ID tie-break), zero-cycle elapses,
+// through both schedulers: clock ties (ID tie-break), zero-cycle elapses,
 // a block/wake chain, and quantum-boundary crossings.
 func TestScheduleTraceEquivalenceFixedScript(t *testing.T) {
 	run := func(cfg Config) []step {
@@ -68,9 +51,7 @@ func TestScheduleTraceEquivalenceFixedScript(t *testing.T) {
 		e := New(cfg)
 		var trace []step
 		at := func(p *Proc) {
-			p.EnterOrdered(0)
 			trace = append(trace, step{p.ID(), p.Now()})
-			p.ExitOrdered()
 		}
 		sleeper := e.Proc(2)
 		e.Run([]func(*Proc){
@@ -117,7 +98,7 @@ func TestScheduleTraceEquivalenceFixedScript(t *testing.T) {
 // random Elapse/Block/Wake scripts must schedule identically under every
 // implementation. Blocking is only chosen when another processor is
 // neither done nor blocked (so someone can deliver the wakeup), and every
-// finishing processor drains the sleeper list; all schedulers see the
+// finishing processor drains the sleeper list; both schedulers see the
 // same shared state exactly because the schedules match — any divergence
 // shows up as a trace mismatch.
 func TestScheduleTraceEquivalenceRandomScripts(t *testing.T) {
@@ -151,11 +132,9 @@ func runRandomScript(cfg Config, procs int, quantum, seed uint64) []step {
 		r := NewRand(seed + uint64(i)*1_000_003)
 		ws[i] = func(p *Proc) {
 			for op := 0; op < scriptOps; op++ {
-				p.EnterOrdered(0)
 				trace = append(trace, step{p.ID(), p.Now()})
 				switch k := r.Intn(10); {
 				case k < 6:
-					p.ExitOrdered()
 					p.Elapse(uint64(r.Intn(50))) // includes 0: exercises ID tie-breaks
 				case k < 8:
 					if len(sleepers) > 0 {
@@ -164,10 +143,8 @@ func runRandomScript(cfg Config, procs int, quantum, seed uint64) []step {
 						sleepers = append(sleepers[:idx], sleepers[idx+1:]...)
 						active++
 						p.Wake(target)
-						p.ExitOrdered()
 						p.Elapse(1)
 					} else {
-						p.ExitOrdered()
 						p.Elapse(3)
 					}
 				default:
@@ -177,15 +154,12 @@ func runRandomScript(cfg Config, procs int, quantum, seed uint64) []step {
 						p.Block()
 						// A waker removed us from sleepers and restored
 						// the active count before calling Wake.
-						p.ExitOrdered()
 					} else {
-						p.ExitOrdered()
 						p.Elapse(7)
 					}
 				}
 			}
 			// Strand no one: the finishing processor wakes every sleeper.
-			p.EnterOrdered(0)
 			active--
 			for len(sleepers) > 0 {
 				target := sleepers[0]
@@ -193,7 +167,6 @@ func runRandomScript(cfg Config, procs int, quantum, seed uint64) []step {
 				active++
 				p.Wake(target)
 			}
-			p.ExitOrdered()
 		}
 	}
 	e.Run(ws)
@@ -201,7 +174,7 @@ func runRandomScript(cfg Config, procs int, quantum, seed uint64) []step {
 }
 
 // TestSchedulerFinalClocksMatch double-checks the cheap invariants beyond
-// the step trace: final clocks agree across every scheduler.
+// the step trace: final clocks agree across both schedulers.
 func TestSchedulerFinalClocksMatch(t *testing.T) {
 	run := func(cfg Config) []uint64 {
 		cfg.Procs, cfg.Quantum = 4, 50
@@ -236,7 +209,7 @@ func TestSchedulerFinalClocksMatch(t *testing.T) {
 // TestTwoPanickingWorkloadsFirstWins is the regression test for panic
 // capture: with two panicking workloads the engine must deterministically
 // re-raise the panic of whichever processor panics first in schedule
-// order, on every scheduler. Proc 1 reaches its panic at cycle 5 while
+// order, on both schedulers. Proc 1 reaches its panic at cycle 5 while
 // proc 0 is still run-ahead at cycle 10, so "B" wins.
 func TestTwoPanickingWorkloadsFirstWins(t *testing.T) {
 	for name, cfg := range schedConfigs(Config{Procs: 2}) {

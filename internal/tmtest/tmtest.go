@@ -90,9 +90,6 @@ func (e *recExec) Store(a, v uint64)    { e.inner.Store(a, v) }
 // commit; for eager STMs whose entry release yields, the checker's
 // order search (rather than strict append order) absorbs the skew.
 func (e *recExec) Atomic(body func(tm.Tx)) {
-	p := e.inner.Proc()
-	p.BeginOrdered(0)
-	defer p.EndOrdered()
 	e.inner.Atomic(func(tx tm.Tx) {
 		e.reads = map[uint64]uint64{}
 		e.readIdx = e.readIdx[:0]

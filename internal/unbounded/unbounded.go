@@ -54,7 +54,7 @@ func (s *System) Stats() *tm.Stats { return &s.stats }
 
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	return tm.Ordered(&exec{s: s, u: btm.NewUnbounded(p)})
+	return &exec{s: s, u: btm.NewUnbounded(p)}
 }
 
 type exec struct {
