@@ -45,8 +45,9 @@ func NewL1(sizeBytes, lineBytes, ways int) *L1 {
 	}
 	sets := lines / ways
 	c := &L1{ways: ways, sets: sets, lines: make([][]way, sets)}
+	all := make([]way, lines) // one allocation for every set, not one each
 	for i := range c.lines {
-		c.lines[i] = make([]way, ways)
+		c.lines[i] = all[i*ways : (i+1)*ways]
 	}
 	return c
 }

@@ -387,23 +387,26 @@ func New(p Params) *Machine {
 			MaxSteps:  p.MaxSteps,
 			Reference: p.ReferenceScheduler,
 		}),
-		Mem:  mem.New(p.MemBytes),
-		Rand: sim.NewRand(p.Seed),
-		dir:  cache.NewDirectory(),
-		warm: make(map[uint64]bool),
+		Mem:   mem.New(p.MemBytes),
+		Rand:  sim.NewRand(p.Seed),
+		dir:   cache.NewDirectory(),
+		warm:  make(map[uint64]bool),
+		procs: make([]*Proc, p.Procs),
 	}
 	// Reserve the first page so fixed low addresses used by small tests
 	// and examples never collide with Sbrk-allocated metadata (otables,
 	// lock tables, heaps).
 	m.Mem.Sbrk(mem.PageBytes)
-	for i := 0; i < p.Procs; i++ {
-		mp := &Proc{
+	slab := make([]Proc, p.Procs)
+	for i := range slab {
+		slab[i] = Proc{
 			m:   m,
 			sp:  m.Eng.Proc(i),
 			l1:  cache.NewL1(p.L1Bytes, mem.LineBytes, p.L1Ways),
 			ufo: true, // threads start with UFO faults enabled
 		}
-		m.procs = append(m.procs, mp)
+		mp := &slab[i]
+		m.procs[i] = mp
 		mp.sp.OnInterrupt(mp.timerInterrupt)
 	}
 	return m
@@ -432,10 +435,10 @@ func (m *Machine) Run(workloads []func(*Proc)) {
 	if len(workloads) != len(m.procs) {
 		panic(fmt.Sprintf("machine: %d workloads for %d processors", len(workloads), len(m.procs)))
 	}
+	body := func(sp *sim.Proc) { workloads[sp.ID()](m.procs[sp.ID()]) }
 	ws := make([]func(*sim.Proc), len(workloads))
-	for i, w := range workloads {
-		mp, body := m.procs[i], w
-		ws[i] = func(*sim.Proc) { body(mp) }
+	for i := range ws {
+		ws[i] = body
 	}
 	m.Eng.Run(ws)
 }

@@ -37,8 +37,8 @@ func (t *HWTx) Footprint() int {
 }
 
 // Proc is one simulated processor plus its private L1 and transactional
-// state. All methods must be called from the processor's own workload
-// goroutine, except where noted. One processor holds the execution
+// state. All methods must be called from the processor's own workload,
+// except where noted. One processor holds the execution
 // token at a time, so every method runs atomically at this processor's
 // (cycle, id) slot of the deterministic schedule.
 type Proc struct {

@@ -1,14 +1,16 @@
+//go:build go1.23
+
 // Package sim provides a deterministic, execution-driven multiprocessor
 // simulation engine, the foundation of the paper's §5.1 simulation
 // methodology.
 //
-// Each simulated processor runs its workload on a dedicated goroutine, but
-// the engine globally serializes execution: exactly one processor goroutine
-// runs at any instant, and the engine always resumes the runnable processor
-// with the smallest local clock (ties broken by processor ID). Memory
-// operations performed by the layers above are therefore atomic at their
-// timestamp, interleavings are bit-reproducible for a given configuration,
-// and no locking is needed anywhere in the simulated machine.
+// Each simulated processor runs its workload as a coroutine of the
+// goroutine that called Run, so exactly one of them executes at any
+// instant, and the engine always resumes the runnable processor with the
+// smallest local clock (ties broken by processor ID). Memory operations
+// performed by the layers above are therefore atomic at their timestamp,
+// interleavings are bit-reproducible for a given configuration, and no
+// locking is needed anywhere in the simulated machine.
 //
 // Time is measured in cycles. Workload code advances its processor's clock
 // with Proc.Elapse, which is also the engine's only scheduling point: a
@@ -23,22 +25,27 @@
 // indexed min-heap ordered by (clock, id); the heap minimum is the
 // "horizon" — the earliest instant at which any other processor could be
 // entitled to run. The executing processor compares its clock against the
-// horizon on every Elapse and keeps executing inline, with zero channel
-// operations, for as long as it remains the strict (clock, id) minimum.
-// Only when its clock crosses the horizon does it take the slow path:
-// push itself back into the heap, pop the new minimum, and hand the
-// execution token directly to that processor's goroutine (the engine
-// goroutine in Run only participates at startup and termination). The
-// schedule this produces is exactly the one the naive
+// horizon on every Elapse and keeps executing inline, without a switch,
+// for as long as it remains the strict (clock, id) minimum. Only when its
+// clock crosses the horizon does it take the slow path: push itself back
+// into the heap and suspend. Run's loop is the hub of every handoff: it
+// pops the new minimum, counts the step, checks the budget and resumes
+// that processor, so a handoff costs two coroutine switches (iter.Pull),
+// neither of which goes through the Go scheduler. The schedule this
+// produces is exactly the one the naive
 // pick-the-global-minimum-every-Elapse scheduler produces; the retained
-// reference implementation (Config.Reference) is the executable
-// specification, and differential tests pin the two to identical step
-// sequences.
+// reference implementation (Config.Reference) runs on the same loop,
+// suspending on every Elapse and picking by linear scan. It is the
+// executable specification, and differential tests pin the two to
+// identical step sequences.
+//
+// The go1.23 build constraint above is for iter.Pull; go.mod keeps the
+// language version the benchmark module requires and names the toolchain.
 package sim
 
 import (
 	"fmt"
-	"sort"
+	"iter"
 	"strings"
 )
 
@@ -85,11 +92,11 @@ type Config struct {
 	// default.
 	MaxSteps uint64
 	// Reference selects the retained reference scheduler: every Elapse
-	// yields to the engine goroutine, which re-picks the minimum
-	// (clock, id) processor by linear scan. It is the executable
-	// specification of the scheduling order — slow but obviously correct —
-	// kept for differential testing of the run-ahead fast path. Simulated
-	// results are bit-identical between the two.
+	// suspends, and the run loop re-picks the minimum (clock, id)
+	// processor by linear scan. It is the executable specification of the
+	// scheduling order — slow but obviously correct — kept for
+	// differential testing of the run-ahead fast path. Simulated results
+	// are bit-identical between the two.
 	Reference bool
 }
 
@@ -97,23 +104,17 @@ const defaultMaxSteps = 2_000_000_000
 
 // Engine owns the simulated processors and the global clock ordering.
 type Engine struct {
-	cfg      Config
-	procs    []*Proc
-	steps    uint64
-	panicked any
+	cfg   Config
+	procs []*Proc
+	steps uint64
 
-	// Fast-path scheduler state. ready holds every Ready processor that
-	// is not currently executing, ordered by (clock, id); ready[0] is the
-	// run-ahead horizon. Entries never change their key while in the heap
-	// (only the executing processor advances its own clock, and Wake bumps
-	// a sleeper's clock before pushing it), so the heap needs push and pop
-	// but never a decrease-key. All of this state is owned by whichever
-	// goroutine currently holds the execution token; token handoffs are
-	// channel-synchronized, so no locking is needed.
-	ready   []*Proc
-	notDone int
-	doneCh  chan struct{}
-	termMsg string
+	// ready holds every Ready processor that is not currently executing,
+	// ordered by (clock, id); ready[0] is the run-ahead horizon. Entries
+	// never change their key while in the heap (only the executing
+	// processor advances its own clock, and Wake bumps a sleeper's clock
+	// before pushing it), so the heap needs push and pop but never a
+	// decrease-key. The reference scheduler leaves it empty.
+	ready []*Proc
 }
 
 // New creates an engine with cfg.Procs processors, all at cycle 0. The
@@ -126,17 +127,15 @@ func New(cfg Config) *Engine {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = defaultMaxSteps
 	}
-	e := &Engine{cfg: cfg}
-	for i := 0; i < cfg.Procs; i++ {
-		e.procs = append(e.procs, &Proc{
-			id:      i,
-			eng:     e,
-			state:   Ready,
-			heapIdx: -1,
-			grant:   make(chan struct{}),
-			yield:   make(chan struct{}),
-			quantum: cfg.Quantum,
-		})
+	e := &Engine{
+		cfg:   cfg,
+		procs: make([]*Proc, cfg.Procs),
+		ready: make([]*Proc, 0, cfg.Procs),
+	}
+	slab := make([]Proc, cfg.Procs)
+	for i := range slab {
+		slab[i] = Proc{id: i, eng: e, heapIdx: -1, nextQuantum: cfg.Quantum}
+		e.procs[i] = &slab[i]
 	}
 	return e
 }
@@ -151,129 +150,68 @@ func (e *Engine) Proc(id int) *Proc { return e.procs[id] }
 
 // Run executes one workload function per processor and returns when every
 // workload has returned. Workload i runs on processor i; len(workloads)
-// must equal the processor count. Run panics (with a state dump) if all
-// unfinished processors are blocked, which would otherwise deadlock, or if
-// the step budget is exhausted, which indicates livelock. A workload panic
-// is captured by the panicking processor (first panic in schedule order
-// wins, deterministically) and re-raised from Run.
+// must equal the processor count. Every processor starts Ready at the
+// clock it had when Run was called, so an engine can run again once Run
+// has returned. Run panics (with a state dump) if all unfinished
+// processors are blocked, which would otherwise deadlock, or if the step
+// budget is exhausted, which indicates livelock. A workload panic leaves
+// Run with its original value; the first in schedule order wins,
+// deterministically, because no other processor is resumed after it.
+// However Run ends, no processor's coroutine outlives it.
 func (e *Engine) Run(workloads []func(*Proc)) {
 	if len(workloads) != len(e.procs) {
 		panic(fmt.Sprintf("sim: %d workloads for %d processors", len(workloads), len(e.procs)))
 	}
-	if e.cfg.Reference {
-		e.runReference(workloads)
-		return
-	}
-	e.runFast(workloads)
-}
-
-// runFast is the run-ahead scheduler. The engine goroutine seeds the heap,
-// grants the first processor, and then parks until the processors —
-// passing the execution token directly among themselves — signal
-// termination (all done, deadlock, livelock, or a workload panic).
-func (e *Engine) runFast(workloads []func(*Proc)) {
-	e.doneCh = make(chan struct{})
-	e.termMsg = ""
-	e.notDone = 0
 	e.ready = e.ready[:0]
-	for _, p := range e.procs {
-		if p.state != Done {
-			e.notDone++
-		}
-		if p.state == Ready {
+	for i, p := range e.procs {
+		p.state, p.unwinding = Ready, false
+		p.resume, p.stop = iter.Pull(p.coroutine(workloads[i]))
+		if !e.cfg.Reference {
 			e.heapPush(p)
 		}
 	}
-	for i, w := range workloads {
-		p, body := e.procs[i], w
-		go func() {
-			defer p.finish()
-			<-p.grant
-			body(p)
-		}()
-	}
-	first := e.heapPop()
-	if first == nil {
-		if e.notDone == 0 {
-			return
+	// On deadlock, budget exhaustion or a workload panic the other
+	// processors are still suspended: stopping them unwinds each workload
+	// from its park. Stopping a finished coroutine is a no-op. Dropping
+	// the coroutine's functions releases the workload they captured.
+	defer func() {
+		for _, p := range e.procs {
+			p.stop()
+			p.resume, p.stop, p.suspend = nil, nil, nil
 		}
-		panic("sim: deadlock — all unfinished processors are blocked\n" + e.dump())
-	}
-	e.steps++
-	first.grant <- struct{}{}
-	<-e.doneCh
-	if e.panicked != nil {
-		panic(e.panicked)
-	}
-	if e.termMsg != "" {
-		panic(e.termMsg)
-	}
-}
-
-// runReference is the retained reference scheduler: the engine goroutine
-// re-picks the minimum (clock, id) ready processor by linear scan after
-// every single Elapse, paying two channel handoffs per scheduling step.
-func (e *Engine) runReference(workloads []func(*Proc)) {
-	for i, w := range workloads {
-		p, body := e.procs[i], w
-		go func() {
-			defer func() {
-				// Workload panics are captured per processor; only the
-				// engine goroutine promotes one to e.panicked, so the
-				// capture is single-writer and first-in-schedule-order.
-				if r := recover(); r != nil {
-					p.panicVal = r
-				}
-				p.state = Done
-				p.yield <- struct{}{}
-			}()
-			<-p.grant
-			body(p)
-		}()
-	}
-	for {
-		p := e.pick()
-		if p == nil {
-			return
-		}
+	}()
+	for p := e.next(); p != nil; p = e.next() {
 		e.steps++
 		if e.steps > e.cfg.MaxSteps {
 			panic("sim: step budget exhausted (livelock?)\n" + e.dump())
 		}
-		p.grant <- struct{}{}
-		<-p.yield
-		if p.state == Done && p.panicVal != nil {
-			if e.panicked == nil {
-				e.panicked = p.panicVal
-			}
-			panic(e.panicked)
+		if _, suspended := p.resume(); !suspended {
+			p.state = Done
 		}
 	}
 }
 
-// pick returns the ready processor with the smallest clock (ties broken by
-// ID), nil if every processor is done, and panics on deadlock. It is the
-// reference scheduler's O(n) selection; the fast path replaces it with the
-// ready heap.
-func (e *Engine) pick() *Proc {
+// next returns the ready processor with the smallest clock (ties broken
+// by ID) — the heap minimum, or under the reference scheduler the result
+// of a linear scan — nil if every processor is done, and panics on
+// deadlock.
+func (e *Engine) next() *Proc {
 	var best *Proc
-	allDone := true
-	for _, p := range e.procs {
-		if p.state != Done {
-			allDone = false
-		}
-		if p.state != Ready {
-			continue
-		}
-		if best == nil || p.now < best.now {
-			best = p
+	if !e.cfg.Reference {
+		best = e.heapPop()
+	} else {
+		for _, p := range e.procs {
+			if p.state == Ready && (best == nil || p.now < best.now) {
+				best = p
+			}
 		}
 	}
 	if best == nil {
-		if allDone {
-			return nil
+		for _, p := range e.procs {
+			if p.state != Done {
+				panic("sim: deadlock — all unfinished processors are blocked\n" + e.dump())
+			}
 		}
-		panic("sim: deadlock — all unfinished processors are blocked\n" + e.dump())
 	}
 	return best
 }
@@ -296,9 +234,7 @@ func (e *Engine) Steps() uint64 { return e.steps }
 
 func (e *Engine) dump() string {
 	var b strings.Builder
-	ps := append([]*Proc(nil), e.procs...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].id < ps[j].id })
-	for _, p := range ps {
+	for _, p := range e.procs {
 		fmt.Fprintf(&b, "  proc %d: %s at cycle %d (%s)\n", p.id, p.state, p.now, p.note)
 	}
 	return b.String()

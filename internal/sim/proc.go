@@ -3,10 +3,10 @@ package sim
 import "fmt"
 
 // Proc is one simulated processor. All methods must be called from the
-// workload goroutine that the engine started for this processor (except
-// Wake, which is called by whichever processor is currently running).
-// One processor holds the execution token at a time, so that discipline
-// alone makes every method race-free.
+// workload the engine started for this processor (except Wake, which is
+// called by whichever processor is currently running). One processor
+// holds the execution token at a time, so that discipline alone makes
+// every method race-free.
 type Proc struct {
 	id    int
 	eng   *Engine
@@ -14,16 +14,19 @@ type Proc struct {
 	state State
 	note  string // diagnostic label shown in deadlock/livelock dumps
 
-	heapIdx  int // position in the engine's ready heap, -1 when absent
-	panicVal any // captured workload panic; written only by this proc's goroutine
+	heapIdx int // position in the engine's ready heap, -1 when absent
 
-	grant chan struct{}
-	yield chan struct{} // reference scheduler only
+	// The workload's coroutine: the run loop calls resume and stop, the
+	// workload calls suspend. unwinding is set once suspend has reported
+	// that the run is being torn down.
+	resume    func() (struct{}, bool)
+	stop      func()
+	suspend   func(struct{}) bool
+	unwinding bool
 
-	quantum      uint64
-	nextQuantum  uint64
-	interruptFns []func()
-	fastSkips    uint32
+	nextQuantum uint64 // next timer-interrupt time; 0 when Config.Quantum is 0
+	interrupt   func()
+	fastSkips   uint32
 }
 
 // ID returns the processor number.
@@ -39,55 +42,51 @@ func (p *Proc) SetNote(format string, args ...any) {
 	p.note = fmt.Sprintf(format, args...)
 }
 
-// OnInterrupt registers fn to run (on the workload goroutine, during
+// OnInterrupt sets the function that runs (in the workload, during
 // Elapse) every time this processor's clock crosses a scheduling-quantum
-// boundary. The TM layers use this to model timer-interrupt aborts.
-func (p *Proc) OnInterrupt(fn func()) {
-	p.interruptFns = append(p.interruptFns, fn)
-}
+// boundary, replacing any earlier one. The TM layers use this to model
+// timer-interrupt aborts.
+func (p *Proc) OnInterrupt(fn func()) { p.interrupt = fn }
 
 // Elapse advances the local clock by cycles and yields to the engine so a
-// processor with a smaller clock can run. It fires timer-interrupt hooks
-// for every quantum boundary crossed. Elapse is the only scheduling
+// processor with a smaller clock can run. It fires the timer-interrupt
+// hook for every quantum boundary crossed. Elapse is the only scheduling
 // point: the engine's deterministic (clock, id) order is defined over
 // the steps Elapse creates, identically under both schedulers.
 func (p *Proc) Elapse(cycles uint64) {
 	p.now += cycles
-	if p.quantum > 0 {
-		if p.nextQuantum == 0 {
-			p.nextQuantum = p.quantum
-		}
+	e := p.eng
+	if e.cfg.Quantum > 0 {
 		for p.now >= p.nextQuantum {
-			p.nextQuantum += p.quantum
-			for _, fn := range p.interruptFns {
-				fn()
+			p.nextQuantum += e.cfg.Quantum
+			if p.interrupt != nil {
+				p.interrupt()
 			}
 		}
 	}
-	e := p.eng
-	if e.cfg.Reference {
-		p.refYield()
-		return
-	}
-	// Run-ahead fast path: while this processor stays strictly before the
-	// horizon in (clock, id) order it is still the engine's unique next
-	// pick, so it keeps executing inline with zero channel operations.
-	// (The horizon can only have moved earlier through this processor's
-	// own actions — Wake, interrupt hooks — all of which happened above or
-	// on a previous slow path, so the comparison is always current.)
-	if h := e.horizon(); h != nil && schedBefore(h, p) {
-		p.yieldNext()
-		return
-	}
-	// Coarse inline step accounting keeps the livelock watchdog counting
-	// while a lone runnable processor spins below the horizon.
-	p.fastSkips++
-	if p.fastSkips&1023 == 0 {
-		e.steps++
-		if e.steps > e.cfg.MaxSteps {
-			panic("sim: step budget exhausted (livelock?)\n" + e.dump())
+	if !e.cfg.Reference {
+		// Run-ahead fast path: while this processor stays strictly before
+		// the horizon in (clock, id) order it is still the engine's unique
+		// next pick, so it keeps executing inline without a switch. (The
+		// horizon can only have moved earlier through this processor's own
+		// actions — Wake, the interrupt hook — all of which happened above
+		// or before this call, so the comparison is always current.)
+		if h := e.horizon(); h == nil || !schedBefore(h, p) {
+			// Coarse inline step accounting keeps the livelock watchdog
+			// counting while a lone runnable processor spins below the
+			// horizon.
+			p.fastSkips++
+			if p.fastSkips&1023 == 0 {
+				e.steps++
+				if e.steps > e.cfg.MaxSteps {
+					panic("sim: step budget exhausted (livelock?)\n" + e.dump())
+				}
+			}
+			return
 		}
+		e.heapPush(p)
 	}
+	p.park()
 }
 
 // Block deschedules the processor until another processor calls Wake. The
@@ -95,11 +94,7 @@ func (p *Proc) Elapse(cycles uint64) {
 // (the waker's Wake advances the sleeper's clock to the wake time).
 func (p *Proc) Block() {
 	p.state = Blocked
-	if p.eng.cfg.Reference {
-		p.refYield()
-		return
-	}
-	p.yieldNext()
+	p.park()
 }
 
 // Wake makes a blocked processor runnable again, advancing its clock to
@@ -121,75 +116,30 @@ func (p *Proc) Wake(target *Proc) {
 	}
 }
 
-// yieldNext is the scheduling slow path: hand the execution token to the
-// next processor in (clock, id) order, or terminate the run. Called when
-// the executing processor crosses the horizon, blocks, or finishes.
-func (p *Proc) yieldNext() {
-	e := p.eng
-	e.steps++
-	if e.steps > e.cfg.MaxSteps {
-		msg := "sim: step budget exhausted (livelock?)\n" + e.dump()
-		if p.state == Done {
-			// Called from finish's defer: a panic here would escape the
-			// goroutine uncaught, so route the diagnostic through Run.
-			e.termMsg = msg
-			close(e.doneCh)
-			return
-		}
-		panic(msg)
-	}
-	// Latch the departing state now: the moment the token is handed to
-	// next, that processor may Wake this one, writing p.state and p.now
-	// concurrently with anything we still read here.
-	parked := p.state != Done
-	if p.state == Ready {
-		e.heapPush(p)
-	}
-	next := e.heapPop()
-	switch {
-	case next == p:
-		// No other ready processor precedes us after all; keep running.
-		return
-	case next != nil:
-		next.grant <- struct{}{}
-	case e.notDone == 0:
-		close(e.doneCh) // every workload returned
-		return
-	default:
-		// No runnable processor but unfinished ones remain: deadlock.
-		e.termMsg = "sim: deadlock — all unfinished processors are blocked\n" + e.dump()
-		close(e.doneCh)
-		// fall through to park this (blocked) processor forever
-	}
-	if parked {
-		<-p.grant
+// park is the scheduling slow path: it hands the execution token back to
+// the run loop and returns when the loop resumes this processor. If the
+// run is being torn down instead, it unwinds the workload with a panic
+// that coroutine absorbs; a deferred call that reaches park again during
+// the unwind gets the same answer from suspend without switching.
+func (p *Proc) park() {
+	if !p.suspend(struct{}{}) {
+		p.unwinding = true
+		panic("sim: run stopped")
 	}
 }
 
-// finish runs deferred on the workload goroutine. It captures a workload
-// panic into the per-processor slot (each goroutine writes only its own,
-// so capture is race-free), marks the processor Done, and either
-// terminates the run — the first panicking processor in schedule order
-// wins, deterministically, because it holds the execution token and no
-// other processor resumes afterwards — or hands the token onward.
-func (p *Proc) finish() {
-	e := p.eng
-	if r := recover(); r != nil {
-		p.panicVal = r
+// coroutine wraps a workload as the body iter.Pull runs: it ends when the
+// workload returns, lets a workload panic through to the run loop's
+// resume, and absorbs whatever an unwinding workload raises, so that the
+// failure which stopped the run is the one Run reports.
+func (p *Proc) coroutine(workload func(*Proc)) func(func(struct{}) bool) {
+	return func(suspend func(struct{}) bool) {
+		p.suspend = suspend
+		defer func() {
+			if r := recover(); r != nil && !p.unwinding {
+				panic(r)
+			}
+		}()
+		workload(p)
 	}
-	p.state = Done
-	e.notDone--
-	if p.panicVal != nil {
-		e.panicked = p.panicVal
-		close(e.doneCh)
-		return
-	}
-	p.yieldNext()
-}
-
-// refYield is the reference scheduler's unconditional handoff to the
-// engine goroutine.
-func (p *Proc) refYield() {
-	p.yield <- struct{}{}
-	<-p.grant
 }
