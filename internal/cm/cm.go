@@ -14,9 +14,9 @@
 // The default CappedExponential policy reproduces the paper's §4.4
 // behaviour cycle-for-cycle: delay = Base << min(attempt, MaxShift)
 // plus one uniform jitter draw in [0, Base). Construction funnels
-// through Spec, the single validation site — a zero or absurd
-// BackoffBase is defaulted here rather than reaching Rand.Intn(0) in
-// six hand-rolled retry loops.
+// through Spec, the single validation site — a zero or absurd backoff
+// base is defaulted here rather than reaching Rand.Intn(0) in a retry
+// loop.
 package cm
 
 import (
@@ -271,11 +271,12 @@ var Kinds = []Kind{KindExponential, KindLinear, KindKarma, KindSerialize}
 // Spec is a value-type policy selection, safe to copy into every cell
 // of a parallel sweep (each cell instantiates its own Policy, so no
 // state is shared across machines). The zero Spec selects the default
-// CappedExponential with the system's own BackoffBase.
+// CappedExponential with the system's own base (Holder.Base).
 type Spec struct {
 	// Kind selects the policy family ("" = exp).
 	Kind Kind
-	// Base overrides the system's BackoffBase when nonzero.
+	// Base overrides the system's own base when nonzero; it is the one
+	// backoff-unit override every system shares.
 	Base uint64
 	// MaxShift bounds the exponential (and karma) shift; 0 means
 	// DefaultMaxShift.
@@ -490,4 +491,38 @@ type Tunable interface {
 // reports.
 type Instrumented interface {
 	CM() *Manager
+}
+
+// Holder is the contention-management slot a system embeds to be Tunable
+// and Instrumented. The Manager is built on first use, so the policy and
+// Base may be set in either order as long as both precede the first
+// transaction.
+type Holder struct {
+	// Base is the owning system's own backoff unit, for the one system
+	// that has such a knob (core.Policy.BackoffBase, Figure 8). Spec.Base
+	// overrides it; zero selects DefaultBase.
+	Base uint64
+
+	spec Spec
+	mgr  *Manager
+}
+
+var (
+	_ Tunable      = (*Holder)(nil)
+	_ Instrumented = (*Holder)(nil)
+)
+
+// SetBackoffPolicy implements Tunable. Call before the first transaction
+// runs.
+func (h *Holder) SetBackoffPolicy(spec Spec) {
+	h.spec = spec
+	h.mgr = nil
+}
+
+// CM implements Instrumented.
+func (h *Holder) CM() *Manager {
+	if h.mgr == nil {
+		h.mgr = NewManager(h.spec, h.Base)
+	}
+	return h.mgr
 }

@@ -267,3 +267,40 @@ func TestMetricsRegistered(t *testing.T) {
 		t.Fatalf("cm.page_fault_stalls = %d, want 1", snap.Counter("cm.page_fault_stalls"))
 	}
 }
+
+// TestHolder covers the slot every system embeds: the manager is built
+// on first use from whatever policy and base are set by then, setting a
+// policy discards a manager already built, and Spec.Base overrides the
+// system's own base.
+func TestHolder(t *testing.T) {
+	var h Holder
+	if got := h.CM().PolicyName(); got != "exp" {
+		t.Fatalf("zero Holder policy = %q, want exp", got)
+	}
+	if h.CM() != h.CM() {
+		t.Fatal("CM must build the manager once")
+	}
+	first := h.CM()
+	h.SetBackoffPolicy(Spec{Kind: KindKarma})
+	if h.CM() == first || h.CM().PolicyName() != "karma" {
+		t.Fatalf("SetBackoffPolicy after CM did not rebuild the manager (policy %q)", h.CM().PolicyName())
+	}
+
+	// Base 1 makes the jitter draw Intn(1) == 0, so delays are exact.
+	delay := func(h *Holder) uint64 {
+		m := machine.New(machine.DefaultParams(1))
+		m.Run([]func(*machine.Proc){func(p *machine.Proc) {
+			h.CM().OnAbort(p, 1, 0, machine.AbortConflict)
+		}})
+		return h.CM().Stats().DelayCycles
+	}
+	own := &Holder{Base: 1}
+	if got := delay(own); got != 1 {
+		t.Fatalf("delay with Holder.Base 1 = %d, want 1", got)
+	}
+	overridden := &Holder{Base: 1}
+	overridden.SetBackoffPolicy(Spec{Base: 4})
+	if got := delay(overridden); got < 4 || got >= 8 {
+		t.Fatalf("delay with Spec.Base 4 over Holder.Base 1 = %d, want in [4, 8)", got)
+	}
+}

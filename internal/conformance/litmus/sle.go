@@ -30,32 +30,16 @@ func (s *sleSystem) Name() string     { return "sle" }
 func (s *sleSystem) Stats() *tm.Stats { return &s.stats }
 
 func (s *sleSystem) Exec(p *machine.Proc) tm.Exec {
-	return &sleExec{sys: s, e: s.mgr.Exec(p), p: p}
+	return &sleExec{NT: tm.NT{P: p}, sys: s, e: s.mgr.Exec(p)}
 }
 
 type sleExec struct {
-	sys *sleSystem
-	e   *sle.Exec
-	p   *machine.Proc
+	tm.NT // plain non-transactional accesses
+	sys   *sleSystem
+	e     *sle.Exec
 }
 
 var _ tm.Exec = (*sleExec)(nil)
-
-func (e *sleExec) Proc() *machine.Proc { return e.p }
-
-func (e *sleExec) Load(addr uint64) uint64 {
-	v, out := e.p.NTRead(addr)
-	if out.Kind != machine.OK {
-		panic("litmus/sle: read outcome " + out.Kind.String())
-	}
-	return v
-}
-
-func (e *sleExec) Store(addr, val uint64) {
-	if out := e.p.NTWrite(addr, val); out.Kind != machine.OK {
-		panic("litmus/sle: write outcome " + out.Kind.String())
-	}
-}
 
 func (e *sleExec) Atomic(body func(tm.Tx)) {
 	e.e.Critical(e.sys.lock, func(mem sle.Mem) {

@@ -11,12 +11,16 @@
 // hold the line. No software checks are added to the hardware path — the
 // paper's pay-per-use principle.
 //
-// The BTM abort handler (Algorithm 3) classifies every abort into
-// fail-to-software (overflow, syscall, I/O, exception, nesting, explicit),
-// retry-in-hardware with exponential backoff (interrupt, conflict,
-// UFO-kill, UFO-fault, nonT-conflict), or resolve-then-retry (page
-// fault). §4.4's contention-management findings are exposed as
-// Policy knobs so the Figure 8 sensitivity study can be reproduced.
+// The transaction structure itself — Figure 4's try BTM, run the abort
+// handler, retry in hardware or fail over — is tm.Driver. This package
+// supplies what is the UFO hybrid's own: Algorithm 3 as a table
+// (Dispositions: overflow, syscall, I/O, exception, nesting and explicit
+// aborts fail over; interrupts and the conflict family retry in hardware;
+// a page fault is resolved and retried), USTM as the software path, the
+// user-mode UFO fault handler inside hardware loads and stores, and the
+// post-commit wake-up of retrying software transactions. §4.4's
+// contention-management findings are exposed as Policy knobs so the
+// Figure 8 sensitivity study can be reproduced.
 package core
 
 import (
@@ -63,14 +67,31 @@ func DefaultPolicy() Policy {
 	}
 }
 
+// Dispositions is the BTM abort handler of Algorithm 3: conditions
+// hardware will never satisfy fail over to software, contention retries
+// in hardware — counted against Policy.FailoverOnNthConflict when the
+// cause is a conflict — and a page fault is resolved and retried.
+var Dispositions = tm.Dispositions{
+	machine.AbortOverflow:     tm.Fatal,
+	machine.AbortExplicit:     tm.Fatal,
+	machine.AbortInterrupt:    tm.Transient,
+	machine.AbortConflict:     tm.Counted,
+	machine.AbortException:    tm.Fatal,
+	machine.AbortSyscall:      tm.Fatal,
+	machine.AbortIO:           tm.Fatal,
+	machine.AbortPageFault:    tm.Fault,
+	machine.AbortUFOKill:      tm.Counted,
+	machine.AbortUFOFault:     tm.Counted,
+	machine.AbortNonTConflict: tm.Counted,
+	machine.AbortNesting:      tm.Fatal,
+}
+
 // System is the UFO hybrid TM. It implements tm.System.
 type System struct {
-	m   *machine.Machine
+	cm.Holder
 	stm *ustm.STM
 	pol Policy
-
-	backoff cm.Spec
-	cmgr    *cm.Manager
+	h   tm.Handler
 }
 
 // New builds a hybrid over the machine with the given USTM configuration
@@ -87,7 +108,16 @@ func New(m *machine.Machine, cfg ustm.Config, pol Policy) *System {
 	if pol.UFOFaultStallCycles == 0 {
 		pol.UFOFaultStallCycles = 60
 	}
-	return &System{m: m, stm: ustm.New(m, cfg), pol: pol}
+	s := &System{Holder: cm.Holder{Base: pol.BackoffBase}, stm: ustm.New(m, cfg), pol: pol}
+	s.h = tm.Handler{
+		Name: s.Name(), Stats: s.stm.Stats(), CM: &s.Holder,
+		On: Dispositions, Limit: pol.FailoverOnNthConflict,
+		// retry (transactional waiting) inside a hardware transaction
+		// compiles to an explicit abort so the transaction fails over to
+		// software, where waiting is supported (Section 6).
+		RetryReason: machine.AbortExplicit,
+	}
+	return s
 }
 
 // Name implements tm.System.
@@ -101,164 +131,39 @@ func (s *System) Stats() *tm.Stats { return s.stm.Stats() }
 // use it).
 func (s *System) STM() *ustm.STM { return s.stm }
 
-// SetBackoffPolicy implements cm.Tunable: it selects the contention-
-// management policy. Call before the first transaction runs.
-func (s *System) SetBackoffPolicy(spec cm.Spec) {
-	s.backoff = spec
-	s.cmgr = nil
-}
-
-// CM implements cm.Instrumented. The manager is built lazily so the
-// BackoffBase knob and SetBackoffPolicy both take effect regardless of
-// call order, as long as they precede the first transaction.
-func (s *System) CM() *cm.Manager {
-	if s.cmgr == nil {
-		s.cmgr = cm.NewManager(s.backoff, s.pol.BackoffBase)
-	}
-	return s.cmgr
-}
-
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	return &exec{
-		s: s,
-		u: btm.New(p),
-		t: s.stm.Thread(p),
+	e := &exec{s: s}
+	e.Driver = tm.Driver{
+		NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Tx: hwTx{e.HW(), e},
+		Begin: e.forgetRetriers, Committed: e.wakeRetriers, Software: s.stm.Thread(p).RunTx,
 	}
+	return e
 }
 
 // exec is the per-thread hybrid execution context.
 type exec struct {
+	tm.Driver
 	s *System
-	u *btm.Unit
-	t *ustm.Thread
 
 	// toWake accumulates retrying software transactions whose lines this
 	// hardware transaction touched under masked faults; they are woken
 	// after the hardware commit makes the update visible (Section 6).
 	toWake []*ustm.Thread
-	// onCommit accumulates deferred side effects registered by the
-	// current hardware attempt (software attempts defer through USTM).
-	onCommit []func()
 	// ufoFaultTries counts consecutive stall-retries for one access under
 	// the StallOnUFOFault policy.
 	ufoFaultTries int
 }
 
-var _ tm.Exec = (*exec)(nil)
-
-// Proc implements tm.Exec.
-func (e *exec) Proc() *machine.Proc { return e.u.Proc() }
-
 // Load implements tm.Exec's non-transactional access with USTM's strong
 // atomicity fault handling.
-func (e *exec) Load(addr uint64) uint64 { return ustm.NTLoad(e.s.stm, e.Proc(), addr) }
+func (e *exec) Load(addr uint64) uint64 { return ustm.NTLoad(e.s.stm, e.P, addr) }
 
 // Store implements tm.Exec.
-func (e *exec) Store(addr, val uint64) { ustm.NTStore(e.s.stm, e.Proc(), addr, val) }
+func (e *exec) Store(addr, val uint64) { ustm.NTStore(e.s.stm, e.P, addr, val) }
 
-// Atomic implements tm.Exec: the hybrid transaction structure of
-// Figure 4 — try BTM, run the abort handler, retry in hardware or fail
-// over to USTM.
-func (e *exec) Atomic(body func(tm.Tx)) {
-	age := e.s.m.NextAge()
-	stats := e.s.Stats()
-	cmgr := e.s.CM()
-	p := e.Proc()
-	p.TxLifeBegin()
-	conflictAborts := 0
-	totalAborts := 0
-	for {
-		p.TxLifeAttempt(machine.PathHTM)
-		reason, committed := e.tryHW(age, body)
-		if committed {
-			stats.HWCommits++
-			p.TxLifeCommit(machine.PathHTM)
-			cmgr.TxDone(age)
-			e.wakeRetriers()
-			e.runDeferred()
-			return
-		}
-		p.TxLifeAbort(machine.PathHTM, reason)
-		// The BTM abort handler (Algorithm 3).
-		switch reason {
-		case machine.AbortOverflow, machine.AbortSyscall, machine.AbortIO,
-			machine.AbortException, machine.AbortNesting, machine.AbortExplicit:
-			// Conditions hardware will never satisfy: fail over now.
-			e.failover(age, body)
-			cmgr.TxDone(age)
-			return
-		case machine.AbortPageFault:
-			// Resolve the fault (touch the page non-transactionally) and
-			// retry in hardware without counting an abort.
-			cmgr.PageFaultStall(e.Proc())
-			continue
-		case machine.AbortConflict, machine.AbortUFOKill,
-			machine.AbortNonTConflict, machine.AbortUFOFault:
-			conflictAborts++
-			if e.s.pol.FailoverOnNthConflict > 0 && conflictAborts >= e.s.pol.FailoverOnNthConflict {
-				e.failover(age, body)
-				cmgr.TxDone(age)
-				return
-			}
-		case machine.AbortInterrupt:
-			// Likely transient: retry after the backoff.
-		default:
-			panic("core: unclassified abort reason " + reason.String())
-		}
-		totalAborts++ // the policy clamps the shift (saturating counter)
-		stats.HWRetries++
-		if cmgr.OnAbort(e.Proc(), age, totalAborts, reason) != cm.EscalateNone {
-			// The policy declared this transaction starving: stop burning
-			// hardware attempts and serialize it through the software path.
-			e.failover(age, body)
-			cmgr.TxDone(age)
-			return
-		}
-	}
-}
-
-// failover runs the transaction in the STM with the age it was assigned
-// at its first hardware attempt — which is why software transactions are
-// almost always older than the hardware transactions they meet (§4.4).
-func (e *exec) failover(age uint64, body func(tm.Tx)) {
-	e.s.Stats().Failovers++
-	e.toWake = e.toWake[:0]
-	ustm.RunTx(e.t, age, body)
-}
-
-// tryHW attempts the transaction in BTM once.
-func (e *exec) tryHW(age uint64, body func(tm.Tx)) (machine.AbortReason, bool) {
-	e.toWake = e.toWake[:0]
-	e.onCommit = e.onCommit[:0]
-	if !e.u.Begin(age) {
-		return machine.AbortNesting, false
-	}
-	reason, retryReq, aborted := tm.Catch(func() { body(hwTx{e}) })
-	if aborted {
-		if retryReq {
-			// retry (transactional waiting) inside a hardware transaction
-			// compiles to an explicit abort so the transaction fails over
-			// to software, where waiting is supported (Section 6).
-			reason = machine.AbortExplicit
-		}
-		return reason, false
-	}
-	out := e.u.End()
-	if out.Kind == machine.HWAborted {
-		return out.Reason, false
-	}
-	return machine.AbortNone, true
-}
-
-// runDeferred executes side effects registered by the committed hardware
-// attempt.
-func (e *exec) runDeferred() {
-	for _, f := range e.onCommit {
-		f()
-	}
-	e.onCommit = e.onCommit[:0]
-}
+// forgetRetriers starts a hardware attempt owing no wake-ups.
+func (e *exec) forgetRetriers() { e.toWake = e.toWake[:0] }
 
 // wakeRetriers delivers post-commit wake-ups owed to retrying software
 // transactions.
@@ -266,21 +171,23 @@ func (e *exec) wakeRetriers() {
 	if len(e.toWake) == 0 {
 		return
 	}
-	e.s.stm.WakeRetriers(e.Proc(), e.toWake)
-	e.toWake = e.toWake[:0]
+	e.s.stm.WakeRetriers(e.P, e.toWake)
+	e.forgetRetriers()
 }
 
 // hwTx is the zero-instrumentation hardware transaction handle: loads and
 // stores go straight to the transactional cache path with no otable
-// lookups — the hybrid's whole point.
-type hwTx struct{ e *exec }
-
-var _ tm.Tx = hwTx{}
+// lookups — the hybrid's whole point. What it adds to the plain handle is
+// the UFO fault handler.
+type hwTx struct {
+	tm.HW
+	e *exec
+}
 
 func (h hwTx) Load(addr uint64) uint64 {
 	e := h.e
 	for {
-		v, out := e.u.Load(addr)
+		v, out := e.U.Load(addr)
 		switch out.Kind {
 		case machine.OK:
 			e.ufoFaultTries = 0
@@ -289,7 +196,7 @@ func (h hwTx) Load(addr uint64) uint64 {
 			tm.Unwind(out.Reason)
 		case machine.UFOFault:
 			if e.faultAllowsMaskedAccess(addr) {
-				v, out = e.u.LoadMasked(addr)
+				v, out = e.U.LoadMasked(addr)
 				mustCompleteMasked(out)
 				return v
 			}
@@ -301,7 +208,7 @@ func (h hwTx) Load(addr uint64) uint64 {
 func (h hwTx) Store(addr, val uint64) {
 	e := h.e
 	for {
-		out := e.u.Store(addr, val)
+		out := e.U.Store(addr, val)
 		switch out.Kind {
 		case machine.OK:
 			e.ufoFaultTries = 0
@@ -310,7 +217,7 @@ func (h hwTx) Store(addr, val uint64) {
 			tm.Unwind(out.Reason)
 		case machine.UFOFault:
 			if e.faultAllowsMaskedAccess(addr) {
-				mustCompleteMasked(e.u.StoreMasked(addr, val))
+				mustCompleteMasked(e.U.StoreMasked(addr, val))
 				return
 			}
 		}
@@ -326,7 +233,7 @@ func (h hwTx) Store(addr, val uint64) {
 // transaction. Returns true to take the masked path; on a stall it
 // returns false and the caller retries the access; on abort it unwinds.
 func (e *exec) faultAllowsMaskedAccess(addr uint64) bool {
-	e.Proc().Elapse(30) // handler dispatch + otable inspection
+	e.P.Elapse(30) // handler dispatch + otable inspection
 	line := mem.LineOf(addr)
 	if e.s.stm.OwnersAllRetrying(line) {
 		e.noteRetriers(line)
@@ -334,11 +241,11 @@ func (e *exec) faultAllowsMaskedAccess(addr uint64) bool {
 	}
 	if e.s.pol.StallOnUFOFault && e.ufoFaultTries < e.s.pol.UFOFaultStallTries {
 		e.ufoFaultTries++
-		e.Proc().Elapse(e.s.pol.UFOFaultStallCycles)
+		e.P.Elapse(e.s.pol.UFOFaultStallCycles)
 		return false
 	}
 	e.ufoFaultTries = 0
-	e.u.Abort(machine.AbortUFOFault)
+	e.U.Abort(machine.AbortUFOFault)
 	tm.Unwind(machine.AbortUFOFault)
 	return false // unreachable
 }
@@ -368,39 +275,4 @@ func (e *exec) noteRetriers(line uint64) {
 			e.toWake = append(e.toWake, r)
 		}
 	}
-}
-
-func (h hwTx) OnCommit(f func()) { h.e.onCommit = append(h.e.onCommit, f) }
-
-func (h hwTx) Abort() {
-	h.e.u.Abort(machine.AbortExplicit)
-	tm.Unwind(machine.AbortExplicit)
-}
-
-// Nested implements tm.Tx: hardware transactions flatten closed nesting
-// (as BTM does); an inner abort therefore aborts the whole transaction —
-// which, under a hybrid, fails over to software where partial abort is
-// supported.
-func (h hwTx) Nested(body func()) bool {
-	if !h.e.u.Begin(0) {
-		tm.Unwind(machine.AbortNesting)
-	}
-	if tm.CatchNested(body) {
-		h.e.u.Abort(machine.AbortExplicit)
-		tm.Unwind(machine.AbortExplicit)
-	}
-	h.e.u.End()
-	return true
-}
-
-func (h hwTx) Retry() {
-	// Translated to an explicit abort; the abort handler fails over to
-	// software where retry is fully supported.
-	h.e.u.Abort(machine.AbortExplicit)
-	tm.UnwindRetry()
-}
-
-func (h hwTx) Syscall() {
-	h.e.u.Abort(machine.AbortSyscall)
-	tm.Unwind(machine.AbortSyscall)
 }

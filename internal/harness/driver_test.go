@@ -1,0 +1,531 @@
+package harness
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/btm"
+	"repro/internal/cm"
+	"repro/internal/core"
+	"repro/internal/hytm"
+	"repro/internal/machine"
+	"repro/internal/norec"
+	"repro/internal/phtm"
+	"repro/internal/tl2"
+	"repro/internal/tm"
+	"repro/internal/unbounded"
+	"repro/internal/ustm"
+)
+
+// These tests pin what each system's abort handler does with each abort
+// reason, from outside: they drive the systems through tm.Exec only and
+// inject aborts at the machine (Proc.AbortHW), so they hold across any
+// rewrite of the retry loops behind Atomic.
+
+// driverMachine is a small machine with preemption off, so the only
+// aborts are the injected ones.
+func driverMachine(procs int) *machine.Machine {
+	p := machine.DefaultParams(procs)
+	p.MemBytes = 1 << 22
+	p.Quantum = 0
+	p.MaxSteps = 5_000_000
+	return machine.New(p)
+}
+
+// hybridCase builds one of the five hardware-first systems. limit is the
+// system's counted-abort limit (0 = the system's default).
+type hybridCase struct {
+	name  string
+	build func(m *machine.Machine, limit int) tm.System
+}
+
+func driverUSTMConfig() ustm.Config {
+	cfg := ustm.DefaultConfig()
+	cfg.OTableRows = 1 << 12
+	return cfg
+}
+
+var hybridCases = []hybridCase{
+	{"ufo-hybrid", func(m *machine.Machine, limit int) tm.System {
+		pol := core.DefaultPolicy()
+		pol.FailoverOnNthConflict = limit
+		return core.New(m, driverUSTMConfig(), pol)
+	}},
+	{"hytm", func(m *machine.Machine, limit int) tm.System {
+		s := hytm.New(m, driverUSTMConfig())
+		if limit != 0 {
+			s.MaxConflictRetries = limit
+		}
+		return s
+	}},
+	{"phtm", func(m *machine.Machine, _ int) tm.System {
+		return phtm.New(m, driverUSTMConfig())
+	}},
+	{"hybrid-norec", func(m *machine.Machine, limit int) tm.System {
+		cfg := norec.DefaultConfig()
+		if limit != 0 {
+			cfg.MaxHTMRetries = limit
+		}
+		return norec.New(m, cfg)
+	}},
+	{"unbounded-htm", func(m *machine.Machine, _ int) tm.System {
+		return unbounded.New(m)
+	}},
+}
+
+// buildHybrid builds the named hybridCase.
+func buildHybrid(t *testing.T, name string, m *machine.Machine, limit int) tm.System {
+	t.Helper()
+	for _, hc := range hybridCases {
+		if hc.name == name {
+			return hc.build(m, limit)
+		}
+	}
+	t.Fatalf("no hybridCase named %s", name)
+	return nil
+}
+
+// outcome is what one transaction's counters must read after its first
+// hardware attempt took one injected abort.
+type outcome struct {
+	hw, sw, failovers, hwRetries uint64
+	stalls, delays               uint64
+}
+
+var (
+	// fail: the reason is fatal to hardware; the transaction commits in
+	// software without a backoff.
+	fail = outcome{sw: 1, failovers: 1}
+	// retry: re-executed in hardware after one policy backoff.
+	retry = outcome{hw: 1, hwRetries: 1, delays: 1}
+	// stall: a page fault — resolved by the fixed stall, not counted.
+	stall = outcome{hw: 1, stalls: 1}
+	// clean: the operation does not abort this system's hardware at all.
+	clean = outcome{hw: 1}
+)
+
+// injectedDisposition[system][reason] for aborts injected with
+// Proc.AbortHW on the first hardware attempt.
+var injectedDisposition = map[string]map[machine.AbortReason]outcome{
+	"ufo-hybrid": {
+		machine.AbortOverflow: fail, machine.AbortExplicit: fail, machine.AbortInterrupt: retry,
+		machine.AbortConflict: retry, machine.AbortException: fail, machine.AbortSyscall: fail,
+		machine.AbortIO: fail, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: fail,
+	},
+	"hytm": {
+		machine.AbortOverflow: fail, machine.AbortExplicit: retry, machine.AbortInterrupt: retry,
+		machine.AbortConflict: retry, machine.AbortException: fail, machine.AbortSyscall: fail,
+		machine.AbortIO: fail, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: fail,
+	},
+	"phtm": {
+		machine.AbortOverflow: fail, machine.AbortExplicit: fail, machine.AbortInterrupt: retry,
+		machine.AbortConflict: retry, machine.AbortException: fail, machine.AbortSyscall: fail,
+		machine.AbortIO: fail, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: fail,
+	},
+	"hybrid-norec": {
+		machine.AbortOverflow: fail, machine.AbortExplicit: retry, machine.AbortInterrupt: retry,
+		machine.AbortConflict: retry, machine.AbortException: fail, machine.AbortSyscall: fail,
+		machine.AbortIO: fail, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: fail,
+	},
+	"unbounded-htm": {
+		machine.AbortOverflow: retry, machine.AbortExplicit: retry, machine.AbortInterrupt: retry,
+		machine.AbortConflict: retry, machine.AbortException: retry, machine.AbortSyscall: retry,
+		machine.AbortIO: retry, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: retry,
+	},
+}
+
+func checkOutcome(t *testing.T, sys tm.System, want outcome) {
+	t.Helper()
+	st := sys.Stats()
+	cs := sys.(cm.Instrumented).CM().Stats()
+	got := outcome{
+		hw: st.HWCommits, sw: st.SWCommits, failovers: st.Failovers, hwRetries: st.HWRetries,
+		stalls: cs.PageFaultStalls, delays: cs.Delays,
+	}
+	if got != want {
+		t.Fatalf("got %+v, want %+v (stats %v)", got, want, st)
+	}
+}
+
+// runInjected runs one transaction on one processor whose first n
+// hardware attempts each take an injected abort for reason.
+func runInjected(t *testing.T, sys tm.System, m *machine.Machine, reason machine.AbortReason, n int) {
+	t.Helper()
+	ex := sys.Exec(m.Proc(0))
+	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
+		injected := 0
+		ex.Atomic(func(tx tm.Tx) {
+			tx.Store(0, tx.Load(0)+1)
+			if p.HW() != nil && injected < n {
+				injected++
+				p.AbortHW(reason)
+				tm.Unwind(reason)
+			}
+		})
+	}})
+	if got := m.Mem.Read64(0); got != 1 {
+		t.Fatalf("counter = %d, want 1: aborted attempts must leave no trace", got)
+	}
+}
+
+// TestDispositionMatrixInjected is the Algorithm 3 table, observed: every
+// system × every machine.AbortReason, one abort injected on the first
+// hardware attempt.
+func TestDispositionMatrixInjected(t *testing.T) {
+	for _, hc := range hybridCases {
+		for r := machine.AbortReason(1); int(r) < machine.NumAbortReasons; r++ {
+			t.Run(hc.name+"/"+r.String(), func(t *testing.T) {
+				want, ok := injectedDisposition[hc.name][r]
+				if !ok {
+					t.Fatalf("no expectation for %s/%s", hc.name, r)
+				}
+				m := driverMachine(1)
+				sys := hc.build(m, 0)
+				runInjected(t, sys, m, r, 1)
+				checkOutcome(t, sys, want)
+			})
+		}
+	}
+}
+
+// TestDispositionMatrixNatural reaches the same arms through the tm.Tx
+// surface a workload has: a system call, an explicit abort, nesting past
+// the hardware limit, and a footprint larger than the L1.
+func TestDispositionMatrixNatural(t *testing.T) {
+	type op struct {
+		name string
+		l1   int // L1 lines (0 = default)
+		body func(tx tm.Tx, first bool)
+		want map[string]outcome
+	}
+	var nest func(tx tm.Tx, depth int)
+	nest = func(tx tm.Tx, depth int) {
+		if depth == 0 {
+			return
+		}
+		tx.Nested(func() { nest(tx, depth-1) })
+	}
+	ops := []op{
+		{"syscall", 0, func(tx tm.Tx, _ bool) { tx.Syscall() }, map[string]outcome{
+			"ufo-hybrid": fail, "hytm": fail, "phtm": fail, "hybrid-norec": fail, "unbounded-htm": clean,
+		}},
+		{"explicit", 0, func(tx tm.Tx, first bool) {
+			if first {
+				tx.Abort()
+			}
+		}, map[string]outcome{
+			"ufo-hybrid": fail, "hytm": retry, "phtm": fail, "hybrid-norec": retry, "unbounded-htm": retry,
+		}},
+		// The unbounded HTM shares BTM's nesting limit and has nowhere to
+		// fail over to, so over-deep nesting livelocks there: not run.
+		{"nesting", 0, func(tx tm.Tx, _ bool) { nest(tx, btm.MaxNesting+1) }, map[string]outcome{
+			"ufo-hybrid": fail, "hytm": fail, "phtm": fail, "hybrid-norec": fail,
+		}},
+		{"overflow", 8, func(tx tm.Tx, _ bool) {
+			for i := uint64(1); i < 32; i++ {
+				tx.Store(i*64, i)
+			}
+		}, map[string]outcome{
+			"ufo-hybrid": fail, "hytm": fail, "phtm": fail, "hybrid-norec": fail, "unbounded-htm": clean,
+		}},
+	}
+	for _, hc := range hybridCases {
+		for _, o := range ops {
+			want, ok := o.want[hc.name]
+			if !ok {
+				continue
+			}
+			t.Run(hc.name+"/"+o.name, func(t *testing.T) {
+				params := machine.DefaultParams(1)
+				params.MemBytes = 1 << 22
+				params.Quantum = 0
+				params.MaxSteps = 5_000_000
+				if o.l1 != 0 {
+					params.L1Bytes = o.l1 * 64
+					params.L1Ways = 1
+				}
+				m := machine.New(params)
+				sys := hc.build(m, 0)
+				ex := sys.Exec(m.Proc(0))
+				m.Run([]func(*machine.Proc){func(*machine.Proc) {
+					first := true
+					ex.Atomic(func(tx tm.Tx) {
+						f := first
+						first = false
+						tx.Store(0, tx.Load(0)+1)
+						o.body(tx, f)
+					})
+				}})
+				if got := m.Mem.Read64(0); got != 1 {
+					t.Fatalf("counter = %d, want 1", got)
+				}
+				checkOutcome(t, sys, want)
+			})
+		}
+	}
+}
+
+// TestCountedAbortLimit pins each system's one counted-abort limit: the
+// limit-th counted abort fails over without a backoff of its own.
+func TestCountedAbortLimit(t *testing.T) {
+	for _, c := range []struct {
+		system string
+		reason machine.AbortReason
+	}{
+		{"ufo-hybrid", machine.AbortConflict},
+		{"ufo-hybrid", machine.AbortUFOKill},
+		{"ufo-hybrid", machine.AbortUFOFault},
+		{"ufo-hybrid", machine.AbortNonTConflict},
+		{"hytm", machine.AbortExplicit},
+		{"hybrid-norec", machine.AbortConflict},
+		{"hybrid-norec", machine.AbortInterrupt},
+		{"hybrid-norec", machine.AbortExplicit},
+	} {
+		t.Run(c.system+"/"+c.reason.String(), func(t *testing.T) {
+			m := driverMachine(1)
+			sys := buildHybrid(t, c.system, m, 3)
+			runInjected(t, sys, m, c.reason, 5)
+			checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: 2, delays: 2})
+		})
+	}
+	// Uncounted reasons never reach the limit.
+	for _, c := range []struct {
+		system string
+		reason machine.AbortReason
+	}{
+		{"ufo-hybrid", machine.AbortInterrupt},
+		{"hytm", machine.AbortConflict},
+	} {
+		t.Run(c.system+"/"+c.reason.String()+"/uncounted", func(t *testing.T) {
+			m := driverMachine(1)
+			sys := buildHybrid(t, c.system, m, 3)
+			runInjected(t, sys, m, c.reason, 5)
+			checkOutcome(t, sys, outcome{hw: 1, hwRetries: 5, delays: 5})
+		})
+	}
+}
+
+// TestEscalationUnderSerialize pins the starvation arm: under the
+// serialize policy the K-th consecutive abort escalates — hybrids fail
+// over, the unbounded HTM takes the global token and commits on the
+// serialized path — and the software-only loops (TL2, HybridNOrec's
+// software half) take the token too.
+func TestEscalationUnderSerialize(t *testing.T) {
+	spec := cm.Spec{Kind: cm.KindSerialize, StarveK: 4}
+	for _, hc := range hybridCases {
+		t.Run(hc.name, func(t *testing.T) {
+			m := driverMachine(1)
+			sys := hc.build(m, 1<<30)
+			sys.(cm.Tunable).SetBackoffPolicy(spec)
+			runInjected(t, sys, m, machine.AbortInterrupt, 10)
+			cs := sys.(cm.Instrumented).CM().Stats()
+			if cs.StarvationEscalations == 0 {
+				t.Fatalf("no escalation recorded: %+v", cs)
+			}
+			if hc.name == "unbounded-htm" {
+				// Escalated on the 4th abort and every abort after it;
+				// the token is acquired once and held to commit.
+				checkOutcome(t, sys, outcome{hw: 1, hwRetries: 10, delays: 3})
+				if cs.TokenAcquisitions != 1 || cs.StarvationEscalations != 7 {
+					t.Fatalf("token grants = %d, escalations = %d, want 1 and 7", cs.TokenAcquisitions, cs.StarvationEscalations)
+				}
+				return
+			}
+			checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: 4, delays: 3})
+			if cs.TokenAcquisitions != 0 || cs.StarvationEscalations != 1 {
+				t.Fatalf("token grants = %d, escalations = %d, want 0 and 1", cs.TokenAcquisitions, cs.StarvationEscalations)
+			}
+		})
+	}
+	// The software-only loops: TL2, and HybridNOrec's software half — a
+	// syscall sends the transaction there, where explicit aborts retry
+	// until the policy escalates.
+	for _, name := range []string{"tl2", "hybrid-norec"} {
+		t.Run(name+"/software", func(t *testing.T) {
+			m := driverMachine(1)
+			var sys tm.System = tl2.New(m, tl2.DefaultConfig())
+			if name != "tl2" {
+				sys = buildHybrid(t, name, m, 0)
+			}
+			sys.(cm.Tunable).SetBackoffPolicy(spec)
+			ex := sys.Exec(m.Proc(0))
+			m.Run([]func(*machine.Proc){func(*machine.Proc) {
+				tries := 0
+				ex.Atomic(func(tx tm.Tx) {
+					tx.Syscall()
+					tx.Store(0, tx.Load(0)+1)
+					if tries++; tries <= 6 {
+						tx.Abort()
+					}
+				})
+			}})
+			if got := m.Mem.Read64(0); got != 1 {
+				t.Fatalf("counter = %d, want 1", got)
+			}
+			st := sys.Stats()
+			cs := sys.(cm.Instrumented).CM().Stats()
+			if st.SWCommits != 1 || st.SWAborts != 6 || cs.TokenAcquisitions != 1 || cs.Delays != 3 {
+				t.Fatalf("stats %v, cm %+v: want 1 software commit after 6 aborts, 3 backoffs, 1 token grant", st, cs)
+			}
+		})
+	}
+}
+
+// lifeRecorder records processor 0's lifecycle events as strings.
+type lifeRecorder struct{ events []string }
+
+func (r *lifeRecorder) add(proc int, format string, args ...any) {
+	if proc == 0 {
+		r.events = append(r.events, fmt.Sprintf(format, args...))
+	}
+}
+func (r *lifeRecorder) TxBegin(proc int, _ uint64) { r.add(proc, "Begin") }
+func (r *lifeRecorder) TxAttempt(proc int, path machine.TxPath, _ uint64) {
+	r.add(proc, "Attempt(%s)", path)
+}
+func (r *lifeRecorder) TxAbort(proc int, path machine.TxPath, reason machine.AbortReason, _ uint64) {
+	r.add(proc, "Abort(%s,%s)", path, reason)
+}
+func (r *lifeRecorder) TxRetryWait(proc int, _ uint64) { r.add(proc, "RetryWait") }
+func (r *lifeRecorder) TxBackoff(proc int, _ uint64)   { r.add(proc, "Backoff") }
+func (r *lifeRecorder) TxCommit(proc int, path machine.TxPath, _ uint64) {
+	r.add(proc, "Commit(%s)", path)
+}
+func (r *lifeRecorder) TxConflict(int, int) {}
+
+// TestTxLifeSequences pins the order of lifecycle events each system
+// emits — what txstats reports and Perfetto spans are built from — for a
+// transaction that makes a system call and for one that waits with
+// Retry until another processor publishes a flag.
+func TestTxLifeSequences(t *testing.T) {
+	const flag, out = 0, 512
+	syscallTx := func(m *machine.Machine, sys tm.System) []func(*machine.Proc) {
+		ex := sys.Exec(m.Proc(0))
+		return []func(*machine.Proc){func(*machine.Proc) {
+			ex.Atomic(func(tx tm.Tx) {
+				tx.Syscall()
+				tx.Store(out, 1)
+			})
+		}}
+	}
+	retryTx := func(m *machine.Machine, sys tm.System) []func(*machine.Proc) {
+		ex0, ex1 := sys.Exec(m.Proc(0)), sys.Exec(m.Proc(1))
+		return []func(*machine.Proc){
+			func(*machine.Proc) {
+				ex0.Atomic(func(tx tm.Tx) {
+					if tx.Load(flag) == 0 {
+						tx.Retry()
+					}
+					tx.Store(out, 1)
+				})
+			},
+			func(p *machine.Proc) {
+				p.Elapse(3000)
+				ex1.Atomic(func(tx tm.Tx) { tx.Store(flag, 1) })
+			},
+		}
+	}
+	// starvedTx loses its first three attempts — to an injected interrupt
+	// in hardware, to an explicit abort in software — under serialize
+	// with K=2, so the second abort escalates.
+	starvedTx := func(m *machine.Machine, sys tm.System) []func(*machine.Proc) {
+		ex := sys.Exec(m.Proc(0))
+		return []func(*machine.Proc){func(p *machine.Proc) {
+			tries := 0
+			ex.Atomic(func(tx tm.Tx) {
+				tx.Store(out, 1)
+				if tries++; tries > 3 {
+					return
+				}
+				if p.HW() != nil {
+					p.AbortHW(machine.AbortInterrupt)
+					tm.Unwind(machine.AbortInterrupt)
+				}
+				tx.Abort()
+			})
+		}}
+	}
+	for _, c := range []struct {
+		system SystemKind
+		tx     string
+		want   string
+	}{
+		{UFOHybrid, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(ufo) Abort(ufo,explicit) Attempt(ufo) Commit(ufo)"},
+		{HyTM, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(sw) Abort(sw,explicit) Attempt(sw) Commit(sw)"},
+		{PhTM, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(sw) Abort(sw,explicit) Attempt(sw) Commit(sw)"},
+		{HybridNOrec, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(sw) Abort(sw,explicit) Backoff Attempt(sw) Commit(sw)"},
+		{UnboundedHTM, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(fallback) Abort(fallback,interrupt) Attempt(fallback) Commit(fallback)"},
+		{TL2, "starved", "Begin Attempt(sw) Abort(sw,explicit) Backoff Attempt(sw) Abort(sw,explicit) Attempt(fallback) Abort(fallback,explicit) Attempt(fallback) Commit(fallback)"},
+		{UFOHybrid, "syscall", "Begin Attempt(htm) Abort(htm,syscall) Attempt(ufo) Commit(ufo)"},
+		{HyTM, "syscall", "Begin Attempt(htm) Abort(htm,syscall) Attempt(sw) Commit(sw)"},
+		{PhTM, "syscall", "Begin Attempt(htm) Abort(htm,syscall) Attempt(sw) Commit(sw)"},
+		{HybridNOrec, "syscall", "Begin Attempt(htm) Abort(htm,syscall) Attempt(sw) Commit(sw)"},
+		{UnboundedHTM, "syscall", "Begin Attempt(htm) Commit(htm)"},
+		{TL2, "syscall", "Begin Attempt(sw) Commit(sw)"},
+		{USTMUFO, "syscall", "Begin Attempt(ufo) Commit(ufo)"},
+		{UFOHybrid, "retry", "Begin Attempt(htm) Abort(htm,explicit) Attempt(ufo) RetryWait Attempt(ufo) Commit(ufo)"},
+		{HyTM, "retry", "Begin" + strings.Repeat(" Attempt(htm) Abort(htm,explicit) Backoff", 5) + " Attempt(htm) Commit(htm)"},
+		{PhTM, "retry", "Begin Attempt(htm) Abort(htm,explicit) Attempt(sw) RetryWait Attempt(sw) Commit(sw)"},
+		{HybridNOrec, "retry", "Begin Attempt(htm) Abort(htm,none) Attempt(sw) RetryWait Attempt(sw) RetryWait Attempt(sw) Commit(sw)"},
+		{UnboundedHTM, "retry", "Begin Attempt(htm) RetryWait Attempt(htm) RetryWait Attempt(htm) Commit(htm)"},
+		{TL2, "retry", "Begin Attempt(sw) RetryWait Attempt(sw) RetryWait Attempt(sw) Commit(sw)"},
+		{USTMUFO, "retry", "Begin Attempt(ufo) RetryWait Attempt(ufo) Commit(ufo)"},
+	} {
+		t.Run(string(c.system)+"/"+c.tx, func(t *testing.T) {
+			procs, workload := 1, syscallTx
+			opt := DefaultOptions()
+			switch c.tx {
+			case "retry":
+				procs, workload = 2, retryTx
+			case "starved":
+				workload = starvedTx
+				opt.CM = cm.Spec{Kind: cm.KindSerialize, StarveK: 2}
+			}
+			m := driverMachine(procs)
+			rec := &lifeRecorder{}
+			m.SetTxRecorder(rec)
+			opt.OTableRows = 1 << 12
+			sys := Build(c.system, m, opt)
+			m.Run(workload(m, sys))
+			if m.Mem.Read64(out) != 1 {
+				t.Fatal("transaction's store lost")
+			}
+			if got := strings.Join(rec.events, " "); got != c.want {
+				t.Fatalf("lifecycle events\n got: %s\nwant: %s", got, c.want)
+			}
+		})
+	}
+}
+
+// TestEmptyAtomicAllocs bounds the allocations of one empty Atomic call
+// per system at what they were before the retry loops were consolidated:
+// none. The hardware tm.Tx handle must stay pointer-shaped (or be built
+// once per Exec) so handing it to the body does not allocate per attempt.
+func TestEmptyAtomicAllocs(t *testing.T) {
+	for _, kind := range Figure5Systems {
+		if kind == USTM {
+			continue // same code as ustm+ufo
+		}
+		t.Run(string(kind), func(t *testing.T) {
+			m := driverMachine(1)
+			opt := DefaultOptions()
+			opt.OTableRows = 1 << 12
+			sys := Build(kind, m, opt)
+			ex := sys.Exec(m.Proc(0))
+			var got float64
+			m.Run([]func(*machine.Proc){func(*machine.Proc) {
+				body := func(tm.Tx) {}
+				got = testing.AllocsPerRun(200, func() { ex.Atomic(body) })
+			}})
+			if got != 0 {
+				t.Fatalf("%v allocs per empty Atomic, want 0", got)
+			}
+		})
+	}
+}

@@ -38,10 +38,10 @@ func TestSmallTxCommitsInHardware(t *testing.T) {
 // otable rows inflate the transactional footprint.
 func TestBarrierPutsOTableRowInFootprint(t *testing.T) {
 	m, s := testSystem(1)
-	ex := s.Exec(m.Proc(0)).(*exec)
+	ex := s.Exec(m.Proc(0)).(*tm.Driver)
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
-		ex.u.Begin(m.NextAge())
-		hwTx{ex}.Store(0, 1)
+		ex.U.Begin(m.NextAge())
+		ex.Tx.Store(0, 1)
 		fp := p.HW().Footprint()
 		// One data line + one otable row line.
 		if fp != 2 {
@@ -51,7 +51,7 @@ func TestBarrierPutsOTableRowInFootprint(t *testing.T) {
 		if _, ok := p.HW().ReadSet[row]; !ok {
 			t.Fatal("otable row not in the transactional read set")
 		}
-		ex.u.End()
+		ex.U.End()
 	}})
 }
 

@@ -27,6 +27,11 @@
 // subscription traffic is charged like any other memory traffic. The
 // exemplar's RETRY template knob maps onto Config.MaxHTMRetries and its
 // CM knob onto the cm.Spec policy layer (cm.Tunable).
+//
+// Both retry loops are tm.Driver's. For the hardware half this package
+// supplies the abort table, the subscription that begins an attempt, the
+// HTM-counter bump before a writing attempt commits, and the software
+// path; for the software half, NOrec's begin and commit.
 package norec
 
 import (
@@ -50,9 +55,6 @@ type Config struct {
 	// MaxHTMRetries bounds hardware retries of transient aborts before
 	// failing over to the software path (the exemplar's RETRY knob).
 	MaxHTMRetries int
-	// BackoffBase is the exponential-backoff unit between attempts. Zero
-	// selects cm.DefaultBase (64).
-	BackoffBase uint64
 }
 
 // DefaultConfig returns the evaluation configuration.
@@ -68,11 +70,34 @@ func DefaultConfig() Config {
 	}
 }
 
+// Dispositions is HybridNOrec's abort handler: capacity and the
+// operations hardware cannot run fail over, as does a Retry request
+// (reported with no abort reason: hardware cannot wait for a condition,
+// and the software path models retry as polling); every other abort —
+// including the seqlock subscription firing during a software write-back
+// — is retried in hardware, counted against Config.MaxHTMRetries.
+var Dispositions = tm.Dispositions{
+	machine.AbortNone:         tm.Fatal,
+	machine.AbortOverflow:     tm.Fatal,
+	machine.AbortExplicit:     tm.Counted,
+	machine.AbortInterrupt:    tm.Counted,
+	machine.AbortConflict:     tm.Counted,
+	machine.AbortException:    tm.Fatal,
+	machine.AbortSyscall:      tm.Fatal,
+	machine.AbortIO:           tm.Fatal,
+	machine.AbortPageFault:    tm.Fault,
+	machine.AbortUFOKill:      tm.Counted,
+	machine.AbortUFOFault:     tm.Counted,
+	machine.AbortNonTConflict: tm.Counted,
+	machine.AbortNesting:      tm.Fatal,
+}
+
 // System implements tm.System.
 type System struct {
-	m     *machine.Machine
+	cm.Holder
 	cfg   Config
 	stats tm.Stats
+	h     tm.Handler
 
 	// lockAddr holds the seqlock / software commit counter; htmAddr holds
 	// the hardware commit counter. Each gets its own cache line so the
@@ -90,37 +115,22 @@ type System struct {
 	seq        uint64
 	lockOwner  int
 	lastWriter int
-
-	backoff cm.Spec
-	cmgr    *cm.Manager
-}
-
-// SetBackoffPolicy implements cm.Tunable: it selects the contention-
-// management policy. Call before the first transaction runs.
-func (s *System) SetBackoffPolicy(spec cm.Spec) {
-	s.backoff = spec
-	s.cmgr = nil
-}
-
-// CM implements cm.Instrumented (built lazily so cfg.BackoffBase tweaks
-// after New still take effect).
-func (s *System) CM() *cm.Manager {
-	if s.cmgr == nil {
-		s.cmgr = cm.NewManager(s.backoff, s.cfg.BackoffBase)
-	}
-	return s.cmgr
 }
 
 // New builds a HybridNOrec instance over the machine.
 func New(m *machine.Machine, cfg Config) *System {
-	return &System{
-		m:          m,
+	s := &System{
 		cfg:        cfg,
 		lockAddr:   m.Mem.Sbrk(mem.LineBytes),
 		htmAddr:    m.Mem.Sbrk(mem.LineBytes),
 		lockOwner:  -1,
 		lastWriter: -1,
 	}
+	s.h = tm.Handler{
+		Name: s.Name(), Stats: &s.stats, CM: &s.Holder,
+		On: Dispositions, Limit: cfg.MaxHTMRetries,
+	}
+	return s
 }
 
 // Name implements tm.System.
@@ -129,9 +139,17 @@ func (s *System) Name() string { return "hybrid-norec" }
 // Stats implements tm.System.
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
-// Exec implements tm.System.
+// Exec implements tm.System. HybridNOrec is weakly atomic: the driver's
+// uninstrumented non-transactional accesses never consult the counters.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	return &exec{s: s, p: p, u: btm.New(p)}
+	e := &exec{s: s}
+	e.Driver = tm.Driver{
+		NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Tx: hwTx{e.HW(), e},
+		Begin: e.subscribe, PreCommit: e.notifySoftware, Committed: e.noteWriter,
+		Software: e.RunSW,
+		SW:       tm.SWPath{Begin: e.swBegin, End: e.swEnd, Tx: swTx{e}},
+	}
+	return e
 }
 
 // logEntry is one value-log record: the value this transaction observed
@@ -143,9 +161,8 @@ type logEntry struct {
 }
 
 type exec struct {
+	tm.Driver
 	s *System
-	p *machine.Proc
-	u *btm.Unit
 
 	// Hardware-attempt state.
 	hwWrote bool
@@ -158,8 +175,6 @@ type exec struct {
 	redoOrder []uint64          // insertion order, for deterministic write-back
 	nestSaves []norecSave
 	nestUndo  []redoUndo
-
-	onCommit []func()
 }
 
 // norecSave is a closed-nest savepoint over the speculative state.
@@ -174,196 +189,58 @@ type redoUndo struct {
 	prev    uint64
 }
 
-var _ tm.Exec = (*exec)(nil)
-
-func (e *exec) Proc() *machine.Proc { return e.p }
-
-// Load / Store: HybridNOrec is weakly atomic; non-transactional accesses
-// are uninstrumented and never consult the counters.
-func (e *exec) Load(addr uint64) uint64 {
-	v, out := e.p.NTRead(addr)
-	if out.Kind != machine.OK {
-		panic("norec: read outcome " + out.Kind.String())
-	}
-	return v
-}
-
-func (e *exec) Store(addr, val uint64) {
-	if out := e.p.NTWrite(addr, val); out.Kind != machine.OK {
-		panic("norec: write outcome " + out.Kind.String())
-	}
-}
-
-// Atomic implements tm.Exec: hardware attempts with the seqlock
-// subscription, failing over to the NOrec software path on capacity,
-// persistent conflicts, retry requests, or policy escalation.
-func (e *exec) Atomic(body func(tm.Tx)) {
-	age := e.s.m.NextAge()
-	stats := &e.s.stats
-	cmgr := e.s.CM()
-	p := e.p
-	p.TxLifeBegin()
-	htmFails := 0
-	aborts := 0
-	for {
-		p.TxLifeAttempt(machine.PathHTM)
-		reason, retryReq, committed := e.tryHW(age, body)
-		if committed {
-			stats.HWCommits++
-			p.TxLifeCommit(machine.PathHTM)
-			cmgr.TxDone(age)
-			for _, f := range e.onCommit {
-				f()
-			}
-			return
-		}
-		p.TxLifeAbort(machine.PathHTM, reason)
-		if retryReq {
-			// Hardware cannot wait for a condition: fail over to the
-			// software path, where retry is modeled as polling.
-			e.failover(age, body)
-			cmgr.TxDone(age)
-			return
-		}
-		switch reason {
-		case machine.AbortOverflow, machine.AbortSyscall, machine.AbortIO,
-			machine.AbortException, machine.AbortNesting:
-			e.failover(age, body)
-			cmgr.TxDone(age)
-			return
-		case machine.AbortPageFault:
-			cmgr.PageFaultStall(p)
-			continue
-		default:
-			// Conflict (including the seqlock subscription firing during
-			// a software write-back): retry in hardware, bounded.
-			htmFails++
-			if htmFails >= e.s.cfg.MaxHTMRetries {
-				e.failover(age, body)
-				cmgr.TxDone(age)
-				return
-			}
-		}
-		aborts++ // the policy clamps the shift (saturating counter)
-		stats.HWRetries++
-		if cmgr.OnAbort(p, age, aborts, reason) != cm.EscalateNone {
-			// Starving per the policy: serialize through software early.
-			e.failover(age, body)
-			cmgr.TxDone(age)
-			return
-		}
-	}
-}
-
-// tryHW runs one hardware attempt. The transactional seqlock read at
-// begin is the subscription: the line stays in the hardware read set, so
-// a software committer's lock-acquisition write aborts this transaction
-// through coherence before any torn write-back state is visible.
-func (e *exec) tryHW(age uint64, body func(tm.Tx)) (machine.AbortReason, bool, bool) {
-	e.onCommit = e.onCommit[:0]
+// subscribe begins a hardware attempt with the transactional seqlock
+// read: the line stays in the hardware read set, so a software
+// committer's lock-acquisition write aborts this transaction through
+// coherence before any torn write-back state is visible.
+func (e *exec) subscribe() {
 	e.hwWrote = false
-	if !e.u.Begin(age) {
-		return machine.AbortNesting, false, false
-	}
-	lv, out := e.u.Load(e.s.lockAddr)
-	if out.Kind == machine.HWAborted {
-		return out.Reason, false, false
-	}
-	if lv&1 == 1 {
+	hw := e.HW()
+	if hw.Load(e.s.lockAddr)&1 == 1 {
 		// A software write-back is in progress: abort (do not stall) and
 		// blame the lock holder.
-		e.u.AbortAttributed(machine.AbortConflict, e.s.lockOwner, e.s.lockAddr)
-		return machine.AbortConflict, false, false
+		hw.AbortBy(machine.AbortConflict, e.s.lockOwner, e.s.lockAddr)
 	}
-	reason, retryReq, aborted := tm.Catch(func() { body(hwTx{e}) })
-	if aborted {
-		return reason, retryReq, false
-	}
-	if e.hwWrote {
-		// Bump the hardware commit counter inside the transaction, so the
-		// notification to software snapshots commits atomically with the
-		// data. Read-only hardware transactions skip the bump (they
-		// invalidate nobody) — see DESIGN.md §16 for this divergence from
-		// the exemplar.
-		hv, out := e.u.Load(e.s.htmAddr)
-		if out.Kind == machine.HWAborted {
-			return out.Reason, false, false
-		}
-		if out := e.u.Store(e.s.htmAddr, hv+1); out.Kind == machine.HWAborted {
-			return out.Reason, false, false
-		}
-	}
-	if out := e.u.End(); out.Kind == machine.HWAborted {
-		return out.Reason, false, false
-	}
-	if e.hwWrote {
-		e.s.lastWriter = e.p.ID()
-	}
-	return machine.AbortNone, false, true
 }
 
-func (e *exec) failover(age uint64, body func(tm.Tx)) {
-	e.s.stats.Failovers++
-	e.runSW(age, body)
-}
-
-// runSW is the NOrec software path: snapshot the counters, speculate
-// against a redo log and value log, then commit under the seqlock.
-func (e *exec) runSW(age uint64, body func(tm.Tx)) {
-	cmgr := e.s.CM()
-	path := machine.PathSW
-	attempts := 0
-	for {
-		e.p.TxLifeAttempt(path)
-		e.swBegin(age)
-		reason, retryReq, aborted := tm.Catch(func() { body(swTx{e}) })
-		if !aborted {
-			if e.swCommit() {
-				e.p.SetSTM(false, 0)
-				e.s.stats.SWCommits++
-				e.p.RecordSWCommit()
-				e.p.TxLifeCommit(path)
-				for _, f := range e.onCommit {
-					f()
-				}
-				return
-			}
-			aborted = true
-			reason = machine.AbortConflict
-		}
-		e.p.SetSTM(false, 0)
-		if retryReq {
-			// Poll-based retry emulation (NOrec has no native waiting).
-			e.s.stats.Retries++
-			e.p.TxLifeRetryWait()
-			cmgr.RetryPoll(e.p)
-			continue
-		}
-		e.s.stats.SWAborts++
-		e.p.TxLifeAbort(path, reason)
-		attempts++ // the policy clamps the shift (saturating counter)
-		if cmgr.OnAbort(e.p, age, attempts, reason) != cm.EscalateNone {
-			// Starving per the policy: with no other fallback, take the
-			// global serialization token (released at commit).
-			cmgr.AcquireToken(e.p, age)
-			path = machine.PathFallback
-		}
+// notifySoftware bumps the hardware commit counter inside the
+// transaction, so the notification to software snapshots commits
+// atomically with the data. Read-only hardware transactions skip the
+// bump (they invalidate nobody) — see DESIGN.md §16 for this divergence
+// from the exemplar.
+func (e *exec) notifySoftware() {
+	if e.hwWrote {
+		hw := e.HW()
+		hw.Store(e.s.htmAddr, hw.Load(e.s.htmAddr)+1)
 	}
 }
+
+// noteWriter makes a committed writer the attribution target for the
+// values it changed.
+func (e *exec) noteWriter() {
+	if e.hwWrote {
+		e.s.lastWriter = e.P.ID()
+	}
+}
+
+// The software path is NOrec: snapshot the counters (swBegin), speculate
+// against a redo log and value log, then commit under the seqlock
+// (swEnd). NOrec has no native waiting and no fallback of its own, so
+// the driver's retry-until-commit loop runs it.
 
 func (e *exec) swBegin(age uint64) {
 	// Wait out any in-progress write-back, then snapshot both counters:
 	// the value log is valid exactly as long as neither moves.
 	for {
-		lv := e.ntRead(e.s.lockAddr)
+		lv := e.Load(e.s.lockAddr)
 		if lv&1 == 0 {
 			e.lockSnap = lv
 			break
 		}
 		e.s.stats.SWStalls++
-		e.p.Elapse(e.s.cfg.LockSpinCycles)
+		e.P.Elapse(e.s.cfg.LockSpinCycles)
 	}
-	e.htmSnap = e.ntRead(e.s.htmAddr)
+	e.htmSnap = e.Load(e.s.htmAddr)
 	if e.redo == nil {
 		e.redo = make(map[uint64]uint64)
 	} else {
@@ -371,25 +248,18 @@ func (e *exec) swBegin(age uint64) {
 	}
 	e.redoOrder = e.redoOrder[:0]
 	e.valuelog = e.valuelog[:0]
-	e.onCommit = e.onCommit[:0]
 	e.nestSaves = e.nestSaves[:0]
 	e.nestUndo = e.nestUndo[:0]
-	e.p.SetSTM(true, age)
-	e.p.Elapse(e.s.cfg.BeginCycles)
+	e.P.SetSTM(true, age)
+	e.P.Elapse(e.s.cfg.BeginCycles)
 }
 
-func (e *exec) ntRead(addr uint64) uint64 {
-	v, out := e.p.NTRead(addr)
-	if out.Kind != machine.OK {
-		panic("norec: read outcome " + out.Kind.String())
-	}
-	return v
-}
-
-func (e *exec) ntWrite(addr, val uint64) {
-	if out := e.p.NTWrite(addr, val); out.Kind != machine.OK {
-		panic("norec: write outcome " + out.Kind.String())
-	}
+// swEnd commits the attempt unless the body already aborted, and leaves
+// the software transaction either way.
+func (e *exec) swEnd(aborted bool) bool {
+	ok := !aborted && e.swCommit()
+	e.P.SetSTM(false, 0)
+	return ok
 }
 
 // swLoad is the NOrec read barrier: redo-log hit, else read the value
@@ -399,11 +269,11 @@ func (e *exec) swLoad(addr uint64) uint64 {
 	if v, ok := e.redo[addr]; ok {
 		return v
 	}
-	e.p.Elapse(e.s.cfg.BarrierCycles)
-	v := e.ntRead(addr)
-	for e.ntRead(e.s.lockAddr) != e.lockSnap || e.ntRead(e.s.htmAddr) != e.htmSnap {
+	e.P.Elapse(e.s.cfg.BarrierCycles)
+	v := e.Load(addr)
+	for e.Load(e.s.lockAddr) != e.lockSnap || e.Load(e.s.htmAddr) != e.htmSnap {
 		e.revalidate()
-		v = e.ntRead(addr)
+		v = e.Load(addr)
 	}
 	e.valuelog = append(e.valuelog, logEntry{addr: addr, val: v})
 	return v
@@ -415,21 +285,21 @@ func (e *exec) swLoad(addr uint64) uint64 {
 // values (NOrec's snapshot extension).
 func (e *exec) revalidate() {
 	for {
-		lv := e.ntRead(e.s.lockAddr)
+		lv := e.Load(e.s.lockAddr)
 		if lv&1 == 1 {
 			e.s.stats.SWStalls++
-			e.p.Elapse(e.s.cfg.LockSpinCycles)
+			e.P.Elapse(e.s.cfg.LockSpinCycles)
 			continue
 		}
-		hv := e.ntRead(e.s.htmAddr)
-		e.p.Elapse(e.s.cfg.ValidateCycles)
+		hv := e.Load(e.s.htmAddr)
+		e.P.Elapse(e.s.cfg.ValidateCycles)
 		for _, ent := range e.valuelog {
-			if e.ntRead(ent.addr) != ent.val {
+			if e.Load(ent.addr) != ent.val {
 				e.abortConflict(ent.addr)
 			}
 		}
 		// The log only stays valid if no commit landed while we re-read.
-		if e.ntRead(e.s.lockAddr) == lv && e.ntRead(e.s.htmAddr) == hv {
+		if e.Load(e.s.lockAddr) == lv && e.Load(e.s.htmAddr) == hv {
 			e.lockSnap, e.htmSnap = lv, hv
 			return
 		}
@@ -441,13 +311,13 @@ func (e *exec) revalidate() {
 // the writer; the last committed writer is the transaction whose
 // write-back invalidated us) and unwinds.
 func (e *exec) abortConflict(addr uint64) {
-	e.p.RecordSWAbortBy(e.s.lastWriter, machine.AbortConflict,
+	e.P.RecordSWAbortBy(e.s.lastWriter, machine.AbortConflict,
 		mem.LineAddr(mem.LineOf(addr)), true)
 	tm.Unwind(machine.AbortConflict)
 }
 
 func (e *exec) swStore(addr, val uint64) {
-	e.p.Elapse(e.s.cfg.BarrierCycles)
+	e.P.Elapse(e.s.cfg.BarrierCycles)
 	prev, seen := e.redo[addr]
 	if !seen {
 		e.redoOrder = append(e.redoOrder, addr)
@@ -463,32 +333,32 @@ func (e *exec) swStore(addr, val uint64) {
 func (e *exec) swCommit() bool {
 	if len(e.redoOrder) == 0 {
 		// Read-only fast path: reads were validated as they happened.
-		e.p.Elapse(e.s.cfg.CommitCycles)
+		e.P.Elapse(e.s.cfg.CommitCycles)
 		return true
 	}
 	// 1. Acquire the seqlock (odd = held). The NT write invalidates the
 	// line in every subscribed hardware transaction's read set, aborting
 	// them before the write-back begins.
 	for {
-		lv := e.ntRead(e.s.lockAddr)
+		lv := e.Load(e.s.lockAddr)
 		if lv&1 == 0 && e.s.lockOwner == -1 {
 			break
 		}
 		e.s.stats.SWStalls++
-		e.p.Elapse(e.s.cfg.LockSpinCycles)
+		e.P.Elapse(e.s.cfg.LockSpinCycles)
 	}
 	pre := e.s.seq
-	e.s.lockOwner = e.p.ID()
+	e.s.lockOwner = e.P.ID()
 	e.s.seq++
-	e.ntWrite(e.s.lockAddr, e.s.seq)
+	e.Store(e.s.lockAddr, e.s.seq)
 	// 2. Validate if anything committed since the snapshot.
-	hv := e.ntRead(e.s.htmAddr)
+	hv := e.Load(e.s.htmAddr)
 	if pre != e.lockSnap || hv != e.htmSnap {
-		e.p.Elapse(e.s.cfg.ValidateCycles)
+		e.P.Elapse(e.s.cfg.ValidateCycles)
 		for _, ent := range e.valuelog {
-			if e.ntRead(ent.addr) != ent.val {
+			if e.Load(ent.addr) != ent.val {
 				e.releaseLock()
-				e.p.RecordSWAbortBy(e.s.lastWriter, machine.AbortConflict,
+				e.P.RecordSWAbortBy(e.s.lastWriter, machine.AbortConflict,
 					mem.LineAddr(mem.LineOf(ent.addr)), true)
 				return false
 			}
@@ -498,21 +368,21 @@ func (e *exec) swCommit() bool {
 	// simulation deterministic). Each NT write also kills any hardware
 	// transaction speculating on the line.
 	for _, addr := range e.redoOrder {
-		e.ntWrite(addr, e.redo[addr])
-		e.p.Elapse(e.s.cfg.PerWriteCycles)
+		e.Store(addr, e.redo[addr])
+		e.P.Elapse(e.s.cfg.PerWriteCycles)
 	}
 	// 4. Release the seqlock (back to even = one software commit
 	// notification) and become the attribution target for the values we
 	// just changed.
 	e.releaseLock()
-	e.s.lastWriter = e.p.ID()
-	e.p.Elapse(e.s.cfg.CommitCycles)
+	e.s.lastWriter = e.P.ID()
+	e.P.Elapse(e.s.cfg.CommitCycles)
 	return true
 }
 
 func (e *exec) releaseLock() {
 	e.s.seq++
-	e.ntWrite(e.s.lockAddr, e.s.seq)
+	e.Store(e.s.lockAddr, e.s.seq)
 	e.s.lockOwner = -1
 }
 
@@ -523,12 +393,12 @@ func (e *exec) beginNest() {
 	e.nestSaves = append(e.nestSaves, norecSave{
 		logLen: len(e.valuelog), redoLen: len(e.redoOrder), undoLen: len(e.nestUndo),
 	})
-	e.p.Elapse(4)
+	e.P.Elapse(4)
 }
 
 func (e *exec) endNest() {
 	e.nestSaves = e.nestSaves[:len(e.nestSaves)-1]
-	e.p.Elapse(2)
+	e.P.Elapse(2)
 }
 
 func (e *exec) abortNest() {
@@ -547,66 +417,17 @@ func (e *exec) abortNest() {
 	e.valuelog = e.valuelog[:sv.logLen]
 }
 
-// hwTx is the uninstrumented hardware handle: plain transactional
-// accesses, with the seqlock subscription (taken at begin) standing in
-// for all software-path coordination.
-type hwTx struct{ e *exec }
-
-var _ tm.Tx = hwTx{}
-
-func (h hwTx) Load(addr uint64) uint64 {
-	v, out := h.e.u.Load(addr)
-	switch out.Kind {
-	case machine.OK:
-		return v
-	case machine.HWAborted:
-		tm.Unwind(out.Reason)
-	}
-	panic("norec: load outcome " + out.Kind.String())
+// hwTx is the uninstrumented hardware handle, noting whether the attempt
+// wrote; the seqlock subscription (taken at begin) stands in for all
+// software-path coordination.
+type hwTx struct {
+	tm.HW
+	e *exec
 }
 
 func (h hwTx) Store(addr, val uint64) {
-	out := h.e.u.Store(addr, val)
-	switch out.Kind {
-	case machine.OK:
-		h.e.hwWrote = true
-		return
-	case machine.HWAborted:
-		tm.Unwind(out.Reason)
-	}
-	panic("norec: store outcome " + out.Kind.String())
-}
-
-func (h hwTx) OnCommit(f func()) { h.e.onCommit = append(h.e.onCommit, f) }
-
-func (h hwTx) Abort() {
-	h.e.u.Abort(machine.AbortExplicit)
-	tm.Unwind(machine.AbortExplicit)
-}
-
-// Nested implements tm.Tx: hardware transactions flatten closed nesting
-// (as BTM does); an inner abort therefore aborts the whole transaction —
-// which fails over to software where partial abort is supported.
-func (h hwTx) Nested(body func()) bool {
-	if !h.e.u.Begin(0) {
-		tm.Unwind(machine.AbortNesting)
-	}
-	if tm.CatchNested(body) {
-		h.e.u.Abort(machine.AbortExplicit)
-		tm.Unwind(machine.AbortExplicit)
-	}
-	h.e.u.End()
-	return true
-}
-
-func (h hwTx) Retry() {
-	h.e.u.Abort(machine.AbortExplicit)
-	tm.UnwindRetry()
-}
-
-func (h hwTx) Syscall() {
-	h.e.u.Abort(machine.AbortSyscall)
-	tm.Unwind(machine.AbortSyscall)
+	h.HW.Store(addr, val)
+	h.e.hwWrote = true
 }
 
 // swTx is the NOrec software handle.
@@ -616,7 +437,7 @@ var _ tm.Tx = swTx{}
 
 func (t swTx) Load(addr uint64) uint64 { return t.e.swLoad(addr) }
 func (t swTx) Store(addr, val uint64)  { t.e.swStore(addr, val) }
-func (t swTx) OnCommit(f func())       { t.e.onCommit = append(t.e.onCommit, f) }
+func (t swTx) OnCommit(f func())       { t.e.OnCommit(f) }
 
 func (t swTx) Abort() {
 	if len(t.e.nestSaves) > 0 {
@@ -637,4 +458,4 @@ func (t swTx) Nested(body func()) bool {
 }
 
 func (t swTx) Retry()   { tm.UnwindRetry() }
-func (t swTx) Syscall() { t.e.p.Elapse(1) }
+func (t swTx) Syscall() { t.e.P.Elapse(1) }

@@ -55,36 +55,20 @@ func (s *System) Name() string {
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
 // Exec implements tm.System.
-func (s *System) Exec(p *machine.Proc) tm.Exec { return &exec{s: s, p: p} }
+func (s *System) Exec(p *machine.Proc) tm.Exec { return &exec{NT: tm.NT{P: p}, s: s} }
 
 type exec struct {
+	tm.NT    // plain non-transactional accesses
 	s        *System
-	p        *machine.Proc
 	onCommit []func()
 }
 
 var _ tm.Exec = (*exec)(nil)
 
-func (e *exec) Proc() *machine.Proc { return e.p }
-
-func (e *exec) Load(addr uint64) uint64 {
-	v, out := e.p.NTRead(addr)
-	if out.Kind != machine.OK {
-		panic("seq: read outcome " + out.Kind.String())
-	}
-	return v
-}
-
-func (e *exec) Store(addr, val uint64) {
-	if out := e.p.NTWrite(addr, val); out.Kind != machine.OK {
-		panic("seq: write outcome " + out.Kind.String())
-	}
-}
-
 // Atomic implements tm.Exec. Explicit aborts restart the body; Retry
 // polls (there is nothing to coordinate a real sleep with).
 func (e *exec) Atomic(body func(tm.Tx)) {
-	e.p.TxLifeBegin()
+	e.P.TxLifeBegin()
 	if e.s.mode == GlobalLock {
 		e.acquire()
 		defer e.release()
@@ -92,12 +76,12 @@ func (e *exec) Atomic(body func(tm.Tx)) {
 	for {
 		// Both baselines serialize rather than speculate, so every
 		// attempt is a fallback-path attempt.
-		e.p.TxLifeAttempt(machine.PathFallback)
+		e.P.TxLifeAttempt(machine.PathFallback)
 		e.onCommit = e.onCommit[:0]
 		_, retry, aborted := tm.Catch(func() { body(directTx{e}) })
 		if !aborted {
 			e.s.stats.SWCommits++
-			e.p.TxLifeCommit(machine.PathFallback)
+			e.P.TxLifeCommit(machine.PathFallback)
 			defer func() {
 				for _, f := range e.onCommit {
 					f()
@@ -106,19 +90,19 @@ func (e *exec) Atomic(body func(tm.Tx)) {
 			return
 		}
 		if retry {
-			e.p.TxLifeRetryWait()
+			e.P.TxLifeRetryWait()
 			// Poll-based waiting: drop and re-take the lock so writers
 			// can make progress.
 			if e.s.mode == GlobalLock {
 				e.release()
 			}
-			e.p.Elapse(2000)
+			e.P.Elapse(2000)
 			if e.s.mode == GlobalLock {
 				e.acquire()
 			}
 		} else {
 			// Explicit abort is the only way a direct body unwinds.
-			e.p.TxLifeAbort(machine.PathFallback, machine.AbortExplicit)
+			e.P.TxLifeAbort(machine.PathFallback, machine.AbortExplicit)
 		}
 		e.s.stats.SWAborts++
 	}
@@ -135,7 +119,7 @@ func (e *exec) acquire() {
 			e.Store(e.s.lockAddr, 1)
 			return
 		}
-		e.p.Elapse(e.s.SpinCycles)
+		e.P.Elapse(e.s.SpinCycles)
 	}
 }
 
@@ -163,4 +147,4 @@ func (d directTx) Nested(body func()) bool {
 }
 func (d directTx) Abort()   { tm.Unwind(0) }
 func (d directTx) Retry()   { tm.UnwindRetry() }
-func (d directTx) Syscall() { d.e.p.Elapse(1) }
+func (d directTx) Syscall() { d.e.P.Elapse(1) }

@@ -22,36 +22,16 @@ type Mem interface {
 
 // Manager owns the elidable locks of one machine.
 type Manager struct {
+	cm.Holder
 	m *machine.Machine
 	// MaxAttempts is how many elision attempts precede falling back to
 	// real acquisition.
 	MaxAttempts int
-	// BackoffBase is the exponential backoff unit between attempts. Zero
-	// selects cm.DefaultBase (64).
-	BackoffBase uint64
 	// SpinCycles is the poll interval when waiting for a held lock.
 	SpinCycles uint64
 
-	backoff cm.Spec
-	cmgr    *cm.Manager
-	stats   Stats
-	locks   map[uint64]*lockState
-}
-
-// SetBackoffPolicy implements cm.Tunable: it selects the contention-
-// management policy. Call before the first critical section runs.
-func (mgr *Manager) SetBackoffPolicy(spec cm.Spec) {
-	mgr.backoff = spec
-	mgr.cmgr = nil
-}
-
-// CM implements cm.Instrumented (built lazily so MaxAttempts and
-// BackoffBase tweaks after New still take effect).
-func (mgr *Manager) CM() *cm.Manager {
-	if mgr.cmgr == nil {
-		mgr.cmgr = cm.NewManager(mgr.backoff, mgr.BackoffBase)
-	}
-	return mgr.cmgr
+	stats Stats
+	locks map[uint64]*lockState
 }
 
 // Stats counts elision outcomes.
@@ -142,12 +122,13 @@ func (e *Exec) Critical(l Lock, body func(Mem)) {
 	}
 	// Fall back: take the lock for real. The write to the lock word
 	// aborts every concurrent elider (their speculative read of the word
-	// conflicts), which is exactly SLE's correctness argument.
+	// conflicts), which is exactly SLE's correctness argument. The body's
+	// accesses then go straight to memory.
 	e.p.TxLifeAttempt(machine.PathFallback)
 	e.acquire(st)
 	func() {
 		defer e.release(st)
-		body(direct{e.p})
+		body(tm.NT{P: e.p})
 	}()
 	e.mgr.stats.Acquired++
 	e.p.TxLifeCommit(machine.PathFallback)
@@ -222,19 +203,6 @@ func (s speculative) Store(addr, val uint64) {
 		tm.Unwind(out.Reason)
 	}
 	check(out)
-}
-
-// direct routes body accesses straight to memory (lock held).
-type direct struct{ p *machine.Proc }
-
-func (d direct) Load(addr uint64) uint64 {
-	v, out := d.p.NTRead(addr)
-	check(out)
-	return v
-}
-
-func (d direct) Store(addr, val uint64) {
-	check(d.p.NTWrite(addr, val))
 }
 
 func check(out machine.Outcome) {

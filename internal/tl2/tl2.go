@@ -7,7 +7,8 @@
 // locks). It is weakly atomic.
 //
 // The global clock and the lock table live at simulated addresses so
-// their traffic is charged like any other memory traffic.
+// their traffic is charged like any other memory traffic. The retry loop
+// around begin and commit is tm.Driver's.
 package tl2
 
 import (
@@ -28,9 +29,6 @@ type Config struct {
 	BarrierCycles  uint64
 	CommitCycles   uint64
 	PerWriteCycles uint64 // lock + write-back + unlock logic per stripe
-	// BackoffBase is the exponential-backoff unit between attempts. Zero
-	// selects cm.DefaultBase (64).
-	BackoffBase uint64
 }
 
 // DefaultConfig returns the evaluation configuration.
@@ -53,34 +51,16 @@ type stripe struct {
 
 // System implements tm.System.
 type System struct {
-	m     *machine.Machine
+	cm.Holder
 	cfg   Config
 	stats tm.Stats
+	h     tm.Handler
 
 	clock     uint64
 	clockAddr uint64
 	stripes   []stripe
 	lockBase  uint64
 	mask      uint64
-
-	backoff cm.Spec
-	cmgr    *cm.Manager
-}
-
-// SetBackoffPolicy implements cm.Tunable: it selects the contention-
-// management policy. Call before the first transaction runs.
-func (s *System) SetBackoffPolicy(spec cm.Spec) {
-	s.backoff = spec
-	s.cmgr = nil
-}
-
-// CM implements cm.Instrumented (built lazily so cfg.BackoffBase tweaks
-// after New still take effect).
-func (s *System) CM() *cm.Manager {
-	if s.cmgr == nil {
-		s.cmgr = cm.NewManager(s.backoff, s.cfg.BackoffBase)
-	}
-	return s.cmgr
 }
 
 // New builds a TL2 instance over the machine.
@@ -89,13 +69,13 @@ func New(m *machine.Machine, cfg Config) *System {
 		panic(fmt.Sprintf("tl2: Stripes %d must be a positive power of two", cfg.Stripes))
 	}
 	s := &System{
-		m:         m,
 		cfg:       cfg,
 		clockAddr: m.Mem.Sbrk(mem.LineBytes),
 		stripes:   make([]stripe, cfg.Stripes),
 		lockBase:  m.Mem.Sbrk(uint64(cfg.Stripes) * mem.LineBytes),
 		mask:      uint64(cfg.Stripes - 1),
 	}
+	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: &s.Holder}
 	return s
 }
 
@@ -105,8 +85,17 @@ func (s *System) Name() string { return "tl2" }
 // Stats implements tm.System.
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
-// Exec implements tm.System.
-func (s *System) Exec(p *machine.Proc) tm.Exec { return &exec{s: s, p: p} }
+// Exec implements tm.System. TL2 is weakly atomic (the driver's plain
+// non-transactional accesses) and has no hardware half: the driver's
+// retry-until-commit loop runs begin and commit below.
+func (s *System) Exec(p *machine.Proc) tm.Exec {
+	e := &exec{s: s}
+	e.Driver = tm.Driver{
+		NT: tm.NT{P: p}, H: &s.h,
+		SW: tm.SWPath{Begin: e.begin, End: e.end, Tx: tl2Tx{e}},
+	}
+	return e
+}
 
 func (s *System) stripeOf(addr uint64) uint64 {
 	return (mem.LineOf(addr) * 0x9E3779B97F4A7C15 >> 19) & s.mask
@@ -115,16 +104,14 @@ func (s *System) stripeOf(addr uint64) uint64 {
 func (s *System) stripeAddr(i uint64) uint64 { return s.lockBase + i*mem.LineBytes }
 
 type exec struct {
+	tm.Driver
 	s *System
-	p *machine.Proc
 
 	rv        uint64            // read version (clock sample at begin)
 	redo      map[uint64]uint64 // addr → buffered value (lazy versioning)
 	redoOrder []uint64          // insertion order, for deterministic write-back
 	writeSet  []uint64          // stripe indices, deduplicated
 	readSet   []uint64          // stripe indices, deduplicated
-	inTx      bool
-	onCommit  []func()
 	nestSaves []tl2Save
 	nestUndo  []redoUndo
 
@@ -146,77 +133,17 @@ type redoUndo struct {
 	prev    uint64
 }
 
-var _ tm.Exec = (*exec)(nil)
-
-func (e *exec) Proc() *machine.Proc { return e.p }
-
-func (e *exec) Load(addr uint64) uint64 {
-	v, out := e.p.NTRead(addr)
-	if out.Kind != machine.OK {
-		panic("tl2: read outcome " + out.Kind.String())
-	}
-	return v
-}
-
-func (e *exec) Store(addr, val uint64) {
-	if out := e.p.NTWrite(addr, val); out.Kind != machine.OK {
-		panic("tl2: write outcome " + out.Kind.String())
-	}
-}
-
 // Atomic implements tm.Exec: the standard TL2 loop — speculate, validate,
 // commit; abort restarts with backoff.
 func (e *exec) Atomic(body func(tm.Tx)) {
-	cmgr := e.s.CM()
-	id := uint64(e.p.ID())<<32 | e.txSeq
+	id := uint64(e.P.ID())<<32 | e.txSeq
 	e.txSeq++
-	e.p.TxLifeBegin()
-	// Attempts are plain software-path attempts until the starvation
-	// escalation takes the global token; then they are serialized
-	// fallback attempts.
-	path := machine.PathSW
-	attempts := 0
-	for {
-		e.p.TxLifeAttempt(path)
-		e.begin()
-		reason, retryReq, aborted := tm.Catch(func() { body(tl2Tx{e}) })
-		if !aborted {
-			if e.commit() {
-				e.s.stats.SWCommits++
-				e.p.RecordSWCommit()
-				e.p.TxLifeCommit(path)
-				cmgr.TxDone(id)
-				for _, f := range e.onCommit {
-					f()
-				}
-				return
-			}
-			aborted = true
-			reason = machine.AbortConflict
-		}
-		e.inTx = false
-		if retryReq {
-			// Poll-based retry emulation (TL2 has no native waiting).
-			e.s.stats.Retries++
-			e.p.TxLifeRetryWait()
-			cmgr.RetryPoll(e.p)
-			continue
-		}
-		e.s.stats.SWAborts++
-		e.p.TxLifeAbort(path, reason)
-		attempts++ // the policy clamps the shift (saturating counter)
-		if cmgr.OnAbort(e.p, id, attempts, reason) != cm.EscalateNone {
-			// Starving per the policy: with no other fallback, take the
-			// global serialization token (released at commit).
-			cmgr.AcquireToken(e.p, id)
-			path = machine.PathFallback
-		}
-	}
+	e.AtomicSW(id, body)
 }
 
-func (e *exec) begin() {
+func (e *exec) begin(uint64) {
 	e.rv = e.s.clock
-	e.readClock()
+	e.Load(e.s.clockAddr)
 	if e.redo == nil {
 		e.redo = make(map[uint64]uint64)
 	} else {
@@ -225,18 +152,13 @@ func (e *exec) begin() {
 	e.redoOrder = e.redoOrder[:0]
 	e.writeSet = e.writeSet[:0]
 	e.readSet = e.readSet[:0]
-	e.onCommit = e.onCommit[:0]
 	e.nestSaves = e.nestSaves[:0]
 	e.nestUndo = e.nestUndo[:0]
-	e.inTx = true
-	e.p.Elapse(e.s.cfg.BeginCycles)
+	e.P.Elapse(e.s.cfg.BeginCycles)
 }
 
-func (e *exec) readClock() {
-	if _, out := e.p.NTRead(e.s.clockAddr); out.Kind != machine.OK {
-		panic("tl2: clock read outcome " + out.Kind.String())
-	}
-}
+// end commits the attempt unless the body already aborted.
+func (e *exec) end(aborted bool) bool { return !aborted && e.commit() }
 
 // load implements the TL2 read barrier: sample the stripe lock, read the
 // data, resample — abort if the stripe is locked or newer than rv.
@@ -247,7 +169,7 @@ func (e *exec) load(addr uint64) uint64 {
 	si := e.s.stripeOf(addr)
 	st := &e.s.stripes[si]
 	e.touchStripe(si)
-	e.p.Elapse(e.s.cfg.BarrierCycles)
+	e.P.Elapse(e.s.cfg.BarrierCycles)
 	if st.locked || st.version > e.rv {
 		e.recordStripeConflict(st, mem.LineAddr(mem.LineOf(addr)), true)
 		tm.Unwind(machine.AbortConflict)
@@ -264,7 +186,7 @@ func (e *exec) load(addr uint64) uint64 {
 }
 
 func (e *exec) store(addr, val uint64) {
-	e.p.Elapse(e.s.cfg.BarrierCycles)
+	e.P.Elapse(e.s.cfg.BarrierCycles)
 	prev, seen := e.redo[addr]
 	if !seen {
 		e.redoOrder = append(e.redoOrder, addr)
@@ -285,17 +207,9 @@ func (e *exec) noteStripe(set *[]uint64, si uint64) {
 	*set = append(*set, si)
 }
 
-func (e *exec) touchStripe(si uint64) {
-	if _, out := e.p.NTRead(e.s.stripeAddr(si)); out.Kind != machine.OK {
-		panic("tl2: stripe read outcome " + out.Kind.String())
-	}
-}
+func (e *exec) touchStripe(si uint64) { e.Load(e.s.stripeAddr(si)) }
 
-func (e *exec) writeStripe(si uint64) {
-	if out := e.p.NTWrite(e.s.stripeAddr(si), e.s.stripes[si].version); out.Kind != machine.OK {
-		panic("tl2: stripe write outcome " + out.Kind.String())
-	}
-}
+func (e *exec) writeStripe(si uint64) { e.Store(e.s.stripeAddr(si), e.s.stripes[si].version) }
 
 // commit implements TL2's commit protocol. Returns false on validation or
 // lock-acquisition failure (the transaction retries).
@@ -303,7 +217,7 @@ func (e *exec) commit() bool {
 	if len(e.writeSet) == 0 {
 		// Read-only fast path: reads were validated against rv as they
 		// happened.
-		e.p.Elapse(e.s.cfg.CommitCycles)
+		e.P.Elapse(e.s.cfg.CommitCycles)
 		return true
 	}
 	// 1. Lock the write set (bounded spin: fail fast to avoid deadlock).
@@ -311,30 +225,28 @@ func (e *exec) commit() bool {
 	for _, si := range e.writeSet {
 		st := &e.s.stripes[si]
 		e.touchStripe(si)
-		e.p.Elapse(e.s.cfg.PerWriteCycles)
-		if st.locked && st.owner != e.p.ID() {
+		e.P.Elapse(e.s.cfg.PerWriteCycles)
+		if st.locked && st.owner != e.P.ID() {
 			e.recordStripeConflict(st, 0, false)
 			e.unlock(locked)
 			return false
 		}
 		st.locked = true
-		st.owner = e.p.ID()
+		st.owner = e.P.ID()
 		e.writeStripe(si)
 		locked = append(locked, si)
 	}
 	// 2. Increment the global clock.
 	e.s.clock++
 	wv := e.s.clock
-	if out := e.p.NTWrite(e.s.clockAddr, wv); out.Kind != machine.OK {
-		panic("tl2: clock write outcome " + out.Kind.String())
-	}
+	e.Store(e.s.clockAddr, wv)
 	// 3. Validate the read set (skippable when rv+1 == wv, the standard
 	// optimization; modeled by still charging the loop when needed).
 	if e.rv+1 != wv {
 		for _, si := range e.readSet {
 			st := &e.s.stripes[si]
 			e.touchStripe(si)
-			if (st.locked && st.owner != e.p.ID()) || st.version > e.rv {
+			if (st.locked && st.owner != e.P.ID()) || st.version > e.rv {
 				e.recordStripeConflict(st, 0, false)
 				e.unlock(locked)
 				return false
@@ -350,10 +262,10 @@ func (e *exec) commit() bool {
 		st := &e.s.stripes[si]
 		st.version = wv
 		st.locked = false
-		st.writer = e.p.ID() + 1
+		st.writer = e.P.ID() + 1
 		e.writeStripe(si)
 	}
-	e.p.Elapse(e.s.cfg.CommitCycles)
+	e.P.Elapse(e.s.cfg.CommitCycles)
 	return true
 }
 
@@ -366,7 +278,7 @@ func (e *exec) recordStripeConflict(st *stripe, addr uint64, hasAddr bool) {
 	if st.locked {
 		agg = st.owner
 	}
-	e.p.RecordSWAbortBy(agg, machine.AbortConflict, addr, hasAddr)
+	e.P.RecordSWAbortBy(agg, machine.AbortConflict, addr, hasAddr)
 }
 
 func (e *exec) unlock(locked []uint64) {
@@ -383,12 +295,12 @@ func (e *exec) beginNest() {
 		redoLen: len(e.redoOrder), readLen: len(e.readSet),
 		writeLen: len(e.writeSet), undoLen: len(e.nestUndo),
 	})
-	e.p.Elapse(4)
+	e.P.Elapse(4)
 }
 
 func (e *exec) endNest() {
 	e.nestSaves = e.nestSaves[:len(e.nestSaves)-1]
-	e.p.Elapse(2)
+	e.P.Elapse(2)
 }
 
 func (e *exec) abortNest() {
@@ -414,7 +326,7 @@ var _ tm.Tx = tl2Tx{}
 
 func (t tl2Tx) Load(addr uint64) uint64 { return t.e.load(addr) }
 func (t tl2Tx) Store(addr, val uint64)  { t.e.store(addr, val) }
-func (t tl2Tx) OnCommit(f func())       { t.e.onCommit = append(t.e.onCommit, f) }
+func (t tl2Tx) OnCommit(f func())       { t.e.OnCommit(f) }
 func (t tl2Tx) Abort() {
 	if len(t.e.nestSaves) > 0 {
 		tm.UnwindNested()
@@ -433,4 +345,4 @@ func (t tl2Tx) Nested(body func()) bool {
 	return true
 }
 func (t tl2Tx) Retry()   { tm.UnwindRetry() }
-func (t tl2Tx) Syscall() { t.e.p.Elapse(1) }
+func (t tl2Tx) Syscall() { t.e.P.Elapse(1) }

@@ -5,8 +5,14 @@
 // generic over tm.System is what lets the harness reproduce the paper's
 // cross-system comparisons from a single workload implementation.
 //
-// Paper: §2 (programming interface and atomicity semantics) and §6 (the
-// retry waiting primitive).
+// It also holds the one transaction driver those implementations share
+// (driver.go): the hardware-first loop of Figure 4 with Algorithm 3's
+// abort handler as a per-system table, and the retry-until-commit loop of
+// the paths with no fallback. A system built on it supplies a table, a
+// limit and a few hooks; see DESIGN.md §11.
+//
+// Paper: §2 (programming interface and atomicity semantics), §4.3
+// (Figure 4, Algorithm 3) and §6 (the retry waiting primitive).
 package tm
 
 import (
@@ -178,8 +184,8 @@ func (s *Stats) Register(reg *obs.Registry) {
 }
 
 func (s *Stats) String() string {
-	return fmt.Sprintf("hw=%d sw=%d failover=%d swAbort=%d stall=%d ntStall=%d retry=%d",
-		s.HWCommits, s.SWCommits, s.Failovers, s.SWAborts, s.SWStalls, s.NTStalls, s.Retries)
+	return fmt.Sprintf("hw=%d sw=%d failover=%d hwRetry=%d swAbort=%d stall=%d ntStall=%d retry=%d",
+		s.HWCommits, s.SWCommits, s.Failovers, s.HWRetries, s.SWAborts, s.SWStalls, s.NTStalls, s.Retries)
 }
 
 // unwindSignal is the panic value used to unwind a transaction body back

@@ -132,7 +132,7 @@ func TestPageFaultRetriedWithFixedStall(t *testing.T) {
 	// standard fixed stall (cm.PageFaultStallCycles) and re-execute,
 	// without counting as a contention retry or drawing a backoff delay.
 	m, s := testSystem(1)
-	ex := s.Exec(m.Proc(0)).(*exec)
+	ex := s.Exec(m.Proc(0)).(*tm.Driver)
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		tries := 0
 		ex.Atomic(func(tx tm.Tx) {
@@ -141,7 +141,7 @@ func TestPageFaultRetriedWithFixedStall(t *testing.T) {
 			if tries == 1 {
 				// Force a page-fault abort mid-transaction (the simulator
 				// has no demand paging, so inject it at the BTM unit).
-				ex.u.Abort(machine.AbortPageFault)
+				ex.U.Abort(machine.AbortPageFault)
 				tm.Unwind(machine.AbortPageFault)
 			}
 		})

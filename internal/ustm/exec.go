@@ -25,14 +25,15 @@ func (e *exec) Atomic(body func(tm.Tx)) {
 	t := e.t
 	age := t.stm.m.NextAge()
 	t.p.TxLifeBegin()
-	RunTx(t, age, body)
+	t.RunTx(age, body)
 }
 
 // RunTx runs body as one software transaction of the given age, retrying
-// until commit. The hybrid TM calls this directly so a failed-over
-// transaction keeps the age it was assigned at its first hardware
-// attempt (which is what makes software transactions "generally older").
-func RunTx(t *Thread, age uint64, body func(tm.Tx)) {
+// until commit. It is the hybrids' software path (tm.Driver.Software), so
+// a failed-over transaction keeps the age it was assigned at its first
+// hardware attempt (which is what makes software transactions "generally
+// older").
+func (t *Thread) RunTx(age uint64, body func(tm.Tx)) {
 	// Lifecycle accounting: a strongly-atomic USTM is the hybrid's UFO
 	// failover path; a weakly-atomic one is a plain software path.
 	path := machine.PathSW
