@@ -7,6 +7,7 @@
 //	tmsim -experiment fig8   # Figure 8: contention-policy sensitivity
 //	tmsim -experiment ablate # design-choice ablations (UFO mitigations, L1, otable, quantum)
 //	tmsim -experiment extended # extension workloads beyond the paper (ssca2, intruder, labyrinth)
+//	tmsim -experiment footprints # committed-transaction footprint histograms per workload
 //	tmsim -experiment policies # contention-management policy ablation
 //	tmsim -experiment litmus # strong-atomicity litmus conformance matrix
 //	tmsim -experiment latency # per-transaction latency percentiles and
@@ -148,12 +149,6 @@ func main() {
 		}
 	}
 
-	if cfg.traceOut != "" {
-		fail(runTraced(opt, scale, cfg))
-		stopProfiles()
-		return
-	}
-
 	var mrep harness.MetricsReport
 	var crep harness.ContentionReport
 	var trep harness.TxStatsReport
@@ -167,12 +162,13 @@ func main() {
 	if cfg.txstatsOut != "" {
 		collectors = append(collectors, trep.Collector())
 	}
-	if len(collectors) > 0 {
-		runner.Collect = func(j harness.Job, r harness.Result) {
-			for _, c := range collectors {
-				c(j, r)
-			}
+	collect := func(j harness.Job, r harness.Result) {
+		for _, c := range collectors {
+			c(j, r)
 		}
+	}
+	if len(collectors) > 0 {
+		runner.Collect = collect
 	}
 
 	run := func(name string) {
@@ -191,10 +187,9 @@ func main() {
 			harness.PrintFigure5(os.Stdout, data, scale)
 			fail(err)
 			if cfg.csvPath != "" {
-				f, err := os.Create(cfg.csvPath)
-				fail(err)
-				fail(harness.WriteFigure5CSV(f, data, scale))
-				fail(f.Close())
+				fail(writeFile(cfg.csvPath, func(w io.Writer) error {
+					return harness.WriteFigure5CSV(w, data, scale)
+				}))
 				fmt.Printf("  [csv written to %s]\n", cfg.csvPath)
 			}
 		case "fig6":
@@ -238,10 +233,7 @@ func main() {
 			harness.PrintOLTP(os.Stdout, rep)
 			fail(err)
 			if cfg.oltpOut != "" {
-				f, err := os.Create(cfg.oltpOut)
-				fail(err)
-				fail(rep.WriteJSON(f))
-				fail(f.Close())
+				fail(writeFile(cfg.oltpOut, rep.WriteJSON))
 				fmt.Printf("  [oltp report for %d points written to %s]\n", len(rep.Points), cfg.oltpOut)
 			}
 		case "litmus":
@@ -253,10 +245,7 @@ func main() {
 			rep := litmus.Run(lc)
 			rep.WriteText(os.Stdout)
 			if cfg.litmusOut != "" {
-				f, err := os.Create(cfg.litmusOut)
-				fail(err)
-				fail(rep.WriteJSON(f))
-				fail(f.Close())
+				fail(writeFile(cfg.litmusOut, rep.WriteJSON))
 				fmt.Printf("  [litmus report written to %s]\n", cfg.litmusOut)
 			}
 			if n := len(rep.Failures); n > 0 {
@@ -266,32 +255,34 @@ func main() {
 		fmt.Printf("  [%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
-	if cfg.experiment == "all" {
+	// A sweep's report messages count its cells; a traced run is one cell.
+	cells := func(n int) string { return fmt.Sprintf(" for %d cells", n) }
+	switch {
+	case cfg.traceOut != "":
+		res, err := runTraced(opt, scale, cfg)
+		fail(err)
+		collect(harness.Job{}, res)
+		cells = func(int) string { return "" }
+	case cfg.experiment == "all":
 		for _, name := range []string{"params", "fig5", "fig6", "fig7", "fig8", "ablate", "extended", "footprints", "policies", "litmus"} {
 			run(name)
 		}
-	} else {
+	default:
 		run(cfg.experiment)
 	}
 
 	if cfg.metricsOut != "" {
-		f, err := os.Create(cfg.metricsOut)
-		fail(err)
-		fail(mrep.WriteJSON(f))
-		fail(f.Close())
-		fmt.Printf("  [metrics for %d cells written to %s]\n", len(mrep.Cells), cfg.metricsOut)
+		fail(writeFile(cfg.metricsOut, mrep.WriteJSON))
+		fmt.Printf("  [metrics%s written to %s]\n", cells(len(mrep.Cells)), cfg.metricsOut)
 	}
 	if cfg.contentionOut != "" {
 		fail(writeContention(&crep, cfg))
-		fmt.Printf("  [contention report (%s) for %d cells written to %s]\n",
-			cfg.reportFormat, len(crep.Cells), cfg.contentionOut)
+		fmt.Printf("  [contention report (%s)%s written to %s]\n",
+			cfg.reportFormat, cells(len(crep.Cells)), cfg.contentionOut)
 	}
 	if cfg.txstatsOut != "" {
-		f, err := os.Create(cfg.txstatsOut)
-		fail(err)
-		fail(trep.WriteJSON(f))
-		fail(f.Close())
-		fmt.Printf("  [txstats report for %d cells written to %s]\n", len(trep.Cells), cfg.txstatsOut)
+		fail(writeFile(cfg.txstatsOut, trep.WriteJSON))
+		fmt.Printf("  [txstats report%s written to %s]\n", cells(len(trep.Cells)), cfg.txstatsOut)
 	}
 	stopProfiles()
 }
@@ -339,116 +330,68 @@ func startProfiles(cfg *config) (func(), error) {
 	}, nil
 }
 
+// writeFile creates path, hands it to write, and closes it whatever
+// write returned; the first error wins.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // writeContention writes the accumulated contention report to
 // -contention-out in the -report format.
 func writeContention(rep *harness.ContentionReport, cfg *config) error {
-	f, err := os.Create(cfg.contentionOut)
-	if err != nil {
-		return err
-	}
+	write := rep.WriteJSON
 	switch cfg.reportFormat {
 	case "html":
-		err = rep.WriteHTML(f)
+		write = rep.WriteHTML
 	case "text":
-		err = rep.WriteText(f)
-	default:
-		err = rep.WriteJSON(f)
+		write = rep.WriteText
 	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(cfg.contentionOut, write)
 }
 
-// newSink builds the TraceSink selected by -trace-format.
-func newSink(format string, w io.Writer) (machine.TraceSink, error) {
+// exportTrace replays tr through the sink selected by -trace-format
+// (parseConfig admits text, jsonl and chrome only).
+func exportTrace(tr *machine.Trace, format string, w io.Writer) error {
 	switch format {
-	case "text":
-		return machine.NewTextSink(w), nil
 	case "jsonl":
-		return machine.NewJSONLSink(w), nil
+		return tr.Export(machine.NewJSONLSink(w))
 	case "chrome":
-		return machine.NewChromeSink(w), nil
-	default:
-		return nil, fmt.Errorf("unknown trace format %q (want text, jsonl, or chrome)", format)
+		return tr.Export(machine.NewChromeSink(w))
 	}
+	return tr.Export(machine.NewTextSink(w))
 }
 
 // runTraced runs one designated cell with tracing enabled and exports
-// the trace through the chosen sink. With -metrics-out it also writes
-// the cell's metrics snapshot as a one-cell report; with
-// -contention-out, a one-cell contention report.
-func runTraced(opt harness.Options, scale harness.Scale, cfg *config) error {
+// the trace through the chosen sink; the caller writes the cell's
+// -metrics-out, -contention-out and -txstats-out reports.
+func runTraced(opt harness.Options, scale harness.Scale, cfg *config) (harness.Result, error) {
 	f, ok := harness.FindWorkload(cfg.traceWorkload, scale)
 	if !ok {
-		return fmt.Errorf("unknown workload %q", cfg.traceWorkload)
+		return harness.Result{}, fmt.Errorf("unknown workload %q", cfg.traceWorkload)
 	}
 	system := cfg.system()
 	opt.TraceLimit = cfg.traceLimit
 	start := time.Now()
 	res := harness.Run(system, f.New(), cfg.traceThreads, opt)
 	if res.Err != nil {
-		return fmt.Errorf("%s/%s/%d: %w", cfg.traceWorkload, system, cfg.traceThreads, res.Err)
+		return res, fmt.Errorf("%s/%s/%d: %w", cfg.traceWorkload, system, cfg.traceThreads, res.Err)
 	}
-	out, err := os.Create(cfg.traceOut)
+	err := writeFile(cfg.traceOut, func(w io.Writer) error {
+		return exportTrace(res.Trace, cfg.traceFormat, w)
+	})
 	if err != nil {
-		return err
-	}
-	sink, err := newSink(cfg.traceFormat, out)
-	if err != nil {
-		out.Close()
-		return err
-	}
-	if err := res.Trace.Export(sink); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
+		return res, err
 	}
 	fmt.Printf("  [%s/%s/%d threads: %d cycles, %d trace events (%s) written to %s in %v]\n",
 		cfg.traceWorkload, system, cfg.traceThreads, res.Cycles, res.Trace.Total(), cfg.traceFormat, cfg.traceOut,
 		time.Since(start).Round(time.Millisecond))
-	if cfg.metricsOut != "" {
-		var rep harness.MetricsReport
-		rep.Collector()(harness.Job{}, res)
-		mf, err := os.Create(cfg.metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(mf); err != nil {
-			mf.Close()
-			return err
-		}
-		if err := mf.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("  [metrics written to %s]\n", cfg.metricsOut)
-	}
-	if cfg.contentionOut != "" {
-		var rep harness.ContentionReport
-		rep.Collector()(harness.Job{}, res)
-		if err := writeContention(&rep, cfg); err != nil {
-			return err
-		}
-		fmt.Printf("  [contention report (%s) written to %s]\n", cfg.reportFormat, cfg.contentionOut)
-	}
-	if cfg.txstatsOut != "" {
-		var rep harness.TxStatsReport
-		rep.Collector()(harness.Job{}, res)
-		tf, err := os.Create(cfg.txstatsOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(tf); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("  [txstats report written to %s]\n", cfg.txstatsOut)
-	}
-	return nil
+	return res, nil
 }

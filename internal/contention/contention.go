@@ -13,11 +13,12 @@
 // profile generalizes those figures from whole-run totals to addresses,
 // processor pairs, and time.
 //
-// Profile implements machine.ConflictRecorder (the machine defines the
-// interface so the dependency points outward; attach with
-// Machine.SetConflictRecorder). Aggregation is deterministic: the engine
-// serializes processors within a run, and Report freezes every map into
-// name/addr-sorted slices, so equal runs produce byte-identical reports.
+// Profile is a machine.Observer of the conflict and commit events (the
+// machine defines the interface so the dependency points outward;
+// subscribe with m.Observe(contention.Kinds, profile)). Aggregation is
+// deterministic: the engine serializes processors within a run, and
+// Report freezes every map into name/addr-sorted slices, so equal runs
+// produce byte-identical reports.
 package contention
 
 import (
@@ -44,7 +45,7 @@ type windowStat struct {
 }
 
 // Profile is the accumulating side of the attribution subsystem: one per
-// machine run. It implements machine.ConflictRecorder. Like obs.Registry
+// machine run. It implements machine.Observer. Like obs.Registry
 // it is not safe for concurrent use — the simulation engine serializes
 // processors, and parallel sweeps give every cell its own Profile.
 type Profile struct {
@@ -63,7 +64,9 @@ type Profile struct {
 	windows    map[uint64]*windowStat
 }
 
-var _ machine.ConflictRecorder = (*Profile)(nil)
+// Kinds is what a Profile subscribes to: one conflict event per kill,
+// and the hardware and software commit events for the rate series.
+var Kinds = machine.KindSet(machine.TraceConflict, machine.TraceHWCommit, machine.TraceSWCommitted)
 
 // New returns an empty profile for a machine with the given processor
 // count. windowCycles sets the time-series window width W (every event at
@@ -81,25 +84,43 @@ func New(procs int, windowCycles uint64) *Profile {
 	}
 }
 
-// RecordEdge implements machine.ConflictRecorder.
-func (pr *Profile) RecordEdge(e machine.ConflictEdge) {
+// Event implements machine.Observer.
+func (pr *Profile) Event(e machine.TraceEvent) {
+	switch e.Kind {
+	case machine.TraceConflict:
+		pr.edge(e)
+	case machine.TraceHWCommit:
+		pr.hwCommits++
+		if w := pr.win(e.Cycle); w != nil {
+			w.hwCommits++
+		}
+	case machine.TraceSWCommitted:
+		pr.swCommits++
+		if w := pr.win(e.Cycle); w != nil {
+			w.swCommits++
+		}
+	}
+}
+
+// edge records one who-aborted-whom edge: e.Peer killed e.Proc.
+func (pr *Profile) edge(e machine.TraceEvent) {
 	pr.edges++
 	if int(e.Reason) < len(pr.byReason) {
 		pr.byReason[e.Reason]++
 	}
-	if e.SW {
+	if e.SW() {
 		pr.swEdges++
 	}
-	agg := e.Aggressor
+	agg := e.Peer
 	if agg >= pr.procs {
 		agg = -1
 	}
-	if agg >= 0 && e.Victim >= 0 && e.Victim < pr.procs {
-		pr.matrix[agg*pr.procs+e.Victim]++
+	if agg >= 0 && e.Proc >= 0 && e.Proc < pr.procs {
+		pr.matrix[agg*pr.procs+e.Proc]++
 	} else {
 		pr.unknownAgg++
 	}
-	if e.HasAddr {
+	if e.HasAddr() {
 		line := mem.LineAddr(mem.LineOf(e.Addr))
 		ls := pr.lines[line]
 		if ls == nil {
@@ -111,14 +132,13 @@ func (pr *Profile) RecordEdge(e machine.ConflictEdge) {
 			ls.byReason[e.Reason]++
 		}
 		ls.aggr[agg]++
-		ls.vict[e.Victim]++
+		ls.vict[e.Proc]++
 	} else {
 		pr.noAddr++
 	}
-	if pr.window > 0 {
-		w := pr.win(e.Cycle)
+	if w := pr.win(e.Cycle); w != nil {
 		w.aborts++
-		if e.SW {
+		if e.SW() {
 			w.swAborts++
 		}
 		if int(e.Reason) < len(w.byReason) {
@@ -127,24 +147,12 @@ func (pr *Profile) RecordEdge(e machine.ConflictEdge) {
 	}
 }
 
-// RecordCommit implements machine.ConflictRecorder.
-func (pr *Profile) RecordCommit(proc int, hw bool, cycle uint64) {
-	if hw {
-		pr.hwCommits++
-	} else {
-		pr.swCommits++
-	}
-	if pr.window > 0 {
-		w := pr.win(cycle)
-		if hw {
-			w.hwCommits++
-		} else {
-			w.swCommits++
-		}
-	}
-}
-
+// win returns the time-series window holding cycle, or nil when the
+// series is disabled.
 func (pr *Profile) win(cycle uint64) *windowStat {
+	if pr.window == 0 {
+		return nil
+	}
 	i := cycle / pr.window
 	w := pr.windows[i]
 	if w == nil {

@@ -10,25 +10,36 @@ import (
 	"repro/internal/obs"
 )
 
-func edge(agg, vict int, addr uint64, reason machine.AbortReason, cycle uint64) machine.ConflictEdge {
-	return machine.ConflictEdge{
-		Aggressor: agg, Victim: vict, Addr: addr, HasAddr: true,
-		Reason: reason, Cycle: cycle,
+// edge is the conflict event the machine emits when agg kills vict's
+// hardware transaction over addr.
+func edge(agg, vict int, addr uint64, reason machine.AbortReason, cycle uint64) machine.TraceEvent {
+	return machine.TraceEvent{
+		Kind: machine.TraceConflict, Peer: agg, Proc: vict, Addr: addr,
+		Flags: machine.FlagAddr, Reason: reason, Cycle: cycle,
 	}
+}
+
+// commit is the event of proc committing in hardware (hw) or software.
+func commit(proc int, hw bool, cycle uint64) machine.TraceEvent {
+	kind := machine.TraceSWCommitted
+	if hw {
+		kind = machine.TraceHWCommit
+	}
+	return machine.TraceEvent{Kind: kind, Proc: proc, Cycle: cycle}
 }
 
 // TestProfileAggregation: edges land in the right headline totals, the
 // matrix, and (normalized to cache lines) the per-line stats.
 func TestProfileAggregation(t *testing.T) {
 	pr := New(2, 0)
-	pr.RecordEdge(edge(0, 1, 0x100, machine.AbortConflict, 10))
-	pr.RecordEdge(edge(0, 1, 0x13f, machine.AbortConflict, 20)) // same 64B line as 0x100
-	pr.RecordEdge(edge(1, 0, 0x200, machine.AbortOverflow, 30))
-	pr.RecordEdge(edge(-1, 0, 0x200, machine.AbortConflict, 40)) // unknown aggressor
-	swKill := machine.ConflictEdge{Aggressor: 1, Victim: 0, SW: true, Reason: machine.AbortConflict, Cycle: 50}
-	pr.RecordEdge(swKill) // no address
-	pr.RecordCommit(0, true, 60)
-	pr.RecordCommit(1, false, 70)
+	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 10))
+	pr.Event(edge(0, 1, 0x13f, machine.AbortConflict, 20)) // same 64B line as 0x100
+	pr.Event(edge(1, 0, 0x200, machine.AbortOverflow, 30))
+	pr.Event(edge(-1, 0, 0x200, machine.AbortConflict, 40)) // unknown aggressor
+	swKill := machine.TraceEvent{Kind: machine.TraceConflict, Peer: 1, Proc: 0, Flags: machine.FlagSW, Reason: machine.AbortConflict, Cycle: 50}
+	pr.Event(swKill) // no address
+	pr.Event(commit(0, true, 60))
+	pr.Event(commit(1, false, 70))
 
 	rep := pr.Report(0)
 	if rep.Edges != 5 || rep.SWEdges != 1 || rep.NoAddrEdges != 1 || rep.UnknownAggressor != 1 {
@@ -79,7 +90,7 @@ func TestReportHotLineOrdering(t *testing.T) {
 	pr := New(2, 0)
 	hit := func(addr uint64, n int) {
 		for i := 0; i < n; i++ {
-			pr.RecordEdge(edge(0, 1, addr, machine.AbortConflict, 0))
+			pr.Event(edge(0, 1, addr, machine.AbortConflict, 0))
 		}
 	}
 	hit(0x300, 1)
@@ -113,11 +124,11 @@ func TestReportHotLineOrdering(t *testing.T) {
 // includes the empty windows.
 func TestReportWindows(t *testing.T) {
 	pr := New(2, 100)
-	pr.RecordEdge(edge(0, 1, 0x100, machine.AbortConflict, 5))   // window 0
-	pr.RecordEdge(edge(0, 1, 0x100, machine.AbortConflict, 199)) // window 1
-	pr.RecordEdge(edge(1, 0, 0x100, machine.AbortConflict, 430)) // window 4
-	pr.RecordCommit(0, true, 150)                                // window 1
-	pr.RecordCommit(1, false, 450)                               // window 4
+	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 5))   // window 0
+	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 199)) // window 1
+	pr.Event(edge(1, 0, 0x100, machine.AbortConflict, 430)) // window 4
+	pr.Event(commit(0, true, 150))                          // window 1
+	pr.Event(commit(1, false, 450))                         // window 4
 
 	rep := pr.Report(0)
 	if len(rep.Windows) != 5 {
@@ -144,7 +155,7 @@ func TestReportWindows(t *testing.T) {
 
 	// Window 0 disables the series entirely.
 	off := New(2, 0)
-	off.RecordEdge(edge(0, 1, 0x100, machine.AbortConflict, 5))
+	off.Event(edge(0, 1, 0x100, machine.AbortConflict, 5))
 	if rep := off.Report(0); len(rep.Windows) != 0 || rep.WindowAbortHist != nil {
 		t.Fatalf("window=0 still produced a series: %+v", rep.Windows)
 	}
@@ -153,7 +164,7 @@ func TestReportWindows(t *testing.T) {
 // TestReportJSONDeterministic: equal edge multisets recorded in
 // different orders encode byte-identically.
 func TestReportJSONDeterministic(t *testing.T) {
-	edges := []machine.ConflictEdge{
+	edges := []machine.TraceEvent{
 		edge(0, 1, 0x100, machine.AbortConflict, 10),
 		edge(1, 0, 0x200, machine.AbortOverflow, 20),
 		edge(0, 1, 0x300, machine.AbortConflict, 120),
@@ -162,7 +173,7 @@ func TestReportJSONDeterministic(t *testing.T) {
 	render := func(order []int) []byte {
 		pr := New(2, 100)
 		for _, i := range order {
-			pr.RecordEdge(edges[i])
+			pr.Event(edges[i])
 		}
 		b, err := json.Marshal(pr.Report(0))
 		if err != nil {
@@ -181,11 +192,11 @@ func TestReportJSONDeterministic(t *testing.T) {
 // matrix grows to the larger processor count.
 func TestReportAdd(t *testing.T) {
 	a := New(2, 0)
-	a.RecordEdge(edge(0, 1, 0x100, machine.AbortConflict, 0))
-	a.RecordCommit(0, true, 0)
+	a.Event(edge(0, 1, 0x100, machine.AbortConflict, 0))
+	a.Event(commit(0, true, 0))
 	b := New(4, 0)
-	b.RecordEdge(edge(3, 2, 0x200, machine.AbortOverflow, 0))
-	b.RecordCommit(1, false, 0)
+	b.Event(edge(3, 2, 0x200, machine.AbortOverflow, 0))
+	b.Event(commit(1, false, 0))
 
 	sum := &Report{}
 	sum.Add(a.Report(0))
@@ -208,7 +219,7 @@ func TestReportAdd(t *testing.T) {
 // TestRegister: the profile's totals appear as contention.* metrics.
 func TestRegister(t *testing.T) {
 	pr := New(2, 0)
-	pr.RecordEdge(edge(0, 1, 0x100, machine.AbortConflict, 0))
+	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 0))
 	reg := obs.NewRegistry()
 	pr.Register(reg)
 	s := reg.Snapshot()
@@ -223,9 +234,9 @@ func TestRegister(t *testing.T) {
 func sampleCells(t *testing.T) []Cell {
 	t.Helper()
 	pr := New(2, 100)
-	pr.RecordEdge(edge(0, 1, 0x100, machine.AbortConflict, 10))
-	pr.RecordEdge(edge(1, 0, 0x200, machine.AbortOverflow, 250))
-	pr.RecordCommit(0, true, 50)
+	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 10))
+	pr.Event(edge(1, 0, 0x200, machine.AbortOverflow, 250))
+	pr.Event(commit(0, true, 50))
 	return []Cell{
 		{Label: "vacation-high/ufo-hybrid/4 threads", Report: pr.Report(0)},
 		{Label: "cell <with & escapes>", Report: nil},

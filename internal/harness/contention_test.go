@@ -174,32 +174,24 @@ func (c *collider) Validate(m *machine.Machine) error {
 	return nil
 }
 
-// edgeLog captures raw edges for tuple-level validation.
+// edgeLog captures raw conflict events for tuple-level validation, and
+// the commit events beside them, in two recording observers.
 type edgeLog struct {
-	edges     []machine.ConflictEdge
-	hwCommits uint64
-	swCommits uint64
+	edges   []machine.TraceEvent
+	commits uint64
 }
 
-func (l *edgeLog) RecordEdge(e machine.ConflictEdge) { l.edges = append(l.edges, e) }
-func (l *edgeLog) RecordCommit(proc int, hw bool, cycle uint64) {
-	if hw {
-		l.hwCommits++
-	} else {
-		l.swCommits++
-	}
-}
-
-// runCollider runs the collider on kind with two procs and a raw edge
-// log attached, returning the log and the machine.
+// runCollider runs the collider on kind with two procs and raw event
+// logs subscribed, returning what they saw and the machine.
 func runCollider(t *testing.T, kind SystemKind, syscall bool) (*edgeLog, *machine.Machine) {
 	t.Helper()
 	opt := testOptions()
 	params := opt.Params
 	params.Procs = 2
 	m := machine.New(params)
-	log := &edgeLog{}
-	m.SetConflictRecorder(log)
+	edges, commits := machine.NewTrace(1<<16), machine.NewTrace(1<<16)
+	m.Observe(machine.KindSet(machine.TraceConflict), edges)
+	m.Observe(machine.KindSet(machine.TraceHWCommit, machine.TraceSWCommitted), commits)
 	sys := Build(kind, m, opt)
 	wl := &collider{iters: 12, syscall: syscall}
 	wl.Init(m, 2)
@@ -213,7 +205,7 @@ func runCollider(t *testing.T, kind SystemKind, syscall bool) (*edgeLog, *machin
 	if err := wl.Validate(m); err != nil {
 		t.Fatalf("%s: %v", kind, err)
 	}
-	return log, m
+	return &edgeLog{edges: edges.Events(), commits: commits.Total()}, m
 }
 
 // checkEdges validates every recorded tuple: processors in range, a real
@@ -222,10 +214,10 @@ func runCollider(t *testing.T, kind SystemKind, syscall bool) (*edgeLog, *machin
 func checkEdges(t *testing.T, kind SystemKind, log *edgeLog, m *machine.Machine) {
 	t.Helper()
 	for _, e := range log.edges {
-		if e.Victim < 0 || e.Victim >= 2 {
+		if e.Proc < 0 || e.Proc >= 2 {
 			t.Errorf("%s: victim out of range: %+v", kind, e)
 		}
-		if e.Aggressor < -1 || e.Aggressor >= 2 {
+		if e.Peer < -1 || e.Peer >= 2 {
 			t.Errorf("%s: aggressor out of range: %+v", kind, e)
 		}
 		if e.Reason == machine.AbortNone || int(e.Reason) >= machine.NumAbortReasons {
@@ -234,7 +226,7 @@ func checkEdges(t *testing.T, kind SystemKind, log *edgeLog, m *machine.Machine)
 		if e.Cycle == 0 || e.Cycle > m.Cycles() {
 			t.Errorf("%s: cycle outside run: %+v (machine ran %d)", kind, e, m.Cycles())
 		}
-		if e.HasAddr && e.Addr >= m.MemBytes {
+		if e.HasAddr() && e.Addr >= m.MemBytes {
 			t.Errorf("%s: address outside memory: %+v", kind, e)
 		}
 	}
@@ -252,7 +244,7 @@ func TestColliderEdgesPerSystem(t *testing.T) {
 			if len(log.edges) == 0 {
 				t.Fatalf("%s: collider produced no conflict edges", kind)
 			}
-			if total := log.hwCommits + log.swCommits; total != 24 {
+			if total := log.commits; total != 24 {
 				t.Fatalf("%s: %d commits recorded, want 24 (2 threads × 12)", kind, total)
 			}
 		})
@@ -266,7 +258,7 @@ func TestColliderHWConflictEdges(t *testing.T) {
 	checkEdges(t, UnboundedHTM, log, m)
 	found := false
 	for _, e := range log.edges {
-		if e.Reason == machine.AbortConflict && !e.SW && e.HasAddr {
+		if e.Reason == machine.AbortConflict && !e.SW() && e.HasAddr() {
 			found = true
 		}
 	}
@@ -285,7 +277,7 @@ func TestColliderSWKillEdges(t *testing.T) {
 			checkEdges(t, kind, log, m)
 			found := false
 			for _, e := range log.edges {
-				if e.SW {
+				if e.SW() {
 					found = true
 				}
 			}
@@ -304,11 +296,50 @@ func TestColliderUFOKillEdges(t *testing.T) {
 	checkEdges(t, UFOHybrid, log, m)
 	found := false
 	for _, e := range log.edges {
-		if e.Reason == machine.AbortUFOKill && e.HasAddr {
+		if e.Reason == machine.AbortUFOKill && e.HasAddr() {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("no ufo-kill edge; edges = %+v", log.edges)
+	}
+}
+
+// TestAllObserversMatchBareRun: the trace ring, the contention profile
+// and the txstats recorder subscribed to one machine observe the run
+// without moving it — cycles, machine counters and TM stats equal the
+// bare run's on a contended cell of every Figure 5 system — and the
+// three views agree on the stream they share: one contention edge per
+// hardware abort the ring saw, one txstats commit per tx-commit.
+func TestAllObserversMatchBareRun(t *testing.T) {
+	f, _ := FindWorkload("kmeans-high", ScaleSmall)
+	for _, kind := range Figure5Systems {
+		bare := Run(kind, f.New(), 4, testOptions())
+		opt := contentionOptions()
+		opt.TxStats = true
+		opt.TraceLimit = 1 << 20
+		all := Run(kind, f.New(), 4, opt)
+		if bare.Err != nil || all.Err != nil {
+			t.Fatalf("%s: %v / %v", kind, bare.Err, all.Err)
+		}
+		if all.Cycles != bare.Cycles || all.Machine != bare.Machine || all.Stats != bare.Stats {
+			t.Errorf("%s: observed run differs from the bare run:\n%d cycles %+v %+v\n%d cycles %+v %+v",
+				kind, all.Cycles, all.Machine, all.Stats, bare.Cycles, bare.Machine, bare.Stats)
+		}
+		var hwAborts, txCommits uint64
+		for _, e := range all.Trace.Events() {
+			switch e.Kind {
+			case machine.TraceHWAbort:
+				hwAborts++
+			case machine.TraceTxCommit:
+				txCommits++
+			}
+		}
+		if hwEdges := all.Contention.Edges - all.Contention.SWEdges; hwEdges != hwAborts {
+			t.Errorf("%s: %d hardware conflict edges, ring saw %d hw-aborts", kind, hwEdges, hwAborts)
+		}
+		if all.TxStats.Committed != txCommits {
+			t.Errorf("%s: txstats committed %d, ring saw %d tx-commits", kind, all.TxStats.Committed, txCommits)
+		}
 	}
 }

@@ -377,27 +377,35 @@ func TestEscalationUnderSerialize(t *testing.T) {
 	}
 }
 
-// lifeRecorder records processor 0's lifecycle events as strings.
-type lifeRecorder struct{ events []string }
+// lifeKinds are the lifecycle events TestTxLifeSequences pins.
+var lifeKinds = machine.KindSet(
+	machine.TraceTxBegin, machine.TraceTxAttempt, machine.TraceTxAbort,
+	machine.TraceTxRetryWait, machine.TraceTxBackoff, machine.TraceTxCommit)
 
-func (r *lifeRecorder) add(proc int, format string, args ...any) {
-	if proc == 0 {
-		r.events = append(r.events, fmt.Sprintf(format, args...))
+// lifeString renders processor 0's lifecycle events, one word each.
+func lifeString(events []machine.TraceEvent) string {
+	var words []string
+	for _, e := range events {
+		if e.Proc != 0 {
+			continue
+		}
+		switch e.Kind {
+		case machine.TraceTxBegin:
+			words = append(words, "Begin")
+		case machine.TraceTxAttempt:
+			words = append(words, fmt.Sprintf("Attempt(%s)", e.Path))
+		case machine.TraceTxAbort:
+			words = append(words, fmt.Sprintf("Abort(%s,%s)", e.Path, e.Reason))
+		case machine.TraceTxRetryWait:
+			words = append(words, "RetryWait")
+		case machine.TraceTxBackoff:
+			words = append(words, "Backoff")
+		case machine.TraceTxCommit:
+			words = append(words, fmt.Sprintf("Commit(%s)", e.Path))
+		}
 	}
+	return strings.Join(words, " ")
 }
-func (r *lifeRecorder) TxBegin(proc int, _ uint64) { r.add(proc, "Begin") }
-func (r *lifeRecorder) TxAttempt(proc int, path machine.TxPath, _ uint64) {
-	r.add(proc, "Attempt(%s)", path)
-}
-func (r *lifeRecorder) TxAbort(proc int, path machine.TxPath, reason machine.AbortReason, _ uint64) {
-	r.add(proc, "Abort(%s,%s)", path, reason)
-}
-func (r *lifeRecorder) TxRetryWait(proc int, _ uint64) { r.add(proc, "RetryWait") }
-func (r *lifeRecorder) TxBackoff(proc int, _ uint64)   { r.add(proc, "Backoff") }
-func (r *lifeRecorder) TxCommit(proc int, path machine.TxPath, _ uint64) {
-	r.add(proc, "Commit(%s)", path)
-}
-func (r *lifeRecorder) TxConflict(int, int) {}
 
 // TestTxLifeSequences pins the order of lifecycle events each system
 // emits — what txstats reports and Perfetto spans are built from — for a
@@ -488,15 +496,15 @@ func TestTxLifeSequences(t *testing.T) {
 				opt.CM = cm.Spec{Kind: cm.KindSerialize, StarveK: 2}
 			}
 			m := driverMachine(procs)
-			rec := &lifeRecorder{}
-			m.SetTxRecorder(rec)
+			rec := machine.NewTrace(1 << 10)
+			m.Observe(lifeKinds, rec)
 			opt.OTableRows = 1 << 12
 			sys := Build(c.system, m, opt)
 			m.Run(workload(m, sys))
 			if m.Mem.Read64(out) != 1 {
 				t.Fatal("transaction's store lost")
 			}
-			if got := strings.Join(rec.events, " "); got != c.want {
+			if got := lifeString(rec.Events()); got != c.want {
 				t.Fatalf("lifecycle events\n got: %s\nwant: %s", got, c.want)
 			}
 		})

@@ -203,12 +203,12 @@ func Run(kind SystemKind, wl stamp.Workload, threads int, opt Options) Result {
 	var prof *contention.Profile
 	if opt.Contention {
 		prof = contention.New(threads, opt.TimeSeriesWindow)
-		m.SetConflictRecorder(prof)
+		m.Observe(contention.Kinds, prof)
 	}
 	var txrec *txstats.Recorder
 	if opt.TxStats {
 		txrec = txstats.New(threads)
-		m.SetTxRecorder(txrec)
+		m.Observe(txstats.Kinds, txrec)
 	}
 	sys := Build(kind, m, opt)
 	wl.Init(m, threads)

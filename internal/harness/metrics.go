@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"repro/internal/obs"
@@ -91,6 +92,9 @@ func ReadMetricsReport(r io.Reader) (*MetricsReport, error) {
 	var raw reportJSON
 	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		return nil, err
+	}
+	if raw.Schema != ReportSchemaVersion {
+		return nil, fmt.Errorf("harness: unknown metrics report schema %q", raw.Schema)
 	}
 	return &MetricsReport{Cells: raw.Cells}, nil
 }

@@ -180,4 +180,7 @@ func TestMetricsReportRoundTrip(t *testing.T) {
 	if got := back.Cells[0].Metrics.Get(tm.MetricSWCommits); got == nil || got.Value != rep.Cells[0].Metrics.Get(tm.MetricSWCommits).Value {
 		t.Fatalf("round-tripped metric = %+v", got)
 	}
+	if _, err := ReadMetricsReport(strings.NewReader(`{"schema":"bogus/v0","cells":[]}`)); err == nil {
+		t.Fatal("bogus schema accepted")
+	}
 }

@@ -198,7 +198,7 @@ func runColliderTxStats(t *testing.T, kind SystemKind, syscall bool) *txstats.Re
 	params.Procs = 2
 	m := machine.New(params)
 	rec := txstats.New(2)
-	m.SetTxRecorder(rec)
+	m.Observe(txstats.Kinds, rec)
 	sys := Build(kind, m, opt)
 	wl := &collider{iters: 12, syscall: syscall}
 	wl.Init(m, 2)

@@ -1,6 +1,10 @@
 package machine
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/mem"
+)
 
 // TestRunAllocsPerProc pins what one more simulated processor costs a
 // cell in heap allocations: New plus a Run of empty workloads. Every cell
@@ -20,6 +24,47 @@ func TestRunAllocsPerProc(t *testing.T) {
 		if ceiling := float64(perMachine + perProc*procs); got > ceiling {
 			t.Errorf("%d procs: New+Run made %.0f allocations, ceiling %.0f (%d + %d per processor)",
 				procs, got, ceiling, perMachine, perProc)
+		}
+	}
+}
+
+// TestUnobservedEmitsAllocNothing pins the price of an emit site nobody
+// is listening to: a hardware transaction, a UFO install and every
+// TxLife* emitter allocate nothing, both on a machine with no observer
+// and on one whose only observer subscribed to a kind none of them emit
+// — and that observer is never called.
+func TestUnobservedEmitsAllocNothing(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		m := New(testParams(1))
+		idle := NewTrace(16)
+		if observed {
+			m.Observe(KindSet(TraceBlock), idle)
+		}
+		var got float64
+		m.Run([]func(*Proc){func(p *Proc) {
+			p.SetUFOEnabled(false)
+			got = testing.AllocsPerRun(100, func() {
+				p.TxLifeArrival(p.Now())
+				p.TxLifeBegin()
+				p.TxLifeAttempt(PathHTM)
+				p.BeginHW(1, true)
+				p.TxRead(64)
+				p.TxWrite(128, 1)
+				p.CommitHW()
+				p.TxLifeAbort(PathHTM, AbortConflict)
+				p.TxLifeBackoff(10)
+				p.TxLifeRetryWait()
+				p.TxLifeCommit(PathHTM)
+				p.SetUFO(192, mem.UFOFaultOnWrite)
+				p.RecordSWKill(p, AbortConflict, 192, true)
+				p.RecordSWCommit()
+			})
+		}})
+		if got != 0 {
+			t.Errorf("observed=%v: %v allocs per unobserved transaction, want 0", observed, got)
+		}
+		if idle.Total() != 0 {
+			t.Errorf("observed=%v: observer called %d times for kinds it did not subscribe to", observed, idle.Total())
 		}
 	}
 }

@@ -6,24 +6,14 @@ import (
 	"repro/internal/mem"
 )
 
-// captureRecorder records every edge and commit, for asserting the exact
-// tuples the machine emits.
-type captureRecorder struct {
-	edges   []ConflictEdge
-	commits []struct {
-		proc  int
-		hw    bool
-		cycle uint64
-	}
-}
-
-func (c *captureRecorder) RecordEdge(e ConflictEdge) { c.edges = append(c.edges, e) }
-func (c *captureRecorder) RecordCommit(proc int, hw bool, cycle uint64) {
-	c.commits = append(c.commits, struct {
-		proc  int
-		hw    bool
-		cycle uint64
-	}{proc, hw, cycle})
+// observeConflicts subscribes two recording observers to m — the Trace
+// ring is the one fake every package's tests use — and returns them: one
+// sees the who-aborted-whom edges, the other the commits.
+func observeConflicts(m *Machine) (edges, commits *Trace) {
+	edges, commits = NewTrace(1<<10), NewTrace(1<<10)
+	m.Observe(KindSet(TraceConflict), edges)
+	m.Observe(KindSet(TraceHWCommit, TraceSWCommitted), commits)
+	return edges, commits
 }
 
 // TestConflictEdgeHWConflict: an age-ordered HW-vs-HW kill emits exactly
@@ -31,8 +21,7 @@ func (c *captureRecorder) RecordCommit(proc int, hw bool, cycle uint64) {
 // conflicting line, the conflict reason, and a plausible cycle stamp.
 func TestConflictEdgeHWConflict(t *testing.T) {
 	m := New(testParams(2))
-	rec := &captureRecorder{}
-	m.SetConflictRecorder(rec)
+	rec, commits := observeConflicts(m)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			age := p.Machine().NextAge() // older
@@ -50,14 +39,15 @@ func TestConflictEdgeHWConflict(t *testing.T) {
 			}
 		},
 	})
-	if len(rec.edges) != 1 {
-		t.Fatalf("edges = %+v, want exactly one", rec.edges)
+	edges := rec.Events()
+	if len(edges) != 1 {
+		t.Fatalf("edges = %+v, want exactly one", edges)
 	}
-	e := rec.edges[0]
-	if e.Aggressor != 0 || e.Victim != 1 {
-		t.Fatalf("edge attribution = %d→%d, want 0→1", e.Aggressor, e.Victim)
+	e := edges[0]
+	if e.Peer != 0 || e.Proc != 1 {
+		t.Fatalf("edge attribution = %d→%d, want 0→1", e.Peer, e.Proc)
 	}
-	if !e.HasAddr || e.Addr != 0 || e.SW {
+	if !e.HasAddr() || e.Addr != 0 || e.SW() {
 		t.Fatalf("edge = %+v, want hw edge on line 0", e)
 	}
 	if e.Reason != AbortConflict {
@@ -67,8 +57,8 @@ func TestConflictEdgeHWConflict(t *testing.T) {
 		t.Fatalf("edge cycle = %d, machine ran %d", e.Cycle, m.Cycles())
 	}
 	// One HW commit (the aggressor's); edge count matches the abort count.
-	if len(rec.commits) != 1 || !rec.commits[0].hw || rec.commits[0].proc != 0 {
-		t.Fatalf("commits = %+v", rec.commits)
+	if cs := commits.Events(); len(cs) != 1 || cs[0].Kind != TraceHWCommit || cs[0].Proc != 0 {
+		t.Fatalf("commits = %+v", cs)
 	}
 	if m.Count.HWAbortsByReason[AbortConflict] != 1 {
 		t.Fatalf("abort count = %d", m.Count.HWAbortsByReason[AbortConflict])
@@ -79,8 +69,7 @@ func TestConflictEdgeHWConflict(t *testing.T) {
 // emits a ufo-kill edge from the setter to the reader.
 func TestConflictEdgeUFOKill(t *testing.T) {
 	m := New(testParams(2))
-	rec := &captureRecorder{}
-	m.SetConflictRecorder(rec)
+	rec, _ := observeConflicts(m)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			victimTx(p, false)
@@ -91,11 +80,12 @@ func TestConflictEdgeUFOKill(t *testing.T) {
 			p.SetUFO(0, mem.UFOFaultOnWrite)
 		},
 	})
-	if len(rec.edges) != 1 {
-		t.Fatalf("edges = %+v", rec.edges)
+	edges := rec.Events()
+	if len(edges) != 1 {
+		t.Fatalf("edges = %+v", edges)
 	}
-	e := rec.edges[0]
-	if e.Aggressor != 1 || e.Victim != 0 || e.Reason != AbortUFOKill || !e.HasAddr || e.Addr != 0 {
+	e := edges[0]
+	if e.Peer != 1 || e.Proc != 0 || e.Reason != AbortUFOKill || !e.HasAddr() || e.Addr != 0 {
 		t.Fatalf("ufo edge = %+v, want 1→0 ufo-kill on line 0", e)
 	}
 }
@@ -104,8 +94,7 @@ func TestConflictEdgeUFOKill(t *testing.T) {
 // read set emits a nonT-conflict edge.
 func TestConflictEdgeNonTConflict(t *testing.T) {
 	m := New(testParams(2))
-	rec := &captureRecorder{}
-	m.SetConflictRecorder(rec)
+	rec, _ := observeConflicts(m)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			victimTx(p, false)
@@ -115,11 +104,12 @@ func TestConflictEdgeNonTConflict(t *testing.T) {
 			p.NTWrite(0, 5)
 		},
 	})
-	if len(rec.edges) != 1 {
-		t.Fatalf("edges = %+v", rec.edges)
+	edges := rec.Events()
+	if len(edges) != 1 {
+		t.Fatalf("edges = %+v", edges)
 	}
-	e := rec.edges[0]
-	if e.Aggressor != 1 || e.Victim != 0 || e.Reason != AbortNonTConflict {
+	e := edges[0]
+	if e.Peer != 1 || e.Proc != 0 || e.Reason != AbortNonTConflict {
 		t.Fatalf("nonT edge = %+v, want 1→0 nonT-conflict", e)
 	}
 }
@@ -128,8 +118,7 @@ func TestConflictEdgeNonTConflict(t *testing.T) {
 // attributes the edge to the named peer; aggressor -1 falls back to self.
 func TestConflictEdgeAttributedAbort(t *testing.T) {
 	m := New(testParams(2))
-	rec := &captureRecorder{}
-	m.SetConflictRecorder(rec)
+	rec, _ := observeConflicts(m)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			p.BeginHW(p.Machine().NextAge(), true)
@@ -141,13 +130,14 @@ func TestConflictEdgeAttributedAbort(t *testing.T) {
 		},
 		func(p *Proc) {},
 	})
-	if len(rec.edges) != 2 {
-		t.Fatalf("edges = %+v", rec.edges)
+	edges := rec.Events()
+	if len(edges) != 2 {
+		t.Fatalf("edges = %+v", edges)
 	}
-	if e := rec.edges[0]; e.Aggressor != 1 || e.Victim != 0 || e.Addr != 0x140 || !e.HasAddr {
+	if e := edges[0]; e.Peer != 1 || e.Proc != 0 || e.Addr != 0x140 || !e.HasAddr() {
 		t.Fatalf("attributed edge = %+v, want 1→0 @0x140", e)
 	}
-	if e := rec.edges[1]; e.Aggressor != 0 || e.Victim != 0 {
+	if e := edges[1]; e.Peer != 0 || e.Proc != 0 {
 		t.Fatalf("self-fallback edge = %+v, want 0→0", e)
 	}
 	if m.Count.HWAbortsByReason[AbortExplicit] != 2 {
@@ -159,8 +149,7 @@ func TestConflictEdgeAttributedAbort(t *testing.T) {
 // caller's clock and the SW flag.
 func TestConflictEdgeSWHelpers(t *testing.T) {
 	m := New(testParams(2))
-	rec := &captureRecorder{}
-	m.SetConflictRecorder(rec)
+	rec, commits := observeConflicts(m)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			p.Elapse(10)
@@ -172,22 +161,24 @@ func TestConflictEdgeSWHelpers(t *testing.T) {
 			p.RecordSWAbortBy(-1, AbortConflict, 0, false)
 		},
 	})
-	if len(rec.edges) != 2 {
-		t.Fatalf("edges = %+v", rec.edges)
+	edges := rec.Events()
+	if len(edges) != 2 {
+		t.Fatalf("edges = %+v", edges)
 	}
-	if e := rec.edges[0]; !e.SW || e.Aggressor != 0 || e.Victim != 1 || e.Addr != 0x200 || e.Cycle < 10 {
+	if e := edges[0]; !e.SW() || e.Peer != 0 || e.Proc != 1 || e.Addr != 0x200 || e.Cycle < 10 {
 		t.Fatalf("sw kill edge = %+v", e)
 	}
-	if e := rec.edges[1]; !e.SW || e.Aggressor != -1 || e.Victim != 1 || e.HasAddr {
+	if e := edges[1]; !e.SW() || e.Peer != -1 || e.Proc != 1 || e.HasAddr() {
 		t.Fatalf("sw abort-by edge = %+v", e)
 	}
-	if len(rec.commits) != 1 || rec.commits[0].hw || rec.commits[0].proc != 0 {
-		t.Fatalf("commits = %+v", rec.commits)
+	if cs := commits.Events(); len(cs) != 1 || cs[0].Kind != TraceSWCommitted || cs[0].Proc != 0 {
+		t.Fatalf("commits = %+v", cs)
 	}
 }
 
-// TestConflictRecorderDetached: with no recorder attached the same
-// collision runs identically and nothing panics (the nil fast path).
+// TestConflictRecorderDetached: with no observer subscribed the same
+// collision runs identically and nothing panics (the empty-mask fast
+// path).
 func TestConflictRecorderDetached(t *testing.T) {
 	m := New(testParams(2))
 	m.Run([]func(*Proc){
@@ -202,7 +193,7 @@ func TestConflictRecorderDetached(t *testing.T) {
 			p.NTWrite(0, 5)
 		},
 	})
-	if m.ConflictRecorder() != nil {
-		t.Fatal("recorder attached unexpectedly")
+	if m.out.want != 0 || len(m.out.subs) != 0 {
+		t.Fatal("observer subscribed unexpectedly")
 	}
 }

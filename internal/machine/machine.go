@@ -202,49 +202,6 @@ func DefaultParams(procs int) Params {
 	}
 }
 
-// ConflictEdge is one who-aborted-whom attribution record: processor
-// Aggressor performed the action that aborted (killed) processor Victim's
-// transaction at the given simulated cycle. Self-inflicted aborts
-// (explicit abort, syscall, overflow, interrupt) appear as self-loop
-// edges with Aggressor == Victim. Aggressor is -1 when the conflicting
-// party could not be identified (e.g. a TL2 validation failure against an
-// already-released stripe). Address 0 is a legal simulated address, so
-// HasAddr states explicitly whether Addr names a real conflicting line.
-type ConflictEdge struct {
-	Aggressor int
-	Victim    int
-	Addr      uint64
-	HasAddr   bool
-	SW        bool // the aborted (victim) transaction was a software transaction
-	Reason    AbortReason
-	Cycle     uint64
-}
-
-// ConflictRecorder receives conflict-attribution events from the machine
-// and the TM systems running on it. Implementations must be cheap: the
-// machine calls these from every abort and commit path. The engine
-// serializes processors, so implementations need no locking.
-// internal/contention provides the standard implementation; the machine
-// only defines the interface so the dependency points outward.
-type ConflictRecorder interface {
-	// RecordEdge records one who-aborted-whom edge.
-	RecordEdge(e ConflictEdge)
-	// RecordCommit records a committed transaction (hw selects the
-	// hardware/software mode) for abort-rate-over-time series.
-	RecordCommit(proc int, hw bool, cycle uint64)
-}
-
-// SetConflictRecorder attaches (or with nil detaches) a conflict
-// recorder. Recording costs one nil check per abort/commit when
-// detached. Attach before Run; the machine then invokes the recorder
-// from the processor holding the execution token, so it observes events
-// in the deterministic schedule order without locking.
-func (m *Machine) SetConflictRecorder(r ConflictRecorder) { m.rec = r }
-
-// ConflictRecorder returns the attached recorder, or nil. The
-// attachment is fixed before Run.
-func (m *Machine) ConflictRecorder() ConflictRecorder { return m.rec }
-
 // TxPath classifies the execution mode of one transaction attempt for
 // lifecycle accounting: the hardware fast path, the strongly-atomic
 // software path (UFO-protected USTM), the weakly-atomic software path,
@@ -288,50 +245,6 @@ func TxPathByName(name string) (TxPath, bool) {
 	return 0, false
 }
 
-// TxRecorder receives per-transaction lifecycle events from the TM
-// systems running on the machine (via the Proc.TxLife* hooks).
-// Implementations must be cheap and need no locking: every hook runs on
-// the processor holding the execution token, so a recorder observes
-// events in the deterministic schedule order.
-// internal/txstats provides the standard implementation; the machine
-// only defines the interface so the dependency points outward.
-type TxRecorder interface {
-	// TxBegin marks the start of one logical transaction (an Atomic
-	// call) on proc at the given cycle.
-	TxBegin(proc int, cycle uint64)
-	// TxAttempt marks the start of one attempt on the given path.
-	TxAttempt(proc int, path TxPath, cycle uint64)
-	// TxAbort marks a failed attempt: the attempt started by the last
-	// TxAttempt on proc ended at cycle for the given reason.
-	TxAbort(proc int, path TxPath, reason AbortReason, cycle uint64)
-	// TxRetryWait marks a Retry suspension (§6): the current attempt
-	// undoes itself and the processor waits to be woken. Cycles from the
-	// last TxAttempt until the next TxAttempt count as retry waiting.
-	TxRetryWait(proc int, cycle uint64)
-	// TxBackoff reports cycles spent in a contention-management delay
-	// between attempts.
-	TxBackoff(proc int, cycles uint64)
-	// TxCommit marks the successful end of the transaction; path is the
-	// path of the committing attempt.
-	TxCommit(proc int, path TxPath, cycle uint64)
-	// TxConflict reports that victim's in-flight attempt was killed by
-	// aggressor (-1 unknown); it fires alongside the ConflictRecorder
-	// edge so the next TxAbort can charge its wasted cycles to the
-	// aggressor.
-	TxConflict(victim, aggressor int)
-}
-
-// SetTxRecorder attaches (or with nil detaches) a per-transaction
-// lifecycle recorder. Recording costs one nil check per lifecycle hook
-// when detached. Attach before Run; the hooks then invoke the recorder
-// from the processor holding the execution token, so it observes events
-// in the deterministic schedule order without locking.
-func (m *Machine) SetTxRecorder(r TxRecorder) { m.txrec = r }
-
-// TxRecorder returns the attached lifecycle recorder, or nil. The
-// attachment is fixed before Run.
-func (m *Machine) TxRecorder() TxRecorder { return m.txrec }
-
 // Counters aggregates machine-level event counts.
 type Counters struct {
 	HWAbortsByReason [NumAbortReasons]uint64
@@ -348,7 +261,7 @@ type Counters struct {
 }
 
 // Machine is the simulated multiprocessor. Its shared state (memory,
-// directory, counters, trace, age sequence, Rand) is mutated only from
+// directory, counters, observers, age sequence, Rand) is mutated only from
 // Proc methods, which the engine serializes in (cycle, proc id) order:
 // one processor holds the execution token at a time, so none of it
 // needs locking.
@@ -363,10 +276,7 @@ type Machine struct {
 	warm  map[uint64]bool // lines that have been fetched at least once
 	procs []*Proc
 	txSeq uint64
-	trace *Trace
-	sinks []TraceSink
-	rec   ConflictRecorder
-	txrec TxRecorder
+	out   observers // everything that watches a run (trace.go)
 }
 
 // New builds a machine from params. All state derives from params (the

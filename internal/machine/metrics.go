@@ -72,7 +72,7 @@ func (m *Machine) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter(MetricL1Hits, "references", "L1 hits summed over processors").Add(hits)
 	reg.Counter(MetricL1Misses, "references", "L1 misses summed over processors").Add(misses)
 
-	if m.trace != nil {
-		reg.Counter(MetricTraceEvents, "events", "trace events recorded (including ring-evicted)").Add(m.trace.Total())
+	if tr := m.Trace(); tr != nil {
+		reg.Counter(MetricTraceEvents, "events", "trace events recorded (including ring-evicted)").Add(tr.Total())
 	}
 }

@@ -166,7 +166,7 @@ func (p *Proc) BeginHW(age uint64, bounded bool) {
 	clear(t.WriteSet)
 	clear(t.Spec)
 	p.hw = t
-	p.record(TraceHWBegin, AbortNone, 0, age, FlagAge)
+	p.emit(TraceEvent{Kind: TraceHWBegin, Proc: p.ID(), Age: age, Flags: FlagAge})
 }
 
 // CommitHW atomically publishes the transaction's speculative writes and
@@ -186,10 +186,7 @@ func (p *Proc) CommitHW() Outcome {
 	}
 	p.m.Count.HWCommits++
 	p.m.Count.HWFootprint.Add(t.Footprint())
-	if p.m.rec != nil {
-		p.m.rec.RecordCommit(p.ID(), true, p.Now())
-	}
-	p.record(TraceHWCommit, AbortNone, 0, t.Age, FlagAge)
+	p.emit(TraceEvent{Kind: TraceHWCommit, Proc: p.ID(), Age: t.Age, Flags: FlagAge})
 	p.hw = nil
 	return okOutcome
 }
@@ -221,21 +218,12 @@ func (p *Proc) AbortHWAttributed(reason AbortReason, aggressor int, addr uint64)
 	p.consumeAbort()
 }
 
-// RecordSWKill notes with the conflict recorder (no-op when detached)
-// that p's software transaction killed victim's software transaction over
-// the line containing addr. The STM layers call this from their kill
-// paths; the machine itself only sees SW conflicts indirectly.
+// RecordSWKill puts on the event stream that p's software transaction
+// killed victim's software transaction over the line containing addr.
+// The STM layers call this from their kill paths; the machine itself
+// only sees SW conflicts indirectly.
 func (p *Proc) RecordSWKill(victim *Proc, reason AbortReason, addr uint64, hasAddr bool) {
-	if p.m.rec != nil {
-		p.m.rec.RecordEdge(ConflictEdge{
-			Aggressor: p.ID(), Victim: victim.ID(),
-			Addr: addr, HasAddr: hasAddr, SW: true,
-			Reason: reason, Cycle: p.Now(),
-		})
-	}
-	if p.m.txrec != nil {
-		p.m.txrec.TxConflict(victim.ID(), p.ID())
-	}
+	p.conflict(p.ID(), victim, reason, addr, hasAddr, FlagSW)
 }
 
 // RecordSWAbortBy notes that p's own software transaction aborted because
@@ -243,24 +231,24 @@ func (p *Proc) RecordSWKill(victim *Proc, reason AbortReason, addr uint64, hasAd
 // long released it). Used by STMs whose victims detect conflicts
 // themselves rather than being killed.
 func (p *Proc) RecordSWAbortBy(aggressor int, reason AbortReason, addr uint64, hasAddr bool) {
-	if p.m.rec != nil {
-		p.m.rec.RecordEdge(ConflictEdge{
-			Aggressor: aggressor, Victim: p.ID(),
-			Addr: addr, HasAddr: hasAddr, SW: true,
-			Reason: reason, Cycle: p.Now(),
-		})
-	}
-	if p.m.txrec != nil {
-		p.m.txrec.TxConflict(p.ID(), aggressor)
-	}
+	p.conflict(aggressor, p, reason, addr, hasAddr, FlagSW)
 }
 
-// RecordSWCommit notes a committed software transaction with the conflict
-// recorder (no-op when detached).
+// RecordSWCommit notes a committed software transaction.
 func (p *Proc) RecordSWCommit() {
-	if p.m.rec != nil {
-		p.m.rec.RecordCommit(p.ID(), false, p.Now())
+	p.emit(TraceEvent{Kind: TraceSWCommitted, Proc: p.ID()})
+}
+
+// conflict emits the one who-aborted-whom event per kill, stamped with
+// p's clock: p is always the processor performing the kill or detecting
+// the conflict. hasAddr states whether addr names a real conflicting
+// address — address 0 is a legal simulated address, so absence is
+// tracked explicitly.
+func (p *Proc) conflict(aggressor int, victim *Proc, reason AbortReason, addr uint64, hasAddr bool, flags TraceFlags) {
+	if hasAddr {
+		flags |= FlagAddr
 	}
+	p.emit(TraceEvent{Kind: TraceConflict, Proc: victim.ID(), Peer: aggressor, Reason: reason, Addr: addr, Flags: flags})
 }
 
 // consumeAbort retires a pending abort: it records statistics, clears the
@@ -273,16 +261,14 @@ func (p *Proc) consumeAbort() Outcome {
 	if t.abortHasAddr {
 		flags |= FlagAddr
 	}
-	p.record(TraceHWAbort, reason, addr, t.Age, flags)
+	p.emit(TraceEvent{Kind: TraceHWAbort, Proc: p.ID(), Reason: reason, Addr: addr, Age: t.Age, Flags: flags})
 	p.hw = nil
 	return Outcome{Kind: HWAborted, Reason: reason, Addr: addr}
 }
 
 // killHW flash-clears victim's transactional state and records the abort
-// reason for delivery at the victim's next transactional operation. killer
-// is the processor performing the conflicting action (may equal victim).
-// hasAddr states whether addr names a real conflicting address — address
-// 0 is a legal simulated address, so absence is tracked explicitly.
+// reason for delivery at the victim's next transactional operation. p is
+// the processor performing the conflicting action (may equal victim).
 func (p *Proc) killHW(victim *Proc, reason AbortReason, addr uint64, hasAddr bool) {
 	p.killHWFrom(p.ID(), victim, reason, addr, hasAddr)
 }
@@ -300,16 +286,7 @@ func (p *Proc) killHWFrom(aggressor int, victim *Proc, reason AbortReason, addr 
 	if aggressor < 0 {
 		aggressor = victim.ID()
 	}
-	if p.m.rec != nil {
-		p.m.rec.RecordEdge(ConflictEdge{
-			Aggressor: aggressor, Victim: victim.ID(),
-			Addr: addr, HasAddr: hasAddr,
-			Reason: reason, Cycle: p.Now(),
-		})
-	}
-	if p.m.txrec != nil {
-		p.m.txrec.TxConflict(victim.ID(), aggressor)
-	}
+	p.conflict(aggressor, victim, reason, addr, hasAddr, 0)
 	t.pendingAbort = reason
 	t.abortAddr = addr
 	t.abortHasAddr = hasAddr
@@ -363,7 +340,7 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 	// completes, so a faulting access has no architectural effect.
 	if p.ufo && p.m.Mem.Faults(addr, write) {
 		p.m.Count.UFOFaults++
-		p.record(TraceUFOFault, AbortNone, addr, 0, FlagAddr)
+		p.emit(TraceEvent{Kind: TraceUFOFault, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
 		p.sp.Elapse(p.m.L1HitCycles) // the tag check that detected the fault
 		return Outcome{Kind: UFOFault, Addr: addr}
 	}
@@ -417,7 +394,7 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 		// catches. The timing was charged but no data moves; the handler's
 		// retry will hit in L1.
 		p.m.Count.UFOFaults++
-		p.record(TraceUFOFault, AbortNone, addr, 0, FlagAddr)
+		p.emit(TraceEvent{Kind: TraceUFOFault, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
 		return Outcome{Kind: UFOFault, Addr: addr}
 	}
 	return okOutcome
@@ -463,7 +440,7 @@ func (p *Proc) resolveConflicts(line uint64, write, tx bool) (Outcome, bool) {
 		for _, q := range victims {
 			if q.hw.Age < p.hw.Age {
 				p.m.Count.Nacks++
-				p.record(TraceNack, AbortNone, mem.LineAddr(line), p.hw.Age, FlagAddr|FlagAge)
+				p.emit(TraceEvent{Kind: TraceNack, Proc: p.ID(), Addr: mem.LineAddr(line), Age: p.hw.Age, Flags: FlagAddr | FlagAge})
 				return Outcome{Kind: Nacked}, false
 			}
 		}
@@ -643,7 +620,7 @@ func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 		p.killHW(q, AbortUFOKill, mem.LineAddr(line), true)
 	}
 	apply()
-	p.record(TraceUFOSet, AbortNone, addr, 0, FlagAddr)
+	p.emit(TraceEvent{Kind: TraceUFOSet, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
 	p.sp.Elapse(cost)
 }
 

@@ -5,10 +5,18 @@ import (
 	"io"
 )
 
-// TraceKind classifies trace events.
+// The event spine: one event type, one Observer interface, one
+// subscription call (Machine.Observe) and one emitter (Proc.emit) carry
+// everything that watches a run — the trace ring, the text/jsonl/chrome
+// sinks, contention.Profile, txstats.Recorder, a test's recording
+// observer. OBSERVABILITY.md lists every kind with its emitter and its
+// consumers.
+
+// TraceKind classifies machine events.
 type TraceKind uint8
 
-// Trace event kinds.
+// Event kinds. The first thirteen (TraceKinds) are the printed trace;
+// the rest feed the accounting observers.
 const (
 	TraceHWBegin TraceKind = iota
 	TraceHWCommit
@@ -23,17 +31,65 @@ const (
 	TraceWake
 	// TraceTxBegin and TraceTxCommit bracket one logical transaction (an
 	// Atomic call spanning every attempt); the Chrome sink turns the pair
-	// into a per-transaction span. TraceTxCommit carries the committing
-	// path (TxPath) in the Age field with FlagPath set.
+	// into a per-transaction span.
 	TraceTxBegin
 	TraceTxCommit
+	// TraceTxAttempt starts one attempt on Path; TraceTxAbort ends it as
+	// failed (a committing attempt ends in TraceTxCommit).
+	TraceTxAttempt
+	TraceTxAbort
+	// TraceTxRetryWait marks a Retry suspension (§6): cycles until the
+	// next TraceTxAttempt are transactional waiting, not wasted work.
+	TraceTxRetryWait
+	// TraceTxBackoff reports Arg cycles just spent in a
+	// contention-management delay.
+	TraceTxBackoff
+	// TraceTxArrival tags the next TraceTxBegin on Proc with the cycle
+	// (Arg) its open-loop request arrived.
+	TraceTxArrival
+	// TraceConflict is one who-aborted-whom edge: Peer performed the action
+	// that aborted Proc's transaction. A self-inflicted abort (explicit,
+	// syscall, overflow, interrupt) has Peer == Proc; Peer is -1 when the
+	// conflicting party is unknown (e.g. a TL2 validation failure against
+	// an already-released stripe). FlagSW marks a software victim.
+	TraceConflict
+	// TraceSWCommitted counts one committed software transaction (unlike
+	// TraceSWCommit, which only USTM emits, to close its sw-begin span).
+	TraceSWCommitted
+
+	numTraceKinds
 )
 
-var traceKindNames = []string{
+var traceKindNames = [numTraceKinds]string{
 	"hw-begin", "hw-commit", "hw-abort", "sw-begin", "sw-commit",
 	"sw-abort", "ufo-set", "ufo-fault", "nack", "block", "wake",
-	"tx-begin", "tx-commit",
+	"tx-begin", "tx-commit", "tx-attempt", "tx-abort", "tx-retry-wait",
+	"tx-backoff", "tx-arrival", "conflict", "sw-committed",
 }
+
+// Kinds is a set of event kinds: what an observer subscribes to.
+type Kinds uint32
+
+// KindSet returns the set holding exactly ks.
+func KindSet(ks ...TraceKind) Kinds {
+	var s Kinds
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in the set.
+func (s Kinds) Has(k TraceKind) bool { return s&(1<<k) != 0 }
+
+const (
+	// TraceKinds is the printed trace, hw-begin through tx-commit: what
+	// the ring and the sinks subscribe to, so exported traces stay
+	// byte-stable as accounting kinds are added.
+	TraceKinds Kinds = 1<<(TraceTxCommit+1) - 1
+	// AllKinds is every kind the machine emits.
+	AllKinds Kinds = 1<<numTraceKinds - 1
+)
 
 // String returns the trace-kind name used in text exports.
 func (k TraceKind) String() string {
@@ -44,9 +100,8 @@ func (k TraceKind) String() string {
 }
 
 // TraceFlags marks which optional TraceEvent fields carry real values.
-// Address 0 and age 0 are legitimate values (the first line of simulated
-// memory; pre-age bookkeeping events), so "present" must be recorded
-// explicitly rather than inferred from zero.
+// Address 0, age 0 and path 0 (htm) are legitimate values, so "present"
+// must be recorded explicitly rather than inferred from zero.
 type TraceFlags uint8
 
 // The flag bits.
@@ -55,19 +110,26 @@ const (
 	FlagAddr TraceFlags = 1 << iota
 	// FlagAge: the Age field is meaningful.
 	FlagAge
-	// FlagPath: the Age field carries a TxPath (tx-commit events).
+	// FlagPath: the Path field is meaningful.
 	FlagPath
+	// FlagSW: the aborted (victim) transaction of a conflict was a
+	// software transaction.
+	FlagSW
 )
 
-// TraceEvent is one recorded event.
+// TraceEvent is one machine event, as handed to every Observer that
+// subscribed to its Kind.
 type TraceEvent struct {
-	Cycle  uint64
-	Proc   int
+	Cycle  uint64 // the emitting processor's clock
+	Proc   int    // the processor the event is about (a conflict's victim)
 	Kind   TraceKind
-	Reason AbortReason // for aborts
+	Reason AbortReason // for aborts and conflicts
+	Path   TxPath      // for tx-attempt / tx-abort / tx-commit
+	Flags  TraceFlags  // which of Addr/Age/Path are set; FlagSW
+	Peer   int         // a conflict's aggressor, -1 unknown
 	Addr   uint64      // for ufo-set / ufo-fault / conflict addresses
 	Age    uint64      // transaction age, where applicable
-	Flags  TraceFlags  // which of Addr/Age are set
+	Arg    uint64      // tx-backoff: cycles spent; tx-arrival: arrival cycle
 }
 
 // HasAddr reports whether Addr carries a real address (address 0 counts).
@@ -76,15 +138,29 @@ func (e TraceEvent) HasAddr() bool { return e.Flags&FlagAddr != 0 }
 // HasAge reports whether Age carries a real transaction age.
 func (e TraceEvent) HasAge() bool { return e.Flags&FlagAge != 0 }
 
-// HasPath reports whether Age carries a TxPath (tx-commit events).
+// HasPath reports whether Path carries the attempt's execution path.
 func (e TraceEvent) HasPath() bool { return e.Flags&FlagPath != 0 }
+
+// SW reports whether a conflict's victim was a software transaction.
+func (e TraceEvent) SW() bool { return e.Flags&FlagSW != 0 }
+
+// hasReason reports whether Reason is part of the event's printed form.
+func (e TraceEvent) hasReason() bool {
+	switch e.Kind {
+	case TraceHWAbort, TraceSWAbort, TraceTxAbort, TraceConflict:
+		return true
+	}
+	return false
+}
 
 // String formats the event as one line of the text trace.
 func (e TraceEvent) String() string {
 	s := fmt.Sprintf("%10d  p%-2d %-9s", e.Cycle, e.Proc, e.Kind)
-	switch e.Kind {
-	case TraceHWAbort, TraceSWAbort:
+	if e.hasReason() {
 		s += fmt.Sprintf(" reason=%s", e.Reason)
+	}
+	if e.Kind == TraceConflict {
+		s += fmt.Sprintf(" peer=%d", e.Peer)
 	}
 	if e.HasAddr() {
 		s += fmt.Sprintf(" addr=%#x", e.Addr)
@@ -93,14 +169,68 @@ func (e TraceEvent) String() string {
 		s += fmt.Sprintf(" age=%d", e.Age)
 	}
 	if e.HasPath() {
-		s += fmt.Sprintf(" path=%s", TxPath(e.Age))
+		s += fmt.Sprintf(" path=%s", e.Path)
+	}
+	if e.Kind == TraceTxBackoff || e.Kind == TraceTxArrival {
+		s += fmt.Sprintf(" arg=%d", e.Arg)
 	}
 	return s
 }
 
-// Trace is a bounded in-memory event log. Enable it with
-// Machine.EnableTrace; when full it keeps the most recent events (ring
-// buffer), which is what post-mortem debugging wants.
+// Observer consumes machine events. The machine calls Event from the
+// processor holding the execution token, so an observer sees the
+// deterministic schedule order under either scheduler and needs no
+// locking. Implementations must be cheap: every abort, commit and
+// lifecycle path calls them.
+type Observer interface {
+	Event(e TraceEvent)
+}
+
+// observers is the machine's one way out for events: the subscribers in
+// Observe order, and the union of the kinds they asked for.
+type observers struct {
+	want Kinds
+	subs []subscription
+}
+
+type subscription struct {
+	kinds Kinds
+	o     Observer
+}
+
+// Observe subscribes o to every subsequent event whose kind is in
+// kinds. Subscribe before Run; the machine never closes or detaches an
+// observer.
+func (m *Machine) Observe(kinds Kinds, o Observer) {
+	m.out.want |= kinds
+	m.out.subs = append(m.out.subs, subscription{kinds, o})
+}
+
+// emit stamps e with p's clock and hands it to every observer that
+// subscribed to its kind. A kind nobody subscribed to costs this one
+// mask test; and since emit never advances the clock or draws from an
+// RNG, observed and unobserved runs are cycle-identical.
+func (p *Proc) emit(e TraceEvent) {
+	if !p.m.out.want.Has(e.Kind) {
+		return
+	}
+	e.Cycle = p.Now()
+	for _, s := range p.m.out.subs {
+		if s.kinds.Has(e.Kind) {
+			s.o.Event(e)
+		}
+	}
+}
+
+// RecordSW lets software TMs log their transaction lifecycle (sw-begin,
+// sw-commit, sw-abort) into the event stream.
+func (p *Proc) RecordSW(kind TraceKind, reason AbortReason, age uint64) {
+	p.emit(TraceEvent{Kind: kind, Proc: p.ID(), Reason: reason, Age: age, Flags: FlagAge})
+}
+
+// Trace is a bounded in-memory event log, and the simplest Observer.
+// When full it keeps the most recent events (ring buffer), which is what
+// post-mortem debugging wants.
 type Trace struct {
 	limit  int
 	events []TraceEvent
@@ -108,24 +238,37 @@ type Trace struct {
 	total  uint64
 }
 
-// EnableTrace starts recording up to limit events (most recent kept).
-// Events are appended by the processor holding the execution token, so
-// the recorded sequence is deterministic and identical under either
-// scheduler. Call EnableTrace itself before Run.
-func (m *Machine) EnableTrace(limit int) *Trace {
+// NewTrace returns an empty log keeping up to limit events (4096 when
+// limit is not positive). Subscribe it with Machine.Observe, or use
+// Machine.EnableTrace for the printed kinds.
+func NewTrace(limit int) *Trace {
 	if limit <= 0 {
 		limit = 4096
 	}
-	m.trace = &Trace{limit: limit}
-	return m.trace
+	return &Trace{limit: limit}
 }
 
-// Trace returns the machine's trace, or nil. Read it between runs; the
-// machine appends to it during Run (in deterministic order).
-func (m *Machine) Trace() *Trace { return m.trace }
+// EnableTrace subscribes a new log of up to limit events (most recent
+// kept) to the printed kinds (TraceKinds). Call it before Run.
+func (m *Machine) EnableTrace(limit int) *Trace {
+	t := NewTrace(limit)
+	m.Observe(TraceKinds, t)
+	return t
+}
 
-// add records an event.
-func (t *Trace) add(e TraceEvent) {
+// Trace returns the first subscribed log, or nil. Read it between runs;
+// the machine appends to it during Run (in deterministic order).
+func (m *Machine) Trace() *Trace {
+	for _, s := range m.out.subs {
+		if t, ok := s.o.(*Trace); ok {
+			return t
+		}
+	}
+	return nil
+}
+
+// Event implements Observer: it records e.
+func (t *Trace) Event(e TraceEvent) {
 	t.total++
 	if len(t.events) < t.limit {
 		t.events = append(t.events, e)
@@ -137,13 +280,9 @@ func (t *Trace) add(e TraceEvent) {
 
 // Events returns the recorded events, oldest first.
 func (t *Trace) Events() []TraceEvent {
-	if t.start == 0 {
-		return append([]TraceEvent(nil), t.events...)
-	}
 	out := make([]TraceEvent, 0, len(t.events))
 	out = append(out, t.events[t.start:]...)
-	out = append(out, t.events[:t.start]...)
-	return out
+	return append(out, t.events[:t.start]...)
 }
 
 // Total reports how many events were recorded (including evicted ones).
@@ -159,26 +298,15 @@ func (t *Trace) Dump(w io.Writer) {
 	}
 }
 
-// record is the machine-side hook (no-op when tracing is off). flags
-// states which of addr/age are meaningful for this event.
-func (p *Proc) record(kind TraceKind, reason AbortReason, addr, age uint64, flags TraceFlags) {
-	if p.m.trace == nil && len(p.m.sinks) == 0 {
-		return
+// Export replays the recorded events (oldest first) into sink and closes
+// it. Events evicted from the ring are gone; ChromeSink handles the
+// resulting orphaned commits/aborts gracefully.
+func (t *Trace) Export(sink interface {
+	Observer
+	io.Closer
+}) error {
+	for _, e := range t.Events() {
+		sink.Event(e)
 	}
-	e := TraceEvent{
-		Cycle: p.Now(), Proc: p.ID(), Kind: kind,
-		Reason: reason, Addr: addr, Age: age, Flags: flags,
-	}
-	if p.m.trace != nil {
-		p.m.trace.add(e)
-	}
-	for _, s := range p.m.sinks {
-		s.Event(e)
-	}
-}
-
-// RecordSW lets software TMs log their transaction lifecycle into the
-// shared trace.
-func (p *Proc) RecordSW(kind TraceKind, reason AbortReason, age uint64) {
-	p.record(kind, reason, 0, age, FlagAge)
+	return sink.Close()
 }

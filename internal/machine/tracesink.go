@@ -8,36 +8,10 @@ import (
 	"strconv"
 )
 
-// TraceSink consumes trace events, either streamed live from the machine
-// (Machine.AddTraceSink) or replayed from a recorded ring (Trace.Export).
-// Sinks buffer internally and surface I/O errors from Close, so the
+// The sinks are Observers that render the printed kinds to an io.Writer,
+// subscribed live (Machine.Observe(TraceKinds, sink)) or fed from a ring
+// (Trace.Export). They buffer, and surface I/O errors from Close, so the
 // simulated hot path never blocks on error handling.
-type TraceSink interface {
-	// Event consumes one event. Implementations must not retain e.
-	Event(e TraceEvent)
-	// Close flushes the sink and returns the first error encountered.
-	Close() error
-}
-
-// AddTraceSink streams every subsequent trace event into sink, in
-// addition to (and independently of) the bounded ring enabled by
-// EnableTrace. Add sinks before Run; the machine never closes them.
-// Sinks are invoked by the processor holding the execution token, so
-// they see the same deterministic event sequence under either scheduler
-// and need no locking of their own.
-func (m *Machine) AddTraceSink(sink TraceSink) {
-	m.sinks = append(m.sinks, sink)
-}
-
-// Export replays the recorded events (oldest first) into sink and closes
-// it. Events evicted from the ring are gone; ChromeSink handles the
-// resulting orphaned commits/aborts gracefully.
-func (t *Trace) Export(sink TraceSink) error {
-	for _, e := range t.Events() {
-		sink.Event(e)
-	}
-	return sink.Close()
-}
 
 // --- Text sink ---
 
@@ -53,7 +27,7 @@ func NewTextSink(w io.Writer) *TextSink {
 	return &TextSink{w: bufio.NewWriter(w)}
 }
 
-// Event implements TraceSink.
+// Event implements Observer.
 func (s *TextSink) Event(e TraceEvent) {
 	if s.err != nil {
 		return
@@ -61,7 +35,7 @@ func (s *TextSink) Event(e TraceEvent) {
 	_, s.err = fmt.Fprintln(s.w, e)
 }
 
-// Close implements TraceSink.
+// Close flushes the sink and returns the first error encountered.
 func (s *TextSink) Close() error {
 	if err := s.w.Flush(); s.err == nil {
 		s.err = err
@@ -75,8 +49,9 @@ func (s *TextSink) Close() error {
 //
 //	{"cycle":12,"proc":0,"kind":"hw-abort","reason":"conflict","addr":"0x1c0","age":3}
 //
-// "reason" appears only on aborts; "addr" and "age" appear exactly when
-// the event carries them (address 0 and age 0 included — see TraceFlags).
+// "reason" appears only on aborts; "addr", "age" and "path" appear
+// exactly when the event carries them (address 0 and age 0 included —
+// see TraceFlags).
 // The line format is stable and documented in OBSERVABILITY.md.
 type JSONLSink struct {
 	w   *bufio.Writer
@@ -88,7 +63,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{w: bufio.NewWriter(w)}
 }
 
-// Event implements TraceSink.
+// Event implements Observer.
 func (s *JSONLSink) Event(e TraceEvent) {
 	if s.err != nil {
 		return
@@ -100,7 +75,7 @@ func (s *JSONLSink) Event(e TraceEvent) {
 	buf = strconv.AppendInt(buf, int64(e.Proc), 10)
 	buf = append(buf, `,"kind":`...)
 	buf = strconv.AppendQuote(buf, e.Kind.String())
-	if e.Kind == TraceHWAbort || e.Kind == TraceSWAbort {
+	if e.hasReason() {
 		buf = append(buf, `,"reason":`...)
 		buf = strconv.AppendQuote(buf, e.Reason.String())
 	}
@@ -114,13 +89,13 @@ func (s *JSONLSink) Event(e TraceEvent) {
 	}
 	if e.HasPath() {
 		buf = append(buf, `,"path":`...)
-		buf = strconv.AppendQuote(buf, TxPath(e.Age).String())
+		buf = strconv.AppendQuote(buf, e.Path.String())
 	}
 	buf = append(buf, '}', '\n')
 	_, s.err = s.w.Write(buf)
 }
 
-// Close implements TraceSink.
+// Close flushes the sink and returns the first error encountered.
 func (s *JSONLSink) Close() error {
 	if err := s.w.Flush(); s.err == nil {
 		s.err = err
@@ -247,7 +222,7 @@ func txArgs(e TraceEvent, open chromeOpen, outcome string) string {
 	return args
 }
 
-// Event implements TraceSink.
+// Event implements Observer.
 func (s *ChromeSink) Event(e TraceEvent) {
 	s.nameTrack(e.Proc)
 	switch e.Kind {
@@ -292,7 +267,7 @@ func (s *ChromeSink) Event(e TraceEvent) {
 			return
 		}
 		delete(s.tx, e.Proc)
-		s.closeTx(e.Proc, tx, e.Cycle, TxPath(e.Age).String())
+		s.closeTx(e.Proc, tx, e.Cycle, e.Path.String())
 	default:
 		s.instant(e)
 	}
@@ -317,7 +292,7 @@ func (s *ChromeSink) closeSpan(proc int, open chromeOpen, end uint64, args strin
 // instant emits a thread-scoped instant ("i") event.
 func (s *ChromeSink) instant(e TraceEvent) {
 	args := ""
-	if e.Kind == TraceHWAbort || e.Kind == TraceSWAbort {
+	if e.hasReason() {
 		args = fmt.Sprintf(`"reason":%q`, e.Reason.String())
 	}
 	if e.HasAddr() {
@@ -336,7 +311,7 @@ func (s *ChromeSink) instant(e TraceEvent) {
 		e.Kind.String(), e.Proc, e.Cycle, args))
 }
 
-// Close implements TraceSink: still-open transaction spans are flushed as
+// Close flushes the sink: still-open transaction spans are flushed as
 // truncated (the run ended mid-transaction), the array is closed, and the
 // writer flushed.
 func (s *ChromeSink) Close() error {

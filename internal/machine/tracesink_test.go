@@ -128,7 +128,7 @@ func TestChromeSinkTxSpans(t *testing.T) {
 		{Cycle: 14, Proc: 0, Kind: TraceHWAbort, Reason: AbortConflict, Age: 1, Flags: FlagAge},
 		{Cycle: 20, Proc: 0, Kind: TraceHWBegin, Age: 2, Flags: FlagAge},
 		{Cycle: 30, Proc: 0, Kind: TraceHWCommit, Age: 2, Flags: FlagAge},
-		{Cycle: 31, Proc: 0, Kind: TraceTxCommit, Age: uint64(PathHTM), Flags: FlagPath},
+		{Cycle: 31, Proc: 0, Kind: TraceTxCommit, Path: PathHTM, Flags: FlagPath},
 		{Cycle: 40, Proc: 1, Kind: TraceTxBegin}, // left open: truncated at Close
 	}
 	var buf bytes.Buffer
@@ -176,11 +176,11 @@ func TestChromeSinkTxSpans(t *testing.T) {
 }
 
 // TestJSONLSinkTxPath: tx-commit events carry the committing path by
-// name (the Age field holds a TxPath when FlagPath is set).
+// name (the Path field, FlagPath set).
 func TestJSONLSinkTxPath(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
-	sink.Event(TraceEvent{Cycle: 31, Proc: 0, Kind: TraceTxCommit, Age: uint64(PathUFO), Flags: FlagPath})
+	sink.Event(TraceEvent{Cycle: 31, Proc: 0, Kind: TraceTxCommit, Path: PathUFO, Flags: FlagPath})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestMachineTxLifeSpansInTrace(t *testing.T) {
 	if begin == nil || commit == nil {
 		t.Fatalf("trace missing tx lifecycle events:\n%v", tr.Events())
 	}
-	if !commit.HasPath() || TxPath(commit.Age) != PathHTM {
+	if !commit.HasPath() || commit.Path != PathHTM {
 		t.Errorf("tx-commit path = %+v, want htm", commit)
 	}
 	if commit.Cycle < begin.Cycle {
@@ -226,10 +226,10 @@ func TestMachineTxLifeSpansInTrace(t *testing.T) {
 func TestTextSinkMatchesDump(t *testing.T) {
 	var viaSink, viaDump bytes.Buffer
 	sink := NewTextSink(&viaSink)
-	tr := &Trace{limit: 1 << 20}
+	tr := NewTrace(1 << 20)
 	for _, e := range goldenEvents() {
 		sink.Event(e)
-		tr.add(e)
+		tr.Event(e)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -311,28 +311,47 @@ func TestMachineRecordsFlags(t *testing.T) {
 	}
 }
 
-// TestStreamingSinkMatchesExport: events streamed live via AddTraceSink
-// must equal the ring replayed through Trace.Export when nothing was
-// evicted.
+// TestStreamingSinkMatchesExport: a sink subscribed live with Observe
+// must see exactly the ring replayed through Trace.Export when nothing
+// was evicted — with the accounting observers (a contention-shaped and a
+// txstats-shaped subscription) on the same machine — and watching the
+// run must not move its cycles or counters.
 func TestStreamingSinkMatchesExport(t *testing.T) {
-	var live bytes.Buffer
-	m := New(testParams(1))
-	tr := m.EnableTrace(1 << 16)
-	m.AddTraceSink(NewJSONLSink(&live))
-	m.Run([]func(*Proc){func(p *Proc) {
-		p.BeginHW(m.NextAge(), true)
+	workload := []func(*Proc){func(p *Proc) {
+		p.TxLifeBegin()
+		p.TxLifeAttempt(PathHTM)
+		p.BeginHW(p.Machine().NextAge(), true)
 		p.TxWrite(64, 7)
 		p.CommitHW()
+		p.TxLifeCommit(PathHTM)
 		p.SetUFOEnabled(false)
 		p.SetUFO(64, mem.UFOFaultAll)
 		p.SetUFOEnabled(true)
 		p.NTRead(64)
-	}})
-	// Flush the live sink (the machine never closes sinks itself).
-	for _, s := range m.sinks {
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}}
+	bare := New(testParams(1))
+	bare.Run(workload)
+
+	var live bytes.Buffer
+	m := New(testParams(1))
+	tr := m.EnableTrace(1 << 16)
+	sink := NewJSONLSink(&live)
+	m.Observe(TraceKinds, sink)
+	edges, lifecycle := NewTrace(1<<10), NewTrace(1<<10)
+	m.Observe(KindSet(TraceConflict, TraceHWCommit, TraceSWCommitted), edges)
+	m.Observe(AllKinds&^TraceKinds|KindSet(TraceTxBegin, TraceTxCommit), lifecycle)
+	m.Run(workload)
+	// Flush the live sink (the machine never closes observers itself).
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Cycles() != bare.Cycles() || m.Count != bare.Count {
+		t.Errorf("observed run differs from the bare run: %d cycles %+v vs %d cycles %+v",
+			m.Cycles(), m.Count, bare.Cycles(), bare.Count)
+	}
+	if edges.Total() != 1 || lifecycle.Total() != 3 {
+		t.Errorf("accounting observers saw %d and %d events, want 1 (hw-commit) and 3 (begin, attempt, commit)",
+			edges.Total(), lifecycle.Total())
 	}
 	var replay bytes.Buffer
 	if err := tr.Export(NewJSONLSink(&replay)); err != nil {
@@ -343,5 +362,29 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 	}
 	if !strings.Contains(live.String(), "ufo-fault") {
 		t.Errorf("trace missing ufo-fault:\n%s", live.String())
+	}
+}
+
+// TestAccountingKindsRender: the kinds outside the printed trace still
+// have a complete text form (what a failing stream assertion prints) — a
+// conflict names its reason, aggressor and line; a backoff its cycles —
+// and the two kind sets are what they say.
+func TestAccountingKindsRender(t *testing.T) {
+	conflict := TraceEvent{Cycle: 7, Proc: 1, Kind: TraceConflict, Reason: AbortUFOKill,
+		Peer: -1, Addr: 0x40, Flags: FlagAddr | FlagSW}
+	backoff := TraceEvent{Cycle: 9, Proc: 0, Kind: TraceTxBackoff, Arg: 48}
+	if s := conflict.String(); !strings.Contains(s, "reason=ufo-kill peer=-1 addr=0x40") {
+		t.Errorf("conflict text = %q", s)
+	}
+	if s := backoff.String(); !strings.Contains(s, "tx-backoff arg=48") {
+		t.Errorf("backoff text = %q", s)
+	}
+	for k := TraceKind(0); k < numTraceKinds; k++ {
+		if k.String() == "" || strings.HasPrefix(k.String(), "TraceKind(") {
+			t.Errorf("kind %d has no name", k)
+		}
+		if TraceKinds.Has(k) != (k <= TraceTxCommit) || !AllKinds.Has(k) {
+			t.Errorf("kind %s: printed=%v all=%v", k, TraceKinds.Has(k), AllKinds.Has(k))
+		}
 	}
 }

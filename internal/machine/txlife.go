@@ -1,111 +1,53 @@
 package machine
 
-// Per-transaction lifecycle hooks. TM systems call these from their
-// Atomic loops to feed the attached TxRecorder (SetTxRecorder) and the
-// per-transaction trace spans (TraceTxBegin / TraceTxCommit). Every hook
-// runs on the processor holding the execution token, so recorder calls
-// and trace events land in the deterministic schedule order; with no
-// recorder attached and tracing off each hook costs one or two nil
-// checks.
-//
-// The hooks never advance the simulated clock and never draw from any
-// RNG: attaching a recorder observes a run without perturbing it, so
-// instrumented and uninstrumented runs are cycle-identical.
-
-// txTracing reports whether per-transaction trace events have anywhere
-// to go.
-func (p *Proc) txTracing() bool {
-	return p.m.trace != nil || len(p.m.sinks) != 0
-}
-
-// TxArrivalRecorder is an optional extension of TxRecorder for open-loop
-// workloads: a recorder that also implements it receives the request
-// arrival timestamp that precedes the next TxBegin on the proc, letting
-// it account true response time (queueing + service) rather than just
-// service latency. Recorders that don't implement it simply never see
-// arrivals. Like every TxRecorder call, TxArrival fires on the processor
-// holding the execution token, so implementations need no locking.
-type TxArrivalRecorder interface {
-	// TxArrival reports that the request about to run on proc arrived
-	// (was generated by the open-loop client) at the given cycle, which
-	// may be well before the proc's current clock when it is backlogged.
-	TxArrival(proc int, cycle uint64)
-}
+// Per-transaction lifecycle emitters. The one hybrid driver (internal/tm)
+// and the hand-written Atomic loops call these to put a transaction's
+// begin → attempt → abort/backoff/retry-wait → commit sequence on the
+// event stream, where txstats.Recorder accounts it and the Chrome sink
+// turns tx-begin/tx-commit into per-transaction spans. Like every emit
+// they never advance the simulated clock and never draw from any RNG, so
+// observed and unobserved runs are cycle-identical, and each costs one
+// mask test when nobody subscribed to its kind.
 
 // TxLifeArrival tags the next logical transaction on this proc with its
 // open-loop request arrival cycle. Workloads call it immediately before
-// the Atomic call that services the request. Like the other TxLife
-// hooks it never advances the clock or draws randomness, and costs one
-// type assertion when the attached recorder does not implement
-// TxArrivalRecorder.
+// the Atomic call that services the request.
 func (p *Proc) TxLifeArrival(cycle uint64) {
-	ar, ok := p.m.txrec.(TxArrivalRecorder)
-	if !ok {
-		return
-	}
-	ar.TxArrival(p.ID(), cycle)
+	p.emit(TraceEvent{Kind: TraceTxArrival, Proc: p.ID(), Arg: cycle})
 }
 
 // TxLifeBegin marks the start of one logical transaction (an Atomic
-// call) for lifecycle accounting and emits the tx-begin trace event.
-// Near-zero cost when no recorder or trace is attached.
+// call spanning every attempt).
 func (p *Proc) TxLifeBegin() {
-	if p.m.txrec != nil {
-		p.m.txrec.TxBegin(p.ID(), p.Now())
-	}
-	if p.txTracing() {
-		p.record(TraceTxBegin, AbortNone, 0, 0, 0)
-	}
+	p.emit(TraceEvent{Kind: TraceTxBegin, Proc: p.ID()})
 }
 
-// TxLifeAttempt marks the start of one attempt on the given path. One
-// nil check when no recorder is attached.
+// TxLifeAttempt marks the start of one attempt on the given path.
 func (p *Proc) TxLifeAttempt(path TxPath) {
-	if p.m.txrec == nil {
-		return
-	}
-	p.m.txrec.TxAttempt(p.ID(), path, p.Now())
+	p.emit(TraceEvent{Kind: TraceTxAttempt, Proc: p.ID(), Path: path, Flags: FlagPath})
 }
 
 // TxLifeAbort marks the failure of the current attempt for the given
-// reason. One nil check when no recorder is attached.
+// reason.
 func (p *Proc) TxLifeAbort(path TxPath, reason AbortReason) {
-	if p.m.txrec == nil {
-		return
-	}
-	p.m.txrec.TxAbort(p.ID(), path, reason, p.Now())
+	p.emit(TraceEvent{Kind: TraceTxAbort, Proc: p.ID(), Path: path, Reason: reason, Flags: FlagPath})
 }
 
 // TxLifeRetryWait marks a Retry suspension (§6): cycles from the current
 // attempt's start until the next TxLifeAttempt count as transactional
-// waiting rather than wasted work. One nil check when no recorder is
-// attached.
+// waiting rather than wasted work.
 func (p *Proc) TxLifeRetryWait() {
-	if p.m.txrec == nil {
-		return
-	}
-	p.m.txrec.TxRetryWait(p.ID(), p.Now())
+	p.emit(TraceEvent{Kind: TraceTxRetryWait, Proc: p.ID()})
 }
 
 // TxLifeBackoff reports cycles just spent in a contention-management
-// delay (cm calls it after Elapse). One nil check when no recorder is
-// attached.
+// delay (cm calls it after Elapse).
 func (p *Proc) TxLifeBackoff(cycles uint64) {
-	if p.m.txrec == nil {
-		return
-	}
-	p.m.txrec.TxBackoff(p.ID(), cycles)
+	p.emit(TraceEvent{Kind: TraceTxBackoff, Proc: p.ID(), Arg: cycles})
 }
 
 // TxLifeCommit marks the successful end of the transaction on the given
-// path and emits the tx-commit trace event (the path rides in the Age
-// field, FlagPath). Near-zero cost when no recorder or trace is
-// attached.
+// path.
 func (p *Proc) TxLifeCommit(path TxPath) {
-	if p.m.txrec != nil {
-		p.m.txrec.TxCommit(p.ID(), path, p.Now())
-	}
-	if p.txTracing() {
-		p.record(TraceTxCommit, AbortNone, 0, uint64(path), FlagPath)
-	}
+	p.emit(TraceEvent{Kind: TraceTxCommit, Proc: p.ID(), Path: path, Flags: FlagPath})
 }

@@ -169,20 +169,15 @@ func TestRetryFailsOverAndPolls(t *testing.T) {
 	}
 }
 
-// edgeLog captures raw conflict edges and commits for tuple assertions.
-type edgeLog struct {
-	edges     []machine.ConflictEdge
-	hwCommits uint64
-	swCommits uint64
-}
-
-func (l *edgeLog) RecordEdge(e machine.ConflictEdge) { l.edges = append(l.edges, e) }
-func (l *edgeLog) RecordCommit(proc int, hw bool, cycle uint64) {
-	if hw {
-		l.hwCommits++
-	} else {
-		l.swCommits++
-	}
+// observeConflicts subscribes three recording observers to m, for tuple
+// assertions on the raw conflict edges and for counting the hardware
+// and software commit events.
+func observeConflicts(m *machine.Machine) (edges, hwCommits, swCommits *machine.Trace) {
+	edges, hwCommits, swCommits = machine.NewTrace(1<<12), machine.NewTrace(1), machine.NewTrace(1)
+	m.Observe(machine.KindSet(machine.TraceConflict), edges)
+	m.Observe(machine.KindSet(machine.TraceHWCommit), hwCommits)
+	m.Observe(machine.KindSet(machine.TraceSWCommitted), swCommits)
+	return edges, hwCommits, swCommits
 }
 
 // TestHTMAbortsNotStallsDuringWriteback pins the subscription protocol:
@@ -197,8 +192,7 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 	// write-back purely by aborting and retrying.
 	cfg.MaxHTMRetries = 1 << 30
 	s := New(m, cfg)
-	log := &edgeLog{}
-	m.SetConflictRecorder(log)
+	edges, hwCommits, swCommits := observeConflicts(m)
 	const lines, swTxs, hwTxs = 16, 4, 60
 	base := m.Mem.Sbrk(64 * lines)
 	mine := m.Mem.Sbrk(64)
@@ -223,13 +217,13 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 	if m.Mem.Read64(mine) != hwTxs {
 		t.Fatalf("proc 1 counter = %d, want %d", m.Mem.Read64(mine), hwTxs)
 	}
-	if log.swCommits != swTxs || s.stats.SWCommits != swTxs {
-		t.Fatalf("software commits = %d/%d, want %d", log.swCommits, s.stats.SWCommits, swTxs)
+	if swCommits.Total() != swTxs || s.stats.SWCommits != swTxs {
+		t.Fatalf("software commits = %d/%d, want %d", swCommits.Total(), s.stats.SWCommits, swTxs)
 	}
 	// The pin: every proc-1 transaction still commits in hardware...
-	if log.hwCommits != hwTxs || s.stats.HWCommits != hwTxs {
+	if hwCommits.Total() != hwTxs || s.stats.HWCommits != hwTxs {
 		t.Fatalf("hardware commits = %d/%d, want %d (no failover, no stall)",
-			log.hwCommits, s.stats.HWCommits, hwTxs)
+			hwCommits.Total(), s.stats.HWCommits, hwTxs)
 	}
 	if s.stats.Failovers != uint64(swTxs) {
 		t.Fatalf("failovers = %d, want only proc 0's forced %d", s.stats.Failovers, swTxs)
@@ -240,18 +234,18 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 	}
 	sawLockEdge := false
 	conflicts := 0
-	for _, e := range log.edges {
+	for _, e := range edges.Events() {
 		if e.Reason == machine.AbortSyscall {
 			continue // proc 0's forced-failover self-edge
 		}
 		conflicts++
-		if e.Victim != 1 || e.Aggressor != 0 {
+		if e.Proc != 1 || e.Peer != 0 {
 			t.Fatalf("unexpected edge direction: %+v", e)
 		}
 		if e.Reason != machine.AbortConflict && e.Reason != machine.AbortNonTConflict {
 			t.Fatalf("unexpected abort reason: %+v", e)
 		}
-		if e.HasAddr && e.Addr == s.lockAddr {
+		if e.HasAddr() && e.Addr == s.lockAddr {
 			sawLockEdge = true
 		}
 	}
@@ -259,7 +253,7 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 		t.Fatal("no conflict edges recorded")
 	}
 	if !sawLockEdge {
-		t.Fatalf("no edge on the seqlock line %#x; edges = %+v", s.lockAddr, log.edges)
+		t.Fatalf("no edge on the seqlock line %#x; edges = %+v", s.lockAddr, edges.Events())
 	}
 }
 
@@ -267,14 +261,13 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 // lifecycle accounting attached satisfies the exact txstats identities
 // (everything begun commits; the cycle split sums to total latency;
 // attributed plus unknown wasted cycles equal total wasted) and records
-// one commit per transaction with the contention recorder.
+// one commit event per transaction.
 func TestColliderAccountingIdentities(t *testing.T) {
 	m := newMachine(2)
 	s := New(m, DefaultConfig())
-	log := &edgeLog{}
-	m.SetConflictRecorder(log)
+	edges, hwCommits, swCommits := observeConflicts(m)
 	rec := txstats.New(2)
-	m.SetTxRecorder(rec)
+	m.Observe(txstats.Kinds, rec)
 	const iters = 12
 	addr := m.Mem.Sbrk(64)
 	body := func(ex tm.Exec) {
@@ -290,7 +283,7 @@ func TestColliderAccountingIdentities(t *testing.T) {
 	if got := m.Mem.Read64(addr); got != 2*iters {
 		t.Fatalf("collider count = %d, want %d", got, 2*iters)
 	}
-	if total := log.hwCommits + log.swCommits; total != 2*iters {
+	if total := hwCommits.Total() + swCommits.Total(); total != 2*iters {
 		t.Fatalf("%d commits recorded, want %d", total, 2*iters)
 	}
 	rep := rec.Report()
@@ -311,8 +304,8 @@ func TestColliderAccountingIdentities(t *testing.T) {
 		t.Fatalf("attributed %d + unknown %d != wasted %d",
 			attributed, rep.UnknownWasted, rep.WastedCycles)
 	}
-	for _, e := range log.edges {
-		if e.Victim < 0 || e.Victim > 1 || e.Aggressor < -1 || e.Aggressor > 1 {
+	for _, e := range edges.Events() {
+		if e.Proc < 0 || e.Proc > 1 || e.Peer < -1 || e.Peer > 1 {
 			t.Fatalf("malformed edge: %+v", e)
 		}
 		if e.Reason == machine.AbortNone {

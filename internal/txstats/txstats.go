@@ -17,12 +17,13 @@
 // recorder remembers each victim's most recent aggressor and charges the
 // aborted attempt's cycles to that processor.
 //
-// Recorder implements machine.TxRecorder (the machine defines the
-// interface so the dependency points outward; attach with
-// Machine.SetTxRecorder). Aggregation is deterministic: the engine
-// serializes the hooks in schedule order, and Report freezes every
-// accumulator into declaration-ordered or sorted slices, so equal runs
-// produce byte-identical reports.
+// Recorder is a machine.Observer of the tx-* lifecycle events and the
+// conflict event (the machine defines the interface so the dependency
+// points outward; subscribe with m.Observe(txstats.Kinds, recorder)).
+// Aggregation is deterministic: the engine serializes the emitters in
+// schedule order, and Report freezes every accumulator into
+// declaration-ordered or sorted slices, so equal runs produce
+// byte-identical reports.
 package txstats
 
 import (
@@ -34,10 +35,9 @@ import (
 type txState struct {
 	active       bool
 	hasArrival   bool   // open-loop request: arrival is valid
-	arrival      uint64 // request arrival cycle (TxLifeArrival)
-	begin        uint64 // cycle of TxBegin
+	arrival      uint64 // request arrival cycle (tx-arrival)
+	begin        uint64 // cycle of tx-begin
 	attempts     uint64 // attempts so far (including the current one)
-	path         machine.TxPath
 	attemptStart uint64 // cycle the current attempt (or Retry wait) started
 	waiting      bool   // suspended in Retry: attemptStart..next attempt is wait time
 	wasted       uint64 // cycles in aborted attempts so far
@@ -47,7 +47,7 @@ type txState struct {
 }
 
 // Recorder is the accumulating side of the lifecycle subsystem: one per
-// machine run. It implements machine.TxRecorder. Like obs.Registry it is
+// machine run. It implements machine.Observer. Like obs.Registry it is
 // not safe for concurrent use — the simulation engine serializes
 // processors, and parallel sweeps give every cell its own Recorder.
 type Recorder struct {
@@ -77,17 +77,20 @@ type Recorder struct {
 
 	// Open-loop request accounting (fed by Proc.TxLifeArrival; zero for
 	// closed-loop workloads, which never tag arrivals).
-	pendingArrival []uint64 // per proc: arrival cycle awaiting the next TxBegin
+	pendingArrival []uint64 // per proc: arrival cycle awaiting the next tx-begin
 	pendingValid   []bool
 	requests       uint64
 	response       *obs.Histogram // per request: commit cycle - arrival cycle
 	queueWait      *obs.Histogram // per request: begin cycle - arrival cycle
 }
 
-var (
-	_ machine.TxRecorder        = (*Recorder)(nil)
-	_ machine.TxArrivalRecorder = (*Recorder)(nil)
-)
+// Kinds is what a Recorder subscribes to: the lifecycle events, and the
+// conflict event so the next abort can charge its wasted cycles to the
+// aggressor.
+var Kinds = machine.KindSet(
+	machine.TraceTxArrival, machine.TraceTxBegin, machine.TraceTxAttempt,
+	machine.TraceTxAbort, machine.TraceTxRetryWait, machine.TraceTxBackoff,
+	machine.TraceTxCommit, machine.TraceConflict)
 
 // New returns an empty recorder for a machine with the given processor
 // count.
@@ -111,36 +114,51 @@ func New(procs int) *Recorder {
 	return r
 }
 
-// TxBegin implements machine.TxRecorder.
-func (r *Recorder) TxBegin(proc int, cycle uint64) {
+// Event implements machine.Observer. Events for out-of-range processors,
+// or that need a transaction in flight and find none, are dropped.
+func (r *Recorder) Event(e machine.TraceEvent) {
+	proc := e.Proc
 	if proc < 0 || proc >= r.procs {
-		return
-	}
-	r.begun++
-	r.tx[proc] = txState{active: true, begin: cycle, attemptStart: cycle, aggressor: -1}
-	if r.pendingValid[proc] {
-		r.tx[proc].hasArrival = true
-		r.tx[proc].arrival = r.pendingArrival[proc]
-		r.pendingValid[proc] = false
-	}
-}
-
-// TxArrival implements machine.TxArrivalRecorder: the next TxBegin on
-// proc services an open-loop request that arrived at the given cycle.
-func (r *Recorder) TxArrival(proc int, cycle uint64) {
-	if proc < 0 || proc >= r.procs {
-		return
-	}
-	r.pendingArrival[proc] = cycle
-	r.pendingValid[proc] = true
-}
-
-// TxAttempt implements machine.TxRecorder.
-func (r *Recorder) TxAttempt(proc int, path machine.TxPath, cycle uint64) {
-	if proc < 0 || proc >= r.procs || !r.tx[proc].active {
 		return
 	}
 	t := &r.tx[proc]
+	switch e.Kind {
+	case machine.TraceTxArrival:
+		// The next tx-begin on proc services an open-loop request that
+		// arrived at cycle e.Arg.
+		r.pendingArrival[proc] = e.Arg
+		r.pendingValid[proc] = true
+	case machine.TraceTxBegin:
+		r.begun++
+		*t = txState{active: true, begin: e.Cycle, attemptStart: e.Cycle, aggressor: -1,
+			hasArrival: r.pendingValid[proc], arrival: r.pendingArrival[proc]}
+		r.pendingValid[proc] = false
+	case machine.TraceConflict:
+		// proc's in-flight attempt was killed by e.Peer (-1 unknown): the
+		// next tx-abort charges its wasted cycles to that aggressor.
+		t.aggressor = e.Peer
+	}
+	if !t.active {
+		return // the remaining kinds need a transaction in flight
+	}
+	switch e.Kind {
+	case machine.TraceTxAttempt:
+		r.attempt(t, e.Path, e.Cycle)
+	case machine.TraceTxAbort:
+		r.abort(t, e.Path, e.Reason, e.Cycle)
+	case machine.TraceTxRetryWait:
+		r.retryWaits++
+		t.waiting = true
+	case machine.TraceTxBackoff:
+		t.backoff += e.Arg
+		r.backoffCycles += e.Arg
+	case machine.TraceTxCommit:
+		r.commit(t, e.Path, e.Cycle)
+	}
+}
+
+// attempt starts one attempt on the given path.
+func (r *Recorder) attempt(t *txState, path machine.TxPath, cycle uint64) {
 	if t.waiting {
 		// The whole interval since the Retry attempt started counts as
 		// transactional waiting, not wasted work.
@@ -150,19 +168,14 @@ func (r *Recorder) TxAttempt(proc int, path machine.TxPath, cycle uint64) {
 		t.waiting = false
 	}
 	t.attempts++
-	t.path = path
 	t.attemptStart = cycle
 	if int(path) < len(r.attemptsByPath) {
 		r.attemptsByPath[path]++
 	}
 }
 
-// TxAbort implements machine.TxRecorder.
-func (r *Recorder) TxAbort(proc int, path machine.TxPath, reason machine.AbortReason, cycle uint64) {
-	if proc < 0 || proc >= r.procs || !r.tx[proc].active {
-		return
-	}
-	t := &r.tx[proc]
+// abort ends the attempt started by the last tx-attempt as failed.
+func (r *Recorder) abort(t *txState, path machine.TxPath, reason machine.AbortReason, cycle uint64) {
 	w := cycle - t.attemptStart
 	t.wasted += w
 	r.wastedCycles += w
@@ -180,30 +193,8 @@ func (r *Recorder) TxAbort(proc int, path machine.TxPath, reason machine.AbortRe
 	t.attemptStart = cycle
 }
 
-// TxRetryWait implements machine.TxRecorder.
-func (r *Recorder) TxRetryWait(proc int, cycle uint64) {
-	if proc < 0 || proc >= r.procs || !r.tx[proc].active {
-		return
-	}
-	r.retryWaits++
-	r.tx[proc].waiting = true
-}
-
-// TxBackoff implements machine.TxRecorder.
-func (r *Recorder) TxBackoff(proc int, cycles uint64) {
-	if proc < 0 || proc >= r.procs || !r.tx[proc].active {
-		return
-	}
-	r.tx[proc].backoff += cycles
-	r.backoffCycles += cycles
-}
-
-// TxCommit implements machine.TxRecorder.
-func (r *Recorder) TxCommit(proc int, path machine.TxPath, cycle uint64) {
-	if proc < 0 || proc >= r.procs || !r.tx[proc].active {
-		return
-	}
-	t := &r.tx[proc]
+// commit ends the transaction; path is the committing attempt's.
+func (r *Recorder) commit(t *txState, path machine.TxPath, cycle uint64) {
 	r.committed++
 	if int(path) < len(r.commitsByPath) {
 		r.commitsByPath[path]++
@@ -225,15 +216,7 @@ func (r *Recorder) TxCommit(proc int, path machine.TxPath, cycle uint64) {
 		r.response.Observe(cycle - t.arrival)
 		r.queueWait.Observe(t.begin - t.arrival)
 	}
-	r.tx[proc] = txState{aggressor: -1}
-}
-
-// TxConflict implements machine.TxRecorder.
-func (r *Recorder) TxConflict(victim, aggressor int) {
-	if victim < 0 || victim >= r.procs {
-		return
-	}
-	r.tx[victim].aggressor = aggressor
+	*t = txState{aggressor: -1}
 }
 
 // Committed returns the number of committed transactions recorded so far.

@@ -9,6 +9,29 @@ import (
 	"repro/internal/obs"
 )
 
+// The lifecycle events as the machine's TxLife* emitters build them.
+func begin(proc int, cycle uint64) machine.TraceEvent {
+	return machine.TraceEvent{Kind: machine.TraceTxBegin, Proc: proc, Cycle: cycle}
+}
+func attempt(proc int, path machine.TxPath, cycle uint64) machine.TraceEvent {
+	return machine.TraceEvent{Kind: machine.TraceTxAttempt, Proc: proc, Path: path, Cycle: cycle}
+}
+func abort(proc int, path machine.TxPath, reason machine.AbortReason, cycle uint64) machine.TraceEvent {
+	return machine.TraceEvent{Kind: machine.TraceTxAbort, Proc: proc, Path: path, Reason: reason, Cycle: cycle}
+}
+func retryWait(proc int, cycle uint64) machine.TraceEvent {
+	return machine.TraceEvent{Kind: machine.TraceTxRetryWait, Proc: proc, Cycle: cycle}
+}
+func backoff(proc int, cycles uint64) machine.TraceEvent {
+	return machine.TraceEvent{Kind: machine.TraceTxBackoff, Proc: proc, Arg: cycles}
+}
+func commit(proc int, path machine.TxPath, cycle uint64) machine.TraceEvent {
+	return machine.TraceEvent{Kind: machine.TraceTxCommit, Proc: proc, Path: path, Cycle: cycle}
+}
+func conflict(victim, aggressor int) machine.TraceEvent {
+	return machine.TraceEvent{Kind: machine.TraceConflict, Proc: victim, Peer: aggressor}
+}
+
 // script drives a recorder through a hand-computed two-processor run:
 //
 //	proc 0: begin@10, HTM attempt@12, conflict(agg=1), abort coherence@20
@@ -18,16 +41,16 @@ import (
 // proc 0 latency 30 = useful 15 + wasted 8 + backoff 5 + overhead 2.
 // proc 1 latency 20 = useful 20.
 func script(r *Recorder) {
-	r.TxBegin(0, 10)
-	r.TxBegin(1, 10)
-	r.TxAttempt(1, machine.PathHTM, 10)
-	r.TxAttempt(0, machine.PathHTM, 12)
-	r.TxConflict(0, 1)
-	r.TxAbort(0, machine.PathHTM, machine.AbortConflict, 20)
-	r.TxBackoff(0, 5)
-	r.TxAttempt(0, machine.PathHTM, 25)
-	r.TxCommit(1, machine.PathHTM, 30)
-	r.TxCommit(0, machine.PathHTM, 40)
+	r.Event(begin(0, 10))
+	r.Event(begin(1, 10))
+	r.Event(attempt(1, machine.PathHTM, 10))
+	r.Event(attempt(0, machine.PathHTM, 12))
+	r.Event(conflict(0, 1))
+	r.Event(abort(0, machine.PathHTM, machine.AbortConflict, 20))
+	r.Event(backoff(0, 5))
+	r.Event(attempt(0, machine.PathHTM, 25))
+	r.Event(commit(1, machine.PathHTM, 30))
+	r.Event(commit(0, machine.PathHTM, 40))
 }
 
 func TestRecorderAccounting(t *testing.T) {
@@ -73,11 +96,11 @@ func TestRecorderAccounting(t *testing.T) {
 
 func TestRecorderRetryWait(t *testing.T) {
 	r := New(1)
-	r.TxBegin(0, 0)
-	r.TxAttempt(0, machine.PathSW, 0)
-	r.TxRetryWait(0, 8)
-	r.TxAttempt(0, machine.PathSW, 50) // waited 0..50
-	r.TxCommit(0, machine.PathSW, 60)
+	r.Event(begin(0, 0))
+	r.Event(attempt(0, machine.PathSW, 0))
+	r.Event(retryWait(0, 8))
+	r.Event(attempt(0, machine.PathSW, 50)) // waited 0..50
+	r.Event(commit(0, machine.PathSW, 60))
 	rep := r.Report()
 	if rep.RetryWaits != 1 || rep.RetryWaitCycles != 50 {
 		t.Fatalf("retry wait = %d waits, %d cycles", rep.RetryWaits, rep.RetryWaitCycles)
@@ -90,9 +113,9 @@ func TestRecorderRetryWait(t *testing.T) {
 
 func TestRecorderInFlight(t *testing.T) {
 	r := New(1)
-	r.TxBegin(0, 0)
-	r.TxAttempt(0, machine.PathUFO, 0)
-	r.TxAbort(0, machine.PathUFO, machine.AbortExplicit, 30)
+	r.Event(begin(0, 0))
+	r.Event(attempt(0, machine.PathUFO, 0))
+	r.Event(abort(0, machine.PathUFO, machine.AbortExplicit, 30))
 	rep := r.Report()
 	if rep.Begun != 1 || rep.Committed != 0 || rep.InFlight != 1 {
 		t.Fatalf("counts = %d/%d/%d", rep.Begun, rep.Committed, rep.InFlight)
@@ -169,12 +192,33 @@ func TestRecorderRegister(t *testing.T) {
 // no transaction in flight are dropped rather than corrupting state.
 func TestRecorderIgnoresStray(t *testing.T) {
 	r := New(1)
-	r.TxAttempt(0, machine.PathHTM, 5) // no begin
-	r.TxCommit(0, machine.PathHTM, 9)
-	r.TxBegin(7, 0) // out of range
-	r.TxAbort(-1, machine.PathHTM, machine.AbortConflict, 3)
+	r.Event(attempt(0, machine.PathHTM, 5)) // no begin
+	r.Event(commit(0, machine.PathHTM, 9))
+	r.Event(begin(7, 0)) // out of range
+	r.Event(abort(-1, machine.PathHTM, machine.AbortConflict, 3))
 	rep := r.Report()
 	if rep.Begun != 0 || rep.Committed != 0 || rep.WastedCycles != 0 {
 		t.Fatalf("stray events recorded: %+v", rep)
+	}
+}
+
+// TestRecorderArrival: a tx-arrival event tags the next tx-begin on its
+// processor, so response time starts at the arrival and queueing delay
+// is arrival to begin; an untagged transaction adds no request.
+func TestRecorderArrival(t *testing.T) {
+	r := New(1)
+	r.Event(machine.TraceEvent{Kind: machine.TraceTxArrival, Proc: 0, Arg: 4})
+	r.Event(begin(0, 10))
+	r.Event(attempt(0, machine.PathHTM, 10))
+	r.Event(commit(0, machine.PathHTM, 40))
+	r.Event(begin(0, 50))
+	r.Event(attempt(0, machine.PathHTM, 50))
+	r.Event(commit(0, machine.PathHTM, 60))
+	rep := r.Report()
+	if rep.Committed != 2 || rep.Requests != 1 {
+		t.Fatalf("committed/requests = %d/%d, want 2/1", rep.Committed, rep.Requests)
+	}
+	if rep.Response.Sum != 36 || rep.QueueWait.Sum != 6 {
+		t.Fatalf("response %d queue wait %d, want 36 and 6", rep.Response.Sum, rep.QueueWait.Sum)
 	}
 }

@@ -4,7 +4,8 @@
 # The check for any change whose contract is "same bytes": build tmsim
 # from <git-ref> and from the working tree, run every -experiment value
 # at -scale small with every report writer on, run one traced cell per
-# retry-loop system, and diff everything the two builds wrote. Exit 0
+# retry-loop system (and one per trace format), and diff everything the
+# two builds wrote. Exit 0
 # when nothing differs, 1 on any difference (the diff is printed and
 # kept in $SAME_BYTES_OUT, default a temporary directory), 2 on usage or
 # build errors.
@@ -66,11 +67,25 @@ run() {
 		"$bin" -experiment fig5 -scale small -policy "$pol" -metrics-out "fig5.$pol.metrics.json" \
 			>"fig5.$pol.stdout" 2>"fig5.$pol.stderr" || echo "exit $?" >>"fig5.$pol.stdout"
 	done
-	local sys
-	for sys in ufo-hybrid hytm phtm hybrid-norec unbounded-htm tl2; do
+	# Traced cells carry every observer at once — the trace ring, the
+	# contention profile and the txstats recorder share one machine.
+	# ustm+ufo is the one system that emits sw-begin/sw-commit and
+	# software kills directly; it only kills on kmeans-high (vacation's
+	# small cell has no software conflicts at all).
+	local sys wl
+	for sys in ufo-hybrid hytm phtm hybrid-norec unbounded-htm tl2 ustm+ufo; do
+		wl=vacation-high
+		[ "$sys" = ustm+ufo ] && wl=kmeans-high
 		"$bin" -trace-out "trace.$sys.jsonl" -trace-format jsonl -trace-system "$sys" \
-			-trace-workload vacation-high -txstats-out "trace.$sys.txstats.json" \
+			-trace-workload "$wl" -txstats-out "trace.$sys.txstats.json" \
+			-contention-out "trace.$sys.contention.json" \
 			>"trace.$sys.stdout" 2>"trace.$sys.stderr" || echo "exit $?" >>"trace.$sys.stdout"
+	done
+	local fmt
+	for fmt in text chrome; do
+		"$bin" -trace-out "trace.ufo-hybrid.$fmt" -trace-format "$fmt" -trace-system ufo-hybrid \
+			-trace-workload vacation-high >"trace.$fmt.stdout" 2>"trace.$fmt.stderr" ||
+			echo "exit $?" >>"trace.$fmt.stdout"
 	done
 	# Wall-clock is the one thing allowed to differ.
 	sed -i -e '/completed in/d' -e 's/ in [0-9.]*[a-zµ]*s\]$/]/' ./*.stdout
