@@ -1,20 +1,25 @@
 // Package cache models the parts of the cache hierarchy that the paper's
 // results depend on: a per-processor set-associative L1 occupancy model
 // (which determines BTM's transactional capacity and therefore its
-// overflow aborts) and a directory that tracks which processors hold a
-// copy of each line (which drives invalidations, conflict detection, and
-// transfer timing).
+// overflow aborts) and a directory holding one record per line: which
+// processors cache a copy (invalidations, transfer timing) and, beside
+// that coherence state as in the paper's BTM, which hold the line in a
+// hardware transaction's read or write set (the SR/SW bits, from which
+// the machine nominates the parties to a conflict).
 //
 // Data never lives here — the single architectural copy of memory contents
 // and UFO bits is in package mem; because the simulation engine serializes
 // processors at memory-operation granularity, caches only need to model
 // presence, not values.
 //
-// Paper: §3.1 (L1 capacity bounds BTM) and §5.1 (simulated hierarchy,
-// Table 4 parameters).
+// Paper: §3.1 (L1 capacity bounds BTM; SR/SW bits on the line) and §5.1
+// (simulated hierarchy, Table 4 parameters).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // L1 is a set-associative occupancy model with LRU replacement.
 type L1 struct {
@@ -125,12 +130,12 @@ func (c *L1) InvalidateAll() {
 func (c *L1) Hits() uint64   { return c.hits }
 func (c *L1) Misses() uint64 { return c.misses }
 
-// MaxProcs is the largest processor count the directory's sharer sets
+// MaxProcs is the largest processor count the directory's processor sets
 // (and therefore the machine) support.
 const MaxProcs = 256
 
-// ProcSet is a fixed-width bitmask over processor IDs 0..MaxProcs-1,
-// the directory's sharer-set representation.
+// ProcSet is a fixed-width bitmask over processor IDs 0..MaxProcs-1: the
+// representation of every per-line processor set the directory keeps.
 type ProcSet [MaxProcs / 64]uint64
 
 // Set records processor p as a member.
@@ -143,76 +148,101 @@ func (s *ProcSet) Clear(p int) { s[uint(p)/64] &^= 1 << (uint(p) % 64) }
 func (s ProcSet) Has(p int) bool { return s[uint(p)/64]&(1<<(uint(p)%64)) != 0 }
 
 // Empty reports whether no processor is a member.
-func (s ProcSet) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
+func (s ProcSet) Empty() bool { return s[0]|s[1]|s[2]|s[3] == 0 }
+
+// Or adds every member of t.
+func (s *ProcSet) Or(t *ProcSet) {
+	for i := range s {
+		s[i] |= t[i]
 	}
-	return true
 }
 
-// Procs returns the member processor IDs in ascending order.
-func (s ProcSet) Procs() []int {
-	var out []int
-	for wi, w := range s {
-		for i := 0; w != 0; i++ {
-			if w&1 != 0 {
-				out = append(out, wi*64+i)
-			}
-			w >>= 1
-		}
-	}
-	return out
+// Without returns a copy of the set with processor p removed: "the
+// others", from p's point of view.
+func (s ProcSet) Without(p int) ProcSet {
+	s.Clear(p)
+	return s
 }
 
-// Directory tracks, for every line, the set of processors holding a
-// cached copy. It supports up to MaxProcs processors.
+// Next returns the smallest member that is at least from, or -1 when
+// there is none, so that
+//
+//	for q := s.Next(0); q >= 0; q = s.Next(q + 1)
+//
+// visits the members in ascending order without allocating. Ascending
+// order is part of the contract: the machine kills, NACKs and
+// invalidates in the order this loop yields.
+func (s *ProcSet) Next(from int) int {
+	wi := uint(from) / 64
+	if wi >= uint(len(s)) {
+		return -1
+	}
+	w := s[wi] &^ (1<<(uint(from)%64) - 1)
+	for w == 0 {
+		if wi++; wi == uint(len(s)) {
+			return -1
+		}
+		w = s[wi]
+	}
+	return int(wi)*64 + bits.TrailingZeros64(w)
+}
+
+// Line is the directory's record for one line: its coherence state and,
+// beside it, the transactional state the paper keeps on the cache line.
+// Readers and Writers name the processors holding the line in an
+// in-flight hardware transaction's read or write set. They are not
+// subsets of Sharers: the unbounded HTM keeps a line in its read set
+// after the L1 evicts it, and a reader spared by a UFO install has lost
+// its copy but not its SR bit.
+type Line struct {
+	Sharers ProcSet // processors with the line resident in their L1
+	Readers ProcSet // the SR bits: one per processor
+	Writers ProcSet // the SW bits
+	Warm    bool    // fetched from memory at least once
+}
+
+// pageLines is the number of records in one directory page. It equals
+// the number of lines in a page of simulated memory, so a workload that
+// touches a memory page materialises one directory page beside it.
+const pageLines = 64
+
+// Directory holds one Line record for every line any processor has
+// touched, for up to MaxProcs processors. Records live in fixed-size
+// pages reached through an index that grows to the highest line seen;
+// a page is allocated on the first touch of any of its lines and never
+// moves, so a *Line stays valid for the life of the directory.
 type Directory struct {
-	sharers map[uint64]ProcSet
+	pages []*[pageLines]Line
 }
 
 // NewDirectory creates an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{sharers: make(map[uint64]ProcSet)}
+func NewDirectory() *Directory { return &Directory{} }
+
+// Line returns the record for line, materialising its page if this is
+// the first touch.
+func (d *Directory) Line(line uint64) *Line {
+	pi := line / pageLines
+	if pi >= uint64(len(d.pages)) || d.pages[pi] == nil {
+		d.materialise(pi)
+	}
+	return &d.pages[pi][line%pageLines]
 }
 
-// Sharers returns the sharer set for line (zero value when unshared).
-func (d *Directory) Sharers(line uint64) ProcSet { return d.sharers[line] }
+func (d *Directory) materialise(pi uint64) {
+	if n := pi + 1; n > uint64(len(d.pages)) {
+		d.pages = append(d.pages, make([]*[pageLines]Line, n-uint64(len(d.pages)))...)
+	}
+	d.pages[pi] = new([pageLines]Line)
+}
 
 // Add records that processor p holds line.
-func (d *Directory) Add(line uint64, p int) {
-	s := d.sharers[line]
-	s.Set(p)
-	d.sharers[line] = s
-}
+func (d *Directory) Add(line uint64, p int) { d.Line(line).Sharers.Set(p) }
 
 // Remove records that processor p no longer holds line.
-func (d *Directory) Remove(line uint64, p int) {
-	if s, ok := d.sharers[line]; ok {
-		s.Clear(p)
-		if s.Empty() {
-			delete(d.sharers, line)
-		} else {
-			d.sharers[line] = s
-		}
-	}
-}
-
-// Others returns the processors other than p that hold line.
-func (d *Directory) Others(line uint64, p int) []int {
-	s := d.sharers[line]
-	if s.Empty() {
-		return nil
-	}
-	s.Clear(p)
-	return s.Procs()
-}
+func (d *Directory) Remove(line uint64, p int) { d.Line(line).Sharers.Clear(p) }
 
 // HeldBy reports whether processor p holds line.
-func (d *Directory) HeldBy(line uint64, p int) bool {
-	return d.sharers[line].Has(p)
-}
+func (d *Directory) HeldBy(line uint64, p int) bool { return d.Line(line).Sharers.Has(p) }
 
 // Lines returns every resident line (for consistency checking).
 func (c *L1) Lines() []uint64 {
@@ -227,9 +257,18 @@ func (c *L1) Lines() []uint64 {
 	return out
 }
 
-// ForEach visits every line with at least one sharer.
-func (d *Directory) ForEach(f func(line uint64, sharers ProcSet)) {
-	for line, set := range d.sharers {
-		f(line, set)
+// ForEach visits every record that names at least one processor, in
+// line order (for consistency checking).
+func (d *Directory) ForEach(f func(line uint64, rec *Line)) {
+	for pi, page := range d.pages {
+		if page == nil {
+			continue
+		}
+		for i := range page {
+			rec := &page[i]
+			if !rec.Sharers.Empty() || !rec.Readers.Empty() || !rec.Writers.Empty() {
+				f(uint64(pi)*pageLines+uint64(i), rec)
+			}
+		}
 	}
 }

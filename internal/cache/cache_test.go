@@ -110,6 +110,15 @@ func TestSetConflictsEvenWhenCacheNotFull(t *testing.T) {
 	}
 }
 
+// members collects a set the way the machine walks one.
+func members(s ProcSet) []int {
+	var out []int
+	for p := s.Next(0); p >= 0; p = s.Next(p + 1) {
+		out = append(out, p)
+	}
+	return out
+}
+
 func TestDirectorySharers(t *testing.T) {
 	d := NewDirectory()
 	d.Add(5, 0)
@@ -118,25 +127,22 @@ func TestDirectorySharers(t *testing.T) {
 	if !d.HeldBy(5, 0) || d.HeldBy(5, 1) {
 		t.Fatal("HeldBy wrong")
 	}
-	others := d.Others(5, 2)
+	others := members(d.Line(5).Sharers.Without(2))
 	if len(others) != 2 || others[0] != 0 || others[1] != 3 {
-		t.Fatalf("Others = %v, want [0 3]", others)
+		t.Fatalf("others = %v, want [0 3]", others)
 	}
 	d.Remove(5, 0)
 	d.Remove(5, 2)
 	d.Remove(5, 3)
-	if !d.Sharers(5).Empty() {
+	if !d.Line(5).Sharers.Empty() {
 		t.Fatal("sharers not empty after removals")
-	}
-	if _, ok := d.sharers[5]; ok {
-		t.Fatal("empty entry not garbage-collected")
 	}
 }
 
 func TestDirectoryRemoveAbsent(t *testing.T) {
 	d := NewDirectory()
 	d.Remove(9, 1) // must not panic
-	if !d.Sharers(9).Empty() {
+	if !d.Line(9).Sharers.Empty() {
 		t.Fatal("phantom sharer")
 	}
 }
@@ -144,7 +150,55 @@ func TestDirectoryRemoveAbsent(t *testing.T) {
 func TestDirectoryOthersEmpty(t *testing.T) {
 	d := NewDirectory()
 	d.Add(1, 4)
-	if got := d.Others(1, 4); got != nil {
-		t.Fatalf("Others = %v, want nil", got)
+	if got := d.Line(1).Sharers.Without(4); !got.Empty() || got.Next(0) != -1 {
+		t.Fatalf("others = %v, want none", members(got))
+	}
+}
+
+// TestProcSetNextAscending: Next yields members in ascending order
+// across the 64-bit word boundaries, and -1 past the last one.
+func TestProcSetNextAscending(t *testing.T) {
+	want := []int{0, 1, 63, 64, 70, 127, 128, 200, 255}
+	var s ProcSet
+	for i := len(want) - 1; i >= 0; i-- {
+		s.Set(want[i])
+	}
+	got := members(s)
+	if len(got) != len(want) {
+		t.Fatalf("members = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("members = %v, want %v", got, want)
+		}
+	}
+	if s.Next(201) != 255 || s.Next(256) != -1 {
+		t.Fatalf("Next(201) = %d, Next(256) = %d", s.Next(201), s.Next(256))
+	}
+}
+
+// TestDirectoryRecordsNeverMove: a record fetched early is still the
+// record for its line after the page index has grown many times and its
+// neighbours have been written — the machine holds one across a yield.
+func TestDirectoryRecordsNeverMove(t *testing.T) {
+	d := NewDirectory()
+	rec := d.Line(7)
+	rec.Readers.Set(3)
+	rec.Warm = true
+	for l := uint64(0); l < 1<<16; l += 37 {
+		d.Add(l, int(l%MaxProcs))
+	}
+	if d.Line(7) != rec || !rec.Readers.Has(3) || !rec.Warm {
+		t.Fatal("record moved or lost state when the directory grew")
+	}
+	seen := 0
+	d.ForEach(func(line uint64, r *Line) {
+		if r != d.Line(line) {
+			t.Fatalf("ForEach handed out a stray record for line %d", line)
+		}
+		seen++
+	})
+	if want := (1<<16+36)/37 + 1; seen != want { // every line added, plus line 7
+		t.Fatalf("ForEach visited %d records, want %d", seen, want)
 	}
 }

@@ -251,9 +251,9 @@ func TestColliderEdgesPerSystem(t *testing.T) {
 	}
 }
 
-// TestColliderHWConflictEdges: the pure-HTM collision attributes
+// TestColliderHWKillEdges: the pure-HTM collision attributes
 // hardware conflict aborts with the conflicting line.
-func TestColliderHWConflictEdges(t *testing.T) {
+func TestColliderHWKillEdges(t *testing.T) {
 	log, m := runCollider(t, UnboundedHTM, false)
 	checkEdges(t, UnboundedHTM, log, m)
 	found := false

@@ -48,7 +48,7 @@ func TestBarrierPutsOTableRowInFootprint(t *testing.T) {
 			t.Fatalf("footprint = %d, want 2 (data + otable row)", fp)
 		}
 		row := mem.LineOf(s.stm.RowAddr(0))
-		if _, ok := p.HW().ReadSet[row]; !ok {
+		if !p.HW().Reads(row) {
 			t.Fatal("otable row not in the transactional read set")
 		}
 		ex.U.End()

@@ -68,3 +68,71 @@ func TestUnobservedEmitsAllocNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessAllocs pins the four data-path operations at zero heap
+// allocations in the three shapes an access takes: an L1 hit nobody
+// contests, a miss on a line another processor caches (the coherence
+// walk over the sharer mask), and an access that finds a conflicting
+// hardware transaction and kills it (the walk over the SR/SW masks).
+// Processor 1 never runs; processor 0 arranges its cache and its
+// transaction by hand before every access.
+func TestAccessAllocs(t *testing.T) {
+	const addr = 4096
+	line := mem.LineOf(addr)
+	ops := []struct {
+		name string
+		tx   bool
+		do   func(p *Proc)
+	}{
+		{"NTRead", false, func(p *Proc) { p.NTRead(addr) }},
+		{"NTWrite", false, func(p *Proc) { p.NTWrite(addr, 1) }},
+		{"TxRead", true, func(p *Proc) { p.TxRead(addr) }},
+		{"TxWrite", true, func(p *Proc) { p.TxWrite(addr, 1) }},
+	}
+	shapes := []struct {
+		name          string
+		arrange       func(p, q *Proc)
+		misses, kills uint64 // over AllocsPerRun's 101 calls: the shape happened every time
+	}{
+		{"hit", func(p, q *Proc) {}, 1, 0},
+		{"miss with sharers", func(p, q *Proc) {
+			p.l1.Invalidate(line)
+			p.m.dir.Remove(line, p.ID())
+			q.l1.Touch(line)
+			p.m.dir.Add(line, q.ID())
+		}, 101, 0},
+		{"kills a victim", func(p, q *Proc) {
+			q.BeginHW(2, false) // younger than the age-1 transaction p opens
+			q.hw.mark(line, p.m.dir.Line(line), true)
+		}, 1, 101},
+	}
+	for _, shape := range shapes {
+		for _, op := range ops {
+			m := New(testParams(2))
+			var got float64
+			m.Run([]func(*Proc){func(p *Proc) {
+				q := m.Proc(1)
+				got = testing.AllocsPerRun(100, func() {
+					shape.arrange(p, q)
+					if op.tx {
+						p.BeginHW(1, true)
+					}
+					op.do(p)
+					if op.tx {
+						p.CommitHW()
+					}
+					if q.hw != nil {
+						q.consumeAbort()
+					}
+				})
+			}, func(*Proc) {}})
+			if got != 0 {
+				t.Errorf("%s, %s: %v allocs per access, want 0", op.name, shape.name, got)
+			}
+			misses, kills := m.Proc(0).l1.Misses(), m.Count.HWAbortsByReason[AbortConflict]+m.Count.HWAbortsByReason[AbortNonTConflict]
+			if misses != shape.misses || kills != shape.kills {
+				t.Errorf("%s, %s: %d misses and %d kills, want %d and %d", op.name, shape.name, misses, kills, shape.misses, shape.kills)
+			}
+		}
+	}
+}

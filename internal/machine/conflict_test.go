@@ -16,10 +16,10 @@ func observeConflicts(m *Machine) (edges, commits *Trace) {
 	return edges, commits
 }
 
-// TestConflictEdgeHWConflict: an age-ordered HW-vs-HW kill emits exactly
+// TestConflictEventHWKill: an age-ordered HW-vs-HW kill emits exactly
 // one edge carrying the requester as aggressor, the owner as victim, the
 // conflicting line, the conflict reason, and a plausible cycle stamp.
-func TestConflictEdgeHWConflict(t *testing.T) {
+func TestConflictEventHWKill(t *testing.T) {
 	m := New(testParams(2))
 	rec, commits := observeConflicts(m)
 	m.Run([]func(*Proc){
@@ -65,9 +65,9 @@ func TestConflictEdgeHWConflict(t *testing.T) {
 	}
 }
 
-// TestConflictEdgeUFOKill: setting a UFO bit over a speculative reader
+// TestConflictEventUFOKill: setting a UFO bit over a speculative reader
 // emits a ufo-kill edge from the setter to the reader.
-func TestConflictEdgeUFOKill(t *testing.T) {
+func TestConflictEventUFOKill(t *testing.T) {
 	m := New(testParams(2))
 	rec, _ := observeConflicts(m)
 	m.Run([]func(*Proc){
@@ -90,9 +90,9 @@ func TestConflictEdgeUFOKill(t *testing.T) {
 	}
 }
 
-// TestConflictEdgeNonTConflict: a non-transactional write into a HW
+// TestConflictEventNonTWrite: a non-transactional write into a HW
 // read set emits a nonT-conflict edge.
-func TestConflictEdgeNonTConflict(t *testing.T) {
+func TestConflictEventNonTWrite(t *testing.T) {
 	m := New(testParams(2))
 	rec, _ := observeConflicts(m)
 	m.Run([]func(*Proc){
@@ -114,9 +114,9 @@ func TestConflictEdgeNonTConflict(t *testing.T) {
 	}
 }
 
-// TestConflictEdgeAttributedAbort: AbortHWAttributed self-aborts but
+// TestConflictEventAttributedAbort: AbortHWAttributed self-aborts but
 // attributes the edge to the named peer; aggressor -1 falls back to self.
-func TestConflictEdgeAttributedAbort(t *testing.T) {
+func TestConflictEventAttributedAbort(t *testing.T) {
 	m := New(testParams(2))
 	rec, _ := observeConflicts(m)
 	m.Run([]func(*Proc){
@@ -145,9 +145,9 @@ func TestConflictEdgeAttributedAbort(t *testing.T) {
 	}
 }
 
-// TestConflictEdgeSWHelpers: the RecordSW* pass-throughs stamp the
+// TestConflictEventSWHelpers: the RecordSW* pass-throughs stamp the
 // caller's clock and the SW flag.
-func TestConflictEdgeSWHelpers(t *testing.T) {
+func TestConflictEventSWHelpers(t *testing.T) {
 	m := New(testParams(2))
 	rec, commits := observeConflicts(m)
 	m.Run([]func(*Proc){
@@ -176,10 +176,10 @@ func TestConflictEdgeSWHelpers(t *testing.T) {
 	}
 }
 
-// TestConflictRecorderDetached: with no observer subscribed the same
+// TestCollisionRunsUnobserved: with no observer subscribed the same
 // collision runs identically and nothing panics (the empty-mask fast
 // path).
-func TestConflictRecorderDetached(t *testing.T) {
+func TestCollisionRunsUnobserved(t *testing.T) {
 	m := New(testParams(2))
 	m.Run([]func(*Proc){
 		func(p *Proc) {

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 )
 
@@ -92,5 +93,110 @@ func TestConsistencyAfterMixedTMRun(t *testing.T) {
 	})
 	if err := m.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCommitAndKillClearEveryBit: the SR/SW bits live in records every
+// processor reads, so a transaction must take all of its bits with it
+// when it commits and when it is killed — a bit left behind would be a
+// conflict against nobody.
+func TestCommitAndKillClearEveryBit(t *testing.T) {
+	m := New(testParams(2))
+	bits := func() (n int) {
+		m.dir.ForEach(func(_ uint64, rec *cache.Line) {
+			for _, set := range [2]*cache.ProcSet{&rec.Readers, &rec.Writers} {
+				for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+					n++
+				}
+			}
+		})
+		return n
+	}
+	m.Run([]func(*Proc){
+		func(p *Proc) {
+			p.BeginHW(m.NextAge(), true)
+			p.TxRead(0)
+			p.TxWrite(64, 1)
+			p.TxWrite(0, 2) // line 0 carries both bits
+			if got := bits(); got != 3 {
+				t.Errorf("%d bits set mid-transaction, want 3", got)
+			}
+			if got := p.HW().Footprint(); got != 2 {
+				t.Errorf("footprint %d, want 2", got)
+			}
+			p.CommitHW()
+			if got := bits(); got != 0 {
+				t.Errorf("%d bits left after commit", got)
+			}
+			p.BeginHW(m.NextAge(), true)
+			p.TxWrite(128, 3)
+			p.Elapse(1000) // processor 1 kills the transaction here
+			if got := bits(); got != 0 {
+				t.Errorf("%d bits left after the kill", got)
+			}
+			if out := p.CommitHW(); out.Kind != HWAborted {
+				t.Errorf("commit after the kill: %v", out.Kind)
+			}
+			p.BeginHW(m.NextAge(), true) // must find nothing left behind
+			p.CommitHW()
+		},
+		func(p *Proc) {
+			p.Elapse(500)
+			p.NTWrite(128, 9)
+		},
+	})
+	if err := m.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBeginHWRejectsLeftoverState: BeginHW no longer clears what the
+// last transaction left; it insists there is nothing.
+func TestBeginHWRejectsLeftoverState(t *testing.T) {
+	run1(t, testParams(1), func(p *Proc) {
+		p.BeginHW(1, true)
+		p.CommitHW()
+		p.hwBuf.reads = append(p.hwBuf.reads, 7)
+		defer func() {
+			if recover() == nil {
+				t.Error("BeginHW accepted a line list the last transaction left behind")
+			}
+			p.hwBuf.reads = p.hwBuf.reads[:0]
+		}()
+		p.BeginHW(2, true)
+	})
+}
+
+// TestCheckConsistencyFindsStrayBits breaks the bit/list invariant one
+// way at a time and expects CheckConsistency to object to each.
+func TestCheckConsistencyFindsStrayBits(t *testing.T) {
+	breaks := []struct {
+		name string
+		do   func(m *Machine, p *Proc)
+	}{
+		{"bit for a processor with no transaction", func(m *Machine, p *Proc) { m.dir.Line(9).Readers.Set(1) }},
+		{"bit on a line the transaction does not list", func(m *Machine, p *Proc) { m.dir.Line(9).Writers.Set(0) }},
+		{"listed line whose bit is clear", func(m *Machine, p *Proc) { m.dir.Line(1).Readers.Clear(0) }},
+		{"line listed twice", func(m *Machine, p *Proc) { p.hw.reads = append(p.hw.reads, 1) }},
+		{"bit that outlives a kill", func(m *Machine, p *Proc) {
+			p.killHW(p, AbortExplicit, 0, false)
+			m.dir.Line(1).Readers.Set(0)
+		}},
+		{"speculative word off the write set", func(m *Machine, p *Proc) { p.hw.Spec[256] = 1 }},
+	}
+	for _, b := range breaks {
+		m := New(testParams(2))
+		m.Run([]func(*Proc){func(p *Proc) {
+			p.BeginHW(1, false)
+			p.TxRead(64)      // line 1
+			p.TxWrite(128, 5) // line 2
+			if err := m.CheckConsistency(); err != nil {
+				t.Errorf("%s: before the break: %v", b.name, err)
+			}
+			b.do(m, p)
+			if err := m.CheckConsistency(); err == nil {
+				t.Errorf("%s: CheckConsistency found nothing wrong", b.name)
+			}
+		}, func(*Proc) {}})
 	}
 }

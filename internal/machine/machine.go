@@ -4,8 +4,9 @@
 // paper at the architectural level:
 //
 //   - the transactional-execution substrate used by BTM and the unbounded
-//     HTM: per-processor speculative read/write line-sets, a speculative
-//     store buffer, coherence-based eager conflict detection with
+//     HTM: speculative-read/-write bits beside each line's coherence
+//     state in the directory, a per-processor speculative store buffer,
+//     coherence-based eager conflict detection with
 //     age-ordered NACK/abort resolution, and L1-occupancy-driven overflow
 //     detection; and
 //
@@ -24,6 +25,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -273,7 +275,6 @@ type Machine struct {
 	Count Counters
 
 	dir   *cache.Directory
-	warm  map[uint64]bool // lines that have been fetched at least once
 	procs []*Proc
 	txSeq uint64
 	out   observers // everything that watches a run (trace.go)
@@ -300,7 +301,6 @@ func New(p Params) *Machine {
 		Mem:   mem.New(p.MemBytes),
 		Rand:  sim.NewRand(p.Seed),
 		dir:   cache.NewDirectory(),
-		warm:  make(map[uint64]bool),
 		procs: make([]*Proc, p.Procs),
 	}
 	// Reserve the first page so fixed low addresses used by small tests
@@ -358,10 +358,12 @@ func (m *Machine) Run(workloads []func(*Proc)) {
 func (m *Machine) Cycles() uint64 { return m.Eng.Now() }
 
 // CheckConsistency validates the machine's internal invariants: the
-// directory and the per-processor L1s agree exactly, and speculative
-// state only exists inside in-flight transactions. Tests call this after
-// (and during) stress runs; it is not part of the simulated semantics.
-// Call it between runs, or mid-run from a running processor.
+// directory and the per-processor L1s agree exactly, a processor's SR/SW
+// bit is set on exactly the lines its live, un-killed transaction lists,
+// and speculative values only exist on lines that transaction has
+// written. Tests call this after (and during) stress runs; it is not
+// part of the simulated semantics. Call it between runs, or mid-run from
+// a running processor.
 func (m *Machine) CheckConsistency() error {
 	// Every L1-resident line is registered in the directory...
 	for _, p := range m.procs {
@@ -373,29 +375,58 @@ func (m *Machine) CheckConsistency() error {
 	}
 	// ...and every directory entry is backed by a resident line.
 	var err error
-	m.dir.ForEach(func(line uint64, sharers cache.ProcSet) {
-		if err != nil {
-			return
-		}
-		for _, i := range sharers.Procs() {
+	bits := make([]int, len(m.procs)) // SR plus SW bits found, per processor
+	m.dir.ForEach(func(line uint64, rec *cache.Line) {
+		for i := rec.Sharers.Next(0); i >= 0 && err == nil; i = rec.Sharers.Next(i + 1) {
 			if !m.procs[i].l1.Contains(line) {
 				err = fmt.Errorf("machine: directory lists proc %d for line %d but its L1 disagrees", i, line)
+			}
+		}
+		for _, set := range [2]*cache.ProcSet{&rec.Readers, &rec.Writers} {
+			for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+				bits[i]++
 			}
 		}
 	})
 	if err != nil {
 		return err
 	}
-	// Speculative values imply an in-flight transaction that wrote them.
+	// A processor's bits are exactly the lines its live, un-killed
+	// transaction lists: each listed once and marked, and no bit beyond.
 	for _, p := range m.procs {
-		if p.hw == nil {
-			continue
-		}
-		for addr := range p.hw.Spec {
-			line := mem.LineOf(addr)
-			if _, ok := p.hw.WriteSet[line]; !ok {
-				return fmt.Errorf("machine: proc %d has speculative data at %#x outside its write set", p.ID(), addr)
+		t, listed := p.hwBuf, 0
+		if t != nil {
+			if (p.hw == nil || t.pendingAbort != AbortNone) && len(t.reads)+len(t.writes)+len(t.Spec) != 0 {
+				return fmt.Errorf("machine: proc %d keeps speculative state with no live transaction", p.ID())
 			}
+			if err := listedOnce(t.reads, t.Reads); err != nil {
+				return fmt.Errorf("machine: proc %d read set: %v", p.ID(), err)
+			}
+			if err := listedOnce(t.writes, t.Writes); err != nil {
+				return fmt.Errorf("machine: proc %d write set: %v", p.ID(), err)
+			}
+			for addr := range t.Spec {
+				if !t.Writes(mem.LineOf(addr)) {
+					return fmt.Errorf("machine: proc %d has speculative data at %#x outside its write set", p.ID(), addr)
+				}
+			}
+			listed = len(t.reads) + len(t.writes)
+		}
+		if bits[p.ID()] != listed {
+			return fmt.Errorf("machine: the directory carries %d SR/SW bits for proc %d, whose transaction lists %d lines", bits[p.ID()], p.ID(), listed)
+		}
+	}
+	return nil
+}
+
+// listedOnce checks that no line is on list twice and that marked holds
+// for every line on it.
+func listedOnce(list []uint64, marked func(uint64) bool) error {
+	sorted := slices.Clone(list)
+	slices.Sort(sorted)
+	for i, l := range sorted {
+		if i > 0 && l == sorted[i-1] || !marked(l) {
+			return fmt.Errorf("line %d is listed twice or its bit is clear", l)
 		}
 	}
 	return nil

@@ -8,17 +8,21 @@ import (
 	"repro/internal/sim"
 )
 
-// HWTx is the architectural state of an in-flight hardware transaction:
-// the speculative read/write line-sets (the SR/SW bits of the paper,
-// hoisted out of the cache array so the unbounded HTM can share the
-// implementation) and the speculative store buffer that stands in for
-// speculatively-dirty cache lines.
+// HWTx is the architectural state of an in-flight hardware transaction.
+// Its read and write sets are the SR/SW bits of the paper: the owner's
+// bit in the Readers and Writers masks of the directory's per-line
+// records (there, not in the cache array, so the unbounded HTM shares the
+// implementation). The transaction keeps only the lines whose bit it
+// holds, to clear them in O(footprint), and the speculative store buffer
+// that stands in for speculatively-dirty cache lines.
 type HWTx struct {
-	Age      uint64
-	Bounded  bool // true for BTM (L1-limited), false for the unbounded HTM
-	ReadSet  map[uint64]struct{}
-	WriteSet map[uint64]struct{}
-	Spec     map[uint64]uint64 // speculative word values, by address
+	Age     uint64
+	Bounded bool              // true for BTM (L1-limited), false for the unbounded HTM
+	Spec    map[uint64]uint64 // speculative word values, by address
+
+	owner  *Proc
+	reads  []uint64 // lines whose Readers bit this transaction holds, each once
+	writes []uint64 // likewise for Writers
 
 	pendingAbort AbortReason
 	abortAddr    uint64
@@ -27,13 +31,50 @@ type HWTx struct {
 
 // Footprint returns the number of distinct lines read or written.
 func (t *HWTx) Footprint() int {
-	n := len(t.WriteSet)
-	for l := range t.ReadSet {
-		if _, w := t.WriteSet[l]; !w {
+	n := len(t.reads)
+	for _, l := range t.writes {
+		if !t.Reads(l) {
 			n++
 		}
 	}
 	return n
+}
+
+// Reads reports whether line is in the transaction's read set.
+func (t *HWTx) Reads(line uint64) bool {
+	return t.owner.m.dir.Line(line).Readers.Has(t.owner.ID())
+}
+
+// Writes reports whether line is in the transaction's write set.
+func (t *HWTx) Writes(line uint64) bool {
+	return t.owner.m.dir.Line(line).Writers.Has(t.owner.ID())
+}
+
+// mark sets this transaction's SR or SW bit in rec, the record for line.
+func (t *HWTx) mark(line uint64, rec *cache.Line, write bool) {
+	set, list := &rec.Readers, &t.reads
+	if write {
+		set, list = &rec.Writers, &t.writes
+	}
+	if id := t.owner.ID(); !set.Has(id) {
+		set.Set(id)
+		*list = append(*list, line)
+	}
+}
+
+// release flash-clears every SR/SW bit and the store buffer, at commit
+// and at kill: a bit left behind in a shared record would be a phantom
+// conflict for everyone else.
+func (t *HWTx) release() {
+	dir, id := t.owner.m.dir, t.owner.ID()
+	for _, l := range t.reads {
+		dir.Line(l).Readers.Clear(id)
+	}
+	for _, l := range t.writes {
+		dir.Line(l).Writers.Clear(id)
+	}
+	t.reads, t.writes = t.reads[:0], t.writes[:0]
+	clear(t.Spec)
 }
 
 // Proc is one simulated processor plus its private L1 and transactional
@@ -148,23 +189,19 @@ func (p *Proc) BeginHW(age uint64, bounded bool) {
 	if p.hw != nil {
 		panic("machine: BeginHW with transaction already active")
 	}
-	// Transactions are frequent and short; reuse one HWTx (and its maps,
-	// which keep their buckets across clears) per processor instead of
-	// allocating fresh state on every begin.
+	// Transactions are frequent and short; reuse one HWTx (its line lists
+	// and its map, which keeps its buckets across clears) per processor
+	// instead of allocating fresh state on every begin.
 	t := p.hwBuf
 	if t == nil {
-		t = &HWTx{
-			ReadSet:  make(map[uint64]struct{}),
-			WriteSet: make(map[uint64]struct{}),
-			Spec:     make(map[uint64]uint64),
-		}
+		t = &HWTx{owner: p, Spec: make(map[uint64]uint64)}
 		p.hwBuf = t
+	}
+	if len(t.reads)+len(t.writes)+len(t.Spec) != 0 {
+		panic("machine: BeginHW found speculative state the last commit or kill left behind")
 	}
 	t.Age, t.Bounded = age, bounded
 	t.pendingAbort, t.abortAddr, t.abortHasAddr = AbortNone, 0, false
-	clear(t.ReadSet)
-	clear(t.WriteSet)
-	clear(t.Spec)
 	p.hw = t
 	p.emit(TraceEvent{Kind: TraceHWBegin, Proc: p.ID(), Age: age, Flags: FlagAge})
 }
@@ -187,6 +224,7 @@ func (p *Proc) CommitHW() Outcome {
 	p.m.Count.HWCommits++
 	p.m.Count.HWFootprint.Add(t.Footprint())
 	p.emit(TraceEvent{Kind: TraceHWCommit, Proc: p.ID(), Age: t.Age, Flags: FlagAge})
+	t.release()
 	p.hw = nil
 	return okOutcome
 }
@@ -292,13 +330,11 @@ func (p *Proc) killHWFrom(aggressor int, victim *Proc, reason AbortReason, addr 
 	t.abortHasAddr = hasAddr
 	// Speculatively written lines are invalidated on abort (they were
 	// never globally visible); the read set simply loses its SR bits.
-	for l := range t.WriteSet {
+	for _, l := range t.writes {
 		victim.l1.Invalidate(l)
 		p.m.dir.Remove(l, victim.ID())
 	}
-	clear(t.ReadSet)
-	clear(t.WriteSet)
-	clear(t.Spec)
+	t.release()
 }
 
 // timerInterrupt models the scheduling-timer quantum: an in-flight
@@ -346,8 +382,11 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 	}
 
 	// 2. Conflict detection against other processors' HW transactions.
+	// The directory record is fetched once; it never moves, so it stays
+	// valid across the yield inside charge.
 	line := mem.LineOf(addr)
-	if out, resolved := p.resolveConflicts(line, write, tx); !resolved {
+	rec := p.m.dir.Line(line)
+	if out, resolved := p.resolveConflicts(line, rec, write, tx); !resolved {
 		return out
 	}
 
@@ -356,17 +395,13 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 	// hardware action, and the charge below may yield to other processors
 	// whose conflicting actions must observe the updated footprint.
 	if tx {
-		if write {
-			p.hw.WriteSet[line] = struct{}{}
-		} else {
-			p.hw.ReadSet[line] = struct{}{}
-		}
+		p.hw.mark(line, rec, write)
 	}
 
 	// 4. Cache and coherence timing. This can self-abort (set overflow),
 	// race with a timer interrupt, or lose the line to a concurrent
 	// conflictor, so pending aborts are delivered before data moves.
-	p.charge(line, write)
+	p.charge(line, rec, write)
 	if tx {
 		if out, aborted := p.checkPending(); aborted {
 			return out
@@ -383,7 +418,7 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 	// non-transactional store's miss and commit having seen both the old
 	// and the new value. Victims killed at issue already carry a pending
 	// abort and are skipped.
-	p.resolveConflicts(line, write, false)
+	p.resolveConflicts(line, rec, write, false)
 	if p.ufo && p.m.Mem.Faults(addr, write) {
 		// 6. Protection re-check, same window: a software transaction may
 		// have installed UFO protection on (and eagerly written) this line
@@ -401,94 +436,100 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 }
 
 // resolveConflicts applies the machine's contention policy to every
-// hardware transaction whose footprint conflicts with this access.
+// hardware transaction whose footprint conflicts with this access. The
+// line's record nominates them — a set bit means a live, un-killed
+// transaction — and they are visited in ascending processor order.
 // resolved=false means the access must not proceed (NACK or own abort).
-func (p *Proc) resolveConflicts(line uint64, write, tx bool) (Outcome, bool) {
-	var victims []*Proc
-	for _, q := range p.m.procs {
-		if q == p || q.hw == nil || q.hw.pendingAbort != AbortNone {
-			continue
-		}
-		_, inW := q.hw.WriteSet[line]
-		_, inR := q.hw.ReadSet[line]
-		if inW || (write && inR) {
-			victims = append(victims, q)
-		}
-	}
-	if len(victims) == 0 {
+func (p *Proc) resolveConflicts(line uint64, rec *cache.Line, write, tx bool) (Outcome, bool) {
+	// Nearly every access finds no speculative holder at all; leave
+	// before building the candidate set.
+	if rec.Writers.Empty() && (!write || rec.Readers.Empty()) {
 		return okOutcome, true
 	}
+	victims := rec.Writers
+	if write {
+		victims.Or(&rec.Readers)
+	}
+	victims.Clear(p.ID())
 	if !tx {
 		// A non-transactional (or STM) access always serializes against
 		// hardware transactions by aborting them: HTMs are strongly atomic
 		// through coherence. STM-vs-HTM conflicts are also classified for
 		// the Section 5.4 measurement.
-		for _, q := range victims {
-			if p.inSTM {
-				if p.stmAge < q.hw.Age {
-					p.m.Count.ConflictSTMOlder++
-				} else {
-					p.m.Count.ConflictHTMOlder++
-				}
-			}
+		for i := victims.Next(0); i >= 0; i = victims.Next(i + 1) {
+			q := p.m.procs[i]
+			p.classifySTMConflict(q)
 			p.killHW(q, AbortNonTConflict, mem.LineAddr(line), true)
 		}
 		return okOutcome, true
 	}
 	// HW-vs-HW: age-ordered resolution (or requester-wins for Figure 8).
 	if p.m.HWPolicy == AgeOrdered {
-		for _, q := range victims {
-			if q.hw.Age < p.hw.Age {
+		for i := victims.Next(0); i >= 0; i = victims.Next(i + 1) {
+			if p.m.procs[i].hw.Age < p.hw.Age {
 				p.m.Count.Nacks++
 				p.emit(TraceEvent{Kind: TraceNack, Proc: p.ID(), Addr: mem.LineAddr(line), Age: p.hw.Age, Flags: FlagAddr | FlagAge})
 				return Outcome{Kind: Nacked}, false
 			}
 		}
 	}
-	for _, q := range victims {
-		p.killHW(q, AbortConflict, mem.LineAddr(line), true)
+	for i := victims.Next(0); i >= 0; i = victims.Next(i + 1) {
+		p.killHW(p.m.procs[i], AbortConflict, mem.LineAddr(line), true)
 	}
 	return okOutcome, true
 }
 
+// classifySTMConflict counts, for the Section 5.4 measurement, which
+// side was older when p's software transaction kills q's hardware one.
+func (p *Proc) classifySTMConflict(q *Proc) {
+	if !p.inSTM {
+		return
+	}
+	if p.stmAge < q.hw.Age {
+		p.m.Count.ConflictSTMOlder++
+	} else {
+		p.m.Count.ConflictHTMOlder++
+	}
+}
+
+// invalidateOthers removes every cached copy of line but p's own and
+// reports whether there was one.
+func (p *Proc) invalidateOthers(line uint64, rec *cache.Line) bool {
+	others := rec.Sharers.Without(p.ID())
+	for i := others.Next(0); i >= 0; i = others.Next(i + 1) {
+		p.m.procs[i].l1.Invalidate(line)
+		rec.Sharers.Clear(i)
+	}
+	return !others.Empty()
+}
+
 // charge models the latency of the reference and maintains L1 occupancy
 // and the directory. A write invalidates all other cached copies.
-func (p *Proc) charge(line uint64, write bool) {
+func (p *Proc) charge(line uint64, rec *cache.Line, write bool) {
 	hit, victim, evicted := p.l1.Touch(line)
 	cost := p.m.L1HitCycles
 	if !hit {
-		if p.m.warm[line] {
-			if len(p.m.dir.Others(line, p.ID())) > 0 {
-				cost += p.m.TransferCycles
-			} else {
-				cost += p.m.L2HitCycles
-			}
-		} else {
-			p.m.warm[line] = true
+		id := p.ID()
+		if !rec.Warm {
+			rec.Warm = true
 			cost += p.m.MemCycles
+		} else if others := rec.Sharers.Without(id); !others.Empty() {
+			cost += p.m.TransferCycles
+		} else {
+			cost += p.m.L2HitCycles
 		}
-		p.m.dir.Add(line, p.ID())
+		rec.Sharers.Set(id)
 		if evicted {
-			p.m.dir.Remove(victim, p.ID())
-			if p.hw != nil && p.hw.Bounded {
-				_, inR := p.hw.ReadSet[victim]
-				_, inW := p.hw.WriteSet[victim]
-				if inR || inW {
-					// Evicting a transactional line overflows BTM.
-					p.killHW(p, AbortOverflow, mem.LineAddr(victim), true)
-				}
+			vrec := p.m.dir.Line(victim)
+			vrec.Sharers.Clear(id)
+			if p.hw != nil && p.hw.Bounded && (vrec.Readers.Has(id) || vrec.Writers.Has(id)) {
+				// Evicting a transactional line overflows BTM.
+				p.killHW(p, AbortOverflow, mem.LineAddr(victim), true)
 			}
 		}
 	}
-	if write {
-		others := p.m.dir.Others(line, p.ID())
-		if len(others) > 0 {
-			cost += p.m.TransferCycles // exclusive-permission upgrade
-			for _, q := range others {
-				p.m.procs[q].l1.Invalidate(line)
-				p.m.dir.Remove(line, q)
-			}
-		}
+	if write && p.invalidateOthers(line, rec) {
+		cost += p.m.TransferCycles // exclusive-permission upgrade
 	}
 	p.sp.Elapse(cost)
 }
@@ -502,8 +543,11 @@ func (p *Proc) TxRead(addr uint64) (uint64, Outcome) {
 	if out.Kind != OK {
 		return 0, out
 	}
-	if v, ok := p.hw.Spec[addr]; ok {
-		return v, okOutcome
+	// Only a transaction that has written can have buffered the word.
+	if len(p.hw.Spec) != 0 {
+		if v, ok := p.hw.Spec[addr]; ok {
+			return v, okOutcome
+		}
 	}
 	return p.m.Mem.Read64(addr), okOutcome
 }
@@ -577,28 +621,17 @@ func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 
 	// Exclusive permission: invalidate all other copies (unless the
 	// owner-state optimization keeps read-sharers valid).
-	if !sharedInstall {
-		others := p.m.dir.Others(line, p.ID())
-		if len(others) > 0 {
-			cost += p.m.TransferCycles
-		}
-		for _, qid := range others {
-			q := p.m.procs[qid]
-			q.l1.Invalidate(line)
-			p.m.dir.Remove(line, qid)
-		}
+	rec := p.m.dir.Line(line)
+	if !sharedInstall && p.invalidateOthers(line, rec) {
+		cost += p.m.TransferCycles
 	}
-	// Kill hardware transactions holding the line.
-	for _, q := range p.m.procs {
-		if q == p || q.hw == nil || q.hw.pendingAbort != AbortNone {
-			continue
-		}
-		_, inR := q.hw.ReadSet[line]
-		_, inW := q.hw.WriteSet[line]
-		if !inR && !inW {
-			continue
-		}
-		trueConflict := inW || bits&mem.UFOFaultOnRead != 0
+	// Kill hardware transactions holding the line, in ascending order.
+	holders := rec.Readers
+	holders.Or(&rec.Writers)
+	holders.Clear(p.ID())
+	for i := holders.Next(0); i >= 0; i = holders.Next(i + 1) {
+		q := p.m.procs[i]
+		trueConflict := rec.Writers.Has(i) || bits&mem.UFOFaultOnRead != 0
 		if trueConflict {
 			p.m.Count.UFOKillsTrue++
 		} else {
@@ -610,13 +643,7 @@ func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 				continue // owner-state install: readers survive
 			}
 		}
-		if p.inSTM {
-			if p.stmAge < q.hw.Age {
-				p.m.Count.ConflictSTMOlder++
-			} else {
-				p.m.Count.ConflictHTMOlder++
-			}
-		}
+		p.classifySTMConflict(q)
 		p.killHW(q, AbortUFOKill, mem.LineAddr(line), true)
 	}
 	apply()
