@@ -126,7 +126,16 @@ func (c *L1) InvalidateAll() {
 	}
 }
 
-// Hits and Misses report reference counts since construction.
+// Reset returns the cache to the state NewL1 built: every way invalid
+// and the reference counts zero.
+func (c *L1) Reset() {
+	for _, set := range c.lines {
+		clear(set)
+	}
+	c.clock, c.misses, c.hits = 0, 0, 0
+}
+
+// Hits and Misses report reference counts since construction or Reset.
 func (c *L1) Hits() uint64   { return c.hits }
 func (c *L1) Misses() uint64 { return c.misses }
 
@@ -210,9 +219,10 @@ const pageLines = 64
 // touched, for up to MaxProcs processors. Records live in fixed-size
 // pages reached through an index that grows to the highest line seen;
 // a page is allocated on the first touch of any of its lines and never
-// moves, so a *Line stays valid for the life of the directory.
+// moves, so a *Line stays valid until the directory is Reset.
 type Directory struct {
 	pages []*[pageLines]Line
+	free  []*[pageLines]Line // blank pages Reset kept for the next first touch
 }
 
 // NewDirectory creates an empty directory.
@@ -232,7 +242,24 @@ func (d *Directory) materialise(pi uint64) {
 	if n := pi + 1; n > uint64(len(d.pages)) {
 		d.pages = append(d.pages, make([]*[pageLines]Line, n-uint64(len(d.pages)))...)
 	}
-	d.pages[pi] = new([pageLines]Line)
+	if k := len(d.free); k > 0 {
+		d.pages[pi], d.free = d.free[k-1], d.free[:k-1]
+	} else {
+		d.pages[pi] = new([pageLines]Line)
+	}
+}
+
+// Reset empties the directory, as NewDirectory builds it, by blanking
+// exactly the pages that were materialised. The blanked pages and the
+// index's capacity are kept for reuse.
+func (d *Directory) Reset() {
+	for _, page := range d.pages {
+		if page != nil {
+			*page = [pageLines]Line{}
+			d.free = append(d.free, page)
+		}
+	}
+	d.pages = d.pages[:0]
 }
 
 // Add records that processor p holds line.

@@ -202,3 +202,43 @@ func TestDirectoryRecordsNeverMove(t *testing.T) {
 		t.Fatalf("ForEach visited %d records, want %d", seen, want)
 	}
 }
+
+// TestResetRestoresConstructedState: a Reset L1 and a Reset directory
+// behave as new ones do, and reuse what they hold.
+func TestResetRestoresConstructedState(t *testing.T) {
+	c, fresh := NewL1(1024, 64, 2), NewL1(1024, 64, 2)
+	for l := uint64(0); l < 40; l++ {
+		c.Touch(l * 3)
+	}
+	c.Reset()
+	if len(c.Lines()) != 0 || c.Hits() != 0 || c.Misses() != 0 {
+		t.Fatalf("after Reset: %d lines, %d hits, %d misses", len(c.Lines()), c.Hits(), c.Misses())
+	}
+	for l := uint64(0); l < 40; l++ { // same replacement decisions as a new cache
+		h1, v1, e1 := c.Touch(l % 7 * 8)
+		h2, v2, e2 := fresh.Touch(l % 7 * 8)
+		if h1 != h2 || v1 != v2 || e1 != e2 {
+			t.Fatalf("touch %d: reset cache (%v,%d,%v), new cache (%v,%d,%v)", l, h1, v1, e1, h2, v2, e2)
+		}
+	}
+
+	d := NewDirectory()
+	for l := uint64(0); l < 5*pageLines; l += 7 {
+		d.Add(l, int(l%200))
+		d.Line(l).Writers.Set(3)
+		d.Line(l).Warm = true
+	}
+	d.Reset()
+	d.ForEach(func(line uint64, _ *Line) { t.Fatalf("line %d survived Reset", line) })
+	allocs := testing.AllocsPerRun(1, func() {
+		d.Reset()
+		for l := uint64(0); l < 5*pageLines; l += pageLines {
+			if rec := d.Line(l + 2*pageLines); *rec != (Line{}) { // recycled pages land elsewhere
+				t.Fatalf("line %d: recycled record %+v is not blank", l, *rec)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reuse allocated %v times, want 0", allocs)
+	}
+}

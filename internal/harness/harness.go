@@ -193,9 +193,17 @@ func (r Result) Speedup(seqCycles uint64) float64 {
 // Run executes one workload on one system with the given thread count.
 // The workload must be freshly constructed (Init mutates it).
 func Run(kind SystemKind, wl stamp.Workload, threads int, opt Options) Result {
+	return runOn(new(machine.Arena), kind, wl, threads, opt)
+}
+
+// runOn is Run over the storage of arena, which a Runner worker keeps
+// from cell to cell. The machine is built by the same constructor and
+// released the same way whoever owns the arena; a run that panics
+// releases nothing, and its arena must be dropped.
+func runOn(arena *machine.Arena, kind SystemKind, wl stamp.Workload, threads int, opt Options) Result {
 	params := opt.Params
 	params.Procs = threads
-	m := machine.New(params)
+	m := arena.New(params)
 	var tr *machine.Trace
 	if opt.TraceLimit > 0 {
 		tr = m.EnableTrace(opt.TraceLimit)
@@ -256,6 +264,7 @@ func Run(kind SystemKind, wl stamp.Workload, threads int, opt Options) Result {
 		res.TxStats = txrec.Report()
 	}
 	res.Metrics = reg.Snapshot()
+	m.Release()
 	return res
 }
 

@@ -120,7 +120,7 @@ func OLTPBenchmark(s Scale) WorkloadFactory {
 
 // OLTPPoint is one sweep cell: a (axis point, system) service
 // measurement. Offered and Goodput are request rates per 1000 simulated
-// cycles; Offered is the realized arrival rate of the generated traces
+// cycles; Offered is the realized arrival rate of the replayed traces
 // (requests / span of arrivals), so Goodput <= Offered always holds —
 // the run cannot end before its last arrival.
 type OLTPPoint struct {
@@ -185,8 +185,9 @@ type OLTPReport struct {
 
 // oltpCell is one axis point of the sweep grid.
 type oltpCell struct {
-	axis string
-	cfg  oltp.Config
+	axis   string
+	cfg    oltp.Config
+	traces [][]oltp.Request // generated once, replayed by every system's cell
 }
 
 // oltpCells enumerates the sweep grid in its fixed order: the load axis,
@@ -226,9 +227,10 @@ func (r *Runner) OLTP(opt Options, scale Scale, sc OLTPSweepConfig) (*OLTPReport
 	cells := oltpCells(scale, sc)
 
 	var jobs []Job
-	for _, cell := range cells {
-		cfg := cell.cfg
-		f := WorkloadFactory{Name: "oltp", New: func() stamp.Workload { return oltp.New(cfg) }}
+	for i := range cells {
+		cfg, traces := cells[i].cfg, cells[i].cfg.Traces(threads)
+		cells[i].traces = traces
+		f := WorkloadFactory{Name: "oltp", New: func() stamp.Workload { return oltp.Replay(cfg, traces) }}
 		for _, sys := range OLTPSystems {
 			jobs = append(jobs, Job{System: sys, Factory: f, Threads: threads, Opt: opt})
 		}
@@ -248,7 +250,7 @@ func (r *Runner) OLTP(opt Options, scale Scale, sc OLTPSweepConfig) (*OLTPReport
 	}
 	i := 0
 	for _, cell := range cells {
-		requests, span := cell.cfg.Offered(threads)
+		requests, span := oltp.Offered(cell.traces)
 		offered := 0.0
 		if span > 0 {
 			offered = 1000 * float64(requests) / float64(span)

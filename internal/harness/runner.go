@@ -7,13 +7,17 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/machine"
 )
 
 // Job is one independent sweep cell: a system, a fresh-workload factory,
-// a thread count, and the options to run it under. Each cell constructs
-// its own machine (and so its own seed-derived RNG streams) inside Run,
-// which is what makes cells safe to execute concurrently and their
-// results independent of execution order.
+// a thread count, and the options to run it under. Each cell resets and
+// reuses its worker's machine arena — blank again when the previous cell
+// released it — and builds everything else, the seed-derived RNG streams
+// included, from its own Params inside Run, which is what makes cells
+// safe to execute concurrently and their results independent of
+// execution order.
 type Job struct {
 	System  SystemKind
 	Factory WorkloadFactory
@@ -68,8 +72,10 @@ func (e *SweepError) Error() string {
 // value (and a nil *Runner) runs with one worker per available CPU and
 // no progress reporting.
 //
-// Determinism guarantee: every cell owns its machine and RNG seed, so a
-// cell's Result is a pure function of its Job. Execute returns results
+// Determinism guarantee: every cell owns its RNG seed and a machine
+// whose reused storage its worker's previous cell left blank (a cell
+// that failed leaves its worker a new arena instead), so a cell's
+// Result is a pure function of its Job. Execute returns results
 // indexed by job order, so the assembled output is bit-identical for
 // every worker count, including 1 (the serial order). The worker count
 // changes only wall-clock time.
@@ -131,8 +137,9 @@ func (r *Runner) Execute(jobs []Job) ([]Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var arena machine.Arena // this worker's, from cell to cell
 			for i := range indexes {
-				results[i] = runCell(jobs[i])
+				results[i] = runCell(&arena, jobs[i])
 				if report != nil {
 					mu.Lock()
 					done++
@@ -159,12 +166,16 @@ func (r *Runner) Execute(jobs []Job) ([]Result, error) {
 	return results, sweepError(results)
 }
 
-// runCell executes one job, converting a panic anywhere under Run
-// (machine livelock diagnostics, workload bugs) into a Result error so
-// one bad cell cannot take down a whole sweep.
-func runCell(j Job) (res Result) {
+// runCell executes one job on its worker's arena, converting a panic
+// anywhere under Run (machine livelock diagnostics, step-budget
+// exhaustion, workload bugs) into a Result error so one bad cell cannot
+// take down a whole sweep. Such a cell died mid-transaction, with rows
+// locked and SR/SW and UFO bits set, and released nothing: the worker
+// goes on with an empty arena rather than trust a reset of that state.
+func runCell(arena *machine.Arena, j Job) (res Result) {
 	defer func() {
 		if rec := recover(); rec != nil {
+			*arena = machine.Arena{}
 			res = Result{
 				System:   j.System,
 				Workload: j.Factory.Name,
@@ -173,7 +184,7 @@ func runCell(j Job) (res Result) {
 			}
 		}
 	}()
-	return Run(j.System, j.Factory.New(), j.Threads, j.Opt)
+	return runOn(arena, j.System, j.Factory.New(), j.Threads, j.Opt)
 }
 
 // sweepError collects the failing cells of a completed sweep.

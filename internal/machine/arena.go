@@ -1,0 +1,100 @@
+package machine
+
+import (
+	"repro/internal/cache"
+	"repro/internal/mem"
+)
+
+// Arena owns the host-side storage a machine is built over — the
+// simulated memory with its page indexes, data pages and UFO pages, the
+// directory's record pages, the per-processor L1 way slabs and the TM
+// systems' big tables (TableOf) — so that it can outlive the machine. A
+// machine that ends with Release hands all of it back blank, and the
+// next New on the arena allocates only what it cannot reuse. The zero
+// value is an empty arena. One machine at a time lives on an arena, and
+// an arena whose machine died without Release (a run that panicked) must
+// be dropped, not reused: nothing has cleared what that run left behind.
+type Arena struct {
+	mem    *mem.Memory
+	dir    *cache.Directory
+	l1s    []*cache.L1
+	tables []interface{ reset() }
+}
+
+// l1 returns processor i's cache, reusing the arena's when its geometry
+// is the one asked for.
+func (a *Arena) l1(i int, p Params) *cache.L1 {
+	if c := a.l1s[i]; c == nil || c.Ways() != p.L1Ways || c.Sets()*c.Ways()*mem.LineBytes != p.L1Bytes {
+		a.l1s[i] = cache.NewL1(p.L1Bytes, mem.LineBytes, p.L1Ways)
+	}
+	return a.l1s[i]
+}
+
+// Release ends the machine's life and hands its storage back to the
+// arena it was built on, blank: it zeroes exactly what the run touched —
+// materialised memory, UFO and directory pages, the L1s of the
+// processors it had, the table rows marked Dirty — so the cost is
+// O(touched), not O(configured). The machine, and everything built over
+// it, must not be used afterwards. Only a machine some later New will
+// share an arena with needs it.
+func (m *Machine) Release() {
+	m.Mem.Reset(0)
+	m.dir.Reset()
+	for _, p := range m.procs {
+		p.l1.Reset()
+	}
+	for _, t := range m.arena.tables {
+		t.reset()
+	}
+}
+
+// Table is a fixed-size table of T kept in a machine's arena: a TM
+// system's ownership or lock table, too big to build per run. Rows are
+// zero when handed out; the owner calls Dirty before it first changes a
+// row, and Release zeroes the dirty rows only.
+type Table[T any] struct {
+	Rows  []T      // nil while no machine uses the table
+	all   []T      // Rows' backing store: the largest size ever asked for
+	mark  []uint64 // one bit per row of all: the row is on dirty
+	dirty []uint64
+}
+
+// TableOf returns a zeroed table of the given number of rows from m's
+// arena: one a released machine handed back, when there is one of this
+// row type, else a new one. Two tables asked for by one machine are
+// distinct.
+func TableOf[T any](m *Machine, rows int) *Table[T] {
+	var t *Table[T]
+	for _, x := range m.arena.tables {
+		if c, ok := x.(*Table[T]); ok && c.Rows == nil {
+			t = c
+			break
+		}
+	}
+	if t == nil {
+		t = new(Table[T])
+		m.arena.tables = append(m.arena.tables, t)
+	}
+	if rows > len(t.all) {
+		t.all, t.mark = make([]T, rows), make([]uint64, (rows+63)/64)
+	}
+	t.Rows = t.all[:rows]
+	return t
+}
+
+// Dirty records that row i may no longer be zero.
+func (t *Table[T]) Dirty(i uint64) {
+	if w, bit := &t.mark[i/64], uint64(1)<<(i%64); *w&bit == 0 {
+		*w |= bit
+		t.dirty = append(t.dirty, i)
+	}
+}
+
+func (t *Table[T]) reset() {
+	var zero T
+	for _, i := range t.dirty {
+		t.all[i] = zero
+		t.mark[i/64] = 0
+	}
+	t.Rows, t.dirty = nil, t.dirty[:0]
+}

@@ -274,21 +274,36 @@ type Machine struct {
 	Rand  *sim.Rand
 	Count Counters
 
+	arena *Arena
 	dir   *cache.Directory
 	procs []*Proc
 	txSeq uint64
 	out   observers // everything that watches a run (trace.go)
 }
 
-// New builds a machine from params. All state derives from params (the
-// RNG from params.Seed), so equal Params build machines whose runs are
-// deterministic replicas of each other.
-func New(p Params) *Machine {
+// New builds a machine from params on an arena of its own. All state
+// derives from params (the RNG from params.Seed), so equal Params build
+// machines whose runs are deterministic replicas of each other.
+func New(p Params) *Machine { return new(Arena).New(p) }
+
+// New builds a machine from params over the arena's storage. What an
+// earlier, released machine left in the arena changes what New
+// allocates and nothing else: the machine is the one machine.New(p)
+// builds.
+func (a *Arena) New(p Params) *Machine {
 	if p.Procs <= 0 {
 		panic("machine: Procs must be positive")
 	}
 	if p.Procs > cache.MaxProcs {
 		panic(fmt.Sprintf("machine: Procs %d exceeds the directory's %d-processor limit", p.Procs, cache.MaxProcs))
+	}
+	if a.mem == nil {
+		a.mem, a.dir = mem.New(p.MemBytes), cache.NewDirectory()
+	} else {
+		a.mem.Reset(p.MemBytes)
+	}
+	if n := p.Procs - len(a.l1s); n > 0 {
+		a.l1s = append(a.l1s, make([]*cache.L1, n)...)
 	}
 	m := &Machine{
 		Params: p,
@@ -298,9 +313,10 @@ func New(p Params) *Machine {
 			MaxSteps:  p.MaxSteps,
 			Reference: p.ReferenceScheduler,
 		}),
-		Mem:   mem.New(p.MemBytes),
+		Mem:   a.mem,
 		Rand:  sim.NewRand(p.Seed),
-		dir:   cache.NewDirectory(),
+		arena: a,
+		dir:   a.dir,
 		procs: make([]*Proc, p.Procs),
 	}
 	// Reserve the first page so fixed low addresses used by small tests
@@ -312,7 +328,7 @@ func New(p Params) *Machine {
 		slab[i] = Proc{
 			m:   m,
 			sp:  m.Eng.Proc(i),
-			l1:  cache.NewL1(p.L1Bytes, mem.LineBytes, p.L1Ways),
+			l1:  a.l1(i, p),
 			ufo: true, // threads start with UFO faults enabled
 		}
 		mp := &slab[i]

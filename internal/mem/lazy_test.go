@@ -107,3 +107,60 @@ func TestNewRoundsUpToWholePages(t *testing.T) {
 		t.Fatalf("zero-size memory rounds to %d", m2.Size())
 	}
 }
+
+// TestResetBlanksAndReuses: a Reset memory is indistinguishable from a
+// new one of the size asked for — whatever it held, however far Sbrk
+// grew it — and its next first touches and its next growth allocate
+// nothing: recycled pages come back zeroed at whichever index takes
+// them, and the indexes grow in place.
+func TestResetBlanksAndReuses(t *testing.T) {
+	m := New(4 * PageBytes)
+	m.Sbrk(13 * PageBytes) // grows to 16 pages
+	for pg := uint64(0); pg < 13; pg++ {
+		m.Write64(pg*PageBytes+8*pg, ^pg)
+		m.SetUFO(pg*PageBytes+LineBytes*pg, UFOFaultAll)
+	}
+	m.Reset(2 * PageBytes) // a later user asks for less
+	if m.Size() != 2*PageBytes || m.Sbrk(0) != 0 {
+		t.Fatalf("after Reset: size %d, brk %d; want %d, 0", m.Size(), m.Sbrk(0), 2*PageBytes)
+	}
+	if len(m.pages) != 2 || len(m.ufoPages) != 2 || cap(m.pages) < 16 {
+		t.Fatalf("indexes: len %d/%d cap %d; want the 2 pages asked for over the kept capacity", len(m.pages), len(m.ufoPages), cap(m.pages))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an access past the new, smaller size did not panic")
+			}
+		}()
+		m.Read64(2 * PageBytes)
+	}()
+	allocs := testing.AllocsPerRun(1, func() {
+		m.Reset(2 * PageBytes)
+		m.Sbrk(16 * PageBytes) // back past the old size, in place
+		for pg := uint64(3); pg < 16; pg++ {
+			m.Write64(pg*PageBytes, 1) // first touch takes a recycled page
+			m.AddUFO(pg*PageBytes, UFOFaultOnRead)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reuse allocated %v times, want 0", allocs)
+	}
+	for addr := uint64(0); addr < m.Size(); addr += WordBytes {
+		want, wantUFO := uint64(0), UFONone
+		if pg := addr / PageBytes; pg >= 3 && pg < 16 {
+			if addr%PageBytes == 0 {
+				want = 1
+			}
+			if addr%PageBytes < LineBytes {
+				wantUFO = UFOFaultOnRead
+			}
+		}
+		if got := m.Read64(addr); got != want {
+			t.Fatalf("Read64(%#x) = %#x, want %d: a recycled page kept old data", addr, got, want)
+		}
+		if got := m.UFO(addr); got != wantUFO {
+			t.Fatalf("UFO(%#x) = %v, want %v: a recycled UFO page kept old bits", addr, got, wantUFO)
+		}
+	}
+}

@@ -71,28 +71,51 @@ const (
 // Storage is page-granular and lazily allocated: a nil page reads as
 // all-zero words (and all-clear UFO bits) and is materialized only on the
 // first write that needs it. Simulations configure tens of megabytes of
-// architectural memory per sweep cell but touch a small fraction of it, so
-// eager allocation — one zeroed slab per cell — used to dominate the whole
-// sweep's wall-clock (the memclr was ~half the Figure 5 sweep benchmark).
+// architectural memory per sweep cell but touch a small fraction of it.
+//
+// A Memory can be reused: Reset zeroes the pages its last user touched
+// and keeps them, and the page indexes, for the next one, so a run on a
+// reused Memory pays for what it touches and not for what it configures.
 type Memory struct {
 	pages    [][]uint64  // PageWords words per entry; nil = untouched (zero)
 	ufoPages [][]UFOBits // PageLines bits per entry; nil = all clear
 	size     uint64      // architectural size in bytes
 	brk      uint64      // sbrk-style allocation frontier, in bytes
+
+	free    [][]uint64  // zeroed data pages awaiting a first touch
+	freeUFO [][]UFOBits // all-clear UFO pages, likewise
 }
 
 // New creates a memory of the given size in bytes (rounded up to a whole
 // page). No data pages are allocated until first written.
 func New(sizeBytes uint64) *Memory {
+	m := new(Memory)
+	m.Reset(sizeBytes)
+	return m
+}
+
+// Reset returns m to the state New(sizeBytes) builds — every word zero,
+// every UFO bit clear, nothing allocated by Sbrk — by clearing exactly
+// the pages that were materialized. The cleared pages and both indexes
+// are kept: the indexes are resized in place, and a later first touch
+// takes a kept page before it allocates one.
+func (m *Memory) Reset(sizeBytes uint64) {
+	m.free = reclaim(m.pages, m.free)
+	m.freeUFO = reclaim(m.ufoPages, m.freeUFO)
 	if sizeBytes == 0 {
 		sizeBytes = PageBytes
 	}
-	pages := (sizeBytes + PageBytes - 1) / PageBytes
-	return &Memory{
-		pages:    make([][]uint64, pages),
-		ufoPages: make([][]UFOBits, pages),
-		size:     pages * PageBytes,
-	}
+	m.size, m.brk = 0, 0
+	m.resize((sizeBytes + PageBytes - 1) / PageBytes * PageBytes)
+}
+
+// resize sets the architectural size, extending both indexes in place
+// when their capacity allows; the new tail is nil.
+func (m *Memory) resize(size uint64) {
+	keep, pages := m.size/PageBytes, size/PageBytes
+	m.pages = append(m.pages[:keep], make([][]uint64, pages-keep)...)
+	m.ufoPages = append(m.ufoPages[:keep], make([][]UFOBits, pages-keep)...)
+	m.size = size
 }
 
 // Size returns the memory size in bytes.
@@ -106,22 +129,9 @@ func (m *Memory) Sbrk(n uint64) uint64 {
 	base := m.brk
 	m.brk += n
 	for m.brk > m.size {
-		m.grow()
+		m.resize(m.size * 2) // existing pages stay where they are
 	}
 	return base
-}
-
-// grow doubles the architectural size. Existing pages are shared, not
-// copied; the new tail is lazily materialized like everything else.
-func (m *Memory) grow() {
-	m.size *= 2
-	pages := m.size / PageBytes
-	newPages := make([][]uint64, pages)
-	copy(newPages, m.pages)
-	m.pages = newPages
-	newUFO := make([][]UFOBits, pages)
-	copy(newUFO, m.ufoPages)
-	m.ufoPages = newUFO
 }
 
 func (m *Memory) checkAddr(addr uint64) {
@@ -131,6 +141,27 @@ func (m *Memory) checkAddr(addr uint64) {
 	if addr >= m.size {
 		panic(fmt.Sprintf("mem: access at %#x beyond memory size %#x", addr, m.size))
 	}
+}
+
+// page returns a zeroed data page: one that Reset kept, else a new one.
+func (m *Memory) page() []uint64 {
+	if k := len(m.free); k > 0 {
+		pg := m.free[k-1]
+		m.free = m.free[:k-1]
+		return pg
+	}
+	return make([]uint64, PageWords)
+}
+
+// reclaim blanks every materialized page of index and adds it to free.
+func reclaim[T any](index, free [][]T) [][]T {
+	for _, pg := range index {
+		if pg != nil {
+			clear(pg)
+			free = append(free, pg)
+		}
+	}
+	return free
 }
 
 // Read64 returns the committed word at addr.
@@ -151,7 +182,7 @@ func (m *Memory) Write64(addr, val uint64) {
 		if val == 0 {
 			return // writing zero to an untouched page changes nothing
 		}
-		pg = make([]uint64, PageWords)
+		pg = m.page()
 		m.pages[addr/PageBytes] = pg
 	}
 	pg[addr%PageBytes/WordBytes] = val
@@ -170,6 +201,10 @@ func (m *Memory) UFO(addr uint64) UFOBits {
 
 // SetUFO replaces the UFO bits for the line containing addr
 // (set_ufo_bits). Coherence actions are the cache layer's job.
+//
+// SetUFO and AddUFO inline into the machine's closures, and a call on
+// their cold path would cost them that: so the free-list pop that page
+// does for data pages is written out in each.
 func (m *Memory) SetUFO(addr uint64, bits UFOBits) {
 	line := LineOf(addr)
 	pg := m.ufoPages[line/PageLines]
@@ -177,7 +212,11 @@ func (m *Memory) SetUFO(addr uint64, bits UFOBits) {
 		if bits == UFONone {
 			return
 		}
-		pg = make([]UFOBits, PageLines)
+		if k := len(m.freeUFO); k > 0 {
+			pg, m.freeUFO = m.freeUFO[k-1], m.freeUFO[:k-1]
+		} else {
+			pg = make([]UFOBits, PageLines)
+		}
 		m.ufoPages[line/PageLines] = pg
 	}
 	pg[line%PageLines] = bits
@@ -191,7 +230,11 @@ func (m *Memory) AddUFO(addr uint64, bits UFOBits) {
 	line := LineOf(addr)
 	pg := m.ufoPages[line/PageLines]
 	if pg == nil {
-		pg = make([]UFOBits, PageLines)
+		if k := len(m.freeUFO); k > 0 {
+			pg, m.freeUFO = m.freeUFO[k-1], m.freeUFO[:k-1]
+		} else {
+			pg = make([]UFOBits, PageLines)
+		}
 		m.ufoPages[line/PageLines] = pg
 	}
 	pg[line%PageLines] |= bits

@@ -11,7 +11,7 @@ import (
 // TestZipfSkewHottestKey: at production-like skew the low keys dominate,
 // and key 1 is the single most frequent draw.
 func TestZipfSkewHottestKey(t *testing.T) {
-	z := newZipf(1000, 1.2, sim.NewRand(7))
+	z := &zipf{cum: zipfTable(1000, 1.2), r: sim.NewRand(7)}
 	counts := make(map[uint64]int)
 	const draws = 20000
 	for i := 0; i < draws; i++ {
@@ -32,7 +32,7 @@ func TestZipfSkewHottestKey(t *testing.T) {
 // key should stray far from the expected count.
 func TestZipfUniformAtZeroTheta(t *testing.T) {
 	const n, draws = 16, 32000
-	z := newZipf(n, 0, sim.NewRand(9))
+	z := &zipf{cum: zipfTable(n, 0), r: sim.NewRand(9)}
 	counts := make([]int, n+1)
 	for i := 0; i < draws; i++ {
 		k := z.next()
@@ -52,7 +52,7 @@ func TestZipfUniformAtZeroTheta(t *testing.T) {
 // TestZipfHandlesThetaOne: the exact-CDF generator must not degenerate
 // at theta == 1, where closed-form approximations break down.
 func TestZipfHandlesThetaOne(t *testing.T) {
-	z := newZipf(100, 1.0, sim.NewRand(3))
+	z := &zipf{cum: zipfTable(100, 1.0), r: sim.NewRand(3)}
 	seen := make(map[uint64]bool)
 	for i := 0; i < 5000; i++ {
 		seen[z.next()] = true
@@ -125,16 +125,16 @@ func TestParseArrival(t *testing.T) {
 func TestTraceDeterministic(t *testing.T) {
 	cfg := Config{Keys: 64, RequestsPerProc: 200, Theta: 0.9, ReadPct: 80, RMWPct: 15, ScanPct: 5,
 		ScanLen: 4, MeanGap: 300, Arrival: ArrivalMMPP, Seed: 42}
-	a, b := cfg.Trace(3), cfg.Trace(3)
+	a, b := cfg.Traces(4)[3], cfg.Traces(4)[3]
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same (config, proc) generated different traces")
 	}
-	if reflect.DeepEqual(a, cfg.Trace(4)) {
+	if reflect.DeepEqual(a, cfg.Traces(5)[4]) {
 		t.Fatal("different procs generated identical traces")
 	}
 	other := cfg
 	other.Seed = 43
-	if reflect.DeepEqual(a, other.Trace(3)) {
+	if reflect.DeepEqual(a, other.Traces(4)[3]) {
 		t.Fatal("different seeds generated identical traces")
 	}
 }
@@ -144,7 +144,7 @@ func TestTraceDeterministic(t *testing.T) {
 func TestTraceShape(t *testing.T) {
 	cfg := Config{Keys: 32, RequestsPerProc: 5000, Theta: 0.5, ReadPct: 70, RMWPct: 20, ScanPct: 10,
 		ScanLen: 4, MeanGap: 100, Arrival: ArrivalPoisson, Seed: 5}
-	tr := cfg.Trace(0)
+	tr := cfg.Traces(1)[0]
 	if len(tr) != cfg.RequestsPerProc {
 		t.Fatalf("trace length %d, want %d", len(tr), cfg.RequestsPerProc)
 	}
@@ -174,13 +174,13 @@ func TestTraceShape(t *testing.T) {
 func TestOfferedMatchesTraces(t *testing.T) {
 	cfg := Config{Keys: 16, RequestsPerProc: 50, ReadPct: 80, RMWPct: 15, ScanPct: 5,
 		ScanLen: 2, MeanGap: 200, Arrival: ArrivalPoisson, Seed: 8}
-	reqs, span := cfg.Offered(3)
+	reqs, span := Offered(cfg.Traces(3))
 	if reqs != 150 {
 		t.Fatalf("requests = %d, want 150", reqs)
 	}
 	var wantSpan uint64
 	for i := 0; i < 3; i++ {
-		tr := cfg.Trace(i)
+		tr := cfg.Traces(i + 1)[i]
 		if last := tr[len(tr)-1].Arrival; last > wantSpan {
 			wantSpan = last
 		}

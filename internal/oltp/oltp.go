@@ -99,46 +99,51 @@ func (c Config) norm() Config {
 	return c
 }
 
-// Trace generates proc's request stream: interarrival gaps from the
-// configured arrival process, keys from the Zipf distribution, ops from
-// the mix percentages. Pure function of (Config, proc) — it allocates
-// its own seeded generators — so harness-side load accounting and the
-// in-run workload see identical streams.
-func (c Config) Trace(proc int) []Request {
+// Traces generates the request streams of procs 0..threads-1:
+// interarrival gaps from the configured arrival process, keys from the
+// Zipf distribution (one table, built once, behind every stream), ops
+// from the mix percentages. A stream is a pure function of (Config,
+// proc) — it draws from its own seeded generator — so it is the same
+// at every thread count, and the harness's load accounting and every
+// workload of one sweep point can share one generated set, read-only.
+func (c Config) Traces(threads int) [][]Request {
 	c = c.norm()
-	r := sim.NewRand(c.Seed*1_000_003 + uint64(proc)*2_654_435_761 + seedTrace)
-	z := newZipf(c.Keys, c.Theta, r)
-	ar := newArrival(c.Arrival, c.MeanGap, r)
-	reqs := make([]Request, c.RequestsPerProc)
-	now := uint64(0)
-	for i := range reqs {
-		now += ar.next()
-		key := z.next()
-		mix := r.Intn(100)
-		delta := r.Uint64()%997 + 1
-		var op Op
-		switch {
-		case mix < c.ReadPct:
-			op = OpRead
-		case mix < c.ReadPct+c.RMWPct:
-			op = OpRMW
-		default:
-			op = OpScan
+	cum := zipfTable(c.Keys, c.Theta)
+	traces := make([][]Request, threads)
+	for proc := range traces {
+		r := sim.NewRand(c.Seed*1_000_003 + uint64(proc)*2_654_435_761 + seedTrace)
+		z := &zipf{cum: cum, r: r}
+		ar := newArrival(c.Arrival, c.MeanGap, r)
+		reqs := make([]Request, c.RequestsPerProc)
+		now := uint64(0)
+		for i := range reqs {
+			now += ar.next()
+			key := z.next()
+			mix := r.Intn(100)
+			delta := r.Uint64()%997 + 1
+			var op Op
+			switch {
+			case mix < c.ReadPct:
+				op = OpRead
+			case mix < c.ReadPct+c.RMWPct:
+				op = OpRMW
+			default:
+				op = OpScan
+			}
+			reqs[i] = Request{Arrival: now, Op: op, Key: key, Delta: delta}
 		}
-		reqs[i] = Request{Arrival: now, Op: op, Key: key, Delta: delta}
+		traces[proc] = reqs
 	}
-	return reqs
+	return traces
 }
 
-// Offered reports the realized offered load of a threads-proc run: the
-// total request count and the span (cycles from 0 to the last arrival
-// across all streams). Because it regenerates the same pure traces the
-// run will execute, offered load derived from it is exact — and since a
-// run cannot finish before its last arrival, goodput computed against
-// run cycles can never exceed it.
-func (c Config) Offered(threads int) (requests, span uint64) {
-	for i := 0; i < threads; i++ {
-		tr := c.Trace(i)
+// Offered reports the realized offered load of the run that replays
+// traces: the total request count and the span (cycles from 0 to the
+// last arrival across all streams). Since a run cannot finish before
+// its last arrival, goodput computed against run cycles can never
+// exceed it.
+func Offered(traces [][]Request) (requests, span uint64) {
+	for _, tr := range traces {
 		requests += uint64(len(tr))
 		if n := len(tr); n > 0 && tr[n-1].Arrival > span {
 			span = tr[n-1].Arrival
@@ -160,8 +165,16 @@ type Workload struct {
 	threads int
 }
 
-// New builds the workload for cfg (normalized).
+// New builds the workload for cfg (normalized); Init generates its
+// traces.
 func New(cfg Config) *Workload { return &Workload{cfg: cfg.norm()} }
+
+// Replay is New over traces the caller generated — cfg.Traces(threads)
+// for the thread count the workload will run at — so the workloads of
+// one sweep point share one set. The workload only reads them.
+func Replay(cfg Config, traces [][]Request) *Workload {
+	return &Workload{cfg: cfg.norm(), traces: traces}
+}
 
 // Name identifies the workload in reports.
 func (w *Workload) Name() string { return "oltp" }
@@ -212,9 +225,10 @@ func (w *Workload) Init(m *machine.Machine, threads int) {
 		w.tree.Insert(via, arena, key, rec)
 	}
 
-	w.traces = make([][]Request, threads)
-	for i := 0; i < threads; i++ {
-		w.traces[i] = c.Trace(i)
+	if w.traces == nil {
+		w.traces = c.Traces(threads)
+	} else if len(w.traces) != threads {
+		panic(fmt.Sprintf("oltp: replaying %d traces on %d threads", len(w.traces), threads))
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // uniform distribution; production key-popularity traces typically fit
 // theta in [0.9, 1.3].
 //
-// The generator inverts the exact cumulative distribution (precomputed
-// once per (n, theta) pair), so it is valid for every theta >= 0 —
+// The generator inverts the exact cumulative distribution (zipfTable,
+// computed once per (n, theta) pair and shared, read-only, by every
+// stream drawing from it), so it is valid for every theta >= 0 —
 // including theta >= 1, where the YCSB closed-form approximation breaks
 // down. Draws consume exactly one value from the caller's seeded
 // sim.Rand, so key sequences are a pure function of the seed.
@@ -22,9 +23,9 @@ type zipf struct {
 	r   *sim.Rand
 }
 
-// newZipf builds the distribution table for n keys at skew theta and
-// binds it to the seeded stream r.
-func newZipf(n int, theta float64, r *sim.Rand) *zipf {
+// zipfTable computes the cumulative distribution for n keys at skew
+// theta: n calls of math.Pow, which is why streams share it.
+func zipfTable(n int, theta float64) []float64 {
 	if n < 1 {
 		n = 1
 	}
@@ -40,7 +41,7 @@ func newZipf(n int, theta float64, r *sim.Rand) *zipf {
 	for i := range cum {
 		cum[i] /= sum
 	}
-	return &zipf{cum: cum, r: r}
+	return cum
 }
 
 // next draws one key in [1, n].

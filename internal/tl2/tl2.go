@@ -58,7 +58,7 @@ type System struct {
 
 	clock     uint64
 	clockAddr uint64
-	stripes   []stripe
+	stripes   *machine.Table[stripe] // in the machine's arena; dirtied when first locked
 	lockBase  uint64
 	mask      uint64
 }
@@ -71,7 +71,7 @@ func New(m *machine.Machine, cfg Config) *System {
 	s := &System{
 		cfg:       cfg,
 		clockAddr: m.Mem.Sbrk(mem.LineBytes),
-		stripes:   make([]stripe, cfg.Stripes),
+		stripes:   machine.TableOf[stripe](m, cfg.Stripes),
 		lockBase:  m.Mem.Sbrk(uint64(cfg.Stripes) * mem.LineBytes),
 		mask:      uint64(cfg.Stripes - 1),
 	}
@@ -167,7 +167,7 @@ func (e *exec) load(addr uint64) uint64 {
 		return v
 	}
 	si := e.s.stripeOf(addr)
-	st := &e.s.stripes[si]
+	st := &e.s.stripes.Rows[si]
 	e.touchStripe(si)
 	e.P.Elapse(e.s.cfg.BarrierCycles)
 	if st.locked || st.version > e.rv {
@@ -209,7 +209,7 @@ func (e *exec) noteStripe(set *[]uint64, si uint64) {
 
 func (e *exec) touchStripe(si uint64) { e.Load(e.s.stripeAddr(si)) }
 
-func (e *exec) writeStripe(si uint64) { e.Store(e.s.stripeAddr(si), e.s.stripes[si].version) }
+func (e *exec) writeStripe(si uint64) { e.Store(e.s.stripeAddr(si), e.s.stripes.Rows[si].version) }
 
 // commit implements TL2's commit protocol. Returns false on validation or
 // lock-acquisition failure (the transaction retries).
@@ -223,7 +223,7 @@ func (e *exec) commit() bool {
 	// 1. Lock the write set (bounded spin: fail fast to avoid deadlock).
 	locked := e.writeSet[:0:0]
 	for _, si := range e.writeSet {
-		st := &e.s.stripes[si]
+		st := &e.s.stripes.Rows[si]
 		e.touchStripe(si)
 		e.P.Elapse(e.s.cfg.PerWriteCycles)
 		if st.locked && st.owner != e.P.ID() {
@@ -231,6 +231,7 @@ func (e *exec) commit() bool {
 			e.unlock(locked)
 			return false
 		}
+		e.s.stripes.Dirty(si)
 		st.locked = true
 		st.owner = e.P.ID()
 		e.writeStripe(si)
@@ -244,7 +245,7 @@ func (e *exec) commit() bool {
 	// optimization; modeled by still charging the loop when needed).
 	if e.rv+1 != wv {
 		for _, si := range e.readSet {
-			st := &e.s.stripes[si]
+			st := &e.s.stripes.Rows[si]
 			e.touchStripe(si)
 			if (st.locked && st.owner != e.P.ID()) || st.version > e.rv {
 				e.recordStripeConflict(st, 0, false)
@@ -259,7 +260,7 @@ func (e *exec) commit() bool {
 		e.Store(addr, e.redo[addr])
 	}
 	for _, si := range locked {
-		st := &e.s.stripes[si]
+		st := &e.s.stripes.Rows[si]
 		st.version = wv
 		st.locked = false
 		st.writer = e.P.ID() + 1
@@ -283,7 +284,7 @@ func (e *exec) recordStripeConflict(st *stripe, addr uint64, hasAddr bool) {
 
 func (e *exec) unlock(locked []uint64) {
 	for _, si := range locked {
-		e.s.stripes[si].locked = false
+		e.s.stripes.Rows[si].locked = false
 		e.writeStripe(si)
 	}
 }

@@ -16,8 +16,11 @@ import (
 // The row lock models the paper's locked head-entry state: it is held
 // across multi-step chain updates, and other transactions that find a row
 // locked back off and retry, paying for the contention in simulated time.
+//
+// The rows live in the machine's arena (machine.TableOf): a run dirties
+// the rows it inserts into, and only those are cleared for the next one.
 type otable struct {
-	rows []row
+	*machine.Table[row]
 	base uint64 // simulated address of row 0; rows are line-spaced
 	mask uint64
 }
@@ -38,9 +41,9 @@ type entry struct {
 func newOTable(m *machine.Machine, rows int) *otable {
 	base := m.Mem.Sbrk(uint64(rows) * mem.LineBytes)
 	return &otable{
-		rows: make([]row, rows),
-		base: base,
-		mask: uint64(rows - 1),
+		Table: machine.TableOf[row](m, rows),
+		base:  base,
+		mask:  uint64(rows - 1),
 	}
 }
 
@@ -53,7 +56,7 @@ func (o *otable) index(line uint64) uint64 {
 func (o *otable) rowAddr(i uint64) uint64 { return o.base + i*mem.LineBytes }
 
 // row returns row i's Go-side state.
-func (o *otable) row(i uint64) *row { return &o.rows[i] }
+func (o *otable) row(i uint64) *row { return &o.Rows[i] }
 
 // find returns the entry for line in this row's chain, or nil.
 func (r *row) find(line uint64) *entry {

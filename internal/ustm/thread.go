@@ -232,7 +232,10 @@ func (t *Thread) barrier(addr uint64, write bool) {
 		case e == nil:
 			// Insert a fresh entry (compare&swap on the head; the chain
 			// is locked while UFO bits are installed so that the bits can
-			// never disagree with the otable — Algorithm 2).
+			// never disagree with the otable — Algorithm 2). This is the
+			// one way a row stops being blank: every other arm locks it
+			// around an entry it already holds.
+			t.stm.ot.Dirty(idx)
 			r.locked = true
 			t.ntWriteMustOK(rowAddr, 1)
 			t.p.Elapse(t.stm.cfg.CASCycles)

@@ -211,13 +211,17 @@ type OTableStats struct {
 	Rows     int
 	Entries  int
 	MaxChain int
+	Locked   int // rows whose head is locked (mid-update)
 }
 
 // OTableStats reports the table's current occupancy.
 func (s *STM) OTableStats() OTableStats {
-	st := OTableStats{Rows: len(s.ot.rows)}
-	for i := range s.ot.rows {
-		n := len(s.ot.rows[i].entries)
+	st := OTableStats{Rows: len(s.ot.Rows)}
+	for i := range s.ot.Rows {
+		n := len(s.ot.Rows[i].entries)
+		if s.ot.Rows[i].locked {
+			st.Locked++
+		}
 		st.Entries += n
 		if n > st.MaxChain {
 			st.MaxChain = n

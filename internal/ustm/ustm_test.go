@@ -353,9 +353,9 @@ func TestOTableChainCollisions(t *testing.T) {
 		}
 	}
 	// All entries released.
-	for i := range s.ot.rows {
-		if len(s.ot.rows[i].entries) != 0 {
-			t.Fatalf("row %d retains %d entries", i, len(s.ot.rows[i].entries))
+	for i := range s.ot.Rows {
+		if len(s.ot.Rows[i].entries) != 0 {
+			t.Fatalf("row %d retains %d entries", i, len(s.ot.Rows[i].entries))
 		}
 	}
 }
