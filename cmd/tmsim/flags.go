@@ -38,10 +38,7 @@ type config struct {
 
 	oltpOut     string
 	oltpArrival string
-	oltpTheta   float64
-	oltpReadPct int
-	oltpRMWPct  int
-	oltpScanPct int
+	oltp        harness.OLTPSweepConfig // the -oltp-* sweep shape
 
 	contentionOut    string
 	contentionTopK   int
@@ -52,13 +49,13 @@ type config struct {
 	memProfile string
 
 	set map[string]bool
-}
 
-// knownExperiments are the -experiment values main dispatches on; the
-// flag's usage text is built from it.
-var knownExperiments = []string{
-	"params", "fig5", "fig6", "fig7", "fig8", "ablate", "extended",
-	"footprints", "policies", "litmus", "latency", "scale", "oltp", "all",
+	// What validate resolved -scale, -policy, -trace-system and
+	// -trace-workload to (and -oltp-arrival, into oltp.Arrival).
+	scale    harness.Scale
+	cmSpec   cm.Spec
+	system   harness.SystemKind
+	workload harness.WorkloadFactory
 }
 
 // parseConfig parses argv (without the program name), records which
@@ -68,7 +65,7 @@ func parseConfig(args []string, errOut io.Writer) (*config, error) {
 	cfg := &config{}
 	fs := flag.NewFlagSet("tmsim", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	fs.StringVar(&cfg.experiment, "experiment", "all", strings.Join(knownExperiments, " | "))
+	fs.StringVar(&cfg.experiment, "experiment", allExperiments, strings.Join(experimentNames(), " | "))
 	fs.StringVar(&cfg.scaleName, "scale", "full", "small | full")
 	fs.StringVar(&cfg.policy, "policy", "exp", "contention-management policy: exp | linear | karma | serialize")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "machine RNG seed")
@@ -87,10 +84,10 @@ func parseConfig(args []string, errOut io.Writer) (*config, error) {
 	fs.StringVar(&cfg.litmusOut, "litmus-out", "", "also write the litmus conformance report as JSON to this file")
 	fs.StringVar(&cfg.oltpOut, "oltp-out", "", "also write the open-loop service (tmsim-oltp/v1) report as JSON to this file")
 	fs.StringVar(&cfg.oltpArrival, "oltp-arrival", "poisson", "oltp arrival process: poisson | mmpp")
-	fs.Float64Var(&cfg.oltpTheta, "oltp-theta", 0.9, "oltp default Zipfian skew (the load and mix axes run at this theta)")
-	fs.IntVar(&cfg.oltpReadPct, "oltp-read-pct", 80, "oltp default point-read percentage (read+rmw+scan must sum to 100)")
-	fs.IntVar(&cfg.oltpRMWPct, "oltp-rmw-pct", 15, "oltp default read-modify-write percentage")
-	fs.IntVar(&cfg.oltpScanPct, "oltp-scan-pct", 5, "oltp default range-scan percentage")
+	fs.Float64Var(&cfg.oltp.Theta, "oltp-theta", 0.9, "oltp default Zipfian skew (the load and mix axes run at this theta)")
+	fs.IntVar(&cfg.oltp.ReadPct, "oltp-read-pct", 80, "oltp default point-read percentage (read+rmw+scan must sum to 100)")
+	fs.IntVar(&cfg.oltp.RMWPct, "oltp-rmw-pct", 15, "oltp default read-modify-write percentage")
+	fs.IntVar(&cfg.oltp.ScanPct, "oltp-scan-pct", 5, "oltp default range-scan percentage")
 	fs.StringVar(&cfg.contentionOut, "contention-out", "", "write the conflict-attribution (contention) report to this file")
 	fs.IntVar(&cfg.contentionTopK, "contention-topk", contention.DefaultTopK, "hot cache lines kept per cell in the contention report")
 	fs.Uint64Var(&cfg.timeseriesWindow, "timeseries-window", 100_000, "contention time-series window width in simulated cycles")
@@ -111,48 +108,24 @@ func parseConfig(args []string, errOut io.Writer) (*config, error) {
 	return cfg, nil
 }
 
-// spec resolves -policy (validate has already vetted it).
-func (cfg *config) spec() cm.Spec {
-	s, _ := cm.ParseSpec(cfg.policy)
-	return s
-}
-
-// scale resolves -scale (validate has already vetted it).
-func (cfg *config) scale() harness.Scale {
-	if cfg.scaleName == "small" {
-		return harness.ScaleSmall
-	}
-	return harness.ScaleFull
-}
-
 // validate rejects invalid values and contradictory flag combinations
-// up front, so a long sweep never runs only to fail at output time.
+// up front, so a long sweep never runs only to fail at output time, and
+// keeps what the names it vetted resolve to.
 func (cfg *config) validate() error {
+	// Values first, whether or not the flag that gives them meaning was
+	// passed (the defaults are valid): a typo'd -trace-system must list
+	// the valid names even without -trace-out, never reach harness.build.
+	// Combinations ("-x requires -y") come after.
+	var err error
 	switch cfg.scaleName {
-	case "small", "full":
+	case "small":
+		cfg.scale = harness.ScaleSmall
+	case "full":
+		cfg.scale = harness.ScaleFull
 	default:
 		return fmt.Errorf("unknown scale %q (want small or full)", cfg.scaleName)
 	}
-	// Check system-name flags against the harness registry before
-	// anything else: a typo'd name must produce the valid list (exit 2),
-	// never reach harness.build — even when the flag is otherwise inert
-	// because its destination flag is missing.
-	if cfg.set["trace-system"] {
-		if _, err := harness.ParseSystem(cfg.traceSystem); err != nil {
-			return fmt.Errorf("-trace-system: %w", err)
-		}
-	}
-	known := false
-	for _, e := range knownExperiments {
-		if cfg.experiment == e {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown experiment %q (want one of %v)", cfg.experiment, knownExperiments)
-	}
-	if _, err := cm.ParseSpec(cfg.policy); err != nil {
+	if cfg.cmSpec, err = cm.ParseSpec(cfg.policy); err != nil {
 		return fmt.Errorf("-policy %q: want one of %v", cfg.policy, cm.Kinds)
 	}
 	if cfg.seeds < 0 {
@@ -172,93 +145,66 @@ func (cfg *config) validate() error {
 		return fmt.Errorf("unknown report format %q (want json, html, or text)", cfg.reportFormat)
 	}
 
-	if cfg.litmusOut != "" && cfg.experiment != "litmus" && cfg.experiment != "all" {
-		return fmt.Errorf("-litmus-out requires -experiment litmus (or all)")
+	if cfg.oltp.Arrival, err = oltp.ParseArrival(cfg.oltpArrival); err != nil {
+		return fmt.Errorf("-oltp-arrival: %w", err)
 	}
-
-	// The -oltp-* flags only mean something under -experiment oltp
-	// (which is deliberately not part of "all").
-	if cfg.experiment != "oltp" {
-		for _, f := range []string{"oltp-out", "oltp-arrival", "oltp-theta", "oltp-read-pct", "oltp-rmw-pct", "oltp-scan-pct"} {
-			if cfg.set[f] {
-				return fmt.Errorf("-%s requires -experiment oltp", f)
-			}
-		}
-	} else {
-		if _, err := oltp.ParseArrival(cfg.oltpArrival); err != nil {
-			return fmt.Errorf("-oltp-arrival: %w", err)
-		}
-		if cfg.oltpTheta < 0 {
-			return fmt.Errorf("-oltp-theta %v: want >= 0", cfg.oltpTheta)
-		}
-		for _, pc := range []struct {
-			name string
-			v    int
-		}{{"oltp-read-pct", cfg.oltpReadPct}, {"oltp-rmw-pct", cfg.oltpRMWPct}, {"oltp-scan-pct", cfg.oltpScanPct}} {
-			if pc.v < 0 || pc.v > 100 {
-				return fmt.Errorf("-%s %d: want 0..100", pc.name, pc.v)
-			}
-		}
-		if sum := cfg.oltpReadPct + cfg.oltpRMWPct + cfg.oltpScanPct; sum != 100 {
-			return fmt.Errorf("-oltp-read-pct + -oltp-rmw-pct + -oltp-scan-pct must sum to 100 (got %d)", sum)
+	if cfg.oltp.Theta < 0 {
+		return fmt.Errorf("-oltp-theta %v: want >= 0", cfg.oltp.Theta)
+	}
+	for _, pc := range []struct {
+		name string
+		v    int
+	}{{"oltp-read-pct", cfg.oltp.ReadPct}, {"oltp-rmw-pct", cfg.oltp.RMWPct}, {"oltp-scan-pct", cfg.oltp.ScanPct}} {
+		if pc.v < 0 || pc.v > 100 {
+			return fmt.Errorf("-%s %d: want 0..100", pc.name, pc.v)
 		}
 	}
-
-	// Trace flags only mean something with a trace destination.
-	if cfg.traceOut == "" {
-		for _, f := range []string{"trace-format", "trace-workload", "trace-system", "trace-threads", "trace-limit"} {
-			if cfg.set[f] {
-				return fmt.Errorf("-%s requires -trace-out", f)
-			}
-		}
-	} else {
-		if _, ok := harness.FindWorkload(cfg.traceWorkload, cfg.scale()); !ok {
-			return fmt.Errorf("unknown workload %q for -trace-workload", cfg.traceWorkload)
-		}
-		if _, err := harness.ParseSystem(cfg.traceSystem); err != nil {
-			return fmt.Errorf("-trace-system: %w", err)
-		}
-		if cfg.traceThreads < 1 {
-			return fmt.Errorf("-trace-threads %d: want >= 1", cfg.traceThreads)
-		}
-		if cfg.traceLimit < 1 {
-			return fmt.Errorf("-trace-limit %d: want >= 1", cfg.traceLimit)
-		}
+	if sum := cfg.oltp.ReadPct + cfg.oltp.RMWPct + cfg.oltp.ScanPct; sum != 100 {
+		return fmt.Errorf("-oltp-read-pct + -oltp-rmw-pct + -oltp-scan-pct must sum to 100 (got %d)", sum)
+	}
+	var ok bool
+	if cfg.workload, ok = harness.FindWorkload(cfg.traceWorkload, cfg.scale); !ok {
+		return fmt.Errorf("unknown workload %q for -trace-workload", cfg.traceWorkload)
+	}
+	if cfg.system, err = harness.ParseSystem(cfg.traceSystem); err != nil {
+		return fmt.Errorf("-trace-system: %w", err)
+	}
+	if cfg.traceThreads < 1 {
+		return fmt.Errorf("-trace-threads %d: want >= 1", cfg.traceThreads)
+	}
+	if cfg.traceLimit < 1 {
+		return fmt.Errorf("-trace-limit %d: want >= 1", cfg.traceLimit)
+	}
+	if cfg.contentionTopK < 1 {
+		return fmt.Errorf("-contention-topk %d: want >= 1", cfg.contentionTopK)
+	}
+	if cfg.timeseriesWindow == 0 {
+		return fmt.Errorf("-timeseries-window 0 disables the time series the contention report includes; use a positive window width")
 	}
 
-	// Contention flags only mean something with a contention destination.
-	if cfg.contentionOut == "" {
-		for _, f := range []string{"contention-topk", "timeseries-window", "report"} {
-			if cfg.set[f] {
-				return fmt.Errorf("-%s requires -contention-out", f)
+	// -csv holds one seed's sweep; the multi-seed run prints statistics
+	// and has no per-cell table to write.
+	if cfg.seeds > 1 && cfg.csvPath != "" {
+		return fmt.Errorf("-csv cannot be combined with -seeds %d: the CSV is the single-seed sweep", cfg.seeds)
+	}
+	// Flags an experiment row owns only mean something when it runs;
+	// trace and contention flags only with their destination flag.
+	if err := checkExperiment(cfg.experiment, cfg.traceOut != "", cfg.set); err != nil {
+		return err
+	}
+	for _, dep := range []struct {
+		dest  string
+		given bool
+		flags []string
+	}{
+		{"trace-out", cfg.traceOut != "", []string{"trace-format", "trace-workload", "trace-system", "trace-threads", "trace-limit"}},
+		{"contention-out", cfg.contentionOut != "", []string{"contention-topk", "timeseries-window", "report"}},
+	} {
+		for _, f := range dep.flags {
+			if !dep.given && cfg.set[f] {
+				return fmt.Errorf("-%s requires -%s", f, dep.dest)
 			}
-		}
-	} else {
-		if cfg.contentionTopK < 1 {
-			return fmt.Errorf("-contention-topk %d: want >= 1", cfg.contentionTopK)
-		}
-		if cfg.timeseriesWindow == 0 {
-			return fmt.Errorf("-timeseries-window 0 disables the time series the contention report includes; use a positive window width")
 		}
 	}
 	return nil
-}
-
-// system resolves -trace-system (validate has already vetted it).
-func (cfg *config) system() harness.SystemKind {
-	k, _ := harness.ParseSystem(cfg.traceSystem)
-	return k
-}
-
-// oltpSweep resolves the -oltp-* flags (validate has already vetted
-// them) into the sweep shape.
-func (cfg *config) oltpSweep() harness.OLTPSweepConfig {
-	kind, _ := oltp.ParseArrival(cfg.oltpArrival)
-	return harness.OLTPSweepConfig{
-		Arrival: kind,
-		Theta:   cfg.oltpTheta,
-		ReadPct: cfg.oltpReadPct,
-		RMWPct:  cfg.oltpRMWPct,
-		ScanPct: cfg.oltpScanPct,
-	}
 }

@@ -57,6 +57,18 @@ func TestParseConfigValidation(t *testing.T) {
 		{"pct out of range", []string{"-experiment", "oltp", "-oltp-read-pct", "120"}, "-oltp-read-pct"},
 		{"mix does not sum", []string{"-experiment", "oltp", "-oltp-read-pct", "50", "-oltp-rmw-pct", "20", "-oltp-scan-pct", "5"}, "must sum to 100"},
 
+		// Flags a table row owns are rejected under any other experiment,
+		// not silently ignored (-csv and -seeds used to be).
+		{"fig5 csv", []string{"-experiment", "fig5", "-csv", "x.csv"}, ""},
+		{"all with seeds and litmus-out", []string{"-seeds", "2", "-litmus-out", "l.json"}, ""},
+		{"csv without fig5", []string{"-experiment", "fig6", "-csv", "x.csv"}, "-csv requires -experiment fig5 (or all)"},
+		{"seeds without fig5", []string{"-experiment", "latency", "-seeds", "2"}, "-seeds requires -experiment fig5 (or all)"},
+		{"csv with seeds", []string{"-experiment", "fig5", "-seeds", "2", "-csv", "y.csv"}, "-csv cannot be combined with -seeds 2"},
+		{"litmus-out without litmus", []string{"-experiment", "fig5", "-litmus-out", "l.json"}, "-litmus-out requires -experiment litmus (or all)"},
+		// -trace-out runs one cell instead of any row, so no row's flag applies.
+		{"csv with trace-out", []string{"-trace-out", "t.json", "-csv", "x.csv"}, "-csv has no effect with -trace-out"},
+		{"litmus-out with trace-out", []string{"-trace-out", "t.json", "-litmus-out", "l.json"}, "-litmus-out has no effect with -trace-out"},
+
 		{"report without contention-out", []string{"-report", "html"}, "-report requires -contention-out"},
 		{"topk without contention-out", []string{"-contention-topk", "4"}, "-contention-topk requires -contention-out"},
 		{"window without contention-out", []string{"-timeseries-window", "1000"}, "-timeseries-window requires -contention-out"},
@@ -106,8 +118,8 @@ func TestParseConfigDefaults(t *testing.T) {
 }
 
 // TestExperimentUsageListsEveryExperiment: the -experiment help text is
-// built from knownExperiments, so -h names every value main dispatches
-// on, and a removed flag is a parse error rather than silently accepted.
+// built from the experiments table, so -h names every value run
+// dispatches on, and a removed flag is a parse error rather than silently accepted.
 func TestExperimentUsageListsEveryExperiment(t *testing.T) {
 	var help strings.Builder
 	if _, err := parseConfig([]string{"-h"}, &help); err == nil {
@@ -122,7 +134,7 @@ func TestExperimentUsageListsEveryExperiment(t *testing.T) {
 	if j := strings.Index(line, "\n  -"); j >= 0 {
 		line = line[:j]
 	}
-	for _, e := range knownExperiments {
+	for _, e := range experimentNames() {
 		if !strings.Contains(line, e) {
 			t.Errorf("-experiment usage omits %q: %s", e, line)
 		}

@@ -97,200 +97,117 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/conformance/litmus"
+	"repro/internal/contention"
 	"repro/internal/harness"
 	"repro/internal/machine"
 )
 
-func main() {
-	cfg, err := parseConfig(os.Args[1:], os.Stderr)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args, runs what they ask
+// for and returns the exit status (2 for a usage error, 1 for a failed
+// run), so tests drive the whole command in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	cfg, err := parseConfig(args, stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tmsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tmsim: %v\n", err)
+		return 2
 	}
-
-	// stopProfiles finalizes -cpuprofile/-memprofile; it must run on
-	// every exit path, including fail()'s early one.
-	stopProfiles, err := startProfiles(cfg)
+	stopProfiles, err := startProfiles(cfg, stderr)
+	if err == nil {
+		err = newSession(cfg, stdout, stderr).execute()
+		stopProfiles() // on the failure path too, before the error is reported
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tmsim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tmsim: %v\n", err)
+		return 1
 	}
+	return 0
+}
 
-	fail := func(err error) {
-		if err != nil {
-			stopProfiles()
-			fmt.Fprintf(os.Stderr, "tmsim: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	scale := cfg.scale()
-	opt := harness.DefaultOptions()
-	opt.Params.Seed = cfg.seed
-	opt.CM = cfg.spec()
+// newSession resolves the parsed flags into run options and a runner.
+func newSession(cfg *config, stdout, stderr io.Writer) *session {
+	s := &session{cfg: cfg, opt: harness.DefaultOptions(), runner: harness.Parallel(cfg.parallel), stdout: stdout}
+	s.opt.Params.Seed = cfg.seed
+	s.opt.CM = cfg.cmSpec
 	if cfg.contentionOut != "" {
-		opt.Contention = true
-		opt.ContentionTopK = cfg.contentionTopK
-		opt.TimeSeriesWindow = cfg.timeseriesWindow
+		s.opt.Contention = true
+		s.opt.ContentionTopK = cfg.contentionTopK
+		s.opt.TimeSeriesWindow = cfg.timeseriesWindow
 	}
-	if cfg.txstatsOut != "" {
-		opt.TxStats = true
-	}
-
-	runner := harness.Parallel(cfg.parallel)
+	s.opt.TxStats = cfg.txstatsOut != ""
 	if cfg.progress {
-		runner.Progress = func(p harness.Progress) {
-			fmt.Fprintf(os.Stderr, "\r  [%d/%d cells, elapsed %v, eta %v]   ",
+		s.runner.Progress = func(p harness.Progress) {
+			fmt.Fprintf(stderr, "\r  [%d/%d cells, elapsed %v, eta %v]   ",
 				p.Done, p.Total, p.Elapsed.Round(time.Second), p.ETA.Round(time.Second))
 			if p.Done == p.Total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
+	return s
+}
 
-	var mrep harness.MetricsReport
-	var crep harness.ContentionReport
-	var trep harness.TxStatsReport
-	var collectors []func(harness.Job, harness.Result)
-	if cfg.metricsOut != "" {
-		collectors = append(collectors, mrep.Collector())
+// execute runs the traced cell or the selected experiments, collecting
+// every cell into one report, then writes the report sections asked for.
+func (s *session) execute() error {
+	cfg := s.cfg
+	var rep harness.Report
+	cells := "" // a sweep's report messages count its cells; a traced run is one cell
+	if cfg.traceOut != "" {
+		res, err := s.runTraced()
+		if err != nil {
+			return err
+		}
+		rep.Add(res)
+	} else {
+		if cfg.metricsOut != "" || cfg.contentionOut != "" || cfg.txstatsOut != "" {
+			s.runner.Collect = rep.Collector()
+		}
+		if err := s.runExperiments(); err != nil {
+			return err
+		}
+		cells = fmt.Sprintf(" for %d cells", len(rep.Cells))
 	}
-	if cfg.contentionOut != "" {
-		collectors = append(collectors, crep.Collector())
+	contentionWrite := func(w io.Writer) error { return rep.WriteJSON(w, harness.SectionContention) }
+	switch cfg.reportFormat {
+	case "html":
+		contentionWrite = func(w io.Writer) error { return contention.WriteHTML(w, rep.ContentionCells()) }
+	case "text":
+		contentionWrite = func(w io.Writer) error { return contention.WriteText(w, rep.ContentionCells()) }
 	}
-	if cfg.txstatsOut != "" {
-		collectors = append(collectors, trep.Collector())
-	}
-	collect := func(j harness.Job, r harness.Result) {
-		for _, c := range collectors {
-			c(j, r)
+	for _, out := range []struct {
+		path, what string
+		write      func(io.Writer) error
+	}{
+		{cfg.metricsOut, "metrics", func(w io.Writer) error { return rep.WriteJSON(w, harness.SectionMetrics) }},
+		{cfg.contentionOut, fmt.Sprintf("contention report (%s)", cfg.reportFormat), contentionWrite},
+		{cfg.txstatsOut, "txstats report", func(w io.Writer) error { return rep.WriteJSON(w, harness.SectionTxStats) }},
+	} {
+		if err := s.writeOut(out.path, out.what+cells, out.write); err != nil {
+			return err
 		}
 	}
-	if len(collectors) > 0 {
-		runner.Collect = collect
-	}
+	return nil
+}
 
-	run := func(name string) {
-		start := time.Now()
-		switch name {
-		case "params":
-			harness.PrintParams(os.Stdout, opt)
-		case "fig5":
-			if cfg.seeds > 1 {
-				stats, err := runner.Figure5Seeds(opt, scale, cfg.seeds)
-				harness.PrintSeedStats(os.Stdout, stats)
-				fail(err)
-				break
-			}
-			data, err := runner.Figure5(opt, scale)
-			harness.PrintFigure5(os.Stdout, data, scale)
-			fail(err)
-			if cfg.csvPath != "" {
-				fail(writeFile(cfg.csvPath, func(w io.Writer) error {
-					return harness.WriteFigure5CSV(w, data, scale)
-				}))
-				fmt.Printf("  [csv written to %s]\n", cfg.csvPath)
-			}
-		case "fig6":
-			rows, err := runner.Figure6(opt, scale)
-			harness.PrintFigure6(os.Stdout, rows)
-			fail(err)
-		case "fig7":
-			d, err := runner.Figure7(opt, scale)
-			harness.PrintFigure7(os.Stdout, d)
-			fail(err)
-		case "fig8":
-			rows, err := runner.Figure8(opt, scale)
-			harness.PrintFigure8(os.Stdout, rows)
-			fail(err)
-		case "ablate":
-			rows, err := runner.Ablations(opt, scale)
-			harness.PrintAblations(os.Stdout, rows)
-			fail(err)
-		case "extended":
-			data, err := runner.Extended(opt, scale)
-			harness.PrintFigure5(os.Stdout, data, scale)
-			fail(err)
-		case "footprints":
-			rows, err := runner.Footprints(opt, scale)
-			harness.PrintFootprints(os.Stdout, rows)
-			fail(err)
-		case "policies":
-			rows, err := runner.PolicySweep(opt, scale)
-			harness.PrintPolicySweep(os.Stdout, rows)
-			fail(err)
-		case "latency":
-			data, err := runner.Latency(opt, scale)
-			harness.PrintLatency(os.Stdout, data, scale)
-			fail(err)
-		case "scale":
-			d, err := runner.ScaleSweep(opt, scale)
-			harness.PrintScaleSweep(os.Stdout, d, scale)
-			fail(err)
-		case "oltp":
-			rep, err := runner.OLTP(opt, scale, cfg.oltpSweep())
-			harness.PrintOLTP(os.Stdout, rep)
-			fail(err)
-			if cfg.oltpOut != "" {
-				fail(writeFile(cfg.oltpOut, rep.WriteJSON))
-				fmt.Printf("  [oltp report for %d points written to %s]\n", len(rep.Points), cfg.oltpOut)
-			}
-		case "litmus":
-			lc := litmus.FullConfig()
-			if scale == harness.ScaleSmall {
-				lc = litmus.SmallConfig()
-			}
-			lc.Workers = cfg.parallel
-			rep := litmus.Run(lc)
-			rep.WriteText(os.Stdout)
-			if cfg.litmusOut != "" {
-				fail(writeFile(cfg.litmusOut, rep.WriteJSON))
-				fmt.Printf("  [litmus report written to %s]\n", cfg.litmusOut)
-			}
-			if n := len(rep.Failures); n > 0 {
-				fail(fmt.Errorf("litmus: %d conformance failure(s)", n))
-			}
-		}
-		fmt.Printf("  [%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
+// writeOut writes the output file of a flag that was given (path is not
+// empty) and says so on stdout.
+func (s *session) writeOut(path, what string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
 	}
-
-	// A sweep's report messages count its cells; a traced run is one cell.
-	cells := func(n int) string { return fmt.Sprintf(" for %d cells", n) }
-	switch {
-	case cfg.traceOut != "":
-		res, err := runTraced(opt, scale, cfg)
-		fail(err)
-		collect(harness.Job{}, res)
-		cells = func(int) string { return "" }
-	case cfg.experiment == "all":
-		for _, name := range []string{"params", "fig5", "fig6", "fig7", "fig8", "ablate", "extended", "footprints", "policies", "litmus"} {
-			run(name)
-		}
-	default:
-		run(cfg.experiment)
+	if err := writeFile(path, write); err != nil {
+		return err
 	}
-
-	if cfg.metricsOut != "" {
-		fail(writeFile(cfg.metricsOut, mrep.WriteJSON))
-		fmt.Printf("  [metrics%s written to %s]\n", cells(len(mrep.Cells)), cfg.metricsOut)
-	}
-	if cfg.contentionOut != "" {
-		fail(writeContention(&crep, cfg))
-		fmt.Printf("  [contention report (%s)%s written to %s]\n",
-			cfg.reportFormat, cells(len(crep.Cells)), cfg.contentionOut)
-	}
-	if cfg.txstatsOut != "" {
-		fail(writeFile(cfg.txstatsOut, trep.WriteJSON))
-		fmt.Printf("  [txstats report%s written to %s]\n", cells(len(trep.Cells)), cfg.txstatsOut)
-	}
-	stopProfiles()
+	fmt.Fprintf(s.stdout, "  [%s written to %s]\n", what, path)
+	return nil
 }
 
 // startProfiles starts the -cpuprofile collection and returns a
 // function that stops it and writes the -memprofile heap snapshot. The
 // returned function is safe to call when neither flag was given.
-func startProfiles(cfg *config) (func(), error) {
+func startProfiles(cfg *config, stderr io.Writer) (func(), error) {
 	var cpuFile *os.File
 	if cfg.cpuProfile != "" {
 		f, err := os.Create(cfg.cpuProfile)
@@ -303,29 +220,19 @@ func startProfiles(cfg *config) (func(), error) {
 		}
 		cpuFile = f
 	}
-	done := false
 	return func() {
-		if done {
-			return
-		}
-		done = true
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			cpuFile.Close()
-			fmt.Fprintf(os.Stderr, "  [cpu profile written to %s]\n", cfg.cpuProfile)
+			fmt.Fprintf(stderr, "  [cpu profile written to %s]\n", cfg.cpuProfile)
 		}
 		if cfg.memProfile != "" {
-			f, err := os.Create(cfg.memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tmsim: memprofile: %v\n", err)
+			runtime.GC() // flush garbage so the profile shows live heap
+			if err := writeFile(cfg.memProfile, pprof.WriteHeapProfile); err != nil {
+				fmt.Fprintf(stderr, "tmsim: memprofile: %v\n", err)
 				return
 			}
-			runtime.GC() // flush garbage so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "tmsim: memprofile: %v\n", err)
-			}
-			f.Close()
-			fmt.Fprintf(os.Stderr, "  [heap profile written to %s]\n", cfg.memProfile)
+			fmt.Fprintf(stderr, "  [heap profile written to %s]\n", cfg.memProfile)
 		}
 	}, nil
 }
@@ -344,19 +251,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// writeContention writes the accumulated contention report to
-// -contention-out in the -report format.
-func writeContention(rep *harness.ContentionReport, cfg *config) error {
-	write := rep.WriteJSON
-	switch cfg.reportFormat {
-	case "html":
-		write = rep.WriteHTML
-	case "text":
-		write = rep.WriteText
-	}
-	return writeFile(cfg.contentionOut, write)
-}
-
 // exportTrace replays tr through the sink selected by -trace-format
 // (parseConfig admits text, jsonl and chrome only).
 func exportTrace(tr *machine.Trace, format string, w io.Writer) error {
@@ -369,29 +263,27 @@ func exportTrace(tr *machine.Trace, format string, w io.Writer) error {
 	return tr.Export(machine.NewTextSink(w))
 }
 
-// runTraced runs one designated cell with tracing enabled and exports
-// the trace through the chosen sink; the caller writes the cell's
-// -metrics-out, -contention-out and -txstats-out reports.
-func runTraced(opt harness.Options, scale harness.Scale, cfg *config) (harness.Result, error) {
-	f, ok := harness.FindWorkload(cfg.traceWorkload, scale)
-	if !ok {
-		return harness.Result{}, fmt.Errorf("unknown workload %q", cfg.traceWorkload)
-	}
-	system := cfg.system()
+// runTraced runs the -trace-* cell with tracing enabled and exports the
+// trace through the chosen sink; the caller writes the cell's
+// -metrics-out, -contention-out and -txstats-out reports. A cell whose
+// workload invariant failed still exports its trace — the artifact that
+// explains the failure — before the error is returned.
+func (s *session) runTraced() (harness.Result, error) {
+	cfg, f, system, opt := s.cfg, s.cfg.workload, s.cfg.system, s.opt
 	opt.TraceLimit = cfg.traceLimit
 	start := time.Now()
 	res := harness.Run(system, f.New(), cfg.traceThreads, opt)
-	if res.Err != nil {
-		return res, fmt.Errorf("%s/%s/%d: %w", cfg.traceWorkload, system, cfg.traceThreads, res.Err)
-	}
 	err := writeFile(cfg.traceOut, func(w io.Writer) error {
 		return exportTrace(res.Trace, cfg.traceFormat, w)
 	})
 	if err != nil {
 		return res, err
 	}
-	fmt.Printf("  [%s/%s/%d threads: %d cycles, %d trace events (%s) written to %s in %v]\n",
-		cfg.traceWorkload, system, cfg.traceThreads, res.Cycles, res.Trace.Total(), cfg.traceFormat, cfg.traceOut,
+	fmt.Fprintf(s.stdout, "  [%s/%s/%d threads: %d cycles, %d trace events (%s) written to %s in %v]\n",
+		f.Name, system, cfg.traceThreads, res.Cycles, res.Trace.Total(), cfg.traceFormat, cfg.traceOut,
 		time.Since(start).Round(time.Millisecond))
+	if res.Err != nil {
+		return res, fmt.Errorf("%s/%s/%d: %w", f.Name, system, cfg.traceThreads, res.Err)
+	}
 	return res, nil
 }

@@ -1,0 +1,231 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/harness"
+	"repro/internal/machine"
+	"repro/internal/stamp"
+)
+
+// tmsim runs the command in-process at -scale small and fails the test
+// unless it exits 0 with nothing on stderr; it returns stdout.
+func tmsim(t *testing.T, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(append([]string{"-scale", "small"}, args...), &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+		t.Fatalf("tmsim %v: exit %d, stderr:\n%s", args, code, stderr.String())
+	}
+	return stdout.String()
+}
+
+// readSection reads a report file back through the one reader.
+func readSection(t *testing.T, path string, s harness.Section) *harness.Report {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := harness.ReadReport(f, s)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return rep
+}
+
+// TestLatencyTxStatsFile: -experiment latency -txstats-out writes a
+// document the reader accepts, one cell per sweep cell, where every cell
+// with nothing in flight decomposes its latency exactly — the five cycle
+// buckets sum to the latency histogram's total — and the aggregate's
+// percentiles are positive and monotone.
+func TestLatencyTxStatsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lat.json")
+	out := tmsim(t, "-experiment", "latency", "-txstats-out", path)
+	rep := readSection(t, path, harness.SectionTxStats)
+	want := len(harness.Benchmarks(harness.ScaleSmall)) * (1 + len(harness.Figure5Systems)*len(harness.ThreadCounts(harness.ScaleSmall)))
+	if len(rep.Cells) != want || !strings.Contains(out, fmt.Sprintf("txstats report for %d cells written to", want)) {
+		t.Fatalf("%d cells, want %d; stdout:\n%s", len(rep.Cells), want, out)
+	}
+	checked := 0
+	for _, c := range rep.Cells {
+		ts := c.TxStats
+		if c.Err != "" || ts == nil {
+			t.Fatalf("%s: err %q, txstats %v", c.Label(), c.Err, ts)
+		}
+		if ts.InFlight != 0 || ts.Latency == nil {
+			continue
+		}
+		split := ts.UsefulCycles + ts.WastedCycles + ts.BackoffCycles + ts.RetryWaitCycles + ts.OverheadCycles
+		if split != ts.Latency.Sum {
+			t.Errorf("%s: cycle split %d != total latency %d", c.Label(), split, ts.Latency.Sum)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no cell had a latency histogram to check the identity on")
+	}
+	agg := rep.Aggregate().TxStats
+	pc := agg.LatencyPercentiles
+	if agg.Committed == 0 || pc == nil || !(0 < pc.P50 && pc.P50 <= pc.P90 && pc.P90 <= pc.P99 && pc.P99 <= pc.P999) {
+		t.Fatalf("aggregate committed %d, percentiles %+v", agg.Committed, pc)
+	}
+}
+
+// TestFig6ContentionFiles: -contention-out under fig6 writes the JSON
+// document (read back, one cell per sweep cell) and, with -report html,
+// a document that is HTML and not JSON (contention's
+// TestWriteHTMLSelfContained checks what is inside it).
+func TestFig6ContentionFiles(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath, htmlPath := filepath.Join(dir, "c.json"), filepath.Join(dir, "c.html")
+	tmsim(t, "-experiment", "fig6", "-contention-out", jsonPath)
+	rep := readSection(t, jsonPath, harness.SectionContention)
+	if len(rep.Cells) == 0 {
+		t.Fatal("no contention cells")
+	}
+	for _, c := range rep.Cells {
+		if c.Contention == nil || c.Metrics != nil || c.TxStats != nil {
+			t.Fatalf("%s: contention %v, metrics %v, txstats %v", c.Label(), c.Contention, c.Metrics, c.TxStats)
+		}
+	}
+	out := tmsim(t, "-experiment", "fig6", "-contention-out", htmlPath, "-report", "html")
+	html, err := os.ReadFile(htmlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(html, []byte("<!DOCTYPE html>")) || !strings.Contains(out, fmt.Sprintf("contention report (html) for %d cells", len(rep.Cells))) {
+		t.Fatalf("html report starts %q; stdout:\n%s", html[:min(len(html), 40)], out)
+	}
+}
+
+// TestOLTPFile: -experiment oltp -oltp-out writes a tmsim-oltp/v1
+// document ReadOLTPReport accepts, with no failed point and positive
+// response percentiles (harness's TestOLTPReportSane checks the rest of
+// the service invariants on the same sweep).
+func TestOLTPFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "oltp.json")
+	tmsim(t, "-experiment", "oltp", "-oltp-out", path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := harness.ReadOLTPReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) == 0 || len(rep.Knees) != len(harness.OLTPSystems) {
+		t.Fatalf("%d points, %d knees", len(rep.Points), len(rep.Knees))
+	}
+	for _, pt := range rep.Points {
+		if pt.Err != "" || pt.Response == nil || pt.Response.P50 <= 0 {
+			t.Errorf("%s %s gap=%d: err %q, response %+v", pt.System, pt.Axis, pt.MeanGap, pt.Err, pt.Response)
+		}
+	}
+}
+
+// TestTracedCellAllReports: one traced cell with all three report flags
+// writes a loadable Chrome trace and three documents that each hold the
+// same single cell with its own section alone.
+func TestTracedCellAllReports(t *testing.T) {
+	dir := t.TempDir()
+	p := func(name string) string { return filepath.Join(dir, name) }
+	out := tmsim(t, "-trace-out", p("t.json"), "-trace-format", "chrome", "-trace-workload", "kmeans-high",
+		"-trace-threads", "2", "-metrics-out", p("m.json"), "-txstats-out", p("x.json"), "-contention-out", p("c.json"))
+	raw, err := os.ReadFile(p("t.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil || len(trace.TraceEvents) == 0 {
+		t.Fatalf("chrome trace: %d events, err %v", len(trace.TraceEvents), err)
+	}
+	m := readSection(t, p("m.json"), harness.SectionMetrics)
+	x := readSection(t, p("x.json"), harness.SectionTxStats)
+	c := readSection(t, p("c.json"), harness.SectionContention)
+	for _, rep := range []*harness.Report{m, x, c} {
+		if len(rep.Cells) != 1 || rep.Cells[0].Label() != "kmeans-high/ufo-hybrid/2 threads" {
+			t.Fatalf("cells = %+v", rep.Cells)
+		}
+	}
+	if m.Cells[0].Metrics == nil || x.Cells[0].TxStats == nil || c.Cells[0].Contention == nil {
+		t.Fatal("a document lacks its own section")
+	}
+	// The recorder's totals are also registered as metrics: the three
+	// documents describe one run.
+	if got := m.Cells[0].Metrics.Counter("txstats.committed"); got == 0 || got != x.Cells[0].TxStats.Committed {
+		t.Fatalf("txstats.committed metric %d, report %d", got, x.Cells[0].TxStats.Committed)
+	}
+	if got := m.Cells[0].Metrics.Counter("contention.edges"); got != c.Cells[0].Contention.Edges {
+		t.Fatalf("contention.edges metric %d, report %d", got, c.Cells[0].Contention.Edges)
+	}
+	// A traced run is one cell: its messages do not count cells.
+	if !strings.Contains(out, "[metrics written to ") || strings.Contains(out, " cells ") {
+		t.Fatalf("stdout:\n%s", out)
+	}
+}
+
+// failing is a workload whose invariant check always fails.
+type failing struct{ stamp.Workload }
+
+func (failing) Validate(*machine.Machine) error { return errors.New("broken on purpose") }
+
+// TestFailedTracedCellKeepsItsTrace: a traced cell whose workload
+// invariant fails still exports the trace — the one artifact that would
+// explain the failure — and then reports the error.
+func TestFailedTracedCellKeepsItsTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.txt")
+	cfg, err := parseConfig([]string{"-scale", "small", "-trace-out", path, "-trace-workload", "kmeans-low", "-trace-threads", "2"}, os.Stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := cfg.workload
+	cfg.workload.New = func() stamp.Workload { return failing{good.New()} }
+	var stdout bytes.Buffer
+	_, err = newSession(cfg, &stdout, os.Stderr).runTraced()
+	if err == nil || !strings.Contains(err.Error(), "kmeans-low/ufo-hybrid/2: broken on purpose") {
+		t.Fatalf("err = %v, want the cell's coordinates and the invariant failure", err)
+	}
+	if st, serr := os.Stat(path); serr != nil || st.Size() == 0 {
+		t.Fatalf("trace file: %v, %v", st, serr)
+	}
+	if !strings.Contains(stdout.String(), "trace events (text) written to "+path) {
+		t.Fatalf("stdout does not say where the trace went:\n%s", stdout.String())
+	}
+}
+
+// TestRunExitStatus: usage errors exit 2 before anything runs (the two
+// flags that used to be silently ignored among them), a run that cannot
+// write its output exits 1, and both name the problem on stderr.
+func TestRunExitStatus(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"-experiment", "fig6", "-csv", filepath.Join(dir, "x.csv")}, 2, "-csv requires -experiment fig5"},
+		{[]string{"-experiment", "fig5", "-seeds", "2", "-csv", filepath.Join(dir, "y.csv")}, 2, "-csv cannot be combined with -seeds 2"},
+		{[]string{"-experiment", "params", "-metrics-out", filepath.Join(dir, "no-such-dir", "m.json")}, 1, "no-such-dir"},
+	}
+	for _, c := range cases {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != c.code || !strings.Contains(stderr.String(), "tmsim: ") ||
+			!strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("tmsim %v: exit %d, want %d; stderr %q, want %q in it", c.args, code, c.code, stderr.String(), c.stderr)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected invocations left files behind: %v", entries)
+	}
+}

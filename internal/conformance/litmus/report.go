@@ -1,11 +1,12 @@
 package litmus
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // ReportSchema versions the JSON layout.
@@ -271,9 +272,7 @@ func contains(xs []string, x string) bool {
 // WriteJSON writes the canonical JSON form (stable field order, sorted
 // slices — byte-identical across runs and worker counts).
 func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return obs.WriteJSON(w, r)
 }
 
 // WriteText renders the human verdict tables.

@@ -248,22 +248,12 @@ func (rep *Report) Add(other *Report) {
 // mergeReasons sums two frozen reason lists, preserving declaration order.
 func mergeReasons(a, b []ReasonCount) []ReasonCount {
 	var sum [machine.NumAbortReasons]uint64
-	for _, rc := range a {
-		sum[reasonIndex(rc.Reason)] += rc.Count
-	}
-	for _, rc := range b {
-		sum[reasonIndex(rc.Reason)] += rc.Count
-	}
-	return reasonCounts(&sum)
-}
-
-// reasonIndex inverts machine.AbortReason.String (unknown names land on
-// AbortNone, which real edges never carry).
-func reasonIndex(name string) int {
-	for r := 0; r < machine.NumAbortReasons; r++ {
-		if machine.AbortReason(r).String() == name {
-			return r
+	for _, lst := range [][]ReasonCount{a, b} {
+		for _, rc := range lst {
+			// Unknown names land on AbortNone, which real edges never carry.
+			r, _ := machine.AbortReasonByName(rc.Reason)
+			sum[r] += rc.Count
 		}
 	}
-	return 0
+	return reasonCounts(&sum)
 }

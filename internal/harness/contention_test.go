@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contention"
 	"repro/internal/machine"
 	"repro/internal/tm"
 )
@@ -24,43 +25,7 @@ func contentionOptions() Options {
 // contention JSON (per-cell reports + aggregate) must be byte-identical
 // between a serial and a parallel sweep.
 func TestContentionReportDeterministicAcrossWorkers(t *testing.T) {
-	jobs := func() []Job {
-		opt := contentionOptions()
-		var jobs []Job
-		for _, name := range []string{"kmeans-low", "genome"} {
-			f, ok := FindWorkload(name, ScaleSmall)
-			if !ok {
-				t.Fatalf("workload %q not found", name)
-			}
-			for _, sys := range []SystemKind{UFOHybrid, USTM} {
-				for _, threads := range []int{1, 2} {
-					jobs = append(jobs, Job{System: sys, Factory: f, Threads: threads, Opt: opt})
-				}
-			}
-		}
-		return jobs
-	}
-	render := func(workers int) []byte {
-		var rep ContentionReport
-		r := Parallel(workers)
-		r.Collect = rep.Collector()
-		if _, err := r.Execute(jobs()); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(1)
-	parallel := render(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("contention report differs between -parallel=1 and -parallel=8")
-	}
-	if !strings.Contains(string(serial), ContentionSchemaVersion) {
-		t.Fatal("report missing schema tag")
-	}
+	sectionDeterministicAcrossWorkers(t, contentionOptions(), SectionContention)
 }
 
 // TestRunContention: a harness run with attribution enabled returns a
@@ -91,38 +56,24 @@ func TestRunContention(t *testing.T) {
 	}
 }
 
-// TestContentionReportRoundTripAndRender: the JSON form re-reads for
-// offline reprocessing, and both renderers label cells with their sweep
-// coordinates (HTML staying self-contained).
-func TestContentionReportRoundTripAndRender(t *testing.T) {
-	var rep ContentionReport
+// TestContentionRenderLabelsCells: both renderers label cells with
+// their sweep coordinates (HTML staying self-contained).
+func TestContentionRenderLabelsCells(t *testing.T) {
+	var rep Report
 	r := Serial()
 	r.Collect = rep.Collector()
 	f, _ := FindWorkload("kmeans-low", ScaleSmall)
 	if _, err := r.Execute([]Job{{System: USTM, Factory: f, Threads: 2, Opt: contentionOptions()}}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadContentionReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Cells) != 1 || back.Cells[0].Workload != "kmeans-low" ||
-		back.Cells[0].Contention == nil || back.Cells[0].Contention.Edges != rep.Cells[0].Contention.Edges {
-		t.Fatalf("round-tripped cells = %+v", back.Cells)
-	}
-
 	var text, html bytes.Buffer
-	if err := rep.WriteText(&text); err != nil {
+	if err := contention.WriteText(&text, rep.ContentionCells()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(text.String(), "kmeans-low/ustm/2 threads") {
 		t.Fatalf("text report missing cell label:\n%s", text.String())
 	}
-	if err := rep.WriteHTML(&html); err != nil {
+	if err := contention.WriteHTML(&html, rep.ContentionCells()); err != nil {
 		t.Fatal(err)
 	}
 	for _, banned := range []string{"http://", "https://", "<script", "src=", "href="} {

@@ -274,6 +274,18 @@ type WorkloadFactory struct {
 	New  func() stamp.Workload
 }
 
+// FindWorkload looks a workload factory up by name across the paper and
+// extension benchmark sets at the given scale.
+func FindWorkload(name string, scale Scale) (WorkloadFactory, bool) {
+	all := append(Benchmarks(scale), ExtendedBenchmarks(scale)...)
+	for _, f := range append(all, ScaleBenchmark(scale), OLTPBenchmark(scale)) {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return WorkloadFactory{}, false
+}
+
 // Scale selects experiment sizes.
 type Scale int
 

@@ -1,56 +1,17 @@
 package harness
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/tm"
 )
 
-// sweepJobs is a small but representative job set: two workloads, a
-// hybrid and a pure-software system, two thread counts.
-func sweepJobs(t *testing.T) []Job {
-	t.Helper()
-	opt := testOptions()
-	var jobs []Job
-	for _, name := range []string{"kmeans-low", "genome"} {
-		f, ok := FindWorkload(name, ScaleSmall)
-		if !ok {
-			t.Fatalf("workload %q not found", name)
-		}
-		for _, sys := range []SystemKind{UFOHybrid, USTM} {
-			for _, threads := range []int{1, 2} {
-				jobs = append(jobs, Job{System: sys, Factory: f, Threads: threads, Opt: opt})
-			}
-		}
-	}
-	return jobs
-}
-
 // TestMetricsReportDeterministicAcrossWorkers is the acceptance-criteria
 // regression: the full metrics JSON (per-cell snapshots + aggregate)
 // must be byte-identical between a serial and a parallel sweep.
 func TestMetricsReportDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int) []byte {
-		var rep MetricsReport
-		r := Parallel(workers)
-		r.Collect = rep.Collector()
-		if _, err := r.Execute(sweepJobs(t)); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := render(1)
-	parallel := render(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("metrics report differs between -parallel=1 and -parallel=8")
-	}
+	sectionDeterministicAcrossWorkers(t, testOptions(), SectionMetrics)
 }
 
 // TestResultMetricsMatchLegacyCounters: the registry snapshot must agree
@@ -133,7 +94,7 @@ func TestResultMetricsMatchLegacyCounters(t *testing.T) {
 
 // TestMetricsReportAggregate: the aggregate is the cell-wise sum.
 func TestMetricsReportAggregate(t *testing.T) {
-	var rep MetricsReport
+	var rep Report
 	r := Serial()
 	r.Collect = rep.Collector()
 	f, _ := FindWorkload("kmeans-low", ScaleSmall)
@@ -146,41 +107,9 @@ func TestMetricsReportAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := rep.Aggregate()
+	agg := rep.Aggregate().Metrics
 	want := results[0].Stats.HWCommits + results[1].Stats.HWCommits
 	if got := agg.Get(tm.MetricHWCommits); got == nil || got.Value != want {
 		t.Fatalf("aggregate hw commits = %v, want %d", got, want)
-	}
-}
-
-// TestMetricsReportRoundTrip: a written report can be re-read for
-// offline reprocessing, preserving every cell.
-func TestMetricsReportRoundTrip(t *testing.T) {
-	var rep MetricsReport
-	r := Serial()
-	r.Collect = rep.Collector()
-	f, _ := FindWorkload("kmeans-low", ScaleSmall)
-	if _, err := r.Execute([]Job{{System: USTM, Factory: f, Threads: 2, Opt: testOptions()}}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), ReportSchemaVersion) {
-		t.Fatalf("report missing schema tag:\n%s", buf.String())
-	}
-	back, err := ReadMetricsReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Cells) != 1 || back.Cells[0].Workload != "kmeans-low" || back.Cells[0].Threads != 2 {
-		t.Fatalf("round-tripped cells = %+v", back.Cells)
-	}
-	if got := back.Cells[0].Metrics.Get(tm.MetricSWCommits); got == nil || got.Value != rep.Cells[0].Metrics.Get(tm.MetricSWCommits).Value {
-		t.Fatalf("round-tripped metric = %+v", got)
-	}
-	if _, err := ReadMetricsReport(strings.NewReader(`{"schema":"bogus/v0","cells":[]}`)); err == nil {
-		t.Fatal("bogus schema accepted")
 	}
 }

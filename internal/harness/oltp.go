@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/obs"
 	"repro/internal/oltp"
 	"repro/internal/stamp"
 	"repro/internal/txstats"
@@ -286,10 +287,7 @@ func (r *Runner) OLTP(opt Options, scale Scale, sc OLTPSweepConfig) (*OLTPReport
 				if ts.QueueWait != nil {
 					pt.QueueWaitP99 = ts.QueueWait.P99()
 				}
-				if total := ts.UsefulCycles + ts.WastedCycles + ts.BackoffCycles +
-					ts.RetryWaitCycles + ts.OverheadCycles; total > 0 {
-					pt.WastedShare = float64(ts.WastedCycles+ts.BackoffCycles) / float64(total)
-				}
+				pt.WastedShare = ts.WastedShare()
 			}
 			rep.Points = append(rep.Points, pt)
 		}
@@ -334,13 +332,7 @@ func (rep *OLTPReport) WriteJSON(w io.Writer) error {
 	if out.Knees == nil {
 		out.Knees = []OLTPKnee{}
 	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return obs.WriteJSON(w, out)
 }
 
 // ReadOLTPReport parses a report written by WriteJSON, for offline

@@ -220,8 +220,8 @@ func TestFailedCellDoesNotPoisonWorker(t *testing.T) {
 
 // TestSecondCellReusesArena: after the first cell on a worker, an
 // identical cell allocates no memory pages, directory pages, L1 slabs,
-// otable or stripe table — under 256 KiB in all, where the stripe table
-// alone used to be 2 MiB.
+// otable or stripe table — under 256 KiB in all (plus raceSlack under
+// -race, zero otherwise), where the stripe table alone used to be 2 MiB.
 func TestSecondCellReusesArena(t *testing.T) {
 	kmeans := Benchmarks(ScaleSmall)[1]
 	for _, sys := range []SystemKind{TL2, USTMUFO, UFOHybrid} {
@@ -236,7 +236,7 @@ func TestSecondCellReusesArena(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cell := 1; cell <= 2; cell++ {
-			if got := after[cell] - after[cell-1]; got > 256<<10 {
+			if got := after[cell] - after[cell-1]; got > 256<<10+raceSlack {
 				t.Errorf("%s: cell %d on the worker allocated %d KiB, want under 256", sys, cell+1, got>>10)
 			}
 		}

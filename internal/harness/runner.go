@@ -89,7 +89,7 @@ type Runner struct {
 	Progress func(Progress)
 	// Collect, when non-nil, is invoked once per cell after the whole
 	// sweep completes, in job order regardless of which worker finished
-	// the cell when — so anything it accumulates (e.g. a MetricsReport)
+	// the cell when — so anything it accumulates (e.g. a Report)
 	// is deterministic across worker counts. Invocations are serialized.
 	Collect func(Job, Result)
 }

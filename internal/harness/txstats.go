@@ -1,117 +1,16 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/txstats"
 )
-
-// TxStatsSchemaVersion identifies the sweep transaction-lifecycle report
-// JSON schema.
-const TxStatsSchemaVersion = "tmsim-txstats/v1"
-
-// CellTxStats is one sweep cell's identity plus its frozen
-// transaction-lifecycle report.
-type CellTxStats struct {
-	Workload string          `json:"workload"`
-	System   SystemKind      `json:"system"`
-	Threads  int             `json:"threads"`
-	Err      string          `json:"err,omitempty"`
-	TxStats  *txstats.Report `json:"txstats"`
-}
-
-// Label renders the cell's coordinates for the text renderer.
-func (c CellTxStats) Label() string {
-	return fmt.Sprintf("%s/%s/%d threads", c.Workload, c.System, c.Threads)
-}
-
-// TxStatsReport accumulates per-cell lifecycle reports across one or
-// more sweeps. Fed from Runner.Collect it is filled in job order, so for
-// a fixed experiment sequence its encodings are byte-identical for every
-// worker count — the same determinism contract as MetricsReport and
-// ContentionReport. It is not safe for concurrent use; the Runner
-// serializes Collect invocations.
-type TxStatsReport struct {
-	Cells []CellTxStats
-}
-
-// Collector returns a Runner.Collect callback appending into the report.
-// Cells run without Options.TxStats contribute a nil report (rendered as
-// "no txstats data" rather than dropped, so cell counts line up).
-func (rep *TxStatsReport) Collector() func(Job, Result) {
-	return func(_ Job, res Result) {
-		cell := CellTxStats{
-			Workload: res.Workload,
-			System:   res.System,
-			Threads:  res.Threads,
-			TxStats:  res.TxStats,
-		}
-		if res.Err != nil {
-			cell.Err = res.Err.Error()
-		}
-		rep.Cells = append(rep.Cells, cell)
-	}
-}
-
-// Aggregate merges every cell's report: counts, cycle splits, and the
-// abort breakdown sum; the latency and attempts histograms merge
-// bucket-wise with percentiles recomputed (see txstats.Report.Add).
-func (rep *TxStatsReport) Aggregate() *txstats.Report {
-	agg := &txstats.Report{}
-	for _, c := range rep.Cells {
-		agg.Add(c.TxStats)
-	}
-	return agg
-}
-
-// txstatsJSON is the on-disk shape of a lifecycle report.
-type txstatsJSON struct {
-	Schema    string          `json:"schema"`
-	Cells     []CellTxStats   `json:"cells"`
-	Aggregate *txstats.Report `json:"aggregate"`
-}
-
-// WriteJSON writes the report — schema tag, per-cell reports in sweep
-// order, and the aggregate — as indented JSON followed by a newline.
-func (rep *TxStatsReport) WriteJSON(w io.Writer) error {
-	out := txstatsJSON{
-		Schema:    TxStatsSchemaVersion,
-		Cells:     rep.Cells,
-		Aggregate: rep.Aggregate(),
-	}
-	if out.Cells == nil {
-		out.Cells = []CellTxStats{}
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadTxStatsReport parses a report written by WriteJSON, for offline
-// reprocessing.
-func ReadTxStatsReport(r io.Reader) (*TxStatsReport, error) {
-	var raw txstatsJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
-		return nil, err
-	}
-	if raw.Schema != TxStatsSchemaVersion {
-		return nil, fmt.Errorf("harness: unknown txstats report schema %q", raw.Schema)
-	}
-	return &TxStatsReport{Cells: raw.Cells}, nil
-}
 
 // Latency runs the `-experiment latency` sweep: the Figure 5 workloads ×
 // systems × thread counts with per-transaction lifecycle accounting
 // enabled. The recorder never perturbs simulated cycles, so the speedup
 // numbers match a plain Figure5 run exactly; the extra yield is each
 // cell's latency distribution and wasted-work attribution (collect them
-// with TxStatsReport.Collector on the Runner).
+// with Report.Collector on the Runner).
 func (r *Runner) Latency(opt Options, scale Scale) ([]Figure5Data, error) {
 	opt.TxStats = true
 	return r.Sweep(Benchmarks(scale), Figure5Systems, opt, scale)
@@ -141,13 +40,8 @@ func PrintLatency(w io.Writer, data []Figure5Data, scale Scale) {
 				if ts.Attempts != nil && ts.Attempts.Count > 0 {
 					meanAttempts = float64(ts.Attempts.Sum) / float64(ts.Attempts.Count)
 				}
-				wastedShare := 0.0
-				if total := ts.UsefulCycles + ts.WastedCycles + ts.BackoffCycles +
-					ts.RetryWaitCycles + ts.OverheadCycles; total > 0 {
-					wastedShare = float64(ts.WastedCycles+ts.BackoffCycles) / float64(total)
-				}
 				fmt.Fprintf(w, "%-14s %5d %9d %9.0f %9.0f %9.0f %9.0f %8.2f %6.1f%%\n",
-					sys, t, ts.Committed, p50, p90, p99, p999, meanAttempts, 100*wastedShare)
+					sys, t, ts.Committed, p50, p90, p99, p999, meanAttempts, 100*ts.WastedShare())
 			}
 		}
 	}

@@ -17,55 +17,13 @@ func txstatsOptions() Options {
 	return opt
 }
 
-// txstatsJobs is the small sweep both determinism tests render.
-func txstatsJobs(t *testing.T, opt Options) []Job {
-	t.Helper()
-	var jobs []Job
-	for _, name := range []string{"kmeans-low", "genome"} {
-		f, ok := FindWorkload(name, ScaleSmall)
-		if !ok {
-			t.Fatalf("workload %q not found", name)
-		}
-		for _, sys := range []SystemKind{UFOHybrid, USTM} {
-			for _, threads := range []int{1, 2} {
-				jobs = append(jobs, Job{System: sys, Factory: f, Threads: threads, Opt: opt})
-			}
-		}
-	}
-	return jobs
-}
-
-// renderTxStats runs jobs on a workers-wide runner and returns the full
-// txstats JSON.
-func renderTxStats(t *testing.T, workers int, jobs []Job) []byte {
-	t.Helper()
-	var rep TxStatsReport
-	r := Parallel(workers)
-	r.Collect = rep.Collector()
-	if _, err := r.Execute(jobs); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestTxStatsReportDeterministicAcrossWorkers is the acceptance criterion
 // beside TestMetricsReportDeterministicAcrossWorkers and its contention
 // sibling: the full txstats JSON (per-cell reports + aggregate, latency
 // percentiles included) must be byte-identical between a serial and a
 // parallel sweep.
 func TestTxStatsReportDeterministicAcrossWorkers(t *testing.T) {
-	serial := renderTxStats(t, 1, txstatsJobs(t, txstatsOptions()))
-	parallel := renderTxStats(t, 8, txstatsJobs(t, txstatsOptions()))
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("txstats report differs between -parallel=1 and -parallel=8")
-	}
-	if !strings.Contains(string(serial), TxStatsSchemaVersion) {
-		t.Fatal("report missing schema tag")
-	}
+	sectionDeterministicAcrossWorkers(t, txstatsOptions(), SectionTxStats)
 }
 
 // TestTxStatsReportSchedulerBitIdentical is the txstats counterpart of
@@ -77,7 +35,7 @@ func TestTxStatsReportSchedulerBitIdentical(t *testing.T) {
 	run := func(reference bool) []byte {
 		opt := txstatsOptions()
 		opt.Params.ReferenceScheduler = reference
-		return renderTxStats(t, 1, txstatsJobs(t, opt))
+		return renderSection(t, 1, sweepJobs(t, opt), SectionTxStats)
 	}
 	if !bytes.Equal(run(false), run(true)) {
 		t.Error("txstats report differs between the fast and reference schedulers")
@@ -121,38 +79,6 @@ func TestRunTxStats(t *testing.T) {
 	}
 	if m := off.Metrics.Get("txstats.begun"); m != nil {
 		t.Fatalf("txstats metrics leaked into a disabled run: %+v", m)
-	}
-}
-
-// TestTxStatsReportRoundTrip: the JSON form re-reads for offline
-// reprocessing with the cells and aggregate intact.
-func TestTxStatsReportRoundTrip(t *testing.T) {
-	var rep TxStatsReport
-	r := Serial()
-	r.Collect = rep.Collector()
-	f, _ := FindWorkload("kmeans-low", ScaleSmall)
-	if _, err := r.Execute([]Job{{System: USTM, Factory: f, Threads: 2, Opt: txstatsOptions()}}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTxStatsReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Cells) != 1 || back.Cells[0].Workload != "kmeans-low" ||
-		back.Cells[0].TxStats == nil || back.Cells[0].TxStats.Committed != rep.Cells[0].TxStats.Committed {
-		t.Fatalf("round-tripped cells = %+v", back.Cells)
-	}
-	if agg := back.Aggregate(); agg.Committed != rep.Cells[0].TxStats.Committed {
-		t.Fatalf("aggregate committed = %d, want %d", agg.Committed, rep.Cells[0].TxStats.Committed)
-	}
-	var bad bytes.Buffer
-	bad.WriteString(`{"schema":"bogus/v0"}`)
-	if _, err := ReadTxStatsReport(&bad); err == nil {
-		t.Fatal("bogus schema accepted")
 	}
 }
 

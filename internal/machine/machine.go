@@ -85,6 +85,17 @@ func (r AbortReason) String() string {
 	return fmt.Sprintf("AbortReason(%d)", uint8(r))
 }
 
+// AbortReasonByName maps a report name back to its AbortReason; unknown
+// names give AbortNone (which no real abort carries) and ok false.
+func AbortReasonByName(name string) (AbortReason, bool) {
+	for i, n := range abortNames {
+		if n == name {
+			return AbortReason(i), true
+		}
+	}
+	return AbortNone, false
+}
+
 // NumAbortReasons is the size of per-reason counter arrays.
 const NumAbortReasons = int(numAbortReasons)
 

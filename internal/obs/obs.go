@@ -276,6 +276,31 @@ type HistSnapshot struct {
 	Buckets []uint64 `json:"buckets"` // trailing zero buckets trimmed
 }
 
+// Add merges other into h bucket-wise (the shorter bucket list
+// zero-padded) and returns h. Both sides may be nil: a nil or empty
+// other changes nothing, and a nil h starts from a fresh snapshot that
+// shares no storage with other.
+func (h *HistSnapshot) Add(other *HistSnapshot) *HistSnapshot {
+	if other == nil || other.Count == 0 {
+		return h
+	}
+	if h == nil {
+		h = &HistSnapshot{}
+	}
+	h.Count += other.Count
+	h.Sum += other.Sum
+	if other.Max > h.Max {
+		h.Max = other.Max
+	}
+	for len(h.Buckets) < len(other.Buckets) {
+		h.Buckets = append(h.Buckets, 0)
+	}
+	for i, n := range other.Buckets {
+		h.Buckets[i] += n
+	}
+	return h
+}
+
 // Quantile estimates the q-quantile (0 < q <= 1) of the observations from
 // the power-of-two buckets: it locates the bucket containing the rank
 // ceil(q*count) and interpolates linearly across the bucket's value range
@@ -461,13 +486,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		case TypeGauge:
 			out.FValue = m.g.v
 		case TypeHistogram:
-			hs := &HistSnapshot{Count: m.h.count, Sum: m.h.sum, Max: m.h.max}
-			end := len(m.h.buckets)
-			for end > 0 && m.h.buckets[end-1] == 0 {
-				end--
-			}
-			hs.Buckets = append([]uint64(nil), m.h.buckets[:end]...)
-			out.Hist = hs
+			out.Hist = m.h.Snapshot()
 		}
 		s.Metrics = append(s.Metrics, out)
 	}
@@ -507,9 +526,7 @@ func (s *Snapshot) Add(other *Snapshot) {
 		if !ok {
 			c := om
 			if om.Hist != nil {
-				h := *om.Hist
-				h.Buckets = append([]uint64(nil), om.Hist.Buckets...)
-				c.Hist = &h
+				c.Hist = new(HistSnapshot).Add(om.Hist) // s must not share other's buckets
 			}
 			s.Metrics = append(s.Metrics, c)
 			continue
@@ -530,17 +547,7 @@ func (s *Snapshot) Add(other *Snapshot) {
 				m.FValue += om.FValue
 			}
 		case TypeHistogram:
-			m.Hist.Count += om.Hist.Count
-			m.Hist.Sum += om.Hist.Sum
-			if om.Hist.Max > m.Hist.Max {
-				m.Hist.Max = om.Hist.Max
-			}
-			for len(m.Hist.Buckets) < len(om.Hist.Buckets) {
-				m.Hist.Buckets = append(m.Hist.Buckets, 0)
-			}
-			for j, n := range om.Hist.Buckets {
-				m.Hist.Buckets[j] += n
-			}
+			m.Hist.Add(om.Hist)
 		}
 	}
 	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Name < s.Metrics[j].Name })
@@ -570,12 +577,12 @@ func (s *Snapshot) String() string {
 }
 
 // WriteJSON writes the snapshot as indented JSON followed by a newline.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+func (s *Snapshot) WriteJSON(w io.Writer) error { return WriteJSON(w, s) }
+
+// WriteJSON is the one encoder behind every report file: v as
+// two-space-indented JSON followed by a newline, in a single Write.
+func WriteJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

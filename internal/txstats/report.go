@@ -112,6 +112,26 @@ func pathCounts(a *[machine.NumTxPaths]uint64) []PathCount {
 	return out
 }
 
+// abortBuckets freezes the per-(path, reason) abort counts and wasted
+// cycles (path-major declaration order, empty cells omitted).
+func abortBuckets(count, wasted *[machine.NumTxPaths][machine.NumAbortReasons]uint64) []AbortBucket {
+	var out []AbortBucket
+	for p := range count {
+		for reason := range count[p] {
+			if count[p][reason] == 0 && wasted[p][reason] == 0 {
+				continue
+			}
+			out = append(out, AbortBucket{
+				Path:         machine.TxPath(p).String(),
+				Reason:       machine.AbortReason(reason).String(),
+				Count:        count[p][reason],
+				WastedCycles: wasted[p][reason],
+			})
+		}
+	}
+	return out
+}
+
 // percentiles renders the latency summary, nil for an empty histogram.
 func percentiles(h *obs.HistSnapshot) *Percentiles {
 	if h == nil || h.Count == 0 {
@@ -137,19 +157,7 @@ func (r *Recorder) Report() *Report {
 		RetryWaits:      r.retryWaits,
 		UnknownWasted:   r.unknownWasted,
 	}
-	for p := 0; p < machine.NumTxPaths; p++ {
-		for reason := 0; reason < machine.NumAbortReasons; reason++ {
-			if r.aborts[p][reason] == 0 && r.wastedBy[p][reason] == 0 {
-				continue
-			}
-			rep.Aborts = append(rep.Aborts, AbortBucket{
-				Path:         machine.TxPath(p).String(),
-				Reason:       machine.AbortReason(reason).String(),
-				Count:        r.aborts[p][reason],
-				WastedCycles: r.wastedBy[p][reason],
-			})
-		}
-	}
+	rep.Aborts = abortBuckets(&r.aborts, &r.wastedBy)
 	for proc, c := range r.aggressorWasted {
 		if c != 0 {
 			rep.AggressorWasted = append(rep.AggressorWasted, ProcCycles{Proc: proc, Cycles: c})
@@ -170,6 +178,18 @@ func (r *Recorder) Report() *Report {
 		rep.QueueWait = r.queueWait.Snapshot()
 	}
 	return rep
+}
+
+// WastedShare is the fraction of transactional cycles that bought
+// nothing — aborted attempts plus backoff over the five-way split — or
+// 0 when no cycles were recorded.
+func (rep *Report) WastedShare() float64 {
+	total := rep.UsefulCycles + rep.WastedCycles + rep.BackoffCycles +
+		rep.RetryWaitCycles + rep.OverheadCycles
+	if total == 0 {
+		return 0
+	}
+	return float64(rep.WastedCycles+rep.BackoffCycles) / float64(total)
 }
 
 // sortProcCycles orders by cycles descending, processor ascending.
@@ -223,13 +243,13 @@ func (rep *Report) Add(other *Report) {
 	}
 	sortProcCycles(rep.AggressorWasted)
 
-	rep.Latency = mergeHists(rep.Latency, other.Latency)
+	rep.Latency = rep.Latency.Add(other.Latency)
 	rep.LatencyPercentiles = percentiles(rep.Latency)
-	rep.Attempts = mergeHists(rep.Attempts, other.Attempts)
+	rep.Attempts = rep.Attempts.Add(other.Attempts)
 	rep.Requests += other.Requests
-	rep.Response = mergeHists(rep.Response, other.Response)
+	rep.Response = rep.Response.Add(other.Response)
 	rep.ResponsePercentiles = percentiles(rep.Response)
-	rep.QueueWait = mergeHists(rep.QueueWait, other.QueueWait)
+	rep.QueueWait = rep.QueueWait.Add(other.QueueWait)
 }
 
 // mergePaths sums two frozen path lists, preserving declaration order.
@@ -255,62 +275,11 @@ func mergeAborts(a, b []AbortBucket) []AbortBucket {
 			if !ok {
 				continue
 			}
-			reason := reasonIndex(ab.Reason)
+			// Unknown names land on AbortNone, which real aborts never carry.
+			reason, _ := machine.AbortReasonByName(ab.Reason)
 			count[p][reason] += ab.Count
 			wasted[p][reason] += ab.WastedCycles
 		}
 	}
-	var out []AbortBucket
-	for p := 0; p < machine.NumTxPaths; p++ {
-		for reason := 0; reason < machine.NumAbortReasons; reason++ {
-			if count[p][reason] == 0 && wasted[p][reason] == 0 {
-				continue
-			}
-			out = append(out, AbortBucket{
-				Path:         machine.TxPath(p).String(),
-				Reason:       machine.AbortReason(reason).String(),
-				Count:        count[p][reason],
-				WastedCycles: wasted[p][reason],
-			})
-		}
-	}
-	return out
-}
-
-// reasonIndex inverts machine.AbortReason.String (unknown names land on
-// AbortNone, which real aborts never carry).
-func reasonIndex(name string) int {
-	for r := 0; r < machine.NumAbortReasons; r++ {
-		if machine.AbortReason(r).String() == name {
-			return r
-		}
-	}
-	return 0
-}
-
-// mergeHists sums two frozen histograms bucket-wise (the shorter bucket
-// list zero-padded), nil-tolerant.
-func mergeHists(a, b *obs.HistSnapshot) *obs.HistSnapshot {
-	if b == nil || b.Count == 0 {
-		return a
-	}
-	if a == nil || a.Count == 0 {
-		c := *b
-		c.Buckets = append([]uint64(nil), b.Buckets...)
-		return &c
-	}
-	out := &obs.HistSnapshot{Count: a.Count + b.Count, Sum: a.Sum + b.Sum, Max: a.Max}
-	if b.Max > out.Max {
-		out.Max = b.Max
-	}
-	n := len(a.Buckets)
-	if len(b.Buckets) > n {
-		n = len(b.Buckets)
-	}
-	out.Buckets = make([]uint64, n)
-	copy(out.Buckets, a.Buckets)
-	for i, v := range b.Buckets {
-		out.Buckets[i] += v
-	}
-	return out
+	return abortBuckets(&count, &wasted)
 }
