@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -127,14 +128,18 @@ func TestDirectorySharers(t *testing.T) {
 	if !d.HeldBy(5, 0) || d.HeldBy(5, 1) {
 		t.Fatal("HeldBy wrong")
 	}
-	others := members(d.Line(5).Sharers.Without(2))
+	if !d.Line(5).Sharers().AnyBut(2) {
+		t.Fatal("AnyBut(2) = false with 0 and 3 present")
+	}
+	d.Remove(5, 2)
+	others := members(d.Line(5).Sharers())
 	if len(others) != 2 || others[0] != 0 || others[1] != 3 {
 		t.Fatalf("others = %v, want [0 3]", others)
 	}
 	d.Remove(5, 0)
 	d.Remove(5, 2)
 	d.Remove(5, 3)
-	if !d.Line(5).Sharers.Empty() {
+	if !d.Line(5).Sharers().Empty() {
 		t.Fatal("sharers not empty after removals")
 	}
 }
@@ -142,7 +147,7 @@ func TestDirectorySharers(t *testing.T) {
 func TestDirectoryRemoveAbsent(t *testing.T) {
 	d := NewDirectory()
 	d.Remove(9, 1) // must not panic
-	if !d.Line(9).Sharers.Empty() {
+	if !d.Line(9).Sharers().Empty() {
 		t.Fatal("phantom sharer")
 	}
 }
@@ -150,8 +155,8 @@ func TestDirectoryRemoveAbsent(t *testing.T) {
 func TestDirectoryOthersEmpty(t *testing.T) {
 	d := NewDirectory()
 	d.Add(1, 4)
-	if got := d.Line(1).Sharers.Without(4); !got.Empty() || got.Next(0) != -1 {
-		t.Fatalf("others = %v, want none", members(got))
+	if got := d.Line(1).Sharers(); got.AnyBut(4) || got.Next(5) != -1 {
+		t.Fatalf("sharers = %v, want none but 4", members(got))
 	}
 }
 
@@ -159,7 +164,7 @@ func TestDirectoryOthersEmpty(t *testing.T) {
 // across the 64-bit word boundaries, and -1 past the last one.
 func TestProcSetNextAscending(t *testing.T) {
 	want := []int{0, 1, 63, 64, 70, 127, 128, 200, 255}
-	var s ProcSet
+	s := make(ProcSet, MaxProcs/64)
 	for i := len(want) - 1; i >= 0; i-- {
 		s.Set(want[i])
 	}
@@ -183,17 +188,17 @@ func TestProcSetNextAscending(t *testing.T) {
 func TestDirectoryRecordsNeverMove(t *testing.T) {
 	d := NewDirectory()
 	rec := d.Line(7)
-	rec.Readers.Set(3)
-	rec.Warm = true
+	rec.Readers().Set(3)
+	rec.SetWarm()
 	for l := uint64(0); l < 1<<16; l += 37 {
 		d.Add(l, int(l%MaxProcs))
 	}
-	if d.Line(7) != rec || !rec.Readers.Has(3) || !rec.Warm {
+	if &d.Line(7)[0] != &rec[0] || !rec.Readers().Has(3) || !rec.Warm() {
 		t.Fatal("record moved or lost state when the directory grew")
 	}
 	seen := 0
-	d.ForEach(func(line uint64, r *Line) {
-		if r != d.Line(line) {
+	d.ForEach(func(line uint64, r Line) {
+		if &r[0] != &d.Line(line)[0] {
 			t.Fatalf("ForEach handed out a stray record for line %d", line)
 		}
 		seen++
@@ -225,20 +230,121 @@ func TestResetRestoresConstructedState(t *testing.T) {
 	d := NewDirectory()
 	for l := uint64(0); l < 5*pageLines; l += 7 {
 		d.Add(l, int(l%200))
-		d.Line(l).Writers.Set(3)
-		d.Line(l).Warm = true
+		d.Line(l).Writers().Set(3)
+		d.Line(l).SetWarm()
 	}
-	d.Reset()
-	d.ForEach(func(line uint64, _ *Line) { t.Fatalf("line %d survived Reset", line) })
+	d.Reset(MaxProcs)
+	d.ForEach(func(line uint64, _ Line) { t.Fatalf("line %d survived Reset", line) })
 	allocs := testing.AllocsPerRun(1, func() {
-		d.Reset()
+		d.Reset(MaxProcs)
 		for l := uint64(0); l < 5*pageLines; l += pageLines {
-			if rec := d.Line(l + 2*pageLines); *rec != (Line{}) { // recycled pages land elsewhere
-				t.Fatalf("line %d: recycled record %+v is not blank", l, *rec)
+			if rec := d.Line(l + 2*pageLines); slices.Max(rec) != 0 { // recycled pages land elsewhere
+				t.Fatalf("line %d: recycled record %v is not blank", l, rec)
 			}
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("reuse allocated %v times, want 0", allocs)
+	}
+}
+
+// TestProcSetAtEveryWidth checks a record's three masks against a
+// map[int]bool reference at processor counts on both sides of every word
+// boundary, and that filling every bit of one record leaves its
+// neighbours in the page untouched: the stride arithmetic is the only
+// thing that keeps one line's bits out of another's.
+func TestProcSetAtEveryWidth(t *testing.T) {
+	for _, procs := range []int{1, 63, 64, 65, 128, 129, 256} {
+		d := NewDirectory()
+		d.Reset(procs)
+		const line = 5*pageLines + 17
+		rec := d.Line(line)
+		if want := 3*((procs+63)/64) + 1; len(rec) != want {
+			t.Fatalf("procs=%d: record is %d words, want %d", procs, len(rec), want)
+		}
+		for name, s := range map[string]ProcSet{"sharers": rec.Sharers(), "readers": rec.Readers(), "writers": rec.Writers()} {
+			ref := map[int]bool{}
+			check := func(step string) {
+				t.Helper()
+				var want []int
+				for p := 0; p < procs; p++ {
+					if s.Has(p) != ref[p] {
+						t.Fatalf("procs=%d %s after %s: Has(%d) = %v", procs, name, step, p, s.Has(p))
+					}
+					if ref[p] {
+						want = append(want, p)
+					}
+					if any := len(ref) > 1 || len(ref) == 1 && !ref[p]; s.AnyBut(p) != any {
+						t.Fatalf("procs=%d %s after %s: AnyBut(%d) = %v with members %v", procs, name, step, p, !any, ref)
+					}
+				}
+				if got := members(s); !slices.Equal(got, want) || s.Empty() != (len(want) == 0) {
+					t.Fatalf("procs=%d %s after %s: members %v (Empty %v), want %v", procs, name, step, got, s.Empty(), want)
+				}
+			}
+			check("nothing")
+			for p := procs - 1; p >= 0; p -= 1 + p%7 { // descending, uneven steps
+				s.Set(p)
+				ref[p] = true
+			}
+			check("sets")
+			for p := range ref {
+				if p%3 == 0 {
+					s.Clear(p)
+					delete(ref, p)
+				}
+			}
+			check("clears")
+			for p := 0; p < procs; p++ {
+				s.Set(p)
+				ref[p] = true
+			}
+			check("filling every bit")
+		}
+		rec.SetWarm()
+		for _, l := range []uint64{line - 1, line + 1} {
+			if n := d.Line(l); slices.Max(n) != 0 {
+				t.Fatalf("procs=%d: filling line %d wrote %v into line %d", procs, line, n, l)
+			}
+		}
+		seen := 0
+		d.ForEach(func(l uint64, r Line) {
+			if l != line || &r[0] != &rec[0] {
+				t.Fatalf("procs=%d: ForEach visited line %d", procs, l)
+			}
+			seen++
+		})
+		if seen != 1 {
+			t.Fatalf("procs=%d: ForEach visited %d records, want 1", procs, seen)
+		}
+	}
+}
+
+// TestDirectoryResetChangesWidth: slabs blanked at one stride serve any
+// stride they are big enough for, and a record read at the new stride is
+// blank whatever the old one left where.
+func TestDirectoryResetChangesWidth(t *testing.T) {
+	d := NewDirectory()
+	fill := func(procs int) {
+		d.Reset(procs)
+		for l := uint64(0); l < 4*pageLines; l++ {
+			if rec := d.Line(l); slices.Max(rec) != 0 {
+				t.Fatalf("procs=%d: line %d reads %v after Reset", procs, l, rec)
+			}
+			for _, s := range []ProcSet{d.Line(l).Sharers(), d.Line(l).Readers(), d.Line(l).Writers()} {
+				for p := 0; p < procs; p++ {
+					s.Set(p)
+				}
+			}
+			d.Line(l).SetWarm()
+		}
+	}
+	fill(8)
+	fill(130) // the 8-wide slabs are too small: dropped, not resliced
+	for _, procs := range []int{8, 70, 130} {
+		fill(procs)
+		if got, want := cap(d.pages[0]), pageLines*(3*3+1); got != want {
+			t.Fatalf("procs=%d: page 0 is a slab of %d words, not a reused 130-wide one of %d", procs, got, want)
+		}
 	}
 }

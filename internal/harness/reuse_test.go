@@ -67,7 +67,10 @@ func (w *leftover) Validate(m *machine.Machine) error {
 // reuseJobs mixes everything that shapes a cell's use of the arena: all
 // ten systems, 1 to 16 processors, two memory sizes, two otable sizes,
 // two L1 geometries, three seeds, every observer on and off, seven
-// workloads, and the leftover cell on each kind of system.
+// workloads, the leftover cell on each kind of system and, last, three
+// scalemix cells at 8, 130 and 70 processors, whose directory records
+// are one, three and two words per mask: directory pages blanked at one
+// record stride are handed to a machine that reads them at another.
 func reuseJobs() []Job {
 	// A cell that meets a predecessor's leftovers tends to spin on them:
 	// a step budget near its needs makes it a failed cell in
@@ -119,6 +122,9 @@ func reuseJobs() []Job {
 		jobs = append(jobs, Job{System: sys, Threads: 4, Opt: options(),
 			Factory: WorkloadFactory{Name: "leftover", New: func() stamp.Workload { return new(leftover) }}})
 	}
+	for i, procs := range []int{8, 130, 70} {
+		jobs = append(jobs, Job{System: ScaleSystems[i%2], Threads: procs, Opt: options(), Factory: ScaleBenchmark(ScaleSmall)})
+	}
 	return jobs
 }
 
@@ -131,7 +137,9 @@ func describe(j Job) string {
 // snapshot, txstats and contention reports, trace — is a pure function
 // of its Job, whatever ran before it on its worker. Every job of a
 // deliberately heterogeneous list, run in three seeded shuffles at 1, 2
-// and 4 workers, must equal the same job run alone through Run.
+// and 4 workers, must equal the same job run alone through Run; so must
+// the 8-processor cell on both sides of the 130-processor one, the
+// fourth order, which on one worker changes the record width and back.
 func TestReuseDifferential(t *testing.T) {
 	jobs := reuseJobs()
 	alone := make([]Result, len(jobs))
@@ -141,9 +149,12 @@ func TestReuseDifferential(t *testing.T) {
 			t.Fatalf("%s, alone: %v", describe(j), alone[i].Err)
 		}
 	}
-	for shuffle := int64(1); shuffle <= 3; shuffle++ {
+	for shuffle := int64(1); shuffle <= 4; shuffle++ {
 		order := rand.New(rand.NewSource(shuffle)).Perm(len(jobs))
-		shuffled := make([]Job, len(jobs))
+		if n := len(jobs); shuffle == 4 {
+			order = []int{n - 3, n - 2, n - 3}
+		}
+		shuffled := make([]Job, len(order))
 		for k, i := range order {
 			shuffled[k] = jobs[i]
 		}

@@ -6,14 +6,15 @@ import (
 )
 
 // Arena owns the host-side storage a machine is built over — the
-// simulated memory with its page indexes, data pages and UFO pages, the
-// directory's record pages, the per-processor L1 way slabs and the TM
-// systems' big tables (TableOf) — so that it can outlive the machine. A
-// machine that ends with Release hands all of it back blank, and the
-// next New on the arena allocates only what it cannot reuse. The zero
-// value is an empty arena. One machine at a time lives on an arena, and
-// an arena whose machine died without Release (a run that panicked) must
-// be dropped, not reused: nothing has cleared what that run left behind.
+// simulated memory with its page index and page records (data and UFO
+// bits), the directory's record pages, the per-processor L1 way slabs
+// and the TM systems' big tables (TableOf) — so that it can outlive the
+// machine. A machine that ends with Release hands all of it back blank,
+// and the next New on the arena allocates only what it cannot reuse. The
+// zero value is an empty arena. One machine at a time lives on an arena,
+// and an arena whose machine died without Release (a run that panicked)
+// must be dropped, not reused: nothing has cleared what that run left
+// behind.
 type Arena struct {
 	mem    *mem.Memory
 	dir    *cache.Directory
@@ -32,14 +33,15 @@ func (a *Arena) l1(i int, p Params) *cache.L1 {
 
 // Release ends the machine's life and hands its storage back to the
 // arena it was built on, blank: it zeroes exactly what the run touched —
-// materialised memory, UFO and directory pages, the L1s of the
-// processors it had, the table rows marked Dirty — so the cost is
-// O(touched), not O(configured). The machine, and everything built over
-// it, must not be used afterwards. Only a machine some later New will
-// share an arena with needs it.
+// materialised memory pages and directory pages, the latter at the width
+// of this machine's records, the L1s of the processors it had, the table
+// rows marked Dirty — so the cost is O(bytes touched), not
+// O(configured). The machine, and everything built over it, must not be
+// used afterwards. Only a machine some later New will share an arena
+// with needs it.
 func (m *Machine) Release() {
 	m.Mem.Reset(0)
-	m.dir.Reset()
+	m.dir.Reset(m.Params.Procs)
 	for _, p := range m.procs {
 		p.l1.Reset()
 	}

@@ -71,8 +71,8 @@ func TestReleasedArenaIsBlank(t *testing.T) {
 		}()
 		if killed {
 			specBits := 0
-			m.Directory().ForEach(func(_ uint64, rec *cache.Line) {
-				if !rec.Writers.Empty() {
+			m.Directory().ForEach(func(_ uint64, rec cache.Line) {
+				if !rec.Writers().Empty() {
 					specBits++
 				}
 			})
@@ -105,7 +105,7 @@ func TestReleasedArenaIsBlank(t *testing.T) {
 		for a := uint64(region); a < region+3*lines*mem.LineBytes; a += mem.PageBytes {
 			m2.Mem.Write64(a+2*mem.PageBytes, 1)
 			m2.Mem.AddUFO(a+2*mem.PageBytes, mem.UFOFaultOnRead)
-			m2.Directory().Line(mem.LineOf(a + 2*mem.PageBytes)).Warm = true
+			m2.Directory().Line(mem.LineOf(a + 2*mem.PageBytes)).SetWarm()
 		}
 		for a := uint64(0); a < m2.Mem.Size(); a += mem.WordBytes {
 			first := a >= region+2*mem.PageBytes && a < region+2*mem.PageBytes+3*lines*mem.LineBytes && a%mem.PageBytes < mem.LineBytes
@@ -116,8 +116,8 @@ func TestReleasedArenaIsBlank(t *testing.T) {
 				t.Fatalf("killed=%v: line %#x carries %v on the reused memory", killed, a, got)
 			}
 		}
-		m2.Directory().ForEach(func(line uint64, rec *cache.Line) {
-			t.Fatalf("killed=%v: the reused directory still names processors for line %d: %+v", killed, line, *rec)
+		m2.Directory().ForEach(func(line uint64, rec cache.Line) {
+			t.Fatalf("killed=%v: the reused directory still names processors for line %d: %+v", killed, line, rec)
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -195,5 +196,77 @@ func TestCollisionRunsUnobserved(t *testing.T) {
 	})
 	if m.out.want != 0 || len(m.out.subs) != 0 {
 		t.Fatal("observer subscribed unexpectedly")
+	}
+}
+
+// TestWriteKillsEveryReaderAscending: a store, a transactional store by
+// an older transaction and a UFO install each kill all three hardware
+// readers of the line, lowest processor first, on a machine whose record
+// masks are one word and on one where the readers sit in both words with
+// the writer's own (empty) bit between them. Each kill clears the
+// victim's bit in the very record whose holders are being walked.
+func TestWriteKillsEveryReaderAscending(t *testing.T) {
+	writes := map[string]struct {
+		write  func(p *Proc, age uint64)
+		reason AbortReason
+	}{
+		"nt-write": {func(p *Proc, _ uint64) { p.NTWrite(0, 5) }, AbortNonTConflict},
+		"tx-write": {func(p *Proc, age uint64) {
+			p.BeginHW(age, true)
+			if out := p.TxWrite(0, 5); out.Kind != OK {
+				t.Errorf("the oldest transaction's store: %v", out.Kind)
+			}
+			p.CommitHW()
+		}, AbortConflict},
+		"set-ufo": {func(p *Proc, _ uint64) { p.SetUFO(0, mem.UFOFaultAll) }, AbortUFOKill},
+	}
+	for _, tc := range []struct {
+		procs, writer int
+		readers       [3]int
+	}{
+		{8, 4, [3]int{1, 3, 6}},
+		{70, 65, [3]int{3, 64, 69}},
+	} {
+		for name, w := range writes {
+			m := New(testParams(tc.procs))
+			edges, _ := observeConflicts(m)
+			ws := make([]func(*Proc), tc.procs)
+			for i := range ws {
+				ws[i] = func(*Proc) {}
+			}
+			for _, r := range tc.readers {
+				ws[r] = func(p *Proc) {
+					p.Elapse(10)
+					if out := victimTx(p, false); out.Kind != HWAborted || out.Reason != w.reason {
+						t.Errorf("%s at %d processors: reader %d ended %v/%v, want hw-aborted/%v", name, tc.procs, p.ID(), out.Kind, out.Reason, w.reason)
+					}
+				}
+			}
+			ws[tc.writer] = func(p *Proc) {
+				age := m.NextAge() // drawn at cycle 0: older than every reader
+				p.Elapse(500)
+				if got := m.dir.Line(0).Readers(); got.Next(0) != tc.readers[0] || !got.AnyBut(tc.readers[0]) {
+					t.Errorf("%s at %d processors: the readers' bits are not set", name, tc.procs)
+				}
+				w.write(p, age)
+				if err := m.CheckConsistency(); err != nil {
+					t.Errorf("%s at %d processors, after the kills: %v", name, tc.procs, err)
+				}
+			}
+			m.Run(ws)
+			var victims []int
+			for _, e := range edges.Events() {
+				if e.Peer != tc.writer || e.Reason != w.reason {
+					t.Errorf("%s at %d processors: edge %+v, want aggressor %d and reason %v", name, tc.procs, e, tc.writer, w.reason)
+				}
+				victims = append(victims, e.Proc)
+			}
+			if !slices.Equal(victims, tc.readers[:]) {
+				t.Errorf("%s at %d processors: killed %v, want %v in that order", name, tc.procs, victims, tc.readers)
+			}
+			if !m.dir.Line(0).Readers().Empty() {
+				t.Errorf("%s at %d processors: SR bits outlived their transactions", name, tc.procs)
+			}
+		}
 	}
 }

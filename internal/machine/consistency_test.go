@@ -103,8 +103,8 @@ func TestConsistencyAfterMixedTMRun(t *testing.T) {
 func TestCommitAndKillClearEveryBit(t *testing.T) {
 	m := New(testParams(2))
 	bits := func() (n int) {
-		m.dir.ForEach(func(_ uint64, rec *cache.Line) {
-			for _, set := range [2]*cache.ProcSet{&rec.Readers, &rec.Writers} {
+		m.dir.ForEach(func(_ uint64, rec cache.Line) {
+			for _, set := range [2]cache.ProcSet{rec.Readers(), rec.Writers()} {
 				for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
 					n++
 				}
@@ -174,13 +174,13 @@ func TestCheckConsistencyFindsStrayBits(t *testing.T) {
 		name string
 		do   func(m *Machine, p *Proc)
 	}{
-		{"bit for a processor with no transaction", func(m *Machine, p *Proc) { m.dir.Line(9).Readers.Set(1) }},
-		{"bit on a line the transaction does not list", func(m *Machine, p *Proc) { m.dir.Line(9).Writers.Set(0) }},
-		{"listed line whose bit is clear", func(m *Machine, p *Proc) { m.dir.Line(1).Readers.Clear(0) }},
+		{"bit for a processor with no transaction", func(m *Machine, p *Proc) { m.dir.Line(9).Readers().Set(1) }},
+		{"bit on a line the transaction does not list", func(m *Machine, p *Proc) { m.dir.Line(9).Writers().Set(0) }},
+		{"listed line whose bit is clear", func(m *Machine, p *Proc) { m.dir.Line(1).Readers().Clear(0) }},
 		{"line listed twice", func(m *Machine, p *Proc) { p.hw.reads = append(p.hw.reads, 1) }},
 		{"bit that outlives a kill", func(m *Machine, p *Proc) {
 			p.killHW(p, AbortExplicit, 0, false)
-			m.dir.Line(1).Readers.Set(0)
+			m.dir.Line(1).Readers().Set(0)
 		}},
 		{"speculative word off the write set", func(m *Machine, p *Proc) { p.hw.Spec[256] = 1 }},
 	}

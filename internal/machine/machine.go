@@ -313,6 +313,7 @@ func (a *Arena) New(p Params) *Machine {
 	} else {
 		a.mem.Reset(p.MemBytes)
 	}
+	a.dir.Reset(p.Procs)
 	if n := p.Procs - len(a.l1s); n > 0 {
 		a.l1s = append(a.l1s, make([]*cache.L1, n)...)
 	}
@@ -403,13 +404,14 @@ func (m *Machine) CheckConsistency() error {
 	// ...and every directory entry is backed by a resident line.
 	var err error
 	bits := make([]int, len(m.procs)) // SR plus SW bits found, per processor
-	m.dir.ForEach(func(line uint64, rec *cache.Line) {
-		for i := rec.Sharers.Next(0); i >= 0 && err == nil; i = rec.Sharers.Next(i + 1) {
+	m.dir.ForEach(func(line uint64, rec cache.Line) {
+		sharers := rec.Sharers()
+		for i := sharers.Next(0); i >= 0 && err == nil; i = sharers.Next(i + 1) {
 			if !m.procs[i].l1.Contains(line) {
 				err = fmt.Errorf("machine: directory lists proc %d for line %d but its L1 disagrees", i, line)
 			}
 		}
-		for _, set := range [2]*cache.ProcSet{&rec.Readers, &rec.Writers} {
+		for _, set := range [2]cache.ProcSet{rec.Readers(), rec.Writers()} {
 			for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
 				bits[i]++
 			}

@@ -42,19 +42,19 @@ func (t *HWTx) Footprint() int {
 
 // Reads reports whether line is in the transaction's read set.
 func (t *HWTx) Reads(line uint64) bool {
-	return t.owner.m.dir.Line(line).Readers.Has(t.owner.ID())
+	return t.owner.m.dir.Line(line).Readers().Has(t.owner.ID())
 }
 
 // Writes reports whether line is in the transaction's write set.
 func (t *HWTx) Writes(line uint64) bool {
-	return t.owner.m.dir.Line(line).Writers.Has(t.owner.ID())
+	return t.owner.m.dir.Line(line).Writers().Has(t.owner.ID())
 }
 
 // mark sets this transaction's SR or SW bit in rec, the record for line.
-func (t *HWTx) mark(line uint64, rec *cache.Line, write bool) {
-	set, list := &rec.Readers, &t.reads
+func (t *HWTx) mark(line uint64, rec cache.Line, write bool) {
+	set, list := rec.Readers(), &t.reads
 	if write {
-		set, list = &rec.Writers, &t.writes
+		set, list = rec.Writers(), &t.writes
 	}
 	if id := t.owner.ID(); !set.Has(id) {
 		set.Set(id)
@@ -68,10 +68,10 @@ func (t *HWTx) mark(line uint64, rec *cache.Line, write bool) {
 func (t *HWTx) release() {
 	dir, id := t.owner.m.dir, t.owner.ID()
 	for _, l := range t.reads {
-		dir.Line(l).Readers.Clear(id)
+		dir.Line(l).Readers().Clear(id)
 	}
 	for _, l := range t.writes {
-		dir.Line(l).Writers.Clear(id)
+		dir.Line(l).Writers().Clear(id)
 	}
 	t.reads, t.writes = t.reads[:0], t.writes[:0]
 	clear(t.Spec)
@@ -97,6 +97,22 @@ type Proc struct {
 	stmAge uint64
 	inSTM  bool
 	rng    *sim.Rand
+
+	// Backing store of the one scratch processor set (others).
+	mask [cache.MaxProcs / 64]uint64
+}
+
+// others returns, in p's scratch mask, every member of a or b (nil for
+// none) but p itself: the parties to whatever p is about to do to a
+// line. The loops that walk it kill and invalidate, which clears bits in
+// the very record a and b view; the copy is what keeps the walk safe.
+// It is good until the next call.
+func (p *Proc) others(a, b cache.ProcSet) cache.ProcSet {
+	s := cache.ProcSet(p.mask[:len(a)])
+	copy(s, a)
+	s.Or(b)
+	s.Clear(p.ID())
+	return s
 }
 
 // ID returns the processor number.
@@ -440,17 +456,17 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 // line's record nominates them — a set bit means a live, un-killed
 // transaction — and they are visited in ascending processor order.
 // resolved=false means the access must not proceed (NACK or own abort).
-func (p *Proc) resolveConflicts(line uint64, rec *cache.Line, write, tx bool) (Outcome, bool) {
+func (p *Proc) resolveConflicts(line uint64, rec cache.Line, write, tx bool) (Outcome, bool) {
 	// Nearly every access finds no speculative holder at all; leave
 	// before building the candidate set.
-	if rec.Writers.Empty() && (!write || rec.Readers.Empty()) {
+	writers, readers := rec.Writers(), cache.ProcSet(nil)
+	if write { // readers conflict with a write only
+		readers = rec.Readers()
+	}
+	if writers.Empty() && readers.Empty() {
 		return okOutcome, true
 	}
-	victims := rec.Writers
-	if write {
-		victims.Or(&rec.Readers)
-	}
-	victims.Clear(p.ID())
+	victims := p.others(writers, readers)
 	if !tx {
 		// A non-transactional (or STM) access always serializes against
 		// hardware transactions by aborting them: HTMs are strongly atomic
@@ -494,35 +510,35 @@ func (p *Proc) classifySTMConflict(q *Proc) {
 
 // invalidateOthers removes every cached copy of line but p's own and
 // reports whether there was one.
-func (p *Proc) invalidateOthers(line uint64, rec *cache.Line) bool {
-	others := rec.Sharers.Without(p.ID())
+func (p *Proc) invalidateOthers(line uint64, rec cache.Line) bool {
+	others := p.others(rec.Sharers(), nil)
 	for i := others.Next(0); i >= 0; i = others.Next(i + 1) {
 		p.m.procs[i].l1.Invalidate(line)
-		rec.Sharers.Clear(i)
+		rec.Sharers().Clear(i)
 	}
 	return !others.Empty()
 }
 
 // charge models the latency of the reference and maintains L1 occupancy
 // and the directory. A write invalidates all other cached copies.
-func (p *Proc) charge(line uint64, rec *cache.Line, write bool) {
+func (p *Proc) charge(line uint64, rec cache.Line, write bool) {
 	hit, victim, evicted := p.l1.Touch(line)
 	cost := p.m.L1HitCycles
 	if !hit {
 		id := p.ID()
-		if !rec.Warm {
-			rec.Warm = true
+		if !rec.Warm() {
+			rec.SetWarm()
 			cost += p.m.MemCycles
-		} else if others := rec.Sharers.Without(id); !others.Empty() {
+		} else if rec.Sharers().AnyBut(id) {
 			cost += p.m.TransferCycles
 		} else {
 			cost += p.m.L2HitCycles
 		}
-		rec.Sharers.Set(id)
+		rec.Sharers().Set(id)
 		if evicted {
 			vrec := p.m.dir.Line(victim)
-			vrec.Sharers.Clear(id)
-			if p.hw != nil && p.hw.Bounded && (vrec.Readers.Has(id) || vrec.Writers.Has(id)) {
+			vrec.Sharers().Clear(id)
+			if p.hw != nil && p.hw.Bounded && (vrec.Readers().Has(id) || vrec.Writers().Has(id)) {
 				// Evicting a transactional line overflows BTM.
 				p.killHW(p, AbortOverflow, mem.LineAddr(victim), true)
 			}
@@ -626,12 +642,10 @@ func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 		cost += p.m.TransferCycles
 	}
 	// Kill hardware transactions holding the line, in ascending order.
-	holders := rec.Readers
-	holders.Or(&rec.Writers)
-	holders.Clear(p.ID())
+	holders := p.others(rec.Readers(), rec.Writers())
 	for i := holders.Next(0); i >= 0; i = holders.Next(i + 1) {
 		q := p.m.procs[i]
-		trueConflict := rec.Writers.Has(i) || bits&mem.UFOFaultOnRead != 0
+		trueConflict := rec.Writers().Has(i) || bits&mem.UFOFaultOnRead != 0
 		if trueConflict {
 			p.m.Count.UFOKillsTrue++
 		} else {

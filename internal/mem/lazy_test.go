@@ -7,6 +7,16 @@ import "testing"
 // accessor, and pages must materialize only when a write actually needs
 // to record non-zero state.
 
+// materialized counts the page records m holds.
+func materialized(m *Memory) (n int) {
+	for _, pg := range m.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func TestUntouchedPagesReadZero(t *testing.T) {
 	m := New(8 * PageBytes)
 	for _, addr := range []uint64{0, PageBytes, 3*PageBytes + 512, 7*PageBytes + PageBytes - WordBytes} {
@@ -27,11 +37,11 @@ func TestZeroWriteDoesNotMaterialize(t *testing.T) {
 	m.Write64(PageBytes+64, 0)
 	m.SetUFO(PageBytes+64, UFONone)
 	m.AddUFO(PageBytes+64, UFONone)
-	if m.pages[1] != nil {
-		t.Fatal("writing zero materialized a data page")
+	if n := materialized(m); n != 0 {
+		t.Fatalf("a zero write and two UFONone installs materialized %d pages", n)
 	}
-	if m.ufoPages[1] != nil {
-		t.Fatal("setting UFONone materialized a UFO page")
+	if m.Read64(PageBytes+64) != 0 || m.UFO(PageBytes+64) != UFONone {
+		t.Fatal("the line no longer reads zero and clear")
 	}
 }
 
@@ -57,20 +67,42 @@ func TestNonZeroWriteMaterializesOnlyItsPage(t *testing.T) {
 	}
 }
 
+// TestUFOWriteMaterializesUFOPageOnly: the bits travel with the data, so
+// a UFO install on untouched memory materializes the one page record its
+// line is in — by the same path a data write takes — and leaves that
+// page's words, and every other line's bits, as they read before.
 func TestUFOWriteMaterializesUFOPageOnly(t *testing.T) {
-	m := New(4 * PageBytes)
-	m.AddUFO(PageBytes, UFOFaultOnRead)
-	if m.ufoPages[1] == nil {
-		t.Fatal("AddUFO did not materialize the UFO page")
-	}
-	if m.pages[1] != nil {
-		t.Fatal("AddUFO materialized a data page")
-	}
-	if b := m.UFO(PageBytes); b != UFOFaultOnRead {
-		t.Fatalf("UFO = %v, want fault-on-read", b)
-	}
-	if !m.Faults(PageBytes, false) {
-		t.Fatal("Faults(read) false after AddUFO fault-on-read")
+	for name, install := range map[string]func(*Memory, uint64, UFOBits){"AddUFO": (*Memory).AddUFO, "SetUFO": (*Memory).SetUFO} {
+		m := New(4 * PageBytes)
+		install(m, PageBytes+LineBytes, UFOFaultOnRead)
+		if materialized(m) != 1 || m.pages[1] == nil {
+			t.Fatalf("%s materialized %d pages, want page 1 alone", name, materialized(m))
+		}
+		for addr := uint64(0); addr < m.Size(); addr += WordBytes {
+			want := UFONone
+			if LineOf(addr) == LineOf(PageBytes+LineBytes) {
+				want = UFOFaultOnRead
+			}
+			if v, b := m.Read64(addr), m.UFO(addr); v != 0 || b != want {
+				t.Fatalf("%s: %#x reads %d with bits %v, want 0 with %v", name, addr, v, b, want)
+			}
+		}
+		if !m.Faults(PageBytes+LineBytes, false) || m.Faults(PageBytes+LineBytes, true) {
+			t.Fatalf("%s: Faults disagrees with fault-on-read", name)
+		}
+		// Reset hands the record back blank: the next user of it, at
+		// another address, sees neither the bits nor a stray word.
+		m.Write64(PageBytes+8, 9)
+		m.Reset(4 * PageBytes)
+		if materialized(m) != 0 || len(m.free) != 1 {
+			t.Fatalf("%s: Reset left %d pages materialized and kept %d records, want 0 and 1", name, materialized(m), len(m.free))
+		}
+		m.Write64(3*PageBytes, 1)
+		for addr := uint64(0); addr < m.Size(); addr += WordBytes {
+			if v, b := m.Read64(addr), m.UFO(addr); v != 0 && addr != 3*PageBytes || b != UFONone {
+				t.Fatalf("%s: after Reset %#x reads %d with bits %v", name, addr, v, b)
+			}
+		}
 	}
 }
 
@@ -78,12 +110,12 @@ func TestGrowSharesMaterializedPages(t *testing.T) {
 	m := New(2 * PageBytes)
 	m.Write64(0, 7)
 	m.SetUFO(64, UFOFaultOnWrite)
-	before := &m.pages[0][0]
+	before := m.pages[0]
 	m.Sbrk(8 * PageBytes) // forces grow
 	if m.Size() < 8*PageBytes {
 		t.Fatalf("size %d after growth", m.Size())
 	}
-	if &m.pages[0][0] != before {
+	if m.pages[0] != before {
 		t.Fatal("grow copied a page instead of sharing it")
 	}
 	if v := m.Read64(0); v != 7 {
@@ -124,8 +156,8 @@ func TestResetBlanksAndReuses(t *testing.T) {
 	if m.Size() != 2*PageBytes || m.Sbrk(0) != 0 {
 		t.Fatalf("after Reset: size %d, brk %d; want %d, 0", m.Size(), m.Sbrk(0), 2*PageBytes)
 	}
-	if len(m.pages) != 2 || len(m.ufoPages) != 2 || cap(m.pages) < 16 {
-		t.Fatalf("indexes: len %d/%d cap %d; want the 2 pages asked for over the kept capacity", len(m.pages), len(m.ufoPages), cap(m.pages))
+	if len(m.pages) != 2 || cap(m.pages) < 16 {
+		t.Fatalf("index: len %d cap %d; want the 2 pages asked for over the kept capacity", len(m.pages), cap(m.pages))
 	}
 	func() {
 		defer func() {

@@ -2,7 +2,8 @@
 // the paper's UFO extension (§3.2, §4): two user-fault-on bits
 // (fault-on-read and fault-on-write) per 64-byte line that travel with
 // the data through the whole memory hierarchy — caches, DRAM, and the
-// swap file (Appendix A of the paper).
+// swap file (Appendix A of the paper). Here they travel with it too: a
+// page's words and its lines' bits are one record behind one index.
 //
 // Addresses are byte addresses; data is accessed at 64-bit-word
 // granularity and must be 8-byte aligned. The UFO bits here are the single
@@ -68,26 +69,31 @@ const (
 // Memory is the simulated physical memory plus per-line UFO bit storage.
 // The zero value is not usable; call New.
 //
-// Storage is page-granular and lazily allocated: a nil page reads as
-// all-zero words (and all-clear UFO bits) and is materialized only on the
-// first write that needs it. Simulations configure tens of megabytes of
-// architectural memory per sweep cell but touch a small fraction of it.
+// Storage is page-granular and lazily allocated: a page's words and the
+// UFO bits of its lines sit in one record, reached through one index. A
+// nil record reads as all-zero words and all-clear UFO bits and is
+// materialized only on the first write that needs it. Simulations
+// configure tens of megabytes of architectural memory per sweep cell but
+// touch a small fraction of it.
 //
-// A Memory can be reused: Reset zeroes the pages its last user touched
-// and keeps them, and the page indexes, for the next one, so a run on a
-// reused Memory pays for what it touches and not for what it configures.
+// A Memory can be reused: Reset blanks the records its last user touched
+// and keeps them, and the index, for the next one, so a run on a reused
+// Memory pays for what it touches and not for what it configures.
 type Memory struct {
-	pages    [][]uint64  // PageWords words per entry; nil = untouched (zero)
-	ufoPages [][]UFOBits // PageLines bits per entry; nil = all clear
-	size     uint64      // architectural size in bytes
-	brk      uint64      // sbrk-style allocation frontier, in bytes
+	pages []*page // nil = untouched: zero words, clear bits
+	size  uint64  // architectural size in bytes
+	brk   uint64  // sbrk-style allocation frontier, in bytes
+	free  []*page // blank records awaiting a first touch
+}
 
-	free    [][]uint64  // zeroed data pages awaiting a first touch
-	freeUFO [][]UFOBits // all-clear UFO pages, likewise
+// page is one page of memory: the UFO bits travel with the data.
+type page struct {
+	words [PageWords]uint64
+	ufo   [PageLines]UFOBits
 }
 
 // New creates a memory of the given size in bytes (rounded up to a whole
-// page). No data pages are allocated until first written.
+// page). No pages are allocated until first written.
 func New(sizeBytes uint64) *Memory {
 	m := new(Memory)
 	m.Reset(sizeBytes)
@@ -95,13 +101,17 @@ func New(sizeBytes uint64) *Memory {
 }
 
 // Reset returns m to the state New(sizeBytes) builds — every word zero,
-// every UFO bit clear, nothing allocated by Sbrk — by clearing exactly
-// the pages that were materialized. The cleared pages and both indexes
-// are kept: the indexes are resized in place, and a later first touch
-// takes a kept page before it allocates one.
+// every UFO bit clear, nothing allocated by Sbrk — by blanking exactly
+// the pages that were materialized. The blanked records and the index
+// are kept: the index is resized in place, and a later first touch takes
+// a kept record before it allocates one.
 func (m *Memory) Reset(sizeBytes uint64) {
-	m.free = reclaim(m.pages, m.free)
-	m.freeUFO = reclaim(m.ufoPages, m.freeUFO)
+	for _, pg := range m.pages {
+		if pg != nil {
+			*pg = page{}
+			m.free = append(m.free, pg)
+		}
+	}
 	if sizeBytes == 0 {
 		sizeBytes = PageBytes
 	}
@@ -109,12 +119,11 @@ func (m *Memory) Reset(sizeBytes uint64) {
 	m.resize((sizeBytes + PageBytes - 1) / PageBytes * PageBytes)
 }
 
-// resize sets the architectural size, extending both indexes in place
-// when their capacity allows; the new tail is nil.
+// resize sets the architectural size, extending the index in place when
+// its capacity allows; the new tail is nil.
 func (m *Memory) resize(size uint64) {
 	keep, pages := m.size/PageBytes, size/PageBytes
-	m.pages = append(m.pages[:keep], make([][]uint64, pages-keep)...)
-	m.ufoPages = append(m.ufoPages[:keep], make([][]UFOBits, pages-keep)...)
+	m.pages = append(m.pages[:keep], make([]*page, pages-keep)...)
 	m.size = size
 }
 
@@ -143,25 +152,17 @@ func (m *Memory) checkAddr(addr uint64) {
 	}
 }
 
-// page returns a zeroed data page: one that Reset kept, else a new one.
-func (m *Memory) page() []uint64 {
+// materialize gives page pi a blank record: one that Reset kept, else a
+// new one.
+func (m *Memory) materialize(pi uint64) *page {
+	var pg *page
 	if k := len(m.free); k > 0 {
-		pg := m.free[k-1]
-		m.free = m.free[:k-1]
-		return pg
+		pg, m.free = m.free[k-1], m.free[:k-1]
+	} else {
+		pg = new(page)
 	}
-	return make([]uint64, PageWords)
-}
-
-// reclaim blanks every materialized page of index and adds it to free.
-func reclaim[T any](index, free [][]T) [][]T {
-	for _, pg := range index {
-		if pg != nil {
-			clear(pg)
-			free = append(free, pg)
-		}
-	}
-	return free
+	m.pages[pi] = pg
+	return pg
 }
 
 // Read64 returns the committed word at addr.
@@ -171,7 +172,7 @@ func (m *Memory) Read64(addr uint64) uint64 {
 	if pg == nil {
 		return 0
 	}
-	return pg[addr%PageBytes/WordBytes]
+	return pg.words[addr%PageBytes/WordBytes]
 }
 
 // Write64 stores a committed word at addr.
@@ -182,44 +183,32 @@ func (m *Memory) Write64(addr, val uint64) {
 		if val == 0 {
 			return // writing zero to an untouched page changes nothing
 		}
-		pg = m.page()
-		m.pages[addr/PageBytes] = pg
+		pg = m.materialize(addr / PageBytes)
 	}
-	pg[addr%PageBytes/WordBytes] = val
+	pg.words[addr%PageBytes/WordBytes] = val
 }
 
 // UFO returns the UFO bits for the line containing addr
 // (read_ufo_bits).
 func (m *Memory) UFO(addr uint64) UFOBits {
-	line := LineOf(addr)
-	pg := m.ufoPages[line/PageLines]
+	pg := m.pages[addr/PageBytes]
 	if pg == nil {
 		return UFONone
 	}
-	return pg[line%PageLines]
+	return pg.ufo[addr%PageBytes/LineBytes]
 }
 
 // SetUFO replaces the UFO bits for the line containing addr
 // (set_ufo_bits). Coherence actions are the cache layer's job.
-//
-// SetUFO and AddUFO inline into the machine's closures, and a call on
-// their cold path would cost them that: so the free-list pop that page
-// does for data pages is written out in each.
 func (m *Memory) SetUFO(addr uint64, bits UFOBits) {
-	line := LineOf(addr)
-	pg := m.ufoPages[line/PageLines]
+	pg := m.pages[addr/PageBytes]
 	if pg == nil {
 		if bits == UFONone {
 			return
 		}
-		if k := len(m.freeUFO); k > 0 {
-			pg, m.freeUFO = m.freeUFO[k-1], m.freeUFO[:k-1]
-		} else {
-			pg = make([]UFOBits, PageLines)
-		}
-		m.ufoPages[line/PageLines] = pg
+		pg = m.materialize(addr / PageBytes)
 	}
-	pg[line%PageLines] = bits
+	pg.ufo[addr%PageBytes/LineBytes] = bits
 }
 
 // AddUFO ORs bits into the line containing addr (add_ufo_bits).
@@ -227,28 +216,17 @@ func (m *Memory) AddUFO(addr uint64, bits UFOBits) {
 	if bits == UFONone {
 		return
 	}
-	line := LineOf(addr)
-	pg := m.ufoPages[line/PageLines]
+	pg := m.pages[addr/PageBytes]
 	if pg == nil {
-		if k := len(m.freeUFO); k > 0 {
-			pg, m.freeUFO = m.freeUFO[k-1], m.freeUFO[:k-1]
-		} else {
-			pg = make([]UFOBits, PageLines)
-		}
-		m.ufoPages[line/PageLines] = pg
+		pg = m.materialize(addr / PageBytes)
 	}
-	pg[line%PageLines] |= bits
+	pg.ufo[addr%PageBytes/LineBytes] |= bits
 }
 
 // Faults reports whether an access of the given kind to addr would raise
 // a UFO fault, assuming UFO faults are enabled on the accessing thread.
 func (m *Memory) Faults(addr uint64, write bool) bool {
-	line := LineOf(addr)
-	pg := m.ufoPages[line/PageLines]
-	if pg == nil {
-		return false
-	}
-	b := pg[line%PageLines]
+	b := m.UFO(addr)
 	if write {
 		return b&UFOFaultOnWrite != 0
 	}

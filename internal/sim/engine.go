@@ -22,15 +22,17 @@
 //
 // The default scheduler is a run-ahead fast path (DESIGN.md §12). The
 // engine keeps every ready, not-currently-executing processor in an
-// indexed min-heap ordered by (clock, id); the heap minimum is the
+// min-heap ordered by (clock, id); the heap minimum is the
 // "horizon" — the earliest instant at which any other processor could be
 // entitled to run. The executing processor compares its clock against the
 // horizon on every Elapse and keeps executing inline, without a switch,
 // for as long as it remains the strict (clock, id) minimum. Only when its
-// clock crosses the horizon does it take the slow path: push itself back
-// into the heap and suspend. Run's loop is the hub of every handoff: it
-// pops the new minimum, counts the step, checks the budget and resumes
-// that processor, so a handoff costs two coroutine switches (iter.Pull),
+// clock crosses the horizon does it take the slow path: take the
+// horizon's place in the heap, name that processor as the next to run
+// and suspend. Run's loop is the hub of every handoff: it takes the
+// named processor (or, after a Block or a finished workload, pops the
+// minimum), counts the step, checks the budget and resumes it, so a
+// handoff costs one sift and two coroutine switches (iter.Pull),
 // neither of which goes through the Go scheduler. The schedule this
 // produces is exactly the one the naive
 // pick-the-global-minimum-every-Elapse scheduler produces; the retained
@@ -114,7 +116,10 @@ type Engine struct {
 	// processor advances its own clock, and Wake bumps a sleeper's clock
 	// before pushing it), so the heap needs push and pop but never a
 	// decrease-key. The reference scheduler leaves it empty.
-	ready []*Proc
+	ready []readyEntry
+	// handoff is the minimum an Elapse that crossed the horizon took out
+	// of the heap on its way to park: the run loop's next pick.
+	handoff *Proc
 }
 
 // New creates an engine with cfg.Procs processors, all at cycle 0. The
@@ -130,11 +135,11 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		procs: make([]*Proc, cfg.Procs),
-		ready: make([]*Proc, 0, cfg.Procs),
+		ready: make([]readyEntry, 0, cfg.Procs),
 	}
 	slab := make([]Proc, cfg.Procs)
 	for i := range slab {
-		slab[i] = Proc{id: i, eng: e, heapIdx: -1, nextQuantum: cfg.Quantum}
+		slab[i] = Proc{id: i, eng: e, nextQuantum: cfg.Quantum}
 		e.procs[i] = &slab[i]
 	}
 	return e
@@ -162,7 +167,7 @@ func (e *Engine) Run(workloads []func(*Proc)) {
 	if len(workloads) != len(e.procs) {
 		panic(fmt.Sprintf("sim: %d workloads for %d processors", len(workloads), len(e.procs)))
 	}
-	e.ready = e.ready[:0]
+	e.ready, e.handoff = e.ready[:0], nil
 	for i, p := range e.procs {
 		p.state, p.unwinding = Ready, false
 		p.resume, p.stop = iter.Pull(p.coroutine(workloads[i]))
@@ -192,10 +197,14 @@ func (e *Engine) Run(workloads []func(*Proc)) {
 }
 
 // next returns the ready processor with the smallest clock (ties broken
-// by ID) — the heap minimum, or under the reference scheduler the result
-// of a linear scan — nil if every processor is done, and panics on
-// deadlock.
+// by ID) — the processor Elapse handed off or else the heap minimum, or
+// under the reference scheduler the result of a linear scan — nil if
+// every processor is done, and panics on deadlock.
 func (e *Engine) next() *Proc {
+	if best := e.handoff; best != nil {
+		e.handoff = nil
+		return best
+	}
 	var best *Proc
 	if !e.cfg.Reference {
 		best = e.heapPop()

@@ -1,87 +1,72 @@
 package sim
 
-// The ready heap: an indexed binary min-heap over (clock, id). Processors
-// carry their own heap position (Proc.heapIdx, -1 when absent) so
-// membership checks and removals are O(1)+sift. Keys are immutable while a
-// processor is in the heap — only the executing processor (never in the
-// heap) advances its clock, and Wake bumps a sleeper's clock before
-// pushing — so push and pop are the only operations.
+// The ready heap: a binary min-heap over (clock, id) whose entries carry
+// the clock inline, so a sift compares contiguous memory and reads
+// another processor's struct only to break a clock tie. Keys are
+// immutable while a processor is in the heap — only the executing
+// processor (never in the heap) advances its clock, and Wake bumps a
+// sleeper's clock before pushing — so push, pop and replace-top are the
+// only operations.
 
-// schedBefore reports whether a precedes b in the engine's total
-// scheduling order.
-func schedBefore(a, b *Proc) bool {
-	return a.now < b.now || (a.now == b.now && a.id < b.id)
+// readyEntry is one heap slot: a processor and the clock it waits at.
+type readyEntry struct {
+	now uint64
+	p   *Proc
 }
 
-// horizon returns the earliest other ready processor — the clock frontier
-// the executing processor may run ahead to — or nil when no other
-// processor is runnable.
-func (e *Engine) horizon() *Proc {
-	if len(e.ready) == 0 {
-		return nil
-	}
-	return e.ready[0]
+// before reports whether a precedes b in the engine's total scheduling
+// order.
+func (a readyEntry) before(b readyEntry) bool {
+	return a.now < b.now || (a.now == b.now && a.p.id < b.p.id)
 }
 
 func (e *Engine) heapPush(p *Proc) {
-	p.heapIdx = len(e.ready)
-	e.ready = append(e.ready, p)
-	e.siftUp(p.heapIdx)
-}
-
-func (e *Engine) heapPop() *Proc {
-	n := len(e.ready)
-	if n == 0 {
-		return nil
-	}
-	top := e.ready[0]
-	last := e.ready[n-1]
-	e.ready[n-1] = nil
-	e.ready = e.ready[:n-1]
-	if n > 1 {
-		e.ready[0] = last
-		last.heapIdx = 0
-		e.siftDown(0)
-	}
-	top.heapIdx = -1
-	return top
-}
-
-func (e *Engine) siftUp(i int) {
+	x, i := readyEntry{p.now, p}, len(e.ready)
+	e.ready = append(e.ready, x)
 	h := e.ready
-	p := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !schedBefore(p, h[parent]) {
+		if !x.before(h[parent]) {
 			break
 		}
 		h[i] = h[parent]
-		h[i].heapIdx = i
 		i = parent
 	}
-	h[i] = p
-	p.heapIdx = i
+	h[i] = x
 }
 
-func (e *Engine) siftDown(i int) {
-	h := e.ready
-	n := len(h)
-	p := h[i]
+func (e *Engine) heapPop() *Proc {
+	n := len(e.ready) - 1
+	if n < 0 {
+		return nil
+	}
+	last := e.ready[n]
+	e.ready = e.ready[:n]
+	if n == 0 {
+		return last.p
+	}
+	return e.replaceTop(last)
+}
+
+// replaceTop takes the minimum out of a non-empty heap and puts x in,
+// with one sift.
+func (e *Engine) replaceTop(x readyEntry) *Proc {
+	h, i := e.ready, 0
+	top := h[0].p
 	for {
 		child := 2*i + 1
-		if child >= n {
+		if child >= len(h) {
 			break
 		}
-		if r := child + 1; r < n && schedBefore(h[r], h[child]) {
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
 			child = r
 		}
-		if !schedBefore(h[child], p) {
+		if !h[child].before(x) {
 			break
 		}
 		h[i] = h[child]
-		h[i].heapIdx = i
 		i = child
 	}
-	h[i] = p
-	p.heapIdx = i
+	h[i] = x
+	return top
 }

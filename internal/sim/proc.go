@@ -14,8 +14,6 @@ type Proc struct {
 	state State
 	note  string // diagnostic label shown in deadlock/livelock dumps
 
-	heapIdx int // position in the engine's ready heap, -1 when absent
-
 	// The workload's coroutine: the run loop calls resume and stop, the
 	// workload calls suspend. unwinding is set once suspend has reported
 	// that the run is being torn down.
@@ -71,7 +69,8 @@ func (p *Proc) Elapse(cycles uint64) {
 		// horizon can only have moved earlier through this processor's own
 		// actions — Wake, the interrupt hook — all of which happened above
 		// or before this call, so the comparison is always current.)
-		if h := e.horizon(); h == nil || !schedBefore(h, p) {
+		me := readyEntry{p.now, p}
+		if len(e.ready) == 0 || !e.ready[0].before(me) {
 			// Coarse inline step accounting keeps the livelock watchdog
 			// counting while a lone runnable processor spins below the
 			// horizon.
@@ -84,7 +83,9 @@ func (p *Proc) Elapse(cycles uint64) {
 			}
 			return
 		}
-		e.heapPush(p)
+		// The horizon is the next to run and p takes its place in the
+		// heap: one sift, and the run loop need not pop.
+		e.handoff = e.replaceTop(me)
 	}
 	p.park()
 }

@@ -297,32 +297,42 @@ func TestLoneSpinnerTripsWatchdogOnFastPath(t *testing.T) {
 	}})
 }
 
-// TestReadyHeapOrdering unit-tests the indexed heap directly.
+// TestReadyHeapOrdering unit-tests the heap directly: entries carry
+// their processor's clock, every parent precedes its children, pops come
+// out in (clock, id) order, and replaceTop is a pop and a push in one.
 func TestReadyHeapOrdering(t *testing.T) {
 	e := New(Config{Procs: 7})
 	clocks := []uint64{9, 3, 3, 12, 0, 7, 3}
-	for i, p := range e.procs {
-		p.now = clocks[i]
-		p.heapIdx = -1
-	}
-	e.ready = e.ready[:0]
-	for _, p := range e.procs {
-		e.heapPush(p)
-	}
-	for i, p := range e.ready {
-		if p.heapIdx != i {
-			t.Fatalf("heap index out of sync at %d: %d", i, p.heapIdx)
+	checkHeap := func() {
+		t.Helper()
+		for i, x := range e.ready {
+			if x.now != x.p.now {
+				t.Fatalf("slot %d holds clock %d for proc %d, which is at %d", i, x.now, x.p.id, x.p.now)
+			}
+			if i > 0 && x.before(e.ready[(i-1)/2]) {
+				t.Fatalf("slot %d precedes its parent", i)
+			}
 		}
 	}
-	wantOrder := []int{4, 1, 2, 6, 5, 0, 3} // by (clock, id)
+	for i, p := range e.procs {
+		p.now = clocks[i]
+		e.heapPush(p)
+		checkHeap()
+	}
+	// Proc 4 runs to clock 5: it takes the minimum's place in one sift.
+	first := e.heapPop()
+	first.now = 5
+	if got := e.replaceTop(readyEntry{first.now, first}); first.id != 4 || got.id != 1 {
+		t.Fatalf("heapPop, replaceTop = procs %d, %d; want 4, 1", first.id, got.id)
+	}
+	checkHeap()
+	wantOrder := []int{2, 6, 4, 5, 0, 3} // by (clock, id)
 	for _, want := range wantOrder {
 		got := e.heapPop()
 		if got == nil || got.id != want {
 			t.Fatalf("heapPop = %v, want proc %d", got, want)
 		}
-		if got.heapIdx != -1 {
-			t.Fatalf("popped proc %d keeps heap index %d", got.id, got.heapIdx)
-		}
+		checkHeap()
 	}
 	if e.heapPop() != nil {
 		t.Fatal("heap should be empty")

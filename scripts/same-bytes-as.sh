@@ -3,9 +3,11 @@
 #
 # The check for any change whose contract is "same bytes": build tmsim
 # from <git-ref> and from the working tree, run every -experiment value
-# at -scale small with every report writer on, run one traced cell per
-# retry-loop system (and one per trace format), and diff everything the
-# two builds wrote. Exit 0
+# at -scale small with every report writer on, the scaling study at
+# -scale full as well (64/128/256 processors: no small-scale machine is
+# wider than 16, so nothing else reaches a directory record's second
+# word), one traced cell per retry-loop system (and one per trace
+# format), and diff everything the two builds wrote. Exit 0
 # when nothing differs, 1 on any difference (the diff is printed and
 # kept in $SAME_BYTES_OUT, default a temporary directory), 2 on usage or
 # build errors.
@@ -60,6 +62,8 @@ run() {
 		"$bin" -experiment "$e" -scale small "${extra[@]}" >"$e.stdout" 2>"$e.stderr" ||
 			echo "exit $?" >>"$e.stdout"
 	done
+	"$bin" -experiment scale -scale full >scale.full.stdout 2>scale.full.stderr ||
+		echo "exit $?" >>scale.full.stdout
 	# Non-default policies reach the arms the default never takes:
 	# serialize escalates to the software path and to the token.
 	local pol
