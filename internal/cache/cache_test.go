@@ -243,8 +243,8 @@ func TestResetRestoresConstructedState(t *testing.T) {
 			}
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("reuse allocated %v times, want 0", allocs)
+	if allocs > raceSlack {
+		t.Fatalf("reuse allocated %v times, want %d", allocs, raceSlack)
 	}
 }
 

@@ -328,6 +328,56 @@ func TestNestedTransactionsAllSystems(t *testing.T) {
 	}
 }
 
+// TestAbortedNestKeepsItsReads: a parent that branches on a nest's outcome
+// has acted on what the nest read, so those reads must still be validated
+// at commit. T1's nest reads x = 0 and aborts; T1 then dawdles and, because
+// the nest aborted, stores y = 1. Meanwhile T2 reads y = 0 and stores
+// x = 1. Serially, whichever runs second sees the other's store and writes
+// nothing: x = 1 ∧ y = 1 is the outcome of no serial order, and it is what
+// an STM that forgets an aborted nest's reads commits.
+func TestAbortedNestKeepsItsReads(t *testing.T) {
+	const x, y = 0, 64
+	for _, name := range append(concurrentSystems, "hybrid-norec") {
+		if name == "global-lock" || name == "unbounded-htm" {
+			continue // as in TestNestedTransactionsAllSystems
+		}
+		t.Run(name, func(t *testing.T) {
+			m := newMachine(2, 0)
+			sys := NewSystem(name, m)
+			t1, t2 := sys.Exec(m.Proc(0)), sys.Exec(m.Proc(1))
+			m.Run([]func(*machine.Proc){
+				func(p *machine.Proc) {
+					t1.Atomic(func(tx tm.Tx) {
+						// Straight to software under the hybrids, where a nest
+						// aborts alone, before T2 starts.
+						tx.Syscall()
+						ok := tx.Nested(func() {
+							if tx.Load(x) == 0 {
+								tx.Abort()
+							}
+						})
+						p.Elapse(20_000)
+						if !ok {
+							tx.Store(y, 1)
+						}
+					})
+				},
+				func(p *machine.Proc) {
+					p.Elapse(5_000)
+					t2.Atomic(func(tx tm.Tx) {
+						if tx.Load(y) == 0 {
+							tx.Store(x, 1)
+						}
+					})
+				},
+			})
+			if gx, gy := m.Mem.Read64(x), m.Mem.Read64(y); gx == 1 && gy == 1 {
+				t.Fatalf("x = %d, y = %d: both transactions acted on a zero the other had overwritten", gx, gy)
+			}
+		})
+	}
+}
+
 func TestExtendedWorkloadsAcrossKeySystems(t *testing.T) {
 	// The extension workloads must hold their invariants on the hybrid,
 	// a pure STM, and the lock baseline (the stamp package covers more).

@@ -30,16 +30,21 @@ func (r *Runner) Extended(opt Options, scale Scale) ([]Figure5Data, error) {
 }
 
 // Sweep measures speedup over sequential for every workload × system ×
-// thread count. All cells (including the per-workload sequential
-// baselines) fan out across the Runner's worker pool; the assembled
-// data is identical for every worker count.
+// thread count of the scale.
 func (r *Runner) Sweep(factories []WorkloadFactory, systems []SystemKind, opt Options, scale Scale) ([]Figure5Data, error) {
-	threads := ThreadCounts(scale)
+	return r.grid(factories, systems, ThreadCounts(scale), opt)
+}
+
+// grid measures speedup over sequential for every workload × system ×
+// processor count on the axis. All cells (including the per-workload
+// sequential baselines) fan out across the Runner's worker pool; the
+// assembled data is identical for every worker count.
+func (r *Runner) grid(factories []WorkloadFactory, systems []SystemKind, axis []int, opt Options) ([]Figure5Data, error) {
 	var jobs []Job
 	for _, f := range factories {
 		jobs = append(jobs, Job{System: Sequential, Factory: f, Threads: 1, Opt: opt})
 		for _, sys := range systems {
-			for _, t := range threads {
+			for _, t := range axis {
 				jobs = append(jobs, Job{System: sys, Factory: f, Threads: t, Opt: opt})
 			}
 		}
@@ -48,15 +53,11 @@ func (r *Runner) Sweep(factories []WorkloadFactory, systems []SystemKind, opt Op
 	var out []Figure5Data
 	i := 0
 	for _, f := range factories {
-		d := Figure5Data{
-			Workload: f.Name,
-			Cells:    make(map[SystemKind]map[int]Result),
-		}
-		d.SeqCycles = results[i].Cycles
+		d := Figure5Data{Workload: f.Name, SeqCycles: results[i].Cycles, Cells: make(map[SystemKind]map[int]Result)}
 		i++
 		for _, sys := range systems {
 			d.Cells[sys] = make(map[int]Result)
-			for _, t := range threads {
+			for _, t := range axis {
 				d.Cells[sys][t] = results[i]
 				i++
 			}
@@ -69,19 +70,25 @@ func (r *Runner) Sweep(factories []WorkloadFactory, systems []SystemKind, opt Op
 // PrintFigure5 renders the sweep as text tables.
 func PrintFigure5(w io.Writer, data []Figure5Data, scale Scale) {
 	for _, d := range data {
-		fmt.Fprintf(w, "\nFigure 5 — %s (speedup vs. sequential; seq = %d cycles)\n", d.Workload, d.SeqCycles)
-		fmt.Fprintf(w, "%-14s", "system")
-		for _, t := range ThreadCounts(scale) {
-			fmt.Fprintf(w, "%8s", fmt.Sprintf("p=%d", t))
+		printSpeedups(w, "Figure 5", d, Figure5Systems, ThreadCounts(scale))
+	}
+}
+
+// printSpeedups renders one workload's grid as a text table: a row per
+// system, a column per processor count on the axis.
+func printSpeedups(w io.Writer, title string, d Figure5Data, systems []SystemKind, axis []int) {
+	fmt.Fprintf(w, "\n%s — %s (speedup vs. sequential; seq = %d cycles)\n", title, d.Workload, d.SeqCycles)
+	fmt.Fprintf(w, "%-14s", "system")
+	for _, t := range axis {
+		fmt.Fprintf(w, "%8s", fmt.Sprintf("p=%d", t))
+	}
+	fmt.Fprintln(w)
+	for _, sys := range systems {
+		fmt.Fprintf(w, "%-14s", sys)
+		for _, t := range axis {
+			fmt.Fprintf(w, "%8.2f", d.Cells[sys][t].Speedup(d.SeqCycles))
 		}
 		fmt.Fprintln(w)
-		for _, sys := range Figure5Systems {
-			fmt.Fprintf(w, "%-14s", sys)
-			for _, t := range ThreadCounts(scale) {
-				fmt.Fprintf(w, "%8.2f", d.Cells[sys][t].Speedup(d.SeqCycles))
-			}
-			fmt.Fprintln(w)
-		}
 	}
 }
 
@@ -114,43 +121,13 @@ func ScaleBenchmark(s Scale) WorkloadFactory {
 // ScaleSweep runs the Figure-5-style scaling study: scalemix speedup
 // over sequential at every ScaleProcCounts processor count.
 func (r *Runner) ScaleSweep(opt Options, scale Scale) (Figure5Data, error) {
-	f := ScaleBenchmark(scale)
-	procs := ScaleProcCounts(scale)
-	jobs := []Job{{System: Sequential, Factory: f, Threads: 1, Opt: opt}}
-	for _, sys := range ScaleSystems {
-		for _, p := range procs {
-			jobs = append(jobs, Job{System: sys, Factory: f, Threads: p, Opt: opt})
-		}
-	}
-	results, err := r.Execute(jobs)
-	d := Figure5Data{Workload: f.Name, Cells: make(map[SystemKind]map[int]Result)}
-	d.SeqCycles = results[0].Cycles
-	i := 1
-	for _, sys := range ScaleSystems {
-		d.Cells[sys] = make(map[int]Result)
-		for _, p := range procs {
-			d.Cells[sys][p] = results[i]
-			i++
-		}
-	}
-	return d, err
+	data, err := r.grid([]WorkloadFactory{ScaleBenchmark(scale)}, ScaleSystems, ScaleProcCounts(scale), opt)
+	return data[0], err
 }
 
 // PrintScaleSweep renders the scaling study as a text table.
 func PrintScaleSweep(w io.Writer, d Figure5Data, scale Scale) {
-	fmt.Fprintf(w, "\nScaling study — %s (speedup vs. sequential; seq = %d cycles)\n", d.Workload, d.SeqCycles)
-	fmt.Fprintf(w, "%-14s", "system")
-	for _, p := range ScaleProcCounts(scale) {
-		fmt.Fprintf(w, "%8s", fmt.Sprintf("p=%d", p))
-	}
-	fmt.Fprintln(w)
-	for _, sys := range ScaleSystems {
-		fmt.Fprintf(w, "%-14s", sys)
-		for _, p := range ScaleProcCounts(scale) {
-			fmt.Fprintf(w, "%8.2f", d.Cells[sys][p].Speedup(d.SeqCycles))
-		}
-		fmt.Fprintln(w)
-	}
+	printSpeedups(w, "Scaling study", d, ScaleSystems, ScaleProcCounts(scale))
 }
 
 // Figure6Row is one (workload, system) abort breakdown.

@@ -182,7 +182,7 @@ func TestCheckConsistencyFindsStrayBits(t *testing.T) {
 			p.killHW(p, AbortExplicit, 0, false)
 			m.dir.Line(1).Readers().Set(0)
 		}},
-		{"speculative word off the write set", func(m *Machine, p *Proc) { p.hw.Spec[256] = 1 }},
+		{"speculative word off the write set", func(m *Machine, p *Proc) { p.hw.Spec.Put(256, 1) }},
 	}
 	for _, b := range breaks {
 		m := New(testParams(2))

@@ -425,7 +425,7 @@ func (m *Machine) CheckConsistency() error {
 	for _, p := range m.procs {
 		t, listed := p.hwBuf, 0
 		if t != nil {
-			if (p.hw == nil || t.pendingAbort != AbortNone) && len(t.reads)+len(t.writes)+len(t.Spec) != 0 {
+			if (p.hw == nil || t.pendingAbort != AbortNone) && len(t.reads)+len(t.writes)+t.Spec.Len() != 0 {
 				return fmt.Errorf("machine: proc %d keeps speculative state with no live transaction", p.ID())
 			}
 			if err := listedOnce(t.reads, t.Reads); err != nil {
@@ -434,10 +434,13 @@ func (m *Machine) CheckConsistency() error {
 			if err := listedOnce(t.writes, t.Writes); err != nil {
 				return fmt.Errorf("machine: proc %d write set: %v", p.ID(), err)
 			}
-			for addr := range t.Spec {
+			t.Spec.Words(func(addr, _ uint64) {
 				if !t.Writes(mem.LineOf(addr)) {
-					return fmt.Errorf("machine: proc %d has speculative data at %#x outside its write set", p.ID(), addr)
+					err = fmt.Errorf("machine: proc %d has speculative data at %#x outside its write set", p.ID(), addr)
 				}
+			})
+			if err != nil {
+				return err
 			}
 			listed = len(t.reads) + len(t.writes)
 		}

@@ -17,8 +17,8 @@ import (
 // that stands in for speculatively-dirty cache lines.
 type HWTx struct {
 	Age     uint64
-	Bounded bool              // true for BTM (L1-limited), false for the unbounded HTM
-	Spec    map[uint64]uint64 // speculative word values, by address
+	Bounded bool        // true for BTM (L1-limited), false for the unbounded HTM
+	Spec    mem.WordLog // speculative word values
 
 	owner  *Proc
 	reads  []uint64 // lines whose Readers bit this transaction holds, each once
@@ -74,7 +74,7 @@ func (t *HWTx) release() {
 		dir.Line(l).Writers().Clear(id)
 	}
 	t.reads, t.writes = t.reads[:0], t.writes[:0]
-	clear(t.Spec)
+	t.Spec.Reset()
 }
 
 // Proc is one simulated processor plus its private L1 and transactional
@@ -206,14 +206,14 @@ func (p *Proc) BeginHW(age uint64, bounded bool) {
 		panic("machine: BeginHW with transaction already active")
 	}
 	// Transactions are frequent and short; reuse one HWTx (its line lists
-	// and its map, which keeps its buckets across clears) per processor
-	// instead of allocating fresh state on every begin.
+	// and its store buffer, which keeps its storage across resets) per
+	// processor instead of allocating fresh state on every begin.
 	t := p.hwBuf
 	if t == nil {
-		t = &HWTx{owner: p, Spec: make(map[uint64]uint64)}
+		t = &HWTx{owner: p}
 		p.hwBuf = t
 	}
-	if len(t.reads)+len(t.writes)+len(t.Spec) != 0 {
+	if len(t.reads)+len(t.writes)+t.Spec.Len() != 0 {
 		panic("machine: BeginHW found speculative state the last commit or kill left behind")
 	}
 	t.Age, t.Bounded = age, bounded
@@ -234,9 +234,7 @@ func (p *Proc) CommitHW() Outcome {
 	if t.pendingAbort != AbortNone {
 		return p.consumeAbort()
 	}
-	for addr, val := range t.Spec {
-		p.m.Mem.Write64(addr, val)
-	}
+	t.Spec.Words(p.m.Mem.Write64)
 	p.m.Count.HWCommits++
 	p.m.Count.HWFootprint.Add(t.Footprint())
 	p.emit(TraceEvent{Kind: TraceHWCommit, Proc: p.ID(), Age: t.Age, Flags: FlagAge})
@@ -560,8 +558,8 @@ func (p *Proc) TxRead(addr uint64) (uint64, Outcome) {
 		return 0, out
 	}
 	// Only a transaction that has written can have buffered the word.
-	if len(p.hw.Spec) != 0 {
-		if v, ok := p.hw.Spec[addr]; ok {
+	if p.hw.Spec.Len() != 0 {
+		if v, ok := p.hw.Spec.Get(addr); ok {
 			return v, okOutcome
 		}
 	}
@@ -574,7 +572,7 @@ func (p *Proc) TxWrite(addr, val uint64) Outcome {
 	if out.Kind != OK {
 		return out
 	}
-	p.hw.Spec[addr] = val
+	p.hw.Spec.Put(addr, val)
 	return okOutcome
 }
 

@@ -175,8 +175,8 @@ func TestResetBlanksAndReuses(t *testing.T) {
 			m.AddUFO(pg*PageBytes, UFOFaultOnRead)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("reuse allocated %v times, want 0", allocs)
+	if allocs > raceSlack {
+		t.Fatalf("reuse allocated %v times, want %d", allocs, raceSlack)
 	}
 	for addr := uint64(0); addr < m.Size(); addr += WordBytes {
 		want, wantUFO := uint64(0), UFONone

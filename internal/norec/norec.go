@@ -31,7 +31,8 @@
 // Both retry loops are tm.Driver's. For the hardware half this package
 // supplies the abort table, the subscription that begins an attempt, the
 // HTM-counter bump before a writing attempt commits, and the software
-// path; for the software half, NOrec's begin and commit.
+// path; for the software half, NOrec's begin, read barrier and commit —
+// the redo log, the handle bodies hold and closed nesting are tm.Lazy's.
 package norec
 
 import (
@@ -143,11 +144,12 @@ func (s *System) Stats() *tm.Stats { return &s.stats }
 // uninstrumented non-transactional accesses never consult the counters.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
 	e := &exec{s: s}
+	e.sw = tm.Lazy{D: &e.Driver, Miss: e.swLoad, StoreCycles: s.cfg.BarrierCycles}
 	e.Driver = tm.Driver{
 		NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Tx: hwTx{e.HW(), e},
 		Begin: e.subscribe, PreCommit: e.notifySoftware, Committed: e.noteWriter,
 		Software: e.RunSW,
-		SW:       tm.SWPath{Begin: e.swBegin, End: e.swEnd, Tx: swTx{e}},
+		SW:       tm.SWPath{Begin: e.swBegin, End: e.swEnd, Tx: &e.sw},
 	}
 	return e
 }
@@ -168,25 +170,10 @@ type exec struct {
 	hwWrote bool
 
 	// Software-attempt state.
-	lockSnap  uint64 // seqlock sample the value log is valid against
-	htmSnap   uint64 // hardware-counter sample ditto
-	valuelog  []logEntry
-	redo      map[uint64]uint64 // addr → buffered value (lazy versioning)
-	redoOrder []uint64          // insertion order, for deterministic write-back
-	nestSaves []norecSave
-	nestUndo  []redoUndo
-}
-
-// norecSave is a closed-nest savepoint over the speculative state.
-type norecSave struct {
-	logLen, redoLen, undoLen int
-}
-
-// redoUndo records a redo-log overwrite made inside a nest.
-type redoUndo struct {
-	addr    uint64
-	hadPrev bool
-	prev    uint64
+	sw       tm.Lazy // the handle, and the redo log (lazy versioning)
+	lockSnap uint64  // seqlock sample the value log is valid against
+	htmSnap  uint64  // hardware-counter sample ditto
+	valuelog []logEntry
 }
 
 // subscribe begins a hardware attempt with the transactional seqlock
@@ -241,15 +228,8 @@ func (e *exec) swBegin(age uint64) {
 		e.P.Elapse(e.s.cfg.LockSpinCycles)
 	}
 	e.htmSnap = e.Load(e.s.htmAddr)
-	if e.redo == nil {
-		e.redo = make(map[uint64]uint64)
-	} else {
-		clear(e.redo)
-	}
-	e.redoOrder = e.redoOrder[:0]
+	e.sw.Reset()
 	e.valuelog = e.valuelog[:0]
-	e.nestSaves = e.nestSaves[:0]
-	e.nestUndo = e.nestUndo[:0]
 	e.P.SetSTM(true, age)
 	e.P.Elapse(e.s.cfg.BeginCycles)
 }
@@ -262,13 +242,12 @@ func (e *exec) swEnd(aborted bool) bool {
 	return ok
 }
 
-// swLoad is the NOrec read barrier: redo-log hit, else read the value
-// and poll both counters — if either moved since the snapshot, the whole
-// value log revalidates before the read is accepted and logged.
+// swLoad is the NOrec read barrier for a word the transaction has not
+// written: read the value and poll both counters — if either moved since
+// the snapshot, the whole value log revalidates before the read is
+// accepted and logged. The value log only grows: a read made inside a
+// nest that aborts stays in it and is validated with the rest.
 func (e *exec) swLoad(addr uint64) uint64 {
-	if v, ok := e.redo[addr]; ok {
-		return v
-	}
 	e.P.Elapse(e.s.cfg.BarrierCycles)
 	v := e.Load(addr)
 	for e.Load(e.s.lockAddr) != e.lockSnap || e.Load(e.s.htmAddr) != e.htmSnap {
@@ -316,22 +295,10 @@ func (e *exec) abortConflict(addr uint64) {
 	tm.Unwind(machine.AbortConflict)
 }
 
-func (e *exec) swStore(addr, val uint64) {
-	e.P.Elapse(e.s.cfg.BarrierCycles)
-	prev, seen := e.redo[addr]
-	if !seen {
-		e.redoOrder = append(e.redoOrder, addr)
-	}
-	if len(e.nestSaves) > 0 {
-		e.nestUndo = append(e.nestUndo, redoUndo{addr: addr, hadPrev: seen, prev: prev})
-	}
-	e.redo[addr] = val
-}
-
 // swCommit implements the NOrec commit protocol. Returns false on
 // value-validation failure (the transaction retries).
 func (e *exec) swCommit() bool {
-	if len(e.redoOrder) == 0 {
+	if e.sw.Log.Len() == 0 {
 		// Read-only fast path: reads were validated as they happened.
 		e.P.Elapse(e.s.cfg.CommitCycles)
 		return true
@@ -364,13 +331,13 @@ func (e *exec) swCommit() bool {
 			}
 		}
 	}
-	// 3. Write back the redo log (in insertion order, keeping the
+	// 3. Write back the redo log (in first-store order, keeping the
 	// simulation deterministic). Each NT write also kills any hardware
 	// transaction speculating on the line.
-	for _, addr := range e.redoOrder {
-		e.Store(addr, e.redo[addr])
+	e.sw.Log.Words(func(addr, val uint64) {
+		e.Store(addr, val)
 		e.P.Elapse(e.s.cfg.PerWriteCycles)
-	}
+	})
 	// 4. Release the seqlock (back to even = one software commit
 	// notification) and become the attribution target for the values we
 	// just changed.
@@ -386,37 +353,6 @@ func (e *exec) releaseLock() {
 	e.s.lockOwner = -1
 }
 
-// beginNest/endNest/abortNest implement closed nesting over the redo log
-// (lazy versioning makes partial abort a pure buffer operation; the
-// value log never rolls back — reads stay validated regardless).
-func (e *exec) beginNest() {
-	e.nestSaves = append(e.nestSaves, norecSave{
-		logLen: len(e.valuelog), redoLen: len(e.redoOrder), undoLen: len(e.nestUndo),
-	})
-	e.P.Elapse(4)
-}
-
-func (e *exec) endNest() {
-	e.nestSaves = e.nestSaves[:len(e.nestSaves)-1]
-	e.P.Elapse(2)
-}
-
-func (e *exec) abortNest() {
-	sv := e.nestSaves[len(e.nestSaves)-1]
-	e.nestSaves = e.nestSaves[:len(e.nestSaves)-1]
-	for i := len(e.nestUndo) - 1; i >= sv.undoLen; i-- {
-		u := e.nestUndo[i]
-		if u.hadPrev {
-			e.redo[u.addr] = u.prev
-		} else {
-			delete(e.redo, u.addr)
-		}
-	}
-	e.nestUndo = e.nestUndo[:sv.undoLen]
-	e.redoOrder = e.redoOrder[:sv.redoLen]
-	e.valuelog = e.valuelog[:sv.logLen]
-}
-
 // hwTx is the uninstrumented hardware handle, noting whether the attempt
 // wrote; the seqlock subscription (taken at begin) stands in for all
 // software-path coordination.
@@ -429,33 +365,3 @@ func (h hwTx) Store(addr, val uint64) {
 	h.HW.Store(addr, val)
 	h.e.hwWrote = true
 }
-
-// swTx is the NOrec software handle.
-type swTx struct{ e *exec }
-
-var _ tm.Tx = swTx{}
-
-func (t swTx) Load(addr uint64) uint64 { return t.e.swLoad(addr) }
-func (t swTx) Store(addr, val uint64)  { t.e.swStore(addr, val) }
-func (t swTx) OnCommit(f func())       { t.e.OnCommit(f) }
-
-func (t swTx) Abort() {
-	if len(t.e.nestSaves) > 0 {
-		tm.UnwindNested()
-	}
-	tm.Unwind(machine.AbortExplicit)
-}
-
-// Nested implements tm.Tx with real partial abort (a redo-log savepoint).
-func (t swTx) Nested(body func()) bool {
-	t.e.beginNest()
-	if tm.CatchNested(body) {
-		t.e.abortNest()
-		return false
-	}
-	t.e.endNest()
-	return true
-}
-
-func (t swTx) Retry()   { tm.UnwindRetry() }
-func (t swTx) Syscall() { t.e.P.Elapse(1) }

@@ -193,12 +193,12 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 	cfg.MaxHTMRetries = 1 << 30
 	s := New(m, cfg)
 	edges, hwCommits, swCommits := observeConflicts(m)
-	const lines, swTxs, hwTxs = 16, 4, 60
+	const lines, swRuns, hwRuns = 16, 4, 60
 	base := m.Mem.Sbrk(64 * lines)
 	mine := m.Mem.Sbrk(64)
 	run(m, s,
 		func(ex tm.Exec) {
-			for k := 0; k < swTxs; k++ {
+			for k := 0; k < swRuns; k++ {
 				ex.Atomic(func(tx tm.Tx) {
 					tx.Syscall() // force the software path
 					for i := uint64(0); i < lines; i++ {
@@ -208,25 +208,25 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 			}
 		},
 		func(ex tm.Exec) {
-			for k := 0; k < hwTxs; k++ {
+			for k := 0; k < hwRuns; k++ {
 				ex.Atomic(func(tx tm.Tx) {
 					tx.Store(mine, tx.Load(mine)+1)
 				})
 			}
 		})
-	if m.Mem.Read64(mine) != hwTxs {
-		t.Fatalf("proc 1 counter = %d, want %d", m.Mem.Read64(mine), hwTxs)
+	if m.Mem.Read64(mine) != hwRuns {
+		t.Fatalf("proc 1 counter = %d, want %d", m.Mem.Read64(mine), hwRuns)
 	}
-	if swCommits.Total() != swTxs || s.stats.SWCommits != swTxs {
-		t.Fatalf("software commits = %d/%d, want %d", swCommits.Total(), s.stats.SWCommits, swTxs)
+	if swCommits.Total() != swRuns || s.stats.SWCommits != swRuns {
+		t.Fatalf("software commits = %d/%d, want %d", swCommits.Total(), s.stats.SWCommits, swRuns)
 	}
 	// The pin: every proc-1 transaction still commits in hardware...
-	if hwCommits.Total() != hwTxs || s.stats.HWCommits != hwTxs {
+	if hwCommits.Total() != hwRuns || s.stats.HWCommits != hwRuns {
 		t.Fatalf("hardware commits = %d/%d, want %d (no failover, no stall)",
-			hwCommits.Total(), s.stats.HWCommits, hwTxs)
+			hwCommits.Total(), s.stats.HWCommits, hwRuns)
 	}
-	if s.stats.Failovers != uint64(swTxs) {
-		t.Fatalf("failovers = %d, want only proc 0's forced %d", s.stats.Failovers, swTxs)
+	if s.stats.Failovers != uint64(swRuns) {
+		t.Fatalf("failovers = %d, want only proc 0's forced %d", s.stats.Failovers, swRuns)
 	}
 	// ...but only after aborting during the write-back windows.
 	if s.stats.HWRetries == 0 {

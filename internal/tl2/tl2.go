@@ -8,7 +8,9 @@
 //
 // The global clock and the lock table live at simulated addresses so
 // their traffic is charged like any other memory traffic. The retry loop
-// around begin and commit is tm.Driver's.
+// around begin and commit is tm.Driver's, and the redo log, the handle
+// bodies hold and closed nesting are tm.Lazy's; this package supplies the
+// read barrier, the validation and the commit protocol.
 package tl2
 
 import (
@@ -90,9 +92,10 @@ func (s *System) Stats() *tm.Stats { return &s.stats }
 // retry-until-commit loop runs begin and commit below.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
 	e := &exec{s: s}
+	e.tx = tm.Lazy{D: &e.Driver, Miss: e.load, StoreCycles: s.cfg.BarrierCycles}
 	e.Driver = tm.Driver{
 		NT: tm.NT{P: p}, H: &s.h,
-		SW: tm.SWPath{Begin: e.begin, End: e.end, Tx: tl2Tx{e}},
+		SW: tm.SWPath{Begin: e.begin, End: e.end, Tx: &e.tx},
 	}
 	return e
 }
@@ -107,30 +110,15 @@ type exec struct {
 	tm.Driver
 	s *System
 
-	rv        uint64            // read version (clock sample at begin)
-	redo      map[uint64]uint64 // addr → buffered value (lazy versioning)
-	redoOrder []uint64          // insertion order, for deterministic write-back
-	writeSet  []uint64          // stripe indices, deduplicated
-	readSet   []uint64          // stripe indices, deduplicated
-	nestSaves []tl2Save
-	nestUndo  []redoUndo
+	tx       tm.Lazy  // the handle, and the redo log (lazy versioning)
+	rv       uint64   // read version (clock sample at begin)
+	writeSet []uint64 // stripe indices, deduplicated; built from the log at commit
+	readSet  []uint64 // stripe indices, deduplicated
 
 	// txSeq numbers this context's transactions; combined with the
 	// processor ID it identifies a transaction to the contention manager
 	// (TL2 has no hardware age to reuse).
 	txSeq uint64
-}
-
-// tl2Save is a closed-nest savepoint over the speculative state.
-type tl2Save struct {
-	redoLen, readLen, writeLen, undoLen int
-}
-
-// redoUndo records a redo-log overwrite made inside a nest.
-type redoUndo struct {
-	addr    uint64
-	hadPrev bool
-	prev    uint64
 }
 
 // Atomic implements tm.Exec: the standard TL2 loop — speculate, validate,
@@ -144,28 +132,18 @@ func (e *exec) Atomic(body func(tm.Tx)) {
 func (e *exec) begin(uint64) {
 	e.rv = e.s.clock
 	e.Load(e.s.clockAddr)
-	if e.redo == nil {
-		e.redo = make(map[uint64]uint64)
-	} else {
-		clear(e.redo)
-	}
-	e.redoOrder = e.redoOrder[:0]
-	e.writeSet = e.writeSet[:0]
+	e.tx.Reset()
 	e.readSet = e.readSet[:0]
-	e.nestSaves = e.nestSaves[:0]
-	e.nestUndo = e.nestUndo[:0]
 	e.P.Elapse(e.s.cfg.BeginCycles)
 }
 
 // end commits the attempt unless the body already aborted.
 func (e *exec) end(aborted bool) bool { return !aborted && e.commit() }
 
-// load implements the TL2 read barrier: sample the stripe lock, read the
-// data, resample — abort if the stripe is locked or newer than rv.
+// load implements the TL2 read barrier for a word the transaction has
+// not written: sample the stripe lock, read the data, resample — abort if
+// the stripe is locked or newer than rv.
 func (e *exec) load(addr uint64) uint64 {
-	if v, ok := e.redo[addr]; ok {
-		return v
-	}
 	si := e.s.stripeOf(addr)
 	st := &e.s.stripes.Rows[si]
 	e.touchStripe(si)
@@ -185,19 +163,6 @@ func (e *exec) load(addr uint64) uint64 {
 	return v
 }
 
-func (e *exec) store(addr, val uint64) {
-	e.P.Elapse(e.s.cfg.BarrierCycles)
-	prev, seen := e.redo[addr]
-	if !seen {
-		e.redoOrder = append(e.redoOrder, addr)
-	}
-	if len(e.nestSaves) > 0 {
-		e.nestUndo = append(e.nestUndo, redoUndo{addr: addr, hadPrev: seen, prev: prev})
-	}
-	e.redo[addr] = val
-	e.noteStripe(&e.writeSet, e.s.stripeOf(addr))
-}
-
 func (e *exec) noteStripe(set *[]uint64, si uint64) {
 	for _, x := range *set {
 		if x == si {
@@ -214,13 +179,16 @@ func (e *exec) writeStripe(si uint64) { e.Store(e.s.stripeAddr(si), e.s.stripes.
 // commit implements TL2's commit protocol. Returns false on validation or
 // lock-acquisition failure (the transaction retries).
 func (e *exec) commit() bool {
-	if len(e.writeSet) == 0 {
+	if e.tx.Log.Len() == 0 {
 		// Read-only fast path: reads were validated against rv as they
 		// happened.
 		e.P.Elapse(e.s.cfg.CommitCycles)
 		return true
 	}
-	// 1. Lock the write set (bounded spin: fail fast to avoid deadlock).
+	// 1. Lock the write set — the stripes of the words stored, in
+	// first-store order (bounded spin: fail fast to avoid deadlock).
+	e.writeSet = e.writeSet[:0]
+	e.tx.Log.Words(func(addr, _ uint64) { e.noteStripe(&e.writeSet, e.s.stripeOf(addr)) })
 	locked := e.writeSet[:0:0]
 	for _, si := range e.writeSet {
 		st := &e.s.stripes.Rows[si]
@@ -254,11 +222,9 @@ func (e *exec) commit() bool {
 			}
 		}
 	}
-	// 4. Write back the redo log (in insertion order, keeping the
+	// 4. Write back the redo log (in first-store order, keeping the
 	// simulation deterministic) and release locks at version wv.
-	for _, addr := range e.redoOrder {
-		e.Store(addr, e.redo[addr])
-	}
+	e.tx.Log.Words(e.Store)
 	for _, si := range locked {
 		st := &e.s.stripes.Rows[si]
 		st.version = wv
@@ -288,62 +254,3 @@ func (e *exec) unlock(locked []uint64) {
 		e.writeStripe(si)
 	}
 }
-
-// beginNest/endNest/abortNest implement closed nesting over the redo log
-// (lazy versioning makes partial abort a pure buffer operation).
-func (e *exec) beginNest() {
-	e.nestSaves = append(e.nestSaves, tl2Save{
-		redoLen: len(e.redoOrder), readLen: len(e.readSet),
-		writeLen: len(e.writeSet), undoLen: len(e.nestUndo),
-	})
-	e.P.Elapse(4)
-}
-
-func (e *exec) endNest() {
-	e.nestSaves = e.nestSaves[:len(e.nestSaves)-1]
-	e.P.Elapse(2)
-}
-
-func (e *exec) abortNest() {
-	sv := e.nestSaves[len(e.nestSaves)-1]
-	e.nestSaves = e.nestSaves[:len(e.nestSaves)-1]
-	for i := len(e.nestUndo) - 1; i >= sv.undoLen; i-- {
-		u := e.nestUndo[i]
-		if u.hadPrev {
-			e.redo[u.addr] = u.prev
-		} else {
-			delete(e.redo, u.addr)
-		}
-	}
-	e.nestUndo = e.nestUndo[:sv.undoLen]
-	e.redoOrder = e.redoOrder[:sv.redoLen]
-	e.readSet = e.readSet[:sv.readLen]
-	e.writeSet = e.writeSet[:sv.writeLen]
-}
-
-type tl2Tx struct{ e *exec }
-
-var _ tm.Tx = tl2Tx{}
-
-func (t tl2Tx) Load(addr uint64) uint64 { return t.e.load(addr) }
-func (t tl2Tx) Store(addr, val uint64)  { t.e.store(addr, val) }
-func (t tl2Tx) OnCommit(f func())       { t.e.OnCommit(f) }
-func (t tl2Tx) Abort() {
-	if len(t.e.nestSaves) > 0 {
-		tm.UnwindNested()
-	}
-	tm.Unwind(machine.AbortExplicit)
-}
-
-// Nested implements tm.Tx with real partial abort (a redo-log savepoint).
-func (t tl2Tx) Nested(body func()) bool {
-	t.e.beginNest()
-	if tm.CatchNested(body) {
-		t.e.abortNest()
-		return false
-	}
-	t.e.endNest()
-	return true
-}
-func (t tl2Tx) Retry()   { tm.UnwindRetry() }
-func (t tl2Tx) Syscall() { t.e.P.Elapse(1) }

@@ -12,7 +12,8 @@ import (
 // hardware or fail over — with Algorithm 3 (the abort handler) as data,
 // and the retry-until-commit loop of the paths that have nowhere further
 // to fall. A system supplies its Algorithm 3 row (Handler), its hardware
-// handle if accesses need instrumenting (HW), and the few hooks below;
+// handle if accesses need instrumenting (HW), its software handle (a
+// Lazy, if it is a lazy-versioning STM), and the few hooks below;
 // everything observable — lifecycle events, commit and retry counters,
 // contention-management calls, the deferred-closure list — happens here,
 // in one order per arm.

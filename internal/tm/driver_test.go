@@ -76,15 +76,24 @@ func (r *rig) driver(proc int, fallback bool) *tm.Driver {
 	if fallback {
 		d.Software = func(uint64, func(tm.Tx)) { r.note("software") }
 	}
+	// The software path is the smallest lazy-versioning STM there is: no
+	// validation, and a commit that publishes the log.
+	sw := &tm.Lazy{D: d, Miss: r.m.Mem.Read64, StoreCycles: 3}
 	d.SW = tm.SWPath{
-		Begin: func(uint64) { r.note("sw-begin") },
+		Begin: func(uint64) {
+			r.note("sw-begin")
+			sw.Reset()
+		},
 		End: func(aborted bool) bool {
 			ok := r.swScript[0] && !aborted
 			r.swScript = r.swScript[1:]
 			r.note("sw-end aborted=%v ok=%v", aborted, ok)
+			if ok {
+				sw.Log.Words(r.m.Mem.Write64)
+			}
 			return ok
 		},
-		Tx: swTx{d},
+		Tx: sw,
 	}
 	return d
 }
@@ -103,17 +112,6 @@ func (r *rig) tokenHeldBy(id uint64) bool {
 	mgr.Stats().TokenAcquisitions = before
 	return false
 }
-
-// swTx is a software handle that only unwinds.
-type swTx struct{ d *tm.Driver }
-
-func (t swTx) Load(uint64) uint64   { return 0 }
-func (t swTx) Store(uint64, uint64) {}
-func (t swTx) Abort()               { tm.Unwind(machine.AbortExplicit) }
-func (t swTx) Retry()               { tm.UnwindRetry() }
-func (t swTx) Syscall()             {}
-func (t swTx) OnCommit(f func())    { t.d.OnCommit(f) }
-func (t swTx) Nested(func()) bool   { return true }
 
 // script is a transaction body that plays one step per attempt.
 type step func(r *rig, tx tm.Tx)
@@ -336,6 +334,76 @@ func TestDriverSoftwarePath(t *testing.T) {
 }
 
 func pass(*rig, tm.Tx) {}
+
+// TestLazyHandle drives tm.Lazy — the rig's software handle — through
+// AtomicSW, one step per attempt; what a step loads goes in the hook log.
+func TestLazyHandle(t *testing.T) {
+	const x, y = 0, 64
+	for _, c := range []struct {
+		name  string
+		steps []step
+		log   string // between "sw-begin, body, " and the committing sw-end
+		stats tm.Stats
+		x, y  uint64 // memory afterwards
+	}{
+		{name: "an aborted nest's overwrite restores the pre-nest value",
+			steps: []step{func(r *rig, tx tm.Tx) {
+				tx.Store(x, 1)
+				ok := tx.Nested(func() {
+					tx.Store(x, 2)
+					tx.Store(y, 3)
+					r.note("nest sees %d %d", tx.Load(x), tx.Load(y))
+					tx.Abort()
+				})
+				r.note("ok=%v leaves %d %d", ok, tx.Load(x), tx.Load(y))
+			}},
+			log: "nest sees 2 3, ok=false leaves 1 0, ", stats: tm.Stats{SWCommits: 1}, x: 1},
+		{name: "an inner nest aborts alone and a sibling commits",
+			steps: []step{func(r *rig, tx tm.Tx) {
+				tx.Store(x, 1)
+				outer := tx.Nested(func() {
+					tx.Store(x, 2)
+					inner := tx.Nested(func() {
+						tx.Store(x, 3)
+						tx.Abort()
+					})
+					r.note("inner=%v leaves %d", inner, tx.Load(x))
+					tx.Nested(func() { tx.Store(y, 4) })
+				})
+				r.note("outer=%v leaves %d %d", outer, tx.Load(x), tx.Load(y))
+			}},
+			log: "inner=false leaves 2, outer=true leaves 2 4, ", stats: tm.Stats{SWCommits: 1}, x: 2, y: 4},
+		{name: "an outer abort takes a committed inner nest with it",
+			steps: []step{func(r *rig, tx tm.Tx) {
+				tx.Store(x, 1)
+				outer := tx.Nested(func() {
+					tx.Nested(func() { tx.Store(x, 5) })
+					tx.Store(y, 6)
+					tx.Abort()
+				})
+				r.note("outer=%v leaves %d %d", outer, tx.Load(x), tx.Load(y))
+			}},
+			log: "outer=false leaves 1 0, ", stats: tm.Stats{SWCommits: 1}, x: 1},
+		{name: "a transaction unwound from inside a nest leaves no nest open",
+			steps: []step{
+				func(_ *rig, tx tm.Tx) { tx.Nested(func() { tx.Nested(tx.Retry) }) },
+				// Abort now means the whole transaction again.
+				func(_ *rig, tx tm.Tx) { tx.Store(x, 7); tx.Abort() },
+			},
+			log:   "sw-end aborted=true ok=false, sw-begin, body, sw-end aborted=true ok=false, sw-begin, body, ",
+			stats: tm.Stats{SWCommits: 1, SWAborts: 1, Retries: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(1, false)
+			r.swScript = []bool{true, true, true}
+			r.run(func() { r.d.AtomicSW(7, r.body(c.steps...)) })
+			r.want(t, "sw-begin, body, "+c.log+"sw-end aborted=false ok=true, deferred", c.stats)
+			if gx, gy := r.m.Mem.Read64(x), r.m.Mem.Read64(y); gx != c.x || gy != c.y {
+				t.Errorf("committed x = %d, y = %d; want %d, %d", gx, gy, c.x, c.y)
+			}
+		})
+	}
+}
 
 func TestDriverDiscardsDeferredOfAbortedAttempts(t *testing.T) {
 	r := newRig(1, true)

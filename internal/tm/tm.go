@@ -53,10 +53,12 @@ type Tx interface {
 	OnCommit(f func())
 	// Nested runs body as a closed nested transaction and reports whether
 	// it committed. Inside body, Abort aborts only the innermost nest
-	// where the TM supports partial rollback (USTM, TL2); hardware
-	// transactions flatten nesting (as BTM does), so an inner abort
-	// aborts the whole transaction there — under the hybrid that means
-	// failing over to software, where partial abort works. This is
+	// where the TM supports partial rollback (USTM; TL2 and NOrec through
+	// Lazy); hardware transactions flatten nesting (as BTM does), so an
+	// inner abort aborts the whole transaction there — under the hybrid
+	// that means failing over to software, where partial abort works. An
+	// aborted nest undoes its stores only: what it read stays in the
+	// transaction's read set, since the caller acts on the result. This is
 	// another instance of the paper's extensibility argument: richer
 	// semantics live in the STM, and hardware accelerates the subset it
 	// can.
