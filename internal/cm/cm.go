@@ -466,17 +466,17 @@ func (m *Manager) TxDone(owner uint64) {
 	m.pol.OnCommit(owner)
 }
 
-// Register publishes the decision counters into an obs registry under
-// cm.* (see OBSERVABILITY.md).
-func (m *Manager) Register(reg *obs.Registry) {
-	reg.Counter("cm.delays", "delays", "backoff delays issued by the contention-management policy").Add(m.stats.Delays)
-	reg.Counter("cm.delay_cycles", "cycles", "total cycles spent in contention backoff").Add(m.stats.DelayCycles)
-	reg.MaxGauge("cm.max_delay", "cycles", "largest single backoff delay issued (merges by max)").Set(float64(m.stats.MaxDelay))
-	reg.Counter("cm.page_fault_stalls", "stalls", "page-fault resolution stalls (fixed cost, not contention)").Add(m.stats.PageFaultStalls)
-	reg.Counter("cm.retry_polls", "polls", "emulated transactional-waiting poll sleeps").Add(m.stats.RetryPolls)
-	reg.Counter("cm.starvation_escalations", "escalations", "aborts the policy escalated instead of backing off").Add(m.stats.StarvationEscalations)
-	reg.Counter("cm.token_acquisitions", "grants", "global serialization token acquisitions").Add(m.stats.TokenAcquisitions)
-	reg.Counter("cm.token_wait_cycles", "cycles", "cycles spent waiting for the serialization token").Add(m.stats.TokenWaitCycles)
+// Register writes the decision counters into s under cm.* (see
+// OBSERVABILITY.md).
+func (m *Manager) Register(s *obs.Snapshot) {
+	s.AddCounter("cm.delays", "delays", "backoff delays issued by the contention-management policy", m.stats.Delays)
+	s.AddCounter("cm.delay_cycles", "cycles", "total cycles spent in contention backoff", m.stats.DelayCycles)
+	s.AddMaxGauge("cm.max_delay", "cycles", "largest single backoff delay issued (merges by max)", float64(m.stats.MaxDelay))
+	s.AddCounter("cm.page_fault_stalls", "stalls", "page-fault resolution stalls (fixed cost, not contention)", m.stats.PageFaultStalls)
+	s.AddCounter("cm.retry_polls", "polls", "emulated transactional-waiting poll sleeps", m.stats.RetryPolls)
+	s.AddCounter("cm.starvation_escalations", "escalations", "aborts the policy escalated instead of backing off", m.stats.StarvationEscalations)
+	s.AddCounter("cm.token_acquisitions", "grants", "global serialization token acquisitions", m.stats.TokenAcquisitions)
+	s.AddCounter("cm.token_wait_cycles", "cycles", "cycles spent waiting for the serialization token", m.stats.TokenWaitCycles)
 }
 
 // Tunable is implemented by systems whose backoff policy can be
@@ -487,7 +487,7 @@ type Tunable interface {
 }
 
 // Instrumented is implemented by systems that expose their Manager so
-// the harness can register cm.* metrics and annotate contention
+// the harness can write cm.* metrics and annotate contention
 // reports.
 type Instrumented interface {
 	CM() *Manager

@@ -248,18 +248,17 @@ func TestManagerToken(t *testing.T) {
 	}
 }
 
-// TestMetricsRegistered: the cm.* counters land in an obs registry with
+// TestMetricsWritten: the cm.* counters land in an obs snapshot with
 // the Manager's values (OBSERVABILITY.md contract).
-func TestMetricsRegistered(t *testing.T) {
+func TestMetricsWritten(t *testing.T) {
 	m := testMachine(1)
 	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: 1}, 64)
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		mgr.OnAbort(p, 1, 1, machine.AbortConflict) // escalates immediately
 		mgr.PageFaultStall(p)
 	}})
-	reg := obs.NewRegistry()
-	mgr.Register(reg)
-	snap := reg.Snapshot()
+	snap := obs.NewSnapshot()
+	mgr.Register(snap)
 	if snap.Counter("cm.starvation_escalations") != 1 {
 		t.Fatalf("cm.starvation_escalations = %d, want 1", snap.Counter("cm.starvation_escalations"))
 	}

@@ -45,7 +45,7 @@ type windowStat struct {
 }
 
 // Profile is the accumulating side of the attribution subsystem: one per
-// machine run. It implements machine.Observer. Like obs.Registry
+// machine run. It implements machine.Observer. Like obs.Snapshot
 // it is not safe for concurrent use — the simulation engine serializes
 // processors, and parallel sweeps give every cell its own Profile.
 type Profile struct {
@@ -165,11 +165,11 @@ func (pr *Profile) win(cycle uint64) *windowStat {
 // Edges returns the total number of edges recorded so far.
 func (pr *Profile) Edges() uint64 { return pr.edges }
 
-// Register copies the profile's headline totals into reg under stable
+// Register writes the profile's headline totals into s under stable
 // contention.* metric names, tying the attribution layer into the same
-// obs registry snapshot the rest of the run reports through.
-func (pr *Profile) Register(reg *obs.Registry) {
-	reg.Counter("contention.edges", "aborts", "who-aborted-whom edges recorded (conflict attribution)").Add(pr.edges)
-	reg.Counter("contention.sw_edges", "aborts", "edges whose victim was a software transaction").Add(pr.swEdges)
-	reg.Counter("contention.hot_lines", "lines", "distinct cache lines with at least one attributed conflict").Add(uint64(len(pr.lines)))
+// snapshot the rest of the run reports through.
+func (pr *Profile) Register(s *obs.Snapshot) {
+	s.AddCounter("contention.edges", "aborts", "who-aborted-whom edges recorded (conflict attribution)", pr.edges)
+	s.AddCounter("contention.sw_edges", "aborts", "edges whose victim was a software transaction", pr.swEdges)
+	s.AddCounter("contention.hot_lines", "lines", "distinct cache lines with at least one attributed conflict", uint64(len(pr.lines)))
 }

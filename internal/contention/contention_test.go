@@ -216,13 +216,13 @@ func TestReportAdd(t *testing.T) {
 	}
 }
 
-// TestRegister: the profile's totals appear as contention.* metrics.
-func TestRegister(t *testing.T) {
+// TestProfileWritesMetrics: the profile's totals appear as contention.*
+// metrics.
+func TestProfileWritesMetrics(t *testing.T) {
 	pr := New(2, 0)
 	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 0))
-	reg := obs.NewRegistry()
-	pr.Register(reg)
-	s := reg.Snapshot()
+	s := obs.NewSnapshot()
+	pr.Register(s)
 	if m := s.Get("contention.edges"); m == nil || m.Value != 1 {
 		t.Fatalf("contention.edges = %+v", m)
 	}

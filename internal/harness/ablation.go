@@ -7,54 +7,14 @@ import (
 	"repro/internal/machine"
 )
 
-// AblationRow is one configuration point in an ablation sweep.
-type AblationRow struct {
-	Study     string
-	Config    string
-	Workload  string
-	SeqCycles uint64
-	Result    Result
-}
-
-// studyConfig is one configuration of an ablation study: a label, the
-// system to run, and an options mutation.
-type studyConfig struct {
-	name   string
-	system SystemKind
-	mutate func(*Options)
-}
-
-// runStudy measures one workload's sequential baseline plus every
-// configuration of a study through the Runner's worker pool.
-func (r *Runner) runStudy(study string, f WorkloadFactory, threads int, opt Options, configs []studyConfig) ([]AblationRow, error) {
-	jobs := []Job{{System: Sequential, Factory: f, Threads: 1, Opt: opt}}
-	for _, c := range configs {
-		o := opt
-		c.mutate(&o)
-		jobs = append(jobs, Job{System: c.system, Factory: f, Threads: threads, Opt: o})
-	}
-	results, err := r.Execute(jobs)
-	seq := results[0].Cycles
-	out := make([]AblationRow, len(configs))
-	for i, c := range configs {
-		out[i] = AblationRow{
-			Study: study, Config: c.name, Workload: f.Name,
-			SeqCycles: seq,
-			Result:    results[i+1],
-		}
-	}
-	return out, err
-}
-
 // AblationUFOMitigations evaluates the paper's two proposed fixes for
 // false UFO/BTM conflicts (Section 4.3) — owner-state bit installation
 // and lazy bit clearing — against the default eager protocol and the
 // true-conflict-only limit study, on the workload with the heaviest
 // STM/HTM interaction.
-func (r *Runner) AblationUFOMitigations(opt Options, scale Scale) ([]AblationRow, error) {
-	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
-	return r.runStudy("ufo-mitigations", benchmarkByName(scale, "vacation-high"), threads, opt, []studyConfig{
-		{"eager (default)", UFOHybrid, func(*Options) {}},
+func (r *Runner) AblationUFOMitigations(opt Options, scale Scale) ([]Row, error) {
+	return r.runStudy("ufo-mitigations", benchmarkByName(scale, "vacation-high"), true, scale, opt, []studyConfig{
+		{"eager (default)", UFOHybrid, nil},
 		{"owner-state install", UFOHybrid, func(o *Options) { o.Params.OwnerStateUFO = true }},
 		{"lazy clear", UFOHybrid, func(o *Options) { o.Params.LazyUFOClear = true }},
 		{"both mitigations", UFOHybrid, func(o *Options) {
@@ -69,8 +29,7 @@ func (r *Runner) AblationUFOMitigations(opt Options, scale Scale) ([]AblationRow
 // more transactions to software, quantifying how much of the hybrid's
 // performance rides on hardware capacity (the DESIGN.md ablation for the
 // bounded-HTM design choice).
-func (r *Runner) AblationL1Size(opt Options, scale Scale) ([]AblationRow, error) {
-	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
+func (r *Runner) AblationL1Size(opt Options, scale Scale) ([]Row, error) {
 	var configs []studyConfig
 	for _, kb := range []int{4, 8, 16, 32, 64} {
 		configs = append(configs, studyConfig{
@@ -78,14 +37,13 @@ func (r *Runner) AblationL1Size(opt Options, scale Scale) ([]AblationRow, error)
 			func(o *Options) { o.Params.L1Bytes = kb * 1024 },
 		})
 	}
-	return r.runStudy("l1-size", benchmarkByName(scale, "vacation-high"), threads, opt, configs)
+	return r.runStudy("l1-size", benchmarkByName(scale, "vacation-high"), true, scale, opt, configs)
 }
 
 // AblationOTableSize sweeps the ownership-table row count: small tables
 // alias unrelated lines to the same row, manufacturing conflicts — the
 // reason the paper sizes otables at "tens of thousands" of entries.
-func (r *Runner) AblationOTableSize(opt Options, scale Scale) ([]AblationRow, error) {
-	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
+func (r *Runner) AblationOTableSize(opt Options, scale Scale) ([]Row, error) {
 	var configs []studyConfig
 	for _, rows := range []int{1 << 6, 1 << 10, 1 << 16} {
 		configs = append(configs, studyConfig{
@@ -93,14 +51,13 @@ func (r *Runner) AblationOTableSize(opt Options, scale Scale) ([]AblationRow, er
 			func(o *Options) { o.OTableRows = rows },
 		})
 	}
-	return r.runStudy("otable-size", benchmarkByName(scale, "vacation-low"), threads, opt, configs)
+	return r.runStudy("otable-size", benchmarkByName(scale, "vacation-low"), true, scale, opt, configs)
 }
 
 // AblationQuantum sweeps the scheduling quantum: short quanta interrupt
 // (and so abort) more hardware transactions, which the abort handler must
 // absorb as recoverable retries.
-func (r *Runner) AblationQuantum(opt Options, scale Scale) ([]AblationRow, error) {
-	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
+func (r *Runner) AblationQuantum(opt Options, scale Scale) ([]Row, error) {
 	var configs []studyConfig
 	for _, q := range []uint64{5_000, 50_000, 200_000, 2_000_000} {
 		configs = append(configs, studyConfig{
@@ -108,14 +65,14 @@ func (r *Runner) AblationQuantum(opt Options, scale Scale) ([]AblationRow, error
 			func(o *Options) { o.Params.Quantum = q },
 		})
 	}
-	return r.runStudy("quantum", benchmarkByName(scale, "kmeans-low"), threads, opt, configs)
+	return r.runStudy("quantum", benchmarkByName(scale, "kmeans-low"), true, scale, opt, configs)
 }
 
 // Ablations runs every ablation study.
-func (r *Runner) Ablations(opt Options, scale Scale) ([]AblationRow, error) {
-	var out []AblationRow
+func (r *Runner) Ablations(opt Options, scale Scale) ([]Row, error) {
+	var out []Row
 	var errs []error
-	for _, study := range []func(Options, Scale) ([]AblationRow, error){
+	for _, study := range []func(Options, Scale) ([]Row, error){
 		r.AblationUFOMitigations, r.AblationL1Size, r.AblationOTableSize, r.AblationQuantum,
 	} {
 		rows, err := study(opt, scale)
@@ -126,7 +83,7 @@ func (r *Runner) Ablations(opt Options, scale Scale) ([]AblationRow, error) {
 }
 
 // PrintAblations renders the studies.
-func PrintAblations(w io.Writer, rows []AblationRow) {
+func PrintAblations(w io.Writer, rows []Row) {
 	study := ""
 	for _, r := range rows {
 		if r.Study != study {
@@ -136,58 +93,44 @@ func PrintAblations(w io.Writer, rows []AblationRow) {
 				"config", "speedup", "failovers", "overflows", "ufoKills", "interrupts")
 		}
 		fmt.Fprintf(w, "%-22s %8.2f %10d %10d %10d %10d\n",
-			r.Config, r.Result.Speedup(r.SeqCycles),
-			r.Result.Stats.Failovers,
-			r.Result.Machine.HWAbortsByReason[machine.AbortOverflow],
-			r.Result.Machine.UFOKillsTrue+r.Result.Machine.UFOKillsFalse,
-			r.Result.Machine.HWAbortsByReason[machine.AbortInterrupt])
+			r.Config, r.Speedup(r.SeqCycles),
+			r.Stats.Failovers,
+			r.Machine.HWAbortsByReason[machine.AbortOverflow],
+			r.Machine.UFOKillsTrue+r.Machine.UFOKillsFalse,
+			r.Machine.HWAbortsByReason[machine.AbortInterrupt])
 	}
 }
 
-// benchmarkByName returns the named workload factory at the given scale.
-func benchmarkByName(scale Scale, name string) WorkloadFactory {
+// benchmarkByName returns the named workload factory at the given
+// scale, as the one-workload list a study runs over.
+func benchmarkByName(scale Scale, name string) []WorkloadFactory {
 	for _, f := range Benchmarks(scale) {
 		if f.Name == name {
-			return f
+			return []WorkloadFactory{f}
 		}
 	}
 	panic("harness: unknown benchmark " + name)
 }
 
-// FootprintRow is one workload's transaction-footprint profile on the
-// UFO hybrid.
-type FootprintRow struct {
-	Workload string
-	Result   Result
-}
-
-// Footprints profiles committed-transaction footprints per benchmark —
-// the data behind the paper's observation that "a significant majority
-// of the dynamic transactions ... execute completely in BTM".
-func (r *Runner) Footprints(opt Options, scale Scale) ([]FootprintRow, error) {
-	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
-	var jobs []Job
-	for _, f := range append(Benchmarks(scale), ExtendedBenchmarks(scale)...) {
-		jobs = append(jobs, Job{System: UFOHybrid, Factory: f, Threads: threads, Opt: opt})
-	}
-	results, err := r.Execute(jobs)
-	out := make([]FootprintRow, len(jobs))
-	for i, j := range jobs {
-		out[i] = FootprintRow{Workload: j.Factory.Name, Result: results[i]}
-	}
-	return out, err
+// Footprints profiles committed-transaction footprints per benchmark on
+// the UFO hybrid — the data behind the paper's observation that "a
+// significant majority of the dynamic transactions ... execute
+// completely in BTM".
+func (r *Runner) Footprints(opt Options, scale Scale) ([]Row, error) {
+	return r.runStudy("footprints", append(Benchmarks(scale), ExtendedBenchmarks(scale)...), false, scale, opt,
+		[]studyConfig{{name: string(UFOHybrid), system: UFOHybrid}})
 }
 
 // PrintFootprints renders the profile.
-func PrintFootprints(w io.Writer, rows []FootprintRow) {
+func PrintFootprints(w io.Writer, rows []Row) {
 	fmt.Fprintf(w, "\nTransaction footprints on the UFO hybrid (distinct lines per committed tx)\n")
 	fmt.Fprintf(w, "%-14s %9s %9s %8s %8s %8s  %s\n",
 		"workload", "hwCommit", "swCommit", "hwMean", "hwMax", "≤64ln", "swHist")
 	for _, r := range rows {
-		hw := &r.Result.Machine.HWFootprint
-		sw := &r.Result.Machine.SWFootprint
+		hw := r.Machine.HWFootprint.Snapshot()
+		sw := r.Machine.SWFootprint.Snapshot()
 		fmt.Fprintf(w, "%-14s %9d %9d %8.1f %8d %7.0f%%  %s\n",
 			r.Workload, hw.Count, sw.Count, hw.Mean(), hw.Max,
-			hw.FracAtMost(64)*100, sw.String())
+			hw.FracAtMost(64)*100, sw)
 	}
 }

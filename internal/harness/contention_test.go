@@ -20,11 +20,11 @@ func contentionOptions() Options {
 	return opt
 }
 
-// TestContentionReportDeterministicAcrossWorkers is the acceptance
-// criterion beside TestMetricsReportDeterministicAcrossWorkers: the full
+// TestReportContentionSectionDeterministicAcrossWorkers is the acceptance
+// criterion beside TestReportMetricsSectionDeterministicAcrossWorkers: the full
 // contention JSON (per-cell reports + aggregate) must be byte-identical
 // between a serial and a parallel sweep.
-func TestContentionReportDeterministicAcrossWorkers(t *testing.T) {
+func TestReportContentionSectionDeterministicAcrossWorkers(t *testing.T) {
 	sectionDeterministicAcrossWorkers(t, contentionOptions(), SectionContention)
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/machine"
 	"repro/internal/stamp"
@@ -78,15 +77,24 @@ func PrintFigure5(w io.Writer, data []Figure5Data, scale Scale) {
 // system, a column per processor count on the axis.
 func printSpeedups(w io.Writer, title string, d Figure5Data, systems []SystemKind, axis []int) {
 	fmt.Fprintf(w, "\n%s — %s (speedup vs. sequential; seq = %d cycles)\n", title, d.Workload, d.SeqCycles)
+	printGrid(w, systems, axis, "p=%d", "%8.2f", func(sys SystemKind, t int) float64 {
+		return d.Cells[sys][t].Speedup(d.SeqCycles)
+	})
+}
+
+// printGrid renders the table under every speedup figure: a header of
+// column labels (colFmt applied to each column's key), then a row per
+// system with cell(system, key) under cellFmt in each column.
+func printGrid(w io.Writer, systems []SystemKind, cols []int, colFmt, cellFmt string, cell func(SystemKind, int) float64) {
 	fmt.Fprintf(w, "%-14s", "system")
-	for _, t := range axis {
-		fmt.Fprintf(w, "%8s", fmt.Sprintf("p=%d", t))
+	for _, c := range cols {
+		fmt.Fprintf(w, "%8s", fmt.Sprintf(colFmt, c))
 	}
 	fmt.Fprintln(w)
 	for _, sys := range systems {
 		fmt.Fprintf(w, "%-14s", sys)
-		for _, t := range axis {
-			fmt.Fprintf(w, "%8.2f", d.Cells[sys][t].Speedup(d.SeqCycles))
+		for _, c := range cols {
+			fmt.Fprintf(w, cellFmt, cell(sys, c))
 		}
 		fmt.Fprintln(w)
 	}
@@ -130,11 +138,64 @@ func PrintScaleSweep(w io.Writer, d Figure5Data, scale Scale) {
 	printSpeedups(w, "Scaling study", d, ScaleSystems, ScaleProcCounts(scale))
 }
 
-// Figure6Row is one (workload, system) abort breakdown.
-type Figure6Row struct {
-	Workload string
-	System   SystemKind
-	Result   Result
+// Row is one cell of a study: the study and configuration it belongs
+// to, the sequential baseline of its workload when the study measures
+// one (zero otherwise), and the measured Result, which names the
+// workload, the system and the thread count. Every study under Figure 5
+// — Figure 6, Figure 8, the ablations, the footprint profile, the
+// policy sweep — returns []Row, so a cell's outcome is one field in one
+// place whatever table it ends up in.
+type Row struct {
+	Study     string
+	Config    string
+	SeqCycles uint64
+	Result
+}
+
+// studyConfig is one configuration of a study: the row's Config label,
+// the system to run, and what it changes in the study's options (nil:
+// nothing).
+type studyConfig struct {
+	name   string
+	system SystemKind
+	mutate func(*Options)
+}
+
+// runStudy measures every configuration of a study on every workload at
+// the scale's largest thread count, through the Runner's worker pool.
+// Jobs and rows are workload-major in config order; a study with a
+// baseline runs each workload's sequential cell ahead of its
+// configurations and every row of that workload carries its cycles.
+func (r *Runner) runStudy(study string, factories []WorkloadFactory, baseline bool, scale Scale, opt Options, configs []studyConfig) ([]Row, error) {
+	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
+	var jobs []Job
+	for _, f := range factories {
+		if baseline {
+			jobs = append(jobs, Job{System: Sequential, Factory: f, Threads: 1, Opt: opt})
+		}
+		for _, c := range configs {
+			o := opt
+			if c.mutate != nil {
+				c.mutate(&o)
+			}
+			jobs = append(jobs, Job{System: c.system, Factory: f, Threads: threads, Opt: o})
+		}
+	}
+	results, err := r.Execute(jobs)
+	rows := make([]Row, 0, len(factories)*len(configs))
+	i := 0
+	for range factories {
+		var seq uint64
+		if baseline {
+			seq = results[i].Cycles
+			i++
+		}
+		for _, c := range configs {
+			rows = append(rows, Row{Study: study, Config: c.name, SeqCycles: seq, Result: results[i]})
+			i++
+		}
+	}
+	return rows, err
 }
 
 // Figure6Systems are the hardware-transaction-running systems whose abort
@@ -143,20 +204,12 @@ var Figure6Systems = []SystemKind{UnboundedHTM, UFOHybrid, HyTM, PhTM}
 
 // Figure6 reproduces the abort-reason breakdown at the largest thread
 // count of the scale.
-func (r *Runner) Figure6(opt Options, scale Scale) ([]Figure6Row, error) {
-	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
-	var jobs []Job
-	for _, f := range Benchmarks(scale) {
-		for _, sys := range Figure6Systems {
-			jobs = append(jobs, Job{System: sys, Factory: f, Threads: threads, Opt: opt})
-		}
+func (r *Runner) Figure6(opt Options, scale Scale) ([]Row, error) {
+	var configs []studyConfig
+	for _, sys := range Figure6Systems {
+		configs = append(configs, studyConfig{name: string(sys), system: sys})
 	}
-	results, err := r.Execute(jobs)
-	out := make([]Figure6Row, len(jobs))
-	for i, j := range jobs {
-		out[i] = Figure6Row{Workload: j.Factory.Name, System: j.System, Result: results[i]}
-	}
-	return out, err
+	return r.runStudy("fig6", Benchmarks(scale), false, scale, opt, configs)
 }
 
 // figure6Reasons are the abort categories Figure 6 plots.
@@ -167,7 +220,7 @@ var figure6Reasons = []machine.AbortReason{
 }
 
 // PrintFigure6 renders the breakdown.
-func PrintFigure6(w io.Writer, rows []Figure6Row) {
+func PrintFigure6(w io.Writer, rows []Row) {
 	fmt.Fprintf(w, "\nFigure 6 — hardware-transaction abort reasons (largest thread count)\n")
 	fmt.Fprintf(w, "%-14s %-14s %9s", "workload", "system", "hwCommit")
 	for _, r := range figure6Reasons {
@@ -175,9 +228,9 @@ func PrintFigure6(w io.Writer, rows []Figure6Row) {
 	}
 	fmt.Fprintln(w)
 	for _, row := range rows {
-		fmt.Fprintf(w, "%-14s %-14s %9d", row.Workload, row.System, row.Result.Stats.HWCommits)
+		fmt.Fprintf(w, "%-14s %-14s %9d", row.Workload, row.System, row.Stats.HWCommits)
 		for _, r := range figure6Reasons {
-			fmt.Fprintf(w, "%10d", row.Result.Machine.HWAbortsByReason[r])
+			fmt.Fprintf(w, "%10d", row.Machine.HWAbortsByReason[r])
 		}
 		fmt.Fprintln(w)
 	}
@@ -247,121 +300,60 @@ func (r *Runner) Figure7(opt Options, scale Scale) (Figure7Data, error) {
 // low-rate zoom normalized to pure HTM (7b).
 func PrintFigure7(w io.Writer, d Figure7Data) {
 	fmt.Fprintf(w, "\nFigure 7a — failover microbenchmark, %d threads (speedup vs. sequential)\n", d.Threads)
-	fmt.Fprintf(w, "%-14s", "system")
-	for _, rate := range d.Rates {
-		fmt.Fprintf(w, "%8s", fmt.Sprintf("%d%%", rate))
-	}
-	fmt.Fprintln(w)
-	for _, sys := range Figure7Systems {
-		fmt.Fprintf(w, "%-14s", sys)
-		for _, rate := range d.Rates {
-			fmt.Fprintf(w, "%8.2f", d.Cells[sys][rate].Speedup(d.SeqCycles[rate]))
-		}
-		fmt.Fprintln(w)
-	}
+	printGrid(w, Figure7Systems, d.Rates, "%d%%", "%8.2f", func(sys SystemKind, rate int) float64 {
+		return d.Cells[sys][rate].Speedup(d.SeqCycles[rate])
+	})
 	fmt.Fprintf(w, "\nFigure 7b — low failover rates, relative to pure HTM (=1.00)\n")
-	var low []int
+	var low []int // d.Rates ascends, so low does
 	for _, r := range d.Rates {
 		if r <= 10 {
 			low = append(low, r)
 		}
 	}
-	sort.Ints(low)
-	fmt.Fprintf(w, "%-14s", "system")
-	for _, rate := range low {
-		fmt.Fprintf(w, "%8s", fmt.Sprintf("%d%%", rate))
-	}
-	fmt.Fprintln(w)
-	for _, sys := range Figure7Systems {
-		fmt.Fprintf(w, "%-14s", sys)
-		for _, rate := range low {
-			htm := float64(d.Cells[UnboundedHTM][rate].Cycles)
-			fmt.Fprintf(w, "%8.3f", htm/float64(d.Cells[sys][rate].Cycles))
-		}
-		fmt.Fprintln(w)
-	}
+	printGrid(w, Figure7Systems, low, "%d%%", "%8.3f", func(sys SystemKind, rate int) float64 {
+		return float64(d.Cells[UnboundedHTM][rate].Cycles) / float64(d.Cells[sys][rate].Cycles)
+	})
 }
 
-// Figure8Variant is one contention-management configuration.
-type Figure8Variant struct {
-	Name   string
-	Mutate func(*Options)
-}
-
-// Figure8Variants are the Section 5.4 sensitivity configurations.
-func Figure8Variants() []Figure8Variant {
-	return []Figure8Variant{
-		{"age-ordered (default)", func(*Options) {}},
+// figure8Configs are the Section 5.4 sensitivity configurations.
+func figure8Configs() []studyConfig {
+	return []studyConfig{
+		{"age-ordered (default)", UFOHybrid, nil},
 		// The paper's first bar pairs the naive hardware policy with
 		// failover after repeated contention aborts (required there for
 		// forward progress).
-		{"requester-wins+failover5", func(o *Options) {
+		{"requester-wins+failover5", UFOHybrid, func(o *Options) {
 			o.Params.HWPolicy = machine.RequesterWins
 			o.Policy.FailoverOnNthConflict = 5
 		}},
-		{"requester-wins", func(o *Options) { o.Params.HWPolicy = machine.RequesterWins }},
-		{"failover-on-5th-conflict", func(o *Options) { o.Policy.FailoverOnNthConflict = 5 }},
-		{"stall-on-ufo-fault", func(o *Options) { o.Policy.StallOnUFOFault = true }},
-		{"true-conflict-kills-only", func(o *Options) { o.Params.TrueConflictUFOKills = true }},
+		{"requester-wins", UFOHybrid, func(o *Options) { o.Params.HWPolicy = machine.RequesterWins }},
+		{"failover-on-5th-conflict", UFOHybrid, func(o *Options) { o.Policy.FailoverOnNthConflict = 5 }},
+		{"stall-on-ufo-fault", UFOHybrid, func(o *Options) { o.Policy.StallOnUFOFault = true }},
+		{"true-conflict-kills-only", UFOHybrid, func(o *Options) { o.Params.TrueConflictUFOKills = true }},
 	}
-}
-
-// Figure8Row is one (workload, variant) measurement.
-type Figure8Row struct {
-	Workload  string
-	Variant   string
-	SeqCycles uint64
-	Result    Result
 }
 
 // Figure8 reproduces the contention-policy sensitivity study on the UFO
 // hybrid over the two highest-contention benchmarks.
-func (r *Runner) Figure8(opt Options, scale Scale) ([]Figure8Row, error) {
-	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
-	variants := Figure8Variants()
+func (r *Runner) Figure8(opt Options, scale Scale) ([]Row, error) {
 	var factories []WorkloadFactory
 	for _, f := range Benchmarks(scale) {
 		if f.Name == "genome" || f.Name == "kmeans-high" || f.Name == "vacation-high" {
 			factories = append(factories, f)
 		}
 	}
-	var jobs []Job
-	for _, f := range factories {
-		jobs = append(jobs, Job{System: Sequential, Factory: f, Threads: 1, Opt: opt})
-		for _, v := range variants {
-			o := opt
-			v.Mutate(&o)
-			jobs = append(jobs, Job{System: UFOHybrid, Factory: f, Threads: threads, Opt: o})
-		}
-	}
-	results, err := r.Execute(jobs)
-	var out []Figure8Row
-	i := 0
-	for _, f := range factories {
-		seqCycles := results[i].Cycles
-		i++
-		for _, v := range variants {
-			out = append(out, Figure8Row{
-				Workload:  f.Name,
-				Variant:   v.Name,
-				SeqCycles: seqCycles,
-				Result:    results[i],
-			})
-			i++
-		}
-	}
-	return out, err
+	return r.runStudy("fig8", factories, true, scale, opt, figure8Configs())
 }
 
 // PrintFigure8 renders the study.
-func PrintFigure8(w io.Writer, rows []Figure8Row) {
+func PrintFigure8(w io.Writer, rows []Row) {
 	fmt.Fprintf(w, "\nFigure 8 — UFO-hybrid contention-management sensitivity (speedup vs. sequential)\n")
 	fmt.Fprintf(w, "%-14s %-26s %8s %10s %10s\n", "workload", "policy", "speedup", "failovers", "ufoKills")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-14s %-26s %8.2f %10d %10d\n",
-			r.Workload, r.Variant, r.Result.Speedup(r.SeqCycles),
-			r.Result.Stats.Failovers,
-			r.Result.Machine.UFOKillsTrue+r.Result.Machine.UFOKillsFalse)
+			r.Workload, r.Config, r.Speedup(r.SeqCycles),
+			r.Stats.Failovers,
+			r.Machine.UFOKillsTrue+r.Machine.UFOKillsFalse)
 	}
 }
 

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/stamp"
 )
 
 // The experiment drivers run end-to-end at small scale; these tests check
@@ -86,7 +89,7 @@ func TestFigure8StructureAndPrint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three workloads × six variants.
-	if len(rows) != 3*len(Figure8Variants()) {
+	if len(rows) != 3*len(figure8Configs()) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	var sb strings.Builder
@@ -118,6 +121,118 @@ func TestAblationsStructureAndPrint(t *testing.T) {
 	}
 }
 
+// TestStudyRows pins what every runStudy caller returns: rows
+// workload-major in config order, each carrying its study, its config
+// label and the job's system at the scale's top thread count, and a
+// sequential baseline exactly where the study measures one.
+func TestStudyRows(t *testing.T) {
+	five := []string{"kmeans-high", "kmeans-low", "vacation-high", "vacation-low", "genome"}
+	ufo := func(n int) []SystemKind {
+		out := make([]SystemKind, n)
+		for i := range out {
+			out[i] = UFOHybrid
+		}
+		return out
+	}
+	// block is one study's part of a result: its rows are workloads ×
+	// configs, configs[i] running on systems[i].
+	type block struct {
+		study     string
+		baseline  bool
+		workloads []string
+		configs   []string
+		systems   []SystemKind
+	}
+	policies := []string{"exp", "linear", "karma", "serialize"}
+	cases := []struct {
+		name   string
+		run    func(*Runner, Options, Scale) ([]Row, error)
+		blocks []block
+	}{
+		{"Figure6", (*Runner).Figure6, []block{{"fig6", false, five,
+			[]string{"unbounded-htm", "ufo-hybrid", "hytm", "phtm"}, Figure6Systems}}},
+		{"Figure8", (*Runner).Figure8, []block{{"fig8", true, []string{"kmeans-high", "vacation-high", "genome"},
+			[]string{"age-ordered (default)", "requester-wins+failover5", "requester-wins",
+				"failover-on-5th-conflict", "stall-on-ufo-fault", "true-conflict-kills-only"}, ufo(6)}}},
+		{"Footprints", (*Runner).Footprints, []block{{"footprints", false, append(five[:5:5], "ssca2", "intruder", "labyrinth"),
+			[]string{"ufo-hybrid"}, ufo(1)}}},
+		{"PolicySweep", (*Runner).PolicySweep, []block{{"policies", true, five,
+			append(policies[:4:4], policies...),
+			[]SystemKind{UFOHybrid, UFOHybrid, UFOHybrid, UFOHybrid, HybridNOrec, HybridNOrec, HybridNOrec, HybridNOrec}}}},
+		{"Ablations", (*Runner).Ablations, []block{
+			{"ufo-mitigations", true, []string{"vacation-high"},
+				[]string{"eager (default)", "owner-state install", "lazy clear", "both mitigations", "true-conflict limit"}, ufo(5)},
+			{"l1-size", true, []string{"vacation-high"}, []string{"4 KB", "8 KB", "16 KB", "32 KB", "64 KB"}, ufo(5)},
+			{"otable-size", true, []string{"vacation-low"}, []string{"64 rows", "1024 rows", "65536 rows"},
+				[]SystemKind{USTMUFO, USTMUFO, USTMUFO}},
+			{"quantum", true, []string{"kmeans-low"},
+				[]string{"5000 cycles", "50000 cycles", "200000 cycles", "2000000 cycles"}, ufo(4)},
+		}},
+	}
+	top := ThreadCounts(ScaleSmall)[len(ThreadCounts(ScaleSmall))-1]
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rows, err := c.run(Parallel(0), testOptions(), ScaleSmall)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			for _, b := range c.blocks {
+				for _, wl := range b.workloads {
+					var seq uint64
+					for k, cfg := range b.configs {
+						if i >= len(rows) {
+							t.Fatalf("%d rows, want more: next is %s/%s/%s", len(rows), b.study, wl, cfg)
+						}
+						r := rows[i]
+						i++
+						if r.Study != b.study || r.Workload != wl || r.Config != cfg || r.System != b.systems[k] || r.Threads != top {
+							t.Fatalf("row %d = %s/%s/%s on %s at %d threads, want %s/%s/%s on %s at %d",
+								i-1, r.Study, r.Workload, r.Config, r.System, r.Threads, b.study, wl, cfg, b.systems[k], top)
+						}
+						if r.Cycles == 0 {
+							t.Errorf("row %d (%s/%s/%s) measured nothing", i-1, b.study, wl, cfg)
+						}
+						if (r.SeqCycles != 0) != b.baseline {
+							t.Errorf("row %d (%s/%s/%s): SeqCycles = %d, study has a baseline: %v", i-1, b.study, wl, cfg, r.SeqCycles, b.baseline)
+						}
+						if k > 0 && r.SeqCycles != seq {
+							t.Errorf("row %d (%s/%s/%s): SeqCycles = %d, the workload's first row has %d", i-1, b.study, wl, cfg, r.SeqCycles, seq)
+						}
+						seq = r.SeqCycles
+					}
+				}
+			}
+			if i != len(rows) {
+				t.Fatalf("%d rows, want %d", len(rows), i)
+			}
+		})
+	}
+
+	// A cell that dies before it has a workload to ask still yields a row
+	// named after its job: Row reads Workload and System from the Result
+	// runCell builds, not from the job list.
+	t.Run("PanickingFactory", func(t *testing.T) {
+		boom := WorkloadFactory{Name: "boom", New: func() stamp.Workload { panic("no workload") }}
+		rows, err := Serial().runStudy("doomed", []WorkloadFactory{boom}, true, ScaleSmall, testOptions(),
+			[]studyConfig{{name: "only", system: HyTM}})
+		var sweep *SweepError
+		if !errors.As(err, &sweep) || len(sweep.Cells) != 2 {
+			t.Fatalf("err = %v, want a SweepError naming the baseline and the cell", err)
+		}
+		if len(rows) != 1 {
+			t.Fatalf("rows = %d, want 1", len(rows))
+		}
+		r := rows[0]
+		if r.Study != "doomed" || r.Config != "only" || r.Workload != "boom" || r.System != HyTM || r.Threads != top {
+			t.Fatalf("row = %s/%s/%s on %s at %d threads", r.Study, r.Workload, r.Config, r.System, r.Threads)
+		}
+		if r.Err == nil || r.SeqCycles != 0 {
+			t.Fatalf("row err = %v, SeqCycles = %d: want the panic and no baseline", r.Err, r.SeqCycles)
+		}
+	})
+}
+
 func TestAblationL1SizeDirectionality(t *testing.T) {
 	opt := testOptions()
 	rows, err := Parallel(0).AblationL1Size(opt, ScaleSmall)
@@ -127,14 +242,14 @@ func TestAblationL1SizeDirectionality(t *testing.T) {
 	// Failovers must not increase with L1 size.
 	var prev = ^uint64(0)
 	for _, r := range rows {
-		f := r.Result.Stats.Failovers
+		f := r.Stats.Failovers
 		if f > prev {
 			t.Fatalf("failovers rose with a larger L1: %v", rows)
 		}
 		prev = f
 	}
 	// And the smallest cache must actually overflow at this scale.
-	if rows[0].Result.Stats.Failovers == 0 {
+	if rows[0].Stats.Failovers == 0 {
 		t.Fatal("4 KB L1 produced no failovers")
 	}
 }

@@ -91,7 +91,7 @@ type Options struct {
 	TraceLimit int
 	// Contention enables conflict attribution: a contention.Profile is
 	// attached to the machine and its frozen Report returned in the
-	// Result (and its headline totals registered as contention.* metrics).
+	// Result (and its headline totals written as contention.* metrics).
 	Contention bool
 	// ContentionTopK bounds the hot lines kept per cell
 	// (contention.DefaultTopK when 0).
@@ -101,7 +101,7 @@ type Options struct {
 	TimeSeriesWindow uint64
 	// TxStats enables per-transaction lifecycle accounting: a
 	// txstats.Recorder is attached to the machine and its frozen Report
-	// returned in the Result (and its headline totals registered as
+	// returned in the Result (and its headline totals written as
 	// txstats.* metrics). Attaching the recorder never changes simulated
 	// cycles — the hooks observe the run without perturbing it.
 	TxStats bool
@@ -227,12 +227,12 @@ func runOn(arena *machine.Arena, kind SystemKind, wl stamp.Workload, threads int
 		bodies[i] = func(*machine.Proc) { wl.Thread(tid, ex) }
 	}
 	m.Run(bodies)
-	reg := obs.NewRegistry()
-	sys.Stats().Register(reg)
+	metrics := obs.NewSnapshot()
+	sys.Stats().Register(metrics)
 	if ci, ok := sys.(cm.Instrumented); ok {
-		ci.CM().Register(reg)
+		ci.CM().Register(metrics)
 	}
-	m.RegisterMetrics(reg)
+	m.RegisterMetrics(metrics)
 	res := Result{
 		System:   kind,
 		Workload: wl.Name(),
@@ -240,11 +240,12 @@ func runOn(arena *machine.Arena, kind SystemKind, wl stamp.Workload, threads int
 		Cycles:   m.Cycles(),
 		Stats:    *sys.Stats(),
 		Machine:  m.Count,
+		Metrics:  metrics,
 		Trace:    tr,
 		Err:      wl.Validate(m),
 	}
 	if prof != nil {
-		prof.Register(reg)
+		prof.Register(metrics)
 		res.Contention = prof.Report(opt.ContentionTopK)
 		if ci, ok := sys.(cm.Instrumented); ok {
 			st := ci.CM().Stats()
@@ -260,10 +261,9 @@ func runOn(arena *machine.Arena, kind SystemKind, wl stamp.Workload, threads int
 		}
 	}
 	if txrec != nil {
-		txrec.Register(reg)
+		txrec.Register(metrics)
 		res.TxStats = txrec.Report()
 	}
-	res.Metrics = reg.Snapshot()
 	m.Release()
 	return res
 }

@@ -7,10 +7,10 @@ import (
 	"repro/internal/tm"
 )
 
-// TestMetricsReportDeterministicAcrossWorkers is the acceptance-criteria
+// TestReportMetricsSectionDeterministicAcrossWorkers is the acceptance-criteria
 // regression: the full metrics JSON (per-cell snapshots + aggregate)
 // must be byte-identical between a serial and a parallel sweep.
-func TestMetricsReportDeterministicAcrossWorkers(t *testing.T) {
+func TestReportMetricsSectionDeterministicAcrossWorkers(t *testing.T) {
 	sectionDeterministicAcrossWorkers(t, testOptions(), SectionMetrics)
 }
 
@@ -69,10 +69,10 @@ func TestResultMetricsMatchLegacyCounters(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, m.Value, res.Machine.HWAbortsByReason[reason])
 		}
 	}
-	// Footprint histograms import losslessly.
-	hw := s.Get(machine.MetricHWFootprint)
-	if hw == nil || hw.Hist.Count != res.Machine.HWFootprint.Count || hw.Hist.Sum != res.Machine.HWFootprint.Sum {
-		t.Errorf("hw footprint hist = %+v, want count=%d sum=%d", hw, res.Machine.HWFootprint.Count, res.Machine.HWFootprint.Sum)
+	// The footprint histogram in the snapshot is the machine's own.
+	hw, want := s.Get(machine.MetricHWFootprint), res.Machine.HWFootprint.Snapshot()
+	if hw == nil || hw.Hist.Count != want.Count || hw.Hist.Sum != want.Sum {
+		t.Errorf("hw footprint hist = %+v, want count=%d sum=%d", hw, want.Count, want.Sum)
 	}
 	// Per-processor breakdowns exist for both procs and sum to the totals.
 	var hits uint64
@@ -92,8 +92,8 @@ func TestResultMetricsMatchLegacyCounters(t *testing.T) {
 	}
 }
 
-// TestMetricsReportAggregate: the aggregate is the cell-wise sum.
-func TestMetricsReportAggregate(t *testing.T) {
+// TestReportAggregateSumsMetrics: the aggregate is the cell-wise sum.
+func TestReportAggregateSumsMetrics(t *testing.T) {
 	var rep Report
 	r := Serial()
 	r.Collect = rep.Collector()

@@ -14,65 +14,28 @@ import (
 // interacts with fallback design.
 var PolicySystems = []SystemKind{UFOHybrid, HybridNOrec}
 
-// PolicyRow is one (workload, system, policy) cell of the contention-
-// management policy ablation: the Figure 5 workload run on one
-// PolicySystems hybrid at the scale's top thread count under one
-// backoff policy.
-type PolicyRow struct {
-	Workload  string
-	System    SystemKind
-	Policy    string // -policy flag value: exp | linear | karma | serialize
-	SeqCycles uint64
-	Result    Result
-}
-
 // PolicySweep compares every contention-management policy (cm.Kinds)
 // across the Figure 5 workloads on each PolicySystems hybrid at the
-// scale's largest thread count. Like every sweep it fans out through
-// the Runner's worker pool and is deterministic for every worker count:
-// each cell owns its machine and instantiates its own policy from the
-// value-typed spec.
-func (r *Runner) PolicySweep(opt Options, scale Scale) ([]PolicyRow, error) {
-	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
-	factories := Benchmarks(scale)
-	var jobs []Job
-	for _, f := range factories {
-		jobs = append(jobs, Job{System: Sequential, Factory: f, Threads: 1, Opt: opt})
-		for _, sys := range PolicySystems {
-			for _, kind := range cm.Kinds {
-				o := opt
-				o.CM = cm.Spec{Kind: kind}
-				jobs = append(jobs, Job{System: sys, Factory: f, Threads: threads, Opt: o})
-			}
+// scale's largest thread count; a row's Config is the policy's -policy
+// flag value (exp | linear | karma | serialize). Like every sweep it
+// fans out through the Runner's worker pool and is deterministic for
+// every worker count: each cell owns its machine and instantiates its
+// own policy from the value-typed spec.
+func (r *Runner) PolicySweep(opt Options, scale Scale) ([]Row, error) {
+	var configs []studyConfig
+	for _, sys := range PolicySystems {
+		for _, kind := range cm.Kinds {
+			configs = append(configs, studyConfig{string(kind), sys, func(o *Options) { o.CM = cm.Spec{Kind: kind} }})
 		}
 	}
-	results, err := r.Execute(jobs)
-	var out []PolicyRow
-	i := 0
-	for _, f := range factories {
-		seq := results[i].Cycles
-		i++
-		for _, sys := range PolicySystems {
-			for _, kind := range cm.Kinds {
-				out = append(out, PolicyRow{
-					Workload:  f.Name,
-					System:    sys,
-					Policy:    string(kind),
-					SeqCycles: seq,
-					Result:    results[i],
-				})
-				i++
-			}
-		}
-	}
-	return out, err
+	return r.runStudy("policies", Benchmarks(scale), true, scale, opt, configs)
 }
 
 // PrintPolicySweep renders the policy comparison as one table per
 // (workload, system): speedup plus the policy's own decision counters
 // (delays issued, cycles spent backing off, starvation escalations)
 // next to the retry/failover counts they drive.
-func PrintPolicySweep(w io.Writer, rows []PolicyRow) {
+func PrintPolicySweep(w io.Writer, rows []Row) {
 	workload, system := "", SystemKind("")
 	for _, r := range rows {
 		if r.Workload != workload || r.System != system {
@@ -82,10 +45,10 @@ func PrintPolicySweep(w io.Writer, rows []PolicyRow) {
 			fmt.Fprintf(w, "%-11s %8s %10s %12s %12s %10s %10s\n",
 				"policy", "speedup", "hwRetries", "failovers", "delayCycles", "delays", "starved")
 		}
-		m := r.Result.Metrics
+		m := r.Metrics
 		fmt.Fprintf(w, "%-11s %8.2f %10d %12d %12d %10d %10d\n",
-			r.Policy, r.Result.Speedup(r.SeqCycles),
-			r.Result.Stats.HWRetries, r.Result.Stats.Failovers,
+			r.Config, r.Speedup(r.SeqCycles),
+			r.Stats.HWRetries, r.Stats.Failovers,
 			m.Counter("cm.delay_cycles"), m.Counter("cm.delays"),
 			m.Counter("cm.starvation_escalations"))
 	}

@@ -29,8 +29,8 @@ func TestPolicySweepDeterministicAndComplete(t *testing.T) {
 	for i := range serial {
 		if serial[i].Workload != parallel[i].Workload ||
 			serial[i].System != parallel[i].System ||
-			serial[i].Policy != parallel[i].Policy ||
-			serial[i].Result.Cycles != parallel[i].Result.Cycles {
+			serial[i].Config != parallel[i].Config ||
+			serial[i].Cycles != parallel[i].Cycles {
 			t.Fatalf("row %d differs across worker counts:\nserial   %+v\nparallel %+v",
 				i, serial[i], parallel[i])
 		}
@@ -61,7 +61,7 @@ func TestPolicySweepDeterministicAndComplete(t *testing.T) {
 	// default policy).
 	byKey := map[string]uint64{}
 	for _, r := range serial {
-		byKey[r.Workload+"/"+string(r.System)+"/"+r.Policy] = r.Result.Metrics.Counter("cm.delay_cycles")
+		byKey[r.Workload+"/"+string(r.System)+"/"+r.Config] = r.Metrics.Counter("cm.delay_cycles")
 	}
 	for _, sys := range PolicySystems {
 		differs := false

@@ -102,7 +102,7 @@ func (rep *Report) Collector() func(Job, Result) {
 // commutative sums keeps the aggregate deterministic.
 func (rep *Report) Aggregate() Cell {
 	agg := Cell{
-		Metrics:    obs.NewRegistry().Snapshot(),
+		Metrics:    obs.NewSnapshot(),
 		TxStats:    &txstats.Report{},
 		Contention: &contention.Report{},
 	}

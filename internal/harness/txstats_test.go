@@ -17,21 +17,21 @@ func txstatsOptions() Options {
 	return opt
 }
 
-// TestTxStatsReportDeterministicAcrossWorkers is the acceptance criterion
-// beside TestMetricsReportDeterministicAcrossWorkers and its contention
+// TestReportTxStatsSectionDeterministicAcrossWorkers is the acceptance criterion
+// beside TestReportMetricsSectionDeterministicAcrossWorkers and its contention
 // sibling: the full txstats JSON (per-cell reports + aggregate, latency
 // percentiles included) must be byte-identical between a serial and a
 // parallel sweep.
-func TestTxStatsReportDeterministicAcrossWorkers(t *testing.T) {
+func TestReportTxStatsSectionDeterministicAcrossWorkers(t *testing.T) {
 	sectionDeterministicAcrossWorkers(t, txstatsOptions(), SectionTxStats)
 }
 
-// TestTxStatsReportSchedulerBitIdentical is the txstats counterpart of
+// TestReportTxStatsSectionSchedulerBitIdentical is the txstats counterpart of
 // TestScaleSweepSchedulerBitIdentical: the report must be byte-identical
 // whether the cells ran under the run-ahead scheduler or the reference
 // scheduler — the recorder observes simulated time only, so the engine's
 // host-side execution strategy must not leak into it.
-func TestTxStatsReportSchedulerBitIdentical(t *testing.T) {
+func TestReportTxStatsSectionSchedulerBitIdentical(t *testing.T) {
 	run := func(reference bool) []byte {
 		opt := txstatsOptions()
 		opt.Params.ReferenceScheduler = reference

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -269,8 +270,8 @@ type Counters struct {
 	ConflictSTMOlder uint64 // STM-vs-HTM conflicts where the STM tx was older
 	ConflictHTMOlder uint64
 	// Footprint histograms of committed transactions (distinct lines).
-	HWFootprint Hist
-	SWFootprint Hist
+	HWFootprint obs.Histogram
+	SWFootprint obs.Histogram
 }
 
 // Machine is the simulated multiprocessor. Its shared state (memory,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 )
 
 // testParams returns a small, fast configuration.
@@ -584,7 +585,7 @@ func TestFootprintHistogram(t *testing.T) {
 		p.BeginHW(m.NextAge(), true)
 		p.CommitHW() // footprint 0
 	}})
-	h := &m.Count.HWFootprint
+	h := m.Count.HWFootprint.Snapshot()
 	if h.Count != 2 || h.Max != 3 || h.Sum != 3 {
 		t.Fatalf("hist = %+v", h)
 	}
@@ -600,7 +601,7 @@ func TestFootprintHistogram(t *testing.T) {
 	if h.String() == "(empty)" {
 		t.Fatal("String empty")
 	}
-	var empty Hist
+	var empty obs.HistSnapshot
 	if empty.String() != "(empty)" || empty.Mean() != 0 || empty.FracAtMost(1) != 0 {
 		t.Fatal("empty hist misbehaves")
 	}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Metric names exported by RegisterMetrics. The full catalogue — units,
+// Metric names written by RegisterMetrics. The full catalogue — units,
 // meanings, and which paper figure consumes each — is documented in
 // OBSERVABILITY.md; tests reference these constants so renames cannot
 // silently desynchronize the schema.
@@ -33,46 +33,41 @@ const (
 	MetricProcPrefix = "machine.proc."
 )
 
-// histInto imports a machine Hist into the registry under name.
-func histInto(reg *obs.Registry, name, help string, h *Hist) {
-	reg.Histogram(name, "lines", help).Import(h.Count, h.Sum, h.Max, h.Buckets[:])
-}
-
-// RegisterMetrics registers the machine's hardware-side event counts into
-// reg: global counters (commits, per-reason aborts, NACKs, UFO kills and
+// RegisterMetrics writes the machine's hardware-side event counts into
+// s: global counters (commits, per-reason aborts, NACKs, UFO kills and
 // faults, STM/HTM conflict ages), the committed-footprint histograms, the
 // simulated cycle count, and per-processor cycle and L1 hit/miss
 // breakdowns. Call it after Run (never mid-run — it reads shared
-// counters without ordering); the registered values are copies.
-func (m *Machine) RegisterMetrics(reg *obs.Registry) {
-	reg.Counter(MetricCycles, "cycles", "simulated duration of the run (max over processors)").Add(m.Cycles())
-	reg.Counter(MetricHWCommits, "transactions", "hardware transactions committed (Figures 5-6)").Add(m.Count.HWCommits)
+// counters without ordering); the written values are copies.
+func (m *Machine) RegisterMetrics(s *obs.Snapshot) {
+	s.AddCounter(MetricCycles, "cycles", "simulated duration of the run (max over processors)", m.Cycles())
+	s.AddCounter(MetricHWCommits, "transactions", "hardware transactions committed (Figures 5-6)", m.Count.HWCommits)
 	for reason := 1; reason < NumAbortReasons; reason++ {
-		reg.Counter(MetricAbortPrefix+AbortReason(reason).String(), "aborts",
-			"hardware aborts by reason (Figure 6)").Add(m.Count.HWAbortsByReason[reason])
+		s.AddCounter(MetricAbortPrefix+AbortReason(reason).String(), "aborts",
+			"hardware aborts by reason (Figure 6)", m.Count.HWAbortsByReason[reason])
 	}
-	reg.Counter(MetricNacks, "events", "age-ordered conflict NACKs (Section 3.1)").Add(m.Count.Nacks)
-	reg.Counter(MetricUFOKillsTrue, "events", "set_ufo_bits kills with a true footprint conflict (Section 4.3)").Add(m.Count.UFOKillsTrue)
-	reg.Counter(MetricUFOKillsFalse, "events", "set_ufo_bits kills without a true conflict (Section 4.3)").Add(m.Count.UFOKillsFalse)
-	reg.Counter(MetricUFOFaults, "events", "accesses that hit UFO protection (Section 4.2)").Add(m.Count.UFOFaults)
-	reg.Counter(MetricSTMOlder, "events", "STM-vs-HTM conflicts where the STM transaction was older (Section 5.4)").Add(m.Count.ConflictSTMOlder)
-	reg.Counter(MetricHTMOlder, "events", "STM-vs-HTM conflicts where the HTM transaction was older (Section 5.4)").Add(m.Count.ConflictHTMOlder)
-	histInto(reg, MetricHWFootprint, "footprint of committed hardware transactions", &m.Count.HWFootprint)
-	histInto(reg, MetricSWFootprint, "footprint of committed software transactions", &m.Count.SWFootprint)
+	s.AddCounter(MetricNacks, "events", "age-ordered conflict NACKs (Section 3.1)", m.Count.Nacks)
+	s.AddCounter(MetricUFOKillsTrue, "events", "set_ufo_bits kills with a true footprint conflict (Section 4.3)", m.Count.UFOKillsTrue)
+	s.AddCounter(MetricUFOKillsFalse, "events", "set_ufo_bits kills without a true conflict (Section 4.3)", m.Count.UFOKillsFalse)
+	s.AddCounter(MetricUFOFaults, "events", "accesses that hit UFO protection (Section 4.2)", m.Count.UFOFaults)
+	s.AddCounter(MetricSTMOlder, "events", "STM-vs-HTM conflicts where the STM transaction was older (Section 5.4)", m.Count.ConflictSTMOlder)
+	s.AddCounter(MetricHTMOlder, "events", "STM-vs-HTM conflicts where the HTM transaction was older (Section 5.4)", m.Count.ConflictHTMOlder)
+	s.AddHistogram(MetricHWFootprint, "lines", "footprint of committed hardware transactions", &m.Count.HWFootprint)
+	s.AddHistogram(MetricSWFootprint, "lines", "footprint of committed software transactions", &m.Count.SWFootprint)
 
 	var hits, misses uint64
 	for _, p := range m.procs {
 		hits += p.l1.Hits()
 		misses += p.l1.Misses()
 		pp := fmt.Sprintf("%s%02d.", MetricProcPrefix, p.ID())
-		reg.Counter(pp+"cycles", "cycles", "per-processor local clock at end of run").Add(p.Now())
-		reg.Counter(pp+"l1_hits", "references", "per-processor L1 hits").Add(p.l1.Hits())
-		reg.Counter(pp+"l1_misses", "references", "per-processor L1 misses").Add(p.l1.Misses())
+		s.AddCounter(pp+"cycles", "cycles", "per-processor local clock at end of run", p.Now())
+		s.AddCounter(pp+"l1_hits", "references", "per-processor L1 hits", p.l1.Hits())
+		s.AddCounter(pp+"l1_misses", "references", "per-processor L1 misses", p.l1.Misses())
 	}
-	reg.Counter(MetricL1Hits, "references", "L1 hits summed over processors").Add(hits)
-	reg.Counter(MetricL1Misses, "references", "L1 misses summed over processors").Add(misses)
+	s.AddCounter(MetricL1Hits, "references", "L1 hits summed over processors", hits)
+	s.AddCounter(MetricL1Misses, "references", "L1 misses summed over processors", misses)
 
 	if tr := m.Trace(); tr != nil {
-		reg.Counter(MetricTraceEvents, "events", "trace events recorded (including ring-evicted)").Add(tr.Total())
+		s.AddCounter(MetricTraceEvents, "events", "trace events recorded (including ring-evicted)", tr.Total())
 	}
 }

@@ -236,11 +236,17 @@ func (p *Proc) CommitHW() Outcome {
 	}
 	t.Spec.Words(p.m.Mem.Write64)
 	p.m.Count.HWCommits++
-	p.m.Count.HWFootprint.Add(t.Footprint())
+	p.m.Count.HWFootprint.Observe(uint64(t.Footprint()))
 	p.emit(TraceEvent{Kind: TraceHWCommit, Proc: p.ID(), Age: t.Age, Flags: FlagAge})
 	t.release()
 	p.hw = nil
 	return okOutcome
+}
+
+// RecordSWFootprint lets software TMs feed their committed transactions'
+// footprints into the machine-wide histogram.
+func (p *Proc) RecordSWFootprint(lines int) {
+	p.m.Count.SWFootprint.Observe(uint64(lines))
 }
 
 // AbortHW aborts the in-flight transaction for a self-inflicted reason

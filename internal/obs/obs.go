@@ -1,8 +1,9 @@
-// Package obs is the observability substrate of the reproduction: a
-// registry of named, typed metrics (counters, gauges, power-of-two
-// histograms) that the machine, the TM systems, and the harness all
-// register their event counts into, snapshotable to a stable,
-// deterministic JSON schema (documented in OBSERVABILITY.md). Every
+// Package obs is the observability substrate of the reproduction: the
+// Snapshot, a name-ordered list of typed metrics (counters, gauges,
+// power-of-two histograms) that the machine, the TM systems and the
+// observers write their end-of-run totals into, with a stable,
+// deterministic JSON schema (documented in OBSERVABILITY.md), and the
+// Histogram those layers observe into while a run is live. Every
 // number in the paper's evaluation — commits by mode, abort reasons,
 // failovers, UFO faults, footprints — flows through here, so a sweep's
 // results can be archived, diffed, and re-plotted without rerunning the
@@ -20,6 +21,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,27 +42,18 @@ const (
 	TypeHistogram MetricType = "histogram"
 )
 
-// Counter is a monotonically increasing uint64 metric.
-type Counter struct {
-	v uint64
-}
-
-// Add increases the counter by n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.v++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
 // GaugeMerge selects how a gauge combines across snapshots in
 // Snapshot.Add. The zero value is MergeSum.
 type GaugeMerge string
 
-// The gauge merge rules. Each registered gauge picks one explicitly
-// (Registry.Gauge registers sum-merged gauges, Registry.MaxGauge
-// max-merged ones); OBSERVABILITY.md documents the rule per metric.
+// The gauge merge rules. The rule is part of a gauge's schema
+// (OBSERVABILITY.md documents it per metric): a sum-merged gauge adds
+// across sweep cells like a counter and so must hold an extensive
+// quantity; a max-merged gauge keeps the largest cell value and so
+// suits peaks and high-water marks, where summing cells would fabricate
+// a value no run observed. Ratios belong to the consumer. The one gauge
+// written today merges by max (Snapshot.AddMaxGauge); MergeSum stays in
+// the reader and in Snapshot.Add because archived files may carry it.
 const (
 	// MergeSum: values add across cells (extensive quantities).
 	MergeSum GaugeMerge = ""
@@ -68,42 +62,28 @@ const (
 	MergeMax GaugeMerge = "max"
 )
 
-// Gauge is a point-in-time float64 metric. Every gauge declares its
-// aggregation rule at registration: sum-merged gauges (Registry.Gauge)
-// add across sweep cells like counters and so must hold extensive
-// quantities; max-merged gauges (Registry.MaxGauge) keep the largest
-// cell value and so suit peaks and high-water marks. Ratios belong to
-// the consumer.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
-// DefaultHistBuckets covers observations 1 .. 2^16 in power-of-two
-// buckets, mirroring machine.Hist so footprint histograms import
-// losslessly.
+// DefaultHistBuckets covers observations 1 .. 2^16 - 1 in power-of-two
+// buckets: the range of a transaction footprint in lines.
 const DefaultHistBuckets = 17
 
-// WideHistBuckets covers observations 1 .. 2^32: the variant for
+// WideHistBuckets covers observations 1 .. 2^32 - 1: the variant for
 // cycle-scale values (transaction latencies), where the default range
 // would clamp everything above ~65k cycles into one bucket.
 const WideHistBuckets = 33
 
 // Histogram is a power-of-two histogram: bucket i counts observations in
-// (2^(i-1), 2^i]; bucket 0 counts zero observations. The zero value is a
+// [2^(i-1), 2^i - 1]; bucket 0 counts zero observations; an observation
+// past the last bucket is clamped into it. The zero value is a
 // ready-to-use histogram with the default bucket range; NewWideHistogram
-// (or Registry.WideHistogram) widens the range to 2^32.
+// widens the range to 2^32. The buckets are an array, so a Histogram
+// copies by value (machine.Counters is copied into every Result) and
+// observing allocates nothing.
 type Histogram struct {
 	count   uint64
 	sum     uint64
 	max     uint64
 	width   int // 0 means DefaultHistBuckets, keeping the zero value usable
-	buckets []uint64
+	buckets [WideHistBuckets]uint64
 }
 
 // NewWideHistogram returns a histogram whose buckets cover 1 .. 2^32
@@ -120,147 +100,28 @@ func (h *Histogram) Width() int {
 	return h.width
 }
 
-// grow lazily allocates the bucket slice (so zero-value Histograms work).
-func (h *Histogram) grow() {
-	if h.buckets == nil {
-		h.buckets = make([]uint64, h.Width())
-	}
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
-	h.grow()
 	h.count++
 	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
-	b := 0
-	for x := v; x > 0; x >>= 1 {
-		b++
-	}
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
+	b := bits.Len64(v)
+	if w := h.Width(); b >= w {
+		b = w - 1
 	}
 	h.buckets[b]++
-}
-
-// Import adds pre-aggregated histogram state (count, sum, max, and
-// per-bucket counts) into h. Buckets beyond h's range accumulate into the
-// last bucket. This is how machine.Hist instances register losslessly.
-func (h *Histogram) Import(count, sum, max uint64, buckets []uint64) {
-	h.grow()
-	h.count += count
-	h.sum += sum
-	if max > h.max {
-		h.max = max
-	}
-	for i, n := range buckets {
-		if i >= len(h.buckets) {
-			h.buckets[len(h.buckets)-1] += n
-			continue
-		}
-		h.buckets[i] += n
-	}
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// metric is one registered entry.
-type metric struct {
-	name  string
-	typ   MetricType
-	unit  string
-	help  string
-	merge GaugeMerge // gauges only
-
-	c *Counter
-	g *Gauge
-	h *Histogram
-}
-
-// Registry holds named metrics. It is not safe for concurrent use: the
-// simulation engine serializes processors within a run, and parallel
-// sweeps give every cell its own registry (merged afterwards in job
-// order), so no locking is needed anywhere.
-type Registry struct {
-	byName map[string]*metric
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*metric)}
-}
-
-func (r *Registry) lookup(name string, typ MetricType) *metric {
-	if m, ok := r.byName[name]; ok {
-		if m.typ != typ {
-			panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, m.typ, typ))
-		}
-		return m
-	}
-	m := &metric{name: name, typ: typ}
-	r.byName[name] = m
-	return m
-}
-
-// Counter registers (or returns the existing) counter under name. unit
-// and help document the metric; they are recorded on first registration.
-func (r *Registry) Counter(name, unit, help string) *Counter {
-	m := r.lookup(name, TypeCounter)
-	if m.c == nil {
-		m.c, m.unit, m.help = &Counter{}, unit, help
-	}
-	return m.c
-}
-
-// Gauge registers (or returns the existing) gauge under name, merging
-// by summation across snapshots (MergeSum).
-func (r *Registry) Gauge(name, unit, help string) *Gauge {
-	m := r.lookup(name, TypeGauge)
-	if m.g == nil {
-		m.g, m.unit, m.help = &Gauge{}, unit, help
-	}
-	return m.g
-}
-
-// MaxGauge registers (or returns the existing) gauge under name, merging
-// by maximum across snapshots (MergeMax) — for peaks and high-water
-// marks, where summing cells would fabricate a value no run observed.
-func (r *Registry) MaxGauge(name, unit, help string) *Gauge {
-	m := r.lookup(name, TypeGauge)
-	if m.g == nil {
-		m.g, m.unit, m.help, m.merge = &Gauge{}, unit, help, MergeMax
-	}
-	return m.g
-}
-
-// Histogram registers (or returns the existing) histogram under name.
-func (r *Registry) Histogram(name, unit, help string) *Histogram {
-	m := r.lookup(name, TypeHistogram)
-	if m.h == nil {
-		m.h, m.unit, m.help = &Histogram{}, unit, help
-	}
-	return m.h
-}
-
-// WideHistogram registers (or returns the existing) histogram under
-// name with the wide 2^32 bucket range (WideHistBuckets) — for
-// cycle-scale values such as transaction latencies.
-func (r *Registry) WideHistogram(name, unit, help string) *Histogram {
-	m := r.lookup(name, TypeHistogram)
-	if m.h == nil {
-		m.h, m.unit, m.help = NewWideHistogram(), unit, help
-	}
-	return m.h
-}
-
-// Snapshot freezes the histogram's state (trailing zero buckets trimmed),
-// matching the per-metric representation Registry.Snapshot produces.
+// Snapshot freezes the histogram's state (trailing zero buckets trimmed):
+// the representation a Snapshot holds and every report encodes.
 func (h *Histogram) Snapshot() *HistSnapshot {
 	hs := &HistSnapshot{Count: h.count, Sum: h.sum, Max: h.max}
-	end := len(h.buckets)
+	end := h.Width()
 	for end > 0 && h.buckets[end-1] == 0 {
 		end--
 	}
@@ -299,6 +160,58 @@ func (h *HistSnapshot) Add(other *HistSnapshot) *HistSnapshot {
 		h.Buckets[i] += n
 	}
 	return h
+}
+
+// Mean returns the average observation.
+func (h *HistSnapshot) Mean() float64 {
+	if h.Count == 0 {
+		return 0
+	}
+	return float64(h.Sum) / float64(h.Count)
+}
+
+// bucketTop returns the largest value bucket i holds: 0 for bucket 0,
+// 2^i - 1 above it.
+func bucketTop(i int) uint64 { return uint64(1)<<i - 1 }
+
+// FracAtMost returns a lower bound on the fraction of observations that
+// are ≤ limit: it counts the buckets that lie wholly at or below limit,
+// so the bucket limit falls inside contributes nothing.
+func (h *HistSnapshot) FracAtMost(limit uint64) float64 {
+	if h.Count == 0 {
+		return 0
+	}
+	var n uint64
+	for i, c := range h.Buckets {
+		if bucketTop(i) > limit {
+			break
+		}
+		n += c
+	}
+	return float64(n) / float64(h.Count)
+}
+
+// String renders the non-empty buckets, each labelled with the largest
+// value it holds.
+func (h *HistSnapshot) String() string {
+	if h.Count == 0 {
+		return "(empty)"
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "n=%d mean=%.1f max=%d [", h.Count, h.Mean(), h.Max)
+	first := true
+	for i, c := range h.Buckets {
+		if c == 0 {
+			continue
+		}
+		if !first {
+			sb.WriteString(" ")
+		}
+		first = false
+		fmt.Fprintf(&sb, "≤%d:%d", bucketTop(i), c)
+	}
+	sb.WriteString("]")
+	return sb.String()
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the observations from
@@ -462,35 +375,48 @@ func (m *Metric) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Snapshot is a frozen, name-ordered view of a registry.
+// Snapshot is a name-ordered list of metrics: one run's end-of-run
+// totals, or the merge of several. Whoever owns a number writes it once,
+// after the run, with AddCounter, AddMaxGauge or AddHistogram; the
+// metrics stay ordered by name however they were written, so two
+// snapshots with the same contents encode byte-identically. It is not
+// safe for concurrent use: every sweep cell fills its own snapshot, and
+// cells are merged afterwards in job order.
 type Snapshot struct {
 	Schema  string   `json:"schema"`
 	Metrics []Metric `json:"metrics"`
 }
 
-// Snapshot freezes the registry. Metrics are ordered by name, so two
-// registries with the same contents produce byte-identical encodings.
-func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{Schema: SchemaVersion}
-	names := make([]string, 0, len(r.byName))
-	for name := range r.byName {
-		names = append(names, name)
+// NewSnapshot returns an empty snapshot carrying the schema string.
+func NewSnapshot() *Snapshot { return &Snapshot{Schema: SchemaVersion} }
+
+// put inserts m at its place in name order. A name written twice is a
+// defect in the writer — two layers claiming one schema name — and
+// panics.
+func (s *Snapshot) put(m Metric) {
+	i, found := sort.Find(len(s.Metrics), func(i int) int { return strings.Compare(m.Name, s.Metrics[i].Name) })
+	if found {
+		panic(fmt.Sprintf("obs: metric %q written twice", m.Name))
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := r.byName[name]
-		out := Metric{Name: m.name, Type: m.typ, Unit: m.unit, Help: m.help, Merge: m.merge}
-		switch m.typ {
-		case TypeCounter:
-			out.Value = m.c.v
-		case TypeGauge:
-			out.FValue = m.g.v
-		case TypeHistogram:
-			out.Hist = m.h.Snapshot()
-		}
-		s.Metrics = append(s.Metrics, out)
-	}
-	return s
+	s.Metrics = slices.Insert(s.Metrics, i, m)
+}
+
+// AddCounter writes the counter name with value v. unit and help
+// document the metric in the encoded snapshot.
+func (s *Snapshot) AddCounter(name, unit, help string, v uint64) {
+	s.put(Metric{Name: name, Type: TypeCounter, Unit: unit, Help: help, Value: v})
+}
+
+// AddMaxGauge writes the gauge name with value v, merging by maximum
+// across snapshots (MergeMax).
+func (s *Snapshot) AddMaxGauge(name, unit, help string, v float64) {
+	s.put(Metric{Name: name, Type: TypeGauge, Unit: unit, Help: help, Merge: MergeMax, FValue: v})
+}
+
+// AddHistogram writes the histogram name with h's current state, which
+// it copies: observing into h afterwards does not change the snapshot.
+func (s *Snapshot) AddHistogram(name, unit, help string, h *Histogram) {
+	s.put(Metric{Name: name, Type: TypeHistogram, Unit: unit, Help: help, Hist: h.Snapshot()})
 }
 
 // Get returns the metric with the given name, or nil.

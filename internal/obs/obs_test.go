@@ -8,37 +8,26 @@ import (
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("a.count", "events", "help text")
-	c.Add(3)
-	c.Inc()
-	if c.Value() != 4 {
-		t.Fatalf("counter = %d, want 4", c.Value())
-	}
-	g := r.Gauge("a.gauge", "cycles", "")
-	g.Set(2.5)
-	if g.Value() != 2.5 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
-	h := r.Histogram("a.hist", "lines", "")
+	s := NewSnapshot()
+	s.AddCounter("a.count", "events", "help text", 4)
+	s.AddMaxGauge("a.gauge", "cycles", "", 2.5)
+	var h Histogram
 	for _, v := range []uint64{0, 1, 2, 3, 8, 1 << 20} {
 		h.Observe(v)
 	}
 	if h.Count() != 6 {
 		t.Fatalf("hist count = %d", h.Count())
 	}
+	s.AddHistogram("a.hist", "lines", "", &h)
 
-	// Re-registration returns the same instance.
-	if r.Counter("a.count", "", "") != c {
-		t.Fatal("re-registered counter is a different instance")
-	}
-
-	s := r.Snapshot()
 	if s.Schema != SchemaVersion {
 		t.Fatalf("schema = %q", s.Schema)
 	}
 	if got := s.Get("a.count"); got == nil || got.Value != 4 || got.Unit != "events" {
 		t.Fatalf("snapshot counter = %+v", got)
+	}
+	if got := s.Get("a.gauge"); got == nil || got.FValue != 2.5 || got.Merge != MergeMax {
+		t.Fatalf("snapshot gauge = %+v", got)
 	}
 	hs := s.Get("a.hist")
 	if hs == nil || hs.Hist.Count != 6 || hs.Hist.Max != 1<<20 {
@@ -53,35 +42,101 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramCopiesByValue: machine.Counters is copied into every
+// harness.Result while the machine lives on, so a copy of a Histogram
+// must not share buckets with the original.
+func TestHistogramCopiesByValue(t *testing.T) {
+	var h Histogram
+	h.Observe(3)
+	frozen := h
+	h.Observe(100)
+	if got := frozen.Snapshot(); got.Count != 1 || got.Max != 3 || len(got.Buckets) != 3 {
+		t.Fatalf("copy changed with the original: %+v", got)
+	}
+	if got := h.Snapshot(); got.Count != 2 || got.Max != 100 {
+		t.Fatalf("original = %+v", got)
+	}
+	// A written histogram is a copy too.
+	s := NewSnapshot()
+	s.AddHistogram("h", "lines", "", &h)
+	h.Observe(7)
+	if got := s.Get("h").Hist.Count; got != 2 {
+		t.Fatalf("snapshot followed a later Observe: count = %d", got)
+	}
+}
+
+// TestFracAtMostIsALowerBound: a bucket counts toward "≤ limit" only
+// when every value it can hold is, and String labels a bucket with the
+// largest value it holds. One observation of 100 sits in [64, 127]: it
+// is not known to be ≤ 64.
+func TestFracAtMostIsALowerBound(t *testing.T) {
+	var h Histogram
+	h.Observe(100)
+	hs := h.Snapshot()
+	if got := hs.FracAtMost(64); got != 0 {
+		t.Errorf("FracAtMost(64) = %v, want 0: 100 is above the limit", got)
+	}
+	if got := hs.FracAtMost(127); got != 1 {
+		t.Errorf("FracAtMost(127) = %v, want 1", got)
+	}
+	if got := hs.String(); !strings.Contains(got, "≤127:1") {
+		t.Errorf("String() = %q, want the bucket labelled ≤127:1", got)
+	}
+	if hs.Mean() != 100 {
+		t.Errorf("Mean() = %v", hs.Mean())
+	}
+}
+
+// TestTypeConflictPanics: a name belongs to one writer. Writing it twice
+// panics whether the second write has another type (the conflict the
+// registry used to catch) or the same one.
 func TestTypeConflictPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on type conflict")
-		}
-	}()
-	r := NewRegistry()
-	r.Counter("x", "", "")
-	r.Gauge("x", "", "")
+	for name, again := range map[string]func(*Snapshot){
+		"same type":  func(s *Snapshot) { s.AddCounter("x", "", "", 2) },
+		"other type": func(s *Snapshot) { s.AddMaxGauge("x", "", "", 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on a name written twice", name)
+				}
+			}()
+			s := NewSnapshot()
+			s.AddCounter("a", "", "", 1)
+			s.AddCounter("x", "", "", 1)
+			again(s)
+		}()
+	}
 }
 
 func TestSnapshotJSONDeterministic(t *testing.T) {
+	var h Histogram
+	h.Observe(5)
 	build := func(order []string) []byte {
-		r := NewRegistry()
+		s := NewSnapshot()
 		for _, n := range order {
-			r.Counter(n, "events", "").Add(7)
+			switch n {
+			case "h":
+				s.AddHistogram(n, "lines", "footprints", &h)
+			case "g":
+				s.AddMaxGauge(n, "ratio", "", 0.25)
+			default:
+				s.AddCounter(n, "events", "", 7)
+			}
 		}
-		r.Histogram("h", "lines", "footprints").Observe(5)
-		r.Gauge("g", "ratio", "").Set(0.25)
 		var buf bytes.Buffer
-		if err := r.Snapshot().WriteJSON(&buf); err != nil {
+		if err := s.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	a := build([]string{"z", "a", "m"})
-	b := build([]string{"m", "z", "a"})
+	a := build([]string{"z", "a", "h", "m", "g"})
+	b := build([]string{"g", "m", "z", "h", "a"})
 	if !bytes.Equal(a, b) {
-		t.Fatalf("registration order changed encoding:\n%s\nvs\n%s", a, b)
+		t.Fatalf("write order changed encoding:\n%s\nvs\n%s", a, b)
+	}
+	if ia, im, iz := bytes.Index(a, []byte(`"a"`)), bytes.Index(a, []byte(`"m"`)), bytes.Index(a, []byte(`"z"`)); !(ia < im && im < iz) {
+		t.Fatalf("metrics not in name order:\n%s", a)
 	}
 	// The encoding must be valid JSON with fields in documented order.
 	var raw map[string]any
@@ -94,13 +149,13 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 }
 
 func TestMetricRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c", "events", "a counter").Add(9)
-	r.Gauge("g", "", "").Set(1.5)
-	h := r.Histogram("h", "lines", "")
+	s := NewSnapshot()
+	s.AddCounter("c", "events", "a counter", 9)
+	s.AddMaxGauge("g", "", "", 1.5)
+	var h Histogram
 	h.Observe(3)
 	h.Observe(100)
-	s := r.Snapshot()
+	s.AddHistogram("h", "lines", "", &h)
 	b, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -119,20 +174,20 @@ func TestMetricRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotAdd(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Counter("shared", "", "").Add(2)
-	r1.Counter("only1", "", "").Add(1)
-	h1 := r1.Histogram("h", "lines", "")
-	h1.Observe(4)
+	mk := func(shared uint64, only string, onlyV, observed uint64) *Snapshot {
+		s := NewSnapshot()
+		s.AddCounter("shared", "", "", shared)
+		s.AddCounter(only, "", "", onlyV)
+		var h Histogram
+		h.Observe(observed)
+		s.AddHistogram("h", "lines", "", &h)
+		return s
+	}
+	mk1 := func() *Snapshot { return mk(2, "only1", 1, 4) }
+	mk2 := func() *Snapshot { return mk(5, "only2", 3, 1000) }
 
-	r2 := NewRegistry()
-	r2.Counter("shared", "", "").Add(5)
-	r2.Counter("only2", "", "").Add(3)
-	h2 := r2.Histogram("h", "lines", "")
-	h2.Observe(1000)
-
-	s := r1.Snapshot()
-	s.Add(r2.Snapshot())
+	s := mk1()
+	s.Add(mk2())
 	if got := s.Get("shared").Value; got != 7 {
 		t.Fatalf("shared = %d, want 7", got)
 	}
@@ -144,8 +199,8 @@ func TestSnapshotAdd(t *testing.T) {
 		t.Fatalf("merged hist = %+v", h)
 	}
 	// Merge order must not matter for the encoded bytes.
-	s2 := r2.Snapshot()
-	s2.Add(r1.Snapshot())
+	s2 := mk2()
+	s2.Add(mk1())
 	var a, b bytes.Buffer
 	if err := s.WriteJSON(&a); err != nil {
 		t.Fatal(err)
@@ -158,33 +213,17 @@ func TestSnapshotAdd(t *testing.T) {
 	}
 }
 
-func TestHistogramImport(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "lines", "")
-	h.Import(3, 10, 8, []uint64{1, 1, 0, 0, 1})
-	// A source with more buckets than we keep clamps into the last bucket.
-	long := make([]uint64, DefaultHistBuckets+4)
-	long[DefaultHistBuckets+3] = 2
-	h.Import(2, 100, 50, long)
-	s := r.Snapshot().Get("h").Hist
-	if s.Count != 5 || s.Sum != 110 || s.Max != 50 {
-		t.Fatalf("imported hist = %+v", s)
-	}
-	if s.Buckets[len(s.Buckets)-1] != 2 {
-		t.Fatalf("clamped buckets = %v", s.Buckets)
-	}
-}
-
-// TestGaugeMergeRules pins the per-metric gauge merge semantics: gauges
-// registered with Gauge sum across snapshots, gauges registered with
-// MaxGauge keep the largest value, and the rule survives JSON round
+// TestGaugeMergeRules pins the per-metric gauge merge semantics: a gauge
+// with no merge rule (nothing writes one today, but archived snapshots
+// may carry them) sums across snapshots, gauges written with
+// AddMaxGauge keep the largest value, and the rule survives JSON round
 // trips (the "merge":"max" field).
 func TestGaugeMergeRules(t *testing.T) {
 	mk := func(sum, max float64) *Snapshot {
-		r := NewRegistry()
-		r.Gauge("g.sum", "", "").Set(sum)
-		r.MaxGauge("g.max", "", "").Set(max)
-		return r.Snapshot()
+		s := NewSnapshot()
+		s.AddMaxGauge("g.max", "", "", max)
+		s.Metrics = append(s.Metrics, Metric{Name: "g.sum", Type: TypeGauge, FValue: sum})
+		return s
 	}
 	a, b := mk(2, 5), mk(3, 4)
 	a.Add(b)
@@ -226,13 +265,13 @@ func TestGaugeMergeRules(t *testing.T) {
 	}
 }
 
-// TestWideHistogramRegistry: WideHistogram registers a 2^32-range
-// histogram that snapshots and merges like any other.
-func TestWideHistogramRegistry(t *testing.T) {
-	r := NewRegistry()
-	h := r.WideHistogram("lat", "cycles", "")
+// TestWideHistogramSnapshot: a wide (2^32-range) histogram snapshots and
+// merges like any other.
+func TestWideHistogramSnapshot(t *testing.T) {
+	h := NewWideHistogram()
 	h.Observe(1 << 25)
-	s := r.Snapshot()
+	s := NewSnapshot()
+	s.AddHistogram("lat", "cycles", "", h)
 	if got := s.Get("lat").Hist.Max; got != 1<<25 {
 		t.Fatalf("wide hist max = %d", got)
 	}
@@ -240,9 +279,10 @@ func TestWideHistogramRegistry(t *testing.T) {
 		t.Fatalf("bucket count = %d, want 27 (bit length of 2^25 is 26)", n)
 	}
 	// Merging wide into narrow pads buckets rather than truncating.
-	r2 := NewRegistry()
-	r2.Histogram("lat", "cycles", "").Observe(3)
-	s2 := r2.Snapshot()
+	var narrow Histogram
+	narrow.Observe(3)
+	s2 := NewSnapshot()
+	s2.AddHistogram("lat", "cycles", "", &narrow)
 	s2.Add(s)
 	if got := s2.Get("lat").Hist.Count; got != 2 {
 		t.Fatalf("merged count = %d", got)

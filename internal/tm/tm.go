@@ -159,7 +159,7 @@ func (s *Stats) Add(other *Stats) {
 // Commits returns total committed transactions.
 func (s *Stats) Commits() uint64 { return s.HWCommits + s.SWCommits }
 
-// Metric names exported by Register. OBSERVABILITY.md carries the full
+// Metric names written by Register. OBSERVABILITY.md carries the full
 // field → metric cross-reference table.
 const (
 	MetricHWCommits = "tm.hw_commits"
@@ -172,17 +172,17 @@ const (
 	MetricHWRetries = "tm.hw_retries"
 )
 
-// Register copies the software-side counters into reg under the stable
+// Register writes the software-side counters into snap under the stable
 // tm.* metric names (see OBSERVABILITY.md for the schema).
-func (s *Stats) Register(reg *obs.Registry) {
-	reg.Counter(MetricHWCommits, "transactions", "transactions committed in hardware (Figure 5)").Add(s.HWCommits)
-	reg.Counter(MetricSWCommits, "transactions", "transactions committed in software (Figure 5)").Add(s.SWCommits)
-	reg.Counter(MetricFailovers, "transactions", "hardware-to-software failovers (Figure 7)").Add(s.Failovers)
-	reg.Counter(MetricSWAborts, "aborts", "software-transaction conflict kills").Add(s.SWAborts)
-	reg.Counter(MetricSWStalls, "events", "software-transaction stalls for an older conflictor").Add(s.SWStalls)
-	reg.Counter(MetricNTStalls, "events", "non-transactional accesses stalled on a UFO fault (Section 4.2)").Add(s.NTStalls)
-	reg.Counter(MetricRetries, "events", "Retry (transactional waiting) suspensions (Section 6)").Add(s.Retries)
-	reg.Counter(MetricHWRetries, "events", "hardware re-executions after a recoverable abort").Add(s.HWRetries)
+func (s *Stats) Register(snap *obs.Snapshot) {
+	snap.AddCounter(MetricHWCommits, "transactions", "transactions committed in hardware (Figure 5)", s.HWCommits)
+	snap.AddCounter(MetricSWCommits, "transactions", "transactions committed in software (Figure 5)", s.SWCommits)
+	snap.AddCounter(MetricFailovers, "transactions", "hardware-to-software failovers (Figure 7)", s.Failovers)
+	snap.AddCounter(MetricSWAborts, "aborts", "software-transaction conflict kills", s.SWAborts)
+	snap.AddCounter(MetricSWStalls, "events", "software-transaction stalls for an older conflictor", s.SWStalls)
+	snap.AddCounter(MetricNTStalls, "events", "non-transactional accesses stalled on a UFO fault (Section 4.2)", s.NTStalls)
+	snap.AddCounter(MetricRetries, "events", "Retry (transactional waiting) suspensions (Section 6)", s.Retries)
+	snap.AddCounter(MetricHWRetries, "events", "hardware re-executions after a recoverable abort", s.HWRetries)
 }
 
 func (s *Stats) String() string {

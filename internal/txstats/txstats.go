@@ -47,7 +47,7 @@ type txState struct {
 }
 
 // Recorder is the accumulating side of the lifecycle subsystem: one per
-// machine run. It implements machine.Observer. Like obs.Registry it is
+// machine run. It implements machine.Observer. Like obs.Snapshot it is
 // not safe for concurrent use — the simulation engine serializes
 // processors, and parallel sweeps give every cell its own Recorder.
 type Recorder struct {
@@ -222,33 +222,25 @@ func (r *Recorder) commit(t *txState, path machine.TxPath, cycle uint64) {
 // Committed returns the number of committed transactions recorded so far.
 func (r *Recorder) Committed() uint64 { return r.committed }
 
-// Register copies the recorder's headline totals into reg under stable
-// txstats.* metric names, tying the lifecycle layer into the same obs
-// registry snapshot the rest of the run reports through.
-func (r *Recorder) Register(reg *obs.Registry) {
-	reg.Counter("txstats.begun", "txs", "transactions started (lifecycle accounting)").Add(r.begun)
-	reg.Counter("txstats.committed", "txs", "transactions committed (lifecycle accounting)").Add(r.committed)
-	reg.Counter("txstats.useful_cycles", "cycles", "cycles in committing attempts").Add(r.usefulCycles)
-	reg.Counter("txstats.wasted_cycles", "cycles", "cycles in aborted attempts").Add(r.wastedCycles)
-	reg.Counter("txstats.backoff_cycles", "cycles", "cycles in contention-management backoff inside transactions").Add(r.backoffCycles)
-	reg.Counter("txstats.retry_wait_cycles", "cycles", "cycles suspended in Retry inside transactions").Add(r.retryWaitCycles)
-	reg.Counter("txstats.overhead_cycles", "cycles", "committed-tx cycles outside attempts, backoff, and waiting").Add(r.overheadCycles)
-	reg.Counter("txstats.retry_waits", "waits", "Retry suspensions recorded").Add(r.retryWaits)
-	ls := r.latency.Snapshot()
-	reg.WideHistogram("txstats.latency", "cycles", "committed transaction latency, begin to commit").
-		Import(ls.Count, ls.Sum, ls.Max, ls.Buckets)
-	as := r.attempts.Snapshot()
-	reg.Histogram("txstats.attempts", "attempts", "attempts needed per committed transaction").
-		Import(as.Count, as.Sum, as.Max, as.Buckets)
+// Register writes the recorder's headline totals into s under stable
+// txstats.* metric names, tying the lifecycle layer into the same
+// snapshot the rest of the run reports through.
+func (r *Recorder) Register(s *obs.Snapshot) {
+	s.AddCounter("txstats.begun", "txs", "transactions started (lifecycle accounting)", r.begun)
+	s.AddCounter("txstats.committed", "txs", "transactions committed (lifecycle accounting)", r.committed)
+	s.AddCounter("txstats.useful_cycles", "cycles", "cycles in committing attempts", r.usefulCycles)
+	s.AddCounter("txstats.wasted_cycles", "cycles", "cycles in aborted attempts", r.wastedCycles)
+	s.AddCounter("txstats.backoff_cycles", "cycles", "cycles in contention-management backoff inside transactions", r.backoffCycles)
+	s.AddCounter("txstats.retry_wait_cycles", "cycles", "cycles suspended in Retry inside transactions", r.retryWaitCycles)
+	s.AddCounter("txstats.overhead_cycles", "cycles", "committed-tx cycles outside attempts, backoff, and waiting", r.overheadCycles)
+	s.AddCounter("txstats.retry_waits", "waits", "Retry suspensions recorded", r.retryWaits)
+	s.AddHistogram("txstats.latency", "cycles", "committed transaction latency, begin to commit", r.latency)
+	s.AddHistogram("txstats.attempts", "attempts", "attempts needed per committed transaction", &r.attempts)
 	// Open-loop metrics appear only when the workload tagged arrivals, so
 	// closed-loop runs' metric snapshots are unchanged byte-for-byte.
 	if r.requests > 0 {
-		reg.Counter("txstats.requests", "requests", "open-loop requests serviced (arrival-tagged commits)").Add(r.requests)
-		rs := r.response.Snapshot()
-		reg.WideHistogram("txstats.response", "cycles", "open-loop response time, arrival to commit (queueing + service)").
-			Import(rs.Count, rs.Sum, rs.Max, rs.Buckets)
-		qs := r.queueWait.Snapshot()
-		reg.WideHistogram("txstats.queue_wait", "cycles", "open-loop queueing delay, arrival to transaction begin").
-			Import(qs.Count, qs.Sum, qs.Max, qs.Buckets)
+		s.AddCounter("txstats.requests", "requests", "open-loop requests serviced (arrival-tagged commits)", r.requests)
+		s.AddHistogram("txstats.response", "cycles", "open-loop response time, arrival to commit (queueing + service)", r.response)
+		s.AddHistogram("txstats.queue_wait", "cycles", "open-loop queueing delay, arrival to transaction begin", r.queueWait)
 	}
 }

@@ -170,12 +170,11 @@ func TestReportAddCommutative(t *testing.T) {
 	}
 }
 
-func TestRecorderRegister(t *testing.T) {
+func TestRecorderWritesMetrics(t *testing.T) {
 	r := New(2)
 	script(r)
-	reg := obs.NewRegistry()
-	r.Register(reg)
-	s := reg.Snapshot()
+	s := obs.NewSnapshot()
+	r.Register(s)
 	if got := s.Get("txstats.committed"); got == nil || got.Value != 2 {
 		t.Fatalf("txstats.committed = %+v", got)
 	}
