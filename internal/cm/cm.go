@@ -270,13 +270,12 @@ var Kinds = []Kind{KindExponential, KindLinear, KindKarma, KindSerialize}
 
 // Spec is a value-type policy selection, safe to copy into every cell
 // of a parallel sweep (each cell instantiates its own Policy, so no
-// state is shared across machines). The zero Spec selects the default
-// CappedExponential with the system's own base (Holder.Base).
+// state is shared across machines). The zero Spec selects the paper's
+// policy: CappedExponential over DefaultBase.
 type Spec struct {
 	// Kind selects the policy family ("" = exp).
 	Kind Kind
-	// Base overrides the system's own base when nonzero; it is the one
-	// backoff-unit override every system shares.
+	// Base is the backoff unit in cycles; 0 means DefaultBase.
 	Base uint64
 	// MaxShift bounds the exponential (and karma) shift; 0 means
 	// DefaultMaxShift.
@@ -321,17 +320,14 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Policy instantiates the spec. base is the owning system's legacy
-// BackoffBase knob, overridden by Spec.Base; a zero effective base —
-// which used to reach Rand.Intn(0) and panic — falls back to
-// DefaultBase here, the single validation site for every system.
-func (s Spec) Policy(base uint64) (Policy, error) {
+// Policy instantiates the spec. A zero Base — which would reach
+// Rand.Intn(0) and panic — falls back to DefaultBase here, the single
+// validation site for every system.
+func (s Spec) Policy() (Policy, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if s.Base != 0 {
-		base = s.Base
-	}
+	base := s.Base
 	if base == 0 {
 		base = DefaultBase
 	}
@@ -383,12 +379,12 @@ type Manager struct {
 	tokenOwner uint64
 }
 
-// NewManager instantiates spec over the system's legacy base. Spec
-// errors panic: every Spec reaching a Manager comes from ParseSpec or a
-// zero value, both always valid; a hand-built invalid Spec is a
+// NewManager instantiates spec; a system's constructor calls it once.
+// Spec errors panic: every Spec reaching a Manager comes from ParseSpec
+// or a zero value, both always valid; a hand-built invalid Spec is a
 // programming error.
-func NewManager(spec Spec, base uint64) *Manager {
-	pol, err := spec.Policy(base)
+func NewManager(spec Spec) *Manager {
+	pol, err := spec.Policy()
 	if err != nil {
 		panic(err.Error())
 	}
@@ -479,50 +475,9 @@ func (m *Manager) Register(s *obs.Snapshot) {
 	s.AddCounter("cm.token_wait_cycles", "cycles", "cycles spent waiting for the serialization token", m.stats.TokenWaitCycles)
 }
 
-// Tunable is implemented by systems whose backoff policy can be
-// selected before their first transaction runs (harness.Build wires
-// Options.CM through this).
-type Tunable interface {
-	SetBackoffPolicy(Spec)
-}
-
 // Instrumented is implemented by systems that expose their Manager so
 // the harness can write cm.* metrics and annotate contention
 // reports.
 type Instrumented interface {
 	CM() *Manager
-}
-
-// Holder is the contention-management slot a system embeds to be Tunable
-// and Instrumented. The Manager is built on first use, so the policy and
-// Base may be set in either order as long as both precede the first
-// transaction.
-type Holder struct {
-	// Base is the owning system's own backoff unit, for the one system
-	// that has such a knob (core.Policy.BackoffBase, Figure 8). Spec.Base
-	// overrides it; zero selects DefaultBase.
-	Base uint64
-
-	spec Spec
-	mgr  *Manager
-}
-
-var (
-	_ Tunable      = (*Holder)(nil)
-	_ Instrumented = (*Holder)(nil)
-)
-
-// SetBackoffPolicy implements Tunable. Call before the first transaction
-// runs.
-func (h *Holder) SetBackoffPolicy(spec Spec) {
-	h.spec = spec
-	h.mgr = nil
-}
-
-// CM implements Instrumented.
-func (h *Holder) CM() *Manager {
-	if h.mgr == nil {
-		h.mgr = NewManager(h.spec, h.Base)
-	}
-	return h.mgr
 }

@@ -26,7 +26,7 @@ func TestSerializeBoundary(t *testing.T) {
 		{K + 100, EscalateSerialize},
 	}
 	m := testMachine(1)
-	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: K}, 64)
+	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: K})
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		for _, tc := range cases {
 			before := p.Now()
@@ -117,7 +117,7 @@ func TestKarmaOnAbortUpdatesInPlace(t *testing.T) {
 // release is a new grant.
 func TestTokenReentrancy(t *testing.T) {
 	m := testMachine(1)
-	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: 2}, 64)
+	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: 2})
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		mgr.AcquireToken(p, 1)
 		mgr.AcquireToken(p, 1) // re-entrant: same owner, no second grant

@@ -42,7 +42,7 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
 		}
 		// Policy must agree with Validate.
-		if _, err := c.spec.Policy(64); (err == nil) != c.ok {
+		if _, err := c.spec.Policy(); (err == nil) != c.ok {
 			t.Errorf("%s: Policy() error = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
@@ -63,20 +63,18 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
-// TestZeroBaseGuarded is the regression for the Rand().Intn(0) panic:
-// before the shared constructor existed, a system configured with
-// BackoffBase = 0 panicked on its first backoff. Every kind must accept
-// a zero base (falling back to DefaultBase) and issue a sane delay.
+// TestZeroBaseGuarded is the regression for the Rand().Intn(0) panic: a
+// system built with a zero backoff base panicked on its first backoff.
+// Every kind must accept a zero Spec.Base, resolve it to DefaultBase on
+// the constructor path every system takes, and issue a sane delay.
 func TestZeroBaseGuarded(t *testing.T) {
-	r := sim.NewRand(1)
 	for _, k := range Kinds {
-		pol, err := Spec{Kind: k}.Policy(0)
-		if err != nil {
-			t.Fatalf("%s: Policy(0) error: %v", k, err)
-		}
-		d := pol.NextDelay(1, machine.AbortConflict, r) // panics without the guard
-		if d == 0 || d > DefaultBase<<DefaultMaxShift+DefaultBase {
-			t.Fatalf("%s: NextDelay with defaulted base = %d", k, d)
+		mgr := NewManager(Spec{Kind: k})
+		testMachine(1).Run([]func(*machine.Proc){func(p *machine.Proc) {
+			mgr.OnAbort(p, 1, 1, machine.AbortConflict) // panics without the guard
+		}})
+		if d := mgr.Stats().DelayCycles; d < DefaultBase || d > DefaultBase<<DefaultMaxShift+DefaultBase {
+			t.Fatalf("%s: first delay with defaulted base = %d", k, d)
 		}
 	}
 }
@@ -173,7 +171,7 @@ func TestSerializeEscalatesAfterK(t *testing.T) {
 
 func TestManagerBackoffStats(t *testing.T) {
 	m := testMachine(1)
-	mgr := NewManager(Spec{}, 64)
+	mgr := NewManager(Spec{})
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		for attempt := 1; attempt <= 3; attempt++ {
 			if esc := mgr.OnAbort(p, 1, attempt, machine.AbortConflict); esc != EscalateNone {
@@ -197,7 +195,7 @@ func TestManagerBackoffStats(t *testing.T) {
 
 func TestManagerStarvationEscalation(t *testing.T) {
 	m := testMachine(1)
-	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: 2}, 64)
+	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: 2})
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		if esc := mgr.OnAbort(p, 1, 1, machine.AbortConflict); esc != EscalateNone {
 			t.Error("attempt 1 escalated early")
@@ -216,7 +214,7 @@ func TestManagerStarvationEscalation(t *testing.T) {
 // and simulated wait time for the blocked acquirer.
 func TestManagerToken(t *testing.T) {
 	m := testMachine(2)
-	mgr := NewManager(Spec{}, 64)
+	mgr := NewManager(Spec{})
 	order := []int{}
 	m.Run([]func(*machine.Proc){
 		func(p *machine.Proc) {
@@ -252,7 +250,7 @@ func TestManagerToken(t *testing.T) {
 // the Manager's values (OBSERVABILITY.md contract).
 func TestMetricsWritten(t *testing.T) {
 	m := testMachine(1)
-	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: 1}, 64)
+	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: 1})
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		mgr.OnAbort(p, 1, 1, machine.AbortConflict) // escalates immediately
 		mgr.PageFaultStall(p)
@@ -267,39 +265,27 @@ func TestMetricsWritten(t *testing.T) {
 	}
 }
 
-// TestHolder covers the slot every system embeds: the manager is built
-// on first use from whatever policy and base are set by then, setting a
-// policy discards a manager already built, and Spec.Base overrides the
-// system's own base.
-func TestHolder(t *testing.T) {
-	var h Holder
-	if got := h.CM().PolicyName(); got != "exp" {
-		t.Fatalf("zero Holder policy = %q, want exp", got)
-	}
-	if h.CM() != h.CM() {
-		t.Fatal("CM must build the manager once")
-	}
-	first := h.CM()
-	h.SetBackoffPolicy(Spec{Kind: KindKarma})
-	if h.CM() == first || h.CM().PolicyName() != "karma" {
-		t.Fatalf("SetBackoffPolicy after CM did not rebuild the manager (policy %q)", h.CM().PolicyName())
-	}
-
-	// Base 1 makes the jitter draw Intn(1) == 0, so delays are exact.
-	delay := func(h *Holder) uint64 {
-		m := machine.New(machine.DefaultParams(1))
-		m.Run([]func(*machine.Proc){func(p *machine.Proc) {
-			h.CM().OnAbort(p, 1, 0, machine.AbortConflict)
+// TestSpecBaseIsTheBackoffUnit: Spec.Base is the one name for the
+// backoff unit, fixed when the manager is built. Base 1 makes the jitter
+// draw Intn(1) == 0, so that delay is exact.
+func TestSpecBaseIsTheBackoffUnit(t *testing.T) {
+	delay := func(spec Spec) uint64 {
+		mgr := NewManager(spec)
+		if got := mgr.PolicyName(); got != "exp" {
+			t.Fatalf("policy of %+v = %q, want exp", spec, got)
+		}
+		testMachine(1).Run([]func(*machine.Proc){func(p *machine.Proc) {
+			mgr.OnAbort(p, 1, 0, machine.AbortConflict)
 		}})
-		return h.CM().Stats().DelayCycles
+		return mgr.Stats().DelayCycles
 	}
-	own := &Holder{Base: 1}
-	if got := delay(own); got != 1 {
-		t.Fatalf("delay with Holder.Base 1 = %d, want 1", got)
+	if got := delay(Spec{Base: 1}); got != 1 {
+		t.Fatalf("delay with Base 1 = %d, want 1", got)
 	}
-	overridden := &Holder{Base: 1}
-	overridden.SetBackoffPolicy(Spec{Base: 4})
-	if got := delay(overridden); got < 4 || got >= 8 {
-		t.Fatalf("delay with Spec.Base 4 over Holder.Base 1 = %d, want in [4, 8)", got)
+	if got := delay(Spec{Base: 4}); got < 4 || got >= 8 {
+		t.Fatalf("delay with Base 4 = %d, want in [4, 8)", got)
+	}
+	if got := delay(Spec{}); got < DefaultBase || got >= 2*DefaultBase {
+		t.Fatalf("delay with the zero Spec = %d, want in [%d, %d)", got, DefaultBase, 2*DefaultBase)
 	}
 }

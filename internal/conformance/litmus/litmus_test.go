@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -264,12 +265,24 @@ func TestReportDeterminism(t *testing.T) {
 		return b.Bytes()
 	}
 	one := render(1)
-	eight := render(8)
-	if !bytes.Equal(one, eight) {
-		t.Fatal("report JSON differs between 1 and 8 workers")
+	for _, workers := range []int{0, 3, 8} {
+		if !bytes.Equal(one, render(workers)) {
+			t.Fatalf("report JSON differs between 1 and %d workers", workers)
+		}
 	}
 	if !bytes.Equal(one, render(1)) {
 		t.Fatal("report JSON differs across identical runs")
+	}
+}
+
+// TestWorkersResolved: a non-positive Workers means one worker per CPU,
+// the rule tmsim -parallel documents and harness.Runner follows.
+func TestWorkersResolved(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(6))
+	for workers, want := range map[int]int{-1: 6, 0: 6, 1: 1, 3: 3} {
+		if got := (Config{Workers: workers}).workers(); got != want {
+			t.Errorf("Workers %d resolves to %d workers, want %d", workers, got, want)
+		}
 	}
 }
 

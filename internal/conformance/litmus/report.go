@@ -3,6 +3,7 @@ package litmus
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -16,9 +17,10 @@ const ReportSchema = "tmsim-litmus-report/v1"
 type Config struct {
 	// Systems to drive (defaults to Systems()).
 	Systems []string
-	// Workers is the number of concurrent (program, system) cells; the
-	// report is byte-identical regardless (cells are assembled by
-	// index, and every cell is internally deterministic).
+	// Workers is the number of concurrent (program, system) cells, one
+	// per CPU when not positive (harness.Runner's rule); the report is
+	// byte-identical regardless (cells are assembled by index, and every
+	// cell is internally deterministic).
 	Workers int
 	// Curated includes the hand-written suite.
 	Curated bool
@@ -123,6 +125,14 @@ type Report struct {
 	Failures []string `json:"failures,omitempty"`
 }
 
+// workers resolves Workers: one per CPU unless a positive count is given.
+func (c Config) workers() int {
+	if c.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Workers
+}
+
 // Run executes the configured sweep.
 func Run(cfg Config) *Report {
 	if len(cfg.Systems) == 0 {
@@ -130,9 +140,6 @@ func Run(cfg Config) *Report {
 	}
 	if len(cfg.Gaps) == 0 {
 		cfg.Gaps = DefaultGaps
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
 	}
 
 	type progEntry struct {
@@ -191,7 +198,7 @@ func Run(cfg Config) *Report {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w, n := 0, cfg.workers(); w < n; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

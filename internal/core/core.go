@@ -18,9 +18,9 @@
 // aborts fail over; interrupts and the conflict family retry in hardware;
 // a page fault is resolved and retried), USTM as the software path, the
 // user-mode UFO fault handler inside hardware loads and stores, and the
-// post-commit wake-up of retrying software transactions. §4.4's
-// contention-management findings are exposed as Policy knobs so the
-// Figure 8 sensitivity study can be reproduced.
+// post-commit wake-up of retrying software transactions. Policy holds
+// what §4.4's contention-management study varies, so the Figure 8
+// sensitivity study can be reproduced.
 package core
 
 import (
@@ -45,27 +45,19 @@ type Policy struct {
 	// bar). The access is retried up to UFOFaultStallTries times before
 	// the transaction aborts anyway.
 	StallOnUFOFault bool
-	// UFOFaultStallTries bounds StallOnUFOFault retries (default 16).
+	// UFOFaultStallTries bounds StallOnUFOFault retries.
 	UFOFaultStallTries int
-	// BackoffBase is the exponential-backoff unit for hardware retries
-	// (cycles). The backoff is BackoffBase << min(aborts, 7), the paper's
-	// saturating abort counter. Zero selects cm.DefaultBase (64); the
-	// delay schedule itself is pluggable via SetBackoffPolicy.
-	BackoffBase uint64
-	// UFOFaultStallCycles is the per-try stall under StallOnUFOFault.
-	UFOFaultStallCycles uint64
+	// CM selects the backoff policy for hardware retries. The zero Spec
+	// is the paper's: cm.DefaultBase << min(aborts, 7), a saturating
+	// abort counter.
+	CM cm.Spec
 }
 
+// UFOFaultStallCycles is the per-try stall under StallOnUFOFault.
+const UFOFaultStallCycles = 60
+
 // DefaultPolicy is the configuration the paper recommends.
-func DefaultPolicy() Policy {
-	return Policy{
-		FailoverOnNthConflict: 0,
-		StallOnUFOFault:       false,
-		UFOFaultStallTries:    16,
-		BackoffBase:           64,
-		UFOFaultStallCycles:   60,
-	}
-}
+func DefaultPolicy() Policy { return Policy{UFOFaultStallTries: 16} }
 
 // Dispositions is the BTM abort handler of Algorithm 3: conditions
 // hardware will never satisfy fail over to software, contention retries
@@ -88,7 +80,6 @@ var Dispositions = tm.Dispositions{
 
 // System is the UFO hybrid TM. It implements tm.System.
 type System struct {
-	cm.Holder
 	stm *ustm.STM
 	pol Policy
 	h   tm.Handler
@@ -99,18 +90,9 @@ type System struct {
 // depends on it — so cfg.StrongAtomicity is forced on.
 func New(m *machine.Machine, cfg ustm.Config, pol Policy) *System {
 	cfg.StrongAtomicity = true
-	// BackoffBase is deliberately not defaulted here: zero means "use the
-	// contention-management default" and is resolved at the single
-	// validation site, cm.Spec.Policy.
-	if pol.UFOFaultStallTries == 0 {
-		pol.UFOFaultStallTries = 16
-	}
-	if pol.UFOFaultStallCycles == 0 {
-		pol.UFOFaultStallCycles = 60
-	}
-	s := &System{Holder: cm.Holder{Base: pol.BackoffBase}, stm: ustm.New(m, cfg), pol: pol}
+	s := &System{stm: ustm.New(m, cfg), pol: pol}
 	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.stm.Stats(), CM: &s.Holder,
+		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(pol.CM),
 		On: Dispositions, Limit: pol.FailoverOnNthConflict,
 		// retry (transactional waiting) inside a hardware transaction
 		// compiles to an explicit abort so the transaction fails over to
@@ -126,6 +108,9 @@ func (s *System) Name() string { return "ufo-hybrid" }
 // Stats implements tm.System. Hardware- and software-side counts share
 // one structure (the software side is maintained by the embedded USTM).
 func (s *System) Stats() *tm.Stats { return s.stm.Stats() }
+
+// CM implements cm.Instrumented.
+func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // STM exposes the embedded software TM (tests and the retry machinery
 // use it).
@@ -241,7 +226,7 @@ func (e *exec) faultAllowsMaskedAccess(addr uint64) bool {
 	}
 	if e.s.pol.StallOnUFOFault && e.ufoFaultTries < e.s.pol.UFOFaultStallTries {
 		e.ufoFaultTries++
-		e.P.Elapse(e.s.pol.UFOFaultStallCycles)
+		e.P.Elapse(UFOFaultStallCycles)
 		return false
 	}
 	e.ufoFaultTries = 0

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/tm"
 	"repro/internal/ustm"
@@ -272,13 +273,10 @@ func TestDefaultPolicyValues(t *testing.T) {
 	if p.FailoverOnNthConflict != 0 || p.StallOnUFOFault {
 		t.Fatal("default policy must match the paper's recommendations")
 	}
-	// New must default zero-valued knobs. BackoffBase stays zero on the
-	// Policy struct — the contention-management layer resolves it (to
-	// cm.DefaultBase) at its single validation site, exercised via CM().
-	s := New(testMachine(1), ustm.DefaultConfig(), Policy{})
-	if s.pol.UFOFaultStallTries == 0 {
-		t.Fatal("zero policy not defaulted")
+	if p.UFOFaultStallTries != 16 || p.CM != (cm.Spec{}) {
+		t.Fatalf("default policy %+v: want 16 stall tries and the zero cm.Spec", p)
 	}
+	s := New(testMachine(1), ustm.DefaultConfig(), p)
 	if s.CM().PolicyName() != "exp" {
 		t.Fatalf("default backoff policy = %q, want exp", s.CM().PolicyName())
 	}

@@ -37,7 +37,7 @@ func driverMachine(procs int) *machine.Machine {
 // system's counted-abort limit (0 = the system's default).
 type hybridCase struct {
 	name  string
-	build func(m *machine.Machine, limit int) tm.System
+	build func(m *machine.Machine, limit int, spec cm.Spec) tm.System
 }
 
 func driverUSTMConfig() ustm.Config {
@@ -47,39 +47,40 @@ func driverUSTMConfig() ustm.Config {
 }
 
 var hybridCases = []hybridCase{
-	{"ufo-hybrid", func(m *machine.Machine, limit int) tm.System {
+	{"ufo-hybrid", func(m *machine.Machine, limit int, spec cm.Spec) tm.System {
 		pol := core.DefaultPolicy()
-		pol.FailoverOnNthConflict = limit
+		pol.FailoverOnNthConflict, pol.CM = limit, spec
 		return core.New(m, driverUSTMConfig(), pol)
 	}},
-	{"hytm", func(m *machine.Machine, limit int) tm.System {
-		s := hytm.New(m, driverUSTMConfig())
+	{"hytm", func(m *machine.Machine, limit int, spec cm.Spec) tm.System {
+		s := hytm.New(m, driverUSTMConfig(), spec)
 		if limit != 0 {
 			s.MaxConflictRetries = limit
 		}
 		return s
 	}},
-	{"phtm", func(m *machine.Machine, _ int) tm.System {
-		return phtm.New(m, driverUSTMConfig())
+	{"phtm", func(m *machine.Machine, _ int, spec cm.Spec) tm.System {
+		return phtm.New(m, driverUSTMConfig(), spec)
 	}},
-	{"hybrid-norec", func(m *machine.Machine, limit int) tm.System {
+	{"hybrid-norec", func(m *machine.Machine, limit int, spec cm.Spec) tm.System {
 		cfg := norec.DefaultConfig()
 		if limit != 0 {
 			cfg.MaxHTMRetries = limit
 		}
+		cfg.CM = spec
 		return norec.New(m, cfg)
 	}},
-	{"unbounded-htm", func(m *machine.Machine, _ int) tm.System {
-		return unbounded.New(m)
+	{"unbounded-htm", func(m *machine.Machine, _ int, spec cm.Spec) tm.System {
+		return unbounded.New(m, spec)
 	}},
 }
 
 // buildHybrid builds the named hybridCase.
-func buildHybrid(t *testing.T, name string, m *machine.Machine, limit int) tm.System {
+func buildHybrid(t *testing.T, name string, m *machine.Machine, limit int, spec cm.Spec) tm.System {
 	t.Helper()
 	for _, hc := range hybridCases {
 		if hc.name == name {
-			return hc.build(m, limit)
+			return hc.build(m, limit, spec)
 		}
 	}
 	t.Fatalf("no hybridCase named %s", name)
@@ -186,7 +187,7 @@ func TestDispositionMatrixInjected(t *testing.T) {
 					t.Fatalf("no expectation for %s/%s", hc.name, r)
 				}
 				m := driverMachine(1)
-				sys := hc.build(m, 0)
+				sys := hc.build(m, 0, cm.Spec{})
 				runInjected(t, sys, m, r, 1)
 				checkOutcome(t, sys, want)
 			})
@@ -251,7 +252,7 @@ func TestDispositionMatrixNatural(t *testing.T) {
 					params.L1Ways = 1
 				}
 				m := machine.New(params)
-				sys := hc.build(m, 0)
+				sys := hc.build(m, 0, cm.Spec{})
 				ex := sys.Exec(m.Proc(0))
 				m.Run([]func(*machine.Proc){func(*machine.Proc) {
 					first := true
@@ -289,7 +290,7 @@ func TestCountedAbortLimit(t *testing.T) {
 	} {
 		t.Run(c.system+"/"+c.reason.String(), func(t *testing.T) {
 			m := driverMachine(1)
-			sys := buildHybrid(t, c.system, m, 3)
+			sys := buildHybrid(t, c.system, m, 3, cm.Spec{})
 			runInjected(t, sys, m, c.reason, 5)
 			checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: 2, delays: 2})
 		})
@@ -304,7 +305,7 @@ func TestCountedAbortLimit(t *testing.T) {
 	} {
 		t.Run(c.system+"/"+c.reason.String()+"/uncounted", func(t *testing.T) {
 			m := driverMachine(1)
-			sys := buildHybrid(t, c.system, m, 3)
+			sys := buildHybrid(t, c.system, m, 3, cm.Spec{})
 			runInjected(t, sys, m, c.reason, 5)
 			checkOutcome(t, sys, outcome{hw: 1, hwRetries: 5, delays: 5})
 		})
@@ -321,8 +322,7 @@ func TestEscalationUnderSerialize(t *testing.T) {
 	for _, hc := range hybridCases {
 		t.Run(hc.name, func(t *testing.T) {
 			m := driverMachine(1)
-			sys := hc.build(m, 1<<30)
-			sys.(cm.Tunable).SetBackoffPolicy(spec)
+			sys := hc.build(m, 1<<30, spec)
 			runInjected(t, sys, m, machine.AbortInterrupt, 10)
 			cs := sys.(cm.Instrumented).CM().Stats()
 			if cs.StarvationEscalations == 0 {
@@ -349,11 +349,12 @@ func TestEscalationUnderSerialize(t *testing.T) {
 	for _, name := range []string{"tl2", "hybrid-norec"} {
 		t.Run(name+"/software", func(t *testing.T) {
 			m := driverMachine(1)
-			var sys tm.System = tl2.New(m, tl2.DefaultConfig())
+			cfg := tl2.DefaultConfig()
+			cfg.CM = spec
+			var sys tm.System = tl2.New(m, cfg)
 			if name != "tl2" {
-				sys = buildHybrid(t, name, m, 0)
+				sys = buildHybrid(t, name, m, 0, spec)
 			}
-			sys.(cm.Tunable).SetBackoffPolicy(spec)
 			ex := sys.Exec(m.Proc(0))
 			m.Run([]func(*machine.Proc){func(*machine.Proc) {
 				tries := 0

@@ -79,12 +79,13 @@ type Options struct {
 	Params machine.Params
 	// OTableRows sizes the USTM otable for the STM-based systems.
 	OTableRows int
-	// Policy configures the UFO hybrid.
+	// Policy configures the UFO hybrid; its CM is replaced by the one
+	// below.
 	Policy core.Policy
-	// CM selects the contention-management (backoff) policy for every
-	// system that supports one (cm.Tunable). The zero value is the
-	// paper's capped-exponential default. Spec is a value type: each
-	// sweep cell instantiates its own policy, so cells stay independent.
+	// CM selects the contention-management (backoff) policy of every
+	// system that has one. The zero value is the paper's
+	// capped-exponential default. Spec is a value type: each sweep cell
+	// instantiates its own policy, so cells stay independent.
 	CM cm.Spec
 	// TraceLimit, when positive, enables machine tracing (most recent
 	// events kept) and returns the trace in the Result.
@@ -119,16 +120,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// Build constructs the named system over a machine.
+// Build constructs the named system over a machine, with opt.CM as its
+// contention-management policy.
 func Build(kind SystemKind, m *machine.Machine, opt Options) tm.System {
-	sys := build(kind, m, opt)
-	if t, ok := sys.(cm.Tunable); ok {
-		t.SetBackoffPolicy(opt.CM)
-	}
-	return sys
-}
-
-func build(kind SystemKind, m *machine.Machine, opt Options) tm.System {
 	cfg := ustm.DefaultConfig()
 	if opt.OTableRows != 0 {
 		cfg.OTableRows = opt.OTableRows
@@ -139,13 +133,15 @@ func build(kind SystemKind, m *machine.Machine, opt Options) tm.System {
 	case GlobalLock:
 		return seq.New(m, seq.GlobalLock)
 	case UnboundedHTM:
-		return unbounded.New(m)
+		return unbounded.New(m, opt.CM)
 	case UFOHybrid:
-		return core.New(m, cfg, opt.Policy)
+		pol := opt.Policy
+		pol.CM = opt.CM
+		return core.New(m, cfg, pol)
 	case HyTM:
-		return hytm.New(m, cfg)
+		return hytm.New(m, cfg, opt.CM)
 	case PhTM:
-		return phtm.New(m, cfg)
+		return phtm.New(m, cfg, opt.CM)
 	case USTM:
 		cfg.StrongAtomicity = false
 		return ustm.New(m, cfg)
@@ -153,13 +149,17 @@ func build(kind SystemKind, m *machine.Machine, opt Options) tm.System {
 		cfg.StrongAtomicity = true
 		return ustm.New(m, cfg)
 	case TL2:
-		return tl2.New(m, tl2.DefaultConfig())
+		c := tl2.DefaultConfig()
+		c.CM = opt.CM
+		return tl2.New(m, c)
 	case HybridNOrec:
-		return norec.New(m, norec.DefaultConfig())
+		c := norec.DefaultConfig()
+		c.CM = opt.CM
+		return norec.New(m, c)
 	}
 	// Reaching here is internal misuse: user-supplied names must go
 	// through ParseSystem, which rejects unknown ones with a usable error.
-	panic("harness: build called with SystemKind " + string(kind) +
+	panic("harness: Build called with SystemKind " + string(kind) +
 		" that is not in AllSystems; validate names with ParseSystem first")
 }
 

@@ -10,11 +10,11 @@ import (
 	"repro/internal/machine"
 )
 
-// TestSystemRegistryDrift fails when a SystemKind constant or a build
+// TestSystemRegistryDrift fails when a SystemKind constant or a Build
 // switch case is missing from AllSystems (or vice versa), so a newly
 // added system cannot silently skip the conformance, race, litmus, and
 // collider coverage that iterates AllSystems. It reads harness.go's own
-// source: the constant block and the build switch are the two places a
+// source: the constant block and the Build switch are the two places a
 // new system is declared, and both must agree with the registry.
 func TestSystemRegistryDrift(t *testing.T) {
 	fset := token.NewFileSet()
@@ -56,11 +56,11 @@ func TestSystemRegistryDrift(t *testing.T) {
 		t.Fatal("no SystemKind constants found in harness.go")
 	}
 
-	// 2. Every ident named in build's switch cases.
+	// 2. Every ident named in Build's switch cases.
 	cases := map[string]bool{}
 	ast.Inspect(file, func(n ast.Node) bool {
 		fd, ok := n.(*ast.FuncDecl)
-		if !ok || fd.Name.Name != "build" {
+		if !ok || fd.Name.Name != "Build" {
 			return true
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -78,7 +78,7 @@ func TestSystemRegistryDrift(t *testing.T) {
 		return false
 	})
 	if len(cases) == 0 {
-		t.Fatal("no case clauses found in build")
+		t.Fatal("no case clauses found in Build")
 	}
 
 	all := map[string]bool{}
@@ -87,13 +87,13 @@ func TestSystemRegistryDrift(t *testing.T) {
 	}
 
 	// Every constant must be registered and buildable; every registry
-	// entry and build case must trace back to a constant.
+	// entry and Build case must trace back to a constant.
 	for ident, kind := range consts {
 		if !all[kind] {
 			t.Errorf("SystemKind constant %s (%q) is missing from AllSystems", ident, kind)
 		}
 		if !cases[ident] {
-			t.Errorf("SystemKind constant %s (%q) has no case in build", ident, kind)
+			t.Errorf("SystemKind constant %s (%q) has no case in Build", ident, kind)
 		}
 	}
 	byValue := map[string]bool{}
@@ -107,7 +107,7 @@ func TestSystemRegistryDrift(t *testing.T) {
 	}
 	for ident := range cases {
 		if _, ok := consts[ident]; !ok {
-			t.Errorf("build case %s is not a SystemKind constant", ident)
+			t.Errorf("Build case %s is not a SystemKind constant", ident)
 		}
 	}
 	if len(consts) != len(all) {

@@ -45,15 +45,15 @@ var Dispositions = tm.Dispositions{
 	machine.AbortNesting:      tm.Fatal,
 }
 
+// BarrierCycles is the instrumentation logic charged per hardware
+// barrier, on top of the transactional otable-row access.
+const BarrierCycles = 6
+
 // System implements tm.System.
 type System struct {
-	cm.Holder
 	stm *ustm.STM
 	h   tm.Handler
 
-	// BarrierCycles is the instrumentation logic charged per hardware
-	// barrier, on top of the transactional otable-row access.
-	BarrierCycles uint64
 	// MaxConflictRetries bounds in-hardware retries of barrier-detected
 	// conflicts before failing over (HyTM retries in hardware, but must
 	// eventually yield to the blocking STM transaction). Read when an
@@ -61,12 +61,13 @@ type System struct {
 	MaxConflictRetries int
 }
 
-// New builds a HyTM over the machine. The embedded USTM is weakly atomic.
-func New(m *machine.Machine, cfg ustm.Config) *System {
+// New builds a HyTM over the machine, backing off as spec says. The
+// embedded USTM is weakly atomic.
+func New(m *machine.Machine, cfg ustm.Config, spec cm.Spec) *System {
 	cfg.StrongAtomicity = false
-	s := &System{stm: ustm.New(m, cfg), BarrierCycles: 6, MaxConflictRetries: 8}
+	s := &System{stm: ustm.New(m, cfg), MaxConflictRetries: 8}
 	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.stm.Stats(), CM: &s.Holder,
+		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(spec),
 		On: Dispositions, RetryReason: machine.AbortExplicit,
 	}
 	return s
@@ -77,6 +78,9 @@ func (s *System) Name() string { return "hytm" }
 
 // Stats implements tm.System.
 func (s *System) Stats() *tm.Stats { return s.stm.Stats() }
+
+// CM implements cm.Instrumented.
+func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // Exec implements tm.System. HyTM is weakly atomic: non-transactional
 // accesses are the driver's uninstrumented ones (that is its semantic
@@ -101,7 +105,7 @@ type hwTx struct {
 func (h hwTx) barrier(addr uint64, write bool) {
 	stm := h.s.stm
 	line := mem.LineOf(addr)
-	h.D.P.Elapse(h.s.BarrierCycles)
+	h.D.P.Elapse(BarrierCycles)
 	h.HW.Load(stm.RowAddr(line)) // transactional otable read
 	if stm.LineConflicts(line, write) {
 		// Attribute the abort to the software transaction owning the

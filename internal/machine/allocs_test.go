@@ -38,7 +38,7 @@ func TestUnobservedEmitsAllocNothing(t *testing.T) {
 		m := New(testParams(1))
 		idle := NewTrace(16)
 		if observed {
-			m.Observe(KindSet(TraceBlock), idle)
+			m.Observe(KindSet(TraceNack), idle)
 		}
 		var got float64
 		m.Run([]func(*Proc){func(p *Proc) {

@@ -15,7 +15,7 @@ import (
 // TraceKind classifies machine events.
 type TraceKind uint8
 
-// Event kinds. The first thirteen (TraceKinds) are the printed trace;
+// Event kinds. The first eleven (TraceKinds) are the printed trace;
 // the rest feed the accounting observers.
 const (
 	TraceHWBegin TraceKind = iota
@@ -27,8 +27,6 @@ const (
 	TraceUFOSet
 	TraceUFOFault
 	TraceNack
-	TraceBlock
-	TraceWake
 	// TraceTxBegin and TraceTxCommit bracket one logical transaction (an
 	// Atomic call spanning every attempt); the Chrome sink turns the pair
 	// into a per-transaction span.
@@ -62,8 +60,8 @@ const (
 
 var traceKindNames = [numTraceKinds]string{
 	"hw-begin", "hw-commit", "hw-abort", "sw-begin", "sw-commit",
-	"sw-abort", "ufo-set", "ufo-fault", "nack", "block", "wake",
-	"tx-begin", "tx-commit", "tx-attempt", "tx-abort", "tx-retry-wait",
+	"sw-abort", "ufo-set", "ufo-fault", "nack", "tx-begin",
+	"tx-commit", "tx-attempt", "tx-abort", "tx-retry-wait",
 	"tx-backoff", "tx-arrival", "conflict", "sw-committed",
 }
 

@@ -153,7 +153,7 @@ func (t *chromeTx) args(path string) string {
 //     enclosing per-transaction "tx" spans — begin through every aborted
 //     attempt to the final commit — with the committing path, the attempt
 //     count, and per-reason abort counts in args; and
-//   - ufo-set, ufo-fault, nack, block, and wake become thread-scoped
+//   - ufo-set, ufo-fault and nack become thread-scoped
 //     instant ("i") events.
 //
 // Timestamps are simulated cycles written as microseconds (1 cycle =

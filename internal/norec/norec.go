@@ -26,7 +26,7 @@
 // Both counters live at simulated addresses so the polling and
 // subscription traffic is charged like any other memory traffic. The
 // exemplar's RETRY template knob maps onto Config.MaxHTMRetries and its
-// CM knob onto the cm.Spec policy layer (cm.Tunable).
+// CM knob onto Config.CM.
 //
 // Both retry loops are tm.Driver's. For the hardware half this package
 // supplies the abort table, the subscription that begins an attempt, the
@@ -43,33 +43,31 @@ import (
 	"repro/internal/tm"
 )
 
-// Config carries HybridNOrec parameters and cost constants.
-type Config struct {
-	BeginCycles    uint64
-	BarrierCycles  uint64 // software read/write barrier logic
-	ValidateCycles uint64 // value-log validation setup, per validation pass
-	CommitCycles   uint64
-	PerWriteCycles uint64 // redo-log write-back logic per entry
+// Cycles charged for the software path's logic, on top of its memory
+// traffic.
+const (
+	BeginCycles    = 10
+	BarrierCycles  = 6 // software read/write barrier logic
+	ValidateCycles = 6 // value-log validation setup, per validation pass
+	CommitCycles   = 16
+	PerWriteCycles = 8 // redo-log write-back logic per entry
 	// LockSpinCycles is charged per poll while waiting out a concurrent
 	// software write-back (the seqlock is odd).
-	LockSpinCycles uint64
+	LockSpinCycles = 20
+)
+
+// Config carries HybridNOrec's parameters.
+type Config struct {
 	// MaxHTMRetries bounds hardware retries of transient aborts before
 	// failing over to the software path (the exemplar's RETRY knob).
 	MaxHTMRetries int
+	// CM selects the contention-management policy (the exemplar's CM
+	// knob).
+	CM cm.Spec
 }
 
 // DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config {
-	return Config{
-		BeginCycles:    10,
-		BarrierCycles:  6,
-		ValidateCycles: 6,
-		CommitCycles:   16,
-		PerWriteCycles: 8,
-		LockSpinCycles: 20,
-		MaxHTMRetries:  8,
-	}
-}
+func DefaultConfig() Config { return Config{MaxHTMRetries: 8} }
 
 // Dispositions is HybridNOrec's abort handler: capacity and the
 // operations hardware cannot run fail over, as does a Retry request
@@ -95,8 +93,6 @@ var Dispositions = tm.Dispositions{
 
 // System implements tm.System.
 type System struct {
-	cm.Holder
-	cfg   Config
 	stats tm.Stats
 	h     tm.Handler
 
@@ -121,14 +117,13 @@ type System struct {
 // New builds a HybridNOrec instance over the machine.
 func New(m *machine.Machine, cfg Config) *System {
 	s := &System{
-		cfg:        cfg,
 		lockAddr:   m.Mem.Sbrk(mem.LineBytes),
 		htmAddr:    m.Mem.Sbrk(mem.LineBytes),
 		lockOwner:  -1,
 		lastWriter: -1,
 	}
 	s.h = tm.Handler{
-		Name: s.Name(), Stats: &s.stats, CM: &s.Holder,
+		Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(cfg.CM),
 		On: Dispositions, Limit: cfg.MaxHTMRetries,
 	}
 	return s
@@ -140,11 +135,14 @@ func (s *System) Name() string { return "hybrid-norec" }
 // Stats implements tm.System.
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
+// CM implements cm.Instrumented.
+func (s *System) CM() *cm.Manager { return s.h.CM }
+
 // Exec implements tm.System. HybridNOrec is weakly atomic: the driver's
 // uninstrumented non-transactional accesses never consult the counters.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
 	e := &exec{s: s}
-	e.sw = tm.Lazy{D: &e.Driver, Miss: e.swLoad, StoreCycles: s.cfg.BarrierCycles}
+	e.sw = tm.Lazy{D: &e.Driver, Miss: e.swLoad, StoreCycles: BarrierCycles}
 	e.Driver = tm.Driver{
 		NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Tx: hwTx{e.HW(), e},
 		Begin: e.subscribe, PreCommit: e.notifySoftware, Committed: e.noteWriter,
@@ -225,13 +223,13 @@ func (e *exec) swBegin(age uint64) {
 			break
 		}
 		e.s.stats.SWStalls++
-		e.P.Elapse(e.s.cfg.LockSpinCycles)
+		e.P.Elapse(LockSpinCycles)
 	}
 	e.htmSnap = e.Load(e.s.htmAddr)
 	e.sw.Reset()
 	e.valuelog = e.valuelog[:0]
 	e.P.SetSTM(true, age)
-	e.P.Elapse(e.s.cfg.BeginCycles)
+	e.P.Elapse(BeginCycles)
 }
 
 // swEnd commits the attempt unless the body already aborted, and leaves
@@ -248,7 +246,7 @@ func (e *exec) swEnd(aborted bool) bool {
 // accepted and logged. The value log only grows: a read made inside a
 // nest that aborts stays in it and is validated with the rest.
 func (e *exec) swLoad(addr uint64) uint64 {
-	e.P.Elapse(e.s.cfg.BarrierCycles)
+	e.P.Elapse(BarrierCycles)
 	v := e.Load(addr)
 	for e.Load(e.s.lockAddr) != e.lockSnap || e.Load(e.s.htmAddr) != e.htmSnap {
 		e.revalidate()
@@ -267,11 +265,11 @@ func (e *exec) revalidate() {
 		lv := e.Load(e.s.lockAddr)
 		if lv&1 == 1 {
 			e.s.stats.SWStalls++
-			e.P.Elapse(e.s.cfg.LockSpinCycles)
+			e.P.Elapse(LockSpinCycles)
 			continue
 		}
 		hv := e.Load(e.s.htmAddr)
-		e.P.Elapse(e.s.cfg.ValidateCycles)
+		e.P.Elapse(ValidateCycles)
 		for _, ent := range e.valuelog {
 			if e.Load(ent.addr) != ent.val {
 				e.abortConflict(ent.addr)
@@ -300,7 +298,7 @@ func (e *exec) abortConflict(addr uint64) {
 func (e *exec) swCommit() bool {
 	if e.sw.Log.Len() == 0 {
 		// Read-only fast path: reads were validated as they happened.
-		e.P.Elapse(e.s.cfg.CommitCycles)
+		e.P.Elapse(CommitCycles)
 		return true
 	}
 	// 1. Acquire the seqlock (odd = held). The NT write invalidates the
@@ -312,7 +310,7 @@ func (e *exec) swCommit() bool {
 			break
 		}
 		e.s.stats.SWStalls++
-		e.P.Elapse(e.s.cfg.LockSpinCycles)
+		e.P.Elapse(LockSpinCycles)
 	}
 	pre := e.s.seq
 	e.s.lockOwner = e.P.ID()
@@ -321,7 +319,7 @@ func (e *exec) swCommit() bool {
 	// 2. Validate if anything committed since the snapshot.
 	hv := e.Load(e.s.htmAddr)
 	if pre != e.lockSnap || hv != e.htmSnap {
-		e.P.Elapse(e.s.cfg.ValidateCycles)
+		e.P.Elapse(ValidateCycles)
 		for _, ent := range e.valuelog {
 			if e.Load(ent.addr) != ent.val {
 				e.releaseLock()
@@ -336,14 +334,14 @@ func (e *exec) swCommit() bool {
 	// transaction speculating on the line.
 	e.sw.Log.Words(func(addr, val uint64) {
 		e.Store(addr, val)
-		e.P.Elapse(e.s.cfg.PerWriteCycles)
+		e.P.Elapse(PerWriteCycles)
 	})
 	// 4. Release the seqlock (back to even = one software commit
 	// notification) and become the attribution target for the values we
 	// just changed.
 	e.releaseLock()
 	e.s.lastWriter = e.P.ID()
-	e.P.Elapse(e.s.cfg.CommitCycles)
+	e.P.Elapse(CommitCycles)
 	return true
 }
 

@@ -51,9 +51,12 @@ var Dispositions = tm.Dispositions{
 	machine.AbortNesting:      tm.Fatal,
 }
 
+// PhasePollCycles is the stall interval while waiting for an STM phase
+// to drain.
+const PhasePollCycles = 60
+
 // System implements tm.System.
 type System struct {
-	cm.Holder
 	stm *ustm.STM
 	h   tm.Handler
 
@@ -64,25 +67,21 @@ type System struct {
 	// lastSTMProc is the processor that most recently entered the STM
 	// phase (-1 before any has): the party phase aborts are attributed to.
 	lastSTMProc int
-
-	// PhasePollCycles is the stall interval while waiting for an STM
-	// phase to drain.
-	PhasePollCycles uint64
 }
 
-// New builds a PhTM over the machine. The embedded USTM is weakly atomic
-// (PhTM's phase exclusion replaces conflict detection between modes).
-func New(m *machine.Machine, cfg ustm.Config) *System {
+// New builds a PhTM over the machine, backing off as spec says. The
+// embedded USTM is weakly atomic (PhTM's phase exclusion replaces conflict
+// detection between modes).
+func New(m *machine.Machine, cfg ustm.Config, spec cm.Spec) *System {
 	cfg.StrongAtomicity = false
 	s := &System{
-		stm:             ustm.New(m, cfg),
-		numSTMAddr:      m.Mem.Sbrk(64),
-		numMustSTMAddr:  m.Mem.Sbrk(64),
-		lastSTMProc:     -1,
-		PhasePollCycles: 60,
+		stm:            ustm.New(m, cfg),
+		numSTMAddr:     m.Mem.Sbrk(64),
+		numMustSTMAddr: m.Mem.Sbrk(64),
+		lastSTMProc:    -1,
 	}
 	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.stm.Stats(), CM: &s.Holder,
+		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(spec),
 		On: Dispositions, RetryReason: machine.AbortExplicit,
 	}
 	return s
@@ -93,6 +92,9 @@ func (s *System) Name() string { return "phtm" }
 
 // Stats implements tm.System.
 func (s *System) Stats() *tm.Stats { return s.stm.Stats() }
+
+// CM implements cm.Instrumented.
+func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // Exec implements tm.System. Hardware accesses are the driver's
 // uninstrumented ones (phase exclusion replaces barriers), and PhTM is
@@ -144,7 +146,7 @@ func (e *exec) startInSoftware() bool {
 		}
 		// Phase shifting back toward hardware: stall rather than add
 		// more software transactions.
-		e.P.Elapse(e.s.PhasePollCycles)
+		e.P.Elapse(PhasePollCycles)
 	}
 	// An STM phase is in force: start directly in software.
 	e.must = false

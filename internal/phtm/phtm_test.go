@@ -3,6 +3,7 @@ package phtm
 import (
 	"testing"
 
+	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/tm"
 	"repro/internal/ustm"
@@ -16,7 +17,7 @@ func testSystem(procs int) (*machine.Machine, *System) {
 	m := machine.New(p)
 	cfg := ustm.DefaultConfig()
 	cfg.OTableRows = 1 << 12
-	return m, New(m, cfg)
+	return m, New(m, cfg, cm.Spec{})
 }
 
 func TestSmallTxCommitsInHardware(t *testing.T) {

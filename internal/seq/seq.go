@@ -5,6 +5,7 @@
 package seq
 
 import (
+	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/tm"
 )
@@ -30,13 +31,14 @@ type System struct {
 
 	lockAddr uint64
 	locked   bool
-	// SpinCycles is the poll interval while waiting for the lock.
-	SpinCycles uint64
 }
+
+// SpinCycles is the poll interval while waiting for the global lock.
+const SpinCycles = 30
 
 // New builds a baseline executor.
 func New(m *machine.Machine, mode Mode) *System {
-	s := &System{m: m, mode: mode, SpinCycles: 30}
+	s := &System{m: m, mode: mode}
 	if mode == GlobalLock {
 		s.lockAddr = m.Mem.Sbrk(64)
 	}
@@ -96,7 +98,7 @@ func (e *exec) Atomic(body func(tm.Tx)) {
 			if e.s.mode == GlobalLock {
 				e.release()
 			}
-			e.P.Elapse(2000)
+			e.P.Elapse(cm.RetryPollCycles)
 			if e.s.mode == GlobalLock {
 				e.acquire()
 			}
@@ -119,7 +121,7 @@ func (e *exec) acquire() {
 			e.Store(e.s.lockAddr, 1)
 			return
 		}
-		e.P.Elapse(e.s.SpinCycles)
+		e.P.Elapse(SpinCycles)
 	}
 }
 

@@ -20,15 +20,16 @@ type Mem interface {
 	Store(addr, val uint64)
 }
 
+// SpinCycles is the poll interval when waiting for a held lock.
+const SpinCycles = 40
+
 // Manager owns the elidable locks of one machine.
 type Manager struct {
-	cm.Holder
-	m *machine.Machine
+	m  *machine.Machine
+	cm *cm.Manager
 	// MaxAttempts is how many elision attempts precede falling back to
 	// real acquisition.
 	MaxAttempts int
-	// SpinCycles is the poll interval when waiting for a held lock.
-	SpinCycles uint64
 
 	stats Stats
 	locks map[uint64]*lockState
@@ -48,18 +49,22 @@ type lockState struct {
 	holder int // processor holding (or last to hold) the lock, -1 if none
 }
 
-// New creates a manager.
+// New creates a manager that backs failed elisions off by the paper's
+// policy (the zero cm.Spec).
 func New(m *machine.Machine) *Manager {
 	return &Manager{
 		m:           m,
+		cm:          cm.NewManager(cm.Spec{}),
 		MaxAttempts: 3,
-		SpinCycles:  40,
 		locks:       make(map[uint64]*lockState),
 	}
 }
 
 // Stats returns the elision counters.
 func (mgr *Manager) Stats() *Stats { return &mgr.stats }
+
+// CM implements cm.Instrumented.
+func (mgr *Manager) CM() *cm.Manager { return mgr.cm }
 
 // NewLock allocates an elidable lock (one simulated line).
 func (mgr *Manager) NewLock() Lock {
@@ -94,7 +99,7 @@ func (mgr *Manager) Exec(p *machine.Proc) *Exec {
 // safe to re-execute (attempts can abort).
 func (e *Exec) Critical(l Lock, body func(Mem)) {
 	st := e.mgr.locks[l.addr]
-	cmgr := e.mgr.CM()
+	cmgr := e.mgr.cm
 	id := uint64(e.p.ID())<<32 | e.seq
 	e.seq++
 	e.p.TxLifeBegin()
@@ -176,7 +181,7 @@ func (e *Exec) acquire(st *lockState) {
 			return
 		}
 		e.mgr.stats.LockWaits++
-		e.p.Elapse(e.mgr.SpinCycles)
+		e.p.Elapse(SpinCycles)
 	}
 }
 

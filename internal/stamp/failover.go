@@ -16,32 +16,30 @@ import (
 // paper's note that the forcing code costs all configurations alike.
 type Failover struct {
 	TasksPerThread int
-	LinesPerTx     int
 	// RatePct is the percentage of transactions forced to software.
 	RatePct int
 	Seed    uint64
-	// CheckCycles is the cost of the forced-failover coin flip inside
-	// each transaction.
-	CheckCycles uint64
-	// WorkCycles is in-transaction compute, diluting per-access overheads
-	// the way real transaction bodies do.
-	WorkCycles uint64
 
 	threads int
 	bases   []uint64
 	done    []uint64 // per-thread completed-task counts (validation)
 }
 
+const (
+	// FailoverLinesPerTx is how many private lines a transaction
+	// increments.
+	FailoverLinesPerTx = 6
+	// FailoverCheckCycles is the cost of the forced-failover coin flip
+	// inside each transaction.
+	FailoverCheckCycles = 12
+	// FailoverWorkCycles is in-transaction compute, diluting per-access
+	// overheads the way real transaction bodies do.
+	FailoverWorkCycles = 300
+)
+
 // NewFailover returns the microbenchmark at the given failover rate.
 func NewFailover(tasksPerThread, ratePct int) *Failover {
-	return &Failover{
-		TasksPerThread: tasksPerThread,
-		LinesPerTx:     6,
-		RatePct:        ratePct,
-		Seed:           41,
-		CheckCycles:    12,
-		WorkCycles:     300,
-	}
+	return &Failover{TasksPerThread: tasksPerThread, RatePct: ratePct, Seed: 41}
 }
 
 // Name implements Workload.
@@ -50,13 +48,10 @@ func (f *Failover) Name() string { return "failover-microbench" }
 // Init implements Workload.
 func (f *Failover) Init(m *machine.Machine, threads int) {
 	f.threads = threads
-	if f.LinesPerTx == 0 {
-		f.LinesPerTx = 4
-	}
 	f.bases = make([]uint64, threads)
 	for i := range f.bases {
 		// Thread-private working sets, line-disjoint.
-		f.bases[i] = m.Mem.Sbrk(uint64(f.LinesPerTx) * mem.LineBytes)
+		f.bases[i] = m.Mem.Sbrk(FailoverLinesPerTx * mem.LineBytes)
 	}
 	f.done = make([]uint64, threads)
 }
@@ -68,12 +63,12 @@ func (f *Failover) Thread(i int, ex tm.Exec) {
 	for task := 0; task < f.TasksPerThread; task++ {
 		force := r.Intn(100) < f.RatePct
 		ex.Atomic(func(tx tm.Tx) {
-			ex.Proc().Elapse(f.CheckCycles) // the forced-failover check
+			ex.Proc().Elapse(FailoverCheckCycles) // the forced-failover check
 			if force {
 				tx.Syscall()
 			}
-			ex.Proc().Elapse(f.WorkCycles)
-			for j := 0; j < f.LinesPerTx; j++ {
+			ex.Proc().Elapse(FailoverWorkCycles)
+			for j := 0; j < FailoverLinesPerTx; j++ {
 				a := base + uint64(j)*mem.LineBytes
 				tx.Store(a, tx.Load(a)+1)
 			}
@@ -87,7 +82,7 @@ func (f *Failover) Thread(i int, ex tm.Exec) {
 // incremented exactly TasksPerThread times.
 func (f *Failover) Validate(m *machine.Machine) error {
 	for i := 0; i < f.threads; i++ {
-		for j := 0; j < f.LinesPerTx; j++ {
+		for j := 0; j < FailoverLinesPerTx; j++ {
 			a := f.bases[i] + uint64(j)*mem.LineBytes
 			if got := m.Mem.Read64(a); got != uint64(f.TasksPerThread) {
 				return validErr(f.Name(), "thread %d line %d = %d, want %d", i, j, got, f.TasksPerThread)

@@ -23,8 +23,6 @@ type KMeans struct {
 	Dims       int
 	Iterations int
 	Seed       uint64
-	// DistCycles is the compute charged per point-to-center distance.
-	DistCycles uint64
 
 	threads    int
 	pointsBase uint64
@@ -35,14 +33,17 @@ type KMeans struct {
 	assign     []int
 }
 
+// KMeansDistCycles is the compute charged per point-to-center distance.
+const KMeansDistCycles = 20
+
 // KMeansHigh returns the paper's high-contention configuration, scaled.
 func KMeansHigh(points int) *KMeans {
-	return &KMeans{Points: points, Clusters: 4, Dims: 4, Iterations: 1, Seed: 11, DistCycles: 20}
+	return &KMeans{Points: points, Clusters: 4, Dims: 4, Iterations: 1, Seed: 11}
 }
 
 // KMeansLow returns the low-contention configuration, scaled.
 func KMeansLow(points int) *KMeans {
-	return &KMeans{Points: points, Clusters: 48, Dims: 4, Iterations: 1, Seed: 11, DistCycles: 20}
+	return &KMeans{Points: points, Clusters: 48, Dims: 4, Iterations: 1, Seed: 11}
 }
 
 // Name implements Workload.
@@ -57,9 +58,6 @@ func (k *KMeans) Name() string {
 func (k *KMeans) Init(m *machine.Machine, threads int) {
 	if k.Iterations == 0 {
 		k.Iterations = 1
-	}
-	if k.DistCycles == 0 {
-		k.DistCycles = 20
 	}
 	k.threads = threads
 	r := sim.NewRand(k.Seed)
@@ -126,7 +124,7 @@ func (k *KMeans) Thread(i int, ex tm.Exec) {
 				ex.Load(base + uint64(j)*8)
 			}
 			// Distance computation against every center.
-			ex.Proc().Elapse(k.DistCycles * uint64(k.Clusters))
+			ex.Proc().Elapse(KMeansDistCycles * uint64(k.Clusters))
 			c := k.assign[pt]
 			acc := k.accBase + uint64(c)*k.accStride
 			// The transactional kernel: fold the point into its cluster.

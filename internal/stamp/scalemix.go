@@ -13,7 +13,7 @@ import (
 // run commits and Validate recomputes, so it cannot be optimized away)
 // charged to simulated time via Elapse; transactions are short and touch
 // mostly per-thread lines, with a shared counter bumped every
-// SharePeriod iterations to keep the coherence machinery honest.
+// ScaleMixSharePeriod iterations to keep the coherence machinery honest.
 //
 // Like every workload in this package, total work is fixed independent
 // of the thread count, so simulated speedups over the sequential
@@ -23,11 +23,6 @@ type ScaleMix struct {
 	TotalIters int
 	// Work is the number of hash rounds (host compute) per iteration.
 	Work int
-	// WorkCycles is the simulated cost charged per iteration's compute.
-	WorkCycles uint64
-	// SharePeriod bumps the shared counter every SharePeriod-th
-	// iteration of each thread (0 disables the shared line).
-	SharePeriod int
 
 	threads    int
 	slotBase   uint64
@@ -35,14 +30,18 @@ type ScaleMix struct {
 	sharedAddr uint64
 }
 
-// NewScaleMix builds the workload with the default mix shape.
+const (
+	// ScaleMixWorkCycles is the simulated cost charged per iteration's
+	// compute.
+	ScaleMixWorkCycles = 120
+	// ScaleMixSharePeriod bumps the shared counter on every iteration
+	// whose global index it divides.
+	ScaleMixSharePeriod = 16
+)
+
+// NewScaleMix builds the workload.
 func NewScaleMix(totalIters, work int) *ScaleMix {
-	return &ScaleMix{
-		TotalIters:  totalIters,
-		Work:        work,
-		WorkCycles:  120,
-		SharePeriod: 16,
-	}
+	return &ScaleMix{TotalIters: totalIters, Work: work}
 }
 
 // Name implements Workload.
@@ -88,14 +87,14 @@ func (w *ScaleMix) Thread(i int, ex tm.Exec) {
 		for r := 0; r < w.Work; r++ {
 			h = mix64(h + uint64(iter*w.Work+r))
 		}
-		p.Elapse(w.WorkCycles)
+		p.Elapse(ScaleMixWorkCycles)
 		ex.Atomic(func(tx tm.Tx) {
 			tx.Store(slot, tx.Load(slot)+1)
 		})
 		// Keyed on the global iteration index: the bump points fall at
 		// different offsets within each thread's share, so threads do not
 		// all hit the shared line at the same simulated instant.
-		if w.SharePeriod > 0 && iter%w.SharePeriod == 0 {
+		if iter%ScaleMixSharePeriod == 0 {
 			ex.Atomic(func(tx tm.Tx) {
 				tx.Store(w.sharedAddr, tx.Load(w.sharedAddr)+1)
 			})
@@ -105,9 +104,9 @@ func (w *ScaleMix) Thread(i int, ex tm.Exec) {
 }
 
 // Validate implements Workload: per-thread counters must equal the
-// iteration shares, the shared counter their SharePeriod quotients, and
-// each committed digest the replayed hash chain — so a run that skipped
-// or misordered compute fails even if the counters add up.
+// iteration shares, the shared counter their ScaleMixSharePeriod
+// quotients, and each committed digest the replayed hash chain — so a run
+// that skipped or misordered compute fails even if the counters add up.
 func (w *ScaleMix) Validate(m *machine.Machine) error {
 	var wantShared uint64
 	for i := 0; i < w.threads; i++ {
@@ -118,11 +117,9 @@ func (w *ScaleMix) Validate(m *machine.Machine) error {
 		if got, want := m.Mem.Read64(w.digestBase+uint64(i)*mem.LineBytes), w.digest(i, lo, hi); got != want {
 			return validErr("scalemix", "thread %d digest %#x, want %#x", i, got, want)
 		}
-		if w.SharePeriod > 0 {
-			for iter := lo; iter < hi; iter++ {
-				if iter%w.SharePeriod == 0 {
-					wantShared++
-				}
+		for iter := lo; iter < hi; iter++ {
+			if iter%ScaleMixSharePeriod == 0 {
+				wantShared++
 			}
 		}
 	}

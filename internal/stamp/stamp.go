@@ -43,18 +43,18 @@ type Barrier struct {
 	flagBase uint64 // n line-spaced per-thread flags
 	genAddr  uint64
 	n        int
-	// SpinCycles is the poll interval while waiting.
-	SpinCycles uint64
 }
+
+// BarrierSpinCycles is the poll interval while waiting at a Barrier.
+const BarrierSpinCycles = 200
 
 // NewBarrier allocates a barrier for n threads; waiters must be the
 // processors with IDs 0..n-1.
 func NewBarrier(m *machine.Machine, n int) *Barrier {
 	return &Barrier{
-		flagBase:   m.Mem.Sbrk(uint64(n) * 64),
-		genAddr:    m.Mem.Sbrk(64),
-		n:          n,
-		SpinCycles: 200,
+		flagBase: m.Mem.Sbrk(uint64(n) * 64),
+		genAddr:  m.Mem.Sbrk(64),
+		n:        n,
 	}
 }
 
@@ -71,14 +71,14 @@ func (b *Barrier) Wait(ex tm.Exec) {
 		p.SetNote("barrier collect gen=%d", gen)
 		for i := 1; i < b.n; i++ {
 			for ex.Load(b.flag(i)) != gen+1 {
-				p.Elapse(b.SpinCycles)
+				p.Elapse(BarrierSpinCycles)
 			}
 		}
 		ex.Store(b.genAddr, gen+1)
 	} else {
 		p.SetNote("barrier spin gen=%d", gen)
 		for ex.Load(b.genAddr) == gen {
-			p.Elapse(b.SpinCycles)
+			p.Elapse(BarrierSpinCycles)
 		}
 	}
 	p.SetNote("barrier passed gen=%d", gen)

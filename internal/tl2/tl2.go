@@ -22,27 +22,24 @@ import (
 	"repro/internal/tm"
 )
 
-// Config carries TL2 parameters and cost constants.
+// Cycles charged for TL2's software logic, on top of its memory traffic.
+const (
+	BeginCycles    = 12
+	BarrierCycles  = 8
+	CommitCycles   = 20
+	PerWriteCycles = 10 // lock + write-back + unlock logic per stripe
+)
+
+// Config carries TL2's parameters.
 type Config struct {
 	// Stripes is the lock-table size (power of two).
 	Stripes int
-
-	BeginCycles    uint64
-	BarrierCycles  uint64
-	CommitCycles   uint64
-	PerWriteCycles uint64 // lock + write-back + unlock logic per stripe
+	// CM selects the contention-management policy.
+	CM cm.Spec
 }
 
 // DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config {
-	return Config{
-		Stripes:        1 << 16,
-		BeginCycles:    12,
-		BarrierCycles:  8,
-		CommitCycles:   20,
-		PerWriteCycles: 10,
-	}
-}
+func DefaultConfig() Config { return Config{Stripes: 1 << 16} }
 
 type stripe struct {
 	version uint64
@@ -53,8 +50,6 @@ type stripe struct {
 
 // System implements tm.System.
 type System struct {
-	cm.Holder
-	cfg   Config
 	stats tm.Stats
 	h     tm.Handler
 
@@ -71,13 +66,12 @@ func New(m *machine.Machine, cfg Config) *System {
 		panic(fmt.Sprintf("tl2: Stripes %d must be a positive power of two", cfg.Stripes))
 	}
 	s := &System{
-		cfg:       cfg,
 		clockAddr: m.Mem.Sbrk(mem.LineBytes),
 		stripes:   machine.TableOf[stripe](m, cfg.Stripes),
 		lockBase:  m.Mem.Sbrk(uint64(cfg.Stripes) * mem.LineBytes),
 		mask:      uint64(cfg.Stripes - 1),
 	}
-	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: &s.Holder}
+	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(cfg.CM)}
 	return s
 }
 
@@ -87,12 +81,15 @@ func (s *System) Name() string { return "tl2" }
 // Stats implements tm.System.
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
+// CM implements cm.Instrumented.
+func (s *System) CM() *cm.Manager { return s.h.CM }
+
 // Exec implements tm.System. TL2 is weakly atomic (the driver's plain
 // non-transactional accesses) and has no hardware half: the driver's
 // retry-until-commit loop runs begin and commit below.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
 	e := &exec{s: s}
-	e.tx = tm.Lazy{D: &e.Driver, Miss: e.load, StoreCycles: s.cfg.BarrierCycles}
+	e.tx = tm.Lazy{D: &e.Driver, Miss: e.load, StoreCycles: BarrierCycles}
 	e.Driver = tm.Driver{
 		NT: tm.NT{P: p}, H: &s.h,
 		SW: tm.SWPath{Begin: e.begin, End: e.end, Tx: &e.tx},
@@ -134,7 +131,7 @@ func (e *exec) begin(uint64) {
 	e.Load(e.s.clockAddr)
 	e.tx.Reset()
 	e.readSet = e.readSet[:0]
-	e.P.Elapse(e.s.cfg.BeginCycles)
+	e.P.Elapse(BeginCycles)
 }
 
 // end commits the attempt unless the body already aborted.
@@ -147,7 +144,7 @@ func (e *exec) load(addr uint64) uint64 {
 	si := e.s.stripeOf(addr)
 	st := &e.s.stripes.Rows[si]
 	e.touchStripe(si)
-	e.P.Elapse(e.s.cfg.BarrierCycles)
+	e.P.Elapse(BarrierCycles)
 	if st.locked || st.version > e.rv {
 		e.recordStripeConflict(st, mem.LineAddr(mem.LineOf(addr)), true)
 		tm.Unwind(machine.AbortConflict)
@@ -182,7 +179,7 @@ func (e *exec) commit() bool {
 	if e.tx.Log.Len() == 0 {
 		// Read-only fast path: reads were validated against rv as they
 		// happened.
-		e.P.Elapse(e.s.cfg.CommitCycles)
+		e.P.Elapse(CommitCycles)
 		return true
 	}
 	// 1. Lock the write set — the stripes of the words stored, in
@@ -193,7 +190,7 @@ func (e *exec) commit() bool {
 	for _, si := range e.writeSet {
 		st := &e.s.stripes.Rows[si]
 		e.touchStripe(si)
-		e.P.Elapse(e.s.cfg.PerWriteCycles)
+		e.P.Elapse(PerWriteCycles)
 		if st.locked && st.owner != e.P.ID() {
 			e.recordStripeConflict(st, 0, false)
 			e.unlock(locked)
@@ -232,7 +229,7 @@ func (e *exec) commit() bool {
 		st.writer = e.P.ID() + 1
 		e.writeStripe(si)
 	}
-	e.P.Elapse(e.s.cfg.CommitCycles)
+	e.P.Elapse(CommitCycles)
 	return true
 }
 

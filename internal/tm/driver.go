@@ -51,8 +51,8 @@ type Handler struct {
 	Name string
 	// Stats receives the commit, failover and retry counts.
 	Stats *Stats
-	// CM is the system's contention-management slot.
-	CM *cm.Holder
+	// CM is the system's contention manager, built by its constructor.
+	CM *cm.Manager
 	// On classifies every reason a hardware attempt can abort for.
 	On Dispositions
 	// Limit is how many Counted aborts one transaction takes before it
@@ -164,7 +164,7 @@ func (d *Driver) runDeferred() {
 // between another hardware attempt and the software path.
 func (d *Driver) Atomic(body func(Tx)) {
 	h, p := d.H, d.P
-	cmgr := h.CM.CM()
+	cmgr := h.CM
 	age := p.Machine().NextAge()
 	p.TxLifeBegin()
 	if d.Software == nil {
@@ -236,7 +236,7 @@ func (d *Driver) committed(cmgr *cm.Manager, age uint64) {
 func (d *Driver) AtomicSW(id uint64, body func(Tx)) {
 	d.P.TxLifeBegin()
 	d.untilCommit(id, machine.PathSW, body)
-	d.H.CM.CM().TxDone(id)
+	d.H.CM.TxDone(id)
 	d.runDeferred()
 }
 
@@ -254,7 +254,7 @@ func (d *Driver) RunSW(id uint64, body func(Tx)) {
 // attempts as serialized fallback attempts.
 func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 	h, p := d.H, d.P
-	cmgr := h.CM.CM()
+	cmgr := h.CM
 	try, hw := (*Driver).trySW, path == machine.PathHTM
 	if hw {
 		try = (*Driver).tryHW

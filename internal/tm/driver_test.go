@@ -18,7 +18,6 @@ type rig struct {
 	m     *machine.Machine
 	h     tm.Handler
 	stats tm.Stats
-	cm    cm.Holder
 	d     *tm.Driver
 	log   []string
 
@@ -43,7 +42,7 @@ func newRig(procs int, fallback bool) *rig {
 	p.Quantum = 0
 	p.MaxSteps = 200_000
 	r := &rig{m: machine.New(p)}
-	r.h = tm.Handler{Name: "rig", Stats: &r.stats, CM: &r.cm, On: row, RetryReason: machine.AbortExplicit}
+	r.h = tm.Handler{Name: "rig", Stats: &r.stats, CM: cm.NewManager(cm.Spec{}), On: row, RetryReason: machine.AbortExplicit}
 	r.d = r.driver(0, fallback)
 	return r
 }
@@ -102,7 +101,7 @@ func (r *rig) driver(proc int, fallback bool) *tm.Driver {
 // token. (Acquisition is re-entrant for the holder; no other transaction
 // is in play in these tests, so a free token is taken and given back.)
 func (r *rig) tokenHeldBy(id uint64) bool {
-	mgr := r.cm.CM()
+	mgr := r.h.CM
 	before := mgr.Stats().TokenAcquisitions
 	mgr.AcquireToken(r.m.Proc(0), id)
 	if mgr.Stats().TokenAcquisitions == before {
@@ -203,10 +202,10 @@ func TestDriverAbortHandlerArms(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			r := newRig(1, true)
 			r.h.Limit = c.limit
-			r.cm.SetBackoffPolicy(c.policy)
+			r.h.CM = cm.NewManager(c.policy)
 			r.run(func() { r.d.Atomic(r.body(c.steps...)) })
 			r.want(t, c.log, c.stats)
-			got := *r.cm.CM().Stats()
+			got := *r.h.CM.Stats()
 			got.DelayCycles, got.MaxDelay = 0, 0
 			if got != c.cm {
 				t.Errorf("cm stats %+v, want %+v", got, c.cm)
@@ -258,14 +257,14 @@ func TestDriverRetryNowSkipsTheHandler(t *testing.T) {
 	}
 	r.run(func() { r.d.Atomic(r.body()) })
 	r.want(t, "begin, begin, begin, body, precommit, committed, deferred", tm.Stats{HWCommits: 1})
-	if cs := r.cm.CM().Stats(); cs.Delays != 0 {
+	if cs := r.h.CM.Stats(); cs.Delays != 0 {
 		t.Fatalf("%d backoffs drawn for attempts marked RetryNow", cs.Delays)
 	}
 }
 
 func TestDriverWithoutSoftwareRetriesUntilCommit(t *testing.T) {
 	r := newRig(1, false)
-	r.cm.SetBackoffPolicy(cm.Spec{Kind: cm.KindSerialize, StarveK: 2})
+	r.h.CM = cm.NewManager(cm.Spec{Kind: cm.KindSerialize, StarveK: 2})
 	const age = 1 // the machine's first transaction
 	var heldInBody, heldInCommitted bool
 	r.committed = func() { heldInCommitted = r.tokenHeldBy(age) }
@@ -285,7 +284,7 @@ func TestDriverWithoutSoftwareRetriesUntilCommit(t *testing.T) {
 	}
 	r.want(t, "begin, body, begin, body, begin, body, begin, body, begin, body, precommit, committed, deferred",
 		tm.Stats{HWCommits: 1, HWRetries: 2, Retries: 1})
-	got := *r.cm.CM().Stats()
+	got := *r.h.CM.Stats()
 	got.DelayCycles, got.MaxDelay = 0, 0
 	want := cm.Stats{Delays: 1, PageFaultStalls: 1, RetryPolls: 1, StarvationEscalations: 1, TokenAcquisitions: 1}
 	if got != want {
@@ -310,7 +309,7 @@ func TestDriverSoftwarePath(t *testing.T) {
 	})
 	t.Run("escalation takes the token until TxDone", func(t *testing.T) {
 		r := newRig(1, false)
-		r.cm.SetBackoffPolicy(cm.Spec{Kind: cm.KindSerialize, StarveK: 1})
+		r.h.CM = cm.NewManager(cm.Spec{Kind: cm.KindSerialize, StarveK: 1})
 		r.swScript = []bool{true, true}
 		held := false
 		r.run(func() {
@@ -322,7 +321,7 @@ func TestDriverSoftwarePath(t *testing.T) {
 	})
 	t.Run("RunSW leaves TxDone to the caller", func(t *testing.T) {
 		r := newRig(1, false)
-		r.cm.SetBackoffPolicy(cm.Spec{Kind: cm.KindSerialize, StarveK: 1})
+		r.h.CM = cm.NewManager(cm.Spec{Kind: cm.KindSerialize, StarveK: 1})
 		r.swScript = []bool{true, true}
 		r.run(func() { r.d.RunSW(7, r.body(abort)) })
 		if !r.tokenHeldBy(7) {

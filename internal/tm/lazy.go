@@ -29,6 +29,13 @@ type Lazy struct {
 
 var _ Tx = (*Lazy)(nil)
 
+// The software cost of a closed nest, the same in every STM here: taking
+// the savepoint, and folding a committed nest into its parent.
+const (
+	NestOpenCycles  = 4
+	NestCloseCycles = 2
+)
+
 // Reset starts an attempt: an empty log and no open nest, whatever the
 // last attempt was unwound out of.
 func (l *Lazy) Reset() {
@@ -69,14 +76,14 @@ func (l *Lazy) Abort() {
 func (l *Lazy) Nested(body func()) bool {
 	save := l.Log.Len()
 	l.nests++
-	l.D.P.Elapse(4)
+	l.D.P.Elapse(NestOpenCycles)
 	aborted := CatchNested(body)
 	l.nests--
 	if aborted {
 		l.Log.Truncate(save)
 		return false
 	}
-	l.D.P.Elapse(2)
+	l.D.P.Elapse(NestCloseCycles)
 	return true
 }
 

@@ -1,10 +1,12 @@
 package tmtest
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -119,6 +121,111 @@ func TestDesignDispositionTableMatchesSystems(t *testing.T) {
 	for _, row := range dispositionRows(t) {
 		if !strings.Contains(string(doc), row+"\n") {
 			t.Errorf("DESIGN.md is missing (or has a stale copy of) this disposition row:\n%s", row)
+		}
+	}
+}
+
+// configuredPackages are the packages whose configuration DESIGN.md §23
+// counts: a cost there is a constant, not a field.
+var configuredPackages = []string{
+	"ustm", "tl2", "norec", "core", "hytm", "phtm", "unbounded", "seq", "sle", "watch", "stamp", "cm",
+}
+
+// inspectPackage walks the non-test source of internal/<pkg>.
+func inspectPackage(t *testing.T, pkg string, visit func(ast.Node) bool) {
+	t.Helper()
+	notTest := func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("..", pkg), notTest, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkgs {
+		ast.Inspect(p, visit)
+	}
+}
+
+// TestNoExportedCyclesFields keeps the §23 census from regrowing: a cycle
+// cost that one value serves everywhere is a named constant beside the
+// code that charges it, so no struct in these packages may carry an
+// exported …Cycles field for a caller to set. (A Stats struct is output:
+// cycles a run spent, not cycles it is told to charge.)
+func TestNoExportedCyclesFields(t *testing.T) {
+	for _, pkg := range configuredPackages {
+		inspectPackage(t, pkg, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || ts.Name.Name == "Stats" {
+				return true
+			}
+			for _, f := range st.Fields.List {
+				for _, name := range f.Names {
+					if name.IsExported() && strings.HasSuffix(name.Name, "Cycles") {
+						t.Errorf("%s.%s.%s is a settable cost: make it a constant (DESIGN.md §23), or show the second value",
+							pkg, ts.Name.Name, name.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+var costSheetRow = regexp.MustCompile("(?m)^\\| `([a-z0-9]+\\.[A-Za-z]+Cycles)` \\| ([0-9,]+) \\|")
+
+// TestDesignCostSheetMatchesConstants holds DESIGN.md's software cost
+// sheet to the code in both directions: every exported …Cycles constant
+// of a TM system, of cm and of tm has a row giving its value, and every
+// row names such a constant.
+func TestDesignCostSheetMatchesConstants(t *testing.T) {
+	consts := map[string]string{}
+	for _, pkg := range append([]string{"tm"}, configuredPackages...) {
+		inspectPackage(t, pkg, func(n ast.Node) bool {
+			gd, ok := n.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				return true
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if !name.IsExported() || !strings.HasSuffix(name.Name, "Cycles") {
+						continue
+					}
+					var lit *ast.BasicLit
+					if i < len(vs.Values) {
+						lit, _ = vs.Values[i].(*ast.BasicLit)
+					}
+					if lit == nil || lit.Kind != token.INT {
+						t.Errorf("%s.%s: a cost is an integer literal, so the cost sheet can quote it", pkg, name.Name)
+						continue
+					}
+					consts[pkg+"."+name.Name] = strings.ReplaceAll(lit.Value, "_", "")
+				}
+			}
+			return false
+		})
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, m := range costSheetRow.FindAllStringSubmatch(string(doc), -1) {
+		rows[m[1]] = strings.ReplaceAll(m[2], ",", "")
+	}
+	for name, v := range consts {
+		switch got, ok := rows[name]; {
+		case !ok:
+			t.Errorf("DESIGN.md's cost sheet has no row for %s (= %s)", name, v)
+		case got != v:
+			t.Errorf("DESIGN.md's cost sheet says %s = %s, the code says %s", name, got, v)
+		}
+	}
+	for name := range rows {
+		if _, ok := consts[name]; !ok {
+			t.Errorf("DESIGN.md's cost sheet lists %s, which is not an exported cost constant", name)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/hytm"
 	"repro/internal/machine"
@@ -135,12 +136,12 @@ func TestSerializabilityFuzzAllSystems(t *testing.T) {
 		"hytm": func(m *machine.Machine) tm.System {
 			cfg := ustm.DefaultConfig()
 			cfg.OTableRows = 1 << 12
-			return hytm.New(m, cfg)
+			return hytm.New(m, cfg, cm.Spec{})
 		},
 		"phtm": func(m *machine.Machine) tm.System {
 			cfg := ustm.DefaultConfig()
 			cfg.OTableRows = 1 << 12
-			return phtm.New(m, cfg)
+			return phtm.New(m, cfg, cm.Spec{})
 		},
 		"ustm+ufo": func(m *machine.Machine) tm.System {
 			cfg := ustm.DefaultConfig()
@@ -151,7 +152,7 @@ func TestSerializabilityFuzzAllSystems(t *testing.T) {
 			return tl2.New(m, tl2.DefaultConfig())
 		},
 		"unbounded-htm": func(m *machine.Machine) tm.System {
-			return unbounded.New(m)
+			return unbounded.New(m, cm.Spec{})
 		},
 		"global-lock": func(m *machine.Machine) tm.System {
 			return seq.New(m, seq.GlobalLock)

@@ -37,15 +37,15 @@ var Dispositions = tm.Dispositions{
 
 // System is the unbounded HTM. It implements tm.System.
 type System struct {
-	cm.Holder
 	stats tm.Stats
 	h     tm.Handler
 }
 
-// New builds the system. It keeps no machine state of its own.
-func New(*machine.Machine) *System {
+// New builds the system, backing off as spec says. It keeps no machine
+// state of its own.
+func New(_ *machine.Machine, spec cm.Spec) *System {
 	s := &System{}
-	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: &s.Holder, On: Dispositions}
+	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(spec), On: Dispositions}
 	return s
 }
 
@@ -54,6 +54,9 @@ func (s *System) Name() string { return "unbounded-htm" }
 
 // Stats implements tm.System.
 func (s *System) Stats() *tm.Stats { return &s.stats }
+
+// CM implements cm.Instrumented.
+func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // Exec implements tm.System. With no Software the driver retries in
 // hardware until commit — the defining property (and hardware burden) of

@@ -150,7 +150,7 @@ func handleNTFault(s *STM, p *machine.Proc, addr uint64) (allRetrying bool) {
 		return true
 	}
 	s.stats.NTStalls++
-	p.Elapse(s.cfg.NTStallCycles)
+	p.Elapse(NTStallCycles)
 	return false
 }
 

@@ -82,7 +82,7 @@ func (t *Thread) Begin(age uint64) {
 	t.p.SetSTM(true, age)
 	t.p.SetUFOEnabled(false)
 	t.p.RecordSW(machine.TraceSWBegin, machine.AbortNone, age)
-	t.p.Elapse(t.stm.cfg.BeginCycles)
+	t.p.Elapse(BeginCycles)
 }
 
 // End commits the transaction (ustm_end): release ownership, wake any
@@ -102,7 +102,7 @@ func (t *Thread) End() bool {
 	for _, w := range t.toWake {
 		w.wake(t.p)
 	}
-	t.p.Elapse(t.stm.cfg.CommitCycles)
+	t.p.Elapse(CommitCycles)
 	t.p.RecordSW(machine.TraceSWCommit, machine.AbortNone, t.age)
 	t.p.RecordSWCommit()
 	t.finish()
@@ -133,14 +133,14 @@ func (t *Thread) Rollback() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		r := t.undo[i]
 		t.ntWriteMustOK(r.addr, r.old)
-		t.p.Elapse(t.stm.cfg.LogCycles)
+		t.p.Elapse(LogCycles)
 	}
 	t.releaseAll()
 	for _, w := range t.toWake {
 		w.wake(t.p) // spurious wake-ups are safe; retriers re-check
 	}
 	t.p.RecordSW(machine.TraceSWAbort, machine.AbortConflict, t.age)
-	t.p.Elapse(t.stm.cfg.CommitCycles)
+	t.p.Elapse(CommitCycles)
 	t.finish()
 }
 
@@ -163,7 +163,7 @@ func (t *Thread) WaitForKiller() {
 	// killed us; an idle or descheduled (retrying) killer has effectively
 	// retired.
 	for t.killer.status == statusRunning && t.killer.epoch == t.killerEpoch {
-		t.p.Elapse(t.stm.cfg.StallCycles)
+		t.p.Elapse(StallCycles)
 	}
 	t.killer = nil
 }
@@ -222,7 +222,7 @@ func (t *Thread) barrier(addr uint64, write bool) {
 		// Inspect the row head (one otable memory reference plus the
 		// barrier's fixed logic).
 		t.ntReadMustOK(rowAddr)
-		t.p.Elapse(t.stm.cfg.BarrierCycles)
+		t.p.Elapse(BarrierCycles)
 		if r.locked {
 			t.stall()
 			continue
@@ -238,7 +238,7 @@ func (t *Thread) barrier(addr uint64, write bool) {
 			t.stm.ot.Dirty(idx)
 			r.locked = true
 			t.ntWriteMustOK(rowAddr, 1)
-			t.p.Elapse(t.stm.cfg.CASCycles)
+			t.p.Elapse(CASCycles)
 			r.entries = append(r.entries, &entry{tag: line, write: write, owners: []*Thread{t}})
 			t.owned = append(t.owned, ownedRec{line: line, write: write})
 			t.installUFO(line, write)
@@ -248,7 +248,7 @@ func (t *Thread) barrier(addr uint64, write bool) {
 			if write && !e.write {
 				// Upgrade read → write permission.
 				r.locked = true
-				t.p.Elapse(t.stm.cfg.CASCycles)
+				t.p.Elapse(CASCycles)
 				e.write = true
 				t.upgradeOwned(line)
 				t.installUFO(line, true)
@@ -280,7 +280,7 @@ func (t *Thread) resolveConflict(r *row, e *entry, write bool) bool {
 	// A read-read sharing situation is not a conflict: join the readers.
 	if !write && !e.write {
 		r.locked = true
-		t.p.Elapse(t.stm.cfg.CASCycles)
+		t.p.Elapse(CASCycles)
 		e.owners = append(e.owners, t)
 		t.owned = append(t.owned, ownedRec{line: e.tag, write: false})
 		// First reader installed protection already; joining readers
@@ -333,7 +333,7 @@ func (t *Thread) resolveConflict(r *row, e *entry, write bool) bool {
 	for _, o := range active {
 		for e.hasOwner(o) {
 			t.checkKilled()
-			t.p.Elapse(t.stm.cfg.StallCycles)
+			t.p.Elapse(StallCycles)
 		}
 	}
 	return true
@@ -343,7 +343,7 @@ func (t *Thread) resolveConflict(r *row, e *entry, write bool) bool {
 // first so that stalled victims unwind promptly.
 func (t *Thread) stall() {
 	t.checkKilled()
-	t.p.Elapse(t.stm.cfg.StallCycles)
+	t.p.Elapse(StallCycles)
 }
 
 // noteWake records a retrying transaction to wake at commit.
@@ -386,7 +386,7 @@ func (t *Thread) releaseAll() {
 		idx := t.stm.ot.index(rec.line)
 		r := t.stm.ot.row(idx)
 		t.ntWriteMustOK(t.stm.ot.rowAddr(idx), 1)
-		t.p.Elapse(t.stm.cfg.ReleaseCycles)
+		t.p.Elapse(ReleaseCycles)
 		e := r.find(rec.line)
 		if e == nil || !e.hasOwner(t) {
 			continue // ownership was stolen while we were retrying
@@ -419,7 +419,7 @@ func (t *Thread) Store(addr, val uint64) {
 	} else {
 		old := t.ntReadMustOK(addr)
 		t.undo = append(t.undo, undoRec{addr: addr, old: old})
-		t.p.Elapse(t.stm.cfg.LogCycles)
+		t.p.Elapse(LogCycles)
 	}
 	t.ntWriteMustOK(addr, val)
 }
@@ -435,7 +435,7 @@ func (t *Thread) logLine(line uint64) {
 	for w := uint64(0); w < mem.LineWords; w++ {
 		a := base + w*8
 		t.undo = append(t.undo, undoRec{addr: a, old: t.ntReadMustOK(a)})
-		t.p.Elapse(t.stm.cfg.LogCycles)
+		t.p.Elapse(LogCycles)
 	}
 }
 
@@ -445,14 +445,14 @@ func (t *Thread) NestDepth() int { return len(t.nestSave) }
 // BeginNest opens a closed nested transaction (a savepoint).
 func (t *Thread) BeginNest() {
 	t.nestSave = append(t.nestSave, len(t.undo))
-	t.p.Elapse(4)
+	t.p.Elapse(tm.NestOpenCycles)
 }
 
 // EndNest commits the innermost nest into its parent (closed-nesting
 // semantics: effects stay speculative until the outermost commit).
 func (t *Thread) EndNest() {
 	t.nestSave = t.nestSave[:len(t.nestSave)-1]
-	t.p.Elapse(2)
+	t.p.Elapse(tm.NestCloseCycles)
 }
 
 // AbortNest rolls the innermost nest back to its savepoint: data writes
@@ -464,7 +464,7 @@ func (t *Thread) AbortNest() {
 	for i := len(t.undo) - 1; i >= save; i-- {
 		r := t.undo[i]
 		t.ntWriteMustOK(r.addr, r.old)
-		t.p.Elapse(t.stm.cfg.LogCycles)
+		t.p.Elapse(LogCycles)
 	}
 	t.undo = t.undo[:save]
 }
@@ -477,7 +477,7 @@ func (t *Thread) Retry() {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		r := t.undo[i]
 		t.ntWriteMustOK(r.addr, r.old)
-		t.p.Elapse(t.stm.cfg.LogCycles)
+		t.p.Elapse(LogCycles)
 	}
 	t.undo = t.undo[:0]
 	// Downgrade write entries to read entries (fault-on-write only).

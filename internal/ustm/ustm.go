@@ -26,9 +26,20 @@ import (
 	"repro/internal/tm"
 )
 
-// Config carries USTM tuning parameters and cost constants (cycles
-// charged for the software logic of each operation, on top of the memory
-// traffic the operations generate).
+// Cycles charged for the software logic of each operation, on top of the
+// memory traffic the operations generate.
+const (
+	BeginCycles   = 30 // ustm_begin bookkeeping
+	CommitCycles  = 20 // ustm_end bookkeeping
+	BarrierCycles = 10 // fixed logic per read/write barrier
+	CASCycles     = 4  // compare&swap on an otable row
+	ReleaseCycles = 6  // per-entry release at end of transaction
+	LogCycles     = 3  // per logged word (eager versioning)
+	StallCycles   = 40 // poll interval while stalling on a conflictor
+	NTStallCycles = 60 // poll interval for a faulting nonT access
+)
+
+// Config carries USTM's parameters.
 type Config struct {
 	// OTableRows is the number of hash rows; the paper notes realistic
 	// implementations use at least tens of thousands. Must be a power of
@@ -45,31 +56,11 @@ type Config struct {
 	// weakly-atomic systems. Off by default; enable to demonstrate the
 	// anomaly (and that strong atomicity prevents it).
 	LineGranularUndo bool
-
-	BeginCycles   uint64 // ustm_begin bookkeeping
-	CommitCycles  uint64 // ustm_end bookkeeping
-	BarrierCycles uint64 // fixed logic per read/write barrier
-	CASCycles     uint64 // compare&swap on an otable row
-	ReleaseCycles uint64 // per-entry release at end of transaction
-	LogCycles     uint64 // per logged word (eager versioning)
-	StallCycles   uint64 // poll interval while stalling on a conflictor
-	NTStallCycles uint64 // poll interval for a faulting nonT access
 }
 
 // DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
-	return Config{
-		OTableRows:      1 << 16,
-		StrongAtomicity: true,
-		BeginCycles:     30,
-		CommitCycles:    20,
-		BarrierCycles:   10,
-		CASCycles:       4,
-		ReleaseCycles:   6,
-		LogCycles:       3,
-		StallCycles:     40,
-		NTStallCycles:   60,
-	}
+	return Config{OTableRows: 1 << 16, StrongAtomicity: true}
 }
 
 // STM is one USTM instance: the otable plus per-thread transaction state.

@@ -22,13 +22,14 @@ type Event struct {
 // Handler observes watchpoint hits.
 type Handler func(Event)
 
+// HandlerCycles is the charged cost of a watchpoint trap.
+const HandlerCycles = 40
+
 // Watcher manages watchpoints over one machine. Watched-line bookkeeping
 // is program-level (the handler table), while the detection itself is the
 // hardware UFO bits — so unwatched accesses cost nothing.
 type Watcher struct {
 	m *machine.Machine
-	// HandlerCycles is the charged cost of a watchpoint trap.
-	HandlerCycles uint64
 
 	watched map[uint64]watchKind // by line
 	handler Handler
@@ -40,10 +41,9 @@ type watchKind struct{ read, write bool }
 // New creates a watcher with the given hit handler.
 func New(m *machine.Machine, h Handler) *Watcher {
 	return &Watcher{
-		m:             m,
-		HandlerCycles: 40,
-		watched:       make(map[uint64]watchKind),
-		handler:       h,
+		m:       m,
+		watched: make(map[uint64]watchKind),
+		handler: h,
 	}
 }
 
@@ -119,7 +119,7 @@ func (w *Watcher) Store(p *machine.Proc, addr, val uint64) {
 
 func (w *Watcher) trap(p *machine.Proc, addr uint64, write bool) {
 	w.hits++
-	p.Elapse(w.HandlerCycles)
+	p.Elapse(HandlerCycles)
 	if w.handler != nil {
 		w.handler(Event{Addr: addr, Write: write, Proc: p.ID(), Cycle: p.Now()})
 	}
