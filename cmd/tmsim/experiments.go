@@ -160,8 +160,12 @@ func checkExperiment(value string, traced bool, set map[string]bool) error {
 }
 
 // runExperiments runs every row -experiment selects, in table order,
-// stopping at the first error.
+// stopping at the first error — or, under -trace-out, the traced cell
+// instead of any row.
 func (s *session) runExperiments() error {
+	if s.cfg.traceOut != "" {
+		return s.runTraced()
+	}
 	for _, e := range experiments {
 		if !e.selected(s.cfg.experiment) {
 			continue

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/cache"
 	"repro/internal/cm"
 	"repro/internal/contention"
 	"repro/internal/harness"
@@ -32,7 +33,6 @@ type config struct {
 	traceWorkload string
 	traceSystem   string
 	traceThreads  int
-	traceLimit    int
 
 	litmusOut string
 
@@ -80,7 +80,6 @@ func parseConfig(args []string, errOut io.Writer) (*config, error) {
 	fs.StringVar(&cfg.traceWorkload, "trace-workload", "genome", "workload for the traced cell")
 	fs.StringVar(&cfg.traceSystem, "trace-system", "ufo-hybrid", "TM system for the traced cell")
 	fs.IntVar(&cfg.traceThreads, "trace-threads", 4, "thread count for the traced cell")
-	fs.IntVar(&cfg.traceLimit, "trace-limit", 1<<20, "max trace events retained (ring buffer)")
 	fs.StringVar(&cfg.litmusOut, "litmus-out", "", "also write the litmus conformance report as JSON to this file")
 	fs.StringVar(&cfg.oltpOut, "oltp-out", "", "also write the open-loop service (tmsim-oltp/v1) report as JSON to this file")
 	fs.StringVar(&cfg.oltpArrival, "oltp-arrival", "poisson", "oltp arrival process: poisson | mmpp")
@@ -169,11 +168,8 @@ func (cfg *config) validate() error {
 	if cfg.system, err = harness.ParseSystem(cfg.traceSystem); err != nil {
 		return fmt.Errorf("-trace-system: %w", err)
 	}
-	if cfg.traceThreads < 1 {
-		return fmt.Errorf("-trace-threads %d: want >= 1", cfg.traceThreads)
-	}
-	if cfg.traceLimit < 1 {
-		return fmt.Errorf("-trace-limit %d: want >= 1", cfg.traceLimit)
+	if cfg.traceThreads < 1 || cfg.traceThreads > cache.MaxProcs {
+		return fmt.Errorf("-trace-threads %d: want 1..%d (the simulated machine's processor limit)", cfg.traceThreads, cache.MaxProcs)
 	}
 	if cfg.contentionTopK < 1 {
 		return fmt.Errorf("-contention-topk %d: want >= 1", cfg.contentionTopK)
@@ -197,7 +193,7 @@ func (cfg *config) validate() error {
 		given bool
 		flags []string
 	}{
-		{"trace-out", cfg.traceOut != "", []string{"trace-format", "trace-workload", "trace-system", "trace-threads", "trace-limit"}},
+		{"trace-out", cfg.traceOut != "", []string{"trace-format", "trace-workload", "trace-system", "trace-threads"}},
 		{"contention-out", cfg.contentionOut != "", []string{"contention-topk", "timeseries-window", "report"}},
 	} {
 		for _, f := range dep.flags {

@@ -34,7 +34,9 @@ func TestParseConfigValidation(t *testing.T) {
 		{"trace-system without trace-out", []string{"-trace-system", "tl2"}, "-trace-system requires -trace-out"},
 		{"hybrid-norec traced cell", []string{"-trace-out", "t.json", "-trace-system", "hybrid-norec"}, ""},
 		{"trace-threads without trace-out", []string{"-trace-threads", "2"}, "-trace-threads requires -trace-out"},
-		{"trace-limit without trace-out", []string{"-trace-limit", "64"}, "-trace-limit requires -trace-out"},
+		// A trace has no limit (tail -n the file): -trace-limit is not a
+		// flag, with or without -trace-out.
+		{"trace-limit without trace-out", []string{"-trace-limit", "64"}, "flag provided but not defined: -trace-limit"},
 		{"bad trace format", []string{"-trace-out", "t.json", "-trace-format", "xml"}, "unknown trace format"},
 		{"unknown trace workload", []string{"-trace-out", "t.json", "-trace-workload", "nope"}, "unknown workload"},
 		{"unknown trace system", []string{"-trace-out", "t.json", "-trace-system", "nope"}, "unknown system"},
@@ -44,7 +46,10 @@ func TestParseConfigValidation(t *testing.T) {
 		{"typo'd system without trace-out", []string{"-trace-system", "no-such-system"}, "unknown system \"no-such-system\""},
 		{"typo'd system lists valid names", []string{"-trace-system", "ufo-hybird"}, "hybrid-norec"},
 		{"bad trace threads", []string{"-trace-out", "t.json", "-trace-threads", "0"}, "-trace-threads"},
-		{"bad trace limit", []string{"-trace-out", "t.json", "-trace-limit", "0"}, "-trace-limit"},
+		{"bad trace limit", []string{"-trace-out", "t.json", "-trace-limit", "0"}, "flag provided but not defined: -trace-limit"},
+		// Past cache.MaxProcs the machine's constructor panics: a usage error.
+		{"trace threads at the machine's limit", []string{"-trace-out", "t.json", "-trace-threads", "256"}, ""},
+		{"trace threads past the machine's limit", []string{"-trace-out", "t.json", "-trace-threads", "300"}, "-trace-threads 300: want 1..256"},
 
 		{"oltp sweep", []string{"-experiment", "oltp", "-scale", "small", "-oltp-out", "o.json"}, ""},
 		{"oltp tuned", []string{"-experiment", "oltp", "-oltp-arrival", "mmpp", "-oltp-theta", "1.2",

@@ -75,10 +75,14 @@
 //	    attribution are always on for this experiment).
 //	tmsim -trace-out t.json -trace-format chrome [-trace-workload genome
 //	      -trace-system ufo-hybrid -trace-threads 4]
-//	    runs that single cell with machine tracing and exports the trace
-//	    (text, jsonl, or a Perfetto/about://tracing-loadable Chrome
-//	    trace with one track per simulated processor) instead of running
-//	    experiments. -metrics-out and -contention-out compose with it.
+//	    runs that single cell instead of any experiment, as a one-job
+//	    sweep with a trace sink subscribed to its machine (text, jsonl, or
+//	    a Perfetto/about://tracing-loadable Chrome trace with one track per
+//	    simulated processor). The file is written as the cell runs, with
+//	    no limit on its length (tail -n 40 for the last 40 events), so a
+//	    cell that fails — exit status 1, one line naming it — leaves the
+//	    trace up to its failure. -metrics-out, -txstats-out and
+//	    -contention-out compose with it.
 //
 // Host profiling: -cpuprofile and -memprofile write runtime/pprof
 // profiles of tmsim itself (the simulator, not the simulated machine),
@@ -90,6 +94,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -113,6 +118,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tmsim: %v\n", err)
 		return 2
 	}
+	return runConfig(cfg, stdout, stderr)
+}
+
+// runConfig is run after the flags parsed.
+func runConfig(cfg *config, stdout, stderr io.Writer) int {
 	stopProfiles, err := startProfiles(cfg, stderr)
 	if err == nil {
 		err = newSession(cfg, stdout, stderr).execute()
@@ -153,21 +163,15 @@ func newSession(cfg *config, stdout, stderr io.Writer) *session {
 func (s *session) execute() error {
 	cfg := s.cfg
 	var rep harness.Report
-	cells := "" // a sweep's report messages count its cells; a traced run is one cell
+	if cfg.metricsOut != "" || cfg.contentionOut != "" || cfg.txstatsOut != "" {
+		s.runner.Collect = rep.Collector()
+	}
+	if err := s.runExperiments(); err != nil {
+		return err
+	}
+	cells := fmt.Sprintf(" for %d cells", len(rep.Cells))
 	if cfg.traceOut != "" {
-		res, err := s.runTraced()
-		if err != nil {
-			return err
-		}
-		rep.Add(res)
-	} else {
-		if cfg.metricsOut != "" || cfg.contentionOut != "" || cfg.txstatsOut != "" {
-			s.runner.Collect = rep.Collector()
-		}
-		if err := s.runExperiments(); err != nil {
-			return err
-		}
-		cells = fmt.Sprintf(" for %d cells", len(rep.Cells))
+		cells = "" // a traced run is one cell, and its messages do not count it
 	}
 	contentionWrite := func(w io.Writer) error { return rep.WriteJSON(w, harness.SectionContention) }
 	switch cfg.reportFormat {
@@ -251,39 +255,58 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// exportTrace replays tr through the sink selected by -trace-format
-// (parseConfig admits text, jsonl and chrome only).
-func exportTrace(tr *machine.Trace, format string, w io.Writer) error {
-	switch format {
-	case "jsonl":
-		return tr.Export(machine.NewJSONLSink(w))
-	case "chrome":
-		return tr.Export(machine.NewChromeSink(w))
-	}
-	return tr.Export(machine.NewTextSink(w))
-}
+// eventCount is the observer behind "N trace events" in the traced
+// cell's stdout line.
+type eventCount uint64
 
-// runTraced runs the -trace-* cell with tracing enabled and exports the
-// trace through the chosen sink; the caller writes the cell's
-// -metrics-out, -contention-out and -txstats-out reports. A cell whose
-// workload invariant failed still exports its trace — the artifact that
-// explains the failure — before the error is returned.
-func (s *session) runTraced() (harness.Result, error) {
-	cfg, f, system, opt := s.cfg, s.cfg.workload, s.cfg.system, s.opt
-	opt.TraceLimit = cfg.traceLimit
-	start := time.Now()
-	res := harness.Run(system, f.New(), cfg.traceThreads, opt)
+func (n *eventCount) Event(machine.TraceEvent) { *n++ }
+
+// runTraced runs the -trace-* cell as a one-job sweep whose machine has
+// the -trace-format sink (parseConfig admits text, jsonl and chrome
+// only) subscribed over the output file; the caller writes the cell's
+// -metrics-out, -contention-out and -txstats-out reports. The sink is
+// closed whether or not the cell failed, so the file of a cell that
+// died — a failed invariant, a panic, an exhausted step budget — ends
+// where the cell did: the artifact that explains the failure.
+func (s *session) runTraced() error {
+	cfg := s.cfg
+	var (
+		events eventCount
+		res    []harness.Result
+		failed error
+		start  = time.Now()
+	)
 	err := writeFile(cfg.traceOut, func(w io.Writer) error {
-		return exportTrace(res.Trace, cfg.traceFormat, w)
+		var sink interface {
+			machine.Observer
+			io.Closer
+		}
+		switch cfg.traceFormat {
+		case "jsonl":
+			sink = machine.NewJSONLSink(w)
+		case "chrome":
+			sink = machine.NewChromeSink(w)
+		default:
+			sink = machine.NewTextSink(w)
+		}
+		res, failed = s.runner.Execute([]harness.Job{{
+			System: cfg.system, Factory: cfg.workload, Threads: cfg.traceThreads, Opt: s.opt,
+			Observe: func(m *machine.Machine) {
+				m.Observe(machine.TraceKinds, sink)
+				m.Observe(machine.TraceKinds, &events)
+			},
+		}})
+		return sink.Close()
 	})
 	if err != nil {
-		return res, err
+		return err
 	}
 	fmt.Fprintf(s.stdout, "  [%s/%s/%d threads: %d cycles, %d trace events (%s) written to %s in %v]\n",
-		f.Name, system, cfg.traceThreads, res.Cycles, res.Trace.Total(), cfg.traceFormat, cfg.traceOut,
+		cfg.workload.Name, cfg.system, cfg.traceThreads, res[0].Cycles, events, cfg.traceFormat, cfg.traceOut,
 		time.Since(start).Round(time.Millisecond))
-	if res.Err != nil {
-		return res, fmt.Errorf("%s/%s/%d: %w", f.Name, system, cfg.traceThreads, res.Err)
+	var sweep *harness.SweepError
+	if errors.As(failed, &sweep) {
+		return sweep.Cells[0] // one cell: its coordinates and what went wrong, on one line
 	}
-	return res, nil
+	return failed
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/stamp"
+	"repro/internal/tm"
 )
 
 // tmsim runs the command in-process at -scale small and fails the test
@@ -180,27 +181,114 @@ type failing struct{ stamp.Workload }
 
 func (failing) Validate(*machine.Machine) error { return errors.New("broken on purpose") }
 
-// TestFailedTracedCellKeepsItsTrace: a traced cell whose workload
-// invariant fails still exports the trace — the one artifact that would
-// explain the failure — and then reports the error.
-func TestFailedTracedCellKeepsItsTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.txt")
-	cfg, err := parseConfig([]string{"-scale", "small", "-trace-out", path, "-trace-workload", "kmeans-low", "-trace-threads", "2"}, os.Stderr)
+// tracedWith parses a traced kmeans-low/ufo-hybrid/2 cell at -scale
+// small, swaps its workload for wrap's, and runs the command.
+func tracedWith(t *testing.T, wrap func(stamp.Workload) stamp.Workload, path, format string) (code int, stdout, stderr string) {
+	t.Helper()
+	cfg, err := parseConfig([]string{"-scale", "small", "-trace-out", path, "-trace-format", format,
+		"-trace-workload", "kmeans-low", "-trace-threads", "2"}, os.Stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := cfg.workload
-	cfg.workload.New = func() stamp.Workload { return failing{good.New()} }
-	var stdout bytes.Buffer
-	_, err = newSession(cfg, &stdout, os.Stderr).runTraced()
-	if err == nil || !strings.Contains(err.Error(), "kmeans-low/ufo-hybrid/2: broken on purpose") {
-		t.Fatalf("err = %v, want the cell's coordinates and the invariant failure", err)
+	good := cfg.workload.New
+	cfg.workload.New = func() stamp.Workload { return wrap(good()) }
+	var out, errOut bytes.Buffer
+	code = runConfig(cfg, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// TestFailedTracedCellKeepsItsTrace: a traced cell whose workload
+// invariant fails still leaves the whole trace — the one artifact that
+// would explain the failure — and then reports the error, on one line.
+func TestFailedTracedCellKeepsItsTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.txt")
+	code, stdout, stderr := tracedWith(t, func(w stamp.Workload) stamp.Workload { return failing{w} }, path, "text")
+	if code != 1 || stderr != "tmsim: kmeans-low on ufo-hybrid with 2 threads: broken on purpose\n" {
+		t.Fatalf("exit %d, stderr %q; want 1 and the cell's coordinates with the invariant failure", code, stderr)
 	}
 	if st, serr := os.Stat(path); serr != nil || st.Size() == 0 {
 		t.Fatalf("trace file: %v, %v", st, serr)
 	}
-	if !strings.Contains(stdout.String(), "trace events (text) written to "+path) {
-		t.Fatalf("stdout does not say where the trace went:\n%s", stdout.String())
+	if !strings.Contains(stdout, "trace events (text) written to "+path) {
+		t.Fatalf("stdout does not say where the trace went:\n%s", stdout)
+	}
+}
+
+// dying is a workload whose thread 1 panics at its 20th transaction,
+// with thread 0 in the middle of its own work.
+type dying struct{ stamp.Workload }
+
+type dyingExec struct {
+	tm.Exec
+	left int
+}
+
+func (e *dyingExec) Atomic(body func(tm.Tx)) {
+	if e.left--; e.left < 0 {
+		panic("died on purpose")
+	}
+	e.Exec.Atomic(body)
+}
+
+func (d dying) Thread(i int, ex tm.Exec) {
+	if i == 1 {
+		ex = &dyingExec{Exec: ex, left: 19}
+	}
+	d.Workload.Thread(i, ex)
+}
+
+// TestPanickedTracedCellLeavesItsTrace: a traced cell that dies mid-run
+// is a failed cell, not a dead process — exit status 1, one "tmsim:"
+// line naming (workload, system, threads), no goroutine dump — and its
+// trace file is closed, parses in its own format, and holds every event
+// the machine emitted before the panic: as many as stdout says were
+// written, and (text, jsonl) a proper prefix of the healthy cell's trace.
+func TestPanickedTracedCellLeavesItsTrace(t *testing.T) {
+	dir := t.TempDir()
+	for _, format := range []string{"text", "jsonl", "chrome"} {
+		whole, part := filepath.Join(dir, "whole."+format), filepath.Join(dir, "part."+format)
+		if code, _, stderr := tracedWith(t, func(w stamp.Workload) stamp.Workload { return w }, whole, format); code != 0 {
+			t.Fatalf("%s: healthy cell: exit %d, stderr %q", format, code, stderr)
+		}
+		code, stdout, stderr := tracedWith(t, func(w stamp.Workload) stamp.Workload { return dying{w} }, part, format)
+		if code != 1 || stderr != "tmsim: kmeans-low on ufo-hybrid with 2 threads: panic: died on purpose\n" {
+			t.Fatalf("%s: exit %d, stderr %q; want 1 and one line naming the cell", format, code, stderr)
+		}
+		var written int
+		if _, err := fmt.Sscanf(stdout[strings.Index(stdout, " cycles, ")+1:], "cycles, %d trace events", &written); err != nil || written == 0 {
+			t.Fatalf("%s: stdout does not count the events written: %q (%v)", format, stdout, err)
+		}
+		healthy, err := os.ReadFile(whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if format == "chrome" {
+			var doc struct {
+				TraceEvents []json.RawMessage `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(got, &doc); err != nil || len(doc.TraceEvents) == 0 {
+				t.Fatalf("chrome trace of the dead cell: %d events, err %v", len(doc.TraceEvents), err)
+			}
+			continue
+		}
+		lines := strings.SplitAfter(string(got), "\n")
+		if lines[len(lines)-1] != "" || len(lines)-1 != written {
+			t.Fatalf("%s: %d whole lines (rest %q), stdout says %d events", format, len(lines)-1, lines[len(lines)-1], written)
+		}
+		if format == "jsonl" {
+			for _, line := range lines[:written] {
+				if !json.Valid([]byte(line)) {
+					t.Fatalf("jsonl line does not parse: %q", line)
+				}
+			}
+		}
+		if len(got) >= len(healthy) || !bytes.HasPrefix(healthy, got) {
+			t.Fatalf("%s: the dead cell's %d bytes are not a proper prefix of the healthy cell's %d", format, len(got), len(healthy))
+		}
 	}
 }
 
@@ -216,6 +304,8 @@ func TestRunExitStatus(t *testing.T) {
 	}{
 		{[]string{"-experiment", "fig6", "-csv", filepath.Join(dir, "x.csv")}, 2, "-csv requires -experiment fig5"},
 		{[]string{"-experiment", "fig5", "-seeds", "2", "-csv", filepath.Join(dir, "y.csv")}, 2, "-csv cannot be combined with -seeds 2"},
+		{[]string{"-trace-out", filepath.Join(dir, "t.txt"), "-trace-threads", "300"}, 2, "-trace-threads 300: want 1..256"},
+		{[]string{"-trace-out", filepath.Join(dir, "t.txt"), "-trace-limit", "40"}, 2, "flag provided but not defined: -trace-limit"},
 		{[]string{"-experiment", "params", "-metrics-out", filepath.Join(dir, "no-such-dir", "m.json")}, 1, "no-such-dir"},
 	}
 	for _, c := range cases {

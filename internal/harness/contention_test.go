@@ -9,6 +9,7 @@ import (
 	"repro/internal/contention"
 	"repro/internal/machine"
 	"repro/internal/tm"
+	"repro/internal/tmtest"
 )
 
 // contentionOptions is testOptions with conflict attribution enabled.
@@ -140,7 +141,7 @@ func runCollider(t *testing.T, kind SystemKind, syscall bool) (*edgeLog, *machin
 	params := opt.Params
 	params.Procs = 2
 	m := machine.New(params)
-	edges, commits := machine.NewTrace(1<<16), machine.NewTrace(1<<16)
+	edges, commits := new(tmtest.EventLog), new(tmtest.EventLog)
 	m.Observe(machine.KindSet(machine.TraceConflict), edges)
 	m.Observe(machine.KindSet(machine.TraceHWCommit, machine.TraceSWCommitted), commits)
 	sys := Build(kind, m, opt)
@@ -156,7 +157,7 @@ func runCollider(t *testing.T, kind SystemKind, syscall bool) (*edgeLog, *machin
 	if err := wl.Validate(m); err != nil {
 		t.Fatalf("%s: %v", kind, err)
 	}
-	return &edgeLog{edges: edges.Events(), commits: commits.Total()}, m
+	return &edgeLog{edges: edges.Events, commits: uint64(len(commits.Events))}, m
 }
 
 // checkEdges validates every recorded tuple: processors in range, a real
@@ -256,29 +257,31 @@ func TestColliderUFOKillEdges(t *testing.T) {
 	}
 }
 
-// TestAllObserversMatchBareRun: the trace ring, the contention profile
-// and the txstats recorder subscribed to one machine observe the run
-// without moving it — cycles, machine counters and TM stats equal the
-// bare run's on a contended cell of every Figure 5 system — and the
+// TestAllObserversMatchBareRun: a Job.Observe event log, the contention
+// profile and the txstats recorder subscribed to one machine observe the
+// run without moving it — cycles, machine counters and TM stats equal
+// the bare run's on a contended cell of every Figure 5 system — and the
 // three views agree on the stream they share: one contention edge per
-// hardware abort the ring saw, one txstats commit per tx-commit.
+// hardware abort the log saw, one txstats commit per tx-commit.
 func TestAllObserversMatchBareRun(t *testing.T) {
 	f, _ := FindWorkload("kmeans-high", ScaleSmall)
 	for _, kind := range Figure5Systems {
 		bare := Run(kind, f.New(), 4, testOptions())
 		opt := contentionOptions()
 		opt.TxStats = true
-		opt.TraceLimit = 1 << 20
-		all := Run(kind, f.New(), 4, opt)
-		if bare.Err != nil || all.Err != nil {
-			t.Fatalf("%s: %v / %v", kind, bare.Err, all.Err)
+		var log tmtest.EventLog
+		results, err := Serial().Execute([]Job{{System: kind, Factory: f, Threads: 4, Opt: opt,
+			Observe: func(m *machine.Machine) { m.Observe(machine.TraceKinds, &log) }}})
+		if bare.Err != nil || err != nil {
+			t.Fatalf("%s: %v / %v", kind, bare.Err, err)
 		}
+		all := results[0]
 		if all.Cycles != bare.Cycles || all.Machine != bare.Machine || all.Stats != bare.Stats {
 			t.Errorf("%s: observed run differs from the bare run:\n%d cycles %+v %+v\n%d cycles %+v %+v",
 				kind, all.Cycles, all.Machine, all.Stats, bare.Cycles, bare.Machine, bare.Stats)
 		}
 		var hwAborts, txCommits uint64
-		for _, e := range all.Trace.Events() {
+		for _, e := range log.Events {
 			switch e.Kind {
 			case machine.TraceHWAbort:
 				hwAborts++
@@ -287,10 +290,10 @@ func TestAllObserversMatchBareRun(t *testing.T) {
 			}
 		}
 		if hwEdges := all.Contention.Edges - all.Contention.SWEdges; hwEdges != hwAborts {
-			t.Errorf("%s: %d hardware conflict edges, ring saw %d hw-aborts", kind, hwEdges, hwAborts)
+			t.Errorf("%s: %d hardware conflict edges, log saw %d hw-aborts", kind, hwEdges, hwAborts)
 		}
 		if all.TxStats.Committed != txCommits {
-			t.Errorf("%s: txstats committed %d, ring saw %d tx-commits", kind, all.TxStats.Committed, txCommits)
+			t.Errorf("%s: txstats committed %d, log saw %d tx-commits", kind, all.TxStats.Committed, txCommits)
 		}
 	}
 }

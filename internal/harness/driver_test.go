@@ -14,6 +14,7 @@ import (
 	"repro/internal/phtm"
 	"repro/internal/tl2"
 	"repro/internal/tm"
+	"repro/internal/tmtest"
 	"repro/internal/unbounded"
 	"repro/internal/ustm"
 )
@@ -497,7 +498,7 @@ func TestTxLifeSequences(t *testing.T) {
 				opt.CM = cm.Spec{Kind: cm.KindSerialize, StarveK: 2}
 			}
 			m := driverMachine(procs)
-			rec := machine.NewTrace(1 << 10)
+			rec := new(tmtest.EventLog)
 			m.Observe(lifeKinds, rec)
 			opt.OTableRows = 1 << 12
 			sys := Build(c.system, m, opt)
@@ -505,7 +506,7 @@ func TestTxLifeSequences(t *testing.T) {
 			if m.Mem.Read64(out) != 1 {
 				t.Fatal("transaction's store lost")
 			}
-			if got := lifeString(rec.Events()); got != c.want {
+			if got := lifeString(rec.Events); got != c.want {
 				t.Fatalf("lifecycle events\n got: %s\nwant: %s", got, c.want)
 			}
 		})

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/stamp"
+	"repro/internal/tmtest"
 )
 
 // The experiment drivers run end-to-end at small scale; these tests check
@@ -274,15 +276,25 @@ func TestExtendedSweep(t *testing.T) {
 	}
 }
 
-func TestTraceLimitReturnsTrace(t *testing.T) {
-	opt := testOptions()
-	opt.TraceLimit = 64
-	f := Benchmarks(ScaleSmall)[0]
-	r := Run(UFOHybrid, f.New(), 2, opt)
-	if r.Err != nil {
-		t.Fatal(r.Err)
+// TestJobObserveSeesTheRun: Job.Observe is handed the cell's machine
+// once, before anything runs on it, and what it subscribes there sees
+// the run — every hardware commit the cell's counters report.
+func TestJobObserveSeesTheRun(t *testing.T) {
+	var log tmtest.EventLog
+	calls := 0
+	job := Job{System: UFOHybrid, Factory: Benchmarks(ScaleSmall)[0], Threads: 2, Opt: testOptions(),
+		Observe: func(m *machine.Machine) {
+			calls++
+			if m.Cycles() != 0 || m.Count.HWCommits != 0 {
+				t.Errorf("Observe called on a machine that already ran: %d cycles", m.Cycles())
+			}
+			m.Observe(machine.KindSet(machine.TraceHWCommit), &log)
+		}}
+	results, err := Serial().Execute([]Job{job})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Trace == nil || r.Trace.Total() == 0 {
-		t.Fatal("trace missing or empty")
+	if calls != 1 || len(log.Events) == 0 || uint64(len(log.Events)) != results[0].Machine.HWCommits {
+		t.Fatalf("Observe called %d times; log saw %d hw-commits, counters %d", calls, len(log.Events), results[0].Machine.HWCommits)
 	}
 }

@@ -87,9 +87,6 @@ type Options struct {
 	// capped-exponential default. Spec is a value type: each sweep cell
 	// instantiates its own policy, so cells stay independent.
 	CM cm.Spec
-	// TraceLimit, when positive, enables machine tracing (most recent
-	// events kept) and returns the trace in the Result.
-	TraceLimit int
 	// Contention enables conflict attribution: a contention.Profile is
 	// attached to the machine and its frozen Report returned in the
 	// Result (and its headline totals written as contention.* metrics).
@@ -171,8 +168,7 @@ type Result struct {
 	Cycles   uint64
 	Stats    tm.Stats
 	Machine  machine.Counters
-	Metrics  *obs.Snapshot  // the cell's full metrics snapshot (OBSERVABILITY.md)
-	Trace    *machine.Trace // non-nil when Options.TraceLimit > 0
+	Metrics  *obs.Snapshot // the cell's full metrics snapshot (OBSERVABILITY.md)
 	// Contention is the cell's conflict-attribution report; non-nil when
 	// Options.Contention is set.
 	Contention *contention.Report
@@ -193,20 +189,20 @@ func (r Result) Speedup(seqCycles uint64) float64 {
 // Run executes one workload on one system with the given thread count.
 // The workload must be freshly constructed (Init mutates it).
 func Run(kind SystemKind, wl stamp.Workload, threads int, opt Options) Result {
-	return runOn(new(machine.Arena), kind, wl, threads, opt)
+	return runOn(new(machine.Arena), Job{System: kind, Threads: threads, Opt: opt}, wl)
 }
 
-// runOn is Run over the storage of arena, which a Runner worker keeps
-// from cell to cell. The machine is built by the same constructor and
-// released the same way whoever owns the arena; a run that panics
-// releases nothing, and its arena must be dropped.
-func runOn(arena *machine.Arena, kind SystemKind, wl stamp.Workload, threads int, opt Options) Result {
+// runOn runs wl as the cell j names over the storage of arena, which a
+// Runner worker keeps from cell to cell. The machine is built by the
+// same constructor and released the same way whoever owns the arena; a
+// run that panics releases nothing, and its arena must be dropped.
+func runOn(arena *machine.Arena, j Job, wl stamp.Workload) Result {
+	kind, threads, opt := j.System, j.Threads, j.Opt
 	params := opt.Params
 	params.Procs = threads
 	m := arena.New(params)
-	var tr *machine.Trace
-	if opt.TraceLimit > 0 {
-		tr = m.EnableTrace(opt.TraceLimit)
+	if j.Observe != nil {
+		j.Observe(m)
 	}
 	var prof *contention.Profile
 	if opt.Contention {
@@ -241,7 +237,6 @@ func runOn(arena *machine.Arena, kind SystemKind, wl stamp.Workload, threads int
 		Stats:    *sys.Stats(),
 		Machine:  m.Count,
 		Metrics:  metrics,
-		Trace:    tr,
 		Err:      wl.Validate(m),
 	}
 	if prof != nil {

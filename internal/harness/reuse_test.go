@@ -96,9 +96,6 @@ func reuseJobs() []Job {
 			opt.Params.L1Bytes, opt.Params.L1Ways = 8<<10, 2
 		}
 		opt.TxStats, opt.Contention = n%2 == 0, n%3 == 1
-		if n%4 == 1 {
-			opt.TraceLimit = 256
-		}
 		job := Job{System: AllSystems[n%len(AllSystems)], Factory: factories[n%len(factories)], Opt: opt,
 			Threads: []int{1, 2, 4, 16}[(n+n/len(AllSystems))%4]}
 		if job.System == Sequential {
@@ -134,8 +131,8 @@ func describe(j Job) string {
 
 // TestReuseDifferential extends the determinism guarantee to arena
 // reuse: a cell's Result — cycles, tm.Stats, machine.Counters, metrics
-// snapshot, txstats and contention reports, trace — is a pure function
-// of its Job, whatever ran before it on its worker. Every job of a
+// snapshot, txstats and contention reports — is a pure function of its
+// Job, whatever ran before it on its worker. Every job of a
 // deliberately heterogeneous list, run in three seeded shuffles at 1, 2
 // and 4 workers, must equal the same job run alone through Run; so must
 // the 8-processor cell on both sides of the 130-processor one, the

@@ -23,6 +23,13 @@ type Job struct {
 	Factory WorkloadFactory
 	Threads int
 	Opt     Options
+	// Observe, when non-nil, is called once with the cell's machine
+	// before anything is built on it: the place to subscribe this cell's
+	// own observers (a trace sink, a test's event log). It is per Job
+	// because Opt is copied to every cell of a sweep and cells run
+	// concurrently. Whoever opened a sink closes it after Execute, whether
+	// or not the cell failed.
+	Observe func(*machine.Machine)
 }
 
 // Progress is a snapshot of a running sweep, delivered to the Runner's
@@ -184,7 +191,7 @@ func runCell(arena *machine.Arena, j Job) (res Result) {
 			}
 		}
 	}()
-	return runOn(arena, j.System, j.Factory.New(), j.Threads, j.Opt)
+	return runOn(arena, j, j.Factory.New())
 }
 
 // sweepError collects the failing cells of a completed sweep.

@@ -36,7 +36,7 @@ func TestRunAllocsPerProc(t *testing.T) {
 func TestUnobservedEmitsAllocNothing(t *testing.T) {
 	for _, observed := range []bool{false, true} {
 		m := New(testParams(1))
-		idle := NewTrace(16)
+		idle := new(eventLog)
 		if observed {
 			m.Observe(KindSet(TraceNack), idle)
 		}
@@ -63,8 +63,8 @@ func TestUnobservedEmitsAllocNothing(t *testing.T) {
 		if got != 0 {
 			t.Errorf("observed=%v: %v allocs per unobserved transaction, want 0", observed, got)
 		}
-		if idle.Total() != 0 {
-			t.Errorf("observed=%v: observer called %d times for kinds it did not subscribe to", observed, idle.Total())
+		if len(idle.events) != 0 {
+			t.Errorf("observed=%v: observer called %d times for kinds it did not subscribe to", observed, len(idle.events))
 		}
 	}
 }

@@ -7,14 +7,10 @@ import (
 	"repro/internal/mem"
 )
 
-// observeConflicts subscribes two recording observers to m — the Trace
-// ring is the one fake every package's tests use — and returns them: one
-// sees the who-aborted-whom edges, the other the commits.
-func observeConflicts(m *Machine) (edges, commits *Trace) {
-	edges, commits = NewTrace(1<<10), NewTrace(1<<10)
-	m.Observe(KindSet(TraceConflict), edges)
-	m.Observe(KindSet(TraceHWCommit, TraceSWCommitted), commits)
-	return edges, commits
+// observeConflicts subscribes two recording observers to m and returns
+// them: one sees the who-aborted-whom edges, the other the commits.
+func observeConflicts(m *Machine) (edges, commits *eventLog) {
+	return observe(m, KindSet(TraceConflict)), observe(m, KindSet(TraceHWCommit, TraceSWCommitted))
 }
 
 // TestConflictEventHWKill: an age-ordered HW-vs-HW kill emits exactly
@@ -40,7 +36,7 @@ func TestConflictEventHWKill(t *testing.T) {
 			}
 		},
 	})
-	edges := rec.Events()
+	edges := rec.events
 	if len(edges) != 1 {
 		t.Fatalf("edges = %+v, want exactly one", edges)
 	}
@@ -58,7 +54,7 @@ func TestConflictEventHWKill(t *testing.T) {
 		t.Fatalf("edge cycle = %d, machine ran %d", e.Cycle, m.Cycles())
 	}
 	// One HW commit (the aggressor's); edge count matches the abort count.
-	if cs := commits.Events(); len(cs) != 1 || cs[0].Kind != TraceHWCommit || cs[0].Proc != 0 {
+	if cs := commits.events; len(cs) != 1 || cs[0].Kind != TraceHWCommit || cs[0].Proc != 0 {
 		t.Fatalf("commits = %+v", cs)
 	}
 	if m.Count.HWAbortsByReason[AbortConflict] != 1 {
@@ -81,7 +77,7 @@ func TestConflictEventUFOKill(t *testing.T) {
 			p.SetUFO(0, mem.UFOFaultOnWrite)
 		},
 	})
-	edges := rec.Events()
+	edges := rec.events
 	if len(edges) != 1 {
 		t.Fatalf("edges = %+v", edges)
 	}
@@ -105,7 +101,7 @@ func TestConflictEventNonTWrite(t *testing.T) {
 			p.NTWrite(0, 5)
 		},
 	})
-	edges := rec.Events()
+	edges := rec.events
 	if len(edges) != 1 {
 		t.Fatalf("edges = %+v", edges)
 	}
@@ -131,7 +127,7 @@ func TestConflictEventAttributedAbort(t *testing.T) {
 		},
 		func(p *Proc) {},
 	})
-	edges := rec.Events()
+	edges := rec.events
 	if len(edges) != 2 {
 		t.Fatalf("edges = %+v", edges)
 	}
@@ -162,7 +158,7 @@ func TestConflictEventSWHelpers(t *testing.T) {
 			p.RecordSWAbortBy(-1, AbortConflict, 0, false)
 		},
 	})
-	edges := rec.Events()
+	edges := rec.events
 	if len(edges) != 2 {
 		t.Fatalf("edges = %+v", edges)
 	}
@@ -172,7 +168,7 @@ func TestConflictEventSWHelpers(t *testing.T) {
 	if e := edges[1]; !e.SW() || e.Peer != -1 || e.Proc != 1 || e.HasAddr() {
 		t.Fatalf("sw abort-by edge = %+v", e)
 	}
-	if cs := commits.Events(); len(cs) != 1 || cs[0].Kind != TraceSWCommitted || cs[0].Proc != 0 {
+	if cs := commits.events; len(cs) != 1 || cs[0].Kind != TraceSWCommitted || cs[0].Proc != 0 {
 		t.Fatalf("commits = %+v", cs)
 	}
 }
@@ -255,7 +251,7 @@ func TestWriteKillsEveryReaderAscending(t *testing.T) {
 			}
 			m.Run(ws)
 			var victims []int
-			for _, e := range edges.Events() {
+			for _, e := range edges.events {
 				if e.Peer != tc.writer || e.Reason != w.reason {
 					t.Errorf("%s at %d processors: edge %+v, want aggressor %d and reason %v", name, tc.procs, e, tc.writer, w.reason)
 				}

@@ -49,7 +49,7 @@ type diffCell struct {
 	t    *testing.T
 	m    *Machine
 	rng  *sim.Rand
-	got  *Trace
+	got  *eventLog
 	want []TraceEvent
 	txs  []shadowTx
 
@@ -279,7 +279,7 @@ func (c *diffCell) step(p *Proc) {
 // invariants.
 func (c *diffCell) verify(when string) {
 	c.t.Helper()
-	got := c.got.events // the ring is sized never to wrap
+	got := c.got.events
 	for i := c.verified; i < len(got) || i < len(c.want); i++ {
 		switch {
 		case i >= len(got):
@@ -346,7 +346,7 @@ func runDiffCell(t *testing.T, params Params, steps int) int {
 		t:   t,
 		m:   New(params),
 		rng: sim.NewRand(params.Seed*977 + uint64(params.Procs)),
-		got: NewTrace(1 << 20),
+		got: new(eventLog),
 		txs: make([]shadowTx, params.Procs),
 	}
 	for i := range c.txs {

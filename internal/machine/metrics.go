@@ -23,13 +23,13 @@ const (
 	MetricSWFootprint   = "machine.footprint.sw"
 	MetricL1Hits        = "machine.l1.hits"
 	MetricL1Misses      = "machine.l1.misses"
-	MetricTraceEvents   = "machine.trace.events"
 	// MetricAbortPrefix + AbortReason.String() names the per-reason abort
 	// counters, e.g. "machine.hw_aborts.overflow".
 	MetricAbortPrefix = "machine.hw_aborts."
 	// MetricProcPrefix + "NN." + {cycles,l1_hits,l1_misses} names the
 	// per-processor breakdowns, e.g. "machine.proc.03.cycles". Processor
-	// numbers are zero-padded to two digits so snapshots sort numerically.
+	// numbers are zero-padded to two digits, so snapshots sort numerically
+	// below 100 processors ("machine.proc.100." sorts before ".11.").
 	MetricProcPrefix = "machine.proc."
 )
 
@@ -66,8 +66,4 @@ func (m *Machine) RegisterMetrics(s *obs.Snapshot) {
 	}
 	s.AddCounter(MetricL1Hits, "references", "L1 hits summed over processors", hits)
 	s.AddCounter(MetricL1Misses, "references", "L1 misses summed over processors", misses)
-
-	if tr := m.Trace(); tr != nil {
-		s.AddCounter(MetricTraceEvents, "events", "trace events recorded (including ring-evicted)", tr.Total())
-	}
 }

@@ -1,16 +1,12 @@
 package machine
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // The event spine: one event type, one Observer interface, one
 // subscription call (Machine.Observe) and one emitter (Proc.emit) carry
-// everything that watches a run — the trace ring, the text/jsonl/chrome
-// sinks, contention.Profile, txstats.Recorder, a test's recording
-// observer. OBSERVABILITY.md lists every kind with its emitter and its
-// consumers.
+// everything that watches a run — the text/jsonl/chrome sinks,
+// contention.Profile, txstats.Recorder, a test's recording observer.
+// OBSERVABILITY.md lists every kind with its emitter and its consumers.
 
 // TraceKind classifies machine events.
 type TraceKind uint8
@@ -82,8 +78,8 @@ func (s Kinds) Has(k TraceKind) bool { return s&(1<<k) != 0 }
 
 const (
 	// TraceKinds is the printed trace, hw-begin through tx-commit: what
-	// the ring and the sinks subscribe to, so exported traces stay
-	// byte-stable as accounting kinds are added.
+	// the sinks subscribe to, so written traces stay byte-stable as
+	// accounting kinds are added.
 	TraceKinds Kinds = 1<<(TraceTxCommit+1) - 1
 	// AllKinds is every kind the machine emits.
 	AllKinds Kinds = 1<<numTraceKinds - 1
@@ -224,87 +220,4 @@ func (p *Proc) emit(e TraceEvent) {
 // sw-commit, sw-abort) into the event stream.
 func (p *Proc) RecordSW(kind TraceKind, reason AbortReason, age uint64) {
 	p.emit(TraceEvent{Kind: kind, Proc: p.ID(), Reason: reason, Age: age, Flags: FlagAge})
-}
-
-// Trace is a bounded in-memory event log, and the simplest Observer.
-// When full it keeps the most recent events (ring buffer), which is what
-// post-mortem debugging wants.
-type Trace struct {
-	limit  int
-	events []TraceEvent
-	start  int // ring start when full
-	total  uint64
-}
-
-// NewTrace returns an empty log keeping up to limit events (4096 when
-// limit is not positive). Subscribe it with Machine.Observe, or use
-// Machine.EnableTrace for the printed kinds.
-func NewTrace(limit int) *Trace {
-	if limit <= 0 {
-		limit = 4096
-	}
-	return &Trace{limit: limit}
-}
-
-// EnableTrace subscribes a new log of up to limit events (most recent
-// kept) to the printed kinds (TraceKinds). Call it before Run.
-func (m *Machine) EnableTrace(limit int) *Trace {
-	t := NewTrace(limit)
-	m.Observe(TraceKinds, t)
-	return t
-}
-
-// Trace returns the first subscribed log, or nil. Read it between runs;
-// the machine appends to it during Run (in deterministic order).
-func (m *Machine) Trace() *Trace {
-	for _, s := range m.out.subs {
-		if t, ok := s.o.(*Trace); ok {
-			return t
-		}
-	}
-	return nil
-}
-
-// Event implements Observer: it records e.
-func (t *Trace) Event(e TraceEvent) {
-	t.total++
-	if len(t.events) < t.limit {
-		t.events = append(t.events, e)
-		return
-	}
-	t.events[t.start] = e
-	t.start = (t.start + 1) % t.limit
-}
-
-// Events returns the recorded events, oldest first.
-func (t *Trace) Events() []TraceEvent {
-	out := make([]TraceEvent, 0, len(t.events))
-	out = append(out, t.events[t.start:]...)
-	return append(out, t.events[:t.start]...)
-}
-
-// Total reports how many events were recorded (including evicted ones).
-func (t *Trace) Total() uint64 { return t.total }
-
-// Dump writes the recorded events to w.
-func (t *Trace) Dump(w io.Writer) {
-	if t.total > uint64(len(t.events)) {
-		fmt.Fprintf(w, "(%d earlier events evicted)\n", t.total-uint64(len(t.events)))
-	}
-	for _, e := range t.Events() {
-		fmt.Fprintln(w, e)
-	}
-}
-
-// Export replays the recorded events (oldest first) into sink and closes
-// it. Events evicted from the ring are gone; ChromeSink handles the
-// resulting orphaned commits/aborts gracefully.
-func (t *Trace) Export(sink interface {
-	Observer
-	io.Closer
-}) error {
-	for _, e := range t.Events() {
-		sink.Event(e)
-	}
-	return sink.Close()
 }

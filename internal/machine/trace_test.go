@@ -9,7 +9,10 @@ import (
 
 func TestTraceRecordsLifecycle(t *testing.T) {
 	m := New(testParams(1))
-	tr := m.EnableTrace(100)
+	tr := observe(m, TraceKinds)
+	var text strings.Builder
+	sink := NewTextSink(&text)
+	m.Observe(TraceKinds, sink)
 	m.Run([]func(*Proc){func(p *Proc) {
 		p.BeginHW(m.NextAge(), true)
 		p.TxWrite(0, 1)
@@ -18,7 +21,7 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 		p.TxWrite(0, 2)
 		p.AbortHW(AbortExplicit)
 	}})
-	events := tr.Events()
+	events := tr.events
 	var kinds []TraceKind
 	for _, e := range events {
 		kinds = append(kinds, e.Kind)
@@ -35,45 +38,15 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 	if events[3].Reason != AbortExplicit {
 		t.Fatalf("abort reason = %v", events[3].Reason)
 	}
-	var sb strings.Builder
-	tr.Dump(&sb)
-	if !strings.Contains(sb.String(), "hw-commit") {
-		t.Fatalf("dump missing events:\n%s", sb.String())
-	}
-}
-
-func TestTraceRingKeepsMostRecent(t *testing.T) {
-	m := New(testParams(1))
-	tr := m.EnableTrace(4)
-	m.Run([]func(*Proc){func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.BeginHW(m.NextAge(), true)
-			p.CommitHW()
-		}
-	}})
-	events := tr.Events()
-	if len(events) != 4 {
-		t.Fatalf("kept %d events, want 4", len(events))
-	}
-	if tr.Total() != 20 {
-		t.Fatalf("total = %d, want 20", tr.Total())
-	}
-	// The last event must be the final commit with the largest age.
-	last := events[len(events)-1]
-	if last.Kind != TraceHWCommit || last.Age != 10 {
-		t.Fatalf("last event = %+v", last)
-	}
-	var sb strings.Builder
-	tr.Dump(&sb)
-	if !strings.Contains(sb.String(), "evicted") {
-		t.Fatal("dump must mention evicted events")
+	if err := sink.Close(); err != nil || strings.Count(text.String(), "\n") != 4 || !strings.Contains(text.String(), "hw-commit") {
+		t.Fatalf("text sink (err %v) missing events:\n%s", err, text.String())
 	}
 }
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	m := New(testParams(1))
-	if m.Trace() != nil {
-		t.Fatal("trace enabled by default")
+	if m.out.want != 0 || len(m.out.subs) != 0 {
+		t.Fatalf("a new machine has observers: %+v", m.out)
 	}
 	m.Run([]func(*Proc){func(p *Proc) {
 		p.BeginHW(m.NextAge(), true)
@@ -83,7 +56,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 
 func TestTraceUFOEvents(t *testing.T) {
 	m := New(testParams(1))
-	tr := m.EnableTrace(100)
+	tr := observe(m, TraceKinds)
 	m.Run([]func(*Proc){func(p *Proc) {
 		p.SetUFOEnabled(false)
 		p.SetUFO(0, mem.UFOFaultAll)
@@ -91,7 +64,7 @@ func TestTraceUFOEvents(t *testing.T) {
 		p.NTRead(0) // faults
 	}})
 	var sets, faults int
-	for _, e := range tr.Events() {
+	for _, e := range tr.events {
 		switch e.Kind {
 		case TraceUFOSet:
 			sets++

@@ -8,40 +8,31 @@ import (
 	"strconv"
 )
 
-// The sinks are Observers that render the printed kinds to an io.Writer,
-// subscribed live (Machine.Observe(TraceKinds, sink)) or fed from a ring
-// (Trace.Export). They buffer, and surface I/O errors from Close, so the
-// simulated hot path never blocks on error handling.
+// The sinks are Observers that render the printed kinds to an io.Writer
+// as the run emits them: subscribe one with Machine.Observe(TraceKinds,
+// sink) before Run and Close it afterwards, whether or not the run
+// finished — a sink holds no event, so the file of a run that died ends
+// where the run did.
+
+// sinkWriter is what every sink writes through: a bufio.Writer, which
+// keeps the first I/O error itself and accepts nothing after it, so the
+// simulated hot path never stops to handle one.
+type sinkWriter struct{ w *bufio.Writer }
+
+// Close flushes the sink and returns the first error encountered.
+func (s sinkWriter) Close() error { return s.w.Flush() }
 
 // --- Text sink ---
 
 // TextSink writes the human-readable event format (TraceEvent.String),
-// one event per line — the same format Trace.Dump has always produced.
-type TextSink struct {
-	w   *bufio.Writer
-	err error
-}
+// one event per line.
+type TextSink struct{ sinkWriter }
 
 // NewTextSink returns a text sink over w.
-func NewTextSink(w io.Writer) *TextSink {
-	return &TextSink{w: bufio.NewWriter(w)}
-}
+func NewTextSink(w io.Writer) *TextSink { return &TextSink{sinkWriter{bufio.NewWriter(w)}} }
 
 // Event implements Observer.
-func (s *TextSink) Event(e TraceEvent) {
-	if s.err != nil {
-		return
-	}
-	_, s.err = fmt.Fprintln(s.w, e)
-}
-
-// Close flushes the sink and returns the first error encountered.
-func (s *TextSink) Close() error {
-	if err := s.w.Flush(); s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
+func (s *TextSink) Event(e TraceEvent) { fmt.Fprintln(s.w, e) }
 
 // --- JSONL sink ---
 
@@ -54,22 +45,18 @@ func (s *TextSink) Close() error {
 // see TraceFlags).
 // The line format is stable and documented in OBSERVABILITY.md.
 type JSONLSink struct {
-	w   *bufio.Writer
-	err error
+	sinkWriter
+	buf []byte // one line, reused: an event allocates nothing
 }
 
 // NewJSONLSink returns a JSONL sink over w.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{w: bufio.NewWriter(w)}
+	return &JSONLSink{sinkWriter: sinkWriter{bufio.NewWriter(w)}}
 }
 
 // Event implements Observer.
 func (s *JSONLSink) Event(e TraceEvent) {
-	if s.err != nil {
-		return
-	}
-	buf := make([]byte, 0, 96)
-	buf = append(buf, `{"cycle":`...)
+	buf := append(s.buf[:0], `{"cycle":`...)
 	buf = strconv.AppendUint(buf, e.Cycle, 10)
 	buf = append(buf, `,"proc":`...)
 	buf = strconv.AppendInt(buf, int64(e.Proc), 10)
@@ -80,8 +67,8 @@ func (s *JSONLSink) Event(e TraceEvent) {
 		buf = strconv.AppendQuote(buf, e.Reason.String())
 	}
 	if e.HasAddr() {
-		buf = append(buf, `,"addr":`...)
-		buf = strconv.AppendQuote(buf, "0x"+strconv.FormatUint(e.Addr, 16))
+		buf = append(buf, `,"addr":"0x`...)
+		buf = append(strconv.AppendUint(buf, e.Addr, 16), '"')
 	}
 	if e.HasAge() {
 		buf = append(buf, `,"age":`...)
@@ -91,16 +78,8 @@ func (s *JSONLSink) Event(e TraceEvent) {
 		buf = append(buf, `,"path":`...)
 		buf = strconv.AppendQuote(buf, e.Path.String())
 	}
-	buf = append(buf, '}', '\n')
-	_, s.err = s.w.Write(buf)
-}
-
-// Close flushes the sink and returns the first error encountered.
-func (s *JSONLSink) Close() error {
-	if err := s.w.Flush(); s.err == nil {
-		s.err = err
-	}
-	return s.err
+	s.buf = append(buf, '}', '\n')
+	s.w.Write(s.buf)
 }
 
 // --- Chrome trace_event sink ---
@@ -157,12 +136,11 @@ func (t *chromeTx) args(path string) string {
 //     instant ("i") events.
 //
 // Timestamps are simulated cycles written as microseconds (1 cycle =
-// 1 µs), so Perfetto's time axis reads directly in cycles. Commits or
-// aborts whose begin was evicted from a bounded ring are emitted as
-// instant events rather than dropped.
+// 1 µs), so Perfetto's time axis reads directly in cycles. The sink
+// relies on the machine's order: a commit, abort or tx-commit follows
+// its begin on the same processor.
 type ChromeSink struct {
-	w     *bufio.Writer
-	err   error
+	sinkWriter
 	wrote bool // at least one event emitted
 	open  map[int]chromeOpen
 	tx    map[int]*chromeTx
@@ -172,29 +150,23 @@ type ChromeSink struct {
 // NewChromeSink returns a Chrome trace_event sink over w.
 func NewChromeSink(w io.Writer) *ChromeSink {
 	return &ChromeSink{
-		w:     bufio.NewWriter(w),
-		open:  make(map[int]chromeOpen),
-		tx:    make(map[int]*chromeTx),
-		named: make(map[int]bool),
+		sinkWriter: sinkWriter{bufio.NewWriter(w)},
+		open:       make(map[int]chromeOpen),
+		tx:         make(map[int]*chromeTx),
+		named:      make(map[int]bool),
 	}
 }
 
+const chromeHeader = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+
 // emit writes one trace_event object, handling the array framing.
 func (s *ChromeSink) emit(body string) {
-	if s.err != nil {
-		return
-	}
+	sep := ",\n"
 	if !s.wrote {
-		if _, s.err = s.w.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); s.err != nil {
-			return
-		}
-		s.wrote = true
-	} else {
-		if _, s.err = s.w.WriteString(",\n"); s.err != nil {
-			return
-		}
+		sep, s.wrote = chromeHeader, true
 	}
-	_, s.err = s.w.WriteString(body)
+	s.w.WriteString(sep)
+	s.w.WriteString(body)
 }
 
 // nameTrack emits the per-processor metadata events once per track.
@@ -227,8 +199,9 @@ func (s *ChromeSink) Event(e TraceEvent) {
 	s.nameTrack(e.Proc)
 	switch e.Kind {
 	case TraceHWBegin, TraceSWBegin:
-		// A begin while a transaction is open means the previous span's
-		// end was lost (ring eviction); close it at this cycle.
+		// A begin while a span is open: the previous attempt was retired
+		// with no commit or abort event, which a USTM Retry wake-up does
+		// (Thread.FinishRetryWake); close it at this cycle.
 		if prev, ok := s.open[e.Proc]; ok {
 			s.closeSpan(e.Proc, prev, e.Cycle, `"outcome":"truncated"`)
 		}
@@ -244,30 +217,14 @@ func (s *ChromeSink) Event(e TraceEvent) {
 				tx.aborts[e.Reason]++
 			}
 		}
-		open, ok := s.open[e.Proc]
-		if !ok {
-			// Begin evicted from the ring: keep the event as an instant.
-			s.instant(e)
-			return
-		}
+		open := s.open[e.Proc]
 		delete(s.open, e.Proc)
 		s.closeSpan(e.Proc, open, e.Cycle, txArgs(e, open, outcome))
 	case TraceTxBegin:
-		// A tx-begin while a tx span is open means its commit was lost
-		// (ring eviction); close it at this cycle.
-		if prev, ok := s.tx[e.Proc]; ok {
-			s.closeTx(e.Proc, prev, e.Cycle, "truncated")
-		}
 		s.tx[e.Proc] = &chromeTx{begin: e.Cycle}
 	case TraceTxCommit:
-		tx, ok := s.tx[e.Proc]
-		if !ok {
-			// tx-begin evicted from the ring: keep the event as an instant.
-			s.instant(e)
-			return
-		}
+		s.closeTx(e.Proc, s.tx[e.Proc], e.Cycle, e.Path.String())
 		delete(s.tx, e.Proc)
-		s.closeTx(e.Proc, tx, e.Cycle, e.Path.String())
 	default:
 		s.instant(e)
 	}
@@ -332,16 +289,9 @@ func (s *ChromeSink) Close() error {
 	for _, p := range procs {
 		s.closeTx(p, s.tx[p], s.tx[p].begin, "truncated")
 	}
-	if s.err == nil {
-		if !s.wrote {
-			_, s.err = s.w.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-		}
-		if s.err == nil {
-			_, s.err = s.w.WriteString("\n]}\n")
-		}
+	if !s.wrote {
+		s.w.WriteString(chromeHeader)
 	}
-	if err := s.w.Flush(); s.err == nil {
-		s.err = err
-	}
-	return s.err
+	s.w.WriteString("\n]}\n")
+	return s.sinkWriter.Close()
 }

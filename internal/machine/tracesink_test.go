@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,9 +18,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite trace sink golden 
 // goldenEvents is a handcrafted event stream covering every sink corner:
 // commit and abort lifecycles on two processors, an abort at address 0
 // and a UFO set at address 0 (real zeros — the TraceFlags bugfix), a
-// NACK, software-transaction events, an age-0 begin, an orphaned commit
-// (begin evicted from a bounded ring), and a transaction left open at the
-// end of the stream.
+// NACK, software-transaction events, an age-0 transaction, and a
+// transaction left open at the end of the stream (a run that died). It is
+// a stream a machine can emit: every commit and abort follows its begin
+// on the same processor.
 func goldenEvents() []TraceEvent {
 	return []TraceEvent{
 		{Cycle: 10, Proc: 0, Kind: TraceHWBegin, Age: 1, Flags: FlagAge},
@@ -31,7 +33,7 @@ func goldenEvents() []TraceEvent {
 		{Cycle: 28, Proc: 0, Kind: TraceUFOFault, Addr: 0x200, Flags: FlagAddr},
 		{Cycle: 30, Proc: 0, Kind: TraceHWAbort, Reason: AbortUFOKill, Addr: 0, Age: 3, Flags: FlagAddr | FlagAge},
 		{Cycle: 34, Proc: 1, Kind: TraceSWCommit, Age: 2, Flags: FlagAge},
-		{Cycle: 36, Proc: 2, Kind: TraceHWCommit, Age: 4, Flags: FlagAge}, // orphan: begin evicted
+		{Cycle: 36, Proc: 1, Kind: TraceHWBegin, Age: 0, Flags: FlagAge},
 		{Cycle: 38, Proc: 1, Kind: TraceHWAbort, Reason: AbortInterrupt, Age: 0, Flags: FlagAge},
 		{Cycle: 40, Proc: 2, Kind: TraceHWBegin, Age: 5, Flags: FlagAge}, // left open
 	}
@@ -109,10 +111,10 @@ func TestChromeSinkGolden(t *testing.T) {
 			}
 		}
 	}
-	// Spans: p0 commit, p0 abort, p1 sw commit, p2 truncated-at-close;
-	// the orphaned commit and the orphaned abort become instants.
-	if spans != 4 || truncated != 1 {
-		t.Fatalf("spans=%d truncated=%d, want 4/1", spans, truncated)
+	// Spans: p0 commit, p0 abort, p1 sw commit, p1 age-0 abort, p2
+	// truncated-at-close.
+	if spans != 5 || truncated != 1 {
+		t.Fatalf("spans=%d truncated=%d, want 5/1", spans, truncated)
 	}
 	checkGolden(t, "trace.chrome.golden.json", buf.Bytes())
 }
@@ -190,11 +192,11 @@ func TestJSONLSinkTxPath(t *testing.T) {
 }
 
 // TestMachineTxLifeSpansInTrace: a real run through the TxLife hooks
-// lands tx-begin/tx-commit events in the ring alongside the hardware
-// attempt events, without advancing the simulated clock.
+// lands tx-begin/tx-commit events in the printed trace alongside the
+// hardware attempt events, without advancing the simulated clock.
 func TestMachineTxLifeSpansInTrace(t *testing.T) {
 	m := New(testParams(1))
-	tr := m.EnableTrace(100)
+	tr := observe(m, TraceKinds)
 	m.Run([]func(*Proc){func(p *Proc) {
 		p.TxLifeBegin()
 		p.TxLifeAttempt(PathHTM)
@@ -204,16 +206,16 @@ func TestMachineTxLifeSpansInTrace(t *testing.T) {
 		p.TxLifeCommit(PathHTM)
 	}})
 	var begin, commit *TraceEvent
-	for i, e := range tr.Events() {
+	for i, e := range tr.events {
 		switch e.Kind {
 		case TraceTxBegin:
-			begin = &tr.Events()[i]
+			begin = &tr.events[i]
 		case TraceTxCommit:
-			commit = &tr.Events()[i]
+			commit = &tr.events[i]
 		}
 	}
 	if begin == nil || commit == nil {
-		t.Fatalf("trace missing tx lifecycle events:\n%v", tr.Events())
+		t.Fatalf("trace missing tx lifecycle events:\n%v", tr.events)
 	}
 	if !commit.HasPath() || commit.Path != PathHTM {
 		t.Errorf("tx-commit path = %+v, want htm", commit)
@@ -223,20 +225,20 @@ func TestMachineTxLifeSpansInTrace(t *testing.T) {
 	}
 }
 
+// TestTextSinkMatchesDump: the text sink writes one TraceEvent.String
+// line per event and nothing else.
 func TestTextSinkMatchesDump(t *testing.T) {
 	var viaSink, viaDump bytes.Buffer
 	sink := NewTextSink(&viaSink)
-	tr := NewTrace(1 << 20)
 	for _, e := range goldenEvents() {
 		sink.Event(e)
-		tr.Event(e)
+		viaDump.WriteString(e.String() + "\n")
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr.Dump(&viaDump)
 	if viaSink.String() != viaDump.String() {
-		t.Errorf("TextSink and Trace.Dump disagree:\n%s\nvs\n%s", viaSink.String(), viaDump.String())
+		t.Errorf("TextSink and one String line per event disagree:\n%s\nvs\n%s", viaSink.String(), viaDump.String())
 	}
 }
 
@@ -277,7 +279,7 @@ func TestTraceEventZeroAddrAndAge(t *testing.T) {
 // addr 0 with FlagAddr set.
 func TestMachineRecordsFlags(t *testing.T) {
 	m := New(testParams(2))
-	tr := m.EnableTrace(100)
+	tr := observe(m, TraceKinds)
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			p.BeginHW(m.NextAge(), true)
@@ -294,7 +296,7 @@ func TestMachineRecordsFlags(t *testing.T) {
 		},
 	})
 	var sawAbortAt0 bool
-	for _, e := range tr.Events() {
+	for _, e := range tr.events {
 		switch e.Kind {
 		case TraceHWBegin, TraceHWCommit:
 			if !e.HasAge() || e.HasAddr() {
@@ -307,15 +309,15 @@ func TestMachineRecordsFlags(t *testing.T) {
 		}
 	}
 	if !sawAbortAt0 {
-		t.Errorf("no abort carrying address 0 recorded; events:\n%v", tr.Events())
+		t.Errorf("no abort carrying address 0 recorded; events:\n%v", tr.events)
 	}
 }
 
 // TestStreamingSinkMatchesExport: a sink subscribed live with Observe
-// must see exactly the ring replayed through Trace.Export when nothing
-// was evicted — with the accounting observers (a contention-shaped and a
-// txstats-shaped subscription) on the same machine — and watching the
-// run must not move its cycles or counters.
+// writes exactly what feeding a recording of the same run to a second
+// sink afterwards writes — with the accounting observers (a
+// contention-shaped and a txstats-shaped subscription) on the same
+// machine — and watching the run must not move its cycles or counters.
 func TestStreamingSinkMatchesExport(t *testing.T) {
 	workload := []func(*Proc){func(p *Proc) {
 		p.TxLifeBegin()
@@ -334,12 +336,11 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 
 	var live bytes.Buffer
 	m := New(testParams(1))
-	tr := m.EnableTrace(1 << 16)
+	tr := observe(m, TraceKinds)
 	sink := NewJSONLSink(&live)
 	m.Observe(TraceKinds, sink)
-	edges, lifecycle := NewTrace(1<<10), NewTrace(1<<10)
-	m.Observe(KindSet(TraceConflict, TraceHWCommit, TraceSWCommitted), edges)
-	m.Observe(AllKinds&^TraceKinds|KindSet(TraceTxBegin, TraceTxCommit), lifecycle)
+	edges := observe(m, KindSet(TraceConflict, TraceHWCommit, TraceSWCommitted))
+	lifecycle := observe(m, AllKinds&^TraceKinds|KindSet(TraceTxBegin, TraceTxCommit))
 	m.Run(workload)
 	// Flush the live sink (the machine never closes observers itself).
 	if err := sink.Close(); err != nil {
@@ -349,16 +350,20 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 		t.Errorf("observed run differs from the bare run: %d cycles %+v vs %d cycles %+v",
 			m.Cycles(), m.Count, bare.Cycles(), bare.Count)
 	}
-	if edges.Total() != 1 || lifecycle.Total() != 3 {
+	if len(edges.events) != 1 || len(lifecycle.events) != 3 {
 		t.Errorf("accounting observers saw %d and %d events, want 1 (hw-commit) and 3 (begin, attempt, commit)",
-			edges.Total(), lifecycle.Total())
+			len(edges.events), len(lifecycle.events))
 	}
 	var replay bytes.Buffer
-	if err := tr.Export(NewJSONLSink(&replay)); err != nil {
+	second := NewJSONLSink(&replay)
+	for _, e := range tr.events {
+		second.Event(e)
+	}
+	if err := second.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if live.String() != replay.String() {
-		t.Errorf("streamed and exported traces differ:\n%s\nvs\n%s", live.String(), replay.String())
+		t.Errorf("streamed and replayed traces differ:\n%s\nvs\n%s", live.String(), replay.String())
 	}
 	if !strings.Contains(live.String(), "ufo-fault") {
 		t.Errorf("trace missing ufo-fault:\n%s", live.String())
@@ -385,6 +390,68 @@ func TestAccountingKindsRender(t *testing.T) {
 		}
 		if TraceKinds.Has(k) != (k <= TraceTxCommit) || !AllKinds.Has(k) {
 			t.Errorf("kind %s: printed=%v all=%v", k, TraceKinds.Has(k), AllKinds.Has(k))
+		}
+	}
+}
+
+// TestJSONLSinkEventAllocatesNothing: the JSONL sink builds every line
+// in one buffer it keeps, so once that buffer has grown to the longest
+// line an event costs no allocation — a million-event storm trace is
+// O(1) in memory.
+func TestJSONLSinkEventAllocatesNothing(t *testing.T) {
+	sink := NewJSONLSink(io.Discard)
+	events := goldenEvents()
+	for _, e := range events { // warm-up: grow the line buffer
+		sink.Event(e)
+	}
+	perRound := testing.AllocsPerRun(100, func() {
+		for _, e := range events {
+			sink.Event(e)
+		}
+	})
+	if perRound > raceSlack {
+		t.Errorf("%v allocations per %d events after warm-up, want %d", perRound, len(events), raceSlack)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// failAfter is a writer that accepts n bytes and then fails every write.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n -= len(p); w.n < 0 {
+		return 0, io.ErrClosedPipe
+	}
+	return len(p), nil
+}
+
+// closingObserver is what the three sinks have in common.
+type closingObserver interface {
+	Observer
+	io.Closer
+}
+
+// TestSinkCloseSurfacesFirstWriteError: a sink never stops the run for
+// an I/O error — Event returns nothing — so Close must report it, for a
+// writer that fails at once and for one that fails mid-stream.
+func TestSinkCloseSurfacesFirstWriteError(t *testing.T) {
+	for _, budget := range []int{0, 5000} {
+		for name, open := range map[string]func(io.Writer) closingObserver{
+			"text":   func(w io.Writer) closingObserver { return NewTextSink(w) },
+			"jsonl":  func(w io.Writer) closingObserver { return NewJSONLSink(w) },
+			"chrome": func(w io.Writer) closingObserver { return NewChromeSink(w) },
+		} {
+			sink := open(&failAfter{n: budget})
+			for i := 0; i < 200; i++ { // several bufio buffers' worth
+				for _, e := range goldenEvents() {
+					sink.Event(e)
+				}
+			}
+			if err := sink.Close(); err != io.ErrClosedPipe {
+				t.Errorf("%s sink, writer failing after %d bytes: Close = %v, want the write error", name, budget, err)
+			}
 		}
 	}
 }

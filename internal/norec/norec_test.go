@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/tm"
+	"repro/internal/tmtest"
 	"repro/internal/txstats"
 )
 
@@ -172,8 +173,8 @@ func TestRetryFailsOverAndPolls(t *testing.T) {
 // observeConflicts subscribes three recording observers to m, for tuple
 // assertions on the raw conflict edges and for counting the hardware
 // and software commit events.
-func observeConflicts(m *machine.Machine) (edges, hwCommits, swCommits *machine.Trace) {
-	edges, hwCommits, swCommits = machine.NewTrace(1<<12), machine.NewTrace(1), machine.NewTrace(1)
+func observeConflicts(m *machine.Machine) (edges, hwCommits, swCommits *tmtest.EventLog) {
+	edges, hwCommits, swCommits = new(tmtest.EventLog), new(tmtest.EventLog), new(tmtest.EventLog)
 	m.Observe(machine.KindSet(machine.TraceConflict), edges)
 	m.Observe(machine.KindSet(machine.TraceHWCommit), hwCommits)
 	m.Observe(machine.KindSet(machine.TraceSWCommitted), swCommits)
@@ -217,13 +218,13 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 	if m.Mem.Read64(mine) != hwRuns {
 		t.Fatalf("proc 1 counter = %d, want %d", m.Mem.Read64(mine), hwRuns)
 	}
-	if swCommits.Total() != swRuns || s.stats.SWCommits != swRuns {
-		t.Fatalf("software commits = %d/%d, want %d", swCommits.Total(), s.stats.SWCommits, swRuns)
+	if len(swCommits.Events) != swRuns || s.stats.SWCommits != swRuns {
+		t.Fatalf("software commits = %d/%d, want %d", len(swCommits.Events), s.stats.SWCommits, swRuns)
 	}
 	// The pin: every proc-1 transaction still commits in hardware...
-	if hwCommits.Total() != hwRuns || s.stats.HWCommits != hwRuns {
+	if len(hwCommits.Events) != hwRuns || s.stats.HWCommits != hwRuns {
 		t.Fatalf("hardware commits = %d/%d, want %d (no failover, no stall)",
-			hwCommits.Total(), s.stats.HWCommits, hwRuns)
+			len(hwCommits.Events), s.stats.HWCommits, hwRuns)
 	}
 	if s.stats.Failovers != uint64(swRuns) {
 		t.Fatalf("failovers = %d, want only proc 0's forced %d", s.stats.Failovers, swRuns)
@@ -234,7 +235,7 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 	}
 	sawLockEdge := false
 	conflicts := 0
-	for _, e := range edges.Events() {
+	for _, e := range edges.Events {
 		if e.Reason == machine.AbortSyscall {
 			continue // proc 0's forced-failover self-edge
 		}
@@ -253,7 +254,7 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 		t.Fatal("no conflict edges recorded")
 	}
 	if !sawLockEdge {
-		t.Fatalf("no edge on the seqlock line %#x; edges = %+v", s.lockAddr, edges.Events())
+		t.Fatalf("no edge on the seqlock line %#x; edges = %+v", s.lockAddr, edges.Events)
 	}
 }
 
@@ -283,7 +284,7 @@ func TestColliderAccountingIdentities(t *testing.T) {
 	if got := m.Mem.Read64(addr); got != 2*iters {
 		t.Fatalf("collider count = %d, want %d", got, 2*iters)
 	}
-	if total := hwCommits.Total() + swCommits.Total(); total != 2*iters {
+	if total := len(hwCommits.Events) + len(swCommits.Events); total != 2*iters {
 		t.Fatalf("%d commits recorded, want %d", total, 2*iters)
 	}
 	rep := rec.Report()
@@ -304,7 +305,7 @@ func TestColliderAccountingIdentities(t *testing.T) {
 		t.Fatalf("attributed %d + unknown %d != wasted %d",
 			attributed, rep.UnknownWasted, rep.WastedCycles)
 	}
-	for _, e := range edges.Events() {
+	for _, e := range edges.Events {
 		if e.Proc < 0 || e.Proc > 1 || e.Peer < -1 || e.Peer > 1 {
 			t.Fatalf("malformed edge: %+v", e)
 		}

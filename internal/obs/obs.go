@@ -62,42 +62,22 @@ const (
 	MergeMax GaugeMerge = "max"
 )
 
-// DefaultHistBuckets covers observations 1 .. 2^16 - 1 in power-of-two
-// buckets: the range of a transaction footprint in lines.
-const DefaultHistBuckets = 17
-
-// WideHistBuckets covers observations 1 .. 2^32 - 1: the variant for
-// cycle-scale values (transaction latencies), where the default range
-// would clamp everything above ~65k cycles into one bucket.
-const WideHistBuckets = 33
+// HistBuckets covers observations 1 .. 2^32 - 1 in power-of-two buckets:
+// wide enough for cycle-scale values (transaction latencies) as well as
+// footprints in lines.
+const HistBuckets = 33
 
 // Histogram is a power-of-two histogram: bucket i counts observations in
 // [2^(i-1), 2^i - 1]; bucket 0 counts zero observations; an observation
-// past the last bucket is clamped into it. The zero value is a
-// ready-to-use histogram with the default bucket range; NewWideHistogram
-// widens the range to 2^32. The buckets are an array, so a Histogram
-// copies by value (machine.Counters is copied into every Result) and
-// observing allocates nothing.
+// past the last bucket is clamped into it. The zero value is ready to
+// use. The buckets are an array, so a Histogram copies by value
+// (machine.Counters is copied into every Result) and observing
+// allocates nothing.
 type Histogram struct {
 	count   uint64
 	sum     uint64
 	max     uint64
-	width   int // 0 means DefaultHistBuckets, keeping the zero value usable
-	buckets [WideHistBuckets]uint64
-}
-
-// NewWideHistogram returns a histogram whose buckets cover 1 .. 2^32
-// (WideHistBuckets) instead of the default 2^16 range.
-func NewWideHistogram() *Histogram {
-	return &Histogram{width: WideHistBuckets}
-}
-
-// Width returns the histogram's bucket count.
-func (h *Histogram) Width() int {
-	if h.width == 0 {
-		return DefaultHistBuckets
-	}
-	return h.width
+	buckets [HistBuckets]uint64
 }
 
 // Observe records one value.
@@ -107,11 +87,7 @@ func (h *Histogram) Observe(v uint64) {
 	if v > h.max {
 		h.max = v
 	}
-	b := bits.Len64(v)
-	if w := h.Width(); b >= w {
-		b = w - 1
-	}
-	h.buckets[b]++
+	h.buckets[min(bits.Len64(v), HistBuckets-1)]++
 }
 
 // Count returns the number of observations.
@@ -121,7 +97,7 @@ func (h *Histogram) Count() uint64 { return h.count }
 // the representation a Snapshot holds and every report encodes.
 func (h *Histogram) Snapshot() *HistSnapshot {
 	hs := &HistSnapshot{Count: h.count, Sum: h.sum, Max: h.max}
-	end := h.Width()
+	end := HistBuckets
 	for end > 0 && h.buckets[end-1] == 0 {
 		end--
 	}
@@ -268,8 +244,7 @@ func (h *HistSnapshot) P90() float64 { return h.Quantile(0.90) }
 // P99 estimates the 99th percentile.
 func (h *HistSnapshot) P99() float64 { return h.Quantile(0.99) }
 
-// P999 estimates the 99.9th percentile (tail latencies need the wide
-// histogram range to be meaningful above ~65k cycles).
+// P999 estimates the 99.9th percentile.
 func (h *HistSnapshot) P999() float64 { return h.Quantile(0.999) }
 
 // Metric is one frozen metric in a snapshot.

@@ -265,20 +265,21 @@ func TestGaugeMergeRules(t *testing.T) {
 	}
 }
 
-// TestWideHistogramSnapshot: a wide (2^32-range) histogram snapshots and
-// merges like any other.
+// TestWideHistogramSnapshot: a cycle-scale observation (far past a
+// footprint's range) snapshots with its own bucket and merges with a
+// footprint-scale one.
 func TestWideHistogramSnapshot(t *testing.T) {
-	h := NewWideHistogram()
+	var h Histogram
 	h.Observe(1 << 25)
 	s := NewSnapshot()
-	s.AddHistogram("lat", "cycles", "", h)
+	s.AddHistogram("lat", "cycles", "", &h)
 	if got := s.Get("lat").Hist.Max; got != 1<<25 {
 		t.Fatalf("wide hist max = %d", got)
 	}
 	if n := len(s.Get("lat").Hist.Buckets); n != 27 {
 		t.Fatalf("bucket count = %d, want 27 (bit length of 2^25 is 26)", n)
 	}
-	// Merging wide into narrow pads buckets rather than truncating.
+	// Merging a long bucket list into a short one pads rather than truncates.
 	var narrow Histogram
 	narrow.Observe(3)
 	s2 := NewSnapshot()

@@ -113,28 +113,23 @@ func TestQuantileEmptyAndNil(t *testing.T) {
 	}
 }
 
-// TestQuantileWideRange: the wide (2^32) histogram keeps resolution for
-// cycle-scale values that the default range clamps into its last bucket.
+// TestQuantileWideRange: the histogram keeps resolution for cycle-scale
+// values up to 2^32 - 1 and clamps only past that, into its last bucket.
 func TestQuantileWideRange(t *testing.T) {
-	wide := NewWideHistogram()
-	var narrow Histogram
+	var wide, past Histogram
 	for _, v := range []uint64{1 << 17, 1 << 20, 1 << 24, 1 << 28, 1 << 31} {
 		wide.Observe(v)
-		narrow.Observe(v)
+		past.Observe(v << 16)
 	}
-	ws, ns := wide.Snapshot(), narrow.Snapshot()
-	if len(ns.Buckets) != DefaultHistBuckets {
-		t.Fatalf("narrow buckets = %d, want clamped at %d", len(ns.Buckets), DefaultHistBuckets)
-	}
-	if ns.Buckets[DefaultHistBuckets-1] != 5 {
-		t.Fatalf("narrow histogram should clamp all 5 samples into the last bucket: %v", ns.Buckets)
+	ws, ps := wide.Snapshot(), past.Snapshot()
+	if len(ps.Buckets) != HistBuckets || ps.Buckets[HistBuckets-1] != 5 || ps.Max != 1<<47 {
+		t.Fatalf("observations of 2^33 and up should share the last bucket and keep their max: %+v", ps)
 	}
 	if len(ws.Buckets) != 33 {
 		t.Fatalf("wide buckets trimmed to %d, want 33 (2^31 has bit length 32)", len(ws.Buckets))
 	}
 	// Each sample lands in its own bucket, so the median is interpolated
-	// inside [2^24, 2^25-1] (the bucket holding the 2^24 sample) — a
-	// range the narrow histogram cannot see.
+	// inside [2^24, 2^25-1] (the bucket holding the 2^24 sample).
 	if got := ws.P50(); got < 1<<24 || got > 1<<25 {
 		t.Errorf("wide P50 = %v, want within [2^24, 2^25]", got)
 	}
@@ -146,7 +141,7 @@ func TestQuantileWideRange(t *testing.T) {
 // TestQuantileP999: the 99.9th percentile separates a 1-in-1000 tail
 // that P99 misses, given the wide bucket range.
 func TestQuantileP999(t *testing.T) {
-	h := NewWideHistogram()
+	var h Histogram
 	for i := 0; i < 995; i++ {
 		h.Observe(100)
 	}

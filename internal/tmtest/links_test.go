@@ -92,7 +92,7 @@ func TestObservabilityCatalogueMatchesWrittenMetrics(t *testing.T) {
 	}
 
 	opt := harness.DefaultOptions()
-	opt.TxStats, opt.Contention, opt.TraceLimit = true, true, 64
+	opt.TxStats, opt.Contention = true, true
 	f, ok := harness.FindWorkload("oltp", harness.ScaleSmall)
 	if !ok {
 		t.Fatal("no oltp workload")

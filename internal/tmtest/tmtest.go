@@ -241,3 +241,11 @@ func readsMatch(rec TxRecord, state map[uint64]uint64) bool {
 	}
 	return true
 }
+
+// EventLog is the recording machine.Observer tests subscribe
+// (m.Observe(kinds, log), or through harness.Job.Observe): append-only,
+// every event kept in the order the machine emitted it.
+type EventLog struct{ Events []machine.TraceEvent }
+
+// Event implements machine.Observer.
+func (l *EventLog) Event(e machine.TraceEvent) { l.Events = append(l.Events, e) }

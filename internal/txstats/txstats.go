@@ -72,16 +72,16 @@ type Recorder struct {
 	aggressorWasted []uint64 // per aggressor proc: cycles their conflicts destroyed
 	unknownWasted   uint64   // wasted cycles with no recorded aggressor
 
-	latency  *obs.Histogram // per committed tx: commit cycle - begin cycle
-	attempts obs.Histogram  // per committed tx: attempts to commit
+	latency  obs.Histogram // per committed tx: commit cycle - begin cycle
+	attempts obs.Histogram // per committed tx: attempts to commit
 
 	// Open-loop request accounting (fed by Proc.TxLifeArrival; zero for
 	// closed-loop workloads, which never tag arrivals).
 	pendingArrival []uint64 // per proc: arrival cycle awaiting the next tx-begin
 	pendingValid   []bool
 	requests       uint64
-	response       *obs.Histogram // per request: commit cycle - arrival cycle
-	queueWait      *obs.Histogram // per request: begin cycle - arrival cycle
+	response       obs.Histogram // per request: commit cycle - arrival cycle
+	queueWait      obs.Histogram // per request: begin cycle - arrival cycle
 }
 
 // Kinds is what a Recorder subscribes to: the lifecycle events, and the
@@ -102,11 +102,8 @@ func New(procs int) *Recorder {
 		procs:           procs,
 		tx:              make([]txState, procs),
 		aggressorWasted: make([]uint64, procs),
-		latency:         obs.NewWideHistogram(),
 		pendingArrival:  make([]uint64, procs),
 		pendingValid:    make([]bool, procs),
-		response:        obs.NewWideHistogram(),
-		queueWait:       obs.NewWideHistogram(),
 	}
 	for i := range r.tx {
 		r.tx[i].aggressor = -1
@@ -234,13 +231,13 @@ func (r *Recorder) Register(s *obs.Snapshot) {
 	s.AddCounter("txstats.retry_wait_cycles", "cycles", "cycles suspended in Retry inside transactions", r.retryWaitCycles)
 	s.AddCounter("txstats.overhead_cycles", "cycles", "committed-tx cycles outside attempts, backoff, and waiting", r.overheadCycles)
 	s.AddCounter("txstats.retry_waits", "waits", "Retry suspensions recorded", r.retryWaits)
-	s.AddHistogram("txstats.latency", "cycles", "committed transaction latency, begin to commit", r.latency)
+	s.AddHistogram("txstats.latency", "cycles", "committed transaction latency, begin to commit", &r.latency)
 	s.AddHistogram("txstats.attempts", "attempts", "attempts needed per committed transaction", &r.attempts)
 	// Open-loop metrics appear only when the workload tagged arrivals, so
 	// closed-loop runs' metric snapshots are unchanged byte-for-byte.
 	if r.requests > 0 {
 		s.AddCounter("txstats.requests", "requests", "open-loop requests serviced (arrival-tagged commits)", r.requests)
-		s.AddHistogram("txstats.response", "cycles", "open-loop response time, arrival to commit (queueing + service)", r.response)
-		s.AddHistogram("txstats.queue_wait", "cycles", "open-loop queueing delay, arrival to transaction begin", r.queueWait)
+		s.AddHistogram("txstats.response", "cycles", "open-loop response time, arrival to commit (queueing + service)", &r.response)
+		s.AddHistogram("txstats.queue_wait", "cycles", "open-loop queueing delay, arrival to transaction begin", &r.queueWait)
 	}
 }

@@ -7,10 +7,10 @@
 # -scale full as well (64/128/256 processors: no small-scale machine is
 # wider than 16, so nothing else reaches a directory record's second
 # word), one traced cell per retry-loop system (and one per trace
-# format), and diff everything the two builds wrote. Exit 0
-# when nothing differs, 1 on any difference (the diff is printed and
-# kept in $SAME_BYTES_OUT, default a temporary directory), 2 on usage or
-# build errors.
+# format, and one with -metrics-out), and diff everything the two builds
+# wrote. Exit 0 when nothing differs, 1 on any difference (the diff is
+# printed and kept in $SAME_BYTES_OUT, default a temporary directory), 2
+# on usage or build errors.
 #
 # The reference tree is extracted with `git archive` into a temporary
 # directory, so the script leaves nothing behind in .git and works on an
@@ -71,7 +71,7 @@ run() {
 		"$bin" -experiment fig5 -scale small -policy "$pol" -metrics-out "fig5.$pol.metrics.json" \
 			>"fig5.$pol.stdout" 2>"fig5.$pol.stderr" || echo "exit $?" >>"fig5.$pol.stdout"
 	done
-	# Traced cells carry every observer at once — the trace ring, the
+	# Traced cells carry every observer at once — the live sink, the
 	# contention profile and the txstats recorder share one machine.
 	# ustm+ufo is the one system that emits sw-begin/sw-commit and
 	# software kills directly; it only kills on kmeans-high (vacation's
@@ -91,6 +91,10 @@ run() {
 			-trace-workload vacation-high >"trace.$fmt.stdout" 2>"trace.$fmt.stderr" ||
 			echo "exit $?" >>"trace.$fmt.stdout"
 	done
+	# A traced run's metrics: the one report the cells above leave out.
+	"$bin" -trace-out trace.metrics.jsonl -trace-format jsonl -trace-workload kmeans-high \
+		-trace-threads 2 -metrics-out trace.metrics.json \
+		>trace.metrics.stdout 2>trace.metrics.stderr || echo "exit $?" >>trace.metrics.stdout
 	# Wall-clock is the one thing allowed to differ.
 	sed -i -e '/completed in/d' -e 's/ in [0-9.]*[a-zµ]*s\]$/]/' ./*.stdout
 }
