@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hytm"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/norec"
 	"repro/internal/phtm"
 	"repro/internal/tl2"
@@ -513,29 +514,46 @@ func TestTxLifeSequences(t *testing.T) {
 	}
 }
 
-// TestEmptyAtomicAllocs bounds the allocations of one empty Atomic call
-// per system at what they were before the retry loops were consolidated:
-// none. The hardware tm.Tx handle must stay pointer-shaped (or be built
-// once per Exec) so handing it to the body does not allocate per attempt.
+// TestEmptyAtomicAllocs holds every system's steady state at no
+// allocation per committed Atomic: an empty body, a body of four loads
+// and two stores on distinct lines, and a read-only one. The hardware
+// tm.Tx handle must stay pointer-shaped (or be built once per Exec) so
+// handing it to the body does not allocate per attempt, and whatever a
+// software path keeps per access — USTM's otable records, TL2's stripe
+// sets, the redo log — must be reused from one transaction to the next.
+// AllocsPerRun's own first call is the warm-up transaction.
 func TestEmptyAtomicAllocs(t *testing.T) {
-	for _, kind := range Figure5Systems {
-		if kind == USTM {
-			continue // same code as ustm+ufo
-		}
+	for _, kind := range AllSystems {
 		t.Run(string(kind), func(t *testing.T) {
 			m := driverMachine(1)
 			opt := DefaultOptions()
 			opt.OTableRows = 1 << 12
 			sys := Build(kind, m, opt)
 			ex := sys.Exec(m.Proc(0))
-			var got float64
-			m.Run([]func(*machine.Proc){func(*machine.Proc) {
-				body := func(tm.Tx) {}
-				got = testing.AllocsPerRun(200, func() { ex.Atomic(body) })
-			}})
-			if got != 0 {
-				t.Fatalf("%v allocs per empty Atomic, want 0", got)
+			base := m.Mem.Sbrk(6 * mem.LineBytes)
+			line := func(i uint64) uint64 { return base + i*mem.LineBytes }
+			bodies := []struct {
+				name string
+				body func(tm.Tx)
+			}{
+				{"empty", func(tm.Tx) {}},
+				{"4 loads + 2 stores", func(tx tm.Tx) {
+					tx.Store(line(4), tx.Load(line(0))+tx.Load(line(1)))
+					tx.Store(line(5), tx.Load(line(2))+tx.Load(line(3)))
+				}},
+				{"read-only", func(tx tm.Tx) {
+					for i := uint64(0); i < 6; i++ {
+						_ = tx.Load(line(i))
+					}
+				}},
 			}
+			m.Run([]func(*machine.Proc){func(*machine.Proc) {
+				for _, b := range bodies {
+					if got := testing.AllocsPerRun(200, func() { ex.Atomic(b.body) }); got != 0 {
+						t.Errorf("%s: %v allocs per Atomic, want 0", b.name, got)
+					}
+				}
+			}})
 		})
 	}
 }

@@ -250,3 +250,45 @@ func TestSecondCellReusesArena(t *testing.T) {
 		}
 	}
 }
+
+// TestCellAllocsIndependentOfTransactionCount: a cell allocates for its
+// processors and the lines it touches, not for its transactions. One oltp
+// cell at N and at 4N requests per processor, same worker and arena, on
+// every system — the software paths used to allocate per transaction
+// (otable records and conflict lists under ustm+ufo and ufo-hybrid, the
+// commit's lock list under tl2) and the workload a closure per body
+// (everywhere, sequential included): the extra mallocs must stay under
+// 2 % of the extra transactions.
+func TestCellAllocsIndependentOfTransactionCount(t *testing.T) {
+	const n = 150
+	cell := func(sys SystemKind, threads, requests int) Job {
+		cfg := oltpBase(ScaleSmall, DefaultOLTPSweep())
+		cfg.RequestsPerProc = requests
+		f := WorkloadFactory{Name: "oltp", New: func() stamp.Workload { return oltp.New(cfg) }}
+		return Job{System: sys, Factory: f, Threads: threads, Opt: testOptions()}
+	}
+	for _, sys := range AllSystems {
+		threads := 4
+		if sys == Sequential {
+			threads = 1
+		}
+		var after []uint64 // MemStats.Mallocs at the end of each cell
+		r := &Runner{Workers: 1, Progress: func(Progress) {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			after = append(after, ms.Mallocs)
+		}}
+		// The first cell grows the arena and the second 4N cell every
+		// per-processor log; the last two are the measurement.
+		jobs := []Job{cell(sys, threads, 4*n), cell(sys, threads, n), cell(sys, threads, 4*n)}
+		if _, err := r.Execute(jobs); err != nil {
+			t.Fatal(err)
+		}
+		small, large := after[1]-after[0], after[2]-after[1]
+		added := uint64(3 * n * threads)
+		if large > small+added/50 {
+			t.Errorf("%s: %d mallocs at %d requests per processor, %d at %d: %d more for %d more transactions, want under 2%%",
+				sys, small, n, large, 4*n, large-small, added)
+		}
+	}
+}

@@ -9,9 +9,13 @@ import (
 // TestRunAllocsPerProc pins what one more simulated processor costs a
 // cell in heap allocations: New plus a Run of empty workloads. Every cell
 // of every sweep pays it, so it is the deterministic part of the
-// benchmark's allocs_per_op. At the time of writing a machine costs 16
-// allocations and each processor 16 more — 4 in New (the L1 and its
-// interrupt hook), 12 in Run (the coroutine).
+// benchmark's allocs_per_op — and, since transactions stopped allocating
+// (DESIGN.md §25: USTM's otable records come from the table's free list,
+// workloads build their bodies once per thread, commit scratch lives on
+// the exec), most of it: what is left beside this is the workload's Init
+// and the TM system's own construction. At the time of writing a machine
+// costs 16 allocations and each processor 16 more — 4 in New (the L1 and
+// its interrupt hook), 12 in Run (the coroutine).
 func TestRunAllocsPerProc(t *testing.T) {
 	const perMachine, perProc = 24, 18 // ceilings, a little above today's 16 and 16
 	for _, procs := range []int{1, 16, 64} {

@@ -238,36 +238,40 @@ func (w *Workload) Init(m *machine.Machine, threads int) {
 // transaction with the arrival timestamp for response-time accounting,
 // then services the request in exactly one committed transaction. All
 // randomness was pre-drawn into the trace, so transaction bodies are
-// idempotent under re-execution.
+// idempotent under re-execution. The three bodies are built once, over
+// the request the loop assigns, so a request allocates nothing.
 func (w *Workload) Thread(i int, ex tm.Exec) {
 	p := ex.Proc()
-	scanLen := w.cfg.ScanLen
-	for _, rq := range w.traces[i] {
+	var rq Request
+	read := func(tx tm.Tx) {
+		if rec, ok := w.hash.Get(tx, rq.Key); ok {
+			_ = tx.Load(rec)
+		}
+	}
+	rmw := func(tx tm.Tx) {
+		if rec, ok := w.hash.Get(tx, rq.Key); ok {
+			tx.Store(rec, tx.Load(rec)+rq.Delta)
+		}
+	}
+	scan := func(tx tm.Tx) {
+		left := w.cfg.ScanLen
+		w.tree.Scan(tx, rq.Key, func(_, rec, _ uint64) bool {
+			_ = tx.Load(rec)
+			left--
+			return left > 0
+		})
+	}
+	for _, rq = range w.traces[i] {
 		p.ElapseUntil(rq.Arrival)
 		p.TxLifeArrival(rq.Arrival)
 		p.Elapse(reqOverheadCycles)
 		switch rq.Op {
 		case OpRead:
-			ex.Atomic(func(tx tm.Tx) {
-				if rec, ok := w.hash.Get(tx, rq.Key); ok {
-					_ = tx.Load(rec)
-				}
-			})
+			ex.Atomic(read)
 		case OpRMW:
-			ex.Atomic(func(tx tm.Tx) {
-				if rec, ok := w.hash.Get(tx, rq.Key); ok {
-					tx.Store(rec, tx.Load(rec)+rq.Delta)
-				}
-			})
+			ex.Atomic(rmw)
 		case OpScan:
-			ex.Atomic(func(tx tm.Tx) {
-				left := scanLen
-				w.tree.Scan(tx, rq.Key, func(_, rec, _ uint64) bool {
-					_ = tx.Load(rec)
-					left--
-					return left > 0
-				})
-			})
+			ex.Atomic(scan)
 		}
 	}
 }

@@ -84,11 +84,9 @@ func (e *exec) Atomic(body func(tm.Tx)) {
 		if !aborted {
 			e.s.stats.SWCommits++
 			e.P.TxLifeCommit(machine.PathFallback)
-			defer func() {
-				for _, f := range e.onCommit {
-					f()
-				}
-			}()
+			for _, f := range e.onCommit {
+				f()
+			}
 			return
 		}
 		if retry {

@@ -110,18 +110,27 @@ func (g *Genome) Thread(i int, ex tm.Exec) {
 	// phase-2 insertion and phase-3 probe.
 	var mine []uint64
 	chunkFirst := make([]bool, g.Chunk)
+	// Each phase's body is built once, over what its loop assigns.
+	var (
+		chunk []uint64
+		key   uint64
+		found bool // assigned, not accumulated: safe across re-execution
+	)
+	dedup := func(tx tm.Tx) {
+		for j, k := range chunk {
+			chunkFirst[j] = g.hash.Insert(tx, a, k, k)
+		}
+	}
+	insert := func(tx tm.Tx) { g.listFor(key).Insert(tx, a, key, key) }
+	probe := func(tx tm.Tx) { found = g.hash.Contains(tx, key+1) }
 	ex.Proc().SetNote("genome phase1")
 	for base := lo; base < hi; base += g.Chunk {
 		end := base + g.Chunk
 		if end > hi {
 			end = hi
 		}
-		chunk := g.keys[base:end]
-		ex.Atomic(func(tx tm.Tx) {
-			for j, k := range chunk {
-				chunkFirst[j] = g.hash.Insert(tx, a, k, k)
-			}
-		})
+		chunk = g.keys[base:end]
+		ex.Atomic(dedup)
 		for j := range chunk {
 			if chunkFirst[j] {
 				mine = append(mine, chunk[j])
@@ -133,11 +142,8 @@ func (g *Genome) Thread(i int, ex tm.Exec) {
 
 	// Phase 2: sorted insertion into the bucketed lists (high contention).
 	ex.Proc().SetNote("genome phase2")
-	for _, k := range mine {
-		key := k
-		ex.Atomic(func(tx tm.Tx) {
-			g.listFor(key).Insert(tx, a, key, key)
-		})
+	for _, key = range mine {
+		ex.Atomic(insert)
 		ex.Proc().Elapse(20)
 	}
 	g.barrier.Wait(ex)
@@ -145,12 +151,8 @@ func (g *Genome) Thread(i int, ex tm.Exec) {
 	// Phase 3: probe for successor segments (read-only transactions).
 	ex.Proc().SetNote("genome phase3")
 	count := 0
-	for _, k := range mine {
-		key := k
-		var found bool // assigned, not accumulated: safe across re-execution
-		ex.Atomic(func(tx tm.Tx) {
-			found = g.hash.Contains(tx, key+1)
-		})
+	for _, key = range mine {
+		ex.Atomic(probe)
 		if found {
 			count++
 		}

@@ -65,9 +65,12 @@ func (k *KMeans) Init(m *machine.Machine, threads int) {
 
 	// Points: one line each (Dims ≤ 8 words).
 	k.pointsBase = m.Mem.Sbrk(uint64(k.Points) * mem.LineBytes)
+	// coords and centers are rows of one slab.
+	slab := make([]int64, (k.Points+k.Clusters)*k.Dims)
+	row := func(n int) []int64 { return slab[n*k.Dims : (n+1)*k.Dims] }
 	k.coords = make([][]int64, k.Points)
 	for i := range k.coords {
-		k.coords[i] = make([]int64, k.Dims)
+		k.coords[i] = row(i)
 		for j := 0; j < k.Dims; j++ {
 			v := int64(r.Intn(1000))
 			k.coords[i][j] = v
@@ -77,7 +80,7 @@ func (k *KMeans) Init(m *machine.Machine, threads int) {
 	// Fixed centers.
 	k.centers = make([][]int64, k.Clusters)
 	for c := range k.centers {
-		k.centers[c] = make([]int64, k.Dims)
+		k.centers[c] = row(k.Points + c)
 		for j := 0; j < k.Dims; j++ {
 			k.centers[c][j] = int64(r.Intn(1000))
 		}
@@ -116,8 +119,21 @@ func (k *KMeans) nearest(p []int64) int {
 // Thread implements Workload.
 func (k *KMeans) Thread(i int, ex tm.Exec) {
 	lo, hi := split(k.Points, k.threads, i)
+	// The transactional kernel: fold the point into its cluster. Built
+	// once, over the point and accumulator the loop assigns.
+	var (
+		pt  int
+		acc uint64
+	)
+	fold := func(tx tm.Tx) {
+		tx.Store(acc, tx.Load(acc)+1)
+		for j := 0; j < k.Dims; j++ {
+			a := acc + 8 + uint64(j)*8
+			tx.Store(a, tx.Load(a)+uint64(k.coords[pt][j]))
+		}
+	}
 	for it := 0; it < k.Iterations; it++ {
-		for pt := lo; pt < hi; pt++ {
+		for pt = lo; pt < hi; pt++ {
 			// Read the point (non-transactional: points are read-only).
 			base := k.pointsBase + uint64(pt)*mem.LineBytes
 			for j := 0; j < k.Dims; j++ {
@@ -125,16 +141,8 @@ func (k *KMeans) Thread(i int, ex tm.Exec) {
 			}
 			// Distance computation against every center.
 			ex.Proc().Elapse(KMeansDistCycles * uint64(k.Clusters))
-			c := k.assign[pt]
-			acc := k.accBase + uint64(c)*k.accStride
-			// The transactional kernel: fold the point into its cluster.
-			ex.Atomic(func(tx tm.Tx) {
-				tx.Store(acc, tx.Load(acc)+1)
-				for j := 0; j < k.Dims; j++ {
-					a := acc + 8 + uint64(j)*8
-					tx.Store(a, tx.Load(a)+uint64(k.coords[pt][j]))
-				}
-			})
+			acc = k.accBase + uint64(k.assign[pt])*k.accStride
+			ex.Atomic(fold)
 		}
 	}
 }

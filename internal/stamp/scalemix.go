@@ -83,21 +83,20 @@ func (w *ScaleMix) Thread(i int, ex tm.Exec) {
 	lo, hi := split(w.TotalIters, w.threads, i)
 	slot := w.slotBase + uint64(i)*mem.LineBytes
 	h := uint64(i)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3
+	// Both bodies are built once: an iteration allocates nothing.
+	bumpSlot := func(tx tm.Tx) { tx.Store(slot, tx.Load(slot)+1) }
+	bumpShared := func(tx tm.Tx) { tx.Store(w.sharedAddr, tx.Load(w.sharedAddr)+1) }
 	for iter := lo; iter < hi; iter++ {
 		for r := 0; r < w.Work; r++ {
 			h = mix64(h + uint64(iter*w.Work+r))
 		}
 		p.Elapse(ScaleMixWorkCycles)
-		ex.Atomic(func(tx tm.Tx) {
-			tx.Store(slot, tx.Load(slot)+1)
-		})
+		ex.Atomic(bumpSlot)
 		// Keyed on the global iteration index: the bump points fall at
 		// different offsets within each thread's share, so threads do not
 		// all hit the shared line at the same simulated instant.
 		if iter%ScaleMixSharePeriod == 0 {
-			ex.Atomic(func(tx tm.Tx) {
-				tx.Store(w.sharedAddr, tx.Load(w.sharedAddr)+1)
-			})
+			ex.Atomic(bumpShared)
 		}
 	}
 	ex.Store(w.digestBase+uint64(i)*mem.LineBytes, h)

@@ -112,7 +112,17 @@ func (v *Vacation) Init(m *machine.Machine, threads int) {
 	}
 }
 
-// Thread implements Workload.
+// query is one pre-drawn random choice of a task: a resource, and for
+// update-tables its new price.
+type query struct {
+	table    int
+	id       uint64
+	newPrice uint64
+}
+
+// Thread implements Workload. A task pre-draws its random choices into
+// queries, so its body is idempotent across re-execution; the three
+// bodies are built once, over what the loop assigns.
 func (v *Vacation) Thread(i int, ex tm.Exec) {
 	r := sim.NewRand(v.Seed*1_000_003 + uint64(i))
 	a := v.arenas[i]
@@ -120,16 +130,27 @@ func (v *Vacation) Thread(i int, ex tm.Exec) {
 	if hot < 1 {
 		hot = 1
 	}
+	var custID uint64
+	queries := make([]query, v.QueriesPerTask)
+	reserve := func(tx tm.Tx) { v.makeReservation(tx, a, custID, queries) }
+	remove := func(tx tm.Tx) { v.deleteCustomer(tx, custID) }
+	update := func(tx tm.Tx) { v.updateTables(tx, queries) }
 	for task := 0; task < v.TasksPerThread; task++ {
 		pct := r.Intn(100)
-		custID := uint64(1 + r.Intn(v.Relations))
+		custID = uint64(1 + r.Intn(v.Relations))
 		switch {
 		case pct < v.PctUser:
-			v.makeReservation(ex, a, r, custID, hot)
+			for q := range queries {
+				queries[q] = query{table: r.Intn(3), id: uint64(1 + r.Intn(hot))}
+			}
+			ex.Atomic(reserve)
 		case pct < v.PctUser+(100-v.PctUser)/2:
-			v.deleteCustomer(ex, custID)
+			ex.Atomic(remove)
 		default:
-			v.updateTables(ex, a, r, hot)
+			for q := range queries {
+				queries[q] = query{table: r.Intn(3), id: uint64(1 + r.Intn(hot)), newPrice: uint64(50 + r.Intn(500))}
+			}
+			ex.Atomic(update)
 		}
 		ex.Proc().Elapse(uint64(50 + r.Intn(100))) // think time
 	}
@@ -138,96 +159,70 @@ func (v *Vacation) Thread(i int, ex tm.Exec) {
 // makeReservation queries several resources across the tables and
 // reserves the best-priced available one per table, recording each
 // reservation in the customer's list.
-func (v *Vacation) makeReservation(ex tm.Exec, a *txlib.Arena, r *sim.Rand, custID uint64, hot int) {
-	// Pre-draw the random choices so the transaction body is idempotent
-	// across re-execution.
-	type query struct {
-		table int
-		id    uint64
+func (v *Vacation) makeReservation(tx tm.Tx, a *txlib.Arena, custID uint64, queries []query) {
+	var bestRes [3]uint64
+	var bestPrice [3]uint64
+	for _, q := range queries {
+		res, ok := v.resources[q.table].Get(tx, q.id)
+		if !ok {
+			continue
+		}
+		total := tx.Load(res + resTotal)
+		used := tx.Load(res + resUsed)
+		price := tx.Load(res + resPrice)
+		if used < total && price > bestPrice[q.table] {
+			bestPrice[q.table] = price
+			bestRes[q.table] = res
+		}
 	}
-	queries := make([]query, v.QueriesPerTask)
-	for q := range queries {
-		queries[q] = query{table: r.Intn(3), id: uint64(1 + r.Intn(hot))}
-	}
-	ex.Atomic(func(tx tm.Tx) {
-		var bestRes [3]uint64
-		var bestPrice [3]uint64
-		for _, q := range queries {
-			res, ok := v.resources[q.table].Get(tx, q.id)
+	reserved := false
+	var listHead uint64
+	for t := 0; t < 3; t++ {
+		if bestRes[t] == 0 {
+			continue
+		}
+		if !reserved {
+			// Materialize the customer on first reservation.
+			var ok bool
+			listHead, ok = v.customers.Get(tx, custID)
 			if !ok {
-				continue
+				l := txlib.NewList(tx, a)
+				listHead = l.Head()
+				v.customers.Insert(tx, a, custID, listHead)
 			}
-			total := tx.Load(res + resTotal)
-			used := tx.Load(res + resUsed)
-			price := tx.Load(res + resPrice)
-			if used < total && price > bestPrice[q.table] {
-				bestPrice[q.table] = price
-				bestRes[q.table] = res
-			}
+			reserved = true
 		}
-		reserved := false
-		var listHead uint64
-		for t := 0; t < 3; t++ {
-			if bestRes[t] == 0 {
-				continue
-			}
-			if !reserved {
-				// Materialize the customer on first reservation.
-				var ok bool
-				listHead, ok = v.customers.Get(tx, custID)
-				if !ok {
-					l := txlib.NewList(tx, a)
-					listHead = l.Head()
-					v.customers.Insert(tx, a, custID, listHead)
-				}
-				reserved = true
-			}
-			res := bestRes[t]
-			tx.Store(res+resUsed, tx.Load(res+resUsed)+1)
-			// Key reservations by resource address (unique per resource;
-			// duplicate reservations of one resource collapse, releasing
-			// nothing extra at delete time because Insert reports it).
-			if !txlib.ListAt(listHead).Insert(tx, a, res, 1) {
-				// Already reserved by this customer: undo the extra use.
-				tx.Store(res+resUsed, tx.Load(res+resUsed)-1)
-			}
+		res := bestRes[t]
+		tx.Store(res+resUsed, tx.Load(res+resUsed)+1)
+		// Key reservations by resource address (unique per resource;
+		// duplicate reservations of one resource collapse, releasing
+		// nothing extra at delete time because Insert reports it).
+		if !txlib.ListAt(listHead).Insert(tx, a, res, 1) {
+			// Already reserved by this customer: undo the extra use.
+			tx.Store(res+resUsed, tx.Load(res+resUsed)-1)
 		}
-	})
+	}
 }
 
 // deleteCustomer releases all of a customer's reservations.
-func (v *Vacation) deleteCustomer(ex tm.Exec, custID uint64) {
-	ex.Atomic(func(tx tm.Tx) {
-		listHead, ok := v.customers.Get(tx, custID)
-		if !ok {
-			return
-		}
-		l := txlib.ListAt(listHead)
-		l.ForEach(tx, func(res, _ uint64) {
-			tx.Store(res+resUsed, tx.Load(res+resUsed)-1)
-		})
-		v.customers.Delete(tx, custID)
+func (v *Vacation) deleteCustomer(tx tm.Tx, custID uint64) {
+	listHead, ok := v.customers.Get(tx, custID)
+	if !ok {
+		return
+	}
+	txlib.ListAt(listHead).ForEach(tx, func(res, _ uint64) {
+		tx.Store(res+resUsed, tx.Load(res+resUsed)-1)
 	})
+	v.customers.Delete(tx, custID)
 }
 
 // updateTables re-prices random resources (STAMP's manager updates).
-func (v *Vacation) updateTables(ex tm.Exec, a *txlib.Arena, r *sim.Rand, hot int) {
-	type upd struct {
-		table    int
-		id       uint64
-		newPrice uint64
-	}
-	ups := make([]upd, v.QueriesPerTask)
-	for q := range ups {
-		ups[q] = upd{table: r.Intn(3), id: uint64(1 + r.Intn(hot)), newPrice: uint64(50 + r.Intn(500))}
-	}
-	ex.Atomic(func(tx tm.Tx) {
-		for _, u := range ups {
-			if res, ok := v.resources[u.table].Get(tx, u.id); ok {
-				tx.Store(res+resPrice, u.newPrice)
-			}
+func (v *Vacation) updateTables(tx tm.Tx, queries []query) {
+	for _, u := range queries {
+		if res, ok := v.resources[u.table].Get(tx, u.id); ok {
+			tx.Store(res+resPrice, u.newPrice)
 		}
-	})
+	}
 }
 
 // Validate implements Workload: every resource's used count must equal

@@ -186,21 +186,19 @@ func (e *exec) commit() bool {
 	// first-store order (bounded spin: fail fast to avoid deadlock).
 	e.writeSet = e.writeSet[:0]
 	e.tx.Log.Words(func(addr, _ uint64) { e.noteStripe(&e.writeSet, e.s.stripeOf(addr)) })
-	locked := e.writeSet[:0:0]
-	for _, si := range e.writeSet {
+	for n, si := range e.writeSet {
 		st := &e.s.stripes.Rows[si]
 		e.touchStripe(si)
 		e.P.Elapse(PerWriteCycles)
 		if st.locked && st.owner != e.P.ID() {
 			e.recordStripeConflict(st, 0, false)
-			e.unlock(locked)
+			e.unlock(e.writeSet[:n])
 			return false
 		}
 		e.s.stripes.Dirty(si)
 		st.locked = true
 		st.owner = e.P.ID()
 		e.writeStripe(si)
-		locked = append(locked, si)
 	}
 	// 2. Increment the global clock.
 	e.s.clock++
@@ -214,7 +212,7 @@ func (e *exec) commit() bool {
 			e.touchStripe(si)
 			if (st.locked && st.owner != e.P.ID()) || st.version > e.rv {
 				e.recordStripeConflict(st, 0, false)
-				e.unlock(locked)
+				e.unlock(e.writeSet)
 				return false
 			}
 		}
@@ -222,7 +220,7 @@ func (e *exec) commit() bool {
 	// 4. Write back the redo log (in first-store order, keeping the
 	// simulation deterministic) and release locks at version wv.
 	e.tx.Log.Words(e.Store)
-	for _, si := range locked {
+	for _, si := range e.writeSet {
 		st := &e.s.stripes.Rows[si]
 		st.version = wv
 		st.locked = false

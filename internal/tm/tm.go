@@ -198,16 +198,26 @@ type unwindSignal struct {
 	retry  bool
 }
 
+// unwindSignals holds every signal already boxed, so that unwinding does
+// not allocate: one per abort reason, and the Retry request last.
+var unwindSignals = func() (sig [machine.NumAbortReasons + 1]any) {
+	for r := range sig[:machine.NumAbortReasons] {
+		sig[r] = unwindSignal{reason: machine.AbortReason(r)}
+	}
+	sig[machine.NumAbortReasons] = unwindSignal{retry: true}
+	return sig
+}()
+
 // Unwind aborts the currently executing transaction body by panicking
 // with an internal signal; the system's Atomic wrapper recovers it. Only
 // TM implementations call this.
 func Unwind(reason machine.AbortReason) {
-	panic(unwindSignal{reason: reason})
+	panic(unwindSignals[reason])
 }
 
 // UnwindRetry unwinds the body for transactional waiting.
 func UnwindRetry() {
-	panic(unwindSignal{retry: true})
+	panic(unwindSignals[machine.NumAbortReasons])
 }
 
 // Catch runs f, converting an Unwind panic into a return value. Panics

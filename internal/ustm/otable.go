@@ -19,15 +19,18 @@ import (
 //
 // The rows live in the machine's arena (machine.TableOf): a run dirties
 // the rows it inserts into, and only those are cleared for the next one.
+// The records live in the table's own free list, grown a chunk at a time,
+// so a steady-state insert allocates nothing.
 type otable struct {
 	*machine.Table[row]
 	base uint64 // simulated address of row 0; rows are line-spaced
 	mask uint64
+	free *entry // recycled records, linked through next
 }
 
 type row struct {
-	locked  bool
-	entries []*entry
+	locked bool
+	head   *entry // the chain, in insertion order
 }
 
 // entry is one ownership record: the owned line (tag), the permission
@@ -35,8 +38,17 @@ type row struct {
 type entry struct {
 	tag    uint64
 	write  bool
+	next   *entry
 	owners []*Thread
+	own    [4]*Thread // owners' first backing array
+	// pins counts the barriers parked with this record in hand. A record
+	// that leaves its row pinned is never recycled: it stays what its
+	// holder last saw, a record of its line with nobody left on it.
+	pins int
 }
+
+// recordChunk is how many records the free list grows by.
+const recordChunk = 128
 
 func newOTable(m *machine.Machine, rows int) *otable {
 	base := m.Mem.Sbrk(uint64(rows) * mem.LineBytes)
@@ -60,7 +72,7 @@ func (o *otable) row(i uint64) *row { return &o.Rows[i] }
 
 // find returns the entry for line in this row's chain, or nil.
 func (r *row) find(line uint64) *entry {
-	for _, e := range r.entries {
+	for e := r.head; e != nil; e = e.next {
 		if e.tag == line {
 			return e
 		}
@@ -68,13 +80,34 @@ func (r *row) find(line uint64) *entry {
 	return nil
 }
 
-// remove deletes e from the chain.
-func (r *row) remove(e *entry) {
-	for i, x := range r.entries {
-		if x == e {
-			r.entries = append(r.entries[:i], r.entries[i+1:]...)
-			return
+// insert appends a record of line, owned by t alone, to r's chain.
+func (o *otable) insert(r *row, line uint64, write bool, t *Thread) {
+	if o.free == nil {
+		chunk := make([]entry, recordChunk)
+		for i := range chunk {
+			chunk[i].next, o.free = o.free, &chunk[i]
+			chunk[i].owners = chunk[i].own[:0]
 		}
+	}
+	e := o.free
+	o.free = e.next
+	e.tag, e.write, e.next, e.owners = line, write, nil, append(e.owners[:0], t)
+	tail := &r.head
+	for *tail != nil {
+		tail = &(*tail).next
+	}
+	*tail = e
+}
+
+// remove unlinks e from r's chain and recycles it, unless it is pinned.
+func (o *otable) remove(r *row, e *entry) {
+	link := &r.head
+	for *link != e {
+		link = &(*link).next
+	}
+	*link = e.next
+	if e.pins == 0 {
+		e.next, o.free = o.free, e
 	}
 }
 

@@ -33,6 +33,7 @@ type Thread struct {
 	undo        []undoRec
 	owned       []ownedRec
 	toWake      []*Thread
+	active      []*Thread // resolveConflict's scratch: the owners in our way
 	wakePending bool
 	onCommit    []func()
 	// nestSave stacks undo-log lengths at nest entry. Entries acquired
@@ -239,7 +240,7 @@ func (t *Thread) barrier(addr uint64, write bool) {
 			r.locked = true
 			t.ntWriteMustOK(rowAddr, 1)
 			t.p.Elapse(CASCycles)
-			r.entries = append(r.entries, &entry{tag: line, write: write, owners: []*Thread{t}})
+			t.stm.ot.insert(r, line, write, t)
 			t.owned = append(t.owned, ownedRec{line: line, write: write})
 			t.installUFO(line, write)
 			r.locked = false
@@ -280,7 +281,9 @@ func (t *Thread) resolveConflict(r *row, e *entry, write bool) bool {
 	// A read-read sharing situation is not a conflict: join the readers.
 	if !write && !e.write {
 		r.locked = true
+		e.pins++ // releaseAll ignores the row lock: e may leave its row here
 		t.p.Elapse(CASCycles)
+		e.pins--
 		e.owners = append(e.owners, t)
 		t.owned = append(t.owned, ownedRec{line: e.tag, write: false})
 		// First reader installed protection already; joining readers
@@ -290,30 +293,17 @@ func (t *Thread) resolveConflict(r *row, e *entry, write bool) bool {
 	}
 	// Retrying owners do not block anyone: steal their ownership and
 	// schedule their wake-up for our commit (Section 6).
-	var active []*Thread
-	for _, o := range append([]*Thread(nil), e.owners...) {
-		if o == t {
-			continue
-		}
-		if o.status == statusRetrying {
-			e.dropOwner(o)
-			t.noteWake(o)
-			continue
-		}
-		active = append(active, o)
-	}
+	active := t.stealFromRetriers(e)
 	if len(active) == 0 {
-		if len(e.owners) == 0 || e.soleOwner(t) {
-			if e.hasOwner(t) {
-				return true // loop will take the upgrade path
-			}
-			// Entry empty: remove it; the retry of the outer loop will
-			// insert fresh.
-			r.remove(e)
+		// We are the one owner left (the loop will take the upgrade path),
+		// or the entry is empty: remove it, and the retry of the outer
+		// loop will insert fresh.
+		if len(e.owners) == 0 {
+			line := e.tag
+			t.stm.ot.remove(r, e)
 			if t.stm.cfg.StrongAtomicity {
-				t.p.SetUFO(mem.LineAddr(e.tag), mem.UFONone)
+				t.p.SetUFO(mem.LineAddr(line), mem.UFONone)
 			}
-			return true
 		}
 		return true
 	}
@@ -330,13 +320,36 @@ func (t *Thread) resolveConflict(r *row, e *entry, write bool) bool {
 	for _, o := range active {
 		t.kill(o, e.tag)
 	}
+	// Parked with e in hand, so pinned. Our own death ends the wait too;
+	// the barrier unwinds on the way back, after the pin is dropped.
+	e.pins++
 	for _, o := range active {
-		for e.hasOwner(o) {
-			t.checkKilled()
+		for e.hasOwner(o) && !t.killed {
 			t.p.Elapse(StallCycles)
 		}
 	}
+	e.pins--
 	return true
+}
+
+// stealFromRetriers takes e's retrying owners off it, noting each for a
+// wake-up at our commit, and returns the owners left other than t, in
+// owner order (kills follow it). The result is scratch, good until the
+// next call.
+func (t *Thread) stealFromRetriers(e *entry) []*Thread {
+	active, kept := t.active[:0], e.owners[:0]
+	for _, o := range e.owners {
+		if o != t && o.status == statusRetrying {
+			t.noteWake(o)
+			continue
+		}
+		kept = append(kept, o)
+		if o != t {
+			active = append(active, o)
+		}
+	}
+	e.owners, t.active = kept, active
+	return active
 }
 
 // stall charges one conflict-poll interval, checking for our own death
@@ -392,7 +405,7 @@ func (t *Thread) releaseAll() {
 			continue // ownership was stolen while we were retrying
 		}
 		if e.dropOwner(t) {
-			r.remove(e)
+			t.stm.ot.remove(r, e)
 			if t.stm.cfg.StrongAtomicity {
 				t.p.SetUFO(mem.LineAddr(rec.line), mem.UFONone)
 			}

@@ -209,7 +209,10 @@ type OTableStats struct {
 func (s *STM) OTableStats() OTableStats {
 	st := OTableStats{Rows: len(s.ot.Rows)}
 	for i := range s.ot.Rows {
-		n := len(s.ot.Rows[i].entries)
+		n := 0
+		for e := s.ot.Rows[i].head; e != nil; e = e.next {
+			n++
+		}
 		if s.ot.Rows[i].locked {
 			st.Locked++
 		}

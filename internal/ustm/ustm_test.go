@@ -354,8 +354,8 @@ func TestOTableChainCollisions(t *testing.T) {
 	}
 	// All entries released.
 	for i := range s.ot.Rows {
-		if len(s.ot.Rows[i].entries) != 0 {
-			t.Fatalf("row %d retains %d entries", i, len(s.ot.Rows[i].entries))
+		if s.ot.Rows[i].head != nil {
+			t.Fatalf("row %d retains entries", i)
 		}
 	}
 }
