@@ -88,7 +88,7 @@ var experiments = []experiment{
 	}},
 	{name: "latency", run: sweepScaled((*harness.Runner).Latency, harness.PrintLatency)},
 	{name: "scale", run: sweepScaled((*harness.Runner).ScaleSweep, harness.PrintScaleSweep)},
-	{name: "oltp", flags: []string{"oltp-out", "oltp-arrival", "oltp-theta", "oltp-read-pct", "oltp-rmw-pct", "oltp-scan-pct"},
+	{name: "oltp", flags: []string{"oltp-out", "oltp-arrival"},
 		run: func(s *session) error {
 			rep, err := s.runner.OLTP(s.opt, s.cfg.scale, s.cfg.oltp)
 			harness.PrintOLTP(s.stdout, rep)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cm"
-	"repro/internal/contention"
 	"repro/internal/harness"
 	"repro/internal/oltp"
 )
@@ -38,12 +37,10 @@ type config struct {
 
 	oltpOut     string
 	oltpArrival string
-	oltp        harness.OLTPSweepConfig // the -oltp-* sweep shape
+	oltp        harness.OLTPSweepConfig // the -oltp-arrival sweep shape
 
-	contentionOut    string
-	contentionTopK   int
-	timeseriesWindow uint64
-	reportFormat     string
+	contentionOut string
+	reportFormat  string
 
 	cpuProfile string
 	memProfile string
@@ -83,13 +80,7 @@ func parseConfig(args []string, errOut io.Writer) (*config, error) {
 	fs.StringVar(&cfg.litmusOut, "litmus-out", "", "also write the litmus conformance report as JSON to this file")
 	fs.StringVar(&cfg.oltpOut, "oltp-out", "", "also write the open-loop service (tmsim-oltp/v1) report as JSON to this file")
 	fs.StringVar(&cfg.oltpArrival, "oltp-arrival", "poisson", "oltp arrival process: poisson | mmpp")
-	fs.Float64Var(&cfg.oltp.Theta, "oltp-theta", 0.9, "oltp default Zipfian skew (the load and mix axes run at this theta)")
-	fs.IntVar(&cfg.oltp.ReadPct, "oltp-read-pct", 80, "oltp default point-read percentage (read+rmw+scan must sum to 100)")
-	fs.IntVar(&cfg.oltp.RMWPct, "oltp-rmw-pct", 15, "oltp default read-modify-write percentage")
-	fs.IntVar(&cfg.oltp.ScanPct, "oltp-scan-pct", 5, "oltp default range-scan percentage")
 	fs.StringVar(&cfg.contentionOut, "contention-out", "", "write the conflict-attribution (contention) report to this file")
-	fs.IntVar(&cfg.contentionTopK, "contention-topk", contention.DefaultTopK, "hot cache lines kept per cell in the contention report")
-	fs.Uint64Var(&cfg.timeseriesWindow, "timeseries-window", 100_000, "contention time-series window width in simulated cycles")
 	fs.StringVar(&cfg.reportFormat, "report", "json", "contention report format: json | html | text")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a host CPU profile (runtime/pprof) to this file")
 	fs.StringVar(&cfg.memProfile, "memprofile", "", "write a host heap profile (runtime/pprof) to this file")
@@ -147,20 +138,6 @@ func (cfg *config) validate() error {
 	if cfg.oltp.Arrival, err = oltp.ParseArrival(cfg.oltpArrival); err != nil {
 		return fmt.Errorf("-oltp-arrival: %w", err)
 	}
-	if cfg.oltp.Theta < 0 {
-		return fmt.Errorf("-oltp-theta %v: want >= 0", cfg.oltp.Theta)
-	}
-	for _, pc := range []struct {
-		name string
-		v    int
-	}{{"oltp-read-pct", cfg.oltp.ReadPct}, {"oltp-rmw-pct", cfg.oltp.RMWPct}, {"oltp-scan-pct", cfg.oltp.ScanPct}} {
-		if pc.v < 0 || pc.v > 100 {
-			return fmt.Errorf("-%s %d: want 0..100", pc.name, pc.v)
-		}
-	}
-	if sum := cfg.oltp.ReadPct + cfg.oltp.RMWPct + cfg.oltp.ScanPct; sum != 100 {
-		return fmt.Errorf("-oltp-read-pct + -oltp-rmw-pct + -oltp-scan-pct must sum to 100 (got %d)", sum)
-	}
 	var ok bool
 	if cfg.workload, ok = harness.FindWorkload(cfg.traceWorkload, cfg.scale); !ok {
 		return fmt.Errorf("unknown workload %q for -trace-workload", cfg.traceWorkload)
@@ -170,12 +147,6 @@ func (cfg *config) validate() error {
 	}
 	if cfg.traceThreads < 1 || cfg.traceThreads > cache.MaxProcs {
 		return fmt.Errorf("-trace-threads %d: want 1..%d (the simulated machine's processor limit)", cfg.traceThreads, cache.MaxProcs)
-	}
-	if cfg.contentionTopK < 1 {
-		return fmt.Errorf("-contention-topk %d: want >= 1", cfg.contentionTopK)
-	}
-	if cfg.timeseriesWindow == 0 {
-		return fmt.Errorf("-timeseries-window 0 disables the time series the contention report includes; use a positive window width")
 	}
 
 	// -csv holds one seed's sweep; the multi-seed run prints statistics
@@ -194,7 +165,7 @@ func (cfg *config) validate() error {
 		flags []string
 	}{
 		{"trace-out", cfg.traceOut != "", []string{"trace-format", "trace-workload", "trace-system", "trace-threads"}},
-		{"contention-out", cfg.contentionOut != "", []string{"contention-topk", "timeseries-window", "report"}},
+		{"contention-out", cfg.contentionOut != "", []string{"report"}},
 	} {
 		for _, f := range dep.flags {
 			if !dep.given && cfg.set[f] {

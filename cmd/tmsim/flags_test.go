@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // TestParseConfigValidation is the table-driven contract for tmsim's
@@ -19,7 +21,9 @@ func TestParseConfigValidation(t *testing.T) {
 		{"sweep with outputs", []string{"-experiment", "fig5", "-scale", "small", "-metrics-out", "m.json"}, ""},
 		{"traced cell", []string{"-trace-out", "t.json", "-trace-format", "chrome", "-trace-workload", "genome", "-trace-system", "ufo-hybrid", "-trace-threads", "2"}, ""},
 		{"contention json", []string{"-contention-out", "c.json"}, ""},
-		{"contention tuned", []string{"-contention-out", "c.html", "-report", "html", "-contention-topk", "4", "-timeseries-window", "5000"}, ""},
+		// The top-K cut and the time-series window are constants of
+		// internal/contention, not flags.
+		{"contention tuned", []string{"-contention-out", "c.html", "-report", "html", "-contention-topk", "4", "-timeseries-window", "5000"}, "flag provided but not defined: -contention-topk"},
 		{"contention with traced cell", []string{"-trace-out", "t.json", "-contention-out", "c.json"}, ""},
 		{"profiles", []string{"-cpuprofile", "cpu.out", "-memprofile", "mem.out"}, ""},
 
@@ -52,15 +56,17 @@ func TestParseConfigValidation(t *testing.T) {
 		{"trace threads past the machine's limit", []string{"-trace-out", "t.json", "-trace-threads", "300"}, "-trace-threads 300: want 1..256"},
 
 		{"oltp sweep", []string{"-experiment", "oltp", "-scale", "small", "-oltp-out", "o.json"}, ""},
+		// The skew and mix the load axis runs at are fixed; the sweep varies
+		// them on their own axes. Only -oltp-arrival tunes the sweep.
 		{"oltp tuned", []string{"-experiment", "oltp", "-oltp-arrival", "mmpp", "-oltp-theta", "1.2",
-			"-oltp-read-pct", "50", "-oltp-rmw-pct", "45", "-oltp-scan-pct", "5"}, ""},
+			"-oltp-read-pct", "50", "-oltp-rmw-pct", "45", "-oltp-scan-pct", "5"}, "flag provided but not defined: -oltp-theta"},
 		{"oltp-out without oltp", []string{"-oltp-out", "o.json"}, "-oltp-out requires -experiment oltp"},
 		{"oltp-arrival without oltp", []string{"-oltp-arrival", "mmpp"}, "-oltp-arrival requires -experiment oltp"},
-		{"oltp-theta without oltp", []string{"-experiment", "fig5", "-oltp-theta", "0.5"}, "-oltp-theta requires -experiment oltp"},
+		{"oltp-theta without oltp", []string{"-experiment", "fig5", "-oltp-theta", "0.5"}, "flag provided but not defined: -oltp-theta"},
 		{"unknown arrival process", []string{"-experiment", "oltp", "-oltp-arrival", "uniform"}, "unknown arrival process"},
-		{"negative theta", []string{"-experiment", "oltp", "-oltp-theta", "-0.1"}, "-oltp-theta"},
-		{"pct out of range", []string{"-experiment", "oltp", "-oltp-read-pct", "120"}, "-oltp-read-pct"},
-		{"mix does not sum", []string{"-experiment", "oltp", "-oltp-read-pct", "50", "-oltp-rmw-pct", "20", "-oltp-scan-pct", "5"}, "must sum to 100"},
+		{"negative theta", []string{"-experiment", "oltp", "-oltp-theta", "-0.1"}, "flag provided but not defined: -oltp-theta"},
+		{"pct out of range", []string{"-experiment", "oltp", "-oltp-read-pct", "120"}, "flag provided but not defined: -oltp-read-pct"},
+		{"mix does not sum", []string{"-experiment", "oltp", "-oltp-read-pct", "50", "-oltp-rmw-pct", "20", "-oltp-scan-pct", "5"}, "flag provided but not defined: -oltp-read-pct"},
 
 		// Flags a table row owns are rejected under any other experiment,
 		// not silently ignored (-csv and -seeds used to be).
@@ -75,11 +81,11 @@ func TestParseConfigValidation(t *testing.T) {
 		{"litmus-out with trace-out", []string{"-trace-out", "t.json", "-litmus-out", "l.json"}, "-litmus-out has no effect with -trace-out"},
 
 		{"report without contention-out", []string{"-report", "html"}, "-report requires -contention-out"},
-		{"topk without contention-out", []string{"-contention-topk", "4"}, "-contention-topk requires -contention-out"},
-		{"window without contention-out", []string{"-timeseries-window", "1000"}, "-timeseries-window requires -contention-out"},
+		{"topk without contention-out", []string{"-contention-topk", "4"}, "flag provided but not defined: -contention-topk"},
+		{"window without contention-out", []string{"-timeseries-window", "1000"}, "flag provided but not defined: -timeseries-window"},
 		{"bad report format", []string{"-contention-out", "c.json", "-report", "pdf"}, "unknown report format"},
-		{"zero topk", []string{"-contention-out", "c.json", "-contention-topk", "0"}, "-contention-topk"},
-		{"zero window with contention", []string{"-contention-out", "c.json", "-timeseries-window", "0"}, "-timeseries-window 0"},
+		{"zero topk", []string{"-contention-out", "c.json", "-contention-topk", "0"}, "flag provided but not defined: -contention-topk"},
+		{"zero window with contention", []string{"-contention-out", "c.json", "-timeseries-window", "0"}, "flag provided but not defined: -timeseries-window"},
 	}
 	for _, c := range cases {
 		c := c
@@ -113,9 +119,8 @@ func TestParseConfigDefaults(t *testing.T) {
 	if cfg.experiment != "all" || cfg.scaleName != "full" || cfg.seed != 1 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	if cfg.contentionTopK != 16 || cfg.timeseriesWindow != 100_000 || cfg.reportFormat != "json" {
-		t.Fatalf("contention defaults = topk %d window %d report %q",
-			cfg.contentionTopK, cfg.timeseriesWindow, cfg.reportFormat)
+	if cfg.reportFormat != "json" || cfg.oltp != harness.DefaultOLTPSweep() {
+		t.Fatalf("report %q, oltp sweep %+v", cfg.reportFormat, cfg.oltp)
 	}
 	if len(cfg.set) != 0 {
 		t.Fatalf("set = %v, want empty", cfg.set)

@@ -53,9 +53,10 @@
 //	    cache-line addresses and abort reasons — and writes per-cell
 //	    contention profiles (top-K hot lines, aggressor→victim matrices,
 //	    cycle-windowed abort time series) as JSON, self-contained HTML,
-//	    or plain text (-report json|html|text; -contention-topk,
-//	    -timeseries-window tune the profile). Byte-identical for every
-//	    -parallel value.
+//	    or plain text (-report json|html|text; the top-K cut and the
+//	    window are contention.TopK and contention.WindowCycles). The
+//	    profile runs only when -contention-out asks for it.
+//	    Byte-identical for every -parallel value.
 //	tmsim -experiment latency -txstats-out lat.json
 //	    also writes every cell's transaction-lifecycle report — latency
 //	    percentiles in simulated cycles, retries-to-commit, wasted-work
@@ -68,11 +69,12 @@
 //	    (axis point, system) offered load, goodput, utilization, and
 //	    P50/P90/P99/P99.9 response time (arrival to commit), plus
 //	    per-system saturation knees. -oltp-arrival picks poisson or mmpp
-//	    arrivals; -oltp-theta and -oltp-{read,rmw,scan}-pct set the
-//	    default skew and request mix the load axis runs at. Byte-identical
-//	    for every -parallel value. -txstats-out and
-//	    -contention-out compose with it (lifecycle accounting and conflict
-//	    attribution are always on for this experiment).
+//	    arrivals; the load axis runs at skew 0.9 and an 80/15/5 mix, and
+//	    the skew and mix axes vary those. Byte-identical for every
+//	    -parallel value. -txstats-out and -contention-out compose with it
+//	    (lifecycle accounting is always on for this experiment, since its
+//	    report is built from it; conflict attribution only with
+//	    -contention-out).
 //	tmsim -trace-out t.json -trace-format chrome [-trace-workload genome
 //	      -trace-system ufo-hybrid -trace-threads 4]
 //	    runs that single cell instead of any experiment, as a one-job
@@ -140,11 +142,7 @@ func newSession(cfg *config, stdout, stderr io.Writer) *session {
 	s := &session{cfg: cfg, opt: harness.DefaultOptions(), runner: harness.Parallel(cfg.parallel), stdout: stdout}
 	s.opt.Params.Seed = cfg.seed
 	s.opt.CM = cfg.cmSpec
-	if cfg.contentionOut != "" {
-		s.opt.Contention = true
-		s.opt.ContentionTopK = cfg.contentionTopK
-		s.opt.TimeSeriesWindow = cfg.timeseriesWindow
-	}
+	s.opt.Contention = cfg.contentionOut != ""
 	s.opt.TxStats = cfg.txstatsOut != ""
 	if cfg.progress {
 		s.runner.Progress = func(p harness.Progress) {

@@ -143,7 +143,7 @@ func (u *Unit) Load(addr uint64) (uint64, machine.Outcome) {
 			u.note(out)
 			return v, out
 		}
-		u.p.Elapse(u.p.Machine().NackCycles)
+		u.p.Elapse(machine.NackCycles)
 	}
 }
 
@@ -155,7 +155,7 @@ func (u *Unit) Store(addr, val uint64) machine.Outcome {
 			u.note(out)
 			return out
 		}
-		u.p.Elapse(u.p.Machine().NackCycles)
+		u.p.Elapse(machine.NackCycles)
 	}
 }
 

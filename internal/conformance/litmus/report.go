@@ -13,39 +13,34 @@ import (
 // ReportSchema versions the JSON layout.
 const ReportSchema = "tmsim-litmus-report/v1"
 
-// Config selects what a litmus sweep runs.
+// Config selects what a litmus sweep runs: the curated suite plus the
+// enumerated programs, on every system Systems() lists.
 type Config struct {
-	// Systems to drive (defaults to Systems()).
-	Systems []string
 	// Workers is the number of concurrent (program, system) cells, one
 	// per CPU when not positive (harness.Runner's rule); the report is
 	// byte-identical regardless (cells are assembled by index, and every
 	// cell is internally deterministic).
 	Workers int
-	// Curated includes the hand-written suite.
-	Curated bool
 	// Enums adds auto-enumerated program sets.
 	Enums []EnumConfig
 	// OrderCap bounds interleaving orders per program (seeded sample
 	// beyond it); Gaps is the slot-spacing sweep.
 	OrderCap int
 	Gaps     []uint64
-	// Seed drives order sampling.
-	Seed uint64
 }
+
+// orderSeed drives order sampling beyond OrderCap.
+const orderSeed = 1
 
 // SmallConfig is the CI-sized sweep: the full curated suite plus a
 // sampled 2-thread enumeration, on a reduced gap grid.
 func SmallConfig() Config {
 	return Config{
-		Systems: Systems(),
-		Curated: true,
 		Enums: []EnumConfig{
 			{Threads: 2, Vars: 2, MaxTxOps: 2, MaxNTOps: 1, MaxPrograms: 12, Seed: 7},
 		},
 		OrderCap: 12,
 		Gaps:     []uint64{0, 130, 800},
-		Seed:     1,
 	}
 }
 
@@ -53,15 +48,12 @@ func SmallConfig() Config {
 // 3-thread shapes), the full gap grid, and a higher order cap.
 func FullConfig() Config {
 	return Config{
-		Systems: Systems(),
-		Curated: true,
 		Enums: []EnumConfig{
 			{Threads: 2, Vars: 2, MaxTxOps: 2, MaxNTOps: 2, MaxPrograms: 48, Seed: 7},
 			{Threads: 3, Vars: 2, MaxTxOps: 1, MaxNTOps: 1, MaxPrograms: 16, Seed: 11},
 		},
 		OrderCap: 24,
 		Gaps:     DefaultGaps,
-		Seed:     1,
 	}
 }
 
@@ -135,26 +127,18 @@ func (c Config) workers() int {
 
 // Run executes the configured sweep.
 func Run(cfg Config) *Report {
-	if len(cfg.Systems) == 0 {
-		cfg.Systems = Systems()
-	}
-	if len(cfg.Gaps) == 0 {
-		cfg.Gaps = DefaultGaps
-	}
-
+	systems := Systems()
 	type progEntry struct {
 		p      *Program
 		source string
 	}
 	var progs []progEntry
-	if cfg.Curated {
-		for _, p := range Curated() {
-			progs = append(progs, progEntry{p, "curated"})
-		}
+	for _, p := range Curated() {
+		progs = append(progs, progEntry{p, "curated"})
 	}
 	rep := &Report{
 		Schema:   ReportSchema,
-		Systems:  cfg.Systems,
+		Systems:  systems,
 		Gaps:     cfg.Gaps,
 		OrderCap: cfg.OrderCap,
 	}
@@ -179,22 +163,22 @@ func Run(cfg Config) *Report {
 			panic(err) // program construction bug, not a runtime condition
 		}
 		oracles[i] = Oracle(pe.p)
-		orders[i], spaces[i] = EnumOrders(pe.p.OpCounts(), cfg.OrderCap, cfg.Seed)
+		orders[i], spaces[i] = EnumOrders(pe.p.OpCounts(), cfg.OrderCap, orderSeed)
 	}
 
 	// The worker pool runs (program, system) cells; results land in a
 	// pre-indexed matrix, so worker count and completion order cannot
 	// change the report.
 	type cell struct{ pi, si int }
-	cells := make([]cell, 0, len(progs)*len(cfg.Systems))
+	cells := make([]cell, 0, len(progs)*len(systems))
 	for pi := range progs {
-		for si := range cfg.Systems {
+		for si := range systems {
 			cells = append(cells, cell{pi, si})
 		}
 	}
 	verdicts := make([][]SystemVerdict, len(progs))
 	for pi := range verdicts {
-		verdicts[pi] = make([]SystemVerdict, len(cfg.Systems))
+		verdicts[pi] = make([]SystemVerdict, len(systems))
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -208,7 +192,7 @@ func Run(cfg Config) *Report {
 					return
 				}
 				c := cells[n]
-				pe, system := progs[c.pi], cfg.Systems[c.si]
+				pe, system := progs[c.pi], systems[c.si]
 				sw := Sweep(system, pe.p, oracles[c.pi], orders[c.pi], cfg.Gaps)
 				class := ClassOf(system)
 				verdicts[c.pi][c.si] = SystemVerdict{

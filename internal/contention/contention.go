@@ -49,8 +49,7 @@ type windowStat struct {
 // it is not safe for concurrent use — the simulation engine serializes
 // processors, and parallel sweeps give every cell its own Profile.
 type Profile struct {
-	procs  int
-	window uint64 // time-series window width in cycles; 0 disables the series
+	procs int
 
 	edges      uint64
 	swEdges    uint64
@@ -68,16 +67,22 @@ type Profile struct {
 // and the hardware and software commit events for the rate series.
 var Kinds = machine.KindSet(machine.TraceConflict, machine.TraceHWCommit, machine.TraceSWCommitted)
 
+// The profile's two fixed shapes: a report keeps the TopK hottest lines,
+// and the time series counts events in windows of WindowCycles (an event
+// at cycle c lands in window c/WindowCycles).
+const (
+	TopK         = 16
+	WindowCycles = 100_000
+)
+
 // New returns an empty profile for a machine with the given processor
-// count. windowCycles sets the time-series window width W (every event at
-// cycle c lands in window c/W); 0 disables the time series.
-func New(procs int, windowCycles uint64) *Profile {
+// count.
+func New(procs int) *Profile {
 	if procs < 1 {
 		procs = 1
 	}
 	return &Profile{
 		procs:   procs,
-		window:  windowCycles,
 		matrix:  make([]uint64, procs*procs),
 		lines:   make(map[uint64]*lineStat),
 		windows: make(map[uint64]*windowStat),
@@ -91,14 +96,10 @@ func (pr *Profile) Event(e machine.TraceEvent) {
 		pr.edge(e)
 	case machine.TraceHWCommit:
 		pr.hwCommits++
-		if w := pr.win(e.Cycle); w != nil {
-			w.hwCommits++
-		}
+		pr.win(e.Cycle).hwCommits++
 	case machine.TraceSWCommitted:
 		pr.swCommits++
-		if w := pr.win(e.Cycle); w != nil {
-			w.swCommits++
-		}
+		pr.win(e.Cycle).swCommits++
 	}
 }
 
@@ -136,24 +137,19 @@ func (pr *Profile) edge(e machine.TraceEvent) {
 	} else {
 		pr.noAddr++
 	}
-	if w := pr.win(e.Cycle); w != nil {
-		w.aborts++
-		if e.SW() {
-			w.swAborts++
-		}
-		if int(e.Reason) < len(w.byReason) {
-			w.byReason[e.Reason]++
-		}
+	w := pr.win(e.Cycle)
+	w.aborts++
+	if e.SW() {
+		w.swAborts++
+	}
+	if int(e.Reason) < len(w.byReason) {
+		w.byReason[e.Reason]++
 	}
 }
 
-// win returns the time-series window holding cycle, or nil when the
-// series is disabled.
+// win returns the time-series window holding cycle.
 func (pr *Profile) win(cycle uint64) *windowStat {
-	if pr.window == 0 {
-		return nil
-	}
-	i := cycle / pr.window
+	i := cycle / WindowCycles
 	w := pr.windows[i]
 	if w == nil {
 		w = &windowStat{}

@@ -31,7 +31,7 @@ func commit(proc int, hw bool, cycle uint64) machine.TraceEvent {
 // TestProfileAggregation: edges land in the right headline totals, the
 // matrix, and (normalized to cache lines) the per-line stats.
 func TestProfileAggregation(t *testing.T) {
-	pr := New(2, 0)
+	pr := New(2)
 	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 10))
 	pr.Event(edge(0, 1, 0x13f, machine.AbortConflict, 20)) // same 64B line as 0x100
 	pr.Event(edge(1, 0, 0x200, machine.AbortOverflow, 30))
@@ -41,7 +41,7 @@ func TestProfileAggregation(t *testing.T) {
 	pr.Event(commit(0, true, 60))
 	pr.Event(commit(1, false, 70))
 
-	rep := pr.Report(0)
+	rep := pr.Report()
 	if rep.Edges != 5 || rep.SWEdges != 1 || rep.NoAddrEdges != 1 || rep.UnknownAggressor != 1 {
 		t.Fatalf("headline totals = %+v", rep)
 	}
@@ -85,37 +85,40 @@ func TestProfileAggregation(t *testing.T) {
 }
 
 // TestReportHotLineOrdering: hot lines sort by total descending then
-// address ascending; topK truncation is accounted in DroppedLines.
+// address ascending; the TopK cut is accounted in DroppedLines.
 func TestReportHotLineOrdering(t *testing.T) {
-	pr := New(2, 0)
+	pr := New(2)
 	hit := func(addr uint64, n int) {
 		for i := 0; i < n; i++ {
 			pr.Event(edge(0, 1, addr, machine.AbortConflict, 0))
 		}
 	}
-	hit(0x300, 1)
+	hit(0x300, 2)
 	hit(0x100, 3)
 	hit(0x200, 3)
 	hit(0x400, 5)
+	// TopK+1 lines in all: the rest have one edge each, so the cut drops
+	// the single-edge line with the highest address.
+	for i := 0; i < TopK-3; i++ {
+		hit(0x1000+uint64(i)*64, 1)
+	}
 
-	rep := pr.Report(0)
+	rep := pr.Report()
+	if len(rep.HotLines) != TopK || rep.DroppedLines != 1 {
+		t.Fatalf("TopK+1 lines: %d kept, %d dropped", len(rep.HotLines), rep.DroppedLines)
+	}
 	var got []uint64
 	for _, hl := range rep.HotLines {
 		got = append(got, hl.Addr)
 	}
-	want := []uint64{0x400, 0x100, 0x200, 0x300}
+	want := []uint64{0x400, 0x100, 0x200, 0x300, 0x1000}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("hot line order = %#x, want %#x", got, want)
+			t.Fatalf("hot line order = %#x, want %#x first", got, want)
 		}
 	}
-
-	top := pr.Report(2)
-	if len(top.HotLines) != 2 || top.DroppedLines != 2 {
-		t.Fatalf("topK=2: %d lines, %d dropped", len(top.HotLines), top.DroppedLines)
-	}
-	if top.HotLines[0].Addr != 0x400 {
-		t.Fatalf("topK kept %#x first", top.HotLines[0].Addr)
+	if last, want := got[TopK-1], 0x1000+uint64(TopK-5)*64; last != want {
+		t.Fatalf("last line kept %#x, want %#x", last, want)
 	}
 }
 
@@ -123,20 +126,24 @@ func TestReportHotLineOrdering(t *testing.T) {
 // last active window, with correct start cycles and a histogram that
 // includes the empty windows.
 func TestReportWindows(t *testing.T) {
-	pr := New(2, 100)
-	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 5))   // window 0
-	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 199)) // window 1
-	pr.Event(edge(1, 0, 0x100, machine.AbortConflict, 430)) // window 4
-	pr.Event(commit(0, true, 150))                          // window 1
-	pr.Event(commit(1, false, 450))                         // window 4
+	const w = WindowCycles
+	pr := New(2)
+	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 5))      // window 0
+	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 2*w-1))  // window 1
+	pr.Event(edge(1, 0, 0x100, machine.AbortConflict, 4*w+30)) // window 4
+	pr.Event(commit(0, true, w+w/2))                           // window 1
+	pr.Event(commit(1, false, 4*w+50))                         // window 4
 
-	rep := pr.Report(0)
+	rep := pr.Report()
+	if rep.WindowCycles != WindowCycles {
+		t.Fatalf("report window %d, want %d", rep.WindowCycles, WindowCycles)
+	}
 	if len(rep.Windows) != 5 {
 		t.Fatalf("windows = %d, want dense 0..4", len(rep.Windows))
 	}
-	for i, w := range rep.Windows {
-		if w.Index != uint64(i) || w.StartCycle != uint64(i)*100 {
-			t.Fatalf("window %d = %+v", i, w)
+	for i, win := range rep.Windows {
+		if win.Index != uint64(i) || win.StartCycle != uint64(i)*w {
+			t.Fatalf("window %d = %+v", i, win)
 		}
 	}
 	if rep.Windows[1].Aborts != 1 || rep.Windows[1].HWCommits != 1 {
@@ -152,30 +159,24 @@ func TestReportWindows(t *testing.T) {
 	if h == nil || h.Count != 5 || h.Max != 1 {
 		t.Fatalf("window hist = %+v", h)
 	}
-
-	// Window 0 disables the series entirely.
-	off := New(2, 0)
-	off.Event(edge(0, 1, 0x100, machine.AbortConflict, 5))
-	if rep := off.Report(0); len(rep.Windows) != 0 || rep.WindowAbortHist != nil {
-		t.Fatalf("window=0 still produced a series: %+v", rep.Windows)
-	}
 }
 
 // TestReportJSONDeterministic: equal edge multisets recorded in
 // different orders encode byte-identically.
 func TestReportJSONDeterministic(t *testing.T) {
+	const w = WindowCycles
 	edges := []machine.TraceEvent{
-		edge(0, 1, 0x100, machine.AbortConflict, 10),
-		edge(1, 0, 0x200, machine.AbortOverflow, 20),
-		edge(0, 1, 0x300, machine.AbortConflict, 120),
-		edge(1, 0, 0x100, machine.AbortConflict, 220),
+		edge(0, 1, 0x100, machine.AbortConflict, w/10),
+		edge(1, 0, 0x200, machine.AbortOverflow, w/5),
+		edge(0, 1, 0x300, machine.AbortConflict, w+w/5),
+		edge(1, 0, 0x100, machine.AbortConflict, 2*w+w/5),
 	}
 	render := func(order []int) []byte {
-		pr := New(2, 100)
+		pr := New(2)
 		for _, i := range order {
 			pr.Event(edges[i])
 		}
-		b, err := json.Marshal(pr.Report(0))
+		b, err := json.Marshal(pr.Report())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,16 +192,16 @@ func TestReportJSONDeterministic(t *testing.T) {
 // TestReportAdd: headline totals, reasons, and the matrix sum; the
 // matrix grows to the larger processor count.
 func TestReportAdd(t *testing.T) {
-	a := New(2, 0)
+	a := New(2)
 	a.Event(edge(0, 1, 0x100, machine.AbortConflict, 0))
 	a.Event(commit(0, true, 0))
-	b := New(4, 0)
+	b := New(4)
 	b.Event(edge(3, 2, 0x200, machine.AbortOverflow, 0))
 	b.Event(commit(1, false, 0))
 
 	sum := &Report{}
-	sum.Add(a.Report(0))
-	sum.Add(b.Report(0))
+	sum.Add(a.Report())
+	sum.Add(b.Report())
 	if sum.Edges != 2 || sum.HWCommits != 1 || sum.SWCommits != 1 || sum.Procs != 4 {
 		t.Fatalf("sum = %+v", sum)
 	}
@@ -219,7 +220,7 @@ func TestReportAdd(t *testing.T) {
 // TestProfileWritesMetrics: the profile's totals appear as contention.*
 // metrics.
 func TestProfileWritesMetrics(t *testing.T) {
-	pr := New(2, 0)
+	pr := New(2)
 	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 0))
 	s := obs.NewSnapshot()
 	pr.Register(s)
@@ -233,12 +234,13 @@ func TestProfileWritesMetrics(t *testing.T) {
 
 func sampleCells(t *testing.T) []Cell {
 	t.Helper()
-	pr := New(2, 100)
-	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 10))
-	pr.Event(edge(1, 0, 0x200, machine.AbortOverflow, 250))
-	pr.Event(commit(0, true, 50))
+	const w = WindowCycles
+	pr := New(2)
+	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, w/10))
+	pr.Event(edge(1, 0, 0x200, machine.AbortOverflow, 2*w+w/2))
+	pr.Event(commit(0, true, w/2))
 	return []Cell{
-		{Label: "vacation-high/ufo-hybrid/4 threads", Report: pr.Report(0)},
+		{Label: "vacation-high/ufo-hybrid/4 threads", Report: pr.Report()},
 		{Label: "cell <with & escapes>", Report: nil},
 	}
 }

@@ -89,9 +89,6 @@ type CMAnnotation struct {
 	TokenAcquisitions     uint64 `json:"token_acquisitions,omitempty"`
 }
 
-// DefaultTopK is the hot-line cutoff used when Report is given topK <= 0.
-const DefaultTopK = 16
-
 // reasonCounts freezes a per-reason counter array (declaration order,
 // zeros omitted).
 func reasonCounts(a *[machine.NumAbortReasons]uint64) []ReasonCount {
@@ -121,14 +118,11 @@ func procCounts(m map[int]uint64) []ProcCount {
 }
 
 // Report freezes the profile into its deterministic exportable form,
-// keeping the topK hottest lines (DefaultTopK when topK <= 0).
-func (pr *Profile) Report(topK int) *Report {
-	if topK <= 0 {
-		topK = DefaultTopK
-	}
+// keeping the TopK hottest lines.
+func (pr *Profile) Report() *Report {
 	rep := &Report{
 		Procs:            pr.procs,
-		WindowCycles:     pr.window,
+		WindowCycles:     WindowCycles,
 		Edges:            pr.edges,
 		SWEdges:          pr.swEdges,
 		NoAddrEdges:      pr.noAddr,
@@ -154,9 +148,9 @@ func (pr *Profile) Report(topK int) *Report {
 		}
 		return addrs[i] < addrs[j]
 	})
-	if len(addrs) > topK {
-		rep.DroppedLines = len(addrs) - topK
-		addrs = addrs[:topK]
+	if len(addrs) > TopK {
+		rep.DroppedLines = len(addrs) - TopK
+		addrs = addrs[:TopK]
 	}
 	for _, addr := range addrs {
 		ls := pr.lines[addr]
@@ -169,7 +163,7 @@ func (pr *Profile) Report(topK int) *Report {
 		})
 	}
 
-	if pr.window > 0 && len(pr.windows) > 0 {
+	if len(pr.windows) > 0 {
 		var maxIdx uint64
 		for i := range pr.windows {
 			if i > maxIdx {
@@ -178,7 +172,7 @@ func (pr *Profile) Report(topK int) *Report {
 		}
 		var hist obs.Histogram
 		for i := uint64(0); i <= maxIdx; i++ {
-			w := Window{Index: i, StartCycle: i * pr.window}
+			w := Window{Index: i, StartCycle: i * WindowCycles}
 			if ws := pr.windows[i]; ws != nil {
 				w.HWCommits = ws.hwCommits
 				w.SWCommits = ws.swCommits

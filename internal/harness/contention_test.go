@@ -16,8 +16,6 @@ import (
 func contentionOptions() Options {
 	opt := testOptions()
 	opt.Contention = true
-	opt.ContentionTopK = 8
-	opt.TimeSeriesWindow = 50_000
 	return opt
 }
 
@@ -44,8 +42,8 @@ func TestRunContention(t *testing.T) {
 	if m := res.Metrics.Get("contention.edges"); m == nil || m.Value != rep.Edges {
 		t.Fatalf("contention.edges metric = %+v, report says %d", m, rep.Edges)
 	}
-	if rep.WindowCycles != 50_000 {
-		t.Fatalf("window = %d", rep.WindowCycles)
+	if rep.WindowCycles != contention.WindowCycles || len(rep.HotLines) > contention.TopK {
+		t.Fatalf("window = %d, %d hot lines", rep.WindowCycles, len(rep.HotLines))
 	}
 	// Disabled by default: no report, and nothing recorded.
 	off := Run(UFOHybrid, f.New(), 2, testOptions())

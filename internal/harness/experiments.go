@@ -361,12 +361,12 @@ func PrintFigure8(w io.Writer, rows []Row) {
 func PrintParams(w io.Writer, opt Options) {
 	p := opt.Params
 	fmt.Fprintln(w, "Table 4 — simulation parameters")
-	fmt.Fprintf(w, "  L1 data cache        %d KB, %d-way, 64 B lines, %d-cycle hit\n", p.L1Bytes/1024, p.L1Ways, p.L1HitCycles)
-	fmt.Fprintf(w, "  L2 (shared) latency  %d cycles\n", p.L2HitCycles)
-	fmt.Fprintf(w, "  Memory latency       %d cycles\n", p.MemCycles)
-	fmt.Fprintf(w, "  Cache-to-cache       %d cycles\n", p.TransferCycles)
-	fmt.Fprintf(w, "  NACK retry delay     %d cycles\n", p.NackCycles)
+	fmt.Fprintf(w, "  L1 data cache        %d KB, %d-way, 64 B lines, %d-cycle hit\n", p.L1Bytes/1024, p.L1Ways, machine.L1HitCycles)
+	fmt.Fprintf(w, "  L2 (shared) latency  %d cycles\n", machine.L2HitCycles)
+	fmt.Fprintf(w, "  Memory latency       %d cycles\n", machine.MemCycles)
+	fmt.Fprintf(w, "  Cache-to-cache       %d cycles\n", machine.TransferCycles)
+	fmt.Fprintf(w, "  NACK retry delay     %d cycles\n", machine.NackCycles)
 	fmt.Fprintf(w, "  Scheduling quantum   %d cycles\n", p.Quantum)
-	fmt.Fprintf(w, "  UFO bit operation    %d cycles\n", p.UFOOpCycles)
+	fmt.Fprintf(w, "  UFO bit operation    %d cycles\n", machine.UFOOpCycles)
 	fmt.Fprintf(w, "  USTM otable rows     %d\n", opt.OTableRows)
 }

@@ -90,13 +90,8 @@ type Options struct {
 	// Contention enables conflict attribution: a contention.Profile is
 	// attached to the machine and its frozen Report returned in the
 	// Result (and its headline totals written as contention.* metrics).
+	// Like every observer it runs only when its output is asked for.
 	Contention bool
-	// ContentionTopK bounds the hot lines kept per cell
-	// (contention.DefaultTopK when 0).
-	ContentionTopK int
-	// TimeSeriesWindow is the contention time-series window width in
-	// simulated cycles; 0 disables the time series.
-	TimeSeriesWindow uint64
 	// TxStats enables per-transaction lifecycle accounting: a
 	// txstats.Recorder is attached to the machine and its frozen Report
 	// returned in the Result (and its headline totals written as
@@ -206,7 +201,7 @@ func runOn(arena *machine.Arena, j Job, wl stamp.Workload) Result {
 	}
 	var prof *contention.Profile
 	if opt.Contention {
-		prof = contention.New(threads, opt.TimeSeriesWindow)
+		prof = contention.New(threads)
 		m.Observe(contention.Kinds, prof)
 	}
 	var txrec *txstats.Recorder
@@ -241,7 +236,7 @@ func runOn(arena *machine.Arena, j Job, wl stamp.Workload) Result {
 	}
 	if prof != nil {
 		prof.Register(metrics)
-		res.Contention = prof.Report(opt.ContentionTopK)
+		res.Contention = prof.Report()
 		if ci, ok := sys.(cm.Instrumented); ok {
 			st := ci.CM().Stats()
 			res.Contention.CM = &contention.CMAnnotation{

@@ -26,21 +26,17 @@ var OLTPSystems = Figure5Systems
 const OLTPKneeUtilization = 0.9
 
 // OLTPSweepConfig is the user-tunable shape of the service sweep (the
-// -oltp-* flags): the arrival process, the default skew, and the default
-// request mix. The sweep varies one axis at a time around these
-// defaults.
+// -oltp-arrival flag): the arrival process. The skew and mix the load
+// axis runs at are fixed in oltpBase; the sweep varies them on their own
+// axes.
 type OLTPSweepConfig struct {
 	Arrival oltp.ArrivalKind
-	Theta   float64
-	ReadPct int
-	RMWPct  int
-	ScanPct int
 }
 
 // DefaultOLTPSweep is the committed EXPERIMENTS.md configuration:
-// Poisson arrivals, production-typical skew, read-mostly mix.
+// Poisson arrivals.
 func DefaultOLTPSweep() OLTPSweepConfig {
-	return OLTPSweepConfig{Arrival: oltp.ArrivalPoisson, Theta: 0.9, ReadPct: 80, RMWPct: 15, ScanPct: 5}
+	return OLTPSweepConfig{Arrival: oltp.ArrivalPoisson}
 }
 
 // OLTPThreads is the serving-processor count at the given scale.
@@ -86,16 +82,17 @@ func oltpMidGap(s Scale) uint64 {
 }
 
 // oltpBase builds the store/trace configuration shared by every sweep
-// cell at the given scale and sweep shape.
+// cell at the given scale and sweep shape: production-typical skew and a
+// read-mostly mix, which the skew and mix axes vary one at a time.
 func oltpBase(s Scale, sc OLTPSweepConfig) oltp.Config {
 	cfg := oltp.Config{
 		Keys:            256,
 		RequestsPerProc: 40,
 		ScanLen:         8,
-		Theta:           sc.Theta,
-		ReadPct:         sc.ReadPct,
-		RMWPct:          sc.RMWPct,
-		ScanPct:         sc.ScanPct,
+		Theta:           0.9,
+		ReadPct:         80,
+		RMWPct:          15,
+		ScanPct:         5,
 		MeanGap:         oltpMidGap(s),
 		Arrival:         sc.Arrival,
 		Seed:            11,
@@ -216,14 +213,13 @@ func oltpCells(scale Scale, sc OLTPSweepConfig) []oltpCell {
 
 // OLTP runs the `-experiment oltp` sweep: the open-loop service workload
 // across OLTPSystems on three axes — offered load, Zipfian skew, and
-// request mix — with per-transaction lifecycle accounting (response-time
-// percentiles) and conflict attribution enabled, producing the
-// tmsim-oltp/v1 report. Like every sweep, cells fan out across the
-// Runner's worker pool and the assembled report is bit-identical at any
-// worker count.
+// request mix — with per-transaction lifecycle accounting on, producing
+// the tmsim-oltp/v1 report from it (response-time percentiles, goodput,
+// wasted work). Conflict attribution runs only if opt.Contention asks
+// for it. Like every sweep, cells fan out across the Runner's worker pool
+// and the assembled report is bit-identical at any worker count.
 func (r *Runner) OLTP(opt Options, scale Scale, sc OLTPSweepConfig) (*OLTPReport, error) {
 	opt.TxStats = true
-	opt.Contention = true
 	threads := OLTPThreads(scale)
 	cells := oltpCells(scale, sc)
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contention"
 	"repro/internal/oltp"
 )
 
@@ -110,6 +111,47 @@ func TestOLTPReportRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadOLTPReport(strings.NewReader(`{"schema":"tmsim-oltp/v0"}`)); err == nil {
 		t.Error("foreign schema accepted")
+	}
+}
+
+// TestOLTPProfilesContentionOnlyWhenAsked: an observer runs only when its
+// output is requested. The sweep's own report is built from txstats, so
+// without Options.Contention no cell carries a profile or writes a
+// contention.* metric; with it, every cell's report has the package's
+// fixed window and top-K cut.
+func TestOLTPProfilesContentionOnlyWhenAsked(t *testing.T) {
+	sweep := func(on bool) []Cell {
+		var rep Report
+		r := Parallel(4)
+		r.Collect = rep.Collector()
+		opt := testOptions()
+		opt.Contention = on
+		if _, err := r.OLTP(opt, ScaleSmall, DefaultOLTPSweep()); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Cells
+	}
+	for _, c := range sweep(false) {
+		if c.Contention != nil {
+			t.Fatalf("%s: a contention report nobody asked for", c.Label())
+		}
+		for _, m := range c.Metrics.Metrics {
+			if strings.HasPrefix(m.Name, "contention.") {
+				t.Fatalf("%s: metric %s written without Options.Contention", c.Label(), m.Name)
+			}
+		}
+	}
+	for _, c := range sweep(true) {
+		p := c.Contention
+		if p == nil {
+			t.Fatalf("%s: no contention report with Options.Contention", c.Label())
+		}
+		if p.WindowCycles != contention.WindowCycles || len(p.HotLines) > contention.TopK {
+			t.Fatalf("%s: window %d, %d hot lines", c.Label(), p.WindowCycles, len(p.HotLines))
+		}
+		if c.Metrics.Get("contention.edges") == nil {
+			t.Fatalf("%s: no contention.edges metric", c.Label())
+		}
 	}
 }
 

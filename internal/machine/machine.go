@@ -155,20 +155,14 @@ const (
 	RequesterWins
 )
 
-// Params is the machine configuration (the Table 4 analogue). Together
-// with the workloads it fully determines a run: same Params, same seed,
-// same results, bit-identical under either scheduler.
+// Params is what varies between machines (Table 4's latencies are the
+// constants beside charge). Together with the workloads it fully
+// determines a run: same Params, same seed, same results, bit-identical
+// under either scheduler.
 type Params struct {
 	Procs   int
 	L1Bytes int
 	L1Ways  int
-
-	L1HitCycles    uint64
-	L2HitCycles    uint64
-	MemCycles      uint64
-	TransferCycles uint64
-	NackCycles     uint64 // NACK retry delay
-	UFOOpCycles    uint64 // set/add/read_ufo_bits instruction cost
 
 	Quantum  uint64
 	MemBytes uint64
@@ -201,18 +195,12 @@ type Params struct {
 // evaluation, seeded so that runs are reproducible out of the box.
 func DefaultParams(procs int) Params {
 	return Params{
-		Procs:          procs,
-		L1Bytes:        32 * 1024,
-		L1Ways:         4,
-		L1HitCycles:    1,
-		L2HitCycles:    20,
-		MemCycles:      300,
-		TransferCycles: 60,
-		NackCycles:     20,
-		UFOOpCycles:    6,
-		Quantum:        200_000,
-		MemBytes:       1 << 24,
-		Seed:           1,
+		Procs:    procs,
+		L1Bytes:  32 * 1024,
+		L1Ways:   4,
+		Quantum:  200_000,
+		MemBytes: 1 << 24,
+		Seed:     1,
 	}
 }
 

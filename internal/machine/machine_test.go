@@ -69,11 +69,11 @@ func TestTimingColdThenHot(t *testing.T) {
 		p.NTRead(8) // same line: must be an L1 hit
 		hot = p.Now() - start
 	}})
-	if cold != params.L1HitCycles+params.MemCycles {
-		t.Fatalf("cold access cost %d, want %d", cold, params.L1HitCycles+params.MemCycles)
+	if cold != L1HitCycles+MemCycles {
+		t.Fatalf("cold access cost %d, want %d", cold, L1HitCycles+MemCycles)
 	}
-	if hot != params.L1HitCycles {
-		t.Fatalf("hot access cost %d, want %d", hot, params.L1HitCycles)
+	if hot != L1HitCycles {
+		t.Fatalf("hot access cost %d, want %d", hot, L1HitCycles)
 	}
 }
 
@@ -478,7 +478,7 @@ func TestCacheTransferCostBetweenProcs(t *testing.T) {
 			cost = p.Now() - start
 		},
 	})
-	want := params.L1HitCycles + params.TransferCycles
+	want := L1HitCycles + TransferCycles
 	if cost != want {
 		t.Fatalf("cache-to-cache read cost %d, want %d", cost, want)
 	}

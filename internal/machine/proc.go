@@ -397,7 +397,7 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 	if p.ufo && p.m.Mem.Faults(addr, write) {
 		p.m.Count.UFOFaults++
 		p.emit(TraceEvent{Kind: TraceUFOFault, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
-		p.sp.Elapse(p.m.L1HitCycles) // the tag check that detected the fault
+		p.sp.Elapse(L1HitCycles) // the tag check that detected the fault
 		return Outcome{Kind: UFOFault, Addr: addr}
 	}
 
@@ -523,20 +523,40 @@ func (p *Proc) invalidateOthers(line uint64, rec cache.Line) bool {
 	return !others.Empty()
 }
 
+// Table 4's latencies (DESIGN.md §4). The paper fixes one machine, so
+// these are constants, not Params.
+const (
+	// L1HitCycles is an L1 hit, and the tag check of a faulting access.
+	L1HitCycles uint64 = 1
+	// L2HitCycles is an L1 miss that the shared L2 serves. No L2 capacity
+	// is modelled: a line fetched once is an L2 hit ever after.
+	L2HitCycles uint64 = 20
+	// MemCycles is a line's first fetch, from memory.
+	MemCycles uint64 = 300
+	// TransferCycles is a cache-to-cache transfer, and the exclusive-
+	// permission upgrade that invalidates other copies.
+	TransferCycles uint64 = 60
+	// NackCycles is the delay before a NACKed hardware access retries.
+	NackCycles uint64 = 20
+	// UFOOpCycles is one set/add/read_ufo_bits instruction, before its
+	// coherence traffic.
+	UFOOpCycles uint64 = 6
+)
+
 // charge models the latency of the reference and maintains L1 occupancy
 // and the directory. A write invalidates all other cached copies.
 func (p *Proc) charge(line uint64, rec cache.Line, write bool) {
 	hit, victim, evicted := p.l1.Touch(line)
-	cost := p.m.L1HitCycles
+	cost := L1HitCycles
 	if !hit {
 		id := p.ID()
 		if !rec.Warm() {
 			rec.SetWarm()
-			cost += p.m.MemCycles
+			cost += MemCycles
 		} else if rec.Sharers().AnyBut(id) {
-			cost += p.m.TransferCycles
+			cost += TransferCycles
 		} else {
-			cost += p.m.L2HitCycles
+			cost += L2HitCycles
 		}
 		rec.Sharers().Set(id)
 		if evicted {
@@ -549,7 +569,7 @@ func (p *Proc) charge(line uint64, rec cache.Line, write bool) {
 		}
 	}
 	if write && p.invalidateOthers(line, rec) {
-		cost += p.m.TransferCycles // exclusive-permission upgrade
+		cost += TransferCycles // exclusive-permission upgrade
 	}
 	p.sp.Elapse(cost)
 }
@@ -623,7 +643,7 @@ func (p *Proc) AddUFO(addr uint64, bits mem.UFOBits) {
 func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 	line := mem.LineOf(addr)
 	old := p.m.Mem.UFO(addr)
-	cost := p.m.UFOOpCycles
+	cost := UFOOpCycles
 
 	// The paper's two proposed mitigations for false UFO/BTM conflicts:
 	// a pure downgrade under lazy clearing, or a fault-on-write-only
@@ -643,7 +663,7 @@ func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 	// owner-state optimization keeps read-sharers valid).
 	rec := p.m.dir.Line(line)
 	if !sharedInstall && p.invalidateOthers(line, rec) {
-		cost += p.m.TransferCycles
+		cost += TransferCycles
 	}
 	// Kill hardware transactions holding the line, in ascending order.
 	holders := p.others(rec.Readers(), rec.Writers())
@@ -671,7 +691,7 @@ func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 
 // ReadUFO returns the line's protection bits (read_ufo_bits).
 func (p *Proc) ReadUFO(addr uint64) mem.UFOBits {
-	p.sp.Elapse(p.m.UFOOpCycles)
+	p.sp.Elapse(UFOOpCycles)
 	return p.m.Mem.UFO(addr)
 }
 

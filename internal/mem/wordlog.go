@@ -2,8 +2,9 @@ package mem
 
 // WordLog is a speculative write buffer: the word values a transaction
 // has stored and not yet published. It is the one such buffer in the
-// repository — BTM's speculatively-dirty lines (§3.1) and the redo log of
-// every lazy-versioning STM (§4.1's log, turned around) are this type.
+// repository — BTM's speculatively-dirty lines (§3.1), the redo log of
+// every lazy-versioning STM (§4.1's log, turned around) and
+// tmtest.Recorder's record of an attempt's writes are this type.
 //
 // Every Put appends a version that remembers the version of the same word
 // it shadows, so the log's length is a complete savepoint: Truncate(n)

@@ -3,6 +3,7 @@ package oltp
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -187,5 +188,28 @@ func TestOfferedMatchesTraces(t *testing.T) {
 	}
 	if span != wantSpan {
 		t.Fatalf("span = %d, want %d", span, wantSpan)
+	}
+}
+
+// TestMixNotSummingTo100Panics: a mix that does not sum to 100 is a
+// construction bug. It used to run silently as 80/15/5; now New, Replay
+// and Traces panic and name the mix, as tl2.New does for Stripes.
+func TestMixNotSummingTo100Panics(t *testing.T) {
+	cfg := Config{Keys: 16, RequestsPerProc: 10, ReadPct: 50, RMWPct: 20, ScanPct: 5,
+		ScanLen: 2, MeanGap: 200, Arrival: ArrivalPoisson, Seed: 8}
+	for name, build := range map[string]func(){
+		"New":    func() { New(cfg) },
+		"Replay": func() { Replay(cfg, nil) },
+		"Traces": func() { cfg.Traces(1) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "50/20/5") {
+					t.Errorf("%s of a 50/20/5 mix: panic %q, want one naming the mix", name, msg)
+				}
+			}()
+			build()
+		}()
 	}
 }

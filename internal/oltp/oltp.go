@@ -76,7 +76,8 @@ const (
 // one request (parse + dispatch) before its transaction starts.
 const reqOverheadCycles = 24
 
-// norm fills defaults so zero-ish configs still run.
+// norm fills defaults so zero-ish configs still run. A mix that does not
+// sum to 100 is a construction bug, not a default: it panics.
 func (c Config) norm() Config {
 	if c.Keys < 1 {
 		c.Keys = 1
@@ -94,7 +95,7 @@ func (c Config) norm() Config {
 		c.Arrival = ArrivalPoisson
 	}
 	if c.ReadPct+c.RMWPct+c.ScanPct != 100 {
-		c.ReadPct, c.RMWPct, c.ScanPct = 80, 15, 5
+		panic(fmt.Sprintf("oltp: mix %d/%d/%d (read/rmw/scan) must sum to 100", c.ReadPct, c.RMWPct, c.ScanPct))
 	}
 	return c
 }

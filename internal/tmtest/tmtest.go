@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/tm"
 )
 
@@ -57,23 +58,10 @@ type recExec struct {
 	proc  int
 
 	// current attempt's observations (reset on each body invocation,
-	// since aborted attempts re-execute).
-	reads    map[uint64]uint64
-	readIdx  []uint64
-	writes   map[uint64]uint64
-	writeIdx []uint64
-
-	// closed-nesting savepoints over the observation state.
-	nestSaves []recSave
-	wUndo     []recWUndo
-}
-
-type recSave struct{ writeLen, undoLen int }
-
-type recWUndo struct {
-	addr    uint64
-	hadPrev bool
-	prev    uint64
+	// since aborted attempts re-execute): the first value read of each
+	// word not yet written, and the writes — a speculative write buffer,
+	// whose length is a closed nest's savepoint.
+	reads, writes mem.WordLog
 }
 
 var _ tm.Exec = (*recExec)(nil)
@@ -91,21 +79,13 @@ func (e *recExec) Store(a, v uint64)    { e.inner.Store(a, v) }
 // order search (rather than strict append order) absorbs the skew.
 func (e *recExec) Atomic(body func(tm.Tx)) {
 	e.inner.Atomic(func(tx tm.Tx) {
-		e.reads = map[uint64]uint64{}
-		e.readIdx = e.readIdx[:0]
-		e.writes = map[uint64]uint64{}
-		e.writeIdx = e.writeIdx[:0]
-		e.nestSaves = e.nestSaves[:0]
-		e.wUndo = e.wUndo[:0]
+		e.reads.Reset()
+		e.writes.Reset()
 		body(recTx{e: e, inner: tx})
 	})
 	rec := TxRecord{Proc: e.proc}
-	for _, a := range e.readIdx {
-		rec.Reads = append(rec.Reads, Access{Addr: a, Val: e.reads[a]})
-	}
-	for _, a := range e.writeIdx {
-		rec.Writes = append(rec.Writes, Access{Addr: a, Val: e.writes[a]})
-	}
+	e.reads.Words(func(a, v uint64) { rec.Reads = append(rec.Reads, Access{Addr: a, Val: v}) })
+	e.writes.Words(func(a, v uint64) { rec.Writes = append(rec.Writes, Access{Addr: a, Val: v}) })
 	e.r.History = append(e.r.History, rec)
 }
 
@@ -122,10 +102,9 @@ func (t recTx) Load(addr uint64) uint64 {
 	// Record only reads of values this transaction did not itself write,
 	// and only the first such read per address (later reads of the same
 	// address must return the same value under isolation anyway).
-	if _, wrote := e.writes[addr]; !wrote {
-		if _, seen := e.reads[addr]; !seen {
-			e.reads[addr] = v
-			e.readIdx = append(e.readIdx, addr)
+	if _, wrote := e.writes.Get(addr); !wrote {
+		if _, seen := e.reads.Get(addr); !seen {
+			e.reads.Put(addr, v)
 		}
 	}
 	return v
@@ -133,15 +112,7 @@ func (t recTx) Load(addr uint64) uint64 {
 
 func (t recTx) Store(addr, val uint64) {
 	t.inner.Store(addr, val)
-	e := t.e
-	prev, seen := e.writes[addr]
-	if !seen {
-		e.writeIdx = append(e.writeIdx, addr)
-	}
-	if len(e.nestSaves) > 0 {
-		e.wUndo = append(e.wUndo, recWUndo{addr: addr, hadPrev: seen, prev: prev})
-	}
-	e.writes[addr] = val
+	t.e.writes.Put(addr, val)
 }
 
 func (t recTx) Abort() { t.inner.Abort() }
@@ -151,24 +122,12 @@ func (t recTx) Abort() { t.inner.Abort() }
 // committed) while keeping recorded reads (the transaction really did
 // observe those values).
 func (t recTx) Nested(body func()) bool {
-	e := t.e
-	e.nestSaves = append(e.nestSaves, recSave{writeLen: len(e.writeIdx), undoLen: len(e.wUndo)})
+	save := t.e.writes.Len()
 	committed := t.inner.Nested(body)
-	sv := e.nestSaves[len(e.nestSaves)-1]
-	e.nestSaves = e.nestSaves[:len(e.nestSaves)-1]
 	if !committed {
-		for i := len(e.wUndo) - 1; i >= sv.undoLen; i-- {
-			u := e.wUndo[i]
-			if u.hadPrev {
-				e.writes[u.addr] = u.prev
-			} else {
-				delete(e.writes, u.addr)
-			}
-		}
-		e.writeIdx = e.writeIdx[:sv.writeLen]
-		e.wUndo = e.wUndo[:sv.undoLen]
+		t.e.writes.Truncate(save)
 	}
-	// On commit the nest's undo entries are kept: they now belong to the
+	// On commit the nest's versions are kept: they now belong to the
 	// enclosing nest, which may still abort past them.
 	return committed
 }

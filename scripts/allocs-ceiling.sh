@@ -17,8 +17,9 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
 # workload:ceiling — measured 53,031 / 6,262 / 24,048 / 29,944 / 7,070
-# at PR 24 (661,081 / 174,552 / 158,072 / 199,003 / 9,790 before it).
-ceilings="oltp-open:58000 vacation-t16:7000 fig5-small:26500 scale-256:33000 layer-micro:7800"
+# at PR 24 (661,081 / 174,552 / 158,072 / 199,003 / 9,790 before it);
+# oltp-open 46,663 at PR 25, which stopped building an unread profile.
+ceilings="oltp-open:51500 vacation-t16:7000 fig5-small:26500 scale-256:33000 layer-micro:7800"
 
 status=0
 for pair in $ceilings; do

@@ -56,7 +56,7 @@ run() {
 		latency) extra=(-txstats-out latency.txstats.json) ;;
 		fig6) extra=(-contention-out fig6.contention.json) ;;
 		litmus) extra=(-litmus-out litmus.json) ;;
-		oltp) extra=(-oltp-out oltp.json -txstats-out oltp.txstats.json) ;;
+		oltp) extra=(-oltp-out oltp.json -txstats-out oltp.txstats.json -contention-out oltp.contention.json) ;;
 		fig5) extra=(-metrics-out fig5.metrics.json) ;;
 		esac
 		"$bin" -experiment "$e" -scale small "${extra[@]}" >"$e.stdout" 2>"$e.stderr" ||
