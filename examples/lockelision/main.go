@@ -3,6 +3,7 @@
 // guarded by one coarse lock; with speculative lock elision the lock is
 // only read, so operations on different buckets proceed concurrently and
 // the lock serializes execution only when speculation genuinely fails.
+// The same program runs under the plain global lock for comparison.
 // Run with:
 //
 //	go run ./examples/lockelision
@@ -11,8 +12,9 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/harness"
 	"repro/internal/machine"
-	"repro/internal/sle"
+	"repro/internal/tm"
 	"repro/internal/txlib"
 )
 
@@ -23,25 +25,21 @@ const (
 )
 
 func main() {
-	elidedCycles, st := run(true)
-	lockedCycles, _ := run(false)
+	elidedCycles, st := run(harness.SLE)
+	lockedCycles, _ := run(harness.GlobalLock)
 	fmt.Printf("coarse-locked hash table, %d threads × %d ops\n\n", threads, opsPer)
-	fmt.Printf("  real lock only:        %8d cycles\n", lockedCycles)
+	fmt.Printf("  global lock:           %8d cycles\n", lockedCycles)
 	fmt.Printf("  with lock elision:     %8d cycles  (%.1f× faster)\n",
 		elidedCycles, float64(lockedCycles)/float64(elidedCycles))
-	fmt.Printf("\n  elided: %d   fell back to the lock: %d   speculative aborts: %d\n",
-		st.Elided, st.Acquired, st.Aborts)
+	fmt.Printf("\n  elided: %d   took the lock: %d   speculative retries: %d\n",
+		st.HWCommits, st.SWCommits, st.HWRetries)
 	fmt.Println("\nSame lock, same program — the critical sections that never")
 	fmt.Println("conflicted never serialized.")
 }
 
-func run(elide bool) (uint64, sle.Stats) {
+func run(kind harness.SystemKind) (uint64, tm.Stats) {
 	m := machine.New(machine.DefaultParams(threads))
-	mgr := sle.New(m)
-	if !elide {
-		mgr.MaxAttempts = 0 // always acquire for real
-	}
-	l := mgr.NewLock()
+	sys := harness.Build(kind, m, harness.DefaultOptions())
 	arena := txlib.NewArena(m, nil, 1<<22)
 	d := txlib.Direct{M: m}
 	table := txlib.NewHash(d, arena, buckets)
@@ -52,14 +50,14 @@ func run(elide bool) (uint64, sle.Stats) {
 	}
 	var ws []func(*machine.Proc)
 	for i := 0; i < threads; i++ {
-		e := mgr.Exec(m.Proc(i))
+		ex := sys.Exec(m.Proc(i))
 		tid := i
 		ws = append(ws, func(p *machine.Proc) {
 			r := p.Rand()
 			for n := 0; n < opsPer; n++ {
 				key := uint64(tid*opsPer + n) // disjoint keys: elision-friendly
-				e.Critical(l, func(mem sle.Mem) {
-					table.Insert(mem, arenas[tid], key, key)
+				ex.Atomic(func(tx tm.Tx) {
+					table.Insert(tx, arenas[tid], key, key)
 				})
 				p.Elapse(uint64(20 + r.Intn(60)))
 			}
@@ -69,5 +67,5 @@ func run(elide bool) (uint64, sle.Stats) {
 	if got := table.Len(d); got != threads*opsPer {
 		panic(fmt.Sprintf("table has %d entries, want %d", got, threads*opsPer))
 	}
-	return m.Cycles(), *mgr.Stats()
+	return m.Cycles(), *sys.Stats()
 }

@@ -12,23 +12,13 @@ import (
 )
 
 // Systems returns every system the litmus engine drives: the full
-// harness matrix plus the SLE adapter (lock elision is not a tm.System
-// in the harness, but the paper's strong-atomicity story covers it).
+// harness matrix, in its order.
 func Systems() []string {
-	out := make([]string, 0, len(harness.AllSystems)+1)
+	out := make([]string, 0, len(harness.AllSystems))
 	for _, k := range harness.AllSystems {
 		out = append(out, string(k))
 	}
-	return append(out, "sle")
-}
-
-// newSystem builds one system over m, routing "sle" to the adapter and
-// everything else through the shared conformance builder.
-func newSystem(name string, m *machine.Machine) tm.System {
-	if name == "sle" {
-		return newSLESystem(m)
-	}
-	return conformance.NewSystem(name, m)
+	return out
 }
 
 // RunResult is one program execution under one schedule: the final
@@ -98,7 +88,7 @@ func Execute(system string, p *Program, sch Schedule) (res RunResult) {
 	params.Quantum = 0 // no timer interrupts: the schedule is the only control flow
 	params.MaxSteps = 5_000_000
 	m := machine.New(params)
-	sys := newSystem(system, m)
+	sys := conformance.NewSystem(system, m)
 	rec := tmtest.NewRecorder(sys)
 	base := m.Mem.Sbrk(uint64(p.Vars) * 64) // one line per variable
 	addr := func(v int) uint64 { return base + uint64(v)*64 }

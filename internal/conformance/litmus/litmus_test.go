@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 func TestValidateRejectsMalformed(t *testing.T) {
@@ -157,7 +159,7 @@ func TestExecuteDeterministic(t *testing.T) {
 }
 
 // TestCuratedSuite is the conformance gate: the full curated suite on
-// every system (the whole harness matrix plus sle), with the CI-sized
+// every system (the whole harness matrix), with the CI-sized
 // schedule space. Any class-check violation or witness-expectation
 // mismatch — a strong system escaping the oracle, a weak system's
 // documented anomaly disappearing or a new one appearing — fails here.
@@ -283,6 +285,18 @@ func TestWorkersResolved(t *testing.T) {
 		if got := (Config{Workers: workers}).workers(); got != want {
 			t.Errorf("Workers %d resolves to %d workers, want %d", workers, got, want)
 		}
+	}
+}
+
+// TestSystemsAreTheRegistry: litmus drives exactly the harness registry,
+// in its order, which is the report's column order.
+func TestSystemsAreTheRegistry(t *testing.T) {
+	var want []string
+	for _, k := range harness.AllSystems {
+		want = append(want, string(k))
+	}
+	if got := Systems(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Systems() = %v, want harness.AllSystems %v", got, want)
 	}
 }
 

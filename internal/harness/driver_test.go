@@ -13,6 +13,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/norec"
 	"repro/internal/phtm"
+	"repro/internal/sle"
 	"repro/internal/tl2"
 	"repro/internal/tm"
 	"repro/internal/tmtest"
@@ -35,8 +36,9 @@ func driverMachine(procs int) *machine.Machine {
 	return machine.New(p)
 }
 
-// hybridCase builds one of the five hardware-first systems. limit is the
-// system's counted-abort limit (0 = the system's default).
+// hybridCase builds one of the six hardware-first systems. limit is the
+// system's counted-abort limit where its configuration carries one (0 =
+// the system's default); hytm's and sle's are constants.
 type hybridCase struct {
 	name  string
 	build func(m *machine.Machine, limit int, spec cm.Spec) tm.System
@@ -54,12 +56,8 @@ var hybridCases = []hybridCase{
 		pol.FailoverOnNthConflict, pol.CM = limit, spec
 		return core.New(m, driverUSTMConfig(), pol)
 	}},
-	{"hytm", func(m *machine.Machine, limit int, spec cm.Spec) tm.System {
-		s := hytm.New(m, driverUSTMConfig(), spec)
-		if limit != 0 {
-			s.MaxConflictRetries = limit
-		}
-		return s
+	{"hytm", func(m *machine.Machine, _ int, spec cm.Spec) tm.System {
+		return hytm.New(m, driverUSTMConfig(), spec)
 	}},
 	{"phtm", func(m *machine.Machine, _ int, spec cm.Spec) tm.System {
 		return phtm.New(m, driverUSTMConfig(), spec)
@@ -74,6 +72,9 @@ var hybridCases = []hybridCase{
 	}},
 	{"unbounded-htm", func(m *machine.Machine, _ int, spec cm.Spec) tm.System {
 		return unbounded.New(m, spec)
+	}},
+	{"sle", func(m *machine.Machine, _ int, spec cm.Spec) tm.System {
+		return sle.New(m, spec)
 	}},
 }
 
@@ -106,6 +107,9 @@ var (
 	stall = outcome{hw: 1, stalls: 1}
 	// clean: the operation does not abort this system's hardware at all.
 	clean = outcome{hw: 1}
+	// locked: every attempt aborts, so the transaction takes sle's lock
+	// after its Attempts-th, backing off before each of the others.
+	locked = outcome{sw: 1, failovers: 1, hwRetries: sle.Attempts - 1, delays: sle.Attempts - 1}
 )
 
 // injectedDisposition[system][reason] for aborts injected with
@@ -139,6 +143,12 @@ var injectedDisposition = map[string]map[machine.AbortReason]outcome{
 		machine.AbortOverflow: retry, machine.AbortExplicit: retry, machine.AbortInterrupt: retry,
 		machine.AbortConflict: retry, machine.AbortException: retry, machine.AbortSyscall: retry,
 		machine.AbortIO: retry, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: retry,
+	},
+	"sle": {
+		machine.AbortOverflow: retry, machine.AbortExplicit: retry, machine.AbortInterrupt: retry,
+		machine.AbortConflict: retry, machine.AbortException: retry, machine.AbortSyscall: retry,
+		machine.AbortIO: retry, machine.AbortPageFault: retry, machine.AbortUFOKill: retry,
 		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: retry,
 	},
 }
@@ -217,6 +227,7 @@ func TestDispositionMatrixNatural(t *testing.T) {
 	ops := []op{
 		{"syscall", 0, func(tx tm.Tx, _ bool) { tx.Syscall() }, map[string]outcome{
 			"ufo-hybrid": fail, "hytm": fail, "phtm": fail, "hybrid-norec": fail, "unbounded-htm": clean,
+			"sle": locked,
 		}},
 		{"explicit", 0, func(tx tm.Tx, first bool) {
 			if first {
@@ -224,11 +235,12 @@ func TestDispositionMatrixNatural(t *testing.T) {
 			}
 		}, map[string]outcome{
 			"ufo-hybrid": fail, "hytm": retry, "phtm": fail, "hybrid-norec": retry, "unbounded-htm": retry,
+			"sle": retry,
 		}},
 		// The unbounded HTM shares BTM's nesting limit and has nowhere to
 		// fail over to, so over-deep nesting livelocks there: not run.
 		{"nesting", 0, func(tx tm.Tx, _ bool) { nest(tx, btm.MaxNesting+1) }, map[string]outcome{
-			"ufo-hybrid": fail, "hytm": fail, "phtm": fail, "hybrid-norec": fail,
+			"ufo-hybrid": fail, "hytm": fail, "phtm": fail, "hybrid-norec": fail, "sle": locked,
 		}},
 		{"overflow", 8, func(tx tm.Tx, _ bool) {
 			for i := uint64(1); i < 32; i++ {
@@ -236,6 +248,7 @@ func TestDispositionMatrixNatural(t *testing.T) {
 			}
 		}, map[string]outcome{
 			"ufo-hybrid": fail, "hytm": fail, "phtm": fail, "hybrid-norec": fail, "unbounded-htm": clean,
+			"sle": locked,
 		}},
 	}
 	for _, hc := range hybridCases {
@@ -275,26 +288,34 @@ func TestDispositionMatrixNatural(t *testing.T) {
 }
 
 // TestCountedAbortLimit pins each system's one counted-abort limit: the
-// limit-th counted abort fails over without a backoff of its own.
+// limit-th counted abort fails over without a backoff of its own. The
+// configurable limits are set to 3; hytm's and sle's are constants.
 func TestCountedAbortLimit(t *testing.T) {
-	for _, c := range []struct {
+	type counted struct {
 		system string
 		reason machine.AbortReason
-	}{
-		{"ufo-hybrid", machine.AbortConflict},
-		{"ufo-hybrid", machine.AbortUFOKill},
-		{"ufo-hybrid", machine.AbortUFOFault},
-		{"ufo-hybrid", machine.AbortNonTConflict},
-		{"hytm", machine.AbortExplicit},
-		{"hybrid-norec", machine.AbortConflict},
-		{"hybrid-norec", machine.AbortInterrupt},
-		{"hybrid-norec", machine.AbortExplicit},
-	} {
+		limit  int
+	}
+	cases := []counted{
+		{"ufo-hybrid", machine.AbortConflict, 3},
+		{"ufo-hybrid", machine.AbortUFOKill, 3},
+		{"ufo-hybrid", machine.AbortUFOFault, 3},
+		{"ufo-hybrid", machine.AbortNonTConflict, 3},
+		{"hytm", machine.AbortExplicit, hytm.MaxConflictRetries},
+		{"hybrid-norec", machine.AbortConflict, 3},
+		{"hybrid-norec", machine.AbortInterrupt, 3},
+		{"hybrid-norec", machine.AbortExplicit, 3},
+	}
+	for r := machine.AbortReason(1); int(r) < machine.NumAbortReasons; r++ {
+		cases = append(cases, counted{"sle", r, sle.Attempts})
+	}
+	for _, c := range cases {
 		t.Run(c.system+"/"+c.reason.String(), func(t *testing.T) {
 			m := driverMachine(1)
 			sys := buildHybrid(t, c.system, m, 3, cm.Spec{})
-			runInjected(t, sys, m, c.reason, 5)
-			checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: 2, delays: 2})
+			runInjected(t, sys, m, c.reason, c.limit+2)
+			n := uint64(c.limit - 1)
+			checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: n, delays: n})
 		})
 	}
 	// Uncounted reasons never reach the limit.
@@ -322,6 +343,9 @@ func TestCountedAbortLimit(t *testing.T) {
 func TestEscalationUnderSerialize(t *testing.T) {
 	spec := cm.Spec{Kind: cm.KindSerialize, StarveK: 4}
 	for _, hc := range hybridCases {
+		if hc.name == "sle" {
+			continue // its limit, sle.Attempts, takes the lock before the K-th abort
+		}
 		t.Run(hc.name, func(t *testing.T) {
 			m := driverMachine(1)
 			sys := hc.build(m, 1<<30, spec)
@@ -487,6 +511,9 @@ func TestTxLifeSequences(t *testing.T) {
 		{UnboundedHTM, "retry", "Begin Attempt(htm) RetryWait Attempt(htm) RetryWait Attempt(htm) Commit(htm)"},
 		{TL2, "retry", "Begin Attempt(sw) RetryWait Attempt(sw) RetryWait Attempt(sw) Commit(sw)"},
 		{USTMUFO, "retry", "Begin Attempt(ufo) RetryWait Attempt(ufo) Commit(ufo)"},
+		{SLE, "syscall", "Begin" + strings.Repeat(" Attempt(htm) Abort(htm,syscall) Backoff", 2) + " Attempt(htm) Abort(htm,syscall) Attempt(fallback) Commit(fallback)"},
+		{SLE, "retry", "Begin" + strings.Repeat(" Attempt(htm) Abort(htm,explicit) Backoff", 2) + " Attempt(htm) Abort(htm,explicit) Attempt(fallback) RetryWait Attempt(fallback) RetryWait Attempt(fallback) Commit(fallback)"},
+		{SLE, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(fallback) Abort(fallback,explicit) Attempt(fallback) Commit(fallback)"},
 	} {
 		t.Run(string(c.system)+"/"+c.tx, func(t *testing.T) {
 			procs, workload := 1, syscallTx

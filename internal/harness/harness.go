@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/phtm"
 	"repro/internal/seq"
+	"repro/internal/sle"
 	"repro/internal/stamp"
 	"repro/internal/tl2"
 	"repro/internal/tm"
@@ -42,6 +43,7 @@ const (
 	USTMUFO      SystemKind = "ustm+ufo"
 	TL2          SystemKind = "tl2"
 	HybridNOrec  SystemKind = "hybrid-norec"
+	SLE          SystemKind = "sle"
 )
 
 // Figure5Systems are the systems the Figure 5 sweep compares: the
@@ -56,7 +58,7 @@ var Figure5Systems = []SystemKind{
 // system is covered automatically.
 var AllSystems = []SystemKind{
 	Sequential, GlobalLock, UnboundedHTM, UFOHybrid, HyTM, PhTM,
-	USTM, USTMUFO, TL2, HybridNOrec,
+	USTM, USTMUFO, TL2, HybridNOrec, SLE,
 }
 
 // ParseSystem resolves a user-supplied system name (a flag value, a
@@ -148,6 +150,8 @@ func Build(kind SystemKind, m *machine.Machine, opt Options) tm.System {
 		c := norec.DefaultConfig()
 		c.CM = opt.CM
 		return norec.New(m, c)
+	case SLE:
+		return sle.New(m, opt.CM)
 	}
 	// Reaching here is internal misuse: user-supplied names must go
 	// through ParseSystem, which rejects unknown ones with a usable error.

@@ -49,26 +49,25 @@ var Dispositions = tm.Dispositions{
 // barrier, on top of the transactional otable-row access.
 const BarrierCycles = 6
 
+// MaxConflictRetries bounds in-hardware retries of barrier-detected
+// conflicts before failing over (HyTM retries in hardware, but must
+// eventually yield to the blocking STM transaction).
+const MaxConflictRetries = 8
+
 // System implements tm.System.
 type System struct {
 	stm *ustm.STM
 	h   tm.Handler
-
-	// MaxConflictRetries bounds in-hardware retries of barrier-detected
-	// conflicts before failing over (HyTM retries in hardware, but must
-	// eventually yield to the blocking STM transaction). Read when an
-	// Exec is created.
-	MaxConflictRetries int
 }
 
 // New builds a HyTM over the machine, backing off as spec says. The
 // embedded USTM is weakly atomic.
 func New(m *machine.Machine, cfg ustm.Config, spec cm.Spec) *System {
 	cfg.StrongAtomicity = false
-	s := &System{stm: ustm.New(m, cfg), MaxConflictRetries: 8}
+	s := &System{stm: ustm.New(m, cfg)}
 	s.h = tm.Handler{
 		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(spec),
-		On: Dispositions, RetryReason: machine.AbortExplicit,
+		On: Dispositions, Limit: MaxConflictRetries, RetryReason: machine.AbortExplicit,
 	}
 	return s
 }
@@ -86,7 +85,6 @@ func (s *System) CM() *cm.Manager { return s.h.CM }
 // accesses are the driver's uninstrumented ones (that is its semantic
 // weakness).
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	s.h.Limit = s.MaxConflictRetries
 	d := &tm.Driver{NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Software: s.stm.Thread(p).RunTx}
 	d.Tx = hwTx{d.HW(), s}
 	return d

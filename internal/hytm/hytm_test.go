@@ -134,7 +134,6 @@ func TestBarrierDetectsSTMOwnership(t *testing.T) {
 
 func TestRepeatedSTMConflictFailsOver(t *testing.T) {
 	m, s := testSystem(2)
-	s.MaxConflictRetries = 2
 	ex0 := s.Exec(m.Proc(0))
 	th := s.stm.Thread(m.Proc(1))
 	m.Run([]func(*machine.Proc){

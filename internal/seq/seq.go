@@ -1,7 +1,8 @@
 // Package seq provides the two non-transactional baselines: a sequential
 // executor (the denominator of every speedup in the paper's §5 Figure 5)
 // and a global-lock executor. Neither instruments memory accesses; Atomic
-// bodies run directly against simulated memory.
+// bodies run directly against simulated memory. The global-lock path is
+// also the fallback of lock elision (internal/sle, §3.1).
 package seq
 
 import (
@@ -31,6 +32,7 @@ type System struct {
 
 	lockAddr uint64
 	locked   bool
+	holder   int // processor holding (or last to hold) the lock, -1 if none
 }
 
 // SpinCycles is the poll interval while waiting for the global lock.
@@ -38,7 +40,7 @@ const SpinCycles = 30
 
 // New builds a baseline executor.
 func New(m *machine.Machine, mode Mode) *System {
-	s := &System{m: m, mode: mode}
+	s := &System{m: m, mode: mode, holder: -1}
 	if mode == GlobalLock {
 		s.lockAddr = m.Mem.Sbrk(64)
 	}
@@ -56,21 +58,44 @@ func (s *System) Name() string {
 // Stats implements tm.System.
 func (s *System) Stats() *tm.Stats { return &s.stats }
 
+// Lock returns the global lock's word and the processor holding it, or
+// that last held it (-1 if none has).
+func (s *System) Lock() (addr uint64, holder int) { return s.lockAddr, s.holder }
+
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec { return &exec{NT: tm.NT{P: p}, s: s} }
+
+// Software returns p's path through the baseline as a tm.Driver's
+// Software: Atomic without its TxLifeBegin, for a system whose
+// transactions begin in hardware.
+func (s *System) Software(p *machine.Proc) func(age uint64, body func(tm.Tx)) {
+	return (&exec{NT: tm.NT{P: p}, s: s}).run
+}
 
 type exec struct {
 	tm.NT    // plain non-transactional accesses
 	s        *System
 	onCommit []func()
+	// undo holds the word each in-place store overwrote, in store order: a
+	// host-side copy with no simulated charge, written back newest first
+	// before an aborted body re-runs, so each word ends at the value it had
+	// before the body ran.
+	undo []stored
 }
+
+type stored struct{ addr, old uint64 }
 
 var _ tm.Exec = (*exec)(nil)
 
-// Atomic implements tm.Exec. Explicit aborts restart the body; Retry
-// polls (there is nothing to coordinate a real sleep with).
+// Atomic implements tm.Exec.
 func (e *exec) Atomic(body func(tm.Tx)) {
 	e.P.TxLifeBegin()
+	e.run(0, body)
+}
+
+// run executes body to commit. Explicit aborts restart the body; Retry
+// polls (there is nothing to coordinate a real sleep with).
+func (e *exec) run(_ uint64, body func(tm.Tx)) {
 	if e.s.mode == GlobalLock {
 		e.acquire()
 		defer e.release()
@@ -80,6 +105,7 @@ func (e *exec) Atomic(body func(tm.Tx)) {
 		// attempt is a fallback-path attempt.
 		e.P.TxLifeAttempt(machine.PathFallback)
 		e.onCommit = e.onCommit[:0]
+		e.undo = e.undo[:0]
 		_, retry, aborted := tm.Catch(func() { body(directTx{e}) })
 		if !aborted {
 			e.s.stats.SWCommits++
@@ -88,6 +114,9 @@ func (e *exec) Atomic(body func(tm.Tx)) {
 				f()
 			}
 			return
+		}
+		for i := len(e.undo) - 1; i >= 0; i-- {
+			e.s.m.Mem.Write64(e.undo[i].addr, e.undo[i].old)
 		}
 		if retry {
 			e.P.TxLifeRetryWait()
@@ -116,6 +145,7 @@ func (e *exec) acquire() {
 		e.Load(e.s.lockAddr)
 		if !e.s.locked {
 			e.s.locked = true
+			e.s.holder = e.P.ID()
 			e.Store(e.s.lockAddr, 1)
 			return
 		}
@@ -134,11 +164,16 @@ type directTx struct{ e *exec }
 var _ tm.Tx = directTx{}
 
 func (d directTx) Load(addr uint64) uint64 { return d.e.Load(addr) }
-func (d directTx) Store(addr, val uint64)  { d.e.Store(addr, val) }
 func (d directTx) OnCommit(f func())       { d.e.onCommit = append(d.e.onCommit, f) }
 
-// Nested implements tm.Tx: the non-TM baselines flatten nesting and
-// cannot roll back, so an inner abort restarts the whole body.
+// Store implements tm.Tx: in place, noting the word it overwrites.
+func (d directTx) Store(addr, val uint64) {
+	d.e.undo = append(d.e.undo, stored{addr, d.e.s.m.Mem.Read64(addr)})
+	d.e.Store(addr, val)
+}
+
+// Nested implements tm.Tx: the baselines flatten nesting, so an inner
+// abort rolls back and restarts the whole body.
 func (d directTx) Nested(body func()) bool {
 	if tm.CatchNested(body) {
 		tm.Unwind(0)

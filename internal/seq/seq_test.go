@@ -116,6 +116,37 @@ func TestRetryPollsUnderLock(t *testing.T) {
 	}
 }
 
+// TestSeqAbortUndoesStores: a body that stores in place and then aborts —
+// explicitly, through an aborted nest, or to wait with Retry — re-runs
+// from the memory it started from, on both baselines.
+func TestSeqAbortUndoesStores(t *testing.T) {
+	for _, mode := range []Mode{Sequential, GlobalLock} {
+		for name, abort := range map[string]func(tm.Tx){
+			"abort":  func(tx tm.Tx) { tx.Abort() },
+			"nested": func(tx tm.Tx) { tx.Nested(tx.Abort) },
+			"retry":  func(tx tm.Tx) { tx.Retry() },
+		} {
+			m := testMachine(1)
+			s := New(m, mode)
+			ex := s.Exec(m.Proc(0))
+			m.Run([]func(*machine.Proc){func(*machine.Proc) {
+				first := true
+				ex.Atomic(func(tx tm.Tx) {
+					tx.Store(0, tx.Load(0)+1)
+					tx.Store(0, tx.Load(0)+1)
+					if first {
+						first = false
+						abort(tx)
+					}
+				})
+			}})
+			if got := m.Mem.Read64(0); got != 2 {
+				t.Errorf("%s/%s: word = %d, want 2: the aborted attempt's stores must be undone", s.Name(), name, got)
+			}
+		}
+	}
+}
+
 func TestNames(t *testing.T) {
 	m := testMachine(1)
 	if New(m, Sequential).Name() != "sequential" || New(m, GlobalLock).Name() != "global-lock" {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cm"
 	"repro/internal/machine"
+	"repro/internal/tm"
 )
 
 func testMachine(procs int) *machine.Machine {
@@ -20,17 +21,16 @@ func TestDisjointCriticalSectionsRunConcurrently(t *testing.T) {
 	// serializes them, so the elapsed time is far below 4× the serial
 	// critical-section time.
 	m := testMachine(4)
-	mgr := New(m)
-	l := mgr.NewLock()
+	s := New(m, cm.Spec{})
 	base := m.Mem.Sbrk(4 * 64)
 	var ws []func(*machine.Proc)
 	for i := 0; i < 4; i++ {
-		e := mgr.Exec(m.Proc(i))
+		ex := s.Exec(m.Proc(i))
 		mine := base + uint64(i)*64
 		ws = append(ws, func(p *machine.Proc) {
 			for n := 0; n < 25; n++ {
-				e.Critical(l, func(mem Mem) {
-					mem.Store(mine, mem.Load(mine)+1)
+				ex.Atomic(func(tx tm.Tx) {
+					tx.Store(mine, tx.Load(mine)+1)
 					p.Elapse(200)
 				})
 			}
@@ -42,9 +42,8 @@ func TestDisjointCriticalSectionsRunConcurrently(t *testing.T) {
 			t.Fatalf("slot %d = %d, want 25", i, got)
 		}
 	}
-	st := mgr.Stats()
-	if st.Elided != 100 || st.Acquired != 0 {
-		t.Fatalf("stats = %+v: disjoint sections must all elide", st)
+	if st := s.Stats(); st.HWCommits != 100 || st.SWCommits != 0 {
+		t.Fatalf("stats = %v: disjoint sections must all elide", st)
 	}
 	// 100 sections of ≥200 cycles serialized would exceed 20k cycles;
 	// concurrent execution should be well under half that.
@@ -55,15 +54,14 @@ func TestDisjointCriticalSectionsRunConcurrently(t *testing.T) {
 
 func TestConflictingSectionsStayCorrect(t *testing.T) {
 	m := testMachine(4)
-	mgr := New(m)
-	l := mgr.NewLock()
+	s := New(m, cm.Spec{})
 	var ws []func(*machine.Proc)
 	for i := 0; i < 4; i++ {
-		e := mgr.Exec(m.Proc(i))
+		ex := s.Exec(m.Proc(i))
 		ws = append(ws, func(p *machine.Proc) {
 			for n := 0; n < 25; n++ {
-				e.Critical(l, func(mem Mem) {
-					mem.Store(0, mem.Load(0)+1)
+				ex.Atomic(func(tx tm.Tx) {
+					tx.Store(0, tx.Load(0)+1)
 				})
 				p.Elapse(uint64(10 + p.Rand().Intn(60)))
 			}
@@ -76,19 +74,21 @@ func TestConflictingSectionsStayCorrect(t *testing.T) {
 }
 
 func TestFallbackAcquiresLock(t *testing.T) {
-	// A persistently conflicting pair with zero backoff room forces at
-	// least some sections to the real lock; the counter must stay exact.
+	// A system call aborts every hardware attempt of processor 0, so each
+	// of its sections takes the lock for real, while an eliding peer
+	// conflicts on the same counter, which must stay exact.
 	m := testMachine(2)
-	mgr := New(m)
-	mgr.MaxAttempts = 1 // fall back after a single failed attempt
-	l := mgr.NewLock()
+	s := New(m, cm.Spec{})
 	var ws []func(*machine.Proc)
 	for i := 0; i < 2; i++ {
-		e := mgr.Exec(m.Proc(i))
+		ex := s.Exec(m.Proc(i))
 		ws = append(ws, func(p *machine.Proc) {
 			for n := 0; n < 30; n++ {
-				e.Critical(l, func(mem Mem) {
-					mem.Store(0, mem.Load(0)+1)
+				ex.Atomic(func(tx tm.Tx) {
+					if p.ID() == 0 {
+						tx.Syscall()
+					}
+					tx.Store(0, tx.Load(0)+1)
 					p.Elapse(150) // widen the conflict window
 				})
 			}
@@ -98,82 +98,39 @@ func TestFallbackAcquiresLock(t *testing.T) {
 	if got := m.Mem.Read64(0); got != 60 {
 		t.Fatalf("counter = %d, want 60", got)
 	}
-	if mgr.Stats().Acquired == 0 {
-		t.Fatal("expected some real acquisitions under persistent conflict")
-	}
-}
-
-func TestLargeMaxAttemptsDelaysStayCapped(t *testing.T) {
-	// Regression for the backoff shift overflow: the loop used to back
-	// off by `Base << attempt`, so MaxAttempts = 80 shifted a uint64 by
-	// up to 79 bits — wrapping to zero-or-absurd delays. The policy now
-	// clamps the exponent (min(attempt, 7)); 80 failed elisions must
-	// terminate promptly with every delay ≤ Base<<7 + jitter.
-	m := testMachine(1)
-	mgr := New(m)
-	mgr.MaxAttempts = 80
-	l := mgr.NewLock()
-	// Set the lock word nonzero without marking it held: every elision
-	// attempt sees a "taken" lock and aborts, but the final fallback can
-	// still acquire for real.
-	m.Mem.Write64(l.addr, 1)
-	e := mgr.Exec(m.Proc(0))
-	slot := m.Mem.Sbrk(64)
-	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
-		e.Critical(l, func(mem Mem) {
-			mem.Store(slot, mem.Load(slot)+1)
-		})
-	}})
-	if got := m.Mem.Read64(slot); got != 1 {
-		t.Fatalf("slot = %d, want 1", got)
-	}
-	st := mgr.Stats()
-	if st.Aborts != 80 || st.Acquired != 1 {
-		t.Fatalf("stats = %+v: want 80 failed elisions then one real acquisition", st)
-	}
-	cs := mgr.CM().Stats()
-	if cs.Delays != 80 {
-		t.Fatalf("delays = %d, want 80 (one per failed attempt)", cs.Delays)
-	}
-	if max := cm.DefaultBase<<cm.DefaultMaxShift + cm.DefaultBase - 1; cs.MaxDelay > max {
-		t.Fatalf("max delay %d exceeds the capped schedule's bound %d", cs.MaxDelay, max)
-	}
-	// 80 capped delays sum well under 80 * (64<<7 + 63) ≈ 666k cycles;
-	// an overflowing shift would either stall forever or finish with a
-	// huge wrapped Elapse.
-	if m.Cycles() > 1_000_000 {
-		t.Fatalf("elapsed %d cycles: delays not capped", m.Cycles())
+	// Processor 1's sections may take the lock too, when they lose to a
+	// holder Attempts times.
+	if st := s.Stats(); st.SWCommits < 30 || st.HWCommits+st.SWCommits != 60 {
+		t.Fatalf("stats = %v: want processor 0's 30 sections on the lock", st)
 	}
 }
 
 func TestRealAcquisitionAbortsEliders(t *testing.T) {
 	m := testMachine(2)
-	mgr := New(m)
-	l := mgr.NewLock()
-	st := mgr.locks[l.addr]
+	s := New(m, cm.Spec{})
 	var sawLockHeld bool
-	e0 := mgr.Exec(m.Proc(0))
-	e1 := mgr.Exec(m.Proc(1))
+	ex := s.Exec(m.Proc(0))
+	locker := s.lock.Exec(m.Proc(1)) // the global-lock path, under the same lock
 	m.Run([]func(*machine.Proc){
 		func(p *machine.Proc) {
-			e0.Critical(l, func(mem Mem) {
-				mem.Store(0, 1)
+			ex.Atomic(func(tx tm.Tx) {
+				tx.Store(0, 1)
 				p.Elapse(5_000) // long speculative section
 			})
 		},
 		func(p *machine.Proc) {
 			p.Elapse(500)
 			// Take the lock for real mid-speculation.
-			e1.acquire(st)
-			sawLockHeld = true
-			p.Elapse(1_000)
-			e1.release(st)
+			locker.Atomic(func(tm.Tx) {
+				sawLockHeld = true
+				p.Elapse(1_000)
+			})
 		},
 	})
 	if !sawLockHeld {
 		t.Fatal("locker never ran")
 	}
-	if mgr.Stats().Aborts == 0 {
+	if s.Stats().HWRetries == 0 {
 		t.Fatal("real acquisition must abort the concurrent elider")
 	}
 	if m.Mem.Read64(0) != 1 {

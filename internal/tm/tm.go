@@ -1,9 +1,10 @@
 // Package tm defines the system-agnostic transactional-memory interfaces
 // that every TM implementation in this repository (the UFO hybrid, HyTM,
-// PhTM, USTM, TL2, the unbounded HTM, and the sequential/lock baselines)
-// provides, and that every workload is written against. Keeping workloads
-// generic over tm.System is what lets the harness reproduce the paper's
-// cross-system comparisons from a single workload implementation.
+// PhTM, USTM, TL2, the unbounded HTM, lock elision, and the
+// sequential/lock baselines) provides, and that every workload is written
+// against. Keeping workloads generic over tm.System is what lets the
+// harness reproduce the paper's cross-system comparisons from a single
+// workload implementation.
 //
 // It also holds the one transaction driver those implementations share
 // (driver.go): the hardware-first loop of Figure 4 with Algorithm 3's

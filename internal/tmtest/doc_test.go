@@ -15,6 +15,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/norec"
 	"repro/internal/phtm"
+	"repro/internal/sle"
 	"repro/internal/tm"
 	"repro/internal/unbounded"
 )
@@ -73,10 +74,11 @@ func dispositionRows(t *testing.T) []string {
 		limit string
 	}{
 		{"ufo-hybrid", core.Dispositions, "`core.Policy.FailoverOnNthConflict` (0 = never)"},
-		{"hytm", hytm.Dispositions, "`hytm.System.MaxConflictRetries`"},
+		{"hytm", hytm.Dispositions, "`hytm.MaxConflictRetries`"},
 		{"phtm", phtm.Dispositions, ""},
 		{"hybrid-norec", norec.Dispositions, "`norec.Config.MaxHTMRetries`"},
 		{"unbounded-htm", unbounded.Dispositions, ""},
+		{"sle", sle.Dispositions, "`sle.Attempts`"},
 	}
 	var rows []string
 	for _, s := range systems {
@@ -128,7 +130,7 @@ func TestDesignDispositionTableMatchesSystems(t *testing.T) {
 // configuredPackages are the packages whose configuration DESIGN.md §23
 // and §26 count: a cost there is a constant, not a field.
 var configuredPackages = []string{
-	"machine", "ustm", "tl2", "norec", "core", "hytm", "phtm", "unbounded", "seq", "sle", "watch", "stamp", "cm",
+	"machine", "ustm", "tl2", "norec", "core", "hytm", "phtm", "unbounded", "seq", "sle", "stamp", "cm",
 }
 
 // inspectPackage walks the non-test source of internal/<pkg>.

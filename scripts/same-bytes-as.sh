@@ -6,9 +6,10 @@
 # at -scale small with every report writer on, the scaling study at
 # -scale full as well (64/128/256 processors: no small-scale machine is
 # wider than 16, so nothing else reaches a directory record's second
-# word), one traced cell per retry-loop system (and one per trace
-# format, and one with -metrics-out), and diff everything the two builds
-# wrote. Exit 0 when nothing differs, 1 on any difference (the diff is
+# word), the litmus sweep at -scale full (the only run of the wider
+# enumerated programs), one traced cell per retry-loop system (and one
+# per trace format, and one with -metrics-out), and diff everything the
+# two builds wrote. Exit 0 when nothing differs, 1 on any difference (the diff is
 # printed and kept in $SAME_BYTES_OUT, default a temporary directory), 2
 # on usage or build errors.
 #
@@ -64,6 +65,8 @@ run() {
 	done
 	"$bin" -experiment scale -scale full >scale.full.stdout 2>scale.full.stderr ||
 		echo "exit $?" >>scale.full.stdout
+	"$bin" -experiment litmus -scale full -litmus-out litmus.full.json >litmus.full.stdout 2>litmus.full.stderr ||
+		echo "exit $?" >>litmus.full.stdout
 	# Non-default policies reach the arms the default never takes:
 	# serialize escalates to the software path and to the token.
 	local pol
@@ -77,7 +80,7 @@ run() {
 	# software kills directly; it only kills on kmeans-high (vacation's
 	# small cell has no software conflicts at all).
 	local sys wl
-	for sys in ufo-hybrid hytm phtm hybrid-norec unbounded-htm tl2 ustm+ufo; do
+	for sys in ufo-hybrid hytm phtm hybrid-norec unbounded-htm tl2 ustm+ufo sle; do
 		wl=vacation-high
 		[ "$sys" = ustm+ufo ] && wl=kmeans-high
 		"$bin" -trace-out "trace.$sys.jsonl" -trace-format jsonl -trace-system "$sys" \
