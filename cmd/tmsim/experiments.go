@@ -64,7 +64,7 @@ var experiments = []experiment{
 		})
 	}},
 	{name: "fig6", inAll: true, run: sweep((*harness.Runner).Figure6, harness.PrintFigure6)},
-	{name: "fig7", inAll: true, run: sweep((*harness.Runner).Figure7, harness.PrintFigure7)},
+	{name: "fig7", inAll: true, run: sweepScaled((*harness.Runner).Figure7, harness.PrintFigure7)},
 	{name: "fig8", inAll: true, run: sweep((*harness.Runner).Figure8, harness.PrintFigure8)},
 	{name: "ablate", inAll: true, run: sweep((*harness.Runner).Ablations, harness.PrintAblations)},
 	{name: "extended", inAll: true, run: sweepScaled((*harness.Runner).Extended, harness.PrintFigure5)},
@@ -75,8 +75,7 @@ var experiments = []experiment{
 		if s.cfg.scale == harness.ScaleSmall {
 			lc = litmus.SmallConfig()
 		}
-		lc.Workers = s.cfg.parallel
-		rep := litmus.Run(lc)
+		rep := litmus.Run(s.runner, lc)
 		rep.WriteText(s.stdout)
 		if err := s.writeOut(s.cfg.litmusOut, "litmus report", rep.WriteJSON); err != nil {
 			return err

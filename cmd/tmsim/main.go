@@ -36,7 +36,8 @@
 // (default: one per CPU; -parallel 1 forces the serial order). Every
 // cell owns its simulated machine and RNG seed, so the output is
 // bit-identical for every worker count. -progress reports cells
-// done/total with an ETA on stderr.
+// done/total with an ETA on stderr; the litmus sweep's cells are
+// (program, system) pairs on the same pool.
 //
 // Observability (see OBSERVABILITY.md):
 //

@@ -133,6 +133,30 @@ func TestOLTPFile(t *testing.T) {
 	}
 }
 
+// TestLitmusProgress: -progress reaches the litmus sweep through the
+// runner — its last report on stderr counts every (program, system) cell
+// — and leaves stdout as a run without it prints it.
+func TestLitmusProgress(t *testing.T) {
+	plain := tmsim(t, "-experiment", "litmus")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scale", "small", "-experiment", "litmus", "-progress"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	var programs, systems, done, total int
+	if _, err := fmt.Sscanf(plain, "litmus sweep: %d programs x %d systems", &programs, &systems); err != nil {
+		t.Fatalf("stdout does not open with the sweep's size: %v\n%s", err, plain)
+	}
+	reports := strings.Split(stderr.String(), "\r")
+	last := strings.TrimSpace(reports[len(reports)-1])
+	if _, err := fmt.Sscanf(last, "[%d/%d cells", &done, &total); err != nil || done != total || total != programs*systems {
+		t.Fatalf("last progress report %q (%v); want Done == Total == %d programs × %d systems", last, err, programs, systems)
+	}
+	wall := func(s string) string { return s[:strings.Index(s, "  [litmus completed in")] }
+	if wall(stdout.String()) != wall(plain) {
+		t.Fatalf("-progress changed stdout:\n%s\nwant:\n%s", stdout.String(), plain)
+	}
+}
+
 // TestTracedCellAllReports: one traced cell with all three report flags
 // writes a loadable Chrome trace and three documents that each hold the
 // same single cell with its own section alone.

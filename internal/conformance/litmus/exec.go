@@ -60,7 +60,9 @@ func (r RunResult) WeakHistory() []tmtest.TxRecord {
 	return h
 }
 
-// Execute runs p on the named system under sch, on a fresh machine.
+// Execute runs p on the named system under sch, on a machine built over
+// arena (harness.Runner.Each's rule: the machine is released once its
+// final state is read, and a run that panics leaves *arena empty).
 //
 // Every operation is pinned to its schedule slot's absolute time with
 // Proc.ElapseUntil, so the run is a pure function of (system, program,
@@ -69,9 +71,10 @@ func (r RunResult) WeakHistory() []tmtest.TxRecord {
 // retries run back to back — only the first attempt is schedule-shaped,
 // which is exactly what a litmus test wants (the anomaly window is the
 // first attempt; convergence after an abort just has to terminate).
-func Execute(system string, p *Program, sch Schedule) (res RunResult) {
+func Execute(arena *machine.Arena, system string, p *Program, sch Schedule) (res RunResult) {
 	defer func() {
 		if r := recover(); r != nil {
+			*arena = machine.Arena{}
 			res.Err = fmt.Errorf("litmus %s on %s: panic: %v", p.Name, system, r)
 		}
 	}()
@@ -87,7 +90,7 @@ func Execute(system string, p *Program, sch Schedule) (res RunResult) {
 	params.MemBytes = 1 << 20
 	params.Quantum = 0 // no timer interrupts: the schedule is the only control flow
 	params.MaxSteps = 5_000_000
-	m := machine.New(params)
+	m := arena.New(params)
 	sys := conformance.NewSystem(system, m)
 	rec := tmtest.NewRecorder(sys)
 	base := m.Mem.Sbrk(uint64(p.Vars) * 64) // one line per variable
@@ -161,6 +164,7 @@ func Execute(system string, p *Program, sch Schedule) (res RunResult) {
 	for v := 0; v < p.Vars; v++ {
 		st.Mem[v] = m.Mem.Read64(addr(v))
 	}
+	m.Release()
 	res.State = st
 	res.Committed = rec.History
 	for _, rs := range ntRecs {
@@ -207,9 +211,10 @@ func (s SweepResult) Check(c Class) bool {
 	}
 }
 
-// Sweep executes p on system under every (order, gap) schedule and
-// aggregates outcomes and checks against the oracle.
-func Sweep(system string, p *Program, oracle *OutcomeSet, orders [][]int, gaps []uint64) SweepResult {
+// Sweep executes p on system under every (order, gap) schedule, each on
+// a machine built over arena, and aggregates outcomes and checks against
+// the oracle.
+func Sweep(arena *machine.Arena, system string, p *Program, oracle *OutcomeSet, orders [][]int, gaps []uint64) SweepResult {
 	res := SweepResult{
 		Observed: NewOutcomeSet(),
 		StrongOK: true,
@@ -222,7 +227,7 @@ func Sweep(system string, p *Program, oracle *OutcomeSet, orders [][]int, gaps [
 	for _, order := range orders {
 		for _, gap := range gaps {
 			res.Schedules++
-			run := Execute(system, p, Schedule{Order: order, Gap: gap})
+			run := Execute(arena, system, p, Schedule{Order: order, Gap: gap})
 			if run.Err != nil {
 				errs[run.Err.Error()] = true
 				continue

@@ -2,6 +2,8 @@ package litmus
 
 import (
 	"testing"
+
+	"repro/internal/machine"
 )
 
 // FuzzLitmus is the native fuzz target: arbitrary bytes decode to a
@@ -23,8 +25,9 @@ func FuzzLitmus(f *testing.F) {
 		}
 		oracle := Oracle(p)
 		orders, _ := EnumOrders(p.OpCounts(), 3, DecodeSeed(data))
+		arena := new(machine.Arena)
 		for _, sys := range Systems() {
-			sw := Sweep(sys, p, oracle, orders, gaps)
+			sw := Sweep(arena, sys, p, oracle, orders, gaps)
 			if len(sw.Errs) > 0 {
 				t.Fatalf("%s on %s: %v", sys, p.Doc, sw.Errs)
 			}

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/machine"
 )
 
 func TestValidateRejectsMalformed(t *testing.T) {
@@ -135,26 +136,52 @@ func TestEnumOrders(t *testing.T) {
 	}
 }
 
+// sameRun fails the test unless two runs of one schedule agree on the
+// final state and on both histories.
+func sameRun(t *testing.T, what string, a, b RunResult) {
+	t.Helper()
+	if a.Err != nil || b.Err != nil {
+		t.Fatalf("%s: run errors %v / %v", what, a.Err, b.Err)
+	}
+	if a.State.Key() != b.State.Key() {
+		t.Fatalf("%s: state %q != %q", what, a.State.Key(), b.State.Key())
+	}
+	if !reflect.DeepEqual(a.Committed, b.Committed) || !reflect.DeepEqual(a.NT, b.NT) {
+		t.Fatalf("%s: histories differ", what)
+	}
+}
+
 // TestExecuteDeterministic: one (system, program, schedule) triple is a
-// pure function — byte-identical state and histories across replays.
+// pure function — the same state and histories across replays, whether
+// the machine is built on a fresh arena or on one an earlier run (of any
+// system) released.
 func TestExecuteDeterministic(t *testing.T) {
 	p := Curated()[3] // mp-nt-witness
 	orders, _ := EnumOrders(p.OpCounts(), 0, 1)
+	reused := new(machine.Arena)
 	for _, sys := range Systems() {
 		for _, order := range orders[:2] {
 			sch := Schedule{Order: order, Gap: 130}
-			a := Execute(sys, p, sch)
-			b := Execute(sys, p, sch)
-			if a.Err != nil || b.Err != nil {
-				t.Fatalf("%s: run errors %v / %v", sys, a.Err, b.Err)
-			}
-			if a.State.Key() != b.State.Key() {
-				t.Fatalf("%s: state %q != %q across replays", sys, a.State.Key(), b.State.Key())
-			}
-			if !reflect.DeepEqual(a.Committed, b.Committed) || !reflect.DeepEqual(a.NT, b.NT) {
-				t.Fatalf("%s: histories differ across replays", sys)
-			}
+			a := Execute(new(machine.Arena), sys, p, sch)
+			sameRun(t, sys+" replayed on a fresh arena", a, Execute(new(machine.Arena), sys, p, sch))
+			sameRun(t, sys+" replayed on a released arena", a, Execute(reused, sys, p, sch))
 		}
+	}
+}
+
+// TestPanickedRunLeavesItsArenaUsable: a run that panics is an error,
+// not a crash, and the arena it leaves behind builds the next run as a
+// fresh one would.
+func TestPanickedRunLeavesItsArenaUsable(t *testing.T) {
+	p := Curated()[3]
+	sch := Schedule{Order: firstOrder(p.OpCounts(), false), Gap: 130}
+	arena := new(machine.Arena)
+	Execute(arena, "tl2", p, sch) // leave tables in the arena
+	if res := Execute(arena, "no-such-system", p, sch); res.Err == nil || !strings.Contains(res.Err.Error(), "panic") {
+		t.Fatalf("a run on an unknown system returned %v, want its panic as an error", res.Err)
+	}
+	for _, sys := range []string{"tl2", "ustm+ufo"} {
+		sameRun(t, sys+" after a panicked run", Execute(new(machine.Arena), sys, p, sch), Execute(arena, sys, p, sch))
 	}
 }
 
@@ -166,7 +193,7 @@ func TestExecuteDeterministic(t *testing.T) {
 func TestCuratedSuite(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Enums = nil
-	rep := Run(cfg)
+	rep := Run(harness.Parallel(0), cfg)
 	for _, f := range rep.Failures {
 		t.Error(f)
 	}
@@ -252,16 +279,14 @@ func TestEnumerate(t *testing.T) {
 }
 
 // TestReportDeterminism: the JSON report is byte-identical across runs
-// and across worker counts (the acceptance criterion for the sweep's
-// reproducibility).
+// and across the Runner's worker counts (the acceptance criterion for
+// the sweep's reproducibility).
 func TestReportDeterminism(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Enums = []EnumConfig{{Threads: 2, Vars: 2, MaxTxOps: 1, MaxNTOps: 1, MaxPrograms: 4, Seed: 7}}
 	render := func(workers int) []byte {
-		c := cfg
-		c.Workers = workers
 		var b bytes.Buffer
-		if err := Run(c).WriteJSON(&b); err != nil {
+		if err := Run(harness.Parallel(workers), cfg).WriteJSON(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
@@ -274,17 +299,6 @@ func TestReportDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(one, render(1)) {
 		t.Fatal("report JSON differs across identical runs")
-	}
-}
-
-// TestWorkersResolved: a non-positive Workers means one worker per CPU,
-// the rule tmsim -parallel documents and harness.Runner follows.
-func TestWorkersResolved(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(6))
-	for workers, want := range map[int]int{-1: 6, 0: 6, 1: 1, 3: 3} {
-		if got := (Config{Workers: workers}).workers(); got != want {
-			t.Errorf("Workers %d resolves to %d workers, want %d", workers, got, want)
-		}
 	}
 }
 
@@ -341,7 +355,7 @@ func TestSweepSequentialBaseline(t *testing.T) {
 	for _, p := range Curated() {
 		oracle := Oracle(p)
 		orders, _ := EnumOrders(p.OpCounts(), 4, 1)
-		sw := Sweep("sequential", p, oracle, orders, []uint64{0, 300})
+		sw := Sweep(new(machine.Arena), "sequential", p, oracle, orders, []uint64{0, 300})
 		if sw.Observed.Len() != 1 {
 			t.Errorf("%s: sequential observed %d states, want 1", p.Name, sw.Observed.Len())
 		}

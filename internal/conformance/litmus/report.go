@@ -3,10 +3,9 @@ package litmus
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/harness"
+	"repro/internal/machine"
 	"repro/internal/obs"
 )
 
@@ -16,11 +15,6 @@ const ReportSchema = "tmsim-litmus-report/v1"
 // Config selects what a litmus sweep runs: the curated suite plus the
 // enumerated programs, on every system Systems() lists.
 type Config struct {
-	// Workers is the number of concurrent (program, system) cells, one
-	// per CPU when not positive (harness.Runner's rule); the report is
-	// byte-identical regardless (cells are assembled by index, and every
-	// cell is internally deterministic).
-	Workers int
 	// Enums adds auto-enumerated program sets.
 	Enums []EnumConfig
 	// OrderCap bounds interleaving orders per program (seeded sample
@@ -117,16 +111,10 @@ type Report struct {
 	Failures []string `json:"failures,omitempty"`
 }
 
-// workers resolves Workers: one per CPU unless a positive count is given.
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
-}
-
-// Run executes the configured sweep.
-func Run(cfg Config) *Report {
+// Run executes the configured sweep, one (program, system) cell per
+// call of r.Each. Cells land in a pre-indexed matrix, so the worker
+// count and the completion order cannot change the report.
+func Run(r *harness.Runner, cfg Config) *Report {
 	systems := Systems()
 	type progEntry struct {
 		p      *Program
@@ -166,51 +154,28 @@ func Run(cfg Config) *Report {
 		orders[i], spaces[i] = EnumOrders(pe.p.OpCounts(), cfg.OrderCap, orderSeed)
 	}
 
-	// The worker pool runs (program, system) cells; results land in a
-	// pre-indexed matrix, so worker count and completion order cannot
-	// change the report.
-	type cell struct{ pi, si int }
-	cells := make([]cell, 0, len(progs)*len(systems))
-	for pi := range progs {
-		for si := range systems {
-			cells = append(cells, cell{pi, si})
-		}
-	}
 	verdicts := make([][]SystemVerdict, len(progs))
 	for pi := range verdicts {
 		verdicts[pi] = make([]SystemVerdict, len(systems))
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w, n := 0, cfg.workers(); w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(cells) {
-					return
-				}
-				c := cells[n]
-				pe, system := progs[c.pi], systems[c.si]
-				sw := Sweep(system, pe.p, oracles[c.pi], orders[c.pi], cfg.Gaps)
-				class := ClassOf(system)
-				verdicts[c.pi][c.si] = SystemVerdict{
-					System:    system,
-					Class:     string(class),
-					Observed:  sw.Observed.Keys(),
-					Extras:    sw.Extras,
-					Witnessed: sw.Witnessed,
-					StrongOK:  sw.StrongOK,
-					AtomicOK:  sw.AtomicOK,
-					WeakOK:    sw.WeakOK,
-					Pass:      sw.Check(class),
-					Errs:      sw.Errs,
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	r.Each(len(progs)*len(systems), func(arena *machine.Arena, n int) {
+		pi, si := n/len(systems), n%len(systems)
+		system := systems[si]
+		sw := Sweep(arena, system, progs[pi].p, oracles[pi], orders[pi], cfg.Gaps)
+		class := ClassOf(system)
+		verdicts[pi][si] = SystemVerdict{
+			System:    system,
+			Class:     string(class),
+			Observed:  sw.Observed.Keys(),
+			Extras:    sw.Extras,
+			Witnessed: sw.Witnessed,
+			StrongOK:  sw.StrongOK,
+			AtomicOK:  sw.AtomicOK,
+			WeakOK:    sw.WeakOK,
+			Pass:      sw.Check(class),
+			Errs:      sw.Errs,
+		}
+	})
 
 	sepSet := map[string]bool{}
 	for pi, pe := range progs {

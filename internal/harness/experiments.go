@@ -167,7 +167,7 @@ type studyConfig struct {
 // baseline runs each workload's sequential cell ahead of its
 // configurations and every row of that workload carries its cycles.
 func (r *Runner) runStudy(study string, factories []WorkloadFactory, baseline bool, scale Scale, opt Options, configs []studyConfig) ([]Row, error) {
-	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
+	threads := maxThreads(scale)
 	var jobs []Job
 	for _, f := range factories {
 		if baseline {
@@ -236,82 +236,61 @@ func PrintFigure6(w io.Writer, rows []Row) {
 	}
 }
 
-// Figure7Data holds the failover-rate sweep.
-type Figure7Data struct {
-	Threads   int
-	Rates     []int
-	SeqCycles map[int]uint64 // per rate (the coin flip costs cycles)
-	// Cells[system][rate] is the measured run.
-	Cells map[SystemKind]map[int]Result
-}
-
 // Figure7Systems compares the hybrids against pure HTM and pure STM.
 var Figure7Systems = []SystemKind{UnboundedHTM, UFOHybrid, HyTM, PhTM, USTMUFO}
 
+// Figure7Rates is Figure 7's x-axis: the percentages of transactions the
+// microbenchmark forces to software.
+func Figure7Rates(s Scale) []int {
+	if s == ScaleFull {
+		return []int{0, 1, 2, 5, 10, 20, 40, 60, 80, 100}
+	}
+	return []int{0, 5, 20, 60, 100}
+}
+
 // Figure7 reproduces the software-failover microbenchmark (Section 5.3):
-// conflict-free transactions forced to software at a prescribed rate.
-func (r *Runner) Figure7(opt Options, scale Scale) (Figure7Data, error) {
-	threads := ThreadCounts(scale)[len(ThreadCounts(scale))-1]
+// conflict-free transactions forced to software at a prescribed rate. It
+// is a grid with one failover workload per rate — data[i] is
+// Figure7Rates(scale)[i], with its own sequential baseline (the coin
+// flip costs cycles) — at the scale's largest thread count.
+func (r *Runner) Figure7(opt Options, scale Scale) ([]Figure5Data, error) {
 	tasks := 60
 	if scale == ScaleFull {
 		tasks = 200
 	}
-	d := Figure7Data{
-		Threads:   threads,
-		Rates:     []int{0, 1, 2, 5, 10, 20, 40, 60, 80, 100},
-		SeqCycles: make(map[int]uint64),
-		Cells:     make(map[SystemKind]map[int]Result),
-	}
-	if scale == ScaleSmall {
-		d.Rates = []int{0, 5, 20, 60, 100}
-	}
-	failover := func(rate int) WorkloadFactory {
-		return WorkloadFactory{
+	var factories []WorkloadFactory
+	for _, rate := range Figure7Rates(scale) {
+		factories = append(factories, WorkloadFactory{
 			Name: fmt.Sprintf("failover-%d%%", rate),
 			New:  func() stamp.Workload { return stamp.NewFailover(tasks, rate) },
-		}
+		})
 	}
-	var jobs []Job
-	for _, rate := range d.Rates {
-		jobs = append(jobs, Job{System: Sequential, Factory: failover(rate), Threads: 1, Opt: opt})
-	}
-	for _, sys := range Figure7Systems {
-		for _, rate := range d.Rates {
-			jobs = append(jobs, Job{System: sys, Factory: failover(rate), Threads: threads, Opt: opt})
-		}
-	}
-	results, err := r.Execute(jobs)
-	i := 0
-	for _, rate := range d.Rates {
-		d.SeqCycles[rate] = results[i].Cycles
-		i++
-	}
-	for _, sys := range Figure7Systems {
-		d.Cells[sys] = make(map[int]Result)
-		for _, rate := range d.Rates {
-			d.Cells[sys][rate] = results[i]
-			i++
-		}
-	}
-	return d, err
+	return r.grid(factories, Figure7Systems, []int{maxThreads(scale)}, opt)
 }
 
 // PrintFigure7 renders the sweep: absolute speedups (7a) and the
-// low-rate zoom normalized to pure HTM (7b).
-func PrintFigure7(w io.Writer, d Figure7Data) {
-	fmt.Fprintf(w, "\nFigure 7a — failover microbenchmark, %d threads (speedup vs. sequential)\n", d.Threads)
-	printGrid(w, Figure7Systems, d.Rates, "%d%%", "%8.2f", func(sys SystemKind, rate int) float64 {
-		return d.Cells[sys][rate].Speedup(d.SeqCycles[rate])
+// low-rate zoom normalized to pure HTM (7b). A ratio with a failed cell
+// on either side prints 0, as Result.Speedup does.
+func PrintFigure7(w io.Writer, data []Figure5Data, scale Scale) {
+	threads, rates := maxThreads(scale), Figure7Rates(scale)
+	at := make(map[int]Figure5Data, len(rates))
+	for i, rate := range rates {
+		at[rate] = data[i]
+	}
+	fmt.Fprintf(w, "\nFigure 7a — failover microbenchmark, %d threads (speedup vs. sequential)\n", threads)
+	printGrid(w, Figure7Systems, rates, "%d%%", "%8.2f", func(sys SystemKind, rate int) float64 {
+		return at[rate].Cells[sys][threads].Speedup(at[rate].SeqCycles)
 	})
 	fmt.Fprintf(w, "\nFigure 7b — low failover rates, relative to pure HTM (=1.00)\n")
-	var low []int // d.Rates ascends, so low does
-	for _, r := range d.Rates {
+	var low []int // rates ascend, so low does
+	for _, r := range rates {
 		if r <= 10 {
 			low = append(low, r)
 		}
 	}
 	printGrid(w, Figure7Systems, low, "%d%%", "%8.3f", func(sys SystemKind, rate int) float64 {
-		return float64(d.Cells[UnboundedHTM][rate].Cycles) / float64(d.Cells[sys][rate].Cycles)
+		cells := at[rate].Cells
+		return cells[sys][threads].Speedup(cells[UnboundedHTM][threads].Cycles)
 	})
 }
 

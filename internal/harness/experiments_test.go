@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -63,24 +64,64 @@ func TestFigure6StructureAndPrint(t *testing.T) {
 
 func TestFigure7StructureAndPrint(t *testing.T) {
 	opt := testOptions()
-	d, err := Parallel(0).Figure7(opt, ScaleSmall)
+	data, err := Parallel(0).Figure7(opt, ScaleSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Rates) == 0 || d.Rates[0] != 0 || d.Rates[len(d.Rates)-1] != 100 {
-		t.Fatalf("rates = %v: must span 0..100", d.Rates)
+	rates := Figure7Rates(ScaleSmall)
+	if len(rates) == 0 || rates[0] != 0 || rates[len(rates)-1] != 100 || len(data) != len(rates) {
+		t.Fatalf("rates = %v for %d workloads: must span 0..100, one workload each", rates, len(data))
 	}
-	for _, sys := range Figure7Systems {
-		for _, rate := range d.Rates {
-			if d.Cells[sys][rate].Cycles == 0 {
-				t.Fatalf("%s at %d%% missing", sys, rate)
+	top := maxThreads(ScaleSmall)
+	for i, d := range data {
+		if want := fmt.Sprintf("failover-%d%%", rates[i]); d.Workload != want || d.SeqCycles == 0 {
+			t.Fatalf("workload %d = %s with seq %d cycles, want %s with a baseline", i, d.Workload, d.SeqCycles, want)
+		}
+		for _, sys := range Figure7Systems {
+			if d.Cells[sys][top].Cycles == 0 {
+				t.Fatalf("%s at %d%% missing", sys, rates[i])
 			}
 		}
 	}
 	var sb strings.Builder
-	PrintFigure7(&sb, d)
+	PrintFigure7(&sb, data, ScaleSmall)
 	if !strings.Contains(sb.String(), "Figure 7a") || !strings.Contains(sb.String(), "Figure 7b") {
 		t.Fatal("Figure 7 output incomplete")
+	}
+}
+
+// TestPrintFigure7FailedCells: a failed cell has zero cycles, and every
+// ratio with a zero on either side prints 0 — never +Inf or NaN — while
+// the healthy cells keep their values.
+func TestPrintFigure7FailedCells(t *testing.T) {
+	top := maxThreads(ScaleSmall)
+	var data []Figure5Data
+	for _, rate := range Figure7Rates(ScaleSmall) {
+		d := Figure5Data{Workload: fmt.Sprintf("failover-%d%%", rate), SeqCycles: 1000, Cells: map[SystemKind]map[int]Result{}}
+		for _, sys := range Figure7Systems {
+			d.Cells[sys] = map[int]Result{top: {Cycles: 500}}
+		}
+		data = append(data, d)
+	}
+	data[0].Cells[UFOHybrid][top] = Result{Err: errors.New("panic: boom")}    // 0%: one system failed
+	data[1].Cells[UnboundedHTM][top] = Result{Err: errors.New("panic: boom")} // 5%: the reference failed
+	var sb strings.Builder
+	PrintFigure7(&sb, data, ScaleSmall)
+	out := sb.String()
+	if strings.Contains(out, "Inf") || strings.Contains(out, "NaN") {
+		t.Fatalf("a failed cell printed a non-finite ratio:\n%s", out)
+	}
+	fig7a, fig7b, _ := strings.Cut(out, "Figure 7b")
+	if want := fmt.Sprintf("%-14s%8.2f%8.2f", UFOHybrid, 0.0, 2.0); !strings.Contains(fig7a, want) {
+		t.Errorf("Figure 7a missing %q:\n%s", want, fig7a)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("%-14s%8.3f%8.3f\n", UFOHybrid, 0.0, 0.0), // its own failure, then the reference's
+		fmt.Sprintf("%-14s%8.3f%8.3f\n", HyTM, 1.0, 0.0),      // the reference's failure at 5%
+	} {
+		if !strings.Contains(fig7b, want) {
+			t.Errorf("Figure 7b missing %q:\n%s", want, fig7b)
+		}
 	}
 }
 

@@ -46,8 +46,8 @@ func TestGoldensDefaultPolicy(t *testing.T) {
 			return err
 		}},
 		{"fig7_small", func(w io.Writer) error {
-			d, err := r.Figure7(opt, ScaleSmall)
-			PrintFigure7(w, d)
+			data, err := r.Figure7(opt, ScaleSmall)
+			PrintFigure7(w, data, ScaleSmall)
 			return err
 		}},
 		{"fig8_small", func(w io.Writer) error {

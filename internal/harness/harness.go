@@ -350,6 +350,13 @@ func ThreadCounts(s Scale) []int {
 	return []int{1, 2, 4}
 }
 
+// maxThreads is the scale's largest thread count, where the studies and
+// Figure 7 run.
+func maxThreads(s Scale) int {
+	ts := ThreadCounts(s)
+	return ts[len(ts)-1]
+}
+
 // SeqBaseline measures the sequential execution of a workload (the
 // denominator of every speedup).
 func SeqBaseline(f WorkloadFactory, opt Options) Result {

@@ -45,6 +45,10 @@ func PrintPolicySweep(w io.Writer, rows []Row) {
 			fmt.Fprintf(w, "%-11s %8s %10s %12s %12s %10s %10s\n",
 				"policy", "speedup", "hwRetries", "failovers", "delayCycles", "delays", "starved")
 		}
+		if r.Err != nil {
+			fmt.Fprintf(w, "%-11s ERROR %v\n", r.Config, r.Err)
+			continue
+		}
 		m := r.Metrics
 		fmt.Fprintf(w, "%-11s %8.2f %10d %12d %12d %10d %10d\n",
 			r.Config, r.Speedup(r.SeqCycles),

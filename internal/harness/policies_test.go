@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/cm"
+	"repro/internal/stamp"
 )
 
 // TestPolicySweepDeterministicAndComplete: the policy ablation runs one
@@ -72,6 +74,29 @@ func TestPolicySweepDeterministicAndComplete(t *testing.T) {
 		}
 		if !differs {
 			t.Fatalf("%s: exp and karma produced identical delay cycles on every workload: policy spec not applied", sys)
+		}
+	}
+}
+
+// TestPrintPolicySweepFailedCell: a cell that panicked has no metrics
+// snapshot. Its row prints as ERROR with the cell's error, the way
+// PrintOLTP prints a failed point, and the rows after it print as usual.
+func TestPrintPolicySweepFailedCell(t *testing.T) {
+	boom := WorkloadFactory{Name: "boom", New: func() stamp.Workload { return panickyWorkload{} }}
+	rows, err := Serial().runStudy("policies", []WorkloadFactory{boom, Benchmarks(ScaleSmall)[0]}, true, ScaleSmall,
+		testOptions(), []studyConfig{{name: "exp", system: UFOHybrid}})
+	if err == nil || len(rows) != 2 || rows[0].Metrics != nil || rows[1].Err != nil {
+		t.Fatalf("err %v, %d rows: want the boom cell failed without metrics and the next one healthy", err, len(rows))
+	}
+	var sb strings.Builder
+	PrintPolicySweep(&sb, rows)
+	out := sb.String()
+	for _, want := range []string{
+		fmt.Sprintf("%-11s ERROR panic: kaboom\n", "exp"),
+		fmt.Sprintf("%-11s %8.2f %10d", "exp", rows[1].Speedup(rows[1].SeqCycles), rows[1].Stats.HWRetries),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
 }

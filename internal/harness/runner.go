@@ -37,7 +37,7 @@ type Job struct {
 type Progress struct {
 	// Done and Total count cells.
 	Done, Total int
-	// Elapsed is the wall-clock time since Execute started.
+	// Elapsed is the wall-clock time since Each started.
 	Elapsed time.Duration
 	// ETA estimates the remaining wall-clock time from the mean cell
 	// cost so far; zero when Done == Total.
@@ -75,9 +75,9 @@ func (e *SweepError) Error() string {
 	return sb.String()
 }
 
-// Runner executes sweep cells across a bounded worker pool. The zero
-// value (and a nil *Runner) runs with one worker per available CPU and
-// no progress reporting.
+// Runner executes sweep cells across a bounded worker pool (Each). The
+// zero value (and a nil *Runner) runs with one worker per available CPU
+// and no progress reporting.
 //
 // Determinism guarantee: every cell owns its RNG seed and a machine
 // whose reused storage its worker's previous cell left blank (a cell
@@ -121,17 +121,15 @@ func (r *Runner) progress() func(Progress) {
 	return r.Progress
 }
 
-// Execute runs every job and returns the results in job order: result i
-// belongs to jobs[i] no matter which worker finished it when. A cell
-// that fails validation — or panics — contributes its error to the
-// returned *SweepError rather than aborting the sweep; the Result slice
-// is always fully populated.
-func (r *Runner) Execute(jobs []Job) ([]Result, error) {
-	results := make([]Result, len(jobs))
-	workers := r.workerCount()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+// Each is the one worker pool: it calls cell(arena, i) once for every i
+// in [0, n) across the Runner's bounded workers and returns when all
+// calls have, reporting Progress after each. Every worker owns one
+// machine.Arena from call to call. A cell builds its machines with
+// arena.New and releases each one once it has read what it needs, so the
+// next call finds the arena blank; a cell whose run panicked released
+// nothing and must replace *arena with an empty one. A cell must not
+// panic itself, and it writes its outcome to its own index.
+func (r *Runner) Each(n int, cell func(arena *machine.Arena, i int)) {
 	var (
 		start   = time.Now()
 		report  = r.progress()
@@ -140,18 +138,18 @@ func (r *Runner) Execute(jobs []Job) ([]Result, error) {
 		wg      sync.WaitGroup
 		indexes = make(chan int)
 	)
-	for w := 0; w < workers; w++ {
+	for w := min(r.workerCount(), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var arena machine.Arena // this worker's, from cell to cell
 			for i := range indexes {
-				results[i] = runCell(&arena, jobs[i])
+				cell(&arena, i)
 				if report != nil {
 					mu.Lock()
 					done++
-					p := Progress{Done: done, Total: len(jobs), Elapsed: time.Since(start)}
-					if remaining := len(jobs) - done; remaining > 0 {
+					p := Progress{Done: done, Total: n, Elapsed: time.Since(start)}
+					if remaining := n - done; remaining > 0 {
 						p.ETA = p.Elapsed / time.Duration(done) * time.Duration(remaining)
 					}
 					report(p)
@@ -160,11 +158,21 @@ func (r *Runner) Execute(jobs []Job) ([]Result, error) {
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		indexes <- i
 	}
 	close(indexes)
 	wg.Wait()
+}
+
+// Execute runs every job through Each and returns the results in job
+// order: result i belongs to jobs[i] no matter which worker finished it
+// when. A cell that fails validation — or panics — contributes its error
+// to the returned *SweepError rather than aborting the sweep; the Result
+// slice is always fully populated.
+func (r *Runner) Execute(jobs []Job) ([]Result, error) {
+	results := make([]Result, len(jobs))
+	r.Each(len(jobs), func(arena *machine.Arena, i int) { results[i] = runCell(arena, jobs[i]) })
 	if r != nil && r.Collect != nil {
 		for i := range jobs {
 			r.Collect(jobs[i], results[i])

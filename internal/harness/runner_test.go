@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/machine"
@@ -92,6 +93,55 @@ func TestRunnerProgressReporting(t *testing.T) {
 	last := snaps[len(snaps)-1]
 	if last.ETA != 0 {
 		t.Fatalf("final ETA = %v, want 0", last.ETA)
+	}
+}
+
+// TestEachCallsEveryIndexOnce: the one worker pool calls its cell exactly
+// once per index, on no more arenas than it has workers, and its
+// Progress counts every call up to Total, at every worker count.
+func TestEachCallsEveryIndexOnce(t *testing.T) {
+	const n = 23
+	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0) + 2} {
+		calls := make([]int, n) // each index is written by its own call only
+		var (
+			mu     sync.Mutex
+			arenas = map[*machine.Arena]bool{}
+			last   Progress
+			snaps  int
+		)
+		r := &Runner{Workers: workers, Progress: func(p Progress) { last = p; snaps++ }}
+		r.Each(n, func(arena *machine.Arena, i int) {
+			calls[i]++
+			mu.Lock()
+			arenas[arena] = true
+			mu.Unlock()
+		})
+		for i, c := range calls {
+			if c != 1 {
+				t.Fatalf("workers=%d: index %d called %d times", workers, i, c)
+			}
+		}
+		if len(arenas) > min(workers, n) {
+			t.Errorf("workers=%d: cells ran on %d arenas", workers, len(arenas))
+		}
+		if snaps != n || last.Done != n || last.Total != n || last.ETA != 0 {
+			t.Errorf("workers=%d: %d progress reports, last %+v; want %d ending at %d/%d", workers, snaps, last, n, n, n)
+		}
+	}
+}
+
+// TestWorkerCountRule: a non-positive Workers, and a nil Runner, mean
+// one worker per CPU — the rule tmsim -parallel documents, and the only
+// one: every sweep, litmus included, runs on this pool.
+func TestWorkerCountRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(6))
+	if got := (*Runner)(nil).workerCount(); got != 6 {
+		t.Errorf("a nil Runner resolves to %d workers, want 6", got)
+	}
+	for workers, want := range map[int]int{-1: 6, 0: 6, 1: 1, 3: 3} {
+		if got := Parallel(workers).workerCount(); got != want {
+			t.Errorf("Workers %d resolves to %d workers, want %d", workers, got, want)
+		}
 	}
 }
 

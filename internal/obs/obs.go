@@ -394,8 +394,12 @@ func (s *Snapshot) AddHistogram(name, unit, help string, h *Histogram) {
 	s.put(Metric{Name: name, Type: TypeHistogram, Unit: unit, Help: help, Hist: h.Snapshot()})
 }
 
-// Get returns the metric with the given name, or nil.
+// Get returns the metric with the given name, or nil; a nil snapshot (a
+// failed cell's) has none.
 func (s *Snapshot) Get(name string) *Metric {
+	if s == nil {
+		return nil
+	}
 	for i := range s.Metrics {
 		if s.Metrics[i].Name == name {
 			return &s.Metrics[i]

@@ -40,6 +40,11 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if hs.Hist.Buckets[len(hs.Hist.Buckets)-1] != 1 {
 		t.Fatalf("overflow bucket: %v", hs.Hist.Buckets)
 	}
+	// A failed cell has no snapshot: it holds no metric, and no counter.
+	var none *Snapshot
+	if none.Get("a.count") != nil || none.Counter("a.count") != 0 {
+		t.Fatal("a nil snapshot reports a metric")
+	}
 }
 
 // TestHistogramCopiesByValue: machine.Counters is copied into every

@@ -131,11 +131,7 @@ func (t *Thread) Rollback() {
 	if t.status == statusIdle {
 		panic("ustm: Rollback with no transaction")
 	}
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		r := t.undo[i]
-		t.ntWriteMustOK(r.addr, r.old)
-		t.p.Elapse(LogCycles)
-	}
+	t.undoTo(0)
 	t.releaseAll()
 	for _, w := range t.toWake {
 		w.wake(t.p) // spurious wake-ups are safe; retriers re-check
@@ -474,6 +470,13 @@ func (t *Thread) EndNest() {
 func (t *Thread) AbortNest() {
 	save := t.nestSave[len(t.nestSave)-1]
 	t.nestSave = t.nestSave[:len(t.nestSave)-1]
+	t.undoTo(save)
+}
+
+// undoTo restores the undo log newest-first down to entry save, charging
+// LogCycles per word, and truncates it there: the one rollback walk of
+// Rollback, AbortNest and Retry.
+func (t *Thread) undoTo(save int) {
 	for i := len(t.undo) - 1; i >= save; i-- {
 		r := t.undo[i]
 		t.ntWriteMustOK(r.addr, r.old)
@@ -487,12 +490,7 @@ func (t *Thread) AbortNest() {
 // writer wakes us, then unwind for re-execution.
 func (t *Thread) Retry() {
 	t.checkKilled()
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		r := t.undo[i]
-		t.ntWriteMustOK(r.addr, r.old)
-		t.p.Elapse(LogCycles)
-	}
-	t.undo = t.undo[:0]
+	t.undoTo(0)
 	// Downgrade write entries to read entries (fault-on-write only).
 	for i := range t.owned {
 		if !t.owned[i].write {
