@@ -50,7 +50,7 @@ type config struct {
 	// What validate resolved -scale, -policy, -trace-system and
 	// -trace-workload to (and -oltp-arrival, into oltp.Arrival).
 	scale    harness.Scale
-	cmSpec   cm.Spec
+	cmKind   cm.Kind
 	system   harness.SystemKind
 	workload harness.WorkloadFactory
 }
@@ -115,7 +115,7 @@ func (cfg *config) validate() error {
 	default:
 		return fmt.Errorf("unknown scale %q (want small or full)", cfg.scaleName)
 	}
-	if cfg.cmSpec, err = cm.ParseSpec(cfg.policy); err != nil {
+	if cfg.cmKind, err = cm.ParseKind(cfg.policy); err != nil {
 		return fmt.Errorf("-policy %q: want one of %v", cfg.policy, cm.Kinds)
 	}
 	if cfg.seeds < 0 {

@@ -142,7 +142,7 @@ func runConfig(cfg *config, stdout, stderr io.Writer) int {
 func newSession(cfg *config, stdout, stderr io.Writer) *session {
 	s := &session{cfg: cfg, opt: harness.DefaultOptions(), runner: harness.Parallel(cfg.parallel), stdout: stdout}
 	s.opt.Params.Seed = cfg.seed
-	s.opt.CM = cfg.cmSpec
+	s.opt.CM = cfg.cmKind
 	s.opt.Contention = cfg.contentionOut != ""
 	s.opt.TxStats = cfg.txstatsOut != ""
 	if cfg.progress {

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/tm"
@@ -22,7 +23,7 @@ func main() {
 
 	// 1. Build the simulated machine and the hybrid TM on top of it.
 	m := machine.New(machine.DefaultParams(procs))
-	sys := core.New(m, ustm.DefaultConfig(), core.DefaultPolicy())
+	sys := core.New(m, ustm.DefaultConfig(), core.Policy{}, cm.KindExponential)
 
 	// 2. Lay out shared state in simulated memory: one line per account.
 	base := m.Mem.Sbrk(accounts * 64)

@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/tm"
@@ -22,7 +23,7 @@ import (
 func main() {
 	const items = 200
 	m := machine.New(machine.DefaultParams(4))
-	sys := core.New(m, ustm.DefaultConfig(), core.DefaultPolicy())
+	sys := core.New(m, ustm.DefaultConfig(), core.Policy{}, cm.KindExponential)
 	arena := txlib.NewArena(m, nil, 1<<12)
 	q := txlib.NewQueue(txlib.Direct{M: m}, arena, 4) // tiny: both sides must wait
 

@@ -1,12 +1,10 @@
 package cm
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 func testMachine(procs int) *machine.Machine {
@@ -17,170 +15,191 @@ func testMachine(procs int) *machine.Machine {
 	return machine.New(p)
 }
 
-func TestSpecValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		spec Spec
-		ok   bool
-	}{
-		{"zero spec", Spec{}, true},
-		{"exp", Spec{Kind: KindExponential}, true},
-		{"linear", Spec{Kind: KindLinear}, true},
-		{"karma", Spec{Kind: KindKarma}, true},
-		{"serialize", Spec{Kind: KindSerialize}, true},
-		{"explicit knobs", Spec{Kind: KindExponential, Base: 32, MaxShift: 5}, true},
-		{"zero base ok (defaulted)", Spec{Base: 0}, true},
-		{"unknown kind", Spec{Kind: "polite"}, false},
-		{"negative shift", Spec{MaxShift: -1}, false},
-		{"huge shift", Spec{MaxShift: 33}, false},
-		{"negative starveK", Spec{StarveK: -1}, false},
-		{"absurd base", Spec{Base: 1 << 40}, false},
-	}
-	for _, c := range cases {
-		err := c.spec.Validate()
-		if (err == nil) != c.ok {
-			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
-		}
-		// Policy must agree with Validate.
-		if _, err := c.spec.Policy(); (err == nil) != c.ok {
-			t.Errorf("%s: Policy() error = %v, want ok=%v", c.name, err, c.ok)
-		}
-	}
+// onProc runs body on processor 0 of a one-processor machine.
+func onProc(body func(p *machine.Proc)) {
+	testMachine(1).Run([]func(*machine.Proc){body})
 }
 
-func TestParseSpec(t *testing.T) {
+// delayOf runs one OnAbort and returns the cycles it charged to p.
+func delayOf(p *machine.Proc, mgr *Manager, age uint64, attempt int) uint64 {
+	before := p.Now()
+	mgr.OnAbort(p, age, attempt)
+	return p.Now() - before
+}
+
+// inUnit reports whether d is floor plus one jitter draw.
+func inUnit(d, floor uint64) bool { return d >= floor && d < floor+DefaultBase }
+
+// TestParseKind: every -policy value parses to itself and names itself
+// in reports as it always has; "" is exp; anything else is an error.
+func TestParseKind(t *testing.T) {
+	names := map[Kind]string{
+		KindExponential: "exp",
+		KindLinear:      "linear",
+		KindKarma:       "karma",
+		KindSerialize:   "serialize(exp,K=8)",
+	}
 	for _, k := range Kinds {
-		s, err := ParseSpec(string(k))
-		if err != nil || s.Kind != k {
-			t.Fatalf("ParseSpec(%q) = %+v, %v", k, s, err)
+		got, err := ParseKind(string(k))
+		if err != nil || got != k {
+			t.Fatalf("ParseKind(%q) = %q, %v", k, got, err)
+		}
+		if name := NewManager(k).PolicyName(); name != names[k] {
+			t.Fatalf("PolicyName of %q = %q, want %q", k, name, names[k])
 		}
 	}
-	if s, err := ParseSpec(""); err != nil || s.Kind != KindExponential {
-		t.Fatalf("ParseSpec(\"\") = %+v, %v; want exp", s, err)
+	if k, err := ParseKind(""); err != nil || k != KindExponential {
+		t.Fatalf("ParseKind(\"\") = %q, %v; want exp", k, err)
 	}
-	if _, err := ParseSpec("bogus"); err == nil {
-		t.Fatal("ParseSpec(bogus) must fail")
+	if name := NewManager("").PolicyName(); name != "exp" {
+		t.Fatalf("zero Kind's PolicyName = %q, want exp", name)
+	}
+	if _, err := ParseKind("bogus"); err == nil {
+		t.Fatal("ParseKind(bogus) must fail")
 	}
 }
 
-// TestZeroBaseGuarded is the regression for the Rand().Intn(0) panic: a
-// system built with a zero backoff base panicked on its first backoff.
-// Every kind must accept a zero Spec.Base, resolve it to DefaultBase on
-// the constructor path every system takes, and issue a sane delay.
-func TestZeroBaseGuarded(t *testing.T) {
+// TestBackoffThroughManager drives every kind through Manager.OnAbort
+// over one transaction's consecutive aborts and pins what each owes the
+// simulator: exactly one RNG draw per backoff, so streams stay aligned
+// across kinds; a delay of the kind's floor plus jitter in [0,
+// DefaultBase); floors that never fall; for serialize, escalation on
+// exactly the DefaultStarveK-th abort, charging and drawing nothing; and
+// TxDone retiring karma's entry. A lone karma transaction has no rival,
+// so its deficit is 0.
+func TestBackoffThroughManager(t *testing.T) {
+	exp := func(a int) uint64 { return DefaultBase << min(a, DefaultMaxShift) }
+	floors := map[Kind]func(attempt int) uint64{
+		KindExponential: exp,
+		KindLinear:      func(a int) uint64 { return DefaultBase * uint64(min(max(a, 1), DefaultLinearCap)) },
+		KindKarma:       func(int) uint64 { return DefaultBase },
+		KindSerialize:   exp,
+	}
+	const attempts = 2 * DefaultLinearCap
 	for _, k := range Kinds {
-		mgr := NewManager(Spec{Kind: k})
-		testMachine(1).Run([]func(*machine.Proc){func(p *machine.Proc) {
-			mgr.OnAbort(p, 1, 1, machine.AbortConflict) // panics without the guard
-		}})
-		if d := mgr.Stats().DelayCycles; d < DefaultBase || d > DefaultBase<<DefaultMaxShift+DefaultBase {
-			t.Fatalf("%s: first delay with defaulted base = %d", k, d)
-		}
+		t.Run(string(k), func(t *testing.T) {
+			mgr := NewManager(k)
+			onProc(func(p *machine.Proc) {
+				prev := uint64(0)
+				for a := 0; a <= attempts; a++ {
+					want := *p.Rand()
+					before := p.Now()
+					starving := mgr.OnAbort(p, 1, a)
+					d := p.Now() - before
+					if k == KindSerialize && a >= DefaultStarveK {
+						if !starving || d != 0 || *p.Rand() != want {
+							t.Fatalf("attempt %d: starving %v, charged %d, RNG moved %v; want an escalation that costs nothing",
+								a, starving, d, *p.Rand() != want)
+						}
+						continue
+					}
+					if starving {
+						t.Fatalf("attempt %d escalated", a)
+					}
+					want.Intn(int(DefaultBase))
+					if *p.Rand() != want {
+						t.Fatalf("attempt %d: the RNG did not advance exactly once", a)
+					}
+					floor := floors[k](a)
+					if !inUnit(d, floor) {
+						t.Fatalf("attempt %d: delay %d outside [%d, %d)", a, d, floor, floor+DefaultBase)
+					}
+					if f := d - d%DefaultBase; f < prev {
+						t.Fatalf("attempt %d: floor %d fell below %d", a, f, prev)
+					} else {
+						prev = f
+					}
+				}
+			})
+			mgr.TxDone(1)
+			if len(mgr.karma) != 0 {
+				t.Fatalf("TxDone left karma entries %v", mgr.karma)
+			}
+		})
 	}
 }
 
-// TestCappedExponentialMonotoneCapped proves the delay schedule is
-// monotone non-decreasing and saturates at Base << MaxShift — i.e. the
-// SLE overflow (`Base << attempt` for attempt up to 80 wrapping the
-// uint64) cannot recur. Base 1 makes the jitter draw Intn(1) == 0, so
-// the schedule is exact.
+// TestCappedExponentialMonotoneCapped: the exponential saturates at
+// DefaultBase << DefaultMaxShift however long a transaction starves, so
+// the SLE overflow (`Base << attempt` for attempt up to 80 wrapping the
+// uint64) cannot recur.
 func TestCappedExponentialMonotoneCapped(t *testing.T) {
-	pol := CappedExponential{Base: 1, MaxShift: DefaultMaxShift}
-	r := sim.NewRand(7)
-	prev := uint64(0)
-	for attempt := 0; attempt < 80; attempt++ {
-		d := pol.NextDelay(attempt, machine.AbortConflict, r)
-		if d < prev {
-			t.Fatalf("attempt %d: delay %d < previous %d (not monotone)", attempt, d, prev)
+	mgr := NewManager(KindExponential)
+	onProc(func(p *machine.Proc) {
+		for _, a := range []int{DefaultMaxShift, 57, 64, 80, 1 << 20} {
+			if d := delayOf(p, mgr, 1, a); !inUnit(d, DefaultBase<<DefaultMaxShift) {
+				t.Fatalf("attempt %d: delay %d, want saturated at %d", a, d, DefaultBase<<DefaultMaxShift)
+			}
 		}
-		if d > 1<<DefaultMaxShift {
-			t.Fatalf("attempt %d: delay %d exceeds the cap %d", attempt, d, 1<<DefaultMaxShift)
-		}
-		if attempt >= DefaultMaxShift && d != 1<<DefaultMaxShift {
-			t.Fatalf("attempt %d: delay %d, want saturated %d", attempt, d, 1<<DefaultMaxShift)
-		}
-		prev = d
-	}
-	// With the paper's base the jitter stays within [0, Base).
-	pol = CappedExponential{Base: 64, MaxShift: 7}
-	for _, attempt := range []int{1, 7, 60, 80} {
-		d := pol.NextDelay(attempt, machine.AbortConflict, r)
-		lo := uint64(64) << uint(clamp(attempt, 7))
-		if d < lo || d >= lo+64 {
-			t.Fatalf("attempt %d: delay %d outside [%d, %d)", attempt, d, lo, lo+64)
-		}
-	}
+	})
 }
 
+// TestLinearCapped: linear backoff floors at one unit and stops growing
+// at DefaultLinearCap units.
 func TestLinearCapped(t *testing.T) {
-	pol := Linear{Base: 1, Cap: DefaultLinearCap}
-	r := sim.NewRand(3)
-	if d := pol.NextDelay(0, machine.AbortConflict, r); d != 1 {
-		t.Fatalf("attempt 0: delay %d, want 1 (floor)", d)
-	}
-	if d := pol.NextDelay(5, machine.AbortConflict, r); d != 5 {
-		t.Fatalf("attempt 5: delay %d, want 5", d)
-	}
-	if d := pol.NextDelay(10_000, machine.AbortConflict, r); d != DefaultLinearCap {
-		t.Fatalf("attempt 10000: delay %d, want capped %d", d, DefaultLinearCap)
-	}
+	mgr := NewManager(KindLinear)
+	onProc(func(p *machine.Proc) {
+		cases := []struct {
+			attempt int
+			floor   uint64
+		}{{0, DefaultBase}, {5, 5 * DefaultBase}, {10_000, DefaultLinearCap * DefaultBase}}
+		for _, c := range cases {
+			if d := delayOf(p, mgr, 1, c.attempt); !inUnit(d, c.floor) {
+				t.Fatalf("attempt %d: delay %d, want floor %d", c.attempt, d, c.floor)
+			}
+		}
+	})
 }
 
 // TestKarmaPriority: the much-aborted transaction retries almost
-// immediately; its fresh rival yields proportionally to the karma
-// deficit. Base 1 zeroes the jitter.
+// immediately; its fresh rival yields by the karma deficit.
 func TestKarmaPriority(t *testing.T) {
-	k := &Karma{Base: 1, MaxShift: 7}
-	r := sim.NewRand(5)
-
-	k.OnAbort(100, 1, machine.AbortConflict) // newcomer: karma 1
-	k.OnAbort(200, 5, machine.AbortConflict) // veteran: karma 5
-
-	if d := k.NextDelay(5, machine.AbortConflict, r); d != 1 {
-		t.Fatalf("veteran delay %d, want 1 (no stronger rival)", d)
-	}
-	if d := k.NextDelay(1, machine.AbortConflict, r); d != 1<<4 {
-		t.Fatalf("newcomer delay %d, want %d (deficit 4)", d, 1<<4)
-	}
-
-	// The veteran commits: the newcomer has no rivals left.
-	k.OnCommit(200)
-	if d := k.NextDelay(1, machine.AbortConflict, r); d != 1 {
-		t.Fatalf("post-commit delay %d, want 1", d)
-	}
-	k.OnCommit(100)
-	if len(k.active) != 0 {
-		t.Fatalf("karma leaked entries: %v", k.active)
+	mgr := NewManager(KindKarma)
+	onProc(func(p *machine.Proc) {
+		delayOf(p, mgr, 100, 1) // newcomer: karma 1
+		if d := delayOf(p, mgr, 200, 5); !inUnit(d, DefaultBase) {
+			t.Fatalf("veteran delay %d, want the minimum (no stronger rival)", d)
+		}
+		if d := delayOf(p, mgr, 100, 1); !inUnit(d, DefaultBase<<4) {
+			t.Fatalf("newcomer delay %d, want floor %d (deficit 4)", d, DefaultBase<<4)
+		}
+		// The veteran commits: the newcomer has no rivals left.
+		mgr.TxDone(200)
+		if d := delayOf(p, mgr, 100, 1); !inUnit(d, DefaultBase) {
+			t.Fatalf("post-commit delay %d, want the minimum", d)
+		}
+	})
+	mgr.TxDone(100)
+	if len(mgr.karma) != 0 {
+		t.Fatalf("karma leaked entries: %v", mgr.karma)
 	}
 }
 
 func TestSerializeEscalatesAfterK(t *testing.T) {
-	pol := SerializeOnStarvation{Inner: CappedExponential{Base: 64, MaxShift: 7}, K: 3}
-	for attempt := 1; attempt < 3; attempt++ {
-		if esc := pol.OnAbort(1, attempt, machine.AbortConflict); esc != EscalateNone {
-			t.Fatalf("attempt %d escalated early", attempt)
+	mgr := NewManager(KindSerialize)
+	onProc(func(p *machine.Proc) {
+		for attempt := 1; attempt < DefaultStarveK; attempt++ {
+			if mgr.OnAbort(p, 1, attempt) {
+				t.Fatalf("attempt %d escalated early", attempt)
+			}
 		}
-	}
-	if esc := pol.OnAbort(1, 3, machine.AbortConflict); esc != EscalateSerialize {
-		t.Fatal("attempt 3 must escalate")
-	}
-	if !strings.Contains(pol.Name(), "serialize") {
-		t.Fatalf("name %q", pol.Name())
-	}
+		if !mgr.OnAbort(p, 1, DefaultStarveK) {
+			t.Fatalf("attempt %d must escalate", DefaultStarveK)
+		}
+	})
 }
 
 func TestManagerBackoffStats(t *testing.T) {
-	m := testMachine(1)
-	mgr := NewManager(Spec{})
-	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
+	mgr := NewManager(KindExponential)
+	onProc(func(p *machine.Proc) {
 		for attempt := 1; attempt <= 3; attempt++ {
-			if esc := mgr.OnAbort(p, 1, attempt, machine.AbortConflict); esc != EscalateNone {
+			if mgr.OnAbort(p, 1, attempt) {
 				t.Errorf("default policy escalated on attempt %d", attempt)
 			}
 		}
 		mgr.PageFaultStall(p)
 		mgr.RetryPoll(p)
-	}})
+	})
 	st := mgr.Stats()
 	if st.Delays != 3 || st.DelayCycles == 0 || st.MaxDelay < 64<<3 {
 		t.Fatalf("stats = %+v", st)
@@ -188,22 +207,18 @@ func TestManagerBackoffStats(t *testing.T) {
 	if st.PageFaultStalls != 1 || st.RetryPolls != 1 {
 		t.Fatalf("stall counters = %+v", st)
 	}
-	if mgr.PolicyName() != "exp" {
-		t.Fatalf("policy name %q", mgr.PolicyName())
-	}
 }
 
 func TestManagerStarvationEscalation(t *testing.T) {
-	m := testMachine(1)
-	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: 2})
-	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
-		if esc := mgr.OnAbort(p, 1, 1, machine.AbortConflict); esc != EscalateNone {
-			t.Error("attempt 1 escalated early")
+	mgr := NewManager(KindSerialize)
+	onProc(func(p *machine.Proc) {
+		if mgr.OnAbort(p, 1, DefaultStarveK-1) {
+			t.Error("the abort before the threshold escalated")
 		}
-		if esc := mgr.OnAbort(p, 1, 2, machine.AbortConflict); esc != EscalateSerialize {
-			t.Error("attempt 2 must escalate")
+		if !mgr.OnAbort(p, 1, DefaultStarveK) {
+			t.Error("the threshold abort must escalate")
 		}
-	}})
+	})
 	st := mgr.Stats()
 	if st.StarvationEscalations != 1 || st.Delays != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -214,7 +229,7 @@ func TestManagerStarvationEscalation(t *testing.T) {
 // and simulated wait time for the blocked acquirer.
 func TestManagerToken(t *testing.T) {
 	m := testMachine(2)
-	mgr := NewManager(Spec{})
+	mgr := NewManager(KindExponential)
 	order := []int{}
 	m.Run([]func(*machine.Proc){
 		func(p *machine.Proc) {
@@ -249,12 +264,11 @@ func TestManagerToken(t *testing.T) {
 // TestMetricsWritten: the cm.* counters land in an obs snapshot with
 // the Manager's values (OBSERVABILITY.md contract).
 func TestMetricsWritten(t *testing.T) {
-	m := testMachine(1)
-	mgr := NewManager(Spec{Kind: KindSerialize, StarveK: 1})
-	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
-		mgr.OnAbort(p, 1, 1, machine.AbortConflict) // escalates immediately
+	mgr := NewManager(KindSerialize)
+	onProc(func(p *machine.Proc) {
+		mgr.OnAbort(p, 1, DefaultStarveK) // escalates at once
 		mgr.PageFaultStall(p)
-	}})
+	})
 	snap := obs.NewSnapshot()
 	mgr.Register(snap)
 	if snap.Counter("cm.starvation_escalations") != 1 {
@@ -262,30 +276,5 @@ func TestMetricsWritten(t *testing.T) {
 	}
 	if snap.Counter("cm.page_fault_stalls") != 1 {
 		t.Fatalf("cm.page_fault_stalls = %d, want 1", snap.Counter("cm.page_fault_stalls"))
-	}
-}
-
-// TestSpecBaseIsTheBackoffUnit: Spec.Base is the one name for the
-// backoff unit, fixed when the manager is built. Base 1 makes the jitter
-// draw Intn(1) == 0, so that delay is exact.
-func TestSpecBaseIsTheBackoffUnit(t *testing.T) {
-	delay := func(spec Spec) uint64 {
-		mgr := NewManager(spec)
-		if got := mgr.PolicyName(); got != "exp" {
-			t.Fatalf("policy of %+v = %q, want exp", spec, got)
-		}
-		testMachine(1).Run([]func(*machine.Proc){func(p *machine.Proc) {
-			mgr.OnAbort(p, 1, 0, machine.AbortConflict)
-		}})
-		return mgr.Stats().DelayCycles
-	}
-	if got := delay(Spec{Base: 1}); got != 1 {
-		t.Fatalf("delay with Base 1 = %d, want 1", got)
-	}
-	if got := delay(Spec{Base: 4}); got < 4 || got >= 8 {
-		t.Fatalf("delay with Base 4 = %d, want in [4, 8)", got)
-	}
-	if got := delay(Spec{}); got < DefaultBase || got >= 2*DefaultBase {
-		t.Fatalf("delay with the zero Spec = %d, want in [%d, %d)", got, DefaultBase, 2*DefaultBase)
 	}
 }

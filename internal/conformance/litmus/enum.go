@@ -46,51 +46,59 @@ type EnumResult struct {
 	Dropped int
 }
 
-// Enumerate generates cfg's program space.
+// Enumerate generates cfg's program space. It records each candidate as
+// its per-thread shape indices, in discovery order, samples over those,
+// and builds only the programs it keeps.
 func Enumerate(cfg EnumConfig) EnumResult {
 	shapes := enumThreadShapes(cfg)
-	// Odometer over one shape choice per thread.
+	// Threads are symmetric (up to register naming) and every shape is
+	// distinct, so the thread permutations of one index tuple are one
+	// program. Walking only the non-decreasing tuples, in lexicographic
+	// order, visits each program once, as the permutation an odometer
+	// over all tuples would meet first. cands holds the interesting ones
+	// flattened, cfg.Threads indices each; a candidate's position is its
+	// discovery serial.
 	idx := make([]int, cfg.Threads)
-	var programs []*Program
-	seen := map[string]bool{}
+	var cands []int32
 	for {
-		threads := make([]threadShape, cfg.Threads)
-		for i, s := range idx {
-			threads[i] = shapes[s]
-		}
-		if interesting(threads) {
-			key := canonicalKey(threads)
-			if !seen[key] {
-				seen[key] = true
-				programs = append(programs, buildProgram(cfg, threads, len(programs)))
+		if interesting(shapes, idx) {
+			for _, s := range idx {
+				cands = append(cands, int32(s))
 			}
 		}
-		// Advance the odometer.
 		pos := cfg.Threads - 1
-		for pos >= 0 {
-			idx[pos]++
-			if idx[pos] < len(shapes) {
-				break
-			}
-			idx[pos] = 0
+		for pos >= 0 && idx[pos] == len(shapes)-1 {
 			pos--
 		}
 		if pos < 0 {
 			break
 		}
+		idx[pos]++
+		for i := pos + 1; i < cfg.Threads; i++ {
+			idx[i] = idx[pos]
+		}
 	}
-	res := EnumResult{Programs: programs, Total: len(programs)}
-	if cfg.MaxPrograms > 0 && len(programs) > cfg.MaxPrograms {
-		res.Programs = samplePrograms(programs, cfg.MaxPrograms, cfg.Seed)
-		res.Dropped = res.Total - len(res.Programs)
+	res := EnumResult{Total: len(cands) / cfg.Threads}
+	keep := sampleSerials(res.Total, cfg.MaxPrograms, cfg.Seed)
+	threads := make([]threadShape, cfg.Threads)
+	for _, serial := range keep {
+		for i := range threads {
+			threads[i] = shapes[cands[serial*cfg.Threads+i]]
+		}
+		res.Programs = append(res.Programs, buildProgram(cfg, threads, serial))
 	}
+	res.Dropped = res.Total - len(res.Programs)
 	return res
 }
 
-// threadShape is one thread's structure before variables get addresses.
+// threadShape is one thread's structure before variables get addresses,
+// with the counts and the variable set interesting reads.
 type threadShape struct {
 	steps []Step
 	key   string
+
+	reads, writes, txs int
+	vars               uint64 // bit v: the thread touches variable v
 }
 
 // enumThreadShapes lists every distinct thread shape under cfg: an
@@ -101,7 +109,22 @@ func enumThreadShapes(cfg EnumConfig) []threadShape {
 	ops := enumOps(cfg.Vars)
 	var shapes []threadShape
 	add := func(steps []Step) {
-		shapes = append(shapes, threadShape{steps: steps, key: shapeKey(steps)})
+		sh := threadShape{steps: steps, key: shapeKey(steps)}
+		for _, st := range steps {
+			if st.Tx {
+				sh.txs++
+			}
+			for _, op := range st.Ops {
+				sh.vars |= 1 << op.Var
+				switch op.Kind {
+				case OpRead:
+					sh.reads++
+				case OpWrite:
+					sh.writes++
+				}
+			}
+		}
+		shapes = append(shapes, sh)
 	}
 	// Non-transactional op sequences, by length.
 	ntSeqs := make([][][]Op, cfg.MaxNTOps+1)
@@ -168,41 +191,21 @@ func enumOps(vars int) []Op {
 	return out
 }
 
-// interesting filters program skeletons worth running: some variable is
-// touched by two threads, at least one write, at least one read, and at
-// least one transaction (purely non-transactional programs only test
-// the SC machine, which sb-nt in the curated suite already covers).
-func interesting(threads []threadShape) bool {
-	varThreads := map[int]map[int]bool{}
-	writes, reads, txs := 0, 0, 0
-	for ti, th := range threads {
-		for _, st := range th.steps {
-			if st.Tx {
-				txs++
-			}
-			for _, op := range st.Ops {
-				if varThreads[op.Var] == nil {
-					varThreads[op.Var] = map[int]bool{}
-				}
-				varThreads[op.Var][ti] = true
-				switch op.Kind {
-				case OpRead:
-					reads++
-				case OpWrite:
-					writes++
-				}
-			}
-		}
+// interesting filters program skeletons worth running — the program
+// whose thread i has shape shapes[idx[i]]: some variable is touched by
+// two threads, at least one write, at least one read, and at least one
+// transaction (purely non-transactional programs only test the SC
+// machine, which sb-nt in the curated suite already covers).
+func interesting(shapes []threadShape, idx []int) bool {
+	reads, writes, txs := 0, 0, 0
+	var touched, shared uint64
+	for _, s := range idx {
+		sh := &shapes[s]
+		reads, writes, txs = reads+sh.reads, writes+sh.writes, txs+sh.txs
+		shared |= touched & sh.vars
+		touched |= sh.vars
 	}
-	if txs == 0 || writes == 0 || reads == 0 {
-		return false
-	}
-	for _, ts := range varThreads {
-		if len(ts) >= 2 {
-			return true
-		}
-	}
-	return false
+	return txs > 0 && writes > 0 && reads > 0 && shared != 0
 }
 
 func shapeKey(steps []Step) string {
@@ -227,17 +230,6 @@ func shapeKey(steps []Step) string {
 		b.WriteByte('.')
 	}
 	return b.String()
-}
-
-// canonicalKey sorts the per-thread shape keys so thread-permuted
-// duplicates (threads are symmetric up to register naming) collapse.
-func canonicalKey(threads []threadShape) string {
-	keys := make([]string, len(threads))
-	for i, th := range threads {
-		keys[i] = th.key
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
 }
 
 // buildProgram turns shapes into a runnable program, assigning each
@@ -270,25 +262,25 @@ func buildProgram(cfg EnumConfig, threads []threadShape, serial int) *Program {
 	return p
 }
 
-// samplePrograms keeps a deterministic seeded sample of max programs
-// (preserving enumeration order within the sample).
-func samplePrograms(programs []*Program, max int, seed uint64) []*Program {
-	rng := sim.NewRand(seed)
-	// Partial Fisher-Yates over the index space, then sort the kept
-	// indices to preserve order.
-	idx := make([]int, len(programs))
+// sampleSerials returns the serials of the candidates kept out of total:
+// all of them when max is not positive or does not bind, else a deterministic
+// seeded sample of max, in enumeration order.
+func sampleSerials(total, max int, seed uint64) []int {
+	idx := make([]int, total)
 	for i := range idx {
 		idx[i] = i
 	}
+	if max <= 0 || total <= max {
+		return idx
+	}
+	// Partial Fisher-Yates over the serials, then sort the kept ones to
+	// preserve order.
+	rng := sim.NewRand(seed)
 	for i := 0; i < max; i++ {
-		j := i + rng.Intn(len(idx)-i)
+		j := i + rng.Intn(total-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	kept := append([]int(nil), idx[:max]...)
+	kept := idx[:max]
 	sort.Ints(kept)
-	out := make([]*Program, max)
-	for i, k := range kept {
-		out[i] = programs[k]
-	}
-	return out
+	return kept
 }

@@ -32,8 +32,8 @@ import (
 	"repro/internal/ustm"
 )
 
-// Policy collects the hybrid's contention-management knobs (Section 4.4 /
-// Figure 8).
+// Policy collects the hybrid's contention-management choices that
+// Figure 8 varies (Section 4.4). The zero Policy is the paper's.
 type Policy struct {
 	// FailoverOnNthConflict, when positive, fails a transaction over to
 	// software after that many conflict-family aborts (Figure 8's second
@@ -45,19 +45,14 @@ type Policy struct {
 	// bar). The access is retried up to UFOFaultStallTries times before
 	// the transaction aborts anyway.
 	StallOnUFOFault bool
-	// UFOFaultStallTries bounds StallOnUFOFault retries.
-	UFOFaultStallTries int
-	// CM selects the backoff policy for hardware retries. The zero Spec
-	// is the paper's: cm.DefaultBase << min(aborts, 7), a saturating
-	// abort counter.
-	CM cm.Spec
 }
 
-// UFOFaultStallCycles is the per-try stall under StallOnUFOFault.
-const UFOFaultStallCycles = 60
-
-// DefaultPolicy is the configuration the paper recommends.
-func DefaultPolicy() Policy { return Policy{UFOFaultStallTries: 16} }
+// Under StallOnUFOFault, a faulting access stalls UFOFaultStallCycles per
+// try, for at most UFOFaultStallTries tries.
+const (
+	UFOFaultStallCycles = 60
+	UFOFaultStallTries  = 16
+)
 
 // Dispositions is the BTM abort handler of Algorithm 3: conditions
 // hardware will never satisfy fail over to software, contention retries
@@ -86,13 +81,14 @@ type System struct {
 }
 
 // New builds a hybrid over the machine with the given USTM configuration
-// and policy. The USTM must be strongly atomic — the hybrid's correctness
-// depends on it — so cfg.StrongAtomicity is forced on.
-func New(m *machine.Machine, cfg ustm.Config, pol Policy) *System {
+// and policy, backing off hardware retries as kind says. The USTM must be
+// strongly atomic — the hybrid's correctness depends on it — so
+// cfg.StrongAtomicity is forced on.
+func New(m *machine.Machine, cfg ustm.Config, pol Policy, kind cm.Kind) *System {
 	cfg.StrongAtomicity = true
 	s := &System{stm: ustm.New(m, cfg), pol: pol}
 	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(pol.CM),
+		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(kind),
 		On: Dispositions, Limit: pol.FailoverOnNthConflict,
 		// retry (transactional waiting) inside a hardware transaction
 		// compiles to an explicit abort so the transaction fails over to
@@ -224,7 +220,7 @@ func (e *exec) faultAllowsMaskedAccess(addr uint64) bool {
 		e.noteRetriers(line)
 		return true
 	}
-	if e.s.pol.StallOnUFOFault && e.ufoFaultTries < e.s.pol.UFOFaultStallTries {
+	if e.s.pol.StallOnUFOFault && e.ufoFaultTries < UFOFaultStallTries {
 		e.ufoFaultTries++
 		e.P.Elapse(UFOFaultStallCycles)
 		return false

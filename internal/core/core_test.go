@@ -20,7 +20,7 @@ func testMachine(procs int) *machine.Machine {
 func testHybrid(m *machine.Machine) *System {
 	cfg := ustm.DefaultConfig()
 	cfg.OTableRows = 1 << 12
-	return New(m, cfg, DefaultPolicy())
+	return New(m, cfg, Policy{}, cm.KindExponential)
 }
 
 func TestSmallTxCommitsInHardware(t *testing.T) {
@@ -177,9 +177,7 @@ func TestFailoverOnNthConflictPolicy(t *testing.T) {
 	m := testMachine(2)
 	cfg := ustm.DefaultConfig()
 	cfg.OTableRows = 1 << 12
-	pol := DefaultPolicy()
-	pol.FailoverOnNthConflict = 1 // fail over on the first conflict abort
-	s := New(m, cfg, pol)
+	s := New(m, cfg, Policy{FailoverOnNthConflict: 1}, cm.KindExponential) // fail over on the first conflict abort
 	ex0, ex1 := s.Exec(m.Proc(0)), s.Exec(m.Proc(1))
 	m.Run([]func(*machine.Proc){
 		func(p *machine.Proc) {
@@ -208,17 +206,15 @@ func TestStallOnUFOFaultPolicy(t *testing.T) {
 	m := testMachine(2)
 	cfg := ustm.DefaultConfig()
 	cfg.OTableRows = 1 << 12
-	pol := DefaultPolicy()
-	pol.StallOnUFOFault = true
-	pol.UFOFaultStallTries = 1000
-	s := New(m, cfg, pol)
+	s := New(m, cfg, Policy{StallOnUFOFault: true}, cm.KindExponential)
 	ex0, ex1 := s.Exec(m.Proc(0)), s.Exec(m.Proc(1))
 	m.Run([]func(*machine.Proc){
 		func(p *machine.Proc) {
 			ex0.Atomic(func(tx tm.Tx) {
 				tx.Syscall()
 				tx.Store(0, 10)
-				p.Elapse(10_000)
+				// Short enough for UFOFaultStallTries stalls to outlast.
+				p.Elapse(2_500)
 			})
 		},
 		func(p *machine.Proc) {
@@ -268,15 +264,13 @@ func TestRetryAcrossHWAndSW(t *testing.T) {
 	}
 }
 
+// TestDefaultPolicyValues: the default policy — the zero Policy and the
+// zero cm.Kind — is the paper's recommendation.
 func TestDefaultPolicyValues(t *testing.T) {
-	p := DefaultPolicy()
-	if p.FailoverOnNthConflict != 0 || p.StallOnUFOFault {
-		t.Fatal("default policy must match the paper's recommendations")
+	if UFOFaultStallTries != 16 {
+		t.Fatalf("UFOFaultStallTries = %d, want 16", UFOFaultStallTries)
 	}
-	if p.UFOFaultStallTries != 16 || p.CM != (cm.Spec{}) {
-		t.Fatalf("default policy %+v: want 16 stall tries and the zero cm.Spec", p)
-	}
-	s := New(testMachine(1), ustm.DefaultConfig(), p)
+	s := New(testMachine(1), ustm.DefaultConfig(), Policy{}, "")
 	if s.CM().PolicyName() != "exp" {
 		t.Fatalf("default backoff policy = %q, want exp", s.CM().PolicyName())
 	}

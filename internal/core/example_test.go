@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 
+	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/tm"
@@ -14,7 +15,7 @@ import (
 // to the strongly-atomic software TM. Runs are deterministic.
 func Example() {
 	m := machine.New(machine.DefaultParams(1))
-	sys := core.New(m, ustm.DefaultConfig(), core.DefaultPolicy())
+	sys := core.New(m, ustm.DefaultConfig(), core.Policy{}, cm.KindExponential)
 	addr := m.Mem.Sbrk(64)
 
 	ex := sys.Exec(m.Proc(0))

@@ -92,6 +92,9 @@ func PrintAblations(w io.Writer, rows []Row) {
 			fmt.Fprintf(w, "%-22s %8s %10s %10s %10s %10s\n",
 				"config", "speedup", "failovers", "overflows", "ufoKills", "interrupts")
 		}
+		if failedRow(w, r.Err, "%-22s", r.Config) {
+			continue
+		}
 		fmt.Fprintf(w, "%-22s %8.2f %10d %10d %10d %10d\n",
 			r.Config, r.Speedup(r.SeqCycles),
 			r.Stats.Failovers,
@@ -127,6 +130,9 @@ func PrintFootprints(w io.Writer, rows []Row) {
 	fmt.Fprintf(w, "%-14s %9s %9s %8s %8s %8s  %s\n",
 		"workload", "hwCommit", "swCommit", "hwMean", "hwMax", "≤64ln", "swHist")
 	for _, r := range rows {
+		if failedRow(w, r.Err, "%-14s", r.Workload) {
+			continue
+		}
 		hw := r.Machine.HWFootprint.Snapshot()
 		sw := r.Machine.SWFootprint.Snapshot()
 		fmt.Fprintf(w, "%-14s %9d %9d %8.1f %8d %7.0f%%  %s\n",

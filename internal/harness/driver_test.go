@@ -37,11 +37,11 @@ func driverMachine(procs int) *machine.Machine {
 }
 
 // hybridCase builds one of the six hardware-first systems. limit is the
-// system's counted-abort limit where its configuration carries one (0 =
-// the system's default); hytm's and sle's are constants.
+// ufo-hybrid's counted-abort limit, Policy.FailoverOnNthConflict (0 =
+// never); the other systems' limits are constants.
 type hybridCase struct {
 	name  string
-	build func(m *machine.Machine, limit int, spec cm.Spec) tm.System
+	build func(m *machine.Machine, limit int, kind cm.Kind) tm.System
 }
 
 func driverUSTMConfig() ustm.Config {
@@ -51,39 +51,32 @@ func driverUSTMConfig() ustm.Config {
 }
 
 var hybridCases = []hybridCase{
-	{"ufo-hybrid", func(m *machine.Machine, limit int, spec cm.Spec) tm.System {
-		pol := core.DefaultPolicy()
-		pol.FailoverOnNthConflict, pol.CM = limit, spec
-		return core.New(m, driverUSTMConfig(), pol)
+	{"ufo-hybrid", func(m *machine.Machine, limit int, kind cm.Kind) tm.System {
+		return core.New(m, driverUSTMConfig(), core.Policy{FailoverOnNthConflict: limit}, kind)
 	}},
-	{"hytm", func(m *machine.Machine, _ int, spec cm.Spec) tm.System {
-		return hytm.New(m, driverUSTMConfig(), spec)
+	{"hytm", func(m *machine.Machine, _ int, kind cm.Kind) tm.System {
+		return hytm.New(m, driverUSTMConfig(), kind)
 	}},
-	{"phtm", func(m *machine.Machine, _ int, spec cm.Spec) tm.System {
-		return phtm.New(m, driverUSTMConfig(), spec)
+	{"phtm", func(m *machine.Machine, _ int, kind cm.Kind) tm.System {
+		return phtm.New(m, driverUSTMConfig(), kind)
 	}},
-	{"hybrid-norec", func(m *machine.Machine, limit int, spec cm.Spec) tm.System {
-		cfg := norec.DefaultConfig()
-		if limit != 0 {
-			cfg.MaxHTMRetries = limit
-		}
-		cfg.CM = spec
-		return norec.New(m, cfg)
+	{"hybrid-norec", func(m *machine.Machine, _ int, kind cm.Kind) tm.System {
+		return norec.New(m, kind)
 	}},
-	{"unbounded-htm", func(m *machine.Machine, _ int, spec cm.Spec) tm.System {
-		return unbounded.New(m, spec)
+	{"unbounded-htm", func(m *machine.Machine, _ int, kind cm.Kind) tm.System {
+		return unbounded.New(m, kind)
 	}},
-	{"sle", func(m *machine.Machine, _ int, spec cm.Spec) tm.System {
-		return sle.New(m, spec)
+	{"sle", func(m *machine.Machine, _ int, kind cm.Kind) tm.System {
+		return sle.New(m, kind)
 	}},
 }
 
 // buildHybrid builds the named hybridCase.
-func buildHybrid(t *testing.T, name string, m *machine.Machine, limit int, spec cm.Spec) tm.System {
+func buildHybrid(t *testing.T, name string, m *machine.Machine, limit int, kind cm.Kind) tm.System {
 	t.Helper()
 	for _, hc := range hybridCases {
 		if hc.name == name {
-			return hc.build(m, limit, spec)
+			return hc.build(m, limit, kind)
 		}
 	}
 	t.Fatalf("no hybridCase named %s", name)
@@ -199,7 +192,7 @@ func TestDispositionMatrixInjected(t *testing.T) {
 					t.Fatalf("no expectation for %s/%s", hc.name, r)
 				}
 				m := driverMachine(1)
-				sys := hc.build(m, 0, cm.Spec{})
+				sys := hc.build(m, 0, cm.KindExponential)
 				runInjected(t, sys, m, r, 1)
 				checkOutcome(t, sys, want)
 			})
@@ -267,7 +260,7 @@ func TestDispositionMatrixNatural(t *testing.T) {
 					params.L1Ways = 1
 				}
 				m := machine.New(params)
-				sys := hc.build(m, 0, cm.Spec{})
+				sys := hc.build(m, 0, cm.KindExponential)
 				ex := sys.Exec(m.Proc(0))
 				m.Run([]func(*machine.Proc){func(*machine.Proc) {
 					first := true
@@ -289,7 +282,7 @@ func TestDispositionMatrixNatural(t *testing.T) {
 
 // TestCountedAbortLimit pins each system's one counted-abort limit: the
 // limit-th counted abort fails over without a backoff of its own. The
-// configurable limits are set to 3; hytm's and sle's are constants.
+// ufo-hybrid's, a Policy field, is set to 3; the others are constants.
 func TestCountedAbortLimit(t *testing.T) {
 	type counted struct {
 		system string
@@ -302,9 +295,9 @@ func TestCountedAbortLimit(t *testing.T) {
 		{"ufo-hybrid", machine.AbortUFOFault, 3},
 		{"ufo-hybrid", machine.AbortNonTConflict, 3},
 		{"hytm", machine.AbortExplicit, hytm.MaxConflictRetries},
-		{"hybrid-norec", machine.AbortConflict, 3},
-		{"hybrid-norec", machine.AbortInterrupt, 3},
-		{"hybrid-norec", machine.AbortExplicit, 3},
+		{"hybrid-norec", machine.AbortConflict, norec.MaxHTMRetries},
+		{"hybrid-norec", machine.AbortInterrupt, norec.MaxHTMRetries},
+		{"hybrid-norec", machine.AbortExplicit, norec.MaxHTMRetries},
 	}
 	for r := machine.AbortReason(1); int(r) < machine.NumAbortReasons; r++ {
 		cases = append(cases, counted{"sle", r, sle.Attempts})
@@ -312,7 +305,7 @@ func TestCountedAbortLimit(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.system+"/"+c.reason.String(), func(t *testing.T) {
 			m := driverMachine(1)
-			sys := buildHybrid(t, c.system, m, 3, cm.Spec{})
+			sys := buildHybrid(t, c.system, m, 3, cm.KindExponential)
 			runInjected(t, sys, m, c.reason, c.limit+2)
 			n := uint64(c.limit - 1)
 			checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: n, delays: n})
@@ -328,7 +321,7 @@ func TestCountedAbortLimit(t *testing.T) {
 	} {
 		t.Run(c.system+"/"+c.reason.String()+"/uncounted", func(t *testing.T) {
 			m := driverMachine(1)
-			sys := buildHybrid(t, c.system, m, 3, cm.Spec{})
+			sys := buildHybrid(t, c.system, m, 3, cm.KindExponential)
 			runInjected(t, sys, m, c.reason, 5)
 			checkOutcome(t, sys, outcome{hw: 1, hwRetries: 5, delays: 5})
 		})
@@ -336,34 +329,41 @@ func TestCountedAbortLimit(t *testing.T) {
 }
 
 // TestEscalationUnderSerialize pins the starvation arm: under the
-// serialize policy the K-th consecutive abort escalates — hybrids fail
-// over, the unbounded HTM takes the global token and commits on the
-// serialized path — and the software-only loops (TL2, HybridNOrec's
-// software half) take the token too.
+// serialize policy the K-th consecutive abort (K = cm.DefaultStarveK)
+// escalates — hybrids fail over, the unbounded HTM takes the global token
+// and commits on the serialized path — and the software-only loops (TL2,
+// HybridNOrec's software half) take the token too. HybridNOrec's hardware
+// half counts every contention abort against norec.MaxHTMRetries, which
+// equals K and is checked first, so there the limit fails the
+// transaction over on the K-th abort and the policy never escalates.
 func TestEscalationUnderSerialize(t *testing.T) {
-	spec := cm.Spec{Kind: cm.KindSerialize, StarveK: 4}
+	const k = cm.DefaultStarveK
 	for _, hc := range hybridCases {
 		if hc.name == "sle" {
 			continue // its limit, sle.Attempts, takes the lock before the K-th abort
 		}
 		t.Run(hc.name, func(t *testing.T) {
 			m := driverMachine(1)
-			sys := hc.build(m, 1<<30, spec)
-			runInjected(t, sys, m, machine.AbortInterrupt, 10)
+			sys := hc.build(m, 0, cm.KindSerialize)
+			runInjected(t, sys, m, machine.AbortInterrupt, k+2)
 			cs := sys.(cm.Instrumented).CM().Stats()
-			if cs.StarvationEscalations == 0 {
-				t.Fatalf("no escalation recorded: %+v", cs)
-			}
-			if hc.name == "unbounded-htm" {
-				// Escalated on the 4th abort and every abort after it;
+			switch hc.name {
+			case "unbounded-htm":
+				// Escalated on the K-th abort and every abort after it;
 				// the token is acquired once and held to commit.
-				checkOutcome(t, sys, outcome{hw: 1, hwRetries: 10, delays: 3})
-				if cs.TokenAcquisitions != 1 || cs.StarvationEscalations != 7 {
-					t.Fatalf("token grants = %d, escalations = %d, want 1 and 7", cs.TokenAcquisitions, cs.StarvationEscalations)
+				checkOutcome(t, sys, outcome{hw: 1, hwRetries: k + 2, delays: k - 1})
+				if cs.TokenAcquisitions != 1 || cs.StarvationEscalations != 3 {
+					t.Fatalf("token grants = %d, escalations = %d, want 1 and 3", cs.TokenAcquisitions, cs.StarvationEscalations)
+				}
+				return
+			case "hybrid-norec":
+				checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: k - 1, delays: k - 1})
+				if cs.StarvationEscalations != 0 {
+					t.Fatalf("escalations = %d, want 0: the counted limit fires first", cs.StarvationEscalations)
 				}
 				return
 			}
-			checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: 4, delays: 3})
+			checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: k, delays: k - 1})
 			if cs.TokenAcquisitions != 0 || cs.StarvationEscalations != 1 {
 				t.Fatalf("token grants = %d, escalations = %d, want 0 and 1", cs.TokenAcquisitions, cs.StarvationEscalations)
 			}
@@ -375,11 +375,9 @@ func TestEscalationUnderSerialize(t *testing.T) {
 	for _, name := range []string{"tl2", "hybrid-norec"} {
 		t.Run(name+"/software", func(t *testing.T) {
 			m := driverMachine(1)
-			cfg := tl2.DefaultConfig()
-			cfg.CM = spec
-			var sys tm.System = tl2.New(m, cfg)
+			var sys tm.System = tl2.New(m, cm.KindSerialize)
 			if name != "tl2" {
-				sys = buildHybrid(t, name, m, 0, spec)
+				sys = buildHybrid(t, name, m, 0, cm.KindSerialize)
 			}
 			ex := sys.Exec(m.Proc(0))
 			m.Run([]func(*machine.Proc){func(*machine.Proc) {
@@ -387,7 +385,7 @@ func TestEscalationUnderSerialize(t *testing.T) {
 				ex.Atomic(func(tx tm.Tx) {
 					tx.Syscall()
 					tx.Store(0, tx.Load(0)+1)
-					if tries++; tries <= 6 {
+					if tries++; tries <= k+2 {
 						tx.Abort()
 					}
 				})
@@ -397,8 +395,8 @@ func TestEscalationUnderSerialize(t *testing.T) {
 			}
 			st := sys.Stats()
 			cs := sys.(cm.Instrumented).CM().Stats()
-			if st.SWCommits != 1 || st.SWAborts != 6 || cs.TokenAcquisitions != 1 || cs.Delays != 3 {
-				t.Fatalf("stats %v, cm %+v: want 1 software commit after 6 aborts, 3 backoffs, 1 token grant", st, cs)
+			if st.SWCommits != 1 || st.SWAborts != k+2 || cs.TokenAcquisitions != 1 || cs.Delays != k-1 {
+				t.Fatalf("stats %v, cm %+v: want 1 software commit after %d aborts, %d backoffs, 1 token grant", st, cs, k+2, k-1)
 			}
 		})
 	}
@@ -466,16 +464,17 @@ func TestTxLifeSequences(t *testing.T) {
 			},
 		}
 	}
-	// starvedTx loses its first three attempts — to an injected interrupt
-	// in hardware, to an explicit abort in software — under serialize
-	// with K=2, so the second abort escalates.
+	// starvedTx loses its first K+1 attempts — to an injected interrupt
+	// in hardware, to an explicit abort in software — under serialize, so
+	// the K-th abort escalates (K = cm.DefaultStarveK).
+	const k = cm.DefaultStarveK
 	starvedTx := func(m *machine.Machine, sys tm.System) []func(*machine.Proc) {
 		ex := sys.Exec(m.Proc(0))
 		return []func(*machine.Proc){func(p *machine.Proc) {
 			tries := 0
 			ex.Atomic(func(tx tm.Tx) {
 				tx.Store(out, 1)
-				if tries++; tries > 3 {
+				if tries++; tries > k+1 {
 					return
 				}
 				if p.HW() != nil {
@@ -486,17 +485,24 @@ func TestTxLifeSequences(t *testing.T) {
 			})
 		}}
 	}
+	// lost is n attempts on path aborted for reason, with a backoff
+	// between each and the next.
+	lost := func(path, reason string, n int) string {
+		a := " Attempt(" + path + ") Abort(" + path + "," + reason + ")"
+		return strings.Repeat(a+" Backoff", n-1) + a
+	}
 	for _, c := range []struct {
 		system SystemKind
 		tx     string
 		want   string
 	}{
-		{UFOHybrid, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(ufo) Abort(ufo,explicit) Attempt(ufo) Commit(ufo)"},
-		{HyTM, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(sw) Abort(sw,explicit) Attempt(sw) Commit(sw)"},
-		{PhTM, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(sw) Abort(sw,explicit) Attempt(sw) Commit(sw)"},
-		{HybridNOrec, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(sw) Abort(sw,explicit) Backoff Attempt(sw) Commit(sw)"},
-		{UnboundedHTM, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(fallback) Abort(fallback,interrupt) Attempt(fallback) Commit(fallback)"},
-		{TL2, "starved", "Begin Attempt(sw) Abort(sw,explicit) Backoff Attempt(sw) Abort(sw,explicit) Attempt(fallback) Abort(fallback,explicit) Attempt(fallback) Commit(fallback)"},
+		{UFOHybrid, "starved", "Begin" + lost("htm", "interrupt", k) + " Attempt(ufo) Abort(ufo,explicit) Attempt(ufo) Commit(ufo)"},
+		{HyTM, "starved", "Begin" + lost("htm", "interrupt", k) + " Attempt(sw) Abort(sw,explicit) Attempt(sw) Commit(sw)"},
+		{PhTM, "starved", "Begin" + lost("htm", "interrupt", k) + " Attempt(sw) Abort(sw,explicit) Attempt(sw) Commit(sw)"},
+		// norec.MaxHTMRetries == K: the counted limit, not the policy, fails it over.
+		{HybridNOrec, "starved", "Begin" + lost("htm", "interrupt", k) + " Attempt(sw) Abort(sw,explicit) Backoff Attempt(sw) Commit(sw)"},
+		{UnboundedHTM, "starved", "Begin" + lost("htm", "interrupt", k) + " Attempt(fallback) Abort(fallback,interrupt) Attempt(fallback) Commit(fallback)"},
+		{TL2, "starved", "Begin" + lost("sw", "explicit", k) + " Attempt(fallback) Abort(fallback,explicit) Attempt(fallback) Commit(fallback)"},
 		{UFOHybrid, "syscall", "Begin Attempt(htm) Abort(htm,syscall) Attempt(ufo) Commit(ufo)"},
 		{HyTM, "syscall", "Begin Attempt(htm) Abort(htm,syscall) Attempt(sw) Commit(sw)"},
 		{PhTM, "syscall", "Begin Attempt(htm) Abort(htm,syscall) Attempt(sw) Commit(sw)"},
@@ -513,7 +519,9 @@ func TestTxLifeSequences(t *testing.T) {
 		{USTMUFO, "retry", "Begin Attempt(ufo) RetryWait Attempt(ufo) Commit(ufo)"},
 		{SLE, "syscall", "Begin" + strings.Repeat(" Attempt(htm) Abort(htm,syscall) Backoff", 2) + " Attempt(htm) Abort(htm,syscall) Attempt(fallback) Commit(fallback)"},
 		{SLE, "retry", "Begin" + strings.Repeat(" Attempt(htm) Abort(htm,explicit) Backoff", 2) + " Attempt(htm) Abort(htm,explicit) Attempt(fallback) RetryWait Attempt(fallback) RetryWait Attempt(fallback) Commit(fallback)"},
-		{SLE, "starved", "Begin Attempt(htm) Abort(htm,interrupt) Backoff Attempt(htm) Abort(htm,interrupt) Attempt(fallback) Abort(fallback,explicit) Attempt(fallback) Commit(fallback)"},
+		// sle.Attempts < K: the lock is taken before the policy escalates.
+		{SLE, "starved", "Begin" + lost("htm", "interrupt", sle.Attempts) +
+			strings.Repeat(" Attempt(fallback) Abort(fallback,explicit)", k+1-sle.Attempts) + " Attempt(fallback) Commit(fallback)"},
 	} {
 		t.Run(string(c.system)+"/"+c.tx, func(t *testing.T) {
 			procs, workload := 1, syscallTx
@@ -523,7 +531,7 @@ func TestTxLifeSequences(t *testing.T) {
 				procs, workload = 2, retryTx
 			case "starved":
 				workload = starvedTx
-				opt.CM = cm.Spec{Kind: cm.KindSerialize, StarveK: 2}
+				opt.CM = cm.KindSerialize
 			}
 			m := driverMachine(procs)
 			rec := new(tmtest.EventLog)

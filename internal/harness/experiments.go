@@ -198,6 +198,19 @@ func (r *Runner) runStudy(study string, factories []WorkloadFactory, baseline bo
 	return rows, err
 }
 
+// failedRow prints a failed cell's row — its label, laid out by format,
+// then ERROR and the cell's error — and reports whether the cell failed.
+// A failed cell's counters are zero or missing, so every table prints it
+// this way instead of as zeros or not at all.
+func failedRow(w io.Writer, err error, format string, label ...any) bool {
+	if err == nil {
+		return false
+	}
+	fmt.Fprintf(w, format, label...)
+	fmt.Fprintf(w, " ERROR %v\n", err)
+	return true
+}
+
 // Figure6Systems are the hardware-transaction-running systems whose abort
 // reasons Figure 6 breaks down.
 var Figure6Systems = []SystemKind{UnboundedHTM, UFOHybrid, HyTM, PhTM}
@@ -228,6 +241,9 @@ func PrintFigure6(w io.Writer, rows []Row) {
 	}
 	fmt.Fprintln(w)
 	for _, row := range rows {
+		if failedRow(w, row.Err, "%-14s %-14s", row.Workload, row.System) {
+			continue
+		}
 		fmt.Fprintf(w, "%-14s %-14s %9d", row.Workload, row.System, row.Stats.HWCommits)
 		for _, r := range figure6Reasons {
 			fmt.Fprintf(w, "%10d", row.Machine.HWAbortsByReason[r])
@@ -329,6 +345,9 @@ func PrintFigure8(w io.Writer, rows []Row) {
 	fmt.Fprintf(w, "\nFigure 8 — UFO-hybrid contention-management sensitivity (speedup vs. sequential)\n")
 	fmt.Fprintf(w, "%-14s %-26s %8s %10s %10s\n", "workload", "policy", "speedup", "failovers", "ufoKills")
 	for _, r := range rows {
+		if failedRow(w, r.Err, "%-14s %-26s", r.Workload, r.Config) {
+			continue
+		}
 		fmt.Fprintf(w, "%-14s %-26s %8.2f %10d %10d\n",
 			r.Workload, r.Config, r.Speedup(r.SeqCycles),
 			r.Stats.Failovers,

@@ -81,14 +81,14 @@ type Options struct {
 	Params machine.Params
 	// OTableRows sizes the USTM otable for the STM-based systems.
 	OTableRows int
-	// Policy configures the UFO hybrid; its CM is replaced by the one
-	// below.
+	// Policy holds the UFO hybrid's Figure 8 choices; the zero Policy is
+	// the paper's.
 	Policy core.Policy
 	// CM selects the contention-management (backoff) policy of every
-	// system that has one. The zero value is the paper's
-	// capped-exponential default. Spec is a value type: each sweep cell
-	// instantiates its own policy, so cells stay independent.
-	CM cm.Spec
+	// system that has one; Build passes it to each constructor. The zero
+	// Kind is the paper's capped exponential. Each sweep cell builds its
+	// own cm.Manager from it, so cells stay independent.
+	CM cm.Kind
 	// Contention enables conflict attribution: a contention.Profile is
 	// attached to the machine and its frozen Report returned in the
 	// Result (and its headline totals written as contention.* metrics).
@@ -107,11 +107,7 @@ func DefaultOptions() Options {
 	p := machine.DefaultParams(1)
 	p.MemBytes = 1 << 26
 	p.MaxSteps = 400_000_000
-	return Options{
-		Params:     p,
-		OTableRows: 1 << 16,
-		Policy:     core.DefaultPolicy(),
-	}
+	return Options{Params: p, OTableRows: 1 << 16}
 }
 
 // Build constructs the named system over a machine, with opt.CM as its
@@ -129,9 +125,7 @@ func Build(kind SystemKind, m *machine.Machine, opt Options) tm.System {
 	case UnboundedHTM:
 		return unbounded.New(m, opt.CM)
 	case UFOHybrid:
-		pol := opt.Policy
-		pol.CM = opt.CM
-		return core.New(m, cfg, pol)
+		return core.New(m, cfg, opt.Policy, opt.CM)
 	case HyTM:
 		return hytm.New(m, cfg, opt.CM)
 	case PhTM:
@@ -143,13 +137,9 @@ func Build(kind SystemKind, m *machine.Machine, opt Options) tm.System {
 		cfg.StrongAtomicity = true
 		return ustm.New(m, cfg)
 	case TL2:
-		c := tl2.DefaultConfig()
-		c.CM = opt.CM
-		return tl2.New(m, c)
+		return tl2.New(m, opt.CM)
 	case HybridNOrec:
-		c := norec.DefaultConfig()
-		c.CM = opt.CM
-		return norec.New(m, c)
+		return norec.New(m, opt.CM)
 	case SLE:
 		return sle.New(m, opt.CM)
 	}

@@ -19,13 +19,13 @@ var PolicySystems = []SystemKind{UFOHybrid, HybridNOrec}
 // scale's largest thread count; a row's Config is the policy's -policy
 // flag value (exp | linear | karma | serialize). Like every sweep it
 // fans out through the Runner's worker pool and is deterministic for
-// every worker count: each cell owns its machine and instantiates its
-// own policy from the value-typed spec.
+// every worker count: each cell owns its machine and builds its own
+// cm.Manager from the kind.
 func (r *Runner) PolicySweep(opt Options, scale Scale) ([]Row, error) {
 	var configs []studyConfig
 	for _, sys := range PolicySystems {
 		for _, kind := range cm.Kinds {
-			configs = append(configs, studyConfig{string(kind), sys, func(o *Options) { o.CM = cm.Spec{Kind: kind} }})
+			configs = append(configs, studyConfig{string(kind), sys, func(o *Options) { o.CM = kind }})
 		}
 	}
 	return r.runStudy("policies", Benchmarks(scale), true, scale, opt, configs)
@@ -45,8 +45,7 @@ func PrintPolicySweep(w io.Writer, rows []Row) {
 			fmt.Fprintf(w, "%-11s %8s %10s %12s %12s %10s %10s\n",
 				"policy", "speedup", "hwRetries", "failovers", "delayCycles", "delays", "starved")
 		}
-		if r.Err != nil {
-			fmt.Fprintf(w, "%-11s ERROR %v\n", r.Config, r.Err)
+		if failedRow(w, r.Err, "%-11s", r.Config) {
 			continue
 		}
 		m := r.Metrics

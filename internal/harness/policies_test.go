@@ -1,19 +1,21 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/cm"
 	"repro/internal/stamp"
+	"repro/internal/txstats"
 )
 
 // TestPolicySweepDeterministicAndComplete: the policy ablation runs one
 // cell per (workload, policy), is byte-deterministic across worker
-// counts (each cell instantiates its own policy from the value-typed
-// spec), and the rendered table names every policy with its decision
-// counters.
+// counts (each cell builds its own cm.Manager), and the rendered table
+// names every policy with its decision counters.
 func TestPolicySweepDeterministicAndComplete(t *testing.T) {
 	opt := DefaultOptions()
 	serial, err := Serial().PolicySweep(opt, ScaleSmall)
@@ -59,7 +61,7 @@ func TestPolicySweepDeterministicAndComplete(t *testing.T) {
 
 	// The policies genuinely differ: for each system, at least one
 	// workload must show a different backoff-cycle total between exp and
-	// karma (otherwise the spec plumbing silently fell back to the
+	// karma (otherwise the kind's plumbing silently fell back to the
 	// default policy).
 	byKey := map[string]uint64{}
 	for _, r := range serial {
@@ -73,7 +75,7 @@ func TestPolicySweepDeterministicAndComplete(t *testing.T) {
 			}
 		}
 		if !differs {
-			t.Fatalf("%s: exp and karma produced identical delay cycles on every workload: policy spec not applied", sys)
+			t.Fatalf("%s: exp and karma produced identical delay cycles on every workload: policy kind not applied", sys)
 		}
 	}
 }
@@ -81,6 +83,8 @@ func TestPolicySweepDeterministicAndComplete(t *testing.T) {
 // TestPrintPolicySweepFailedCell: a cell that panicked has no metrics
 // snapshot. Its row prints as ERROR with the cell's error, the way
 // PrintOLTP prints a failed point, and the rows after it print as usual.
+// Every other printer of per-cell counters does the same with a failed
+// cell, rather than printing its zero counters or dropping it.
 func TestPrintPolicySweepFailedCell(t *testing.T) {
 	boom := WorkloadFactory{Name: "boom", New: func() stamp.Workload { return panickyWorkload{} }}
 	rows, err := Serial().runStudy("policies", []WorkloadFactory{boom, Benchmarks(ScaleSmall)[0]}, true, ScaleSmall,
@@ -98,5 +102,42 @@ func TestPrintPolicySweepFailedCell(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
+	}
+
+	panicked := errors.New("panic: kaboom")
+	row := Row{Study: "study", Config: "cfg", Result: Result{Workload: "boom", System: UFOHybrid, Err: panicked}}
+	// A latency cell that panicked has no report; one that failed its
+	// invariant has one, which must not be printed as if it were healthy.
+	invariant := Result{Workload: "boom", System: UFOHybrid, Threads: 2, Err: errors.New("lost update"), TxStats: &txstats.Report{}}
+	latency := []Figure5Data{{Workload: "boom", Cells: map[SystemKind]map[int]Result{
+		UFOHybrid: {1: {Workload: "boom", System: UFOHybrid, Threads: 1, Err: panicked}, 2: invariant},
+	}}}
+	for _, c := range []struct {
+		name  string
+		print func(io.Writer)
+		want  []string
+	}{
+		{"fig6", func(w io.Writer) { PrintFigure6(w, []Row{row}) },
+			[]string{fmt.Sprintf("%-14s %-14s ERROR panic: kaboom\n", "boom", UFOHybrid)}},
+		{"fig8", func(w io.Writer) { PrintFigure8(w, []Row{row}) },
+			[]string{fmt.Sprintf("%-14s %-26s ERROR panic: kaboom\n", "boom", "cfg")}},
+		{"ablations", func(w io.Writer) { PrintAblations(w, []Row{row}) },
+			[]string{fmt.Sprintf("%-22s ERROR panic: kaboom\n", "cfg")}},
+		{"footprints", func(w io.Writer) { PrintFootprints(w, []Row{row}) },
+			[]string{fmt.Sprintf("%-14s ERROR panic: kaboom\n", "boom")}},
+		{"latency", func(w io.Writer) { PrintLatency(w, latency, ScaleSmall) }, []string{
+			fmt.Sprintf("%-14s %5d ERROR panic: kaboom\n", UFOHybrid, 1),
+			fmt.Sprintf("%-14s %5d ERROR lost update\n", UFOHybrid, 2),
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var sb strings.Builder
+			c.print(&sb)
+			for _, want := range c.want {
+				if !strings.Contains(sb.String(), want) {
+					t.Errorf("table missing %q:\n%s", want, sb.String())
+				}
+			}
+		})
 	}
 }

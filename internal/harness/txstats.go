@@ -19,7 +19,8 @@ func (r *Runner) Latency(opt Options, scale Scale) ([]Figure5Data, error) {
 // PrintLatency renders the latency experiment as text tables: one row
 // per (system, threads) cell with commit counts, latency percentiles in
 // simulated cycles, mean attempts per commit, and the share of
-// transactional cycles that was wasted (aborted attempts + backoff).
+// transactional cycles that was wasted (aborted attempts + backoff). A
+// failed cell's row names its error.
 func PrintLatency(w io.Writer, data []Figure5Data, scale Scale) {
 	for _, d := range data {
 		fmt.Fprintf(w, "\nLatency — %s (simulated cycles per committed transaction)\n", d.Workload)
@@ -28,7 +29,7 @@ func PrintLatency(w io.Writer, data []Figure5Data, scale Scale) {
 		for _, sys := range Figure5Systems {
 			for _, t := range ThreadCounts(scale) {
 				res, ok := d.Cells[sys][t]
-				if !ok || res.TxStats == nil {
+				if !ok || failedRow(w, res.Err, "%-14s %5d", sys, t) {
 					continue
 				}
 				ts := res.TxStats

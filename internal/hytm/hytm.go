@@ -60,13 +60,13 @@ type System struct {
 	h   tm.Handler
 }
 
-// New builds a HyTM over the machine, backing off as spec says. The
+// New builds a HyTM over the machine, backing off as kind says. The
 // embedded USTM is weakly atomic.
-func New(m *machine.Machine, cfg ustm.Config, spec cm.Spec) *System {
+func New(m *machine.Machine, cfg ustm.Config, kind cm.Kind) *System {
 	cfg.StrongAtomicity = false
 	s := &System{stm: ustm.New(m, cfg)}
 	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(spec),
+		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(kind),
 		On: Dispositions, Limit: MaxConflictRetries, RetryReason: machine.AbortExplicit,
 	}
 	return s

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/tm"
@@ -28,7 +29,7 @@ func TestChromeSinkTruncatesSpanAtRetryWake(t *testing.T) {
 	m.Observe(machine.TraceKinds, sink)
 	waits := new(tmtest.EventLog)
 	m.Observe(machine.KindSet(machine.TraceTxRetryWait), waits)
-	sys := core.New(m, ustm.DefaultConfig(), core.DefaultPolicy())
+	sys := core.New(m, ustm.DefaultConfig(), core.Policy{}, cm.KindExponential)
 	q := txlib.NewQueue(txlib.Direct{M: m}, txlib.NewArena(m, nil, 1<<12), 2)
 	popped := 0
 	worker := func(proc int, body func(tm.Tx)) func(*machine.Proc) {

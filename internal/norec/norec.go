@@ -25,8 +25,8 @@
 //
 // Both counters live at simulated addresses so the polling and
 // subscription traffic is charged like any other memory traffic. The
-// exemplar's RETRY template knob maps onto Config.MaxHTMRetries and its
-// CM knob onto Config.CM.
+// exemplar's RETRY template knob maps onto MaxHTMRetries and its CM knob
+// onto New's cm.Kind.
 //
 // Both retry loops are tm.Driver's. For the hardware half this package
 // supplies the abort table, the subscription that begins an attempt, the
@@ -56,25 +56,16 @@ const (
 	LockSpinCycles = 20
 )
 
-// Config carries HybridNOrec's parameters.
-type Config struct {
-	// MaxHTMRetries bounds hardware retries of transient aborts before
-	// failing over to the software path (the exemplar's RETRY knob).
-	MaxHTMRetries int
-	// CM selects the contention-management policy (the exemplar's CM
-	// knob).
-	CM cm.Spec
-}
-
-// DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config { return Config{MaxHTMRetries: 8} }
+// MaxHTMRetries bounds hardware retries of counted aborts before failing
+// over to the software path (the exemplar's RETRY knob).
+const MaxHTMRetries = 8
 
 // Dispositions is HybridNOrec's abort handler: capacity and the
 // operations hardware cannot run fail over, as does a Retry request
 // (reported with no abort reason: hardware cannot wait for a condition,
 // and the software path models retry as polling); every other abort —
 // including the seqlock subscription firing during a software write-back
-// — is retried in hardware, counted against Config.MaxHTMRetries.
+// — is retried in hardware, counted against MaxHTMRetries.
 var Dispositions = tm.Dispositions{
 	machine.AbortNone:         tm.Fatal,
 	machine.AbortOverflow:     tm.Fatal,
@@ -114,8 +105,9 @@ type System struct {
 	lastWriter int
 }
 
-// New builds a HybridNOrec instance over the machine.
-func New(m *machine.Machine, cfg Config) *System {
+// New builds a HybridNOrec instance over the machine, backing off as kind
+// says.
+func New(m *machine.Machine, kind cm.Kind) *System {
 	s := &System{
 		lockAddr:   m.Mem.Sbrk(mem.LineBytes),
 		htmAddr:    m.Mem.Sbrk(mem.LineBytes),
@@ -123,8 +115,8 @@ func New(m *machine.Machine, cfg Config) *System {
 		lastWriter: -1,
 	}
 	s.h = tm.Handler{
-		Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(cfg.CM),
-		On: Dispositions, Limit: cfg.MaxHTMRetries,
+		Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(kind),
+		On: Dispositions, Limit: MaxHTMRetries,
 	}
 	return s
 }

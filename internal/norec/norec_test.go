@@ -3,6 +3,7 @@ package norec
 import (
 	"testing"
 
+	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/tm"
 	"repro/internal/tmtest"
@@ -31,7 +32,7 @@ func run(m *machine.Machine, s *System, bodies ...func(tm.Exec)) {
 // hardware notification counter.
 func TestSingleProcCommitsInHardware(t *testing.T) {
 	m := newMachine(1)
-	s := New(m, DefaultConfig())
+	s := New(m, cm.KindExponential)
 	addr := m.Mem.Sbrk(64)
 	run(m, s, func(ex tm.Exec) {
 		for i := 0; i < 10; i++ {
@@ -62,7 +63,7 @@ func TestSingleProcCommitsInHardware(t *testing.T) {
 // commit counter (the documented divergence from the exemplar).
 func TestReadOnlyHardwareSkipsCounterBump(t *testing.T) {
 	m := newMachine(1)
-	s := New(m, DefaultConfig())
+	s := New(m, cm.KindExponential)
 	addr := m.Mem.Sbrk(64)
 	var got uint64
 	run(m, s, func(ex tm.Exec) {
@@ -84,7 +85,7 @@ func TestReadOnlyHardwareSkipsCounterBump(t *testing.T) {
 // leaves it free, and writes back the redo log.
 func TestSoftwareCommitAdvancesSeqlock(t *testing.T) {
 	m := newMachine(1)
-	s := New(m, DefaultConfig())
+	s := New(m, cm.KindExponential)
 	addr := m.Mem.Sbrk(64)
 	run(m, s, func(ex tm.Exec) {
 		ex.Atomic(func(tx tm.Tx) {
@@ -116,7 +117,7 @@ func TestSoftwareCommitAdvancesSeqlock(t *testing.T) {
 // its own redo-log entries (lazy versioning partial abort).
 func TestSoftwareNestedPartialAbort(t *testing.T) {
 	m := newMachine(1)
-	s := New(m, DefaultConfig())
+	s := New(m, cm.KindExponential)
 	a := m.Mem.Sbrk(64)
 	b := m.Mem.Sbrk(64)
 	var nested bool
@@ -143,7 +144,7 @@ func TestSoftwareNestedPartialAbort(t *testing.T) {
 // store makes the condition pass.
 func TestRetryFailsOverAndPolls(t *testing.T) {
 	m := newMachine(2)
-	s := New(m, DefaultConfig())
+	s := New(m, cm.KindExponential)
 	flag := m.Mem.Sbrk(64)
 	done := m.Mem.Sbrk(64)
 	run(m, s,
@@ -188,11 +189,9 @@ func observeConflicts(m *machine.Machine) (edges, hwCommits, swCommits *tmtest.E
 // is attributed to the software committer.
 func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 	m := newMachine(2)
-	cfg := DefaultConfig()
-	// Unbounded hardware retries: the pin is that hardware rides out the
-	// write-back purely by aborting and retrying.
-	cfg.MaxHTMRetries = 1 << 30
-	s := New(m, cfg)
+	// The pin is that hardware rides out the write-back purely by
+	// aborting and retrying, within MaxHTMRetries.
+	s := New(m, cm.KindExponential)
 	edges, hwCommits, swCommits := observeConflicts(m)
 	const lines, swRuns, hwRuns = 16, 4, 60
 	base := m.Mem.Sbrk(64 * lines)
@@ -265,7 +264,7 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 // one commit event per transaction.
 func TestColliderAccountingIdentities(t *testing.T) {
 	m := newMachine(2)
-	s := New(m, DefaultConfig())
+	s := New(m, cm.KindExponential)
 	edges, hwCommits, swCommits := observeConflicts(m)
 	rec := txstats.New(2)
 	m.Observe(txstats.Kinds, rec)

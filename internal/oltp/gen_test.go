@@ -193,7 +193,7 @@ func TestOfferedMatchesTraces(t *testing.T) {
 
 // TestMixNotSummingTo100Panics: a mix that does not sum to 100 is a
 // construction bug. It used to run silently as 80/15/5; now New, Replay
-// and Traces panic and name the mix, as tl2.New does for Stripes.
+// and Traces panic and name the mix.
 func TestMixNotSummingTo100Panics(t *testing.T) {
 	cfg := Config{Keys: 16, RequestsPerProc: 10, ReadPct: 50, RMWPct: 20, ScanPct: 5,
 		ScanLen: 2, MeanGap: 200, Arrival: ArrivalPoisson, Seed: 8}

@@ -69,10 +69,10 @@ type System struct {
 	lastSTMProc int
 }
 
-// New builds a PhTM over the machine, backing off as spec says. The
+// New builds a PhTM over the machine, backing off as kind says. The
 // embedded USTM is weakly atomic (PhTM's phase exclusion replaces conflict
 // detection between modes).
-func New(m *machine.Machine, cfg ustm.Config, spec cm.Spec) *System {
+func New(m *machine.Machine, cfg ustm.Config, kind cm.Kind) *System {
 	cfg.StrongAtomicity = false
 	s := &System{
 		stm:            ustm.New(m, cfg),
@@ -81,7 +81,7 @@ func New(m *machine.Machine, cfg ustm.Config, spec cm.Spec) *System {
 		lastSTMProc:    -1,
 	}
 	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(spec),
+		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(kind),
 		On: Dispositions, RetryReason: machine.AbortExplicit,
 	}
 	return s

@@ -17,7 +17,7 @@ func testSystem(procs int) (*machine.Machine, *System) {
 	m := machine.New(p)
 	cfg := ustm.DefaultConfig()
 	cfg.OTableRows = 1 << 12
-	return m, New(m, cfg, cm.Spec{})
+	return m, New(m, cfg, cm.KindExponential)
 }
 
 func TestSmallTxCommitsInHardware(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // speculatively and neither serializes on the lock.
 func Example() {
 	m := machine.New(machine.DefaultParams(2))
-	s := sle.New(m, cm.Spec{})
+	s := sle.New(m, cm.KindExponential)
 	base := m.Mem.Sbrk(2 * 64)
 
 	e0, e1 := s.Exec(m.Proc(0)), s.Exec(m.Proc(1))

@@ -42,11 +42,11 @@ type System struct {
 	h    tm.Handler
 }
 
-// New builds lock elision over the machine, backing off as spec says.
-func New(m *machine.Machine, spec cm.Spec) *System {
+// New builds lock elision over the machine, backing off as kind says.
+func New(m *machine.Machine, kind cm.Kind) *System {
 	s := &System{lock: seq.New(m, seq.GlobalLock)}
 	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.lock.Stats(), CM: cm.NewManager(spec),
+		Name: s.Name(), Stats: s.lock.Stats(), CM: cm.NewManager(kind),
 		On: Dispositions, Limit: Attempts, RetryReason: machine.AbortExplicit,
 	}
 	return s

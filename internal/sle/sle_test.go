@@ -21,7 +21,7 @@ func TestDisjointCriticalSectionsRunConcurrently(t *testing.T) {
 	// serializes them, so the elapsed time is far below 4× the serial
 	// critical-section time.
 	m := testMachine(4)
-	s := New(m, cm.Spec{})
+	s := New(m, cm.KindExponential)
 	base := m.Mem.Sbrk(4 * 64)
 	var ws []func(*machine.Proc)
 	for i := 0; i < 4; i++ {
@@ -54,7 +54,7 @@ func TestDisjointCriticalSectionsRunConcurrently(t *testing.T) {
 
 func TestConflictingSectionsStayCorrect(t *testing.T) {
 	m := testMachine(4)
-	s := New(m, cm.Spec{})
+	s := New(m, cm.KindExponential)
 	var ws []func(*machine.Proc)
 	for i := 0; i < 4; i++ {
 		ex := s.Exec(m.Proc(i))
@@ -78,7 +78,7 @@ func TestFallbackAcquiresLock(t *testing.T) {
 	// of its sections takes the lock for real, while an eliding peer
 	// conflicts on the same counter, which must stay exact.
 	m := testMachine(2)
-	s := New(m, cm.Spec{})
+	s := New(m, cm.KindExponential)
 	var ws []func(*machine.Proc)
 	for i := 0; i < 2; i++ {
 		ex := s.Exec(m.Proc(i))
@@ -107,7 +107,7 @@ func TestFallbackAcquiresLock(t *testing.T) {
 
 func TestRealAcquisitionAbortsEliders(t *testing.T) {
 	m := testMachine(2)
-	s := New(m, cm.Spec{})
+	s := New(m, cm.KindExponential)
 	var sawLockHeld bool
 	ex := s.Exec(m.Proc(0))
 	locker := s.lock.Exec(m.Proc(1)) // the global-lock path, under the same lock

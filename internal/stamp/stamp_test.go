@@ -3,6 +3,7 @@ package stamp
 import (
 	"testing"
 
+	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/seq"
@@ -38,7 +39,7 @@ func runOn(t *testing.T, wl Workload, threads int, mkSys func(*machine.Machine) 
 func hybridSys(m *machine.Machine) tm.System {
 	cfg := ustm.DefaultConfig()
 	cfg.OTableRows = 1 << 13
-	return core.New(m, cfg, core.DefaultPolicy())
+	return core.New(m, cfg, core.Policy{}, cm.KindExponential)
 }
 
 func stmSys(m *machine.Machine) tm.System {

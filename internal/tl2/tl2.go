@@ -14,8 +14,6 @@
 package tl2
 
 import (
-	"fmt"
-
 	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -30,16 +28,8 @@ const (
 	PerWriteCycles = 10 // lock + write-back + unlock logic per stripe
 )
 
-// Config carries TL2's parameters.
-type Config struct {
-	// Stripes is the lock-table size (power of two).
-	Stripes int
-	// CM selects the contention-management policy.
-	CM cm.Spec
-}
-
-// DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config { return Config{Stripes: 1 << 16} }
+// Stripes is the lock-table size (a power of two).
+const Stripes = 1 << 16
 
 type stripe struct {
 	version uint64
@@ -57,21 +47,16 @@ type System struct {
 	clockAddr uint64
 	stripes   *machine.Table[stripe] // in the machine's arena; dirtied when first locked
 	lockBase  uint64
-	mask      uint64
 }
 
-// New builds a TL2 instance over the machine.
-func New(m *machine.Machine, cfg Config) *System {
-	if cfg.Stripes <= 0 || cfg.Stripes&(cfg.Stripes-1) != 0 {
-		panic(fmt.Sprintf("tl2: Stripes %d must be a positive power of two", cfg.Stripes))
-	}
+// New builds a TL2 instance over the machine, backing off as kind says.
+func New(m *machine.Machine, kind cm.Kind) *System {
 	s := &System{
 		clockAddr: m.Mem.Sbrk(mem.LineBytes),
-		stripes:   machine.TableOf[stripe](m, cfg.Stripes),
-		lockBase:  m.Mem.Sbrk(uint64(cfg.Stripes) * mem.LineBytes),
-		mask:      uint64(cfg.Stripes - 1),
+		stripes:   machine.TableOf[stripe](m, Stripes),
+		lockBase:  m.Mem.Sbrk(Stripes * mem.LineBytes),
 	}
-	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(cfg.CM)}
+	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(kind)}
 	return s
 }
 
@@ -98,7 +83,7 @@ func (s *System) Exec(p *machine.Proc) tm.Exec {
 }
 
 func (s *System) stripeOf(addr uint64) uint64 {
-	return (mem.LineOf(addr) * 0x9E3779B97F4A7C15 >> 19) & s.mask
+	return (mem.LineOf(addr) * 0x9E3779B97F4A7C15 >> 19) & (Stripes - 1)
 }
 
 func (s *System) stripeAddr(i uint64) uint64 { return s.lockBase + i*mem.LineBytes }

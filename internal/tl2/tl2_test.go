@@ -3,6 +3,7 @@ package tl2
 import (
 	"testing"
 
+	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/tm"
 )
@@ -13,9 +14,7 @@ func testSystem(procs int) (*machine.Machine, *System) {
 	p.Quantum = 0
 	p.MaxSteps = 10_000_000
 	m := machine.New(p)
-	cfg := DefaultConfig()
-	cfg.Stripes = 1 << 12
-	return m, New(m, cfg)
+	return m, New(m, cm.KindExponential)
 }
 
 func TestCommitPublishesLazily(t *testing.T) {
@@ -131,16 +130,6 @@ func TestClockAdvancesPerWriteCommit(t *testing.T) {
 	if s.clock != 7 {
 		t.Fatalf("clock = %d, want 7", s.clock)
 	}
-}
-
-func TestBadStripesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	p := machine.DefaultParams(1)
-	New(machine.New(p), Config{Stripes: 3})
 }
 
 func TestName(t *testing.T) {

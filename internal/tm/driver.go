@@ -207,7 +207,7 @@ attempts:
 		}
 		aborts++ // the policy clamps the shift (saturating counter)
 		h.Stats.HWRetries++
-		if cmgr.OnAbort(p, age, aborts, reason) != cm.EscalateNone {
+		if cmgr.OnAbort(p, age, aborts) {
 			// The policy declared this transaction starving: stop burning
 			// hardware attempts and serialize it through software.
 			break
@@ -289,7 +289,7 @@ func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 			h.Stats.HWRetries++
 		}
 		aborts++ // the policy clamps the shift (saturating counter)
-		if cmgr.OnAbort(p, id, aborts, reason) != cm.EscalateNone {
+		if cmgr.OnAbort(p, id, aborts) {
 			cmgr.AcquireToken(p, id)
 			path = machine.PathFallback
 		}

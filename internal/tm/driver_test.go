@@ -42,7 +42,7 @@ func newRig(procs int, fallback bool) *rig {
 	p.Quantum = 0
 	p.MaxSteps = 200_000
 	r := &rig{m: machine.New(p)}
-	r.h = tm.Handler{Name: "rig", Stats: &r.stats, CM: cm.NewManager(cm.Spec{}), On: row, RetryReason: machine.AbortExplicit}
+	r.h = tm.Handler{Name: "rig", Stats: &r.stats, CM: cm.NewManager(cm.KindExponential), On: row, RetryReason: machine.AbortExplicit}
 	r.d = r.driver(0, fallback)
 	return r
 }
@@ -122,6 +122,15 @@ func inject(reason machine.AbortReason) step {
 	}
 }
 
+// times is n copies of s: enough aborts to reach cm.DefaultStarveK.
+func times(n int, s step) []step {
+	steps := make([]step, n)
+	for i := range steps {
+		steps[i] = s
+	}
+	return steps
+}
+
 func (r *rig) body(steps ...step) func(tm.Tx) {
 	i := 0
 	return func(tx tm.Tx) {
@@ -167,7 +176,7 @@ func TestDriverAbortHandlerArms(t *testing.T) {
 		log    string
 		stats  tm.Stats
 		cm     cm.Stats
-		policy cm.Spec
+		policy cm.Kind
 	}{
 		{name: "fatal fails over at once", steps: []step{inject(machine.AbortSyscall)},
 			log: "begin, body, software", stats: tm.Stats{Failovers: 1}},
@@ -186,10 +195,10 @@ func TestDriverAbortHandlerArms(t *testing.T) {
 			stats: tm.Stats{Failovers: 1, HWRetries: 2}, cm: cm.Stats{Delays: 2}},
 		{name: "a retry request is classified under RetryReason", steps: []step{func(_ *rig, tx tm.Tx) { tx.Retry() }},
 			log: "begin, body, software", stats: tm.Stats{Failovers: 1}},
-		{name: "escalation fails over instead of backing off", policy: cm.Spec{Kind: cm.KindSerialize, StarveK: 2},
-			steps: []step{inject(machine.AbortInterrupt), inject(machine.AbortInterrupt)},
-			log:   "begin, body, begin, body, software",
-			stats: tm.Stats{Failovers: 1, HWRetries: 2}, cm: cm.Stats{Delays: 1, StarvationEscalations: 1}},
+		{name: "escalation fails over instead of backing off", policy: cm.KindSerialize,
+			steps: times(cm.DefaultStarveK, inject(machine.AbortInterrupt)),
+			log:   strings.Repeat("begin, body, ", cm.DefaultStarveK) + "software",
+			stats: tm.Stats{Failovers: 1, HWRetries: cm.DefaultStarveK}, cm: cm.Stats{Delays: cm.DefaultStarveK - 1, StarvationEscalations: 1}},
 		{name: "an explicit abort reaches the handler", steps: []step{func(_ *rig, tx tm.Tx) { tx.Abort() }},
 			log: "begin, body, software", stats: tm.Stats{Failovers: 1}},
 		{name: "an inner abort of a flattened nest aborts the transaction",
@@ -264,29 +273,31 @@ func TestDriverRetryNowSkipsTheHandler(t *testing.T) {
 
 func TestDriverWithoutSoftwareRetriesUntilCommit(t *testing.T) {
 	r := newRig(1, false)
-	r.h.CM = cm.NewManager(cm.Spec{Kind: cm.KindSerialize, StarveK: 2})
+	r.h.CM = cm.NewManager(cm.KindSerialize)
 	const age = 1 // the machine's first transaction
+	const k = cm.DefaultStarveK
 	var heldInBody, heldInCommitted bool
 	r.committed = func() { heldInCommitted = r.tokenHeldBy(age) }
-	r.run(func() {
-		r.d.Atomic(r.body(
-			func(_ *rig, tx tm.Tx) { tx.Retry() },
-			inject(machine.AbortPageFault),
-			inject(machine.AbortInterrupt),
-			inject(machine.AbortSyscall), // Fatal has nowhere to go: retried
-			func(r *rig, _ tm.Tx) { heldInBody = r.tokenHeldBy(age) },
-		))
-	})
-	// The second contention abort escalates: the token is taken, held
+	steps := []step{
+		func(_ *rig, tx tm.Tx) { tx.Retry() },
+		inject(machine.AbortPageFault),
+	}
+	steps = append(steps, times(k-1, inject(machine.AbortInterrupt))...)
+	steps = append(steps,
+		inject(machine.AbortSyscall), // Fatal has nowhere to go: retried
+		func(r *rig, _ tm.Tx) { heldInBody = r.tokenHeldBy(age) },
+	)
+	r.run(func() { r.d.Atomic(r.body(steps...)) })
+	// The k-th contention abort escalates: the token is taken, held
 	// across the last attempt, and released before Committed runs.
 	if !heldInBody || heldInCommitted {
 		t.Errorf("token held in the escalated attempt = %v, in Committed = %v; want true, false", heldInBody, heldInCommitted)
 	}
-	r.want(t, "begin, body, begin, body, begin, body, begin, body, begin, body, precommit, committed, deferred",
-		tm.Stats{HWCommits: 1, HWRetries: 2, Retries: 1})
+	r.want(t, strings.Repeat("begin, body, ", k+2)+"begin, body, precommit, committed, deferred",
+		tm.Stats{HWCommits: 1, HWRetries: k, Retries: 1})
 	got := *r.h.CM.Stats()
 	got.DelayCycles, got.MaxDelay = 0, 0
-	want := cm.Stats{Delays: 1, PageFaultStalls: 1, RetryPolls: 1, StarvationEscalations: 1, TokenAcquisitions: 1}
+	want := cm.Stats{Delays: k - 1, PageFaultStalls: 1, RetryPolls: 1, StarvationEscalations: 1, TokenAcquisitions: 1}
 	if got != want {
 		t.Fatalf("cm stats %+v, want %+v", got, want)
 	}
@@ -307,13 +318,22 @@ func TestDriverSoftwarePath(t *testing.T) {
 			"sw-begin, body, sw-end aborted=false ok=true, deferred",
 			tm.Stats{SWCommits: 1, SWAborts: 2, Retries: 1})
 	})
+	// k aborts escalate; the attempt after them commits.
+	const k = cm.DefaultStarveK
+	commits := func() []bool {
+		script := make([]bool, k+1)
+		for i := range script {
+			script[i] = true
+		}
+		return script
+	}
 	t.Run("escalation takes the token until TxDone", func(t *testing.T) {
 		r := newRig(1, false)
-		r.h.CM = cm.NewManager(cm.Spec{Kind: cm.KindSerialize, StarveK: 1})
-		r.swScript = []bool{true, true}
+		r.h.CM = cm.NewManager(cm.KindSerialize)
+		r.swScript = commits()
 		held := false
 		r.run(func() {
-			r.d.AtomicSW(7, r.body(abort, func(r *rig, _ tm.Tx) { held = r.tokenHeldBy(7) }))
+			r.d.AtomicSW(7, r.body(append(times(k, abort), func(r *rig, _ tm.Tx) { held = r.tokenHeldBy(7) })...))
 		})
 		if after := r.tokenHeldBy(7); !held || after {
 			t.Fatalf("token held during the escalated attempt = %v, afterwards = %v; want true, false", held, after)
@@ -321,14 +341,15 @@ func TestDriverSoftwarePath(t *testing.T) {
 	})
 	t.Run("RunSW leaves TxDone to the caller", func(t *testing.T) {
 		r := newRig(1, false)
-		r.h.CM = cm.NewManager(cm.Spec{Kind: cm.KindSerialize, StarveK: 1})
-		r.swScript = []bool{true, true}
-		r.run(func() { r.d.RunSW(7, r.body(abort)) })
+		r.h.CM = cm.NewManager(cm.KindSerialize)
+		r.swScript = commits()
+		r.run(func() { r.d.RunSW(7, r.body(times(k, abort)...)) })
 		if !r.tokenHeldBy(7) {
 			t.Fatal("RunSW released the token: the hybrid's failover arm does that, after the software path returns")
 		}
-		r.want(t, "sw-begin, body, sw-end aborted=true ok=false, sw-begin, body, sw-end aborted=false ok=true, deferred",
-			tm.Stats{SWCommits: 1, SWAborts: 1})
+		r.want(t, strings.Repeat("sw-begin, body, sw-end aborted=true ok=false, ", k)+
+			"sw-begin, body, sw-end aborted=false ok=true, deferred",
+			tm.Stats{SWCommits: 1, SWAborts: k})
 	})
 }
 

@@ -76,7 +76,7 @@ func dispositionRows(t *testing.T) []string {
 		{"ufo-hybrid", core.Dispositions, "`core.Policy.FailoverOnNthConflict` (0 = never)"},
 		{"hytm", hytm.Dispositions, "`hytm.MaxConflictRetries`"},
 		{"phtm", phtm.Dispositions, ""},
-		{"hybrid-norec", norec.Dispositions, "`norec.Config.MaxHTMRetries`"},
+		{"hybrid-norec", norec.Dispositions, "`norec.MaxHTMRetries`"},
 		{"unbounded-htm", unbounded.Dispositions, ""},
 		{"sle", sle.Dispositions, "`sle.Attempts`"},
 	}

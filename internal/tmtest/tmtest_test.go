@@ -131,17 +131,17 @@ func TestSerializabilityFuzzAllSystems(t *testing.T) {
 		"ufo-hybrid": func(m *machine.Machine) tm.System {
 			cfg := ustm.DefaultConfig()
 			cfg.OTableRows = 1 << 12
-			return core.New(m, cfg, core.DefaultPolicy())
+			return core.New(m, cfg, core.Policy{}, cm.KindExponential)
 		},
 		"hytm": func(m *machine.Machine) tm.System {
 			cfg := ustm.DefaultConfig()
 			cfg.OTableRows = 1 << 12
-			return hytm.New(m, cfg, cm.Spec{})
+			return hytm.New(m, cfg, cm.KindExponential)
 		},
 		"phtm": func(m *machine.Machine) tm.System {
 			cfg := ustm.DefaultConfig()
 			cfg.OTableRows = 1 << 12
-			return phtm.New(m, cfg, cm.Spec{})
+			return phtm.New(m, cfg, cm.KindExponential)
 		},
 		"ustm+ufo": func(m *machine.Machine) tm.System {
 			cfg := ustm.DefaultConfig()
@@ -149,10 +149,10 @@ func TestSerializabilityFuzzAllSystems(t *testing.T) {
 			return ustm.New(m, cfg)
 		},
 		"tl2": func(m *machine.Machine) tm.System {
-			return tl2.New(m, tl2.DefaultConfig())
+			return tl2.New(m, cm.KindExponential)
 		},
 		"unbounded-htm": func(m *machine.Machine) tm.System {
-			return unbounded.New(m, cm.Spec{})
+			return unbounded.New(m, cm.KindExponential)
 		},
 		"global-lock": func(m *machine.Machine) tm.System {
 			return seq.New(m, seq.GlobalLock)

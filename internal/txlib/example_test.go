@@ -3,6 +3,7 @@ package txlib_test
 import (
 	"fmt"
 
+	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/tm"
@@ -14,7 +15,7 @@ import (
 // setup (via the zero-cost Direct accessor) and inside a transaction.
 func ExampleTree() {
 	m := machine.New(machine.DefaultParams(1))
-	sys := core.New(m, ustm.DefaultConfig(), core.DefaultPolicy())
+	sys := core.New(m, ustm.DefaultConfig(), core.Policy{}, cm.KindExponential)
 	arena := txlib.NewArena(m, nil, 1<<16)
 	d := txlib.Direct{M: m}
 
@@ -40,7 +41,7 @@ func ExampleTree() {
 // ExampleQueue moves values through a transactional bounded queue.
 func ExampleQueue() {
 	m := machine.New(machine.DefaultParams(2))
-	sys := core.New(m, ustm.DefaultConfig(), core.DefaultPolicy())
+	sys := core.New(m, ustm.DefaultConfig(), core.Policy{}, cm.KindExponential)
 	arena := txlib.NewArena(m, nil, 1<<12)
 	q := txlib.NewQueue(txlib.Direct{M: m}, arena, 2)
 

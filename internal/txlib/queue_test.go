@@ -3,6 +3,7 @@ package txlib
 import (
 	"testing"
 
+	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/tm"
@@ -17,7 +18,7 @@ func queueMachine(procs int) (*machine.Machine, *core.System) {
 	m := machine.New(p)
 	cfg := ustm.DefaultConfig()
 	cfg.OTableRows = 1 << 12
-	return m, core.New(m, cfg, core.DefaultPolicy())
+	return m, core.New(m, cfg, core.Policy{}, cm.KindExponential)
 }
 
 func TestQueueFIFOSingleThread(t *testing.T) {

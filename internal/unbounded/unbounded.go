@@ -41,11 +41,11 @@ type System struct {
 	h     tm.Handler
 }
 
-// New builds the system, backing off as spec says. It keeps no machine
+// New builds the system, backing off as kind says. It keeps no machine
 // state of its own.
-func New(_ *machine.Machine, spec cm.Spec) *System {
+func New(_ *machine.Machine, kind cm.Kind) *System {
 	s := &System{}
-	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(spec), On: Dispositions}
+	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(kind), On: Dispositions}
 	return s
 }
 

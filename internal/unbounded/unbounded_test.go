@@ -17,7 +17,7 @@ func testSystem(procs int) (*machine.Machine, *System) {
 	p.L1Bytes = 8 * 64
 	p.L1Ways = 1
 	m := machine.New(p)
-	return m, New(m, cm.Spec{})
+	return m, New(m, cm.KindExponential)
 }
 
 func TestHugeTransactionCommits(t *testing.T) {
@@ -49,7 +49,7 @@ func TestInterruptRetriedInHardware(t *testing.T) {
 	p.Quantum = 2_000
 	p.MaxSteps = 10_000_000
 	m := machine.New(p)
-	s := New(m, cm.Spec{})
+	s := New(m, cm.KindExponential)
 	ex := s.Exec(m.Proc(0))
 	m.Run([]func(*machine.Proc){func(pp *machine.Proc) {
 		ex.Atomic(func(tx tm.Tx) {

@@ -71,10 +71,13 @@ run() {
 	"$bin" -experiment litmus -scale full -litmus-out litmus.full.json >litmus.full.stdout 2>litmus.full.stderr ||
 		echo "exit $?" >>litmus.full.stdout
 	# Non-default policies reach the arms the default never takes:
-	# serialize escalates to the software path and to the token.
+	# serialize escalates to the software path and to the token. The
+	# contention report's cm annotation is the one place the policy's
+	# name (cm.Manager.PolicyName) reaches output.
 	local pol
 	for pol in linear karma serialize; do
 		"$bin" -experiment fig5 -scale small -policy "$pol" -metrics-out "fig5.$pol.metrics.json" \
+			-contention-out "fig5.$pol.contention.json" \
 			>"fig5.$pol.stdout" 2>"fig5.$pol.stderr" || echo "exit $?" >>"fig5.$pol.stdout"
 	done
 	# Traced cells carry every observer at once — the live sink, the
