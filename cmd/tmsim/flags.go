@@ -173,5 +173,10 @@ func (cfg *config) validate() error {
 			}
 		}
 	}
+	// The sequential executor has no synchronization: on more than one
+	// processor its threads race and the workload's invariant fails.
+	if cfg.system == harness.Sequential && cfg.traceThreads != 1 {
+		return fmt.Errorf("-trace-system sequential runs on one processor: pass -trace-threads 1")
+	}
 	return nil
 }

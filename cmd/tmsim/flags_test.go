@@ -54,6 +54,10 @@ func TestParseConfigValidation(t *testing.T) {
 		// Past cache.MaxProcs the machine's constructor panics: a usage error.
 		{"trace threads at the machine's limit", []string{"-trace-out", "t.json", "-trace-threads", "256"}, ""},
 		{"trace threads past the machine's limit", []string{"-trace-out", "t.json", "-trace-threads", "300"}, "-trace-threads 300: want 1..256"},
+		// The sequential executor is unsynchronized: one processor only.
+		{"sequential traced cell", []string{"-trace-out", "t.txt", "-trace-system", "sequential", "-trace-threads", "1"}, ""},
+		{"sequential traced cell on the default threads", []string{"-trace-out", "t.txt", "-trace-system", "sequential"},
+			"-trace-system sequential runs on one processor: pass -trace-threads 1"},
 
 		{"oltp sweep", []string{"-experiment", "oltp", "-scale", "small", "-oltp-out", "o.json"}, ""},
 		// The skew and mix the load axis runs at are fixed; the sweep varies

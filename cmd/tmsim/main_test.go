@@ -10,10 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/contention"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/stamp"
 	"repro/internal/tm"
+	"repro/internal/txstats"
 )
 
 // tmsim runs the command in-process at -scale small and fails the test
@@ -27,23 +29,68 @@ func tmsim(t *testing.T, args ...string) string {
 	return stdout.String()
 }
 
-// readSection reads a report file back through the one reader.
-func readSection(t *testing.T, path string, s harness.Section) *harness.Report {
+// decodeFile decodes a written JSON file into v with encoding/json, the
+// way any consumer of the documented schemas would.
+func decodeFile(t *testing.T, path string, v any) {
 	t.Helper()
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	rep, err := harness.ReadReport(f, s)
-	if err != nil {
+	if err := json.Unmarshal(raw, v); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	return rep
+}
+
+// sectionDoc is one report section's document (OBSERVABILITY.md): the
+// schema string, the cells with their identity and the one section each
+// carries, and the section's aggregate.
+type sectionDoc struct {
+	Schema string
+	Cells  []struct {
+		Workload, System, Err string
+		Threads               int
+		Metrics               *struct {
+			Metrics []struct {
+				Name  string
+				Value float64
+			}
+		}
+		TxStats    *txstats.Report
+		Contention *contention.Report
+	}
+	Aggregate json.RawMessage
+}
+
+// readSection decodes a report file and checks that it is section s's.
+func readSection(t *testing.T, path string, s harness.Section) *sectionDoc {
+	t.Helper()
+	var doc sectionDoc
+	decodeFile(t, path, &doc)
+	if doc.Schema != string(s) {
+		t.Fatalf("%s: schema %q, want %q", path, doc.Schema, s)
+	}
+	return &doc
+}
+
+// label renders cell i's coordinates as harness.Cell.Label does.
+func (d *sectionDoc) label(i int) string {
+	c := d.Cells[i]
+	return fmt.Sprintf("%s/%s/%d threads", c.Workload, c.System, c.Threads)
+}
+
+// counter is cell i's value of the named metric, 0 when absent.
+func (d *sectionDoc) counter(i int, name string) uint64 {
+	for _, m := range d.Cells[i].Metrics.Metrics {
+		if m.Name == name {
+			return uint64(m.Value)
+		}
+	}
+	return 0
 }
 
 // TestLatencyTxStatsFile: -experiment latency -txstats-out writes a
-// document the reader accepts, one cell per sweep cell, where every cell
+// tmsim-txstats/v1 document, one cell per sweep cell, where every cell
 // with nothing in flight decomposes its latency exactly — the five cycle
 // buckets sum to the latency histogram's total — and the aggregate's
 // percentiles are positive and monotone.
@@ -56,32 +103,35 @@ func TestLatencyTxStatsFile(t *testing.T) {
 		t.Fatalf("%d cells, want %d; stdout:\n%s", len(rep.Cells), want, out)
 	}
 	checked := 0
-	for _, c := range rep.Cells {
+	for i, c := range rep.Cells {
 		ts := c.TxStats
 		if c.Err != "" || ts == nil {
-			t.Fatalf("%s: err %q, txstats %v", c.Label(), c.Err, ts)
+			t.Fatalf("%s: err %q, txstats %v", rep.label(i), c.Err, ts)
 		}
 		if ts.InFlight != 0 || ts.Latency == nil {
 			continue
 		}
 		split := ts.UsefulCycles + ts.WastedCycles + ts.BackoffCycles + ts.RetryWaitCycles + ts.OverheadCycles
 		if split != ts.Latency.Sum {
-			t.Errorf("%s: cycle split %d != total latency %d", c.Label(), split, ts.Latency.Sum)
+			t.Errorf("%s: cycle split %d != total latency %d", rep.label(i), split, ts.Latency.Sum)
 		}
 		checked++
 	}
 	if checked == 0 {
 		t.Fatal("no cell had a latency histogram to check the identity on")
 	}
-	agg := rep.Aggregate().TxStats
+	var agg txstats.Report
+	if err := json.Unmarshal(rep.Aggregate, &agg); err != nil {
+		t.Fatal(err)
+	}
 	pc := agg.LatencyPercentiles
 	if agg.Committed == 0 || pc == nil || !(0 < pc.P50 && pc.P50 <= pc.P90 && pc.P90 <= pc.P99 && pc.P99 <= pc.P999) {
 		t.Fatalf("aggregate committed %d, percentiles %+v", agg.Committed, pc)
 	}
 }
 
-// TestFig6ContentionFiles: -contention-out under fig6 writes the JSON
-// document (read back, one cell per sweep cell) and, with -report html,
+// TestFig6ContentionFiles: -contention-out under fig6 writes the
+// tmsim-contention-report/v1 document (one cell per sweep cell) and, with -report html,
 // a document that is HTML and not JSON (contention's
 // TestWriteHTMLSelfContained checks what is inside it).
 func TestFig6ContentionFiles(t *testing.T) {
@@ -92,9 +142,9 @@ func TestFig6ContentionFiles(t *testing.T) {
 	if len(rep.Cells) == 0 {
 		t.Fatal("no contention cells")
 	}
-	for _, c := range rep.Cells {
+	for i, c := range rep.Cells {
 		if c.Contention == nil || c.Metrics != nil || c.TxStats != nil {
-			t.Fatalf("%s: contention %v, metrics %v, txstats %v", c.Label(), c.Contention, c.Metrics, c.TxStats)
+			t.Fatalf("%s: contention %v, metrics %v, txstats %v", rep.label(i), c.Contention, c.Metrics, c.TxStats)
 		}
 	}
 	out := tmsim(t, "-experiment", "fig6", "-contention-out", htmlPath, "-report", "html")
@@ -108,20 +158,16 @@ func TestFig6ContentionFiles(t *testing.T) {
 }
 
 // TestOLTPFile: -experiment oltp -oltp-out writes a tmsim-oltp/v1
-// document ReadOLTPReport accepts, with no failed point and positive
-// response percentiles (harness's TestOLTPReportSane checks the rest of
-// the service invariants on the same sweep).
+// document, with no failed point and positive response percentiles
+// (harness's TestOLTPReportSane checks the rest of the service invariants
+// on the same sweep).
 func TestOLTPFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "oltp.json")
 	tmsim(t, "-experiment", "oltp", "-oltp-out", path)
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rep, err := harness.ReadOLTPReport(f)
-	if err != nil {
-		t.Fatal(err)
+	var rep harness.OLTPReport
+	decodeFile(t, path, &rep)
+	if rep.Schema != harness.OLTPSchemaVersion {
+		t.Fatalf("schema %q, want %q", rep.Schema, harness.OLTPSchemaVersion)
 	}
 	if len(rep.Points) == 0 || len(rep.Knees) != len(harness.OLTPSystems) {
 		t.Fatalf("%d points, %d knees", len(rep.Points), len(rep.Knees))
@@ -178,8 +224,8 @@ func TestTracedCellAllReports(t *testing.T) {
 	m := readSection(t, p("m.json"), harness.SectionMetrics)
 	x := readSection(t, p("x.json"), harness.SectionTxStats)
 	c := readSection(t, p("c.json"), harness.SectionContention)
-	for _, rep := range []*harness.Report{m, x, c} {
-		if len(rep.Cells) != 1 || rep.Cells[0].Label() != "kmeans-high/ufo-hybrid/2 threads" {
+	for _, rep := range []*sectionDoc{m, x, c} {
+		if len(rep.Cells) != 1 || rep.label(0) != "kmeans-high/ufo-hybrid/2 threads" {
 			t.Fatalf("cells = %+v", rep.Cells)
 		}
 	}
@@ -188,10 +234,10 @@ func TestTracedCellAllReports(t *testing.T) {
 	}
 	// The recorder's totals are also registered as metrics: the three
 	// documents describe one run.
-	if got := m.Cells[0].Metrics.Counter("txstats.committed"); got == 0 || got != x.Cells[0].TxStats.Committed {
+	if got := m.counter(0, "txstats.committed"); got == 0 || got != x.Cells[0].TxStats.Committed {
 		t.Fatalf("txstats.committed metric %d, report %d", got, x.Cells[0].TxStats.Committed)
 	}
-	if got := m.Cells[0].Metrics.Counter("contention.edges"); got != c.Cells[0].Contention.Edges {
+	if got := m.counter(0, "contention.edges"); got != c.Cells[0].Contention.Edges {
 		t.Fatalf("contention.edges metric %d, report %d", got, c.Cells[0].Contention.Edges)
 	}
 	// A traced run is one cell: its messages do not count cells.
@@ -330,6 +376,7 @@ func TestRunExitStatus(t *testing.T) {
 		{[]string{"-experiment", "fig5", "-seeds", "2", "-csv", filepath.Join(dir, "y.csv")}, 2, "-csv cannot be combined with -seeds 2"},
 		{[]string{"-trace-out", filepath.Join(dir, "t.txt"), "-trace-threads", "300"}, 2, "-trace-threads 300: want 1..256"},
 		{[]string{"-trace-out", filepath.Join(dir, "t.txt"), "-trace-limit", "40"}, 2, "flag provided but not defined: -trace-limit"},
+		{[]string{"-trace-out", filepath.Join(dir, "t.txt"), "-trace-system", "sequential"}, 2, "pass -trace-threads 1"},
 		{[]string{"-experiment", "params", "-metrics-out", filepath.Join(dir, "no-such-dir", "m.json")}, 1, "no-such-dir"},
 	}
 	for _, c := range cases {

@@ -2,13 +2,15 @@
 // transactional memory (§3.1): transactions execute entirely in
 // the L1 with speculative read/write tracking, abort on set overflow,
 // interrupt, system call, I/O, exception, or coherence conflict, support
-// only flattened nesting, and expose their fate through status registers
-// (Table 1: btm_begin / btm_end / btm_abort / btm_mov).
+// only flattened nesting, and report their fate in the machine.Outcome
+// each operation returns (Table 1: btm_begin / btm_end / btm_abort; the
+// btm_mov status registers are not modelled, since every abort handler
+// here takes the reason from the Outcome — DESIGN.md §7).
 //
 // The conflict-detection and versioning mechanism itself lives in package
 // machine (shared with the unbounded HTM); this package supplies BTM's
-// ISA-level behaviour: nesting flattening, NACK re-request (the paper's
-// 20-cycle retry), and the status registers the abort handler reads.
+// ISA-level behaviour: nesting flattening and NACK re-request (the
+// paper's 20-cycle retry).
 package btm
 
 import (
@@ -18,22 +20,11 @@ import (
 // MaxNesting is the hardware flattened-nesting depth limit.
 const MaxNesting = 8
 
-// Status mirrors BTM's transactional status registers (btm_mov): whether
-// a transaction is executing, its nesting depth, and why the last
-// transaction aborted (with the associated address when one exists).
-type Status struct {
-	InTx          bool
-	Depth         int
-	LastAbort     machine.AbortReason
-	LastAbortAddr uint64
-}
-
 // Unit is one processor's BTM context.
 type Unit struct {
 	p       *machine.Proc
 	bounded bool
 	depth   int
-	status  Status
 }
 
 // New returns the BTM unit for a processor.
@@ -43,17 +34,6 @@ func New(p *machine.Proc) *Unit { return &Unit{p: p, bounded: true} }
 // are not limited by the L1 (the idealized unbounded HTM of Section 5).
 func NewUnbounded(p *machine.Proc) *Unit { return &Unit{p: p, bounded: false} }
 
-// Proc returns the underlying processor.
-func (u *Unit) Proc() *machine.Proc { return u.p }
-
-// Status reads the status registers.
-func (u *Unit) Status() Status {
-	s := u.status
-	s.InTx = u.p.HW() != nil
-	s.Depth = u.depth
-	return s
-}
-
 // Begin starts (or, when nested, flattens into) a transaction
 // (btm_begin). It returns false if the nesting depth limit was exceeded,
 // in which case the transaction has been aborted with AbortNesting.
@@ -61,7 +41,7 @@ func (u *Unit) Begin(age uint64) bool {
 	if u.p.HW() != nil {
 		u.depth++
 		if u.depth > MaxNesting {
-			u.abort(machine.AbortNesting, 0)
+			u.Abort(machine.AbortNesting)
 			return false
 		}
 		u.p.Elapse(1)
@@ -93,19 +73,13 @@ func (u *Unit) End() machine.Outcome {
 }
 
 // Abort explicitly aborts the transaction (btm_abort) for the given
-// reason, recording it in the status registers.
+// reason.
 func (u *Unit) Abort(reason machine.AbortReason) {
-	u.abort(reason, 0)
-}
-
-func (u *Unit) abort(reason machine.AbortReason, addr uint64) {
 	if u.p.HW() == nil {
 		panic("btm: Abort with no transaction")
 	}
 	u.depth = 0
 	u.p.AbortHW(reason)
-	u.status.LastAbort = reason
-	u.status.LastAbortAddr = addr
 	u.p.Elapse(2)
 }
 
@@ -119,17 +93,13 @@ func (u *Unit) AbortAttributed(reason machine.AbortReason, aggressor int, addr u
 	}
 	u.depth = 0
 	u.p.AbortHWAttributed(reason, aggressor, addr)
-	u.status.LastAbort = reason
-	u.status.LastAbortAddr = addr
 	u.p.Elapse(2)
 }
 
-// note records an abort outcome in the status registers.
+// note ends the flattened nest when an access reports an abort.
 func (u *Unit) note(out machine.Outcome) {
 	if out.Kind == machine.HWAborted {
 		u.depth = 0
-		u.status.LastAbort = out.Reason
-		u.status.LastAbortAddr = out.Addr
 	}
 }
 

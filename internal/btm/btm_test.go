@@ -43,8 +43,8 @@ func TestFlattenedNesting(t *testing.T) {
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		u.Begin(m.NextAge())
 		u.Begin(0) // nested: flattened, age ignored
-		if st := u.Status(); st.Depth != 2 || !st.InTx {
-			t.Fatalf("status = %+v", st)
+		if p.HW() == nil {
+			t.Fatal("a nested Begin left no transaction")
 		}
 		u.Store(0, 1)
 		if out := u.End(); out.Kind != machine.OK {
@@ -75,10 +75,13 @@ func TestNestingOverflowAborts(t *testing.T) {
 		if u.Begin(0) {
 			t.Fatal("Begin beyond MaxNesting must fail")
 		}
-		if st := u.Status(); st.LastAbort != machine.AbortNesting || st.InTx {
-			t.Fatalf("status = %+v", st)
+		if p.HW() != nil {
+			t.Fatal("the transaction survived the nesting limit")
 		}
 	}})
+	if n := m.Count.HWAbortsByReason[machine.AbortNesting]; n != 1 {
+		t.Fatalf("%d nesting aborts, want 1", n)
+	}
 }
 
 func TestExplicitAbortStatusRegisters(t *testing.T) {
@@ -88,11 +91,13 @@ func TestExplicitAbortStatusRegisters(t *testing.T) {
 		u.Begin(m.NextAge())
 		u.Store(0, 9)
 		u.Abort(machine.AbortExplicit)
-		st := u.Status()
-		if st.InTx || st.LastAbort != machine.AbortExplicit {
-			t.Fatalf("status = %+v", st)
+		if p.HW() != nil {
+			t.Fatal("the transaction survived btm_abort")
 		}
 	}})
+	if n := m.Count.HWAbortsByReason[machine.AbortExplicit]; n != 1 {
+		t.Fatalf("%d explicit aborts, want 1", n)
+	}
 	if m.Mem.Read64(0) == 9 {
 		t.Fatal("aborted store leaked")
 	}
@@ -146,8 +151,8 @@ func TestOverflowReportsStatus(t *testing.T) {
 		if out.Kind != machine.HWAborted || out.Reason != machine.AbortOverflow {
 			t.Fatalf("outcome = %+v", out)
 		}
-		if st := u.Status(); st.LastAbort != machine.AbortOverflow {
-			t.Fatalf("status = %+v", st)
+		if p.HW() != nil {
+			t.Fatal("the transaction survived its overflow")
 		}
 	}})
 }
@@ -215,16 +220,15 @@ func TestOverflowStatusReportsVictimAddress(t *testing.T) {
 	u := New(m.Proc(0))
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		u.Begin(m.NextAge())
-		u.Store(0, 1)
-		u.Store(4*64, 2) // evicts line 0 → overflow
-		st := u.Status()
-		if st.LastAbort != machine.AbortOverflow {
-			t.Fatalf("reason = %v", st.LastAbort)
+		u.Store(64, 1)
+		out := u.Store(5*64, 2) // evicts line 1 → overflow
+		if out.Kind != machine.HWAborted || out.Reason != machine.AbortOverflow {
+			t.Fatalf("outcome = %+v", out)
 		}
 		// Table 1: "when an address is associated with the event ... it
 		// is also recorded". The victim line's address is reported.
-		if st.LastAbortAddr != 0 {
-			t.Fatalf("abort address = %#x, want the evicted line 0", st.LastAbortAddr)
+		if out.Addr != 64 {
+			t.Fatalf("abort address = %#x, want the evicted line 1's", out.Addr)
 		}
 	}})
 }

@@ -119,16 +119,6 @@ func (c *L1) Invalidate(line uint64) {
 	}
 }
 
-// InvalidateAll empties the cache (used when modeling context switches in
-// stress tests; BTM itself only flash-clears transactional state).
-func (c *L1) InvalidateAll() {
-	for s := range c.lines {
-		for i := range c.lines[s] {
-			c.lines[s][i].tag = 0
-		}
-	}
-}
-
 // Reset returns the cache to the state NewL1 built: every way invalid
 // and the reference counts zero.
 func (c *L1) Reset() {

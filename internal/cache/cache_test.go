@@ -66,19 +66,6 @@ func TestInvalidate(t *testing.T) {
 	c.Invalidate(99) // absent line: no-op
 }
 
-func TestInvalidateAll(t *testing.T) {
-	c := NewL1(4096, 64, 4)
-	for i := uint64(0); i < 30; i++ {
-		c.Touch(i)
-	}
-	c.InvalidateAll()
-	for i := uint64(0); i < 30; i++ {
-		if c.Contains(i) {
-			t.Fatalf("line %d survived InvalidateAll", i)
-		}
-	}
-}
-
 func TestCapacityBound(t *testing.T) {
 	// Property: a cache never holds more than sets*ways lines.
 	if err := quick.Check(func(seed uint64) bool {

@@ -1,9 +1,15 @@
+// Package conformance runs identical transactional workloads across every
+// TM system in the repository and checks that they all preserve the same
+// invariants — the property that lets the harness compare them fairly.
+//
+// Paper: §2 (the atomicity semantics every system must agree on).
 package conformance
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/seq"
 	"repro/internal/stamp"
@@ -14,6 +20,15 @@ import (
 var concurrentSystems = []string{
 	"ufo-hybrid", "hytm", "phtm", "ustm+ufo", "ustm", "tl2",
 	"unbounded-htm", "global-lock", "sle",
+}
+
+// newSystem builds the named system over m with a 4096-row otable: small
+// enough that the machines a test builds stay cheap, large enough that
+// the tests' footprints effectively never alias rows.
+func newSystem(name string, m *machine.Machine) tm.System {
+	opt := harness.DefaultOptions()
+	opt.OTableRows = 1 << 12
+	return harness.Build(harness.SystemKind(name), m, opt)
 }
 
 func newMachine(procs int, quantum uint64) *machine.Machine {
@@ -29,7 +44,7 @@ func TestCounterInvariantAllSystems(t *testing.T) {
 		for _, procs := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/p%d", name, procs), func(t *testing.T) {
 				m := newMachine(procs, 0)
-				sys := NewSystem(name, m)
+				sys := newSystem(name, m)
 				const perThread = 30
 				var ws []func(*machine.Proc)
 				for i := 0; i < procs; i++ {
@@ -64,7 +79,7 @@ func TestBankTransferInvariantAllSystems(t *testing.T) {
 	for _, name := range concurrentSystems {
 		t.Run(name, func(t *testing.T) {
 			m := newMachine(4, 0)
-			sys := NewSystem(name, m)
+			sys := newSystem(name, m)
 			base := m.Mem.Sbrk(accounts * 64)
 			for i := uint64(0); i < accounts; i++ {
 				m.Mem.Write64(base+i*64, initial)
@@ -114,7 +129,7 @@ func TestLargeTransactionsAllSystems(t *testing.T) {
 			params.L1Ways = 2
 			params.MaxSteps = 30_000_000
 			m := machine.New(params)
-			sys := NewSystem(name, m)
+			sys := newSystem(name, m)
 			base := m.Mem.Sbrk(64 * 64)
 			var ws []func(*machine.Proc)
 			for i := 0; i < 2; i++ {
@@ -144,7 +159,7 @@ func TestTimerInterruptsDoNotBreakInvariants(t *testing.T) {
 	for _, name := range []string{"ufo-hybrid", "unbounded-htm", "phtm", "hytm"} {
 		t.Run(name, func(t *testing.T) {
 			m := newMachine(2, 3000) // aggressive quantum: many interrupts
-			sys := NewSystem(name, m)
+			sys := newSystem(name, m)
 			var ws []func(*machine.Proc)
 			for i := 0; i < 2; i++ {
 				ex := sys.Exec(m.Proc(i))
@@ -171,7 +186,7 @@ func TestTimerInterruptsDoNotBreakInvariants(t *testing.T) {
 func TestDeterministicCyclesAcrossRuns(t *testing.T) {
 	run := func() uint64 {
 		m := newMachine(4, 0)
-		sys := NewSystem("ufo-hybrid", m)
+		sys := newSystem("ufo-hybrid", m)
 		var ws []func(*machine.Proc)
 		for i := 0; i < 4; i++ {
 			ex := sys.Exec(m.Proc(i))
@@ -220,7 +235,7 @@ func TestOnCommitRunsExactlyOnceAllSystems(t *testing.T) {
 	for _, name := range concurrentSystems {
 		t.Run(name, func(t *testing.T) {
 			m := newMachine(1, 0)
-			sys := NewSystem(name, m)
+			sys := newSystem(name, m)
 			ex := sys.Exec(m.Proc(0))
 			effects := 0
 			m.Run([]func(*machine.Proc){func(p *machine.Proc) {
@@ -248,7 +263,7 @@ func TestOnCommitRunsExactlyOnceAllSystems(t *testing.T) {
 
 func TestOnCommitSeesCommittedState(t *testing.T) {
 	m := newMachine(1, 0)
-	sys := NewSystem("ufo-hybrid", m)
+	sys := newSystem("ufo-hybrid", m)
 	ex := sys.Exec(m.Proc(0))
 	var observed uint64
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
@@ -283,7 +298,7 @@ func TestNestedTransactionsAllSystems(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			m := newMachine(1, 0)
-			sys := NewSystem(name, m)
+			sys := newSystem(name, m)
 			ex := sys.Exec(m.Proc(0))
 			var innerCommitted, innerAborted bool
 			m.Run([]func(*machine.Proc){func(p *machine.Proc) {
@@ -340,7 +355,7 @@ func TestAbortedNestKeepsItsReads(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			m := newMachine(2, 0)
-			sys := NewSystem(name, m)
+			sys := newSystem(name, m)
 			t1, t2 := sys.Exec(m.Proc(0)), sys.Exec(m.Proc(1))
 			m.Run([]func(*machine.Proc){
 				func(p *machine.Proc) {
@@ -387,7 +402,7 @@ func TestExtendedWorkloadsAcrossKeySystems(t *testing.T) {
 		for _, sysName := range []string{"ufo-hybrid", "tl2", "global-lock"} {
 			t.Run(wlName+"/"+sysName, func(t *testing.T) {
 				m := newMachine(3, 0)
-				sys := NewSystem(sysName, m)
+				sys := newSystem(sysName, m)
 				wl := factory()
 				wl.Init(m, 3)
 				bodies := make([]func(*machine.Proc), 3)

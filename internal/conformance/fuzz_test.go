@@ -38,7 +38,7 @@ func TestFuzzSerializabilityAllSystems(t *testing.T) {
 					params.MaxSteps = 30_000_000
 					params.Seed = seed
 					m := machine.New(params)
-					rec := tmtest.NewRecorder(NewSystem(string(kind), m))
+					rec := tmtest.NewRecorder(newSystem(string(kind), m))
 					base := m.Mem.Sbrk(addrs * 64)
 					var ws []func(*machine.Proc)
 					for i := 0; i < procs; i++ {

@@ -4,22 +4,11 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/conformance"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/tm"
 	"repro/internal/tmtest"
 )
-
-// Systems returns every system the litmus engine drives: the full
-// harness matrix, in its order.
-func Systems() []string {
-	out := make([]string, 0, len(harness.AllSystems))
-	for _, k := range harness.AllSystems {
-		out = append(out, string(k))
-	}
-	return out
-}
 
 // RunResult is one program execution under one schedule: the final
 // state, the committed-transaction history, and each non-transactional
@@ -60,9 +49,12 @@ func (r RunResult) WeakHistory() []tmtest.TxRecord {
 	return h
 }
 
-// Execute runs p on the named system under sch, on a machine built over
-// arena (harness.Runner.Each's rule: the machine is released once its
-// final state is read, and a run that panics leaves *arena empty).
+// Execute runs p on system under sch, on a machine built over arena
+// (harness.Runner.Each's rule: the machine is released once its final
+// state is read, and a run that panics leaves *arena empty). The
+// otable-backed systems get a 4096-row table: small enough that the
+// thousands of machines a sweep builds stay cheap, large enough that a
+// program's few lines never alias rows.
 //
 // Every operation is pinned to its schedule slot's absolute time with
 // Proc.ElapseUntil, so the run is a pure function of (system, program,
@@ -71,7 +63,7 @@ func (r RunResult) WeakHistory() []tmtest.TxRecord {
 // retries run back to back — only the first attempt is schedule-shaped,
 // which is exactly what a litmus test wants (the anomaly window is the
 // first attempt; convergence after an abort just has to terminate).
-func Execute(arena *machine.Arena, system string, p *Program, sch Schedule) (res RunResult) {
+func Execute(arena *machine.Arena, system harness.SystemKind, p *Program, sch Schedule) (res RunResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			*arena = machine.Arena{}
@@ -81,7 +73,7 @@ func Execute(arena *machine.Arena, system string, p *Program, sch Schedule) (res
 
 	nthreads := len(p.Threads)
 	procs := nthreads
-	if system == "sequential" {
+	if system == harness.Sequential {
 		// The sequential baseline is single-processor by definition; its
 		// threads run back to back and the schedule degenerates.
 		procs = 1
@@ -91,7 +83,9 @@ func Execute(arena *machine.Arena, system string, p *Program, sch Schedule) (res
 	params.Quantum = 0 // no timer interrupts: the schedule is the only control flow
 	params.MaxSteps = 5_000_000
 	m := arena.New(params)
-	sys := conformance.NewSystem(system, m)
+	opt := harness.DefaultOptions()
+	opt.OTableRows = 1 << 12
+	sys := harness.Build(system, m, opt)
 	rec := tmtest.NewRecorder(sys)
 	base := m.Mem.Sbrk(uint64(p.Vars) * 64) // one line per variable
 	addr := func(v int) uint64 { return base + uint64(v)*64 }
@@ -214,7 +208,7 @@ func (s SweepResult) Check(c Class) bool {
 // Sweep executes p on system under every (order, gap) schedule, each on
 // a machine built over arena, and aggregates outcomes and checks against
 // the oracle.
-func Sweep(arena *machine.Arena, system string, p *Program, oracle *OutcomeSet, orders [][]int, gaps []uint64) SweepResult {
+func Sweep(arena *machine.Arena, system harness.SystemKind, p *Program, oracle *OutcomeSet, orders [][]int, gaps []uint64) SweepResult {
 	res := SweepResult{
 		Observed: NewOutcomeSet(),
 		StrongOK: true,

@@ -3,6 +3,7 @@ package litmus
 import (
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/machine"
 )
 
@@ -26,7 +27,7 @@ func FuzzLitmus(f *testing.F) {
 		oracle := Oracle(p)
 		orders, _ := EnumOrders(p.OpCounts(), 3, DecodeSeed(data))
 		arena := new(machine.Arena)
-		for _, sys := range Systems() {
+		for _, sys := range harness.AllSystems {
 			sw := Sweep(arena, sys, p, oracle, orders, gaps)
 			if len(sw.Errs) > 0 {
 				t.Fatalf("%s on %s: %v", sys, p.Doc, sw.Errs)

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/harness"
 )
 
 // OpKind is the kind of one DSL operation.
@@ -97,7 +99,7 @@ type Expect struct {
 	// documented as unreachable in this simulation (e.g. SLE's
 	// fallback path needs more consecutive aborts than a small litmus
 	// program can provoke).
-	Witnesses []string
+	Witnesses []harness.SystemKind
 }
 
 // Program is one litmus test.
@@ -242,53 +244,32 @@ func (c Cond) Key() string {
 	return strings.Join(parts, " ")
 }
 
-// OutcomeSet is a deduplicated set of final states.
+// OutcomeSet is a deduplicated set of final states, kept by canonical
+// key.
 type OutcomeSet struct {
-	states map[string]State
+	keys map[string]bool
 }
 
 // NewOutcomeSet returns an empty set.
 func NewOutcomeSet() *OutcomeSet {
-	return &OutcomeSet{states: make(map[string]State)}
+	return &OutcomeSet{keys: make(map[string]bool)}
 }
 
-// Add inserts a state (copying its storage).
-func (o *OutcomeSet) Add(s State) {
-	key := s.Key()
-	if _, ok := o.states[key]; ok {
-		return
-	}
-	cp := State{Mem: append([]uint64(nil), s.Mem...), Regs: make([][]uint64, len(s.Regs))}
-	for i, rs := range s.Regs {
-		cp.Regs[i] = append([]uint64(nil), rs...)
-	}
-	o.states[key] = cp
-}
+// Add inserts a state.
+func (o *OutcomeSet) Add(s State) { o.keys[s.Key()] = true }
 
 // Has reports membership by canonical key.
-func (o *OutcomeSet) Has(key string) bool {
-	_, ok := o.states[key]
-	return ok
-}
-
-// Get returns the state stored under key.
-func (o *OutcomeSet) Get(key string) (State, bool) {
-	s, ok := o.states[key]
-	return s, ok
-}
+func (o *OutcomeSet) Has(key string) bool { return o.keys[key] }
 
 // Keys returns the sorted canonical keys.
 func (o *OutcomeSet) Keys() []string {
-	keys := make([]string, 0, len(o.states))
-	for k := range o.states {
+	keys := make([]string, 0, len(o.keys))
+	for k := range o.keys {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
 }
-
-// Len returns the number of distinct states.
-func (o *OutcomeSet) Len() int { return len(o.states) }
 
 // Class is an atomicity class: the guarantee the engine enforces for a
 // system's observed outcomes.
@@ -331,11 +312,11 @@ const (
 // seqlock only protects transactional peers — hardware transactions
 // abort on the lock-acquisition write, software transactions
 // revalidate — not uninstrumented code).
-func ClassOf(system string) Class {
+func ClassOf(system harness.SystemKind) Class {
 	switch system {
-	case "sequential", "unbounded-htm", "ufo-hybrid", "phtm", "ustm+ufo":
+	case harness.Sequential, harness.UnboundedHTM, harness.UFOHybrid, harness.PhTM, harness.USTMUFO:
 		return ClassStrong
-	case "tl2", "hybrid-norec":
+	case harness.TL2, harness.HybridNOrec:
 		return ClassSerializable
 	default: // ustm, hytm, global-lock, sle, and anything new
 		return ClassWeak

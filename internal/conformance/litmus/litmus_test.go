@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -91,14 +92,25 @@ func TestOracleFenceIsNoOp(t *testing.T) {
 
 // TestForbiddenOutsideOracle: every curated Forbidden condition must be
 // unreachable under strong atomicity — matching no oracle state. A
-// condition that matched would make the whole verdict table vacuous.
+// condition that matched would make the whole verdict table vacuous. A
+// state's key names each observable once, as "name=value", so a
+// condition matches a state exactly when every pair of its key is one of
+// the state key's.
 func TestForbiddenOutsideOracle(t *testing.T) {
+	matches := func(cond Cond, key string) bool {
+		pairs := strings.Fields(key)
+		for _, want := range strings.Fields(cond.Key()) {
+			if !slices.Contains(pairs, want) {
+				return false
+			}
+		}
+		return true
+	}
 	for _, p := range Curated() {
 		oracle := Oracle(p)
 		for _, cond := range p.Expect.Forbidden {
 			for _, key := range oracle.Keys() {
-				st, _ := oracle.Get(key)
-				if cond.Matches(st) {
+				if matches(cond, key) {
 					t.Errorf("%s: forbidden %q matches oracle state %q", p.Name, cond.Key(), key)
 				}
 			}
@@ -159,12 +171,12 @@ func TestExecuteDeterministic(t *testing.T) {
 	p := Curated()[3] // mp-nt-witness
 	orders, _ := EnumOrders(p.OpCounts(), 0, 1)
 	reused := new(machine.Arena)
-	for _, sys := range Systems() {
+	for _, sys := range harness.AllSystems {
 		for _, order := range orders[:2] {
 			sch := Schedule{Order: order, Gap: 130}
 			a := Execute(new(machine.Arena), sys, p, sch)
-			sameRun(t, sys+" replayed on a fresh arena", a, Execute(new(machine.Arena), sys, p, sch))
-			sameRun(t, sys+" replayed on a released arena", a, Execute(reused, sys, p, sch))
+			sameRun(t, string(sys)+" replayed on a fresh arena", a, Execute(new(machine.Arena), sys, p, sch))
+			sameRun(t, string(sys)+" replayed on a released arena", a, Execute(reused, sys, p, sch))
 		}
 	}
 }
@@ -176,12 +188,12 @@ func TestPanickedRunLeavesItsArenaUsable(t *testing.T) {
 	p := Curated()[3]
 	sch := Schedule{Order: firstOrder(p.OpCounts(), false), Gap: 130}
 	arena := new(machine.Arena)
-	Execute(arena, "tl2", p, sch) // leave tables in the arena
+	Execute(arena, harness.TL2, p, sch) // leave tables in the arena
 	if res := Execute(arena, "no-such-system", p, sch); res.Err == nil || !strings.Contains(res.Err.Error(), "panic") {
 		t.Fatalf("a run on an unknown system returned %v, want its panic as an error", res.Err)
 	}
-	for _, sys := range []string{"tl2", "ustm+ufo"} {
-		sameRun(t, sys+" after a panicked run", Execute(new(machine.Arena), sys, p, sch), Execute(arena, sys, p, sch))
+	for _, sys := range []harness.SystemKind{harness.TL2, harness.USTMUFO} {
+		sameRun(t, string(sys)+" after a panicked run", Execute(new(machine.Arena), sys, p, sch), Execute(arena, sys, p, sch))
 	}
 }
 
@@ -208,7 +220,7 @@ func TestCuratedSuite(t *testing.T) {
 		var got []string
 		for _, v := range pr.Systems {
 			if len(v.Witnessed) > 0 {
-				got = append(got, v.System)
+				got = append(got, string(v.System))
 			}
 			if ClassOf(v.System) == ClassStrong && len(v.Extras) > 0 {
 				t.Errorf("%s: strong system %s escaped the oracle: %v", pr.Name, v.System, v.Extras)
@@ -305,35 +317,38 @@ func TestReportDeterminism(t *testing.T) {
 // TestSystemsAreTheRegistry: litmus drives exactly the harness registry,
 // in its order, which is the report's column order.
 func TestSystemsAreTheRegistry(t *testing.T) {
-	var want []string
-	for _, k := range harness.AllSystems {
-		want = append(want, string(k))
+	rep := Run(harness.Parallel(0), Config{OrderCap: 1, Gaps: []uint64{0}})
+	if !reflect.DeepEqual(rep.Systems, harness.AllSystems) {
+		t.Fatalf("report lists systems %v, want harness.AllSystems %v", rep.Systems, harness.AllSystems)
 	}
-	if got := Systems(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Systems() = %v, want harness.AllSystems %v", got, want)
+	for _, pr := range rep.Programs {
+		for i, v := range pr.Systems {
+			if v.System != harness.AllSystems[i] {
+				t.Fatalf("%s: column %d is %s, want %s", pr.Name, i, v.System, harness.AllSystems[i])
+			}
+		}
 	}
 }
 
 // TestClassOf pins the class table against the live system list.
 func TestClassOf(t *testing.T) {
-	want := map[string]Class{
-		"sequential":    ClassStrong,
-		"global-lock":   ClassWeak,
-		"unbounded-htm": ClassStrong,
-		"ufo-hybrid":    ClassStrong,
-		"hytm":          ClassWeak,
-		"phtm":          ClassStrong,
-		"ustm":          ClassWeak,
-		"ustm+ufo":      ClassStrong,
-		"tl2":           ClassSerializable,
-		"hybrid-norec":  ClassSerializable,
-		"sle":           ClassWeak,
+	want := map[harness.SystemKind]Class{
+		harness.Sequential:   ClassStrong,
+		harness.GlobalLock:   ClassWeak,
+		harness.UnboundedHTM: ClassStrong,
+		harness.UFOHybrid:    ClassStrong,
+		harness.HyTM:         ClassWeak,
+		harness.PhTM:         ClassStrong,
+		harness.USTM:         ClassWeak,
+		harness.USTMUFO:      ClassStrong,
+		harness.TL2:          ClassSerializable,
+		harness.HybridNOrec:  ClassSerializable,
+		harness.SLE:          ClassWeak,
 	}
-	systems := Systems()
-	if len(systems) != len(want) {
-		t.Fatalf("Systems() lists %d systems, class table has %d — update both", len(systems), len(want))
+	if len(harness.AllSystems) != len(want) {
+		t.Fatalf("harness.AllSystems lists %d systems, class table has %d — update both", len(harness.AllSystems), len(want))
 	}
-	for _, sys := range systems {
+	for _, sys := range harness.AllSystems {
 		w, ok := want[sys]
 		if !ok {
 			t.Errorf("system %s missing from class expectations", sys)
@@ -355,9 +370,9 @@ func TestSweepSequentialBaseline(t *testing.T) {
 	for _, p := range Curated() {
 		oracle := Oracle(p)
 		orders, _ := EnumOrders(p.OpCounts(), 4, 1)
-		sw := Sweep(new(machine.Arena), "sequential", p, oracle, orders, []uint64{0, 300})
-		if sw.Observed.Len() != 1 {
-			t.Errorf("%s: sequential observed %d states, want 1", p.Name, sw.Observed.Len())
+		sw := Sweep(new(machine.Arena), harness.Sequential, p, oracle, orders, []uint64{0, 300})
+		if n := len(sw.Observed.Keys()); n != 1 {
+			t.Errorf("%s: sequential observed %d states, want 1", p.Name, n)
 		}
 		if !sw.StrongOK {
 			t.Errorf("%s: sequential escaped the oracle: %v", p.Name, sw.Extras)

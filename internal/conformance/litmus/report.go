@@ -3,6 +3,7 @@ package litmus
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/harness"
 	"repro/internal/machine"
@@ -13,7 +14,7 @@ import (
 const ReportSchema = "tmsim-litmus-report/v1"
 
 // Config selects what a litmus sweep runs: the curated suite plus the
-// enumerated programs, on every system Systems() lists.
+// enumerated programs, on every system in harness.AllSystems.
 type Config struct {
 	// Enums adds auto-enumerated program sets.
 	Enums []EnumConfig
@@ -53,9 +54,9 @@ func FullConfig() Config {
 
 // SystemVerdict is one (program, system) cell of the report.
 type SystemVerdict struct {
-	System   string   `json:"system"`
-	Class    string   `json:"class"`
-	Observed []string `json:"observed"`
+	System   harness.SystemKind `json:"system"`
+	Class    string             `json:"class"`
+	Observed []string           `json:"observed"`
 	// Extras are observed states outside the oracle (strong-atomicity
 	// violations); Witnessed are the matched forbidden conditions.
 	Extras    []string `json:"extras,omitempty"`
@@ -96,12 +97,12 @@ type EnumSummary struct {
 
 // Report is the full sweep result.
 type Report struct {
-	Schema   string          `json:"schema"`
-	Systems  []string        `json:"systems"`
-	Gaps     []uint64        `json:"gaps"`
-	OrderCap int             `json:"order_cap"`
-	Enums    []EnumSummary   `json:"enums,omitempty"`
-	Programs []ProgramReport `json:"programs"`
+	Schema   string               `json:"schema"`
+	Systems  []harness.SystemKind `json:"systems"`
+	Gaps     []uint64             `json:"gaps"`
+	OrderCap int                  `json:"order_cap"`
+	Enums    []EnumSummary        `json:"enums,omitempty"`
+	Programs []ProgramReport      `json:"programs"`
 	// Separators are programs where at least one non-strong system
 	// escaped the oracle — the shapes that actually distinguish strong
 	// from weak atomicity in this simulation.
@@ -115,7 +116,7 @@ type Report struct {
 // call of r.Each. Cells land in a pre-indexed matrix, so the worker
 // count and the completion order cannot change the report.
 func Run(r *harness.Runner, cfg Config) *Report {
-	systems := Systems()
+	systems := harness.AllSystems
 	type progEntry struct {
 		p      *Program
 		source string
@@ -199,7 +200,7 @@ func Run(r *harness.Runner, cfg Config) *Report {
 				sepSet[pe.p.Name] = true
 			}
 			if pe.source == "curated" {
-				expected := contains(pe.p.Expect.Witnesses, v.System)
+				expected := slices.Contains(pe.p.Expect.Witnesses, v.System)
 				if expected && len(v.Witnessed) == 0 {
 					rep.Failures = append(rep.Failures,
 						fmt.Sprintf("%s on %s: expected forbidden-state witness not observed", pe.p.Name, v.System))
@@ -214,15 +215,6 @@ func Run(r *harness.Runner, cfg Config) *Report {
 	}
 	rep.Separators = sortedKeys(sepSet)
 	return rep
-}
-
-func contains(xs []string, x string) bool {
-	for _, s := range xs {
-		if s == x {
-			return true
-		}
-	}
-	return false
 }
 
 // WriteJSON writes the canonical JSON form (stable field order, sorted

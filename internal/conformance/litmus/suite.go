@@ -1,5 +1,7 @@
 package litmus
 
+import "repro/internal/harness"
+
 // The curated suite: the classic shapes from the litmus-test literature,
 // adapted to the transactional/non-transactional boundary that strong
 // atomicity is about. Each program's Forbidden states are outcomes no
@@ -79,7 +81,7 @@ func Curated() []*Program {
 			},
 			Expect: Expect{
 				Forbidden: []Cond{{"t1:r0": 1, "t1:r1": 0}},
-				Witnesses: []string{"global-lock", "ustm"},
+				Witnesses: []harness.SystemKind{harness.GlobalLock, harness.USTM},
 			},
 		},
 		{
@@ -98,7 +100,7 @@ func Curated() []*Program {
 			},
 			Expect: Expect{
 				Forbidden: []Cond{{"t1:r0": 1, "t1:r1": 0}},
-				Witnesses: []string{"global-lock", "tl2", "ustm"},
+				Witnesses: []harness.SystemKind{harness.GlobalLock, harness.TL2, harness.USTM},
 			},
 		},
 		{
@@ -117,7 +119,7 @@ func Curated() []*Program {
 			},
 			Expect: Expect{
 				Forbidden: []Cond{{"t1:r0": 1}, {"t1:r1": 1}},
-				Witnesses: []string{"global-lock", "ustm"},
+				Witnesses: []harness.SystemKind{harness.GlobalLock, harness.USTM},
 			},
 		},
 		{

@@ -158,9 +158,6 @@ func (pr *Profile) win(cycle uint64) *windowStat {
 	return w
 }
 
-// Edges returns the total number of edges recorded so far.
-func (pr *Profile) Edges() uint64 { return pr.edges }
-
 // Register writes the profile's headline totals into s under stable
 // contention.* metric names, tying the attribution layer into the same
 // snapshot the rest of the run reports through.

@@ -108,10 +108,6 @@ func (s *System) Stats() *tm.Stats { return s.stm.Stats() }
 // CM implements cm.Instrumented.
 func (s *System) CM() *cm.Manager { return s.h.CM }
 
-// STM exposes the embedded software TM (tests and the retry machinery
-// use it).
-func (s *System) STM() *ustm.STM { return s.stm }
-
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
 	e := &exec{s: s}

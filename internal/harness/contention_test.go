@@ -59,7 +59,7 @@ func TestRunContention(t *testing.T) {
 // their sweep coordinates (HTML staying self-contained).
 func TestContentionRenderLabelsCells(t *testing.T) {
 	var rep Report
-	r := Serial()
+	r := Parallel(1)
 	r.Collect = rep.Collector()
 	f, _ := FindWorkload("kmeans-low", ScaleSmall)
 	if _, err := r.Execute([]Job{{System: USTM, Factory: f, Threads: 2, Opt: contentionOptions()}}); err != nil {
@@ -268,7 +268,7 @@ func TestAllObserversMatchBareRun(t *testing.T) {
 		opt := contentionOptions()
 		opt.TxStats = true
 		var log tmtest.EventLog
-		results, err := Serial().Execute([]Job{{System: kind, Factory: f, Threads: 4, Opt: opt,
+		results, err := Parallel(1).Execute([]Job{{System: kind, Factory: f, Threads: 4, Opt: opt,
 			Observe: func(m *machine.Machine) { m.Observe(machine.TraceKinds, &log) }}})
 		if bare.Err != nil || err != nil {
 			t.Fatalf("%s: %v / %v", kind, bare.Err, err)

@@ -257,7 +257,7 @@ func TestStudyRows(t *testing.T) {
 	// runCell builds, not from the job list.
 	t.Run("PanickingFactory", func(t *testing.T) {
 		boom := WorkloadFactory{Name: "boom", New: func() stamp.Workload { panic("no workload") }}
-		rows, err := Serial().runStudy("doomed", []WorkloadFactory{boom}, true, ScaleSmall, testOptions(),
+		rows, err := Parallel(1).runStudy("doomed", []WorkloadFactory{boom}, true, ScaleSmall, testOptions(),
 			[]studyConfig{{name: "only", system: HyTM}})
 		var sweep *SweepError
 		if !errors.As(err, &sweep) || len(sweep.Cells) != 2 {
@@ -331,7 +331,7 @@ func TestJobObserveSeesTheRun(t *testing.T) {
 			}
 			m.Observe(machine.KindSet(machine.TraceHWCommit), &log)
 		}}
-	results, err := Serial().Execute([]Job{job})
+	results, err := Parallel(1).Execute([]Job{job})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -346,9 +346,3 @@ func maxThreads(s Scale) int {
 	ts := ThreadCounts(s)
 	return ts[len(ts)-1]
 }
-
-// SeqBaseline measures the sequential execution of a workload (the
-// denominator of every speedup).
-func SeqBaseline(f WorkloadFactory, opt Options) Result {
-	return Run(Sequential, f.New(), 1, opt)
-}

@@ -44,8 +44,8 @@ func TestSpeedupMath(t *testing.T) {
 func TestSeqBaselineDeterministic(t *testing.T) {
 	opt := testOptions()
 	f := Benchmarks(ScaleSmall)[0]
-	a := SeqBaseline(f, opt)
-	b := SeqBaseline(f, opt)
+	a := Run(Sequential, f.New(), 1, opt)
+	b := Run(Sequential, f.New(), 1, opt)
 	if a.Cycles != b.Cycles {
 		t.Fatalf("baseline not deterministic: %d vs %d", a.Cycles, b.Cycles)
 	}

@@ -95,7 +95,7 @@ func TestResultMetricsMatchLegacyCounters(t *testing.T) {
 // TestReportAggregateSumsMetrics: the aggregate is the cell-wise sum.
 func TestReportAggregateSumsMetrics(t *testing.T) {
 	var rep Report
-	r := Serial()
+	r := Parallel(1)
 	r.Collect = rep.Collector()
 	f, _ := FindWorkload("kmeans-low", ScaleSmall)
 	opt := testOptions()

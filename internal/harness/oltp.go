@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -334,19 +333,6 @@ func (rep *OLTPReport) WriteJSON(w io.Writer) error {
 		out.Knees = []OLTPKnee{}
 	}
 	return obs.WriteJSON(w, out)
-}
-
-// ReadOLTPReport parses a report written by WriteJSON, for offline
-// reprocessing and CI sanity checks.
-func ReadOLTPReport(r io.Reader) (*OLTPReport, error) {
-	rep := &OLTPReport{}
-	if err := json.NewDecoder(r).Decode(rep); err != nil {
-		return nil, err
-	}
-	if rep.Schema != OLTPSchemaVersion {
-		return nil, fmt.Errorf("harness: unknown oltp report schema %q", rep.Schema)
-	}
-	return rep, nil
 }
 
 // PrintOLTP renders the sweep as text tables: one per axis with

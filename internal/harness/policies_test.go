@@ -18,7 +18,7 @@ import (
 // names every policy with its decision counters.
 func TestPolicySweepDeterministicAndComplete(t *testing.T) {
 	opt := DefaultOptions()
-	serial, err := Serial().PolicySweep(opt, ScaleSmall)
+	serial, err := Parallel(1).PolicySweep(opt, ScaleSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPolicySweepDeterministicAndComplete(t *testing.T) {
 // cell, rather than printing its zero counters or dropping it.
 func TestPrintPolicySweepFailedCell(t *testing.T) {
 	boom := WorkloadFactory{Name: "boom", New: func() stamp.Workload { return panickyWorkload{} }}
-	rows, err := Serial().runStudy("policies", []WorkloadFactory{boom, Benchmarks(ScaleSmall)[0]}, true, ScaleSmall,
+	rows, err := Parallel(1).runStudy("policies", []WorkloadFactory{boom, Benchmarks(ScaleSmall)[0]}, true, ScaleSmall,
 		testOptions(), []studyConfig{{name: "exp", system: UFOHybrid}})
 	if err == nil || len(rows) != 2 || rows[0].Metrics != nil || rows[1].Err != nil {
 		t.Fatalf("err %v, %d rows: want the boom cell failed without metrics and the next one healthy", err, len(rows))

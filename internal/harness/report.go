@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -137,25 +136,6 @@ func (rep *Report) WriteJSON(w io.Writer, s Section) error {
 		return err
 	}
 	return obs.WriteJSON(w, reportJSON{Schema: string(s), Cells: only.Cells, Aggregate: agg})
-}
-
-// ReadReport parses section s's document as WriteJSON wrote it, for
-// offline reprocessing (EXPERIMENTS.md shows how to regenerate figure
-// numbers from an archived report instead of rerunning the simulator).
-// A document with any other schema string is rejected. The stored
-// aggregate is not kept: Aggregate recomputes it from the cells.
-func ReadReport(r io.Reader, s Section) (*Report, error) {
-	var raw struct { // no aggregate field: the decoder skips it unparsed
-		Schema string `json:"schema"`
-		Cells  []Cell `json:"cells"`
-	}
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
-		return nil, err
-	}
-	if raw.Schema != string(s) {
-		return nil, fmt.Errorf("harness: report schema %q, want %q", raw.Schema, s)
-	}
-	return &Report{Cells: raw.Cells}, nil
 }
 
 // ContentionCells converts to the labeled-cell form contention.WriteText

@@ -213,7 +213,7 @@ func TestFailedCellDoesNotPoisonWorker(t *testing.T) {
 		{System: UFOHybrid, Factory: kmeans, Threads: 4, Opt: starved},
 		{System: USTMUFO, Factory: kmeans, Threads: 2, Opt: opt},
 	}
-	results, err := Serial().Execute(jobs)
+	results, err := Parallel(1).Execute(jobs)
 	if err == nil || results[0].Err == nil || results[1].Err == nil {
 		t.Fatalf("the failing cells did not fail: %v, %v", results[0].Err, results[1].Err)
 	}

@@ -101,9 +101,6 @@ type Runner struct {
 	Collect func(Job, Result)
 }
 
-// Serial returns a one-worker Runner: the exact serial execution order.
-func Serial() *Runner { return &Runner{Workers: 1} }
-
 // Parallel returns a Runner bounded at workers (<= 0 means all CPUs).
 func Parallel(workers int) *Runner { return &Runner{Workers: workers} }
 

@@ -22,7 +22,7 @@ import (
 // shares hidden mutable state.
 func TestParallelFigure5MatchesSerial(t *testing.T) {
 	opt := testOptions()
-	serial, err := Serial().Figure5(opt, ScaleSmall)
+	serial, err := Parallel(1).Figure5(opt, ScaleSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRunnerCapturesCellPanics(t *testing.T) {
 		Threads: 2,
 		Opt:     opt,
 	}}
-	results, err := Serial().Execute(jobs)
+	results, err := Parallel(1).Execute(jobs)
 	if err == nil {
 		t.Fatal("panicking cell reported no error")
 	}

@@ -17,7 +17,7 @@ func TestScaleSweepSchedulerBitIdentical(t *testing.T) {
 		t.Helper()
 		opt := testOptions()
 		opt.Params.ReferenceScheduler = reference
-		d, err := Serial().ScaleSweep(opt, ScaleSmall)
+		d, err := Parallel(1).ScaleSweep(opt, ScaleSmall)
 		if err != nil {
 			t.Fatalf("ScaleSweep(reference=%v): %v", reference, err)
 		}
@@ -53,7 +53,7 @@ func TestScaleSweepSchedulerBitIdentical(t *testing.T) {
 // with the processor count at small scale (the full-scale 256-processor
 // cell is allowed a contention knee, exercised by the CI smoke job).
 func TestScaleSweepSpeedupMonotoneSmall(t *testing.T) {
-	d, err := Serial().ScaleSweep(testOptions(), ScaleSmall)
+	d, err := Parallel(1).ScaleSweep(testOptions(), ScaleSmall)
 	if err != nil {
 		t.Fatal(err)
 	}

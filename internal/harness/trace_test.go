@@ -54,7 +54,7 @@ func TestTracedJobReproducesRingExport(t *testing.T) {
 		t.Run(s.format, func(t *testing.T) {
 			var got bytes.Buffer
 			sink := s.open(&got)
-			if _, err := Serial().Execute([]Job{tracedJob(t, "vacation-high", UFOHybrid, sink)}); err != nil {
+			if _, err := Parallel(1).Execute([]Job{tracedJob(t, "vacation-high", UFOHybrid, sink)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := sink.Close(); err != nil {
@@ -109,7 +109,7 @@ func TestParallelJobsKeepTheirOwnTraces(t *testing.T) {
 		}
 		together := run(Parallel(2), 0, 1)
 		for c := range cells {
-			if alone := run(Serial(), c)[0]; len(alone) == 0 || !bytes.Equal(together[c], alone) {
+			if alone := run(Parallel(1), c)[0]; len(alone) == 0 || !bytes.Equal(together[c], alone) {
 				t.Errorf("%s, %s on %s: %d bytes traced beside another cell, %d alone",
 					s.format, cells[c].workload, cells[c].system, len(together[c]), len(alone))
 			}
@@ -133,7 +133,7 @@ func TestLiveStreamEndsFollowTheirBegins(t *testing.T) {
 				threads = 1
 			}
 			var log tmtest.EventLog
-			_, err := Serial().Execute([]Job{{System: kind, Factory: f, Threads: threads, Opt: testOptions(),
+			_, err := Parallel(1).Execute([]Job{{System: kind, Factory: f, Threads: threads, Opt: testOptions(),
 				Observe: func(m *machine.Machine) { m.Observe(machine.TraceKinds, &log) }}})
 			if err != nil {
 				t.Fatal(err)

@@ -86,7 +86,7 @@ func TestRunTxStats(t *testing.T) {
 // yields a report for every (system, threads) cell, rendered with
 // percentile columns.
 func TestLatencySweep(t *testing.T) {
-	data, err := Serial().Latency(testOptions(), ScaleSmall)
+	data, err := Parallel(1).Latency(testOptions(), ScaleSmall)
 	if err != nil {
 		t.Fatal(err)
 	}

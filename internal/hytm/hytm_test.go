@@ -161,7 +161,7 @@ func TestRepeatedSTMConflictFailsOver(t *testing.T) {
 
 func TestWeakAtomicity(t *testing.T) {
 	m, s := testSystem(1)
-	if s.stm.Config().StrongAtomicity {
+	if s.stm.Name() != "ustm" {
 		t.Fatal("HyTM's STM must be weakly atomic")
 	}
 	if s.Name() != "hytm" {

@@ -12,12 +12,12 @@ import (
 
 // TestReleasedArenaIsBlank: whatever a run left behind — committed
 // data, UFO bits still set, L1 contents and counts, and, when it was
-// killed mid-transaction, locked otable rows with their entries, SR/SW
-// bits and half-installed protection — the machine built next on the
-// released arena finds none of it, although it is handed the same
-// storage: recycled data pages read zero and recycled UFO pages clear
-// wherever they land, the directory names no processor, the L1s are
-// empty with zero counts, and the otable has no entry and no locked row.
+// killed mid-transaction, SR/SW bits and half-installed protection — the
+// machine built next on the released arena finds none of it, although it
+// is handed the same storage: recycled data pages read zero and recycled
+// UFO pages clear wherever they land, the directory names no processor,
+// and the L1s are empty with zero counts. (The otable half of the same
+// scenario is ustm's TestReleasedArenaOTableIsBlank.)
 func TestReleasedArenaIsBlank(t *testing.T) {
 	const region, lines = 0x10000, 256 // the data every processor works on
 	params := machine.DefaultParams(4)
@@ -76,8 +76,8 @@ func TestReleasedArenaIsBlank(t *testing.T) {
 					specBits++
 				}
 			})
-			if st := stm.OTableStats(); st.Entries == 0 || specBits == 0 {
-				t.Fatalf("the killed run left %d otable entries and %d SW bits: the scenario tests nothing", st.Entries, specBits)
+			if specBits == 0 {
+				t.Fatal("the killed run left no SW bits: the scenario tests nothing")
 			}
 		}
 		l1s := []*cache.L1{m.Proc(0).L1(), m.Proc(3).L1()}
@@ -97,14 +97,11 @@ func TestReleasedArenaIsBlank(t *testing.T) {
 				t.Fatalf("killed=%v: reused L1 holds %d lines, %d hits, %d misses", killed, len(c.Lines()), c.Hits(), c.Misses())
 			}
 		}
-		if st := ustm.New(m2, cfg).OTableStats(); st.Rows != cfg.OTableRows || st.Entries != 0 || st.Locked != 0 {
-			t.Fatalf("killed=%v: reused otable %+v, want %d blank rows", killed, st, cfg.OTableRows)
-		}
 		// Materialise pages two pages up from where the last run had
 		// them, so recycled pages serve other addresses than before.
 		for a := uint64(region); a < region+3*lines*mem.LineBytes; a += mem.PageBytes {
 			m2.Mem.Write64(a+2*mem.PageBytes, 1)
-			m2.Mem.AddUFO(a+2*mem.PageBytes, mem.UFOFaultOnRead)
+			m2.Mem.SetUFO(a+2*mem.PageBytes, mem.UFOFaultOnRead)
 			m2.Directory().Line(mem.LineOf(a + 2*mem.PageBytes)).SetWarm()
 		}
 		for a := uint64(0); a < m2.Mem.Size(); a += mem.WordBytes {

@@ -220,8 +220,8 @@ func (c *diffCell) ntAccess(p *Proc, addr uint64, write bool) {
 	c.expectOutcome(fmt.Sprintf("p%d nt access line %d write=%v", id, line, write), out, want)
 }
 
-// ufoOp predicts and performs one set_ufo_bits or add_ufo_bits.
-func (c *diffCell) ufoOp(p *Proc, addr uint64, bits mem.UFOBits, add bool) {
+// ufoOp predicts and performs one set_ufo_bits.
+func (c *diffCell) ufoOp(p *Proc, addr uint64, bits mem.UFOBits) {
 	id, line := p.ID(), mem.LineOf(addr)
 	old := c.m.Mem.UFO(addr)
 	downgrade, fowOnly := bits&^old == 0, bits&^old == mem.UFOFaultOnWrite
@@ -235,11 +235,7 @@ func (c *diffCell) ufoOp(p *Proc, addr uint64, bits mem.UFOBits, add bool) {
 			c.kill(id, v, AbortUFOKill, mem.LineAddr(line), true)
 		}
 	}
-	if add {
-		p.AddUFO(addr, bits)
-	} else {
-		p.SetUFO(addr, bits)
-	}
+	p.SetUFO(addr, bits)
 }
 
 // step picks and runs processor p's next operation.
@@ -270,7 +266,7 @@ func (c *diffCell) step(p *Proc) {
 	case r < 8:
 		c.ntAccess(p, addr, true)
 	default:
-		c.ufoOp(p, addr, mem.UFOBits(c.rng.Intn(4)), r == 9)
+		c.ufoOp(p, addr, mem.UFOBits(c.rng.Intn(4)))
 	}
 }
 
@@ -306,7 +302,7 @@ func (c *diffCell) verify(when string) {
 // conflict sets against the O(P) scan they replaced, over seeded random
 // schedules on 2 to 256 processors (70 and 256 cross the bitmask's word
 // boundaries) under every UFO-kill variant: transactional and plain
-// reads and writes, set/add_ufo_bits, overflow self-kills in a tiny
+// reads and writes, set_ufo_bits, overflow self-kills in a tiny
 // direct-mapped L1, timer interrupts, and unbounded transactions that
 // keep lines the L1 has evicted. The conflict/nack/hw-abort sequence on
 // the event spine must be the oracle's, event for event, and

@@ -376,19 +376,6 @@ func TestTimerInterruptAbortsTx(t *testing.T) {
 	}
 }
 
-func TestReadUFOAndAddUFO(t *testing.T) {
-	m := New(testParams(1))
-	m.Run([]func(*Proc){func(p *Proc) {
-		p.SetUFOEnabled(false)
-		p.AddUFO(0, mem.UFOFaultOnRead)
-		p.AddUFO(0, mem.UFOFaultOnWrite)
-		if got := p.ReadUFO(0); got != mem.UFOFaultAll {
-			t.Fatalf("ReadUFO = %v", got)
-		}
-	}})
-	_ = m
-}
-
 func TestNextAgeMonotonic(t *testing.T) {
 	m := New(testParams(1))
 	a, b, c := m.NextAge(), m.NextAge(), m.NextAge()

@@ -189,10 +189,6 @@ func (p *Proc) SetSTM(active bool, age uint64) {
 	p.stmAge = age
 }
 
-// InSTM reports whether a software transaction is active on this
-// processor.
-func (p *Proc) InSTM() bool { return p.inSTM }
-
 // --- Hardware transactions ---
 
 // HW returns the in-flight hardware transaction, or nil.
@@ -538,8 +534,8 @@ const (
 	TransferCycles uint64 = 60
 	// NackCycles is the delay before a NACKed hardware access retries.
 	NackCycles uint64 = 20
-	// UFOOpCycles is one set/add/read_ufo_bits instruction, before its
-	// coherence traffic.
+	// UFOOpCycles is one set_ufo_bits instruction, before its coherence
+	// traffic.
 	UFOOpCycles uint64 = 6
 )
 
@@ -631,16 +627,6 @@ func (p *Proc) NTWrite(addr, val uint64) Outcome {
 // TrueConflictUFOKills limit study only genuinely conflicting
 // transactions are killed.
 func (p *Proc) SetUFO(addr uint64, bits mem.UFOBits) {
-	p.ufoUpdate(addr, func() { p.m.Mem.SetUFO(addr, bits) }, bits)
-}
-
-// AddUFO ORs protection bits into the line containing addr
-// (add_ufo_bits), with SetUFO's coherence and kill behaviour.
-func (p *Proc) AddUFO(addr uint64, bits mem.UFOBits) {
-	p.ufoUpdate(addr, func() { p.m.Mem.AddUFO(addr, bits) }, bits)
-}
-
-func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 	line := mem.LineOf(addr)
 	old := p.m.Mem.UFO(addr)
 	cost := UFOOpCycles
@@ -653,7 +639,7 @@ func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 	downgrade := bits&^old == 0 // no new protection added
 	fowOnly := bits&^old == mem.UFOFaultOnWrite
 	if p.m.LazyUFOClear && downgrade {
-		apply()
+		p.m.Mem.SetUFO(addr, bits)
 		p.sp.Elapse(cost)
 		return
 	}
@@ -684,15 +670,9 @@ func (p *Proc) ufoUpdate(addr uint64, apply func(), bits mem.UFOBits) {
 		p.classifySTMConflict(q)
 		p.killHW(q, AbortUFOKill, mem.LineAddr(line), true)
 	}
-	apply()
+	p.m.Mem.SetUFO(addr, bits)
 	p.emit(TraceEvent{Kind: TraceUFOSet, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
 	p.sp.Elapse(cost)
-}
-
-// ReadUFO returns the line's protection bits (read_ufo_bits).
-func (p *Proc) ReadUFO(addr uint64) mem.UFOBits {
-	p.sp.Elapse(UFOOpCycles)
-	return p.m.Mem.UFO(addr)
 }
 
 // String implements fmt.Stringer for diagnostics.

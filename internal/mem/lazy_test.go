@@ -36,9 +36,8 @@ func TestZeroWriteDoesNotMaterialize(t *testing.T) {
 	m := New(4 * PageBytes)
 	m.Write64(PageBytes+64, 0)
 	m.SetUFO(PageBytes+64, UFONone)
-	m.AddUFO(PageBytes+64, UFONone)
 	if n := materialized(m); n != 0 {
-		t.Fatalf("a zero write and two UFONone installs materialized %d pages", n)
+		t.Fatalf("a zero write and a UFONone install materialized %d pages", n)
 	}
 	if m.Read64(PageBytes+64) != 0 || m.UFO(PageBytes+64) != UFONone {
 		t.Fatal("the line no longer reads zero and clear")
@@ -72,36 +71,34 @@ func TestNonZeroWriteMaterializesOnlyItsPage(t *testing.T) {
 // line is in — by the same path a data write takes — and leaves that
 // page's words, and every other line's bits, as they read before.
 func TestUFOWriteMaterializesUFOPageOnly(t *testing.T) {
-	for name, install := range map[string]func(*Memory, uint64, UFOBits){"AddUFO": (*Memory).AddUFO, "SetUFO": (*Memory).SetUFO} {
-		m := New(4 * PageBytes)
-		install(m, PageBytes+LineBytes, UFOFaultOnRead)
-		if materialized(m) != 1 || m.pages[1] == nil {
-			t.Fatalf("%s materialized %d pages, want page 1 alone", name, materialized(m))
+	m := New(4 * PageBytes)
+	m.SetUFO(PageBytes+LineBytes, UFOFaultOnRead)
+	if materialized(m) != 1 || m.pages[1] == nil {
+		t.Fatalf("SetUFO materialized %d pages, want page 1 alone", materialized(m))
+	}
+	for addr := uint64(0); addr < m.Size(); addr += WordBytes {
+		want := UFONone
+		if LineOf(addr) == LineOf(PageBytes+LineBytes) {
+			want = UFOFaultOnRead
 		}
-		for addr := uint64(0); addr < m.Size(); addr += WordBytes {
-			want := UFONone
-			if LineOf(addr) == LineOf(PageBytes+LineBytes) {
-				want = UFOFaultOnRead
-			}
-			if v, b := m.Read64(addr), m.UFO(addr); v != 0 || b != want {
-				t.Fatalf("%s: %#x reads %d with bits %v, want 0 with %v", name, addr, v, b, want)
-			}
+		if v, b := m.Read64(addr), m.UFO(addr); v != 0 || b != want {
+			t.Fatalf("%#x reads %d with bits %v, want 0 with %v", addr, v, b, want)
 		}
-		if !m.Faults(PageBytes+LineBytes, false) || m.Faults(PageBytes+LineBytes, true) {
-			t.Fatalf("%s: Faults disagrees with fault-on-read", name)
-		}
-		// Reset hands the record back blank: the next user of it, at
-		// another address, sees neither the bits nor a stray word.
-		m.Write64(PageBytes+8, 9)
-		m.Reset(4 * PageBytes)
-		if materialized(m) != 0 || len(m.free) != 1 {
-			t.Fatalf("%s: Reset left %d pages materialized and kept %d records, want 0 and 1", name, materialized(m), len(m.free))
-		}
-		m.Write64(3*PageBytes, 1)
-		for addr := uint64(0); addr < m.Size(); addr += WordBytes {
-			if v, b := m.Read64(addr), m.UFO(addr); v != 0 && addr != 3*PageBytes || b != UFONone {
-				t.Fatalf("%s: after Reset %#x reads %d with bits %v", name, addr, v, b)
-			}
+	}
+	if !m.Faults(PageBytes+LineBytes, false) || m.Faults(PageBytes+LineBytes, true) {
+		t.Fatal("Faults disagrees with fault-on-read")
+	}
+	// Reset hands the record back blank: the next user of it, at another
+	// address, sees neither the bits nor a stray word.
+	m.Write64(PageBytes+8, 9)
+	m.Reset(4 * PageBytes)
+	if materialized(m) != 0 || len(m.free) != 1 {
+		t.Fatalf("Reset left %d pages materialized and kept %d records, want 0 and 1", materialized(m), len(m.free))
+	}
+	m.Write64(3*PageBytes, 1)
+	for addr := uint64(0); addr < m.Size(); addr += WordBytes {
+		if v, b := m.Read64(addr), m.UFO(addr); v != 0 && addr != 3*PageBytes || b != UFONone {
+			t.Fatalf("after Reset %#x reads %d with bits %v", addr, v, b)
 		}
 	}
 }
@@ -172,7 +169,7 @@ func TestResetBlanksAndReuses(t *testing.T) {
 		m.Sbrk(16 * PageBytes) // back past the old size, in place
 		for pg := uint64(3); pg < 16; pg++ {
 			m.Write64(pg*PageBytes, 1) // first touch takes a recycled page
-			m.AddUFO(pg*PageBytes, UFOFaultOnRead)
+			m.SetUFO(pg*PageBytes, UFOFaultOnRead)
 		}
 	})
 	if allocs > raceSlack {

@@ -188,8 +188,8 @@ func (m *Memory) Write64(addr, val uint64) {
 	pg.words[addr%PageBytes/WordBytes] = val
 }
 
-// UFO returns the UFO bits for the line containing addr
-// (read_ufo_bits).
+// UFO returns the UFO bits for the line containing addr: the state the
+// machine's fault check reads, at no simulated cost.
 func (m *Memory) UFO(addr uint64) UFOBits {
 	pg := m.pages[addr/PageBytes]
 	if pg == nil {
@@ -209,18 +209,6 @@ func (m *Memory) SetUFO(addr uint64, bits UFOBits) {
 		pg = m.materialize(addr / PageBytes)
 	}
 	pg.ufo[addr%PageBytes/LineBytes] = bits
-}
-
-// AddUFO ORs bits into the line containing addr (add_ufo_bits).
-func (m *Memory) AddUFO(addr uint64, bits UFOBits) {
-	if bits == UFONone {
-		return
-	}
-	pg := m.pages[addr/PageBytes]
-	if pg == nil {
-		pg = m.materialize(addr / PageBytes)
-	}
-	pg.ufo[addr%PageBytes/LineBytes] |= bits
 }
 
 // Faults reports whether an access of the given kind to addr would raise

@@ -74,19 +74,6 @@ func TestUFOBitsPerLine(t *testing.T) {
 	}
 }
 
-func TestAddUFOBitsORs(t *testing.T) {
-	m := New(1 << 12)
-	m.AddUFO(0, UFOFaultOnWrite)
-	m.AddUFO(0, UFOFaultOnRead)
-	if m.UFO(0) != UFOFaultAll {
-		t.Fatalf("UFO = %v, want all", m.UFO(0))
-	}
-	m.SetUFO(0, UFONone)
-	if m.UFO(0) != UFONone {
-		t.Fatal("SetUFO did not clear")
-	}
-}
-
 func TestFaultsMatrix(t *testing.T) {
 	m := New(1 << 12)
 	cases := []struct {

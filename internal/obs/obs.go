@@ -42,26 +42,6 @@ const (
 	TypeHistogram MetricType = "histogram"
 )
 
-// GaugeMerge selects how a gauge combines across snapshots in
-// Snapshot.Add. The zero value is MergeSum.
-type GaugeMerge string
-
-// The gauge merge rules. The rule is part of a gauge's schema
-// (OBSERVABILITY.md documents it per metric): a sum-merged gauge adds
-// across sweep cells like a counter and so must hold an extensive
-// quantity; a max-merged gauge keeps the largest cell value and so
-// suits peaks and high-water marks, where summing cells would fabricate
-// a value no run observed. Ratios belong to the consumer. The one gauge
-// written today merges by max (Snapshot.AddMaxGauge); MergeSum stays in
-// the reader and in Snapshot.Add because archived files may carry it.
-const (
-	// MergeSum: values add across cells (extensive quantities).
-	MergeSum GaugeMerge = ""
-	// MergeMax: the aggregate keeps the largest cell value (peaks,
-	// high-water marks). Encoded as "merge":"max" in snapshot JSON.
-	MergeMax GaugeMerge = "max"
-)
-
 // HistBuckets covers observations 1 .. 2^32 - 1 in power-of-two buckets:
 // wide enough for cycle-scale values (transaction latencies) as well as
 // footprints in lines.
@@ -247,13 +227,16 @@ func (h *HistSnapshot) P99() float64 { return h.Quantile(0.99) }
 // P999 estimates the 99.9th percentile.
 func (h *HistSnapshot) P999() float64 { return h.Quantile(0.999) }
 
-// Metric is one frozen metric in a snapshot.
+// Metric is one frozen metric in a snapshot. A gauge holds a peak or
+// high-water mark: merged across snapshots it keeps the largest value,
+// since summing cells would fabricate a value no run observed, and it
+// encodes that rule as "merge":"max" (OBSERVABILITY.md). Counters are
+// the extensive quantities; ratios belong to the consumer.
 type Metric struct {
-	Name  string
-	Type  MetricType
-	Unit  string
-	Help  string
-	Merge GaugeMerge // gauges only; MergeSum encodes as absent
+	Name string
+	Type MetricType
+	Unit string
+	Help string
 
 	Value  uint64        // counter value
 	FValue float64       // gauge value
@@ -276,16 +259,12 @@ func (m Metric) MarshalJSON() ([]byte, error) {
 		buf = append(buf, `,"help":`...)
 		buf = strconv.AppendQuote(buf, m.Help)
 	}
-	if m.Merge != MergeSum {
-		buf = append(buf, `,"merge":`...)
-		buf = strconv.AppendQuote(buf, string(m.Merge))
-	}
 	switch m.Type {
 	case TypeCounter:
 		buf = append(buf, `,"value":`...)
 		buf = strconv.AppendUint(buf, m.Value, 10)
 	case TypeGauge:
-		buf = append(buf, `,"value":`...)
+		buf = append(buf, `,"merge":"max","value":`...)
 		b, err := json.Marshal(m.FValue)
 		if err != nil {
 			return nil, err
@@ -308,46 +287,6 @@ func (m Metric) MarshalJSON() ([]byte, error) {
 		buf = append(buf, ']')
 	}
 	return append(buf, '}'), nil
-}
-
-// UnmarshalJSON decodes a metric (the inverse of MarshalJSON), so
-// archived snapshots can be re-read for offline analysis.
-func (m *Metric) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Name    string          `json:"name"`
-		Type    MetricType      `json:"type"`
-		Unit    string          `json:"unit"`
-		Help    string          `json:"help"`
-		Merge   GaugeMerge      `json:"merge"`
-		Value   json.RawMessage `json:"value"`
-		Count   uint64          `json:"count"`
-		Sum     uint64          `json:"sum"`
-		Max     uint64          `json:"max"`
-		Buckets []uint64        `json:"buckets"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	m.Name, m.Type, m.Unit, m.Help, m.Merge = raw.Name, raw.Type, raw.Unit, raw.Help, raw.Merge
-	switch raw.Type {
-	case TypeCounter:
-		if raw.Value != nil {
-			if err := json.Unmarshal(raw.Value, &m.Value); err != nil {
-				return err
-			}
-		}
-	case TypeGauge:
-		if raw.Value != nil {
-			if err := json.Unmarshal(raw.Value, &m.FValue); err != nil {
-				return err
-			}
-		}
-	case TypeHistogram:
-		m.Hist = &HistSnapshot{Count: raw.Count, Sum: raw.Sum, Max: raw.Max, Buckets: raw.Buckets}
-	default:
-		return fmt.Errorf("obs: unknown metric type %q", raw.Type)
-	}
-	return nil
 }
 
 // Snapshot is a name-ordered list of metrics: one run's end-of-run
@@ -382,10 +321,10 @@ func (s *Snapshot) AddCounter(name, unit, help string, v uint64) {
 	s.put(Metric{Name: name, Type: TypeCounter, Unit: unit, Help: help, Value: v})
 }
 
-// AddMaxGauge writes the gauge name with value v, merging by maximum
-// across snapshots (MergeMax).
+// AddMaxGauge writes the gauge name with value v, which merges by
+// maximum across snapshots.
 func (s *Snapshot) AddMaxGauge(name, unit, help string, v float64) {
-	s.put(Metric{Name: name, Type: TypeGauge, Unit: unit, Help: help, Merge: MergeMax, FValue: v})
+	s.put(Metric{Name: name, Type: TypeGauge, Unit: unit, Help: help, FValue: v})
 }
 
 // AddHistogram writes the histogram name with h's current state, which
@@ -417,8 +356,7 @@ func (s *Snapshot) Counter(name string) uint64 {
 	return 0
 }
 
-// Add merges other into s: counters sum, gauges follow their declared
-// merge rule (MergeSum adds, MergeMax keeps the larger value),
+// Add merges other into s: counters sum, gauges keep the larger value,
 // histograms merge bucket-wise, and metrics present in only one side
 // carry over. The two sides must agree on the type of any shared name.
 func (s *Snapshot) Add(other *Snapshot) {
@@ -444,13 +382,7 @@ func (s *Snapshot) Add(other *Snapshot) {
 		case TypeCounter:
 			m.Value += om.Value
 		case TypeGauge:
-			if m.Merge == MergeMax {
-				if om.FValue > m.FValue {
-					m.FValue = om.FValue
-				}
-			} else {
-				m.FValue += om.FValue
-			}
+			m.FValue = max(m.FValue, om.FValue)
 		case TypeHistogram:
 			m.Hist.Add(om.Hist)
 		}
@@ -480,9 +412,6 @@ func (s *Snapshot) String() string {
 	}
 	return sb.String()
 }
-
-// WriteJSON writes the snapshot as indented JSON followed by a newline.
-func (s *Snapshot) WriteJSON(w io.Writer) error { return WriteJSON(w, s) }
 
 // WriteJSON is the one encoder behind every report file: v as
 // two-space-indented JSON followed by a newline, in a single Write.

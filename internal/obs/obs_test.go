@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if got := s.Get("a.count"); got == nil || got.Value != 4 || got.Unit != "events" {
 		t.Fatalf("snapshot counter = %+v", got)
 	}
-	if got := s.Get("a.gauge"); got == nil || got.FValue != 2.5 || got.Merge != MergeMax {
+	if got := s.Get("a.gauge"); got == nil || got.FValue != 2.5 || got.Type != TypeGauge {
 		t.Fatalf("snapshot gauge = %+v", got)
 	}
 	hs := s.Get("a.hist")
@@ -130,7 +131,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := s.WriteJSON(&buf); err != nil {
+		if err := WriteJSON(&buf, s); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -153,6 +154,8 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 }
 
+// TestMetricRoundTrip: the snapshot schema (OBSERVABILITY.md) decodes
+// with a plain encoding/json struct, and every value comes back.
 func TestMetricRoundTrip(t *testing.T) {
 	s := NewSnapshot()
 	s.AddCounter("c", "events", "a counter", 9)
@@ -165,16 +168,32 @@ func TestMetricRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Snapshot
+	var back struct {
+		Schema  string `json:"schema"`
+		Metrics []struct {
+			Name, Type, Unit, Help, Merge string
+			Value                         float64
+			Count, Sum, Max               uint64
+			Buckets                       []uint64
+		} `json:"metrics"`
+	}
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := json.Marshal(&back)
-	if err != nil {
-		t.Fatal(err)
+	if back.Schema != SchemaVersion || len(back.Metrics) != 3 {
+		t.Fatalf("decoded %+v", back)
 	}
-	if !bytes.Equal(b, b2) {
-		t.Fatalf("round trip changed encoding:\n%s\nvs\n%s", b, b2)
+	c, g, hs := back.Metrics[0], back.Metrics[1], back.Metrics[2]
+	if c.Name != "c" || c.Type != "counter" || c.Unit != "events" || c.Help != "a counter" || c.Value != 9 {
+		t.Errorf("counter decoded as %+v", c)
+	}
+	if g.Name != "g" || g.Type != "gauge" || g.Merge != "max" || g.Value != 1.5 {
+		t.Errorf("gauge decoded as %+v", g)
+	}
+	want := s.Get("h").Hist
+	if hs.Type != "histogram" || hs.Count != want.Count || hs.Sum != want.Sum || hs.Max != want.Max ||
+		!slices.Equal(hs.Buckets, want.Buckets) {
+		t.Errorf("histogram decoded as %+v, want %+v", hs, want)
 	}
 }
 
@@ -207,10 +226,10 @@ func TestSnapshotAdd(t *testing.T) {
 	s2 := mk2()
 	s2.Add(mk1())
 	var a, b bytes.Buffer
-	if err := s.WriteJSON(&a); err != nil {
+	if err := WriteJSON(&a, s); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.WriteJSON(&b); err != nil {
+	if err := WriteJSON(&b, s2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -218,55 +237,28 @@ func TestSnapshotAdd(t *testing.T) {
 	}
 }
 
-// TestGaugeMergeRules pins the per-metric gauge merge semantics: a gauge
-// with no merge rule (nothing writes one today, but archived snapshots
-// may carry them) sums across snapshots, gauges written with
-// AddMaxGauge keep the largest value, and the rule survives JSON round
-// trips (the "merge":"max" field).
+// TestGaugeMergeRules pins the one gauge merge rule: a gauge keeps the
+// largest value across snapshots, in either merge order, and encodes the
+// rule as "merge":"max".
 func TestGaugeMergeRules(t *testing.T) {
-	mk := func(sum, max float64) *Snapshot {
+	mk := func(v float64) *Snapshot {
 		s := NewSnapshot()
-		s.AddMaxGauge("g.max", "", "", max)
-		s.Metrics = append(s.Metrics, Metric{Name: "g.sum", Type: TypeGauge, FValue: sum})
+		s.AddMaxGauge("g", "", "", v)
 		return s
 	}
-	a, b := mk(2, 5), mk(3, 4)
-	a.Add(b)
-	if got := a.Get("g.sum").FValue; got != 5 {
-		t.Errorf("sum gauge merged to %v, want 5", got)
+	for _, order := range [][2]float64{{5, 4}, {4, 5}} {
+		a := mk(order[0])
+		a.Add(mk(order[1]))
+		if got := a.Get("g").FValue; got != 5 {
+			t.Errorf("%v then %v merged to %v, want 5", order[0], order[1], got)
+		}
 	}
-	if got := a.Get("g.max").FValue; got != 5 {
-		t.Errorf("max gauge merged to %v, want 5", got)
-	}
-	// Commutativity: merging the other way yields the same values.
-	c, d := mk(2, 5), mk(3, 4)
-	d.Add(c)
-	if d.Get("g.sum").FValue != 5 || d.Get("g.max").FValue != 5 {
-		t.Errorf("merge not commutative: %v %v", d.Get("g.sum").FValue, d.Get("g.max").FValue)
-	}
-
 	var buf bytes.Buffer
-	if err := a.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, mk(1)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"merge": "max"`) {
-		t.Fatalf("max gauge missing merge field:\n%s", buf.String())
-	}
-	if strings.Contains(strings.Split(buf.String(), `"g.sum"`)[1], `"merge"`) {
-		t.Fatal("sum gauge must not carry a merge field")
-	}
-	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Get("g.max").Merge != MergeMax || back.Get("g.sum").Merge != MergeSum {
-		t.Fatalf("merge rule lost in round trip: %+v", back.Metrics)
-	}
-	// A re-read snapshot still merges by its rule.
-	back.Add(mk(1, 9))
-	if back.Get("g.max").FValue != 9 || back.Get("g.sum").FValue != 6 {
-		t.Fatalf("re-read snapshot merged wrong: max=%v sum=%v",
-			back.Get("g.max").FValue, back.Get("g.sum").FValue)
+		t.Fatalf("gauge missing its merge field:\n%s", buf.String())
 	}
 }
 

@@ -180,9 +180,6 @@ func Replay(cfg Config, traces [][]Request) *Workload {
 // Name identifies the workload in reports.
 func (w *Workload) Name() string { return "oltp" }
 
-// Config returns the normalized configuration the workload runs.
-func (w *Workload) Config() Config { return w.cfg }
-
 // RecordAddr returns the simulated address of key's record line (tests
 // use it to assert contention attribution to the hot line).
 func (w *Workload) RecordAddr(key uint64) uint64 { return w.records[key-1] }

@@ -145,10 +145,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Procs returns the engine's processors in ID order. The slice is fixed
-// at construction.
-func (e *Engine) Procs() []*Proc { return e.procs }
-
 // Proc returns the processor with the given ID. The mapping is fixed at
 // construction.
 func (e *Engine) Proc(id int) *Proc { return e.procs[id] }
@@ -237,9 +233,6 @@ func (e *Engine) Now() uint64 {
 	}
 	return max
 }
-
-// Steps reports how many scheduling steps the engine has performed.
-func (e *Engine) Steps() uint64 { return e.steps }
 
 func (e *Engine) dump() string {
 	var b strings.Builder

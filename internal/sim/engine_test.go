@@ -189,15 +189,15 @@ func TestEngineStepsAdvance(t *testing.T) {
 		func(p *Proc) { p.Elapse(1); p.Elapse(1) },
 		func(p *Proc) { p.Elapse(1); p.Elapse(1) },
 	})
-	if e.Steps() == 0 {
+	if e.steps == 0 {
 		t.Fatal("engine recorded no steps")
 	}
 }
 
 func TestProcsAccessors(t *testing.T) {
 	e := New(Config{Procs: 3})
-	if len(e.Procs()) != 3 {
-		t.Fatalf("Procs() length = %d, want 3", len(e.Procs()))
+	if len(e.procs) != 3 {
+		t.Fatalf("%d procs, want 3", len(e.procs))
 	}
 	for i := 0; i < 3; i++ {
 		if e.Proc(i).ID() != i {

@@ -50,7 +50,7 @@ func TestSecondRunOnSameEngine(t *testing.T) {
 				return func(p *Proc) { p.Elapse(c); p.Elapse(c) }
 			}
 			e.Run([]func(*Proc){body(7), body(2), body(3)})
-			first := e.Steps()
+			first := e.steps
 			var order []int
 			e.Run([]func(*Proc){
 				func(p *Proc) { p.Elapse(1); order = append(order, 0) },  // 14 -> 15
@@ -66,8 +66,8 @@ func TestSecondRunOnSameEngine(t *testing.T) {
 			if fired != 1 {
 				t.Fatalf("proc 0 crossed one quantum boundary (10) over both runs, hook fired %d times", fired)
 			}
-			if e.Steps() <= first {
-				t.Fatalf("second run counted no steps: %d then %d", first, e.Steps())
+			if e.steps <= first {
+				t.Fatalf("second run counted no steps: %d then %d", first, e.steps)
 			}
 		})
 	}

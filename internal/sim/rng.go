@@ -43,9 +43,3 @@ func (r *Rand) Intn(n int) int {
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
-
-// Fork derives an independent generator, useful for giving each simulated
-// thread its own stream whose values do not depend on the schedule.
-func (r *Rand) Fork() *Rand {
-	return NewRand(r.Uint64() ^ 0xD1B54A32D192ED03)
-}

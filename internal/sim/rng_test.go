@@ -56,22 +56,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := NewRand(9)
-	child := parent.Fork()
-	// Distinct streams: the pair should not be identical over a window.
-	same := true
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() != child.Uint64() {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("forked generator mirrors its parent")
-	}
-}
-
 func TestUint64Distribution(t *testing.T) {
 	// Coarse sanity check: each of the top 4 bit-pairs should appear.
 	r := NewRand(123)

@@ -190,7 +190,7 @@ func TestSchedulerFinalClocksMatch(t *testing.T) {
 		}
 		e.Run(ws)
 		clocks := make([]uint64, 4)
-		for i, p := range e.Procs() {
+		for i, p := range e.procs {
 			clocks[i] = p.Now()
 		}
 		return clocks

@@ -145,18 +145,6 @@ type Stats struct {
 	HWRetries uint64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other *Stats) {
-	s.HWCommits += other.HWCommits
-	s.SWCommits += other.SWCommits
-	s.Failovers += other.Failovers
-	s.SWAborts += other.SWAborts
-	s.SWStalls += other.SWStalls
-	s.NTStalls += other.NTStalls
-	s.Retries += other.Retries
-	s.HWRetries += other.HWRetries
-}
-
 // Commits returns total committed transactions.
 func (s *Stats) Commits() uint64 { return s.HWCommits + s.SWCommits }
 

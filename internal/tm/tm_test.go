@@ -50,14 +50,8 @@ func TestCatchNested(t *testing.T) {
 	}
 }
 
-func TestStatsAddAndCommits(t *testing.T) {
-	a := Stats{HWCommits: 1, SWCommits: 2, Failovers: 3, SWAborts: 4, SWStalls: 5, NTStalls: 6, Retries: 7, HWRetries: 8}
-	b := a
-	a.Add(&b)
-	if a.HWCommits != 2 || a.SWCommits != 4 || a.Failovers != 6 || a.SWAborts != 8 ||
-		a.SWStalls != 10 || a.NTStalls != 12 || a.Retries != 14 || a.HWRetries != 16 {
-		t.Fatalf("Add wrong: %+v", a)
-	}
+func TestStatsCommits(t *testing.T) {
+	a := Stats{HWCommits: 2, SWCommits: 4, Failovers: 6}
 	if a.Commits() != 6 {
 		t.Fatalf("Commits = %d, want 6", a.Commits())
 	}

@@ -58,41 +58,6 @@ func (l List) Insert(via Mem, a *Arena, key, val uint64) bool {
 	return true
 }
 
-// Lookup returns the value for key.
-func (l List) Lookup(via Mem, key uint64) (uint64, bool) {
-	n := via.Load(l.head + nodeNext)
-	for n != 0 {
-		k := via.Load(n + nodeKey)
-		if k == key {
-			return via.Load(n + nodeVal), true
-		}
-		if k > key {
-			return 0, false
-		}
-		n = via.Load(n + nodeNext)
-	}
-	return 0, false
-}
-
-// Remove deletes key, reporting whether it was present.
-func (l List) Remove(via Mem, key uint64) bool {
-	prev := l.head
-	n := via.Load(prev + nodeNext)
-	for n != 0 {
-		k := via.Load(n + nodeKey)
-		if k == key {
-			via.Store(prev+nodeNext, via.Load(n+nodeNext))
-			return true
-		}
-		if k > key {
-			return false
-		}
-		prev = n
-		n = via.Load(n + nodeNext)
-	}
-	return false
-}
-
 // Len counts elements (O(n); intended for setup and validation).
 func (l List) Len(via Mem) int {
 	count := 0

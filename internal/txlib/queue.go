@@ -43,9 +43,6 @@ func (q Queue) Cap() uint64 { return q.capacity }
 // filling through a Direct accessor).
 func (q Queue) TailAddr() uint64 { return q.tail }
 
-// HeadAddr exposes the head counter's address.
-func (q Queue) HeadAddr() uint64 { return q.head }
-
 // SlotAddr returns the address of the slot logical index i maps to.
 func (q Queue) SlotAddr(i uint64) uint64 {
 	return q.slots + i%q.capacity*mem.LineBytes
@@ -76,17 +73,6 @@ func (q Queue) Pop(tx tm.Tx) uint64 {
 	v := tx.Load(q.slots + head%q.capacity*mem.LineBytes)
 	tx.Store(q.head, head+1)
 	return v
-}
-
-// TryPush appends v if there is room, reporting success; it never waits.
-func (q Queue) TryPush(tx tm.Tx, v uint64) bool {
-	head, tail := tx.Load(q.head), tx.Load(q.tail)
-	if tail-head == q.capacity {
-		return false
-	}
-	tx.Store(q.slots+tail%q.capacity*mem.LineBytes, v)
-	tx.Store(q.tail, tail+1)
-	return true
 }
 
 // TryPop removes the oldest element if present; it never waits.

@@ -31,12 +31,6 @@ func NewTree(via Mem, a *Arena) Tree {
 	return Tree{rootCell: cell}
 }
 
-// TreeAt adopts an existing tree by its root-cell address.
-func TreeAt(rootCell uint64) Tree { return Tree{rootCell: rootCell} }
-
-// RootCell returns the root-cell address (for embedding).
-func (t Tree) RootCell() uint64 { return t.rootCell }
-
 // Insert adds key→val; it returns false if key exists.
 func (t Tree) Insert(via Mem, a *Arena, key, val uint64) bool {
 	cell := t.rootCell
@@ -193,21 +187,6 @@ func (t Tree) scan(via Mem, n, lo uint64, f func(key, val, node uint64) bool, vi
 	t.scan(via, via.Load(n+treeRight), lo, f, visited, more)
 }
 
-// Max returns the largest key.
-func (t Tree) Max(via Mem) (key, val uint64, ok bool) {
-	n := via.Load(t.rootCell)
-	if n == 0 {
-		return 0, 0, false
-	}
-	for {
-		r := via.Load(n + treeRight)
-		if r == 0 {
-			return via.Load(n + treeKey), via.Load(n + treeVal), true
-		}
-		n = r
-	}
-}
-
 // Len counts nodes (validation only).
 func (t Tree) Len(via Mem) int {
 	return t.count(via, via.Load(t.rootCell))
@@ -218,23 +197,6 @@ func (t Tree) count(via Mem, n uint64) int {
 		return 0
 	}
 	return 1 + t.count(via, via.Load(n+treeLeft)) + t.count(via, via.Load(n+treeRight))
-}
-
-// Depth returns the tree height (validation/diagnostics).
-func (t Tree) Depth(via Mem) int {
-	return t.depth(via, via.Load(t.rootCell))
-}
-
-func (t Tree) depth(via Mem, n uint64) int {
-	if n == 0 {
-		return 0
-	}
-	l := t.depth(via, via.Load(n+treeLeft))
-	r := t.depth(via, via.Load(n+treeRight))
-	if l > r {
-		return l + 1
-	}
-	return r + 1
 }
 
 // ForEach visits every pair in key order (validation only; recursive).

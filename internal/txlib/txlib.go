@@ -83,6 +83,3 @@ func (a *Arena) Alloc(bytes uint64) uint64 {
 	}
 	return addr
 }
-
-// Remaining reports unallocated bytes in the current chunk.
-func (a *Arena) Remaining() uint64 { return a.size - a.off }

@@ -35,8 +35,8 @@ func TestArenaGrowsWhenExhausted(t *testing.T) {
 	m := machine.New(p)
 	a := NewArena(m, nil, 128)
 	a.Alloc(64)
-	if a.Remaining() != 64 {
-		t.Fatalf("Remaining = %d", a.Remaining())
+	if left := a.size - a.off; left != 64 {
+		t.Fatalf("%d bytes left in the chunk, want 64", left)
 	}
 	addrs := map[uint64]bool{}
 	for i := 0; i < 64; i++ {
@@ -49,7 +49,7 @@ func TestArenaGrowsWhenExhausted(t *testing.T) {
 	}
 }
 
-func TestListSortedInsertLookupRemove(t *testing.T) {
+func TestListSortedInsert(t *testing.T) {
 	d, a := setup(t)
 	l := NewList(d, a)
 	keys := []uint64{5, 1, 9, 3, 7}
@@ -68,16 +68,12 @@ func TestListSortedInsertLookupRemove(t *testing.T) {
 			t.Fatalf("keys = %v, want %v", got, want)
 		}
 	}
-	if v, ok := l.Lookup(d, 7); !ok || v != 70 {
-		t.Fatalf("Lookup(7) = %d/%v", v, ok)
-	}
-	if _, ok := l.Lookup(d, 8); ok {
-		t.Fatal("Lookup(8) found phantom")
-	}
-	if !l.Remove(d, 3) || l.Remove(d, 3) {
-		t.Fatal("Remove misbehaved")
-	}
-	if l.Len(d) != 4 {
+	l.ForEach(d, func(k, v uint64) {
+		if v != k*10 {
+			t.Fatalf("key %d holds %d, want %d", k, v, k*10)
+		}
+	})
+	if l.Len(d) != 5 {
 		t.Fatalf("Len = %d", l.Len(d))
 	}
 }
@@ -254,20 +250,6 @@ func TestTreeSetUpserts(t *testing.T) {
 	}
 }
 
-func TestTreeMax(t *testing.T) {
-	d, a := setup(t)
-	tr := NewTree(d, a)
-	if _, _, ok := tr.Max(d); ok {
-		t.Fatal("Max on empty tree")
-	}
-	for _, k := range []uint64{3, 9, 1} {
-		tr.Insert(d, a, k, k)
-	}
-	if k, v, ok := tr.Max(d); !ok || k != 9 || v != 9 {
-		t.Fatalf("Max = %d/%d/%v", k, v, ok)
-	}
-}
-
 func TestTreePropertyMatchesMap(t *testing.T) {
 	d, a := setup(t)
 	if err := quick.Check(func(seed uint64) bool {
@@ -312,7 +294,14 @@ func TestTreeDepthReasonableWithRandomKeys(t *testing.T) {
 			n++
 		}
 	}
-	if dep := tr.Depth(d); dep > 30 {
+	var depth func(n uint64) int
+	depth = func(n uint64) int {
+		if n == 0 {
+			return 0
+		}
+		return 1 + max(depth(d.Load(n+treeLeft)), depth(d.Load(n+treeRight)))
+	}
+	if dep := depth(d.Load(tr.rootCell)); dep > 30 {
 		t.Fatalf("depth %d too large for 1024 random keys", dep)
 	}
 }

@@ -216,9 +216,6 @@ func (r *Recorder) commit(t *txState, path machine.TxPath, cycle uint64) {
 	*t = txState{aggressor: -1}
 }
 
-// Committed returns the number of committed transactions recorded so far.
-func (r *Recorder) Committed() uint64 { return r.committed }
-
 // Register writes the recorder's headline totals into s under stable
 // txstats.* metric names, tying the lifecycle layer into the same
 // snapshot the rest of the run reports through.

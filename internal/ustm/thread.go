@@ -53,15 +53,6 @@ type ownedRec struct {
 	write bool
 }
 
-// Proc returns the thread's processor.
-func (t *Thread) Proc() *machine.Proc { return t.p }
-
-// Active reports whether a transaction is in flight (running or retrying).
-func (t *Thread) Active() bool { return t.status != statusIdle }
-
-// Age returns the current transaction's age.
-func (t *Thread) Age() uint64 { return t.age }
-
 // Begin starts a software transaction with the given age (ustm_begin):
 // clear the log, record the sequence number, set the transaction state,
 // and disable UFO faults so the transaction does not fault on its own

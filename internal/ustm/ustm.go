@@ -100,12 +100,6 @@ func (s *STM) Name() string {
 // Stats implements tm.System.
 func (s *STM) Stats() *tm.Stats { return s.stats }
 
-// Machine returns the underlying machine.
-func (s *STM) Machine() *machine.Machine { return s.m }
-
-// Config returns the STM's configuration.
-func (s *STM) Config() Config { return s.cfg }
-
 // Thread returns (creating on first use) the per-processor transaction
 // context. The hybrid TM uses this to share one STM across paths.
 func (s *STM) Thread(p *machine.Proc) *Thread {
@@ -194,32 +188,4 @@ func (s *STM) WakeRetriers(p *machine.Proc, ts []*Thread) {
 	for _, t := range ts {
 		t.wake(p)
 	}
-}
-
-// OTableStats summarizes current ownership-table occupancy (diagnostics
-// for the otable-size ablation: small tables alias many lines per row).
-type OTableStats struct {
-	Rows     int
-	Entries  int
-	MaxChain int
-	Locked   int // rows whose head is locked (mid-update)
-}
-
-// OTableStats reports the table's current occupancy.
-func (s *STM) OTableStats() OTableStats {
-	st := OTableStats{Rows: len(s.ot.Rows)}
-	for i := range s.ot.Rows {
-		n := 0
-		for e := s.ot.Rows[i].head; e != nil; e = e.next {
-			n++
-		}
-		if s.ot.Rows[i].locked {
-			st.Locked++
-		}
-		st.Entries += n
-		if n > st.MaxChain {
-			st.MaxChain = n
-		}
-	}
-	return st
 }

@@ -632,6 +632,30 @@ func TestWholeTxAbortInsideNestUnwindsFully(t *testing.T) {
 	}
 }
 
+// otableStats summarizes the ownership table's occupancy.
+type otableStats struct {
+	Rows     int
+	Entries  int
+	MaxChain int
+	Locked   int // rows whose head is locked (mid-update)
+}
+
+func statsOf(s *STM) otableStats {
+	st := otableStats{Rows: len(s.ot.Rows)}
+	for i := range s.ot.Rows {
+		n := 0
+		for e := s.ot.Rows[i].head; e != nil; e = e.next {
+			n++
+		}
+		if s.ot.Rows[i].locked {
+			st.Locked++
+		}
+		st.Entries += n
+		st.MaxChain = max(st.MaxChain, n)
+	}
+	return st
+}
+
 func TestOTableStats(t *testing.T) {
 	m := testMachine(1)
 	cfg := DefaultConfig()
@@ -643,7 +667,7 @@ func TestOTableStats(t *testing.T) {
 		for i := uint64(0); i < 12; i++ {
 			th.WriteBarrier(i * 64)
 		}
-		st := s.OTableStats()
+		st := statsOf(s)
 		if st.Rows != 4 || st.Entries != 12 {
 			t.Errorf("stats = %+v", st)
 		}
@@ -652,7 +676,52 @@ func TestOTableStats(t *testing.T) {
 		}
 		th.End()
 	}})
-	if st := s.OTableStats(); st.Entries != 0 {
+	if st := statsOf(s); st.Entries != 0 {
 		t.Fatalf("entries leaked: %+v", st)
+	}
+}
+
+// TestReleasedArenaOTableIsBlank: a run killed mid-transaction leaves
+// records in the otable, and under contention locked rows; an STM built
+// on the released arena is handed the same rows, with neither.
+func TestReleasedArenaOTableIsBlank(t *testing.T) {
+	params := machine.DefaultParams(2)
+	params.MemBytes = 1 << 20
+	cfg := DefaultConfig()
+	cfg.OTableRows = 1 << 6 // long chains: rows get locked under contention
+	arena := new(machine.Arena)
+	m := arena.New(params)
+	s := New(m, cfg)
+	software := func(p *machine.Proc) {
+		ex := s.Exec(p)
+		for i := uint64(0); i < 40; i++ {
+			ex.Atomic(func(tx tm.Tx) {
+				for l := i; l < i+6; l++ {
+					tx.Store(l%256*mem.LineBytes, tx.Load(l%256*mem.LineBytes)+1)
+				}
+				if i == 30 && p.ID() == 0 {
+					panic("killed mid-transaction")
+				}
+			})
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("the run was not killed")
+			}
+		}()
+		m.Run([]func(*machine.Proc){software, software})
+	}()
+	if st := statsOf(s); st.Entries == 0 {
+		t.Fatal("the killed run left no otable entries: the scenario tests nothing")
+	}
+	m.Release()
+	s2 := New(arena.New(params), cfg)
+	if s2.ot.Table != s.ot.Table {
+		t.Fatal("the new STM did not get the arena's table")
+	}
+	if st := statsOf(s2); st.Rows != cfg.OTableRows || st.Entries != 0 || st.Locked != 0 {
+		t.Fatalf("reused otable %+v, want %d blank rows", st, cfg.OTableRows)
 	}
 }
