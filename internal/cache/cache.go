@@ -245,7 +245,7 @@ const pageLines = 64
 type Directory struct {
 	stride int        // words per record: 3·⌈procs/64⌉ + 1
 	pages  [][]uint64 // pageLines records per slab; nil = untouched
-	free   [][]uint64 // blank slabs Reset kept for the next first touch
+	free   [][]uint64 // slabs Reset kept, not yet blanked, for the next first touch
 }
 
 // NewDirectory creates an empty directory for MaxProcs processors.
@@ -270,27 +270,28 @@ func (d *Directory) materialise(pi uint64) {
 	if n := pi + 1; n > uint64(len(d.pages)) {
 		d.pages = append(d.pages, make([][]uint64, n-uint64(len(d.pages)))...)
 	}
-	// A kept slab is zero over its whole capacity, so one blanked at a
-	// wider stride serves a narrower one; one too small is dropped.
+	// A kept slab is blanked here over the width this machine's records
+	// need, so one used at a wider stride serves a narrower one; one too
+	// small is dropped.
 	var slab []uint64
 	if k := len(d.free); k > 0 {
 		slab, d.free = d.free[k-1], d.free[:k-1]
 	}
 	if need := pageLines * d.stride; cap(slab) >= need {
 		d.pages[pi] = slab[:need]
+		clear(d.pages[pi])
 	} else {
 		d.pages[pi] = make([]uint64, need)
 	}
 }
 
 // Reset empties the directory, as NewDirectory builds it but with
-// records sized for procs processors, by blanking exactly the pages that
-// were materialised. The blanked pages and the index's capacity are kept
-// for reuse.
+// records sized for procs processors, by unlinking the pages that were
+// materialised. It clears nothing: the slabs and the index's capacity
+// are kept for reuse, and a first touch blanks the kept slab it takes.
 func (d *Directory) Reset(procs int) {
 	for _, slab := range d.pages {
 		if slab != nil {
-			clear(slab)
 			d.free = append(d.free, slab)
 		}
 	}

@@ -307,31 +307,34 @@ func TestProcSetAtEveryWidth(t *testing.T) {
 	}
 }
 
-// TestDirectoryResetChangesWidth: slabs blanked at one stride serve any
-// stride they are big enough for, and a record read at the new stride is
-// blank whatever the old one left where.
+// TestDirectoryResetChangesWidth: slabs used at one stride serve any
+// stride they are big enough for, and a record read at the new stride,
+// on another page, is blank whatever the old one left where — every
+// mask word and the flag word of every record set, bits past the
+// machine's processors included.
 func TestDirectoryResetChangesWidth(t *testing.T) {
 	d := NewDirectory()
-	fill := func(procs int) {
+	// fill resets d for procs processors, requires the four pages of
+	// records from line first on to read blank, then dirties every word.
+	fill := func(procs int, first uint64) {
 		d.Reset(procs)
-		for l := uint64(0); l < 4*pageLines; l++ {
-			if rec := d.Line(l); slices.Max(rec) != 0 {
+		for l := first; l < first+4*pageLines; l++ {
+			rec := d.Line(l)
+			if slices.Max(rec) != 0 {
 				t.Fatalf("procs=%d: line %d reads %v after Reset", procs, l, rec)
 			}
-			for _, s := range []ProcSet{d.Line(l).Sharers(), d.Line(l).Readers(), d.Line(l).Writers()} {
-				for p := 0; p < procs; p++ {
-					s.Set(p)
-				}
+			for i := range rec {
+				rec[i] = ^uint64(0)
 			}
-			d.Line(l).SetWarm()
 		}
 	}
-	fill(8)
-	fill(130) // the 8-wide slabs are too small: dropped, not resliced
-	for _, procs := range []int{8, 70, 130} {
-		fill(procs)
-		if got, want := cap(d.pages[0]), pageLines*(3*3+1); got != want {
-			t.Fatalf("procs=%d: page 0 is a slab of %d words, not a reused 130-wide one of %d", procs, got, want)
+	fill(8, 0)
+	fill(130, pageLines) // the 8-wide slabs are too small: dropped, not resliced
+	for i, procs := range []int{8, 70, 130} {
+		first := uint64(i+2) * pageLines
+		fill(procs, first)
+		if got, want := cap(d.pages[first/pageLines]), pageLines*(3*3+1); got != want {
+			t.Fatalf("procs=%d: page %d is a slab of %d words, not a reused 130-wide one of %d", procs, first/pageLines, got, want)
 		}
 	}
 }

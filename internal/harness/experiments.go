@@ -115,15 +115,15 @@ func ScaleProcCounts(s Scale) []int {
 var ScaleSystems = []SystemKind{UFOHybrid, TL2}
 
 // ScaleBenchmark returns the scaling-study workload at the given scale.
+// The workloads one factory builds share a table of expected digests,
+// so a sweep replays each thread count's hash chains once.
 func ScaleBenchmark(s Scale) WorkloadFactory {
 	iters, work := 400, 64
 	if s == ScaleFull {
 		iters, work = 12800, 256
 	}
-	return WorkloadFactory{
-		Name: "scalemix",
-		New:  func() stamp.Workload { return stamp.NewScaleMix(iters, work) },
-	}
+	newMix := stamp.NewScaleMixes(iters, work)
+	return WorkloadFactory{Name: "scalemix", New: func() stamp.Workload { return newMix() }}
 }
 
 // ScaleSweep runs the Figure-5-style scaling study: scalemix speedup

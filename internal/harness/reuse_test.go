@@ -119,8 +119,11 @@ func reuseJobs() []Job {
 		jobs = append(jobs, Job{System: sys, Threads: 4, Opt: options(),
 			Factory: WorkloadFactory{Name: "leftover", New: func() stamp.Workload { return new(leftover) }}})
 	}
+	// One scalemix factory, as ScaleSweep has: its cells share one table
+	// of expected digests across workers.
+	scale := ScaleBenchmark(ScaleSmall)
 	for i, procs := range []int{8, 130, 70} {
-		jobs = append(jobs, Job{System: ScaleSystems[i%2], Threads: procs, Opt: options(), Factory: ScaleBenchmark(ScaleSmall)})
+		jobs = append(jobs, Job{System: ScaleSystems[i%2], Threads: procs, Opt: options(), Factory: scale})
 	}
 	return jobs
 }

@@ -9,12 +9,14 @@ import (
 // simulated memory with its page index and page records (data and UFO
 // bits), the directory's record pages, the per-processor L1 way slabs
 // and the TM systems' big tables (TableOf) — so that it can outlive the
-// machine. A machine that ends with Release hands all of it back blank,
-// and the next New on the arena allocates only what it cannot reuse. The
-// zero value is an empty arena. One machine at a time lives on an arena,
-// and an arena whose machine died without Release (a run that panicked)
-// must be dropped, not reused: nothing has cleared what that run left
-// behind.
+// machine. A machine that ends with Release hands all of it back, and
+// the next New on the arena allocates only what it cannot reuse and sees
+// none of what the last machine left: tables and L1s come back blank,
+// and a kept memory or directory page is blanked by the first touch that
+// takes it. The zero value is an empty arena. One machine at a time
+// lives on an arena, and an arena whose machine died without Release (a
+// run that panicked) must be dropped, not reused: nothing has cleared
+// what that run left in its tables and L1s.
 type Arena struct {
 	mem    *mem.Memory
 	dir    *cache.Directory
@@ -32,13 +34,13 @@ func (a *Arena) l1(i int, p Params) *cache.L1 {
 }
 
 // Release ends the machine's life and hands its storage back to the
-// arena it was built on, blank: it zeroes exactly what the run touched —
-// materialised memory pages and directory pages, the latter at the width
-// of this machine's records, the L1s of the processors it had, the table
-// rows marked Dirty — so the cost is O(bytes touched), not
-// O(configured). The machine, and everything built over it, must not be
-// used afterwards. Only a machine some later New will share an arena
-// with needs it.
+// arena it was built on. It zeroes the L1s of the processors it had and
+// the table rows marked Dirty, and unlinks the materialised memory and
+// directory pages without clearing them — the next machine's first touch
+// of a page blanks the record it takes, at that machine's record width —
+// so the cost is O(rows and pages touched), not O(configured). The
+// machine, and everything built over it, must not be used afterwards.
+// Only a machine some later New will share an arena with needs it.
 func (m *Machine) Release() {
 	m.Mem.Reset(0)
 	m.dir.Reset(m.Params.Procs)

@@ -88,17 +88,41 @@ func TestUFOWriteMaterializesUFOPageOnly(t *testing.T) {
 	if !m.Faults(PageBytes+LineBytes, false) || m.Faults(PageBytes+LineBytes, true) {
 		t.Fatal("Faults disagrees with fault-on-read")
 	}
-	// Reset hands the record back blank: the next user of it, at another
-	// address, sees neither the bits nor a stray word.
-	m.Write64(PageBytes+8, 9)
-	m.Reset(4 * PageBytes)
-	if materialized(m) != 0 || len(m.free) != 1 {
-		t.Fatalf("Reset left %d pages materialized and kept %d records, want 0 and 1", materialized(m), len(m.free))
-	}
-	m.Write64(3*PageBytes, 1)
-	for addr := uint64(0); addr < m.Size(); addr += WordBytes {
-		if v, b := m.Read64(addr), m.UFO(addr); v != 0 && addr != 3*PageBytes || b != UFONone {
-			t.Fatalf("after Reset %#x reads %d with bits %v", addr, v, b)
+	// Reset keeps the record: the next user of it, at another address and
+	// by either kind of first touch, sees none of the words or bits the
+	// last one left, although every one of them was set.
+	for _, c := range []struct {
+		dirty, touch uint64 // the record's page before Reset, and after
+		bits         UFOBits
+	}{{1, 3, UFONone}, {3, 0, UFOFaultOnWrite}} {
+		for a := c.dirty * PageBytes; a < (c.dirty+1)*PageBytes; a += WordBytes {
+			m.Write64(a, ^a)
+			m.SetUFO(a, UFOFaultAll)
+		}
+		m.Reset(4 * PageBytes)
+		if materialized(m) != 0 || len(m.free) != 1 {
+			t.Fatalf("Reset left %d pages materialized and kept %d records, want 0 and 1", materialized(m), len(m.free))
+		}
+		touched := c.touch * PageBytes
+		if c.bits == UFONone {
+			m.Write64(touched, 1)
+		} else {
+			m.SetUFO(touched, c.bits)
+		}
+		if m.pages[c.touch] == nil {
+			t.Fatalf("the first touch of page %d materialized nothing", c.touch)
+		}
+		for addr := uint64(0); addr < m.Size(); addr += WordBytes {
+			wantV, wantB := uint64(0), UFONone
+			if addr == touched && c.bits == UFONone {
+				wantV = 1
+			}
+			if LineOf(addr) == LineOf(touched) {
+				wantB = c.bits
+			}
+			if v, b := m.Read64(addr), m.UFO(addr); v != wantV || b != wantB {
+				t.Fatalf("after Reset %#x reads %d with bits %v, want %d with %v", addr, v, b, wantV, wantB)
+			}
 		}
 	}
 }

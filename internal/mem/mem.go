@@ -76,14 +76,15 @@ const (
 // configure tens of megabytes of architectural memory per sweep cell but
 // touch a small fraction of it.
 //
-// A Memory can be reused: Reset blanks the records its last user touched
-// and keeps them, and the index, for the next one, so a run on a reused
-// Memory pays for what it touches and not for what it configures.
+// A Memory can be reused: Reset keeps the records its last user touched,
+// and the index, for the next one, and a first touch blanks the kept
+// record it takes, so a run on a reused Memory pays for what it touches
+// and not for what it configures or what its predecessor touched.
 type Memory struct {
 	pages []*page // nil = untouched: zero words, clear bits
 	size  uint64  // architectural size in bytes
 	brk   uint64  // sbrk-style allocation frontier, in bytes
-	free  []*page // blank records awaiting a first touch
+	free  []*page // kept records, not yet blanked, awaiting a first touch
 }
 
 // page is one page of memory: the UFO bits travel with the data.
@@ -101,14 +102,13 @@ func New(sizeBytes uint64) *Memory {
 }
 
 // Reset returns m to the state New(sizeBytes) builds — every word zero,
-// every UFO bit clear, nothing allocated by Sbrk — by blanking exactly
-// the pages that were materialized. The blanked records and the index
-// are kept: the index is resized in place, and a later first touch takes
-// a kept record before it allocates one.
+// every UFO bit clear, nothing allocated by Sbrk — by unlinking the pages
+// that were materialized. It clears nothing: the records are kept as
+// they are, the index is resized in place, and a later first touch
+// blanks a kept record before it allocates one.
 func (m *Memory) Reset(sizeBytes uint64) {
 	for _, pg := range m.pages {
 		if pg != nil {
-			*pg = page{}
 			m.free = append(m.free, pg)
 		}
 	}
@@ -152,12 +152,13 @@ func (m *Memory) checkAddr(addr uint64) {
 	}
 }
 
-// materialize gives page pi a blank record: one that Reset kept, else a
-// new one.
+// materialize gives page pi a blank record: one that Reset kept, blanked
+// here, just before the write that needs it, else a new one.
 func (m *Memory) materialize(pi uint64) *page {
 	var pg *page
 	if k := len(m.free); k > 0 {
 		pg, m.free = m.free[k-1], m.free[:k-1]
+		*pg = page{}
 	} else {
 		pg = new(page)
 	}

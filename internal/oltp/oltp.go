@@ -277,7 +277,12 @@ func (w *Workload) Thread(i int, ex tm.Exec) {
 // Validate checks the exact end-state invariant: every record holds its
 // initial value plus the sum of all RMW deltas addressed to its key
 // (each request commits exactly once), and the hash and tree agree with
-// the record table.
+// the record table. The tree is checked by one in-order walk that must
+// yield keys 1..Keys ascending, each naming its record: a binary tree
+// whose in-order walk ascends is a search tree in which every key is
+// found, and one in which every key is found and that has exactly Keys
+// nodes walks in order, so the walk accepts exactly the trees a Get per
+// key plus a node count would.
 func (w *Workload) Validate(m *machine.Machine) error {
 	c := w.cfg
 	via := txlib.Direct{M: m}
@@ -303,17 +308,29 @@ func (w *Workload) Validate(m *machine.Machine) error {
 		if hr, ok := w.hash.Get(via, key); !ok || hr != rec {
 			return validErr("key %d: hash lookup (%d,%v), want record %d", key, hr, ok, rec)
 		}
-		if tr, ok := w.tree.Get(via, key); !ok || tr != rec {
-			return validErr("key %d: tree lookup (%d,%v), want record %d", key, tr, ok, rec)
-		}
 	}
 	if n := w.hash.Len(via); n != c.Keys {
 		return validErr("hash has %d entries, want %d", n, c.Keys)
 	}
-	if n := w.tree.Len(via); n != c.Keys {
-		return validErr("tree has %d entries, want %d", n, c.Keys)
+
+	var err error
+	next := uint64(1) // the key the walk must yield next
+	w.tree.ForEach(via, func(key, rec uint64) {
+		switch {
+		case err != nil:
+		case next > uint64(c.Keys):
+			err = validErr("tree walk: key %d after the last key %d", key, c.Keys)
+		case key != next:
+			err = validErr("tree walk: key %d where key %d belongs", key, next)
+		case rec != w.records[key-1]:
+			err = validErr("key %d: tree value %d, want record %d", key, rec, w.records[key-1])
+		}
+		next++
+	})
+	if err == nil && next <= uint64(c.Keys) {
+		err = validErr("tree walk: ended before key %d", next)
 	}
-	return nil
+	return err
 }
 
 func validErr(format string, args ...any) error {

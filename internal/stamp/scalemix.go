@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"sync"
+
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/tm"
@@ -10,7 +12,8 @@ import (
 // scale`: compute-heavy, low-contention, and sized for the 64/128/256
 // simulated-processor sweeps. Each thread's share of the work is
 // dominated by real host-side computation (a hash chain whose digest the
-// run commits and Validate recomputes, so it cannot be optimized away)
+// run commits and Validate compares with a replay, so it cannot be
+// optimized away)
 // charged to simulated time via Elapse; transactions are short and touch
 // mostly per-thread lines, with a shared counter bumped every
 // ScaleMixSharePeriod iterations to keep the coherence machinery honest.
@@ -24,10 +27,21 @@ type ScaleMix struct {
 	// Work is the number of hash rounds (host compute) per iteration.
 	Work int
 
+	digests    *scaleDigests // shared by every workload of one NewScaleMixes
 	threads    int
 	slotBase   uint64
 	digestBase uint64
 	sharedAddr uint64
+}
+
+// scaleDigests is the table of expected digests the workloads of one
+// NewScaleMixes share: per thread count, each thread's replayed hash
+// chain. A sweep's cells validate on parallel workers, so it is filled
+// under a lock.
+type scaleDigests struct {
+	mu      sync.Mutex
+	want    map[int][]uint64 // thread count → digest per thread
+	replays int              // thread counts replayed so far
 }
 
 const (
@@ -39,9 +53,17 @@ const (
 	ScaleMixSharePeriod = 16
 )
 
-// NewScaleMix builds the workload.
-func NewScaleMix(totalIters, work int) *ScaleMix {
-	return &ScaleMix{TotalIters: totalIters, Work: work}
+// NewScaleMixes returns the constructor of one sweep's ScaleMix
+// workloads, each of totalIters iterations of work hash rounds. They
+// share one table of expected digests, so the sweep replays each
+// thread count's chains once, however many of its cells run at that
+// count; every cell still checks its committed digests against that
+// replay, which nothing in any run computed.
+func NewScaleMixes(totalIters, work int) func() *ScaleMix {
+	digests := &scaleDigests{want: map[int][]uint64{}}
+	return func() *ScaleMix {
+		return &ScaleMix{TotalIters: totalIters, Work: work, digests: digests}
+	}
 }
 
 // Name implements Workload.
@@ -77,6 +99,24 @@ func (w *ScaleMix) digest(i, lo, hi int) uint64 {
 	return h
 }
 
+// expected returns every thread's expected digest at w's thread count,
+// replaying the chains the first time a workload of the table asks.
+func (d *scaleDigests) expected(w *ScaleMix) []uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	want, ok := d.want[w.threads]
+	if !ok {
+		want = make([]uint64, w.threads)
+		for i := range want {
+			lo, hi := split(w.TotalIters, w.threads, i)
+			want[i] = w.digest(i, lo, hi)
+		}
+		d.want[w.threads] = want
+		d.replays++
+	}
+	return want
+}
+
 // Thread implements Workload.
 func (w *ScaleMix) Thread(i int, ex tm.Exec) {
 	p := ex.Proc()
@@ -107,13 +147,14 @@ func (w *ScaleMix) Thread(i int, ex tm.Exec) {
 // quotients, and each committed digest the replayed hash chain — so a run
 // that skipped or misordered compute fails even if the counters add up.
 func (w *ScaleMix) Validate(m *machine.Machine) error {
+	digests := w.digests.expected(w)
 	var wantShared uint64
 	for i := 0; i < w.threads; i++ {
 		lo, hi := split(w.TotalIters, w.threads, i)
 		if got, want := m.Mem.Read64(w.slotBase+uint64(i)*mem.LineBytes), uint64(hi-lo); got != want {
 			return validErr("scalemix", "thread %d committed %d iterations, want %d", i, got, want)
 		}
-		if got, want := m.Mem.Read64(w.digestBase+uint64(i)*mem.LineBytes), w.digest(i, lo, hi); got != want {
+		if got, want := m.Mem.Read64(w.digestBase+uint64(i)*mem.LineBytes), digests[i]; got != want {
 			return validErr("scalemix", "thread %d digest %#x, want %#x", i, got, want)
 		}
 		for iter := lo; iter < hi; iter++ {

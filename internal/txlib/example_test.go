@@ -34,7 +34,9 @@ func ExampleTree() {
 	}})
 
 	v, _ := tree.Get(d, 40)
-	fmt.Printf("len=%d tree[40]=%d\n", tree.Len(d), v)
+	n := 0
+	tree.ForEach(d, func(_, _ uint64) { n++ })
+	fmt.Printf("len=%d tree[40]=%d\n", n, v)
 	// Output: len=4 tree[40]=401
 }
 

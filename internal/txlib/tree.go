@@ -187,18 +187,6 @@ func (t Tree) scan(via Mem, n, lo uint64, f func(key, val, node uint64) bool, vi
 	t.scan(via, via.Load(n+treeRight), lo, f, visited, more)
 }
 
-// Len counts nodes (validation only).
-func (t Tree) Len(via Mem) int {
-	return t.count(via, via.Load(t.rootCell))
-}
-
-func (t Tree) count(via Mem, n uint64) int {
-	if n == 0 {
-		return 0
-	}
-	return 1 + t.count(via, via.Load(n+treeLeft)) + t.count(via, via.Load(n+treeRight))
-}
-
 // ForEach visits every pair in key order (validation only; recursive).
 func (t Tree) ForEach(via Mem, f func(key, val uint64)) {
 	t.walk(via, via.Load(t.rootCell), f)

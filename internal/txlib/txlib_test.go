@@ -155,6 +155,13 @@ func TestHashBadBucketCountPanics(t *testing.T) {
 	NewHash(d, a, 10)
 }
 
+// treeLen counts tr's nodes.
+func treeLen(tr Tree, d Direct) int {
+	n := 0
+	tr.ForEach(d, func(_, _ uint64) { n++ })
+	return n
+}
+
 func TestTreeInsertGetDelete(t *testing.T) {
 	d, a := setup(t)
 	tr := NewTree(d, a)
@@ -167,8 +174,8 @@ func TestTreeInsertGetDelete(t *testing.T) {
 	if tr.Insert(d, a, 50, 0) {
 		t.Fatal("duplicate insert succeeded")
 	}
-	if tr.Len(d) != len(keys) {
-		t.Fatalf("Len = %d", tr.Len(d))
+	if n := treeLen(tr, d); n != len(keys) {
+		t.Fatalf("%d nodes, want %d", n, len(keys))
 	}
 	for _, k := range keys {
 		if v, ok := tr.Get(d, k); !ok || v != k*2 {
@@ -245,7 +252,7 @@ func TestTreeSetUpserts(t *testing.T) {
 	if v, _ := tr.Get(d, 5); v != 2 {
 		t.Fatalf("Set did not update: %d", v)
 	}
-	if tr.Len(d) != 1 {
+	if treeLen(tr, d) != 1 {
 		t.Fatal("Set duplicated node")
 	}
 }
@@ -278,7 +285,7 @@ func TestTreePropertyMatchesMap(t *testing.T) {
 				}
 			}
 		}
-		return tr.Len(d) == len(ref)
+		return treeLen(tr, d) == len(ref)
 	}, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
