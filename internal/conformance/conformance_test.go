@@ -7,6 +7,7 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/harness"
@@ -16,19 +17,18 @@ import (
 	"repro/internal/tm"
 )
 
-// concurrentSystems are the systems meaningful with >1 processor.
-var concurrentSystems = []string{
-	"ufo-hybrid", "hytm", "phtm", "ustm+ufo", "ustm", "tl2",
-	"unbounded-htm", "global-lock", "sle",
-}
+// concurrentSystems are the systems meaningful with >1 processor: every
+// registered system but the sequential baseline.
+var concurrentSystems = slices.DeleteFunc(slices.Clone(harness.AllSystems),
+	func(k harness.SystemKind) bool { return k == harness.Sequential })
 
-// newSystem builds the named system over m with a 4096-row otable: small
-// enough that the machines a test builds stay cheap, large enough that
-// the tests' footprints effectively never alias rows.
-func newSystem(name string, m *machine.Machine) tm.System {
+// newSystem builds kind over m with a 4096-row otable: small enough that
+// the machines a test builds stay cheap, large enough that the tests'
+// footprints effectively never alias rows.
+func newSystem(kind harness.SystemKind, m *machine.Machine) tm.System {
 	opt := harness.DefaultOptions()
 	opt.OTableRows = 1 << 12
-	return harness.Build(harness.SystemKind(name), m, opt)
+	return harness.Build(kind, m, opt)
 }
 
 func newMachine(procs int, quantum uint64) *machine.Machine {
@@ -40,11 +40,11 @@ func newMachine(procs int, quantum uint64) *machine.Machine {
 }
 
 func TestCounterInvariantAllSystems(t *testing.T) {
-	for _, name := range concurrentSystems {
+	for _, kind := range concurrentSystems {
 		for _, procs := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/p%d", name, procs), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/p%d", kind, procs), func(t *testing.T) {
 				m := newMachine(procs, 0)
-				sys := newSystem(name, m)
+				sys := newSystem(kind, m)
 				const perThread = 30
 				var ws []func(*machine.Proc)
 				for i := 0; i < procs; i++ {
@@ -76,10 +76,10 @@ func TestBankTransferInvariantAllSystems(t *testing.T) {
 	// N accounts, random transfers; the total balance is conserved.
 	const accounts = 16
 	const initial = 1000
-	for _, name := range concurrentSystems {
-		t.Run(name, func(t *testing.T) {
+	for _, kind := range concurrentSystems {
+		t.Run(string(kind), func(t *testing.T) {
 			m := newMachine(4, 0)
-			sys := newSystem(name, m)
+			sys := newSystem(kind, m)
 			base := m.Mem.Sbrk(accounts * 64)
 			for i := uint64(0); i < accounts; i++ {
 				m.Mem.Write64(base+i*64, initial)
@@ -120,8 +120,8 @@ func TestBankTransferInvariantAllSystems(t *testing.T) {
 func TestLargeTransactionsAllSystems(t *testing.T) {
 	// Transactions that overflow the (shrunken) L1 force the hybrids to
 	// software; everyone must still get the answer right.
-	for _, name := range concurrentSystems {
-		t.Run(name, func(t *testing.T) {
+	for _, kind := range concurrentSystems {
+		t.Run(string(kind), func(t *testing.T) {
 			params := machine.DefaultParams(2)
 			params.MemBytes = 1 << 22
 			params.Quantum = 0
@@ -129,7 +129,7 @@ func TestLargeTransactionsAllSystems(t *testing.T) {
 			params.L1Ways = 2
 			params.MaxSteps = 30_000_000
 			m := machine.New(params)
-			sys := newSystem(name, m)
+			sys := newSystem(kind, m)
 			base := m.Mem.Sbrk(64 * 64)
 			var ws []func(*machine.Proc)
 			for i := 0; i < 2; i++ {
@@ -156,10 +156,10 @@ func TestLargeTransactionsAllSystems(t *testing.T) {
 }
 
 func TestTimerInterruptsDoNotBreakInvariants(t *testing.T) {
-	for _, name := range []string{"ufo-hybrid", "unbounded-htm", "phtm", "hytm"} {
-		t.Run(name, func(t *testing.T) {
+	for _, kind := range []harness.SystemKind{harness.UFOHybrid, harness.UnboundedHTM, harness.PhTM, harness.HyTM} {
+		t.Run(string(kind), func(t *testing.T) {
 			m := newMachine(2, 3000) // aggressive quantum: many interrupts
-			sys := newSystem(name, m)
+			sys := newSystem(kind, m)
 			var ws []func(*machine.Proc)
 			for i := 0; i < 2; i++ {
 				ex := sys.Exec(m.Proc(i))
@@ -186,7 +186,7 @@ func TestTimerInterruptsDoNotBreakInvariants(t *testing.T) {
 func TestDeterministicCyclesAcrossRuns(t *testing.T) {
 	run := func() uint64 {
 		m := newMachine(4, 0)
-		sys := newSystem("ufo-hybrid", m)
+		sys := newSystem(harness.UFOHybrid, m)
 		var ws []func(*machine.Proc)
 		for i := 0; i < 4; i++ {
 			ex := sys.Exec(m.Proc(i))
@@ -232,10 +232,10 @@ func TestOnCommitRunsExactlyOnceAllSystems(t *testing.T) {
 	// A transaction that aborts its first attempt and registers a
 	// deferred side effect on every attempt: the effect must run exactly
 	// once per Atomic, only for the committed attempt.
-	for _, name := range concurrentSystems {
-		t.Run(name, func(t *testing.T) {
+	for _, kind := range concurrentSystems {
+		t.Run(string(kind), func(t *testing.T) {
 			m := newMachine(1, 0)
-			sys := newSystem(name, m)
+			sys := newSystem(kind, m)
 			ex := sys.Exec(m.Proc(0))
 			effects := 0
 			m.Run([]func(*machine.Proc){func(p *machine.Proc) {
@@ -263,7 +263,7 @@ func TestOnCommitRunsExactlyOnceAllSystems(t *testing.T) {
 
 func TestOnCommitSeesCommittedState(t *testing.T) {
 	m := newMachine(1, 0)
-	sys := newSystem("ufo-hybrid", m)
+	sys := newSystem(harness.UFOHybrid, m)
 	ex := sys.Exec(m.Proc(0))
 	var observed uint64
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
@@ -283,22 +283,22 @@ func TestNestedTransactionsAllSystems(t *testing.T) {
 	// abort (the STMs) keep the outer effects; hardware systems flatten —
 	// the hybrid then fails the whole transaction over to software, where
 	// partial abort works. Either way the final state is identical.
-	for _, name := range concurrentSystems {
-		switch name {
-		case "global-lock", "sle":
+	for _, kind := range concurrentSystems {
+		switch kind {
+		case harness.GlobalLock, harness.SLE:
 			// The lock path flattens nesting, so a deterministic inner
 			// abort restarts the whole body there forever.
 			continue
-		case "unbounded-htm":
+		case harness.UnboundedHTM:
 			// A pure HTM flattens nesting with no software to fall back
 			// to: a deterministic inner abort re-executes forever. This is
 			// precisely the extensibility gap the paper's hybrid approach
 			// closes, so the exclusion is the point.
 			continue
 		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(string(kind), func(t *testing.T) {
 			m := newMachine(1, 0)
-			sys := newSystem(name, m)
+			sys := newSystem(kind, m)
 			ex := sys.Exec(m.Proc(0))
 			var innerCommitted, innerAborted bool
 			m.Run([]func(*machine.Proc){func(p *machine.Proc) {
@@ -349,13 +349,13 @@ func TestNestedTransactionsAllSystems(t *testing.T) {
 // an STM that forgets an aborted nest's reads commits.
 func TestAbortedNestKeepsItsReads(t *testing.T) {
 	const x, y = 0, 64
-	for _, name := range append(concurrentSystems, "hybrid-norec") {
-		if name == "global-lock" || name == "sle" || name == "unbounded-htm" {
+	for _, kind := range concurrentSystems {
+		if kind == harness.GlobalLock || kind == harness.SLE || kind == harness.UnboundedHTM {
 			continue // as in TestNestedTransactionsAllSystems
 		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(string(kind), func(t *testing.T) {
 			m := newMachine(2, 0)
-			sys := newSystem(name, m)
+			sys := newSystem(kind, m)
 			t1, t2 := sys.Exec(m.Proc(0)), sys.Exec(m.Proc(1))
 			m.Run([]func(*machine.Proc){
 				func(p *machine.Proc) {
@@ -399,10 +399,10 @@ func TestExtendedWorkloadsAcrossKeySystems(t *testing.T) {
 		"labyrinth": func() stamp.Workload { return stamp.NewLabyrinth(20, 20, 3) },
 	}
 	for wlName, factory := range mk {
-		for _, sysName := range []string{"ufo-hybrid", "tl2", "global-lock"} {
-			t.Run(wlName+"/"+sysName, func(t *testing.T) {
+		for _, kind := range []harness.SystemKind{harness.UFOHybrid, harness.TL2, harness.GlobalLock} {
+			t.Run(wlName+"/"+string(kind), func(t *testing.T) {
 				m := newMachine(3, 0)
-				sys := newSystem(sysName, m)
+				sys := newSystem(kind, m)
 				wl := factory()
 				wl.Init(m, 3)
 				bodies := make([]func(*machine.Proc), 3)

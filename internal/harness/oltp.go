@@ -101,8 +101,8 @@ func oltpBase(s Scale, sc OLTPSweepConfig) oltp.Config {
 		// A cap, not a measured size: at θ ≥ 1.2 and 320 requests per
 		// processor the STM cells' aborts grow superlinearly and exhaust
 		// the MaxSteps budget, and the cell ends as an error, not a row.
-		// 160 keeps every cell under the budget and so hides that storm;
-		// ROADMAP.md item 1 root-causes the storm and removes the cap.
+		// 160 keeps every cell under the budget and so hides that storm,
+		// a known deviation (DESIGN.md §7) until its cause is found.
 		cfg.RequestsPerProc = 160
 		cfg.ScanLen = 16
 	}

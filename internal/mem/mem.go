@@ -1,9 +1,9 @@
 // Package mem models the simulated machine's physical memory, including
 // the paper's UFO extension (§3.2, §4): two user-fault-on bits
 // (fault-on-read and fault-on-write) per 64-byte line that travel with
-// the data through the whole memory hierarchy — caches, DRAM, and the
-// swap file (Appendix A of the paper). Here they travel with it too: a
-// page's words and its lines' bits are one record behind one index.
+// the data through caches and DRAM; here a page's words and its lines'
+// bits are one record behind one index. Appendix A's swap path, which
+// keeps the bits across swap, is not modelled (DESIGN.md §7).
 //
 // Addresses are byte addresses; data is accessed at 64-bit-word
 // granularity and must be 8-byte aligned. The UFO bits here are the single
@@ -21,7 +21,7 @@ const (
 	LineBytes = 64
 	// LineWords is the number of words per line.
 	LineWords = LineBytes / WordBytes
-	// PageBytes is the page size used by the swap model.
+	// PageBytes is the size of one lazily allocated page record.
 	PageBytes = 4096
 	// PageLines is the number of lines per page.
 	PageLines = PageBytes / LineBytes

@@ -20,7 +20,6 @@ type Intruder struct {
 	FragsPerFlow int
 	Seed         uint64
 
-	threads   int
 	queue     txlib.Queue
 	flows     txlib.Hash // flowID → reassembly list head
 	doneCount uint64     // simulated address: completed flows
@@ -43,7 +42,6 @@ func (w *Intruder) indexOf(frag uint64) uint64 { return frag % 256 }
 
 // Init implements Workload.
 func (w *Intruder) Init(m *machine.Machine, threads int) {
-	w.threads = threads
 	d := txlib.Direct{M: m}
 	total := w.Flows * w.FragsPerFlow
 	setupA := txlib.NewArena(m, nil, uint64(total+1024)*64+1<<14)

@@ -26,7 +26,6 @@ type Vacation struct {
 	PctUser        int
 	Seed           uint64
 
-	threads   int
 	resources [3]txlib.Tree // cars, rooms, flights: id → resource addr
 	customers txlib.Tree    // customer id → reservation-list head
 	arenas    []*txlib.Arena
@@ -67,7 +66,6 @@ func (v *Vacation) Name() string {
 
 // Init implements Workload.
 func (v *Vacation) Init(m *machine.Machine, threads int) {
-	v.threads = threads
 	d := txlib.Direct{M: m}
 	// Setup arena: trees + resources + customer list sentinels.
 	setupBytes := uint64(v.Relations)*8*mem.LineBytes + 1<<16

@@ -1,6 +1,7 @@
 package tmtest
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -9,52 +10,42 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // uncalledAllowed are the exported names that only tests call, each kept
-// for the reason given.
+// for the reason given. An unexported declaration has no entry: a helper
+// only tests use belongs in a _test.go file.
 var uncalledAllowed = map[string]string{
 	"machine.Machine.CheckConsistency": "the checker the stress tests compare against",
 	"machine.Proc.L1":                  "state that tests in other packages observe",
 	"machine.Proc.UFOEnabled":          "state that tests in other packages observe",
-	"machine.AllKinds":                 "the every-kind set that ROADMAP item 1's sinks subscribe to",
+	"machine.AllKinds":                 "the every-kind set an all-kinds storm trace subscribes to (DESIGN.md §24)",
 	"oltp.Workload.RecordAddr":         "the hot-line attribution test finds the key-1 record by it",
-	"mem.NewSwapper":                   "Appendix A's swap path: ROADMAP item 6 deletes it unless item 2(3) calls it",
-	"mem.Swapper.SwapOut":              "Appendix A's swap path: ROADMAP item 6 deletes it unless item 2(3) calls it",
-	"mem.Swapper.SwapIn":               "Appendix A's swap path: ROADMAP item 6 deletes it unless item 2(3) calls it",
-	"mem.Swapper.Resident":             "Appendix A's swap path: ROADMAP item 6 deletes it unless item 2(3) calls it",
-	"mem.Swapper.UFOSaveCount":         "Appendix A's swap path: ROADMAP item 6 deletes it unless item 2(3) calls it",
-	"litmus.DecodeProgram":             "the FuzzLitmus codec, which ROADMAP item 2(3) makes a gating replay",
-	"litmus.EncodeProgram":             "the FuzzLitmus codec, which ROADMAP item 2(3) makes a gating replay",
-	"litmus.DecodeSeed":                "the FuzzLitmus codec, which ROADMAP item 2(3) makes a gating replay",
+	"litmus.DecodeProgram":             "the FuzzLitmus codec (DESIGN.md §13), kept for a gating replay of its corpus",
+	"litmus.EncodeProgram":             "the FuzzLitmus codec (DESIGN.md §13), kept for a gating replay of its corpus",
+	"litmus.DecodeSeed":                "the FuzzLitmus codec (DESIGN.md §13), kept for a gating replay of its corpus",
 }
 
-// TestEveryExportedNameHasACaller keeps the tree free of surface that
-// nothing runs (DESIGN.md §30): every exported function, method, type,
-// const and var declared in a non-test file under internal/ or cmd/ must
-// be referenced from a non-test file of the module (benchmark/ and
-// examples/ count), or be in uncalledAllowed.
+// TestEveryDeclarationHasACaller keeps the tree free of code that nothing
+// runs (DESIGN.md §30): every function, method, type, const and var
+// declared in a non-test file under internal/ or cmd/, and every
+// unexported field of its structs, must be referenced from a non-test
+// file of the module (benchmark/ and examples/ count). An exported name
+// may instead be in uncalledAllowed.
 //
 // A reference counts only if the declaration it sits in is itself live,
 // so a type that only an uncalled method returns is uncalled too, and a
-// field that is only ever assigned does not keep its type alive. A method
-// is called when its type implements an interface it is called through:
-// one of the module's, or any standard-library interface (String, Error,
-// MarshalJSON, …), since the library makes those calls.
-func TestEveryExportedNameHasACaller(t *testing.T) {
+// field that is only ever assigned is dead and does not keep its type
+// alive. A method is called when its type implements an interface it is
+// called through: one of the module's, or any standard-library interface
+// (String, Error, MarshalJSON, …), since the library makes those calls.
+func TestEveryDeclarationHasACaller(t *testing.T) {
 	c := newCensus(t, filepath.Join("..", ".."))
-	var dead []string
-	for obj, key := range c.exported {
-		if !c.live[obj] {
-			dead = append(dead, key)
-		}
-	}
-	sort.Strings(dead)
-	for _, key := range dead {
-		t.Errorf("%s has no caller outside tests: delete it, call it, or allow it with a reason", key)
+	for _, d := range c.dead() {
+		t.Errorf("%s has no caller outside tests: delete it, call it, or allow it with a reason", d)
 	}
 	for key := range uncalledAllowed {
 		if obj, ok := c.byKey[key]; !ok {
@@ -65,9 +56,25 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 	}
 }
 
+// TestCensusReportsDeadDeclarations runs the census over a fixture tree
+// whose answer is known: a dead unexported function and a write-only
+// field are reported; a method reached only through an interface call
+// and a called exported name are not.
+func TestCensusReportsDeadDeclarations(t *testing.T) {
+	c := newCensus(t, filepath.Join("testdata", "census"))
+	want := []string{
+		"internal/fixture/fixture.go:10 fixture.counter.last",
+		"internal/fixture/fixture.go:26 fixture.unused",
+	}
+	if got := c.dead(); !slices.Equal(got, want) {
+		t.Errorf("census reports %q, want %q", got, want)
+	}
+}
+
 // census type-checks every non-test file of the module and decides which
 // of its declarations are live.
 type census struct {
+	root  string
 	fset  *token.FileSet
 	std   types.Importer
 	dirs  map[string]string // import path → directory
@@ -80,14 +87,15 @@ type census struct {
 	roots    map[types.Object]bool             // live whether or not anything calls them
 	viaIface map[types.Object]bool             // methods an interface call reaches
 	live     map[types.Object]bool
-	exported map[types.Object]string // exported names under internal/ and cmd/ → key
-	byKey    map[string]types.Object
+	names    map[types.Object]string // declarations under internal/ and cmd/ → key
+	byKey    map[string]types.Object // exported keys → declaration
 }
 
 func newCensus(t *testing.T, root string) *census {
 	t.Helper()
 	fset := token.NewFileSet()
 	c := &census{
+		root:  root,
 		fset:  fset,
 		std:   importer.ForCompiler(fset, "source", nil),
 		dirs:  map[string]string{},
@@ -103,7 +111,7 @@ func newCensus(t *testing.T, root string) *census {
 		roots:    map[types.Object]bool{},
 		viaIface: map[types.Object]bool{},
 		live:     map[types.Object]bool{},
-		exported: map[types.Object]string{},
+		names:    map[types.Object]string{},
 		byKey:    map[string]types.Object{},
 	}
 	// benchmark/ is the module repro/benchmark, which replaces repro with
@@ -182,25 +190,35 @@ func (c *census) Import(path string) (*types.Package, error) {
 // references made inside it.
 func (c *census) declare(path string, decl ast.Decl) {
 	pkg := c.pkgs[path]
-	node := func(id *ast.Ident) types.Object {
+	reported := strings.HasPrefix(path, "repro/internal/") || strings.HasPrefix(path, "repro/cmd/")
+	// node records a declaration and, if it is reported, its key: the
+	// package name, then the receiver's or struct's type name for a method
+	// or field, then its own name.
+	node := func(id *ast.Ident, owner string) types.Object {
 		obj := c.info.Defs[id]
 		c.nodes[obj] = true
-		if !id.IsExported() || !(strings.HasPrefix(path, "repro/internal/") || strings.HasPrefix(path, "repro/cmd/")) {
+		if !reported {
 			return obj
 		}
-		key := pkg.Name() + "." + id.Name
 		if recv := recvOf(obj); recv != nil {
 			if ptr, ok := recv.(*types.Pointer); ok {
 				recv = ptr.Elem()
 			}
-			key = pkg.Name() + "." + recv.(*types.Named).Obj().Name() + "." + id.Name
+			owner = recv.(*types.Named).Obj().Name()
 		}
-		c.exported[obj], c.byKey[key] = key, obj
+		key := pkg.Name() + "." + id.Name
+		if owner != "" {
+			key = pkg.Name() + "." + owner + "." + id.Name
+		}
+		c.names[obj] = key
+		if id.IsExported() {
+			c.byKey[key] = obj
+		}
 		return obj
 	}
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		obj := node(d.Name)
+		obj := node(d.Name, "")
 		if d.Recv == nil && (d.Name.Name == "main" || d.Name.Name == "init") {
 			c.roots[obj] = true
 		}
@@ -209,7 +227,7 @@ func (c *census) declare(path string, decl ast.Decl) {
 		for _, spec := range d.Specs {
 			switch s := spec.(type) {
 			case *ast.TypeSpec:
-				obj := node(s.Name)
+				obj := node(s.Name, "")
 				st, ok := s.Type.(*ast.StructType)
 				if !ok {
 					c.uses(s.Type, obj)
@@ -225,16 +243,14 @@ func (c *census) declare(path string, decl ast.Decl) {
 					}
 					var owners []types.Object
 					for _, name := range field.Names {
-						f := c.info.Defs[name]
-						c.nodes[f] = true
-						owners = append(owners, f)
+						owners = append(owners, node(name, s.Name.Name))
 					}
 					c.uses(field.Type, owners...)
 				}
 			case *ast.ValueSpec:
 				var owners []types.Object
 				for _, name := range s.Names {
-					obj := node(name)
+					obj := node(name, "")
 					if name.Name == "_" {
 						c.roots[obj] = true
 					}
@@ -387,6 +403,21 @@ func (c *census) decide() {
 			}
 		}
 	}
+}
+
+// dead lists the reported declarations that are not live, each as
+// "file:line key" with the file relative to the census root.
+func (c *census) dead() []string {
+	var dead []string
+	for obj, key := range c.names {
+		if !c.live[obj] {
+			pos := c.fset.Position(obj.Pos())
+			file, _ := filepath.Rel(c.root, pos.Filename)
+			dead = append(dead, fmt.Sprintf("%s:%d %s", filepath.ToSlash(file), pos.Line, key))
+		}
+	}
+	slices.Sort(dead)
+	return dead
 }
 
 // called reports whether an interface call reaches obj or a live

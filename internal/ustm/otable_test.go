@@ -241,7 +241,7 @@ func TestOTableMatchesReference(t *testing.T) {
 }
 
 // TestKnownDefectLateReaderJoinsDetachedRecord documents a defect this
-// package has and does not yet fix (ROADMAP item 2). A reader that joins
+// package has and does not yet fix (DESIGN.md §25). A reader that joins
 // a read entry locks the row and pays the CAS delay before it adds
 // itself; releaseAll ignores the row lock, so the entry's last owner can
 // remove it inside that delay, and the reader then adds itself to a
