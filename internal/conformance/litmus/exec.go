@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/tm"
 	"repro/internal/tmtest"
 )
@@ -51,7 +52,7 @@ func (r RunResult) WeakHistory() []tmtest.TxRecord {
 
 // Execute runs p on system under sch, on a machine built over arena
 // (harness.Runner.Each's rule: the machine is released once its final
-// state is read, and a run that panics leaves *arena empty). The
+// state is read, or once its run has panicked or halted). The
 // otable-backed systems get a 4096-row table: small enough that the
 // thousands of machines a sweep builds stay cheap, large enough that a
 // program's few lines never alias rows.
@@ -64,15 +65,7 @@ func (r RunResult) WeakHistory() []tmtest.TxRecord {
 // which is exactly what a litmus test wants (the anomaly window is the
 // first attempt; convergence after an abort just has to terminate).
 func Execute(arena *machine.Arena, system harness.SystemKind, p *Program, sch Schedule) (res RunResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			*arena = machine.Arena{}
-			res.Err = fmt.Errorf("litmus %s on %s: panic: %v", p.Name, system, r)
-		}
-	}()
-
-	nthreads := len(p.Threads)
-	procs := nthreads
+	procs := len(p.Threads)
 	if system == harness.Sequential {
 		// The sequential baseline is single-processor by definition; its
 		// threads run back to back and the schedule degenerates.
@@ -83,6 +76,16 @@ func Execute(arena *machine.Arena, system harness.SystemKind, p *Program, sch Sc
 	params.Quantum = 0 // no timer interrupts: the schedule is the only control flow
 	params.MaxSteps = 5_000_000
 	m := arena.New(params)
+	defer m.Release()
+	if halt := sim.Catch(func() { res = run(m, system, p, sch) }); halt != nil {
+		res.Err = fmt.Errorf("litmus %s on %s: %w", p.Name, system, halt)
+	}
+	return res
+}
+
+// run is Execute's run on m, which has a processor per thread of p or one.
+func run(m *machine.Machine, system harness.SystemKind, p *Program, sch Schedule) (res RunResult) {
+	nthreads := len(p.Threads)
 	opt := harness.DefaultOptions()
 	opt.OTableRows = 1 << 12
 	sys := harness.Build(system, m, opt)
@@ -138,7 +141,7 @@ func Execute(arena *machine.Arena, system harness.SystemKind, p *Program, sch Sc
 	}
 
 	var ws []func(*machine.Proc)
-	if procs == 1 {
+	if len(m.Procs()) == 1 {
 		ex := rec.Exec(m.Proc(0))
 		ws = []func(*machine.Proc){func(proc *machine.Proc) {
 			for ti := 0; ti < nthreads; ti++ {
@@ -154,12 +157,10 @@ func Execute(arena *machine.Arena, system harness.SystemKind, p *Program, sch Sc
 	}
 	m.Run(ws)
 
-	st := State{Mem: make([]uint64, p.Vars), Regs: regs}
+	res.State = State{Mem: make([]uint64, p.Vars), Regs: regs}
 	for v := 0; v < p.Vars; v++ {
-		st.Mem[v] = m.Mem.Read64(addr(v))
+		res.State.Mem[v] = m.Mem.Read64(addr(v))
 	}
-	m.Release()
-	res.State = st
 	res.Committed = rec.History
 	for _, rs := range ntRecs {
 		res.NT = append(res.NT, rs...)

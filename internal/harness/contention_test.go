@@ -47,6 +47,9 @@ func TestRunContention(t *testing.T) {
 	}
 	// Disabled by default: no report, and nothing recorded.
 	off := Run(UFOHybrid, f.New(), 2, testOptions())
+	if off.Err != nil {
+		t.Fatal(off.Err)
+	}
 	if off.Contention != nil {
 		t.Fatal("contention report produced without Options.Contention")
 	}

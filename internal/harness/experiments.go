@@ -52,7 +52,7 @@ func (r *Runner) grid(factories []WorkloadFactory, systems []SystemKind, axis []
 	var out []Figure5Data
 	i := 0
 	for _, f := range factories {
-		d := Figure5Data{Workload: f.Name, SeqCycles: results[i].Cycles, Cells: make(map[SystemKind]map[int]Result)}
+		d := Figure5Data{Workload: f.Name, SeqCycles: results[i].baseCycles(), Cells: make(map[SystemKind]map[int]Result)}
 		i++
 		for _, sys := range systems {
 			d.Cells[sys] = make(map[int]Result)
@@ -187,7 +187,7 @@ func (r *Runner) runStudy(study string, factories []WorkloadFactory, baseline bo
 	for range factories {
 		var seq uint64
 		if baseline {
-			seq = results[i].Cycles
+			seq = results[i].baseCycles()
 			i++
 		}
 		for _, c := range configs {
@@ -200,8 +200,8 @@ func (r *Runner) runStudy(study string, factories []WorkloadFactory, baseline bo
 
 // failedRow prints a failed cell's row — its label, laid out by format,
 // then ERROR and the cell's error — and reports whether the cell failed.
-// A failed cell's counters are zero or missing, so every table prints it
-// this way instead of as zeros or not at all.
+// A failed cell's counters are partial or missing, so every table prints
+// it this way instead of as numbers.
 func failedRow(w io.Writer, err error, format string, label ...any) bool {
 	if err == nil {
 		return false
@@ -306,7 +306,7 @@ func PrintFigure7(w io.Writer, data []Figure5Data, scale Scale) {
 	}
 	printGrid(w, Figure7Systems, low, "%d%%", "%8.3f", func(sys SystemKind, rate int) float64 {
 		cells := at[rate].Cells
-		return cells[sys][threads].Speedup(cells[UnboundedHTM][threads].Cycles)
+		return cells[sys][threads].Speedup(cells[UnboundedHTM][threads].baseCycles())
 	})
 }
 

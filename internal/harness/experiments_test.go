@@ -90,9 +90,10 @@ func TestFigure7StructureAndPrint(t *testing.T) {
 	}
 }
 
-// TestPrintFigure7FailedCells: a failed cell has zero cycles, and every
-// ratio with a zero on either side prints 0 — never +Inf or NaN — while
-// the healthy cells keep their values.
+// TestPrintFigure7FailedCells: every ratio with a failed cell on either
+// side prints 0 — never +Inf or NaN, and never a ratio of the cycles a
+// failed cell measured before it stopped — while the healthy cells keep
+// their values.
 func TestPrintFigure7FailedCells(t *testing.T) {
 	top := maxThreads(ScaleSmall)
 	var data []Figure5Data
@@ -103,8 +104,8 @@ func TestPrintFigure7FailedCells(t *testing.T) {
 		}
 		data = append(data, d)
 	}
-	data[0].Cells[UFOHybrid][top] = Result{Err: errors.New("panic: boom")}    // 0%: one system failed
-	data[1].Cells[UnboundedHTM][top] = Result{Err: errors.New("panic: boom")} // 5%: the reference failed
+	data[0].Cells[UFOHybrid][top] = Result{Err: errors.New("panic: boom")}                 // 0%: one system failed
+	data[1].Cells[UnboundedHTM][top] = Result{Cycles: 250, Err: errors.New("panic: boom")} // 5%: the reference failed mid-run
 	var sb strings.Builder
 	PrintFigure7(&sb, data, ScaleSmall)
 	out := sb.String()
@@ -254,7 +255,7 @@ func TestStudyRows(t *testing.T) {
 
 	// A cell that dies before it has a workload to ask still yields a row
 	// named after its job: Row reads Workload and System from the Result
-	// runCell builds, not from the job list.
+	// runOn builds, not from the job list.
 	t.Run("PanickingFactory", func(t *testing.T) {
 		boom := WorkloadFactory{Name: "boom", New: func() stamp.Workload { panic("no workload") }}
 		rows, err := Parallel(1).runStudy("doomed", []WorkloadFactory{boom}, true, ScaleSmall, testOptions(),

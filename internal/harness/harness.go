@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/phtm"
 	"repro/internal/seq"
+	"repro/internal/sim"
 	"repro/internal/sle"
 	"repro/internal/stamp"
 	"repro/internal/tl2"
@@ -164,70 +165,83 @@ type Result struct {
 	// TxStats is the cell's transaction-lifecycle report; non-nil when
 	// Options.TxStats is set.
 	TxStats *txstats.Report
-	Err     error // non-nil if the workload invariant failed
+	Err     error // non-nil if the cell failed: its invariant, or a *sim.Halt
 }
 
-// Speedup returns base/those cycles.
+// Speedup returns base/those cycles, or 0 for a cell that failed.
 func (r Result) Speedup(seqCycles uint64) float64 {
-	if r.Cycles == 0 {
+	if r.Cycles == 0 || r.Err != nil {
 		return 0
 	}
 	return float64(seqCycles) / float64(r.Cycles)
 }
 
+// baseCycles is r's cycles as a speedup's base: 0 if r failed.
+func (r Result) baseCycles() uint64 {
+	if r.Err != nil {
+		return 0
+	}
+	return r.Cycles
+}
+
 // Run executes one workload on one system with the given thread count.
 // The workload must be freshly constructed (Init mutates it).
 func Run(kind SystemKind, wl stamp.Workload, threads int, opt Options) Result {
-	return runOn(new(machine.Arena), Job{System: kind, Threads: threads, Opt: opt}, wl)
+	f := WorkloadFactory{New: func() stamp.Workload { return wl }} // cannot panic: the cell is named by wl.Name()
+	return runOn(new(machine.Arena), Job{System: kind, Factory: f, Threads: threads, Opt: opt})
 }
 
-// runOn runs wl as the cell j names over the storage of arena, which a
-// Runner worker keeps from cell to cell. The machine is built by the
-// same constructor and released the same way whoever owns the arena; a
-// run that panics releases nothing, and its arena must be dropped.
-func runOn(arena *machine.Arena, j Job, wl stamp.Workload) Result {
+// runOn runs the cell j names on a machine built over arena, which a
+// Runner worker keeps from cell to cell. One sim.Catch covers the cell
+// from Factory.New to Validate: a cell that panics or halts keeps what it
+// measured, with its *sim.Halt as Err, and its machine is released too.
+func runOn(arena *machine.Arena, j Job) Result {
 	kind, threads, opt := j.System, j.Threads, j.Opt
 	params := opt.Params
 	params.Procs = threads
 	m := arena.New(params)
-	if j.Observe != nil {
-		j.Observe(m)
-	}
+	defer m.Release()
+	res := Result{System: kind, Workload: j.Factory.Name, Threads: threads}
+	var sys tm.System
 	var prof *contention.Profile
-	if opt.Contention {
-		prof = contention.New(threads)
-		m.Observe(contention.Kinds, prof)
-	}
 	var txrec *txstats.Recorder
-	if opt.TxStats {
-		txrec = txstats.New(threads)
-		m.Observe(txstats.Kinds, txrec)
+	if halt := sim.Catch(func() {
+		wl := j.Factory.New()
+		res.Workload = wl.Name()
+		if j.Observe != nil {
+			j.Observe(m)
+		}
+		if opt.Contention {
+			prof = contention.New(threads)
+			m.Observe(contention.Kinds, prof)
+		}
+		if opt.TxStats {
+			txrec = txstats.New(threads)
+			m.Observe(txstats.Kinds, txrec)
+		}
+		sys = Build(kind, m, opt)
+		wl.Init(m, threads)
+		bodies := make([]func(*machine.Proc), threads)
+		for i := 0; i < threads; i++ {
+			ex := sys.Exec(m.Proc(i))
+			tid := i
+			bodies[i] = func(*machine.Proc) { wl.Thread(tid, ex) }
+		}
+		m.Run(bodies)
+		res.Err = wl.Validate(m)
+	}); halt != nil {
+		res.Err = halt
 	}
-	sys := Build(kind, m, opt)
-	wl.Init(m, threads)
-	bodies := make([]func(*machine.Proc), threads)
-	for i := 0; i < threads; i++ {
-		ex := sys.Exec(m.Proc(i))
-		tid := i
-		bodies[i] = func(*machine.Proc) { wl.Thread(tid, ex) }
-	}
-	m.Run(bodies)
 	metrics := obs.NewSnapshot()
-	sys.Stats().Register(metrics)
-	if ci, ok := sys.(cm.Instrumented); ok {
-		ci.CM().Register(metrics)
+	if sys != nil {
+		res.Stats = *sys.Stats()
+		sys.Stats().Register(metrics)
+		if ci, ok := sys.(cm.Instrumented); ok {
+			ci.CM().Register(metrics)
+		}
 	}
 	m.RegisterMetrics(metrics)
-	res := Result{
-		System:   kind,
-		Workload: wl.Name(),
-		Threads:  threads,
-		Cycles:   m.Cycles(),
-		Stats:    *sys.Stats(),
-		Machine:  m.Count,
-		Metrics:  metrics,
-		Err:      wl.Validate(m),
-	}
+	res.Cycles, res.Machine, res.Metrics = m.Cycles(), m.Count, metrics
 	if prof != nil {
 		prof.Register(metrics)
 		res.Contention = prof.Report()
@@ -248,7 +262,6 @@ func runOn(arena *machine.Arena, j Job, wl stamp.Workload) Result {
 		txrec.Register(metrics)
 		res.TxStats = txrec.Report()
 	}
-	m.Release()
 	return res
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -39,6 +40,9 @@ func TestSpeedupMath(t *testing.T) {
 	if (Result{}).Speedup(100) != 0 {
 		t.Fatal("zero-cycle speedup must be 0")
 	}
+	if (Result{Cycles: 50, Err: errors.New("lost update")}).Speedup(100) != 0 {
+		t.Fatal("a failed cell's speedup must be 0")
+	}
 }
 
 func TestSeqBaselineDeterministic(t *testing.T) {
@@ -46,6 +50,9 @@ func TestSeqBaselineDeterministic(t *testing.T) {
 	f := Benchmarks(ScaleSmall)[0]
 	a := Run(Sequential, f.New(), 1, opt)
 	b := Run(Sequential, f.New(), 1, opt)
+	if a.Err != nil || b.Err != nil {
+		t.Fatal(a.Err, b.Err)
+	}
 	if a.Cycles != b.Cycles {
 		t.Fatalf("baseline not deterministic: %d vs %d", a.Cycles, b.Cycles)
 	}

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/obs"
 	"repro/internal/oltp"
+	"repro/internal/sim"
 	"repro/internal/stamp"
 	"repro/internal/txstats"
 )
@@ -100,7 +102,7 @@ func oltpBase(s Scale, sc OLTPSweepConfig) oltp.Config {
 		cfg.Keys = 4096
 		// A cap, not a measured size: at θ ≥ 1.2 and 320 requests per
 		// processor the STM cells' aborts grow superlinearly and exhaust
-		// the MaxSteps budget, and the cell ends as an error, not a row.
+		// the MaxSteps budget, and the cell ends as a budget row.
 		// 160 keeps every cell under the budget and so hides that storm,
 		// a known deviation (DESIGN.md §7) until its cause is found.
 		cfg.RequestsPerProc = 160
@@ -152,7 +154,7 @@ type OLTPPoint struct {
 	// aborted attempts and backoff.
 	WastedShare float64 `json:"wasted_share"`
 
-	Err string `json:"err,omitempty"`
+	Err string `json:"err,omitempty"` // a halted cell's point has no commits and no rates
 }
 
 // OLTPKnee is one system's saturation knee on the load axis: the first
@@ -275,7 +277,7 @@ func (r *Runner) OLTP(opt Options, scale Scale, sc OLTPSweepConfig) (*OLTPReport
 			if res.Err != nil {
 				pt.Err = res.Err.Error()
 			}
-			if ts := res.TxStats; ts != nil {
+			if ts, halt := res.TxStats, (*sim.Halt)(nil); ts != nil && !errors.As(res.Err, &halt) {
 				pt.Committed = ts.Requests
 				if res.Cycles > 0 {
 					pt.Goodput = 1000 * float64(ts.Requests) / float64(res.Cycles)
@@ -363,8 +365,7 @@ func PrintOLTP(w io.Writer, rep *OLTPReport) {
 			case "mix":
 				varies = fmt.Sprintf("%d/%d/%d", pt.ReadPct, pt.RMWPct, pt.ScanPct)
 			}
-			if pt.Err != "" {
-				fmt.Fprintf(w, "%-14s %-10s ERROR %s\n", pt.System, varies, pt.Err)
+			if pt.Err != "" && failedRow(w, errors.New(pt.Err), "%-14s %-10s", pt.System, varies) {
 				continue
 			}
 			var p50, p90, p99, p999 float64

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -200,6 +201,35 @@ func TestOLTPPrintStable(t *testing.T) {
 		if !strings.Contains(a.String(), want) {
 			t.Errorf("rendered sweep missing %q section", want)
 		}
+	}
+}
+
+// TestOLTPHaltedPoints: a sweep whose every cell runs out of steps
+// mid-trace is a report of failed points, each with its error, no
+// commits and no rates, printed as ERROR rows and kept out of the knees.
+func TestOLTPHaltedPoints(t *testing.T) {
+	opt := testOptions()
+	opt.Params.MaxSteps = 100
+	rep, err := Parallel(0).OLTP(opt, ScaleSmall, DefaultOLTPSweep())
+	if err == nil {
+		t.Fatal("no cell halted")
+	}
+	for _, pt := range rep.Points {
+		if !strings.Contains(pt.Err, "step budget exhausted") || pt.Committed != 0 || pt.Goodput != 0 || pt.Utilization != 0 ||
+			pt.Response != nil || pt.QueueWaitP99 != 0 || pt.WastedShare != 0 {
+			t.Fatalf("halted point %+v: want its error and no rates", pt)
+		}
+	}
+	for _, k := range rep.Knees {
+		if k.Detected || k.Offered != 0 {
+			t.Errorf("knee %+v from halted points", k)
+		}
+	}
+	var sb strings.Builder
+	PrintOLTP(&sb, rep)
+	pt := rep.Points[0]
+	if want := fmt.Sprintf("%-14s %-10d ERROR sim: step budget exhausted", pt.System, pt.MeanGap); !strings.Contains(sb.String(), want) {
+		t.Errorf("table missing %q:\n%s", want, sb.String())
 	}
 }
 

@@ -80,17 +80,18 @@ func TestPolicySweepDeterministicAndComplete(t *testing.T) {
 	}
 }
 
-// TestPrintPolicySweepFailedCell: a cell that panicked has no metrics
-// snapshot. Its row prints as ERROR with the cell's error, the way
-// PrintOLTP prints a failed point, and the rows after it print as usual.
-// Every other printer of per-cell counters does the same with a failed
-// cell, rather than printing its zero counters or dropping it.
+// TestPrintPolicySweepFailedCell: a cell that panicked keeps the partial
+// metrics it measured until then, yet its row prints as ERROR with the
+// cell's error, the way PrintOLTP prints a failed point, and the rows
+// after it print as usual. Every other printer of per-cell counters does
+// the same with a failed cell, rather than printing its partial counters
+// or dropping it.
 func TestPrintPolicySweepFailedCell(t *testing.T) {
 	boom := WorkloadFactory{Name: "boom", New: func() stamp.Workload { return panickyWorkload{} }}
 	rows, err := Parallel(1).runStudy("policies", []WorkloadFactory{boom, Benchmarks(ScaleSmall)[0]}, true, ScaleSmall,
 		testOptions(), []studyConfig{{name: "exp", system: UFOHybrid}})
-	if err == nil || len(rows) != 2 || rows[0].Metrics != nil || rows[1].Err != nil {
-		t.Fatalf("err %v, %d rows: want the boom cell failed without metrics and the next one healthy", err, len(rows))
+	if err == nil || len(rows) != 2 || rows[0].Err == nil || rows[0].Metrics == nil || rows[1].Err != nil {
+		t.Fatalf("err %v, %d rows: want the boom cell failed with partial metrics and the next one healthy", err, len(rows))
 	}
 	var sb strings.Builder
 	PrintPolicySweep(&sb, rows)

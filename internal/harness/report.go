@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/contention"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/txstats"
 )
 
@@ -24,15 +26,16 @@ const (
 	SectionContention Section = "tmsim-contention-report/v1"
 )
 
-// Cell is one sweep cell's identity, its error if it failed, and the
-// sections collected for it. A section the cell ran without (or lost
-// to a panic) is nil and absent from the JSON; the cell itself still
-// appears, so cell counts line up across documents.
+// Cell is one sweep cell's identity, its error and outcome ("invariant"
+// or its *sim.Halt's Kind) if it failed, and the sections it collected,
+// up to where it stopped. A section it ran without is nil and absent from
+// the JSON; the cell still appears, so cell counts line up across documents.
 type Cell struct {
 	Workload   string             `json:"workload"`
 	System     SystemKind         `json:"system"`
 	Threads    int                `json:"threads"`
 	Err        string             `json:"err,omitempty"`
+	Outcome    string             `json:"outcome,omitempty"`
 	Metrics    *obs.Snapshot      `json:"metrics,omitempty"`
 	TxStats    *txstats.Report    `json:"txstats,omitempty"`
 	Contention *contention.Report `json:"contention,omitempty"`
@@ -46,7 +49,7 @@ func (c Cell) Label() string {
 // pick returns c carrying section s alone, and that section's payload;
 // for a Section that is none of the three, an error.
 func (c Cell) pick(s Section) (Cell, any, error) {
-	out := Cell{Workload: c.Workload, System: c.System, Threads: c.Threads, Err: c.Err}
+	out := Cell{Workload: c.Workload, System: c.System, Threads: c.Threads, Err: c.Err, Outcome: c.Outcome}
 	switch s {
 	case SectionMetrics:
 		out.Metrics = c.Metrics
@@ -81,7 +84,10 @@ func (rep *Report) Add(res Result) {
 		Contention: res.Contention,
 	}
 	if res.Err != nil {
-		cell.Err = res.Err.Error()
+		cell.Err, cell.Outcome = res.Err.Error(), "invariant"
+		if halt := (*sim.Halt)(nil); errors.As(res.Err, &halt) {
+			cell.Outcome = halt.Kind
+		}
 	}
 	rep.Cells = append(rep.Cells, cell)
 }

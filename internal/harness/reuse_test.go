@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/oltp"
+	"repro/internal/sim"
 	"repro/internal/stamp"
 	"repro/internal/tm"
 )
@@ -67,10 +69,11 @@ func (w *leftover) Validate(m *machine.Machine) error {
 // reuseJobs mixes everything that shapes a cell's use of the arena: all
 // ten systems, 1 to 16 processors, two memory sizes, two otable sizes,
 // two L1 geometries, three seeds, every observer on and off, seven
-// workloads, the leftover cell on each kind of system and, last, three
-// scalemix cells at 8, 130 and 70 processors, whose directory records
-// are one, three and two words per mask: directory pages blanked at one
-// record stride are handed to a machine that reads them at another.
+// workloads, the leftover cell on each kind of system, two cells that
+// halt mid-transaction and, last, three scalemix cells at 8, 130 and 70
+// processors, whose directory records are one, three and two words per
+// mask: directory pages blanked at one record stride are handed to a
+// machine that reads them at another.
 func reuseJobs() []Job {
 	// A cell that meets a predecessor's leftovers tends to spin on them:
 	// a step budget near its needs makes it a failed cell in
@@ -119,6 +122,17 @@ func reuseJobs() []Job {
 		jobs = append(jobs, Job{System: sys, Threads: 4, Opt: options(),
 			Factory: WorkloadFactory{Name: "leftover", New: func() stamp.Workload { return new(leftover) }}})
 	}
+	// Two cells that run out of steps mid-transaction, every observer on:
+	// the worker releases a halted cell's machine like any other.
+	for _, c := range []struct {
+		sys     SystemKind
+		f       WorkloadFactory
+		threads int
+	}{{UFOHybrid, factories[1], 4}, {USTMUFO, factories[2], 2}} {
+		opt := options()
+		opt.Params.MaxSteps, opt.TxStats, opt.Contention = 100, true, true
+		jobs = append(jobs, Job{System: c.sys, Factory: c.f, Threads: c.threads, Opt: opt})
+	}
 	// One scalemix factory, as ScaleSweep has: its cells share one table
 	// of expected digests across workers.
 	scale := ScaleBenchmark(ScaleSmall)
@@ -145,8 +159,10 @@ func TestReuseDifferential(t *testing.T) {
 	alone := make([]Result, len(jobs))
 	for i, j := range jobs {
 		alone[i] = Run(j.System, j.Factory.New(), j.Threads, j.Opt)
-		if alone[i].Err != nil {
-			t.Fatalf("%s, alone: %v", describe(j), alone[i].Err)
+		var halt *sim.Halt
+		if j.Opt.Params.MaxSteps != 100 && alone[i].Err != nil ||
+			j.Opt.Params.MaxSteps == 100 && (!errors.As(alone[i].Err, &halt) || halt.Kind != "budget" || alone[i].TxStats.InFlight == 0) {
+			t.Fatalf("%s, alone: %v, want a budget halt mid-transaction exactly for the starved cells", describe(j), alone[i].Err)
 		}
 	}
 	for shuffle := int64(1); shuffle <= 4; shuffle++ {
@@ -162,20 +178,16 @@ func TestReuseDifferential(t *testing.T) {
 			// A one-processor cell spinning on what a predecessor left
 			// (a stale otable owner, a protected line) never spends a
 			// scheduler step, so no budget ends it: fail, don't hang.
-			var results []Result
-			var err error
+			var results []Result // each cell's Err, the halted ones' too, is compared below
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				results, err = Parallel(workers).Execute(shuffled)
+				results, _ = Parallel(workers).Execute(shuffled)
 			}()
 			select {
 			case <-done:
 			case <-time.After(2 * time.Minute):
 				t.Fatalf("shuffle %d, %d workers: the sweep hung (a cell is spinning on a predecessor's leftovers)", shuffle, workers)
-			}
-			if err != nil {
-				t.Errorf("shuffle %d, %d workers: %v", shuffle, workers, err)
 			}
 			for k, i := range order {
 				if got, want := results[k], alone[i]; !reflect.DeepEqual(got, want) {
@@ -200,8 +212,8 @@ func (midTxPanic) Thread(i int, ex tm.Exec) {
 }
 
 // TestFailedCellDoesNotPoisonWorker: a cell that panics or runs out of
-// its step budget dies mid-transaction and releases nothing, so its
-// worker must not carry its arena into the next cell. On one worker, a
+// its step budget dies mid-transaction, and its worker releases its
+// machine and reuses the arena like any other's. On one worker, a
 // workload panicking inside a software transaction, then a cell
 // exhausting MaxSteps, then a normal cell: the normal cell's Result is
 // the one it has when run alone.

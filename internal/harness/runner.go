@@ -80,10 +80,9 @@ func (e *SweepError) Error() string {
 // and no progress reporting.
 //
 // Determinism guarantee: every cell owns its RNG seed and a machine
-// whose reused storage its worker's previous cell left blank (a cell
-// that failed leaves its worker a new arena instead), so a cell's
-// Result is a pure function of its Job. Execute returns results
-// indexed by job order, so the assembled output is bit-identical for
+// whose reused storage its worker's previous cell, failed or not, left
+// blank, so a cell's Result is a pure function of its Job. Execute
+// returns results indexed by job order, so the output is bit-identical for
 // every worker count, including 1 (the serial order). The worker count
 // changes only wall-clock time.
 type Runner struct {
@@ -122,9 +121,8 @@ func (r *Runner) progress() func(Progress) {
 // in [0, n) across the Runner's bounded workers and returns when all
 // calls have, reporting Progress after each. Every worker owns one
 // machine.Arena from call to call. A cell builds its machines with
-// arena.New and releases each one once it has read what it needs, so the
-// next call finds the arena blank; a cell whose run panicked released
-// nothing and must replace *arena with an empty one. A cell must not
+// arena.New and releases each one once it has read what it needs, however
+// its run ended, so the next call finds the arena blank. A cell must not
 // panic itself, and it writes its outcome to its own index.
 func (r *Runner) Each(n int, cell func(arena *machine.Arena, i int)) {
 	var (
@@ -164,39 +162,18 @@ func (r *Runner) Each(n int, cell func(arena *machine.Arena, i int)) {
 
 // Execute runs every job through Each and returns the results in job
 // order: result i belongs to jobs[i] no matter which worker finished it
-// when. A cell that fails validation — or panics — contributes its error
-// to the returned *SweepError rather than aborting the sweep; the Result
-// slice is always fully populated.
+// when. A cell that fails validation, panics or halts contributes its
+// error to the returned *SweepError rather than aborting the sweep; the
+// Result slice is always fully populated.
 func (r *Runner) Execute(jobs []Job) ([]Result, error) {
 	results := make([]Result, len(jobs))
-	r.Each(len(jobs), func(arena *machine.Arena, i int) { results[i] = runCell(arena, jobs[i]) })
+	r.Each(len(jobs), func(arena *machine.Arena, i int) { results[i] = runOn(arena, jobs[i]) })
 	if r != nil && r.Collect != nil {
 		for i := range jobs {
 			r.Collect(jobs[i], results[i])
 		}
 	}
 	return results, sweepError(results)
-}
-
-// runCell executes one job on its worker's arena, converting a panic
-// anywhere under Run (machine livelock diagnostics, step-budget
-// exhaustion, workload bugs) into a Result error so one bad cell cannot
-// take down a whole sweep. Such a cell died mid-transaction, with rows
-// locked and SR/SW and UFO bits set, and released nothing: the worker
-// goes on with an empty arena rather than trust a reset of that state.
-func runCell(arena *machine.Arena, j Job) (res Result) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			*arena = machine.Arena{}
-			res = Result{
-				System:   j.System,
-				Workload: j.Factory.Name,
-				Threads:  j.Threads,
-				Err:      fmt.Errorf("panic: %v", rec),
-			}
-		}
-	}()
-	return runOn(arena, j, j.Factory.New())
 }
 
 // sweepError collects the failing cells of a completed sweep.

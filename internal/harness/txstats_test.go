@@ -74,6 +74,9 @@ func TestRunTxStats(t *testing.T) {
 	}
 	// Disabled by default: no report, and nothing recorded.
 	off := Run(UFOHybrid, f.New(), 2, testOptions())
+	if off.Err != nil {
+		t.Fatal(off.Err)
+	}
 	if off.TxStats != nil {
 		t.Fatal("txstats report produced without Options.TxStats")
 	}

@@ -13,10 +13,8 @@ import (
 // the next New on the arena allocates only what it cannot reuse and sees
 // none of what the last machine left: tables and L1s come back blank,
 // and a kept memory or directory page is blanked by the first touch that
-// takes it. The zero value is an empty arena. One machine at a time
-// lives on an arena, and an arena whose machine died without Release (a
-// run that panicked) must be dropped, not reused: nothing has cleared
-// what that run left in its tables and L1s.
+// takes it. The zero value is an empty arena. One machine at a time lives
+// on an arena, released however its run ended (TestReleasedArenaIsBlank).
 type Arena struct {
 	mem    *mem.Memory
 	dir    *cache.Directory

@@ -90,7 +90,7 @@ type Config struct {
 	// fires (modeling a timer interrupt). Zero disables timer interrupts.
 	Quantum uint64
 	// MaxSteps bounds the total number of scheduling steps before the
-	// engine panics with a livelock diagnostic. Zero selects a large
+	// engine panics with a "budget" Halt (livelock?). Zero selects a large
 	// default.
 	MaxSteps uint64
 	// Reference selects the retained reference scheduler: every Elapse
@@ -149,16 +149,35 @@ func New(cfg Config) *Engine {
 // construction.
 func (e *Engine) Proc(id int) *Proc { return e.procs[id] }
 
+// Halt is what Run panics with when it gives up on a run, Kind "budget" or
+// "deadlock", and what Catch makes of any other panic, Kind "panic".
+type Halt struct{ Kind, msg string }
+
+func (h *Halt) Error() string { return h.msg }
+
+// Catch runs f, as tm.Catch does a transaction body, and returns nil, the
+// *Halt f panicked with, or for any other panic v a Halt{"panic", "panic: v"}.
+func Catch(f func()) (h *Halt) {
+	defer func() {
+		r := recover()
+		if h, _ = r.(*Halt); h == nil && r != nil {
+			h = &Halt{"panic", fmt.Sprintf("panic: %v", r)}
+		}
+	}()
+	f()
+	return nil
+}
+
 // Run executes one workload function per processor and returns when every
 // workload has returned. Workload i runs on processor i; len(workloads)
 // must equal the processor count. Every processor starts Ready at the
 // clock it had when Run was called, so an engine can run again once Run
-// has returned. Run panics (with a state dump) if all unfinished
-// processors are blocked, which would otherwise deadlock, or if the step
-// budget is exhausted, which indicates livelock. A workload panic leaves
-// Run with its original value; the first in schedule order wins,
-// deterministically, because no other processor is resumed after it.
-// However Run ends, no processor's coroutine outlives it.
+// has returned. Run panics with a *Halt, its text ending in a state dump,
+// if all unfinished processors are blocked, which would otherwise
+// deadlock, or if the step budget is exhausted, which indicates livelock.
+// A workload panic leaves Run with its original value; the first in
+// schedule order wins, deterministically, because no other processor is
+// resumed after it. However Run ends, no processor's coroutine outlives it.
 func (e *Engine) Run(workloads []func(*Proc)) {
 	if len(workloads) != len(e.procs) {
 		panic(fmt.Sprintf("sim: %d workloads for %d processors", len(workloads), len(e.procs)))
@@ -184,7 +203,7 @@ func (e *Engine) Run(workloads []func(*Proc)) {
 	for p := e.next(); p != nil; p = e.next() {
 		e.steps++
 		if e.steps > e.cfg.MaxSteps {
-			panic("sim: step budget exhausted (livelock?)\n" + e.dump())
+			panic(&Halt{"budget", "sim: step budget exhausted (livelock?)\n" + e.dump()})
 		}
 		if _, suspended := p.resume(); !suspended {
 			p.state = Done
@@ -214,7 +233,7 @@ func (e *Engine) next() *Proc {
 	if best == nil {
 		for _, p := range e.procs {
 			if p.state != Done {
-				panic("sim: deadlock — all unfinished processors are blocked\n" + e.dump())
+				panic(&Halt{"deadlock", "sim: deadlock — all unfinished processors are blocked\n" + e.dump()})
 			}
 		}
 	}

@@ -111,38 +111,57 @@ func TestWakeNonBlockedIsNoop(t *testing.T) {
 	}
 }
 
+// wantHalt runs f under Catch and fails unless it halted with kind.
+func wantHalt(t *testing.T, label, kind string, f func()) *Halt {
+	t.Helper()
+	h := Catch(f)
+	if h == nil || h.Kind != kind {
+		t.Fatalf("%s: Catch = %v, want a %q halt", label, h, kind)
+	}
+	return h
+}
+
 func TestDeadlockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected deadlock panic")
-		}
-	}()
-	e := New(Config{Procs: 2})
-	e.Run([]func(*Proc){
-		func(p *Proc) { p.Block() },
-		func(p *Proc) { p.Block() },
-	})
+	for name, cfg := range schedConfigs(Config{Procs: 2}) {
+		wantHalt(t, name, "deadlock", func() {
+			New(cfg).Run([]func(*Proc){
+				func(p *Proc) { p.Block() },
+				func(p *Proc) { p.Block() },
+			})
+		})
+	}
 }
 
 func TestLivelockWatchdog(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected watchdog panic")
-		}
-	}()
-	e := New(Config{Procs: 2, MaxSteps: 1000})
-	e.Run([]func(*Proc){
-		func(p *Proc) {
-			for {
-				p.Elapse(1)
-			}
-		},
-		func(p *Proc) {
-			for {
-				p.Elapse(1)
-			}
-		},
-	})
+	for name, cfg := range schedConfigs(Config{Procs: 2, MaxSteps: 1000}) {
+		wantHalt(t, name, "budget", func() {
+			New(cfg).Run([]func(*Proc){
+				func(p *Proc) {
+					for {
+						p.Elapse(1)
+					}
+				},
+				func(p *Proc) {
+					for {
+						p.Elapse(1)
+					}
+				},
+			})
+		})
+	}
+}
+
+// TestCatch: nil when f returns, and a "panic" halt reading "panic: v"
+// for a panic that is not a Halt.
+func TestCatch(t *testing.T) {
+	if h := Catch(func() {}); h != nil {
+		t.Fatalf("Catch of a function that returned = %v", h)
+	}
+	if h := wantHalt(t, "workload panic", "panic", func() {
+		New(Config{Procs: 1}).Run([]func(*Proc){func(*Proc) { panic("workload exploded") }})
+	}); h.Error() != "panic: workload exploded" {
+		t.Fatalf("Error() = %q", h.Error())
+	}
 }
 
 func TestQuantumInterrupts(t *testing.T) {
@@ -238,20 +257,17 @@ func TestRunPanicsOnWorkloadCountMismatch(t *testing.T) {
 }
 
 func TestNotesAppearInDeadlockDump(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected deadlock panic")
+	for name, cfg := range schedConfigs(Config{Procs: 1}) {
+		h := wantHalt(t, name, "deadlock", func() {
+			New(cfg).Run([]func(*Proc){func(p *Proc) {
+				p.SetNote("waiting-for-godot")
+				p.Block()
+			}})
+		})
+		if !strings.Contains(h.Error(), "waiting-for-godot") {
+			t.Fatalf("%s: dump missing note: %v", name, h)
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "waiting-for-godot") {
-			t.Fatalf("dump missing note: %v", r)
-		}
-	}()
-	e := New(Config{Procs: 1})
-	e.Run([]func(*Proc){func(p *Proc) {
-		p.SetNote("waiting-for-godot")
-		p.Block()
-	}})
+	}
 }
 
 func TestStateStrings(t *testing.T) {

@@ -78,7 +78,7 @@ func (p *Proc) Elapse(cycles uint64) {
 			if p.fastSkips&1023 == 0 {
 				e.steps++
 				if e.steps > e.cfg.MaxSteps {
-					panic("sim: step budget exhausted (livelock?)\n" + e.dump())
+					panic(&Halt{"budget", "sim: step budget exhausted (livelock?)\n" + e.dump()})
 				}
 			}
 			return

@@ -247,36 +247,23 @@ func TestPanicBeforeFirstElapse(t *testing.T) {
 	}
 }
 
-// TestSchedulerDeadlockAndLivelock pins the diagnostic panics on every
+// TestSchedulerDeadlockAndLivelock pins the diagnostic halts on every
 // scheduler.
 func TestSchedulerDeadlockAndLivelock(t *testing.T) {
 	for name, cfg := range schedConfigs(Config{}) {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected deadlock panic", name)
-				}
-			}()
-			c := cfg
-			c.Procs = 2
-			e := New(c)
-			e.Run([]func(*Proc){func(p *Proc) { p.Block() }, func(p *Proc) { p.Block() }})
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected livelock panic", name)
-				}
-			}()
-			c := cfg
-			c.Procs, c.MaxSteps = 1, 100
-			e := New(c)
-			e.Run([]func(*Proc){func(p *Proc) {
+		c := cfg
+		c.Procs = 2
+		wantHalt(t, name, "deadlock", func() {
+			New(c).Run([]func(*Proc){func(p *Proc) { p.Block() }, func(p *Proc) { p.Block() }})
+		})
+		c.Procs, c.MaxSteps = 1, 100
+		wantHalt(t, name, "budget", func() {
+			New(c).Run([]func(*Proc){func(p *Proc) {
 				for {
 					p.Elapse(1)
 				}
 			}})
-		}()
+		})
 	}
 }
 
@@ -284,17 +271,15 @@ func TestSchedulerDeadlockAndLivelock(t *testing.T) {
 // never crosses the horizon, so the watchdog must still count (coarsely)
 // on the inline path.
 func TestLoneSpinnerTripsWatchdogOnFastPath(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected livelock panic from the inline watchdog")
-		}
-	}()
-	e := New(Config{Procs: 1, MaxSteps: 100})
-	e.Run([]func(*Proc){func(p *Proc) {
-		for {
-			p.Elapse(1)
-		}
-	}})
+	for name, cfg := range schedConfigs(Config{Procs: 1, MaxSteps: 100}) {
+		wantHalt(t, name, "budget", func() {
+			New(cfg).Run([]func(*Proc){func(p *Proc) {
+				for {
+					p.Elapse(1)
+				}
+			}})
+		})
+	}
 }
 
 // TestReadyHeapOrdering unit-tests the heap directly: entries carry

@@ -9,6 +9,7 @@ import (
 	"repro/internal/btm"
 	"repro/internal/cm"
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/tm"
 )
 
@@ -476,15 +477,6 @@ func TestDriverPassesForeignUnwinds(t *testing.T) {
 	t.Run("step budget exhausted mid-loop", func(t *testing.T) {
 		r := newRig(2, true)
 		unwound := false
-		defer func() {
-			msg, _ := recover().(string)
-			if !strings.Contains(msg, "step budget exhausted") {
-				t.Fatalf("Run panicked with %q, want the livelock diagnostic", msg)
-			}
-			if !unwound {
-				t.Fatal("the looping transaction's workload was not unwound")
-			}
-		}()
 		// Two processors that abort each other's every attempt by hand:
 		// the retry loop never ends, and only the budget stops it.
 		other := r.driver(1, true)
@@ -497,7 +489,13 @@ func TestDriverPassesForeignUnwinds(t *testing.T) {
 				})
 			}
 		}
-		r.m.Run([]func(*machine.Proc){livelock(r.d), livelock(other)})
+		halt := sim.Catch(func() { r.m.Run([]func(*machine.Proc){livelock(r.d), livelock(other)}) })
+		if halt == nil || halt.Kind != "budget" || !strings.Contains(halt.Error(), "step budget exhausted") {
+			t.Fatalf("Run halted with %v, want the livelock diagnostic", halt)
+		}
+		if !unwound {
+			t.Fatal("the looping transaction's workload was not unwound")
+		}
 	})
 }
 
