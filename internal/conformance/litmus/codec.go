@@ -1,19 +1,26 @@
 package litmus
 
-// The fuzz codec: a byte encoding of litmus programs for the native
-// go-fuzz target. Decoding is total — every byte string maps to a valid
-// program via clamping, with zeros supplied when the input runs out — so
-// the fuzzer's mutations always land on executable programs.
+// The fuzz codec: a byte encoding of litmus programs, the one program
+// generator behind the native go-fuzz target and its committed corpus.
+// Decoding is total — every byte string maps to a valid program via
+// clamping, with zeros supplied when the input runs out — so the fuzzer's
+// mutations always land on executable programs.
 //
-// Layout: [threads-2][vars-1] then per thread a shape byte (tx op count,
-// non-transactional op count, transaction position) followed by one byte
-// per operation (kind + 3*variable). Write values are not encoded; they
-// are assigned positionally, like the enumerator's, so distinct writes
-// stay distinguishable in outcome states.
+// Layout: [threads-2][vars-1], then per thread [steps-1] and, per step, a
+// shape byte (bit 0: a transaction; above it, the transaction's op count
+// less one) followed by one byte per op (code + codecCodes*variable). A
+// code is an OpKind, or codeAbortingUnnest. An op that cannot stand where
+// it decodes (Validate's rules) becomes a read, write or fence (its code
+// mod 3), and a nest still open at the end of its transaction is closed.
+// Write and effect values are not encoded: newThread assigns them by
+// position, as it does for enumerated programs.
 
-// codecMaxOps bounds ops per transaction and non-transactional ops per
-// thread — large enough to express every curated program.
-const codecMaxOps = 3
+const (
+	codecMaxSteps      = 16 // steps per thread
+	codecMaxOps        = 8  // ops per transaction
+	codeAbortingUnnest = int(OpEffect) + 1
+	codecCodes         = codeAbortingUnnest + 1
+)
 
 type byteReader struct {
 	data []byte
@@ -34,60 +41,43 @@ func (r *byteReader) next() byte {
 func DecodeProgram(data []byte) *Program {
 	r := &byteReader{data: data}
 	threads := 2 + int(r.next())%2
-	vars := 1 + int(r.next())%3
+	vars := 1 + int(r.next())%4
 	p := &Program{Name: "fuzz", Vars: vars}
-	decodeOp := func(pos int) Op {
-		b := int(r.next())
-		v := (b / 3) % vars
-		switch b % 3 {
-		case 0:
-			return R(v)
-		case 1:
-			return W(v, 0) // value assigned below, positionally
-		default:
-			return F()
-		}
-	}
+	var written uint64 // txWrites of the threads decoded so far
+	guards := 0
 	for ti := 0; ti < threads; ti++ {
-		s := int(r.next())
-		txOps := s % (codecMaxOps + 1)
-		ntOps := (s >> 2) % (codecMaxOps + 1)
-		if txOps == 0 && ntOps == 0 {
-			ntOps = 1
-		}
-		txPos := (s >> 4) % (ntOps + 1)
-
-		var txBody []Op
-		for i := 0; i < txOps; i++ {
-			txBody = append(txBody, decodeOp(i))
-		}
-		var ntSeq []Op
-		for i := 0; i < ntOps; i++ {
-			ntSeq = append(ntSeq, decodeOp(txOps+i))
-		}
-
-		var steps []Step
-		for _, op := range ntSeq[:txPos] {
-			steps = append(steps, NT(op))
-		}
-		if txOps > 0 {
-			steps = append(steps, Atomic(txBody...))
-		}
-		for _, op := range ntSeq[txPos:] {
-			steps = append(steps, NT(op))
-		}
-
-		// Positional write values, as in the enumerator.
-		pos := 0
+		steps := make([]Step, 1+int(r.next())%codecMaxSteps)
 		for si := range steps {
-			for oi := range steps[si].Ops {
-				if steps[si].Ops[oi].Kind == OpWrite {
-					steps[si].Ops[oi].Val = uint64(ti*8 + pos + 1)
-				}
-				pos++
+			s := int(r.next())
+			st, n := Step{Tx: s&1 != 0}, 1
+			if st.Tx {
+				n = 1 + (s>>1)%codecMaxOps
 			}
+			nest := false
+			for i := 0; i < n; i++ {
+				b := int(r.next())
+				code, v := b%codecCodes, (b/codecCodes)%vars
+				op := Op{Kind: OpKind(code), Var: v}
+				if code == codeAbortingUnnest {
+					op.Kind, op.Val = OpUnnest, 1
+				}
+				if !fits(op, st.Tx, nest, guards == 0 && written&(1<<v) != 0) {
+					op = Op{Kind: OpKind(code % 3), Var: v}
+				}
+				nest = (nest || op.Kind == OpNest) && op.Kind != OpUnnest
+				if op.Kind == OpGuard {
+					guards++
+				}
+				st.Ops = append(st.Ops, op)
+			}
+			if nest {
+				st.Ops = append(st.Ops, Op{Kind: OpUnnest})
+			}
+			steps[si] = st
 		}
-		p.Threads = append(p.Threads, Thread{Name: threadName(ti), Steps: steps})
+		th := newThread(ti, steps)
+		written |= txWrites(th.Steps)
+		p.Threads = append(p.Threads, th)
 	}
 	p.Doc = "fuzz-decoded shape " + shapeDoc(p)
 	return p
@@ -104,57 +94,46 @@ func DecodeSeed(data []byte) uint64 {
 	return seed
 }
 
-// EncodeProgram is the decoder's inverse for corpus seeding. It supports
-// programs in codec range (2-3 threads, 1-3 vars, at most one
-// transaction of up to codecMaxOps ops per thread, up to codecMaxOps
-// non-transactional ops); it panics on anything else. Write values do
-// not round-trip — decoding re-assigns them positionally — which is fine
-// for seeds: the fuzzer cares about shapes, not constants.
+// EncodeProgram is the decoder's inverse for corpus seeding. It takes a
+// valid program in codec range (2-3 threads, 1-4 vars, up to
+// codecMaxSteps steps per thread and codecMaxOps ops per transaction)
+// and panics on anything else. Write values do not round-trip — decoding
+// re-assigns them by position — which is fine for seeds: the fuzzer
+// cares about shapes, not constants.
 func EncodeProgram(p *Program) []byte {
-	if len(p.Threads) < 2 || len(p.Threads) > 3 || p.Vars > 3 {
+	if len(p.Threads) < 2 || len(p.Threads) > 3 || p.Vars > 4 {
 		panic("litmus: program outside codec range")
 	}
 	out := []byte{byte(len(p.Threads) - 2), byte(p.Vars - 1)}
-	encodeOp := func(op Op) byte {
-		switch op.Kind {
-		case OpRead:
-			return byte(3 * op.Var)
-		case OpWrite:
-			return byte(1 + 3*op.Var)
-		default:
-			return 2
-		}
-	}
 	for _, th := range p.Threads {
-		var txBody, ntSeq []Op
-		txPos, sawTx := 0, false
-		for _, st := range th.Steps {
-			if st.Tx {
-				if sawTx {
-					panic("litmus: codec supports one transaction per thread")
-				}
-				sawTx = true
-				txPos = len(ntSeq)
-				txBody = st.Ops
-			} else {
-				ntSeq = append(ntSeq, st.Ops[0])
-			}
-		}
-		if len(txBody) > codecMaxOps || len(ntSeq) > codecMaxOps {
+		if len(th.Steps) > codecMaxSteps {
 			panic("litmus: program outside codec range")
 		}
-		out = append(out, byte(len(txBody)|len(ntSeq)<<2|txPos<<4))
-		for _, op := range txBody {
-			out = append(out, encodeOp(op))
-		}
-		for _, op := range ntSeq {
-			out = append(out, encodeOp(op))
+		out = append(out, byte(len(th.Steps)-1))
+		for _, st := range th.Steps {
+			shape := 0
+			if st.Tx {
+				if len(st.Ops) > codecMaxOps {
+					panic("litmus: program outside codec range")
+				}
+				shape = 1 | (len(st.Ops)-1)<<1
+			}
+			out = append(out, byte(shape))
+			for _, op := range st.Ops {
+				out = append(out, byte(codeOf(op)+codecCodes*op.Var))
+			}
 		}
 	}
 	return out
 }
 
-func threadName(ti int) string { return string(rune('a' + ti)) }
+// codeOf is op's codec code.
+func codeOf(op Op) int {
+	if op.Kind == OpUnnest && op.Val != 0 {
+		return codeAbortingUnnest
+	}
+	return int(op.Kind)
+}
 
 func shapeDoc(p *Program) string {
 	keys := make([]string, len(p.Threads))

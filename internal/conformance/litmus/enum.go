@@ -220,8 +220,17 @@ func shapeKey(steps []Step) string {
 				fmt.Fprintf(&b, "R%d", op.Var)
 			case OpWrite:
 				fmt.Fprintf(&b, "W%d", op.Var)
-			case OpFence:
-				b.WriteByte('F')
+			case OpGuard:
+				fmt.Fprintf(&b, "G%d", op.Var)
+			case OpEffect:
+				fmt.Fprintf(&b, "E%d", op.Var)
+			case OpUnnest:
+				b.WriteByte(')')
+				if op.Val != 0 {
+					b.WriteByte('!')
+				}
+			default: // fence, syscall, abort, nest
+				b.WriteByte("FSA("[op.Kind-OpFence])
 			}
 		}
 		if st.Tx {
@@ -232,9 +241,7 @@ func shapeKey(steps []Step) string {
 	return b.String()
 }
 
-// buildProgram turns shapes into a runnable program, assigning each
-// write a value unique to its (thread, op) position so outcome states
-// identify which write a read observed.
+// buildProgram turns shapes into a runnable program.
 func buildProgram(cfg EnumConfig, threads []threadShape, serial int) *Program {
 	p := &Program{
 		Name: fmt.Sprintf("gen-t%d-%04d", cfg.Threads, serial),
@@ -243,23 +250,32 @@ func buildProgram(cfg EnumConfig, threads []threadShape, serial int) *Program {
 	var keys []string
 	for ti, th := range threads {
 		keys = append(keys, th.key)
-		pos := 0
-		steps := make([]Step, len(th.steps))
-		for si, st := range th.steps {
-			ops := make([]Op, len(st.Ops))
-			for oi, op := range st.Ops {
-				if op.Kind == OpWrite {
-					op.Val = uint64(ti*8 + pos + 1)
-				}
-				ops[oi] = op
-				pos++
-			}
-			steps[si] = Step{Tx: st.Tx, Ops: ops}
-		}
-		p.Threads = append(p.Threads, Thread{Name: fmt.Sprintf("t%d", ti), Steps: steps})
+		p.Threads = append(p.Threads, newThread(ti, th.steps))
 	}
 	p.Doc = "auto-enumerated shape " + strings.Join(keys, " | ")
 	return p
+}
+
+// newThread builds thread ti of a generated program (the enumerator's or
+// the decoder's) from a copy of steps, giving each write and effect a
+// value unique to its (thread, op) position so outcome states identify
+// which write a read observed: thread ti owns values ti*8+1 … ti*8+8 of
+// every block of 32.
+func newThread(ti int, steps []Step) Thread {
+	out := make([]Step, len(steps))
+	pos := 0
+	for si, st := range steps {
+		ops := make([]Op, len(st.Ops))
+		for oi, op := range st.Ops {
+			if op.Kind == OpWrite || op.Kind == OpEffect {
+				op.Val = uint64(pos/8*32 + ti*8 + pos%8 + 1)
+			}
+			ops[oi] = op
+			pos++
+		}
+		out[si] = Step{Tx: st.Tx, Ops: ops}
+	}
+	return Thread{Name: fmt.Sprintf("t%d", ti), Steps: out}
 }
 
 // sampleSerials returns the serials of the candidates kept out of total:

@@ -1,6 +1,7 @@
 // Package litmus is the strong-atomicity conformance engine: a small
 // litmus-test DSL (named threads of transactional and non-transactional
-// reads, writes, and fences over a handful of cache lines), a sequential
+// reads, writes, and fences over a handful of cache lines, plus an op for
+// each other tm.Tx call a transaction can make), a sequential
 // oracle that enumerates the outcomes a strongly-atomic serializable
 // system may produce, and a deterministic executor that replays every
 // program across an enumerated interleaving space on each TM system and
@@ -27,20 +28,42 @@ import (
 // OpKind is the kind of one DSL operation.
 type OpKind uint8
 
-// The operation kinds.
+// The operation kinds. Read, write and fence may stand alone as a
+// non-transactional step; the rest are tm.Tx calls, so they occur only
+// inside a transaction. Each takes one schedule slot.
 const (
 	OpRead OpKind = iota
 	OpWrite
 	OpFence
+	// OpSyscall calls Syscall: a no-op to the oracle, the software path
+	// on a hybrid.
+	OpSyscall
+	// OpAbort aborts the enclosing transaction the first time its Atomic
+	// call reaches it. Only the committed attempt is visible, so the
+	// oracle ignores it.
+	OpAbort
+	// OpNest opens a closed nest, one level deep, that the next OpUnnest
+	// closes. An OpUnnest with nonzero Val aborts the nest the first time
+	// its Atomic call runs it: the nest's reads stay, and its writes are
+	// dropped (partial rollback) or kept (a flattening system, whose retry
+	// commits the nest), so the oracle allows both.
+	OpNest
+	OpUnnest
+	// OpGuard reads Var into a register and calls Retry if it read 0: the
+	// oracle runs the transaction only in states where Var is nonzero.
+	OpGuard
+	// OpEffect registers an OnCommit that stores Val to Var
+	// non-transactionally: to the oracle, the thread's next unit after
+	// the transaction.
+	OpEffect
 )
 
-// Op is one memory operation on a program variable. Every variable
-// occupies its own cache line in the executed program, so Var doubles as
-// a line index.
+// Op is one operation. Every variable occupies its own cache line in the
+// executed program, so Var doubles as a line index.
 type Op struct {
 	Kind OpKind
 	Var  int
-	Val  uint64 // value stored; writes only
+	Val  uint64 // value a write or an effect stores; nonzero on an aborting OpUnnest
 }
 
 // R reads variable v.
@@ -111,7 +134,12 @@ type Program struct {
 	Expect  Expect
 }
 
-// Validate rejects malformed programs.
+// Validate rejects malformed programs. Beyond shape and range it keeps
+// every program live: a nest is one level deep and closed inside its
+// transaction, abort, guard and effect stand outside nests, and the one
+// guard a program may hold waits on a variable a lower-numbered thread
+// writes in a transaction outside any nest — so running the threads in
+// index order, as the sequential system does, never waits.
 func (p *Program) Validate() error {
 	if p.Vars < 1 || p.Vars > 4 {
 		return fmt.Errorf("litmus %s: Vars %d out of range [1, 4]", p.Name, p.Vars)
@@ -119,6 +147,8 @@ func (p *Program) Validate() error {
 	if len(p.Threads) < 1 || len(p.Threads) > 4 {
 		return fmt.Errorf("litmus %s: %d threads out of range [1, 4]", p.Name, len(p.Threads))
 	}
+	var written uint64 // txWrites of the threads before this one
+	guards := 0
 	for ti, th := range p.Threads {
 		if len(th.Steps) == 0 {
 			return fmt.Errorf("litmus %s: thread %d has no steps", p.Name, ti)
@@ -130,14 +160,61 @@ func (p *Program) Validate() error {
 			if !st.Tx && len(st.Ops) != 1 {
 				return fmt.Errorf("litmus %s: thread %d step %d: non-tx steps hold exactly one op", p.Name, ti, si)
 			}
+			nest := false
 			for _, op := range st.Ops {
-				if op.Kind != OpFence && (op.Var < 0 || op.Var >= p.Vars) {
+				if op.Var < 0 || op.Var >= p.Vars {
 					return fmt.Errorf("litmus %s: thread %d step %d: var %d out of range", p.Name, ti, si, op.Var)
 				}
+				if !fits(op, st.Tx, nest, guards == 0 && written&(1<<op.Var) != 0) {
+					return fmt.Errorf("litmus %s: thread %d step %d: op kind %d cannot stand here", p.Name, ti, si, op.Kind)
+				}
+				nest = (nest || op.Kind == OpNest) && op.Kind != OpUnnest
+				if op.Kind == OpGuard {
+					guards++
+				}
+			}
+			if nest {
+				return fmt.Errorf("litmus %s: thread %d step %d: nest left open", p.Name, ti, si)
+			}
+		}
+		written |= txWrites(th.Steps)
+	}
+	return nil
+}
+
+// fits reports whether op may stand inside a transaction or not (tx),
+// inside a nest or not, and, for a guard, whether the program may still
+// take one on its variable.
+func fits(op Op, tx, nest, guardOK bool) bool {
+	switch op.Kind {
+	case OpRead, OpWrite, OpFence:
+		return true
+	case OpSyscall:
+		return tx
+	case OpUnnest:
+		return nest
+	case OpGuard:
+		return tx && !nest && guardOK
+	case OpNest, OpAbort, OpEffect:
+		return tx && !nest
+	}
+	return false
+}
+
+// txWrites is the set of variables steps write in a transaction outside
+// any nest: the writes that commit whatever a nest does.
+func txWrites(steps []Step) uint64 {
+	var vars uint64
+	for _, st := range steps {
+		nest := false
+		for _, op := range st.Ops {
+			nest = (nest || op.Kind == OpNest) && op.Kind != OpUnnest
+			if st.Tx && !nest && op.Kind == OpWrite {
+				vars |= 1 << op.Var
 			}
 		}
 	}
-	return nil
+	return vars
 }
 
 // OpCounts returns the number of schedulable operations per thread
@@ -154,13 +231,14 @@ func (p *Program) OpCounts() []int {
 	return counts
 }
 
-// ReadCounts returns the number of read observations per thread.
+// ReadCounts returns the number of read observations (reads and guards)
+// per thread.
 func (p *Program) ReadCounts() []int {
 	counts := make([]int, len(p.Threads))
 	for i, th := range p.Threads {
 		for _, st := range th.Steps {
 			for _, op := range st.Ops {
-				if op.Kind == OpRead {
+				if op.Kind == OpRead || op.Kind == OpGuard {
 					counts[i]++
 				}
 			}

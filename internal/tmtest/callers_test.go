@@ -24,9 +24,9 @@ var uncalledAllowed = map[string]string{
 	"machine.Proc.UFOEnabled":          "state that tests in other packages observe",
 	"machine.AllKinds":                 "the every-kind set an all-kinds storm trace subscribes to (DESIGN.md §24)",
 	"oltp.Workload.RecordAddr":         "the hot-line attribution test finds the key-1 record by it",
-	"litmus.DecodeProgram":             "the FuzzLitmus codec (DESIGN.md §13), kept for a gating replay of its corpus",
-	"litmus.EncodeProgram":             "the FuzzLitmus codec (DESIGN.md §13), kept for a gating replay of its corpus",
-	"litmus.DecodeSeed":                "the FuzzLitmus codec (DESIGN.md §13), kept for a gating replay of its corpus",
+	"litmus.DecodeProgram":             "the FuzzLitmus codec, the one program generator, which only the fuzz target and its corpus test call (DESIGN.md §13, §34)",
+	"litmus.EncodeProgram":             "the FuzzLitmus codec, the one program generator, which only the fuzz target and its corpus test call (DESIGN.md §13, §34)",
+	"litmus.DecodeSeed":                "the FuzzLitmus codec, the one program generator, which only the fuzz target and its corpus test call (DESIGN.md §13, §34)",
 }
 
 // TestEveryDeclarationHasACaller keeps the tree free of code that nothing

@@ -140,8 +140,9 @@ func (t recTx) OnCommit(f func()) { t.inner.OnCommit(f) }
 // given initial memory image (addresses absent from the map read as
 // zero). It returns nil if such an order exists. The search is a
 // depth-first backtracking over candidate next-transactions (those whose
-// reads match the current replay state), biased toward history order; a
-// step budget bounds pathological cases.
+// reads match the current replay state), biased toward history order,
+// that never backtracks over a read-only record's place; a step budget
+// bounds pathological cases.
 func CheckSerializable(history []TxRecord, initial map[uint64]uint64) error {
 	state := make(map[uint64]uint64, len(initial))
 	for k, v := range initial {
@@ -155,6 +156,7 @@ func CheckSerializable(history []TxRecord, initial map[uint64]uint64) error {
 		if done == len(history) {
 			return true
 		}
+	next:
 		for i, rec := range history {
 			if used[i] {
 				continue
@@ -163,8 +165,10 @@ func CheckSerializable(history []TxRecord, initial map[uint64]uint64) error {
 			if steps > maxSteps {
 				return false
 			}
-			if !readsMatch(rec, state) {
-				continue
+			for _, r := range rec.Reads {
+				if state[r.Addr] != r.Val {
+					continue next
+				}
 			}
 			// Apply, recurse, undo.
 			undo := make([]Access, 0, len(rec.Writes))
@@ -180,6 +184,11 @@ func CheckSerializable(history []TxRecord, initial map[uint64]uint64) error {
 			for j := len(undo) - 1; j >= 0; j-- {
 				state[undo[j].Addr] = undo[j].Val
 			}
+			if len(rec.Writes) == 0 {
+				// A read-only record changes no state: if no order completes
+				// with it placed here, none completes with it placed later.
+				return false
+			}
 		}
 		return false
 	}
@@ -190,15 +199,6 @@ func CheckSerializable(history []TxRecord, initial map[uint64]uint64) error {
 		return fmt.Errorf("tmtest: serializability search exceeded %d steps (inconclusive)", maxSteps)
 	}
 	return fmt.Errorf("tmtest: no serial order explains the %d-transaction history", len(history))
-}
-
-func readsMatch(rec TxRecord, state map[uint64]uint64) bool {
-	for _, r := range rec.Reads {
-		if state[r.Addr] != r.Val {
-			return false
-		}
-	}
-	return true
 }
 
 // EventLog is the recording machine.Observer tests subscribe

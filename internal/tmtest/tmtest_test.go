@@ -65,6 +65,21 @@ func TestCheckerRejectsTornRead(t *testing.T) {
 	}
 }
 
+func TestCheckerPlacesReadOnlyRecordsOnce(t *testing.T) {
+	// In history order both writes come first, and the ten reads of 2
+	// then strand the reads of 1 and 0. A search that tried every order
+	// of the identical reads (10! of them) would exhaust its step budget
+	// before backing out of the writes.
+	h := []TxRecord{{Writes: []Access{{0, 1}}}, {Writes: []Access{{0, 2}}}}
+	for i := 0; i < 10; i++ {
+		h = append(h, TxRecord{Reads: []Access{{0, 2}}})
+	}
+	h = append(h, TxRecord{Reads: []Access{{0, 1}}}, TxRecord{Reads: []Access{{0, 0}}})
+	if err := CheckSerializable(h, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckerUsesInitialState(t *testing.T) {
 	h := []TxRecord{{Reads: []Access{{0, 7}}}}
 	if err := CheckSerializable(h, map[uint64]uint64{0: 7}); err != nil {
