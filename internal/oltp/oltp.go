@@ -161,9 +161,13 @@ type Workload struct {
 
 	hash    txlib.Hash
 	tree    txlib.Tree
-	records []uint64 // records[k-1] = line address of key k's record
 	traces  [][]Request
 	threads int
+
+	// The store's layout, which Init computes and Validate checks, in
+	// one allocation: the keys in insertion order; by key-1, each key's
+	// record, hash node and tree node; and txlib's working space.
+	order, records, hnodes, tnodes, scratch []uint64
 }
 
 // New builds the workload for cfg (normalized); Init generates its
@@ -190,38 +194,45 @@ func initialValue(key uint64) uint64 { return key*3 + 1 }
 // Init populates the store: one line-aligned record per key (value at
 // word 0) indexed by both a chained hash (point lookups) and a BST
 // (ordered scans). Insertion order is a seeded shuffle so the unbalanced
-// tree stays at its expected O(log n) depth.
+// tree stays at its expected O(log n) depth. Lines are allocated as an
+// Insert loop would allocate them — per key, in that order, a record,
+// its hash node and its tree node — and txlib's bulk builds then store
+// the hash and the tree Insert would leave, each in ascending address
+// order, without loading a word.
 func (w *Workload) Init(m *machine.Machine, threads int) {
 	c := w.cfg
+	n := c.Keys
 	w.threads = threads
 	via := txlib.Direct{M: m}
-	arena := txlib.NewArena(m, nil, uint64(c.Keys+64)*4*mem.LineBytes)
+	arena := txlib.NewArena(m, nil, uint64(n+64)*4*mem.LineBytes)
 
 	buckets := uint64(1)
-	for buckets*2 <= uint64(c.Keys) {
+	for buckets*2 <= uint64(n) {
 		buckets *= 2
 	}
 	w.hash = txlib.NewHash(via, arena, buckets)
 	w.tree = txlib.NewTree(via, arena)
 
-	order := make([]uint64, c.Keys)
-	for i := range order {
-		order[i] = uint64(i + 1)
+	tab := make([]uint64, 7*n)
+	w.order, w.records, w.hnodes, w.tnodes, w.scratch = tab[:n], tab[n:2*n], tab[2*n:3*n], tab[3*n:4*n], tab[4*n:]
+	for i := range w.order {
+		w.order[i] = uint64(i + 1)
 	}
 	r := sim.NewRand(c.Seed*1_000_003 + seedStore)
-	for i := len(order) - 1; i > 0; i-- {
+	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
-		order[i], order[j] = order[j], order[i]
+		w.order[i], w.order[j] = w.order[j], w.order[i]
 	}
 
-	w.records = make([]uint64, c.Keys)
-	for _, key := range order {
+	for _, key := range w.order {
 		rec := arena.Alloc(8) // line-aligned: one record per line
 		via.Store(rec, initialValue(key))
 		w.records[key-1] = rec
-		w.hash.Insert(via, arena, key, rec)
-		w.tree.Insert(via, arena, key, rec)
+		w.hnodes[key-1] = w.hash.NewNode(arena)
+		w.tnodes[key-1] = w.tree.NewNode(arena)
 	}
+	w.hash.Build(via, w.order, w.hnodes, w.records, w.scratch)
+	w.tree.Build(via, w.order, w.tnodes, w.records, w.scratch)
 
 	if w.traces == nil {
 		w.traces = c.Traces(threads)
@@ -276,18 +287,15 @@ func (w *Workload) Thread(i int, ex tm.Exec) {
 
 // Validate checks the exact end-state invariant: every record holds its
 // initial value plus the sum of all RMW deltas addressed to its key
-// (each request commits exactly once), and the hash and tree agree with
-// the record table. The tree is checked by one in-order walk that must
-// yield keys 1..Keys ascending, each naming its record: a binary tree
-// whose in-order walk ascends is a search tree in which every key is
-// found, and one in which every key is found and that has exactly Keys
-// nodes walks in order, so the walk accepts exactly the trees a Get per
-// key plus a node count would.
+// (each request commits exactly once), and the hash and the tree are
+// word for word what Init stored. Records, hash and tree are each read
+// in ascending address order, as Init wrote them; every word Init wrote
+// is compared, zeros included. That is stronger than a Get per key, an
+// entry count and an in-order walk, all of which the built store passes.
 func (w *Workload) Validate(m *machine.Machine) error {
-	c := w.cfg
 	via := txlib.Direct{M: m}
 
-	want := make([]uint64, c.Keys)
+	want := w.scratch[:len(w.order)]
 	for k := range want {
 		want[k] = initialValue(uint64(k + 1))
 	}
@@ -298,39 +306,19 @@ func (w *Workload) Validate(m *machine.Machine) error {
 			}
 		}
 	}
-
-	for k := 0; k < c.Keys; k++ {
-		key := uint64(k + 1)
-		rec := w.records[k]
-		if got := via.Load(rec); got != want[k] {
-			return validErr("key %d: record value %d, want %d", key, got, want[k])
+	for _, key := range w.order {
+		if got := via.Load(w.records[key-1]); got != want[key-1] {
+			return validErr("key %d: record value %d, want %d", key, got, want[key-1])
 		}
-		if hr, ok := w.hash.Get(via, key); !ok || hr != rec {
-			return validErr("key %d: hash lookup (%d,%v), want record %d", key, hr, ok, rec)
-		}
-	}
-	if n := w.hash.Len(via); n != c.Keys {
-		return validErr("hash has %d entries, want %d", n, c.Keys)
 	}
 
-	var err error
-	next := uint64(1) // the key the walk must yield next
-	w.tree.ForEach(via, func(key, rec uint64) {
-		switch {
-		case err != nil:
-		case next > uint64(c.Keys):
-			err = validErr("tree walk: key %d after the last key %d", key, c.Keys)
-		case key != next:
-			err = validErr("tree walk: key %d where key %d belongs", key, next)
-		case rec != w.records[key-1]:
-			err = validErr("key %d: tree value %d, want record %d", key, rec, w.records[key-1])
-		}
-		next++
-	})
-	if err == nil && next <= uint64(c.Keys) {
-		err = validErr("tree walk: ended before key %d", next)
+	if err := w.hash.Check(via, w.order, w.hnodes, w.records, w.scratch); err != nil {
+		return validErr("%v", err)
 	}
-	return err
+	if err := w.tree.Check(via, w.order, w.tnodes, w.records, w.scratch); err != nil {
+		return validErr("%v", err)
+	}
+	return nil
 }
 
 func validErr(format string, args ...any) error {

@@ -6,8 +6,11 @@ import (
 	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/seq"
+	"repro/internal/sim"
 	"repro/internal/tm"
+	"repro/internal/txlib"
 	"repro/internal/ustm"
 )
 
@@ -83,6 +86,66 @@ func TestVacationOnLock(t *testing.T) {
 func TestVacationNames(t *testing.T) {
 	if VacationHigh(10, 1).Name() != "vacation-high" || VacationLow(10, 1).Name() != "vacation-low" {
 		t.Fatal("vacation names wrong")
+	}
+}
+
+// TestVacationInitMatchesInsertLoop: Init, which builds its trees in
+// bulk, leaves memory word for word as Init did when it inserted each id
+// into its tree right after allocating the line the id names.
+func TestVacationInitMatchesInsertLoop(t *testing.T) {
+	for _, relations := range []int{1, 2, 3, 96, 192, 2048} {
+		for _, v := range []*Vacation{VacationHigh(relations, 4), VacationLow(relations, 4)} {
+			m := testMachine(2)
+			v.Init(m, 2)
+			ref := testMachine(2)
+			vacationInitByInsert(v, ref)
+			brk := ref.Mem.Sbrk(0)
+			if got := m.Mem.Sbrk(0); got != brk {
+				t.Fatalf("%s/%d: Init allocated up to %#x, the Insert loop to %#x", v.Name(), relations, got, brk)
+			}
+			for a := uint64(0); a < brk; a += mem.WordBytes {
+				if got, want := m.Mem.Read64(a), ref.Mem.Read64(a); got != want {
+					t.Fatalf("%s/%d: word %#x is %#x after Init, %#x after the Insert loop", v.Name(), relations, a, got, want)
+				}
+			}
+		}
+	}
+}
+
+// vacationInitByInsert is Vacation.Init as an Insert loop: the reference
+// for the bulk build.
+func vacationInitByInsert(v *Vacation, m *machine.Machine) {
+	d := txlib.Direct{M: m}
+	setupA := txlib.NewArena(m, nil, uint64(v.Relations)*8*mem.LineBytes+1<<16)
+	r := sim.NewRand(v.Seed)
+	ids := make([]uint64, v.Relations)
+	for i := range ids {
+		ids[i] = uint64(i) + 1
+	}
+	shuffle := func() {
+		for i := len(ids) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			ids[i], ids[j] = ids[j], ids[i]
+		}
+	}
+	for t := 0; t < 3; t++ {
+		tree := txlib.NewTree(d, setupA)
+		shuffle()
+		for _, id := range ids {
+			res := setupA.Alloc(mem.LineBytes)
+			d.Store(res+resTotal, uint64(1+r.Intn(5)))
+			d.Store(res+resUsed, 0)
+			d.Store(res+resPrice, uint64(50+r.Intn(500)))
+			tree.Insert(d, setupA, id, res)
+		}
+	}
+	customers := txlib.NewTree(d, setupA)
+	shuffle()
+	for _, id := range ids {
+		customers.Insert(d, setupA, id, txlib.NewList(d, setupA).Head())
+	}
+	for i := 0; i < 2; i++ {
+		txlib.NewArena(m, nil, uint64(v.TasksPerThread*8+64)*mem.LineBytes)
 	}
 }
 

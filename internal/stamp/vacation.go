@@ -64,7 +64,9 @@ func (v *Vacation) Name() string {
 	return "vacation-low"
 }
 
-// Init implements Workload.
+// Init implements Workload. Each tree is built in bulk (txlib's Build):
+// its nodes are allocated in insertion order, each just after the line
+// it names, and the finished tree is stored without a descent.
 func (v *Vacation) Init(m *machine.Machine, threads int) {
 	d := txlib.Direct{M: m}
 	// Setup arena: trees + resources + customer list sentinels.
@@ -72,36 +74,42 @@ func (v *Vacation) Init(m *machine.Machine, threads int) {
 	v.setupA = txlib.NewArena(m, nil, setupBytes)
 	r := sim.NewRand(v.Seed)
 	// Insert ids in random order so the unbalanced trees stay shallow.
-	ids := make([]uint64, v.Relations)
+	// By id-1: a tree's nodes and values; scratch is Build's.
+	n := v.Relations
+	tab := make([]uint64, 6*n)
+	ids, nodes, vals, scratch := tab[:n], tab[n:2*n], tab[2*n:3*n], tab[3*n:]
 	for i := range ids {
 		ids[i] = uint64(i) + 1
 	}
-	for t := 0; t < 3; t++ {
-		v.resources[t] = txlib.NewTree(d, v.setupA)
+	shuffle := func() {
 		for i := len(ids) - 1; i > 0; i-- {
 			j := r.Intn(i + 1)
 			ids[i], ids[j] = ids[j], ids[i]
 		}
+	}
+	for t := range v.resources {
+		v.resources[t] = txlib.NewTree(d, v.setupA)
+		shuffle()
 		for _, id := range ids {
 			res := v.setupA.Alloc(mem.LineBytes)
 			d.Store(res+resTotal, uint64(1+r.Intn(5)))
 			d.Store(res+resUsed, 0)
 			d.Store(res+resPrice, uint64(50+r.Intn(500)))
-			v.resources[t].Insert(d, v.setupA, id, res)
+			vals[id-1] = res
+			nodes[id-1] = v.resources[t].NewNode(v.setupA)
 		}
+		v.resources[t].Build(d, ids, nodes, vals, scratch)
 	}
 	v.customers = txlib.NewTree(d, v.setupA)
 	// Pre-populate every customer with an empty reservation list (as
 	// STAMP does): steady-state reservations then only read the customer
 	// tree, keeping its hot root region write-free.
-	for i := len(ids) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		ids[i], ids[j] = ids[j], ids[i]
-	}
+	shuffle()
 	for _, id := range ids {
-		l := txlib.NewList(d, v.setupA)
-		v.customers.Insert(d, v.setupA, id, l.Head())
+		vals[id-1] = txlib.NewList(d, v.setupA).Head()
+		nodes[id-1] = v.customers.NewNode(v.setupA)
 	}
+	v.customers.Build(d, ids, nodes, vals, scratch)
 	// Per-thread arenas for in-transaction allocation.
 	v.arenas = make([]*txlib.Arena, threads)
 	perThread := uint64(v.TasksPerThread*8+64) * mem.LineBytes

@@ -28,10 +28,13 @@ func NewHash(via Mem, a *Arena, n uint64) Hash {
 	return Hash{buckets: base, n: n}
 }
 
-func (h Hash) bucketAddr(key uint64) uint64 {
-	idx := (key * 0x9E3779B97F4A7C15 >> 13) & (h.n - 1)
-	return h.buckets + idx*mem.LineBytes
-}
+// bucket is key's bucket index.
+func (h Hash) bucket(key uint64) uint64 { return (key * 0x9E3779B97F4A7C15 >> 13) & (h.n - 1) }
+
+func (h Hash) bucketAddr(key uint64) uint64 { return h.buckets + h.bucket(key)*mem.LineBytes }
+
+// NewNode allocates one chain node: Insert's, or one for Build.
+func (h Hash) NewNode(a *Arena) uint64 { return a.Alloc(24) }
 
 // Insert adds key→val; it returns false if key is already present.
 func (h Hash) Insert(via Mem, a *Arena, key, val uint64) bool {
@@ -42,7 +45,7 @@ func (h Hash) Insert(via Mem, a *Arena, key, val uint64) bool {
 			return false
 		}
 	}
-	node := a.Alloc(24)
+	node := h.NewNode(a)
 	via.Store(node+nodeKey, key)
 	via.Store(node+nodeVal, val)
 	via.Store(node+nodeNext, n)

@@ -31,13 +31,16 @@ func NewTree(via Mem, a *Arena) Tree {
 	return Tree{rootCell: cell}
 }
 
+// NewNode allocates one node: Insert's, or one for Build.
+func (t Tree) NewNode(a *Arena) uint64 { return a.Alloc(32) }
+
 // Insert adds key→val; it returns false if key exists.
 func (t Tree) Insert(via Mem, a *Arena, key, val uint64) bool {
 	cell := t.rootCell
 	for {
 		n := via.Load(cell)
 		if n == 0 {
-			node := a.Alloc(32)
+			node := t.NewNode(a)
 			via.Store(node+treeKey, key)
 			via.Store(node+treeVal, val)
 			via.Store(node+treeLeft, 0)
@@ -97,7 +100,7 @@ func (t Tree) Set(via Mem, a *Arena, key, val uint64) {
 }
 
 func (t Tree) insertAt(via Mem, a *Arena, cell, key, val uint64) {
-	node := a.Alloc(32)
+	node := t.NewNode(a)
 	via.Store(node+treeKey, key)
 	via.Store(node+treeVal, val)
 	via.Store(node+treeLeft, 0)
