@@ -4,13 +4,13 @@
 // simulation engine, the foundation of the paper's §5.1 simulation
 // methodology.
 //
-// Each simulated processor runs its workload as a coroutine of the
-// goroutine that called Run, so exactly one of them executes at any
-// instant, and the engine always resumes the runnable processor with the
-// smallest local clock (ties broken by processor ID). Memory operations
-// performed by the layers above are therefore atomic at their timestamp,
-// interleavings are bit-reproducible for a given configuration, and no
-// locking is needed anywhere in the simulated machine.
+// Each simulated processor's workload is a coroutine (iter.Pull) and one
+// token passes between them, so exactly one runs at any instant, and the
+// engine always resumes the runnable processor with the smallest local
+// clock (ties broken by processor ID). Memory operations by the layers
+// above are therefore atomic at their timestamp, interleavings are
+// bit-reproducible for a given configuration, and no locking is needed
+// anywhere in the simulated machine.
 //
 // Time is measured in cycles. Workload code advances its processor's clock
 // with Proc.Elapse, which is also the engine's only scheduling point: a
@@ -27,19 +27,19 @@
 // entitled to run. The executing processor compares its clock against the
 // horizon on every Elapse and keeps executing inline, without a switch,
 // for as long as it remains the strict (clock, id) minimum. Only when its
-// clock crosses the horizon does it take the slow path: take the
-// horizon's place in the heap, name that processor as the next to run
-// and suspend. Run's loop is the hub of every handoff: it takes the
-// named processor (or, after a Block or a finished workload, pops the
-// minimum), counts the step, checks the budget and resumes it, so a
-// handoff costs one sift and two coroutine switches (iter.Pull),
-// neither of which goes through the Go scheduler. The schedule this
-// produces is exactly the one the naive
+// clock crosses the horizon does it take the slow path: it takes the
+// horizon's place in the heap, counts the step, checks the budget and
+// switches straight to the horizon's goroutine. A handoff costs one sift
+// and one coroutine switch (Proc.switchTo), which does not go through
+// the Go scheduler. Run's caller only starts the run and takes the token
+// back at its end, to unwind the unfinished processors and raise the
+// failure, if any, that was stored where it was found (DESIGN.md §36).
+// The schedule this produces is exactly the one the naive
 // pick-the-global-minimum-every-Elapse scheduler produces; the retained
-// reference implementation (Config.Reference) runs on the same loop,
-// suspending on every Elapse and picking by linear scan. It is the
-// executable specification, and differential tests pin the two to
-// identical step sequences.
+// reference implementation (Config.Reference) runs on the same path,
+// parking on every Elapse and picking by linear scan (a processor that
+// picks itself does not switch). It is the executable specification, and
+// differential tests pin the two to identical step sequences.
 //
 // The go1.23 build constraint above is for iter.Pull; go.mod keeps the
 // language version the benchmark module requires and names the toolchain.
@@ -48,6 +48,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"runtime"
 	"strings"
 )
 
@@ -94,7 +95,7 @@ type Config struct {
 	// default.
 	MaxSteps uint64
 	// Reference selects the retained reference scheduler: every Elapse
-	// suspends, and the run loop re-picks the minimum (clock, id)
+	// parks, and the parking processor re-picks the minimum (clock, id)
 	// processor by linear scan. It is the executable specification of the
 	// scheduling order — slow but obviously correct — kept for
 	// differential testing of the run-ahead fast path. Simulated results
@@ -118,8 +119,15 @@ type Engine struct {
 	// decrease-key. The reference scheduler leaves it empty.
 	ready []readyEntry
 	// handoff is the minimum an Elapse that crossed the horizon took out
-	// of the heap on its way to park: the run loop's next pick.
+	// of the heap on its way to park: park's next pick.
 	handoff *Proc
+
+	// caller stands for Run's caller's goroutine; cur holds the token. At
+	// the end Run sets stopping, then raises failure or goexit's Goexit.
+	caller      Proc
+	cur, goexit *Proc
+	stopping    bool
+	failure     any
 }
 
 // New creates an engine with cfg.Procs processors, all at cycle 0. The
@@ -142,6 +150,7 @@ func New(cfg Config) *Engine {
 		slab[i] = Proc{id: i, eng: e, nextQuantum: cfg.Quantum}
 		e.procs[i] = &slab[i]
 	}
+	e.caller.eng = e
 	return e
 }
 
@@ -177,53 +186,48 @@ func Catch(f func()) (h *Halt) {
 // deadlock, or if the step budget is exhausted, which indicates livelock.
 // A workload panic leaves Run with its original value; the first in
 // schedule order wins, deterministically, because no other processor is
-// resumed after it. However Run ends, no processor's coroutine outlives it.
+// resumed after it; a workload's runtime.Goexit ends Run's caller too.
+// However Run ends, every other workload is unwound first (its deferred
+// calls run), and no processor's coroutine outlives it.
 func (e *Engine) Run(workloads []func(*Proc)) {
 	if len(workloads) != len(e.procs) {
 		panic(fmt.Sprintf("sim: %d workloads for %d processors", len(workloads), len(e.procs)))
 	}
 	e.ready, e.handoff = e.ready[:0], nil
+	e.stopping, e.failure, e.goexit = false, nil, nil
 	for i, p := range e.procs {
-		p.state, p.unwinding = Ready, false
-		p.resume, p.stop = iter.Pull(p.coroutine(workloads[i]))
+		p.state, p.in, p.yieldNext = Ready, p, false
+		p.next, _ = iter.Pull(p.coroutine(workloads[i]))
 		if !e.cfg.Reference {
 			e.heapPush(p)
 		}
 	}
-	// On deadlock, budget exhaustion or a workload panic the other
-	// processors are still suspended: stopping them unwinds each workload
-	// from its park. Stopping a finished coroutine is a no-op. Dropping
-	// the coroutine's functions releases the workload they captured.
-	defer func() {
-		for _, p := range e.procs {
-			p.stop()
-			p.resume, p.stop, p.suspend = nil, nil, nil
+	e.caller.switchTo(e.next())
+	// The token is back: unwind the unfinished, the Goexit last (§36).
+	e.stopping = true
+	for _, p := range e.procs {
+		if p.state != Done {
+			e.caller.switchTo(p)
 		}
-	}()
-	for p := e.next(); p != nil; p = e.next() {
-		e.steps++
-		if e.steps > e.cfg.MaxSteps {
-			panic(&Halt{"budget", "sim: step budget exhausted (livelock?)\n" + e.dump()})
-		}
-		if _, suspended := p.resume(); !suspended {
-			p.state = Done
-		}
+	}
+	if p := e.goexit; p != nil {
+		e.caller.switchTo(p)
+		runtime.Goexit()
+	}
+	if e.failure != nil {
+		panic(e.failure)
 	}
 }
 
 // next returns the ready processor with the smallest clock (ties broken
-// by ID) — the processor Elapse handed off or else the heap minimum, or
-// under the reference scheduler the result of a linear scan — nil if
-// every processor is done, and panics on deadlock.
+// by ID) — the processor Elapse handed off, the heap minimum or the
+// reference's linear scan — and counts the step. It returns &e.caller when
+// every processor is done or it has recorded a deadlock or budget Halt.
 func (e *Engine) next() *Proc {
-	if best := e.handoff; best != nil {
-		e.handoff = nil
-		return best
-	}
-	var best *Proc
-	if !e.cfg.Reference {
+	best := e.handoff
+	if e.handoff = nil; best == nil && !e.cfg.Reference {
 		best = e.heapPop()
-	} else {
+	} else if best == nil {
 		for _, p := range e.procs {
 			if p.state == Ready && (best == nil || p.now < best.now) {
 				best = p
@@ -233,9 +237,16 @@ func (e *Engine) next() *Proc {
 	if best == nil {
 		for _, p := range e.procs {
 			if p.state != Done {
-				panic(&Halt{"deadlock", "sim: deadlock — all unfinished processors are blocked\n" + e.dump()})
+				e.failure = &Halt{"deadlock", "sim: deadlock — all unfinished processors are blocked\n" + e.dump()}
+				break
 			}
 		}
+		return &e.caller
+	}
+	e.steps++
+	if e.steps > e.cfg.MaxSteps {
+		e.failure = &Halt{"budget", "sim: step budget exhausted (livelock?)\n" + e.dump()}
+		return &e.caller
 	}
 	return best
 }

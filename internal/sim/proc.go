@@ -14,13 +14,13 @@ type Proc struct {
 	state State
 	note  string // diagnostic label shown in deadlock/livelock dumps
 
-	// The workload's coroutine: the run loop calls resume and stop, the
-	// workload calls suspend. unwinding is set once suspend has reported
-	// that the run is being torn down.
-	resume    func() (struct{}, bool)
-	stop      func()
-	suspend   func(struct{}) bool
-	unwinding bool
+	// This workload's iter.Pull slot: its next, the yield the workload
+	// received, which one a switch into it calls next, and in, the slot
+	// this goroutine last parked in (see switchTo).
+	next      func() (struct{}, bool)
+	yield     func(struct{}) bool
+	yieldNext bool
+	in        *Proc
 
 	nextQuantum uint64 // next timer-interrupt time; 0 when Config.Quantum is 0
 	interrupt   func()
@@ -84,7 +84,7 @@ func (p *Proc) Elapse(cycles uint64) {
 			return
 		}
 		// The horizon is the next to run and p takes its place in the
-		// heap: one sift, and the run loop need not pop.
+		// heap: one sift, and park need not pop.
 		e.handoff = e.replaceTop(me)
 	}
 	p.park()
@@ -117,30 +117,59 @@ func (p *Proc) Wake(target *Proc) {
 	}
 }
 
-// park is the scheduling slow path: it hands the execution token back to
-// the run loop and returns when the loop resumes this processor. If the
-// run is being torn down instead, it unwinds the workload with a panic
-// that coroutine absorbs; a deferred call that reaches park again during
-// the unwind gets the same answer from suspend without switching.
+// park is the scheduling slow path: it passes the execution token to the
+// processor to run next and returns when it is back. If the run is being
+// torn down instead, it unwinds the workload with a panic that coroutine
+// absorbs; a deferred call that reaches park again gets the same answer.
 func (p *Proc) park() {
-	if !p.suspend(struct{}{}) {
-		p.unwinding = true
+	if !p.eng.stopping {
+		p.switchTo(p.eng.next())
+	}
+	if p.eng.stopping {
 		panic("sim: run stopped")
 	}
 }
 
-// coroutine wraps a workload as the body iter.Pull runs: it ends when the
-// workload returns, lets a workload panic through to the run loop's
-// resume, and absorbs whatever an unwinding workload raises, so that the
-// failure which stopped the run is the one Run reports.
+// switchTo passes the token from p's running goroutine to x's: calling a
+// slot's next or yield parks the caller there and resumes the goroutine
+// parked in it, whoever's. It returns when the token is back. If the
+// goroutine of the slot p parked in returns, p passes the token on.
+func (p *Proc) switchTo(x *Proc) {
+	e := p.eng
+	for e.cur = x; x != p; x = e.cur {
+		s := x.in
+		p.in = s
+		if s.yieldNext = !s.yieldNext; s.yieldNext {
+			s.next()
+		} else {
+			s.yield(struct{}{})
+		}
+	}
+}
+
+// coroutine wraps a workload as iter.Pull's body. A first panic is kept
+// for Run to raise, one raised while unwinding is dropped, a Goexit waits
+// until every other workload has unwound; then it picks who runs next.
 func (p *Proc) coroutine(workload func(*Proc)) func(func(struct{}) bool) {
-	return func(suspend func(struct{}) bool) {
-		p.suspend = suspend
+	return func(yield func(struct{}) bool) {
+		e, returned := p.eng, false
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil && !p.unwinding {
-				panic(r)
+			p.state = Done
+			if r := recover(); r != nil && !e.stopping {
+				e.failure = r
+			} else if r == nil && !returned {
+				e.goexit = p
+				p.switchTo(&e.caller)
+			}
+			p.next, p.yield, e.cur = nil, nil, &e.caller
+			if !e.stopping && e.failure == nil {
+				e.cur = e.next()
 			}
 		}()
-		workload(p)
+		if !e.stopping {
+			workload(p)
+		}
+		returned = true
 	}
 }
