@@ -94,47 +94,6 @@ func DecodeSeed(data []byte) uint64 {
 	return seed
 }
 
-// EncodeProgram is the decoder's inverse for corpus seeding. It takes a
-// valid program in codec range (2-3 threads, 1-4 vars, up to
-// codecMaxSteps steps per thread and codecMaxOps ops per transaction)
-// and panics on anything else. Write values do not round-trip — decoding
-// re-assigns them by position — which is fine for seeds: the fuzzer
-// cares about shapes, not constants.
-func EncodeProgram(p *Program) []byte {
-	if len(p.Threads) < 2 || len(p.Threads) > 3 || p.Vars > 4 {
-		panic("litmus: program outside codec range")
-	}
-	out := []byte{byte(len(p.Threads) - 2), byte(p.Vars - 1)}
-	for _, th := range p.Threads {
-		if len(th.Steps) > codecMaxSteps {
-			panic("litmus: program outside codec range")
-		}
-		out = append(out, byte(len(th.Steps)-1))
-		for _, st := range th.Steps {
-			shape := 0
-			if st.Tx {
-				if len(st.Ops) > codecMaxOps {
-					panic("litmus: program outside codec range")
-				}
-				shape = 1 | (len(st.Ops)-1)<<1
-			}
-			out = append(out, byte(shape))
-			for _, op := range st.Ops {
-				out = append(out, byte(codeOf(op)+codecCodes*op.Var))
-			}
-		}
-	}
-	return out
-}
-
-// codeOf is op's codec code.
-func codeOf(op Op) int {
-	if op.Kind == OpUnnest && op.Val != 0 {
-		return codeAbortingUnnest
-	}
-	return int(op.Kind)
-}
-
 func shapeDoc(p *Program) string {
 	keys := make([]string, len(p.Threads))
 	for i, th := range p.Threads {

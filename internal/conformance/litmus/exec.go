@@ -12,57 +12,13 @@ import (
 )
 
 // RunResult is one program execution under one schedule: the final
-// state, the committed-transaction history, each non-transactional
-// operation (and each effect's store) as a single-op pseudo-record in
-// execution order (for the serializability checks), and the system's
-// counters. A panic anywhere in the run lands in Err instead of crashing
-// the sweep.
+// state, the recorded history and the system's counters. A panic
+// anywhere in the run lands in Err instead of crashing the sweep.
 type RunResult struct {
-	State     State
-	Committed []tmtest.TxRecord
-	NT        []tmtest.TxRecord
-	Stats     tm.Stats
-	Err       error
-
-	ntAt []int // per NT record, how many transactions had committed before it
-}
-
-// AtomicHistory is the extended history for the serializable-only
-// check: committed transactions plus every non-transactional operation
-// as its own atomic unit. A system passes when some single serial order
-// of all of them explains every observation (thread program order is
-// deliberately not required — see ClassSerializable).
-func (r RunResult) AtomicHistory() []tmtest.TxRecord {
-	return r.history(func(tmtest.TxRecord) bool { return true })
-}
-
-// WeakHistory is the history for the weak check: committed transactions
-// plus non-transactional writes only. Non-transactional reads are
-// unconstrained — a weakly-atomic system may let them observe
-// uncommitted eager state — but transaction-vs-transaction isolation
-// must still hold.
-func (r RunResult) WeakHistory() []tmtest.TxRecord {
-	return r.history(func(rec tmtest.TxRecord) bool { return len(rec.Writes) > 0 })
-}
-
-// history lists the committed transactions and the NT records keep
-// selects in the order they happened, which is the order the
-// serializability search tries first: a system whose real-time order is
-// a serial order passes without the search backtracking.
-func (r RunResult) history(keep func(tmtest.TxRecord) bool) []tmtest.TxRecord {
-	h := make([]tmtest.TxRecord, 0, len(r.Committed)+len(r.NT))
-	j := 0
-	for i := 0; i <= len(r.Committed); i++ {
-		for ; j < len(r.NT) && r.ntAt[j] <= i; j++ {
-			if keep(r.NT[j]) {
-				h = append(h, r.NT[j])
-			}
-		}
-		if i < len(r.Committed) {
-			h = append(h, r.Committed[i])
-		}
-	}
-	return h
+	State   State
+	History tmtest.History
+	Stats   tm.Stats
+	Err     error
 }
 
 // Execute runs p on system under sch, on a machine built over arena
@@ -104,25 +60,13 @@ func run(m *machine.Machine, system harness.SystemKind, p *Program, sch Schedule
 	opt := harness.DefaultOptions()
 	opt.OTableRows = 1 << 12
 	sys := harness.Build(system, m, opt)
-	rec := tmtest.NewRecorder(sys)
+	rec := tmtest.NewRecorder(m, sys)
 	base := m.Mem.Sbrk(uint64(p.Vars) * 64) // one line per variable
 	addr := func(v int) uint64 { return base + uint64(v)*64 }
 
 	times := sch.slotTimes(p.OpCounts())
 	regs := make([][]uint64, nthreads)
 
-	// note records an NT pseudo-record after committed transactions.
-	note := func(r tmtest.TxRecord, committed int) {
-		res.NT = append(res.NT, r)
-		res.ntAt = append(res.ntAt, committed)
-	}
-	ntWrite := func(ex tm.Exec, op Op, committed int) {
-		ex.Store(addr(op.Var), op.Val)
-		note(tmtest.TxRecord{
-			Proc:   ex.Proc().ID(),
-			Writes: []tmtest.Access{{Addr: addr(op.Var), Val: op.Val}},
-		}, committed)
-	}
 	threadBody := func(ti int, ex tm.Exec, proc *machine.Proc) {
 		opIdx := 0
 		for _, st := range p.Threads[ti].Steps {
@@ -148,9 +92,7 @@ func run(m *machine.Machine, system harness.SystemKind, p *Program, sch Schedule
 					case OpSyscall:
 						tx.Syscall()
 					case OpEffect:
-						// The recorder appends the committing transaction
-						// when Atomic returns, after its effects.
-						tx.OnCommit(func() { ntWrite(ex, op, len(rec.History)+1) })
+						tx.OnCommit(func() { ex.Store(addr(op.Var), op.Val) })
 					case OpAbort, OpUnnest:
 						if (op.Kind == OpAbort || op.Val != 0) && !fired[oi] {
 							fired[oi] = true
@@ -183,33 +125,23 @@ func run(m *machine.Machine, system harness.SystemKind, p *Program, sch Schedule
 				proc.ElapseUntil(times[ti][opIdx])
 				switch op.Kind {
 				case OpRead:
-					v := ex.Load(addr(op.Var))
-					regs[ti] = append(regs[ti], v)
-					note(tmtest.TxRecord{
-						Proc:  proc.ID(),
-						Reads: []tmtest.Access{{Addr: addr(op.Var), Val: v}},
-					}, len(rec.History))
+					regs[ti] = append(regs[ti], ex.Load(addr(op.Var)))
 				case OpWrite:
-					ntWrite(ex, op, len(rec.History))
+					ex.Store(addr(op.Var), op.Val)
 				}
 				opIdx++
 			}
 		}
 	}
 
-	var ws []func(*machine.Proc)
-	if len(m.Procs()) == 1 {
-		ex := rec.Exec(m.Proc(0))
-		ws = []func(*machine.Proc){func(proc *machine.Proc) {
-			for ti := 0; ti < nthreads; ti++ {
+	// Processor pi runs threads pi, pi+P, …: its own, or all of them.
+	ws := make([]func(*machine.Proc), len(m.Procs()))
+	for pi := range ws {
+		ex := rec.Exec(m.Proc(pi))
+		ws[pi] = func(proc *machine.Proc) {
+			for ti := pi; ti < nthreads; ti += len(ws) {
 				threadBody(ti, ex, proc)
 			}
-		}}
-	} else {
-		for ti := 0; ti < nthreads; ti++ {
-			ti := ti
-			ex := rec.Exec(m.Proc(ti))
-			ws = append(ws, func(proc *machine.Proc) { threadBody(ti, ex, proc) })
 		}
 	}
 	m.Run(ws)
@@ -218,7 +150,7 @@ func run(m *machine.Machine, system harness.SystemKind, p *Program, sch Schedule
 	for v := 0; v < p.Vars; v++ {
 		res.State.Mem[v] = m.Mem.Read64(addr(v))
 	}
-	res.Committed = rec.History
+	res.History = rec.History()
 	res.Stats = *sys.Stats()
 	return res
 }
@@ -228,58 +160,45 @@ func run(m *machine.Machine, system harness.SystemKind, p *Program, sch Schedule
 type SweepResult struct {
 	// Observed is the set of distinct final states seen.
 	Observed *OutcomeSet
-	// Extras are observed outcome keys outside the oracle set (sorted).
-	// Non-empty Extras is exactly a strong-atomicity violation.
-	Extras []string
+	// Consistent is the set of final states of the runs that pass the
+	// strong check: all inside the oracle, if the check is sound.
+	Consistent *OutcomeSet
 	// Witnessed are the Expect.Forbidden conditions (by Cond.Key) that
 	// matched at least one observed state (sorted).
 	Witnessed []string
-	// StrongOK, AtomicOK, WeakOK are the three class checks, each over
-	// every run of the sweep. A program with no oracle has StrongOK equal
-	// to AtomicOK: a strong system is held to the serializable check.
+	// StrongOK, AtomicOK, WeakOK are the three class checks
+	// (tmtest.Check), each over every run of the sweep.
 	StrongOK bool
 	AtomicOK bool
 	WeakOK   bool
 	// Errs collects distinct run errors (a run that panics fails the
 	// sweep but not the process).
 	Errs []string
-	// Schedules is the number of (order, gap) pairs executed.
-	Schedules int
 	// SWCommits sums the runs' software commits.
 	SWCommits uint64
 }
 
 // Check returns whether the sweep satisfies the named class's guarantee.
-func (s SweepResult) Check(c Class) bool {
-	if len(s.Errs) > 0 {
-		return false
-	}
-	switch c {
-	case ClassStrong:
-		return s.StrongOK
-	case ClassSerializable:
-		return s.AtomicOK
-	default:
-		return s.WeakOK
-	}
+func (s SweepResult) Check(c tmtest.Class) bool {
+	ok := map[tmtest.Class]bool{tmtest.Strong: s.StrongOK, tmtest.Serializable: s.AtomicOK, tmtest.Weak: s.WeakOK}
+	return len(s.Errs) == 0 && ok[c]
 }
 
 // Sweep executes p on system under every (order, gap) schedule, each on
-// a machine built over arena, and aggregates outcomes and checks against
-// the oracle (nil if p has none).
-func Sweep(arena *machine.Arena, system harness.SystemKind, p *Program, oracle *OutcomeSet, orders [][]int, gaps []uint64) SweepResult {
+// a machine built over arena, and checks every run's history at each
+// class.
+func Sweep(arena *machine.Arena, system harness.SystemKind, p *Program, orders [][]int, gaps []uint64) SweepResult {
 	res := SweepResult{
-		Observed: NewOutcomeSet(),
-		StrongOK: true,
-		AtomicOK: true,
-		WeakOK:   true,
+		Observed:   NewOutcomeSet(),
+		Consistent: NewOutcomeSet(),
+		StrongOK:   true,
+		AtomicOK:   true,
+		WeakOK:     true,
 	}
-	extras := map[string]bool{}
 	witnessed := map[string]bool{}
 	errs := map[string]bool{}
 	for _, order := range orders {
 		for _, gap := range gaps {
-			res.Schedules++
 			run := Execute(arena, system, p, Schedule{Order: order, Gap: gap})
 			if run.Err != nil {
 				errs[run.Err.Error()] = true
@@ -287,26 +206,23 @@ func Sweep(arena *machine.Arena, system harness.SystemKind, p *Program, oracle *
 			}
 			res.SWCommits += run.Stats.SWCommits
 			res.Observed.Add(run.State)
-			key := run.State.Key()
-			if oracle != nil && !oracle.Has(key) {
-				res.StrongOK = false
-				extras[key] = true
-			}
 			for _, cond := range p.Expect.Forbidden {
 				if cond.Matches(run.State) {
 					witnessed[cond.Key()] = true
 				}
 			}
-			if tmtest.CheckSerializable(run.AtomicHistory(), nil) != nil {
-				res.AtomicOK = false
-				res.StrongOK = res.StrongOK && oracle != nil
-			}
-			if tmtest.CheckSerializable(run.WeakHistory(), nil) != nil {
-				res.WeakOK = false
+			// A run that passes a class passes every class below it.
+			switch {
+			case tmtest.Check(run.History, tmtest.Strong) == nil:
+				res.Consistent.Add(run.State)
+			case tmtest.Check(run.History, tmtest.Serializable) == nil:
+				res.StrongOK = false
+			default:
+				res.StrongOK, res.AtomicOK = false, false
+				res.WeakOK = res.WeakOK && tmtest.Check(run.History, tmtest.Weak) == nil
 			}
 		}
 	}
-	res.Extras = sortedKeys(extras)
 	res.Witnessed = sortedKeys(witnessed)
 	res.Errs = sortedKeys(errs)
 	return res

@@ -1,7 +1,6 @@
 package litmus
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/harness"
@@ -11,15 +10,15 @@ import (
 
 // FuzzLitmus is the native fuzz target: arbitrary bytes decode to a
 // valid litmus program, which runs on every system across a small
-// schedule sample and is cross-checked against the sequential oracle —
-// strong systems must stay inside it, and every system must satisfy its
-// atomicity class's serializability check. `go test` replays the
-// curated programs' encodings and the committed corpus under
-// testdata/fuzz/FuzzLitmus (conformance.TestSeededCorpus holds it to
-// what it must reach); CI runs a 30-second smoke on top.
+// schedule sample. Every system must pass its atomicity class's check,
+// and on a program with an oracle, every run the strong check passes
+// must end inside it. `go test` replays the curated programs' encodings
+// and the committed corpus under testdata/fuzz/FuzzLitmus
+// (conformance.TestSeededCorpus holds it to what it must reach); CI runs
+// a 30-second smoke on top, and the nightly run ten minutes.
 func FuzzLitmus(f *testing.F) {
 	for _, p := range Curated() {
-		f.Add(EncodeProgram(p))
+		f.Add(encodeProgram(p))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := DecodeProgram(data)
@@ -31,84 +30,44 @@ func FuzzLitmus(f *testing.F) {
 		gaps := []uint64{0, 300}
 		arena := new(machine.Arena)
 		for _, sys := range harness.AllSystems {
-			sw := Sweep(arena, sys, p, oracle, orders, gaps)
+			sw := Sweep(arena, sys, p, orders, gaps)
 			if len(sw.Errs) > 0 {
 				t.Fatalf("%s on %s: %v", sys, p.Doc, sw.Errs)
 			}
-			if class, ok := heldTo(arena, sys, p, sw, orders, gaps); !ok {
-				t.Errorf("%s violates its %s-class check on %s (strong=%v atomic=%v weak=%v, extras=%v)",
-					sys, class, p.Doc, sw.StrongOK, sw.AtomicOK, sw.WeakOK, sw.Extras)
+			if oracle != nil {
+				assertSound(t, sys, p, sw, oracle)
+			}
+			if class, ok := heldTo(sys, sw); !ok {
+				t.Errorf("%s violates its %s-class check on %s (strong=%v atomic=%v weak=%v)",
+					sys, class, p.Doc, sw.StrongOK, sw.AtomicOK, sw.WeakOK)
 			}
 		}
 	})
 }
 
-// heldTo returns the class a test holds sys to on p, and whether sw, its
-// sweep of p under orders × gaps, meets it. The class is ClassOf's, and
-// its check is narrowed only where one of two known defects shows:
-//   - phtm, once it commits in software, is held to the weak class: its
-//     software phase runs weakly-atomic USTM
-//     (TestKnownDefectPhTMSoftwarePhaseIsWeak);
-//   - below the strong class, on a program that writes outside a
-//     transaction, a failed check is excused if in every run the
-//     transactions serialize among themselves (txOnly): the weak and
-//     serializable-only checks order a non-transactional write against
-//     the transactions it races, which no weakly-atomic system here does
-//     (TestKnownDefectWeakChecksOrderNTWrites).
-func heldTo(arena *machine.Arena, sys harness.SystemKind, p *Program, sw SweepResult, orders [][]int, gaps []uint64) (Class, bool) {
+// assertSound fails t if a run of sw passed the strong check yet ended
+// outside oracle: the check would then accept an outcome no
+// strongly-atomic execution produces.
+func assertSound(t *testing.T, sys harness.SystemKind, p *Program, sw SweepResult, oracle *OutcomeSet) {
+	t.Helper()
+	for _, key := range sw.Consistent.Keys() {
+		if !oracle.Has(key) {
+			t.Errorf("%s on %s: a run ending outside the oracle, in %q, passed the strong check", sys, p.Name, key)
+		}
+	}
+}
+
+// heldTo returns the class a test holds sys to, and whether sw, its
+// sweep of a program, meets it. The class is ClassOf's, narrowed only
+// where a known defect shows: phtm, once it commits in software, is
+// held to the weak class, since its software phase runs weakly-atomic
+// USTM (TestKnownDefectPhTMSoftwarePhaseIsWeak).
+func heldTo(sys harness.SystemKind, sw SweepResult) (tmtest.Class, bool) {
 	class := ClassOf(sys)
 	if !sw.Check(class) && sys == harness.PhTM && sw.SWCommits > 0 {
-		class = ClassWeak
+		class = tmtest.Weak
 	}
-	if sw.Check(class) {
-		return class, true
-	}
-	if class == ClassStrong || !writesOutsideTx(p) {
-		return class, false
-	}
-	for _, order := range orders {
-		for _, gap := range gaps {
-			run := Execute(arena, sys, p, Schedule{Order: order, Gap: gap})
-			if run.Err != nil || tmtest.CheckSerializable(txOnly(run), nil) != nil {
-				return class, false
-			}
-		}
-	}
-	return class, true
-}
-
-// txOnly is run's committed transactions without their reads of a value
-// a non-transactional store wrote: what a serial order of the
-// transactions alone must explain. (Every store's value is unique to its
-// program position, so a read's value names its writer.)
-func txOnly(run RunResult) []tmtest.TxRecord {
-	nt := map[tmtest.Access]bool{}
-	for _, r := range run.NT {
-		for _, w := range r.Writes {
-			nt[w] = true
-		}
-	}
-	out := make([]tmtest.TxRecord, len(run.Committed))
-	for i, rec := range run.Committed {
-		rec.Reads = slices.DeleteFunc(slices.Clone(rec.Reads), func(a tmtest.Access) bool { return nt[a] })
-		out[i] = rec
-	}
-	return out
-}
-
-// writesOutsideTx reports whether p stores outside a transaction: a
-// non-transactional write, or an effect's store.
-func writesOutsideTx(p *Program) bool {
-	for _, th := range p.Threads {
-		for _, st := range th.Steps {
-			for _, op := range st.Ops {
-				if op.Kind == OpEffect || op.Kind == OpWrite && !st.Tx {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	return class, sw.Check(class)
 }
 
 // everyKind holds each op kind at least once, in multi-transaction
@@ -130,7 +89,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		q := DecodeProgram(EncodeProgram(p))
+		q := DecodeProgram(encodeProgram(p))
 		if err := q.Validate(); err != nil {
 			t.Fatalf("%s: round-trip invalid: %v", p.Name, err)
 		}
@@ -176,4 +135,45 @@ func TestDecodeTotal(t *testing.T) {
 			t.Fatalf("input %v: %v", in, err)
 		}
 	}
+}
+
+// encodeProgram is the decoder's inverse for corpus seeding. It takes a
+// valid program in codec range (2-3 threads, 1-4 vars, up to
+// codecMaxSteps steps per thread and codecMaxOps ops per transaction)
+// and panics on anything else. Write values do not round-trip — decoding
+// re-assigns them by position — which is fine for seeds: the fuzzer
+// cares about shapes, not constants.
+func encodeProgram(p *Program) []byte {
+	if len(p.Threads) < 2 || len(p.Threads) > 3 || p.Vars > 4 {
+		panic("litmus: program outside codec range")
+	}
+	out := []byte{byte(len(p.Threads) - 2), byte(p.Vars - 1)}
+	for _, th := range p.Threads {
+		if len(th.Steps) > codecMaxSteps {
+			panic("litmus: program outside codec range")
+		}
+		out = append(out, byte(len(th.Steps)-1))
+		for _, st := range th.Steps {
+			shape := 0
+			if st.Tx {
+				if len(st.Ops) > codecMaxOps {
+					panic("litmus: program outside codec range")
+				}
+				shape = 1 | (len(st.Ops)-1)<<1
+			}
+			out = append(out, byte(shape))
+			for _, op := range st.Ops {
+				out = append(out, byte(codeOf(op)+codecCodes*op.Var))
+			}
+		}
+	}
+	return out
+}
+
+// codeOf is op's codec code.
+func codeOf(op Op) int {
+	if op.Kind == OpUnnest && op.Val != 0 {
+		return codeAbortingUnnest
+	}
+	return int(op.Kind)
 }

@@ -19,10 +19,12 @@ package litmus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/harness"
+	"repro/internal/tmtest"
 )
 
 // OpKind is the kind of one DSL operation.
@@ -139,7 +141,10 @@ type Program struct {
 // transaction, abort, guard and effect stand outside nests, and the one
 // guard a program may hold waits on a variable a lower-numbered thread
 // writes in a transaction outside any nest — so running the threads in
-// index order, as the sequential system does, never waits.
+// index order, as the sequential system does, never waits. And it keeps
+// reads-from readable off values: no store (a write or an effect)
+// stores 0, the initial value, or a value another store stores to the
+// same variable.
 func (p *Program) Validate() error {
 	if p.Vars < 1 || p.Vars > 4 {
 		return fmt.Errorf("litmus %s: Vars %d out of range [1, 4]", p.Name, p.Vars)
@@ -149,6 +154,7 @@ func (p *Program) Validate() error {
 	}
 	var written uint64 // txWrites of the threads before this one
 	guards := 0
+	stored := map[Op]bool{} // each store's variable and value
 	for ti, th := range p.Threads {
 		if len(th.Steps) == 0 {
 			return fmt.Errorf("litmus %s: thread %d has no steps", p.Name, ti)
@@ -167,6 +173,12 @@ func (p *Program) Validate() error {
 				}
 				if !fits(op, st.Tx, nest, guards == 0 && written&(1<<op.Var) != 0) {
 					return fmt.Errorf("litmus %s: thread %d step %d: op kind %d cannot stand here", p.Name, ti, si, op.Kind)
+				}
+				if key := (Op{Var: op.Var, Val: op.Val}); op.Kind == OpWrite || op.Kind == OpEffect {
+					if op.Val == 0 || stored[key] {
+						return fmt.Errorf("litmus %s: thread %d step %d: a store of %d to %s does not name its writer", p.Name, ti, si, op.Val, VarName(op.Var))
+					}
+					stored[key] = true
 				}
 				nest = (nest || op.Kind == OpNest) && op.Kind != OpUnnest
 				if op.Kind == OpGuard {
@@ -231,22 +243,6 @@ func (p *Program) OpCounts() []int {
 	return counts
 }
 
-// ReadCounts returns the number of read observations (reads and guards)
-// per thread.
-func (p *Program) ReadCounts() []int {
-	counts := make([]int, len(p.Threads))
-	for i, th := range p.Threads {
-		for _, st := range th.Steps {
-			for _, op := range st.Ops {
-				if op.Kind == OpRead || op.Kind == OpGuard {
-					counts[i]++
-				}
-			}
-		}
-	}
-	return counts
-}
-
 // VarName names variable i ("x", "y", "z", "w").
 func VarName(i int) string {
 	const names = "xyzw"
@@ -281,27 +277,13 @@ func (s State) Key() string {
 	return b.String()
 }
 
-// lookup resolves an observable name against the state.
-func (s State) lookup(name string) (uint64, bool) {
-	for i := range s.Mem {
-		if VarName(i) == name {
-			return s.Mem[i], true
-		}
-	}
-	var t, r int
-	if n, err := fmt.Sscanf(name, "t%d:r%d", &t, &r); err == nil && n == 2 {
-		if t >= 0 && t < len(s.Regs) && r >= 0 && r < len(s.Regs[t]) {
-			return s.Regs[t][r], true
-		}
-	}
-	return 0, false
-}
-
-// Matches reports whether the state satisfies every constraint of c.
+// Matches reports whether the state satisfies every constraint of c. A
+// state's key names each observable once, as "name=value", so c matches
+// exactly when each pair of c's key is one of the state key's.
 func (c Cond) Matches(s State) bool {
-	for name, want := range c {
-		got, ok := s.lookup(name)
-		if !ok || got != want {
+	pairs := strings.Fields(s.Key())
+	for _, want := range strings.Fields(c.Key()) {
+		if !slices.Contains(pairs, want) {
 			return false
 		}
 	}
@@ -349,35 +331,9 @@ func (o *OutcomeSet) Keys() []string {
 	return keys
 }
 
-// Class is an atomicity class: the guarantee the engine enforces for a
-// system's observed outcomes.
-type Class string
-
-// The atomicity classes.
-const (
-	// ClassStrong: every observed outcome must lie inside the oracle
-	// set — transactions atomic, non-transactional operations
-	// individually atomic, program order respected (sequential
-	// consistency, which the simulated machine provides).
-	ClassStrong Class = "strong"
-	// ClassSerializable ("serializable-only"): some single atomic order
-	// of the committed transactions and the non-transactional
-	// operations must explain every observation, but program order
-	// across a thread's operations need not be respected by that order.
-	// Lazy-versioning systems land here: a non-transactional reader can
-	// straddle a commit's write-back, but it never sees data that was
-	// not (or will not be) committed.
-	ClassSerializable Class = "serializable-only"
-	// ClassWeak: only transaction-vs-transaction isolation is
-	// guaranteed (committed transactions plus non-transactional writes
-	// must be serializable); non-transactional reads may observe
-	// uncommitted eager state.
-	ClassWeak Class = "weak"
-)
-
 // ClassOf assigns each system its atomicity class. Systems not listed
 // (a future addition iterated via harness.AllSystems) default to
-// ClassWeak — the weakest sound requirement — and still get a verdict
+// tmtest.Weak — the weakest sound requirement — and still get a verdict
 // table, so a new system cannot merge unclassified and unchecked.
 //
 // global-lock and sle sit in the weak class because both can run a
@@ -390,13 +346,13 @@ const (
 // seqlock only protects transactional peers — hardware transactions
 // abort on the lock-acquisition write, software transactions
 // revalidate — not uninstrumented code).
-func ClassOf(system harness.SystemKind) Class {
+func ClassOf(system harness.SystemKind) tmtest.Class {
 	switch system {
 	case harness.Sequential, harness.UnboundedHTM, harness.UFOHybrid, harness.PhTM, harness.USTMUFO:
-		return ClassStrong
+		return tmtest.Strong
 	case harness.TL2, harness.HybridNOrec:
-		return ClassSerializable
+		return tmtest.Serializable
 	default: // ustm, hytm, global-lock, sle, and anything new
-		return ClassWeak
+		return tmtest.Weak
 	}
 }

@@ -6,13 +6,14 @@ package litmus
 // is one unit, each non-transactional operation is its own unit, and so
 // is each store a committed transaction's effects make — respecting
 // program order within each thread, and collects the distinct final
-// states. Observed ⊆ oracle is exactly the strong-atomicity check.
+// states: every outcome a strongly-atomic run can end in, which the
+// strong check (tmtest.Check) is held to.
 //
 // The curated and enumerated unit counts are tiny (≤ 4 threads × ≤ 4
 // steps), so exhaustive DFS is cheap: the worst curated shape has well
 // under 10⁴ interleavings. A decoded program may be far larger; past
-// oracleMaxLeaves it has no oracle (Oracle returns nil) and the
-// serializability checks alone judge it (Sweep).
+// oracleMaxLeaves it has no oracle (Oracle returns nil), and the class
+// checks, which need none, judge it alone.
 
 // oracleMaxLeaves bounds the paths Oracle's DFS walks: the unit
 // interleavings, doubled for each aborting nest (its two successors).
@@ -22,9 +23,8 @@ const oracleMaxLeaves = 1 << 14
 type oracleState struct {
 	units   [][]Step
 	mem     []uint64
-	regs    [][]uint64
-	stepIdx []int // next unit per thread
-	readIdx []int // next read register per thread
+	regs    [][]uint64 // per thread, the reads so far
+	stepIdx []int      // next unit per thread
 }
 
 // Oracle returns the exact outcome set of p under strong atomicity, or
@@ -35,7 +35,6 @@ func Oracle(p *Program) *OutcomeSet {
 		mem:     make([]uint64, p.Vars),
 		regs:    make([][]uint64, len(p.Threads)),
 		stepIdx: make([]int, len(p.Threads)),
-		readIdx: make([]int, len(p.Threads)),
 	}
 	counts, aborting := make([]int, len(p.Threads)), 0
 	for i, th := range p.Threads {
@@ -55,9 +54,6 @@ func Oracle(p *Program) *OutcomeSet {
 	if multinomial(counts) > oracleMaxLeaves>>aborting {
 		return nil
 	}
-	for i, n := range p.ReadCounts() {
-		st.regs[i] = make([]uint64, n)
-	}
 	out := NewOutcomeSet()
 	oracleDFS(st, out)
 	return out
@@ -73,7 +69,7 @@ func oracleDFS(st *oracleState, out *OutcomeSet) {
 		done = false
 		step := units[st.stepIdx[ti]]
 		copy(savedMem, st.mem)
-		savedRead := st.readIdx[ti]
+		savedRead := len(st.regs[ti])
 		// One successor per choice of which aborting nests drop their
 		// writes (bit i: the i-th).
 		aborting := 0
@@ -88,7 +84,7 @@ func oracleDFS(st *oracleState, out *OutcomeSet) {
 				oracleDFS(st, out)
 				st.stepIdx[ti]--
 			}
-			st.readIdx[ti] = savedRead
+			st.regs[ti] = st.regs[ti][:savedRead]
 			copy(st.mem, savedMem)
 		}
 	}
@@ -107,8 +103,7 @@ func (st *oracleState) apply(ti int, step Step, drop int) bool {
 			if op.Kind == OpGuard && st.mem[op.Var] == 0 {
 				return false
 			}
-			st.regs[ti][st.readIdx[ti]] = st.mem[op.Var]
-			st.readIdx[ti]++
+			st.regs[ti] = append(st.regs[ti], st.mem[op.Var])
 		case OpWrite:
 			st.mem[op.Var] = op.Val
 		case OpNest:

@@ -8,6 +8,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/tmtest"
 )
 
 // ReportSchema versions the JSON layout.
@@ -64,10 +65,8 @@ type SystemVerdict struct {
 	StrongOK  bool     `json:"strong_ok"`
 	AtomicOK  bool     `json:"atomic_ok"`
 	WeakOK    bool     `json:"weak_ok"`
-	// Pass is the class check: strong systems must stay inside the
-	// oracle, serializable-only systems must have an explaining serial
-	// order over transactions and non-transactional ops, weak systems
-	// over transactions and non-transactional writes.
+	// Pass is the class check: every run's history passes
+	// tmtest.Check at the system's class.
 	Pass bool     `json:"pass"`
 	Errs []string `json:"errs,omitempty"`
 }
@@ -162,13 +161,13 @@ func Run(r *harness.Runner, cfg Config) *Report {
 	r.Each(len(progs)*len(systems), func(arena *machine.Arena, n int) {
 		pi, si := n/len(systems), n%len(systems)
 		system := systems[si]
-		sw := Sweep(arena, system, progs[pi].p, oracles[pi], orders[pi], cfg.Gaps)
+		sw := Sweep(arena, system, progs[pi].p, orders[pi], cfg.Gaps)
 		class := ClassOf(system)
 		verdicts[pi][si] = SystemVerdict{
 			System:    system,
 			Class:     string(class),
 			Observed:  sw.Observed.Keys(),
-			Extras:    sw.Extras,
+			Extras:    slices.DeleteFunc(sw.Observed.Keys(), oracles[pi].Has),
 			Witnessed: sw.Witnessed,
 			StrongOK:  sw.StrongOK,
 			AtomicOK:  sw.AtomicOK,
@@ -196,7 +195,7 @@ func Run(r *harness.Runner, cfg Config) *Report {
 					fmt.Sprintf("%s on %s: %s-class check failed (strong=%v atomic=%v weak=%v errs=%d)",
 						pe.p.Name, v.System, v.Class, v.StrongOK, v.AtomicOK, v.WeakOK, len(v.Errs)))
 			}
-			if len(v.Extras) > 0 && ClassOf(v.System) != ClassStrong {
+			if len(v.Extras) > 0 && ClassOf(v.System) != tmtest.Strong {
 				sepSet[pe.p.Name] = true
 			}
 			if pe.source == "curated" {

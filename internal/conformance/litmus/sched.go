@@ -1,6 +1,10 @@
 package litmus
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // A Schedule pins every operation of a program to an absolute point in
 // simulated time. Order is a multiset permutation of thread indices —
@@ -61,8 +65,7 @@ func EnumOrders(opCounts []int, cap int, seed uint64) (orders [][]int, total int
 	seen := make(map[string]bool, cap)
 	orders = make([][]int, 0, cap)
 	add := func(o []int) {
-		k := orderKey(o)
-		if !seen[k] {
+		if k := fmt.Sprint(o); !seen[k] {
 			seen[k] = true
 			orders = append(orders, o)
 		}
@@ -126,14 +129,6 @@ func randomOrder(opCounts []int, rng *sim.Rand) []int {
 		left--
 	}
 	return order
-}
-
-func orderKey(o []int) string {
-	b := make([]byte, len(o))
-	for i, ti := range o {
-		b[i] = byte('0' + ti)
-	}
-	return string(b)
 }
 
 func multinomial(counts []int) int {

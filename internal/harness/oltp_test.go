@@ -244,3 +244,19 @@ func TestFindWorkloadOLTP(t *testing.T) {
 		t.Fatalf("factory builds workload %q", got)
 	}
 }
+
+// TestOLTPUSTMDrainDeadlock is the smallest sweep cell ustm's drain loop
+// deadlocked on (ustm's TestUpgraderRekillsARejoinedReader is the shape):
+// the full-scale sweep's skew cell at θ = 1.3 and 8 processors, shrunk
+// to 256 keys and 8-record scans, with 320 requests each. The cell takes
+// ~88,000 scheduling steps; the budget is a few times that, and a
+// polling deadlock spends any budget.
+func TestOLTPUSTMDrainDeadlock(t *testing.T) {
+	cfg := oltpBase(ScaleFull, DefaultOLTPSweep())
+	cfg.Keys, cfg.RequestsPerProc, cfg.ScanLen, cfg.Theta = 256, 320, 8, 1.3
+	opt := DefaultOptions() // the sweep's otable, which the shape needs
+	opt.Params.MaxSteps = 400_000
+	if res := Run(USTM, oltp.New(cfg), 8, opt); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+}

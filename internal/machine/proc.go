@@ -231,6 +231,9 @@ func (p *Proc) CommitHW() Outcome {
 		return p.consumeAbort()
 	}
 	t.Spec.Words(p.m.Mem.Write64)
+	if p.m.out.want.Has(TraceMemWrite) {
+		t.Spec.Words(p.wrote)
+	}
 	p.m.Count.HWCommits++
 	p.m.Count.HWFootprint.Observe(uint64(t.Footprint()))
 	p.emit(TraceEvent{Kind: TraceHWCommit, Proc: p.ID(), Age: t.Age, Flags: FlagAge})
@@ -614,7 +617,15 @@ func (p *Proc) NTWrite(addr, val uint64) Outcome {
 		return out
 	}
 	p.m.Mem.Write64(addr, val)
+	if p.m.out.want.Has(TraceMemWrite) {
+		p.wrote(addr, val)
+	}
 	return okOutcome
+}
+
+// wrote puts one store that reached memory on the event stream.
+func (p *Proc) wrote(addr, val uint64) {
+	p.emit(TraceEvent{Kind: TraceMemWrite, Proc: p.ID(), Addr: addr, Arg: val, Flags: FlagAddr})
 }
 
 // --- UFO bit operations (Table 2) ---

@@ -20,7 +20,10 @@ import (
 // peer, addr) in exactly this order under the run-ahead scheduler and
 // under the reference scheduler: each kill is one conflict event on the
 // victim, stamped with the killer's clock, followed — when the victim
-// next runs — by the victim's own abort.
+// next runs — by the victim's own abort. The USTM transactions' stores
+// reach memory in place (mem-write), the victim's rollback of line
+// 0x3000 to 0 included; the hardware one reads only, so it publishes
+// nothing.
 func TestEventOrderTwoProcCollider(t *testing.T) {
 	const hwLine, ufoLine, swLine = 0x1000, 0x2000, 0x3000
 	want := strings.TrimSpace(`
@@ -43,14 +46,24 @@ func TestEventOrderTwoProcCollider(t *testing.T) {
 4100 p1 tx-begin
 4100 p1 tx-attempt path=sw
 4100 p1 sw-begin age=5
+4442 p1 mem-write addr=0x4b80 arg=1
 4601 p1 conflict reason=conflict peer=0 addr=0x3000
+4751 p1 mem-write addr=0x3000 arg=2
+5352 p1 mem-write addr=0x3000 arg=0
+5416 p1 mem-write addr=0x4b80 arg=1
 5422 p1 sw-abort reason=conflict age=5
 5442 p1 tx-abort reason=conflict path=sw
+5573 p0 mem-write addr=0x4b80 arg=1
+5702 p0 mem-write addr=0x3000 arg=1
+5703 p0 mem-write addr=0x4b80 arg=1
 5729 p0 sw-commit age=4
 5729 p0 sw-committed
 5729 p0 tx-commit path=sw
 5762 p1 tx-attempt path=sw
 5762 p1 sw-begin age=5
+5924 p1 mem-write addr=0x4b80 arg=1
+6053 p1 mem-write addr=0x3000 arg=2
+6666 p1 mem-write addr=0x4b80 arg=1
 6692 p1 sw-commit age=5
 6692 p1 sw-committed
 6692 p1 tx-commit path=sw

@@ -50,6 +50,10 @@ const (
 	// TraceSWCommitted counts one committed software transaction (unlike
 	// TraceSWCommit, which only USTM emits, to close its sw-begin span).
 	TraceSWCommitted
+	// TraceMemWrite is one store reaching simulated memory: Addr, and
+	// the value in Arg. NTWrite and CommitHW's publish emit it, in the
+	// order the stores land.
+	TraceMemWrite
 
 	numTraceKinds
 )
@@ -58,7 +62,7 @@ var traceKindNames = [numTraceKinds]string{
 	"hw-begin", "hw-commit", "hw-abort", "sw-begin", "sw-commit",
 	"sw-abort", "ufo-set", "ufo-fault", "nack", "tx-begin",
 	"tx-commit", "tx-attempt", "tx-abort", "tx-retry-wait",
-	"tx-backoff", "tx-arrival", "conflict", "sw-committed",
+	"tx-backoff", "tx-arrival", "conflict", "sw-committed", "mem-write",
 }
 
 // Kinds is a set of event kinds: what an observer subscribes to.
@@ -121,9 +125,9 @@ type TraceEvent struct {
 	Path   TxPath      // for tx-attempt / tx-abort / tx-commit
 	Flags  TraceFlags  // which of Addr/Age/Path are set; FlagSW
 	Peer   int         // a conflict's aggressor, -1 unknown
-	Addr   uint64      // for ufo-set / ufo-fault / conflict addresses
+	Addr   uint64      // for ufo-set / ufo-fault / conflict / mem-write addresses
 	Age    uint64      // transaction age, where applicable
-	Arg    uint64      // tx-backoff: cycles spent; tx-arrival: arrival cycle
+	Arg    uint64      // tx-backoff: cycles spent; tx-arrival: arrival cycle; mem-write: value
 }
 
 // HasAddr reports whether Addr carries a real address (address 0 counts).
@@ -165,7 +169,7 @@ func (e TraceEvent) String() string {
 	if e.HasPath() {
 		s += fmt.Sprintf(" path=%s", e.Path)
 	}
-	if e.Kind == TraceTxBackoff || e.Kind == TraceTxArrival {
+	if e.Kind == TraceTxBackoff || e.Kind == TraceTxArrival || e.Kind == TraceMemWrite {
 		s += fmt.Sprintf(" arg=%d", e.Arg)
 	}
 	return s

@@ -316,8 +316,9 @@ func TestMachineRecordsFlags(t *testing.T) {
 // TestStreamingSinkMatchesExport: a sink subscribed live with Observe
 // writes exactly what feeding a recording of the same run to a second
 // sink afterwards writes — with the accounting observers (a
-// contention-shaped and a txstats-shaped subscription) on the same
-// machine — and watching the run must not move its cycles or counters.
+// contention-shaped subscription, and one to every accounting kind and
+// the lifecycle span) on the same machine — and watching the run must
+// not move its cycles or counters.
 func TestStreamingSinkMatchesExport(t *testing.T) {
 	workload := []func(*Proc){func(p *Proc) {
 		p.TxLifeBegin()
@@ -350,8 +351,8 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 		t.Errorf("observed run differs from the bare run: %d cycles %+v vs %d cycles %+v",
 			m.Cycles(), m.Count, bare.Cycles(), bare.Count)
 	}
-	if len(edges.events) != 1 || len(lifecycle.events) != 3 {
-		t.Errorf("accounting observers saw %d and %d events, want 1 (hw-commit) and 3 (begin, attempt, commit)",
+	if len(edges.events) != 1 || len(lifecycle.events) != 4 {
+		t.Errorf("accounting observers saw %d and %d events, want 1 (hw-commit) and 4 (begin, attempt, the commit's mem-write, commit)",
 			len(edges.events), len(lifecycle.events))
 	}
 	var replay bytes.Buffer

@@ -25,7 +25,6 @@ var uncalledAllowed = map[string]string{
 	"machine.AllKinds":                 "the every-kind set an all-kinds storm trace subscribes to (DESIGN.md §24)",
 	"oltp.Workload.RecordAddr":         "the hot-line attribution test finds the key-1 record by it",
 	"litmus.DecodeProgram":             "the FuzzLitmus codec, the one program generator, which only the fuzz target and its corpus test call (DESIGN.md §13, §34)",
-	"litmus.EncodeProgram":             "the FuzzLitmus codec, the one program generator, which only the fuzz target and its corpus test call (DESIGN.md §13, §34)",
 	"litmus.DecodeSeed":                "the FuzzLitmus codec, the one program generator, which only the fuzz target and its corpus test call (DESIGN.md §13, §34)",
 }
 

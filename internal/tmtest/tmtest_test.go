@@ -2,6 +2,7 @@ package tmtest
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cm"
@@ -18,80 +19,127 @@ import (
 
 // --- checker unit tests on crafted histories ---
 
+// TestCheck decides crafted histories at every class in one pass each.
+// Every node runs on its own processor unless a case says otherwise, so
+// po binds only where a case means it to.
+func TestCheck(t *testing.T) {
+	tx := func(proc int, reads, writes []Access) Node {
+		return Node{Proc: proc, Tx: true, Reads: reads, Writes: writes}
+	}
+	load := func(proc int, a, v uint64) Node { return Node{Proc: proc, Reads: []Access{{a, v}}} }
+	store := func(proc int, a, v uint64) Node { return Node{Proc: proc, Writes: []Access{{a, v}}} }
+	const x, y = 0, 64
+	tenReads := History{
+		Nodes: []Node{tx(0, nil, []Access{{x, 1}}), tx(1, nil, []Access{{x, 2}})},
+		Co:    []Access{{x, 1}, {x, 2}},
+		Final: []Access{{x, 2}},
+	}
+	for i := 0; i < 10; i++ {
+		tenReads.Nodes = append(tenReads.Nodes, tx(2+i, []Access{{x, 2}}, nil))
+	}
+	tenReads.Nodes = append(tenReads.Nodes, tx(12, []Access{{x, 1}}, nil), tx(13, []Access{{x, 0}}, nil))
+	all := []Class{Strong, Serializable, Weak}
+	cases := []struct {
+		name   string
+		h      History
+		passes []Class
+	}{
+		{"lost update", History{
+			// Both read x=0, both wrote x: no order has each before the other.
+			Nodes: []Node{tx(0, []Access{{x, 0}}, []Access{{x, 1}}), tx(1, []Access{{x, 0}}, []Access{{x, 2}})},
+			Co:    []Access{{x, 1}, {x, 2}},
+			Final: []Access{{x, 2}},
+		}, nil},
+		{"torn read", History{
+			// x and y are only ever written together, yet one read saw x=1, y=0.
+			Nodes: []Node{tx(0, nil, []Access{{x, 1}, {y, 1}}), tx(1, []Access{{x, 1}, {y, 0}}, nil)},
+			Co:    []Access{{x, 1}, {y, 1}},
+			Final: []Access{{x, 1}, {y, 1}},
+		}, nil},
+		{"reads the initial state", History{Nodes: []Node{tx(0, []Access{{x, 0}}, nil)}}, all},
+		{"reads a value nothing stored", History{Nodes: []Node{tx(0, []Access{{x, 7}}, nil)}}, nil},
+		{"ten equal reads between two writes", tenReads, all},
+		{"straddling nt reader", History{
+			// The reader sees the flag y, then misses the payload x the
+			// same transaction wrote: atomic loads, out of program order.
+			Nodes: []Node{tx(0, nil, []Access{{y, 1}, {x, 1}}), load(1, y, 1), load(1, x, 0)},
+			Co:    []Access{{y, 1}, {x, 1}},
+			Final: []Access{{x, 1}, {y, 1}},
+		}, []Class{Serializable, Weak}},
+		{"nt read of an uncommitted eager value", History{
+			// x=1 was only ever the transaction's intermediate value.
+			Nodes: []Node{tx(0, nil, []Access{{x, 2}}), load(1, x, 1)},
+			Co:    []Access{{x, 2}},
+			Final: []Access{{x, 2}},
+		}, []Class{Weak}},
+		{"late read over its own store", History{
+			// The transaction stored x=1, then read a store that landed
+			// after it, and committed x=2.
+			Nodes: []Node{store(0, x, 9), {Proc: 1, Tx: true, Late: []Access{{x, 9}}, Writes: []Access{{x, 2}}}},
+			Co:    []Access{{x, 9}, {x, 2}},
+			Final: []Access{{x, 2}},
+		}, []Class{Serializable, Weak}},
+		{"nt store lost to a rollback", History{
+			// An aborted transaction restored x=0 over the store.
+			Nodes: []Node{store(0, x, 5)},
+			Co:    []Access{{x, 5}},
+			Final: []Access{{x, 0}},
+		}, []Class{Serializable, Weak}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, c := range all {
+				err := Check(tc.h, c)
+				if want := slices.Contains(tc.passes, c); (err == nil) != want {
+					t.Errorf("%s: Check = %v, want pass=%v", c, err, want)
+				}
+			}
+		})
+	}
+}
+
+// checkAll fails t unless h passes Check at every class.
+func checkAll(t *testing.T, h History) {
+	t.Helper()
+	for _, c := range []Class{Strong, Serializable, Weak} {
+		if err := Check(h, c); err != nil {
+			t.Errorf("%s: %v", c, err)
+		}
+	}
+}
+
 func TestCheckerAcceptsSequentialHistory(t *testing.T) {
-	h := []TxRecord{
-		{Writes: []Access{{0, 1}}},
-		{Reads: []Access{{0, 1}}, Writes: []Access{{0, 2}}},
-		{Reads: []Access{{0, 2}}},
-	}
-	if err := CheckSerializable(h, nil); err != nil {
-		t.Fatal(err)
-	}
+	// Each transaction reads what the one before it wrote.
+	checkAll(t, History{
+		Nodes: []Node{
+			{Proc: 0, Tx: true, Writes: []Access{{0, 1}}},
+			{Proc: 1, Tx: true, Reads: []Access{{0, 1}}, Writes: []Access{{0, 2}}},
+			{Proc: 2, Tx: true, Reads: []Access{{0, 2}}},
+		},
+		Co:    []Access{{0, 1}, {0, 2}},
+		Final: []Access{{0, 2}},
+	})
 }
 
 func TestCheckerAcceptsReorderedHistory(t *testing.T) {
-	// Appended out of serial order: tx reading 5 recorded before the tx
-	// that wrote 5.
-	h := []TxRecord{
-		{Reads: []Access{{0, 5}}},
-		{Writes: []Access{{0, 5}}},
-	}
-	if err := CheckSerializable(h, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCheckerRejectsLostUpdate(t *testing.T) {
-	// Two increments both read 0 and both wrote 1: no serial order.
-	h := []TxRecord{
-		{Reads: []Access{{0, 0}}, Writes: []Access{{0, 1}}},
-		{Reads: []Access{{0, 0}}, Writes: []Access{{0, 1}}},
-		{Reads: []Access{{0, 2}}}, // someone observed 2: contradiction
-	}
-	if err := CheckSerializable(h, nil); err == nil {
-		t.Fatal("lost update not detected")
-	}
-}
-
-func TestCheckerRejectsTornRead(t *testing.T) {
-	// A transaction saw x=1,y=0 although x and y are only ever written
-	// together.
-	h := []TxRecord{
-		{Writes: []Access{{0, 1}, {8, 1}}},
-		{Reads: []Access{{0, 1}, {8, 0}}},
-	}
-	if err := CheckSerializable(h, nil); err == nil {
-		t.Fatal("torn read not detected")
-	}
-}
-
-func TestCheckerPlacesReadOnlyRecordsOnce(t *testing.T) {
-	// In history order both writes come first, and the ten reads of 2
-	// then strand the reads of 1 and 0. A search that tried every order
-	// of the identical reads (10! of them) would exhaust its step budget
-	// before backing out of the writes.
-	h := []TxRecord{{Writes: []Access{{0, 1}}}, {Writes: []Access{{0, 2}}}}
-	for i := 0; i < 10; i++ {
-		h = append(h, TxRecord{Reads: []Access{{0, 2}}})
-	}
-	h = append(h, TxRecord{Reads: []Access{{0, 1}}}, TxRecord{Reads: []Access{{0, 0}}})
-	if err := CheckSerializable(h, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCheckerUsesInitialState(t *testing.T) {
-	h := []TxRecord{{Reads: []Access{{0, 7}}}}
-	if err := CheckSerializable(h, map[uint64]uint64{0: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckSerializable(h, nil); err == nil {
-		t.Fatal("initial state ignored")
-	}
+	// The transaction that read 5 is recorded before the one that wrote
+	// it: rf, not record order, places the writer first.
+	checkAll(t, History{
+		Nodes: []Node{
+			{Proc: 0, Tx: true, Reads: []Access{{0, 5}}},
+			{Proc: 1, Tx: true, Writes: []Access{{0, 5}}},
+		},
+		Co:    []Access{{0, 5}},
+		Final: []Access{{0, 5}},
+	})
 }
 
 // --- recorded fuzzing across every TM system ---
 
+// fuzzSystem runs 4 processors of 15 random transactions each on one
+// system over 8 shared lines and checks the history at the weak class.
+// Every store writes a value unique to its (processor, transaction,
+// slot), so each read names its writer.
 func fuzzSystem(t *testing.T, name string, mk func(*machine.Machine) tm.System, seed uint64) {
 	t.Helper()
 	params := machine.DefaultParams(4)
@@ -100,13 +148,8 @@ func fuzzSystem(t *testing.T, name string, mk func(*machine.Machine) tm.System, 
 	params.MaxSteps = 30_000_000
 	params.Seed = seed
 	m := machine.New(params)
-	rec := NewRecorder(mk(m))
+	rec := NewRecorder(m, mk(m))
 	base := m.Mem.Sbrk(8 * 64)
-	initial := map[uint64]uint64{}
-	for i := uint64(0); i < 8; i++ {
-		m.Mem.Write64(base+i*64, i*100)
-		initial[base+i*64] = i * 100
-	}
 	var ws []func(*machine.Proc)
 	for i := 0; i < 4; i++ {
 		ex := rec.Exec(m.Proc(i))
@@ -116,14 +159,17 @@ func fuzzSystem(t *testing.T, name string, mk func(*machine.Machine) tm.System, 
 				a := base + uint64(r.Intn(8))*64
 				b := base + uint64(r.Intn(8))*64
 				kind := r.Intn(3)
+				val := func(slot int) uint64 { return uint64(p.ID()*1000 + n*10 + slot + 1) }
 				ex.Atomic(func(tx tm.Tx) {
 					switch kind {
-					case 0: // increment
-						tx.Store(a, tx.Load(a)+1)
-					case 1: // swap
-						va, vb := tx.Load(a), tx.Load(b)
-						tx.Store(a, vb)
-						tx.Store(b, va)
+					case 0: // read-modify-write
+						tx.Load(a)
+						tx.Store(a, val(0))
+					case 1: // read two, write both
+						tx.Load(a)
+						tx.Load(b)
+						tx.Store(a, val(0))
+						tx.Store(b, val(1))
 					case 2: // read pair
 						_ = tx.Load(a) + tx.Load(b)
 					}
@@ -133,10 +179,11 @@ func fuzzSystem(t *testing.T, name string, mk func(*machine.Machine) tm.System, 
 		})
 	}
 	m.Run(ws)
-	if got := len(rec.History); got != 60 {
+	h := rec.History()
+	if got := len(h.Nodes); got != 60 {
 		t.Fatalf("history has %d transactions, want 60", got)
 	}
-	if err := CheckSerializable(rec.History, initial); err != nil {
+	if err := Check(h, Weak); err != nil {
 		t.Fatalf("%s (seed %d): %v", name, seed, err)
 	}
 }
@@ -186,7 +233,7 @@ func TestRecorderCapturesReadYourWritesCorrectly(t *testing.T) {
 	params := machine.DefaultParams(1)
 	params.MemBytes = 1 << 20
 	m := machine.New(params)
-	rec := NewRecorder(seq.New(m, seq.GlobalLock))
+	rec := NewRecorder(m, seq.New(m, seq.GlobalLock))
 	ex := rec.Exec(m.Proc(0))
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		ex.Atomic(func(tx tm.Tx) {
@@ -196,10 +243,11 @@ func TestRecorderCapturesReadYourWritesCorrectly(t *testing.T) {
 			_ = tx.Load(64) // duplicate read: recorded once
 		})
 	}})
-	if len(rec.History) != 1 {
-		t.Fatalf("history = %d", len(rec.History))
+	h := rec.History()
+	if len(h.Nodes) != 1 {
+		t.Fatalf("history = %d", len(h.Nodes))
 	}
-	r := rec.History[0]
+	r := h.Nodes[0]
 	if len(r.Reads) != 1 || r.Reads[0].Addr != 64 {
 		t.Fatalf("reads = %v", r.Reads)
 	}
@@ -214,7 +262,7 @@ func TestRecorderHandlesNestedAborts(t *testing.T) {
 	m := machine.New(params)
 	cfg := ustm.DefaultConfig()
 	cfg.OTableRows = 1 << 10
-	rec := NewRecorder(ustm.New(m, cfg))
+	rec := NewRecorder(m, ustm.New(m, cfg))
 	ex := rec.Exec(m.Proc(0))
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		ex.Atomic(func(tx tm.Tx) {
@@ -228,10 +276,11 @@ func TestRecorderHandlesNestedAborts(t *testing.T) {
 			})
 		})
 	}})
-	if len(rec.History) != 1 {
-		t.Fatalf("history = %d", len(rec.History))
+	h := rec.History()
+	if len(h.Nodes) != 1 {
+		t.Fatalf("history = %d", len(h.Nodes))
 	}
-	r := rec.History[0]
+	r := h.Nodes[0]
 	got := map[uint64]uint64{}
 	for _, w := range r.Writes {
 		got[w.Addr] = w.Val
@@ -239,7 +288,7 @@ func TestRecorderHandlesNestedAborts(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[128] != 3 {
 		t.Fatalf("recorded writes = %v, want {0:1 128:3}", r.Writes)
 	}
-	if err := CheckSerializable(rec.History, nil); err != nil {
+	if err := Check(h, Strong); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -308,10 +308,14 @@ func (t *Thread) resolveConflict(r *row, e *entry, write bool) bool {
 		t.kill(o, e.tag)
 	}
 	// Parked with e in hand, so pinned. Our own death ends the wait too;
-	// the barrier unwinds on the way back, after the pin is dropped.
+	// the barrier unwinds on the way back, after the pin is dropped. A
+	// victim killed first by another may rejoin e: kill it again (§37).
 	e.pins++
 	for _, o := range active {
 		for e.hasOwner(o) && !t.killed {
+			if !o.killed && o.status == statusRunning {
+				t.kill(o, e.tag)
+			}
 			t.p.Elapse(StallCycles)
 		}
 	}

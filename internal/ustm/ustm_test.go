@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/tm"
 )
 
@@ -723,5 +724,64 @@ func TestReleasedArenaOTableIsBlank(t *testing.T) {
 	}
 	if st := statsOf(s2); st.Rows != cfg.OTableRows || st.Entries != 0 || st.Locked != 0 {
 		t.Fatalf("reused otable %+v, want %d blank rows", st, cfg.OTableRows)
+	}
+}
+
+// TestUpgraderRekillsARejoinedReader is the drain-loop deadlock: an old
+// upgrader A waits, owner by owner, for the readers it killed to leave
+// line L. Its kill of V was a no-op, because a third transaction X had
+// killed V first; while A waits on the slow reader W, V unwinds, outlives
+// X, restarts with its old age and rejoins L's read entry. A must kill
+// the rejoined V again: otherwise V stalls on A to write L, A polls for
+// V to leave, W waits for its killer A, and no processor ever blocks.
+func TestUpgraderRekillsARejoinedReader(t *testing.T) {
+	const L, M, N = 0, 64, 128
+	p := machine.DefaultParams(4)
+	p.MemBytes = 1 << 22
+	p.Quantum = 0
+	p.MaxSteps = 1_500 // the run takes ~330 steps; the deadlock never ends
+	m := machine.New(p)
+	s := testSTM(m, false)
+	a, w, x, v := s.Exec(m.Proc(0)), s.Exec(m.Proc(1)), s.Exec(m.Proc(2)), s.Exec(m.Proc(3))
+	halt := sim.Catch(func() {
+		m.Run([]func(*machine.Proc){
+			func(p *machine.Proc) { // A: the oldest; reads L, later upgrades
+				a.Atomic(func(tx tm.Tx) {
+					tx.Load(L)
+					p.ElapseUntil(3000)
+					tx.Store(L, 1)
+				})
+			},
+			func(p *machine.Proc) { // W: a reader of L, slow to see its kill
+				p.Elapse(100)
+				w.Atomic(func(tx tm.Tx) {
+					tx.Load(L)
+					p.Elapse(7000)
+					tx.Load(N)
+				})
+			},
+			func(p *machine.Proc) { // X: kills V over M
+				p.Elapse(200)
+				x.Atomic(func(tx tm.Tx) {
+					p.ElapseUntil(1500)
+					tx.Store(M, 2)
+				})
+			},
+			func(p *machine.Proc) { // V: the youngest; reads L, owns M, then writes L
+				p.Elapse(300)
+				v.Atomic(func(tx tm.Tx) {
+					tx.Load(L)
+					tx.Store(M, 3)
+					p.ElapseUntil(4000)
+					tx.Store(L, 4)
+				})
+			},
+		})
+	})
+	if halt != nil {
+		t.Fatal(halt)
+	}
+	if got := s.Stats().SWCommits; got != 4 {
+		t.Fatalf("%d of 4 transactions committed", got)
 	}
 }
