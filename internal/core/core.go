@@ -47,9 +47,11 @@ type Policy struct {
 	StallOnUFOFault bool
 }
 
-// Under StallOnUFOFault, a faulting access stalls UFOFaultStallCycles per
-// try, for at most UFOFaultStallTries tries.
+// FaultHandlerCycles is the UFO fault handler's dispatch and otable
+// check. Under StallOnUFOFault, a faulting access stalls
+// UFOFaultStallCycles per try, for at most UFOFaultStallTries tries.
 const (
+	FaultHandlerCycles  = 30
 	UFOFaultStallCycles = 60
 	UFOFaultStallTries  = 16
 )
@@ -110,10 +112,11 @@ func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	e := &exec{s: s}
+	t := s.stm.Thread(p)
+	e := &exec{s: s, t: t}
 	e.Driver = tm.Driver{
 		NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Tx: hwTx{e.HW(), e},
-		Begin: e.forgetRetriers, Committed: e.wakeRetriers, Software: s.stm.Thread(p).RunTx,
+		Begin: t.ForgetWakes, Committed: t.WakeOwed, Software: t.RunTx,
 	}
 	return e
 }
@@ -122,11 +125,7 @@ func (s *System) Exec(p *machine.Proc) tm.Exec {
 type exec struct {
 	tm.Driver
 	s *System
-
-	// toWake accumulates retrying software transactions whose lines this
-	// hardware transaction touched under masked faults; they are woken
-	// after the hardware commit makes the update visible (Section 6).
-	toWake []*ustm.Thread
+	t *ustm.Thread // the software path; its wake list is the attempt's too
 	// ufoFaultTries counts consecutive stall-retries for one access under
 	// the StallOnUFOFault policy.
 	ufoFaultTries int
@@ -138,19 +137,6 @@ func (e *exec) Load(addr uint64) uint64 { return ustm.NTLoad(e.s.stm, e.P, addr)
 
 // Store implements tm.Exec.
 func (e *exec) Store(addr, val uint64) { ustm.NTStore(e.s.stm, e.P, addr, val) }
-
-// forgetRetriers starts a hardware attempt owing no wake-ups.
-func (e *exec) forgetRetriers() { e.toWake = e.toWake[:0] }
-
-// wakeRetriers delivers post-commit wake-ups owed to retrying software
-// transactions.
-func (e *exec) wakeRetriers() {
-	if len(e.toWake) == 0 {
-		return
-	}
-	e.s.stm.WakeRetriers(e.P, e.toWake)
-	e.forgetRetriers()
-}
 
 // hwTx is the zero-instrumentation hardware transaction handle: loads and
 // stores go straight to the transactional cache path with no otable
@@ -210,10 +196,8 @@ func (h hwTx) Store(addr, val uint64) {
 // transaction. Returns true to take the masked path; on a stall it
 // returns false and the caller retries the access; on abort it unwinds.
 func (e *exec) faultAllowsMaskedAccess(addr uint64) bool {
-	e.P.Elapse(30) // handler dispatch + otable inspection
-	line := mem.LineOf(addr)
-	if e.s.stm.OwnersAllRetrying(line) {
-		e.noteRetriers(line)
+	e.P.Elapse(FaultHandlerCycles)
+	if e.t.WakeAtCommit(mem.LineOf(addr)) {
 		return true
 	}
 	if e.s.pol.StallOnUFOFault && e.ufoFaultTries < UFOFaultStallTries {
@@ -237,19 +221,4 @@ func mustCompleteMasked(out machine.Outcome) {
 		tm.Unwind(out.Reason)
 	}
 	panic("core: masked access returned " + out.Kind.String())
-}
-
-func (e *exec) noteRetriers(line uint64) {
-	for _, r := range e.s.stm.RetryingOwners(line) {
-		dup := false
-		for _, w := range e.toWake {
-			if w == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			e.toWake = append(e.toWake, r)
-		}
-	}
 }

@@ -105,11 +105,11 @@ func (h hwTx) barrier(addr uint64, write bool) {
 	line := mem.LineOf(addr)
 	h.D.P.Elapse(BarrierCycles)
 	h.HW.Load(stm.RowAddr(line)) // transactional otable read
-	if stm.LineConflicts(line, write) {
+	if owner, w := stm.Owner(line); owner >= 0 && (write || w) {
 		// Attribute the abort to the software transaction owning the
 		// conflicting otable record, not to ourselves: the contention is
 		// between this hardware transaction and that STM peer.
-		h.AbortBy(machine.AbortExplicit, stm.ConflictingOwnerProc(line, write), mem.LineAddr(line))
+		h.AbortBy(machine.AbortExplicit, owner, mem.LineAddr(line))
 	}
 }
 

@@ -201,7 +201,7 @@ func (s *ChromeSink) Event(e TraceEvent) {
 	case TraceHWBegin, TraceSWBegin:
 		// A begin while a span is open: the previous attempt was retired
 		// with no commit or abort event, which a USTM Retry wake-up does
-		// (Thread.FinishRetryWake); close it at this cycle.
+		// (ustm.Thread.RunTx); close it at this cycle.
 		if prev, ok := s.open[e.Proc]; ok {
 			s.closeSpan(e.Proc, prev, e.Cycle, `"outcome":"truncated"`)
 		}

@@ -182,4 +182,4 @@ func (d directTx) Nested(body func()) bool {
 }
 func (d directTx) Abort()   { tm.Unwind(0) }
 func (d directTx) Retry()   { tm.UnwindRetry() }
-func (d directTx) Syscall() { d.e.P.Elapse(1) }
+func (d directTx) Syscall() { d.e.P.Elapse(tm.SyscallCycles) }

@@ -29,11 +29,13 @@ type Lazy struct {
 
 var _ Tx = (*Lazy)(nil)
 
-// The software cost of a closed nest, the same in every STM here: taking
-// the savepoint, and folding a committed nest into its parent.
+// Software costs that are the same in every STM here: taking a closed
+// nest's savepoint, folding a committed nest into its parent, and an
+// idempotent system call run in place.
 const (
 	NestOpenCycles  = 4
 	NestCloseCycles = 2
+	SyscallCycles   = 1
 )
 
 // Reset starts an attempt: an empty log and no open nest, whatever the
@@ -92,4 +94,4 @@ func (l *Lazy) Retry() { UnwindRetry() }
 
 // Syscall implements Tx: software transactions run idempotent system
 // calls in place.
-func (l *Lazy) Syscall() { l.D.P.Elapse(1) }
+func (l *Lazy) Syscall() { l.D.P.Elapse(SyscallCycles) }

@@ -29,10 +29,10 @@ func BenchmarkWriteBarrierOwned(b *testing.B) {
 	th := s.Thread(m.Proc(0))
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		th.Begin(m.NextAge())
-		th.WriteBarrier(0)
+		th.barrier(0, true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			th.WriteBarrier(0)
+			th.barrier(0, true)
 		}
 		b.StopTimer()
 		th.End()

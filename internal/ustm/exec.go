@@ -43,24 +43,22 @@ func (t *Thread) RunTx(age uint64, body func(tm.Tx)) {
 	for {
 		t.p.TxLifeAttempt(path)
 		t.Begin(age)
-		reason, retry, aborted := tm.Catch(func() { body(txHandle{t}) })
+		reason, retry, aborted := tm.Catch(func() { body(t) })
 		switch {
-		case !aborted:
-			if t.End() {
-				t.stm.stats.SWCommits++
-				t.p.TxLifeCommit(path)
-				return
-			}
-			// Killed between last barrier and commit: aborted and rolled
-			// back inside End.
-			t.stm.stats.SWAborts++
-			t.p.TxLifeAbort(path, machine.AbortConflict)
-			t.WaitForKiller()
 		case retry:
-			// Woken from transactional waiting: clean up and re-execute.
+			// Woken from transactional waiting: release the read
+			// ownership left, deliver the wake-ups we owe (early is safe:
+			// retriers re-check) and retire; the loop re-executes.
 			t.p.TxLifeRetryWait()
-			t.FinishRetryWake()
+			t.releaseAll()
+			t.WakeOwed()
+			t.finish()
+		case !aborted && t.End():
+			t.stm.stats.SWCommits++
+			t.p.TxLifeCommit(path)
+			return
 		default:
+			// Aborted, or killed between the last barrier and End.
 			if reason == machine.AbortNone {
 				reason = machine.AbortConflict
 			}
@@ -130,7 +128,13 @@ func NTStore(s *STM, p *machine.Proc, addr, val uint64) {
 					panic("ustm: masked nonT write failed: " + out.Kind.String())
 				}
 				p.SetUFOEnabled(true)
-				s.WakeRetriers(p, s.RetryingOwners(mem.LineOf(addr)))
+				// Wake the line's owners now (wake passes over any that
+				// is no longer retrying).
+				if e := s.ot.find(mem.LineOf(addr)); e != nil {
+					for _, o := range e.owners {
+						o.wake(p)
+					}
+				}
 				return
 			}
 		default:
@@ -145,46 +149,10 @@ func NTStore(s *STM, p *machine.Proc, addr, val uint64) {
 // when the line is held only by retrying transactions, in which case the
 // caller may proceed under masked faults.
 func handleNTFault(s *STM, p *machine.Proc, addr uint64) (allRetrying bool) {
-	line := mem.LineOf(addr)
-	if s.OwnersAllRetrying(line) {
+	if s.retriers(mem.LineOf(addr)) != nil {
 		return true
 	}
 	s.stats.NTStalls++
 	p.Elapse(NTStallCycles)
 	return false
 }
-
-// txHandle exposes a Thread as a tm.Tx.
-type txHandle struct{ t *Thread }
-
-var _ tm.Tx = txHandle{}
-
-func (h txHandle) Load(addr uint64) uint64 { return h.t.Load(addr) }
-func (h txHandle) Store(addr, val uint64)  { h.t.Store(addr, val) }
-func (h txHandle) Retry()                  { h.t.Retry() }
-func (h txHandle) OnCommit(f func())       { h.t.OnCommit(f) }
-
-// Abort explicitly aborts: the innermost nest when one is open (USTM
-// supports partial rollback), otherwise the whole transaction (which
-// rolls back and reissues).
-func (h txHandle) Abort() {
-	if h.t.NestDepth() > 0 {
-		tm.UnwindNested()
-	}
-	tm.Unwind(machine.AbortExplicit)
-}
-
-// Nested runs body as a closed nested transaction with partial abort.
-func (h txHandle) Nested(body func()) bool {
-	h.t.BeginNest()
-	if tm.CatchNested(body) {
-		h.t.AbortNest()
-		return false
-	}
-	h.t.EndNest()
-	return true
-}
-
-// Syscall is a no-op for software transactions: USTM supports idempotent
-// system calls directly (Section 6).
-func (h txHandle) Syscall() { h.t.p.Elapse(1) }

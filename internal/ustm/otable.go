@@ -70,6 +70,9 @@ func (o *otable) rowAddr(i uint64) uint64 { return o.base + i*mem.LineBytes }
 // row returns row i's Go-side state.
 func (o *otable) row(i uint64) *row { return &o.Rows[i] }
 
+// find returns the entry for line, or nil.
+func (o *otable) find(line uint64) *entry { return o.row(o.index(line)).find(line) }
+
 // find returns the entry for line in this row's chain, or nil.
 func (r *row) find(line uint64) *entry {
 	for e := r.head; e != nil; e = e.next {

@@ -72,8 +72,10 @@ type park struct {
 // resolveConflict), upgrade, steal from retriers, release — on a table
 // small enough that chains form. After every step the chains (tags,
 // permissions and owners, in order: kills follow owner order), what each
-// parked barrier sees of the record it holds, and LineConflicts must
-// agree. The sequence must include the two cases the pin rule exists
+// parked barrier sees of the record it holds, and Owner must agree, and
+// no row may hold a record with no owners — the invariant that lets
+// Owner's one answer say both whether a line conflicts and who holds
+// it. The sequence must include the two cases the pin rule exists
 // for: a record leaving its row while a barrier is parked on it, and a
 // freed record coming back for another line while parked barriers still
 // hold records of their own.
@@ -180,6 +182,11 @@ func TestOTableMatchesReference(t *testing.T) {
 	}
 	check := func(step int) {
 		for idx := range ref {
+			for e := ot.Rows[idx].head; e != nil; e = e.next {
+				if len(e.owners) == 0 {
+					t.Fatalf("step %d row %d: the record of line %d has no owners", step, idx, e.tag)
+				}
+			}
 			e := ot.Rows[idx].head
 			for _, re := range ref[idx].entries {
 				if e == nil || e.tag != re.tag || e.write != re.write || !slices.Equal(e.owners, re.owners) {
@@ -199,10 +206,13 @@ func TestOTableMatchesReference(t *testing.T) {
 		}
 		for line := uint64(0); line < lines; line++ {
 			re := ref[ot.index(line)].find(line)
-			for _, write := range []bool{false, true} {
-				if got, want := s.LineConflicts(line, write), re != nil && (write || re.write); got != want {
-					t.Fatalf("step %d: LineConflicts(%d, %v) = %v, reference %v", step, line, write, got, want)
-				}
+			owner, write := s.Owner(line)
+			wantOwner, wantWrite := -1, false
+			if re != nil {
+				wantOwner, wantWrite = re.owners[0].p.ID(), re.write
+			}
+			if owner != wantOwner || write != wantWrite {
+				t.Fatalf("step %d: Owner(%d) = %d, %v; reference %d, %v", step, line, owner, write, wantOwner, wantWrite)
 			}
 		}
 	}
@@ -216,7 +226,7 @@ func TestOTableMatchesReference(t *testing.T) {
 			wake(rng.Intn(len(parks)))
 		case parked(th):
 		case th.status == statusRetrying:
-			th.status = statusRunning // woken: FinishRetryWake
+			th.status = statusRunning // woken: RunTx releases and retires
 			release(id)
 		case op < 8:
 			barrier(id, uint64(rng.Intn(lines)), rng.Intn(3) == 0)

@@ -17,7 +17,8 @@ const (
 )
 
 // Thread is the per-processor USTM transaction context (the paper's
-// per-thread transactional status structure, including the log).
+// per-thread transactional status structure, including the log). It is
+// also the handle RunTx hands to transaction bodies.
 type Thread struct {
 	stm *STM
 	p   *machine.Proc
@@ -30,8 +31,11 @@ type Thread struct {
 	killerEpoch uint64
 	epoch       uint64 // bumps every time a transaction of ours ends
 
-	undo        []undoRec
-	owned       []ownedRec
+	undo  []undoRec
+	owned []ownedRec
+	// toWake lists the retrying transactions owed a wake-up once the
+	// transaction on this processor ends — a software one, or a hardware
+	// attempt of the UFO hybrid (WakeAtCommit).
 	toWake      []*Thread
 	active      []*Thread // resolveConflict's scratch: the owners in our way
 	wakePending bool
@@ -42,6 +46,8 @@ type Thread struct {
 	// just an undo-log position.
 	nestSave []int
 }
+
+var _ tm.Tx = (*Thread)(nil)
 
 type undoRec struct {
 	addr uint64
@@ -79,21 +85,19 @@ func (t *Thread) Begin(age uint64) {
 
 // End commits the transaction (ustm_end): release ownership, wake any
 // retrying transactions whose reads we overwrote, re-enable UFO faults,
-// and discard the checkpoint. It reports false (and rolls back) if the
-// transaction was killed after its last barrier.
+// and discard the checkpoint. It reports false, and does nothing, if the
+// transaction was killed after its last barrier: the caller rolls it
+// back.
 func (t *Thread) End() bool {
 	if t.status != statusRunning {
 		panic("ustm: End with no running transaction")
 	}
 	if t.killed {
-		t.Rollback()
 		return false
 	}
 	t.p.RecordSWFootprint(len(t.owned))
 	t.releaseAll()
-	for _, w := range t.toWake {
-		w.wake(t.p)
-	}
+	t.WakeOwed()
 	t.p.Elapse(CommitCycles)
 	t.p.RecordSW(machine.TraceSWCommit, machine.AbortNone, t.age)
 	t.p.RecordSWCommit()
@@ -102,11 +106,9 @@ func (t *Thread) End() bool {
 	return true
 }
 
-// OnCommit registers a deferred side effect (Section 6); it runs once,
-// after this transaction commits, and is dropped if it aborts.
-func (t *Thread) OnCommit(f func()) {
-	t.onCommit = append(t.onCommit, f)
-}
+// OnCommit implements tm.Tx: a deferred side effect (Section 6) runs
+// once, after this transaction commits, and is dropped if it aborts.
+func (t *Thread) OnCommit(f func()) { t.onCommit = append(t.onCommit, f) }
 
 // runDeferred executes and clears the deferred side effects.
 func (t *Thread) runDeferred() {
@@ -124,9 +126,7 @@ func (t *Thread) Rollback() {
 	}
 	t.undoTo(0)
 	t.releaseAll()
-	for _, w := range t.toWake {
-		w.wake(t.p) // spurious wake-ups are safe; retriers re-check
-	}
+	t.WakeOwed() // spurious wake-ups are safe; retriers re-check
 	t.p.RecordSW(machine.TraceSWAbort, machine.AbortConflict, t.age)
 	t.p.Elapse(CommitCycles)
 	t.finish()
@@ -144,13 +144,10 @@ func (t *Thread) finish() {
 // WaitForKiller stalls until the transaction that aborted us has retired,
 // the paper's anti-livelock reissue policy. Call after Rollback.
 func (t *Thread) WaitForKiller() {
-	if t.killer == nil {
-		return
-	}
 	// Wait only while the killer is still running the transaction that
 	// killed us; an idle or descheduled (retrying) killer has effectively
 	// retired.
-	for t.killer.status == statusRunning && t.killer.epoch == t.killerEpoch {
+	for t.killer != nil && t.killer.status == statusRunning && t.killer.epoch == t.killerEpoch {
 		t.p.Elapse(StallCycles)
 	}
 	t.killer = nil
@@ -183,20 +180,10 @@ func (t *Thread) checkKilled() {
 
 // --- Barriers (Algorithm 1 / Algorithm 2) ---
 
-// ReadBarrier acquires read permission for addr, stalling or killing
-// conflictors per the age policy, and installs fault-on-write protection
-// when strong atomicity is enabled.
-func (t *Thread) ReadBarrier(addr uint64) {
-	t.barrier(addr, false)
-}
-
-// WriteBarrier acquires write permission for addr and installs
-// fault-on-read and fault-on-write protection when strong atomicity is
-// enabled.
-func (t *Thread) WriteBarrier(addr uint64) {
-	t.barrier(addr, true)
-}
-
+// barrier acquires read or write permission for addr, stalling or
+// killing conflictors per the age policy, and under strong atomicity
+// installs fault-on-write protection (read) or fault-on-read and
+// fault-on-write protection (write).
 func (t *Thread) barrier(addr uint64, write bool) {
 	if t.status != statusRunning {
 		panic(fmt.Sprintf("ustm: barrier outside a transaction (status %d)", t.status))
@@ -360,6 +347,31 @@ func (t *Thread) noteWake(o *Thread) {
 	t.toWake = append(t.toWake, o)
 }
 
+// WakeAtCommit records line's owners to wake once the hardware attempt
+// running on t's processor commits (WakeOwed), when every one of them is
+// a retrying transaction: their ownership isolates nothing, so the UFO
+// hybrid's fault handler lets the attempt's access complete with faults
+// masked (Section 6). It reports whether they all were.
+func (t *Thread) WakeAtCommit(line uint64) bool {
+	rs := t.stm.retriers(line)
+	for _, o := range rs {
+		t.noteWake(o)
+	}
+	return rs != nil
+}
+
+// ForgetWakes starts a hardware attempt owing no wake-ups.
+func (t *Thread) ForgetWakes() { t.toWake = t.toWake[:0] }
+
+// WakeOwed wakes the retrying transactions this processor's transaction
+// owes a wake-up, now that its update is visible.
+func (t *Thread) WakeOwed() {
+	for _, w := range t.toWake {
+		w.wake(t.p)
+	}
+	t.ForgetWakes()
+}
+
 // installUFO applies Algorithm 2's protection rule: read entries install
 // fault-on-write; write entries install fault-on-read and fault-on-write.
 func (t *Thread) installUFO(line uint64, write bool) {
@@ -407,17 +419,17 @@ func (t *Thread) releaseAll() {
 
 // --- Transactional data accesses ---
 
-// Load reads addr inside the transaction (read barrier + data read).
+// Load implements tm.Tx: read barrier + data read.
 func (t *Thread) Load(addr uint64) uint64 {
-	t.ReadBarrier(addr)
+	t.barrier(addr, false)
 	return t.ntReadMustOK(addr)
 }
 
-// Store writes addr inside the transaction (write barrier + undo logging
-// + in-place data write: eager versioning). Under LineGranularUndo the
-// first write to a line checkpoints all of its words.
+// Store implements tm.Tx: write barrier + undo logging + in-place data
+// write (eager versioning). Under LineGranularUndo the first write to a
+// line checkpoints all of its words.
 func (t *Thread) Store(addr, val uint64) {
-	t.WriteBarrier(addr)
+	t.barrier(addr, true)
 	if t.stm.cfg.LineGranularUndo {
 		t.logLine(mem.LineOf(addr))
 	} else {
@@ -443,34 +455,42 @@ func (t *Thread) logLine(line uint64) {
 	}
 }
 
-// NestDepth reports how many closed nests are open.
-func (t *Thread) NestDepth() int { return len(t.nestSave) }
-
-// BeginNest opens a closed nested transaction (a savepoint).
-func (t *Thread) BeginNest() {
+// Nested implements tm.Tx: body runs as a closed nested transaction
+// from a savepoint. A nest that commits folds into its parent (its
+// effects stay speculative until the outermost commit); one that aborts
+// has its data writes undone, and keeps the ownership it acquired until
+// the transaction ends (lazy release).
+func (t *Thread) Nested(body func()) bool {
 	t.nestSave = append(t.nestSave, len(t.undo))
 	t.p.Elapse(tm.NestOpenCycles)
-}
-
-// EndNest commits the innermost nest into its parent (closed-nesting
-// semantics: effects stay speculative until the outermost commit).
-func (t *Thread) EndNest() {
-	t.nestSave = t.nestSave[:len(t.nestSave)-1]
-	t.p.Elapse(tm.NestCloseCycles)
-}
-
-// AbortNest rolls the innermost nest back to its savepoint: data writes
-// are undone; ownership acquired inside the nest is retained until the
-// transaction ends (lazy release).
-func (t *Thread) AbortNest() {
+	aborted := tm.CatchNested(body)
 	save := t.nestSave[len(t.nestSave)-1]
 	t.nestSave = t.nestSave[:len(t.nestSave)-1]
-	t.undoTo(save)
+	if aborted {
+		t.undoTo(save)
+		return false
+	}
+	t.p.Elapse(tm.NestCloseCycles)
+	return true
 }
+
+// Abort implements tm.Tx: it aborts the innermost nest when one is open
+// (USTM supports partial rollback), otherwise the whole transaction,
+// which rolls back and reissues.
+func (t *Thread) Abort() {
+	if len(t.nestSave) > 0 {
+		tm.UnwindNested()
+	}
+	tm.Unwind(machine.AbortExplicit)
+}
+
+// Syscall implements tm.Tx: USTM runs idempotent system calls directly
+// (Section 6).
+func (t *Thread) Syscall() { t.p.Elapse(tm.SyscallCycles) }
 
 // undoTo restores the undo log newest-first down to entry save, charging
 // LogCycles per word, and truncates it there: the one rollback walk of
-// Rollback, AbortNest and Retry.
+// Rollback, an aborted nest and Retry.
 func (t *Thread) undoTo(save int) {
 	for i := len(t.undo) - 1; i >= save; i-- {
 		r := t.undo[i]
@@ -480,9 +500,9 @@ func (t *Thread) undoTo(save int) {
 	t.undo = t.undo[:save]
 }
 
-// Retry implements transactional waiting: undo speculative writes,
-// convert held write entries to reads, deschedule until a committing
-// writer wakes us, then unwind for re-execution.
+// Retry implements tm.Tx's transactional waiting: undo speculative
+// writes, convert held write entries to reads, deschedule until a
+// committing writer wakes us, then unwind for re-execution.
 func (t *Thread) Retry() {
 	t.checkKilled()
 	t.undoTo(0)
@@ -492,8 +512,7 @@ func (t *Thread) Retry() {
 			continue
 		}
 		line := t.owned[i].line
-		e := t.stm.ot.row(t.stm.ot.index(line)).find(line)
-		if e != nil && e.hasOwner(t) {
+		if e := t.stm.ot.find(line); e != nil && e.hasOwner(t) {
 			e.write = false
 		}
 		t.owned[i].write = false
@@ -515,18 +534,6 @@ func (t *Thread) Retry() {
 	t.status = statusRunning
 	t.checkKilled() // a kill may have woken us instead of a writer
 	tm.UnwindRetry()
-}
-
-// FinishRetryWake cleans up after a retry wake-up: remaining (read)
-// ownership is released and the transaction retires so it can be
-// re-issued. Any wake-ups we owed are delivered spuriously — retriers
-// re-check their condition, so early wake-ups are safe.
-func (t *Thread) FinishRetryWake() {
-	t.releaseAll()
-	for _, w := range t.toWake {
-		w.wake(t.p)
-	}
-	t.finish()
 }
 
 // wake readies a retrying transaction (called by committers after their

@@ -120,72 +120,33 @@ func (s *STM) Exec(p *machine.Proc) tm.Exec {
 // HyTM's hardware barriers read it transactionally.
 func (s *STM) RowAddr(line uint64) uint64 { return s.ot.rowAddr(s.ot.index(line)) }
 
-// LineConflicts reports whether the otable holds a record that conflicts
-// with an access of the given kind to line (HyTM's hardware-barrier
-// check): any record conflicts with a write; only write records conflict
-// with a read.
-func (s *STM) LineConflicts(line uint64, write bool) bool {
-	e := s.ot.row(s.ot.index(line)).find(line)
+// Owner returns the processor of the first transaction holding line's
+// otable record, and whether the record is a write record; -1 when the
+// otable has no record of line. Every record has an owner, so this
+// answers both of HyTM's hardware-barrier questions: whether an access
+// conflicts with a software transaction (any record conflicts with a
+// write, only a write record with a read), and whom to name for it.
+func (s *STM) Owner(line uint64) (proc int, write bool) {
+	e := s.ot.find(line)
 	if e == nil {
-		return false
+		return -1, false
 	}
-	return write || e.write
+	return e.owners[0].p.ID(), e.write
 }
 
-// ConflictingOwnerProc returns the processor ID of the first software
-// transaction whose otable record conflicts with an access of the given
-// kind to line, or -1 when no conflicting record exists. HyTM's hardware
-// barriers use it to attribute barrier-detected aborts to the software
-// transaction that caused them.
-func (s *STM) ConflictingOwnerProc(line uint64, write bool) int {
-	e := s.ot.row(s.ot.index(line)).find(line)
-	if e == nil || len(e.owners) == 0 {
-		return -1
-	}
-	if !write && !e.write {
-		return -1
-	}
-	return e.owners[0].p.ID()
-}
-
-// OwnersAllRetrying reports whether line has at least one owner and every
-// owner is a retrying (descheduled) transaction. The hybrid's UFO-fault
-// handler uses this to distinguish waiting transactions from active
-// conflicts (Section 6).
-func (s *STM) OwnersAllRetrying(line uint64) bool {
-	e := s.ot.row(s.ot.index(line)).find(line)
-	if e == nil || len(e.owners) == 0 {
-		return false
-	}
-	for _, o := range e.owners {
-		if o.status != statusRetrying {
-			return false
-		}
-	}
-	return true
-}
-
-// RetryingOwners returns the retrying owners of line (for wake-up
-// scheduling by hardware transactions and non-transactional writers).
-func (s *STM) RetryingOwners(line uint64) []*Thread {
-	e := s.ot.row(s.ot.index(line)).find(line)
+// retriers returns line's owners when every one of them is a retrying
+// (descheduled) transaction, and nil when the line has an active owner
+// or none (Section 6). The slice is the record's own, good until the
+// next scheduling point.
+func (s *STM) retriers(line uint64) []*Thread {
+	e := s.ot.find(line)
 	if e == nil {
 		return nil
 	}
-	var out []*Thread
 	for _, o := range e.owners {
-		if o.status == statusRetrying {
-			out = append(out, o)
+		if o.status != statusRetrying {
+			return nil
 		}
 	}
-	return out
-}
-
-// WakeRetriers wakes the given retrying transactions; callers invoke this
-// after making their conflicting update visible (after a hardware commit
-// or a non-transactional store).
-func (s *STM) WakeRetriers(p *machine.Proc, ts []*Thread) {
-	for _, t := range ts {
-		t.wake(p)
-	}
+	return e.owners
 }

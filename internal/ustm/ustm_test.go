@@ -377,25 +377,22 @@ func TestSystemNames(t *testing.T) {
 	}
 }
 
-func TestLineConflictsSemantics(t *testing.T) {
+func TestOwnerSemantics(t *testing.T) {
 	m := testMachine(1)
 	s := testSTM(m, true)
 	th := s.Thread(m.Proc(0))
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		th.Begin(m.NextAge())
-		th.ReadBarrier(0)
-		if s.LineConflicts(0, false) {
-			t.Error("read entry must not conflict with a read probe")
+		th.barrier(0, false)
+		if owner, write := s.Owner(0); owner != 0 || write {
+			t.Errorf("read entry: Owner = %d, %v; want 0, false", owner, write)
 		}
-		if !s.LineConflicts(0, true) {
-			t.Error("read entry must conflict with a write probe")
+		th.barrier(64, true)
+		if owner, write := s.Owner(1); owner != 0 || !write {
+			t.Errorf("write entry: Owner = %d, %v; want 0, true", owner, write)
 		}
-		th.WriteBarrier(64)
-		if !s.LineConflicts(1, false) || !s.LineConflicts(1, true) {
-			t.Error("write entry must conflict with any probe")
-		}
-		if s.LineConflicts(2, true) {
-			t.Error("unowned line must not conflict")
+		if owner, _ := s.Owner(2); owner != -1 {
+			t.Errorf("unowned line: Owner = %d, want -1", owner)
 		}
 		if !th.End() {
 			t.Error("commit failed")
@@ -666,7 +663,7 @@ func TestOTableStats(t *testing.T) {
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		th.Begin(m.NextAge())
 		for i := uint64(0); i < 12; i++ {
-			th.WriteBarrier(i * 64)
+			th.barrier(i*64, true)
 		}
 		st := statsOf(s)
 		if st.Rows != 4 || st.Entries != 12 {

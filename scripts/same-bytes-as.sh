@@ -8,8 +8,9 @@
 # wider than 16, so nothing else reaches a directory record's second
 # word), the litmus sweep at -scale full (the only run of the wider
 # enumerated programs), one traced cell per retry-loop system (and one
-# per trace format, and one with -metrics-out), and diff everything the
-# two builds wrote. Exit 0 when nothing differs, 1 on any difference (the diff is
+# per trace format, and one with -metrics-out), and every examples/
+# program (examples/retrywait is the one command-line output that
+# reaches USTM's Retry), and diff everything the two builds wrote. Exit 0 when nothing differs, 1 on any difference (the diff is
 # printed and kept in $SAME_BYTES_OUT, default a temporary directory), 2
 # on usage or build errors.
 #
@@ -39,6 +40,11 @@ trap 'rm -rf "${scratch[@]}"' EXIT
 git -C "$root" archive "$ref" | tar -x -C "$src"
 (cd "$src" && go build -o "$out/tmsim.ref" ./cmd/tmsim) || exit 2
 (cd "$root" && go build -o "$out/tmsim.new" ./cmd/tmsim) || exit 2
+examples="$(cd "$root/examples" && ls -d -- */ | tr -d /)"
+for ex in $examples; do
+	(cd "$src" && go build -o "$out/$ex.ref" "./examples/$ex") || exit 2
+	(cd "$root" && go build -o "$out/$ex.new" "./examples/$ex") || exit 2
+done
 
 # Every -experiment value the new build knows, read from its usage text.
 experiments="$({ "$out/tmsim.new" -h 2>&1 || true; } | grep -A1 -e '-experiment' | tail -1 |
@@ -104,6 +110,10 @@ run() {
 	"$bin" -trace-out trace.metrics.jsonl -trace-format jsonl -trace-workload kmeans-high \
 		-trace-threads 2 -metrics-out trace.metrics.json \
 		>trace.metrics.stdout 2>trace.metrics.stderr || echo "exit $?" >>trace.metrics.stdout
+	local ex
+	for ex in $examples; do
+		"$out/$ex.$1" >"example.$ex.stdout" 2>&1 || echo "exit $?" >>"example.$ex.stdout"
+	done
 	# Wall-clock is the one thing allowed to differ.
 	sed -i -e '/completed in/d' -e 's/ in [0-9.]*[a-zµ]*s\]$/]/' ./*.stdout
 }
