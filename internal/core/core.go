@@ -24,7 +24,6 @@
 package core
 
 import (
-	"repro/internal/btm"
 	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -75,11 +74,12 @@ var Dispositions = tm.Dispositions{
 	machine.AbortNesting:      tm.Fatal,
 }
 
-// System is the UFO hybrid TM. It implements tm.System.
+// System is the UFO hybrid TM. It implements tm.System; hardware- and
+// software-side counts share the embedded USTM's tm.Stats.
 type System struct {
+	tm.Handler
 	stm *ustm.STM
 	pol Policy
-	h   tm.Handler
 }
 
 // New builds a hybrid over the machine with the given USTM configuration
@@ -89,33 +89,21 @@ type System struct {
 func New(m *machine.Machine, cfg ustm.Config, pol Policy, kind cm.Kind) *System {
 	cfg.StrongAtomicity = true
 	s := &System{stm: ustm.New(m, cfg), pol: pol}
-	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(kind),
-		On: Dispositions, Limit: pol.FailoverOnNthConflict,
-		// retry (transactional waiting) inside a hardware transaction
-		// compiles to an explicit abort so the transaction fails over to
-		// software, where waiting is supported (Section 6).
-		RetryReason: machine.AbortExplicit,
-	}
+	s.Handler = tm.NewHandler("ufo-hybrid", s.stm.Stats(), kind)
+	s.On, s.Limit = Dispositions, pol.FailoverOnNthConflict
+	// retry (transactional waiting) inside a hardware transaction compiles
+	// to an explicit abort so the transaction fails over to software,
+	// where waiting is supported (Section 6).
+	s.RetryReason = machine.AbortExplicit
 	return s
 }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "ufo-hybrid" }
-
-// Stats implements tm.System. Hardware- and software-side counts share
-// one structure (the software side is maintained by the embedded USTM).
-func (s *System) Stats() *tm.Stats { return s.stm.Stats() }
-
-// CM implements cm.Instrumented.
-func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
 	t := s.stm.Thread(p)
 	e := &exec{s: s, t: t}
 	e.Driver = tm.Driver{
-		NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Tx: hwTx{e.HW(), e},
+		NT: tm.NT{P: p}, H: &s.Handler, Tx: hwTx{e.HW(), e},
 		Begin: t.ForgetWakes, Committed: t.WakeOwed, Software: t.RunTx,
 	}
 	return e
@@ -150,7 +138,7 @@ type hwTx struct {
 func (h hwTx) Load(addr uint64) uint64 {
 	e := h.e
 	for {
-		v, out := e.U.Load(addr)
+		v, out := h.TxRead(addr)
 		switch out.Kind {
 		case machine.OK:
 			e.ufoFaultTries = 0
@@ -159,7 +147,9 @@ func (h hwTx) Load(addr uint64) uint64 {
 			tm.Unwind(out.Reason)
 		case machine.UFOFault:
 			if e.faultAllowsMaskedAccess(addr) {
-				v, out = e.U.LoadMasked(addr)
+				e.P.SetUFOEnabled(false)
+				v, out = h.TxRead(addr)
+				e.P.SetUFOEnabled(true)
 				mustCompleteMasked(out)
 				return v
 			}
@@ -171,7 +161,7 @@ func (h hwTx) Load(addr uint64) uint64 {
 func (h hwTx) Store(addr, val uint64) {
 	e := h.e
 	for {
-		out := e.U.Store(addr, val)
+		out := h.TxWrite(addr, val)
 		switch out.Kind {
 		case machine.OK:
 			e.ufoFaultTries = 0
@@ -180,7 +170,10 @@ func (h hwTx) Store(addr, val uint64) {
 			tm.Unwind(out.Reason)
 		case machine.UFOFault:
 			if e.faultAllowsMaskedAccess(addr) {
-				mustCompleteMasked(e.U.StoreMasked(addr, val))
+				e.P.SetUFOEnabled(false)
+				out = h.TxWrite(addr, val)
+				e.P.SetUFOEnabled(true)
+				mustCompleteMasked(out)
 				return
 			}
 		}
@@ -206,8 +199,7 @@ func (e *exec) faultAllowsMaskedAccess(addr uint64) bool {
 		return false
 	}
 	e.ufoFaultTries = 0
-	e.U.Abort(machine.AbortUFOFault)
-	tm.Unwind(machine.AbortUFOFault)
+	e.HW().AbortFor(machine.AbortUFOFault)
 	return false // unreachable
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/btm"
 	"repro/internal/cm"
 	"repro/internal/core"
 	"repro/internal/hytm"
@@ -232,7 +231,7 @@ func TestDispositionMatrixNatural(t *testing.T) {
 		}},
 		// The unbounded HTM shares BTM's nesting limit and has nowhere to
 		// fail over to, so over-deep nesting livelocks there: not run.
-		{"nesting", 0, func(tx tm.Tx, _ bool) { nest(tx, btm.MaxNesting+1) }, map[string]outcome{
+		{"nesting", 0, func(tx tm.Tx, _ bool) { nest(tx, tm.MaxNesting+1) }, map[string]outcome{
 			"ufo-hybrid": fail, "hytm": fail, "phtm": fail, "hybrid-norec": fail, "sle": locked,
 		}},
 		{"overflow", 8, func(tx tm.Tx, _ bool) {

@@ -17,7 +17,6 @@
 package hytm
 
 import (
-	"repro/internal/btm"
 	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -56,8 +55,8 @@ const MaxConflictRetries = 8
 
 // System implements tm.System.
 type System struct {
+	tm.Handler
 	stm *ustm.STM
-	h   tm.Handler
 }
 
 // New builds a HyTM over the machine, backing off as kind says. The
@@ -65,27 +64,16 @@ type System struct {
 func New(m *machine.Machine, cfg ustm.Config, kind cm.Kind) *System {
 	cfg.StrongAtomicity = false
 	s := &System{stm: ustm.New(m, cfg)}
-	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(kind),
-		On: Dispositions, Limit: MaxConflictRetries, RetryReason: machine.AbortExplicit,
-	}
+	s.Handler = tm.NewHandler("hytm", s.stm.Stats(), kind)
+	s.On, s.Limit, s.RetryReason = Dispositions, MaxConflictRetries, machine.AbortExplicit
 	return s
 }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "hytm" }
-
-// Stats implements tm.System.
-func (s *System) Stats() *tm.Stats { return s.stm.Stats() }
-
-// CM implements cm.Instrumented.
-func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // Exec implements tm.System. HyTM is weakly atomic: non-transactional
 // accesses are the driver's uninstrumented ones (that is its semantic
 // weakness).
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	d := &tm.Driver{NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Software: s.stm.Thread(p).RunTx}
+	d := &tm.Driver{NT: tm.NT{P: p}, H: &s.Handler, Software: s.stm.Thread(p).RunTx}
 	d.Tx = hwTx{d.HW(), s}
 	return d
 }

@@ -39,20 +39,20 @@ func TestSmallTxCommitsInHardware(t *testing.T) {
 // otable rows inflate the transactional footprint.
 func TestBarrierPutsOTableRowInFootprint(t *testing.T) {
 	m, s := testSystem(1)
-	ex := s.Exec(m.Proc(0)).(*tm.Driver)
+	ex := s.Exec(m.Proc(0))
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
-		ex.U.Begin(m.NextAge())
-		ex.Tx.Store(0, 1)
-		fp := p.HW().Footprint()
-		// One data line + one otable row line.
-		if fp != 2 {
-			t.Fatalf("footprint = %d, want 2 (data + otable row)", fp)
-		}
-		row := mem.LineOf(s.stm.RowAddr(0))
-		if !p.HW().Reads(row) {
-			t.Fatal("otable row not in the transactional read set")
-		}
-		ex.U.End()
+		ex.Atomic(func(tx tm.Tx) {
+			tx.Store(0, 1)
+			fp := p.HW().Footprint()
+			// One data line + one otable row line.
+			if fp != 2 {
+				t.Fatalf("footprint = %d, want 2 (data + otable row)", fp)
+			}
+			row := mem.LineOf(s.stm.RowAddr(0))
+			if !p.HW().Reads(row) {
+				t.Fatal("otable row not in the transactional read set")
+			}
+		})
 	}})
 }
 

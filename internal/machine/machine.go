@@ -16,7 +16,7 @@
 //     mechanism by which software transactions kill conflicting hardware
 //     transactions.
 //
-// Higher layers (internal/btm, internal/ustm, internal/core, ...) express
+// Higher layers (internal/tm, internal/ustm, internal/core, ...) express
 // TM policy; this package only provides mechanism, following the paper's
 // "primitives, not solutions" philosophy.
 //

@@ -36,7 +36,6 @@
 package norec
 
 import (
-	"repro/internal/btm"
 	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -84,8 +83,8 @@ var Dispositions = tm.Dispositions{
 
 // System implements tm.System.
 type System struct {
+	tm.Handler
 	stats tm.Stats
-	h     tm.Handler
 
 	// lockAddr holds the seqlock / software commit counter; htmAddr holds
 	// the hardware commit counter. Each gets its own cache line so the
@@ -114,21 +113,10 @@ func New(m *machine.Machine, kind cm.Kind) *System {
 		lockOwner:  -1,
 		lastWriter: -1,
 	}
-	s.h = tm.Handler{
-		Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(kind),
-		On: Dispositions, Limit: MaxHTMRetries,
-	}
+	s.Handler = tm.NewHandler("hybrid-norec", &s.stats, kind)
+	s.On, s.Limit = Dispositions, MaxHTMRetries
 	return s
 }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "hybrid-norec" }
-
-// Stats implements tm.System.
-func (s *System) Stats() *tm.Stats { return &s.stats }
-
-// CM implements cm.Instrumented.
-func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // Exec implements tm.System. HybridNOrec is weakly atomic: the driver's
 // uninstrumented non-transactional accesses never consult the counters.
@@ -136,7 +124,7 @@ func (s *System) Exec(p *machine.Proc) tm.Exec {
 	e := &exec{s: s}
 	e.sw = tm.Lazy{D: &e.Driver, Miss: e.swLoad, StoreCycles: BarrierCycles}
 	e.Driver = tm.Driver{
-		NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Tx: hwTx{e.HW(), e},
+		NT: tm.NT{P: p}, H: &s.Handler, Tx: hwTx{e.HW(), e},
 		Begin: e.subscribe, PreCommit: e.notifySoftware, Committed: e.noteWriter,
 		Software: e.RunSW,
 		SW:       tm.SWPath{Begin: e.swBegin, End: e.swEnd, Tx: &e.sw},

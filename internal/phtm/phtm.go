@@ -25,7 +25,6 @@
 package phtm
 
 import (
-	"repro/internal/btm"
 	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/tm"
@@ -57,8 +56,8 @@ const PhasePollCycles = 60
 
 // System implements tm.System.
 type System struct {
+	tm.Handler
 	stm *ustm.STM
-	h   tm.Handler
 
 	numSTMAddr     uint64
 	numMustSTMAddr uint64
@@ -80,21 +79,10 @@ func New(m *machine.Machine, cfg ustm.Config, kind cm.Kind) *System {
 		numMustSTMAddr: m.Mem.Sbrk(64),
 		lastSTMProc:    -1,
 	}
-	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.stm.Stats(), CM: cm.NewManager(kind),
-		On: Dispositions, RetryReason: machine.AbortExplicit,
-	}
+	s.Handler = tm.NewHandler("phtm", s.stm.Stats(), kind)
+	s.On, s.RetryReason = Dispositions, machine.AbortExplicit
 	return s
 }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "phtm" }
-
-// Stats implements tm.System.
-func (s *System) Stats() *tm.Stats { return s.stm.Stats() }
-
-// CM implements cm.Instrumented.
-func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // Exec implements tm.System. Hardware accesses are the driver's
 // uninstrumented ones (phase exclusion replaces barriers), and PhTM is
@@ -102,7 +90,7 @@ func (s *System) CM() *cm.Manager { return s.h.CM }
 func (s *System) Exec(p *machine.Proc) tm.Exec {
 	e := &exec{s: s, t: s.stm.Thread(p)}
 	e.Driver = tm.Driver{
-		NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Tx: e.HW(),
+		NT: tm.NT{P: p}, H: &s.Handler, Tx: e.HW(),
 		Gate: e.startInSoftware, Begin: e.subscribe, Software: e.runSW,
 	}
 	return e

@@ -16,7 +16,6 @@
 package sle
 
 import (
-	"repro/internal/btm"
 	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/seq"
@@ -38,33 +37,23 @@ var Dispositions = func() (d tm.Dispositions) {
 
 // System implements tm.System.
 type System struct {
+	tm.Handler
 	lock *seq.System
-	h    tm.Handler
 }
 
 // New builds lock elision over the machine, backing off as kind says.
 func New(m *machine.Machine, kind cm.Kind) *System {
 	s := &System{lock: seq.New(m, seq.GlobalLock)}
-	s.h = tm.Handler{
-		Name: s.Name(), Stats: s.lock.Stats(), CM: cm.NewManager(kind),
-		On: Dispositions, Limit: Attempts, RetryReason: machine.AbortExplicit,
-	}
+	// Hardware commits are elided critical sections, software commits
+	// are ones that took the lock.
+	s.Handler = tm.NewHandler("sle", s.lock.Stats(), kind)
+	s.On, s.Limit, s.RetryReason = Dispositions, Attempts, machine.AbortExplicit
 	return s
 }
 
-// Name implements tm.System.
-func (s *System) Name() string { return "sle" }
-
-// Stats implements tm.System: hardware commits are elided critical
-// sections, software commits are ones that took the lock.
-func (s *System) Stats() *tm.Stats { return s.lock.Stats() }
-
-// CM implements cm.Instrumented.
-func (s *System) CM() *cm.Manager { return s.h.CM }
-
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	d := &tm.Driver{NT: tm.NT{P: p}, H: &s.h, U: btm.New(p), Software: s.lock.Software(p)}
+	d := &tm.Driver{NT: tm.NT{P: p}, H: &s.Handler, Software: s.lock.Software(p)}
 	d.Tx = d.HW()
 	d.Begin = func() {
 		// The lock must be free, and its word joins the read set, so a

@@ -7,6 +7,13 @@ import (
 	"repro/internal/txlib"
 )
 
+// Genome's compute between transactions: after each sorted insertion
+// (phase 2) and, as overlap scoring, after each successor probe (phase 3).
+const (
+	GenomeInsertCycles = 20
+	GenomeScoreCycles  = 40
+)
+
 // Genome models STAMP's gene-sequencing application in the three phases
 // the paper's analysis leans on:
 //
@@ -144,7 +151,7 @@ func (g *Genome) Thread(i int, ex tm.Exec) {
 	ex.Proc().SetNote("genome phase2")
 	for _, key = range mine {
 		ex.Atomic(insert)
-		ex.Proc().Elapse(20)
+		ex.Proc().Elapse(GenomeInsertCycles)
 	}
 	g.barrier.Wait(ex)
 
@@ -156,7 +163,7 @@ func (g *Genome) Thread(i int, ex tm.Exec) {
 		if found {
 			count++
 		}
-		ex.Proc().Elapse(40) // overlap scoring
+		ex.Proc().Elapse(GenomeScoreCycles)
 	}
 	g.matchCnt[i] = count
 }

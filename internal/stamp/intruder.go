@@ -7,6 +7,10 @@ import (
 	"repro/internal/txlib"
 )
 
+// IntruderDecodeCycles is the compute charged to decode one fragment,
+// between popping it and inserting it.
+const IntruderDecodeCycles = 40
+
 // Intruder models STAMP's network-intrusion-detection pipeline (an
 // extension beyond the paper's three benchmarks). Packet fragments
 // arrive in a shared transactional queue; worker threads pop a fragment,
@@ -96,7 +100,7 @@ func (w *Intruder) Thread(i int, ex tm.Exec) {
 		if !ok {
 			break // drained
 		}
-		ex.Proc().Elapse(40) // decode the fragment
+		ex.Proc().Elapse(IntruderDecodeCycles)
 		flow := w.flowOf(frag)
 		complete := false
 		ex.Atomic(func(tx tm.Tx) {

@@ -8,6 +8,10 @@ import (
 	"repro/internal/txlib"
 )
 
+// LabyrinthRouteCycles is the compute charged to plan the next route,
+// after each claim.
+const LabyrinthRouteCycles = 300
+
 // Labyrinth models STAMP's maze router (an extension beyond the paper's
 // three benchmarks): threads claim paths through a shared grid, each
 // claim one transaction that reads and writes every cell on the route.
@@ -111,7 +115,7 @@ func (l *Labyrinth) Thread(i int, ex tm.Exec) {
 			claimed++
 			l.claimedIdx[i][ri] = true
 		}
-		ex.Proc().Elapse(300) // next-route planning
+		ex.Proc().Elapse(LabyrinthRouteCycles)
 	}
 	l.claimed[i] = claimed
 }

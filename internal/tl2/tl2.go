@@ -40,8 +40,8 @@ type stripe struct {
 
 // System implements tm.System.
 type System struct {
+	tm.Handler
 	stats tm.Stats
-	h     tm.Handler
 
 	clock     uint64
 	clockAddr uint64
@@ -56,18 +56,9 @@ func New(m *machine.Machine, kind cm.Kind) *System {
 		stripes:   machine.TableOf[stripe](m, Stripes),
 		lockBase:  m.Mem.Sbrk(Stripes * mem.LineBytes),
 	}
-	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(kind)}
+	s.Handler = tm.NewHandler("tl2", &s.stats, kind)
 	return s
 }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "tl2" }
-
-// Stats implements tm.System.
-func (s *System) Stats() *tm.Stats { return &s.stats }
-
-// CM implements cm.Instrumented.
-func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // Exec implements tm.System. TL2 is weakly atomic (the driver's plain
 // non-transactional accesses) and has no hardware half: the driver's
@@ -76,7 +67,7 @@ func (s *System) Exec(p *machine.Proc) tm.Exec {
 	e := &exec{s: s}
 	e.tx = tm.Lazy{D: &e.Driver, Miss: e.load, StoreCycles: BarrierCycles}
 	e.Driver = tm.Driver{
-		NT: tm.NT{P: p}, H: &s.h,
+		NT: tm.NT{P: p}, H: &s.Handler,
 		SW: tm.SWPath{Begin: e.begin, End: e.end, Tx: &e.tx},
 	}
 	return e

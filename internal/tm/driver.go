@@ -1,7 +1,6 @@
 package tm
 
 import (
-	"repro/internal/btm"
 	"repro/internal/cm"
 	"repro/internal/machine"
 )
@@ -17,6 +16,15 @@ import (
 // everything observable — lifecycle events, commit and retry counters,
 // contention-management calls, the deferred-closure list — happens here,
 // in one order per arm.
+//
+// BTM itself (§3.1, Table 1) is here too, as the driver's hardware
+// attempt and the HW handle: btm_begin, btm_end and btm_abort with their
+// costs, flattened nesting to MaxNesting, and the NACK re-request. The
+// conflict detection and versioning underneath are package machine's,
+// shared with the unbounded HTM (Handler.Unbounded). Every abort reason
+// reaches the abort handler in the machine.Outcome of the access, commit
+// or abort that found it; the btm_mov status registers are not modelled
+// (DESIGN.md §7).
 
 // Disposition is what a system's abort handler does with one abort
 // reason: one cell of its Algorithm 3 row.
@@ -45,14 +53,13 @@ type Dispositions [machine.NumAbortReasons]Disposition
 
 // Handler is one system's abort handler and the state its processors
 // share: what the driver needs that is per system rather than per
-// processor.
+// processor. It is also the system's identity: a driver system embeds it,
+// and its Name, Stats and CM are the System and cm.Instrumented methods.
 type Handler struct {
-	// Name is the system's name, for panics.
-	Name string
-	// Stats receives the commit, failover and retry counts.
-	Stats *Stats
-	// CM is the system's contention manager, built by its constructor.
-	CM *cm.Manager
+	name  string
+	stats *Stats
+	cm    *cm.Manager
+
 	// On classifies every reason a hardware attempt can abort for.
 	On Dispositions
 	// Limit is how many Counted aborts one transaction takes before it
@@ -63,12 +70,30 @@ type Handler struct {
 	// retry to an explicit abort (§6), so theirs is AbortExplicit;
 	// HybridNOrec reports none and classifies AbortNone as Fatal.
 	RetryReason machine.AbortReason
+	// Unbounded lifts the L1-capacity limit from hardware attempts: the
+	// idealized unbounded HTM of §5.
+	Unbounded bool
 }
+
+// NewHandler returns the handler of the system called name, counting into
+// stats and backing off as kind says.
+func NewHandler(name string, stats *Stats, kind cm.Kind) Handler {
+	return Handler{name: name, stats: stats, cm: cm.NewManager(kind)}
+}
+
+// Name implements System.
+func (h *Handler) Name() string { return h.name }
+
+// Stats implements System.
+func (h *Handler) Stats() *Stats { return h.stats }
+
+// CM implements cm.Instrumented.
+func (h *Handler) CM() *cm.Manager { return h.cm }
 
 func (h *Handler) classify(reason machine.AbortReason) Disposition {
 	d := h.On[reason]
 	if d == Unclassified {
-		panic(h.Name + ": abort handler does not classify abort reason " + reason.String())
+		panic(h.name + ": abort handler does not classify abort reason " + reason.String())
 	}
 	return d
 }
@@ -116,9 +141,8 @@ type SWPath struct {
 type Driver struct {
 	NT
 	H *Handler
-	// U is the processor's BTM unit and Tx the handle hardware attempts
-	// hand to the body: HW itself, or a system's type embedding it.
-	U  *btm.Unit
+	// Tx is the handle hardware attempts hand to the body: HW itself, or
+	// a system's type embedding it.
 	Tx Tx
 
 	// Gate, when set, runs before every hardware attempt and may stall;
@@ -142,6 +166,7 @@ type Driver struct {
 
 	deferred []func()
 	again    bool
+	depth    int // of the hardware attempt's flattened nest: 1 + the nests open
 }
 
 // OnCommit registers f to run once the current attempt has committed.
@@ -164,7 +189,7 @@ func (d *Driver) runDeferred() {
 // between another hardware attempt and the software path.
 func (d *Driver) Atomic(body func(Tx)) {
 	h, p := d.H, d.P
-	cmgr := h.CM
+	cmgr := h.cm
 	age := p.Machine().NextAge()
 	p.TxLifeBegin()
 	if d.Software == nil {
@@ -181,7 +206,7 @@ attempts:
 		p.TxLifeAttempt(machine.PathHTM)
 		reason, retry, ok := d.tryHW(age, body)
 		if ok {
-			h.Stats.HWCommits++
+			h.stats.HWCommits++
 			p.TxLifeCommit(machine.PathHTM)
 			d.committed(cmgr, age)
 			return
@@ -206,7 +231,7 @@ attempts:
 			}
 		}
 		aborts++ // the policy clamps the shift (saturating counter)
-		h.Stats.HWRetries++
+		h.stats.HWRetries++
 		if cmgr.OnAbort(p, age, aborts) {
 			// The policy declared this transaction starving: stop burning
 			// hardware attempts and serialize it through software.
@@ -216,7 +241,7 @@ attempts:
 	// The transaction keeps the age of its first hardware attempt, which
 	// is why software transactions are almost always older than the
 	// hardware transactions they meet (§4.4).
-	h.Stats.Failovers++
+	h.stats.Failovers++
 	d.Software(age, body)
 	cmgr.TxDone(age)
 }
@@ -236,7 +261,7 @@ func (d *Driver) committed(cmgr *cm.Manager, age uint64) {
 func (d *Driver) AtomicSW(id uint64, body func(Tx)) {
 	d.P.TxLifeBegin()
 	d.untilCommit(id, machine.PathSW, body)
-	d.H.CM.TxDone(id)
+	d.H.cm.TxDone(id)
 	d.runDeferred()
 }
 
@@ -254,7 +279,7 @@ func (d *Driver) RunSW(id uint64, body func(Tx)) {
 // attempts as serialized fallback attempts.
 func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 	h, p := d.H, d.P
-	cmgr := h.CM
+	cmgr := h.cm
 	try, hw := (*Driver).trySW, path == machine.PathHTM
 	if hw {
 		try = (*Driver).tryHW
@@ -265,15 +290,15 @@ func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 		switch {
 		case ok:
 			if hw {
-				h.Stats.HWCommits++
+				h.stats.HWCommits++
 			} else {
-				h.Stats.SWCommits++
+				h.stats.SWCommits++
 				p.RecordSWCommit()
 			}
 			p.TxLifeCommit(path)
 			return
 		case retry:
-			h.Stats.Retries++
+			h.stats.Retries++
 			p.TxLifeRetryWait()
 			cmgr.RetryPoll(p)
 			continue
@@ -281,12 +306,12 @@ func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 		p.TxLifeAbort(path, reason)
 		switch {
 		case !hw:
-			h.Stats.SWAborts++
+			h.stats.SWAborts++
 		case h.classify(reason) == Fault:
 			cmgr.PageFaultStall(p)
 			continue
 		default:
-			h.Stats.HWRetries++
+			h.stats.HWRetries++
 		}
 		aborts++ // the policy clamps the shift (saturating counter)
 		if cmgr.OnAbort(p, id, aborts) {
@@ -296,14 +321,16 @@ func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 	}
 }
 
-// tryHW attempts the transaction in BTM once. It reports the abort
-// reason, whether the body asked to Retry, and whether it committed.
+// tryHW attempts the transaction in BTM once: btm_begin, the body, and
+// btm_end, which publishes the attempt's writes unless an abort is
+// pending. It reports the abort reason, whether the body asked to Retry,
+// and whether it committed.
 func (d *Driver) tryHW(age uint64, body func(Tx)) (machine.AbortReason, bool, bool) {
 	d.deferred = d.deferred[:0]
 	d.again = false
-	if !d.U.Begin(age) {
-		return machine.AbortNesting, false, false
-	}
+	d.depth = 1
+	d.P.BeginHW(age, !d.H.Unbounded)
+	d.P.Elapse(HWBeginCycles)
 	reason, retry, aborted := Catch(func() {
 		if d.Begin != nil {
 			d.Begin()
@@ -316,7 +343,9 @@ func (d *Driver) tryHW(age uint64, body func(Tx)) (machine.AbortReason, bool, bo
 	if aborted {
 		return reason, retry, false
 	}
-	if out := d.U.End(); out.Kind == machine.HWAborted {
+	out := d.P.CommitHW()
+	d.P.Elapse(HWEndCycles)
+	if out.Kind == machine.HWAborted {
 		return out.Reason, false, false
 	}
 	return machine.AbortNone, false, true
@@ -336,6 +365,21 @@ func (d *Driver) trySW(id uint64, body func(Tx)) (machine.AbortReason, bool, boo
 	return reason, retry, false
 }
 
+// The costs of BTM's instructions (Table 1), on top of their memory
+// traffic. A btm_begin or btm_end inside a transaction only moves the
+// flattened nest's depth.
+const (
+	HWBeginCycles = 3 // btm_begin: checkpoint the registers
+	HWEndCycles   = 2 // btm_end: flash-clear SR/SW, drop the checkpoint
+	HWAbortCycles = 2 // btm_abort: flash-clear SR/SW, restore the checkpoint
+	HWNestCycles  = 1 // a nested btm_begin or btm_end
+)
+
+// MaxNesting is BTM's flattened-nesting depth limit, the transaction
+// included: an attempt opens at most MaxNesting-1 nests, and opening one
+// more aborts it with AbortNesting.
+const MaxNesting = 8
+
 // HW is the hardware transaction handle: uninstrumented accesses straight
 // to the transactional cache path, and BTM's behaviour for everything
 // else a body may ask. It is pointer-shaped, so handing it to a body as a
@@ -348,6 +392,32 @@ var _ Tx = HW{}
 // HW returns the driver's plain hardware handle.
 func (d *Driver) HW() HW { return HW{D: d} }
 
+// TxRead is the transactional load, re-requested after every NACK (the
+// paper's 20-cycle retry). Its outcome is OK, UFOFault or HWAborted,
+// never Nacked.
+func (h HW) TxRead(addr uint64) (uint64, machine.Outcome) {
+	p := h.D.P
+	for {
+		v, out := p.TxRead(addr)
+		if out.Kind != machine.Nacked {
+			return v, out
+		}
+		p.Elapse(machine.NackCycles)
+	}
+}
+
+// TxWrite is the transactional store, with TxRead's NACK handling.
+func (h HW) TxWrite(addr, val uint64) machine.Outcome {
+	p := h.D.P
+	for {
+		out := p.TxWrite(addr, val)
+		if out.Kind != machine.Nacked {
+			return out
+		}
+		p.Elapse(machine.NackCycles)
+	}
+}
+
 // ok unwinds the body if the access found the transaction aborted.
 func (h HW) ok(out machine.Outcome) {
 	switch out.Kind {
@@ -356,32 +426,43 @@ func (h HW) ok(out machine.Outcome) {
 	case machine.HWAborted:
 		Unwind(out.Reason)
 	}
-	panic(h.D.H.Name + ": hardware access outcome " + out.Kind.String())
+	panic(h.D.H.name + ": hardware access outcome " + out.Kind.String())
 }
 
 // Load implements Tx.
 func (h HW) Load(addr uint64) uint64 {
-	v, out := h.D.U.Load(addr)
+	v, out := h.TxRead(addr)
 	h.ok(out)
 	return v
 }
 
 // Store implements Tx.
-func (h HW) Store(addr, val uint64) { h.ok(h.D.U.Store(addr, val)) }
+func (h HW) Store(addr, val uint64) { h.ok(h.TxWrite(addr, val)) }
 
 // OnCommit implements Tx.
 func (h HW) OnCommit(f func()) { h.D.OnCommit(f) }
 
-// Abort implements Tx.
-func (h HW) Abort() {
-	h.D.U.Abort(machine.AbortExplicit)
-	Unwind(machine.AbortExplicit)
+// abort aborts the attempt for reason (btm_abort); the caller unwinds
+// the body.
+func (h HW) abort(reason machine.AbortReason) {
+	h.D.P.AbortHW(reason)
+	h.D.P.Elapse(HWAbortCycles)
 }
+
+// AbortFor aborts the attempt for reason and unwinds the body.
+func (h HW) AbortFor(reason machine.AbortReason) {
+	h.abort(reason)
+	Unwind(reason)
+}
+
+// Abort implements Tx.
+func (h HW) Abort() { h.AbortFor(machine.AbortExplicit) }
 
 // AbortBy aborts the attempt on another party's behalf: the conflict
 // edge is attributed to processor aggressor (-1 for unknown) over addr.
 func (h HW) AbortBy(reason machine.AbortReason, aggressor int, addr uint64) {
-	h.D.U.AbortAttributed(reason, aggressor, addr)
+	h.D.P.AbortHWAttributed(reason, aggressor, addr)
+	h.D.P.Elapse(HWAbortCycles)
 	Unwind(reason)
 }
 
@@ -389,27 +470,26 @@ func (h HW) AbortBy(reason machine.AbortReason, aggressor int, addr uint64) {
 // BTM does), so an inner abort aborts the whole transaction — which under
 // a hybrid fails over to software, where partial abort is supported.
 func (h HW) Nested(body func()) bool {
-	u := h.D.U
-	if !u.Begin(0) {
-		Unwind(machine.AbortNesting)
+	d := h.D
+	if d.depth++; d.depth > MaxNesting {
+		h.AbortFor(machine.AbortNesting)
 	}
+	d.P.Elapse(HWNestCycles)
 	if CatchNested(body) {
 		h.Abort()
 	}
-	u.End()
+	d.depth--
+	d.P.Elapse(HWNestCycles)
 	return true
 }
 
 // Retry implements Tx: hardware cannot wait, so the attempt aborts and
 // the request unwinds to the driver.
 func (h HW) Retry() {
-	h.D.U.Abort(machine.AbortExplicit)
+	h.abort(machine.AbortExplicit)
 	UnwindRetry()
 }
 
 // Syscall implements Tx: hardware transactions cannot contain system
 // calls.
-func (h HW) Syscall() {
-	h.D.U.Abort(machine.AbortSyscall)
-	Unwind(machine.AbortSyscall)
-}
+func (h HW) Syscall() { h.AbortFor(machine.AbortSyscall) }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/btm"
 	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -37,22 +36,34 @@ var row = tm.Dispositions{
 	machine.AbortExplicit:  tm.Fatal,
 }
 
-func newRig(procs int, fallback bool) *rig {
+func newRig(procs int, fallback bool) *rig { return newRigOn(rigParams(procs), fallback) }
+
+func rigParams(procs int) machine.Params {
 	p := machine.DefaultParams(procs)
 	p.MemBytes = 1 << 20
 	p.Quantum = 0
 	p.MaxSteps = 200_000
+	return p
+}
+
+func newRigOn(p machine.Params, fallback bool) *rig {
 	r := &rig{m: machine.New(p)}
-	r.h = tm.Handler{Name: "rig", Stats: &r.stats, CM: cm.NewManager(cm.KindExponential), On: row, RetryReason: machine.AbortExplicit}
+	r.policy(cm.KindExponential)
 	r.d = r.driver(0, fallback)
 	return r
+}
+
+// policy gives the rig a fresh handler that backs off as kind says.
+func (r *rig) policy(kind cm.Kind) {
+	r.h = tm.NewHandler("rig", &r.stats, kind)
+	r.h.On, r.h.RetryReason = row, machine.AbortExplicit
 }
 
 func (r *rig) note(format string, args ...any) { r.log = append(r.log, fmt.Sprintf(format, args...)) }
 
 func (r *rig) driver(proc int, fallback bool) *tm.Driver {
 	p := r.m.Proc(proc)
-	d := &tm.Driver{NT: tm.NT{P: p}, H: &r.h, U: btm.New(p)}
+	d := &tm.Driver{NT: tm.NT{P: p}, H: &r.h}
 	d.Tx = d.HW()
 	d.Gate = func() bool {
 		if r.gate != nil {
@@ -102,7 +113,7 @@ func (r *rig) driver(proc int, fallback bool) *tm.Driver {
 // token. (Acquisition is re-entrant for the holder; no other transaction
 // is in play in these tests, so a free token is taken and given back.)
 func (r *rig) tokenHeldBy(id uint64) bool {
-	mgr := r.h.CM
+	mgr := r.h.CM()
 	before := mgr.Stats().TokenAcquisitions
 	mgr.AcquireToken(r.m.Proc(0), id)
 	if mgr.Stats().TokenAcquisitions == before {
@@ -117,10 +128,7 @@ func (r *rig) tokenHeldBy(id uint64) bool {
 type step func(r *rig, tx tm.Tx)
 
 func inject(reason machine.AbortReason) step {
-	return func(r *rig, _ tm.Tx) {
-		r.d.U.Abort(reason)
-		tm.Unwind(reason)
-	}
+	return func(r *rig, _ tm.Tx) { r.d.HW().AbortFor(reason) }
 }
 
 // times is n copies of s: enough aborts to reach cm.DefaultStarveK.
@@ -211,11 +219,11 @@ func TestDriverAbortHandlerArms(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := newRig(1, true)
+			r.policy(c.policy)
 			r.h.Limit = c.limit
-			r.h.CM = cm.NewManager(c.policy)
 			r.run(func() { r.d.Atomic(r.body(c.steps...)) })
 			r.want(t, c.log, c.stats)
-			got := *r.h.CM.Stats()
+			got := *r.h.CM().Stats()
 			got.DelayCycles, got.MaxDelay = 0, 0
 			if got != c.cm {
 				t.Errorf("cm stats %+v, want %+v", got, c.cm)
@@ -267,14 +275,14 @@ func TestDriverRetryNowSkipsTheHandler(t *testing.T) {
 	}
 	r.run(func() { r.d.Atomic(r.body()) })
 	r.want(t, "begin, begin, begin, body, precommit, committed, deferred", tm.Stats{HWCommits: 1})
-	if cs := r.h.CM.Stats(); cs.Delays != 0 {
+	if cs := r.h.CM().Stats(); cs.Delays != 0 {
 		t.Fatalf("%d backoffs drawn for attempts marked RetryNow", cs.Delays)
 	}
 }
 
 func TestDriverWithoutSoftwareRetriesUntilCommit(t *testing.T) {
 	r := newRig(1, false)
-	r.h.CM = cm.NewManager(cm.KindSerialize)
+	r.policy(cm.KindSerialize)
 	const age = 1 // the machine's first transaction
 	const k = cm.DefaultStarveK
 	var heldInBody, heldInCommitted bool
@@ -296,7 +304,7 @@ func TestDriverWithoutSoftwareRetriesUntilCommit(t *testing.T) {
 	}
 	r.want(t, strings.Repeat("begin, body, ", k+2)+"begin, body, precommit, committed, deferred",
 		tm.Stats{HWCommits: 1, HWRetries: k, Retries: 1})
-	got := *r.h.CM.Stats()
+	got := *r.h.CM().Stats()
 	got.DelayCycles, got.MaxDelay = 0, 0
 	want := cm.Stats{Delays: k - 1, PageFaultStalls: 1, RetryPolls: 1, StarvationEscalations: 1, TokenAcquisitions: 1}
 	if got != want {
@@ -330,7 +338,7 @@ func TestDriverSoftwarePath(t *testing.T) {
 	}
 	t.Run("escalation takes the token until TxDone", func(t *testing.T) {
 		r := newRig(1, false)
-		r.h.CM = cm.NewManager(cm.KindSerialize)
+		r.policy(cm.KindSerialize)
 		r.swScript = commits()
 		held := false
 		r.run(func() {
@@ -342,7 +350,7 @@ func TestDriverSoftwarePath(t *testing.T) {
 	})
 	t.Run("RunSW leaves TxDone to the caller", func(t *testing.T) {
 		r := newRig(1, false)
-		r.h.CM = cm.NewManager(cm.KindSerialize)
+		r.policy(cm.KindSerialize)
 		r.swScript = commits()
 		r.run(func() { r.d.RunSW(7, r.body(times(k, abort)...)) })
 		if !r.tokenHeldBy(7) {
@@ -483,10 +491,7 @@ func TestDriverPassesForeignUnwinds(t *testing.T) {
 		livelock := func(d *tm.Driver) func(*machine.Proc) {
 			return func(*machine.Proc) {
 				defer func() { unwound = true }()
-				d.Atomic(func(tm.Tx) {
-					d.U.Abort(machine.AbortInterrupt)
-					tm.Unwind(machine.AbortInterrupt)
-				})
+				d.Atomic(func(tm.Tx) { d.HW().AbortFor(machine.AbortInterrupt) })
 			}
 		}
 		halt := sim.Catch(func() { r.m.Run([]func(*machine.Proc){livelock(r.d), livelock(other)}) })

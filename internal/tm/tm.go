@@ -8,11 +8,13 @@
 //
 // It also holds the one transaction driver those implementations share
 // (driver.go): the hardware-first loop of Figure 4 with Algorithm 3's
-// abort handler as a per-system table, and the retry-until-commit loop of
-// the paths with no fallback. A system built on it supplies a table, a
-// limit and a few hooks; see DESIGN.md §11.
+// abort handler as a per-system table, BTM's instructions under it, and
+// the retry-until-commit loop of the paths with no fallback. A system
+// built on it embeds a Handler — its name, counters, contention manager
+// and table — and supplies a few hooks; see DESIGN.md §11.
 //
-// Paper: §2 (programming interface and atomicity semantics), §4.3
+// Paper: §2 (programming interface and atomicity semantics), §3.1 (BTM,
+// Table 1), §4.3
 // (Figure 4, Algorithm 3) and §6 (the retry waiting primitive).
 package tm
 

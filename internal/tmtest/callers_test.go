@@ -20,6 +20,7 @@ import (
 // only tests use belongs in a _test.go file.
 var uncalledAllowed = map[string]string{
 	"machine.Machine.CheckConsistency": "the checker the stress tests compare against",
+	"machine.Proc.HW":                  "state that tests in other packages observe",
 	"machine.Proc.L1":                  "state that tests in other packages observe",
 	"machine.Proc.UFOEnabled":          "state that tests in other packages observe",
 	"machine.AllKinds":                 "the every-kind set an all-kinds storm trace subscribes to (DESIGN.md §24)",

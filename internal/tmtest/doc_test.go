@@ -175,6 +175,47 @@ func TestNoExportedCyclesFields(t *testing.T) {
 	}
 }
 
+// TestNoBareCycleLiterals keeps every simulated cost named: no Elapse in
+// the non-test Go under internal/ or cmd/ takes an integer literal, so
+// each cost is a constant the cost sheet can quote (DESIGN.md §4).
+// examples/ are exempt: their waits stage a scenario, not a cost.
+func TestNoBareCycleLiterals(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join("..", "..", dir), func(path string, e os.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case e.IsDir() && e.Name() == "testdata":
+				return filepath.SkipDir
+			case e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Elapse" {
+					return true
+				}
+				if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.INT {
+					t.Errorf("%s: Elapse(%s): name the cost as a …Cycles constant", fset.Position(call.Pos()), lit.Value)
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 var costSheetRow = regexp.MustCompile("(?m)^\\| `([a-z0-9]+\\.[A-Za-z0-9]+Cycles)` \\| ([0-9,]+) \\|")
 
 // TestDesignCostSheetMatchesConstants holds DESIGN.md's cost sheets to

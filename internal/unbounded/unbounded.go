@@ -6,12 +6,12 @@
 // buildable pure-HTM proposal; it serves as the performance ceiling.
 //
 // That handler is tm.Driver with no software path; this package supplies
-// an unbounded BTM unit, an abort table with nothing fatal in it, and a
-// system call that costs ten cycles instead of an abort.
+// a Handler whose hardware attempts are unbounded, an abort table with
+// nothing fatal in it, and a system call that costs SyscallCycles instead
+// of an abort.
 package unbounded
 
 import (
-	"repro/internal/btm"
 	"repro/internal/cm"
 	"repro/internal/machine"
 	"repro/internal/tm"
@@ -35,28 +35,23 @@ var Dispositions = tm.Dispositions{
 	machine.AbortNesting:      tm.Transient,
 }
 
+// SyscallCycles is a system call inside a transaction, run in place.
+const SyscallCycles = 10
+
 // System is the unbounded HTM. It implements tm.System.
 type System struct {
+	tm.Handler
 	stats tm.Stats
-	h     tm.Handler
 }
 
 // New builds the system, backing off as kind says. It keeps no machine
 // state of its own.
 func New(_ *machine.Machine, kind cm.Kind) *System {
 	s := &System{}
-	s.h = tm.Handler{Name: s.Name(), Stats: &s.stats, CM: cm.NewManager(kind), On: Dispositions}
+	s.Handler = tm.NewHandler("unbounded-htm", &s.stats, kind)
+	s.On, s.Unbounded = Dispositions, true
 	return s
 }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "unbounded-htm" }
-
-// Stats implements tm.System.
-func (s *System) Stats() *tm.Stats { return &s.stats }
-
-// CM implements cm.Instrumented.
-func (s *System) CM() *cm.Manager { return s.h.CM }
 
 // Exec implements tm.System. With no Software the driver retries in
 // hardware until commit — the defining property (and hardware burden) of
@@ -65,7 +60,7 @@ func (s *System) CM() *cm.Manager { return s.h.CM }
 // accesses: a pure HTM installs no protection, and its strong atomicity
 // comes from coherence.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	d := &tm.Driver{NT: tm.NT{P: p}, H: &s.h, U: btm.NewUnbounded(p)}
+	d := &tm.Driver{NT: tm.NT{P: p}, H: &s.Handler}
 	d.Tx = hwTx{d.HW()}
 	return d
 }
@@ -76,4 +71,4 @@ type hwTx struct{ tm.HW }
 // in-transaction system calls "much less gracefully" through abort-handler
 // complexity, but its Figure 7 pure-HTM reference line is flat — the
 // forced failovers do not apply to it.
-func (h hwTx) Syscall() { h.D.P.Elapse(10) }
+func (h hwTx) Syscall() { h.D.P.Elapse(SyscallCycles) }

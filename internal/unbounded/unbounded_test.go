@@ -141,9 +141,8 @@ func TestPageFaultRetriedWithFixedStall(t *testing.T) {
 			tx.Store(0, uint64(tries))
 			if tries == 1 {
 				// Force a page-fault abort mid-transaction (the simulator
-				// has no demand paging, so inject it at the BTM unit).
-				ex.U.Abort(machine.AbortPageFault)
-				tm.Unwind(machine.AbortPageFault)
+				// has no demand paging, so inject it as a btm_abort).
+				ex.HW().AbortFor(machine.AbortPageFault)
 			}
 		})
 	}})
