@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/machine"
 )
@@ -13,7 +14,7 @@ import (
 // true-conflict-only limit study, on the workload with the heaviest
 // STM/HTM interaction.
 func (r *Runner) AblationUFOMitigations(opt Options, scale Scale) ([]Row, error) {
-	return r.runStudy("ufo-mitigations", benchmarkByName(scale, "vacation-high"), true, scale, opt, []studyConfig{
+	return r.runStudy("ufo-mitigations", benchmarks(scale, "vacation-high"), true, scale, opt, []studyConfig{
 		{"eager (default)", UFOHybrid, nil},
 		{"owner-state install", UFOHybrid, func(o *Options) { o.Params.OwnerStateUFO = true }},
 		{"lazy clear", UFOHybrid, func(o *Options) { o.Params.LazyUFOClear = true }},
@@ -37,7 +38,7 @@ func (r *Runner) AblationL1Size(opt Options, scale Scale) ([]Row, error) {
 			func(o *Options) { o.Params.L1Bytes = kb * 1024 },
 		})
 	}
-	return r.runStudy("l1-size", benchmarkByName(scale, "vacation-high"), true, scale, opt, configs)
+	return r.runStudy("l1-size", benchmarks(scale, "vacation-high"), true, scale, opt, configs)
 }
 
 // AblationOTableSize sweeps the ownership-table row count: small tables
@@ -51,7 +52,7 @@ func (r *Runner) AblationOTableSize(opt Options, scale Scale) ([]Row, error) {
 			func(o *Options) { o.OTableRows = rows },
 		})
 	}
-	return r.runStudy("otable-size", benchmarkByName(scale, "vacation-low"), true, scale, opt, configs)
+	return r.runStudy("otable-size", benchmarks(scale, "vacation-low"), true, scale, opt, configs)
 }
 
 // AblationQuantum sweeps the scheduling quantum: short quanta interrupt
@@ -65,7 +66,7 @@ func (r *Runner) AblationQuantum(opt Options, scale Scale) ([]Row, error) {
 			func(o *Options) { o.Params.Quantum = q },
 		})
 	}
-	return r.runStudy("quantum", benchmarkByName(scale, "kmeans-low"), true, scale, opt, configs)
+	return r.runStudy("quantum", benchmarks(scale, "kmeans-low"), true, scale, opt, configs)
 }
 
 // Ablations runs every ablation study.
@@ -104,15 +105,20 @@ func PrintAblations(w io.Writer, rows []Row) {
 	}
 }
 
-// benchmarkByName returns the named workload factory at the given
-// scale, as the one-workload list a study runs over.
-func benchmarkByName(scale Scale, name string) []WorkloadFactory {
+// benchmarks returns the named workload factories at the given scale,
+// in Benchmarks order, as the list a study runs over. It panics on a
+// name Benchmarks does not list.
+func benchmarks(scale Scale, names ...string) []WorkloadFactory {
+	var out []WorkloadFactory
 	for _, f := range Benchmarks(scale) {
-		if f.Name == name {
-			return []WorkloadFactory{f}
+		if slices.Contains(names, f.Name) {
+			out = append(out, f)
 		}
 	}
-	panic("harness: unknown benchmark " + name)
+	if len(out) != len(names) {
+		panic(fmt.Sprintf("harness: unknown benchmark among %q", names))
+	}
+	return out
 }
 
 // Footprints profiles committed-transaction footprints per benchmark on

@@ -99,8 +99,6 @@ type collider struct {
 	threads int
 }
 
-func (c *collider) Name() string { return "collider" }
-
 func (c *collider) Init(m *machine.Machine, threads int) {
 	c.addr = m.Mem.Sbrk(64)
 	c.threads = threads

@@ -331,13 +331,7 @@ func figure8Configs() []studyConfig {
 // Figure8 reproduces the contention-policy sensitivity study on the UFO
 // hybrid over the two highest-contention benchmarks.
 func (r *Runner) Figure8(opt Options, scale Scale) ([]Row, error) {
-	var factories []WorkloadFactory
-	for _, f := range Benchmarks(scale) {
-		if f.Name == "genome" || f.Name == "kmeans-high" || f.Name == "vacation-high" {
-			factories = append(factories, f)
-		}
-	}
-	return r.runStudy("fig8", factories, true, scale, opt, figure8Configs())
+	return r.runStudy("fig8", benchmarks(scale, "genome", "kmeans-high", "vacation-high"), true, scale, opt, figure8Configs())
 }
 
 // PrintFigure8 renders the study.

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,6 +88,36 @@ func TestFigure7StructureAndPrint(t *testing.T) {
 	PrintFigure7(&sb, data, ScaleSmall)
 	if !strings.Contains(sb.String(), "Figure 7a") || !strings.Contains(sb.String(), "Figure 7b") {
 		t.Fatal("Figure 7 output incomplete")
+	}
+}
+
+// TestCellsAreNamedByTheirJob: a cell's workload is the name its sweep
+// table gives its job's factory, so Figure 7's cells carry their failover
+// rate: six cells per rate (the sequential baseline and one per system),
+// rate after rate in job order.
+func TestCellsAreNamedByTheirJob(t *testing.T) {
+	var rep Report
+	var jobs []string
+	r := Parallel(0)
+	r.Collect = func(j Job, res Result) {
+		jobs = append(jobs, j.Factory.Name)
+		rep.Add(res)
+	}
+	if _, err := r.Figure7(testOptions(), ScaleSmall); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, rate := range Figure7Rates(ScaleSmall) {
+		for range 1 + len(Figure7Systems) {
+			want = append(want, fmt.Sprintf("failover-%d%%", rate))
+		}
+	}
+	var got []string
+	for _, c := range rep.Cells {
+		got = append(got, c.Workload)
+	}
+	if !slices.Equal(jobs, want) || !slices.Equal(got, want) {
+		t.Fatalf("job names %q, cell names %q, want %q", jobs, got, want)
 	}
 }
 

@@ -185,9 +185,11 @@ func (r Result) baseCycles() uint64 {
 }
 
 // Run executes one workload on one system with the given thread count.
-// The workload must be freshly constructed (Init mutates it).
+// The workload must be freshly constructed (Init mutates it). The Result
+// names no workload: it is not a sweep cell, and only a sweep table's
+// WorkloadFactory gives a workload its name.
 func Run(kind SystemKind, wl stamp.Workload, threads int, opt Options) Result {
-	f := WorkloadFactory{New: func() stamp.Workload { return wl }} // cannot panic: the cell is named by wl.Name()
+	f := WorkloadFactory{New: func() stamp.Workload { return wl }}
 	return runOn(new(machine.Arena), Job{System: kind, Factory: f, Threads: threads, Opt: opt})
 }
 
@@ -207,7 +209,6 @@ func runOn(arena *machine.Arena, j Job) Result {
 	var txrec *txstats.Recorder
 	if halt := sim.Catch(func() {
 		wl := j.Factory.New()
-		res.Workload = wl.Name()
 		if j.Observe != nil {
 			j.Observe(m)
 		}

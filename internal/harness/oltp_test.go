@@ -240,8 +240,9 @@ func TestFindWorkloadOLTP(t *testing.T) {
 	if !ok || f.Name != "oltp" {
 		t.Fatal("FindWorkload does not surface oltp")
 	}
-	if got := f.New().Name(); got != "oltp" {
-		t.Fatalf("factory builds workload %q", got)
+	wl := f.New()
+	if _, ok := wl.(*oltp.Workload); !ok {
+		t.Fatalf("factory builds a %T", wl)
 	}
 }
 

@@ -18,8 +18,6 @@ import (
 // stuck is a cell whose every thread blocks with nobody left to wake it.
 type stuck struct{ panickyWorkload }
 
-func (stuck) Name() string { return "stuck" }
-
 func (stuck) Thread(i int, ex tm.Exec) {
 	ex.Proc().Elapse(10)
 	ex.Proc().Block()

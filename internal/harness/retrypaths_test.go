@@ -36,8 +36,6 @@ const (
 	proberCycles = 50_000_000 // ~17× the longest run's
 )
 
-func (w *retryQueue) Name() string { return "retry-queue" }
-
 func (w *retryQueue) Init(m *machine.Machine, _ int) {
 	a := txlib.NewArena(m, nil, 1<<12)
 	w.q = txlib.NewQueue(txlib.Direct{M: m}, a, 2)

@@ -31,8 +31,6 @@ type leftover struct {
 	size, base, far uint64
 }
 
-func (w *leftover) Name() string { return "leftover" }
-
 func (w *leftover) Init(m *machine.Machine, threads int) {
 	w.size = m.Mem.Size()
 	w.base = m.Mem.Sbrk(128 * mem.LineBytes)
@@ -151,14 +149,14 @@ func describe(j Job) string {
 // snapshot, txstats and contention reports — is a pure function of its
 // Job, whatever ran before it on its worker. Every job of a
 // deliberately heterogeneous list, run in three seeded shuffles at 1, 2
-// and 4 workers, must equal the same job run alone through Run; so must
-// the 8-processor cell on both sides of the 130-processor one, the
+// and 4 workers, must equal the same job run alone on a fresh arena; so
+// must the 8-processor cell on both sides of the 130-processor one, the
 // fourth order, which on one worker changes the record width and back.
 func TestReuseDifferential(t *testing.T) {
 	jobs := reuseJobs()
 	alone := make([]Result, len(jobs))
 	for i, j := range jobs {
-		alone[i] = Run(j.System, j.Factory.New(), j.Threads, j.Opt)
+		alone[i] = runOn(new(machine.Arena), j)
 		var halt *sim.Halt
 		if j.Opt.Params.MaxSteps != 100 && alone[i].Err != nil ||
 			j.Opt.Params.MaxSteps == 100 && (!errors.As(alone[i].Err, &halt) || halt.Kind != "budget" || alone[i].TxStats.InFlight == 0) {
@@ -235,7 +233,7 @@ func TestFailedCellDoesNotPoisonWorker(t *testing.T) {
 	if results[2].Err != nil {
 		t.Fatalf("normal cell after the failed ones: %v", results[2].Err)
 	}
-	if want := Run(USTMUFO, kmeans.New(), 2, opt); !reflect.DeepEqual(results[2], want) {
+	if want := runOn(new(machine.Arena), jobs[2]); !reflect.DeepEqual(results[2], want) {
 		t.Errorf("normal cell after the failed ones: cycles %d, stats %+v; alone: cycles %d, stats %+v",
 			results[2].Cycles, results[2].Stats, want.Cycles, want.Stats)
 	}

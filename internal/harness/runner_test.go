@@ -149,7 +149,6 @@ func TestWorkerCountRule(t *testing.T) {
 // sweep error path end to end.
 type failingWorkload struct{}
 
-func (failingWorkload) Name() string                         { return "always-fails" }
 func (failingWorkload) Init(m *machine.Machine, threads int) {}
 func (failingWorkload) Thread(i int, ex tm.Exec)             { ex.Atomic(func(tx tm.Tx) { tx.Store(0, 1) }) }
 func (failingWorkload) Validate(m *machine.Machine) error {
@@ -202,7 +201,6 @@ func TestSweepAggregatesCellErrors(t *testing.T) {
 // per-cell error instead of crashing the sweep.
 type panickyWorkload struct{}
 
-func (panickyWorkload) Name() string                         { return "boom" }
 func (panickyWorkload) Init(m *machine.Machine, threads int) {}
 func (panickyWorkload) Thread(i int, ex tm.Exec)             { panic("kaboom") }
 func (panickyWorkload) Validate(m *machine.Machine) error    { return nil }

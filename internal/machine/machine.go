@@ -137,7 +137,6 @@ func (k OutcomeKind) String() string {
 type Outcome struct {
 	Kind   OutcomeKind
 	Reason AbortReason // valid when Kind == HWAborted
-	Addr   uint64      // faulting address when Kind == UFOFault
 }
 
 var okOutcome = Outcome{Kind: OK}
@@ -263,7 +262,7 @@ type Counters struct {
 }
 
 // Machine is the simulated multiprocessor. Its shared state (memory,
-// directory, counters, observers, age sequence, Rand) is mutated only from
+// directory, counters, observers, age sequence) is mutated only from
 // Proc methods, which the engine serializes in (cycle, proc id) order:
 // one processor holds the execution token at a time, so none of it
 // needs locking.
@@ -271,7 +270,6 @@ type Machine struct {
 	Params
 	Eng   *sim.Engine
 	Mem   *mem.Memory
-	Rand  *sim.Rand
 	Count Counters
 
 	arena *Arena
@@ -282,8 +280,9 @@ type Machine struct {
 }
 
 // New builds a machine from params on an arena of its own. All state
-// derives from params (the RNG from params.Seed), so equal Params build
-// machines whose runs are deterministic replicas of each other.
+// derives from params (every Proc.Rand from params.Seed), so equal
+// Params build machines whose runs are deterministic replicas of each
+// other.
 func New(p Params) *Machine { return new(Arena).New(p) }
 
 // New builds a machine from params over the arena's storage. What an
@@ -315,7 +314,6 @@ func (a *Arena) New(p Params) *Machine {
 			Reference: p.ReferenceScheduler,
 		}),
 		Mem:   a.mem,
-		Rand:  sim.NewRand(p.Seed),
 		arena: a,
 		dir:   a.dir,
 		procs: make([]*Proc, p.Procs),

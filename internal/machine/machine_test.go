@@ -315,14 +315,18 @@ func TestTrueConflictLimitStudySparesFalseKills(t *testing.T) {
 
 func TestUFOFaultBlocksAccess(t *testing.T) {
 	m := New(testParams(1))
+	faults := observe(m, KindSet(TraceUFOFault))
 	m.Run([]func(*Proc){func(p *Proc) {
 		p.SetUFOEnabled(false)
 		p.SetUFO(0, mem.UFOFaultAll)
 		p.NTWrite(0, 3) // UFO disabled: proceeds
 		p.SetUFOEnabled(true)
 		v, out := p.NTRead(0)
-		if out.Kind != UFOFault || out.Addr != 0 {
-			t.Fatalf("read outcome = %+v, want UFO fault at 0", out)
+		if out.Kind != UFOFault {
+			t.Fatalf("read outcome = %+v, want UFO fault", out)
+		}
+		if ev := faults.events; len(ev) != 1 || !ev[0].HasAddr() || ev[0].Addr != 0 {
+			t.Fatalf("ufo-fault events = %+v, want one at address 0", ev)
 		}
 		if v != 0 {
 			t.Fatal("faulting read returned data")

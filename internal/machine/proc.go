@@ -120,7 +120,7 @@ func (p *Proc) ID() int { return p.sp.ID() }
 
 // Machine returns the owning machine. Mid-run, only the running
 // processor may touch the shared fields reached through it (Mem, Count,
-// Rand, NextAge).
+// NextAge).
 func (p *Proc) Machine() *Machine { return p.m }
 
 // Now returns the processor's local clock.
@@ -158,8 +158,8 @@ func (p *Proc) Wake(q *Proc) { p.sp.Wake(q.sp) }
 func (p *Proc) SetNote(format string, args ...any) { p.sp.SetNote(format, args...) }
 
 // Rand returns a per-processor deterministic random stream, seeded from
-// Params.Seed and the processor ID. Unlike the machine-wide
-// Machine.Rand, its values do not depend on the schedule.
+// Params.Seed and the processor ID, so its values do not depend on the
+// schedule.
 func (p *Proc) Rand() *sim.Rand {
 	if p.rng == nil {
 		p.rng = sim.NewRand(p.m.Seed*2654435761 + uint64(p.ID()) + 1)
@@ -320,7 +320,7 @@ func (p *Proc) consumeAbort() Outcome {
 	}
 	p.emit(TraceEvent{Kind: TraceHWAbort, Proc: p.ID(), Reason: reason, Addr: addr, Age: t.Age, Flags: flags})
 	p.hw = nil
-	return Outcome{Kind: HWAborted, Reason: reason, Addr: addr}
+	return Outcome{Kind: HWAborted, Reason: reason}
 }
 
 // killHW flash-clears victim's transactional state and records the abort
@@ -397,7 +397,7 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 		p.m.Count.UFOFaults++
 		p.emit(TraceEvent{Kind: TraceUFOFault, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
 		p.sp.Elapse(L1HitCycles) // the tag check that detected the fault
-		return Outcome{Kind: UFOFault, Addr: addr}
+		return Outcome{Kind: UFOFault}
 	}
 
 	// 2. Conflict detection against other processors' HW transactions.
@@ -449,7 +449,7 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 		// retry will hit in L1.
 		p.m.Count.UFOFaults++
 		p.emit(TraceEvent{Kind: TraceUFOFault, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
-		return Outcome{Kind: UFOFault, Addr: addr}
+		return Outcome{Kind: UFOFault}
 	}
 	return okOutcome
 }

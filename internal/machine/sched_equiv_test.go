@@ -1,6 +1,10 @@
 package machine
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // TestReferenceSchedulerBitIdentical runs a contended transactional
 // workload under the run-ahead fast path and the reference scheduler
@@ -8,18 +12,18 @@ import "testing"
 // §12) and requires bit-identical simulated results: final cycle count,
 // per-proc clocks, event counters, and committed memory. This is the
 // machine-level differential test pinning the production scheduler to
-// the specification. The workload draws from the machine's shared Rand,
-// so the draw order is itself part of what must match.
+// the specification. The workload draws from one RNG all processors
+// share, so the draw order is itself part of what must match.
 func TestReferenceSchedulerBitIdentical(t *testing.T) {
 	const procs = 4
 
 	run := func(params Params) *Machine {
 		params.Quantum = 500
 		m := New(params)
+		r := sim.NewRand(params.Seed)
 		ws := make([]func(*Proc), procs)
 		for i := 0; i < procs; i++ {
 			ws[i] = func(p *Proc) {
-				r := p.Machine().Rand
 				for iter := 0; iter < 40; iter++ {
 					addr := uint64(r.Intn(16)) * 64 // 16 hot lines
 					p.BeginHW(p.Machine().NextAge(), true)

@@ -181,9 +181,6 @@ func Replay(cfg Config, traces [][]Request) *Workload {
 	return &Workload{cfg: cfg.norm(), traces: traces}
 }
 
-// Name identifies the workload in reports.
-func (w *Workload) Name() string { return "oltp" }
-
 // RecordAddr returns the simulated address of key's record line (tests
 // use it to assert contention attribution to the hot line).
 func (w *Workload) RecordAddr(key uint64) uint64 { return w.records[key-1] }

@@ -42,9 +42,6 @@ func NewFailover(tasksPerThread, ratePct int) *Failover {
 	return &Failover{TasksPerThread: tasksPerThread, RatePct: ratePct, Seed: 41}
 }
 
-// Name implements Workload.
-func (f *Failover) Name() string { return "failover-microbench" }
-
 // Init implements Workload.
 func (f *Failover) Init(m *machine.Machine, threads int) {
 	f.threads = threads
@@ -85,7 +82,7 @@ func (f *Failover) Validate(m *machine.Machine) error {
 		for j := 0; j < FailoverLinesPerTx; j++ {
 			a := f.bases[i] + uint64(j)*mem.LineBytes
 			if got := m.Mem.Read64(a); got != uint64(f.TasksPerThread) {
-				return validErr(f.Name(), "thread %d line %d = %d, want %d", i, j, got, f.TasksPerThread)
+				return validErr("failover", "thread %d line %d = %d, want %d", i, j, got, f.TasksPerThread)
 			}
 		}
 	}

@@ -63,9 +63,6 @@ func NewGenome(segments int) *Genome {
 	}
 }
 
-// Name implements Workload.
-func (g *Genome) Name() string { return "genome" }
-
 // Init implements Workload.
 func (g *Genome) Init(m *machine.Machine, threads int) {
 	g.threads = threads

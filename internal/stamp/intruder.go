@@ -37,9 +37,6 @@ func NewIntruder(flows, fragsPerFlow int) *Intruder {
 	return &Intruder{Flows: flows, FragsPerFlow: fragsPerFlow, Seed: 61}
 }
 
-// Name implements Workload.
-func (w *Intruder) Name() string { return "intruder" }
-
 // fragment encoding: flowID*256 + fragment index.
 func (w *Intruder) flowOf(frag uint64) uint64  { return frag / 256 }
 func (w *Intruder) indexOf(frag uint64) uint64 { return frag % 256 }

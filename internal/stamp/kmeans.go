@@ -46,14 +46,6 @@ func KMeansLow(points int) *KMeans {
 	return &KMeans{Points: points, Clusters: 48, Dims: 4, Iterations: 1, Seed: 11}
 }
 
-// Name implements Workload.
-func (k *KMeans) Name() string {
-	if k.Clusters <= 8 {
-		return "kmeans-high"
-	}
-	return "kmeans-low"
-}
-
 // Init implements Workload.
 func (k *KMeans) Init(m *machine.Machine, threads int) {
 	if k.Iterations == 0 {
@@ -165,11 +157,11 @@ func (k *KMeans) Validate(m *machine.Machine) error {
 		acc := k.accBase + uint64(c)*k.accStride
 		it := uint64(k.Iterations)
 		if got := d.Load(acc); got != count*it {
-			return validErr(k.Name(), "cluster %d count = %d, want %d", c, got, count*it)
+			return validErr("kmeans", "cluster %d count = %d, want %d", c, got, count*it)
 		}
 		for j := 0; j < k.Dims; j++ {
 			if got := d.Load(acc + 8 + uint64(j)*8); got != sums[j]*it {
-				return validErr(k.Name(), "cluster %d dim %d sum = %d, want %d", c, j, got, sums[j]*it)
+				return validErr("kmeans", "cluster %d dim %d sum = %d, want %d", c, j, got, sums[j]*it)
 			}
 		}
 	}

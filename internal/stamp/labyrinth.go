@@ -42,9 +42,6 @@ func NewLabyrinth(width, height, pathsPerThread int) *Labyrinth {
 	}
 }
 
-// Name implements Workload.
-func (l *Labyrinth) Name() string { return "labyrinth" }
-
 func (l *Labyrinth) cellAddr(x, y int) uint64 {
 	return l.grid + uint64(y*l.Width+x)*mem.LineBytes
 }

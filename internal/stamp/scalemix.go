@@ -66,9 +66,6 @@ func NewScaleMixes(totalIters, work int) func() *ScaleMix {
 	}
 }
 
-// Name implements Workload.
-func (w *ScaleMix) Name() string { return "scalemix" }
-
 // Init implements Workload.
 func (w *ScaleMix) Init(m *machine.Machine, threads int) {
 	w.threads = threads

@@ -29,9 +29,6 @@ func NewSSCA2(nodes, edges int) *SSCA2 {
 	return &SSCA2{Nodes: nodes, Edges: edges, Seed: 53}
 }
 
-// Name implements Workload.
-func (s *SSCA2) Name() string { return "ssca2" }
-
 // Init implements Workload.
 func (s *SSCA2) Init(m *machine.Machine, threads int) {
 	s.threads = threads

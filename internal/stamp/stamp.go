@@ -16,8 +16,6 @@ import (
 
 // Workload is a benchmark program runnable on any TM system.
 type Workload interface {
-	// Name identifies the workload in reports.
-	Name() string
 	// Init builds the shared state in simulated memory (zero simulated
 	// cost; it happens before timing starts). threads is the number of
 	// worker threads the run will use.

@@ -83,12 +83,6 @@ func TestVacationOnLock(t *testing.T) {
 	runOn(t, VacationHigh(96, 15), 2, lockSys)
 }
 
-func TestVacationNames(t *testing.T) {
-	if VacationHigh(10, 1).Name() != "vacation-high" || VacationLow(10, 1).Name() != "vacation-low" {
-		t.Fatal("vacation names wrong")
-	}
-}
-
 // TestVacationInitMatchesInsertLoop: Init, which builds its trees in
 // bulk, leaves memory word for word as Init did when it inserted each id
 // into its tree right after allocating the line the id names.
@@ -101,11 +95,11 @@ func TestVacationInitMatchesInsertLoop(t *testing.T) {
 			vacationInitByInsert(v, ref)
 			brk := ref.Mem.Sbrk(0)
 			if got := m.Mem.Sbrk(0); got != brk {
-				t.Fatalf("%s/%d: Init allocated up to %#x, the Insert loop to %#x", v.Name(), relations, got, brk)
+				t.Fatalf("QueryRangePct %d, %d relations: Init allocated up to %#x, the Insert loop to %#x", v.QueryRangePct, relations, got, brk)
 			}
 			for a := uint64(0); a < brk; a += mem.WordBytes {
 				if got, want := m.Mem.Read64(a), ref.Mem.Read64(a); got != want {
-					t.Fatalf("%s/%d: word %#x is %#x after Init, %#x after the Insert loop", v.Name(), relations, a, got, want)
+					t.Fatalf("QueryRangePct %d, %d relations: word %#x is %#x after Init, %#x after the Insert loop", v.QueryRangePct, relations, a, got, want)
 				}
 			}
 		}
@@ -185,12 +179,6 @@ func TestFailoverForcesSoftware(t *testing.T) {
 	}
 	if err := wl.Validate(m); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestKMeansNames(t *testing.T) {
-	if KMeansHigh(10).Name() != "kmeans-high" || KMeansLow(10).Name() != "kmeans-low" {
-		t.Fatal("kmeans names wrong")
 	}
 }
 

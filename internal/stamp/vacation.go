@@ -56,14 +56,6 @@ func VacationLow(relations, tasksPerThread int) *Vacation {
 	}
 }
 
-// Name implements Workload.
-func (v *Vacation) Name() string {
-	if v.QueryRangePct <= 75 {
-		return "vacation-high"
-	}
-	return "vacation-low"
-}
-
 // Init implements Workload. Each tree is built in bulk (txlib's Build):
 // its nodes are allocated in insertion order, each just after the line
 // it names, and the finished tree is stored without a descent.
@@ -250,11 +242,11 @@ func (v *Vacation) Validate(m *machine.Machine) error {
 			}
 			total, used := d.Load(res+resTotal), d.Load(res+resUsed)
 			if used > total {
-				err = validErr(v.Name(), "table %d id %d: used %d > total %d", t, id, used, total)
+				err = validErr("vacation", "table %d id %d: used %d > total %d", t, id, used, total)
 				return
 			}
 			if refs[res] != used {
-				err = validErr(v.Name(), "table %d id %d: used %d but %d reservations", t, id, used, refs[res])
+				err = validErr("vacation", "table %d id %d: used %d but %d reservations", t, id, used, refs[res])
 			}
 		})
 		if err != nil {

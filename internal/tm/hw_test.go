@@ -6,6 +6,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/tm"
+	"repro/internal/tmtest"
 )
 
 // These tests hold BTM's ISA-level behaviour (§3.1, Table 1) as the
@@ -148,11 +149,13 @@ func TestNackRetryEventuallySucceeds(t *testing.T) {
 
 // overflow runs one attempt that stores to line first and then to line
 // evictor, which maps to the same set, and returns the second store's
-// outcome.
-func overflow(t *testing.T, first, evictor uint64) machine.Outcome {
+// outcome and the hw-abort events the machine emitted.
+func overflow(t *testing.T, first, evictor uint64) (machine.Outcome, []machine.TraceEvent) {
 	t.Helper()
 	r := newRigOn(smallL1(), true)
 	r.h.On[machine.AbortOverflow] = tm.Fatal
+	aborts := new(tmtest.EventLog)
+	r.m.Observe(machine.KindSet(machine.TraceHWAbort), aborts)
 	var out machine.Outcome
 	r.run(func() {
 		r.d.Atomic(func(tm.Tx) {
@@ -166,24 +169,24 @@ func overflow(t *testing.T, first, evictor uint64) machine.Outcome {
 			}
 		})
 	})
-	return out
+	return out, aborts.Events
 }
 
 func TestOverflowReportsStatus(t *testing.T) {
-	if out := overflow(t, 0, 4); out.Kind != machine.HWAborted || out.Reason != machine.AbortOverflow {
+	if out, _ := overflow(t, 0, 4); out.Kind != machine.HWAborted || out.Reason != machine.AbortOverflow {
 		t.Fatalf("outcome = %+v", out)
 	}
 }
 
 func TestOverflowStatusReportsVictimAddress(t *testing.T) {
-	out := overflow(t, 1, 5) // evicts line 1
+	out, aborts := overflow(t, 1, 5) // evicts line 1
 	if out.Kind != machine.HWAborted || out.Reason != machine.AbortOverflow {
 		t.Fatalf("outcome = %+v", out)
 	}
 	// Table 1: "when an address is associated with the event ... it is
 	// also recorded". The victim line's address is reported.
-	if out.Addr != 64 {
-		t.Fatalf("abort address = %#x, want the evicted line 1's", out.Addr)
+	if len(aborts) != 1 || !aborts[0].HasAddr() || aborts[0].Addr != 64 {
+		t.Fatalf("hw-abort events = %+v, want one at the evicted line 1's address", aborts)
 	}
 }
 

@@ -27,19 +27,21 @@ var uncalledAllowed = map[string]string{
 	"oltp.Workload.RecordAddr":         "the hot-line attribution test finds the key-1 record by it",
 	"litmus.DecodeProgram":             "the FuzzLitmus codec, the one program generator, which only the fuzz target and its corpus test call (DESIGN.md §13, §34)",
 	"litmus.DecodeSeed":                "the FuzzLitmus codec, the one program generator, which only the fuzz target and its corpus test call (DESIGN.md §13, §34)",
+	"litmus.Thread.Name":               "names the curated suite's threads for whoever reads suite.go",
 }
 
 // TestEveryDeclarationHasACaller keeps the tree free of code that nothing
 // runs (DESIGN.md §30): every function, method, type, const and var
-// declared in a non-test file under internal/ or cmd/, and every
-// unexported field of its structs, must be referenced from a non-test
-// file of the module (benchmark/ and examples/ count). An exported name
-// may instead be in uncalledAllowed.
+// declared in a non-test file under internal/ or cmd/, and every named
+// field of its structs (bar the exported fields of a struct with json
+// tags), must be referenced from a non-test file of the module
+// (benchmark/ and examples/ count). An exported name may instead be in
+// uncalledAllowed.
 //
 // A reference counts only if the declaration it sits in is itself live,
 // so a type that only an uncalled method returns is uncalled too, and a
-// field that is only ever assigned is dead and does not keep its type
-// alive. A method is called when its type implements an interface it is
+// field that is only ever assigned, by x.f = v or in a composite literal,
+// is dead and does not keep its type alive. A method is called when its type implements an interface it is
 // called through: one of the module's, or any standard-library interface
 // (String, Error, MarshalJSON, …), since the library makes those calls.
 func TestEveryDeclarationHasACaller(t *testing.T) {
@@ -57,14 +59,16 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 }
 
 // TestCensusReportsDeadDeclarations runs the census over a fixture tree
-// whose answer is known: a dead unexported function and a write-only
-// field are reported; a method reached only through an interface call
-// and a called exported name are not.
+// whose answer is known: a dead unexported function, a write-only field
+// and an exported field set only in a composite literal are reported; a
+// method reached only through an interface call and a called exported
+// name are not.
 func TestCensusReportsDeadDeclarations(t *testing.T) {
 	c := newCensus(t, filepath.Join("testdata", "census"))
 	want := []string{
 		"internal/fixture/fixture.go:10 fixture.counter.last",
-		"internal/fixture/fixture.go:26 fixture.unused",
+		"internal/fixture/fixture.go:17 fixture.Options.Label",
+		"internal/fixture/fixture.go:34 fixture.unused",
 	}
 	if got := c.dead(); !slices.Equal(got, want) {
 		t.Errorf("census reports %q, want %q", got, want)
@@ -233,11 +237,13 @@ func (c *census) declare(path string, decl ast.Decl) {
 					c.uses(s.Type, obj)
 					continue
 				}
+				tagged := jsonTagged(st)
 				for _, field := range st.Fields.List {
-					// An unexported field lives by its reads. An exported
-					// one may be read by reflection (encoding/json) and an
-					// embedded one promotes, so those live with the type.
-					if len(field.Names) == 0 || field.Names[0].IsExported() {
+					// A field lives by its reads, except an exported one of
+					// a struct with json tags, which encoding/json reads by
+					// reflection, and an embedded one, which promotes:
+					// those live with the type.
+					if len(field.Names) == 0 || field.Names[0].IsExported() && tagged {
 						c.uses(field.Type, obj)
 						continue
 					}
@@ -262,16 +268,32 @@ func (c *census) declare(path string, decl ast.Decl) {
 	}
 }
 
+// jsonTagged reports whether any field of st carries a json tag.
+func jsonTagged(st *ast.StructType) bool {
+	return slices.ContainsFunc(st.Fields.List, func(f *ast.Field) bool {
+		return f.Tag != nil && strings.Contains(f.Tag.Value, "json:")
+	})
+}
+
 // uses records every reference inside n, which counts while any of its
 // owners is live. It skips a field that is only being assigned: x.f = v
-// writes f without reading it, and so does x.f.g = v when f holds its
-// struct or array by value.
+// and T{f: v} write f without reading it, and so does x.f.g = v when f
+// holds its struct or array by value.
 func (c *census) uses(n ast.Node, owners ...types.Object) {
 	written := map[*ast.Ident]bool{}
 	ast.Inspect(n, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
-			for _, lhs := range as.Lhs {
-				c.markWritten(lhs, written)
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			if x.Tok == token.ASSIGN {
+				for _, lhs := range x.Lhs {
+					c.markWritten(lhs, written)
+				}
+			}
+		case *ast.KeyValueExpr:
+			if key, ok := x.Key.(*ast.Ident); ok {
+				if v, ok := c.info.Uses[key].(*types.Var); ok && v.IsField() {
+					written[key] = true
+				}
 			}
 		}
 		return true

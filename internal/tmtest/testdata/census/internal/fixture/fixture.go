@@ -10,6 +10,13 @@ type counter struct {
 	last int // only ever assigned: reported
 }
 
+// Options has no json tags, so its exported fields live by their reads
+// too.
+type Options struct {
+	Size  int    // read by Run: live
+	Label string // only set in a composite literal: reported
+}
+
 // run is reached only through runner: live.
 func (c *counter) run() int {
 	c.last = c.n
@@ -18,7 +25,8 @@ func (c *counter) run() int {
 
 // Run is exported and main calls it: live.
 func Run() int {
-	var r runner = &counter{n: 1}
+	o := Options{Size: 1, Label: "one"}
+	var r runner = &counter{n: o.Size}
 	return r.run()
 }
 

@@ -40,12 +40,7 @@ func (t Tree) Insert(via Mem, a *Arena, key, val uint64) bool {
 	for {
 		n := via.Load(cell)
 		if n == 0 {
-			node := t.NewNode(a)
-			via.Store(node+treeKey, key)
-			via.Store(node+treeVal, val)
-			via.Store(node+treeLeft, 0)
-			via.Store(node+treeRight, 0)
-			via.Store(cell, node)
+			t.insertAt(via, a, cell, key, val)
 			return true
 		}
 		k := via.Load(n + treeKey)
