@@ -27,7 +27,8 @@ import (
 type L1 struct {
 	ways   int
 	sets   int
-	lines  [][]way // [set][way]
+	mask   uint64 // sets - 1: a line's set is line & mask
+	all    []way  // set s is all[s*ways : (s+1)*ways]
 	clock  uint64
 	misses uint64
 	hits   uint64
@@ -41,8 +42,9 @@ type way struct {
 }
 
 // NewL1 builds a cache of sizeBytes with the given associativity over
-// 64-byte lines. Both the set count and associativity must be positive
-// and size must divide evenly.
+// 64-byte lines. Both the set count and associativity must be positive,
+// size must divide evenly, and the set count must be a power of two, so
+// that a line finds its set with a mask.
 func NewL1(sizeBytes, lineBytes, ways int) *L1 {
 	if sizeBytes <= 0 || lineBytes <= 0 || ways <= 0 {
 		panic("cache: non-positive geometry")
@@ -52,12 +54,10 @@ func NewL1(sizeBytes, lineBytes, ways int) *L1 {
 		panic(fmt.Sprintf("cache: %d lines not divisible by %d ways", lines, ways))
 	}
 	sets := lines / ways
-	c := &L1{ways: ways, sets: sets, lines: make([][]way, sets)}
-	all := make([]way, lines) // one allocation for every set, not one each
-	for i := range c.lines {
-		c.lines[i] = all[i*ways : (i+1)*ways]
+	if sets == 0 || sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache: %d sets is not a power of two", sets))
 	}
-	return c
+	return &L1{ways: ways, sets: sets, mask: uint64(sets - 1), all: make([]way, lines)}
 }
 
 // Sets returns the number of sets.
@@ -66,7 +66,10 @@ func (c *L1) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *L1) Ways() int { return c.ways }
 
-func (c *L1) set(line uint64) []way { return c.lines[line%uint64(c.sets)] }
+func (c *L1) set(line uint64) []way {
+	i := int(line&c.mask) * c.ways
+	return c.all[i : i+c.ways]
+}
 
 // Contains reports whether line is resident.
 func (c *L1) Contains(line uint64) bool {
@@ -122,9 +125,7 @@ func (c *L1) Invalidate(line uint64) {
 // Reset returns the cache to the state NewL1 built: every way invalid
 // and the reference counts zero.
 func (c *L1) Reset() {
-	for _, set := range c.lines {
-		clear(set)
-	}
+	clear(c.all)
 	c.clock, c.misses, c.hits = 0, 0, 0
 }
 
@@ -311,11 +312,9 @@ func (d *Directory) HeldBy(line uint64, p int) bool { return d.Line(line).Sharer
 // Lines returns every resident line (for consistency checking).
 func (c *L1) Lines() []uint64 {
 	var out []uint64
-	for s := range c.lines {
-		for i := range c.lines[s] {
-			if tag := c.lines[s][i].tag; tag != 0 {
-				out = append(out, tag-1)
-			}
+	for _, w := range c.all {
+		if w.tag != 0 {
+			out = append(out, w.tag-1)
 		}
 	}
 	return out

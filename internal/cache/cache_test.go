@@ -14,12 +14,21 @@ func TestGeometry(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewL1(0, 64, 4)
+	for _, g := range [][3]int{
+		{0, 64, 4},       // no capacity
+		{5 * 64, 64, 2},  // lines not divisible by ways
+		{3 * 64, 64, 1},  // 3 sets: not a power of two, so no set mask
+		{24 * 64, 64, 4}, // 6 sets
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewL1%v built a cache, want a panic", g)
+				}
+			}()
+			NewL1(g[0], g[1], g[2])
+		}()
+	}
 }
 
 func TestHitAfterTouch(t *testing.T) {

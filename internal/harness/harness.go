@@ -234,6 +234,7 @@ func runOn(arena *machine.Arena, j Job) Result {
 		res.Err = halt
 	}
 	metrics := obs.NewSnapshot()
+	metrics.Metrics = make([]obs.Metric, 0, cellMetrics(threads))
 	if sys != nil {
 		res.Stats = *sys.Stats()
 		sys.Stats().Register(metrics)
@@ -265,6 +266,12 @@ func runOn(arena *machine.Arena, j Job) Result {
 	}
 	return res
 }
+
+// cellMetrics bounds the metrics a cell on the given number of
+// processors writes — the machine's 24 and three per processor, tm's 8,
+// cm's 8, contention's 3 and txstats' 13 — so that its snapshot's slice
+// is allocated once (TestCellSnapshotIsAllocatedOnce).
+func cellMetrics(threads int) int { return 56 + 3*threads }
 
 // WorkloadFactory builds a fresh workload instance per run.
 type WorkloadFactory struct {

@@ -113,3 +113,25 @@ func TestReportAggregateSumsMetrics(t *testing.T) {
 		t.Fatalf("aggregate hw commits = %v, want %d", got, want)
 	}
 }
+
+// TestCellSnapshotIsAllocatedOnce: on every system, a cell with both
+// observers on writes no more metrics than runOn reserved room for, so
+// its snapshot's slice never grew past the one allocation.
+func TestCellSnapshotIsAllocatedOnce(t *testing.T) {
+	f, _ := FindWorkload("kmeans-low", ScaleSmall)
+	opt := testOptions()
+	opt.Contention, opt.TxStats = true, true
+	for _, sys := range AllSystems {
+		threads := 4
+		if sys == Sequential {
+			threads = 1
+		}
+		res := Run(sys, f.New(), threads, opt)
+		if res.Err != nil {
+			t.Fatalf("%s: %v", sys, res.Err)
+		}
+		if got, c := res.Metrics.Metrics, cellMetrics(threads); cap(got) != c {
+			t.Errorf("%s on %d processors: %d metrics in a slice of capacity %d, want the %d reserved", sys, threads, len(got), cap(got), c)
+		}
+	}
+}

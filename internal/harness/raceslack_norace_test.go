@@ -2,6 +2,6 @@
 
 package harness
 
-// raceSlack is zero without the race detector: TestSecondCellReusesArena
-// holds normal builds to its bound exactly.
-const raceSlack = 0
+// raceSlack and raceMallocSlack are zero without the race detector:
+// TestSecondCellReusesArena holds normal builds to its bounds exactly.
+const raceSlack, raceMallocSlack = 0, 0

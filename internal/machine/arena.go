@@ -3,48 +3,69 @@ package machine
 import (
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // Arena owns the host-side storage a machine is built over — the
 // simulated memory with its page index and page records (data and UFO
-// bits), the directory's record pages, the per-processor L1 way slabs
-// and the TM systems' big tables (TableOf) — so that it can outlive the
-// machine. A machine that ends with Release hands all of it back, and
-// the next New on the arena allocates only what it cannot reuse and sees
-// none of what the last machine left: tables and L1s come back blank,
-// and a kept memory or directory page is blanked by the first touch that
-// takes it. The zero value is an empty arena. One machine at a time lives
-// on an arena, released however its run ended (TestReleasedArenaIsBlank).
+// bits), the directory's record pages, the engine with its processor
+// slab and ready heap, the processors with their L1s and hardware
+// transaction buffers, and the TM systems' big tables (TableOf) — so
+// that it can outlive the machine. A machine that ends with Release
+// hands all of it back, and the next New on the arena allocates only
+// what it cannot reuse and sees none of what the last machine left:
+// tables, L1s and processors come back blank, and a kept memory or
+// directory page is blanked by the first touch that takes it. The zero
+// value is an empty arena. One machine at a time lives on an arena,
+// released however its run ended (TestReleasedArenaIsBlank).
 type Arena struct {
 	mem    *mem.Memory
 	dir    *cache.Directory
-	l1s    []*cache.L1
+	eng    sim.Engine
+	procs  []*Proc           // every processor built here; a machine takes the first Params.Procs
+	bodies []func(*sim.Proc) // what Run hands the engine: each runs its processor's workload
 	tables []interface{ reset() }
 }
 
-// l1 returns processor i's cache, reusing the arena's when its geometry
-// is the one asked for.
-func (a *Arena) l1(i int, p Params) *cache.L1 {
-	if c := a.l1s[i]; c == nil || c.Ways() != p.L1Ways || c.Sets()*c.Ways()*mem.LineBytes != p.L1Bytes {
-		a.l1s[i] = cache.NewL1(p.L1Bytes, mem.LineBytes, p.L1Ways)
+// grow builds processors until the arena has n, binding each one's
+// timer-interrupt hook and Run body once.
+func (a *Arena) grow(n int) {
+	k := n - len(a.procs)
+	if k <= 0 {
+		return
 	}
-	return a.l1s[i]
+	body := func(sp *sim.Proc) {
+		p := a.procs[sp.ID()]
+		p.m.work[sp.ID()](p)
+	}
+	slab := make([]Proc, k)
+	a.procs = append(a.procs, make([]*Proc, k)...)
+	a.bodies = append(a.bodies, make([]func(*sim.Proc), k)...)
+	for i := range slab {
+		p := &slab[i]
+		p.tick = p.timerInterrupt
+		a.procs[n-k+i], a.bodies[n-k+i] = p, body
+	}
 }
 
 // Release ends the machine's life and hands its storage back to the
-// arena it was built on. It zeroes the L1s of the processors it had and
-// the table rows marked Dirty, and unlinks the materialised memory and
+// arena it was built on. It releases the hardware transaction a killed
+// run left open, zeroes the L1s of the processors it had and the table
+// rows marked Dirty, and unlinks the materialised memory and
 // directory pages without clearing them — the next machine's first touch
 // of a page blanks the record it takes, at that machine's record width —
 // so the cost is O(rows and pages touched), not O(configured). The
 // machine, and everything built over it, must not be used afterwards.
 // Only a machine some later New will share an arena with needs it.
 func (m *Machine) Release() {
-	m.Mem.Reset(0)
-	m.dir.Reset(m.Params.Procs)
 	for _, p := range m.procs {
+		if p.hwBuf != nil {
+			p.hwBuf.release() // a run killed inside a hardware transaction leaves one open
+		}
 		p.l1.Reset()
 	}
+	m.Mem.Reset(0)
+	m.dir.Reset(m.Params.Procs)
 	for _, t := range m.arena.tables {
 		t.reset()
 	}

@@ -16,8 +16,10 @@ import (
 // machine built next on the released arena finds none of it, although it
 // is handed the same storage: recycled data pages read zero and recycled
 // UFO pages clear wherever they land, the directory names no processor,
-// and the L1s are empty with zero counts. (The otable half of the same
-// scenario is ustm's TestReleasedArenaOTableIsBlank.)
+// the L1s are empty with zero counts, and the engine and processors —
+// clocks, step counts, hooks, random streams, the hardware transaction
+// the killed run left open — read as a new machine's. (The otable half
+// of the same scenario is ustm's TestReleasedArenaOTableIsBlank.)
 func TestReleasedArenaIsBlank(t *testing.T) {
 	const region, lines = 0x10000, 256 // the data every processor works on
 	params := machine.DefaultParams(4)
@@ -61,7 +63,8 @@ func TestReleasedArenaIsBlank(t *testing.T) {
 						}
 					}
 				},
-				func(p *machine.Proc) { // protection that outlives the run
+				func(p *machine.Proc) { // protection that outlives the run, and a random stream drawn from
+					p.Rand().Uint64()
 					for l := uint64(0); l < 64; l++ {
 						p.NTWrite(region+(2*lines+l)*mem.LineBytes, ^l)
 						p.SetUFO(region+(2*lines+l)*mem.LineBytes, mem.UFOFaultAll)
@@ -84,7 +87,11 @@ func TestReleasedArenaIsBlank(t *testing.T) {
 		m.Release()
 
 		m2 := arena.New(params)
-		if fresh := machine.New(params); m2.Mem.Size() != fresh.Mem.Size() || m2.Mem.Sbrk(0) != fresh.Mem.Sbrk(0) {
+		fresh := machine.New(params)
+		if got, want := m2.Kept(), fresh.Kept(); got != want {
+			t.Fatalf("killed=%v: the reused engine and processors differ from a new machine's:\n%s\nwant\n%s", killed, got, want)
+		}
+		if m2.Mem.Size() != fresh.Mem.Size() || m2.Mem.Sbrk(0) != fresh.Mem.Sbrk(0) {
 			t.Fatalf("killed=%v: reused memory has size %d and frontier %d, a new machine's %d and %d",
 				killed, m2.Mem.Size(), m2.Mem.Sbrk(0), fresh.Mem.Size(), fresh.Mem.Sbrk(0))
 		}

@@ -275,6 +275,7 @@ type Machine struct {
 	arena *Arena
 	dir   *cache.Directory
 	procs []*Proc
+	work  []func(*Proc) // Run's workloads, one per processor
 	txSeq uint64
 	out   observers // everything that watches a run (trace.go)
 }
@@ -302,37 +303,43 @@ func (a *Arena) New(p Params) *Machine {
 		a.mem.Reset(p.MemBytes)
 	}
 	a.dir.Reset(p.Procs)
-	if n := p.Procs - len(a.l1s); n > 0 {
-		a.l1s = append(a.l1s, make([]*cache.L1, n)...)
-	}
+	a.eng.Reset(sim.Config{
+		Procs:     p.Procs,
+		Quantum:   p.Quantum,
+		MaxSteps:  p.MaxSteps,
+		Reference: p.ReferenceScheduler,
+	})
+	a.grow(p.Procs)
 	m := &Machine{
 		Params: p,
-		Eng: sim.New(sim.Config{
-			Procs:     p.Procs,
-			Quantum:   p.Quantum,
-			MaxSteps:  p.MaxSteps,
-			Reference: p.ReferenceScheduler,
-		}),
-		Mem:   a.mem,
-		arena: a,
-		dir:   a.dir,
-		procs: make([]*Proc, p.Procs),
+		Eng:    &a.eng,
+		Mem:    a.mem,
+		arena:  a,
+		dir:    a.dir,
+		procs:  a.procs[:p.Procs:p.Procs],
 	}
 	// Reserve the first page so fixed low addresses used by small tests
 	// and examples never collide with Sbrk-allocated metadata (otables,
 	// lock tables, heaps).
 	m.Mem.Sbrk(mem.PageBytes)
-	slab := make([]Proc, p.Procs)
-	for i := range slab {
-		slab[i] = Proc{
-			m:   m,
-			sp:  m.Eng.Proc(i),
-			l1:  a.l1(i, p),
-			ufo: true, // threads start with UFO faults enabled
+	// Every field of a kept processor is rewritten: only its L1 (when the
+	// geometry matches), its transaction buffer and its bound hook carry
+	// over, and its random stream is reseeded.
+	for i, mp := range m.procs {
+		l1 := mp.l1
+		if l1 == nil || l1.Ways() != p.L1Ways || l1.Sets()*l1.Ways()*mem.LineBytes != p.L1Bytes {
+			l1 = cache.NewL1(p.L1Bytes, mem.LineBytes, p.L1Ways)
 		}
-		mp := &slab[i]
-		m.procs[i] = mp
-		mp.sp.OnInterrupt(mp.timerInterrupt)
+		*mp = Proc{
+			m:     m,
+			sp:    a.eng.Proc(i),
+			l1:    l1,
+			ufo:   true, // threads start with UFO faults enabled
+			hwBuf: mp.hwBuf,
+			rng:   *sim.NewRand(p.Seed*2654435761 + uint64(i) + 1),
+			tick:  mp.tick,
+		}
+		mp.sp.OnInterrupt(mp.tick)
 	}
 	return m
 }
@@ -360,12 +367,8 @@ func (m *Machine) Run(workloads []func(*Proc)) {
 	if len(workloads) != len(m.procs) {
 		panic(fmt.Sprintf("machine: %d workloads for %d processors", len(workloads), len(m.procs)))
 	}
-	body := func(sp *sim.Proc) { workloads[sp.ID()](m.procs[sp.ID()]) }
-	ws := make([]func(*sim.Proc), len(workloads))
-	for i := range ws {
-		ws[i] = body
-	}
-	m.Eng.Run(ws)
+	m.work = workloads
+	m.Eng.Run(m.arena.bodies[:len(m.procs)])
 }
 
 // Cycles returns the simulated duration so far. Like sim.Engine.Now,

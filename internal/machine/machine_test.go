@@ -1,10 +1,14 @@
 package machine
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // testParams returns a small, fast configuration.
@@ -631,6 +635,44 @@ func TestElapseUntil(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("slot order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestWildAddressFailsBeforeItIsIndexed: an access or a set_ufo_bits far
+// past the end of memory halts with mem's own message, whether or not
+// the thread takes UFO faults, and before the UFO bits or the directory
+// are indexed by it: the UFO lookup used to halt with a Go index error,
+// and the directory to grow its page index to the address (96 MiB for
+// this one) before mem's check fired.
+func TestWildAddressFailsBeforeItIsIndexed(t *testing.T) {
+	const wild = 1 << 34
+	params := DefaultParams(1) // 16 MiB
+	for _, op := range []struct {
+		name string
+		do   func(*Proc)
+	}{
+		{"NTRead", func(p *Proc) { p.NTRead(wild) }},
+		{"SetUFO", func(p *Proc) { p.SetUFO(wild, mem.UFOFaultAll) }},
+	} {
+		for _, ufo := range []bool{true, false} {
+			m := New(params)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			halt := sim.Catch(func() {
+				m.Run([]func(*Proc){func(p *Proc) {
+					p.SetUFOEnabled(ufo)
+					op.do(p)
+				}})
+			})
+			runtime.ReadMemStats(&after)
+			want := fmt.Sprintf("mem: access at %#x beyond memory size %#x", wild, m.Mem.Size())
+			if halt == nil || !strings.Contains(halt.Error(), want) {
+				t.Errorf("%s with UFO %v: halted with %v, want %q", op.name, ufo, halt, want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("%s with UFO %v: the run allocated %d KiB, want under 1 MiB", op.name, ufo, got>>10)
+			}
 		}
 	}
 }

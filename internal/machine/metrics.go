@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/obs"
 )
 
@@ -33,6 +34,25 @@ const (
 	MetricProcPrefix = "machine.proc."
 )
 
+// abortMetricNames[r] is MetricAbortPrefix + r.String(), and
+// procMetricNames[i] processor i's cycles, l1_hits and l1_misses names:
+// built once, so that RegisterMetrics builds no string.
+var (
+	abortMetricNames = func() (n [NumAbortReasons]string) {
+		for r := range n {
+			n[r] = MetricAbortPrefix + AbortReason(r).String()
+		}
+		return n
+	}()
+	procMetricNames = func() (n [cache.MaxProcs][3]string) {
+		for i := range n {
+			pp := fmt.Sprintf("%s%02d.", MetricProcPrefix, i)
+			n[i] = [3]string{pp + "cycles", pp + "l1_hits", pp + "l1_misses"}
+		}
+		return n
+	}()
+)
+
 // RegisterMetrics writes the machine's hardware-side event counts into
 // s: global counters (commits, per-reason aborts, NACKs, UFO kills and
 // faults, STM/HTM conflict ages), the committed-footprint histograms, the
@@ -43,7 +63,7 @@ func (m *Machine) RegisterMetrics(s *obs.Snapshot) {
 	s.AddCounter(MetricCycles, "cycles", "simulated duration of the run (max over processors)", m.Cycles())
 	s.AddCounter(MetricHWCommits, "transactions", "hardware transactions committed (Figures 5-6)", m.Count.HWCommits)
 	for reason := 1; reason < NumAbortReasons; reason++ {
-		s.AddCounter(MetricAbortPrefix+AbortReason(reason).String(), "aborts",
+		s.AddCounter(abortMetricNames[reason], "aborts",
 			"hardware aborts by reason (Figure 6)", m.Count.HWAbortsByReason[reason])
 	}
 	s.AddCounter(MetricNacks, "events", "age-ordered conflict NACKs (Section 3.1)", m.Count.Nacks)
@@ -59,10 +79,10 @@ func (m *Machine) RegisterMetrics(s *obs.Snapshot) {
 	for _, p := range m.procs {
 		hits += p.l1.Hits()
 		misses += p.l1.Misses()
-		pp := fmt.Sprintf("%s%02d.", MetricProcPrefix, p.ID())
-		s.AddCounter(pp+"cycles", "cycles", "per-processor local clock at end of run", p.Now())
-		s.AddCounter(pp+"l1_hits", "references", "per-processor L1 hits", p.l1.Hits())
-		s.AddCounter(pp+"l1_misses", "references", "per-processor L1 misses", p.l1.Misses())
+		names := &procMetricNames[p.ID()]
+		s.AddCounter(names[0], "cycles", "per-processor local clock at end of run", p.Now())
+		s.AddCounter(names[1], "references", "per-processor L1 hits", p.l1.Hits())
+		s.AddCounter(names[2], "references", "per-processor L1 misses", p.l1.Misses())
 	}
 	s.AddCounter(MetricL1Hits, "references", "L1 hits summed over processors", hits)
 	s.AddCounter(MetricL1Misses, "references", "L1 misses summed over processors", misses)

@@ -96,7 +96,8 @@ type Proc struct {
 	// STM-older" measurement).
 	stmAge uint64
 	inSTM  bool
-	rng    *sim.Rand
+	rng    sim.Rand
+	tick   func() // timerInterrupt, bound once: the engine's interrupt hook
 
 	// Backing store of the one scratch processor set (others).
 	mask [cache.MaxProcs / 64]uint64
@@ -160,12 +161,7 @@ func (p *Proc) SetNote(format string, args ...any) { p.sp.SetNote(format, args..
 // Rand returns a per-processor deterministic random stream, seeded from
 // Params.Seed and the processor ID, so its values do not depend on the
 // schedule.
-func (p *Proc) Rand() *sim.Rand {
-	if p.rng == nil {
-		p.rng = sim.NewRand(p.m.Seed*2654435761 + uint64(p.ID()) + 1)
-	}
-	return p.rng
-}
+func (p *Proc) Rand() *sim.Rand { return &p.rng }
 
 // L1 exposes the occupancy model (for tests and statistics). Mid-run it
 // is mutated only by this processor's own accesses and by invalidations
@@ -379,6 +375,7 @@ func (p *Proc) checkPending() (Outcome, bool) {
 // against other processors' hardware transactions, and cache/coherence
 // timing. tx marks the access as part of p's hardware transaction.
 func (p *Proc) access(addr uint64, write, tx bool) Outcome {
+	p.m.Mem.CheckAddr(addr) // before the UFO bits or the directory are indexed by it
 	if tx {
 		if out, aborted := p.checkPending(); aborted {
 			return out
@@ -638,6 +635,7 @@ func (p *Proc) wrote(addr, val uint64) {
 // TrueConflictUFOKills limit study only genuinely conflicting
 // transactions are killed.
 func (p *Proc) SetUFO(addr uint64, bits mem.UFOBits) {
+	p.m.Mem.CheckAddr(addr)
 	line := mem.LineOf(addr)
 	old := p.m.Mem.UFO(addr)
 	cost := UFOOpCycles

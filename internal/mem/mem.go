@@ -143,13 +143,21 @@ func (m *Memory) Sbrk(n uint64) uint64 {
 	return base
 }
 
-func (m *Memory) checkAddr(addr uint64) {
+// CheckAddr panics unless addr is a word-aligned address inside the
+// memory. Read64 and Write64 check their address; the machine checks an
+// access's before it consults anything the address indexes. The test is
+// small enough to inline, and the panic is out of line.
+func (m *Memory) CheckAddr(addr uint64) {
+	if addr%WordBytes != 0 || addr >= m.size {
+		m.badAddr(addr)
+	}
+}
+
+func (m *Memory) badAddr(addr uint64) {
 	if addr%WordBytes != 0 {
 		panic(fmt.Sprintf("mem: unaligned access at %#x", addr))
 	}
-	if addr >= m.size {
-		panic(fmt.Sprintf("mem: access at %#x beyond memory size %#x", addr, m.size))
-	}
+	panic(fmt.Sprintf("mem: access at %#x beyond memory size %#x", addr, m.size))
 }
 
 // materialize gives page pi a blank record: one that Reset kept, blanked
@@ -168,7 +176,7 @@ func (m *Memory) materialize(pi uint64) *page {
 
 // Read64 returns the committed word at addr.
 func (m *Memory) Read64(addr uint64) uint64 {
-	m.checkAddr(addr)
+	m.CheckAddr(addr)
 	pg := m.pages[addr/PageBytes]
 	if pg == nil {
 		return 0
@@ -178,7 +186,7 @@ func (m *Memory) Read64(addr uint64) uint64 {
 
 // Write64 stores a committed word at addr.
 func (m *Memory) Write64(addr, val uint64) {
-	m.checkAddr(addr)
+	m.CheckAddr(addr)
 	pg := m.pages[addr/PageBytes]
 	if pg == nil {
 		if val == 0 {

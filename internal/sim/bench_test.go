@@ -52,9 +52,10 @@ func BenchmarkElapseFastPath(b *testing.B) {
 // BenchmarkElapseContended measures the worst case for the scheduler: all
 // procs advance in lockstep, so every Elapse crosses the horizon and pays
 // one sift plus one coroutine switch. ns/op divided by procs is the cost
-// of one handoff; procs=16 is vacation-t16's width.
+// of one handoff; procs=16 is vacation-t16's width, and 64, 128 and 256
+// are the scale sweep's.
 func BenchmarkElapseContended(b *testing.B) {
-	for _, procs := range []int{2, 8, 16, 32} {
+	for _, procs := range []int{2, 8, 16, 32, 64, 128, 256} {
 		b.Run(benchName(procs), func(b *testing.B) {
 			e := New(Config{Procs: procs, MaxSteps: 1 << 62})
 			ws := make([]func(*Proc), procs)

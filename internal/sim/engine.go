@@ -134,28 +134,40 @@ type Engine struct {
 // engine holds no hidden state beyond cfg: constructing two engines from
 // the same Config yields identical (deterministic) schedules.
 func New(cfg Config) *Engine {
+	e := new(Engine)
+	e.Reset(cfg)
+	return e
+}
+
+// Reset makes e the engine New(cfg) builds, keeping its processor slab
+// and ready heap, which grow to the largest processor count asked for.
+// Every processor starts over at cycle 0 with no interrupt hook or note;
+// the *Proc values of the last use must not be kept. Call it between
+// runs (a machine arena does, from cell to cell).
+func (e *Engine) Reset(cfg Config) {
 	if cfg.Procs <= 0 {
 		panic("sim: Config.Procs must be positive")
 	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = defaultMaxSteps
 	}
-	e := &Engine{
-		cfg:   cfg,
-		procs: make([]*Proc, cfg.Procs),
-		ready: make([]readyEntry, 0, cfg.Procs),
+	procs, ready := e.procs, e.ready[:0]
+	if cfg.Procs > cap(procs) {
+		slab := make([]Proc, cfg.Procs)
+		procs, ready = make([]*Proc, cfg.Procs), make([]readyEntry, 0, cfg.Procs)
+		for i := range slab {
+			procs[i] = &slab[i]
+		}
 	}
-	slab := make([]Proc, cfg.Procs)
-	for i := range slab {
-		slab[i] = Proc{id: i, eng: e, nextQuantum: cfg.Quantum}
-		e.procs[i] = &slab[i]
+	*e = Engine{cfg: cfg, procs: procs[:cfg.Procs], ready: ready}
+	for i, p := range e.procs {
+		*p = Proc{id: i, eng: e, nextQuantum: cfg.Quantum}
 	}
 	e.caller.eng = e
-	return e
 }
 
-// Proc returns the processor with the given ID. The mapping is fixed at
-// construction.
+// Proc returns the processor with the given ID. The mapping is fixed
+// until the next Reset.
 func (e *Engine) Proc(id int) *Proc { return e.procs[id] }
 
 // Halt is what Run panics with when it gives up on a run, Kind "budget" or

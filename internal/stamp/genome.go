@@ -170,7 +170,7 @@ func (g *Genome) Thread(i int, ex tm.Exec) {
 // phase-3 match count must equal the reference count.
 func (g *Genome) Validate(m *machine.Machine) error {
 	d := txlib.Direct{M: m}
-	distinct := map[uint64]bool{}
+	distinct := make(map[uint64]bool, len(g.keys))
 	for _, k := range g.keys {
 		distinct[k] = true
 	}
@@ -179,19 +179,24 @@ func (g *Genome) Validate(m *machine.Machine) error {
 	}
 	totalListed := 0
 	for li, l := range g.lists {
-		keys := l.Keys(d)
-		totalListed += len(keys)
-		for i, k := range keys {
-			if i > 0 && keys[i-1] >= k {
-				return validErr("genome", "list %d unsorted at %d", li, i)
+		var err error
+		i, prev := 0, uint64(0)
+		l.ForEach(d, func(k, _ uint64) {
+			switch {
+			case err != nil:
+			case i > 0 && prev >= k:
+				err = validErr("genome", "list %d unsorted at %d", li, i)
+			case !distinct[k]:
+				err = validErr("genome", "list %d holds foreign key %d", li, k)
+			case g.listFor(k).Head() != l.Head():
+				err = validErr("genome", "key %d landed in wrong bucket %d", k, li)
 			}
-			if !distinct[k] {
-				return validErr("genome", "list %d holds foreign key %d", li, k)
-			}
-			if g.listFor(k).Head() != l.Head() {
-				return validErr("genome", "key %d landed in wrong bucket %d", k, li)
-			}
+			i, prev = i+1, k
+		})
+		if err != nil {
+			return err
 		}
+		totalListed += i
 	}
 	if totalListed != len(distinct) {
 		return validErr("genome", "lists hold %d keys, want %d", totalListed, len(distinct))

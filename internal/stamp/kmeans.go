@@ -143,9 +143,10 @@ func (k *KMeans) Thread(i int, ex tm.Exec) {
 // Iterations× the per-cluster counts and coordinate sums.
 func (k *KMeans) Validate(m *machine.Machine) error {
 	d := txlib.Direct{M: m}
+	sums := make([]uint64, k.Dims)
 	for c := 0; c < k.Clusters; c++ {
 		var count uint64
-		sums := make([]uint64, k.Dims)
+		clear(sums)
 		for pt := 0; pt < k.Points; pt++ {
 			if k.assign[pt] == c {
 				count++

@@ -76,17 +76,23 @@ func (s *SSCA2) Validate(m *machine.Machine) error {
 		want[e[0]][e[1]] = true
 	}
 	for u := range s.adj {
-		keys := s.adj[u].Keys(d)
-		if len(keys) != len(want[u]) {
-			return validErr("ssca2", "node %d has %d edges, want %d", u, len(keys), len(want[u]))
+		var err error
+		n, prev := 0, uint64(0)
+		s.adj[u].ForEach(d, func(k, _ uint64) {
+			switch {
+			case err != nil:
+			case !want[u][k]:
+				err = validErr("ssca2", "node %d has foreign edge %d", u, k)
+			case n > 0 && prev >= k:
+				err = validErr("ssca2", "node %d adjacency unsorted", u)
+			}
+			n, prev = n+1, k
+		})
+		if n != len(want[u]) {
+			return validErr("ssca2", "node %d has %d edges, want %d", u, n, len(want[u]))
 		}
-		for i, k := range keys {
-			if !want[u][k] {
-				return validErr("ssca2", "node %d has foreign edge %d", u, k)
-			}
-			if i > 0 && keys[i-1] >= k {
-				return validErr("ssca2", "node %d adjacency unsorted", u)
-			}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package stamp
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cm"
@@ -331,4 +332,50 @@ func TestLabyrinthMostlyFailsOver(t *testing.T) {
 
 func TestLabyrinthOnSTM(t *testing.T) {
 	runOn(t, NewLabyrinth(20, 20, 3), 2, stmSys)
+}
+
+// TestListValidatorsCatchCorruption: Genome's and SSCA2's Validate walk
+// their sorted lists in place. After a clean run, swapping a list's
+// first two keys fails it as unsorted, and replacing its first key as
+// foreign.
+func TestListValidatorsCatchCorruption(t *testing.T) {
+	genome, ssca2 := NewGenome(64), NewSSCA2(16, 200)
+	for _, c := range []struct {
+		wl    Workload
+		lists func() []txlib.List // valid after Init
+	}{
+		{genome, func() []txlib.List { return genome.lists }},
+		{ssca2, func() []txlib.List { return ssca2.adj }},
+	} {
+		m := testMachine(1)
+		c.wl.Init(m, 1)
+		ex := lockSys(m).Exec(m.Proc(0))
+		m.Run([]func(*machine.Proc){func(*machine.Proc) { c.wl.Thread(0, ex) }})
+		if err := c.wl.Validate(m); err != nil {
+			t.Fatalf("%T before corruption: %v", c.wl, err)
+		}
+		d := txlib.Direct{M: m}
+		var first, second uint64 // the first list with two nodes: its nodes' addresses (key at +0, next at +16)
+		for _, l := range c.lists() {
+			if first = d.Load(l.Head() + 16); first != 0 {
+				if second = d.Load(first + 16); second != 0 {
+					break
+				}
+			}
+		}
+		if second == 0 {
+			t.Fatalf("%T: no list holds two keys", c.wl)
+		}
+		k1, k2 := d.Load(first), d.Load(second)
+		d.Store(first, k2)
+		d.Store(second, k1)
+		if err := c.wl.Validate(m); err == nil || !strings.Contains(err.Error(), "unsorted") {
+			t.Errorf("%T with two keys swapped: %v, want unsorted", c.wl, err)
+		}
+		d.Store(first, 1<<40)
+		d.Store(second, k2)
+		if err := c.wl.Validate(m); err == nil || !strings.Contains(err.Error(), "foreign") {
+			t.Errorf("%T with a foreign first key: %v, want foreign", c.wl, err)
+		}
+	}
 }

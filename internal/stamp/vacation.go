@@ -228,7 +228,7 @@ func (v *Vacation) updateTables(tx tm.Tx, queries []query) {
 // exceed its capacity.
 func (v *Vacation) Validate(m *machine.Machine) error {
 	d := txlib.Direct{M: m}
-	refs := map[uint64]uint64{}
+	refs := make(map[uint64]uint64, 3*v.Relations) // reservations per resource, of at most 3·Relations
 	v.customers.ForEach(d, func(_, listHead uint64) {
 		txlib.ListAt(listHead).ForEach(d, func(res, _ uint64) {
 			refs[res]++

@@ -67,15 +67,6 @@ func (l List) Len(via Mem) int {
 	return count
 }
 
-// Keys returns all keys in order (for validation).
-func (l List) Keys(via Mem) []uint64 {
-	var keys []uint64
-	for n := via.Load(l.head + nodeNext); n != 0; n = via.Load(n + nodeNext) {
-		keys = append(keys, via.Load(n+nodeKey))
-	}
-	return keys
-}
-
 // ForEach visits every (key, value) pair in order.
 func (l List) ForEach(via Mem, f func(key, val uint64)) {
 	for n := via.Load(l.head + nodeNext); n != 0; n = via.Load(n + nodeNext) {

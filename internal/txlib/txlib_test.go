@@ -49,6 +49,13 @@ func TestArenaGrowsWhenExhausted(t *testing.T) {
 	}
 }
 
+// listKeys returns l's keys in order.
+func listKeys(via Mem, l List) []uint64 {
+	var keys []uint64
+	l.ForEach(via, func(k, _ uint64) { keys = append(keys, k) })
+	return keys
+}
+
 func TestListSortedInsert(t *testing.T) {
 	d, a := setup(t)
 	l := NewList(d, a)
@@ -61,7 +68,7 @@ func TestListSortedInsert(t *testing.T) {
 	if l.Insert(d, a, 5, 0) {
 		t.Fatal("duplicate insert succeeded")
 	}
-	got := l.Keys(d)
+	got := listKeys(d, l)
 	want := []uint64{1, 3, 5, 7, 9}
 	for i := range want {
 		if got[i] != want[i] {
@@ -105,7 +112,7 @@ func TestListPropertySortedAndComplete(t *testing.T) {
 			}
 			ref[k] = true
 		}
-		keys := l.Keys(d)
+		keys := listKeys(d, l)
 		if len(keys) != len(ref) {
 			return false
 		}
