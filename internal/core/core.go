@@ -99,13 +99,14 @@ func New(m *machine.Machine, cfg ustm.Config, pol Policy, kind cm.Kind) *System 
 }
 
 // Exec implements tm.System.
+// The hooks are bound to p's Thread: a context p keeps too.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
 	t := s.stm.Thread(p)
-	e := &exec{s: s, t: t}
-	e.Driver = tm.Driver{
-		NT: tm.NT{P: p}, H: &s.Handler, Tx: hwTx{e.HW(), e},
-		Begin: t.ForgetWakes, Committed: t.WakeOwed, Software: t.RunTx,
+	e, fresh := machine.ContextOf[exec](p)
+	if fresh {
+		e.Driver = tm.Driver{Tx: hwTx{e.HW(), e}, Begin: t.ForgetWakes, Committed: t.WakeOwed, Software: t.RunTx}
 	}
+	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s, t: t}
 	return e
 }
 

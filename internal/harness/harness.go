@@ -222,11 +222,11 @@ func runOn(arena *machine.Arena, j Job) Result {
 		}
 		sys = Build(kind, m, opt)
 		wl.Init(m, threads)
+		execs := make([]tm.Exec, threads)
 		bodies := make([]func(*machine.Proc), threads)
-		for i := 0; i < threads; i++ {
-			ex := sys.Exec(m.Proc(i))
-			tid := i
-			bodies[i] = func(*machine.Proc) { wl.Thread(tid, ex) }
+		body := func(p *machine.Proc) { wl.Thread(p.ID(), execs[p.ID()]) }
+		for i := range execs {
+			execs[i], bodies[i] = sys.Exec(m.Proc(i)), body
 		}
 		m.Run(bodies)
 		res.Err = wl.Validate(m)

@@ -67,11 +67,11 @@ func (w *leftover) Validate(m *machine.Machine) error {
 // reuseJobs mixes everything that shapes a cell's use of the arena: all
 // ten systems, 1 to 16 processors, two memory sizes, two otable sizes,
 // two L1 geometries, three seeds, every observer on and off, seven
-// workloads, the leftover cell on each kind of system, two cells that
-// halt mid-transaction and, last, three scalemix cells at 8, 130 and 70
-// processors, whose directory records are one, three and two words per
-// mask: directory pages blanked at one record stride are handed to a
-// machine that reads them at another.
+// workloads, the leftover cell on each kind of system, an sle and a hytm
+// pair, two cells that halt mid-transaction and, last, three scalemix
+// cells at 8, 130 and 70 processors, whose directory records are one,
+// three and two words per mask: directory pages blanked at one record
+// stride are handed to a machine that reads them at another.
 func reuseJobs() []Job {
 	// A cell that meets a predecessor's leftovers tends to spin on them:
 	// a step budget near its needs makes it a failed cell in
@@ -119,6 +119,12 @@ func reuseJobs() []Job {
 	for _, sys := range []SystemKind{GlobalLock, PhTM, HyTM} {
 		jobs = append(jobs, Job{System: sys, Threads: 4, Opt: options(),
 			Factory: WorkloadFactory{Name: "leftover", New: func() stamp.Workload { return new(leftover) }}})
+	}
+	// Two cells each of the two systems whose hooks once captured their
+	// cell's system, on the failover workload: run after the other on a
+	// worker, the second's contexts are the first's, hooks and all.
+	for _, sys := range []SystemKind{SLE, HyTM, SLE, HyTM} {
+		jobs = append(jobs, Job{System: sys, Threads: 2, Opt: options(), Factory: factories[len(factories)-1]})
 	}
 	// Two cells that run out of steps mid-transaction, every observer on:
 	// the worker releases a halted cell's machine like any other.
@@ -243,18 +249,26 @@ func TestFailedCellDoesNotPoisonWorker(t *testing.T) {
 // identical cell allocates no memory pages, directory pages, L1 slabs,
 // otable or stripe table — under 256 KiB in all (plus raceSlack under
 // -race, zero otherwise), where the stripe table alone used to be 2 MiB —
-// and no engine, processor, transaction buffer or metric name: only what
-// its TM system and workload build. Its mallocs stay within a few of the
-// counts measured when the engine and processors moved into the arena
-// (plus raceMallocSlack): 71 under tl2, 67 under ustm+ufo and 65 under
-// ufo-hybrid, where they were 154, 150–156 and 168 before.
+// and no engine, processor, transaction buffer, metric name or TM
+// context: only what its TM system and workload build. On every system
+// its mallocs stay within 4 of the counts measured when the arena began
+// keeping each processor's TM contexts (plus raceMallocSlack): 31 to 51,
+// where they were 35 to 71 before and 154–168 before the engine and
+// processors moved into the arena.
 func TestSecondCellReusesArena(t *testing.T) {
 	kmeans := Benchmarks(ScaleSmall)[1]
-	for _, c := range []struct {
-		sys     SystemKind
-		mallocs uint64
-	}{{TL2, 71 + 4}, {USTMUFO, 67 + 4}, {UFOHybrid, 65 + 4}} {
-		job := Job{System: c.sys, Factory: kmeans, Threads: 2, Opt: testOptions()}
+	mallocs := map[SystemKind]uint64{
+		Sequential: 31 + 4, GlobalLock: 46 + 4, UnboundedHTM: 47 + 4, UFOHybrid: 51 + 4,
+		HyTM: 51 + 4, PhTM: 51 + 4, USTM: 50 + 4, USTMUFO: 50 + 4, TL2: 48 + 4,
+		HybridNOrec: 47 + 4, SLE: 48 + 4,
+	}
+	for _, sys := range AllSystems {
+		threads := 2
+		if sys == Sequential {
+			threads = 1
+		}
+		bound := mallocs[sys] + raceMallocSlack
+		job := Job{System: sys, Factory: kmeans, Threads: threads, Opt: testOptions()}
 		var after []runtime.MemStats // at the end of each cell
 		r := &Runner{Workers: 1, Progress: func(Progress) {
 			var ms runtime.MemStats
@@ -266,11 +280,52 @@ func TestSecondCellReusesArena(t *testing.T) {
 		}
 		for cell := 1; cell <= 2; cell++ {
 			if got := after[cell].TotalAlloc - after[cell-1].TotalAlloc; got > 256<<10+raceSlack {
-				t.Errorf("%s: cell %d on the worker allocated %d KiB, want under 256", c.sys, cell+1, got>>10)
+				t.Errorf("%s: cell %d on the worker allocated %d KiB, want under 256", sys, cell+1, got>>10)
 			}
-			if got := after[cell].Mallocs - after[cell-1].Mallocs; got > c.mallocs+raceMallocSlack {
-				t.Errorf("%s: cell %d on the worker made %d allocations, want at most %d", c.sys, cell+1, got, c.mallocs+raceMallocSlack)
+			if got := after[cell].Mallocs - after[cell-1].Mallocs; got > bound {
+				t.Errorf("%s: cell %d on the worker made %d allocations, want at most %d", sys, cell+1, got, bound)
 			}
+		}
+	}
+}
+
+// TestExecAllocs: a processor's TM context is built once per arena. On
+// every system, an Exec in the second cell on an arena allocates
+// nothing, and the first Exec on a new machine's processor no more than
+// before the arena kept contexts (DESIGN.md §42), so machine.New callers
+// do not pay for the slot.
+func TestExecAllocs(t *testing.T) {
+	const runs = 4
+	freshBefore := map[SystemKind]float64{
+		Sequential: 1, GlobalLock: 1, UnboundedHTM: 1, UFOHybrid: 7, HyTM: 5, PhTM: 6,
+		USTM: 3, USTMUFO: 3, TL2: 4, HybridNOrec: 9, SLE: 4,
+	}
+	for _, kind := range AllSystems {
+		opt := testOptions()
+		opt.Params.Procs = 1
+		// Each run execs on a machine of its own, built beforehand.
+		var warm, fresh [runs + 1]func()
+		for i := range warm {
+			arena := new(machine.Arena)
+			m := arena.New(opt.Params)
+			Build(kind, m, opt).Exec(m.Proc(0))
+			m.Release()
+			m = arena.New(opt.Params)
+			sys := Build(kind, m, opt)
+			warm[i] = func() { sys.Exec(m.Proc(0)) }
+			fm := machine.New(opt.Params)
+			fsys := Build(kind, fm, opt)
+			fresh[i] = func() { fsys.Exec(fm.Proc(0)) }
+		}
+		each := func(fs []func()) float64 {
+			k := 0
+			return testing.AllocsPerRun(runs, func() { fs[k](); k++ })
+		}
+		if got := each(warm[:]); got > raceMallocSlack {
+			t.Errorf("%s: Exec in a second cell made %.0f allocations, want none", kind, got)
+		}
+		if got, before := each(fresh[:]), freshBefore[kind]; got > before+raceMallocSlack {
+			t.Errorf("%s: Exec on a new machine made %.0f allocations, %.0f before the arena kept contexts", kind, got, before)
 		}
 	}
 }

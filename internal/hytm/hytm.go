@@ -72,10 +72,21 @@ func New(m *machine.Machine, cfg ustm.Config, kind cm.Kind) *System {
 // Exec implements tm.System. HyTM is weakly atomic: non-transactional
 // accesses are the driver's uninstrumented ones (that is its semantic
 // weakness).
+// The software path is bound to p's Thread: a context p keeps too.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	d := &tm.Driver{NT: tm.NT{P: p}, H: &s.Handler, Software: s.stm.Thread(p).RunTx}
-	d.Tx = hwTx{d.HW(), s}
-	return d
+	t := s.stm.Thread(p)
+	e, fresh := machine.ContextOf[exec](p)
+	if fresh {
+		e.Tx, e.Software = hwTx{e.HW(), e}, t.RunTx
+	}
+	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s}
+	return e
+}
+
+// exec is one processor's HyTM context.
+type exec struct {
+	tm.Driver
+	s *System
 }
 
 // hwTx is HyTM's *instrumented* hardware transaction handle: every access
@@ -83,13 +94,13 @@ func (s *System) Exec(p *machine.Proc) tm.Exec {
 // covering the line and aborts if a conflicting STM record exists.
 type hwTx struct {
 	tm.HW
-	s *System
+	e *exec
 }
 
 // barrier returns normally when no conflicting otable record exists; the
 // row read joins the hardware transaction's read set.
 func (h hwTx) barrier(addr uint64, write bool) {
-	stm := h.s.stm
+	stm := h.e.s.stm
 	line := mem.LineOf(addr)
 	h.D.P.Elapse(BarrierCycles)
 	h.HW.Load(stm.RowAddr(line)) // transactional otable read

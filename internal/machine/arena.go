@@ -9,15 +9,17 @@ import (
 // Arena owns the host-side storage a machine is built over — the
 // simulated memory with its page index and page records (data and UFO
 // bits), the directory's record pages, the engine with its processor
-// slab and ready heap, the processors with their L1s and hardware
-// transaction buffers, and the TM systems' big tables (TableOf) — so
-// that it can outlive the machine. A machine that ends with Release
-// hands all of it back, and the next New on the arena allocates only
-// what it cannot reuse and sees none of what the last machine left:
-// tables, L1s and processors come back blank, and a kept memory or
-// directory page is blanked by the first touch that takes it. The zero
-// value is an empty arena. One machine at a time lives on an arena,
-// released however its run ended (TestReleasedArenaIsBlank).
+// slab and ready heap, the processors with their L1s, hardware
+// transaction buffers and TM contexts (ContextOf: each system's exec,
+// with its driver, hooks and logs, and USTM's Thread), and the TM
+// systems' big tables (TableOf) — so that it can outlive the machine. A
+// machine that ends with Release hands all of it back, and the next New
+// on the arena allocates only what it cannot reuse and sees none of what
+// the last machine left: tables, L1s and processors come back blank, a
+// kept memory or directory page is blanked by the first touch that takes
+// it, and a TM context by the Exec that takes it. The zero value is an
+// empty arena. One machine at a time lives on an arena, released however
+// its run ended (TestReleasedArenaIsBlank).
 type Arena struct {
 	mem    *mem.Memory
 	dir    *cache.Directory
@@ -28,7 +30,7 @@ type Arena struct {
 }
 
 // grow builds processors until the arena has n, binding each one's
-// timer-interrupt hook and Run body once.
+// timer-interrupt hook and Run body once, and its contexts to ctxBuf.
 func (a *Arena) grow(n int) {
 	k := n - len(a.procs)
 	if k <= 0 {
@@ -43,7 +45,7 @@ func (a *Arena) grow(n int) {
 	a.bodies = append(a.bodies, make([]func(*sim.Proc), k)...)
 	for i := range slab {
 		p := &slab[i]
-		p.tick = p.timerInterrupt
+		p.tick, p.ctxs = p.timerInterrupt, p.ctxBuf[:0]
 		a.procs[n-k+i], a.bodies[n-k+i] = p, body
 	}
 }
@@ -69,6 +71,29 @@ func (m *Machine) Release() {
 	for _, t := range m.arena.tables {
 		t.reset()
 	}
+}
+
+// ContextOf returns p's TM context of type T, kept in the arena, and
+// whether it is fresh (zero, new). The caller binds its hooks, which reach
+// per-cell state only through its fields, when it is fresh, and on every
+// call rewrites every other field in one literal that keeps only the hooks
+// and the slices' storage (Emptied).
+func ContextOf[T any](p *Proc) (ctx *T, fresh bool) {
+	for _, c := range p.ctxs {
+		if ctx, ok := c.(*T); ok {
+			return ctx, false
+		}
+	}
+	ctx = new(T)
+	p.ctxs = append(p.ctxs, ctx)
+	return ctx, true
+}
+
+// Emptied returns s at length zero, its storage kept and zeroed, so
+// that it holds nothing of the cell that filled it.
+func Emptied[S ~[]E, E any](s S) S {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // Table is a fixed-size table of T kept in a machine's arena: a TM

@@ -18,8 +18,10 @@ import (
 // UFO pages clear wherever they land, the directory names no processor,
 // the L1s are empty with zero counts, and the engine and processors —
 // clocks, step counts, hooks, random streams, the hardware transaction
-// the killed run left open — read as a new machine's. (The otable half
-// of the same scenario is ustm's TestReleasedArenaOTableIsBlank.)
+// the killed run left open — read as a new machine's. Only the
+// processors' TM contexts are kept by design, for the next cell's Exec
+// to rewrite (harness's TestKeptContextsAreBlank). (The otable half of
+// the same scenario is ustm's TestReleasedArenaOTableIsBlank.)
 func TestReleasedArenaIsBlank(t *testing.T) {
 	const region, lines = 0x10000, 256 // the data every processor works on
 	params := machine.DefaultParams(4)
@@ -90,6 +92,9 @@ func TestReleasedArenaIsBlank(t *testing.T) {
 		fresh := machine.New(params)
 		if got, want := m2.Kept(), fresh.Kept(); got != want {
 			t.Fatalf("killed=%v: the reused engine and processors differ from a new machine's:\n%s\nwant\n%s", killed, got, want)
+		}
+		if _, blank := machine.ContextOf[ustm.Thread](m2.Proc(0)); blank {
+			t.Fatalf("killed=%v: the arena dropped processor 0's USTM thread", killed)
 		}
 		if m2.Mem.Size() != fresh.Mem.Size() || m2.Mem.Sbrk(0) != fresh.Mem.Sbrk(0) {
 			t.Fatalf("killed=%v: reused memory has size %d and frontier %d, a new machine's %d and %d",

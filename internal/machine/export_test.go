@@ -16,7 +16,9 @@ func (m *Machine) Directory() *cache.Directory { return m.dir }
 // engine, of each Proc and of its sim.Proc, with pointers, funcs and
 // slices shown only as nil or not, or by length (they name storage that
 // differs between any two machines), and each hardware transaction
-// buffer by how much it holds. A fresh machine's must read the same.
+// buffer by how much it holds. A fresh machine's must read the same. The
+// TM contexts are left out: the arena keeps them by design (ContextOf),
+// and harness's TestKeptContextsAreBlank holds each to a fresh one's.
 func (m *Machine) Kept() string {
 	var b strings.Builder
 	render(&b, reflect.ValueOf(m.Eng).Elem())
@@ -25,7 +27,7 @@ func (m *Machine) Kept() string {
 		if t := q.hwBuf; t != nil {
 			held = len(t.reads) + len(t.writes) + t.Spec.Len()
 		}
-		q.hwBuf = nil
+		q.hwBuf, q.ctxs, q.ctxBuf = nil, nil, [2]any{}
 		fmt.Fprintf(&b, "\nproc %d holds %d: ", p.ID(), held)
 		render(&b, reflect.ValueOf(q))
 		b.WriteString("\n  sim: ")

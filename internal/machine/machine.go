@@ -323,21 +323,23 @@ func (a *Arena) New(p Params) *Machine {
 	// lock tables, heaps).
 	m.Mem.Sbrk(mem.PageBytes)
 	// Every field of a kept processor is rewritten: only its L1 (when the
-	// geometry matches), its transaction buffer and its bound hook carry
-	// over, and its random stream is reseeded.
+	// geometry matches), its transaction buffer, its bound hook and its TM
+	// contexts carry over, and its random stream is reseeded.
 	for i, mp := range m.procs {
 		l1 := mp.l1
 		if l1 == nil || l1.Ways() != p.L1Ways || l1.Sets()*l1.Ways()*mem.LineBytes != p.L1Bytes {
 			l1 = cache.NewL1(p.L1Bytes, mem.LineBytes, p.L1Ways)
 		}
 		*mp = Proc{
-			m:     m,
-			sp:    a.eng.Proc(i),
-			l1:    l1,
-			ufo:   true, // threads start with UFO faults enabled
-			hwBuf: mp.hwBuf,
-			rng:   *sim.NewRand(p.Seed*2654435761 + uint64(i) + 1),
-			tick:  mp.tick,
+			m:      m,
+			sp:     a.eng.Proc(i),
+			l1:     l1,
+			ufo:    true, // threads start with UFO faults enabled
+			hwBuf:  mp.hwBuf,
+			rng:    *sim.NewRand(p.Seed*2654435761 + uint64(i) + 1),
+			tick:   mp.tick,
+			ctxs:   mp.ctxs,
+			ctxBuf: mp.ctxBuf,
 		}
 		mp.sp.OnInterrupt(mp.tick)
 	}

@@ -98,6 +98,9 @@ type Proc struct {
 	inSTM  bool
 	rng    sim.Rand
 	tick   func() // timerInterrupt, bound once: the engine's interrupt hook
+	// ContextOf's contexts, one per type; ctxBuf backs the first two.
+	ctxs   []any
+	ctxBuf [2]any
 
 	// Backing store of the one scratch processor set (others).
 	mask [cache.MaxProcs / 64]uint64

@@ -121,14 +121,13 @@ func New(m *machine.Machine, kind cm.Kind) *System {
 // Exec implements tm.System. HybridNOrec is weakly atomic: the driver's
 // uninstrumented non-transactional accesses never consult the counters.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	e := &exec{s: s}
-	e.sw = tm.Lazy{D: &e.Driver, Miss: e.swLoad, StoreCycles: BarrierCycles}
-	e.Driver = tm.Driver{
-		NT: tm.NT{P: p}, H: &s.Handler, Tx: hwTx{e.HW(), e},
-		Begin: e.subscribe, PreCommit: e.notifySoftware, Committed: e.noteWriter,
-		Software: e.RunSW,
-		SW:       tm.SWPath{Begin: e.swBegin, End: e.swEnd, Tx: &e.sw},
+	e, fresh := machine.ContextOf[exec](p)
+	if fresh {
+		e.sw = tm.Lazy{D: &e.Driver, Miss: e.swLoad, StoreCycles: BarrierCycles}
+		e.Driver = tm.Driver{Tx: hwTx{e.HW(), e}, Begin: e.subscribe, PreCommit: e.notifySoftware,
+			Committed: e.noteWriter, Software: e.RunSW, SW: tm.SWPath{Begin: e.swBegin, End: e.swEnd, Tx: &e.sw}}
 	}
+	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s, sw: e.sw.Rebind(), valuelog: e.valuelog[:0]}
 	return e
 }
 

@@ -76,13 +76,18 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Snapshot freezes the histogram's state (trailing zero buckets trimmed):
 // the representation a Snapshot holds and every report encodes.
 func (h *Histogram) Snapshot() *HistSnapshot {
-	hs := &HistSnapshot{Count: h.count, Sum: h.sum, Max: h.max}
+	b := &struct {
+		hs      HistSnapshot
+		buckets [HistBuckets]uint64
+	}{HistSnapshot{Count: h.count, Sum: h.sum, Max: h.max}, h.buckets}
 	end := HistBuckets
 	for end > 0 && h.buckets[end-1] == 0 {
 		end--
 	}
-	hs.Buckets = append([]uint64(nil), h.buckets[:end]...)
-	return hs
+	if end > 0 { // nil, not empty, when every bucket is zero
+		b.hs.Buckets = b.buckets[:end]
+	}
+	return &b.hs
 }
 
 // HistSnapshot is the frozen state of a histogram.

@@ -88,11 +88,11 @@ func New(m *machine.Machine, cfg ustm.Config, kind cm.Kind) *System {
 // uninstrumented ones (phase exclusion replaces barriers), and PhTM is
 // weakly atomic.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	e := &exec{s: s, t: s.stm.Thread(p)}
-	e.Driver = tm.Driver{
-		NT: tm.NT{P: p}, H: &s.Handler, Tx: e.HW(),
-		Gate: e.startInSoftware, Begin: e.subscribe, Software: e.runSW,
+	e, fresh := machine.ContextOf[exec](p)
+	if fresh {
+		e.Driver = tm.Driver{Tx: e.HW(), Gate: e.startInSoftware, Begin: e.subscribe, Software: e.runSW}
 	}
+	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s, t: s.stm.Thread(p)}
 	return e
 }
 

@@ -63,13 +63,21 @@ func (s *System) Stats() *tm.Stats { return &s.stats }
 func (s *System) Lock() (addr uint64, holder int) { return s.lockAddr, s.holder }
 
 // Exec implements tm.System.
-func (s *System) Exec(p *machine.Proc) tm.Exec { return &exec{NT: tm.NT{P: p}, s: s} }
+func (s *System) Exec(p *machine.Proc) tm.Exec { return s.context(p) }
 
 // Software returns p's path through the baseline as a tm.Driver's
 // Software: Atomic without its TxLifeBegin, for a system whose
-// transactions begin in hardware.
+// transactions begin in hardware. It is bound to p's kept context, which
+// Exec rewrites for each cell.
 func (s *System) Software(p *machine.Proc) func(age uint64, body func(tm.Tx)) {
-	return (&exec{NT: tm.NT{P: p}, s: s}).run
+	return s.context(p).run
+}
+
+// context returns p's kept context (machine.ContextOf), rewritten for s.
+func (s *System) context(p *machine.Proc) *exec {
+	e, _ := machine.ContextOf[exec](p)
+	*e = exec{NT: tm.NT{P: p}, s: s, onCommit: machine.Emptied(e.onCommit), undo: e.undo[:0]}
+	return e
 }
 
 type exec struct {

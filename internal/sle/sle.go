@@ -53,16 +53,27 @@ func New(m *machine.Machine, kind cm.Kind) *System {
 
 // Exec implements tm.System.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	d := &tm.Driver{NT: tm.NT{P: p}, H: &s.Handler, Software: s.lock.Software(p)}
-	d.Tx = d.HW()
-	d.Begin = func() {
-		// The lock must be free, and its word joins the read set, so a
-		// real acquisition kills this attempt. A held lock aborts it,
-		// attributed to the holder.
-		addr, holder := s.lock.Lock()
-		if d.HW().Load(addr) != 0 {
-			d.HW().AbortBy(machine.AbortExplicit, holder, addr)
-		}
+	s.lock.Exec(p) // rewrites the context the lock path is bound to
+	e, fresh := machine.ContextOf[exec](p)
+	if fresh {
+		e.Tx, e.Begin, e.Software = e.HW(), e.elide, s.lock.Software(p)
 	}
-	return d
+	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s}
+	return e
+}
+
+// exec is one processor's lock-elision context.
+type exec struct {
+	tm.Driver
+	s *System
+}
+
+// elide begins every hardware attempt. The lock must be free, and its
+// word joins the read set, so a real acquisition kills this attempt. A
+// held lock aborts it, attributed to the holder.
+func (e *exec) elide() {
+	addr, holder := e.s.lock.Lock()
+	if e.HW().Load(addr) != 0 {
+		e.HW().AbortBy(machine.AbortExplicit, holder, addr)
+	}
 }

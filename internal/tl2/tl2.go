@@ -64,12 +64,13 @@ func New(m *machine.Machine, kind cm.Kind) *System {
 // non-transactional accesses) and has no hardware half: the driver's
 // retry-until-commit loop runs begin and commit below.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	e := &exec{s: s}
-	e.tx = tm.Lazy{D: &e.Driver, Miss: e.load, StoreCycles: BarrierCycles}
-	e.Driver = tm.Driver{
-		NT: tm.NT{P: p}, H: &s.Handler,
-		SW: tm.SWPath{Begin: e.begin, End: e.end, Tx: &e.tx},
+	e, fresh := machine.ContextOf[exec](p)
+	if fresh {
+		e.tx = tm.Lazy{D: &e.Driver, Miss: e.load, StoreCycles: BarrierCycles}
+		e.SW = tm.SWPath{Begin: e.begin, End: e.end, Tx: &e.tx}
 	}
+	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s, tx: e.tx.Rebind(),
+		writeSet: e.writeSet[:0], readSet: e.readSet[:0]}
 	return e
 }
 

@@ -169,6 +169,13 @@ type Driver struct {
 	depth    int // of the hardware attempt's flattened nest: 1 + the nests open
 }
 
+// Rebind returns d's hooks (Tx to SW) over processor p and handler h,
+// every other field blank: a kept context's Driver (machine.ContextOf).
+func (d *Driver) Rebind(p *machine.Proc, h *Handler) Driver {
+	return Driver{NT: NT{P: p}, H: h, Tx: d.Tx, Gate: d.Gate, Begin: d.Begin, PreCommit: d.PreCommit,
+		Committed: d.Committed, Software: d.Software, SW: d.SW, deferred: machine.Emptied(d.deferred)}
+}
+
 // OnCommit registers f to run once the current attempt has committed.
 func (d *Driver) OnCommit(f func()) { d.deferred = append(d.deferred, f) }
 
@@ -181,8 +188,7 @@ func (d *Driver) runDeferred() {
 	for _, f := range d.deferred {
 		f()
 	}
-	clear(d.deferred)
-	d.deferred = d.deferred[:0]
+	d.deferred = machine.Emptied(d.deferred)
 }
 
 // Atomic implements Exec: hardware first, the abort handler deciding

@@ -45,6 +45,13 @@ func (l *Lazy) Reset() {
 	l.nests = 0
 }
 
+// Rebind returns l's hooks (D to StoreCycles) with an empty log: a kept
+// context's Lazy (machine.ContextOf).
+func (l *Lazy) Rebind() Lazy {
+	l.Log.Reset()
+	return Lazy{D: l.D, Miss: l.Miss, StoreCycles: l.StoreCycles, Log: l.Log}
+}
+
 // Load implements Tx.
 func (l *Lazy) Load(addr uint64) uint64 {
 	if v, ok := l.Log.Get(addr); ok {

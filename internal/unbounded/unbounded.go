@@ -60,10 +60,16 @@ func New(_ *machine.Machine, kind cm.Kind) *System {
 // accesses: a pure HTM installs no protection, and its strong atomicity
 // comes from coherence.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
-	d := &tm.Driver{NT: tm.NT{P: p}, H: &s.Handler}
-	d.Tx = hwTx{d.HW()}
-	return d
+	e, fresh := machine.ContextOf[exec](p)
+	if fresh {
+		e.Tx = hwTx{e.HW()}
+	}
+	*e = exec{e.Rebind(p, &s.Handler)}
+	return e
 }
+
+// exec is p's driver under a type of its own: p keeps a context per type.
+type exec struct{ tm.Driver }
 
 type hwTx struct{ tm.HW }
 

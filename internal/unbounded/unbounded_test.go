@@ -133,7 +133,7 @@ func TestPageFaultRetriedWithFixedStall(t *testing.T) {
 	// standard fixed stall (cm.PageFaultStallCycles) and re-execute,
 	// without counting as a contention retry or drawing a backoff delay.
 	m, s := testSystem(1)
-	ex := s.Exec(m.Proc(0)).(*tm.Driver)
+	ex := s.Exec(m.Proc(0)).(*exec)
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		tries := 0
 		ex.Atomic(func(tx tm.Tx) {

@@ -71,7 +71,7 @@ type STM struct {
 	ot    *otable
 	stats *tm.Stats
 
-	threads map[int]*Thread
+	threads []*Thread // by processor, nil until Thread is asked for it
 }
 
 // New creates a USTM over the machine, reserving simulated memory for the
@@ -85,7 +85,7 @@ func New(m *machine.Machine, cfg Config) *STM {
 		cfg:     cfg,
 		ot:      newOTable(m, cfg.OTableRows),
 		stats:   new(tm.Stats),
-		threads: make(map[int]*Thread),
+		threads: make([]*Thread, len(m.Procs())),
 	}
 }
 
@@ -100,20 +100,25 @@ func (s *STM) Name() string {
 // Stats implements tm.System.
 func (s *STM) Stats() *tm.Stats { return s.stats }
 
-// Thread returns (creating on first use) the per-processor transaction
-// context. The hybrid TM uses this to share one STM across paths.
+// Thread returns p's transaction context: p's kept Thread
+// (machine.ContextOf), rewritten for s on the first call. The hybrid TMs
+// use this to share one STM across paths.
 func (s *STM) Thread(p *machine.Proc) *Thread {
-	if t, ok := s.threads[p.ID()]; ok {
+	if t := s.threads[p.ID()]; t != nil {
 		return t
 	}
-	t := &Thread{stm: s, p: p}
+	t, _ := machine.ContextOf[Thread](p)
+	*t = Thread{stm: s, p: p, undo: t.undo[:0], owned: t.owned[:0], toWake: machine.Emptied(t.toWake),
+		active: machine.Emptied(t.active), onCommit: machine.Emptied(t.onCommit), nestSave: t.nestSave[:0]}
 	s.threads[p.ID()] = t
 	return t
 }
 
 // Exec implements tm.System.
 func (s *STM) Exec(p *machine.Proc) tm.Exec {
-	return &exec{t: s.Thread(p)}
+	e, _ := machine.ContextOf[exec](p)
+	*e = exec{t: s.Thread(p)}
+	return e
 }
 
 // RowAddr exposes the simulated address of the otable row covering line;

@@ -22,8 +22,9 @@ cd "$(git rev-parse --show-toplevel)"
 # oltp-open 46,553 (median of 12 runs) once its store was built in bulk.
 # 31,252 / 5,269 / 12,475 / 22,743 / 6,616 (oltp-open, vacation-t16,
 # fig5-small, scale-256, layer-micro) once the machine arena kept the
-# engine and the processors.
-ceilings="oltp-open:34400 vacation-t16:5800 fig5-small:13700 scale-256:25000 layer-micro:7300"
+# engine and the processors. 22,648 / 5,010 / 9,979 / 19,238 / 6,613 once
+# it kept each processor's TM contexts too.
+ceilings="oltp-open:24900 vacation-t16:5500 fig5-small:11000 scale-256:21200 layer-micro:7300"
 
 status=0
 for pair in $ceilings; do
