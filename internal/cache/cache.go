@@ -45,7 +45,12 @@ type way struct {
 // 64-byte lines. Both the set count and associativity must be positive,
 // size must divide evenly, and the set count must be a power of two, so
 // that a line finds its set with a mask.
-func NewL1(sizeBytes, lineBytes, ways int) *L1 {
+func NewL1(sizeBytes, lineBytes, ways int) *L1 { return &NewL1s(1, sizeBytes, lineBytes, ways)[0] }
+
+// NewL1s builds n caches of NewL1's geometry in two allocations: the
+// caches, and one slab that their ways are cut from, each cache's capped
+// at its own.
+func NewL1s(n, sizeBytes, lineBytes, ways int) []L1 {
 	if sizeBytes <= 0 || lineBytes <= 0 || ways <= 0 {
 		panic("cache: non-positive geometry")
 	}
@@ -57,7 +62,11 @@ func NewL1(sizeBytes, lineBytes, ways int) *L1 {
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d sets is not a power of two", sets))
 	}
-	return &L1{ways: ways, sets: sets, mask: uint64(sets - 1), all: make([]way, lines)}
+	cs, all := make([]L1, n), make([]way, n*lines)
+	for i := range cs {
+		cs[i] = L1{ways: ways, sets: sets, mask: uint64(sets - 1), all: all[i*lines : (i+1)*lines : (i+1)*lines]}
+	}
+	return cs
 }
 
 // Sets returns the number of sets.
@@ -241,13 +250,19 @@ const pageLines = 64
 // touched. Records are sized to the machine — Reset fixes the processor
 // count, and with it the record's width — and live in flat per-page word
 // slabs reached through an index that grows to the highest line seen; a
-// slab is allocated on the first touch of any of its lines and never
-// moves.
+// slab is cut on the first touch of any of its lines and never moves.
+// Slabs are cut from chunks of blank words that double from one slab up
+// to chunkSlabs, so a directory that touches n pages makes
+// O(log n + n/chunkSlabs) allocations, not n.
 type Directory struct {
 	stride int        // words per record: 3·⌈procs/64⌉ + 1
 	pages  [][]uint64 // pageLines records per slab; nil = untouched
 	free   [][]uint64 // slabs Reset kept, not yet blanked, for the next first touch
+	spare  []uint64   // blank words of the last chunk, never handed out; cap is its size
 }
+
+// chunkSlabs caps the slabs one chunk holds, as mem caps its page chunks.
+const chunkSlabs = 64
 
 // NewDirectory creates an empty directory for MaxProcs processors.
 func NewDirectory() *Directory {
@@ -273,17 +288,24 @@ func (d *Directory) materialise(pi uint64) {
 	}
 	// A kept slab is blanked here over the width this machine's records
 	// need, so one used at a wider stride serves a narrower one; one too
-	// small is dropped.
+	// small is dropped. A new slab is the spare chunk's last words, capped
+	// so that it cannot grow into its neighbour; raw words fit any stride,
+	// so the spare outlives a Reset that changes it.
 	var slab []uint64
 	if k := len(d.free); k > 0 {
 		slab, d.free = d.free[k-1], d.free[:k-1]
 	}
-	if need := pageLines * d.stride; cap(slab) >= need {
+	need := pageLines * d.stride
+	if cap(slab) >= need {
 		d.pages[pi] = slab[:need]
 		clear(d.pages[pi])
-	} else {
-		d.pages[pi] = make([]uint64, need)
+		return
 	}
+	if len(d.spare) < need {
+		d.spare = make([]uint64, min(max(2*cap(d.spare), need), chunkSlabs*need))
+	}
+	k := len(d.spare) - need
+	d.pages[pi], d.spare = d.spare[k:k+need:k+need], d.spare[:k]
 }
 
 // Reset empties the directory, as NewDirectory builds it but with

@@ -347,3 +347,74 @@ func TestDirectoryResetChangesWidth(t *testing.T) {
 		}
 	}
 }
+
+// TestNewL1sShareNoWays: caches built in one call behave as caches
+// built one at a time, and filling every way of one leaves its slab
+// neighbours empty.
+func TestNewL1sShareNoWays(t *testing.T) {
+	cs := NewL1s(3, 1024, 64, 2)
+	fresh := NewL1(1024, 64, 2)
+	for l := uint64(0); l < 64; l++ { // 16 lines, every way of the middle cache, evicting as it goes
+		h1, v1, e1 := cs[1].Touch(l * 5)
+		h2, v2, e2 := fresh.Touch(l * 5)
+		if h1 != h2 || v1 != v2 || e1 != e2 {
+			t.Fatalf("touch %d: batched cache (%v,%d,%v), lone cache (%v,%d,%v)", l, h1, v1, e1, h2, v2, e2)
+		}
+	}
+	if n := len(cs[1].Lines()); n != 16 {
+		t.Fatalf("the filled cache holds %d lines, want 16", n)
+	}
+	for _, i := range []int{0, 2} {
+		if got := cs[i].Lines(); len(got) != 0 || cs[i].Hits()+cs[i].Misses() != 0 {
+			t.Fatalf("filling cache 1 left lines %v in cache %d", got, i)
+		}
+	}
+}
+
+// TestSlabsAreCutApart: a slab is cut from its chunk capped at its own
+// length, so writing every word of one, and appending past its end,
+// leaves its chunk neighbours blank.
+func TestSlabsAreCutApart(t *testing.T) {
+	d := NewDirectory()
+	d.Reset(8)
+	for l := uint64(0); l < 7*pageLines; l += pageLines { // chunks of 1, 2 and 4 slabs
+		d.Line(l)
+	}
+	slab := d.pages[2]
+	if len(slab) != cap(slab) {
+		t.Fatalf("slab of %d words has capacity %d", len(slab), cap(slab))
+	}
+	for i := range slab {
+		slab[i] = ^uint64(0)
+	}
+	_ = append(slab, ^uint64(0))
+	for pi, other := range d.pages {
+		if pi != 2 && slices.Max(other) != 0 {
+			t.Fatalf("writing slab 2 wrote into slab %d", pi)
+		}
+	}
+}
+
+// TestSpareOutlivesStrideChanges: a directory moved from a 13-word
+// record stride to a 4-word one and back hands out blank records, from
+// kept slabs, the spare chunk and new chunks alike, though every word of
+// every slab was set before each Reset.
+func TestSpareOutlivesStrideChanges(t *testing.T) {
+	d := NewDirectory()
+	for round, c := range []struct{ procs, pages int }{{256, 3}, {8, 9}, {256, 6}, {8, 20}} {
+		d.Reset(c.procs)
+		for pi := 0; pi < c.pages; pi++ {
+			l := uint64(pi*pageLines + round) // each round a different line of the page first
+			if rec := d.Line(l); len(rec) != 3*((c.procs+63)/64)+1 {
+				t.Fatalf("round %d: a %d-word record at %d processors", round, len(rec), c.procs)
+			}
+			slab := d.pages[pi]
+			if slices.Max(slab) != 0 {
+				t.Fatalf("round %d, %d processors: page %d's slab is not blank", round, c.procs, pi)
+			}
+			for i := range slab {
+				slab[i] = ^uint64(0)
+			}
+		}
+	}
+}

@@ -68,10 +68,12 @@ func (w *leftover) Validate(m *machine.Machine) error {
 // ten systems, 1 to 16 processors, two memory sizes, two otable sizes,
 // two L1 geometries, three seeds, every observer on and off, seven
 // workloads, the leftover cell on each kind of system, an sle and a hytm
-// pair, two cells that halt mid-transaction and, last, three scalemix
-// cells at 8, 130 and 70 processors, whose directory records are one,
-// three and two words per mask: directory pages blanked at one record
-// stride are handed to a machine that reads them at another.
+// pair, two cells that halt mid-transaction and, last, five scalemix
+// cells at 200 (one per scale system), 8, 130 and 70 processors, whose
+// directory records are four, one, three and two words per mask:
+// directory pages blanked at one record stride, and chunks cut at one,
+// are handed to a machine that reads them at another, and a machine
+// wider than its predecessor builds its missing L1s in one batch.
 func reuseJobs() []Job {
 	// A cell that meets a predecessor's leftovers tends to spin on them:
 	// a step budget near its needs makes it a failed cell in
@@ -140,7 +142,7 @@ func reuseJobs() []Job {
 	// One scalemix factory, as ScaleSweep has: its cells share one table
 	// of expected digests across workers.
 	scale := ScaleBenchmark(ScaleSmall)
-	for i, procs := range []int{8, 130, 70} {
+	for i, procs := range []int{200, 200, 8, 130, 70} {
 		jobs = append(jobs, Job{System: ScaleSystems[i%2], Threads: procs, Opt: options(), Factory: scale})
 	}
 	return jobs

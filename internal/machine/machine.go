@@ -324,11 +324,22 @@ func (a *Arena) New(p Params) *Machine {
 	m.Mem.Sbrk(mem.PageBytes)
 	// Every field of a kept processor is rewritten: only its L1 (when the
 	// geometry matches), its transaction buffer, its bound hook and its TM
-	// contexts carry over, and its random stream is reseeded.
+	// contexts carry over, and its random stream is reseeded. The L1s
+	// that do not carry over are built in one call.
+	fits := func(c *cache.L1) bool {
+		return c != nil && c.Ways() == p.L1Ways && c.Sets()*c.Ways()*mem.LineBytes == p.L1Bytes
+	}
+	missing := 0
+	for _, mp := range m.procs {
+		if !fits(mp.l1) {
+			missing++
+		}
+	}
+	l1s := cache.NewL1s(missing, p.L1Bytes, mem.LineBytes, p.L1Ways)
 	for i, mp := range m.procs {
 		l1 := mp.l1
-		if l1 == nil || l1.Ways() != p.L1Ways || l1.Sets()*l1.Ways()*mem.LineBytes != p.L1Bytes {
-			l1 = cache.NewL1(p.L1Bytes, mem.LineBytes, p.L1Ways)
+		if !fits(l1) {
+			l1, l1s = &l1s[0], l1s[1:]
 		}
 		*mp = Proc{
 			m:      m,

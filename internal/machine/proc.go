@@ -158,8 +158,11 @@ func (p *Proc) Block() { p.sp.Block() }
 func (p *Proc) Wake(q *Proc) { p.sp.Wake(q.sp) }
 
 // SetNote attaches a diagnostic label shown in engine dumps; it never
-// affects the schedule.
-func (p *Proc) SetNote(format string, args ...any) { p.sp.SetNote(format, args...) }
+// affects the schedule and allocates nothing.
+func (p *Proc) SetNote(label string) { p.sp.SetNote(label) }
+
+// SetNoteN is SetNote with one integer, shown as label=n.
+func (p *Proc) SetNoteN(label string, n uint64) { p.sp.SetNoteN(label, n) }
 
 // Rand returns a per-processor deterministic random stream, seeded from
 // Params.Seed and the processor ID, so its values do not depend on the

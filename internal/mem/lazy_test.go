@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // These tests pin the lazy page-granular storage semantics: a nil page
 // must be indistinguishable from an explicitly zeroed one through every
@@ -215,5 +218,80 @@ func TestResetBlanksAndReuses(t *testing.T) {
 		if got := m.UFO(addr); got != wantUFO {
 			t.Fatalf("UFO(%#x) = %v, want %v: a recycled UFO page kept old bits", addr, got, wantUFO)
 		}
+	}
+}
+
+// TestChunkedRecordsAreBlank: a first touch takes its record from the
+// free list, else from the spare chunk, else from a new chunk; across two
+// Resets, a record from each of the three reads as all-zero words and
+// clear bits, though every word and bit of every record was set before
+// the Reset, and no record is handed out twice.
+func TestChunkedRecordsAreBlank(t *testing.T) {
+	m := New(PageBytes)
+	var fromFree, fromSpare, fromChunk int
+	for _, touch := range []uint64{5, 12, 40} { // 7 records in chunks of 1, 2, 4; then 8; then 16 and 32
+		m.Reset(64 * PageBytes)
+		holder := map[*page]uint64{}
+		for pi := uint64(0); pi < touch; pi++ {
+			switch {
+			case len(m.free) > 0:
+				fromFree++
+			case len(m.spare) > 0:
+				fromSpare++
+			default:
+				fromChunk++
+			}
+			base := pi * PageBytes
+			if pi%2 == 0 { // either kind of first touch
+				m.SetUFO(base, UFOFaultOnRead)
+			} else {
+				m.Write64(base, 1)
+			}
+			pg := m.pages[pi]
+			if q, ok := holder[pg]; ok {
+				t.Fatalf("touch %d: page %d was given the record page %d holds", touch, pi, q)
+			}
+			holder[pg] = pi
+			want := page{}
+			if pi%2 == 0 {
+				want.ufo[0] = UFOFaultOnRead
+			} else {
+				want.words[0] = 1
+			}
+			if *pg != want {
+				t.Fatalf("touch %d, page %d: the first touch found a record that was not blank", touch, pi)
+			}
+			for a := base; a < base+PageBytes; a += WordBytes {
+				m.Write64(a, ^a)
+				m.SetUFO(a, UFOFaultAll)
+			}
+		}
+	}
+	if fromFree == 0 || fromSpare == 0 || fromChunk == 0 {
+		t.Fatalf("records came %d from the free list, %d from the spare chunk, %d from new chunks: want each source", fromFree, fromSpare, fromChunk)
+	}
+}
+
+// TestFirstTouchesAllocateInChunks: a new memory that touches 1,000
+// pages pays for its index and one chunk per doubling up to chunkPages,
+// then one per 64 pages — not one allocation per page — and for no more
+// bytes than 1,000 records, each rounded up to its size class, cost.
+func TestFirstTouchesAllocateInChunks(t *testing.T) {
+	const pages = 1000
+	touch := func() {
+		m := New(pages * PageBytes)
+		for pi := uint64(0); pi < pages; pi++ {
+			m.Write64(pi*PageBytes, 1)
+		}
+	}
+	if n := testing.AllocsPerRun(1, touch); n > 24+raceSlack {
+		t.Fatalf("touching %d pages allocated %v times, want at most 24", pages, n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	touch()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(pages*4864); got >= limit {
+		t.Fatalf("touching %d pages allocated %d bytes, want under %d", pages, got, limit)
 	}
 }

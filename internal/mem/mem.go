@@ -21,7 +21,7 @@ const (
 	LineBytes = 64
 	// LineWords is the number of words per line.
 	LineWords = LineBytes / WordBytes
-	// PageBytes is the size of one lazily allocated page record.
+	// PageBytes is the size of one page record.
 	PageBytes = 4096
 	// PageLines is the number of lines per page.
 	PageLines = PageBytes / LineBytes
@@ -69,12 +69,14 @@ const (
 // Memory is the simulated physical memory plus per-line UFO bit storage.
 // The zero value is not usable; call New.
 //
-// Storage is page-granular and lazily allocated: a page's words and the
-// UFO bits of its lines sit in one record, reached through one index. A
-// nil record reads as all-zero words and all-clear UFO bits and is
-// materialized only on the first write that needs it. Simulations
+// Storage is page-granular and materialized on first touch: a page's
+// words and the UFO bits of its lines sit in one record, reached through
+// one index. A nil record reads as all-zero words and all-clear UFO bits
+// and is materialized only on the first write that needs it. Simulations
 // configure tens of megabytes of architectural memory per sweep cell but
-// touch a small fraction of it.
+// touch a small fraction of it. Records are allocated in chunks that
+// double from one record up to chunkPages, so a memory that touches n
+// pages makes O(log n + n/chunkPages) allocations, not n.
 //
 // A Memory can be reused: Reset keeps the records its last user touched,
 // and the index, for the next one, and a first touch blanks the kept
@@ -85,7 +87,13 @@ type Memory struct {
 	size  uint64  // architectural size in bytes
 	brk   uint64  // sbrk-style allocation frontier, in bytes
 	free  []*page // kept records, not yet blanked, awaiting a first touch
+	spare []page  // blank records of the last chunk, never handed out; cap is its size
 }
+
+// chunkPages caps the records one chunk holds: a small memory pays for
+// little more than it touches, a large one for one allocation per 64
+// pages.
+const chunkPages = 64
 
 // page is one page of memory: the UFO bits travel with the data.
 type page struct {
@@ -161,14 +169,19 @@ func (m *Memory) badAddr(addr uint64) {
 }
 
 // materialize gives page pi a blank record: one that Reset kept, blanked
-// here, just before the write that needs it, else a new one.
+// here, just before the write that needs it, else the next of the spare
+// chunk's, which a new chunk twice the last one's size refills.
 func (m *Memory) materialize(pi uint64) *page {
 	var pg *page
 	if k := len(m.free); k > 0 {
 		pg, m.free = m.free[k-1], m.free[:k-1]
 		*pg = page{}
 	} else {
-		pg = new(page)
+		if len(m.spare) == 0 {
+			m.spare = make([]page, min(max(2*cap(m.spare), 1), chunkPages))
+		}
+		k := len(m.spare) - 1
+		pg, m.spare = &m.spare[k], m.spare[:k]
 	}
 	m.pages[pi] = pg
 	return pg

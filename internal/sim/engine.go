@@ -279,7 +279,11 @@ func (e *Engine) Now() uint64 {
 func (e *Engine) dump() string {
 	var b strings.Builder
 	for _, p := range e.procs {
-		fmt.Fprintf(&b, "  proc %d: %s at cycle %d (%s)\n", p.id, p.state, p.now, p.note)
+		note := p.note
+		if p.hasN {
+			note = fmt.Sprintf("%s=%d", note, p.noteN)
+		}
+		fmt.Fprintf(&b, "  proc %d: %s at cycle %d (%s)\n", p.id, p.state, p.now, note)
 	}
 	return b.String()
 }

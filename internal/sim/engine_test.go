@@ -256,17 +256,43 @@ func TestRunPanicsOnWorkloadCountMismatch(t *testing.T) {
 	New(Config{Procs: 2}).Run([]func(*Proc){func(*Proc) {}})
 }
 
+// TestNotesAppearInDeadlockDump: a dump shows each processor's last
+// note, a plain label as set and a label with its integer as label=n,
+// the text a formatted note once was.
 func TestNotesAppearInDeadlockDump(t *testing.T) {
-	for name, cfg := range schedConfigs(Config{Procs: 1}) {
+	for name, cfg := range schedConfigs(Config{Procs: 3}) {
 		h := wantHalt(t, name, "deadlock", func() {
 			New(cfg).Run([]func(*Proc){func(p *Proc) {
 				p.SetNote("waiting-for-godot")
 				p.Block()
+			}, func(p *Proc) {
+				p.SetNoteN("barrier spin gen", 3)
+				p.Block()
+			}, func(p *Proc) {
+				p.SetNoteN("barrier collect gen", 2)
+				p.SetNote("genome phase2")
+				p.Block()
 			}})
 		})
-		if !strings.Contains(h.Error(), "waiting-for-godot") {
-			t.Fatalf("%s: dump missing note: %v", name, h)
+		for _, want := range []string{"(waiting-for-godot)\n", "(barrier spin gen=3)\n", "(genome phase2)\n"} {
+			if !strings.Contains(h.Error(), want) {
+				t.Fatalf("%s: dump missing %q: %v", name, want, h)
+			}
 		}
+	}
+}
+
+// TestSetNoteAllocatesNothing: a wait loop may set its note on every
+// iteration, so neither form may allocate.
+func TestSetNoteAllocatesNothing(t *testing.T) {
+	p := New(Config{Procs: 1}).Proc(0)
+	gen := uint64(1000)
+	if n := testing.AllocsPerRun(100, func() {
+		gen++
+		p.SetNoteN("barrier spin gen", gen)
+		p.SetNote("genome phase1")
+	}); n != 0 {
+		t.Fatalf("setting a note allocated %v times, want 0", n)
 	}
 }
 

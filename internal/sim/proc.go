@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Proc is one simulated processor. All methods must be called from the
 // workload the engine started for this processor (except Wake, which is
 // called by whichever processor is currently running). One processor
@@ -13,6 +11,8 @@ type Proc struct {
 	now   uint64
 	state State
 	note  string // diagnostic label shown in deadlock/livelock dumps
+	noteN uint64 // the label's integer, shown as label=n when hasN
+	hasN  bool
 
 	// This workload's iter.Pull slot: its next, the yield the workload
 	// received, which one a switch into it calls next, and in, the slot
@@ -35,10 +35,12 @@ func (p *Proc) ID() int { return p.id }
 func (p *Proc) Now() uint64 { return p.now }
 
 // SetNote attaches a diagnostic label that appears in engine state
-// dumps. The note is proc-local; it never influences the schedule.
-func (p *Proc) SetNote(format string, args ...any) {
-	p.note = fmt.Sprintf(format, args...)
-}
+// dumps. The note is proc-local; it never influences the schedule, and
+// setting it allocates nothing: only a dump formats it.
+func (p *Proc) SetNote(label string) { p.note, p.hasN = label, false }
+
+// SetNoteN is SetNote with one integer, which a dump shows as label=n.
+func (p *Proc) SetNoteN(label string, n uint64) { p.note, p.noteN, p.hasN = label, n, true }
 
 // OnInterrupt sets the function that runs (in the workload, during
 // Elapse) every time this processor's clock crosses a scheduling-quantum

@@ -66,7 +66,7 @@ func (b *Barrier) Wait(ex tm.Exec) {
 	ex.Store(b.flag(id), gen+1)
 	if id == 0 {
 		// Master: collect every flag, then release the generation.
-		p.SetNote("barrier collect gen=%d", gen)
+		p.SetNoteN("barrier collect gen", gen)
 		for i := 1; i < b.n; i++ {
 			for ex.Load(b.flag(i)) != gen+1 {
 				p.Elapse(BarrierSpinCycles)
@@ -74,12 +74,12 @@ func (b *Barrier) Wait(ex tm.Exec) {
 		}
 		ex.Store(b.genAddr, gen+1)
 	} else {
-		p.SetNote("barrier spin gen=%d", gen)
+		p.SetNoteN("barrier spin gen", gen)
 		for ex.Load(b.genAddr) == gen {
 			p.Elapse(BarrierSpinCycles)
 		}
 	}
-	p.SetNote("barrier passed gen=%d", gen)
+	p.SetNoteN("barrier passed gen", gen)
 }
 
 // split returns thread i's half-open share [lo, hi) of total items.

@@ -23,8 +23,10 @@ cd "$(git rev-parse --show-toplevel)"
 # 31,252 / 5,269 / 12,475 / 22,743 / 6,616 (oltp-open, vacation-t16,
 # fig5-small, scale-256, layer-micro) once the machine arena kept the
 # engine and the processors. 22,648 / 5,010 / 9,979 / 19,238 / 6,613 once
-# it kept each processor's TM contexts too.
-ceilings="oltp-open:24900 vacation-t16:5500 fig5-small:11000 scale-256:21200 layer-micro:7300"
+# it kept each processor's TM contexts too. 20,135 / 2,324 / 8,415 /
+# 18,030 / 2,674 once memory pages, directory slabs and L1s came in
+# chunks and a processor's note stopped formatting.
+ceilings="oltp-open:22200 vacation-t16:2550 fig5-small:9300 scale-256:19900 layer-micro:2950"
 
 status=0
 for pair in $ceilings; do
