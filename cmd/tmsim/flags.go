@@ -28,7 +28,6 @@ type config struct {
 	txstatsOut string
 
 	traceOut      string
-	traceFormat   string
 	traceWorkload string
 	traceSystem   string
 	traceThreads  int
@@ -40,7 +39,6 @@ type config struct {
 	oltp        harness.OLTPSweepConfig // the -oltp-arrival sweep shape
 
 	contentionOut string
-	reportFormat  string
 
 	cpuProfile string
 	memProfile string
@@ -72,16 +70,14 @@ func parseConfig(args []string, errOut io.Writer) (*config, error) {
 	fs.BoolVar(&cfg.progress, "progress", false, "report sweep progress (cells done/total, ETA) on stderr")
 	fs.StringVar(&cfg.metricsOut, "metrics-out", "", "write per-cell + aggregate metrics JSON to this file")
 	fs.StringVar(&cfg.txstatsOut, "txstats-out", "", "write the per-transaction lifecycle (txstats) report as JSON to this file")
-	fs.StringVar(&cfg.traceOut, "trace-out", "", "run one traced cell and write its machine trace to this file (skips experiments)")
-	fs.StringVar(&cfg.traceFormat, "trace-format", "text", "trace export format: text | jsonl | chrome")
+	fs.StringVar(&cfg.traceOut, "trace-out", "", "run one traced cell and write its machine trace to this file (skips experiments): .jsonl for JSONL, .json for a Chrome trace, any other name for text")
 	fs.StringVar(&cfg.traceWorkload, "trace-workload", "genome", "workload for the traced cell")
 	fs.StringVar(&cfg.traceSystem, "trace-system", "ufo-hybrid", "TM system for the traced cell")
 	fs.IntVar(&cfg.traceThreads, "trace-threads", 4, "thread count for the traced cell")
 	fs.StringVar(&cfg.litmusOut, "litmus-out", "", "also write the litmus conformance report as JSON to this file")
 	fs.StringVar(&cfg.oltpOut, "oltp-out", "", "also write the open-loop service (tmsim-oltp/v1) report as JSON to this file")
 	fs.StringVar(&cfg.oltpArrival, "oltp-arrival", "poisson", "oltp arrival process: poisson | mmpp")
-	fs.StringVar(&cfg.contentionOut, "contention-out", "", "write the conflict-attribution (contention) report to this file")
-	fs.StringVar(&cfg.reportFormat, "report", "json", "contention report format: json | html | text")
+	fs.StringVar(&cfg.contentionOut, "contention-out", "", "write the conflict-attribution (contention) report to this file: .html for HTML, .txt for text, any other name for JSON")
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a host CPU profile (runtime/pprof) to this file")
 	fs.StringVar(&cfg.memProfile, "memprofile", "", "write a host heap profile (runtime/pprof) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -124,16 +120,6 @@ func (cfg *config) validate() error {
 	if cfg.parallel < 0 {
 		return fmt.Errorf("-parallel %d: want >= 0", cfg.parallel)
 	}
-	switch cfg.traceFormat {
-	case "text", "jsonl", "chrome":
-	default:
-		return fmt.Errorf("unknown trace format %q (want text, jsonl, or chrome)", cfg.traceFormat)
-	}
-	switch cfg.reportFormat {
-	case "json", "html", "text":
-	default:
-		return fmt.Errorf("unknown report format %q (want json, html, or text)", cfg.reportFormat)
-	}
 
 	if cfg.oltp.Arrival, err = oltp.ParseArrival(cfg.oltpArrival); err != nil {
 		return fmt.Errorf("-oltp-arrival: %w", err)
@@ -155,22 +141,13 @@ func (cfg *config) validate() error {
 		return fmt.Errorf("-csv cannot be combined with -seeds %d: the CSV is the single-seed sweep", cfg.seeds)
 	}
 	// Flags an experiment row owns only mean something when it runs;
-	// trace and contention flags only with their destination flag.
+	// the trace flags only with -trace-out.
 	if err := checkExperiment(cfg.experiment, cfg.traceOut != "", cfg.set); err != nil {
 		return err
 	}
-	for _, dep := range []struct {
-		dest  string
-		given bool
-		flags []string
-	}{
-		{"trace-out", cfg.traceOut != "", []string{"trace-format", "trace-workload", "trace-system", "trace-threads"}},
-		{"contention-out", cfg.contentionOut != "", []string{"report"}},
-	} {
-		for _, f := range dep.flags {
-			if !dep.given && cfg.set[f] {
-				return fmt.Errorf("-%s requires -%s", f, dep.dest)
-			}
+	for _, f := range []string{"trace-workload", "trace-system", "trace-threads"} {
+		if cfg.traceOut == "" && cfg.set[f] {
+			return fmt.Errorf("-%s requires -trace-out", f)
 		}
 	}
 	// The sequential executor has no synchronization: on more than one

@@ -19,11 +19,11 @@ func TestParseConfigValidation(t *testing.T) {
 	}{
 		{"defaults", nil, ""},
 		{"sweep with outputs", []string{"-experiment", "fig5", "-scale", "small", "-metrics-out", "m.json"}, ""},
-		{"traced cell", []string{"-trace-out", "t.json", "-trace-format", "chrome", "-trace-workload", "genome", "-trace-system", "ufo-hybrid", "-trace-threads", "2"}, ""},
+		{"traced cell", []string{"-trace-out", "t.json", "-trace-workload", "genome", "-trace-system", "ufo-hybrid", "-trace-threads", "2"}, ""},
 		{"contention json", []string{"-contention-out", "c.json"}, ""},
 		// The top-K cut and the time-series window are constants of
 		// internal/contention, not flags.
-		{"contention tuned", []string{"-contention-out", "c.html", "-report", "html", "-contention-topk", "4", "-timeseries-window", "5000"}, "flag provided but not defined: -contention-topk"},
+		{"contention tuned", []string{"-contention-out", "c.html", "-contention-topk", "4", "-timeseries-window", "5000"}, "flag provided but not defined: -contention-topk"},
 		{"contention with traced cell", []string{"-trace-out", "t.json", "-contention-out", "c.json"}, ""},
 		{"profiles", []string{"-cpuprofile", "cpu.out", "-memprofile", "mem.out"}, ""},
 
@@ -33,7 +33,9 @@ func TestParseConfigValidation(t *testing.T) {
 		{"negative parallel", []string{"-parallel", "-2"}, "-parallel"},
 		{"positional junk", []string{"fig5"}, "unexpected arguments"},
 
-		{"trace-format without trace-out", []string{"-trace-format", "chrome"}, "-trace-format requires -trace-out"},
+		// An output's file name picks its format (main_test's
+		// TestFileNamePicksFormat): there is no format flag to pass.
+		{"trace-format without trace-out", []string{"-trace-format", "chrome"}, "flag provided but not defined: -trace-format"},
 		{"trace-workload without trace-out", []string{"-trace-workload", "genome"}, "-trace-workload requires -trace-out"},
 		{"trace-system without trace-out", []string{"-trace-system", "tl2"}, "-trace-system requires -trace-out"},
 		{"hybrid-norec traced cell", []string{"-trace-out", "t.json", "-trace-system", "hybrid-norec"}, ""},
@@ -41,7 +43,8 @@ func TestParseConfigValidation(t *testing.T) {
 		// A trace has no limit (tail -n the file): -trace-limit is not a
 		// flag, with or without -trace-out.
 		{"trace-limit without trace-out", []string{"-trace-limit", "64"}, "flag provided but not defined: -trace-limit"},
-		{"bad trace format", []string{"-trace-out", "t.json", "-trace-format", "xml"}, "unknown trace format"},
+		{"bad trace format", []string{"-trace-out", "t.json", "-trace-format", "xml"}, "flag provided but not defined: -trace-format"},
+		{"any trace file name", []string{"-trace-out", "t.xml"}, ""},
 		{"unknown trace workload", []string{"-trace-out", "t.json", "-trace-workload", "nope"}, "unknown workload"},
 		{"unknown trace system", []string{"-trace-out", "t.json", "-trace-system", "nope"}, "unknown system"},
 		// A typo'd system name must list the valid names even when the
@@ -84,10 +87,11 @@ func TestParseConfigValidation(t *testing.T) {
 		{"csv with trace-out", []string{"-trace-out", "t.json", "-csv", "x.csv"}, "-csv has no effect with -trace-out"},
 		{"litmus-out with trace-out", []string{"-trace-out", "t.json", "-litmus-out", "l.json"}, "-litmus-out has no effect with -trace-out"},
 
-		{"report without contention-out", []string{"-report", "html"}, "-report requires -contention-out"},
+		{"report without contention-out", []string{"-report", "html"}, "flag provided but not defined: -report"},
 		{"topk without contention-out", []string{"-contention-topk", "4"}, "flag provided but not defined: -contention-topk"},
 		{"window without contention-out", []string{"-timeseries-window", "1000"}, "flag provided but not defined: -timeseries-window"},
-		{"bad report format", []string{"-contention-out", "c.json", "-report", "pdf"}, "unknown report format"},
+		{"bad report format", []string{"-contention-out", "c.json", "-report", "pdf"}, "flag provided but not defined: -report"},
+		{"any contention file name", []string{"-contention-out", "c.pdf"}, ""},
 		{"zero topk", []string{"-contention-out", "c.json", "-contention-topk", "0"}, "flag provided but not defined: -contention-topk"},
 		{"zero window with contention", []string{"-contention-out", "c.json", "-timeseries-window", "0"}, "flag provided but not defined: -timeseries-window"},
 	}
@@ -123,8 +127,8 @@ func TestParseConfigDefaults(t *testing.T) {
 	if cfg.experiment != "all" || cfg.scaleName != "full" || cfg.seed != 1 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	if cfg.reportFormat != "json" || cfg.oltp != harness.DefaultOLTPSweep() {
-		t.Fatalf("report %q, oltp sweep %+v", cfg.reportFormat, cfg.oltp)
+	if cfg.oltp != harness.DefaultOLTPSweep() {
+		t.Fatalf("oltp sweep %+v", cfg.oltp)
 	}
 	if len(cfg.set) != 0 {
 		t.Fatalf("set = %v, want empty", cfg.set)

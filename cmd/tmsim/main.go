@@ -49,14 +49,15 @@
 //	    also writes the litmus conformance report (per-program,
 //	    per-system verdicts) as deterministic JSON. Non-empty failures
 //	    exit 1, so the experiment doubles as a CI gate.
-//	tmsim -experiment fig5 -contention-out fig5-cont.html -report html
+//	tmsim -experiment fig5 -contention-out fig5-cont.html
 //	    also records conflict attribution — who-aborted-whom edges with
 //	    cache-line addresses and abort reasons — and writes per-cell
 //	    contention profiles (top-K hot lines, aggressor→victim matrices,
-//	    cycle-windowed abort time series) as JSON, self-contained HTML,
-//	    or plain text (-report json|html|text; the top-K cut and the
-//	    window are contention.TopK and contention.WindowCycles). The
-//	    profile runs only when -contention-out asks for it.
+//	    cycle-windowed abort time series) as self-contained HTML (a
+//	    .html file), plain text (.txt) or JSON (any other name; the
+//	    top-K cut and the window are contention.TopK and
+//	    contention.WindowCycles). The profile runs only when
+//	    -contention-out asks for it.
 //	    Byte-identical for every -parallel value.
 //	tmsim -experiment latency -txstats-out lat.json
 //	    also writes every cell's transaction-lifecycle report — latency
@@ -76,12 +77,14 @@
 //	    (lifecycle accounting is always on for this experiment, since its
 //	    report is built from it; conflict attribution only with
 //	    -contention-out).
-//	tmsim -trace-out t.json -trace-format chrome [-trace-workload genome
+//	tmsim -trace-out t.json [-trace-workload genome
 //	      -trace-system ufo-hybrid -trace-threads 4]
 //	    runs that single cell instead of any experiment, as a one-job
-//	    sweep with a trace sink subscribed to its machine (text, jsonl, or
-//	    a Perfetto/about://tracing-loadable Chrome trace with one track per
-//	    simulated processor). The file is written as the cell runs, with
+//	    sweep with a trace sink subscribed to its machine. The file name
+//	    picks the format: a .json file is a Perfetto/about://tracing-
+//	    loadable Chrome trace with one track per simulated processor, a
+//	    .jsonl file one JSON object per event, any other name the text
+//	    trace. The file is written as the cell runs, with
 //	    no limit on its length (tail -n 40 for the last 40 events), so a
 //	    cell that fails — exit status 1, one line naming it — leaves the
 //	    trace up to its failure. -metrics-out, -txstats-out and
@@ -91,9 +94,9 @@
 // profiles of tmsim itself (the simulator, not the simulated machine),
 // for finding hot spots in the simulation loop. See EXPERIMENTS.md.
 //
-// Contradictory flag combinations (for example -trace-format without
-// -trace-out, or -report without -contention-out) are rejected up front
-// with exit status 2.
+// Contradictory flag combinations (for example -trace-system without
+// -trace-out, or -csv under -experiment fig6) are rejected up front with
+// exit status 2.
 package main
 
 import (
@@ -101,6 +104,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -172,19 +176,20 @@ func (s *session) execute() error {
 	if cfg.traceOut != "" {
 		cells = "" // a traced run is one cell, and its messages do not count it
 	}
-	contentionWrite := func(w io.Writer) error { return rep.WriteJSON(w, harness.SectionContention) }
-	switch cfg.reportFormat {
-	case "html":
-		contentionWrite = func(w io.Writer) error { return contention.WriteHTML(w, rep.ContentionCells()) }
-	case "text":
-		contentionWrite = func(w io.Writer) error { return contention.WriteText(w, rep.ContentionCells()) }
+	// The contention report's file name picks its format.
+	format, contentionWrite := "json", func(w io.Writer) error { return rep.WriteJSON(w, harness.SectionContention) }
+	switch filepath.Ext(cfg.contentionOut) {
+	case ".html":
+		format, contentionWrite = "html", func(w io.Writer) error { return contention.WriteHTML(w, rep.ContentionCells()) }
+	case ".txt":
+		format, contentionWrite = "text", func(w io.Writer) error { return contention.WriteText(w, rep.ContentionCells()) }
 	}
 	for _, out := range []struct {
 		path, what string
 		write      func(io.Writer) error
 	}{
 		{cfg.metricsOut, "metrics", func(w io.Writer) error { return rep.WriteJSON(w, harness.SectionMetrics) }},
-		{cfg.contentionOut, fmt.Sprintf("contention report (%s)", cfg.reportFormat), contentionWrite},
+		{cfg.contentionOut, fmt.Sprintf("contention report (%s)", format), contentionWrite},
 		{cfg.txstatsOut, "txstats report", func(w io.Writer) error { return rep.WriteJSON(w, harness.SectionTxStats) }},
 	} {
 		if err := s.writeOut(out.path, out.what+cells, out.write); err != nil {
@@ -261,9 +266,10 @@ type eventCount uint64
 func (n *eventCount) Event(machine.TraceEvent) { *n++ }
 
 // runTraced runs the -trace-* cell as a one-job sweep whose machine has
-// the -trace-format sink (parseConfig admits text, jsonl and chrome
-// only) subscribed over the output file; the caller writes the cell's
-// -metrics-out, -contention-out and -txstats-out reports. The sink is
+// a trace sink subscribed over the output file, in the format its name
+// picks (.jsonl: JSONL, .json: Chrome, anything else: text); the caller
+// writes the cell's -metrics-out, -contention-out and -txstats-out
+// reports. The sink is
 // closed whether or not the cell failed, so the file of a cell that
 // died — a failed invariant, a panic, an exhausted step budget — ends
 // where the cell did: the artifact that explains the failure.
@@ -273,6 +279,7 @@ func (s *session) runTraced() error {
 		events eventCount
 		res    []harness.Result
 		failed error
+		format = "text"
 		start  = time.Now()
 	)
 	err := writeFile(cfg.traceOut, func(w io.Writer) error {
@@ -280,18 +287,19 @@ func (s *session) runTraced() error {
 			machine.Observer
 			io.Closer
 		}
-		switch cfg.traceFormat {
-		case "jsonl":
-			sink = machine.NewJSONLSink(w)
-		case "chrome":
-			sink = machine.NewChromeSink(w)
+		kinds := machine.TraceKinds
+		switch filepath.Ext(cfg.traceOut) {
+		case ".jsonl":
+			format, sink = "jsonl", machine.NewJSONLSink(w)
+		case ".json":
+			format, sink, kinds = "chrome", machine.NewChromeSink(w), machine.ChromeKinds
 		default:
 			sink = machine.NewTextSink(w)
 		}
 		res, failed = s.runner.Execute([]harness.Job{{
 			System: cfg.system, Factory: cfg.workload, Threads: cfg.traceThreads, Opt: s.opt,
 			Observe: func(m *machine.Machine) {
-				m.Observe(machine.TraceKinds, sink)
+				m.Observe(kinds, sink)
 				m.Observe(machine.TraceKinds, &events)
 			},
 		}})
@@ -301,7 +309,7 @@ func (s *session) runTraced() error {
 		return err
 	}
 	fmt.Fprintf(s.stdout, "  [%s/%s/%d threads: %d cycles, %d trace events (%s) written to %s in %v]\n",
-		cfg.workload.Name, cfg.system, cfg.traceThreads, res[0].Cycles, events, cfg.traceFormat, cfg.traceOut,
+		cfg.workload.Name, cfg.system, cfg.traceThreads, res[0].Cycles, events, format, cfg.traceOut,
 		time.Since(start).Round(time.Millisecond))
 	var sweep *harness.SweepError
 	if errors.As(failed, &sweep) {

@@ -131,8 +131,8 @@ func TestLatencyTxStatsFile(t *testing.T) {
 }
 
 // TestFig6ContentionFiles: -contention-out under fig6 writes the
-// tmsim-contention-report/v1 document (one cell per sweep cell) and, with -report html,
-// a document that is HTML and not JSON (contention's
+// tmsim-contention-report/v1 document (one cell per sweep cell) and, to a
+// .html file, a document that is HTML and not JSON (contention's
 // TestWriteHTMLSelfContained checks what is inside it).
 func TestFig6ContentionFiles(t *testing.T) {
 	dir := t.TempDir()
@@ -147,7 +147,7 @@ func TestFig6ContentionFiles(t *testing.T) {
 			t.Fatalf("%s: contention %v, metrics %v, txstats %v", rep.label(i), c.Contention, c.Metrics, c.TxStats)
 		}
 	}
-	out := tmsim(t, "-experiment", "fig6", "-contention-out", htmlPath, "-report", "html")
+	out := tmsim(t, "-experiment", "fig6", "-contention-out", htmlPath)
 	html, err := os.ReadFile(htmlPath)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestLitmusProgress(t *testing.T) {
 func TestTracedCellAllReports(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
-	out := tmsim(t, "-trace-out", p("t.json"), "-trace-format", "chrome", "-trace-workload", "kmeans-high",
+	out := tmsim(t, "-trace-out", p("t.json"), "-trace-workload", "kmeans-high",
 		"-trace-threads", "2", "-metrics-out", p("m.json"), "-txstats-out", p("x.json"), "-contention-out", p("c.json"))
 	raw, err := os.ReadFile(p("t.json"))
 	if err != nil {
@@ -246,6 +246,49 @@ func TestTracedCellAllReports(t *testing.T) {
 	}
 }
 
+// TestFileNamePicksFormat: an output's file name is the one place its
+// format is chosen. A trace goes to JSONL under .jsonl, to a Chrome
+// trace under .json and to text under any other name; a contention
+// report goes to HTML under .html, to text under .txt and to JSON under
+// any other name. The stdout line names the format it wrote.
+func TestFileNamePicksFormat(t *testing.T) {
+	dir := t.TempDir()
+	firstLineJSON := func(b []byte) bool { return json.Valid(bytes.SplitN(b, []byte("\n"), 2)[0]) }
+	isText := func(b []byte) bool { return len(b) > 0 && !firstLineJSON(b) && !bytes.HasPrefix(b, []byte("<")) }
+	isHTML := func(b []byte) bool { return bytes.HasPrefix(b, []byte("<!DOCTYPE html>")) }
+	isJSONL := func(b []byte) bool { return firstLineJSON(b) && !json.Valid(b) }
+	for _, c := range []struct {
+		trace, traceFormat string
+		traceIs            func([]byte) bool
+		report, format     string
+		reportIs           func([]byte) bool
+	}{
+		{"t.txt", "text", isText, "c.txt", "text", isText},
+		{"t.jsonl", "jsonl", isJSONL, "c.html", "html", isHTML},
+		{"t.json", "chrome", json.Valid, "c.json", "json", json.Valid},
+		{"t.trace", "text", isText, "c.out", "json", json.Valid},
+	} {
+		trace, report := filepath.Join(dir, c.trace), filepath.Join(dir, c.report)
+		out := tmsim(t, "-trace-out", trace, "-trace-workload", "kmeans-low", "-trace-threads", "2", "-contention-out", report)
+		for _, f := range []struct {
+			path, format string
+			is           func([]byte) bool
+			line         string
+		}{
+			{trace, c.traceFormat, c.traceIs, fmt.Sprintf("trace events (%s) written to %s", c.traceFormat, trace)},
+			{report, c.format, c.reportIs, fmt.Sprintf("[contention report (%s) written to %s]", c.format, report)},
+		} {
+			raw, err := os.ReadFile(f.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !f.is(raw) || !strings.Contains(out, f.line) {
+				t.Errorf("%s: not %s (starts %q), or stdout lacks %q:\n%s", f.path, f.format, raw[:min(len(raw), 40)], f.line, out)
+			}
+		}
+	}
+}
+
 // failing is a workload whose invariant check always fails.
 type failing struct{ stamp.Workload }
 
@@ -253,9 +296,9 @@ func (failing) Validate(*machine.Machine) error { return errors.New("broken on p
 
 // tracedWith parses a traced kmeans-low/ufo-hybrid/2 cell at -scale
 // small, swaps its workload for wrap's, and runs the command.
-func tracedWith(t *testing.T, wrap func(stamp.Workload) stamp.Workload, path, format string) (code int, stdout, stderr string) {
+func tracedWith(t *testing.T, wrap func(stamp.Workload) stamp.Workload, path string) (code int, stdout, stderr string) {
 	t.Helper()
-	cfg, err := parseConfig([]string{"-scale", "small", "-trace-out", path, "-trace-format", format,
+	cfg, err := parseConfig([]string{"-scale", "small", "-trace-out", path,
 		"-trace-workload", "kmeans-low", "-trace-threads", "2"}, os.Stderr)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +315,7 @@ func tracedWith(t *testing.T, wrap func(stamp.Workload) stamp.Workload, path, fo
 // would explain the failure — and then reports the error, on one line.
 func TestFailedTracedCellKeepsItsTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.txt")
-	code, stdout, stderr := tracedWith(t, func(w stamp.Workload) stamp.Workload { return failing{w} }, path, "text")
+	code, stdout, stderr := tracedWith(t, func(w stamp.Workload) stamp.Workload { return failing{w} }, path)
 	if code != 1 || stderr != "tmsim: kmeans-low on ufo-hybrid with 2 threads: broken on purpose\n" {
 		t.Fatalf("exit %d, stderr %q; want 1 and the cell's coordinates with the invariant failure", code, stderr)
 	}
@@ -315,12 +358,12 @@ func (d dying) Thread(i int, ex tm.Exec) {
 // written, and (text, jsonl) a proper prefix of the healthy cell's trace.
 func TestPanickedTracedCellLeavesItsTrace(t *testing.T) {
 	dir := t.TempDir()
-	for _, format := range []string{"text", "jsonl", "chrome"} {
-		whole, part := filepath.Join(dir, "whole."+format), filepath.Join(dir, "part."+format)
-		if code, _, stderr := tracedWith(t, func(w stamp.Workload) stamp.Workload { return w }, whole, format); code != 0 {
+	for format, ext := range map[string]string{"text": ".txt", "jsonl": ".jsonl", "chrome": ".json"} {
+		whole, part := filepath.Join(dir, "whole"+ext), filepath.Join(dir, "part"+ext)
+		if code, _, stderr := tracedWith(t, func(w stamp.Workload) stamp.Workload { return w }, whole); code != 0 {
 			t.Fatalf("%s: healthy cell: exit %d, stderr %q", format, code, stderr)
 		}
-		code, stdout, stderr := tracedWith(t, func(w stamp.Workload) stamp.Workload { return dying{w} }, part, format)
+		code, stdout, stderr := tracedWith(t, func(w stamp.Workload) stamp.Workload { return dying{w} }, part)
 		if code != 1 || stderr != "tmsim: kmeans-low on ufo-hybrid with 2 threads: panic: died on purpose\n" {
 			t.Fatalf("%s: exit %d, stderr %q; want 1 and one line naming the cell", format, code, stderr)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/tm"
 	"repro/internal/tmtest"
@@ -61,8 +62,8 @@ func run(m *machine.Machine, system harness.SystemKind, p *Program, sch Schedule
 	opt.OTableRows = 1 << 12
 	sys := harness.Build(system, m, opt)
 	rec := tmtest.NewRecorder(m, sys)
-	base := m.Mem.Sbrk(uint64(p.Vars) * 64) // one line per variable
-	addr := func(v int) uint64 { return base + uint64(v)*64 }
+	base := m.Mem.Sbrk(uint64(p.Vars) * mem.LineBytes) // one line per variable
+	addr := func(v int) uint64 { return base + uint64(v)*mem.LineBytes }
 
 	times := sch.slotTimes(p.OpCounts())
 	regs := make([][]uint64, nthreads)

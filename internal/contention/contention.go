@@ -64,8 +64,9 @@ type Profile struct {
 }
 
 // Kinds is what a Profile subscribes to: one conflict event per kill,
-// and the hardware and software commit events for the rate series.
-var Kinds = machine.KindSet(machine.TraceConflict, machine.TraceHWCommit, machine.TraceSWCommitted)
+// and the tx-commit every Atomic loop ends a transaction with, which
+// says (FlagSW) whether it committed in software.
+var Kinds = machine.KindSet(machine.TraceConflict, machine.TraceTxCommit)
 
 // The profile's two fixed shapes: a report keeps the TopK hottest lines,
 // and the time series counts events in windows of WindowCycles (an event
@@ -94,12 +95,14 @@ func (pr *Profile) Event(e machine.TraceEvent) {
 	switch e.Kind {
 	case machine.TraceConflict:
 		pr.edge(e)
-	case machine.TraceHWCommit:
-		pr.hwCommits++
-		pr.win(e.Cycle).hwCommits++
-	case machine.TraceSWCommitted:
-		pr.swCommits++
-		pr.win(e.Cycle).swCommits++
+	case machine.TraceTxCommit:
+		if e.SW() {
+			pr.swCommits++
+			pr.win(e.Cycle).swCommits++
+		} else {
+			pr.hwCommits++
+			pr.win(e.Cycle).hwCommits++
+		}
 	}
 }
 

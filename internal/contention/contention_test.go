@@ -19,13 +19,13 @@ func edge(agg, vict int, addr uint64, reason machine.AbortReason, cycle uint64) 
 	}
 }
 
-// commit is the event of proc committing in hardware (hw) or software.
+// commit is the tx-commit of proc committing in hardware (hw) or software.
 func commit(proc int, hw bool, cycle uint64) machine.TraceEvent {
-	kind := machine.TraceSWCommitted
-	if hw {
-		kind = machine.TraceHWCommit
+	flags := machine.FlagPath
+	if !hw {
+		flags |= machine.FlagSW
 	}
-	return machine.TraceEvent{Kind: kind, Proc: proc, Cycle: cycle}
+	return machine.TraceEvent{Kind: machine.TraceTxCommit, Proc: proc, Flags: flags, Cycle: cycle}
 }
 
 // TestProfileAggregation: edges land in the right headline totals, the

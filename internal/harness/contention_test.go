@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -126,7 +127,7 @@ func (c *collider) Validate(m *machine.Machine) error {
 }
 
 // edgeLog captures raw conflict events for tuple-level validation, and
-// the commit events beside them, in two recording observers.
+// the tx-commit events beside them, in two recording observers.
 type edgeLog struct {
 	edges   []machine.TraceEvent
 	commits uint64
@@ -142,7 +143,7 @@ func runCollider(t *testing.T, kind SystemKind, syscall bool) (*edgeLog, *machin
 	m := machine.New(params)
 	edges, commits := new(tmtest.EventLog), new(tmtest.EventLog)
 	m.Observe(machine.KindSet(machine.TraceConflict), edges)
-	m.Observe(machine.KindSet(machine.TraceHWCommit, machine.TraceSWCommitted), commits)
+	m.Observe(machine.KindSet(machine.TraceTxCommit), commits)
 	sys := Build(kind, m, opt)
 	wl := &collider{iters: 12, syscall: syscall}
 	wl.Init(m, 2)
@@ -293,6 +294,62 @@ func TestAllObserversMatchBareRun(t *testing.T) {
 		}
 		if all.TxStats.Committed != txCommits {
 			t.Errorf("%s: txstats committed %d, log saw %d tx-commits", kind, all.TxStats.Committed, txCommits)
+		}
+	}
+}
+
+// TestViewsCountTheLifecycle: every view counts a transaction where all
+// three Atomic loops (tm.Driver, USTM, seq) mark it, so on every system
+// the contention profile's hardware and software commits are tm.Stats',
+// txstats commits what the system says it committed, and the Chrome tx
+// spans' attempts add up to txstats' attempts.
+func TestViewsCountTheLifecycle(t *testing.T) {
+	f, _ := FindWorkload("kmeans-high", ScaleSmall)
+	opt := contentionOptions()
+	opt.TxStats = true
+	for _, kind := range AllSystems {
+		threads := 8 // where sle fails over to its lock
+		if kind == Sequential {
+			threads = 1
+		}
+		var trace bytes.Buffer
+		sink := machine.NewChromeSink(&trace)
+		results, err := Parallel(1).Execute([]Job{{System: kind, Factory: f, Threads: threads, Opt: opt,
+			Observe: func(m *machine.Machine) { m.Observe(machine.ChromeKinds, sink) }}})
+		if err == nil {
+			err = sink.Close()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		r := results[0]
+		if c := r.Contention; c.HWCommits != r.Stats.HWCommits || c.SWCommits != r.Stats.SWCommits {
+			t.Errorf("%s: contention commits hw %d sw %d, stats hw %d sw %d",
+				kind, c.HWCommits, c.SWCommits, r.Stats.HWCommits, r.Stats.SWCommits)
+		}
+		if r.TxStats.Committed != r.Stats.Commits() {
+			t.Errorf("%s: txstats committed %d, stats %d", kind, r.TxStats.Committed, r.Stats.Commits())
+		}
+		var attempts, spanAttempts uint64
+		for _, pc := range r.TxStats.AttemptsByPath {
+			attempts += pc.Count
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string
+				Args struct{ Attempts uint64 }
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(trace.Bytes(), &doc); err != nil {
+			t.Fatalf("%s: chrome trace: %v", kind, err)
+		}
+		for _, e := range doc.TraceEvents {
+			if e.Name == "tx" {
+				spanAttempts += e.Args.Attempts
+			}
+		}
+		if attempts == 0 || spanAttempts != attempts {
+			t.Errorf("%s: chrome tx spans count %d attempts, txstats %d", kind, spanAttempts, attempts)
 		}
 	}
 }

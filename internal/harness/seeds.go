@@ -51,37 +51,27 @@ func (s SeedStats) MinMax() (lo, hi float64) {
 // analogue of run-to-run variance. Each per-seed sweep fans out across
 // the Runner's worker pool.
 func (r *Runner) Figure5Seeds(opt Options, scale Scale, seeds int) ([]SeedStats, error) {
-	type key struct {
-		w string
-		s SystemKind
-		t int
-	}
-	acc := map[key]*SeedStats{}
-	var order []key
+	var out []SeedStats
 	var errs []error
 	for seed := 1; seed <= seeds; seed++ {
 		o := opt
 		o.Params.Seed = uint64(seed)
 		data, err := r.Figure5(o, scale)
 		errs = append(errs, err)
+		// Every seed's sweep lists its cells in the same grid order, so
+		// the i-th cell of each seed is the same (workload, system, threads).
+		i := 0
 		for _, d := range data {
 			for _, sys := range Figure5Systems {
 				for _, th := range ThreadCounts(scale) {
-					k := key{d.Workload, sys, th}
-					st, ok := acc[k]
-					if !ok {
-						st = &SeedStats{Workload: d.Workload, System: sys, Threads: th}
-						acc[k] = st
-						order = append(order, k)
+					if seed == 1 {
+						out = append(out, SeedStats{Workload: d.Workload, System: sys, Threads: th})
 					}
-					st.Speedups = append(st.Speedups, d.Cells[sys][th].Speedup(d.SeqCycles))
+					out[i].Speedups = append(out[i].Speedups, d.Cells[sys][th].Speedup(d.SeqCycles))
+					i++
 				}
 			}
 		}
-	}
-	out := make([]SeedStats, 0, len(order))
-	for _, k := range order {
-		out = append(out, *acc[k])
 	}
 	return out, mergeSweepErrors(errs...)
 }

@@ -20,17 +20,18 @@ type traceSink interface {
 
 var traceSinks = []struct {
 	format string
+	kinds  machine.Kinds
 	open   func(io.Writer) traceSink
 }{
-	{"text", func(w io.Writer) traceSink { return machine.NewTextSink(w) }},
-	{"jsonl", func(w io.Writer) traceSink { return machine.NewJSONLSink(w) }},
-	{"chrome", func(w io.Writer) traceSink { return machine.NewChromeSink(w) }},
+	{"text", machine.TraceKinds, func(w io.Writer) traceSink { return machine.NewTextSink(w) }},
+	{"jsonl", machine.TraceKinds, func(w io.Writer) traceSink { return machine.NewJSONLSink(w) }},
+	{"chrome", machine.ChromeKinds, func(w io.Writer) traceSink { return machine.NewChromeSink(w) }},
 }
 
 // tracedJob is the cell `tmsim -scale small -trace-out … -trace-workload
 // <workload> -trace-system <system> -trace-threads 2` runs, with sink
-// subscribed to the printed kinds the way tmsim subscribes it.
-func tracedJob(t *testing.T, workload string, system SystemKind, sink machine.Observer) Job {
+// subscribed to kinds the way tmsim subscribes it.
+func tracedJob(t *testing.T, workload string, system SystemKind, kinds machine.Kinds, sink machine.Observer) Job {
 	t.Helper()
 	f, ok := FindWorkload(workload, ScaleSmall)
 	if !ok {
@@ -39,7 +40,7 @@ func tracedJob(t *testing.T, workload string, system SystemKind, sink machine.Ob
 	opt := DefaultOptions()
 	opt.Params.Seed = 1 // the tmsim -seed default
 	return Job{System: system, Factory: f, Threads: 2, Opt: opt,
-		Observe: func(m *machine.Machine) { m.Observe(machine.TraceKinds, sink) }}
+		Observe: func(m *machine.Machine) { m.Observe(kinds, sink) }}
 }
 
 // TestTracedJobReproducesRingExport: a sink subscribed through
@@ -54,7 +55,7 @@ func TestTracedJobReproducesRingExport(t *testing.T) {
 		t.Run(s.format, func(t *testing.T) {
 			var got bytes.Buffer
 			sink := s.open(&got)
-			if _, err := Parallel(1).Execute([]Job{tracedJob(t, "vacation-high", UFOHybrid, sink)}); err != nil {
+			if _, err := Parallel(1).Execute([]Job{tracedJob(t, "vacation-high", UFOHybrid, s.kinds, sink)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := sink.Close(); err != nil {
@@ -93,7 +94,7 @@ func TestParallelJobsKeepTheirOwnTraces(t *testing.T) {
 			jobs := make([]Job, len(which))
 			for i, c := range which {
 				sinks[i] = s.open(&bufs[i])
-				jobs[i] = tracedJob(t, cells[c].workload, cells[c].system, sinks[i])
+				jobs[i] = tracedJob(t, cells[c].workload, cells[c].system, s.kinds, sinks[i])
 			}
 			if _, err := r.Execute(jobs); err != nil {
 				t.Fatal(err)

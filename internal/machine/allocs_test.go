@@ -58,10 +58,10 @@ func TestUnobservedEmitsAllocNothing(t *testing.T) {
 				p.TxLifeAbort(PathHTM, AbortConflict)
 				p.TxLifeBackoff(10)
 				p.TxLifeRetryWait()
-				p.TxLifeCommit(PathHTM)
+				p.TxLifeCommit(PathHTM, false)
 				p.SetUFO(192, mem.UFOFaultOnWrite)
 				p.RecordSWKill(p, AbortConflict, 192, true)
-				p.RecordSWCommit()
+				p.TxLifeCommit(PathSW, true)
 			})
 		}})
 		if got != 0 {

@@ -10,7 +10,7 @@ import (
 // observeConflicts subscribes two recording observers to m and returns
 // them: one sees the who-aborted-whom edges, the other the commits.
 func observeConflicts(m *Machine) (edges, commits *eventLog) {
-	return observe(m, KindSet(TraceConflict)), observe(m, KindSet(TraceHWCommit, TraceSWCommitted))
+	return observe(m, KindSet(TraceConflict)), observe(m, KindSet(TraceHWCommit, TraceTxCommit))
 }
 
 // TestConflictEventHWKill: an age-ordered HW-vs-HW kill emits exactly
@@ -143,7 +143,7 @@ func TestConflictEventAttributedAbort(t *testing.T) {
 }
 
 // TestConflictEventSWHelpers: the RecordSW* pass-throughs stamp the
-// caller's clock and the SW flag.
+// caller's clock and the SW flag, and so does a software tx-commit.
 func TestConflictEventSWHelpers(t *testing.T) {
 	m := New(testParams(2))
 	rec, commits := observeConflicts(m)
@@ -151,7 +151,7 @@ func TestConflictEventSWHelpers(t *testing.T) {
 		func(p *Proc) {
 			p.Elapse(10)
 			p.RecordSWKill(p.Machine().Proc(1), AbortConflict, 0x200, true)
-			p.RecordSWCommit()
+			p.TxLifeCommit(PathSW, true)
 		},
 		func(p *Proc) {
 			p.Elapse(20)
@@ -168,7 +168,7 @@ func TestConflictEventSWHelpers(t *testing.T) {
 	if e := edges[1]; !e.SW() || e.Peer != -1 || e.Proc != 1 || e.HasAddr() {
 		t.Fatalf("sw abort-by edge = %+v", e)
 	}
-	if cs := commits.events; len(cs) != 1 || cs[0].Kind != TraceSWCommitted || cs[0].Proc != 0 {
+	if cs := commits.events; len(cs) != 1 || cs[0].Kind != TraceTxCommit || !cs[0].SW() || cs[0].Proc != 0 {
 		t.Fatalf("commits = %+v", cs)
 	}
 }
@@ -183,7 +183,7 @@ func TestCollisionRunsUnobserved(t *testing.T) {
 			victimTx(p, true)
 			p.RecordSWKill(p.Machine().Proc(1), AbortConflict, 0, true)
 			p.RecordSWAbortBy(0, AbortConflict, 0, false)
-			p.RecordSWCommit()
+			p.TxLifeCommit(PathSW, true)
 		},
 		func(p *Proc) {
 			p.Elapse(100)

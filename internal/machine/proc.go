@@ -293,11 +293,6 @@ func (p *Proc) RecordSWAbortBy(aggressor int, reason AbortReason, addr uint64, h
 	p.conflict(aggressor, p, reason, addr, hasAddr, FlagSW)
 }
 
-// RecordSWCommit notes a committed software transaction.
-func (p *Proc) RecordSWCommit() {
-	p.emit(TraceEvent{Kind: TraceSWCommitted, Proc: p.ID()})
-}
-
 // conflict emits the one who-aborted-whom event per kill, stamped with
 // p's clock: p is always the processor performing the kill or detecting
 // the conflict. hasAddr states whether addr names a real conflicting

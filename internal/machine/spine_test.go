@@ -57,7 +57,6 @@ func TestEventOrderTwoProcCollider(t *testing.T) {
 5702 p0 mem-write addr=0x3000 arg=1
 5703 p0 mem-write addr=0x4b80 arg=1
 5729 p0 sw-commit age=4
-5729 p0 sw-committed
 5729 p0 tx-commit path=sw
 5762 p1 tx-attempt path=sw
 5762 p1 sw-begin age=5
@@ -65,7 +64,6 @@ func TestEventOrderTwoProcCollider(t *testing.T) {
 6053 p1 mem-write addr=0x3000 arg=2
 6666 p1 mem-write addr=0x4b80 arg=1
 6692 p1 sw-commit age=5
-6692 p1 sw-committed
 6692 p1 tx-commit path=sw
 `)
 	for _, reference := range []bool{false, true} {
@@ -91,7 +89,7 @@ func TestEventOrderTwoProcCollider(t *testing.T) {
 				p.BeginHW(age, true)
 				p.TxRead(hwLine)
 				p.CommitHW()
-				p.TxLifeCommit(machine.PathHTM)
+				p.TxLifeCommit(machine.PathHTM, false)
 				// UFO kill: the hardware reader.
 				p.ElapseUntil(2000)
 				p.BeginHW(m.NextAge(), true)

@@ -47,9 +47,6 @@ const (
 	// conflicting party is unknown (e.g. a TL2 validation failure against
 	// an already-released stripe). FlagSW marks a software victim.
 	TraceConflict
-	// TraceSWCommitted counts one committed software transaction (unlike
-	// TraceSWCommit, which only USTM emits, to close its sw-begin span).
-	TraceSWCommitted
 	// TraceMemWrite is one store reaching simulated memory: Addr, and
 	// the value in Arg. NTWrite and CommitHW's publish emit it, in the
 	// order the stores land.
@@ -62,7 +59,7 @@ var traceKindNames = [numTraceKinds]string{
 	"hw-begin", "hw-commit", "hw-abort", "sw-begin", "sw-commit",
 	"sw-abort", "ufo-set", "ufo-fault", "nack", "tx-begin",
 	"tx-commit", "tx-attempt", "tx-abort", "tx-retry-wait",
-	"tx-backoff", "tx-arrival", "conflict", "sw-committed", "mem-write",
+	"tx-backoff", "tx-arrival", "conflict", "mem-write",
 }
 
 // Kinds is a set of event kinds: what an observer subscribes to.
@@ -85,6 +82,9 @@ const (
 	// the sinks subscribe to, so written traces stay byte-stable as
 	// accounting kinds are added.
 	TraceKinds Kinds = 1<<(TraceTxCommit+1) - 1
+	// ChromeKinds is what a ChromeSink subscribes to: the printed trace
+	// plus the attempt lifecycle its tx spans count.
+	ChromeKinds = TraceKinds | 1<<TraceTxAttempt | 1<<TraceTxAbort
 	// AllKinds is every kind the machine emits.
 	AllKinds Kinds = 1<<numTraceKinds - 1
 )
@@ -110,8 +110,8 @@ const (
 	FlagAge
 	// FlagPath: the Path field is meaningful.
 	FlagPath
-	// FlagSW: the aborted (victim) transaction of a conflict was a
-	// software transaction.
+	// FlagSW: the aborted (victim) transaction of a conflict, or the
+	// committing attempt of a tx-commit, ran in software.
 	FlagSW
 )
 
@@ -139,7 +139,8 @@ func (e TraceEvent) HasAge() bool { return e.Flags&FlagAge != 0 }
 // HasPath reports whether Path carries the attempt's execution path.
 func (e TraceEvent) HasPath() bool { return e.Flags&FlagPath != 0 }
 
-// SW reports whether a conflict's victim was a software transaction.
+// SW reports whether a conflict's victim, or a tx-commit's committing
+// attempt, ran in software.
 func (e TraceEvent) SW() bool { return e.Flags&FlagSW != 0 }
 
 // hasReason reports whether Reason is part of the event's printed form.

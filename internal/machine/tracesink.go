@@ -10,9 +10,9 @@ import (
 
 // The sinks are Observers that render the printed kinds to an io.Writer
 // as the run emits them: subscribe one with Machine.Observe(TraceKinds,
-// sink) before Run and Close it afterwards, whether or not the run
-// finished — a sink holds no event, so the file of a run that died ends
-// where the run did.
+// sink) (a ChromeSink with ChromeKinds) before Run and Close it
+// afterwards, whether or not the run finished — a sink holds no event,
+// so the file of a run that died ends where the run did.
 
 // sinkWriter is what every sink writes through: a bufio.Writer, which
 // keeps the first I/O error itself and accepts nothing after it, so the
@@ -131,7 +131,8 @@ func (t *chromeTx) args(path string) string {
 //   - tx-begin/tx-commit pairs (the Proc.TxLife* lifecycle hooks) become
 //     enclosing per-transaction "tx" spans — begin through every aborted
 //     attempt to the final commit — with the committing path, the attempt
-//     count, and per-reason abort counts in args; and
+//     count (tx-attempt), and per-reason abort counts (tx-abort) in args,
+//     which every Atomic loop emits; and
 //   - ufo-set, ufo-fault and nack become thread-scoped
 //     instant ("i") events.
 //
@@ -206,22 +207,24 @@ func (s *ChromeSink) Event(e TraceEvent) {
 			s.closeSpan(e.Proc, prev, e.Cycle, `"outcome":"truncated"`)
 		}
 		s.open[e.Proc] = chromeOpen{begin: e.Cycle, age: e.Age, hw: e.Kind == TraceHWBegin}
-		if tx, ok := s.tx[e.Proc]; ok {
-			tx.attempts++
-		}
 	case TraceHWCommit, TraceSWCommit, TraceHWAbort, TraceSWAbort:
 		outcome := "commit"
 		if e.Kind == TraceHWAbort || e.Kind == TraceSWAbort {
 			outcome = "abort"
-			if tx, ok := s.tx[e.Proc]; ok && int(e.Reason) < NumAbortReasons {
-				tx.aborts[e.Reason]++
-			}
 		}
 		open := s.open[e.Proc]
 		delete(s.open, e.Proc)
 		s.closeSpan(e.Proc, open, e.Cycle, txArgs(e, open, outcome))
 	case TraceTxBegin:
 		s.tx[e.Proc] = &chromeTx{begin: e.Cycle}
+	case TraceTxAttempt:
+		if tx, ok := s.tx[e.Proc]; ok {
+			tx.attempts++
+		}
+	case TraceTxAbort:
+		if tx, ok := s.tx[e.Proc]; ok && int(e.Reason) < NumAbortReasons {
+			tx.aborts[e.Reason]++
+		}
 	case TraceTxCommit:
 		s.closeTx(e.Proc, s.tx[e.Proc], e.Cycle, e.Path.String())
 		delete(s.tx, e.Proc)

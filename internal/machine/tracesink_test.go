@@ -120,14 +120,17 @@ func TestChromeSinkGolden(t *testing.T) {
 }
 
 // TestChromeSinkTxSpans: tx-begin/tx-commit lifecycle events become
-// enclosing "tx" spans carrying the committing path, the attempt count,
-// and per-reason abort counts; a tx left open at Close flushes as
-// truncated.
+// enclosing "tx" spans carrying the committing path, the attempt count
+// (tx-attempt) and per-reason abort counts (tx-abort); a tx left open at
+// Close flushes as truncated.
 func TestChromeSinkTxSpans(t *testing.T) {
 	events := []TraceEvent{
 		{Cycle: 5, Proc: 0, Kind: TraceTxBegin},
+		{Cycle: 6, Proc: 0, Kind: TraceTxAttempt, Path: PathHTM, Flags: FlagPath},
 		{Cycle: 6, Proc: 0, Kind: TraceHWBegin, Age: 1, Flags: FlagAge},
 		{Cycle: 14, Proc: 0, Kind: TraceHWAbort, Reason: AbortConflict, Age: 1, Flags: FlagAge},
+		{Cycle: 14, Proc: 0, Kind: TraceTxAbort, Path: PathHTM, Reason: AbortConflict, Flags: FlagPath},
+		{Cycle: 20, Proc: 0, Kind: TraceTxAttempt, Path: PathHTM, Flags: FlagPath},
 		{Cycle: 20, Proc: 0, Kind: TraceHWBegin, Age: 2, Flags: FlagAge},
 		{Cycle: 30, Proc: 0, Kind: TraceHWCommit, Age: 2, Flags: FlagAge},
 		{Cycle: 31, Proc: 0, Kind: TraceTxCommit, Path: PathHTM, Flags: FlagPath},
@@ -203,7 +206,7 @@ func TestMachineTxLifeSpansInTrace(t *testing.T) {
 		p.BeginHW(m.NextAge(), true)
 		p.TxWrite(64, 1)
 		p.CommitHW()
-		p.TxLifeCommit(PathHTM)
+		p.TxLifeCommit(PathHTM, false)
 	}})
 	var begin, commit *TraceEvent
 	for i, e := range tr.events {
@@ -326,7 +329,7 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 		p.BeginHW(p.Machine().NextAge(), true)
 		p.TxWrite(64, 7)
 		p.CommitHW()
-		p.TxLifeCommit(PathHTM)
+		p.TxLifeCommit(PathHTM, false)
 		p.SetUFOEnabled(false)
 		p.SetUFO(64, mem.UFOFaultAll)
 		p.SetUFOEnabled(true)
@@ -340,7 +343,7 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 	tr := observe(m, TraceKinds)
 	sink := NewJSONLSink(&live)
 	m.Observe(TraceKinds, sink)
-	edges := observe(m, KindSet(TraceConflict, TraceHWCommit, TraceSWCommitted))
+	edges := observe(m, KindSet(TraceConflict, TraceTxCommit))
 	lifecycle := observe(m, AllKinds&^TraceKinds|KindSet(TraceTxBegin, TraceTxCommit))
 	m.Run(workload)
 	// Flush the live sink (the machine never closes observers itself).
@@ -352,7 +355,7 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 			m.Cycles(), m.Count, bare.Cycles(), bare.Count)
 	}
 	if len(edges.events) != 1 || len(lifecycle.events) != 4 {
-		t.Errorf("accounting observers saw %d and %d events, want 1 (hw-commit) and 4 (begin, attempt, the commit's mem-write, commit)",
+		t.Errorf("accounting observers saw %d and %d events, want 1 (tx-commit) and 4 (begin, attempt, the commit's mem-write, commit)",
 			len(edges.events), len(lifecycle.events))
 	}
 	var replay bytes.Buffer
@@ -374,7 +377,7 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 // TestAccountingKindsRender: the kinds outside the printed trace still
 // have a complete text form (what a failing stream assertion prints) — a
 // conflict names its reason, aggressor and line; a backoff its cycles —
-// and the two kind sets are what they say.
+// and the three kind sets are what they say.
 func TestAccountingKindsRender(t *testing.T) {
 	conflict := TraceEvent{Cycle: 7, Proc: 1, Kind: TraceConflict, Reason: AbortUFOKill,
 		Peer: -1, Addr: 0x40, Flags: FlagAddr | FlagSW}
@@ -391,6 +394,9 @@ func TestAccountingKindsRender(t *testing.T) {
 		}
 		if TraceKinds.Has(k) != (k <= TraceTxCommit) || !AllKinds.Has(k) {
 			t.Errorf("kind %s: printed=%v all=%v", k, TraceKinds.Has(k), AllKinds.Has(k))
+		}
+		if ChromeKinds.Has(k) != (TraceKinds.Has(k) || k == TraceTxAttempt || k == TraceTxAbort) {
+			t.Errorf("kind %s: chrome=%v", k, ChromeKinds.Has(k))
 		}
 	}
 }

@@ -47,7 +47,12 @@ func (p *Proc) TxLifeBackoff(cycles uint64) {
 }
 
 // TxLifeCommit marks the successful end of the transaction on the given
-// path.
-func (p *Proc) TxLifeCommit(path TxPath) {
-	p.emit(TraceEvent{Kind: TraceTxCommit, Proc: p.ID(), Path: path, Flags: FlagPath})
+// path; sw says the committing attempt ran in software (a token-holding
+// hardware attempt is on the fallback path too, so the path cannot).
+func (p *Proc) TxLifeCommit(path TxPath, sw bool) {
+	flags := FlagPath
+	if sw {
+		flags |= FlagSW
+	}
+	p.emit(TraceEvent{Kind: TraceTxCommit, Proc: p.ID(), Path: path, Flags: flags})
 }

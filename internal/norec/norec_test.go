@@ -171,14 +171,24 @@ func TestRetryFailsOverAndPolls(t *testing.T) {
 	}
 }
 
+// swCommitLog records the tx-commits whose committing attempt ran in
+// software.
+type swCommitLog struct{ tmtest.EventLog }
+
+func (l *swCommitLog) Event(e machine.TraceEvent) {
+	if e.SW() {
+		l.EventLog.Event(e)
+	}
+}
+
 // observeConflicts subscribes three recording observers to m, for tuple
 // assertions on the raw conflict edges and for counting the hardware
 // and software commit events.
-func observeConflicts(m *machine.Machine) (edges, hwCommits, swCommits *tmtest.EventLog) {
-	edges, hwCommits, swCommits = new(tmtest.EventLog), new(tmtest.EventLog), new(tmtest.EventLog)
+func observeConflicts(m *machine.Machine) (edges, hwCommits *tmtest.EventLog, swCommits *swCommitLog) {
+	edges, hwCommits, swCommits = new(tmtest.EventLog), new(tmtest.EventLog), new(swCommitLog)
 	m.Observe(machine.KindSet(machine.TraceConflict), edges)
 	m.Observe(machine.KindSet(machine.TraceHWCommit), hwCommits)
-	m.Observe(machine.KindSet(machine.TraceSWCommitted), swCommits)
+	m.Observe(machine.KindSet(machine.TraceTxCommit), swCommits)
 	return edges, hwCommits, swCommits
 }
 

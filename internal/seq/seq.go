@@ -117,7 +117,7 @@ func (e *exec) run(_ uint64, body func(tm.Tx)) {
 		_, retry, aborted := tm.Catch(func() { body(directTx{e}) })
 		if !aborted {
 			e.s.stats.SWCommits++
-			e.P.TxLifeCommit(machine.PathFallback)
+			e.P.TxLifeCommit(machine.PathFallback, true)
 			for _, f := range e.onCommit {
 				f()
 			}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/tm"
 )
 
@@ -50,13 +51,13 @@ const BarrierSpinCycles = 200
 // processors with IDs 0..n-1.
 func NewBarrier(m *machine.Machine, n int) *Barrier {
 	return &Barrier{
-		flagBase: m.Mem.Sbrk(uint64(n) * 64),
-		genAddr:  m.Mem.Sbrk(64),
+		flagBase: m.Mem.Sbrk(uint64(n) * mem.LineBytes),
+		genAddr:  m.Mem.Sbrk(mem.LineBytes),
 		n:        n,
 	}
 }
 
-func (b *Barrier) flag(i int) uint64 { return b.flagBase + uint64(i)*64 }
+func (b *Barrier) flag(i int) uint64 { return b.flagBase + uint64(i)*mem.LineBytes }
 
 // Wait blocks until all n threads have arrived.
 func (b *Barrier) Wait(ex tm.Exec) {

@@ -88,19 +88,12 @@ type exec struct {
 	rv       uint64   // read version (clock sample at begin)
 	writeSet []uint64 // stripe indices, deduplicated; built from the log at commit
 	readSet  []uint64 // stripe indices, deduplicated
-
-	// txSeq numbers this context's transactions; combined with the
-	// processor ID it identifies a transaction to the contention manager
-	// (TL2 has no hardware age to reuse).
-	txSeq uint64
 }
 
 // Atomic implements tm.Exec: the standard TL2 loop — speculate, validate,
 // commit; abort restarts with backoff.
 func (e *exec) Atomic(body func(tm.Tx)) {
-	id := uint64(e.P.ID())<<32 | e.txSeq
-	e.txSeq++
-	e.AtomicSW(id, body)
+	e.AtomicSW(e.P.Machine().NextAge(), body)
 }
 
 func (e *exec) begin(uint64) {

@@ -213,7 +213,7 @@ attempts:
 		reason, retry, ok := d.tryHW(age, body)
 		if ok {
 			h.stats.HWCommits++
-			p.TxLifeCommit(machine.PathHTM)
+			p.TxLifeCommit(machine.PathHTM, false)
 			d.committed(cmgr, age)
 			return
 		}
@@ -299,9 +299,8 @@ func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 				h.stats.HWCommits++
 			} else {
 				h.stats.SWCommits++
-				p.RecordSWCommit()
 			}
-			p.TxLifeCommit(path)
+			p.TxLifeCommit(path, !hw)
 			return
 		case retry:
 			h.stats.Retries++

@@ -55,7 +55,7 @@ func (t *Thread) RunTx(age uint64, body func(tm.Tx)) {
 			t.finish()
 		case !aborted && t.End():
 			t.stm.stats.SWCommits++
-			t.p.TxLifeCommit(path)
+			t.p.TxLifeCommit(path, true)
 			return
 		default:
 			// Aborted, or killed between the last barrier and End.

@@ -100,7 +100,6 @@ func (t *Thread) End() bool {
 	t.WakeOwed()
 	t.p.Elapse(CommitCycles)
 	t.p.RecordSW(machine.TraceSWCommit, machine.AbortNone, t.age)
-	t.p.RecordSWCommit()
 	t.finish()
 	t.runDeferred()
 	return true

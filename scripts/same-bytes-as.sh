@@ -56,6 +56,11 @@ experiments="$({ "$out/tmsim.new" -h 2>&1 || true; } | grep -A1 -e '-experiment'
 run() {
 	local bin="$out/tmsim.$1" dir="$out/$1"
 	rm -rf "$dir" && mkdir -p "$dir" && cd "$dir"
+	# A trace file's name picks its format; a build from before that
+	# also takes the format as -trace-format (traceflag <format>).
+	local legacy=
+	{ "$bin" -h 2>&1 || true; } | grep -q -e '-trace-format' && legacy=1
+	traceflag() { [ -z "$legacy" ] || echo "-trace-format $1"; }
 	local e extra
 	for e in $experiments; do
 		extra=()
@@ -95,19 +100,20 @@ run() {
 	for sys in ufo-hybrid hytm phtm hybrid-norec unbounded-htm tl2 ustm+ufo sle; do
 		wl=vacation-high
 		[ "$sys" = ustm+ufo ] && wl=kmeans-high
-		"$bin" -trace-out "trace.$sys.jsonl" -trace-format jsonl -trace-system "$sys" \
+		"$bin" -trace-out "trace.$sys.jsonl" $(traceflag jsonl) -trace-system "$sys" \
 			-trace-workload "$wl" -txstats-out "trace.$sys.txstats.json" \
 			-contention-out "trace.$sys.contention.json" \
 			>"trace.$sys.stdout" 2>"trace.$sys.stderr" || echo "exit $?" >>"trace.$sys.stdout"
 	done
-	local fmt
-	for fmt in text chrome; do
-		"$bin" -trace-out "trace.ufo-hybrid.$fmt" -trace-format "$fmt" -trace-system ufo-hybrid \
+	local fmt ext
+	for fmt in text:txt chrome:json; do
+		ext="${fmt#*:}" fmt="${fmt%:*}"
+		"$bin" -trace-out "trace.ufo-hybrid.$ext" $(traceflag "$fmt") -trace-system ufo-hybrid \
 			-trace-workload vacation-high >"trace.$fmt.stdout" 2>"trace.$fmt.stderr" ||
 			echo "exit $?" >>"trace.$fmt.stdout"
 	done
 	# A traced run's metrics: the one report the cells above leave out.
-	"$bin" -trace-out trace.metrics.jsonl -trace-format jsonl -trace-workload kmeans-high \
+	"$bin" -trace-out trace.metrics.jsonl $(traceflag jsonl) -trace-workload kmeans-high \
 		-trace-threads 2 -metrics-out trace.metrics.json \
 		>trace.metrics.stdout 2>trace.metrics.stderr || echo "exit $?" >>trace.metrics.stdout
 	local ex
