@@ -232,18 +232,46 @@ func TestTracedCellAllReports(t *testing.T) {
 	if m.Cells[0].Metrics == nil || x.Cells[0].TxStats == nil || c.Cells[0].Contention == nil {
 		t.Fatal("a document lacks its own section")
 	}
-	// The recorder's totals are also registered as metrics: the three
-	// documents describe one run.
-	if got := m.counter(0, "txstats.committed"); got == 0 || got != x.Cells[0].TxStats.Committed {
-		t.Fatalf("txstats.committed metric %d, report %d", got, x.Cells[0].TxStats.Committed)
+	// Each section is the only home of its totals: the metrics document
+	// repeats none of the lifecycle's or the conflicts'.
+	if x.Cells[0].TxStats.Committed == 0 {
+		t.Fatal("the txstats section counted no commit")
 	}
-	if got := m.counter(0, "contention.edges"); got != c.Cells[0].Contention.Edges {
-		t.Fatalf("contention.edges metric %d, report %d", got, c.Cells[0].Contention.Edges)
+	for _, mt := range m.Cells[0].Metrics.Metrics {
+		if strings.HasPrefix(mt.Name, "txstats.") || strings.HasPrefix(mt.Name, "contention.") {
+			t.Fatalf("metrics document repeats %s, which its own section holds", mt.Name)
+		}
 	}
 	// A traced run is one cell: its messages do not count cells.
 	if !strings.Contains(out, "[metrics written to ") || strings.Contains(out, " cells ") {
 		t.Fatalf("stdout:\n%s", out)
 	}
+}
+
+// TestPolicyFlagReachesCells: -policy reaches every cell's contention
+// manager. No output names the policy, so the check is on what it
+// decides: under karma some Figure 5 cell backs off for a different
+// number of cycles than under the default.
+func TestPolicyFlagReachesCells(t *testing.T) {
+	dir := t.TempDir()
+	sweep := func(name string, policy ...string) *sectionDoc {
+		path := filepath.Join(dir, name)
+		tmsim(t, append([]string{"-experiment", "fig5", "-metrics-out", path}, policy...)...)
+		return readSection(t, path, harness.SectionMetrics)
+	}
+	def, karma := sweep("default.json"), sweep("karma.json", "-policy", "karma")
+	if len(def.Cells) == 0 || len(def.Cells) != len(karma.Cells) {
+		t.Fatalf("%d default cells, %d karma cells", len(def.Cells), len(karma.Cells))
+	}
+	for i := range def.Cells {
+		if def.label(i) != karma.label(i) {
+			t.Fatalf("cell %d: %s vs %s", i, def.label(i), karma.label(i))
+		}
+		if def.counter(i, "cm.delay_cycles") != karma.counter(i, "cm.delay_cycles") {
+			return
+		}
+	}
+	t.Fatal("no cell's cm.delay_cycles moved under -policy karma")
 }
 
 // TestFileNamePicksFormat: an output's file name is the one place its

@@ -140,14 +140,6 @@ func NewManager(kind Kind) *Manager {
 	return &Manager{kind: k}
 }
 
-// PolicyName names the manager's policy in reports.
-func (m *Manager) PolicyName() string {
-	if m.kind == KindSerialize {
-		return fmt.Sprintf("serialize(%s,K=%d)", KindExponential, DefaultStarveK)
-	}
-	return string(m.kind)
-}
-
 // Stats exposes the decision counters.
 func (m *Manager) Stats() *Stats { return &m.stats }
 
@@ -262,8 +254,8 @@ func (m *Manager) Register(s *obs.Snapshot) {
 }
 
 // Instrumented is implemented by systems that expose their Manager so
-// the harness can write cm.* metrics and annotate contention
-// reports.
+// the harness can write its cm.* metrics, the one place a run's
+// backoff and serialization decisions are reported.
 type Instrumented interface {
 	CM() *Manager
 }

@@ -24,7 +24,6 @@ package contention
 import (
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/obs"
 )
 
 // lineStat accumulates per-cache-line attribution.
@@ -159,13 +158,4 @@ func (pr *Profile) win(cycle uint64) *windowStat {
 		pr.windows[i] = w
 	}
 	return w
-}
-
-// Register writes the profile's headline totals into s under stable
-// contention.* metric names, tying the attribution layer into the same
-// snapshot the rest of the run reports through.
-func (pr *Profile) Register(s *obs.Snapshot) {
-	s.AddCounter("contention.edges", "aborts", "who-aborted-whom edges recorded (conflict attribution)", pr.edges)
-	s.AddCounter("contention.sw_edges", "aborts", "edges whose victim was a software transaction", pr.swEdges)
-	s.AddCounter("contention.hot_lines", "lines", "distinct cache lines with at least one attributed conflict", uint64(len(pr.lines)))
 }

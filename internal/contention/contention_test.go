@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // edge is the conflict event the machine emits when agg kills vict's
@@ -214,21 +213,6 @@ func TestReportAdd(t *testing.T) {
 	sum.Add(nil) // nil cells (contention disabled) are a no-op
 	if sum.Edges != 2 {
 		t.Fatalf("nil Add changed the report")
-	}
-}
-
-// TestProfileWritesMetrics: the profile's totals appear as contention.*
-// metrics.
-func TestProfileWritesMetrics(t *testing.T) {
-	pr := New(2)
-	pr.Event(edge(0, 1, 0x100, machine.AbortConflict, 0))
-	s := obs.NewSnapshot()
-	pr.Register(s)
-	if m := s.Get("contention.edges"); m == nil || m.Value != 1 {
-		t.Fatalf("contention.edges = %+v", m)
-	}
-	if m := s.Get("contention.hot_lines"); m == nil || m.Value != 1 {
-		t.Fatalf("contention.hot_lines = %+v", m)
 	}
 }
 

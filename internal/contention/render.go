@@ -75,11 +75,6 @@ func WriteText(w io.Writer, cells []Cell) error {
 		fmt.Fprintf(w, "  edges=%d (sw=%d, no-addr=%d, unknown-aggressor=%d)  commits hw=%d sw=%d\n",
 			rep.Edges, rep.SWEdges, rep.NoAddrEdges, rep.UnknownAggressor, rep.HWCommits, rep.SWCommits)
 		fmt.Fprintf(w, "  by reason: %s\n", reasonLine(rep.ByReason))
-		if rep.CM != nil {
-			fmt.Fprintf(w, "  cm: policy=%s delays=%d (%d cycles) pf-stalls=%d retry-polls=%d starvation-escalations=%d token-acqs=%d\n",
-				rep.CM.Policy, rep.CM.Delays, rep.CM.DelayCycles, rep.CM.PageFaultStalls,
-				rep.CM.RetryPolls, rep.CM.StarvationEscalations, rep.CM.TokenAcquisitions)
-		}
 
 		if len(rep.HotLines) > 0 {
 			fmt.Fprintf(w, "  hot lines (top %d of %d):\n", len(rep.HotLines), len(rep.HotLines)+rep.DroppedLines)
@@ -164,11 +159,6 @@ svg { display: block; margin: 0.5em 0; }
 		fmt.Fprintf(&b, "<p class=\"summary\">edges %d (sw %d, no-addr %d, unknown-aggressor %d) &middot; commits hw %d / sw %d &middot; reasons: %s</p>\n",
 			rep.Edges, rep.SWEdges, rep.NoAddrEdges, rep.UnknownAggressor,
 			rep.HWCommits, rep.SWCommits, html.EscapeString(reasonLine(rep.ByReason)))
-		if rep.CM != nil {
-			fmt.Fprintf(&b, "<p class=\"summary\">cm: policy %s &middot; delays %d (%d cycles) &middot; pf-stalls %d &middot; retry-polls %d &middot; starvation escalations %d &middot; token acquisitions %d</p>\n",
-				html.EscapeString(rep.CM.Policy), rep.CM.Delays, rep.CM.DelayCycles,
-				rep.CM.PageFaultStalls, rep.CM.RetryPolls, rep.CM.StarvationEscalations, rep.CM.TokenAcquisitions)
-		}
 
 		if len(rep.HotLines) > 0 {
 			fmt.Fprintf(&b, "<h3>Hot lines (top %d of %d)</h3>\n<table>\n<tr><th>addr</th><th>aborts</th><th>top aggressor</th><th>top victim</th><th>reasons</th></tr>\n",

@@ -70,23 +70,6 @@ type Report struct {
 	// WindowAbortHist is the distribution of aborts per window (including
 	// empty windows), the input to the report's percentile lines.
 	WindowAbortHist *obs.HistSnapshot `json:"window_abort_hist,omitempty"`
-	// CM annotates the report with the run's contention-management
-	// decisions (filled by the harness from the system's cm.Manager;
-	// nil for systems without one).
-	CM *CMAnnotation `json:"cm,omitempty"`
-}
-
-// CMAnnotation summarizes the contention-management policy's decisions
-// for one run: what policy ran, how much simulated time it spent
-// backing off, and how often it escalated instead (see internal/cm).
-type CMAnnotation struct {
-	Policy                string `json:"policy"`
-	Delays                uint64 `json:"delays"`
-	DelayCycles           uint64 `json:"delay_cycles"`
-	PageFaultStalls       uint64 `json:"page_fault_stalls,omitempty"`
-	RetryPolls            uint64 `json:"retry_polls,omitempty"`
-	StarvationEscalations uint64 `json:"starvation_escalations,omitempty"`
-	TokenAcquisitions     uint64 `json:"token_acquisitions,omitempty"`
 }
 
 // reasonCounts freezes a per-reason counter array (declaration order,
@@ -220,22 +203,6 @@ func (rep *Report) Add(other *Report) {
 	}
 	if other.Procs > rep.Procs {
 		rep.Procs = other.Procs
-	}
-	if other.CM != nil {
-		if rep.CM == nil {
-			c := *other.CM
-			rep.CM = &c
-		} else {
-			if rep.CM.Policy != other.CM.Policy {
-				rep.CM.Policy = "mixed"
-			}
-			rep.CM.Delays += other.CM.Delays
-			rep.CM.DelayCycles += other.CM.DelayCycles
-			rep.CM.PageFaultStalls += other.CM.PageFaultStalls
-			rep.CM.RetryPolls += other.CM.RetryPolls
-			rep.CM.StarvationEscalations += other.CM.StarvationEscalations
-			rep.CM.TokenAcquisitions += other.CM.TokenAcquisitions
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cm"
@@ -271,8 +272,8 @@ func TestDefaultPolicyValues(t *testing.T) {
 		t.Fatalf("UFOFaultStallTries = %d, want 16", UFOFaultStallTries)
 	}
 	s := New(testMachine(1), ustm.DefaultConfig(), Policy{}, "")
-	if s.CM().PolicyName() != "exp" {
-		t.Fatalf("default backoff policy = %q, want exp", s.CM().PolicyName())
+	if want := cm.NewManager(cm.KindExponential); !reflect.DeepEqual(s.CM(), want) {
+		t.Fatalf("default backoff manager = %+v, want %+v", s.CM(), want)
 	}
 	if s.Name() != "ufo-hybrid" {
 		t.Fatal("name wrong")

@@ -91,15 +91,15 @@ type Options struct {
 	// own cm.Manager from it, so cells stay independent.
 	CM cm.Kind
 	// Contention enables conflict attribution: a contention.Profile is
-	// attached to the machine and its frozen Report returned in the
-	// Result (and its headline totals written as contention.* metrics).
-	// Like every observer it runs only when its output is asked for.
+	// attached to the machine and its frozen Report, the only home of
+	// its totals, returned in the Result. Like every observer it runs
+	// only when its output is asked for.
 	Contention bool
 	// TxStats enables per-transaction lifecycle accounting: a
-	// txstats.Recorder is attached to the machine and its frozen Report
-	// returned in the Result (and its headline totals written as
-	// txstats.* metrics). Attaching the recorder never changes simulated
-	// cycles — the hooks observe the run without perturbing it.
+	// txstats.Recorder is attached to the machine and its frozen Report,
+	// the only home of its totals, returned in the Result. Attaching the
+	// recorder never changes simulated cycles — the hooks observe the
+	// run without perturbing it.
 	TxStats bool
 }
 
@@ -245,33 +245,20 @@ func runOn(arena *machine.Arena, j Job) Result {
 	m.RegisterMetrics(metrics)
 	res.Cycles, res.Machine, res.Metrics = m.Cycles(), m.Count, metrics
 	if prof != nil {
-		prof.Register(metrics)
 		res.Contention = prof.Report()
-		if ci, ok := sys.(cm.Instrumented); ok {
-			st := ci.CM().Stats()
-			res.Contention.CM = &contention.CMAnnotation{
-				Policy:                ci.CM().PolicyName(),
-				Delays:                st.Delays,
-				DelayCycles:           st.DelayCycles,
-				PageFaultStalls:       st.PageFaultStalls,
-				RetryPolls:            st.RetryPolls,
-				StarvationEscalations: st.StarvationEscalations,
-				TokenAcquisitions:     st.TokenAcquisitions,
-			}
-		}
 	}
 	if txrec != nil {
-		txrec.Register(metrics)
 		res.TxStats = txrec.Report()
 	}
 	return res
 }
 
 // cellMetrics bounds the metrics a cell on the given number of
-// processors writes — the machine's 24 and three per processor, tm's 8,
-// cm's 8, contention's 3 and txstats' 13 — so that its snapshot's slice
-// is allocated once (TestCellSnapshotIsAllocatedOnce).
-func cellMetrics(threads int) int { return 56 + 3*threads }
+// processors writes — the machine's 24 and three per processor, tm's 8
+// and cm's 8 — so that its snapshot's slice is allocated once
+// (TestCellSnapshotIsAllocatedOnce). The contention and txstats
+// sections write none: each report is the only home of its totals.
+func cellMetrics(threads int) int { return 40 + 3*threads }
 
 // WorkloadFactory builds a fresh workload instance per run.
 type WorkloadFactory struct {

@@ -43,8 +43,8 @@ func TestReportTxStatsSectionSchedulerBitIdentical(t *testing.T) {
 }
 
 // TestRunTxStats: a harness run with accounting enabled returns a frozen
-// report whose totals also appear as txstats.* metrics and obey the
-// cycle-split identity; a run without it records nothing.
+// report whose totals obey the cycle-split identity and appear as no
+// txstats.* metric; a run without it records nothing.
 func TestRunTxStats(t *testing.T) {
 	f, _ := FindWorkload("kmeans-low", ScaleSmall)
 	res := Run(UFOHybrid, f.New(), 2, txstatsOptions())
@@ -58,8 +58,8 @@ func TestRunTxStats(t *testing.T) {
 	if rep.Begun == 0 || rep.Committed == 0 {
 		t.Fatalf("no transactions recorded: %+v", rep)
 	}
-	if m := res.Metrics.Get("txstats.committed"); m == nil || m.Value != rep.Committed {
-		t.Fatalf("txstats.committed metric = %+v, report says %d", m, rep.Committed)
+	if m := res.Metrics.Get("txstats.committed"); m != nil {
+		t.Fatalf("txstats.committed metric = %+v; the report is its only home", m)
 	}
 	if rep.Latency == nil || rep.Latency.Count != rep.Committed {
 		t.Fatalf("latency histogram count = %+v, want %d commits", rep.Latency, rep.Committed)

@@ -28,6 +28,7 @@ var uncalledAllowed = map[string]string{
 	"litmus.DecodeProgram":             "the FuzzLitmus codec, the one program generator, which only the fuzz target and its corpus test call (DESIGN.md §13, §34)",
 	"litmus.DecodeSeed":                "the FuzzLitmus codec, the one program generator, which only the fuzz target and its corpus test call (DESIGN.md §13, §34)",
 	"litmus.Thread.Name":               "names the curated suite's threads for whoever reads suite.go",
+	"cm.Manager.Stats":                 "the decision counters TestManagerBackoffStats, TestSerializeBoundary, TestDispositionMatrixInjected and TestEscalationUnderSerialize read directly; runs report them as cm.* metrics",
 }
 
 // TestEveryDeclarationHasACaller keeps the tree free of code that nothing

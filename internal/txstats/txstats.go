@@ -215,26 +215,3 @@ func (r *Recorder) commit(t *txState, path machine.TxPath, cycle uint64) {
 	}
 	*t = txState{aggressor: -1}
 }
-
-// Register writes the recorder's headline totals into s under stable
-// txstats.* metric names, tying the lifecycle layer into the same
-// snapshot the rest of the run reports through.
-func (r *Recorder) Register(s *obs.Snapshot) {
-	s.AddCounter("txstats.begun", "txs", "transactions started (lifecycle accounting)", r.begun)
-	s.AddCounter("txstats.committed", "txs", "transactions committed (lifecycle accounting)", r.committed)
-	s.AddCounter("txstats.useful_cycles", "cycles", "cycles in committing attempts", r.usefulCycles)
-	s.AddCounter("txstats.wasted_cycles", "cycles", "cycles in aborted attempts", r.wastedCycles)
-	s.AddCounter("txstats.backoff_cycles", "cycles", "cycles in contention-management backoff inside transactions", r.backoffCycles)
-	s.AddCounter("txstats.retry_wait_cycles", "cycles", "cycles suspended in Retry inside transactions", r.retryWaitCycles)
-	s.AddCounter("txstats.overhead_cycles", "cycles", "committed-tx cycles outside attempts, backoff, and waiting", r.overheadCycles)
-	s.AddCounter("txstats.retry_waits", "waits", "Retry suspensions recorded", r.retryWaits)
-	s.AddHistogram("txstats.latency", "cycles", "committed transaction latency, begin to commit", &r.latency)
-	s.AddHistogram("txstats.attempts", "attempts", "attempts needed per committed transaction", &r.attempts)
-	// Open-loop metrics appear only when the workload tagged arrivals, so
-	// closed-loop runs' metric snapshots are unchanged byte-for-byte.
-	if r.requests > 0 {
-		s.AddCounter("txstats.requests", "requests", "open-loop requests serviced (arrival-tagged commits)", r.requests)
-		s.AddHistogram("txstats.response", "cycles", "open-loop response time, arrival to commit (queueing + service)", &r.response)
-		s.AddHistogram("txstats.queue_wait", "cycles", "open-loop queueing delay, arrival to transaction begin", &r.queueWait)
-	}
-}

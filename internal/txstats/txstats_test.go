@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // The lifecycle events as the machine's TxLife* emitters build them.
@@ -167,23 +166,6 @@ func TestReportAddCommutative(t *testing.T) {
 	zero.Add(mk(1))
 	if zero.Committed != 2 || zero.Latency == nil {
 		t.Fatalf("merge into zero report = %+v", zero)
-	}
-}
-
-func TestRecorderWritesMetrics(t *testing.T) {
-	r := New(2)
-	script(r)
-	s := obs.NewSnapshot()
-	r.Register(s)
-	if got := s.Get("txstats.committed"); got == nil || got.Value != 2 {
-		t.Fatalf("txstats.committed = %+v", got)
-	}
-	if got := s.Get("txstats.wasted_cycles"); got == nil || got.Value != 8 {
-		t.Fatalf("txstats.wasted_cycles = %+v", got)
-	}
-	lat := s.Get("txstats.latency")
-	if lat == nil || lat.Hist == nil || lat.Hist.Count != 2 || lat.Hist.Max != 30 {
-		t.Fatalf("txstats.latency = %+v", lat)
 	}
 }
 

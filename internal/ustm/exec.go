@@ -62,7 +62,7 @@ func (t *Thread) RunTx(age uint64, body func(tm.Tx)) {
 			if reason == machine.AbortNone {
 				reason = machine.AbortConflict
 			}
-			t.Rollback()
+			t.Rollback(reason)
 			t.stm.stats.SWAborts++
 			t.p.TxLifeAbort(path, reason)
 			t.WaitForKiller()

@@ -118,15 +118,16 @@ func (t *Thread) runDeferred() {
 }
 
 // Rollback aborts the transaction (ustm_abort): undo writes in reverse
-// order, release ownership, and restore the pre-transaction state.
-func (t *Thread) Rollback() {
+// order, release ownership, and restore the pre-transaction state. The
+// sw-abort event it emits carries reason, the cause RunTx aborted for.
+func (t *Thread) Rollback(reason machine.AbortReason) {
 	if t.status == statusIdle {
 		panic("ustm: Rollback with no transaction")
 	}
 	t.undoTo(0)
 	t.releaseAll()
 	t.WakeOwed() // spurious wake-ups are safe; retriers re-check
-	t.p.RecordSW(machine.TraceSWAbort, machine.AbortConflict, t.age)
+	t.p.RecordSW(machine.TraceSWAbort, reason, t.age)
 	t.p.Elapse(CommitCycles)
 	t.finish()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/tm"
+	"repro/internal/tmtest"
 )
 
 func testMachine(procs int) *machine.Machine {
@@ -126,6 +127,33 @@ func TestAbortRollsBackEagerWrites(t *testing.T) {
 	}
 	if s.Stats().SWAborts != 1 || s.Stats().SWCommits != 1 {
 		t.Fatalf("stats = %v", s.Stats())
+	}
+}
+
+// TestSWAbortNamesItsReason: the sw-abort event of an explicit
+// tx.Abort() names the reason the tx-abort after it names, explicit, and
+// not a conflict.
+func TestSWAbortNamesItsReason(t *testing.T) {
+	m := testMachine(1)
+	s := testSTM(m, true)
+	ex := s.Exec(m.Proc(0))
+	var log tmtest.EventLog
+	m.Observe(machine.KindSet(machine.TraceSWAbort, machine.TraceTxAbort), &log)
+	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
+		first := true
+		ex.Atomic(func(tx tm.Tx) {
+			tx.Store(0, 1)
+			if first {
+				first = false
+				tx.Abort()
+			}
+		})
+	}})
+	if len(log.Events) != 2 || log.Events[0].Kind != machine.TraceSWAbort || log.Events[1].Kind != machine.TraceTxAbort {
+		t.Fatalf("events = %v, want one sw-abort then one tx-abort", log.Events)
+	}
+	if sw, tx := log.Events[0].Reason, log.Events[1].Reason; sw != tx || tx != machine.AbortExplicit {
+		t.Fatalf("sw-abort reason=%s, tx-abort reason=%s; want both explicit", sw, tx)
 	}
 }
 

@@ -82,9 +82,9 @@ run() {
 	"$bin" -experiment litmus -scale full -litmus-out litmus.full.json >litmus.full.stdout 2>litmus.full.stderr ||
 		echo "exit $?" >>litmus.full.stdout
 	# Non-default policies reach the arms the default never takes:
-	# serialize escalates to the software path and to the token. The
-	# contention report's cm annotation is the one place the policy's
-	# name (cm.Manager.PolicyName) reaches output.
+	# serialize escalates to the software path and to the token. No
+	# output names the policy: the three runs show only through the
+	# cm.* numbers of their metrics and what those decisions move.
 	local pol
 	for pol in linear karma serialize; do
 		"$bin" -experiment fig5 -scale small -policy "$pol" -metrics-out "fig5.$pol.metrics.json" \
