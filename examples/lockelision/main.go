@@ -67,5 +67,5 @@ func run(kind harness.SystemKind) (uint64, tm.Stats) {
 	if got := table.Len(d); got != threads*opsPer {
 		panic(fmt.Sprintf("table has %d entries, want %d", got, threads*opsPer))
 	}
-	return m.Cycles(), *sys.Stats()
+	return m.Cycles(), tm.StatsOf(&m.Count)
 }

@@ -81,7 +81,8 @@ func main() {
 	fmt.Printf("audited total:   %d (expected %d)\n", audited, accounts*initial)
 	fmt.Printf("final total:     %d\n", finalTotal)
 	fmt.Printf("simulated time:  %d cycles on %d processors\n", m.Cycles(), procs)
-	fmt.Printf("tx stats:        %v\n", sys.Stats())
+	st := tm.StatsOf(&m.Count)
+	fmt.Printf("tx stats:        %v\n", &st)
 	fmt.Printf("hw aborts:       conflict=%d overflow=%d ufo-kill=%d\n",
 		m.Count.HWAbortsByReason[machine.AbortConflict],
 		m.Count.HWAbortsByReason[machine.AbortOverflow],

@@ -51,8 +51,9 @@ func main() {
 	}
 	fmt.Printf("moved %d items through a %d-slot transactional queue\n", items, q.Cap())
 	fmt.Printf("deliveries confirmed by OnCommit: %d + %d\n", delivered[0], delivered[1])
-	fmt.Printf("stats: %v\n", sys.Stats())
-	fmt.Printf("retry suspensions: %d (each one a descheduled transaction,\n", sys.Stats().Retries)
+	st := tm.StatsOf(&m.Count)
+	fmt.Printf("stats: %v\n", &st)
+	fmt.Printf("retry suspensions: %d (each one a descheduled transaction,\n", st.Retries)
 	fmt.Println("woken by the committing writer — not a poll loop)")
 }
 

@@ -63,7 +63,7 @@ func TestCounterInvariantAllSystems(t *testing.T) {
 				if got := m.Mem.Read64(0); got != want {
 					t.Fatalf("counter = %d, want %d", got, want)
 				}
-				st := sys.Stats()
+				st := tm.StatsOf(&m.Count)
 				if st.Commits() != want {
 					t.Fatalf("commits = %d, want %d", st.Commits(), want)
 				}

@@ -152,7 +152,7 @@ func run(m *machine.Machine, system harness.SystemKind, p *Program, sch Schedule
 		res.State.Mem[v] = m.Mem.Read64(addr(v))
 	}
 	res.History = rec.History()
-	res.Stats = *sys.Stats()
+	res.Stats = tm.StatsOf(&m.Count)
 	return res
 }
 

@@ -632,7 +632,7 @@ func TestKnownDefectPhTMSoftwarePhaseIsWeak(t *testing.T) {
 // it. The state is outside the oracle, so the old oracle check would
 // fail it too; no curated or enumerated program holds a guard. When the
 // masked store re-checks the owners at completion (the completion-window
-// shape of DESIGN.md §13), this test fails: delete it (ROADMAP 2(i)).
+// shape of DESIGN.md §13), this test fails: delete it.
 func TestKnownDefectMaskedNTStoreRace(t *testing.T) {
 	p := &Program{
 		Name: "masked-nt-store",

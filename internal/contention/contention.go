@@ -54,8 +54,6 @@ type Profile struct {
 	swEdges    uint64
 	noAddr     uint64
 	unknownAgg uint64
-	hwCommits  uint64
-	swCommits  uint64
 	byReason   [machine.NumAbortReasons]uint64
 	matrix     []uint64 // procs×procs, aggressor-major
 	lines      map[uint64]*lineStat
@@ -64,7 +62,8 @@ type Profile struct {
 
 // Kinds is what a Profile subscribes to: one conflict event per kill,
 // and the tx-commit every Atomic loop ends a transaction with, which
-// says (FlagSW) whether it committed in software.
+// says (FlagSW) whether it committed in software: the per-window commit
+// series. The run's commit totals are the machine's lifecycle tally.
 var Kinds = machine.KindSet(machine.TraceConflict, machine.TraceTxCommit)
 
 // The profile's two fixed shapes: a report keeps the TopK hottest lines,
@@ -96,10 +95,8 @@ func (pr *Profile) Event(e machine.TraceEvent) {
 		pr.edge(e)
 	case machine.TraceTxCommit:
 		if e.SW() {
-			pr.swCommits++
 			pr.win(e.Cycle).swCommits++
 		} else {
-			pr.hwCommits++
 			pr.win(e.Cycle).hwCommits++
 		}
 	}

@@ -40,12 +40,13 @@ func TestProfileAggregation(t *testing.T) {
 	pr.Event(commit(0, true, 60))
 	pr.Event(commit(1, false, 70))
 
-	rep := pr.Report()
+	// The commit totals are the machine's tally, not the profile's.
+	rep := pr.Report(&machine.Counters{HWCommits: 7, SWCommits: 9})
 	if rep.Edges != 5 || rep.SWEdges != 1 || rep.NoAddrEdges != 1 || rep.UnknownAggressor != 1 {
 		t.Fatalf("headline totals = %+v", rep)
 	}
-	if rep.HWCommits != 1 || rep.SWCommits != 1 {
-		t.Fatalf("commits = hw %d sw %d", rep.HWCommits, rep.SWCommits)
+	if rep.HWCommits != 7 || rep.SWCommits != 9 {
+		t.Fatalf("commits = hw %d sw %d, want the tally's 7 and 9", rep.HWCommits, rep.SWCommits)
 	}
 	if rep.Matrix[0][1] != 2 || rep.Matrix[1][0] != 2 || rep.Matrix[0][0] != 0 {
 		t.Fatalf("matrix = %v", rep.Matrix)
@@ -102,7 +103,7 @@ func TestReportHotLineOrdering(t *testing.T) {
 		hit(0x1000+uint64(i)*64, 1)
 	}
 
-	rep := pr.Report()
+	rep := pr.Report(&machine.Counters{})
 	if len(rep.HotLines) != TopK || rep.DroppedLines != 1 {
 		t.Fatalf("TopK+1 lines: %d kept, %d dropped", len(rep.HotLines), rep.DroppedLines)
 	}
@@ -133,7 +134,7 @@ func TestReportWindows(t *testing.T) {
 	pr.Event(commit(0, true, w+w/2))                           // window 1
 	pr.Event(commit(1, false, 4*w+50))                         // window 4
 
-	rep := pr.Report()
+	rep := pr.Report(&machine.Counters{})
 	if rep.WindowCycles != WindowCycles {
 		t.Fatalf("report window %d, want %d", rep.WindowCycles, WindowCycles)
 	}
@@ -175,7 +176,7 @@ func TestReportJSONDeterministic(t *testing.T) {
 		for _, i := range order {
 			pr.Event(edges[i])
 		}
-		b, err := json.Marshal(pr.Report())
+		b, err := json.Marshal(pr.Report(&machine.Counters{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,8 +200,8 @@ func TestReportAdd(t *testing.T) {
 	b.Event(commit(1, false, 0))
 
 	sum := &Report{}
-	sum.Add(a.Report())
-	sum.Add(b.Report())
+	sum.Add(a.Report(&machine.Counters{HWCommits: 1}))
+	sum.Add(b.Report(&machine.Counters{SWCommits: 1}))
 	if sum.Edges != 2 || sum.HWCommits != 1 || sum.SWCommits != 1 || sum.Procs != 4 {
 		t.Fatalf("sum = %+v", sum)
 	}
@@ -224,7 +225,7 @@ func sampleCells(t *testing.T) []Cell {
 	pr.Event(edge(1, 0, 0x200, machine.AbortOverflow, 2*w+w/2))
 	pr.Event(commit(0, true, w/2))
 	return []Cell{
-		{Label: "vacation-high/ufo-hybrid/4 threads", Report: pr.Report()},
+		{Label: "vacation-high/ufo-hybrid/4 threads", Report: pr.Report(&machine.Counters{})},
 		{Label: "cell <with & escapes>", Report: nil},
 	}
 }

@@ -101,8 +101,9 @@ func procCounts(m map[int]uint64) []ProcCount {
 }
 
 // Report freezes the profile into its deterministic exportable form,
-// keeping the TopK hottest lines.
-func (pr *Profile) Report() *Report {
+// keeping the TopK hottest lines; its commit totals are the run's
+// lifecycle tally c (the machine's Count).
+func (pr *Profile) Report(c *machine.Counters) *Report {
 	rep := &Report{
 		Procs:            pr.procs,
 		WindowCycles:     WindowCycles,
@@ -110,8 +111,8 @@ func (pr *Profile) Report() *Report {
 		SWEdges:          pr.swEdges,
 		NoAddrEdges:      pr.noAddr,
 		UnknownAggressor: pr.unknownAgg,
-		HWCommits:        pr.hwCommits,
-		SWCommits:        pr.swCommits,
+		HWCommits:        c.HWCommits,
+		SWCommits:        c.SWCommits,
 		ByReason:         reasonCounts(&pr.byReason),
 	}
 

@@ -74,8 +74,7 @@ var Dispositions = tm.Dispositions{
 	machine.AbortNesting:      tm.Fatal,
 }
 
-// System is the UFO hybrid TM. It implements tm.System; hardware- and
-// software-side counts share the embedded USTM's tm.Stats.
+// System is the UFO hybrid TM. It implements tm.System.
 type System struct {
 	tm.Handler
 	stm *ustm.STM
@@ -89,7 +88,7 @@ type System struct {
 func New(m *machine.Machine, cfg ustm.Config, pol Policy, kind cm.Kind) *System {
 	cfg.StrongAtomicity = true
 	s := &System{stm: ustm.New(m, cfg), pol: pol}
-	s.Handler = tm.NewHandler("ufo-hybrid", s.stm.Stats(), kind)
+	s.Handler = tm.NewHandler("ufo-hybrid", kind)
 	s.On, s.Limit = Dispositions, pol.FailoverOnNthConflict
 	// retry (transactional waiting) inside a hardware transaction compiles
 	// to an explicit abort so the transaction fails over to software,

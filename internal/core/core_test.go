@@ -35,7 +35,7 @@ func TestSmallTxCommitsInHardware(t *testing.T) {
 			})
 		}
 	}})
-	st := s.Stats()
+	st := tm.StatsOf(&m.Count)
 	if st.HWCommits != 10 || st.SWCommits != 0 || st.Failovers != 0 {
 		t.Fatalf("stats = %v: small transactions must all commit in hardware", st)
 	}
@@ -61,7 +61,7 @@ func TestOverflowFailsOverToSoftware(t *testing.T) {
 			}
 		})
 	}})
-	st := s.Stats()
+	st := tm.StatsOf(&m.Count)
 	if st.Failovers != 1 || st.SWCommits != 1 || st.HWCommits != 0 {
 		t.Fatalf("stats = %v: overflowing tx must fail over exactly once", st)
 	}
@@ -85,7 +85,7 @@ func TestSyscallFailsOver(t *testing.T) {
 			tx.Store(0, 1)
 		})
 	}})
-	st := s.Stats()
+	st := tm.StatsOf(&m.Count)
 	if st.Failovers != 1 || st.SWCommits != 1 {
 		t.Fatalf("stats = %v", st)
 	}
@@ -121,7 +121,7 @@ func TestHWAndSWTransactionsCoexist(t *testing.T) {
 			}
 		},
 	})
-	st := s.Stats()
+	st := tm.StatsOf(&m.Count)
 	if st.HWCommits != 20 {
 		t.Fatalf("HWCommits = %d, want 20 (disjoint HW txs must not be disturbed)", st.HWCommits)
 	}
@@ -156,7 +156,7 @@ func TestHWTxKilledBySTMConflictRetriesInHW(t *testing.T) {
 			})
 		},
 	})
-	st := s.Stats()
+	st := tm.StatsOf(&m.Count)
 	if st.HWCommits != 1 || st.SWCommits != 1 {
 		t.Fatalf("stats = %v", st)
 	}
@@ -195,8 +195,8 @@ func TestFailoverOnNthConflictPolicy(t *testing.T) {
 			})
 		},
 	})
-	if s.Stats().Failovers < 2 {
-		t.Fatalf("Failovers = %d, want ≥2 (policy forces conflicted tx to software)", s.Stats().Failovers)
+	if m.Count.Failovers < 2 {
+		t.Fatalf("Failovers = %d, want ≥2 (policy forces conflicted tx to software)", m.Count.Failovers)
 	}
 	if m.Mem.Read64(0) != 2 {
 		t.Fatalf("value = %d, want 2", m.Mem.Read64(0))
@@ -260,7 +260,7 @@ func TestRetryAcrossHWAndSW(t *testing.T) {
 	if got != 9 {
 		t.Fatalf("consumer read %d, want 9", got)
 	}
-	if s.Stats().Retries == 0 {
+	if m.Count.RetryWaits == 0 {
 		t.Fatal("no retry recorded")
 	}
 }

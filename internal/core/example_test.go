@@ -29,7 +29,7 @@ func Example() {
 		})
 	}})
 
-	st := sys.Stats()
+	st := tm.StatsOf(&m.Count)
 	fmt.Printf("value=%d hw=%d sw=%d failovers=%d\n",
 		m.Mem.Read64(addr), st.HWCommits, st.SWCommits, st.Failovers)
 	// Output: value=2 hw=1 sw=1 failovers=1

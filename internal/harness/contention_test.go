@@ -11,6 +11,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/tm"
 	"repro/internal/tmtest"
+	"repro/internal/txstats"
 )
 
 // contentionOptions is testOptions with conflict attribution enabled.
@@ -337,58 +338,221 @@ func TestAllObserversMatchBareRun(t *testing.T) {
 	}
 }
 
-// TestViewsCountTheLifecycle: every view counts a transaction where all
-// three Atomic loops (tm.Driver, USTM, seq) mark it, so on every system
-// the contention profile's hardware and software commits are tm.Stats',
-// txstats commits what the system says it committed, and the Chrome tx
-// spans' attempts add up to txstats' attempts.
+// tally is the lifecycle part of machine.Counters: what the TxLife*
+// emitters count.
+type tally struct {
+	Begun, HWCommits, SWCommits, SWAborts, RetryWaits uint64
+	AttemptsByPath, CommitsByPath                     [machine.NumTxPaths]uint64
+	Aborts                                            [machine.NumTxPaths][machine.NumAbortReasons]uint64
+}
+
+func tallyOf(c *machine.Counters) tally {
+	return tally{Begun: c.Begun, HWCommits: c.HWCommits, SWCommits: c.SWCommits, SWAborts: c.SWAborts,
+		RetryWaits: c.RetryWaits, AttemptsByPath: c.AttemptsByPath, CommitsByPath: c.CommitsByPath, Aborts: c.Aborts}
+}
+
+// lifeCount counts the raw lifecycle events of a run into a tally of its
+// own. An abort event does not say whether its attempt ran in hardware:
+// hwPath does, for the system that ran.
+type lifeCount struct {
+	t      tally
+	hwPath func(machine.TxPath) bool
+}
+
+func (l *lifeCount) Event(e machine.TraceEvent) {
+	t := &l.t
+	switch e.Kind {
+	case machine.TraceTxBegin:
+		t.Begun++
+	case machine.TraceTxAttempt:
+		t.AttemptsByPath[e.Path]++
+	case machine.TraceTxAbort:
+		t.Aborts[e.Path][e.Reason]++
+		if !l.hwPath(e.Path) {
+			t.SWAborts++
+		}
+	case machine.TraceTxRetryWait:
+		t.RetryWaits++
+	case machine.TraceTxCommit:
+		t.CommitsByPath[e.Path]++
+		if e.SW() {
+			t.SWCommits++
+		} else {
+			t.HWCommits++
+		}
+	}
+}
+
+// TestViewsCountTheLifecycle: the machine's lifecycle tally counts what
+// the event stream says happened, and every view of a run's transactions
+// reads it — txstats, contention, the Chrome tx spans, the tm.* metrics
+// and machine.hw_commits — on every system's kmeans-high cell and on the
+// retry queue, where Retry waits are frequent. machine.hw_aborts.*, which
+// the hardware counts as it retires each abort, equals the tally's
+// hardware-path aborts by reason but for three named cases:
+//   - the unbounded HTM's Retry unwinds a hardware attempt that the
+//     driver's retry-until-commit loop marks as a Retry wait, not an
+//     abort;
+//   - hybrid-norec marks a hardware Retry as an abort for reason none
+//     (its RetryReason), where the hardware retired an explicit abort;
+//   - on ufo-hybrid's retry-queue cell a peer's kill can land during the
+//     UFO fault handler's stall, and the handler unwinds with ufo-fault
+//     while the hardware retires the kill's reason.
+//
+// global-lock and sle pin seq's Retry: a wait, not a software abort.
 func TestViewsCountTheLifecycle(t *testing.T) {
 	f, _ := FindWorkload("kmeans-high", ScaleSmall)
 	opt := contentionOptions()
 	opt.TxStats = true
+	var jobs []Job
 	for _, kind := range AllSystems {
 		threads := 8 // where sle fails over to its lock
 		if kind == Sequential {
 			threads = 1
 		}
+		jobs = append(jobs, Job{System: kind, Factory: f, Threads: threads, Opt: opt})
+	}
+	for _, kind := range append(retryPathSystems, GlobalLock, SLE, UnboundedHTM, HybridNOrec) {
+		jobs = append(jobs, retryQueueJob(kind))
+	}
+	for _, j := range jobs {
+		name := fmt.Sprintf("%s/%s", j.Factory.Name, j.System)
+		// Only the unbounded HTM retries on a hardware fallback path (the
+		// token holder's); everyone else's fallback is seq's lock.
+		life := &lifeCount{hwPath: func(p machine.TxPath) bool {
+			return p == machine.PathHTM || p == machine.PathFallback && j.System == UnboundedHTM
+		}}
 		var trace bytes.Buffer
 		sink := machine.NewChromeSink(&trace)
-		results, err := Parallel(1).Execute([]Job{{System: kind, Factory: f, Threads: threads, Opt: opt,
-			Observe: func(m *machine.Machine) { m.Observe(machine.ChromeKinds, sink) }}})
+		var counts *machine.Counters
+		j.Observe = func(m *machine.Machine) {
+			m.Observe(machine.ChromeKinds, sink)
+			m.Observe(lifeKinds, life)
+			counts = &m.Count
+		}
+		results, err := Parallel(1).Execute([]Job{j})
 		if err == nil {
 			err = sink.Close()
 		}
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		r := results[0]
-		if c := r.Contention; c.HWCommits != r.Stats.HWCommits || c.SWCommits != r.Stats.SWCommits {
-			t.Errorf("%s: contention commits hw %d sw %d, stats hw %d sw %d",
-				kind, c.HWCommits, c.SWCommits, r.Stats.HWCommits, r.Stats.SWCommits)
+		r, want := results[0], life.t
+		if got := tallyOf(counts); got != want {
+			t.Errorf("%s: tally %+v\nevents %+v", name, got, want)
 		}
-		if r.TxStats.Committed != r.Stats.Commits() {
-			t.Errorf("%s: txstats committed %d, stats %d", kind, r.TxStats.Committed, r.Stats.Commits())
+		if want.Begun == 0 || want.Begun != want.HWCommits+want.SWCommits {
+			t.Errorf("%s: %d begun, %d committed: want every transaction to commit", name, want.Begun, want.HWCommits+want.SWCommits)
 		}
-		var attempts, spanAttempts uint64
-		for _, pc := range r.TxStats.AttemptsByPath {
-			attempts += pc.Count
+		checkTxStatsView(t, name, r.TxStats, want)
+
+		c := r.Contention
+		var winHW, winSW uint64
+		for _, w := range c.Windows {
+			winHW, winSW = winHW+w.HWCommits, winSW+w.SWCommits
 		}
-		var doc struct {
-			TraceEvents []struct {
-				Name string
-				Args struct{ Attempts uint64 }
-			} `json:"traceEvents"`
+		if c.HWCommits != want.HWCommits || c.SWCommits != want.SWCommits || winHW != want.HWCommits || winSW != want.SWCommits {
+			t.Errorf("%s: contention commits hw %d sw %d, windows hw %d sw %d, tally hw %d sw %d",
+				name, c.HWCommits, c.SWCommits, winHW, winSW, want.HWCommits, want.SWCommits)
 		}
-		if err := json.Unmarshal(trace.Bytes(), &doc); err != nil {
-			t.Fatalf("%s: chrome trace: %v", kind, err)
-		}
-		for _, e := range doc.TraceEvents {
-			if e.Name == "tx" {
-				spanAttempts += e.Args.Attempts
+		checkChromeView(t, name, trace.Bytes(), want)
+
+		for metric, n := range map[string]uint64{
+			tm.MetricHWCommits: want.HWCommits, machine.MetricHWCommits: want.HWCommits,
+			tm.MetricSWCommits: want.SWCommits, tm.MetricSWAborts: want.SWAborts, tm.MetricRetries: want.RetryWaits,
+		} {
+			if got := r.Metrics.Counter(metric); got != n {
+				t.Errorf("%s: %s = %d, tally %d", name, metric, got, n)
 			}
 		}
-		if attempts == 0 || spanAttempts != attempts {
-			t.Errorf("%s: chrome tx spans count %d attempts, txstats %d", kind, spanAttempts, attempts)
+
+		if j.System == UFOHybrid && j.Factory.Name == "retry-queue" {
+			continue
 		}
+		var hwAborts [machine.NumAbortReasons]uint64
+		for p := range want.Aborts {
+			if life.hwPath(machine.TxPath(p)) {
+				for reason, n := range want.Aborts[p] {
+					hwAborts[reason] += n
+				}
+			}
+		}
+		switch j.System {
+		case UnboundedHTM:
+			hwAborts[machine.AbortExplicit] += want.RetryWaits
+		case HybridNOrec:
+			hwAborts[machine.AbortExplicit] += hwAborts[machine.AbortNone]
+		}
+		for reason := machine.AbortReason(1); int(reason) < machine.NumAbortReasons; reason++ {
+			if got := r.Machine.HWAbortsByReason[reason]; got != hwAborts[reason] {
+				t.Errorf("%s: machine.hw_aborts.%s = %d, tally's hardware aborts %d", name, reason, got, hwAborts[reason])
+			}
+		}
+	}
+}
+
+// checkTxStatsView checks the txstats report's counts against the tally.
+func checkTxStatsView(t *testing.T, name string, rep *txstats.Report, want tally) {
+	t.Helper()
+	var attempts, commits [machine.NumTxPaths]uint64
+	for _, pc := range rep.AttemptsByPath {
+		p, _ := machine.TxPathByName(pc.Path)
+		attempts[p] = pc.Count
+	}
+	for _, pc := range rep.CommitsByPath {
+		p, _ := machine.TxPathByName(pc.Path)
+		commits[p] = pc.Count
+	}
+	var aborts [machine.NumTxPaths][machine.NumAbortReasons]uint64
+	for _, b := range rep.Aborts {
+		p, _ := machine.TxPathByName(b.Path)
+		reason, _ := machine.AbortReasonByName(b.Reason)
+		aborts[p][reason] = b.Count
+	}
+	if rep.Begun != want.Begun || rep.Committed != want.HWCommits+want.SWCommits || rep.RetryWaits != want.RetryWaits ||
+		attempts != want.AttemptsByPath || commits != want.CommitsByPath || aborts != want.Aborts {
+		t.Errorf("%s: txstats begun %d committed %d retry waits %d attempts %v commits %v aborts %v\ntally %+v",
+			name, rep.Begun, rep.Committed, rep.RetryWaits, attempts, commits, aborts, want)
+	}
+}
+
+// checkChromeView checks the Chrome trace's tx spans against the tally:
+// one span per commit, and their attempts and aborts by reason.
+func checkChromeView(t *testing.T, name string, trace []byte, want tally) {
+	t.Helper()
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Args struct {
+				Attempts uint64
+				Aborts   map[string]uint64
+			}
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace, &doc); err != nil {
+		t.Fatalf("%s: chrome trace: %v", name, err)
+	}
+	var spans, attempts, wantAttempts uint64
+	var aborts, wantAborts [machine.NumAbortReasons]uint64
+	for _, e := range doc.TraceEvents {
+		if e.Name != "tx" {
+			continue
+		}
+		spans++
+		attempts += e.Args.Attempts
+		for r, n := range e.Args.Aborts {
+			reason, _ := machine.AbortReasonByName(r)
+			aborts[reason] += n
+		}
+	}
+	for p := range want.Aborts {
+		wantAttempts += want.AttemptsByPath[p]
+		for reason := 1; reason < machine.NumAbortReasons; reason++ { // spans name no reason none
+			wantAborts[reason] += want.Aborts[p][reason]
+		}
+	}
+	if spans != want.HWCommits+want.SWCommits || attempts != wantAttempts || aborts != wantAborts {
+		t.Errorf("%s: chrome spans %d, attempts %d, aborts %v; tally %d, %d, %v",
+			name, spans, attempts, aborts, want.HWCommits+want.SWCommits, wantAttempts, wantAborts)
 	}
 }

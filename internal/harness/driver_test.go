@@ -145,9 +145,9 @@ var injectedDisposition = map[string]map[machine.AbortReason]outcome{
 	},
 }
 
-func checkOutcome(t *testing.T, sys tm.System, want outcome) {
+func checkOutcome(t *testing.T, sys tm.System, m *machine.Machine, want outcome) {
 	t.Helper()
-	st := sys.Stats()
+	st := tm.StatsOf(&m.Count)
 	cs := sys.(cm.Instrumented).CM().Stats()
 	got := outcome{
 		hw: st.HWCommits, sw: st.SWCommits, failovers: st.Failovers, hwRetries: st.HWRetries,
@@ -193,7 +193,7 @@ func TestDispositionMatrixInjected(t *testing.T) {
 				m := driverMachine(1)
 				sys := hc.build(m, 0, cm.KindExponential)
 				runInjected(t, sys, m, r, 1)
-				checkOutcome(t, sys, want)
+				checkOutcome(t, sys, m, want)
 			})
 		}
 	}
@@ -273,7 +273,7 @@ func TestDispositionMatrixNatural(t *testing.T) {
 				if got := m.Mem.Read64(0); got != 1 {
 					t.Fatalf("counter = %d, want 1", got)
 				}
-				checkOutcome(t, sys, want)
+				checkOutcome(t, sys, m, want)
 			})
 		}
 	}
@@ -307,7 +307,7 @@ func TestCountedAbortLimit(t *testing.T) {
 			sys := buildHybrid(t, c.system, m, 3, cm.KindExponential)
 			runInjected(t, sys, m, c.reason, c.limit+2)
 			n := uint64(c.limit - 1)
-			checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: n, delays: n})
+			checkOutcome(t, sys, m, outcome{sw: 1, failovers: 1, hwRetries: n, delays: n})
 		})
 	}
 	// Uncounted reasons never reach the limit.
@@ -322,7 +322,7 @@ func TestCountedAbortLimit(t *testing.T) {
 			m := driverMachine(1)
 			sys := buildHybrid(t, c.system, m, 3, cm.KindExponential)
 			runInjected(t, sys, m, c.reason, 5)
-			checkOutcome(t, sys, outcome{hw: 1, hwRetries: 5, delays: 5})
+			checkOutcome(t, sys, m, outcome{hw: 1, hwRetries: 5, delays: 5})
 		})
 	}
 }
@@ -350,19 +350,19 @@ func TestEscalationUnderSerialize(t *testing.T) {
 			case "unbounded-htm":
 				// Escalated on the K-th abort and every abort after it;
 				// the token is acquired once and held to commit.
-				checkOutcome(t, sys, outcome{hw: 1, hwRetries: k + 2, delays: k - 1})
+				checkOutcome(t, sys, m, outcome{hw: 1, hwRetries: k + 2, delays: k - 1})
 				if cs.TokenAcquisitions != 1 || cs.StarvationEscalations != 3 {
 					t.Fatalf("token grants = %d, escalations = %d, want 1 and 3", cs.TokenAcquisitions, cs.StarvationEscalations)
 				}
 				return
 			case "hybrid-norec":
-				checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: k - 1, delays: k - 1})
+				checkOutcome(t, sys, m, outcome{sw: 1, failovers: 1, hwRetries: k - 1, delays: k - 1})
 				if cs.StarvationEscalations != 0 {
 					t.Fatalf("escalations = %d, want 0: the counted limit fires first", cs.StarvationEscalations)
 				}
 				return
 			}
-			checkOutcome(t, sys, outcome{sw: 1, failovers: 1, hwRetries: k, delays: k - 1})
+			checkOutcome(t, sys, m, outcome{sw: 1, failovers: 1, hwRetries: k, delays: k - 1})
 			if cs.TokenAcquisitions != 0 || cs.StarvationEscalations != 1 {
 				t.Fatalf("token grants = %d, escalations = %d, want 0 and 1", cs.TokenAcquisitions, cs.StarvationEscalations)
 			}
@@ -392,7 +392,7 @@ func TestEscalationUnderSerialize(t *testing.T) {
 			if got := m.Mem.Read64(0); got != 1 {
 				t.Fatalf("counter = %d, want 1", got)
 			}
-			st := sys.Stats()
+			st := tm.StatsOf(&m.Count)
 			cs := sys.(cm.Instrumented).CM().Stats()
 			if st.SWCommits != 1 || st.SWAborts != k+2 || cs.TokenAcquisitions != 1 || cs.Delays != k-1 {
 				t.Fatalf("stats %v, cm %+v: want 1 software commit after %d aborts, %d backoffs, 1 token grant", st, cs, k+2, k-1)

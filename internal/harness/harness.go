@@ -236,8 +236,8 @@ func runOn(arena *machine.Arena, j Job) Result {
 	metrics := obs.NewSnapshot()
 	metrics.Metrics = make([]obs.Metric, 0, cellMetrics(threads))
 	if sys != nil {
-		res.Stats = *sys.Stats()
-		sys.Stats().Register(metrics)
+		res.Stats = tm.StatsOf(&m.Count)
+		res.Stats.Register(metrics)
 		if ci, ok := sys.(cm.Instrumented); ok {
 			ci.CM().Register(metrics)
 		}
@@ -245,10 +245,10 @@ func runOn(arena *machine.Arena, j Job) Result {
 	m.RegisterMetrics(metrics)
 	res.Cycles, res.Machine, res.Metrics = m.Cycles(), m.Count, metrics
 	if prof != nil {
-		res.Contention = prof.Report()
+		res.Contention = prof.Report(&m.Count)
 	}
 	if txrec != nil {
-		res.TxStats = txrec.Report()
+		res.TxStats = txrec.Report(&m.Count)
 	}
 	return res
 }

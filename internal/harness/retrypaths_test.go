@@ -152,8 +152,23 @@ func (r *retryReach) Event(e machine.TraceEvent) {
 }
 
 // retryPathSystems are the systems whose Retry reaches USTM: phtm is
-// left out for its Retry livelock (ROADMAP item 2(a)).
+// left out for its Retry livelock (DESIGN.md §38).
 var retryPathSystems = []SystemKind{UFOHybrid, USTMUFO, USTM, HyTM}
+
+// retryQueueJob is the retry queue's cell on kind: five processors, seed
+// 1, with both lifecycle reports on.
+func retryQueueJob(kind SystemKind) Job {
+	opt := DefaultOptions()
+	opt.Params.Seed = 1
+	opt.Params.MaxSteps = 20_000_000
+	opt.TxStats, opt.Contention = true, true
+	return Job{System: kind, Threads: retryThreads, Opt: opt,
+		Factory: WorkloadFactory{Name: "retry-queue", New: func() stamp.Workload { return new(retryQueue) }}}
+}
+
+// retryThreads is the retry queue's processor count: four workers and
+// the prober.
+const retryThreads = 5
 
 // goldenPart is out as it is, or its SHA-256 when it is over 50 KB.
 func goldenPart(out []byte) string {
@@ -172,24 +187,18 @@ func goldenPart(out []byte) string {
 // a change that means to move them. The run must also show, by event,
 // that each branch the golden pins ran at least once.
 func TestRetryPathsGolden(t *testing.T) {
-	const threads = 5
-	opt := DefaultOptions()
-	opt.Params.Seed = 1
-	opt.Params.MaxSteps = 20_000_000
-	opt.TxStats, opt.Contention = true, true
 	var got strings.Builder
 	var maskedHW, maskedNT, steals, ownerAborts int
 	for _, kind := range retryPathSystems {
 		var trace bytes.Buffer
 		sink := machine.NewJSONLSink(&trace)
 		var reach *retryReach
-		job := Job{System: kind, Threads: threads, Opt: opt,
-			Factory: WorkloadFactory{Name: "retry-queue", New: func() stamp.Workload { return new(retryQueue) }},
-			Observe: func(m *machine.Machine) {
-				m.Observe(machine.TraceKinds, sink)
-				reach = newRetryReach(m, threads)
-				m.Observe(machine.AllKinds, reach)
-			}}
+		job := retryQueueJob(kind)
+		job.Observe = func(m *machine.Machine) {
+			m.Observe(machine.TraceKinds, sink)
+			reach = newRetryReach(m, retryThreads)
+			m.Observe(machine.AllKinds, reach)
+		}
 		res, err := Parallel(1).Execute([]Job{job})
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)

@@ -141,7 +141,7 @@ func runColliderTxStats(t *testing.T, kind SystemKind, syscall bool) *txstats.Re
 	if err := wl.Validate(m); err != nil {
 		t.Fatalf("%s: %v", kind, err)
 	}
-	return rec.Report()
+	return rec.Report(&m.Count)
 }
 
 // TestColliderTxStatsPerSystem: every Figure 5 system under the forced

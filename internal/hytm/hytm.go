@@ -64,7 +64,7 @@ type System struct {
 func New(m *machine.Machine, cfg ustm.Config, kind cm.Kind) *System {
 	cfg.StrongAtomicity = false
 	s := &System{stm: ustm.New(m, cfg)}
-	s.Handler = tm.NewHandler("hytm", s.stm.Stats(), kind)
+	s.Handler = tm.NewHandler("hytm", kind)
 	s.On, s.Limit, s.RetryReason = Dispositions, MaxConflictRetries, machine.AbortExplicit
 	return s
 }

@@ -29,8 +29,8 @@ func TestSmallTxCommitsInHardware(t *testing.T) {
 			ex.Atomic(func(tx tm.Tx) { tx.Store(0, tx.Load(0)+1) })
 		}
 	}})
-	if s.Stats().HWCommits != 5 {
-		t.Fatalf("stats = %v", s.Stats())
+	if m.Count.HWCommits != 5 {
+		t.Fatalf("stats = %v", tm.StatsOf(&m.Count))
 	}
 }
 
@@ -127,7 +127,7 @@ func TestBarrierDetectsSTMOwnership(t *testing.T) {
 	if collided != 0 {
 		t.Fatalf("hardware tx read uncommitted STM state: %d", collided)
 	}
-	if s.Stats().HWRetries == 0 && m.Count.HWAbortsByReason[machine.AbortExplicit] == 0 {
+	if m.Count.HWRetries == 0 && m.Count.HWAbortsByReason[machine.AbortExplicit] == 0 {
 		t.Fatal("expected barrier-detected conflicts")
 	}
 }
@@ -151,8 +151,8 @@ func TestRepeatedSTMConflictFailsOver(t *testing.T) {
 			th.End()
 		},
 	})
-	if s.Stats().Failovers != 1 {
-		t.Fatalf("Failovers = %d, want 1 (persistent STM conflict must fail over)", s.Stats().Failovers)
+	if m.Count.Failovers != 1 {
+		t.Fatalf("Failovers = %d, want 1 (persistent STM conflict must fail over)", m.Count.Failovers)
 	}
 	if got := m.Mem.Read64(0); got != 101 {
 		t.Fatalf("value = %d, want 101", got)

@@ -55,7 +55,7 @@ func TestUnobservedEmitsAllocNothing(t *testing.T) {
 				p.TxRead(64)
 				p.TxWrite(128, 1)
 				p.CommitHW()
-				p.TxLifeAbort(PathHTM, AbortConflict)
+				p.TxLifeAbort(PathHTM, AbortConflict, false)
 				p.TxLifeBackoff(10)
 				p.TxLifeRetryWait()
 				p.TxLifeCommit(PathHTM, false)

@@ -249,7 +249,6 @@ func TxPathByName(name string) (TxPath, bool) {
 // Counters aggregates machine-level event counts.
 type Counters struct {
 	HWAbortsByReason [NumAbortReasons]uint64
-	HWCommits        uint64
 	Nacks            uint64
 	UFOKillsTrue     uint64
 	UFOKillsFalse    uint64
@@ -259,6 +258,28 @@ type Counters struct {
 	// Footprint histograms of committed transactions (distinct lines).
 	HWFootprint obs.Histogram
 	SWFootprint obs.Histogram
+
+	// The transaction lifecycle's tally. The TxLife* emitters (txlife.go)
+	// are its only writers, so every view of a run's transactions — tm.*,
+	// machine.hw_commits, txstats, contention — reads one count.
+	Begun          uint64
+	AttemptsByPath [NumTxPaths]uint64
+	CommitsByPath  [NumTxPaths]uint64
+	HWCommits      uint64 // commits whose committing attempt ran in hardware
+	SWCommits      uint64
+	Aborts         [NumTxPaths][NumAbortReasons]uint64
+	SWAborts       uint64 // aborts of software attempts
+	RetryWaits     uint64
+
+	// Decisions rather than lifecycle events, each counted where the TM
+	// system makes it: a transaction sent from hardware to software, a
+	// hardware re-execution after a recoverable abort, a software
+	// transaction stalled for an older conflictor, a non-transactional
+	// access stalled on a UFO fault.
+	Failovers uint64
+	HWRetries uint64
+	SWStalls  uint64
+	NTStalls  uint64
 }
 
 // Machine is the simulated multiprocessor. Its shared state (memory,

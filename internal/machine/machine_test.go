@@ -103,8 +103,10 @@ func TestHWTxCommitPublishesWrites(t *testing.T) {
 	if m.Mem.Read64(128) != 42 {
 		t.Fatal("commit did not publish the store")
 	}
-	if m.Count.HWCommits != 1 {
-		t.Fatalf("HWCommits = %d", m.Count.HWCommits)
+	// The commit's footprint is recorded; counting it as a transaction's
+	// commit is the lifecycle tally's (TxLifeCommit), not CommitHW's.
+	if n := m.Count.HWFootprint.Count(); n != 1 || m.Count.HWCommits != 0 {
+		t.Fatalf("footprints = %d, HWCommits = %d: want 1 and 0", n, m.Count.HWCommits)
 	}
 }
 

@@ -236,7 +236,6 @@ func (p *Proc) CommitHW() Outcome {
 	if p.m.out.want.Has(TraceMemWrite) {
 		t.Spec.Words(p.wrote)
 	}
-	p.m.Count.HWCommits++
 	p.m.Count.HWFootprint.Observe(uint64(t.Footprint()))
 	p.emit(TraceEvent{Kind: TraceHWCommit, Proc: p.ID(), Age: t.Age, Flags: FlagAge})
 	t.release()

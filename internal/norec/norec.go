@@ -84,7 +84,6 @@ var Dispositions = tm.Dispositions{
 // System implements tm.System.
 type System struct {
 	tm.Handler
-	stats tm.Stats
 
 	// lockAddr holds the seqlock / software commit counter; htmAddr holds
 	// the hardware commit counter. Each gets its own cache line so the
@@ -113,7 +112,7 @@ func New(m *machine.Machine, kind cm.Kind) *System {
 		lockOwner:  -1,
 		lastWriter: -1,
 	}
-	s.Handler = tm.NewHandler("hybrid-norec", &s.stats, kind)
+	s.Handler = tm.NewHandler("hybrid-norec", kind)
 	s.On, s.Limit = Dispositions, MaxHTMRetries
 	return s
 }
@@ -201,7 +200,7 @@ func (e *exec) swBegin(age uint64) {
 			e.lockSnap = lv
 			break
 		}
-		e.s.stats.SWStalls++
+		e.P.Machine().Count.SWStalls++
 		e.P.Elapse(LockSpinCycles)
 	}
 	e.htmSnap = e.Load(e.s.htmAddr)
@@ -243,7 +242,7 @@ func (e *exec) revalidate() {
 	for {
 		lv := e.Load(e.s.lockAddr)
 		if lv&1 == 1 {
-			e.s.stats.SWStalls++
+			e.P.Machine().Count.SWStalls++
 			e.P.Elapse(LockSpinCycles)
 			continue
 		}
@@ -288,7 +287,7 @@ func (e *exec) swCommit() bool {
 		if lv&1 == 0 && e.s.lockOwner == -1 {
 			break
 		}
-		e.s.stats.SWStalls++
+		e.P.Machine().Count.SWStalls++
 		e.P.Elapse(LockSpinCycles)
 	}
 	pre := e.s.seq

@@ -44,8 +44,8 @@ func TestSingleProcCommitsInHardware(t *testing.T) {
 	if got := m.Mem.Read64(addr); got != 10 {
 		t.Fatalf("counter = %d, want 10", got)
 	}
-	if s.stats.HWCommits != 10 || s.stats.SWCommits != 0 || s.stats.Failovers != 0 {
-		t.Fatalf("stats = %+v, want 10 pure hardware commits", s.stats)
+	if m.Count.HWCommits != 10 || m.Count.SWCommits != 0 || m.Count.Failovers != 0 {
+		t.Fatalf("stats = %+v, want 10 pure hardware commits", tm.StatsOf(&m.Count))
 	}
 	if got := m.Mem.Read64(s.htmAddr); got != 10 {
 		t.Fatalf("hardware commit counter = %d, want 10", got)
@@ -72,8 +72,8 @@ func TestReadOnlyHardwareSkipsCounterBump(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("load = %d", got)
 	}
-	if s.stats.HWCommits != 1 {
-		t.Fatalf("stats = %+v, want one hardware commit", s.stats)
+	if m.Count.HWCommits != 1 {
+		t.Fatalf("stats = %+v, want one hardware commit", tm.StatsOf(&m.Count))
 	}
 	if v := m.Mem.Read64(s.htmAddr); v != 0 {
 		t.Fatalf("hardware commit counter = %d after a read-only commit, want 0", v)
@@ -93,8 +93,8 @@ func TestSoftwareCommitAdvancesSeqlock(t *testing.T) {
 			tx.Store(addr, 7)
 		})
 	})
-	if s.stats.SWCommits != 1 || s.stats.Failovers != 1 {
-		t.Fatalf("stats = %+v, want one failover and one software commit", s.stats)
+	if m.Count.SWCommits != 1 || m.Count.Failovers != 1 {
+		t.Fatalf("stats = %+v, want one failover and one software commit", tm.StatsOf(&m.Count))
 	}
 	if got := m.Mem.Read64(addr); got != 7 {
 		t.Fatalf("write-back missing: mem = %d", got)
@@ -163,10 +163,10 @@ func TestRetryFailsOverAndPolls(t *testing.T) {
 	if m.Mem.Read64(done) != 1 {
 		t.Fatal("consumer never committed")
 	}
-	if s.stats.Retries == 0 {
-		t.Fatalf("stats = %+v, want retry polls", s.stats)
+	if m.Count.RetryWaits == 0 {
+		t.Fatalf("stats = %+v, want retry polls", tm.StatsOf(&m.Count))
 	}
-	if s.stats.Failovers == 0 {
+	if m.Count.Failovers == 0 {
 		t.Fatal("Retry should fail over to the software path")
 	}
 }
@@ -227,19 +227,19 @@ func TestHTMAbortsNotStallsDuringWriteback(t *testing.T) {
 	if m.Mem.Read64(mine) != hwRuns {
 		t.Fatalf("proc 1 counter = %d, want %d", m.Mem.Read64(mine), hwRuns)
 	}
-	if len(swCommits.Events) != swRuns || s.stats.SWCommits != swRuns {
-		t.Fatalf("software commits = %d/%d, want %d", len(swCommits.Events), s.stats.SWCommits, swRuns)
+	if len(swCommits.Events) != swRuns || m.Count.SWCommits != swRuns {
+		t.Fatalf("software commits = %d/%d, want %d", len(swCommits.Events), m.Count.SWCommits, swRuns)
 	}
 	// The pin: every proc-1 transaction still commits in hardware...
-	if len(hwCommits.Events) != hwRuns || s.stats.HWCommits != hwRuns {
+	if len(hwCommits.Events) != hwRuns || m.Count.HWCommits != hwRuns {
 		t.Fatalf("hardware commits = %d/%d, want %d (no failover, no stall)",
-			len(hwCommits.Events), s.stats.HWCommits, hwRuns)
+			len(hwCommits.Events), m.Count.HWCommits, hwRuns)
 	}
-	if s.stats.Failovers != uint64(swRuns) {
-		t.Fatalf("failovers = %d, want only proc 0's forced %d", s.stats.Failovers, swRuns)
+	if m.Count.Failovers != uint64(swRuns) {
+		t.Fatalf("failovers = %d, want only proc 0's forced %d", m.Count.Failovers, swRuns)
 	}
 	// ...but only after aborting during the write-back windows.
-	if s.stats.HWRetries == 0 {
+	if m.Count.HWRetries == 0 {
 		t.Fatal("no hardware retries: the write-back never aborted a hardware transaction")
 	}
 	sawLockEdge := false
@@ -296,7 +296,7 @@ func TestColliderAccountingIdentities(t *testing.T) {
 	if total := len(hwCommits.Events) + len(swCommits.Events); total != 2*iters {
 		t.Fatalf("%d commits recorded, want %d", total, 2*iters)
 	}
-	rep := rec.Report()
+	rep := rec.Report(&m.Count)
 	if rep.Begun != 2*iters || rep.Committed != 2*iters || rep.InFlight != 0 {
 		t.Fatalf("begun/committed/in-flight = %d/%d/%d, want %d/%d/0",
 			rep.Begun, rep.Committed, rep.InFlight, 2*iters, 2*iters)

@@ -79,7 +79,7 @@ func New(m *machine.Machine, cfg ustm.Config, kind cm.Kind) *System {
 		numMustSTMAddr: m.Mem.Sbrk(64),
 		lastSTMProc:    -1,
 	}
-	s.Handler = tm.NewHandler("phtm", s.stm.Stats(), kind)
+	s.Handler = tm.NewHandler("phtm", kind)
 	s.On, s.RetryReason = Dispositions, machine.AbortExplicit
 	return s
 }

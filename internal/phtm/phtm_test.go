@@ -28,8 +28,8 @@ func TestSmallTxCommitsInHardware(t *testing.T) {
 			ex.Atomic(func(tx tm.Tx) { tx.Store(0, tx.Load(0)+1) })
 		}
 	}})
-	if s.Stats().HWCommits != 5 || s.Stats().Failovers != 0 {
-		t.Fatalf("stats = %v", s.Stats())
+	if m.Count.HWCommits != 5 || m.Count.Failovers != 0 {
+		t.Fatalf("stats = %v", tm.StatsOf(&m.Count))
 	}
 }
 
@@ -42,8 +42,8 @@ func TestSyscallEntersSTMPhase(t *testing.T) {
 			tx.Store(0, 7)
 		})
 	}})
-	if s.Stats().SWCommits != 1 || s.Stats().Failovers != 1 {
-		t.Fatalf("stats = %v", s.Stats())
+	if m.Count.SWCommits != 1 || m.Count.Failovers != 1 {
+		t.Fatalf("stats = %v", tm.StatsOf(&m.Count))
 	}
 	if s.numSTM != 0 || s.numMustSTM != 0 {
 		t.Fatalf("phase counters leaked: %d/%d", s.numSTM, s.numMustSTM)
@@ -76,7 +76,7 @@ func TestSTMPhaseDragsHardwareTxToSoftware(t *testing.T) {
 			})
 		},
 	})
-	st := s.Stats()
+	st := tm.StatsOf(&m.Count)
 	if st.SWCommits != 2 {
 		t.Fatalf("stats = %v: the disjoint tx must be dragged into software", st)
 	}
@@ -125,7 +125,7 @@ func TestPhaseRecoversToHardware(t *testing.T) {
 			ex.Atomic(func(tx tm.Tx) { tx.Store(0, tx.Load(0)+1) })
 		}
 	}})
-	st := s.Stats()
+	st := tm.StatsOf(&m.Count)
 	if st.HWCommits != 5 || st.SWCommits != 1 {
 		t.Fatalf("stats = %v: hardware phase must resume after the STM drains", st)
 	}

@@ -26,9 +26,8 @@ const (
 
 // System implements tm.System for both baselines.
 type System struct {
-	m     *machine.Machine
-	mode  Mode
-	stats tm.Stats
+	m    *machine.Machine
+	mode Mode
 
 	lockAddr uint64
 	locked   bool
@@ -54,9 +53,6 @@ func (s *System) Name() string {
 	}
 	return "sequential"
 }
-
-// Stats implements tm.System.
-func (s *System) Stats() *tm.Stats { return &s.stats }
 
 // Lock returns the global lock's word and the processor holding it, or
 // that last held it (-1 if none has).
@@ -116,7 +112,6 @@ func (e *exec) run(_ uint64, body func(tm.Tx)) {
 		e.undo = e.undo[:0]
 		_, retry, aborted := tm.Catch(func() { body(directTx{e}) })
 		if !aborted {
-			e.s.stats.SWCommits++
 			e.P.TxLifeCommit(machine.PathFallback, true)
 			for _, f := range e.onCommit {
 				f()
@@ -139,9 +134,8 @@ func (e *exec) run(_ uint64, body func(tm.Tx)) {
 			}
 		} else {
 			// Explicit abort is the only way a direct body unwinds.
-			e.P.TxLifeAbort(machine.PathFallback, machine.AbortExplicit)
+			e.P.TxLifeAbort(machine.PathFallback, machine.AbortExplicit, true)
 		}
-		e.s.stats.SWAborts++
 	}
 }
 

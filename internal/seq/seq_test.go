@@ -31,8 +31,8 @@ func TestSequentialDirectExecution(t *testing.T) {
 			t.Error("nonT round trip failed")
 		}
 	}})
-	if s.Stats().SWCommits != 1 {
-		t.Fatalf("stats = %v", s.Stats())
+	if m.Count.SWCommits != 1 {
+		t.Fatalf("stats = %v", tm.StatsOf(&m.Count))
 	}
 }
 

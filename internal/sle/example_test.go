@@ -25,7 +25,7 @@ func Example() {
 			e1.Atomic(func(tx tm.Tx) { tx.Store(base+64, 2) })
 		},
 	})
-	st := s.Stats()
+	st := tm.StatsOf(&m.Count)
 	fmt.Printf("elided=%d took the lock=%d\n", st.HWCommits, st.SWCommits)
 	// Output: elided=2 took the lock=0
 }

@@ -46,7 +46,7 @@ func New(m *machine.Machine, kind cm.Kind) *System {
 	s := &System{lock: seq.New(m, seq.GlobalLock)}
 	// Hardware commits are elided critical sections, software commits
 	// are ones that took the lock.
-	s.Handler = tm.NewHandler("sle", s.lock.Stats(), kind)
+	s.Handler = tm.NewHandler("sle", kind)
 	s.On, s.Limit, s.RetryReason = Dispositions, Attempts, machine.AbortExplicit
 	return s
 }

@@ -42,7 +42,7 @@ func TestDisjointCriticalSectionsRunConcurrently(t *testing.T) {
 			t.Fatalf("slot %d = %d, want 25", i, got)
 		}
 	}
-	if st := s.Stats(); st.HWCommits != 100 || st.SWCommits != 0 {
+	if st := tm.StatsOf(&m.Count); st.HWCommits != 100 || st.SWCommits != 0 {
 		t.Fatalf("stats = %v: disjoint sections must all elide", st)
 	}
 	// 100 sections of ≥200 cycles serialized would exceed 20k cycles;
@@ -100,7 +100,7 @@ func TestFallbackAcquiresLock(t *testing.T) {
 	}
 	// Processor 1's sections may take the lock too, when they lose to a
 	// holder Attempts times.
-	if st := s.Stats(); st.SWCommits < 30 || st.HWCommits+st.SWCommits != 60 {
+	if st := tm.StatsOf(&m.Count); st.SWCommits < 30 || st.HWCommits+st.SWCommits != 60 {
 		t.Fatalf("stats = %v: want processor 0's 30 sections on the lock", st)
 	}
 }
@@ -130,7 +130,7 @@ func TestRealAcquisitionAbortsEliders(t *testing.T) {
 	if !sawLockHeld {
 		t.Fatal("locker never ran")
 	}
-	if s.Stats().HWRetries == 0 {
+	if m.Count.HWRetries == 0 {
 		t.Fatal("real acquisition must abort the concurrent elider")
 	}
 	if m.Mem.Read64(0) != 1 {

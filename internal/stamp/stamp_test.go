@@ -174,7 +174,7 @@ func TestFailoverForcesSoftware(t *testing.T) {
 		bodies[i] = func(*machine.Proc) { wl.Thread(tid, ex) }
 	}
 	m.Run(bodies)
-	st := sys.Stats()
+	st := tm.StatsOf(&m.Count)
 	if st.SWCommits != 60 || st.HWCommits != 0 {
 		t.Fatalf("stats = %v: 100%% rate must run everything in software", st)
 	}
@@ -324,7 +324,7 @@ func TestLabyrinthMostlyFailsOver(t *testing.T) {
 	if err := wl.Validate(m); err != nil {
 		t.Fatal(err)
 	}
-	st := sys.Stats()
+	st := tm.StatsOf(&m.Count)
 	if st.SWCommits < st.HWCommits {
 		t.Fatalf("stats = %v: labyrinth claims should mostly run in software", st)
 	}

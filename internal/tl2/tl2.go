@@ -41,7 +41,6 @@ type stripe struct {
 // System implements tm.System.
 type System struct {
 	tm.Handler
-	stats tm.Stats
 
 	clock     uint64
 	clockAddr uint64
@@ -56,7 +55,7 @@ func New(m *machine.Machine, kind cm.Kind) *System {
 		stripes:   machine.TableOf[stripe](m, Stripes),
 		lockBase:  m.Mem.Sbrk(Stripes * mem.LineBytes),
 	}
-	s.Handler = tm.NewHandler("tl2", &s.stats, kind)
+	s.Handler = tm.NewHandler("tl2", kind)
 	return s
 }
 

@@ -36,8 +36,8 @@ func TestCommitPublishesLazily(t *testing.T) {
 	if m.Mem.Read64(0) != 42 {
 		t.Fatal("commit did not publish")
 	}
-	if s.Stats().SWCommits != 1 {
-		t.Fatalf("stats = %v", s.Stats())
+	if m.Count.SWCommits != 1 {
+		t.Fatalf("stats = %v", tm.StatsOf(&m.Count))
 	}
 }
 
@@ -94,7 +94,7 @@ func TestStaleReadAborts(t *testing.T) {
 			t.Fatalf("torn read: %v", pr)
 		}
 	}
-	if s.Stats().SWAborts == 0 {
+	if m.Count.SWAborts == 0 {
 		t.Log("note: no aborts occurred; the race window may need widening")
 	}
 }

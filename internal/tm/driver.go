@@ -13,9 +13,9 @@ import (
 // to fall. A system supplies its Algorithm 3 row (Handler), its hardware
 // handle if accesses need instrumenting (HW), its software handle (a
 // Lazy, if it is a lazy-versioning STM), and the few hooks below;
-// everything observable — lifecycle events, commit and retry counters,
-// contention-management calls, the deferred-closure list — happens here,
-// in one order per arm.
+// everything observable — lifecycle events, the failover and retry
+// decisions, contention-management calls, the deferred-closure list —
+// happens here, in one order per arm.
 //
 // BTM itself (§3.1, Table 1) is here too, as the driver's hardware
 // attempt and the HW handle: btm_begin, btm_end and btm_abort with their
@@ -54,11 +54,10 @@ type Dispositions [machine.NumAbortReasons]Disposition
 // Handler is one system's abort handler and the state its processors
 // share: what the driver needs that is per system rather than per
 // processor. It is also the system's identity: a driver system embeds it,
-// and its Name, Stats and CM are the System and cm.Instrumented methods.
+// and its Name and CM are the System and cm.Instrumented methods.
 type Handler struct {
-	name  string
-	stats *Stats
-	cm    *cm.Manager
+	name string
+	cm   *cm.Manager
 
 	// On classifies every reason a hardware attempt can abort for.
 	On Dispositions
@@ -75,17 +74,14 @@ type Handler struct {
 	Unbounded bool
 }
 
-// NewHandler returns the handler of the system called name, counting into
-// stats and backing off as kind says.
-func NewHandler(name string, stats *Stats, kind cm.Kind) Handler {
-	return Handler{name: name, stats: stats, cm: cm.NewManager(kind)}
+// NewHandler returns the handler of the system called name, backing off
+// as kind says.
+func NewHandler(name string, kind cm.Kind) Handler {
+	return Handler{name: name, cm: cm.NewManager(kind)}
 }
 
 // Name implements System.
 func (h *Handler) Name() string { return h.name }
-
-// Stats implements System.
-func (h *Handler) Stats() *Stats { return h.stats }
 
 // CM implements cm.Instrumented.
 func (h *Handler) CM() *cm.Manager { return h.cm }
@@ -155,7 +151,7 @@ type Driver struct {
 	// PreCommit, when set, runs inside the hardware attempt after the
 	// body, before the commit.
 	PreCommit func()
-	// Committed, when set, runs after a hardware commit has been counted
+	// Committed, when set, runs after a hardware commit has been marked
 	// and the contention manager told, before the deferred closures.
 	Committed func()
 	// Software runs the transaction to commit on the software path. Nil
@@ -212,7 +208,6 @@ attempts:
 		p.TxLifeAttempt(machine.PathHTM)
 		reason, retry, ok := d.tryHW(age, body)
 		if ok {
-			h.stats.HWCommits++
 			p.TxLifeCommit(machine.PathHTM, false)
 			d.committed(cmgr, age)
 			return
@@ -220,7 +215,7 @@ attempts:
 		if retry {
 			reason = h.RetryReason
 		}
-		p.TxLifeAbort(machine.PathHTM, reason)
+		p.TxLifeAbort(machine.PathHTM, reason, false)
 		if d.again {
 			continue
 		}
@@ -237,7 +232,7 @@ attempts:
 			}
 		}
 		aborts++ // the policy clamps the shift (saturating counter)
-		h.stats.HWRetries++
+		p.Machine().Count.HWRetries++
 		if cmgr.OnAbort(p, age, aborts) {
 			// The policy declared this transaction starving: stop burning
 			// hardware attempts and serialize it through software.
@@ -247,7 +242,7 @@ attempts:
 	// The transaction keeps the age of its first hardware attempt, which
 	// is why software transactions are almost always older than the
 	// hardware transactions they meet (§4.4).
-	h.stats.Failovers++
+	p.Machine().Count.Failovers++
 	d.Software(age, body)
 	cmgr.TxDone(age)
 }
@@ -295,28 +290,20 @@ func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 		reason, retry, ok := try(d, id, body)
 		switch {
 		case ok:
-			if hw {
-				h.stats.HWCommits++
-			} else {
-				h.stats.SWCommits++
-			}
 			p.TxLifeCommit(path, !hw)
 			return
 		case retry:
-			h.stats.Retries++
 			p.TxLifeRetryWait()
 			cmgr.RetryPoll(p)
 			continue
 		}
-		p.TxLifeAbort(path, reason)
-		switch {
-		case !hw:
-			h.stats.SWAborts++
-		case h.classify(reason) == Fault:
-			cmgr.PageFaultStall(p)
-			continue
-		default:
-			h.stats.HWRetries++
+		p.TxLifeAbort(path, reason, !hw)
+		if hw {
+			if h.classify(reason) == Fault {
+				cmgr.PageFaultStall(p)
+				continue
+			}
+			p.Machine().Count.HWRetries++
 		}
 		aborts++ // the policy clamps the shift (saturating counter)
 		if cmgr.OnAbort(p, id, aborts) {

@@ -2,7 +2,6 @@ package tm_test
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -15,11 +14,10 @@ import (
 // rig is one processor's Driver over a real machine, with every hook
 // wired to a log so tests can read the order the driver called them in.
 type rig struct {
-	m     *machine.Machine
-	h     tm.Handler
-	stats tm.Stats
-	d     *tm.Driver
-	log   []string
+	m   *machine.Machine
+	h   tm.Handler
+	d   *tm.Driver
+	log []string
 
 	gate      func() bool // optional Gate behaviour
 	begin     func()      // optional Begin behaviour
@@ -55,9 +53,12 @@ func newRigOn(p machine.Params, fallback bool) *rig {
 
 // policy gives the rig a fresh handler that backs off as kind says.
 func (r *rig) policy(kind cm.Kind) {
-	r.h = tm.NewHandler("rig", &r.stats, kind)
+	r.h = tm.NewHandler("rig", kind)
 	r.h.On, r.h.RetryReason = row, machine.AbortExplicit
 }
+
+// stats is what the rig's machine has counted so far.
+func (r *rig) stats() tm.Stats { return tm.StatsOf(&r.m.Count) }
 
 func (r *rig) note(format string, args ...any) { r.log = append(r.log, fmt.Sprintf(format, args...)) }
 
@@ -162,8 +163,8 @@ func (r *rig) want(t *testing.T, log string, stats tm.Stats) {
 	if got := strings.Join(r.log, ", "); got != log {
 		t.Errorf("hook order\n got: %s\nwant: %s", got, log)
 	}
-	if r.stats != stats {
-		t.Errorf("stats %v, want %v", &r.stats, &stats)
+	if got := r.stats(); got != stats {
+		t.Errorf("stats %v, want %v", &got, &stats)
 	}
 }
 
@@ -467,8 +468,8 @@ func TestDriverPassesForeignUnwinds(t *testing.T) {
 			if !unwound {
 				t.Fatal("the parked transaction's workload was not unwound")
 			}
-			if !reflect.DeepEqual(r.stats, tm.Stats{}) {
-				t.Fatalf("stats %v: a stopped transaction must not be counted", &r.stats)
+			if st := r.stats(); st != (tm.Stats{}) {
+				t.Fatalf("stats %v: a stopped transaction must not be counted", &st)
 			}
 		}()
 		r.m.Run([]func(*machine.Proc){

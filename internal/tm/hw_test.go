@@ -37,8 +37,8 @@ func TestBeginEndRoundTrip(t *testing.T) {
 	if r.m.Mem.Read64(0) != 7 {
 		t.Fatal("commit lost write")
 	}
-	if r.stats.HWCommits != 1 {
-		t.Fatalf("stats %v, want one hardware commit", &r.stats)
+	if r.stats().HWCommits != 1 {
+		t.Fatalf("stats %+v, want one hardware commit", r.stats())
 	}
 }
 
@@ -60,8 +60,8 @@ func TestFlattenedNesting(t *testing.T) {
 			}
 		})
 	})
-	if r.m.Mem.Read64(0) != 1 || r.stats.HWCommits != 1 {
-		t.Fatalf("the outer end did not commit: stats %v", &r.stats)
+	if r.m.Mem.Read64(0) != 1 || r.stats().HWCommits != 1 {
+		t.Fatalf("the outer end did not commit: stats %+v", r.stats())
 	}
 }
 
@@ -142,8 +142,8 @@ func TestNackRetryEventuallySucceeds(t *testing.T) {
 	if r.m.Count.Nacks == 0 {
 		t.Fatal("no NACKs recorded")
 	}
-	if r.stats.HWCommits != 2 {
-		t.Fatalf("stats %v, want both committed in hardware", &r.stats)
+	if r.stats().HWCommits != 2 {
+		t.Fatalf("stats %+v, want both committed in hardware", r.stats())
 	}
 }
 
@@ -202,8 +202,8 @@ func TestUnboundedHandlerIgnoresCapacity(t *testing.T) {
 			}
 		})
 	})
-	if r.stats.HWCommits != 1 {
-		t.Fatalf("stats %v, want one hardware commit", &r.stats)
+	if r.stats().HWCommits != 1 {
+		t.Fatalf("stats %+v, want one hardware commit", r.stats())
 	}
 	for i := uint64(0); i < 32; i++ {
 		if r.m.Mem.Read64(i*64) != i {

@@ -10,8 +10,8 @@
 // (driver.go): the hardware-first loop of Figure 4 with Algorithm 3's
 // abort handler as a per-system table, BTM's instructions under it, and
 // the retry-until-commit loop of the paths with no fallback. A system
-// built on it embeds a Handler — its name, counters, contention manager
-// and table — and supplies a few hooks; see DESIGN.md §11.
+// built on it embeds a Handler — its name, contention manager and
+// table — and supplies a few hooks; see DESIGN.md §11.
 //
 // Paper: §2 (programming interface and atomicity semantics), §3.1 (BTM,
 // Table 1), §4.3
@@ -118,33 +118,35 @@ type System interface {
 	// Exec returns the execution context for one simulated processor.
 	// It must be called at most once per processor.
 	Exec(p *machine.Proc) Exec
-	// Stats returns the system's software-side counters. Hardware-side
-	// counters live in the machine (machine.Counters).
-	Stats() *Stats
 }
 
-// Stats counts software-visible transactional events. The simulation
-// engine serializes processors, so plain integers are safe.
+// Stats is what a run reports of its transactions: a copy of the
+// machine's lifecycle tally and decision counts, taken by StatsOf once
+// the run is over. Each field is the machine.Counters field of its name,
+// but Retries, which is RetryWaits.
 type Stats struct {
-	// HWCommits and SWCommits count transactions that committed in
-	// hardware and software respectively.
 	HWCommits uint64
 	SWCommits uint64
-	// Failovers counts transactions that moved from hardware to software.
 	Failovers uint64
-	// SWAborts counts software-transaction aborts (conflict kills).
-	SWAborts uint64
-	// SWStalls counts times a software transaction stalled for an older
-	// conflictor.
-	SWStalls uint64
-	// NTStalls counts non-transactional accesses that stalled on a UFO
-	// fault (the strong-atomicity serialization path).
-	NTStalls uint64
-	// Retries counts Retry (transactional waiting) suspensions.
-	Retries uint64
-	// HWRetries counts re-executions in hardware after a recoverable
-	// abort.
+	SWAborts  uint64
+	SWStalls  uint64
+	NTStalls  uint64
+	Retries   uint64
 	HWRetries uint64
+}
+
+// StatsOf reads a run's Stats from its machine's counters.
+func StatsOf(c *machine.Counters) Stats {
+	return Stats{
+		HWCommits: c.HWCommits,
+		SWCommits: c.SWCommits,
+		Failovers: c.Failovers,
+		SWAborts:  c.SWAborts,
+		SWStalls:  c.SWStalls,
+		NTStalls:  c.NTStalls,
+		Retries:   c.RetryWaits,
+		HWRetries: c.HWRetries,
+	}
 }
 
 // Commits returns total committed transactions.
@@ -163,8 +165,8 @@ const (
 	MetricHWRetries = "tm.hw_retries"
 )
 
-// Register writes the software-side counters into snap under the stable
-// tm.* metric names (see OBSERVABILITY.md for the schema).
+// Register writes the counts into snap under the stable tm.* metric
+// names (see OBSERVABILITY.md for the schema).
 func (s *Stats) Register(snap *obs.Snapshot) {
 	snap.AddCounter(MetricHWCommits, "transactions", "transactions committed in hardware (Figure 5)", s.HWCommits)
 	snap.AddCounter(MetricSWCommits, "transactions", "transactions committed in software (Figure 5)", s.SWCommits)

@@ -101,7 +101,7 @@ func TestQueueProducerConsumerBlocking(t *testing.T) {
 			t.Fatalf("out of order at %d: %d", i, v)
 		}
 	}
-	if sys.Stats().Retries == 0 {
+	if m.Count.RetryWaits == 0 {
 		t.Fatal("expected transactional waiting on the tiny queue")
 	}
 }

@@ -140,27 +140,29 @@ func percentiles(h *obs.HistSnapshot) *Percentiles {
 	return &Percentiles{P50: h.P50(), P90: h.P90(), P99: h.P99(), P999: h.P999()}
 }
 
-// Report freezes the recorder into its deterministic exportable form.
-func (r *Recorder) Report() *Report {
+// Report freezes the recorder into its deterministic exportable form,
+// with the counts of the run's lifecycle tally c (the machine's Count).
+func (r *Recorder) Report(c *machine.Counters) *Report {
+	committed := c.HWCommits + c.SWCommits
 	rep := &Report{
 		Procs:           r.procs,
-		Begun:           r.begun,
-		Committed:       r.committed,
-		InFlight:        r.begun - r.committed,
-		CommitsByPath:   pathCounts(&r.commitsByPath),
-		AttemptsByPath:  pathCounts(&r.attemptsByPath),
+		Begun:           c.Begun,
+		Committed:       committed,
+		InFlight:        c.Begun - committed,
+		CommitsByPath:   pathCounts(&c.CommitsByPath),
+		AttemptsByPath:  pathCounts(&c.AttemptsByPath),
 		UsefulCycles:    r.usefulCycles,
 		WastedCycles:    r.wastedCycles,
 		BackoffCycles:   r.backoffCycles,
 		RetryWaitCycles: r.retryWaitCycles,
 		OverheadCycles:  r.overheadCycles,
-		RetryWaits:      r.retryWaits,
+		RetryWaits:      c.RetryWaits,
 		UnknownWasted:   r.unknownWasted,
 	}
-	rep.Aborts = abortBuckets(&r.aborts, &r.wastedBy)
-	for proc, c := range r.aggressorWasted {
-		if c != 0 {
-			rep.AggressorWasted = append(rep.AggressorWasted, ProcCycles{Proc: proc, Cycles: c})
+	rep.Aborts = abortBuckets(&c.Aborts, &r.wastedBy)
+	for proc, n := range r.aggressorWasted {
+		if n != 0 {
+			rep.AggressorWasted = append(rep.AggressorWasted, ProcCycles{Proc: proc, Cycles: n})
 		}
 	}
 	sortProcCycles(rep.AggressorWasted)

@@ -1,12 +1,14 @@
 // Package txstats implements per-transaction lifecycle accounting for
-// the simulated machine: a recorder of begin/attempt/abort/commit events
-// — fed by every TM system's Atomic loop through the Proc.TxLife* hooks
-// — aggregated into a deterministic profile of transaction latency
-// (commit-to-commit wall cycles, wide power-of-two histogram),
-// retries-to-commit, and a wasted-work breakdown that splits every
-// committed transaction's cycles into useful work, wasted (aborted)
+// the simulated machine: a recorder that times the begin/attempt/abort/
+// commit events every TM system's Atomic loop emits through the
+// Proc.TxLife* hooks, aggregated into a deterministic profile of
+// transaction latency (commit-to-commit wall cycles, wide power-of-two
+// histogram), retries-to-commit, and a wasted-work breakdown that splits
+// every committed transaction's cycles into useful work, wasted (aborted)
 // attempts, contention-management backoff, Retry waiting, and residual
-// overhead.
+// overhead. The counts beside them — begun, committed, attempts, commits
+// and aborts by path, Retry waits — are the machine's lifecycle tally
+// (machine.Counters), which Report copies in.
 //
 // This is the measurement layer behind the paper's §5 discussion of
 // where hybrid-TM time goes: Figure 5 reports throughput, but explaining
@@ -54,20 +56,13 @@ type Recorder struct {
 	procs int
 	tx    []txState
 
-	begun     uint64
-	committed uint64
-
-	commitsByPath  [machine.NumTxPaths]uint64
-	attemptsByPath [machine.NumTxPaths]uint64
-	aborts         [machine.NumTxPaths][machine.NumAbortReasons]uint64
-	wastedBy       [machine.NumTxPaths][machine.NumAbortReasons]uint64
+	wastedBy [machine.NumTxPaths][machine.NumAbortReasons]uint64
 
 	usefulCycles    uint64
 	wastedCycles    uint64
 	backoffCycles   uint64
 	retryWaitCycles uint64
 	overheadCycles  uint64
-	retryWaits      uint64
 
 	aggressorWasted []uint64 // per aggressor proc: cycles their conflicts destroyed
 	unknownWasted   uint64   // wasted cycles with no recorded aggressor
@@ -126,7 +121,6 @@ func (r *Recorder) Event(e machine.TraceEvent) {
 		r.pendingArrival[proc] = e.Arg
 		r.pendingValid[proc] = true
 	case machine.TraceTxBegin:
-		r.begun++
 		*t = txState{active: true, begin: e.Cycle, attemptStart: e.Cycle, aggressor: -1,
 			hasArrival: r.pendingValid[proc], arrival: r.pendingArrival[proc]}
 		r.pendingValid[proc] = false
@@ -140,22 +134,21 @@ func (r *Recorder) Event(e machine.TraceEvent) {
 	}
 	switch e.Kind {
 	case machine.TraceTxAttempt:
-		r.attempt(t, e.Path, e.Cycle)
+		r.attempt(t, e.Cycle)
 	case machine.TraceTxAbort:
 		r.abort(t, e.Path, e.Reason, e.Cycle)
 	case machine.TraceTxRetryWait:
-		r.retryWaits++
 		t.waiting = true
 	case machine.TraceTxBackoff:
 		t.backoff += e.Arg
 		r.backoffCycles += e.Arg
 	case machine.TraceTxCommit:
-		r.commit(t, e.Path, e.Cycle)
+		r.commit(t, e.Cycle)
 	}
 }
 
-// attempt starts one attempt on the given path.
-func (r *Recorder) attempt(t *txState, path machine.TxPath, cycle uint64) {
+// attempt starts one attempt.
+func (r *Recorder) attempt(t *txState, cycle uint64) {
 	if t.waiting {
 		// The whole interval since the Retry attempt started counts as
 		// transactional waiting, not wasted work.
@@ -166,9 +159,6 @@ func (r *Recorder) attempt(t *txState, path machine.TxPath, cycle uint64) {
 	}
 	t.attempts++
 	t.attemptStart = cycle
-	if int(path) < len(r.attemptsByPath) {
-		r.attemptsByPath[path]++
-	}
 }
 
 // abort ends the attempt started by the last tx-attempt as failed.
@@ -176,8 +166,7 @@ func (r *Recorder) abort(t *txState, path machine.TxPath, reason machine.AbortRe
 	w := cycle - t.attemptStart
 	t.wasted += w
 	r.wastedCycles += w
-	if int(path) < len(r.aborts) && int(reason) < len(r.aborts[path]) {
-		r.aborts[path][reason]++
+	if int(path) < len(r.wastedBy) && int(reason) < len(r.wastedBy[path]) {
 		r.wastedBy[path][reason] += w
 	}
 	if t.aggressor >= 0 && t.aggressor < r.procs {
@@ -190,12 +179,8 @@ func (r *Recorder) abort(t *txState, path machine.TxPath, reason machine.AbortRe
 	t.attemptStart = cycle
 }
 
-// commit ends the transaction; path is the committing attempt's.
-func (r *Recorder) commit(t *txState, path machine.TxPath, cycle uint64) {
-	r.committed++
-	if int(path) < len(r.commitsByPath) {
-		r.commitsByPath[path]++
-	}
+// commit ends the transaction.
+func (r *Recorder) commit(t *txState, cycle uint64) {
 	lat := cycle - t.begin
 	useful := cycle - t.attemptStart
 	r.usefulCycles += useful

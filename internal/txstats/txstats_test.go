@@ -52,10 +52,21 @@ func script(r *Recorder) {
 	r.Event(commit(0, machine.PathHTM, 40))
 }
 
+// scriptTally is the tally the machine's emitters keep over n runs of
+// script: the counts a report takes from the machine rather than the
+// recorder.
+func scriptTally(n uint64) *machine.Counters {
+	c := &machine.Counters{Begun: 2 * n, HWCommits: 2 * n}
+	c.AttemptsByPath[machine.PathHTM] = 3 * n
+	c.CommitsByPath[machine.PathHTM] = 2 * n
+	c.Aborts[machine.PathHTM][machine.AbortConflict] = n
+	return c
+}
+
 func TestRecorderAccounting(t *testing.T) {
 	r := New(2)
 	script(r)
-	rep := r.Report()
+	rep := r.Report(scriptTally(1))
 	if rep.Begun != 2 || rep.Committed != 2 || rep.InFlight != 0 {
 		t.Fatalf("counts = %d/%d/%d", rep.Begun, rep.Committed, rep.InFlight)
 	}
@@ -100,9 +111,9 @@ func TestRecorderRetryWait(t *testing.T) {
 	r.Event(retryWait(0, 8))
 	r.Event(attempt(0, machine.PathSW, 50)) // waited 0..50
 	r.Event(commit(0, machine.PathSW, 60))
-	rep := r.Report()
-	if rep.RetryWaits != 1 || rep.RetryWaitCycles != 50 {
-		t.Fatalf("retry wait = %d waits, %d cycles", rep.RetryWaits, rep.RetryWaitCycles)
+	rep := r.Report(&machine.Counters{})
+	if rep.RetryWaitCycles != 50 {
+		t.Fatalf("retry wait = %d cycles", rep.RetryWaitCycles)
 	}
 	if rep.UsefulCycles != 10 || rep.WastedCycles != 0 || rep.OverheadCycles != 0 {
 		t.Fatalf("split = useful %d wasted %d overhead %d",
@@ -115,7 +126,7 @@ func TestRecorderInFlight(t *testing.T) {
 	r.Event(begin(0, 0))
 	r.Event(attempt(0, machine.PathUFO, 0))
 	r.Event(abort(0, machine.PathUFO, machine.AbortExplicit, 30))
-	rep := r.Report()
+	rep := r.Report(&machine.Counters{Begun: 1})
 	if rep.Begun != 1 || rep.Committed != 0 || rep.InFlight != 1 {
 		t.Fatalf("counts = %d/%d/%d", rep.Begun, rep.Committed, rep.InFlight)
 	}
@@ -137,7 +148,7 @@ func TestReportAddCommutative(t *testing.T) {
 		for i := 0; i < n; i++ {
 			script(r)
 		}
-		return r.Report()
+		return r.Report(scriptTally(uint64(n)))
 	}
 	enc := func(rep *Report) []byte {
 		b, err := json.Marshal(rep)
@@ -177,8 +188,8 @@ func TestRecorderIgnoresStray(t *testing.T) {
 	r.Event(commit(0, machine.PathHTM, 9))
 	r.Event(begin(7, 0)) // out of range
 	r.Event(abort(-1, machine.PathHTM, machine.AbortConflict, 3))
-	rep := r.Report()
-	if rep.Begun != 0 || rep.Committed != 0 || rep.WastedCycles != 0 {
+	rep := r.Report(&machine.Counters{})
+	if rep.UsefulCycles != 0 || rep.WastedCycles != 0 || rep.Latency != nil {
 		t.Fatalf("stray events recorded: %+v", rep)
 	}
 }
@@ -195,9 +206,9 @@ func TestRecorderArrival(t *testing.T) {
 	r.Event(begin(0, 50))
 	r.Event(attempt(0, machine.PathHTM, 50))
 	r.Event(commit(0, machine.PathHTM, 60))
-	rep := r.Report()
-	if rep.Committed != 2 || rep.Requests != 1 {
-		t.Fatalf("committed/requests = %d/%d, want 2/1", rep.Committed, rep.Requests)
+	rep := r.Report(&machine.Counters{})
+	if rep.Latency.Count != 2 || rep.Requests != 1 {
+		t.Fatalf("commits/requests = %d/%d, want 2/1", rep.Latency.Count, rep.Requests)
 	}
 	if rep.Response.Sum != 36 || rep.QueueWait.Sum != 6 {
 		t.Fatalf("response %d queue wait %d, want 36 and 6", rep.Response.Sum, rep.QueueWait.Sum)

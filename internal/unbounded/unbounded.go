@@ -39,16 +39,13 @@ var Dispositions = tm.Dispositions{
 const SyscallCycles = 10
 
 // System is the unbounded HTM. It implements tm.System.
-type System struct {
-	tm.Handler
-	stats tm.Stats
-}
+type System struct{ tm.Handler }
 
 // New builds the system, backing off as kind says. It keeps no machine
 // state of its own.
 func New(_ *machine.Machine, kind cm.Kind) *System {
 	s := &System{}
-	s.Handler = tm.NewHandler("unbounded-htm", &s.stats, kind)
+	s.Handler = tm.NewHandler("unbounded-htm", kind)
 	s.On, s.Unbounded = Dispositions, true
 	return s
 }

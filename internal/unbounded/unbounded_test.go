@@ -38,8 +38,8 @@ func TestHugeTransactionCommits(t *testing.T) {
 	if m.Count.HWAbortsByReason[machine.AbortOverflow] != 0 {
 		t.Fatal("unbounded HTM must never overflow")
 	}
-	if s.Stats().HWCommits != 1 {
-		t.Fatalf("stats = %v", s.Stats())
+	if m.Count.HWCommits != 1 {
+		t.Fatalf("stats = %v", tm.StatsOf(&m.Count))
 	}
 }
 
@@ -60,8 +60,8 @@ func TestInterruptRetriedInHardware(t *testing.T) {
 	if m.Mem.Read64(0) != 1 {
 		t.Fatal("value wrong")
 	}
-	if s.Stats().HWCommits != 1 {
-		t.Fatalf("stats = %v", s.Stats())
+	if m.Count.HWCommits != 1 {
+		t.Fatalf("stats = %v", tm.StatsOf(&m.Count))
 	}
 }
 
@@ -121,7 +121,7 @@ func TestRetryEmulationEventuallySees(t *testing.T) {
 	if got != 4 {
 		t.Fatalf("consumer read %d", got)
 	}
-	if s.Stats().Retries == 0 {
+	if m.Count.RetryWaits == 0 {
 		t.Fatal("no retry recorded")
 	}
 }
@@ -156,8 +156,8 @@ func TestPageFaultRetriedWithFixedStall(t *testing.T) {
 	if cs.Delays != 0 {
 		t.Fatalf("delays = %d: a fault must not draw a contention backoff", cs.Delays)
 	}
-	if s.Stats().HWRetries != 0 {
-		t.Fatalf("HWRetries = %d: a fault is not a contention retry", s.Stats().HWRetries)
+	if m.Count.HWRetries != 0 {
+		t.Fatalf("HWRetries = %d: a fault is not a contention retry", m.Count.HWRetries)
 	}
 }
 

@@ -54,7 +54,6 @@ func (t *Thread) RunTx(age uint64, body func(tm.Tx)) {
 			t.WakeOwed()
 			t.finish()
 		case !aborted && t.End():
-			t.stm.stats.SWCommits++
 			t.p.TxLifeCommit(path, true)
 			return
 		default:
@@ -63,8 +62,7 @@ func (t *Thread) RunTx(age uint64, body func(tm.Tx)) {
 				reason = machine.AbortConflict
 			}
 			t.Rollback(reason)
-			t.stm.stats.SWAborts++
-			t.p.TxLifeAbort(path, reason)
+			t.p.TxLifeAbort(path, reason, true)
 			t.WaitForKiller()
 		}
 	}
@@ -152,7 +150,7 @@ func handleNTFault(s *STM, p *machine.Proc, addr uint64) (allRetrying bool) {
 	if s.retriers(mem.LineOf(addr)) != nil {
 		return true
 	}
-	s.stats.NTStalls++
+	s.m.Count.NTStalls++
 	p.Elapse(NTStallCycles)
 	return false
 }

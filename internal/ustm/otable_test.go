@@ -308,9 +308,9 @@ func TestKnownDefectLateReaderJoinsDetachedRecord(t *testing.T) {
 				written = true
 			},
 		})
-		if !recorded || first != 1 || second != 1 || s.Stats().SWAborts != 0 {
+		if !recorded || first != 1 || second != 1 || m.Count.SWAborts != 0 {
 			t.Fatalf("delay %d: reader recorded=%v saw %d then %d with %d aborts; want a recorded reader seeing 1 twice",
-				delay, recorded, first, second, s.Stats().SWAborts)
+				delay, recorded, first, second, m.Count.SWAborts)
 		}
 		if logged == 2 {
 			return // the defect: one line, two log entries

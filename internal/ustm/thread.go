@@ -284,7 +284,7 @@ func (t *Thread) resolveConflict(r *row, e *entry, write bool) bool {
 	// Stall if any active conflictor is older.
 	for _, o := range active {
 		if o.age < t.age {
-			t.stm.stats.SWStalls++
+			t.stm.m.Count.SWStalls++
 			t.stall()
 			return false
 		}
@@ -520,7 +520,6 @@ func (t *Thread) Retry() {
 			t.p.SetUFO(mem.LineAddr(line), mem.UFOFaultOnWrite)
 		}
 	}
-	t.stm.stats.Retries++
 	// A conflictor may have signaled us to abort during the downgrade
 	// writes above; unwinding now (rather than blocking) keeps the killer
 	// from waiting forever on a descheduled victim. No scheduling point

@@ -66,10 +66,9 @@ func DefaultConfig() Config {
 // STM is one USTM instance: the otable plus per-thread transaction state.
 // It implements tm.System.
 type STM struct {
-	m     *machine.Machine
-	cfg   Config
-	ot    *otable
-	stats *tm.Stats
+	m   *machine.Machine
+	cfg Config
+	ot  *otable
 
 	threads []*Thread // by processor, nil until Thread is asked for it
 }
@@ -84,7 +83,6 @@ func New(m *machine.Machine, cfg Config) *STM {
 		m:       m,
 		cfg:     cfg,
 		ot:      newOTable(m, cfg.OTableRows),
-		stats:   new(tm.Stats),
 		threads: make([]*Thread, len(m.Procs())),
 	}
 }
@@ -96,9 +94,6 @@ func (s *STM) Name() string {
 	}
 	return "ustm"
 }
-
-// Stats implements tm.System.
-func (s *STM) Stats() *tm.Stats { return s.stats }
 
 // Thread returns p's transaction context: p's kept Thread
 // (machine.ContextOf), rewritten for s on the first call. The hybrid TMs

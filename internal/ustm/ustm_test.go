@@ -41,8 +41,8 @@ func TestSingleThreadCommit(t *testing.T) {
 	if m.Mem.Read64(0) != 11 || m.Mem.Read64(64) != 22 {
 		t.Fatal("commit lost writes")
 	}
-	if s.Stats().SWCommits != 1 {
-		t.Fatalf("SWCommits = %d", s.Stats().SWCommits)
+	if m.Count.SWCommits != 1 {
+		t.Fatalf("SWCommits = %d", m.Count.SWCommits)
 	}
 	// All otable entries must be released and UFO bits cleared.
 	if m.Mem.UFO(0) != mem.UFONone || m.Mem.UFO(64) != mem.UFONone {
@@ -125,8 +125,8 @@ func TestAbortRollsBackEagerWrites(t *testing.T) {
 	if m.Mem.Read64(0) != 200 {
 		t.Fatalf("final value %d, want 200 (second attempt commits)", m.Mem.Read64(0))
 	}
-	if s.Stats().SWAborts != 1 || s.Stats().SWCommits != 1 {
-		t.Fatalf("stats = %v", s.Stats())
+	if m.Count.SWAborts != 1 || m.Count.SWCommits != 1 {
+		t.Fatalf("stats = %v", tm.StatsOf(&m.Count))
 	}
 }
 
@@ -180,14 +180,14 @@ func TestConflictYoungerWriterIsKilled(t *testing.T) {
 			order = append(order, 1)
 		},
 	})
-	if s.Stats().SWAborts == 0 {
+	if m.Count.SWAborts == 0 {
 		t.Fatal("expected the younger transaction to be killed at least once")
 	}
 	if len(order) != 2 || order[0] != 0 {
 		t.Fatalf("commit order %v, want older first", order)
 	}
-	if s.Stats().SWCommits != 2 {
-		t.Fatalf("SWCommits = %d", s.Stats().SWCommits)
+	if m.Count.SWCommits != 2 {
+		t.Fatalf("SWCommits = %d", m.Count.SWCommits)
 	}
 }
 
@@ -213,7 +213,7 @@ func TestConflictYoungerRequesterStalls(t *testing.T) {
 	if youngerSawCommitted != 42 {
 		t.Fatalf("younger read %d, want 42 (committed value)", youngerSawCommitted)
 	}
-	if s.Stats().SWStalls == 0 {
+	if m.Count.SWStalls == 0 {
 		t.Fatal("expected the younger transaction to stall")
 	}
 }
@@ -241,8 +241,8 @@ func TestReadSharing(t *testing.T) {
 			})
 		},
 	})
-	if s.Stats().SWAborts != 0 || s.Stats().SWStalls != 0 {
-		t.Fatalf("read sharing caused conflicts: %v", s.Stats())
+	if m.Count.SWAborts != 0 || m.Count.SWStalls != 0 {
+		t.Fatalf("read sharing caused conflicts: %v", tm.StatsOf(&m.Count))
 	}
 }
 
@@ -329,7 +329,7 @@ func TestNTStallsUntilCommit(t *testing.T) {
 	if observed != 321 {
 		t.Fatalf("nonT read observed %d, want the committed 321", observed)
 	}
-	if s.Stats().NTStalls == 0 {
+	if m.Count.NTStalls == 0 {
 		t.Fatal("nonT access did not stall")
 	}
 }
@@ -358,7 +358,7 @@ func TestRetryWaitsForWriter(t *testing.T) {
 	if got != 5 {
 		t.Fatalf("retrying tx read %d, want 5", got)
 	}
-	if s.Stats().Retries == 0 {
+	if m.Count.RetryWaits == 0 {
 		t.Fatal("Retry not counted")
 	}
 }
@@ -453,8 +453,8 @@ func TestMultiThreadedCounterInvariant(t *testing.T) {
 	if got := m.Mem.Read64(0); got != 200 {
 		t.Fatalf("counter = %d, want 200", got)
 	}
-	if s.Stats().SWCommits != 200 {
-		t.Fatalf("SWCommits = %d, want 200", s.Stats().SWCommits)
+	if m.Count.SWCommits != 200 {
+		t.Fatalf("SWCommits = %d, want 200", m.Count.SWCommits)
 	}
 }
 
@@ -475,8 +475,8 @@ func TestDisjointThreadsNoConflicts(t *testing.T) {
 		})
 	}
 	m.Run(ws)
-	if s.Stats().SWAborts != 0 {
-		t.Fatalf("disjoint workloads aborted %d times", s.Stats().SWAborts)
+	if m.Count.SWAborts != 0 {
+		t.Fatalf("disjoint workloads aborted %d times", m.Count.SWAborts)
 	}
 }
 
@@ -806,7 +806,7 @@ func TestUpgraderRekillsARejoinedReader(t *testing.T) {
 	if halt != nil {
 		t.Fatal(halt)
 	}
-	if got := s.Stats().SWCommits; got != 4 {
+	if got := m.Count.SWCommits; got != 4 {
 		t.Fatalf("%d of 4 transactions committed", got)
 	}
 }
