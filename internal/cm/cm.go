@@ -1,11 +1,10 @@
 // Package cm is the contention-management layer shared by every TM
 // system in the repo. The paper fixes one policy — capped exponential
-// backoff driven by a saturating abort counter, with page faults
-// resolved by a fixed stall (§4.4, Algorithm 3) — but treats the choice
-// as a first-class design axis in its Figure 8 sensitivity study, and
-// later hybrid-TM work (Alistarh et al.; Brown & Ravi, see PAPERS.md)
-// shows progress policy can dominate hybrid performance. This package
-// therefore offers four policies, named by a Kind: how long an aborted
+// backoff driven by a saturating abort counter (§4.4, Algorithm 3) — but
+// treats the choice as a first-class design axis in its Figure 8
+// sensitivity study, and later hybrid-TM work (Alistarh et al.; Brown &
+// Ravi, see PAPERS.md) shows progress policy can dominate hybrid
+// performance. This package therefore offers four policies, named by a Kind: how long an aborted
 // transaction waits before retrying, and when it stops retrying and is
 // serialized. A Manager applies one Kind for one system instance —
 // every kind's delay and escalation is one switch in Manager.OnAbort —
@@ -27,18 +26,14 @@ import (
 // Constants shared by every policy. DefaultBase and DefaultMaxShift are
 // the paper's §4.4 constants (64-cycle unit, saturating 3-bit counter);
 // DefaultStarveK is KindSerialize's starvation threshold and
-// DefaultLinearCap KindLinear's largest multiple of the unit. The stall
-// and poll cycles are the fixed costs the systems previously hard-coded
-// inline.
+// DefaultLinearCap KindLinear's largest multiple of the unit. The poll
+// cycles are fixed costs that no policy varies.
 const (
 	DefaultBase      uint64 = 64
 	DefaultMaxShift         = 7
 	DefaultStarveK          = 8
 	DefaultLinearCap        = 128
 
-	// PageFaultStallCycles models resolving a page fault (touching the
-	// page non-transactionally) before re-executing — not contention.
-	PageFaultStallCycles uint64 = 500
 	// RetryPollCycles is the poll interval for emulated transactional
 	// waiting in systems with no native retry support.
 	RetryPollCycles uint64 = 2000
@@ -100,7 +95,6 @@ type Stats struct {
 	Delays                uint64 // backoff delays issued
 	DelayCycles           uint64 // total cycles spent in backoff
 	MaxDelay              uint64 // largest single backoff
-	PageFaultStalls       uint64 // page-fault resolution stalls
 	RetryPolls            uint64 // emulated-retry poll sleeps
 	StarvationEscalations uint64 // OnAbort verdicts that escalated
 	TokenAcquisitions     uint64 // global serialization token grants
@@ -193,15 +187,6 @@ func (m *Manager) karmaDeficit(age uint64, attempt int) int {
 	return max(rival-attempt, 0)
 }
 
-// PageFaultStall charges the fixed fault-resolution stall (the paper's
-// "resolve the fault and retry" path) — not a contention decision, so
-// no policy consultation and no abort-counter advance.
-func (m *Manager) PageFaultStall(p *machine.Proc) {
-	m.stats.PageFaultStalls++
-	p.Elapse(PageFaultStallCycles)
-	p.TxLifeBackoff(PageFaultStallCycles)
-}
-
 // RetryPoll charges one poll interval of emulated transactional waiting
 // (systems with no native retry support re-execute periodically).
 func (m *Manager) RetryPoll(p *machine.Proc) {
@@ -246,7 +231,6 @@ func (m *Manager) Register(s *obs.Snapshot) {
 	s.AddCounter("cm.delays", "delays", "backoff delays issued by the contention-management policy", m.stats.Delays)
 	s.AddCounter("cm.delay_cycles", "cycles", "total cycles spent in contention backoff", m.stats.DelayCycles)
 	s.AddMaxGauge("cm.max_delay", "cycles", "largest single backoff delay issued (merges by max)", float64(m.stats.MaxDelay))
-	s.AddCounter("cm.page_fault_stalls", "stalls", "page-fault resolution stalls (fixed cost, not contention)", m.stats.PageFaultStalls)
 	s.AddCounter("cm.retry_polls", "polls", "emulated transactional-waiting poll sleeps", m.stats.RetryPolls)
 	s.AddCounter("cm.starvation_escalations", "escalations", "aborts the policy escalated instead of backing off", m.stats.StarvationEscalations)
 	s.AddCounter("cm.token_acquisitions", "grants", "global serialization token acquisitions", m.stats.TokenAcquisitions)

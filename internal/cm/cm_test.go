@@ -185,15 +185,14 @@ func TestManagerBackoffStats(t *testing.T) {
 				t.Errorf("default policy escalated on attempt %d", attempt)
 			}
 		}
-		mgr.PageFaultStall(p)
 		mgr.RetryPoll(p)
 	})
 	st := mgr.Stats()
 	if st.Delays != 3 || st.DelayCycles == 0 || st.MaxDelay < 64<<3 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.PageFaultStalls != 1 || st.RetryPolls != 1 {
-		t.Fatalf("stall counters = %+v", st)
+	if st.RetryPolls != 1 {
+		t.Fatalf("retry polls = %+v", st)
 	}
 }
 
@@ -255,14 +254,10 @@ func TestMetricsWritten(t *testing.T) {
 	mgr := NewManager(KindSerialize)
 	onProc(func(p *machine.Proc) {
 		mgr.OnAbort(p, 1, DefaultStarveK) // escalates at once
-		mgr.PageFaultStall(p)
 	})
 	snap := obs.NewSnapshot()
 	mgr.Register(snap)
 	if snap.Counter("cm.starvation_escalations") != 1 {
 		t.Fatalf("cm.starvation_escalations = %d, want 1", snap.Counter("cm.starvation_escalations"))
-	}
-	if snap.Counter("cm.page_fault_stalls") != 1 {
-		t.Fatalf("cm.page_fault_stalls = %d, want 1", snap.Counter("cm.page_fault_stalls"))
 	}
 }

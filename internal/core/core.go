@@ -14,13 +14,12 @@
 // The transaction structure itself — Figure 4's try BTM, run the abort
 // handler, retry in hardware or fail over — is tm.Driver. This package
 // supplies what is the UFO hybrid's own: Algorithm 3 as a table
-// (Dispositions: overflow, syscall, I/O, exception, nesting and explicit
-// aborts fail over; interrupts and the conflict family retry in hardware;
-// a page fault is resolved and retried), USTM as the software path, the
-// user-mode UFO fault handler inside hardware loads and stores, and the
-// post-commit wake-up of retrying software transactions. Policy holds
-// what §4.4's contention-management study varies, so the Figure 8
-// sensitivity study can be reproduced.
+// (Dispositions: overflow, syscall, nesting and explicit aborts fail
+// over; interrupts and the conflict family retry in hardware), USTM as
+// the software path, the user-mode UFO fault handler inside hardware
+// loads and stores, and the post-commit wake-up of retrying software
+// transactions. Policy holds what §4.4's contention-management study
+// varies, so the Figure 8 sensitivity study can be reproduced.
 package core
 
 import (
@@ -56,18 +55,15 @@ const (
 )
 
 // Dispositions is the BTM abort handler of Algorithm 3: conditions
-// hardware will never satisfy fail over to software, contention retries
-// in hardware — counted against Policy.FailoverOnNthConflict when the
-// cause is a conflict — and a page fault is resolved and retried.
+// hardware will never satisfy fail over to software, and contention
+// retries in hardware — counted against Policy.FailoverOnNthConflict
+// when the cause is a conflict.
 var Dispositions = tm.Dispositions{
 	machine.AbortOverflow:     tm.Fatal,
 	machine.AbortExplicit:     tm.Fatal,
 	machine.AbortInterrupt:    tm.Transient,
 	machine.AbortConflict:     tm.Counted,
-	machine.AbortException:    tm.Fatal,
 	machine.AbortSyscall:      tm.Fatal,
-	machine.AbortIO:           tm.Fatal,
-	machine.AbortPageFault:    tm.Fault,
 	machine.AbortUFOKill:      tm.Counted,
 	machine.AbortUFOFault:     tm.Counted,
 	machine.AbortNonTConflict: tm.Counted,

@@ -385,19 +385,14 @@ func (l *lifeCount) Event(e machine.TraceEvent) {
 
 // TestViewsCountTheLifecycle: the machine's lifecycle tally counts what
 // the event stream says happened, and every view of a run's transactions
-// reads it — txstats, contention, the Chrome tx spans, the tm.* metrics
-// and machine.hw_commits — on every system's kmeans-high cell and on the
-// retry queue, where Retry waits are frequent. machine.hw_aborts.*, which
-// the hardware counts as it retires each abort, equals the tally's
-// hardware-path aborts by reason but for three named cases:
-//   - the unbounded HTM's Retry unwinds a hardware attempt that the
-//     driver's retry-until-commit loop marks as a Retry wait, not an
-//     abort;
-//   - hybrid-norec marks a hardware Retry as an abort for reason none
-//     (its RetryReason), where the hardware retired an explicit abort;
-//   - on ufo-hybrid's retry-queue cell a peer's kill can land during the
-//     UFO fault handler's stall, and the handler unwinds with ufo-fault
-//     while the hardware retires the kill's reason.
+// reads it — txstats, contention, the Chrome tx spans and the tm.*
+// metrics — on every system's kmeans-high cell and on the retry queue,
+// where Retry waits are frequent. machine.hw_aborts.*, which the hardware
+// counts as it retires each abort, equals the tally's hardware-path
+// aborts for every reason but explicit: a hardware Retry retires an
+// explicit abort that the lifecycle marks as a Retry wait (the unbounded
+// HTM) or under the system's RetryReason (none, for hybrid-norec). A
+// peer's kill pending when a body aborts is the reason both count.
 //
 // global-lock and sle pin seq's Retry: a wait, not a software abort.
 func TestViewsCountTheLifecycle(t *testing.T) {
@@ -458,17 +453,14 @@ func TestViewsCountTheLifecycle(t *testing.T) {
 		checkChromeView(t, name, trace.Bytes(), want)
 
 		for metric, n := range map[string]uint64{
-			tm.MetricHWCommits: want.HWCommits, machine.MetricHWCommits: want.HWCommits,
-			tm.MetricSWCommits: want.SWCommits, tm.MetricSWAborts: want.SWAborts, tm.MetricRetries: want.RetryWaits,
+			tm.MetricHWCommits: want.HWCommits, tm.MetricSWCommits: want.SWCommits,
+			tm.MetricSWAborts: want.SWAborts, tm.MetricRetries: want.RetryWaits,
 		} {
 			if got := r.Metrics.Counter(metric); got != n {
 				t.Errorf("%s: %s = %d, tally %d", name, metric, got, n)
 			}
 		}
 
-		if j.System == UFOHybrid && j.Factory.Name == "retry-queue" {
-			continue
-		}
 		var hwAborts [machine.NumAbortReasons]uint64
 		for p := range want.Aborts {
 			if life.hwPath(machine.TxPath(p)) {
@@ -477,13 +469,10 @@ func TestViewsCountTheLifecycle(t *testing.T) {
 				}
 			}
 		}
-		switch j.System {
-		case UnboundedHTM:
-			hwAborts[machine.AbortExplicit] += want.RetryWaits
-		case HybridNOrec:
-			hwAborts[machine.AbortExplicit] += hwAborts[machine.AbortNone]
-		}
 		for reason := machine.AbortReason(1); int(reason) < machine.NumAbortReasons; reason++ {
+			if reason == machine.AbortExplicit {
+				continue
+			}
 			if got := r.Machine.HWAbortsByReason[reason]; got != hwAborts[reason] {
 				t.Errorf("%s: machine.hw_aborts.%s = %d, tally's hardware aborts %d", name, reason, got, hwAborts[reason])
 			}

@@ -85,8 +85,7 @@ func buildHybrid(t *testing.T, name string, m *machine.Machine, limit int, kind 
 // outcome is what one transaction's counters must read after its first
 // hardware attempt took one injected abort.
 type outcome struct {
-	hw, sw, failovers, hwRetries uint64
-	stalls, delays               uint64
+	hw, sw, failovers, hwRetries, delays uint64
 }
 
 var (
@@ -95,8 +94,6 @@ var (
 	fail = outcome{sw: 1, failovers: 1}
 	// retry: re-executed in hardware after one policy backoff.
 	retry = outcome{hw: 1, hwRetries: 1, delays: 1}
-	// stall: a page fault — resolved by the fixed stall, not counted.
-	stall = outcome{hw: 1, stalls: 1}
 	// clean: the operation does not abort this system's hardware at all.
 	clean = outcome{hw: 1}
 	// locked: every attempt aborts, so the transaction takes sle's lock
@@ -109,38 +106,32 @@ var (
 var injectedDisposition = map[string]map[machine.AbortReason]outcome{
 	"ufo-hybrid": {
 		machine.AbortOverflow: fail, machine.AbortExplicit: fail, machine.AbortInterrupt: retry,
-		machine.AbortConflict: retry, machine.AbortException: fail, machine.AbortSyscall: fail,
-		machine.AbortIO: fail, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortConflict: retry, machine.AbortSyscall: fail, machine.AbortUFOKill: retry,
 		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: fail,
 	},
 	"hytm": {
 		machine.AbortOverflow: fail, machine.AbortExplicit: retry, machine.AbortInterrupt: retry,
-		machine.AbortConflict: retry, machine.AbortException: fail, machine.AbortSyscall: fail,
-		machine.AbortIO: fail, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortConflict: retry, machine.AbortSyscall: fail, machine.AbortUFOKill: retry,
 		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: fail,
 	},
 	"phtm": {
 		machine.AbortOverflow: fail, machine.AbortExplicit: fail, machine.AbortInterrupt: retry,
-		machine.AbortConflict: retry, machine.AbortException: fail, machine.AbortSyscall: fail,
-		machine.AbortIO: fail, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortConflict: retry, machine.AbortSyscall: fail, machine.AbortUFOKill: retry,
 		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: fail,
 	},
 	"hybrid-norec": {
 		machine.AbortOverflow: fail, machine.AbortExplicit: retry, machine.AbortInterrupt: retry,
-		machine.AbortConflict: retry, machine.AbortException: fail, machine.AbortSyscall: fail,
-		machine.AbortIO: fail, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortConflict: retry, machine.AbortSyscall: fail, machine.AbortUFOKill: retry,
 		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: fail,
 	},
 	"unbounded-htm": {
 		machine.AbortOverflow: retry, machine.AbortExplicit: retry, machine.AbortInterrupt: retry,
-		machine.AbortConflict: retry, machine.AbortException: retry, machine.AbortSyscall: retry,
-		machine.AbortIO: retry, machine.AbortPageFault: stall, machine.AbortUFOKill: retry,
+		machine.AbortConflict: retry, machine.AbortSyscall: retry, machine.AbortUFOKill: retry,
 		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: retry,
 	},
 	"sle": {
 		machine.AbortOverflow: retry, machine.AbortExplicit: retry, machine.AbortInterrupt: retry,
-		machine.AbortConflict: retry, machine.AbortException: retry, machine.AbortSyscall: retry,
-		machine.AbortIO: retry, machine.AbortPageFault: retry, machine.AbortUFOKill: retry,
+		machine.AbortConflict: retry, machine.AbortSyscall: retry, machine.AbortUFOKill: retry,
 		machine.AbortUFOFault: retry, machine.AbortNonTConflict: retry, machine.AbortNesting: retry,
 	},
 }
@@ -150,8 +141,7 @@ func checkOutcome(t *testing.T, sys tm.System, m *machine.Machine, want outcome)
 	st := tm.StatsOf(&m.Count)
 	cs := sys.(cm.Instrumented).CM().Stats()
 	got := outcome{
-		hw: st.HWCommits, sw: st.SWCommits, failovers: st.Failovers, hwRetries: st.HWRetries,
-		stalls: cs.PageFaultStalls, delays: cs.Delays,
+		hw: st.HWCommits, sw: st.SWCommits, failovers: st.Failovers, hwRetries: st.HWRetries, delays: cs.Delays,
 	}
 	if got != want {
 		t.Fatalf("got %+v, want %+v (stats %v)", got, want, st)
@@ -199,6 +189,17 @@ func TestDispositionMatrixInjected(t *testing.T) {
 	}
 }
 
+// nestPastLimit opens one flattened nest more than BTM holds
+// (tm.MaxNesting): the only program that raises AbortNesting.
+func nestPastLimit(tx tm.Tx, _ bool) { nest(tx, tm.MaxNesting+1) }
+
+// nest opens depth flattened nests, each inside the last.
+func nest(tx tm.Tx, depth int) {
+	if depth > 0 {
+		tx.Nested(func() { nest(tx, depth-1) })
+	}
+}
+
 // TestDispositionMatrixNatural reaches the same arms through the tm.Tx
 // surface a workload has: a system call, an explicit abort, nesting past
 // the hardware limit, and a footprint larger than the L1.
@@ -208,13 +209,6 @@ func TestDispositionMatrixNatural(t *testing.T) {
 		l1   int // L1 lines (0 = default)
 		body func(tx tm.Tx, first bool)
 		want map[string]outcome
-	}
-	var nest func(tx tm.Tx, depth int)
-	nest = func(tx tm.Tx, depth int) {
-		if depth == 0 {
-			return
-		}
-		tx.Nested(func() { nest(tx, depth-1) })
 	}
 	ops := []op{
 		{"syscall", 0, func(tx tm.Tx, _ bool) { tx.Syscall() }, map[string]outcome{
@@ -231,7 +225,7 @@ func TestDispositionMatrixNatural(t *testing.T) {
 		}},
 		// The unbounded HTM shares BTM's nesting limit and has nowhere to
 		// fail over to, so over-deep nesting livelocks there: not run.
-		{"nesting", 0, func(tx tm.Tx, _ bool) { nest(tx, tm.MaxNesting+1) }, map[string]outcome{
+		{"nesting", 0, nestPastLimit, map[string]outcome{
 			"ufo-hybrid": fail, "hytm": fail, "phtm": fail, "hybrid-norec": fail, "sle": locked,
 		}},
 		{"overflow", 8, func(tx tm.Tx, _ bool) {
@@ -275,6 +269,47 @@ func TestDispositionMatrixNatural(t *testing.T) {
 				}
 				checkOutcome(t, sys, m, want)
 			})
+		}
+	}
+}
+
+// TestEveryAbortReasonIsRaised: every machine.AbortReason is raised by
+// some run, so no abort handler classifies a reason that cannot happen.
+// Each must be non-zero in some cell of the small-scale sweeps of tmsim
+// -experiment all, but nesting: no workload nests tm.MaxNesting deep,
+// and its raiser is the natural disposition matrix's nestPastLimit.
+func TestEveryAbortReasonIsRaised(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Params.Seed = 1 // the tmsim -seed default
+	var raised [machine.NumAbortReasons]uint64
+	r := Parallel(0)
+	r.Collect = func(_ Job, res Result) {
+		for reason, n := range res.Machine.HWAbortsByReason {
+			raised[reason] += n
+		}
+	}
+	sweep := func(_ any, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep(r.Figure5(opt, ScaleSmall))
+	sweep(r.Figure6(opt, ScaleSmall))
+	sweep(r.Figure7(opt, ScaleSmall))
+	sweep(r.Figure8(opt, ScaleSmall))
+	sweep(r.Ablations(opt, ScaleSmall))
+	sweep(r.Extended(opt, ScaleSmall))
+	sweep(r.Footprints(opt, ScaleSmall))
+	sweep(r.PolicySweep(opt, ScaleSmall))
+	m := driverMachine(1)
+	ex := buildHybrid(t, "ufo-hybrid", m, 0, cm.KindExponential).Exec(m.Proc(0))
+	m.Run([]func(*machine.Proc){func(*machine.Proc) {
+		ex.Atomic(func(tx tm.Tx) { nestPastLimit(tx, true) })
+	}})
+	raised[machine.AbortNesting] += m.Count.HWAbortsByReason[machine.AbortNesting]
+	for reason := machine.AbortReason(1); int(reason) < machine.NumAbortReasons; reason++ {
+		if raised[reason] == 0 {
+			t.Errorf("no run raises abort reason %s: raise it or delete it", reason)
 		}
 	}
 }

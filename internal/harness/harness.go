@@ -254,11 +254,11 @@ func runOn(arena *machine.Arena, j Job) Result {
 }
 
 // cellMetrics bounds the metrics a cell on the given number of
-// processors writes — the machine's 24 and three per processor, tm's 8
-// and cm's 8 — so that its snapshot's slice is allocated once
+// processors writes — the machine's 20 and three per processor, tm's 8
+// and cm's 7 — so that its snapshot's slice is allocated once
 // (TestCellSnapshotIsAllocatedOnce). The contention and txstats
 // sections write none: each report is the only home of its totals.
-func cellMetrics(threads int) int { return 40 + 3*threads }
+func cellMetrics(threads int) int { return 35 + 3*threads }
 
 // WorkloadFactory builds a fresh workload instance per run.
 type WorkloadFactory struct {

@@ -40,7 +40,6 @@ func TestResultMetricsMatchLegacyCounters(t *testing.T) {
 		{tm.MetricRetries, res.Stats.Retries},
 		{tm.MetricHWRetries, res.Stats.HWRetries},
 		{machine.MetricCycles, res.Cycles},
-		{machine.MetricHWCommits, res.Machine.HWCommits},
 		{machine.MetricNacks, res.Machine.Nacks},
 		{machine.MetricUFOFaults, res.Machine.UFOFaults},
 		{machine.MetricUFOKillsTrue, res.Machine.UFOKillsTrue},

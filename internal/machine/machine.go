@@ -49,14 +49,9 @@ const (
 	AbortInterrupt
 	// AbortConflict: lost an age-ordered conflict with another HW transaction.
 	AbortConflict
-	// AbortException: the transaction raised a non-page-fault exception.
-	AbortException
-	// AbortSyscall: the transaction invoked a system call.
+	// AbortSyscall: the transaction invoked a system call, or did anything
+	// else BTM cannot contain (I/O, an exception).
 	AbortSyscall
-	// AbortIO: the transaction performed I/O.
-	AbortIO
-	// AbortPageFault: the transaction touched an unmapped page (recoverable).
-	AbortPageFault
 	// AbortUFOKill: killed by another thread's set_ufo_bits needing
 	// exclusive permission on a line in this transaction's footprint.
 	AbortUFOKill
@@ -73,9 +68,8 @@ const (
 )
 
 var abortNames = [numAbortReasons]string{
-	"none", "overflow", "explicit", "interrupt", "conflict", "exception",
-	"syscall", "io", "page-fault", "ufo-kill", "ufo-fault", "nonT-conflict",
-	"nesting",
+	"none", "overflow", "explicit", "interrupt", "conflict", "syscall",
+	"ufo-kill", "ufo-fault", "nonT-conflict", "nesting",
 }
 
 // String returns the abort-reason name used in reports and traces.
@@ -261,7 +255,7 @@ type Counters struct {
 
 	// The transaction lifecycle's tally. The TxLife* emitters (txlife.go)
 	// are its only writers, so every view of a run's transactions — tm.*,
-	// machine.hw_commits, txstats, contention — reads one count.
+	// txstats, contention — reads one count.
 	Begun          uint64
 	AttemptsByPath [NumTxPaths]uint64
 	CommitsByPath  [NumTxPaths]uint64

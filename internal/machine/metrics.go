@@ -13,7 +13,6 @@ import (
 // silently desynchronize the schema.
 const (
 	MetricCycles        = "machine.cycles"
-	MetricHWCommits     = "machine.hw_commits"
 	MetricNacks         = "machine.nacks"
 	MetricUFOKillsTrue  = "machine.ufo_kills.true"
 	MetricUFOKillsFalse = "machine.ufo_kills.false"
@@ -54,14 +53,13 @@ var (
 )
 
 // RegisterMetrics writes the machine's hardware-side event counts into
-// s: global counters (commits, per-reason aborts, NACKs, UFO kills and
-// faults, STM/HTM conflict ages), the committed-footprint histograms, the
+// s: global counters (per-reason aborts, NACKs, UFO kills and faults,
+// STM/HTM conflict ages), the committed-footprint histograms, the
 // simulated cycle count, and per-processor cycle and L1 hit/miss
 // breakdowns. Call it after Run (never mid-run — it reads shared
 // counters without ordering); the written values are copies.
 func (m *Machine) RegisterMetrics(s *obs.Snapshot) {
 	s.AddCounter(MetricCycles, "cycles", "simulated duration of the run (max over processors)", m.Cycles())
-	s.AddCounter(MetricHWCommits, "transactions", "hardware transactions committed (Figures 5-6)", m.Count.HWCommits)
 	for reason := 1; reason < NumAbortReasons; reason++ {
 		s.AddCounter(abortMetricNames[reason], "aborts",
 			"hardware aborts by reason (Figure 6)", m.Count.HWAbortsByReason[reason])

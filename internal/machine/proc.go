@@ -250,15 +250,15 @@ func (p *Proc) RecordSWFootprint(lines int) {
 }
 
 // AbortHW aborts the in-flight transaction for a self-inflicted reason
-// (explicit abort, syscall, I/O, exception marker). Speculative state is
-// discarded; the caller unwinds.
-func (p *Proc) AbortHW(reason AbortReason) {
-	t := p.hw
-	if t == nil {
+// (explicit abort, syscall, nesting). Speculative state is discarded; the
+// caller unwinds with the reason returned, which is a peer's if its kill
+// was already pending.
+func (p *Proc) AbortHW(reason AbortReason) AbortReason {
+	if p.hw == nil {
 		panic("machine: AbortHW with no transaction")
 	}
 	p.killHW(p, reason, 0, false)
-	p.consumeAbort()
+	return p.consumeAbort().Reason
 }
 
 // AbortHWAttributed aborts the in-flight transaction like AbortHW, but
@@ -267,13 +267,14 @@ func (p *Proc) AbortHW(reason AbortReason) {
 // conflict on behalf of a software transaction running elsewhere (HyTM's
 // otable check, PhTM's phase counter, SLE's held lock word): the abort is
 // architecturally self-inflicted, but the contention belongs to the peer.
-// aggressor -1 falls back to self-attribution.
-func (p *Proc) AbortHWAttributed(reason AbortReason, aggressor int, addr uint64) {
+// aggressor -1 falls back to self-attribution. Like AbortHW it returns
+// the reason the hardware retired.
+func (p *Proc) AbortHWAttributed(reason AbortReason, aggressor int, addr uint64) AbortReason {
 	if p.hw == nil {
 		panic("machine: AbortHWAttributed with no transaction")
 	}
 	p.killHWFrom(aggressor, p, reason, addr, true)
-	p.consumeAbort()
+	return p.consumeAbort().Reason
 }
 
 // RecordSWKill puts on the event stream that p's software transaction

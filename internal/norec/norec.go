@@ -71,10 +71,7 @@ var Dispositions = tm.Dispositions{
 	machine.AbortExplicit:     tm.Counted,
 	machine.AbortInterrupt:    tm.Counted,
 	machine.AbortConflict:     tm.Counted,
-	machine.AbortException:    tm.Fatal,
 	machine.AbortSyscall:      tm.Fatal,
-	machine.AbortIO:           tm.Fatal,
-	machine.AbortPageFault:    tm.Fault,
 	machine.AbortUFOKill:      tm.Counted,
 	machine.AbortUFOFault:     tm.Counted,
 	machine.AbortNonTConflict: tm.Counted,

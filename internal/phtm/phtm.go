@@ -40,10 +40,7 @@ var Dispositions = tm.Dispositions{
 	machine.AbortExplicit:     tm.Fatal,
 	machine.AbortInterrupt:    tm.Transient,
 	machine.AbortConflict:     tm.Transient,
-	machine.AbortException:    tm.Fatal,
 	machine.AbortSyscall:      tm.Fatal,
-	machine.AbortIO:           tm.Fatal,
-	machine.AbortPageFault:    tm.Fault,
 	machine.AbortUFOKill:      tm.Transient,
 	machine.AbortUFOFault:     tm.Transient,
 	machine.AbortNonTConflict: tm.Transient,

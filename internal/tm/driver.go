@@ -43,9 +43,6 @@ const (
 	Counted
 	// Transient: retry in hardware after the policy's backoff.
 	Transient
-	// Fault: a page fault. Resolve it with the fixed stall and retry; it
-	// is not contention, so nothing is counted and no backoff is drawn.
-	Fault
 )
 
 // Dispositions is an Algorithm 3 row: one Disposition per abort reason.
@@ -223,9 +220,6 @@ attempts:
 		switch h.classify(reason) {
 		case Fatal:
 			break attempts
-		case Fault:
-			cmgr.PageFaultStall(p)
-			continue
 		case Counted:
 			if counted++; h.Limit > 0 && counted >= h.Limit {
 				break attempts
@@ -299,10 +293,7 @@ func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 		}
 		p.TxLifeAbort(path, reason, !hw)
 		if hw {
-			if h.classify(reason) == Fault {
-				cmgr.PageFaultStall(p)
-				continue
-			}
+			h.classify(reason) // with nowhere to fall, every classified abort retries
 			p.Machine().Count.HWRetries++
 		}
 		aborts++ // the policy clamps the shift (saturating counter)
@@ -434,18 +425,18 @@ func (h HW) Store(addr, val uint64) { h.ok(h.TxWrite(addr, val)) }
 // OnCommit implements Tx.
 func (h HW) OnCommit(f func()) { h.D.OnCommit(f) }
 
-// abort aborts the attempt for reason (btm_abort); the caller unwinds
-// the body.
-func (h HW) abort(reason machine.AbortReason) {
-	h.D.P.AbortHW(reason)
+// abort aborts the attempt for reason (btm_abort) and returns the reason
+// the hardware retired; the caller unwinds the body.
+func (h HW) abort(reason machine.AbortReason) machine.AbortReason {
+	reason = h.D.P.AbortHW(reason)
 	h.D.P.Elapse(HWAbortCycles)
+	return reason
 }
 
-// AbortFor aborts the attempt for reason and unwinds the body.
-func (h HW) AbortFor(reason machine.AbortReason) {
-	h.abort(reason)
-	Unwind(reason)
-}
+// AbortFor aborts the attempt for reason and unwinds the body with the
+// reason the hardware retired: a peer's kill that was already pending
+// wins over the one asked for.
+func (h HW) AbortFor(reason machine.AbortReason) { Unwind(h.abort(reason)) }
 
 // Abort implements Tx.
 func (h HW) Abort() { h.AbortFor(machine.AbortExplicit) }
@@ -453,7 +444,7 @@ func (h HW) Abort() { h.AbortFor(machine.AbortExplicit) }
 // AbortBy aborts the attempt on another party's behalf: the conflict
 // edge is attributed to processor aggressor (-1 for unknown) over addr.
 func (h HW) AbortBy(reason machine.AbortReason, aggressor int, addr uint64) {
-	h.D.P.AbortHWAttributed(reason, aggressor, addr)
+	reason = h.D.P.AbortHWAttributed(reason, aggressor, addr)
 	h.D.P.Elapse(HWAbortCycles)
 	Unwind(reason)
 }

@@ -30,7 +30,6 @@ var row = tm.Dispositions{
 	machine.AbortSyscall:   tm.Fatal,
 	machine.AbortConflict:  tm.Counted,
 	machine.AbortInterrupt: tm.Transient,
-	machine.AbortPageFault: tm.Fault,
 	machine.AbortExplicit:  tm.Fatal,
 }
 
@@ -193,9 +192,6 @@ func TestDriverAbortHandlerArms(t *testing.T) {
 		{name: "transient backs off and retries", steps: []step{inject(machine.AbortInterrupt), inject(machine.AbortInterrupt)},
 			log:   "begin, body, begin, body, begin, body, precommit, committed, deferred",
 			stats: tm.Stats{HWCommits: 1, HWRetries: 2}, cm: cm.Stats{Delays: 2}},
-		{name: "fault stalls and is not counted", steps: []step{inject(machine.AbortPageFault)},
-			log:   "begin, body, begin, body, precommit, committed, deferred",
-			stats: tm.Stats{HWCommits: 1}, cm: cm.Stats{PageFaultStalls: 1}},
 		{name: "counted without a limit never fails over", steps: []step{inject(machine.AbortConflict), inject(machine.AbortConflict), inject(machine.AbortConflict)},
 			log:   "begin, body, begin, body, begin, body, begin, body, precommit, committed, deferred",
 			stats: tm.Stats{HWCommits: 1, HWRetries: 3}, cm: cm.Stats{Delays: 3}},
@@ -237,11 +233,11 @@ func TestDriverUnclassifiedReasonPanics(t *testing.T) {
 	r := newRig(1, true)
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, "rig") || !strings.Contains(msg, machine.AbortIO.String()) {
+		if !strings.Contains(msg, "rig") || !strings.Contains(msg, machine.AbortUFOKill.String()) {
 			t.Fatalf("panic %q does not name the system and the reason", msg)
 		}
 	}()
-	r.run(func() { r.d.Atomic(r.body(inject(machine.AbortIO))) })
+	r.run(func() { r.d.Atomic(r.body(inject(machine.AbortUFOKill))) })
 	t.Fatal("an abort reason the row does not classify must panic")
 }
 
@@ -290,7 +286,6 @@ func TestDriverWithoutSoftwareRetriesUntilCommit(t *testing.T) {
 	r.committed = func() { heldInCommitted = r.tokenHeldBy(age) }
 	steps := []step{
 		func(_ *rig, tx tm.Tx) { tx.Retry() },
-		inject(machine.AbortPageFault),
 	}
 	steps = append(steps, times(k-1, inject(machine.AbortInterrupt))...)
 	steps = append(steps,
@@ -303,11 +298,11 @@ func TestDriverWithoutSoftwareRetriesUntilCommit(t *testing.T) {
 	if !heldInBody || heldInCommitted {
 		t.Errorf("token held in the escalated attempt = %v, in Committed = %v; want true, false", heldInBody, heldInCommitted)
 	}
-	r.want(t, strings.Repeat("begin, body, ", k+2)+"begin, body, precommit, committed, deferred",
+	r.want(t, strings.Repeat("begin, body, ", k+1)+"begin, body, precommit, committed, deferred",
 		tm.Stats{HWCommits: 1, HWRetries: k, Retries: 1})
 	got := *r.h.CM().Stats()
 	got.DelayCycles, got.MaxDelay = 0, 0
-	want := cm.Stats{Delays: k - 1, PageFaultStalls: 1, RetryPolls: 1, StarvationEscalations: 1, TokenAcquisitions: 1}
+	want := cm.Stats{Delays: k - 1, RetryPolls: 1, StarvationEscalations: 1, TokenAcquisitions: 1}
 	if got != want {
 		t.Fatalf("cm stats %+v, want %+v", got, want)
 	}

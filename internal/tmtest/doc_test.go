@@ -106,8 +106,7 @@ func dispositionRows(t *testing.T) []string {
 		if len(cells[tm.Unclassified]) != 0 {
 			t.Errorf("%s leaves abort reasons unclassified: %v", s.name, cells[tm.Unclassified])
 		}
-		rows = append(rows, "| `"+s.name+"` | "+cell(tm.Fatal)+" | "+counted+" | "+
-			cell(tm.Transient)+" | "+cell(tm.Fault)+" |")
+		rows = append(rows, "| `"+s.name+"` | "+cell(tm.Fatal)+" | "+counted+" | "+cell(tm.Transient)+" |")
 	}
 	return rows
 }

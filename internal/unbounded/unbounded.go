@@ -1,9 +1,9 @@
 // Package unbounded implements the idealized unbounded hardware TM the
 // paper compares against (§5): the BTM execution model with no
 // footprint limit, flash abort, and a minimal abort handler that retries
-// every transaction in hardware (resolving page faults and interrupts by
-// re-execution). As in the paper, this is optimistic with respect to any
-// buildable pure-HTM proposal; it serves as the performance ceiling.
+// every transaction in hardware (resolving interrupts by re-execution).
+// As in the paper, this is optimistic with respect to any buildable
+// pure-HTM proposal; it serves as the performance ceiling.
 //
 // That handler is tm.Driver with no software path; this package supplies
 // a Handler whose hardware attempts are unbounded, an abort table with
@@ -17,23 +17,15 @@ import (
 	"repro/internal/tm"
 )
 
-// Dispositions is the minimal abort handler: a page fault is resolved,
-// and every other abort is retried in hardware after the backoff. With
-// no software path nothing is fatal and nothing is counted.
-var Dispositions = tm.Dispositions{
-	machine.AbortOverflow:     tm.Transient,
-	machine.AbortExplicit:     tm.Transient,
-	machine.AbortInterrupt:    tm.Transient,
-	machine.AbortConflict:     tm.Transient,
-	machine.AbortException:    tm.Transient,
-	machine.AbortSyscall:      tm.Transient,
-	machine.AbortIO:           tm.Transient,
-	machine.AbortPageFault:    tm.Fault,
-	machine.AbortUFOKill:      tm.Transient,
-	machine.AbortUFOFault:     tm.Transient,
-	machine.AbortNonTConflict: tm.Transient,
-	machine.AbortNesting:      tm.Transient,
-}
+// Dispositions is the minimal abort handler: every abort is retried in
+// hardware after the backoff. With no software path nothing is fatal and
+// nothing is counted.
+var Dispositions = func() (d tm.Dispositions) {
+	for r := machine.AbortNone + 1; int(r) < machine.NumAbortReasons; r++ {
+		d[r] = tm.Transient
+	}
+	return d
+}()
 
 // SyscallCycles is a system call inside a transaction, run in place.
 const SyscallCycles = 10

@@ -126,41 +126,6 @@ func TestRetryEmulationEventuallySees(t *testing.T) {
 	}
 }
 
-func TestPageFaultRetriedWithFixedStall(t *testing.T) {
-	// Regression for the discarded abort reason: the old handler dropped
-	// `reason` on the floor and routed page faults through exponential
-	// contention backoff. A fault is not contention — it must take the
-	// standard fixed stall (cm.PageFaultStallCycles) and re-execute,
-	// without counting as a contention retry or drawing a backoff delay.
-	m, s := testSystem(1)
-	ex := s.Exec(m.Proc(0)).(*exec)
-	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
-		tries := 0
-		ex.Atomic(func(tx tm.Tx) {
-			tries++
-			tx.Store(0, uint64(tries))
-			if tries == 1 {
-				// Force a page-fault abort mid-transaction (the simulator
-				// has no demand paging, so inject it as a btm_abort).
-				ex.HW().AbortFor(machine.AbortPageFault)
-			}
-		})
-	}})
-	if got := m.Mem.Read64(0); got != 2 {
-		t.Fatalf("value = %d, want 2 (one fault, one commit)", got)
-	}
-	cs := s.CM().Stats()
-	if cs.PageFaultStalls != 1 {
-		t.Fatalf("page-fault stalls = %d, want 1", cs.PageFaultStalls)
-	}
-	if cs.Delays != 0 {
-		t.Fatalf("delays = %d: a fault must not draw a contention backoff", cs.Delays)
-	}
-	if m.Count.HWRetries != 0 {
-		t.Fatalf("HWRetries = %d: a fault is not a contention retry", m.Count.HWRetries)
-	}
-}
-
 func TestName(t *testing.T) {
 	_, s := testSystem(1)
 	if s.Name() != "unbounded-htm" {
