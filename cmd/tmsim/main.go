@@ -287,19 +287,18 @@ func (s *session) runTraced() error {
 			machine.Observer
 			io.Closer
 		}
-		kinds := machine.TraceKinds
 		switch filepath.Ext(cfg.traceOut) {
 		case ".jsonl":
 			format, sink = "jsonl", machine.NewJSONLSink(w)
 		case ".json":
-			format, sink, kinds = "chrome", machine.NewChromeSink(w), machine.ChromeKinds
+			format, sink = "chrome", machine.NewChromeSink(w)
 		default:
 			sink = machine.NewTextSink(w)
 		}
 		res, failed = s.runner.Execute([]harness.Job{{
 			System: cfg.system, Factory: cfg.workload, Threads: cfg.traceThreads, Opt: s.opt,
 			Observe: func(m *machine.Machine) {
-				m.Observe(kinds, sink)
+				m.Observe(machine.TraceKinds, sink)
 				m.Observe(machine.TraceKinds, &events)
 			},
 		}})

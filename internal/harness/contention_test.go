@@ -302,7 +302,8 @@ func TestColliderUFOKillEdges(t *testing.T) {
 // run without moving it — cycles, machine counters and TM stats equal
 // the bare run's on a contended cell of every Figure 5 system — and the
 // three views agree on the stream they share: one contention edge per
-// hardware abort the log saw, one txstats commit per tx-commit.
+// hardware abort the machine retired and per hardware conflict the log
+// saw, one txstats commit per tx-commit.
 func TestAllObserversMatchBareRun(t *testing.T) {
 	f, _ := FindWorkload("kmeans-high", ScaleSmall)
 	for _, kind := range Figure5Systems {
@@ -320,17 +321,21 @@ func TestAllObserversMatchBareRun(t *testing.T) {
 			t.Errorf("%s: observed run differs from the bare run:\n%d cycles %+v %+v\n%d cycles %+v %+v",
 				kind, all.Cycles, all.Machine, all.Stats, bare.Cycles, bare.Machine, bare.Stats)
 		}
-		var hwAborts, txCommits uint64
+		var hwConflicts, txCommits, hwAborts uint64
 		for _, e := range log.Events {
-			switch e.Kind {
-			case machine.TraceHWAbort:
-				hwAborts++
-			case machine.TraceTxCommit:
+			switch {
+			case e.Kind == machine.TraceConflict && !e.SW():
+				hwConflicts++
+			case e.Kind == machine.TraceTxCommit:
 				txCommits++
 			}
 		}
-		if hwEdges := all.Contention.Edges - all.Contention.SWEdges; hwEdges != hwAborts {
-			t.Errorf("%s: %d hardware conflict edges, log saw %d hw-aborts", kind, hwEdges, hwAborts)
+		for _, n := range all.Machine.HWAbortsByReason {
+			hwAborts += n
+		}
+		if hwEdges := all.Contention.Edges - all.Contention.SWEdges; hwEdges != hwAborts || hwEdges != hwConflicts {
+			t.Errorf("%s: %d hardware conflict edges, machine retired %d hardware aborts, log saw %d hardware conflicts",
+				kind, hwEdges, hwAborts, hwConflicts)
 		}
 		if all.TxStats.Committed != txCommits {
 			t.Errorf("%s: txstats committed %d, log saw %d tx-commits", kind, all.TxStats.Committed, txCommits)
@@ -385,9 +390,9 @@ func (l *lifeCount) Event(e machine.TraceEvent) {
 
 // TestViewsCountTheLifecycle: the machine's lifecycle tally counts what
 // the event stream says happened, and every view of a run's transactions
-// reads it — txstats, contention, the Chrome tx spans and the tm.*
-// metrics — on every system's kmeans-high cell and on the retry queue,
-// where Retry waits are frequent. machine.hw_aborts.*, which the hardware
+// reads it — txstats, contention, the Chrome tx and attempt spans and
+// the tm.* metrics — on every system's kmeans-high cell and on the
+// retry queue, where Retry waits are frequent. machine.hw_aborts.*, which the hardware
 // counts as it retires each abort, equals the tally's hardware-path
 // aborts for every reason but explicit: a hardware Retry retires an
 // explicit abort that the lifecycle marks as a Retry wait (the unbounded
@@ -421,7 +426,7 @@ func TestViewsCountTheLifecycle(t *testing.T) {
 		sink := machine.NewChromeSink(&trace)
 		var counts *machine.Counters
 		j.Observe = func(m *machine.Machine) {
-			m.Observe(machine.ChromeKinds, sink)
+			m.Observe(machine.TraceKinds, sink)
 			m.Observe(lifeKinds, life)
 			counts = &m.Count
 		}
@@ -505,16 +510,18 @@ func checkTxStatsView(t *testing.T, name string, rep *txstats.Report, want tally
 	}
 }
 
-// checkChromeView checks the Chrome trace's tx spans against the tally:
-// one span per commit, and their attempts and aborts by reason.
+// checkChromeView checks the Chrome trace's spans against the tally: one
+// tx span per commit, with their attempts and aborts by reason, and one
+// attempt span per attempt, by path and by how it ended.
 func checkChromeView(t *testing.T, name string, trace []byte, want tally) {
 	t.Helper()
 	var doc struct {
 		TraceEvents []struct {
-			Name string
-			Args struct {
-				Attempts uint64
-				Aborts   map[string]uint64
+			Name, Ph string
+			Args     struct {
+				Attempts        uint64
+				Aborts          map[string]uint64
+				Outcome, Reason string
 			}
 		} `json:"traceEvents"`
 	}
@@ -523,7 +530,22 @@ func checkChromeView(t *testing.T, name string, trace []byte, want tally) {
 	}
 	var spans, attempts, wantAttempts uint64
 	var aborts, wantAborts [machine.NumAbortReasons]uint64
+	var got tally // the attempt spans' counts
 	for _, e := range doc.TraceEvents {
+		if path, ok := machine.TxPathByName(e.Name); ok && e.Ph == "X" {
+			got.AttemptsByPath[path]++
+			switch e.Args.Outcome {
+			case "commit":
+				got.CommitsByPath[path]++
+			case "abort":
+				reason, _ := machine.AbortReasonByName(e.Args.Reason)
+				got.Aborts[path][reason]++
+			case "retry":
+				got.RetryWaits++
+			default:
+				t.Errorf("%s: attempt span %+v ends in %q", name, e, e.Args.Outcome)
+			}
+		}
 		if e.Name != "tx" {
 			continue
 		}
@@ -543,5 +565,11 @@ func checkChromeView(t *testing.T, name string, trace []byte, want tally) {
 	if spans != want.HWCommits+want.SWCommits || attempts != wantAttempts || aborts != wantAborts {
 		t.Errorf("%s: chrome spans %d, attempts %d, aborts %v; tally %d, %d, %v",
 			name, spans, attempts, aborts, want.HWCommits+want.SWCommits, wantAttempts, wantAborts)
+	}
+	if got.AttemptsByPath != want.AttemptsByPath || got.CommitsByPath != want.CommitsByPath ||
+		got.Aborts != want.Aborts || got.RetryWaits != want.RetryWaits {
+		t.Errorf("%s: chrome attempt spans %v, commits %v, aborts %v, retries %d; tally %v, %v, %v, %d",
+			name, got.AttemptsByPath, got.CommitsByPath, got.Aborts, got.RetryWaits,
+			want.AttemptsByPath, want.CommitsByPath, want.Aborts, want.RetryWaits)
 	}
 }

@@ -116,12 +116,13 @@ func newRetryReach(m *machine.Machine, procs int) *retryReach {
 func (r *retryReach) Event(e machine.TraceEvent) {
 	p := e.Proc
 	switch e.Kind {
-	case machine.TraceHWBegin:
-		r.inHW[p], r.faulted[p] = true, false
-	case machine.TraceHWAbort:
+	case machine.TraceTxAttempt:
+		r.inHW[p], r.faulted[p] = e.Path == machine.PathHTM, false
+		r.killed[p] = false
+	case machine.TraceTxAbort:
 		r.inHW[p], r.faulted[p] = false, false
-	case machine.TraceHWCommit:
-		if r.faulted[p] {
+	case machine.TraceTxCommit:
+		if r.inHW[p] && r.faulted[p] {
 			r.maskedHW++
 		}
 		r.inHW[p], r.faulted[p] = false, false
@@ -142,8 +143,6 @@ func (r *retryReach) Event(e machine.TraceEvent) {
 		} else if e.Reason == machine.AbortExplicit && e.Peer >= 0 && e.Peer != p {
 			r.ownerAborts++
 		}
-	case machine.TraceTxAttempt:
-		r.killed[p] = false
 	case machine.TraceTxRetryWait:
 		if !r.killed[p] {
 			r.woken++

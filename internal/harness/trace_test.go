@@ -20,18 +20,17 @@ type traceSink interface {
 
 var traceSinks = []struct {
 	format string
-	kinds  machine.Kinds
 	open   func(io.Writer) traceSink
 }{
-	{"text", machine.TraceKinds, func(w io.Writer) traceSink { return machine.NewTextSink(w) }},
-	{"jsonl", machine.TraceKinds, func(w io.Writer) traceSink { return machine.NewJSONLSink(w) }},
-	{"chrome", machine.ChromeKinds, func(w io.Writer) traceSink { return machine.NewChromeSink(w) }},
+	{"text", func(w io.Writer) traceSink { return machine.NewTextSink(w) }},
+	{"jsonl", func(w io.Writer) traceSink { return machine.NewJSONLSink(w) }},
+	{"chrome", func(w io.Writer) traceSink { return machine.NewChromeSink(w) }},
 }
 
 // tracedJob is the cell `tmsim -scale small -trace-out … -trace-workload
 // <workload> -trace-system <system> -trace-threads 2` runs, with sink
-// subscribed to kinds the way tmsim subscribes it.
-func tracedJob(t *testing.T, workload string, system SystemKind, kinds machine.Kinds, sink machine.Observer) Job {
+// subscribed to the printed kinds the way tmsim subscribes it.
+func tracedJob(t *testing.T, workload string, system SystemKind, sink machine.Observer) Job {
 	t.Helper()
 	f, ok := FindWorkload(workload, ScaleSmall)
 	if !ok {
@@ -40,22 +39,21 @@ func tracedJob(t *testing.T, workload string, system SystemKind, kinds machine.K
 	opt := DefaultOptions()
 	opt.Params.Seed = 1 // the tmsim -seed default
 	return Job{System: system, Factory: f, Threads: 2, Opt: opt,
-		Observe: func(m *machine.Machine) { m.Observe(kinds, sink) }}
+		Observe: func(m *machine.Machine) { m.Observe(machine.TraceKinds, sink) }}
 }
 
 // TestTracedJobReproducesRingExport: a sink subscribed through
 // Job.Observe and run by Runner.Execute writes, in each of the three
-// formats, the bytes the trace ring's after-the-run export wrote for the
-// same cell. The goldens are the ring's: they were written by tmsim at
-// a5efdb9, the last commit that had one (vacation-high, ufo-hybrid, 2
-// threads, -scale small, 200 events) — so -update is only for a change
-// that means to move the trace.
+// formats, the bytes of the golden for the same cell (vacation-high,
+// ufo-hybrid, 2 threads, -scale small): the printed trace DESIGN.md §24
+// and §48 describe — so -update is only for a change that means to move
+// the trace.
 func TestTracedJobReproducesRingExport(t *testing.T) {
 	for _, s := range traceSinks {
 		t.Run(s.format, func(t *testing.T) {
 			var got bytes.Buffer
 			sink := s.open(&got)
-			if _, err := Parallel(1).Execute([]Job{tracedJob(t, "vacation-high", UFOHybrid, s.kinds, sink)}); err != nil {
+			if _, err := Parallel(1).Execute([]Job{tracedJob(t, "vacation-high", UFOHybrid, sink)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := sink.Close(); err != nil {
@@ -94,7 +92,7 @@ func TestParallelJobsKeepTheirOwnTraces(t *testing.T) {
 			jobs := make([]Job, len(which))
 			for i, c := range which {
 				sinks[i] = s.open(&bufs[i])
-				jobs[i] = tracedJob(t, cells[c].workload, cells[c].system, s.kinds, sinks[i])
+				jobs[i] = tracedJob(t, cells[c].workload, cells[c].system, sinks[i])
 			}
 			if _, err := r.Execute(jobs); err != nil {
 				t.Fatal(err)
@@ -120,10 +118,11 @@ func TestParallelJobsKeepTheirOwnTraces(t *testing.T) {
 
 // TestLiveStreamEndsFollowTheirBegins is why the Chrome sink needs no
 // arm for an end without a begin: on every system, over the Figure 5
-// workloads, the open-loop service and the syscall failover, each hw/sw commit or abort follows a begin on its processor,
-// each tx-commit a tx-begin, and no tx-begin arrives inside an open
-// transaction. (A begin inside an open attempt is legal — a USTM Retry
-// wake-up — and the sink's one remaining truncation arm.)
+// workloads, the open-loop service and the syscall failover, each
+// tx-abort, tx-retry-wait and tx-commit ends an attempt its processor
+// opened with tx-attempt, no tx-attempt arrives inside an open attempt
+// or outside a transaction, each tx-commit follows a tx-begin, and no
+// tx-begin arrives inside an open transaction.
 func TestLiveStreamEndsFollowTheirBegins(t *testing.T) {
 	factories := append(Benchmarks(ScaleSmall), OLTPBenchmark(ScaleSmall),
 		WorkloadFactory{Name: "failover", New: func() stamp.Workload { return stamp.NewFailover(12, 20) }})
@@ -142,13 +141,19 @@ func TestLiveStreamEndsFollowTheirBegins(t *testing.T) {
 			attempt, tx := make([]bool, threads), make([]bool, threads)
 			for _, e := range log.Events {
 				switch e.Kind {
-				case machine.TraceHWBegin, machine.TraceSWBegin:
+				case machine.TraceTxAttempt:
+					if attempt[e.Proc] || !tx[e.Proc] {
+						t.Fatalf("%s on %s: %v with an attempt open (%v) or no transaction open (%v)",
+							f.Name, kind, e, attempt[e.Proc], !tx[e.Proc])
+					}
 					attempt[e.Proc] = true
-				case machine.TraceHWCommit, machine.TraceSWCommit, machine.TraceHWAbort, machine.TraceSWAbort:
+				case machine.TraceTxAbort, machine.TraceTxRetryWait, machine.TraceTxCommit:
 					if !attempt[e.Proc] {
 						t.Fatalf("%s on %s: %v with no attempt open", f.Name, kind, e)
 					}
 					attempt[e.Proc] = false
+				}
+				switch e.Kind {
 				case machine.TraceTxBegin, machine.TraceTxCommit:
 					if begin := e.Kind == machine.TraceTxBegin; tx[e.Proc] == begin {
 						t.Fatalf("%s on %s: %v with a transaction open: %v", f.Name, kind, e, tx[e.Proc])

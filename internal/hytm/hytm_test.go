@@ -120,7 +120,7 @@ func TestBarrierDetectsSTMOwnership(t *testing.T) {
 			// (Standing in for an aborted long transaction.)
 			func() {
 				defer func() { recover() }()
-				th.Rollback(machine.AbortConflict)
+				th.Rollback()
 			}()
 		},
 	})

@@ -49,7 +49,7 @@ func TestUnobservedEmitsAllocNothing(t *testing.T) {
 			p.SetUFOEnabled(false)
 			got = testing.AllocsPerRun(100, func() {
 				p.TxLifeArrival(p.Now())
-				p.TxLifeBegin()
+				p.TxLifeBegin(1)
 				p.TxLifeAttempt(PathHTM)
 				p.BeginHW(1, true)
 				p.TxRead(64)

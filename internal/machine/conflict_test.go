@@ -10,7 +10,7 @@ import (
 // observeConflicts subscribes two recording observers to m and returns
 // them: one sees the who-aborted-whom edges, the other the commits.
 func observeConflicts(m *Machine) (edges, commits *eventLog) {
-	return observe(m, KindSet(TraceConflict)), observe(m, KindSet(TraceHWCommit, TraceTxCommit))
+	return observe(m, KindSet(TraceConflict)), observe(m, KindSet(TraceTxCommit))
 }
 
 // TestConflictEventHWKill: an age-ordered HW-vs-HW kill emits exactly
@@ -18,22 +18,19 @@ func observeConflicts(m *Machine) (edges, commits *eventLog) {
 // conflicting line, the conflict reason, and a plausible cycle stamp.
 func TestConflictEventHWKill(t *testing.T) {
 	m := New(testParams(2))
-	rec, commits := observeConflicts(m)
+	rec, _ := observeConflicts(m)
+	var outs [2]Outcome
 	m.Run([]func(*Proc){
 		func(p *Proc) {
 			age := p.Machine().NextAge() // older
 			p.Elapse(300)
 			p.BeginHW(age, true)
 			p.TxRead(0) // older requester: aborts the younger owner
-			p.CommitHW()
+			outs[0] = p.CommitHW()
 		},
 		func(p *Proc) {
 			p.BeginHW(p.Machine().NextAge(), true) // younger
-			p.TxWrite(0, 9)
-			p.Elapse(1000)
-			if p.HW() != nil {
-				p.CommitHW()
-			}
+			outs[1] = p.TxWrite(0, 9)              // killed while the store is in flight
 		},
 	})
 	edges := rec.events
@@ -54,8 +51,8 @@ func TestConflictEventHWKill(t *testing.T) {
 		t.Fatalf("edge cycle = %d, machine ran %d", e.Cycle, m.Cycles())
 	}
 	// One HW commit (the aggressor's); edge count matches the abort count.
-	if cs := commits.events; len(cs) != 1 || cs[0].Kind != TraceHWCommit || cs[0].Proc != 0 {
-		t.Fatalf("commits = %+v", cs)
+	if outs != [2]Outcome{okOutcome, {Kind: HWAborted, Reason: AbortConflict}} {
+		t.Fatalf("commit outcomes = %+v", outs)
 	}
 	if m.Count.HWAbortsByReason[AbortConflict] != 1 {
 		t.Fatalf("abort count = %d", m.Count.HWAbortsByReason[AbortConflict])

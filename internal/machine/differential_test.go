@@ -16,9 +16,7 @@ type shadowTx struct {
 	bounded       bool
 	reads, writes map[uint64]bool
 
-	reason  AbortReason // the pending abort, when killed
-	addr    uint64
-	hasAddr bool
+	reason AbortReason // the pending abort, when killed
 }
 
 // oracleVictims is the scan resolveConflicts used to do, kept as the
@@ -43,15 +41,17 @@ func oracleVictims(txs []shadowTx, self int, line uint64, write bool) []int {
 // diffCell drives one machine through a seeded schedule of serialized
 // operations — slot k belongs to one processor, starts at cycle
 // (k+1)*diffSlot and finishes well inside it — and predicts, from the
-// shadow sets and oracleVictims alone, every conflict, nack and hw-abort
-// event the machine must emit.
+// shadow sets and oracleVictims alone, every conflict and nack event
+// the machine must emit, every outcome it must return and every abort it
+// must count.
 type diffCell struct {
-	t    *testing.T
-	m    *Machine
-	rng  *sim.Rand
-	got  *eventLog
-	want []TraceEvent
-	txs  []shadowTx
+	t        *testing.T
+	m        *Machine
+	rng      *sim.Rand
+	got      *eventLog
+	want     []TraceEvent
+	txs      []shadowTx
+	hwAborts [NumAbortReasons]uint64 // Count.HWAbortsByReason, predicted
 
 	verified        int // events already compared
 	holderNotSharer int // victims nominated without a cached copy
@@ -85,20 +85,19 @@ func (c *diffCell) kill(aggressor, victim int, reason AbortReason, addr uint64, 
 		e.Flags = FlagAddr
 	}
 	c.want = append(c.want, e)
-	t.killed, t.reason, t.addr, t.hasAddr = true, reason, addr, hasAddr
+	t.killed, t.reason = true, reason
 	clear(t.reads)
 	clear(t.writes)
 }
 
-// deliver mirrors consumeAbort: the victim's own hw-abort event.
-func (c *diffCell) deliver(id int) {
+// deliver mirrors consumeAbort: the victim's transaction ends, its
+// pending reason is counted, and the operation that retired it returns
+// that reason.
+func (c *diffCell) deliver(id int) Outcome {
 	t := &c.txs[id]
-	e := TraceEvent{Kind: TraceHWAbort, Proc: id, Reason: t.reason, Addr: t.addr, Age: t.age, Flags: FlagAge}
-	if t.hasAddr {
-		e.Flags |= FlagAddr
-	}
-	c.want = append(c.want, e)
+	c.hwAborts[t.reason]++
 	t.live, t.killed = false, false
+	return Outcome{Kind: HWAborted, Reason: t.reason}
 }
 
 // interrupted predicts the timer hook for a clock that moved from
@@ -136,10 +135,10 @@ func evicted(p *Proc, line uint64) (uint64, bool) {
 	return 0, false
 }
 
-func (c *diffCell) expectOutcome(what string, got Outcome, want OutcomeKind) {
+func (c *diffCell) expectOutcome(what string, got, want Outcome) {
 	c.t.Helper()
-	if got.Kind != want {
-		c.failf("%s: outcome %v, oracle predicts %v", what, got.Kind, want)
+	if got != want {
+		c.failf("%s: outcome %+v, oracle predicts %+v", what, got, want)
 	}
 }
 
@@ -158,13 +157,13 @@ func (c *diffCell) txAccess(p *Proc, addr uint64, write bool) {
 	before := p.Now()
 	switch {
 	case t.killed:
-		c.deliver(id)
-		c.expectOutcome(what, do(), HWAborted)
+		want := c.deliver(id)
+		c.expectOutcome(what, do(), want)
 		return
 	case p.UFOEnabled() && c.m.Mem.Faults(addr, write):
 		out := do()
 		c.interrupted(id, before, p.Now())
-		c.expectOutcome(what, out, UFOFault)
+		c.expectOutcome(what, out, Outcome{Kind: UFOFault})
 		return
 	}
 	vs := c.victims(id, line, write)
@@ -172,7 +171,7 @@ func (c *diffCell) txAccess(p *Proc, addr uint64, write bool) {
 		for _, v := range vs {
 			if c.txs[v].age < t.age {
 				c.want = append(c.want, TraceEvent{Kind: TraceNack, Proc: id, Addr: mem.LineAddr(line), Age: t.age, Flags: FlagAddr | FlagAge})
-				c.expectOutcome(what, do(), Nacked)
+				c.expectOutcome(what, do(), Outcome{Kind: Nacked})
 				return
 			}
 		}
@@ -190,12 +189,11 @@ func (c *diffCell) txAccess(p *Proc, addr uint64, write bool) {
 	}
 	out := do()
 	c.interrupted(id, before, p.Now())
+	want := okOutcome
 	if t.killed {
-		c.deliver(id)
-		c.expectOutcome(what, out, HWAborted)
-	} else {
-		c.expectOutcome(what, out, OK)
+		want = c.deliver(id)
 	}
+	c.expectOutcome(what, out, want)
 }
 
 // ntAccess predicts and performs one non-transactional load or store.
@@ -213,9 +211,9 @@ func (c *diffCell) ntAccess(p *Proc, addr uint64, write bool) {
 	} else {
 		_, out = p.NTRead(addr)
 	}
-	want := OK
+	want := okOutcome
 	if faults {
-		want = UFOFault
+		want = Outcome{Kind: UFOFault}
 	}
 	c.expectOutcome(fmt.Sprintf("p%d nt access line %d write=%v", id, line, write), out, want)
 }
@@ -246,10 +244,9 @@ func (c *diffCell) step(p *Proc) {
 	r := c.rng.Intn(10)
 	switch {
 	case t.live && r < 2:
-		want := OK
+		want := okOutcome
 		if t.killed {
-			c.deliver(id)
-			want = HWAborted
+			want = c.deliver(id)
 		}
 		t.live = false
 		clear(t.reads)
@@ -293,6 +290,9 @@ func (c *diffCell) verify(when string) {
 		return
 	}
 	c.verified = len(got)
+	if c.m.Count.HWAbortsByReason != c.hwAborts {
+		c.failf("%s: hardware aborts by reason %v, oracle predicts %v", when, c.m.Count.HWAbortsByReason, c.hwAborts)
+	}
 	if err := c.m.CheckConsistency(); err != nil {
 		c.failf("%s: %v", when, err)
 	}
@@ -304,8 +304,10 @@ func (c *diffCell) verify(when string) {
 // boundaries) under every UFO-kill variant: transactional and plain
 // reads and writes, set_ufo_bits, overflow self-kills in a tiny
 // direct-mapped L1, timer interrupts, and unbounded transactions that
-// keep lines the L1 has evicted. The conflict/nack/hw-abort sequence on
-// the event spine must be the oracle's, event for event, and
+// keep lines the L1 has evicted. The conflict/nack sequence on the event
+// spine must be the oracle's, event for event; every operation must
+// return the oracle's outcome, an abort's reason included, and count
+// each abort the operation retires under its reason; and
 // CheckConsistency must hold after every operation.
 func TestConflictVictimsMatchDeletedScan(t *testing.T) {
 	variants := []struct {
@@ -348,7 +350,7 @@ func runDiffCell(t *testing.T, params Params, steps int) int {
 	for i := range c.txs {
 		c.txs[i].reads, c.txs[i].writes = map[uint64]bool{}, map[uint64]bool{}
 	}
-	c.m.Observe(KindSet(TraceConflict, TraceNack, TraceHWAbort), c.got)
+	c.m.Observe(KindSet(TraceConflict, TraceNack), c.got)
 	slots := make([][]uint64, params.Procs) // per processor, its slots' start cycles
 	for k := 0; k < steps; k++ {
 		p := c.rng.Intn(params.Procs)

@@ -25,8 +25,6 @@ type HWTx struct {
 	writes []uint64 // likewise for Writers
 
 	pendingAbort AbortReason
-	abortAddr    uint64
-	abortHasAddr bool
 }
 
 // Footprint returns the number of distinct lines read or written.
@@ -215,9 +213,8 @@ func (p *Proc) BeginHW(age uint64, bounded bool) {
 		panic("machine: BeginHW found speculative state the last commit or kill left behind")
 	}
 	t.Age, t.Bounded = age, bounded
-	t.pendingAbort, t.abortAddr, t.abortHasAddr = AbortNone, 0, false
+	t.pendingAbort = AbortNone
 	p.hw = t
-	p.emit(TraceEvent{Kind: TraceHWBegin, Proc: p.ID(), Age: age, Flags: FlagAge})
 }
 
 // CommitHW atomically publishes the transaction's speculative writes and
@@ -237,7 +234,6 @@ func (p *Proc) CommitHW() Outcome {
 		t.Spec.Words(p.wrote)
 	}
 	p.m.Count.HWFootprint.Observe(uint64(t.Footprint()))
-	p.emit(TraceEvent{Kind: TraceHWCommit, Proc: p.ID(), Age: t.Age, Flags: FlagAge})
 	t.release()
 	p.hw = nil
 	return okOutcome
@@ -308,14 +304,8 @@ func (p *Proc) conflict(aggressor int, victim *Proc, reason AbortReason, addr ui
 // consumeAbort retires a pending abort: it records statistics, clears the
 // transaction, and returns the HWAborted outcome.
 func (p *Proc) consumeAbort() Outcome {
-	t := p.hw
-	reason, addr := t.pendingAbort, t.abortAddr
+	reason := p.hw.pendingAbort
 	p.m.Count.HWAbortsByReason[reason]++
-	flags := FlagAge
-	if t.abortHasAddr {
-		flags |= FlagAddr
-	}
-	p.emit(TraceEvent{Kind: TraceHWAbort, Proc: p.ID(), Reason: reason, Addr: addr, Age: t.Age, Flags: flags})
 	p.hw = nil
 	return Outcome{Kind: HWAborted, Reason: reason}
 }
@@ -342,8 +332,6 @@ func (p *Proc) killHWFrom(aggressor int, victim *Proc, reason AbortReason, addr 
 	}
 	p.conflict(aggressor, victim, reason, addr, hasAddr, 0)
 	t.pendingAbort = reason
-	t.abortAddr = addr
-	t.abortHasAddr = hasAddr
 	// Speculatively written lines are invalidated on abort (they were
 	// never globally visible); the read set simply loses its SR bits.
 	for _, l := range t.writes {

@@ -14,14 +14,13 @@ import (
 	"repro/internal/ustm"
 )
 
-// TestChromeSinkTruncatesSpanAtRetryWake: the one live producer of a
-// begin while a span is open is a USTM Retry wake-up, which retires the
-// waiting attempt with no sw-commit or sw-abort. On the examples/retrywait
-// shape — producers and consumers around a queue too small for either
-// side not to wait — the Chrome sink closes exactly one "sw-tx" span as
-// truncated per suspension, at the cycle the transaction is re-issued,
-// and leaves nothing open at Close.
-func TestChromeSinkTruncatesSpanAtRetryWake(t *testing.T) {
+// TestChromeSinkEndsSpanAtRetryWait: a USTM Retry wake-up retires the
+// waiting attempt with a tx-retry-wait, not an abort or a commit. On the
+// examples/retrywait shape — producers and consumers around a queue too
+// small for either side not to wait — the Chrome sink ends exactly one
+// "ufo" attempt span with outcome "retry" per suspension, at the cycle
+// of its tx-retry-wait, and leaves nothing open at Close.
+func TestChromeSinkEndsSpanAtRetryWait(t *testing.T) {
 	const items = 40
 	m := machine.New(machine.DefaultParams(4))
 	var chrome bytes.Buffer
@@ -66,17 +65,24 @@ func TestChromeSinkTruncatesSpanAtRetryWake(t *testing.T) {
 	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
 		t.Fatalf("chrome trace is not one JSON document: %v", err)
 	}
-	truncated := 0
-	for _, e := range doc.TraceEvents {
-		if e.Ph != "X" || (e.Args.Outcome != "truncated" && e.Args.Path != "truncated") {
-			continue
-		}
-		if e.Name != "sw-tx" || e.Dur == 0 {
-			t.Errorf("truncated span %+v: want a sw-tx closed at its re-issue, not one flushed open at Close", e)
-		}
-		truncated++
+	ends := map[[2]uint64]bool{} // (proc, cycle) of every tx-retry-wait
+	for _, e := range waits.Events {
+		ends[[2]uint64{uint64(e.Proc), e.Cycle}] = true
 	}
-	if truncated != len(waits.Events) {
-		t.Errorf("%d truncated sw-tx spans for %d retry suspensions", truncated, len(waits.Events))
+	retried := 0
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Ph != "X":
+		case e.Args.Outcome == "truncated" || e.Args.Path == "truncated":
+			t.Errorf("span %+v left open at Close", e)
+		case e.Args.Outcome == "retry":
+			if e.Name != "ufo" || !ends[[2]uint64{uint64(e.Tid), e.Ts + e.Dur}] {
+				t.Errorf("retry span %+v: want a ufo attempt ending at a tx-retry-wait", e)
+			}
+			retried++
+		}
+	}
+	if retried != len(waits.Events) {
+		t.Errorf("%d retry spans for %d retry suspensions", retried, len(waits.Events))
 	}
 }

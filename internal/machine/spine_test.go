@@ -20,51 +20,46 @@ import (
 // peer, addr) in exactly this order under the run-ahead scheduler and
 // under the reference scheduler: each kill is one conflict event on the
 // victim, stamped with the killer's clock, followed — when the victim
-// next runs — by the victim's own abort. The USTM transactions' stores
+// next runs — by the victim's own tx-abort. The hardware transactions
+// are driven through the TxLife hooks by hand, as tm.Driver does. The USTM transactions' stores
 // reach memory in place (mem-write), the victim's rollback of line
 // 0x3000 to 0 included; the hardware one reads only, so it publishes
 // nothing.
 func TestEventOrderTwoProcCollider(t *testing.T) {
 	const hwLine, ufoLine, swLine = 0x1000, 0x2000, 0x3000
 	want := strings.TrimSpace(`
-0 p1 hw-begin age=2
-400 p0 tx-begin
+0 p1 tx-begin age=2
+0 p1 tx-attempt path=htm
+400 p0 tx-begin age=1
 400 p0 tx-attempt path=htm
-400 p0 hw-begin age=1
-400 p1 conflict reason=conflict peer=0 addr=0x1000
-421 p0 hw-commit age=1
-421 p0 tx-commit path=htm
-1300 p1 hw-abort reason=conflict addr=0x1000 age=2
-2000 p0 hw-begin age=3
-2400 p0 conflict reason=ufo-kill peer=1 addr=0x2000
+400 p1 conflict reason=conflict peer=0 addr=0x1000 sw=false
+421 p0 tx-commit path=htm sw=false
+1300 p1 tx-abort reason=conflict path=htm sw=false
+2000 p0 tx-begin age=3
+2000 p0 tx-attempt path=htm
+2400 p0 conflict reason=ufo-kill peer=1 addr=0x2000 sw=false
 2400 p1 ufo-set addr=0x2000
 2466 p1 ufo-set addr=0x2000
-2800 p0 hw-abort reason=ufo-kill addr=0x2000 age=3
-4000 p0 tx-begin
+2800 p0 tx-abort reason=ufo-kill path=htm sw=false
+4000 p0 tx-begin age=4
 4000 p0 tx-attempt path=sw
-4000 p0 sw-begin age=4
-4100 p1 tx-begin
+4100 p1 tx-begin age=5
 4100 p1 tx-attempt path=sw
-4100 p1 sw-begin age=5
 4442 p1 mem-write addr=0x4b80 arg=1
-4601 p1 conflict reason=conflict peer=0 addr=0x3000
+4601 p1 conflict reason=conflict peer=0 addr=0x3000 sw=true
 4751 p1 mem-write addr=0x3000 arg=2
 5352 p1 mem-write addr=0x3000 arg=0
 5416 p1 mem-write addr=0x4b80 arg=1
-5422 p1 sw-abort reason=conflict age=5
-5442 p1 tx-abort reason=conflict path=sw
+5442 p1 tx-abort reason=conflict path=sw sw=true
 5573 p0 mem-write addr=0x4b80 arg=1
 5702 p0 mem-write addr=0x3000 arg=1
 5703 p0 mem-write addr=0x4b80 arg=1
-5729 p0 sw-commit age=4
-5729 p0 tx-commit path=sw
+5729 p0 tx-commit path=sw sw=true
 5762 p1 tx-attempt path=sw
-5762 p1 sw-begin age=5
 5924 p1 mem-write addr=0x4b80 arg=1
 6053 p1 mem-write addr=0x3000 arg=2
 6666 p1 mem-write addr=0x4b80 arg=1
-6692 p1 sw-commit age=5
-6692 p1 tx-commit path=sw
+6692 p1 tx-commit path=sw sw=true
 `)
 	for _, reference := range []bool{false, true} {
 		params := machine.DefaultParams(2)
@@ -84,7 +79,7 @@ func TestEventOrderTwoProcCollider(t *testing.T) {
 				// HW vs HW: the older requester.
 				age := m.NextAge()
 				p.Elapse(400)
-				p.TxLifeBegin()
+				p.TxLifeBegin(age)
 				p.TxLifeAttempt(machine.PathHTM)
 				p.BeginHW(age, true)
 				p.TxRead(hwLine)
@@ -92,10 +87,13 @@ func TestEventOrderTwoProcCollider(t *testing.T) {
 				p.TxLifeCommit(machine.PathHTM, false)
 				// UFO kill: the hardware reader.
 				p.ElapseUntil(2000)
-				p.BeginHW(m.NextAge(), true)
+				age = m.NextAge()
+				p.TxLifeBegin(age)
+				p.TxLifeAttempt(machine.PathHTM)
+				p.BeginHW(age, true)
 				p.TxRead(ufoLine)
 				p.ElapseUntil(2800)
-				p.CommitHW()
+				p.TxLifeAbort(machine.PathHTM, p.CommitHW().Reason, false)
 				// SW kill: the older software transaction.
 				p.ElapseUntil(4000)
 				ex0.Atomic(func(tx tm.Tx) {
@@ -105,10 +103,14 @@ func TestEventOrderTwoProcCollider(t *testing.T) {
 			},
 			func(p *machine.Proc) {
 				// HW vs HW: the younger owner.
-				p.BeginHW(m.NextAge(), true)
+				age := m.NextAge()
+				p.TxLifeBegin(age)
+				p.TxLifeAttempt(machine.PathHTM)
+				p.BeginHW(age, true)
 				p.TxWrite(hwLine, 9)
 				p.ElapseUntil(1300)
-				p.TxRead(hwLine)
+				_, out := p.TxRead(hwLine)
+				p.TxLifeAbort(machine.PathHTM, out.Reason, false)
 				// UFO kill: install and clear protection.
 				p.ElapseUntil(2400)
 				p.SetUFOEnabled(false)

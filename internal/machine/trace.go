@@ -11,42 +11,35 @@ import "fmt"
 // TraceKind classifies machine events.
 type TraceKind uint8
 
-// Event kinds. The first eleven (TraceKinds) are the printed trace;
+// Event kinds. The first nine (TraceKinds) are the printed trace;
 // the rest feed the accounting observers.
 const (
-	TraceHWBegin TraceKind = iota
-	TraceHWCommit
-	TraceHWAbort
-	TraceSWBegin
-	TraceSWCommit
-	TraceSWAbort
-	TraceUFOSet
+	TraceUFOSet TraceKind = iota
 	TraceUFOFault
 	TraceNack
-	// TraceTxBegin and TraceTxCommit bracket one logical transaction (an
-	// Atomic call spanning every attempt); the Chrome sink turns the pair
-	// into a per-transaction span.
-	TraceTxBegin
-	TraceTxCommit
-	// TraceTxAttempt starts one attempt on Path; TraceTxAbort ends it as
-	// failed (a committing attempt ends in TraceTxCommit).
-	TraceTxAttempt
-	TraceTxAbort
-	// TraceTxRetryWait marks a Retry suspension (§6): cycles until the
-	// next TraceTxAttempt are transactional waiting, not wasted work.
-	TraceTxRetryWait
-	// TraceTxBackoff reports Arg cycles just spent in a
-	// contention-management delay.
-	TraceTxBackoff
-	// TraceTxArrival tags the next TraceTxBegin on Proc with the cycle
-	// (Arg) its open-loop request arrived.
-	TraceTxArrival
 	// TraceConflict is one who-aborted-whom edge: Peer performed the action
 	// that aborted Proc's transaction. A self-inflicted abort (explicit,
 	// syscall, overflow, interrupt) has Peer == Proc; Peer is -1 when the
 	// conflicting party is unknown (e.g. a TL2 validation failure against
 	// an already-released stripe). FlagSW marks a software victim.
 	TraceConflict
+	// TraceTxBegin and TraceTxCommit bracket one logical transaction (an
+	// Atomic call spanning every attempt), whose age TraceTxBegin carries.
+	TraceTxBegin
+	// TraceTxAttempt starts one attempt on Path; TraceTxAbort ends it as
+	// failed, TraceTxRetryWait as a Retry suspension (§6: cycles until
+	// the next TraceTxAttempt are transactional waiting, not wasted
+	// work), and TraceTxCommit as the one that committed.
+	TraceTxAttempt
+	TraceTxAbort
+	TraceTxRetryWait
+	TraceTxCommit
+	// TraceTxBackoff reports Arg cycles just spent in a
+	// contention-management delay.
+	TraceTxBackoff
+	// TraceTxArrival tags the next TraceTxBegin on Proc with the cycle
+	// (Arg) its open-loop request arrived.
+	TraceTxArrival
 	// TraceMemWrite is one store reaching simulated memory: Addr, and
 	// the value in Arg. NTWrite and CommitHW's publish emit it, in the
 	// order the stores land.
@@ -56,10 +49,9 @@ const (
 )
 
 var traceKindNames = [numTraceKinds]string{
-	"hw-begin", "hw-commit", "hw-abort", "sw-begin", "sw-commit",
-	"sw-abort", "ufo-set", "ufo-fault", "nack", "tx-begin",
-	"tx-commit", "tx-attempt", "tx-abort", "tx-retry-wait",
-	"tx-backoff", "tx-arrival", "conflict", "mem-write",
+	"ufo-set", "ufo-fault", "nack", "conflict", "tx-begin", "tx-attempt",
+	"tx-abort", "tx-retry-wait", "tx-commit", "tx-backoff", "tx-arrival",
+	"mem-write",
 }
 
 // Kinds is a set of event kinds: what an observer subscribes to.
@@ -78,13 +70,10 @@ func KindSet(ks ...TraceKind) Kinds {
 func (s Kinds) Has(k TraceKind) bool { return s&(1<<k) != 0 }
 
 const (
-	// TraceKinds is the printed trace, hw-begin through tx-commit: what
-	// the sinks subscribe to, so written traces stay byte-stable as
+	// TraceKinds is the printed trace, ufo-set through tx-commit: what
+	// every sink subscribes to, so written traces stay byte-stable as
 	// accounting kinds are added.
 	TraceKinds Kinds = 1<<(TraceTxCommit+1) - 1
-	// ChromeKinds is what a ChromeSink subscribes to: the printed trace
-	// plus the attempt lifecycle its tx spans count.
-	ChromeKinds = TraceKinds | 1<<TraceTxAttempt | 1<<TraceTxAbort
 	// AllKinds is every kind the machine emits.
 	AllKinds Kinds = 1<<numTraceKinds - 1
 )
@@ -111,7 +100,7 @@ const (
 	// FlagPath: the Path field is meaningful.
 	FlagPath
 	// FlagSW: the aborted (victim) transaction of a conflict, or the
-	// committing attempt of a tx-commit, ran in software.
+	// attempt a tx-abort or tx-commit ends, ran in software.
 	FlagSW
 )
 
@@ -125,8 +114,8 @@ type TraceEvent struct {
 	Path   TxPath      // for tx-attempt / tx-abort / tx-commit
 	Flags  TraceFlags  // which of Addr/Age/Path are set; FlagSW
 	Peer   int         // a conflict's aggressor, -1 unknown
-	Addr   uint64      // for ufo-set / ufo-fault / conflict / mem-write addresses
-	Age    uint64      // transaction age, where applicable
+	Addr   uint64      // for ufo-set / ufo-fault / nack / conflict / mem-write addresses
+	Age    uint64      // for tx-begin and nack: the transaction's age
 	Arg    uint64      // tx-backoff: cycles spent; tx-arrival: arrival cycle; mem-write: value
 }
 
@@ -139,22 +128,20 @@ func (e TraceEvent) HasAge() bool { return e.Flags&FlagAge != 0 }
 // HasPath reports whether Path carries the attempt's execution path.
 func (e TraceEvent) HasPath() bool { return e.Flags&FlagPath != 0 }
 
-// SW reports whether a conflict's victim, or a tx-commit's committing
-// attempt, ran in software.
+// SW reports whether a conflict's victim, or the attempt a tx-abort or
+// tx-commit ends, ran in software.
 func (e TraceEvent) SW() bool { return e.Flags&FlagSW != 0 }
 
 // hasReason reports whether Reason is part of the event's printed form.
-func (e TraceEvent) hasReason() bool {
-	switch e.Kind {
-	case TraceHWAbort, TraceSWAbort, TraceTxAbort, TraceConflict:
-		return true
-	}
-	return false
-}
+func (e TraceEvent) hasReason() bool { return e.Kind == TraceTxAbort || e.Kind == TraceConflict }
+
+// hasSW reports whether the FlagSW bit is part of the event's printed
+// form: on tx-abort, tx-commit and conflict.
+func (e TraceEvent) hasSW() bool { return e.hasReason() || e.Kind == TraceTxCommit }
 
 // String formats the event as one line of the text trace.
 func (e TraceEvent) String() string {
-	s := fmt.Sprintf("%10d  p%-2d %-9s", e.Cycle, e.Proc, e.Kind)
+	s := fmt.Sprintf("%10d  p%-2d %-13s", e.Cycle, e.Proc, e.Kind)
 	if e.hasReason() {
 		s += fmt.Sprintf(" reason=%s", e.Reason)
 	}
@@ -169,6 +156,9 @@ func (e TraceEvent) String() string {
 	}
 	if e.HasPath() {
 		s += fmt.Sprintf(" path=%s", e.Path)
+	}
+	if e.hasSW() {
+		s += fmt.Sprintf(" sw=%t", e.SW())
 	}
 	if e.Kind == TraceTxBackoff || e.Kind == TraceTxArrival || e.Kind == TraceMemWrite {
 		s += fmt.Sprintf(" arg=%d", e.Arg)
@@ -219,10 +209,4 @@ func (p *Proc) emit(e TraceEvent) {
 			s.o.Event(e)
 		}
 	}
-}
-
-// RecordSW lets software TMs log their transaction lifecycle (sw-begin,
-// sw-commit, sw-abort) into the event stream.
-func (p *Proc) RecordSW(kind TraceKind, reason AbortReason, age uint64) {
-	p.emit(TraceEvent{Kind: kind, Proc: p.ID(), Reason: reason, Age: age, Flags: FlagAge})
 }

@@ -14,19 +14,24 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 	sink := NewTextSink(&text)
 	m.Observe(TraceKinds, sink)
 	m.Run([]func(*Proc){func(p *Proc) {
-		p.BeginHW(m.NextAge(), true)
+		age := m.NextAge()
+		p.TxLifeBegin(age)
+		p.TxLifeAttempt(PathHTM)
+		p.BeginHW(age, true)
 		p.TxWrite(0, 1)
-		p.CommitHW()
-		p.BeginHW(m.NextAge(), true)
+		p.TxLifeAbort(PathHTM, p.AbortHW(AbortExplicit), false)
+		p.TxLifeAttempt(PathHTM)
+		p.BeginHW(age, true)
 		p.TxWrite(0, 2)
-		p.AbortHW(AbortExplicit)
+		p.CommitHW()
+		p.TxLifeCommit(PathHTM, false)
 	}})
 	events := tr.events
 	var kinds []TraceKind
 	for _, e := range events {
 		kinds = append(kinds, e.Kind)
 	}
-	want := []TraceKind{TraceHWBegin, TraceHWCommit, TraceHWBegin, TraceHWAbort}
+	want := []TraceKind{TraceTxBegin, TraceTxAttempt, TraceConflict, TraceTxAbort, TraceTxAttempt, TraceTxCommit}
 	if len(kinds) != len(want) {
 		t.Fatalf("kinds = %v, want %v", kinds, want)
 	}
@@ -35,10 +40,13 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 			t.Fatalf("kinds = %v, want %v", kinds, want)
 		}
 	}
-	if events[3].Reason != AbortExplicit {
-		t.Fatalf("abort reason = %v", events[3].Reason)
+	if !events[0].HasAge() || events[0].Age != 1 {
+		t.Fatalf("tx-begin = %v, want age 1", events[0])
 	}
-	if err := sink.Close(); err != nil || strings.Count(text.String(), "\n") != 4 || !strings.Contains(text.String(), "hw-commit") {
+	if c, a := events[2], events[3]; c.Reason != AbortExplicit || c.Peer != 0 || a.Reason != AbortExplicit || a.SW() {
+		t.Fatalf("conflict %v, abort %v: want a self-inflicted explicit hardware abort", c, a)
+	}
+	if err := sink.Close(); err != nil || strings.Count(text.String(), "\n") != 6 || !strings.Contains(text.String(), "tx-commit     path=htm sw=false") {
 		t.Fatalf("text sink (err %v) missing events:\n%s", err, text.String())
 	}
 }

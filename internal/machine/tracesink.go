@@ -6,12 +6,12 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // The sinks are Observers that render the printed kinds to an io.Writer
 // as the run emits them: subscribe one with Machine.Observe(TraceKinds,
-// sink) (a ChromeSink with ChromeKinds) before Run and Close it
-// afterwards, whether or not the run finished — a sink holds no event,
+// sink) before Run and Close it afterwards, whether or not the run finished — a sink holds no event,
 // so the file of a run that died ends where the run did.
 
 // sinkWriter is what every sink writes through: a bufio.Writer, which
@@ -38,9 +38,10 @@ func (s *TextSink) Event(e TraceEvent) { fmt.Fprintln(s.w, e) }
 
 // JSONLSink writes one JSON object per event, with a fixed field order:
 //
-//	{"cycle":12,"proc":0,"kind":"hw-abort","reason":"conflict","addr":"0x1c0","age":3}
+//	{"cycle":12,"proc":0,"kind":"conflict","reason":"conflict","peer":1,"addr":"0x1c0","sw":false}
 //
-// "reason" appears only on aborts; "addr", "age" and "path" appear
+// "reason" appears on tx-abort and conflict, "peer" on conflict, "sw" on
+// tx-abort, tx-commit and conflict; "addr", "age" and "path" appear
 // exactly when the event carries them (address 0 and age 0 included —
 // see TraceFlags).
 // The line format is stable and documented in OBSERVABILITY.md.
@@ -66,6 +67,10 @@ func (s *JSONLSink) Event(e TraceEvent) {
 		buf = append(buf, `,"reason":`...)
 		buf = strconv.AppendQuote(buf, e.Reason.String())
 	}
+	if e.Kind == TraceConflict {
+		buf = append(buf, `,"peer":`...)
+		buf = strconv.AppendInt(buf, int64(e.Peer), 10)
+	}
 	if e.HasAddr() {
 		buf = append(buf, `,"addr":"0x`...)
 		buf = append(strconv.AppendUint(buf, e.Addr, 16), '"')
@@ -78,33 +83,36 @@ func (s *JSONLSink) Event(e TraceEvent) {
 		buf = append(buf, `,"path":`...)
 		buf = strconv.AppendQuote(buf, e.Path.String())
 	}
+	if e.hasSW() {
+		buf = append(buf, `,"sw":`...)
+		buf = strconv.AppendBool(buf, e.SW())
+	}
 	s.buf = append(buf, '}', '\n')
 	s.w.Write(s.buf)
 }
 
 // --- Chrome trace_event sink ---
 
-// chromeOpen tracks an in-flight transaction attempt on one simulated
-// processor.
-type chromeOpen struct {
+// chromeAttempt tracks an in-flight attempt (tx-attempt → tx-abort,
+// tx-retry-wait or tx-commit) on one simulated processor.
+type chromeAttempt struct {
 	begin uint64
-	age   uint64
-	hw    bool
+	path  TxPath
 }
 
 // chromeTx tracks an in-flight logical transaction (tx-begin → tx-commit)
-// on one simulated processor: its start cycle, how many attempts it has
-// made, and the abort reasons it accumulated along the way.
+// on one simulated processor: its start cycle and age, how many attempts
+// it has made, and the abort reasons it accumulated along the way.
 type chromeTx struct {
-	begin    uint64
-	attempts uint64
-	aborts   [NumAbortReasons]uint64
+	begin, age uint64
+	attempts   uint64
+	aborts     [NumAbortReasons]uint64
 }
 
-// args renders the tx span's args object (attempt count, committing
-// path, and per-reason abort counts in declaration order).
+// args renders the tx span's args object (committing path, age, attempt
+// count, and per-reason abort counts in declaration order).
 func (t *chromeTx) args(path string) string {
-	args := fmt.Sprintf(`"path":%q,"attempts":%d`, path, t.attempts)
+	args := fmt.Sprintf(`"path":%q,"age":%d,"attempts":%d`, path, t.age, t.attempts)
 	aborts := ""
 	for r := 1; r < NumAbortReasons; r++ {
 		if t.aborts[r] == 0 {
@@ -125,34 +133,35 @@ func (t *chromeTx) args(path string) string {
 // Perfetto / about://tracing), with one track ("thread") per simulated
 // processor under a single "tmsim machine" process:
 //
-//   - HW and SW transaction lifetimes become complete ("X") duration
-//     events named "hw-tx" / "sw-tx", spanning begin → commit/abort, with
-//     the age, outcome, abort reason, and conflict address in args;
-//   - tx-begin/tx-commit pairs (the Proc.TxLife* lifecycle hooks) become
-//     enclosing per-transaction "tx" spans — begin through every aborted
-//     attempt to the final commit — with the committing path, the attempt
-//     count (tx-attempt), and per-reason abort counts (tx-abort) in args,
-//     which every Atomic loop emits; and
-//   - ufo-set, ufo-fault and nack become thread-scoped
+//   - each attempt (tx-attempt) becomes a complete ("X") duration event
+//     named by its path (htm, ufo, sw, fallback), ending at its tx-abort
+//     (outcome abort, with the reason), tx-retry-wait (outcome retry) or
+//     tx-commit (outcome commit);
+//   - each transaction (tx-begin → tx-commit) becomes an enclosing "tx"
+//     span — begin through every aborted attempt to the final commit —
+//     with the committing path, the age, the attempt count and
+//     per-reason abort counts in args; and
+//   - ufo-set, ufo-fault, nack and conflict become thread-scoped
 //     instant ("i") events.
 //
 // Timestamps are simulated cycles written as microseconds (1 cycle =
 // 1 µs), so Perfetto's time axis reads directly in cycles. The sink
-// relies on the machine's order: a commit, abort or tx-commit follows
-// its begin on the same processor.
+// relies on the machine's order: an attempt's end follows its
+// tx-attempt, and a tx-commit its tx-begin, on the same processor.
 type ChromeSink struct {
 	sinkWriter
-	wrote bool // at least one event emitted
-	open  map[int]chromeOpen
-	tx    map[int]*chromeTx
-	named map[int]bool
+	wrote   bool   // at least one event emitted
+	last    uint64 // the latest cycle seen: where Close ends open spans
+	attempt map[int]chromeAttempt
+	tx      map[int]*chromeTx
+	named   map[int]bool
 }
 
 // NewChromeSink returns a Chrome trace_event sink over w.
 func NewChromeSink(w io.Writer) *ChromeSink {
 	return &ChromeSink{
 		sinkWriter: sinkWriter{bufio.NewWriter(w)},
-		open:       make(map[int]chromeOpen),
+		attempt:    make(map[int]chromeAttempt),
 		tx:         make(map[int]*chromeTx),
 		named:      make(map[int]bool),
 	}
@@ -183,54 +192,45 @@ func (s *ChromeSink) nameTrack(proc int) {
 	s.emit(fmt.Sprintf(`{"name":"thread_sort_index","ph":"M","pid":0,"tid":%d,"args":{"sort_index":%d}}`, proc, proc))
 }
 
-// txArgs renders the args object for a completed transaction span.
-func txArgs(e TraceEvent, open chromeOpen, outcome string) string {
-	args := fmt.Sprintf(`"age":%d,"outcome":%q`, open.age, outcome)
-	if outcome == "abort" {
-		args += fmt.Sprintf(`,"reason":%q`, e.Reason.String())
-		if e.HasAddr() {
-			args += fmt.Sprintf(`,"addr":"0x%x"`, e.Addr)
-		}
-	}
-	return args
-}
-
 // Event implements Observer.
 func (s *ChromeSink) Event(e TraceEvent) {
 	s.nameTrack(e.Proc)
+	s.last = max(s.last, e.Cycle)
 	switch e.Kind {
-	case TraceHWBegin, TraceSWBegin:
-		// A begin while a span is open: the previous attempt was retired
-		// with no commit or abort event, which a USTM Retry wake-up does
-		// (ustm.Thread.RunTx); close it at this cycle.
-		if prev, ok := s.open[e.Proc]; ok {
-			s.closeSpan(e.Proc, prev, e.Cycle, `"outcome":"truncated"`)
-		}
-		s.open[e.Proc] = chromeOpen{begin: e.Cycle, age: e.Age, hw: e.Kind == TraceHWBegin}
-	case TraceHWCommit, TraceSWCommit, TraceHWAbort, TraceSWAbort:
-		outcome := "commit"
-		if e.Kind == TraceHWAbort || e.Kind == TraceSWAbort {
-			outcome = "abort"
-		}
-		open := s.open[e.Proc]
-		delete(s.open, e.Proc)
-		s.closeSpan(e.Proc, open, e.Cycle, txArgs(e, open, outcome))
 	case TraceTxBegin:
-		s.tx[e.Proc] = &chromeTx{begin: e.Cycle}
+		s.tx[e.Proc] = &chromeTx{begin: e.Cycle, age: e.Age}
 	case TraceTxAttempt:
 		if tx, ok := s.tx[e.Proc]; ok {
 			tx.attempts++
 		}
+		s.attempt[e.Proc] = chromeAttempt{begin: e.Cycle, path: e.Path}
 	case TraceTxAbort:
 		if tx, ok := s.tx[e.Proc]; ok && int(e.Reason) < NumAbortReasons {
 			tx.aborts[e.Reason]++
 		}
+		s.closeAttempt(e.Proc, e.Cycle, fmt.Sprintf(`"outcome":"abort","reason":%q`, e.Reason.String()))
+	case TraceTxRetryWait:
+		s.closeAttempt(e.Proc, e.Cycle, `"outcome":"retry"`)
 	case TraceTxCommit:
-		s.closeTx(e.Proc, s.tx[e.Proc], e.Cycle, e.Path.String())
-		delete(s.tx, e.Proc)
+		s.closeAttempt(e.Proc, e.Cycle, `"outcome":"commit"`)
+		if tx, ok := s.tx[e.Proc]; ok {
+			s.closeTx(e.Proc, tx, e.Cycle, e.Path.String())
+			delete(s.tx, e.Proc)
+		}
 	default:
 		s.instant(e)
 	}
+}
+
+// closeAttempt emits proc's open attempt, if any, as a span ending at end.
+func (s *ChromeSink) closeAttempt(proc int, end uint64, args string) {
+	a, ok := s.attempt[proc]
+	if !ok {
+		return
+	}
+	delete(s.attempt, proc)
+	s.emit(fmt.Sprintf(`{"name":%q,"ph":"X","pid":0,"tid":%d,"ts":%d,"dur":%d,"args":{%s}}`,
+		a.path.String(), proc, a.begin, end-a.begin, args))
 }
 
 // closeTx emits the enclosing per-transaction ("tx") span.
@@ -239,62 +239,50 @@ func (s *ChromeSink) closeTx(proc int, tx *chromeTx, end uint64, path string) {
 		proc, tx.begin, end-tx.begin, tx.args(path)))
 }
 
-// closeSpan emits a complete ("X") event for a transaction span.
-func (s *ChromeSink) closeSpan(proc int, open chromeOpen, end uint64, args string) {
-	name := "hw-tx"
-	if !open.hw {
-		name = "sw-tx"
-	}
-	s.emit(fmt.Sprintf(`{"name":%q,"ph":"X","pid":0,"tid":%d,"ts":%d,"dur":%d,"args":{%s}}`,
-		name, proc, open.begin, end-open.begin, args))
-}
-
-// instant emits a thread-scoped instant ("i") event.
+// instant emits a thread-scoped instant ("i") event, its args in the
+// JSONL sink's order.
 func (s *ChromeSink) instant(e TraceEvent) {
-	args := ""
-	if e.hasReason() {
-		args = fmt.Sprintf(`"reason":%q`, e.Reason.String())
+	var args []string
+	if e.Kind == TraceConflict {
+		args = append(args, fmt.Sprintf(`"reason":%q,"peer":%d`, e.Reason.String(), e.Peer))
 	}
 	if e.HasAddr() {
-		if args != "" {
-			args += ","
-		}
-		args += fmt.Sprintf(`"addr":"0x%x"`, e.Addr)
+		args = append(args, fmt.Sprintf(`"addr":"0x%x"`, e.Addr))
 	}
 	if e.HasAge() {
-		if args != "" {
-			args += ","
-		}
-		args += fmt.Sprintf(`"age":%d`, e.Age)
+		args = append(args, fmt.Sprintf(`"age":%d`, e.Age))
+	}
+	if e.Kind == TraceConflict {
+		args = append(args, fmt.Sprintf(`"sw":%t`, e.SW()))
 	}
 	s.emit(fmt.Sprintf(`{"name":%q,"ph":"i","s":"t","pid":0,"tid":%d,"ts":%d,"args":{%s}}`,
-		e.Kind.String(), e.Proc, e.Cycle, args))
+		e.Kind.String(), e.Proc, e.Cycle, strings.Join(args, ",")))
 }
 
-// Close flushes the sink: still-open transaction spans are flushed as
-// truncated (the run ended mid-transaction), the array is closed, and the
-// writer flushed.
+// Close flushes the sink: spans still open (the run ended
+// mid-transaction) end at the last cycle the sink saw, with outcome (an
+// attempt's) or path (a tx's) "truncated"; then the array is closed and
+// the writer flushed.
 func (s *ChromeSink) Close() error {
-	procs := make([]int, 0, len(s.open))
-	for p := range s.open {
-		procs = append(procs, p)
+	for _, p := range sortedKeys(s.attempt) {
+		s.closeAttempt(p, s.last, `"outcome":"truncated"`)
 	}
-	sort.Ints(procs)
-	for _, p := range procs {
-		open := s.open[p]
-		s.closeSpan(p, open, open.begin, `"outcome":"truncated"`)
-	}
-	procs = procs[:0]
-	for p := range s.tx {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	for _, p := range procs {
-		s.closeTx(p, s.tx[p], s.tx[p].begin, "truncated")
+	for _, p := range sortedKeys(s.tx) {
+		s.closeTx(p, s.tx[p], s.last, "truncated")
 	}
 	if !s.wrote {
 		s.w.WriteString(chromeHeader)
 	}
 	s.w.WriteString("\n]}\n")
 	return s.sinkWriter.Close()
+}
+
+// sortedKeys returns m's processors in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
+	procs := make([]int, 0, len(m))
+	for p := range m {
+		procs = append(procs, p)
+	}
+	sort.Ints(procs)
+	return procs
 }

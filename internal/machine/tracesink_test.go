@@ -16,26 +16,40 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite trace sink golden files")
 
 // goldenEvents is a handcrafted event stream covering every sink corner:
-// commit and abort lifecycles on two processors, an abort at address 0
-// and a UFO set at address 0 (real zeros — the TraceFlags bugfix), a
-// NACK, software-transaction events, an age-0 transaction, and a
-// transaction left open at the end of the stream (a run that died). It is
-// a stream a machine can emit: every commit and abort follows its begin
-// on the same processor.
+// commit, abort and Retry-wait lifecycles on two processors, a conflict
+// at address 0 and a UFO set at address 0 (real zeros — the TraceFlags
+// bugfix), a NACK, hardware and software attempts on every path, an
+// age-0 transaction, and a transaction and an attempt left open, with an
+// event after them (a run that died). It is a stream a machine can emit:
+// every attempt's end follows its tx-attempt, and every tx-commit its
+// tx-begin, on the same processor.
 func goldenEvents() []TraceEvent {
 	return []TraceEvent{
-		{Cycle: 10, Proc: 0, Kind: TraceHWBegin, Age: 1, Flags: FlagAge},
-		{Cycle: 12, Proc: 1, Kind: TraceSWBegin, Age: 2, Flags: FlagAge},
+		{Cycle: 10, Proc: 0, Kind: TraceTxBegin, Age: 1, Flags: FlagAge},
+		{Cycle: 10, Proc: 0, Kind: TraceTxAttempt, Path: PathHTM, Flags: FlagPath},
+		{Cycle: 12, Proc: 1, Kind: TraceTxBegin, Age: 2, Flags: FlagAge},
+		{Cycle: 12, Proc: 1, Kind: TraceTxAttempt, Path: PathUFO, Flags: FlagPath},
 		{Cycle: 15, Proc: 0, Kind: TraceNack, Addr: 0x1c0, Age: 1, Flags: FlagAddr | FlagAge},
-		{Cycle: 20, Proc: 0, Kind: TraceHWCommit, Age: 1, Flags: FlagAge},
+		{Cycle: 20, Proc: 0, Kind: TraceTxCommit, Path: PathHTM, Flags: FlagPath},
 		{Cycle: 22, Proc: 1, Kind: TraceUFOSet, Addr: 0, Flags: FlagAddr},
-		{Cycle: 25, Proc: 0, Kind: TraceHWBegin, Age: 3, Flags: FlagAge},
+		{Cycle: 25, Proc: 0, Kind: TraceTxBegin, Age: 3, Flags: FlagAge},
+		{Cycle: 25, Proc: 0, Kind: TraceTxAttempt, Path: PathHTM, Flags: FlagPath},
 		{Cycle: 28, Proc: 0, Kind: TraceUFOFault, Addr: 0x200, Flags: FlagAddr},
-		{Cycle: 30, Proc: 0, Kind: TraceHWAbort, Reason: AbortUFOKill, Addr: 0, Age: 3, Flags: FlagAddr | FlagAge},
-		{Cycle: 34, Proc: 1, Kind: TraceSWCommit, Age: 2, Flags: FlagAge},
-		{Cycle: 36, Proc: 1, Kind: TraceHWBegin, Age: 0, Flags: FlagAge},
-		{Cycle: 38, Proc: 1, Kind: TraceHWAbort, Reason: AbortInterrupt, Age: 0, Flags: FlagAge},
-		{Cycle: 40, Proc: 2, Kind: TraceHWBegin, Age: 5, Flags: FlagAge}, // left open
+		{Cycle: 29, Proc: 0, Kind: TraceConflict, Reason: AbortUFOKill, Peer: 1, Addr: 0, Flags: FlagAddr},
+		{Cycle: 30, Proc: 0, Kind: TraceTxAbort, Reason: AbortUFOKill, Path: PathHTM, Flags: FlagPath},
+		{Cycle: 31, Proc: 0, Kind: TraceTxAttempt, Path: PathFallback, Flags: FlagPath},
+		{Cycle: 33, Proc: 1, Kind: TraceTxRetryWait},
+		{Cycle: 34, Proc: 1, Kind: TraceTxAttempt, Path: PathUFO, Flags: FlagPath},
+		{Cycle: 36, Proc: 1, Kind: TraceTxCommit, Path: PathUFO, Flags: FlagPath | FlagSW},
+		{Cycle: 37, Proc: 0, Kind: TraceTxCommit, Path: PathFallback, Flags: FlagPath | FlagSW},
+		{Cycle: 38, Proc: 1, Kind: TraceTxBegin, Age: 0, Flags: FlagAge},
+		{Cycle: 38, Proc: 1, Kind: TraceTxAttempt, Path: PathSW, Flags: FlagPath},
+		{Cycle: 39, Proc: 1, Kind: TraceConflict, Reason: AbortConflict, Peer: -1, Flags: FlagSW},
+		{Cycle: 40, Proc: 1, Kind: TraceTxAbort, Reason: AbortConflict, Path: PathSW, Flags: FlagPath | FlagSW},
+		{Cycle: 40, Proc: 2, Kind: TraceTxBegin, Age: 5, Flags: FlagAge}, // left open
+		{Cycle: 40, Proc: 2, Kind: TraceTxAttempt, Path: PathHTM, Flags: FlagPath},
+		{Cycle: 44, Proc: 1, Kind: TraceTxAttempt, Path: PathSW, Flags: FlagPath}, // left open
+		{Cycle: 47, Proc: 0, Kind: TraceUFOSet, Addr: 0x40, Flags: FlagAddr},
 	}
 }
 
@@ -99,40 +113,46 @@ func TestChromeSinkGolden(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("chrome trace has no events")
 	}
-	// Spans carry ph=X with ts/dur; the open transaction is flushed as
-	// truncated at Close.
-	var spans, truncated int
+	// Spans carry ph=X with ts/dur; what is open at Close is flushed as
+	// truncated, ending at the last cycle the sink saw (47).
+	var attempts, txs, truncated int
 	for _, e := range doc.TraceEvents {
-		if e["ph"] == "X" {
-			spans++
-			args := e["args"].(map[string]any)
-			if args["outcome"] == "truncated" {
-				truncated++
+		if e["ph"] != "X" {
+			continue
+		}
+		if e["name"] == "tx" {
+			txs++
+		} else {
+			attempts++
+		}
+		args := e["args"].(map[string]any)
+		if args["outcome"] == "truncated" || args["path"] == "truncated" {
+			truncated++
+			if e["ts"].(float64)+e["dur"].(float64) != 47 || e["dur"].(float64) <= 0 {
+				t.Errorf("truncated span %v: want it to end at cycle 47, after it began", e)
 			}
 		}
 	}
-	// Spans: p0 commit, p0 abort, p1 sw commit, p1 age-0 abort, p2
-	// truncated-at-close.
-	if spans != 5 || truncated != 1 {
-		t.Fatalf("spans=%d truncated=%d, want 5/1", spans, truncated)
+	// Attempts: p0 htm commit, htm abort, fallback commit; p1 ufo retry,
+	// ufo commit, sw abort, sw truncated; p2 htm truncated. Transactions:
+	// p0's two, p1's committed and truncated ones, p2's truncated one.
+	if attempts != 8 || txs != 5 || truncated != 4 {
+		t.Fatalf("attempt spans=%d tx spans=%d truncated=%d, want 8/5/4", attempts, txs, truncated)
 	}
 	checkGolden(t, "trace.chrome.golden.json", buf.Bytes())
 }
 
 // TestChromeSinkTxSpans: tx-begin/tx-commit lifecycle events become
 // enclosing "tx" spans carrying the committing path, the attempt count
-// (tx-attempt) and per-reason abort counts (tx-abort); a tx left open at
-// Close flushes as truncated.
+// (tx-attempt) and per-reason abort counts (tx-abort), around one span
+// per attempt named by its path; a tx left open at Close flushes as
+// truncated.
 func TestChromeSinkTxSpans(t *testing.T) {
 	events := []TraceEvent{
 		{Cycle: 5, Proc: 0, Kind: TraceTxBegin},
 		{Cycle: 6, Proc: 0, Kind: TraceTxAttempt, Path: PathHTM, Flags: FlagPath},
-		{Cycle: 6, Proc: 0, Kind: TraceHWBegin, Age: 1, Flags: FlagAge},
-		{Cycle: 14, Proc: 0, Kind: TraceHWAbort, Reason: AbortConflict, Age: 1, Flags: FlagAge},
 		{Cycle: 14, Proc: 0, Kind: TraceTxAbort, Path: PathHTM, Reason: AbortConflict, Flags: FlagPath},
 		{Cycle: 20, Proc: 0, Kind: TraceTxAttempt, Path: PathHTM, Flags: FlagPath},
-		{Cycle: 20, Proc: 0, Kind: TraceHWBegin, Age: 2, Flags: FlagAge},
-		{Cycle: 30, Proc: 0, Kind: TraceHWCommit, Age: 2, Flags: FlagAge},
 		{Cycle: 31, Proc: 0, Kind: TraceTxCommit, Path: PathHTM, Flags: FlagPath},
 		{Cycle: 40, Proc: 1, Kind: TraceTxBegin}, // left open: truncated at Close
 	}
@@ -151,7 +171,11 @@ func TestChromeSinkTxSpans(t *testing.T) {
 		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
 	}
 	var spans, truncated int
+	var outcomes []any
 	for _, e := range doc.TraceEvents {
+		if e["name"] == "htm" {
+			outcomes = append(outcomes, e["args"].(map[string]any)["outcome"])
+		}
 		if e["name"] != "tx" || e["ph"] != "X" {
 			continue
 		}
@@ -178,6 +202,9 @@ func TestChromeSinkTxSpans(t *testing.T) {
 	if spans != 1 || truncated != 1 {
 		t.Fatalf("tx spans=%d truncated=%d, want 1/1\n%s", spans, truncated, buf.String())
 	}
+	if len(outcomes) != 2 || outcomes[0] != "abort" || outcomes[1] != "commit" {
+		t.Fatalf("htm attempt spans end in %v, want abort then commit", outcomes)
+	}
 }
 
 // TestJSONLSinkTxPath: tx-commit events carry the committing path by
@@ -195,15 +222,16 @@ func TestJSONLSinkTxPath(t *testing.T) {
 }
 
 // TestMachineTxLifeSpansInTrace: a real run through the TxLife hooks
-// lands tx-begin/tx-commit events in the printed trace alongside the
-// hardware attempt events, without advancing the simulated clock.
+// lands tx-begin/tx-commit events in the printed trace, without
+// advancing the simulated clock.
 func TestMachineTxLifeSpansInTrace(t *testing.T) {
 	m := New(testParams(1))
 	tr := observe(m, TraceKinds)
 	m.Run([]func(*Proc){func(p *Proc) {
-		p.TxLifeBegin()
+		age := m.NextAge()
+		p.TxLifeBegin(age)
 		p.TxLifeAttempt(PathHTM)
-		p.BeginHW(m.NextAge(), true)
+		p.BeginHW(age, true)
 		p.TxWrite(64, 1)
 		p.CommitHW()
 		p.TxLifeCommit(PathHTM, false)
@@ -246,16 +274,15 @@ func TestTextSinkMatchesDump(t *testing.T) {
 }
 
 // TestTraceEventZeroAddrAndAge is the regression for the String()
-// suppression bug: an abort at address 0 and an age-0 transaction are
-// real values and must render, while genuinely unset fields must not.
+// suppression bug: a NACK at address 0 by an age-0 transaction carries
+// real values that must render, while genuinely unset fields must not.
 func TestTraceEventZeroAddrAndAge(t *testing.T) {
-	withZeros := TraceEvent{Cycle: 5, Proc: 0, Kind: TraceHWAbort, Reason: AbortUFOKill,
-		Addr: 0, Age: 0, Flags: FlagAddr | FlagAge}
+	withZeros := TraceEvent{Cycle: 5, Proc: 0, Kind: TraceNack, Addr: 0, Age: 0, Flags: FlagAddr | FlagAge}
 	s := withZeros.String()
 	if !strings.Contains(s, "addr=0x0") || !strings.Contains(s, "age=0") {
 		t.Errorf("zero-valued set fields suppressed: %q", s)
 	}
-	unset := TraceEvent{Cycle: 5, Proc: 0, Kind: TraceHWAbort, Reason: AbortInterrupt}
+	unset := TraceEvent{Cycle: 5, Proc: 0, Kind: TraceConflict, Reason: AbortInterrupt}
 	s = unset.String()
 	if strings.Contains(s, "addr=") || strings.Contains(s, "age=") {
 		t.Errorf("unset fields rendered: %q", s)
@@ -278,8 +305,8 @@ func TestTraceEventZeroAddrAndAge(t *testing.T) {
 }
 
 // TestMachineRecordsFlags checks the machine sets TraceFlags correctly on
-// real runs: an abort caused by a conflict at line-0 addresses carries
-// addr 0 with FlagAddr set.
+// real runs: the conflict that aborts a transaction at line-0 addresses
+// carries addr 0 with FlagAddr set, and no age.
 func TestMachineRecordsFlags(t *testing.T) {
 	m := New(testParams(2))
 	tr := observe(m, TraceKinds)
@@ -300,15 +327,11 @@ func TestMachineRecordsFlags(t *testing.T) {
 	})
 	var sawAbortAt0 bool
 	for _, e := range tr.events {
-		switch e.Kind {
-		case TraceHWBegin, TraceHWCommit:
-			if !e.HasAge() || e.HasAddr() {
-				t.Errorf("%s flags = %b", e.Kind, e.Flags)
-			}
-		case TraceHWAbort:
-			if e.HasAddr() && e.Addr == 0 {
-				sawAbortAt0 = true
-			}
+		if e.Kind != TraceConflict || e.HasAge() || e.SW() {
+			t.Errorf("%s flags = %b, want one hardware conflict with no age", e.Kind, e.Flags)
+		}
+		if e.HasAddr() && e.Addr == 0 {
+			sawAbortAt0 = true
 		}
 	}
 	if !sawAbortAt0 {
@@ -324,9 +347,10 @@ func TestMachineRecordsFlags(t *testing.T) {
 // not move its cycles or counters.
 func TestStreamingSinkMatchesExport(t *testing.T) {
 	workload := []func(*Proc){func(p *Proc) {
-		p.TxLifeBegin()
+		age := p.Machine().NextAge()
+		p.TxLifeBegin(age)
 		p.TxLifeAttempt(PathHTM)
-		p.BeginHW(p.Machine().NextAge(), true)
+		p.BeginHW(age, true)
 		p.TxWrite(64, 7)
 		p.CommitHW()
 		p.TxLifeCommit(PathHTM, false)
@@ -344,7 +368,7 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 	sink := NewJSONLSink(&live)
 	m.Observe(TraceKinds, sink)
 	edges := observe(m, KindSet(TraceConflict, TraceTxCommit))
-	lifecycle := observe(m, AllKinds&^TraceKinds|KindSet(TraceTxBegin, TraceTxCommit))
+	lifecycle := observe(m, AllKinds&^TraceKinds|KindSet(TraceTxBegin, TraceTxAttempt, TraceTxCommit))
 	m.Run(workload)
 	// Flush the live sink (the machine never closes observers itself).
 	if err := sink.Close(); err != nil {
@@ -374,18 +398,18 @@ func TestStreamingSinkMatchesExport(t *testing.T) {
 	}
 }
 
-// TestAccountingKindsRender: the kinds outside the printed trace still
-// have a complete text form (what a failing stream assertion prints) — a
-// conflict names its reason, aggressor and line; a backoff its cycles —
-// and the three kind sets are what they say.
+// TestAccountingKindsRender: every kind has a complete text form, those
+// outside the printed trace included (what a failing stream assertion
+// prints) — a conflict names its reason, aggressor, line and victim's
+// side; a backoff its cycles — and the two kind sets are what they say.
 func TestAccountingKindsRender(t *testing.T) {
 	conflict := TraceEvent{Cycle: 7, Proc: 1, Kind: TraceConflict, Reason: AbortUFOKill,
 		Peer: -1, Addr: 0x40, Flags: FlagAddr | FlagSW}
 	backoff := TraceEvent{Cycle: 9, Proc: 0, Kind: TraceTxBackoff, Arg: 48}
-	if s := conflict.String(); !strings.Contains(s, "reason=ufo-kill peer=-1 addr=0x40") {
+	if s := conflict.String(); !strings.Contains(s, "reason=ufo-kill peer=-1 addr=0x40 sw=true") {
 		t.Errorf("conflict text = %q", s)
 	}
-	if s := backoff.String(); !strings.Contains(s, "tx-backoff arg=48") {
+	if s := backoff.String(); !strings.Contains(s, "tx-backoff    arg=48") {
 		t.Errorf("backoff text = %q", s)
 	}
 	for k := TraceKind(0); k < numTraceKinds; k++ {
@@ -394,9 +418,6 @@ func TestAccountingKindsRender(t *testing.T) {
 		}
 		if TraceKinds.Has(k) != (k <= TraceTxCommit) || !AllKinds.Has(k) {
 			t.Errorf("kind %s: printed=%v all=%v", k, TraceKinds.Has(k), AllKinds.Has(k))
-		}
-		if ChromeKinds.Has(k) != (TraceKinds.Has(k) || k == TraceTxAttempt || k == TraceTxAbort) {
-			t.Errorf("kind %s: chrome=%v", k, ChromeKinds.Has(k))
 		}
 	}
 }

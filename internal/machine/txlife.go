@@ -5,8 +5,8 @@ package machine
 // begin → attempt → abort/backoff/retry-wait → commit sequence. Each
 // counts it in the machine's tally (Counters), which nothing else
 // writes, and puts it on the event stream, where txstats.Recorder times
-// it and the Chrome sink turns tx-begin/tx-commit into per-transaction
-// spans. Like every emit they never advance the simulated clock and
+// it and the Chrome sink draws each attempt and each transaction as a
+// span. Like every emit they never advance the simulated clock and
 // never draw from any RNG, so observed and unobserved runs are
 // cycle-identical, and each costs one mask test when nobody subscribed
 // to its kind.
@@ -19,10 +19,10 @@ func (p *Proc) TxLifeArrival(cycle uint64) {
 }
 
 // TxLifeBegin marks the start of one logical transaction (an Atomic
-// call spanning every attempt).
-func (p *Proc) TxLifeBegin() {
+// call spanning every attempt) of the given age (NextAge).
+func (p *Proc) TxLifeBegin(age uint64) {
 	p.m.Count.Begun++
-	p.emit(TraceEvent{Kind: TraceTxBegin, Proc: p.ID()})
+	p.emit(TraceEvent{Kind: TraceTxBegin, Proc: p.ID(), Age: age, Flags: FlagAge})
 }
 
 // TxLifeAttempt marks the start of one attempt on the given path.
@@ -35,10 +35,12 @@ func (p *Proc) TxLifeAttempt(path TxPath) {
 // reason; sw says the attempt ran in software, as for TxLifeCommit.
 func (p *Proc) TxLifeAbort(path TxPath, reason AbortReason, sw bool) {
 	p.m.Count.Aborts[path][reason]++
+	flags := FlagPath
 	if sw {
 		p.m.Count.SWAborts++
+		flags |= FlagSW
 	}
-	p.emit(TraceEvent{Kind: TraceTxAbort, Proc: p.ID(), Path: path, Reason: reason, Flags: FlagPath})
+	p.emit(TraceEvent{Kind: TraceTxAbort, Proc: p.ID(), Path: path, Reason: reason, Flags: flags})
 }
 
 // TxLifeRetryWait marks a Retry suspension (§6): cycles from the current

@@ -171,12 +171,15 @@ func TestRetryFailsOverAndPolls(t *testing.T) {
 	}
 }
 
-// swCommitLog records the tx-commits whose committing attempt ran in
-// software.
-type swCommitLog struct{ tmtest.EventLog }
+// commitLog records the tx-commits whose committing attempt ran in
+// software (sw) or in hardware (!sw).
+type commitLog struct {
+	sw bool
+	tmtest.EventLog
+}
 
-func (l *swCommitLog) Event(e machine.TraceEvent) {
-	if e.SW() {
+func (l *commitLog) Event(e machine.TraceEvent) {
+	if e.SW() == l.sw {
 		l.EventLog.Event(e)
 	}
 }
@@ -184,10 +187,10 @@ func (l *swCommitLog) Event(e machine.TraceEvent) {
 // observeConflicts subscribes three recording observers to m, for tuple
 // assertions on the raw conflict edges and for counting the hardware
 // and software commit events.
-func observeConflicts(m *machine.Machine) (edges, hwCommits *tmtest.EventLog, swCommits *swCommitLog) {
-	edges, hwCommits, swCommits = new(tmtest.EventLog), new(tmtest.EventLog), new(swCommitLog)
+func observeConflicts(m *machine.Machine) (edges *tmtest.EventLog, hwCommits, swCommits *commitLog) {
+	edges, hwCommits, swCommits = new(tmtest.EventLog), &commitLog{sw: false}, &commitLog{sw: true}
 	m.Observe(machine.KindSet(machine.TraceConflict), edges)
-	m.Observe(machine.KindSet(machine.TraceHWCommit), hwCommits)
+	m.Observe(machine.KindSet(machine.TraceTxCommit), hwCommits)
 	m.Observe(machine.KindSet(machine.TraceTxCommit), swCommits)
 	return edges, hwCommits, swCommits
 }

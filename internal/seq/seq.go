@@ -93,8 +93,9 @@ var _ tm.Exec = (*exec)(nil)
 
 // Atomic implements tm.Exec.
 func (e *exec) Atomic(body func(tm.Tx)) {
-	e.P.TxLifeBegin()
-	e.run(0, body)
+	age := e.s.m.NextAge()
+	e.P.TxLifeBegin(age)
+	e.run(age, body)
 }
 
 // run executes body to commit. Explicit aborts restart the body; Retry

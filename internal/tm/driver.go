@@ -190,7 +190,7 @@ func (d *Driver) Atomic(body func(Tx)) {
 	h, p := d.H, d.P
 	cmgr := h.cm
 	age := p.Machine().NextAge()
-	p.TxLifeBegin()
+	p.TxLifeBegin(age)
 	if d.Software == nil {
 		d.untilCommit(age, machine.PathHTM, body)
 		d.committed(cmgr, age)
@@ -254,7 +254,7 @@ func (d *Driver) committed(cmgr *cm.Manager, age uint64) {
 // for systems with no hardware half. id identifies the transaction to
 // the contention manager.
 func (d *Driver) AtomicSW(id uint64, body func(Tx)) {
-	d.P.TxLifeBegin()
+	d.P.TxLifeBegin(id)
 	d.untilCommit(id, machine.PathSW, body)
 	d.H.cm.TxDone(id)
 	d.runDeferred()

@@ -149,13 +149,13 @@ func TestNackRetryEventuallySucceeds(t *testing.T) {
 
 // overflow runs one attempt that stores to line first and then to line
 // evictor, which maps to the same set, and returns the second store's
-// outcome and the hw-abort events the machine emitted.
+// outcome and the conflict events the machine emitted.
 func overflow(t *testing.T, first, evictor uint64) (machine.Outcome, []machine.TraceEvent) {
 	t.Helper()
 	r := newRigOn(smallL1(), true)
 	r.h.On[machine.AbortOverflow] = tm.Fatal
 	aborts := new(tmtest.EventLog)
-	r.m.Observe(machine.KindSet(machine.TraceHWAbort), aborts)
+	r.m.Observe(machine.KindSet(machine.TraceConflict), aborts)
 	var out machine.Outcome
 	r.run(func() {
 		r.d.Atomic(func(tm.Tx) {
@@ -185,8 +185,8 @@ func TestOverflowStatusReportsVictimAddress(t *testing.T) {
 	}
 	// Table 1: "when an address is associated with the event ... it is
 	// also recorded". The victim line's address is reported.
-	if len(aborts) != 1 || !aborts[0].HasAddr() || aborts[0].Addr != 64 {
-		t.Fatalf("hw-abort events = %+v, want one at the evicted line 1's address", aborts)
+	if len(aborts) != 1 || aborts[0].Reason != machine.AbortOverflow || !aborts[0].HasAddr() || aborts[0].Addr != 64 {
+		t.Fatalf("conflict events = %+v, want one overflow at the evicted line 1's address", aborts)
 	}
 }
 

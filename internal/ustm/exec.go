@@ -24,7 +24,7 @@ func (e *exec) Proc() *machine.Proc { return e.t.p }
 func (e *exec) Atomic(body func(tm.Tx)) {
 	t := e.t
 	age := t.stm.m.NextAge()
-	t.p.TxLifeBegin()
+	t.p.TxLifeBegin(age)
 	t.RunTx(age, body)
 }
 
@@ -61,7 +61,7 @@ func (t *Thread) RunTx(age uint64, body func(tm.Tx)) {
 			if reason == machine.AbortNone {
 				reason = machine.AbortConflict
 			}
-			t.Rollback(reason)
+			t.Rollback()
 			t.p.TxLifeAbort(path, reason, true)
 			t.WaitForKiller()
 		}

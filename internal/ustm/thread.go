@@ -79,7 +79,6 @@ func (t *Thread) Begin(age uint64) {
 	t.nestSave = t.nestSave[:0]
 	t.p.SetSTM(true, age)
 	t.p.SetUFOEnabled(false)
-	t.p.RecordSW(machine.TraceSWBegin, machine.AbortNone, age)
 	t.p.Elapse(BeginCycles)
 }
 
@@ -99,7 +98,6 @@ func (t *Thread) End() bool {
 	t.releaseAll()
 	t.WakeOwed()
 	t.p.Elapse(CommitCycles)
-	t.p.RecordSW(machine.TraceSWCommit, machine.AbortNone, t.age)
 	t.finish()
 	t.runDeferred()
 	return true
@@ -118,16 +116,14 @@ func (t *Thread) runDeferred() {
 }
 
 // Rollback aborts the transaction (ustm_abort): undo writes in reverse
-// order, release ownership, and restore the pre-transaction state. The
-// sw-abort event it emits carries reason, the cause RunTx aborted for.
-func (t *Thread) Rollback(reason machine.AbortReason) {
+// order, release ownership, and restore the pre-transaction state.
+func (t *Thread) Rollback() {
 	if t.status == statusIdle {
 		panic("ustm: Rollback with no transaction")
 	}
 	t.undoTo(0)
 	t.releaseAll()
 	t.WakeOwed() // spurious wake-ups are safe; retriers re-check
-	t.p.RecordSW(machine.TraceSWAbort, reason, t.age)
 	t.p.Elapse(CommitCycles)
 	t.finish()
 }

@@ -130,15 +130,15 @@ func TestAbortRollsBackEagerWrites(t *testing.T) {
 	}
 }
 
-// TestSWAbortNamesItsReason: the sw-abort event of an explicit
-// tx.Abort() names the reason the tx-abort after it names, explicit, and
-// not a conflict.
+// TestSWAbortNamesItsReason: the tx-abort of an explicit tx.Abort()
+// names its reason, explicit, and not a conflict, and marks its attempt
+// as software.
 func TestSWAbortNamesItsReason(t *testing.T) {
 	m := testMachine(1)
 	s := testSTM(m, true)
 	ex := s.Exec(m.Proc(0))
 	var log tmtest.EventLog
-	m.Observe(machine.KindSet(machine.TraceSWAbort, machine.TraceTxAbort), &log)
+	m.Observe(machine.KindSet(machine.TraceTxAbort), &log)
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		first := true
 		ex.Atomic(func(tx tm.Tx) {
@@ -149,11 +149,8 @@ func TestSWAbortNamesItsReason(t *testing.T) {
 			}
 		})
 	}})
-	if len(log.Events) != 2 || log.Events[0].Kind != machine.TraceSWAbort || log.Events[1].Kind != machine.TraceTxAbort {
-		t.Fatalf("events = %v, want one sw-abort then one tx-abort", log.Events)
-	}
-	if sw, tx := log.Events[0].Reason, log.Events[1].Reason; sw != tx || tx != machine.AbortExplicit {
-		t.Fatalf("sw-abort reason=%s, tx-abort reason=%s; want both explicit", sw, tx)
+	if len(log.Events) != 1 || log.Events[0].Reason != machine.AbortExplicit || !log.Events[0].SW() {
+		t.Fatalf("events = %v, want one software tx-abort for an explicit reason", log.Events)
 	}
 }
 

@@ -93,9 +93,9 @@ run() {
 	done
 	# Traced cells carry every observer at once — the live sink, the
 	# contention profile and the txstats recorder share one machine.
-	# ustm+ufo is the one system that emits sw-begin/sw-commit and
-	# software kills directly; it only kills on kmeans-high (vacation's
-	# small cell has no software conflicts at all).
+	# ustm+ufo runs on kmeans-high: it reports its software kills
+	# itself (RecordSWKill), and vacation's small cell has no software
+	# conflicts at all.
 	local sys wl
 	for sys in ufo-hybrid hytm phtm hybrid-norec unbounded-htm tl2 ustm+ufo sle; do
 		wl=vacation-high
