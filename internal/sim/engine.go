@@ -27,13 +27,15 @@
 // entitled to run. The executing processor compares its clock against the
 // horizon on every Elapse and keeps executing inline, without a switch,
 // for as long as it remains the strict (clock, id) minimum. Only when its
-// clock crosses the horizon does it take the slow path: it takes the
-// horizon's place in the heap, counts the step, checks the budget and
-// switches straight to the horizon's goroutine. A handoff costs one sift
-// and one coroutine switch (Proc.switchTo), which does not go through
-// the Go scheduler. Run's caller only starts the run and takes the token
-// back at its end, to unwind the unfinished processors and raise the
-// failure, if any, that was stored where it was found (DESIGN.md §36).
+// clock crosses the horizon does it hand off: it takes the horizon's
+// place in the heap, counts the step, checks the budget and, still inside
+// Elapse, passes the token through the iter.Pull slot the horizon's
+// goroutine is parked in. A handoff costs one sift and one coroutine
+// switch, which does not go through the Go scheduler (DESIGN.md §50).
+// park, next and switchTo serve the rest: Block, the reference scheduler
+// and Run's caller, which only starts the run and takes the token back
+// at its end, to unwind the unfinished processors and raise the failure,
+// if any, that was stored where it was found (DESIGN.md §36).
 // The schedule this produces is exactly the one the naive
 // pick-the-global-minimum-every-Elapse scheduler produces; the retained
 // reference implementation (Config.Reference) runs on the same path,
@@ -118,9 +120,6 @@ type Engine struct {
 	// before pushing it), so the heap needs push and pop but never a
 	// decrease-key. The reference scheduler leaves it empty.
 	ready []readyEntry
-	// handoff is the minimum an Elapse that crossed the horizon took out
-	// of the heap on its way to park: park's next pick.
-	handoff *Proc
 
 	// caller stands for Run's caller's goroutine; cur holds the token. At
 	// the end Run sets stopping, then raises failure or goexit's Goexit.
@@ -205,7 +204,7 @@ func (e *Engine) Run(workloads []func(*Proc)) {
 	if len(workloads) != len(e.procs) {
 		panic(fmt.Sprintf("sim: %d workloads for %d processors", len(workloads), len(e.procs)))
 	}
-	e.ready, e.handoff = e.ready[:0], nil
+	e.ready = e.ready[:0]
 	e.stopping, e.failure, e.goexit = false, nil, nil
 	for i, p := range e.procs {
 		p.state, p.in, p.yieldNext = Ready, p, false
@@ -232,14 +231,14 @@ func (e *Engine) Run(workloads []func(*Proc)) {
 }
 
 // next returns the ready processor with the smallest clock (ties broken
-// by ID) — the processor Elapse handed off, the heap minimum or the
-// reference's linear scan — and counts the step. It returns &e.caller when
-// every processor is done or it has recorded a deadlock or budget Halt.
+// by ID) — the heap minimum or the reference's linear scan — and counts
+// the step. It returns &e.caller when every processor is done or it has
+// recorded a deadlock or budget Halt.
 func (e *Engine) next() *Proc {
-	best := e.handoff
-	if e.handoff = nil; best == nil && !e.cfg.Reference {
+	var best *Proc
+	if !e.cfg.Reference {
 		best = e.heapPop()
-	} else if best == nil {
+	} else {
 		for _, p := range e.procs {
 			if p.state == Ready && (best == nil || p.now < best.now) {
 				best = p
@@ -257,10 +256,16 @@ func (e *Engine) next() *Proc {
 	}
 	e.steps++
 	if e.steps > e.cfg.MaxSteps {
-		e.failure = &Halt{"budget", "sim: step budget exhausted (livelock?)\n" + e.dump()}
+		e.failure = e.budgetHalt()
 		return &e.caller
 	}
 	return best
+}
+
+// budgetHalt is the Halt a run ends with when its step count passes
+// MaxSteps: the fast path's, a handoff's or next's count.
+func (e *Engine) budgetHalt() *Halt {
+	return &Halt{"budget", "sim: step budget exhausted (livelock?)\n" + e.dump()}
 }
 
 // Now returns the maximum clock across all processors: the simulated

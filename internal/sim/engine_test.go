@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -324,5 +325,75 @@ func TestManyProcsFairProgress(t *testing.T) {
 		if f != 1000 {
 			t.Fatalf("proc %d finished at %d, want 1000 (identical work)", i, f)
 		}
+	}
+}
+
+// TestLockstepBudgetHaltMatchesReference: when every Elapse hands the
+// token on, the fast scheduler counts each step where the reference
+// does, so running out of budget ends both in the same Halt — kind,
+// dump text and step count — at 2, 16 and 256 processors.
+func TestLockstepBudgetHaltMatchesReference(t *testing.T) {
+	const maxSteps = 3000
+	for _, procs := range []int{2, 16, 256} {
+		var ref string
+		for _, name := range []string{"reference", "fast"} {
+			e := New(schedConfigs(Config{Procs: procs, MaxSteps: maxSteps})[name])
+			ws := make([]func(*Proc), procs)
+			for i := range ws {
+				ws[i] = func(p *Proc) {
+					for {
+						p.Elapse(1)
+					}
+				}
+			}
+			label := fmt.Sprintf("procs=%d/%s", procs, name)
+			h := wantHalt(t, label, "budget", func() { e.Run(ws) })
+			if e.steps != maxSteps+1 {
+				t.Fatalf("%s: halted after %d steps, want %d", label, e.steps, maxSteps+1)
+			}
+			if ref == "" {
+				ref = h.Error()
+			} else if h.Error() != ref {
+				t.Fatalf("%s: halt reads\n%s\nreference\n%s", label, h.Error(), ref)
+			}
+		}
+	}
+}
+
+// TestStoppedElapseDoesNotSwitch: a deferred call that reaches a
+// crossing Elapse while its processor is being torn down gets "sim: run
+// stopped" back at once and passes the token to no one, under both
+// schedulers: the other suspended processor unwinds only when Run's
+// caller reaches it.
+func TestStoppedElapseDoesNotSwitch(t *testing.T) {
+	for name, cfg := range schedConfigs(Config{Procs: 3}) {
+		t.Run(name, func(t *testing.T) {
+			var log []string
+			h := Catch(func() {
+				New(cfg).Run([]func(*Proc){
+					func(p *Proc) {
+						defer func() { log = append(log, "0 unwound") }()
+						defer func() {
+							defer func() { log = append(log, fmt.Sprint("0 ", recover())) }()
+							p.Elapse(1000) // proc 1 waits at 5: this crosses
+							log = append(log, "0 resumed after stop")
+						}()
+						p.Elapse(100)
+					},
+					func(p *Proc) {
+						defer func() { log = append(log, "1 unwound") }()
+						p.Elapse(5)
+						p.Elapse(5)
+					},
+					func(p *Proc) { p.Elapse(3); panic("first") },
+				})
+			})
+			if h == nil || h.Error() != "panic: first" {
+				t.Fatalf("Run ended with %v, want panic: first", h)
+			}
+			if got, want := strings.Join(log, ", "), "0 sim: run stopped, 0 unwound, 1 unwound"; got != want {
+				t.Fatalf("teardown ran %q, want %q", got, want)
+			}
+		})
 	}
 }

@@ -80,14 +80,37 @@ func (p *Proc) Elapse(cycles uint64) {
 			if p.fastSkips&1023 == 0 {
 				e.steps++
 				if e.steps > e.cfg.MaxSteps {
-					panic(&Halt{"budget", "sim: step budget exhausted (livelock?)\n" + e.dump()})
+					panic(e.budgetHalt())
 				}
 			}
 			return
 		}
 		// The horizon is the next to run and p takes its place in the
-		// heap: one sift, and park need not pop.
-		e.handoff = e.replaceTop(me)
+		// heap with one sift. Then p does what park does, inline: it
+		// counts the step and makes switchTo's first switch, into the slot
+		// the horizon's goroutine is parked in; while the run is being
+		// torn down it does neither and re-raises.
+		x := e.replaceTop(me)
+		if !e.stopping {
+			if e.steps++; e.steps > e.cfg.MaxSteps {
+				e.failure, x = e.budgetHalt(), &e.caller
+			}
+			e.cur = x
+			s := x.in
+			p.in = s
+			if s.yieldNext = !s.yieldNext; s.yieldNext {
+				s.next()
+			} else {
+				s.yield(struct{}{})
+			}
+			if e.cur != p { // the slot's goroutine returned: pass it on
+				p.switchTo(e.cur)
+			}
+		}
+		if e.stopping {
+			panic("sim: run stopped")
+		}
+		return
 	}
 	p.park()
 }
@@ -119,10 +142,11 @@ func (p *Proc) Wake(target *Proc) {
 	}
 }
 
-// park is the scheduling slow path: it passes the execution token to the
-// processor to run next and returns when it is back. If the run is being
-// torn down instead, it unwinds the workload with a panic that coroutine
-// absorbs; a deferred call that reaches park again gets the same answer.
+// park is Block's and the reference scheduler's way out: it passes the
+// execution token to the processor next picks and returns when it is
+// back. If the run is being torn down instead, it unwinds the workload
+// with a panic that coroutine absorbs; a deferred call that reaches park
+// again gets the same answer. A crossing Elapse does the same inline.
 func (p *Proc) park() {
 	if !p.eng.stopping {
 		p.switchTo(p.eng.next())
@@ -136,6 +160,9 @@ func (p *Proc) park() {
 // slot's next or yield parks the caller there and resumes the goroutine
 // parked in it, whoever's. It returns when the token is back. If the
 // goroutine of the slot p parked in returns, p passes the token on.
+// Elapse repeats the loop's first switch inline: switchTo cannot be
+// inlined, and calling it from there gives back a third to a half of
+// what the inline switch saves (DESIGN.md §50).
 func (p *Proc) switchTo(x *Proc) {
 	e := p.eng
 	for e.cur = x; x != p; x = e.cur {
