@@ -556,6 +556,18 @@ func TestTxLifeSequences(t *testing.T) {
 		// sle.Attempts < K: the lock is taken before the policy escalates.
 		{SLE, "starved", "Begin" + lost("htm", "interrupt", sle.Attempts) +
 			strings.Repeat(" Attempt(fallback) Abort(fallback,explicit)", k+1-sle.Attempts) + " Attempt(fallback) Commit(fallback)"},
+		// The loops the driver's untilCommit took over from ustm and seq: no
+		// Backoff anywhere, since USTM waits for its killer and the
+		// baselines re-run at once.
+		{Sequential, "syscall", "Begin Attempt(fallback) Commit(fallback)"},
+		{GlobalLock, "syscall", "Begin Attempt(fallback) Commit(fallback)"},
+		{USTM, "syscall", "Begin Attempt(sw) Commit(sw)"},
+		{Sequential, "retry", "Begin Attempt(fallback) RetryWait Attempt(fallback) RetryWait Attempt(fallback) Commit(fallback)"},
+		{GlobalLock, "retry", "Begin Attempt(fallback) RetryWait Attempt(fallback) RetryWait Attempt(fallback) Commit(fallback)"},
+		{USTM, "retry", "Begin Attempt(sw) RetryWait Attempt(sw) Commit(sw)"},
+		{USTM, "starved", "Begin" + strings.Repeat(" Attempt(sw) Abort(sw,explicit)", k+1) + " Attempt(sw) Commit(sw)"},
+		{USTMUFO, "starved", "Begin" + strings.Repeat(" Attempt(ufo) Abort(ufo,explicit)", k+1) + " Attempt(ufo) Commit(ufo)"},
+		{GlobalLock, "starved", "Begin" + strings.Repeat(" Attempt(fallback) Abort(fallback,explicit)", k+1) + " Attempt(fallback) Commit(fallback)"},
 	} {
 		t.Run(string(c.system)+"/"+c.tx, func(t *testing.T) {
 			procs, workload := 1, syscallTx

@@ -84,9 +84,9 @@ func TestSTMActivityOnAliasedRowKillsHardwareTx(t *testing.T) {
 			p.Elapse(3_000)
 			// A software transaction acquires the aliasing line: its
 			// otable insert writes the shared row, killing the HW reader.
-			th.Begin(m.NextAge())
+			th.BeginSW(m.NextAge())
 			th.Store(mem.LineAddr(alias), 9)
-			th.End()
+			th.EndSW(false)
 		},
 	})
 	if m.Count.HWAbortsByReason[machine.AbortNonTConflict] == 0 {
@@ -113,14 +113,14 @@ func TestBarrierDetectsSTMOwnership(t *testing.T) {
 			})
 		},
 		func(p *machine.Proc) {
-			th.Begin(m.NextAge())
+			th.BeginSW(m.NextAge())
 			th.Store(0, 555)
 			p.Elapse(30_000)
 			// Kill our own doomed transaction; rollback restores 0.
 			// (Standing in for an aborted long transaction.)
 			func() {
 				defer func() { recover() }()
-				th.Rollback()
+				th.EndSW(true)
 			}()
 		},
 	})
@@ -145,10 +145,10 @@ func TestRepeatedSTMConflictFailsOver(t *testing.T) {
 		},
 		func(p *machine.Proc) {
 			// Hold the line in a software transaction for a long time.
-			th.Begin(m.NextAge())
+			th.BeginSW(m.NextAge())
 			th.Store(0, 100)
 			p.Elapse(200_000)
-			th.End()
+			th.EndSW(false)
 		},
 	})
 	if m.Count.Failovers != 1 {

@@ -121,7 +121,8 @@ func (s *System) Exec(p *machine.Proc) tm.Exec {
 	if fresh {
 		e.sw = tm.Lazy{D: &e.Driver, Miss: e.swLoad, StoreCycles: BarrierCycles}
 		e.Driver = tm.Driver{Tx: hwTx{e.HW(), e}, Begin: e.subscribe, PreCommit: e.notifySoftware,
-			Committed: e.noteWriter, Software: e.RunSW, SW: tm.SWPath{Begin: e.swBegin, End: e.swEnd, Tx: &e.sw}}
+			Committed: e.noteWriter, Software: e.RunSW}
+		e.SW = e
 	}
 	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s, sw: e.sw.Rebind(), valuelog: e.valuelog[:0]}
 	return e
@@ -183,12 +184,13 @@ func (e *exec) noteWriter() {
 	}
 }
 
-// The software path is NOrec: snapshot the counters (swBegin), speculate
+// The software path is NOrec: snapshot the counters (BeginSW), speculate
 // against a redo log and value log, then commit under the seqlock
-// (swEnd). NOrec has no native waiting and no fallback of its own, so
-// the driver's retry-until-commit loop runs it.
+// (EndSW). NOrec has no native waiting and no fallback of its own, so
+// the driver's retry-until-commit loop runs it and backs it off.
 
-func (e *exec) swBegin(age uint64) {
+// BeginSW implements tm.SWPath.
+func (e *exec) BeginSW(age uint64) tm.Tx {
 	// Wait out any in-progress write-back, then snapshot both counters:
 	// the value log is valid exactly as long as neither moves.
 	for {
@@ -205,11 +207,12 @@ func (e *exec) swBegin(age uint64) {
 	e.valuelog = e.valuelog[:0]
 	e.P.SetSTM(true, age)
 	e.P.Elapse(BeginCycles)
+	return &e.sw
 }
 
-// swEnd commits the attempt unless the body already aborted, and leaves
-// the software transaction either way.
-func (e *exec) swEnd(aborted bool) bool {
+// EndSW implements tm.SWPath: it commits the attempt unless the body
+// already aborted, and leaves the software transaction either way.
+func (e *exec) EndSW(aborted bool) bool {
 	ok := !aborted && e.swCommit()
 	e.P.SetSTM(false, 0)
 	return ok

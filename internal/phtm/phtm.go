@@ -83,20 +83,20 @@ func New(m *machine.Machine, cfg ustm.Config, kind cm.Kind) *System {
 
 // Exec implements tm.System. Hardware accesses are the driver's
 // uninstrumented ones (phase exclusion replaces barriers), and PhTM is
-// weakly atomic.
+// weakly atomic. The software path is p's Thread: a context p keeps too.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
+	t := s.stm.Thread(p)
 	e, fresh := machine.ContextOf[exec](p)
 	if fresh {
-		e.Driver = tm.Driver{Tx: e.HW(), Gate: e.startInSoftware, Begin: e.subscribe, Software: e.runSW}
+		e.Driver = tm.Driver{Tx: e.HW(), Gate: e.startInSoftware, Begin: e.subscribe, Software: e.runSW, SW: t}
 	}
-	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s, t: s.stm.Thread(p)}
+	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s}
 	return e
 }
 
 type exec struct {
 	tm.Driver
 	s *System
-	t *ustm.Thread
 	// must marks a transaction hardware cannot run: it holds the system in
 	// the STM phase until it completes. A transaction that merely started
 	// in software because a phase was in force does not.
@@ -160,7 +160,7 @@ func (e *exec) runSW(age uint64, body func(tm.Tx)) {
 	if must {
 		e.bumpMustSTM(1)
 	}
-	e.t.RunTx(age, body)
+	e.RunSW(age, body)
 	if must {
 		e.bumpMustSTM(-1)
 	}

@@ -70,16 +70,22 @@ func (s *System) Software(p *machine.Proc) func(age uint64, body func(tm.Tx)) {
 }
 
 // context returns p's kept context (machine.ContextOf), rewritten for s.
+// It has no Handler: its own tails replace the contention manager.
 func (s *System) context(p *machine.Proc) *exec {
-	e, _ := machine.ContextOf[exec](p)
-	*e = exec{NT: tm.NT{P: p}, s: s, onCommit: machine.Emptied(e.onCommit), undo: e.undo[:0]}
+	e, fresh := machine.ContextOf[exec](p)
+	if fresh {
+		e.SW = e
+	}
+	*e = exec{Driver: e.Rebind(p, nil), s: s, undo: e.undo[:0]}
 	return e
 }
 
+// exec is a baseline's per-processor context, and the software path
+// (tm.SWTail) its driver runs. Bodies run in place under the plain
+// non-transactional accesses.
 type exec struct {
-	tm.NT    // plain non-transactional accesses
-	s        *System
-	onCommit []func()
+	tm.Driver
+	s *System
 	// undo holds the word each in-place store overwrote, in store order: a
 	// host-side copy with no simulated charge, written back newest first
 	// before an aborted body re-runs, so each word ends at the value it had
@@ -89,7 +95,7 @@ type exec struct {
 
 type stored struct{ addr, old uint64 }
 
-var _ tm.Exec = (*exec)(nil)
+var _ tm.SWTail = (*exec)(nil)
 
 // Atomic implements tm.Exec.
 func (e *exec) Atomic(body func(tm.Tx)) {
@@ -98,45 +104,50 @@ func (e *exec) Atomic(body func(tm.Tx)) {
 	e.run(age, body)
 }
 
-// run executes body to commit. Explicit aborts restart the body; Retry
-// polls (there is nothing to coordinate a real sleep with).
-func (e *exec) run(_ uint64, body func(tm.Tx)) {
+// run executes body to commit, under GlobalLock holding the lock.
+func (e *exec) run(age uint64, body func(tm.Tx)) {
 	if e.s.mode == GlobalLock {
 		e.acquire()
 		defer e.release()
 	}
-	for {
-		// Both baselines serialize rather than speculate, so every
-		// attempt is a fallback-path attempt.
-		e.P.TxLifeAttempt(machine.PathFallback)
-		e.onCommit = e.onCommit[:0]
-		e.undo = e.undo[:0]
-		_, retry, aborted := tm.Catch(func() { body(directTx{e}) })
-		if !aborted {
-			e.P.TxLifeCommit(machine.PathFallback, true)
-			for _, f := range e.onCommit {
-				f()
-			}
-			return
-		}
+	e.RunSW(age, body)
+}
+
+// BeginSW implements tm.SWPath.
+func (e *exec) BeginSW(uint64) tm.Tx {
+	e.undo = e.undo[:0]
+	return directTx{e}
+}
+
+// EndSW implements tm.SWPath: an attempt commits unless its body
+// aborted, which replays the undo log.
+func (e *exec) EndSW(aborted bool) bool {
+	if aborted {
 		for i := len(e.undo) - 1; i >= 0; i-- {
 			e.s.m.Mem.Write64(e.undo[i].addr, e.undo[i].old)
 		}
-		if retry {
-			e.P.TxLifeRetryWait()
-			// Poll-based waiting: drop and re-take the lock so writers
-			// can make progress.
-			if e.s.mode == GlobalLock {
-				e.release()
-			}
-			e.P.Elapse(cm.RetryPollCycles)
-			if e.s.mode == GlobalLock {
-				e.acquire()
-			}
-		} else {
-			// Explicit abort is the only way a direct body unwinds.
-			e.P.TxLifeAbort(machine.PathFallback, machine.AbortExplicit, true)
-		}
+	}
+	return !aborted
+}
+
+// PathSW implements tm.SWTail: both baselines serialize rather than
+// speculate, so every attempt is a fallback-path attempt.
+func (e *exec) PathSW() machine.TxPath { return machine.PathFallback }
+
+// AbortedSW implements tm.SWTail: an aborted body re-runs at once.
+func (e *exec) AbortedSW() {}
+
+// WokenSW implements tm.SWTail with poll-based waiting (there is nothing
+// to coordinate a real sleep with): roll back, then drop and re-take the
+// lock around the poll so writers can make progress.
+func (e *exec) WokenSW() {
+	e.EndSW(true)
+	if e.s.mode == GlobalLock {
+		e.release()
+	}
+	e.P.Elapse(cm.RetryPollCycles)
+	if e.s.mode == GlobalLock {
+		e.acquire()
 	}
 }
 
@@ -167,7 +178,7 @@ type directTx struct{ e *exec }
 var _ tm.Tx = directTx{}
 
 func (d directTx) Load(addr uint64) uint64 { return d.e.Load(addr) }
-func (d directTx) OnCommit(f func())       { d.e.onCommit = append(d.e.onCommit, f) }
+func (d directTx) OnCommit(f func())       { d.e.OnCommit(f) }
 
 // Store implements tm.Tx: in place, noting the word it overwrites.
 func (d directTx) Store(addr, val uint64) {
@@ -179,10 +190,10 @@ func (d directTx) Store(addr, val uint64) {
 // abort rolls back and restarts the whole body.
 func (d directTx) Nested(body func()) bool {
 	if tm.CatchNested(body) {
-		tm.Unwind(0)
+		d.Abort()
 	}
 	return true
 }
-func (d directTx) Abort()   { tm.Unwind(0) }
+func (d directTx) Abort()   { tm.Unwind(machine.AbortExplicit) }
 func (d directTx) Retry()   { tm.UnwindRetry() }
 func (d directTx) Syscall() { d.e.P.Elapse(tm.SyscallCycles) }

@@ -60,13 +60,13 @@ func New(m *machine.Machine, kind cm.Kind) *System {
 }
 
 // Exec implements tm.System. TL2 is weakly atomic (the driver's plain
-// non-transactional accesses) and has no hardware half: the driver's
-// retry-until-commit loop runs begin and commit below.
+// non-transactional accesses) and has no hardware half (no Tx): the
+// driver's Atomic runs its retry-until-commit loop over BeginSW and EndSW.
 func (s *System) Exec(p *machine.Proc) tm.Exec {
 	e, fresh := machine.ContextOf[exec](p)
 	if fresh {
 		e.tx = tm.Lazy{D: &e.Driver, Miss: e.load, StoreCycles: BarrierCycles}
-		e.SW = tm.SWPath{Begin: e.begin, End: e.end, Tx: &e.tx}
+		e.SW = e
 	}
 	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s, tx: e.tx.Rebind(),
 		writeSet: e.writeSet[:0], readSet: e.readSet[:0]}
@@ -89,22 +89,19 @@ type exec struct {
 	readSet  []uint64 // stripe indices, deduplicated
 }
 
-// Atomic implements tm.Exec: the standard TL2 loop — speculate, validate,
-// commit; abort restarts with backoff.
-func (e *exec) Atomic(body func(tm.Tx)) {
-	e.AtomicSW(e.P.Machine().NextAge(), body)
-}
-
-func (e *exec) begin(uint64) {
+// BeginSW implements tm.SWPath.
+func (e *exec) BeginSW(uint64) tm.Tx {
 	e.rv = e.s.clock
 	e.Load(e.s.clockAddr)
 	e.tx.Reset()
 	e.readSet = e.readSet[:0]
 	e.P.Elapse(BeginCycles)
+	return &e.tx
 }
 
-// end commits the attempt unless the body already aborted.
-func (e *exec) end(aborted bool) bool { return !aborted && e.commit() }
+// EndSW implements tm.SWPath: it commits the attempt unless the body
+// already aborted.
+func (e *exec) EndSW(aborted bool) bool { return !aborted && e.commit() }
 
 // load implements the TL2 read barrier for a word the transaction has
 // not written: sample the stripe lock, read the data, resample — abort if

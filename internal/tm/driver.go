@@ -6,16 +6,16 @@ import (
 )
 
 // This file is the one transaction driver behind every Atomic in the
-// repository that retries with backoff: the hybrid transaction structure
-// of the paper's Figure 4 — try BTM, run the abort handler, retry in
-// hardware or fail over — with Algorithm 3 (the abort handler) as data,
-// and the retry-until-commit loop of the paths that have nowhere further
-// to fall. A system supplies its Algorithm 3 row (Handler), its hardware
-// handle if accesses need instrumenting (HW), its software handle (a
-// Lazy, if it is a lazy-versioning STM), and the few hooks below;
-// everything observable — lifecycle events, the failover and retry
-// decisions, contention-management calls, the deferred-closure list —
-// happens here, in one order per arm.
+// repository: the hybrid transaction structure of the paper's Figure 4 —
+// try BTM, run the abort handler, retry in hardware or fail over — with
+// Algorithm 3 (the abort handler) as data, and the one retry-until-commit
+// loop of the paths that have nowhere further to fall. A system supplies
+// its Algorithm 3 row (Handler), its hardware handle if accesses need
+// instrumenting (HW), its software path (an SWPath, with its own SWTail
+// if it does not back off), and the few hooks below; every attempt's
+// lifecycle events, the failover and retry decisions, the
+// contention-management calls and the deferred-closure list happen here,
+// in one order per arm.
 //
 // BTM itself (§3.1, Table 1) is here too, as the driver's hardware
 // attempt and the HW handle: btm_begin, btm_end and btm_abort with their
@@ -118,15 +118,23 @@ func (n NT) Store(addr, val uint64) {
 
 // SWPath is a software transaction path with no fallback of its own, as
 // the driver's retry-until-commit loop sees it.
-type SWPath struct {
-	// Begin starts an attempt of the transaction identified by id.
-	Begin func(id uint64)
-	// End finishes the attempt: it tries to commit unless the body
-	// already aborted, leaves the attempt either way, and reports whether
-	// the transaction committed.
-	End func(aborted bool) bool
-	// Tx is the handle attempts hand to the body.
-	Tx Tx
+type SWPath interface {
+	// BeginSW starts an attempt of the transaction identified by id and
+	// returns the handle the body runs on.
+	BeginSW(id uint64) Tx
+	// EndSW finishes the attempt: it tries to commit unless the body
+	// aborted, leaves the attempt either way, and reports whether the
+	// transaction committed.
+	EndSW(aborted bool) bool
+}
+
+// SWTail is an SWPath with its own policy after a failed attempt: it
+// never backs off, escalates or polls, so its driver needs no Handler.
+type SWTail interface {
+	SWPath
+	PathSW() machine.TxPath // the path its attempts are counted on
+	AbortedSW()             // after a counted abort, in place of cm.OnAbort
+	WokenSW()               // leaves a woken Retry, in place of EndSW and cm.RetryPoll
 }
 
 // Driver is one processor's transaction context. Embedded in a system's
@@ -135,7 +143,8 @@ type Driver struct {
 	NT
 	H *Handler
 	// Tx is the handle hardware attempts hand to the body: HW itself, or
-	// a system's type embedding it.
+	// a system's type embedding it. Nil means there is no hardware half:
+	// Atomic runs the software path alone.
 	Tx Tx
 
 	// Gate, when set, runs before every hardware attempt and may stall;
@@ -154,7 +163,7 @@ type Driver struct {
 	// Software runs the transaction to commit on the software path. Nil
 	// means there is none: hardware attempts retry until one commits.
 	Software func(age uint64, body func(Tx))
-	// SW is the software path RunSW and AtomicSW drive.
+	// SW is the software path RunSW drives, and Atomic when Tx is nil.
 	SW SWPath
 
 	deferred []func()
@@ -185,17 +194,23 @@ func (d *Driver) runDeferred() {
 }
 
 // Atomic implements Exec: hardware first, the abort handler deciding
-// between another hardware attempt and the software path.
+// between another hardware attempt and the software path. A driver with
+// only one of the two retries that one until it commits.
 func (d *Driver) Atomic(body func(Tx)) {
 	h, p := d.H, d.P
-	cmgr := h.cm
 	age := p.Machine().NextAge()
 	p.TxLifeBegin(age)
-	if d.Software == nil {
+	switch {
+	case d.Tx == nil:
+		d.untilCommit(age, machine.PathSW, body)
+		d.committed(age)
+		return
+	case d.Software == nil:
 		d.untilCommit(age, machine.PathHTM, body)
-		d.committed(cmgr, age)
+		d.committed(age)
 		return
 	}
+	cmgr := h.cm
 	counted, aborts := 0, 0
 attempts:
 	for {
@@ -206,7 +221,7 @@ attempts:
 		reason, retry, ok := d.tryHW(age, body)
 		if ok {
 			p.TxLifeCommit(machine.PathHTM, false)
-			d.committed(cmgr, age)
+			d.committed(age)
 			return
 		}
 		if retry {
@@ -241,43 +256,42 @@ attempts:
 	cmgr.TxDone(age)
 }
 
-// committed is the tail of a transaction that committed in hardware.
-func (d *Driver) committed(cmgr *cm.Manager, age uint64) {
-	cmgr.TxDone(age)
+// committed is the tail of a transaction that committed without failing
+// over. A driver with no Handler runs a path with an SWTail, and has no
+// contention manager to tell.
+func (d *Driver) committed(age uint64) {
+	if d.H != nil {
+		d.H.cm.TxDone(age)
+	}
 	if d.Committed != nil {
 		d.Committed()
 	}
 	d.runDeferred()
 }
 
-// AtomicSW runs body as one transaction on the software path: an Atomic
-// for systems with no hardware half. id identifies the transaction to
-// the contention manager.
-func (d *Driver) AtomicSW(id uint64, body func(Tx)) {
-	d.P.TxLifeBegin(id)
-	d.untilCommit(id, machine.PathSW, body)
-	d.H.cm.TxDone(id)
-	d.runDeferred()
-}
-
 // RunSW runs an already-begun transaction to commit on the software
-// path: a hybrid's Software. The caller tells the contention manager.
+// path: a hybrid's Software, or a baseline's body inside its lock. The
+// caller tells the contention manager.
 func (d *Driver) RunSW(id uint64, body func(Tx)) {
 	d.untilCommit(id, machine.PathSW, body)
 	d.runDeferred()
 }
 
 // untilCommit retries attempts on one path until one commits, for paths
-// with nowhere further to fall: a Retry request is emulated by polling
-// re-execution, and a transaction the policy declares starving takes the
-// global serialization token (released by TxDone) and runs its remaining
+// with nowhere further to fall. A path with an SWTail runs its own tails;
+// otherwise a Retry request is emulated by polling re-execution, and a
+// transaction the policy declares starving takes the global
+// serialization token (released by TxDone) and runs its remaining
 // attempts as serialized fallback attempts.
 func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 	h, p := d.H, d.P
-	cmgr := h.cm
 	try, hw := (*Driver).trySW, path == machine.PathHTM
 	if hw {
 		try = (*Driver).tryHW
+	}
+	tail, own := d.SW.(SWTail)
+	if own {
+		path = tail.PathSW()
 	}
 	for aborts := 0; ; {
 		p.TxLifeAttempt(path)
@@ -286,19 +300,30 @@ func (d *Driver) untilCommit(id uint64, path machine.TxPath, body func(Tx)) {
 		case ok:
 			p.TxLifeCommit(path, !hw)
 			return
+		case retry && own:
+			p.TxLifeRetryWait()
+			tail.WokenSW()
+			continue
 		case retry:
 			p.TxLifeRetryWait()
-			cmgr.RetryPoll(p)
+			if !hw {
+				d.SW.EndSW(true)
+			}
+			h.cm.RetryPoll(p)
 			continue
 		}
 		p.TxLifeAbort(path, reason, !hw)
+		if own {
+			tail.AbortedSW()
+			continue
+		}
 		if hw {
 			h.classify(reason) // with nowhere to fall, every classified abort retries
 			p.Machine().Count.HWRetries++
 		}
 		aborts++ // the policy clamps the shift (saturating counter)
-		if cmgr.OnAbort(p, id, aborts) {
-			cmgr.AcquireToken(p, id)
+		if h.cm.OnAbort(p, id, aborts) {
+			h.cm.AcquireToken(p, id)
 			path = machine.PathFallback
 		}
 	}
@@ -334,18 +359,21 @@ func (d *Driver) tryHW(age uint64, body func(Tx)) (machine.AbortReason, bool, bo
 	return machine.AbortNone, false, true
 }
 
-// trySW attempts the transaction on the software path once.
+// trySW attempts the transaction on the software path once. A Retry
+// request returns with the attempt still open: untilCommit leaves it.
 func (d *Driver) trySW(id uint64, body func(Tx)) (machine.AbortReason, bool, bool) {
 	d.deferred = d.deferred[:0]
-	d.SW.Begin(id)
-	reason, retry, aborted := Catch(func() { body(d.SW.Tx) })
-	if d.SW.End(aborted) {
+	tx := d.SW.BeginSW(id)
+	reason, retry, aborted := Catch(func() { body(tx) })
+	switch {
+	case retry:
+		return reason, true, false
+	case d.SW.EndSW(aborted):
 		return machine.AbortNone, false, true
-	}
-	if !aborted {
+	case reason == machine.AbortNone:
 		reason = machine.AbortConflict // failed commit-time validation
 	}
-	return reason, retry, false
+	return reason, false, false
 }
 
 // The costs of BTM's instructions (Table 1), on top of their memory

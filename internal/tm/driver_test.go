@@ -35,6 +35,14 @@ var row = tm.Dispositions{
 
 func newRig(procs int, fallback bool) *rig { return newRigOn(rigParams(procs), fallback) }
 
+// newSWRig is a one-processor rig whose driver has no hardware handle or
+// hooks, so Atomic runs the software path alone (as tl2's does).
+func newSWRig() *rig {
+	r := newRig(1, false)
+	r.d.Tx, r.d.Committed = nil, nil
+	return r
+}
+
 func rigParams(procs int) machine.Params {
 	p := machine.DefaultParams(procs)
 	p.MemBytes = 1 << 20
@@ -87,26 +95,32 @@ func (r *rig) driver(proc int, fallback bool) *tm.Driver {
 	if fallback {
 		d.Software = func(uint64, func(tm.Tx)) { r.note("software") }
 	}
-	// The software path is the smallest lazy-versioning STM there is: no
-	// validation, and a commit that publishes the log.
-	sw := &tm.Lazy{D: d, Miss: r.m.Mem.Read64, StoreCycles: 3}
-	d.SW = tm.SWPath{
-		Begin: func(uint64) {
-			r.note("sw-begin")
-			sw.Reset()
-		},
-		End: func(aborted bool) bool {
-			ok := r.swScript[0] && !aborted
-			r.swScript = r.swScript[1:]
-			r.note("sw-end aborted=%v ok=%v", aborted, ok)
-			if ok {
-				sw.Log.Words(r.m.Mem.Write64)
-			}
-			return ok
-		},
-		Tx: sw,
-	}
+	d.SW = &rigSW{r: r, tx: &tm.Lazy{D: d, Miss: r.m.Mem.Read64, StoreCycles: 3}}
 	return d
+}
+
+// rigSW is the smallest lazy-versioning STM there is: no validation, and
+// a commit that publishes the log.
+type rigSW struct {
+	r  *rig
+	tx *tm.Lazy
+}
+
+func (s *rigSW) BeginSW(uint64) tm.Tx {
+	s.r.note("sw-begin")
+	s.tx.Reset()
+	return s.tx
+}
+
+func (s *rigSW) EndSW(aborted bool) bool {
+	r := s.r
+	ok := r.swScript[0] && !aborted
+	r.swScript = r.swScript[1:]
+	r.note("sw-end aborted=%v ok=%v", aborted, ok)
+	if ok {
+		s.tx.Log.Words(r.m.Mem.Write64)
+	}
+	return ok
 }
 
 // tokenHeldBy reports whether transaction id holds the serialization
@@ -311,12 +325,12 @@ func TestDriverWithoutSoftwareRetriesUntilCommit(t *testing.T) {
 func TestDriverSoftwarePath(t *testing.T) {
 	abort := func(_ *rig, tx tm.Tx) { tx.Abort() }
 	retry := func(_ *rig, tx tm.Tx) { tx.Retry() }
-	t.Run("AtomicSW", func(t *testing.T) {
+	t.Run("Atomic with no hardware handle", func(t *testing.T) {
 		// Attempts: body aborts; commit-time validation fails; body asks
 		// to retry; commit.
-		r := newRig(1, false)
+		r := newSWRig()
 		r.swScript = []bool{true, false, true, true}
-		r.run(func() { r.d.AtomicSW(7, r.body(abort, pass, retry)) })
+		r.run(func() { r.d.Atomic(r.body(abort, pass, retry)) })
 		r.want(t, "sw-begin, body, sw-end aborted=true ok=false, "+
 			"sw-begin, body, sw-end aborted=false ok=false, "+
 			"sw-begin, body, sw-end aborted=true ok=false, "+
@@ -333,14 +347,15 @@ func TestDriverSoftwarePath(t *testing.T) {
 		return script
 	}
 	t.Run("escalation takes the token until TxDone", func(t *testing.T) {
-		r := newRig(1, false)
+		r := newSWRig()
 		r.policy(cm.KindSerialize)
 		r.swScript = commits()
+		const age = 1 // the machine's first transaction
 		held := false
 		r.run(func() {
-			r.d.AtomicSW(7, r.body(append(times(k, abort), func(r *rig, _ tm.Tx) { held = r.tokenHeldBy(7) })...))
+			r.d.Atomic(r.body(append(times(k, abort), func(r *rig, _ tm.Tx) { held = r.tokenHeldBy(age) })...))
 		})
-		if after := r.tokenHeldBy(7); !held || after {
+		if after := r.tokenHeldBy(age); !held || after {
 			t.Fatalf("token held during the escalated attempt = %v, afterwards = %v; want true, false", held, after)
 		}
 	})
@@ -361,7 +376,8 @@ func TestDriverSoftwarePath(t *testing.T) {
 func pass(*rig, tm.Tx) {}
 
 // TestLazyHandle drives tm.Lazy — the rig's software handle — through
-// AtomicSW, one step per attempt; what a step loads goes in the hook log.
+// Atomic with no hardware handle, one step per attempt; what a step loads
+// goes in the hook log.
 func TestLazyHandle(t *testing.T) {
 	const x, y = 0, 64
 	for _, c := range []struct {
@@ -419,9 +435,9 @@ func TestLazyHandle(t *testing.T) {
 			stats: tm.Stats{SWCommits: 1, SWAborts: 1, Retries: 1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			r := newRig(1, false)
+			r := newSWRig()
 			r.swScript = []bool{true, true, true}
-			r.run(func() { r.d.AtomicSW(7, r.body(c.steps...)) })
+			r.run(func() { r.d.Atomic(r.body(c.steps...)) })
 			r.want(t, "sw-begin, body, "+c.log+"sw-end aborted=false ok=true, deferred", c.stats)
 			if gx, gy := r.m.Mem.Read64(x), r.m.Mem.Read64(y); gx != c.x || gy != c.y {
 				t.Errorf("committed x = %d, y = %d; want %d, %d", gx, gy, c.x, c.y)

@@ -11,7 +11,7 @@ import (
 // partial abort (§6's "richer semantics live in the STM") is a savepoint
 // in that log. A system supplies the two things that differ between such
 // STMs — its read barrier and its write-barrier cost — and hands the
-// driver a *Lazy as SWPath.Tx; it is pointer-shaped, like HW.
+// driver a *Lazy from SWPath.BeginSW; it is pointer-shaped, like HW.
 type Lazy struct {
 	D *Driver
 	// Miss is the system's read barrier, called for a word the

@@ -76,6 +76,30 @@ func TestCensusReportsDeadDeclarations(t *testing.T) {
 	}
 }
 
+// TestOneAttemptEmitter keeps one software retry loop (DESIGN.md §52):
+// tm.Driver emits every attempt's start, commit, abort and Retry wait,
+// so no other non-test file of the module may name their emitters.
+func TestOneAttemptEmitter(t *testing.T) {
+	c := newCensus(t, filepath.Join("..", ".."))
+	emitters := []string{"TxLifeAttempt", "TxLifeCommit", "TxLifeAbort", "TxLifeRetryWait"}
+	for _, files := range c.files {
+		for _, f := range files {
+			name, _ := filepath.Rel(c.root, c.fset.File(f.Pos()).Name())
+			if filepath.ToSlash(name) == "internal/tm/driver.go" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && slices.Contains(emitters, id.Name) {
+					if fn, ok := c.info.Uses[id].(*types.Func); ok && fn.Pkg().Path() == "repro/internal/machine" {
+						t.Errorf("%s names machine.Proc.%s: only internal/tm/driver.go emits attempts", c.fset.Position(id.Pos()), id.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // census type-checks every non-test file of the module and decides which
 // of its declarations are live.
 type census struct {

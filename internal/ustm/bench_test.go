@@ -28,13 +28,13 @@ func BenchmarkWriteBarrierOwned(b *testing.B) {
 	s := testSTM(m, true)
 	th := s.Thread(m.Proc(0))
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
-		th.Begin(m.NextAge())
+		th.BeginSW(m.NextAge())
 		th.barrier(0, true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			th.barrier(0, true)
 		}
 		b.StopTimer()
-		th.End()
+		th.EndSW(false)
 	}})
 }

@@ -6,66 +6,12 @@ import (
 	"repro/internal/tm"
 )
 
-// exec adapts a Thread to the generic tm.Exec interface, providing the
-// Atomic retry loop (with the paper's reissue-after-killer-retires
-// policy) and the strong-atomicity treatment of non-transactional
-// accesses.
+// exec adapts a Thread to the generic tm.Exec interface: a driver with
+// the Thread as its software path and no Handler (the Thread's tails
+// replace the contention manager), and strongly-atomic NT accesses.
 type exec struct {
+	tm.Driver
 	t *Thread
-}
-
-var _ tm.Exec = (*exec)(nil)
-
-// Proc implements tm.Exec.
-func (e *exec) Proc() *machine.Proc { return e.t.p }
-
-// Atomic implements tm.Exec: run body as a software transaction until it
-// commits.
-func (e *exec) Atomic(body func(tm.Tx)) {
-	t := e.t
-	age := t.stm.m.NextAge()
-	t.p.TxLifeBegin(age)
-	t.RunTx(age, body)
-}
-
-// RunTx runs body as one software transaction of the given age, retrying
-// until commit. It is the hybrids' software path (tm.Driver.Software), so
-// a failed-over transaction keeps the age it was assigned at its first
-// hardware attempt (which is what makes software transactions "generally
-// older").
-func (t *Thread) RunTx(age uint64, body func(tm.Tx)) {
-	// Lifecycle accounting: a strongly-atomic USTM is the hybrid's UFO
-	// failover path; a weakly-atomic one is a plain software path.
-	path := machine.PathSW
-	if t.stm.cfg.StrongAtomicity {
-		path = machine.PathUFO
-	}
-	for {
-		t.p.TxLifeAttempt(path)
-		t.Begin(age)
-		reason, retry, aborted := tm.Catch(func() { body(t) })
-		switch {
-		case retry:
-			// Woken from transactional waiting: release the read
-			// ownership left, deliver the wake-ups we owe (early is safe:
-			// retriers re-check) and retire; the loop re-executes.
-			t.p.TxLifeRetryWait()
-			t.releaseAll()
-			t.WakeOwed()
-			t.finish()
-		case !aborted && t.End():
-			t.p.TxLifeCommit(path, true)
-			return
-		default:
-			// Aborted, or killed between the last barrier and End.
-			if reason == machine.AbortNone {
-				reason = machine.AbortConflict
-			}
-			t.Rollback()
-			t.p.TxLifeAbort(path, reason, true)
-			t.WaitForKiller()
-		}
-	}
 }
 
 // Load implements tm.Exec's non-transactional read. Under strong

@@ -226,7 +226,7 @@ func TestOTableMatchesReference(t *testing.T) {
 			wake(rng.Intn(len(parks)))
 		case parked(th):
 		case th.status == statusRetrying:
-			th.status = statusRunning // woken: RunTx releases and retires
+			th.status = statusRunning // woken: WokenSW releases and retires
 			release(id)
 		case op < 8:
 			barrier(id, uint64(rng.Intn(lines)), rng.Intn(3) == 0)

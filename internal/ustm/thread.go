@@ -18,7 +18,8 @@ const (
 
 // Thread is the per-processor USTM transaction context (the paper's
 // per-thread transactional status structure, including the log). It is
-// also the handle RunTx hands to transaction bodies.
+// the software path (tm.SWTail) that the driver of ustm, ufo-hybrid, hytm
+// and phtm runs, and the handle its attempts hand to transaction bodies.
 type Thread struct {
 	stm *STM
 	p   *machine.Proc
@@ -59,11 +60,13 @@ type ownedRec struct {
 	write bool
 }
 
-// Begin starts a software transaction with the given age (ustm_begin):
-// clear the log, record the sequence number, set the transaction state,
-// and disable UFO faults so the transaction does not fault on its own
-// protected data.
-func (t *Thread) Begin(age uint64) {
+var _ tm.SWTail = (*Thread)(nil)
+
+// BeginSW implements tm.SWPath: it starts a software transaction with the
+// given age (ustm_begin): clear the log, record the sequence number, set
+// the transaction state, and disable UFO faults so the transaction does
+// not fault on its own protected data.
+func (t *Thread) BeginSW(age uint64) tm.Tx {
 	if t.status != statusIdle {
 		panic("ustm: Begin with transaction already active")
 	}
@@ -80,27 +83,51 @@ func (t *Thread) Begin(age uint64) {
 	t.p.SetSTM(true, age)
 	t.p.SetUFOEnabled(false)
 	t.p.Elapse(BeginCycles)
+	return t
 }
 
-// End commits the transaction (ustm_end): release ownership, wake any
-// retrying transactions whose reads we overwrote, re-enable UFO faults,
-// and discard the checkpoint. It reports false, and does nothing, if the
-// transaction was killed after its last barrier: the caller rolls it
-// back.
-func (t *Thread) End() bool {
+// EndSW implements tm.SWPath. Unless the body aborted or the transaction
+// was killed after its last barrier, it commits (ustm_end): release
+// ownership, wake any retrying transactions whose reads we overwrote,
+// re-enable UFO faults, and run the deferred side effects. Otherwise it
+// aborts (ustm_abort): undo writes in reverse order, release ownership,
+// and restore the pre-transaction state.
+func (t *Thread) EndSW(aborted bool) bool {
 	if t.status != statusRunning {
 		panic("ustm: End with no running transaction")
 	}
-	if t.killed {
-		return false
+	committed := !aborted && !t.killed
+	if committed {
+		t.p.RecordSWFootprint(len(t.owned))
+	} else {
+		t.undoTo(0)
 	}
-	t.p.RecordSWFootprint(len(t.owned))
 	t.releaseAll()
-	t.WakeOwed()
+	t.WakeOwed() // on abort too: spurious wake-ups are safe; retriers re-check
 	t.p.Elapse(CommitCycles)
 	t.finish()
-	t.runDeferred()
-	return true
+	if committed {
+		t.runDeferred()
+	}
+	return committed
+}
+
+// PathSW implements tm.SWTail: a strongly-atomic USTM is the hybrid's
+// UFO failover path; a weakly-atomic one is a plain software path.
+func (t *Thread) PathSW() machine.TxPath {
+	if t.stm.cfg.StrongAtomicity {
+		return machine.PathUFO
+	}
+	return machine.PathSW
+}
+
+// WokenSW implements tm.SWTail: woken from transactional waiting, release
+// the read ownership left, deliver the wake-ups we owe (early is safe:
+// retriers re-check) and retire; the driver re-executes.
+func (t *Thread) WokenSW() {
+	t.releaseAll()
+	t.WakeOwed()
+	t.finish()
 }
 
 // OnCommit implements tm.Tx: a deferred side effect (Section 6) runs
@@ -115,19 +142,6 @@ func (t *Thread) runDeferred() {
 	t.onCommit = t.onCommit[:0]
 }
 
-// Rollback aborts the transaction (ustm_abort): undo writes in reverse
-// order, release ownership, and restore the pre-transaction state.
-func (t *Thread) Rollback() {
-	if t.status == statusIdle {
-		panic("ustm: Rollback with no transaction")
-	}
-	t.undoTo(0)
-	t.releaseAll()
-	t.WakeOwed() // spurious wake-ups are safe; retriers re-check
-	t.p.Elapse(CommitCycles)
-	t.finish()
-}
-
 // finish retires the transaction: status idle, epoch bumped, UFO faults
 // re-enabled.
 func (t *Thread) finish() {
@@ -137,9 +151,9 @@ func (t *Thread) finish() {
 	t.p.SetUFOEnabled(true)
 }
 
-// WaitForKiller stalls until the transaction that aborted us has retired,
-// the paper's anti-livelock reissue policy. Call after Rollback.
-func (t *Thread) WaitForKiller() {
+// AbortedSW implements tm.SWTail with the paper's anti-livelock reissue
+// policy: it stalls until the transaction that aborted us has retired.
+func (t *Thread) AbortedSW() {
 	// Wait only while the killer is still running the transaction that
 	// killed us; an idle or descheduled (retrying) killer has effectively
 	// retired.
@@ -486,7 +500,7 @@ func (t *Thread) Syscall() { t.p.Elapse(tm.SyscallCycles) }
 
 // undoTo restores the undo log newest-first down to entry save, charging
 // LogCycles per word, and truncates it there: the one rollback walk of
-// Rollback, an aborted nest and Retry.
+// an abort, an aborted nest and Retry.
 func (t *Thread) undoTo(save int) {
 	for i := len(t.undo) - 1; i >= save; i-- {
 		r := t.undo[i]

@@ -111,8 +111,9 @@ func (s *STM) Thread(p *machine.Proc) *Thread {
 
 // Exec implements tm.System.
 func (s *STM) Exec(p *machine.Proc) tm.Exec {
+	t := s.Thread(p)
 	e, _ := machine.ContextOf[exec](p)
-	*e = exec{t: s.Thread(p)}
+	*e = exec{Driver: tm.Driver{NT: tm.NT{P: p}, SW: t}, t: t}
 	return e
 }
 

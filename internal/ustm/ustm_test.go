@@ -407,7 +407,7 @@ func TestOwnerSemantics(t *testing.T) {
 	s := testSTM(m, true)
 	th := s.Thread(m.Proc(0))
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
-		th.Begin(m.NextAge())
+		th.BeginSW(m.NextAge())
 		th.barrier(0, false)
 		if owner, write := s.Owner(0); owner != 0 || write {
 			t.Errorf("read entry: Owner = %d, %v; want 0, false", owner, write)
@@ -419,7 +419,7 @@ func TestOwnerSemantics(t *testing.T) {
 		if owner, _ := s.Owner(2); owner != -1 {
 			t.Errorf("unowned line: Owner = %d, want -1", owner)
 		}
-		if !th.End() {
+		if !th.EndSW(false) {
 			t.Error("commit failed")
 		}
 	}})
@@ -686,7 +686,7 @@ func TestOTableStats(t *testing.T) {
 	s := New(m, cfg)
 	th := s.Thread(m.Proc(0))
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
-		th.Begin(m.NextAge())
+		th.BeginSW(m.NextAge())
 		for i := uint64(0); i < 12; i++ {
 			th.barrier(i*64, true)
 		}
@@ -697,7 +697,7 @@ func TestOTableStats(t *testing.T) {
 		if st.MaxChain < 3 {
 			t.Errorf("MaxChain = %d, expected chaining with 4 rows", st.MaxChain)
 		}
-		th.End()
+		th.EndSW(false)
 	}})
 	if st := statsOf(s); st.Entries != 0 {
 		t.Fatalf("entries leaked: %+v", st)
