@@ -9,10 +9,10 @@
 // to the machine it serves: ⌈P/64⌉ words per mask, so a line costs 32
 // bytes on a machine of up to 64 processors and 104 at MaxProcs.
 //
-// Data never lives here — the single architectural copy of memory contents
-// and UFO bits is in package mem; because the simulation engine serializes
-// processors at memory-operation granularity, caches only need to model
-// presence, not values.
+// The directory stores nothing: its records are package mem's line
+// records, beside the page's words, ending in mem's flag word (the UFO
+// bits, and the directory's Warm bit). With processors serialized per
+// memory operation, caches model presence, not values.
 //
 // Paper: §3.1 (L1 capacity bounds BTM; SR/SW bits on the line) and §5.1
 // (simulated hierarchy, Table 4 parameters).
@@ -21,6 +21,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/mem"
 )
 
 // L1 is a set-associative occupancy model with LRU replacement.
@@ -218,13 +220,13 @@ func (s ProcSet) Next(from int) int {
 
 // Line is the directory's record for one line: its coherence state and,
 // beside it, the transactional state the paper keeps on the cache line.
-// It is a view of the record's 3·W+1 words — W = ⌈P/64⌉ words each of
-// sharers, SR and SW bits, then one flag word — in the directory's
-// storage, so it stays valid, and names the same record, until the
-// directory is Reset. Readers and Writers are not subsets of Sharers:
-// the unbounded HTM keeps a line in its read set after the L1 evicts it,
-// and a reader spared by a UFO install has lost its copy but not its SR
-// bit.
+// It is a view of the line's record in package mem — W = ⌈P/64⌉ words
+// each of sharers, SR and SW bits, then mem's flag word, which holds the
+// line's UFO bits and the Warm bit — so it stays valid, and names the
+// same record, until the memory is Reset. Readers and Writers are not
+// subsets of Sharers: the unbounded HTM keeps a line in its read set
+// after the L1 evicts it, and a reader spared by a UFO install has lost
+// its copy but not its SR bit.
 type Line []uint64
 
 // Sharers is the set of processors with the line resident in their L1.
@@ -236,100 +238,47 @@ func (l Line) Readers() ProcSet { w := len(l) / 3; return ProcSet(l[w : 2*w]) }
 // Writers is the SW bits.
 func (l Line) Writers() ProcSet { w := len(l) / 3; return ProcSet(l[2*w : 3*w]) }
 
+// warm is the Warm bit: the flag word's first bit above mem's UFO bits.
+const warm = uint64(mem.UFOFaultAll) + 1
+
 // Warm reports whether the line has been fetched from memory at least
 // once; SetWarm records that it has.
-func (l Line) Warm() bool { return l[len(l)-1] != 0 }
-func (l Line) SetWarm()   { l[len(l)-1] = 1 }
+func (l Line) Warm() bool { return l[len(l)-1]&warm != 0 }
+func (l Line) SetWarm()   { l[len(l)-1] |= warm }
 
-// pageLines is the number of records in one directory page. It equals
-// the number of lines in a page of simulated memory, so a workload that
-// touches a memory page materialises one directory page beside it.
-const pageLines = 64
+// RecordWords is the words of a record's three masks at procs processors:
+// the width a machine's memory is Reset to, in front of mem's flag word.
+func RecordWords(procs int) int { return 3 * ((procs + 63) / 64) }
 
-// Directory holds one Line record for every line any processor has
-// touched. Records are sized to the machine — Reset fixes the processor
-// count, and with it the record's width — and live in flat per-page word
-// slabs reached through an index that grows to the highest line seen; a
-// slab is cut on the first touch of any of its lines and never moves.
-// Slabs are cut from chunks of blank words that double from one slab up
-// to chunkSlabs, so a directory that touches n pages makes
-// O(log n + n/chunkSlabs) allocations, not n.
-type Directory struct {
-	stride int        // words per record: 3·⌈procs/64⌉ + 1
-	pages  [][]uint64 // pageLines records per slab; nil = untouched
-	free   [][]uint64 // slabs Reset kept, not yet blanked, for the next first touch
-	spare  []uint64   // blank words of the last chunk, never handed out; cap is its size
+// Directory views a memory's line records as directory records (Line);
+// it has no storage of its own.
+type Directory struct{ m *mem.Memory }
+
+// Over returns the directory whose records are m's.
+func Over(m *mem.Memory) Directory { return Directory{m} }
+
+// NewDirectory creates an empty directory for MaxProcs processors over a
+// memory of its own, of 2^18 lines.
+func NewDirectory() Directory {
+	m := new(mem.Memory)
+	m.Reset(ownBytes, RecordWords(MaxProcs))
+	return Over(m)
 }
 
-// chunkSlabs caps the slabs one chunk holds, as mem caps its page chunks.
-const chunkSlabs = 64
-
-// NewDirectory creates an empty directory for MaxProcs processors.
-func NewDirectory() *Directory {
-	d := new(Directory)
-	d.Reset(MaxProcs)
-	return d
-}
+const ownBytes = 1 << 24
 
 // Line returns the record for line, materialising its page if this is
 // the first touch.
-func (d *Directory) Line(line uint64) Line {
-	pi := line / pageLines
-	if pi >= uint64(len(d.pages)) || d.pages[pi] == nil {
-		d.materialise(pi)
-	}
-	off := int(line%pageLines) * d.stride
-	return d.pages[pi][off : off+d.stride]
-}
-
-func (d *Directory) materialise(pi uint64) {
-	if n := pi + 1; n > uint64(len(d.pages)) {
-		d.pages = append(d.pages, make([][]uint64, n-uint64(len(d.pages)))...)
-	}
-	// A kept slab is blanked here over the width this machine's records
-	// need, so one used at a wider stride serves a narrower one; one too
-	// small is dropped. A new slab is the spare chunk's last words, capped
-	// so that it cannot grow into its neighbour; raw words fit any stride,
-	// so the spare outlives a Reset that changes it.
-	var slab []uint64
-	if k := len(d.free); k > 0 {
-		slab, d.free = d.free[k-1], d.free[:k-1]
-	}
-	need := pageLines * d.stride
-	if cap(slab) >= need {
-		d.pages[pi] = slab[:need]
-		clear(d.pages[pi])
-		return
-	}
-	if len(d.spare) < need {
-		d.spare = make([]uint64, min(max(2*cap(d.spare), need), chunkSlabs*need))
-	}
-	k := len(d.spare) - need
-	d.pages[pi], d.spare = d.spare[k:k+need:k+need], d.spare[:k]
-}
-
-// Reset empties the directory, as NewDirectory builds it but with
-// records sized for procs processors, by unlinking the pages that were
-// materialised. It clears nothing: the slabs and the index's capacity
-// are kept for reuse, and a first touch blanks the kept slab it takes.
-func (d *Directory) Reset(procs int) {
-	for _, slab := range d.pages {
-		if slab != nil {
-			d.free = append(d.free, slab)
-		}
-	}
-	d.pages = d.pages[:0]
-	d.stride = 3*((procs+63)/64) + 1
-}
+func (d Directory) Line(line uint64) Line { return Line(d.m.Record(line)) }
 
 // Add records that processor p holds line.
-func (d *Directory) Add(line uint64, p int) { d.Line(line).Sharers().Set(p) }
+func (d Directory) Add(line uint64, p int) { d.Line(line).Sharers().Set(p) }
 
 // Remove records that processor p no longer holds line.
-func (d *Directory) Remove(line uint64, p int) { d.Line(line).Sharers().Clear(p) }
+func (d Directory) Remove(line uint64, p int) { d.Line(line).Sharers().Clear(p) }
 
 // HeldBy reports whether processor p holds line.
-func (d *Directory) HeldBy(line uint64, p int) bool { return d.Line(line).Sharers().Has(p) }
+func (d Directory) HeldBy(line uint64, p int) bool { return d.Line(line).Sharers().Has(p) }
 
 // Lines returns every resident line (for consistency checking).
 func (c *L1) Lines() []uint64 {
@@ -344,13 +293,10 @@ func (c *L1) Lines() []uint64 {
 
 // ForEach visits every record that names at least one processor, in
 // line order (for consistency checking).
-func (d *Directory) ForEach(f func(line uint64, rec Line)) {
-	for pi, slab := range d.pages {
-		for i := 0; i < len(slab)/d.stride; i++ {
-			rec := Line(slab[i*d.stride : (i+1)*d.stride])
-			if !ProcSet(rec[:len(rec)-1]).Empty() {
-				f(uint64(pi)*pageLines+uint64(i), rec)
-			}
+func (d Directory) ForEach(f func(line uint64, rec Line)) {
+	d.m.Records(func(line uint64, rec []uint64) {
+		if !ProcSet(rec[:len(rec)-1]).Empty() {
+			f(line, rec)
 		}
-	}
+	})
 }

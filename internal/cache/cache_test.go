@@ -4,6 +4,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mem"
 )
 
 func TestGeometry(t *testing.T) {
@@ -204,8 +206,8 @@ func TestDirectoryRecordsNeverMove(t *testing.T) {
 	}
 }
 
-// TestResetRestoresConstructedState: a Reset L1 and a Reset directory
-// behave as new ones do, and reuse what they hold.
+// TestResetRestoresConstructedState: a Reset L1, and a directory over a
+// Reset memory, behave as new ones do, and reuse what they hold.
 func TestResetRestoresConstructedState(t *testing.T) {
 	c, fresh := NewL1(1024, 64, 2), NewL1(1024, 64, 2)
 	for l := uint64(0); l < 40; l++ {
@@ -223,18 +225,18 @@ func TestResetRestoresConstructedState(t *testing.T) {
 		}
 	}
 
-	d := NewDirectory()
-	for l := uint64(0); l < 5*pageLines; l += 7 {
+	d, m := over(MaxProcs)
+	for l := uint64(0); l < 5*mem.PageLines; l += 7 {
 		d.Add(l, int(l%200))
 		d.Line(l).Writers().Set(3)
 		d.Line(l).SetWarm()
 	}
-	d.Reset(MaxProcs)
+	m.Reset(ownBytes, RecordWords(MaxProcs))
 	d.ForEach(func(line uint64, _ Line) { t.Fatalf("line %d survived Reset", line) })
 	allocs := testing.AllocsPerRun(1, func() {
-		d.Reset(MaxProcs)
-		for l := uint64(0); l < 5*pageLines; l += pageLines {
-			if rec := d.Line(l + 2*pageLines); slices.Max(rec) != 0 { // recycled pages land elsewhere
+		m.Reset(ownBytes, RecordWords(MaxProcs))
+		for l := uint64(0); l < 5*mem.PageLines; l += mem.PageLines {
+			if rec := d.Line(l + 2*mem.PageLines); slices.Max(rec) != 0 { // recycled pages land elsewhere
 				t.Fatalf("line %d: recycled record %v is not blank", l, rec)
 			}
 		}
@@ -244,6 +246,14 @@ func TestResetRestoresConstructedState(t *testing.T) {
 	}
 }
 
+// over returns a directory for procs processors over a memory of its
+// own, and the memory, whose Reset empties it.
+func over(procs int) (Directory, *mem.Memory) {
+	m := new(mem.Memory)
+	m.Reset(ownBytes, RecordWords(procs))
+	return Over(m), m
+}
+
 // TestProcSetAtEveryWidth checks a record's three masks against a
 // map[int]bool reference at processor counts on both sides of every word
 // boundary, and that filling every bit of one record leaves its
@@ -251,9 +261,8 @@ func TestResetRestoresConstructedState(t *testing.T) {
 // thing that keeps one line's bits out of another's.
 func TestProcSetAtEveryWidth(t *testing.T) {
 	for _, procs := range []int{1, 63, 64, 65, 128, 129, 256} {
-		d := NewDirectory()
-		d.Reset(procs)
-		const line = 5*pageLines + 17
+		d, _ := over(procs)
+		const line = 5*mem.PageLines + 17
 		rec := d.Line(line)
 		if want := 3*((procs+63)/64) + 1; len(rec) != want {
 			t.Fatalf("procs=%d: record is %d words, want %d", procs, len(rec), want)
@@ -316,20 +325,21 @@ func TestProcSetAtEveryWidth(t *testing.T) {
 	}
 }
 
-// TestDirectoryResetChangesWidth: slabs used at one stride serve any
-// stride they are big enough for, and a record read at the new stride,
-// on another page, is blank whatever the old one left where — every
-// mask word and the flag word of every record set, bits past the
-// machine's processors included.
+// TestDirectoryResetChangesWidth: a record read after its memory is
+// Reset to another processor count, on another page, is as wide as that
+// count asks and blank whatever the old one left where — every mask word
+// and the flag word of every record set, bits past the machine's
+// processors included. (Which slabs serve which width is mem's
+// TestResetChangesWidth.)
 func TestDirectoryResetChangesWidth(t *testing.T) {
-	d := NewDirectory()
+	d, m := over(8)
 	// fill resets d for procs processors, requires the four pages of
 	// records from line first on to read blank, then dirties every word.
 	fill := func(procs int, first uint64) {
-		d.Reset(procs)
-		for l := first; l < first+4*pageLines; l++ {
+		m.Reset(ownBytes, RecordWords(procs))
+		for l := first; l < first+4*mem.PageLines; l++ {
 			rec := d.Line(l)
-			if slices.Max(rec) != 0 {
+			if len(rec) != RecordWords(procs)+1 || slices.Max(rec) != 0 {
 				t.Fatalf("procs=%d: line %d reads %v after Reset", procs, l, rec)
 			}
 			for i := range rec {
@@ -337,14 +347,8 @@ func TestDirectoryResetChangesWidth(t *testing.T) {
 			}
 		}
 	}
-	fill(8, 0)
-	fill(130, pageLines) // the 8-wide slabs are too small: dropped, not resliced
-	for i, procs := range []int{8, 70, 130} {
-		first := uint64(i+2) * pageLines
-		fill(procs, first)
-		if got, want := cap(d.pages[first/pageLines]), pageLines*(3*3+1); got != want {
-			t.Fatalf("procs=%d: page %d is a slab of %d words, not a reused 130-wide one of %d", procs, first/pageLines, got, want)
-		}
+	for i, procs := range []int{8, 130, 8, 70, 130} {
+		fill(procs, uint64(i)*mem.PageLines)
 	}
 }
 
@@ -367,54 +371,6 @@ func TestNewL1sShareNoWays(t *testing.T) {
 	for _, i := range []int{0, 2} {
 		if got := cs[i].Lines(); len(got) != 0 || cs[i].Hits()+cs[i].Misses() != 0 {
 			t.Fatalf("filling cache 1 left lines %v in cache %d", got, i)
-		}
-	}
-}
-
-// TestSlabsAreCutApart: a slab is cut from its chunk capped at its own
-// length, so writing every word of one, and appending past its end,
-// leaves its chunk neighbours blank.
-func TestSlabsAreCutApart(t *testing.T) {
-	d := NewDirectory()
-	d.Reset(8)
-	for l := uint64(0); l < 7*pageLines; l += pageLines { // chunks of 1, 2 and 4 slabs
-		d.Line(l)
-	}
-	slab := d.pages[2]
-	if len(slab) != cap(slab) {
-		t.Fatalf("slab of %d words has capacity %d", len(slab), cap(slab))
-	}
-	for i := range slab {
-		slab[i] = ^uint64(0)
-	}
-	_ = append(slab, ^uint64(0))
-	for pi, other := range d.pages {
-		if pi != 2 && slices.Max(other) != 0 {
-			t.Fatalf("writing slab 2 wrote into slab %d", pi)
-		}
-	}
-}
-
-// TestSpareOutlivesStrideChanges: a directory moved from a 13-word
-// record stride to a 4-word one and back hands out blank records, from
-// kept slabs, the spare chunk and new chunks alike, though every word of
-// every slab was set before each Reset.
-func TestSpareOutlivesStrideChanges(t *testing.T) {
-	d := NewDirectory()
-	for round, c := range []struct{ procs, pages int }{{256, 3}, {8, 9}, {256, 6}, {8, 20}} {
-		d.Reset(c.procs)
-		for pi := 0; pi < c.pages; pi++ {
-			l := uint64(pi*pageLines + round) // each round a different line of the page first
-			if rec := d.Line(l); len(rec) != 3*((c.procs+63)/64)+1 {
-				t.Fatalf("round %d: a %d-word record at %d processors", round, len(rec), c.procs)
-			}
-			slab := d.pages[pi]
-			if slices.Max(slab) != 0 {
-				t.Fatalf("round %d, %d processors: page %d's slab is not blank", round, c.procs, pi)
-			}
-			for i := range slab {
-				slab[i] = ^uint64(0)
-			}
 		}
 	}
 }

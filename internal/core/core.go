@@ -99,7 +99,7 @@ func (s *System) Exec(p *machine.Proc) tm.Exec {
 	t := s.stm.Thread(p)
 	e, fresh := machine.ContextOf[exec](p)
 	if fresh {
-		e.Driver = tm.Driver{Tx: hwTx{e.HW(), e}, Begin: t.ForgetWakes, Committed: t.WakeOwed, Software: e.RunSW, SW: t}
+		e.Driver = tm.Driver{Tx: hwTx{e.HW(), e}, Begin: t.ForgetWakes, Committed: t.WakeOwed, SW: t}
 	}
 	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s, t: t}
 	return e

@@ -9,7 +9,8 @@ import (
 // maxCommitGap bounds how long a cell goes without a commit while a
 // transaction is in flight: ten times the largest such gap of any
 // system on any Benchmarks(ScaleFull) workload at 1, 4 or 8 threads
-// (DESIGN.md §52 has the table). It is the W a progress halt can use.
+// (DESIGN.md §52 has the table, with the scale and oltp sweeps' cells,
+// all far below it). It is the W a progress halt can use.
 const maxCommitGap = 10 * 52_633
 
 // commitGap observes a machine's lifecycle and keeps the longest stretch
@@ -38,14 +39,18 @@ func (g *commitGap) Event(e machine.TraceEvent) {
 }
 
 // TestCommitGapUnderBound measures the commit gap of every system on every
-// Benchmarks workload at 1, 4 and 8 threads and holds each under
+// Benchmarks workload at 1, 4 and 8 threads, of the scale study's systems
+// on scalemix at its processor counts, and of the oltp sweep's systems on
+// its default-shape cell at its thread count, and holds each under
 // maxCommitGap; it logs each workload's largest gap and its cell.
 func TestCommitGapUnderBound(t *testing.T) {
 	var jobs []Job
 	var gaps []*commitGap
-	for _, f := range Benchmarks(ScaleSmall) {
-		for _, sys := range AllSystems {
-			for _, threads := range []int{1, 4, 8} {
+	var names []string
+	add := func(f WorkloadFactory, systems []SystemKind, threadCounts []int) {
+		names = append(names, f.Name)
+		for _, sys := range systems {
+			for _, threads := range threadCounts {
 				if sys == Sequential && threads > 1 {
 					continue
 				}
@@ -58,6 +63,11 @@ func TestCommitGapUnderBound(t *testing.T) {
 			}
 		}
 	}
+	for _, f := range Benchmarks(ScaleSmall) {
+		add(f, AllSystems, []int{1, 4, 8})
+	}
+	add(ScaleBenchmark(ScaleSmall), ScaleSystems, ScaleProcCounts(ScaleSmall))
+	add(OLTPBenchmark(ScaleSmall), OLTPSystems, []int{OLTPThreads(ScaleSmall)})
 	results, err := Parallel(0).Execute(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +83,8 @@ func TestCommitGapUnderBound(t *testing.T) {
 			worst[res.Workload] = i
 		}
 	}
-	for _, f := range Benchmarks(ScaleSmall) {
-		i := worst[f.Name]
-		t.Logf("%-14s %9d cycles  %s, %d threads", f.Name, gaps[i].longest, jobs[i].System, jobs[i].Threads)
+	for _, name := range names {
+		i := worst[name]
+		t.Logf("%-14s %9d cycles  %s, %d threads", name, gaps[i].longest, jobs[i].System, jobs[i].Threads)
 	}
 }

@@ -300,8 +300,8 @@ func TestSecondCellReusesArena(t *testing.T) {
 func TestExecAllocs(t *testing.T) {
 	const runs = 4
 	freshBefore := map[SystemKind]float64{
-		Sequential: 1, GlobalLock: 1, UnboundedHTM: 1, UFOHybrid: 7, HyTM: 5, PhTM: 6,
-		USTM: 3, USTMUFO: 3, TL2: 2, HybridNOrec: 7, SLE: 4,
+		Sequential: 1, GlobalLock: 1, UnboundedHTM: 1, UFOHybrid: 5, HyTM: 3, PhTM: 6,
+		USTM: 3, USTMUFO: 3, TL2: 2, HybridNOrec: 6, SLE: 4,
 	}
 	for _, kind := range AllSystems {
 		opt := testOptions()

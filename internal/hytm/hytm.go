@@ -74,7 +74,7 @@ func (s *System) Exec(p *machine.Proc) tm.Exec {
 	t := s.stm.Thread(p)
 	e, fresh := machine.ContextOf[exec](p)
 	if fresh {
-		e.Tx, e.Software, e.SW = hwTx{e.HW(), e}, e.RunSW, t
+		e.Tx, e.SW = hwTx{e.HW(), e}, t
 	}
 	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s}
 	return e

@@ -1,28 +1,26 @@
 package machine
 
 import (
-	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
 // Arena owns the host-side storage a machine is built over — the
-// simulated memory with its page index and page records (data and UFO
-// bits), the directory's record pages, the engine with its processor
-// slab and ready heap, the processors with their L1s, hardware
+// simulated memory, whose page slabs hold each page's words and its
+// lines' records (UFO bits and directory state), the engine with its
+// processor slab and ready heap, the processors with their L1s, hardware
 // transaction buffers and TM contexts (ContextOf: each system's exec,
 // with its driver, hooks and logs, and USTM's Thread), and the TM
 // systems' big tables (TableOf) — so that it can outlive the machine. A
 // machine that ends with Release hands all of it back, and the next New
 // on the arena allocates only what it cannot reuse and sees none of what
 // the last machine left: tables, L1s and processors come back blank, a
-// kept memory or directory page is blanked by the first touch that takes
-// it, and a TM context by the Exec that takes it. The zero value is an
+// kept page slab is blanked by the first touch that takes it, and a TM
+// context by the Exec that takes it. The zero value is an
 // empty arena. One machine at a time lives on an arena, released however
 // its run ended (TestReleasedArenaIsBlank).
 type Arena struct {
-	mem    *mem.Memory
-	dir    *cache.Directory
+	mem    mem.Memory
 	eng    sim.Engine
 	procs  []*Proc           // every processor built here; a machine takes the first Params.Procs
 	bodies []func(*sim.Proc) // what Run hands the engine: each runs its processor's workload
@@ -53,10 +51,10 @@ func (a *Arena) grow(n int) {
 // Release ends the machine's life and hands its storage back to the
 // arena it was built on. It releases the hardware transaction a killed
 // run left open, zeroes the L1s of the processors it had and the table
-// rows marked Dirty, and unlinks the materialised memory and
-// directory pages without clearing them — the next machine's first touch
-// of a page blanks the record it takes, at that machine's record width —
-// so the cost is O(rows and pages touched), not O(configured). The
+// rows marked Dirty, and unlinks the materialised page slabs without
+// clearing them — the next machine's first touch of a page blanks the
+// slab it takes, at that machine's record width — so the cost is
+// O(rows and pages touched), not O(configured). The
 // machine, and everything built over it, must not be used afterwards.
 // Only a machine some later New will share an arena with needs it.
 func (m *Machine) Release() {
@@ -66,8 +64,7 @@ func (m *Machine) Release() {
 		}
 		p.l1.Reset()
 	}
-	m.Mem.Reset(0)
-	m.dir.Reset(m.Params.Procs)
+	m.Mem.Reset(0, 0)
 	for _, t := range m.arena.tables {
 		t.reset()
 	}

@@ -160,7 +160,7 @@ func (c *diffCell) txAccess(p *Proc, addr uint64, write bool) {
 		want := c.deliver(id)
 		c.expectOutcome(what, do(), want)
 		return
-	case p.UFOEnabled() && c.m.Mem.Faults(addr, write):
+	case p.UFOEnabled() && c.m.Mem.UFO(addr).Faults(write):
 		out := do()
 		c.interrupted(id, before, p.Now())
 		c.expectOutcome(what, out, Outcome{Kind: UFOFault})
@@ -199,7 +199,7 @@ func (c *diffCell) txAccess(p *Proc, addr uint64, write bool) {
 // ntAccess predicts and performs one non-transactional load or store.
 func (c *diffCell) ntAccess(p *Proc, addr uint64, write bool) {
 	id, line := p.ID(), mem.LineOf(addr)
-	faults := p.UFOEnabled() && c.m.Mem.Faults(addr, write)
+	faults := p.UFOEnabled() && c.m.Mem.UFO(addr).Faults(write)
 	if !faults {
 		for _, v := range c.victims(id, line, write) {
 			c.kill(id, v, AbortNonTConflict, mem.LineAddr(line), true)

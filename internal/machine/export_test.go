@@ -9,7 +9,7 @@ import (
 )
 
 // Directory exposes the machine's directory to the external tests.
-func (m *Machine) Directory() *cache.Directory { return m.dir }
+func (m *Machine) Directory() cache.Directory { return m.dir }
 
 // Kept renders the state a machine's engine and processors may carry
 // over from an earlier machine on their arena: every field of the

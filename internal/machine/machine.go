@@ -288,7 +288,7 @@ type Machine struct {
 	Count Counters
 
 	arena *Arena
-	dir   *cache.Directory
+	dir   cache.Directory // Mem's line records, as directory records
 	procs []*Proc
 	work  []func(*Proc) // Run's workloads, one per processor
 	txSeq uint64
@@ -312,12 +312,7 @@ func (a *Arena) New(p Params) *Machine {
 	if p.Procs > cache.MaxProcs {
 		panic(fmt.Sprintf("machine: Procs %d exceeds the directory's %d-processor limit", p.Procs, cache.MaxProcs))
 	}
-	if a.mem == nil {
-		a.mem, a.dir = mem.New(p.MemBytes), cache.NewDirectory()
-	} else {
-		a.mem.Reset(p.MemBytes)
-	}
-	a.dir.Reset(p.Procs)
+	a.mem.Reset(p.MemBytes, cache.RecordWords(p.Procs))
 	a.eng.Reset(sim.Config{
 		Procs:     p.Procs,
 		Quantum:   p.Quantum,
@@ -328,9 +323,9 @@ func (a *Arena) New(p Params) *Machine {
 	m := &Machine{
 		Params: p,
 		Eng:    &a.eng,
-		Mem:    a.mem,
+		Mem:    &a.mem,
 		arena:  a,
-		dir:    a.dir,
+		dir:    cache.Over(&a.mem),
 		procs:  a.procs[:p.Procs:p.Procs],
 	}
 	// Reserve the first page so fixed low addresses used by small tests

@@ -364,7 +364,7 @@ func (p *Proc) checkPending() (Outcome, bool) {
 // against other processors' hardware transactions, and cache/coherence
 // timing. tx marks the access as part of p's hardware transaction.
 func (p *Proc) access(addr uint64, write, tx bool) Outcome {
-	p.m.Mem.CheckAddr(addr) // before the UFO bits or the directory are indexed by it
+	p.m.Mem.CheckAddr(addr) // before the line's record is indexed by it
 	if tx {
 		if out, aborted := p.checkPending(); aborted {
 			return out
@@ -377,9 +377,14 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 		panic("machine: non-transactional access inside a hardware transaction")
 	}
 
+	// The line's record, fetched once, holds the UFO bits and the
+	// directory state; it never moves, so it outlives charge's yield.
+	line := mem.LineOf(addr)
+	rec := p.m.dir.Line(line)
+
 	// 1. UFO protection check: the fault is raised before the access
 	// completes, so a faulting access has no architectural effect.
-	if p.ufo && p.m.Mem.Faults(addr, write) {
+	if p.ufo && mem.UFOOf(rec).Faults(write) {
 		p.m.Count.UFOFaults++
 		p.emit(TraceEvent{Kind: TraceUFOFault, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
 		p.sp.Elapse(L1HitCycles) // the tag check that detected the fault
@@ -387,10 +392,6 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 	}
 
 	// 2. Conflict detection against other processors' HW transactions.
-	// The directory record is fetched once; it never moves, so it stays
-	// valid across the yield inside charge.
-	line := mem.LineOf(addr)
-	rec := p.m.dir.Line(line)
 	if out, resolved := p.resolveConflicts(line, rec, write, tx); !resolved {
 		return out
 	}
@@ -424,7 +425,7 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 	// and the new value. Victims killed at issue already carry a pending
 	// abort and are skipped.
 	p.resolveConflicts(line, rec, write, false)
-	if p.ufo && p.m.Mem.Faults(addr, write) {
+	if p.ufo && mem.UFOOf(rec).Faults(write) {
 		// 6. Protection re-check, same window: a software transaction may
 		// have installed UFO protection on (and eagerly written) this line
 		// during the miss. In hardware the permission check rides the

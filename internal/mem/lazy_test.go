@@ -2,13 +2,14 @@ package mem
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 )
 
 // These tests pin the lazy page-granular storage semantics: a nil page
 // must be indistinguishable from an explicitly zeroed one through every
 // accessor, and pages must materialize only when a write actually needs
-// to record non-zero state.
+// to record non-zero state, or a line's record is asked for.
 
 // materialized counts the page records m holds.
 func materialized(m *Memory) (n int) {
@@ -29,7 +30,7 @@ func TestUntouchedPagesReadZero(t *testing.T) {
 		if b := m.UFO(addr); b != UFONone {
 			t.Fatalf("UFO(%#x) = %v on untouched memory", addr, b)
 		}
-		if m.Faults(addr, false) || m.Faults(addr, true) {
+		if m.UFO(addr).Faults(false) || m.UFO(addr).Faults(true) {
 			t.Fatalf("Faults(%#x) true on untouched memory", addr)
 		}
 	}
@@ -88,7 +89,7 @@ func TestUFOWriteMaterializesUFOPageOnly(t *testing.T) {
 			t.Fatalf("%#x reads %d with bits %v, want 0 with %v", addr, v, b, want)
 		}
 	}
-	if !m.Faults(PageBytes+LineBytes, false) || m.Faults(PageBytes+LineBytes, true) {
+	if !m.UFO(PageBytes+LineBytes).Faults(false) || m.UFO(PageBytes+LineBytes).Faults(true) {
 		t.Fatal("Faults disagrees with fault-on-read")
 	}
 	// Reset keeps the record: the next user of it, at another address and
@@ -102,7 +103,7 @@ func TestUFOWriteMaterializesUFOPageOnly(t *testing.T) {
 			m.Write64(a, ^a)
 			m.SetUFO(a, UFOFaultAll)
 		}
-		m.Reset(4 * PageBytes)
+		m.Reset(4*PageBytes, 0)
 		if materialized(m) != 0 || len(m.free) != 1 {
 			t.Fatalf("Reset left %d pages materialized and kept %d records, want 0 and 1", materialized(m), len(m.free))
 		}
@@ -134,12 +135,12 @@ func TestGrowSharesMaterializedPages(t *testing.T) {
 	m := New(2 * PageBytes)
 	m.Write64(0, 7)
 	m.SetUFO(64, UFOFaultOnWrite)
-	before := m.pages[0]
+	before := &m.pages[0][0]
 	m.Sbrk(8 * PageBytes) // forces grow
 	if m.Size() < 8*PageBytes {
 		t.Fatalf("size %d after growth", m.Size())
 	}
-	if m.pages[0] != before {
+	if &m.pages[0][0] != before {
 		t.Fatal("grow copied a page instead of sharing it")
 	}
 	if v := m.Read64(0); v != 7 {
@@ -176,7 +177,7 @@ func TestResetBlanksAndReuses(t *testing.T) {
 		m.Write64(pg*PageBytes+8*pg, ^pg)
 		m.SetUFO(pg*PageBytes+LineBytes*pg, UFOFaultAll)
 	}
-	m.Reset(2 * PageBytes) // a later user asks for less
+	m.Reset(2*PageBytes, 0) // a later user asks for less
 	if m.Size() != 2*PageBytes || m.Sbrk(0) != 0 {
 		t.Fatalf("after Reset: size %d, brk %d; want %d, 0", m.Size(), m.Sbrk(0), 2*PageBytes)
 	}
@@ -192,7 +193,7 @@ func TestResetBlanksAndReuses(t *testing.T) {
 		m.Read64(2 * PageBytes)
 	}()
 	allocs := testing.AllocsPerRun(1, func() {
-		m.Reset(2 * PageBytes)
+		m.Reset(2*PageBytes, 0)
 		m.Sbrk(16 * PageBytes) // back past the old size, in place
 		for pg := uint64(3); pg < 16; pg++ {
 			m.Write64(pg*PageBytes, 1) // first touch takes a recycled page
@@ -221,17 +222,17 @@ func TestResetBlanksAndReuses(t *testing.T) {
 	}
 }
 
-// TestChunkedRecordsAreBlank: a first touch takes its record from the
+// TestChunkedRecordsAreBlank: a first touch takes its slab from the
 // free list, else from the spare chunk, else from a new chunk; across two
-// Resets, a record from each of the three reads as all-zero words and
-// clear bits, though every word and bit of every record was set before
-// the Reset, and no record is handed out twice.
+// Resets, a slab from each of the three reads as all-zero words and blank
+// records, though every word of every slab was set before the Reset, and
+// no slab is handed out twice.
 func TestChunkedRecordsAreBlank(t *testing.T) {
 	m := New(PageBytes)
 	var fromFree, fromSpare, fromChunk int
-	for _, touch := range []uint64{5, 12, 40} { // 7 records in chunks of 1, 2, 4; then 8; then 16 and 32
-		m.Reset(64 * PageBytes)
-		holder := map[*page]uint64{}
+	for _, touch := range []uint64{5, 12, 40} { // 7 slabs in chunks of 1, 2, 4; then 8; then 16 and 32
+		m.Reset(64*PageBytes, 3)
+		holder := map[*uint64]uint64{}
 		for pi := uint64(0); pi < touch; pi++ {
 			switch {
 			case len(m.free) > 0:
@@ -242,40 +243,44 @@ func TestChunkedRecordsAreBlank(t *testing.T) {
 				fromChunk++
 			}
 			base := pi * PageBytes
-			if pi%2 == 0 { // either kind of first touch
+			switch pi % 3 { // each kind of first touch
+			case 0:
 				m.SetUFO(base, UFOFaultOnRead)
-			} else {
+			case 1:
 				m.Write64(base, 1)
+			default:
+				m.Record(LineOf(base))
 			}
 			pg := m.pages[pi]
-			if q, ok := holder[pg]; ok {
-				t.Fatalf("touch %d: page %d was given the record page %d holds", touch, pi, q)
+			if q, ok := holder[&pg[0]]; ok {
+				t.Fatalf("touch %d: page %d was given the slab page %d holds", touch, pi, q)
 			}
-			holder[pg] = pi
-			want := page{}
-			if pi%2 == 0 {
-				want.ufo[0] = UFOFaultOnRead
-			} else {
-				want.words[0] = 1
+			holder[&pg[0]] = pi
+			want := make([]uint64, PageWords+PageLines*4)
+			switch pi % 3 {
+			case 0:
+				want[PageWords+3] = uint64(UFOFaultOnRead)
+			case 1:
+				want[0] = 1
 			}
-			if *pg != want {
-				t.Fatalf("touch %d, page %d: the first touch found a record that was not blank", touch, pi)
+			if !slices.Equal(pg, want) {
+				t.Fatalf("touch %d, page %d: the first touch found a slab that was not blank", touch, pi)
 			}
-			for a := base; a < base+PageBytes; a += WordBytes {
-				m.Write64(a, ^a)
-				m.SetUFO(a, UFOFaultAll)
+			for i := range pg {
+				pg[i] = ^uint64(0)
 			}
 		}
 	}
 	if fromFree == 0 || fromSpare == 0 || fromChunk == 0 {
-		t.Fatalf("records came %d from the free list, %d from the spare chunk, %d from new chunks: want each source", fromFree, fromSpare, fromChunk)
+		t.Fatalf("slabs came %d from the free list, %d from the spare chunk, %d from new chunks: want each source", fromFree, fromSpare, fromChunk)
 	}
 }
 
 // TestFirstTouchesAllocateInChunks: a new memory that touches 1,000
 // pages pays for its index and one chunk per doubling up to chunkPages,
 // then one per 64 pages — not one allocation per page — and for no more
-// bytes than 1,000 records, each rounded up to its size class, cost.
+// bytes than 1,000 old-style page records (words and a byte of UFO bits
+// per line, rounded up to their size class) cost.
 func TestFirstTouchesAllocateInChunks(t *testing.T) {
 	const pages = 1000
 	touch := func() {
@@ -293,5 +298,122 @@ func TestFirstTouchesAllocateInChunks(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(pages*4864); got >= limit {
 		t.Fatalf("touching %d pages allocated %d bytes, want under %d", pages, got, limit)
+	}
+}
+
+// TestSlabsAreCutApart: a slab is cut from its chunk capped at its own
+// length, and a record from its slab capped at its own, so writing every
+// word of one slab, and appending past its end or past a record's, leaves
+// its chunk neighbours blank.
+func TestSlabsAreCutApart(t *testing.T) {
+	m := New(8 * PageBytes)
+	m.Reset(8*PageBytes, 3)
+	for l := uint64(0); l < 7*PageLines; l += PageLines { // chunks of 1, 2 and 4 slabs
+		m.Record(l)
+	}
+	slab := m.pages[2]
+	if len(slab) != cap(slab) {
+		t.Fatalf("slab of %d words has capacity %d", len(slab), cap(slab))
+	}
+	rec := m.Record(3*PageLines - 1) // the slab's last record
+	if len(rec) != 4 || cap(rec) != 4 || &rec[3] != &slab[len(slab)-1] {
+		t.Fatalf("the last record of a slab is %d words of capacity %d, not the slab's last 4", len(rec), cap(rec))
+	}
+	_ = append(m.Record(2*PageLines), ^uint64(0)) // into its neighbour record, were it not capped
+	if slices.Max(slab) != 0 {
+		t.Fatal("appending to a record wrote into the next one")
+	}
+	for i := range slab {
+		slab[i] = ^uint64(0)
+	}
+	_ = append(slab, ^uint64(0))
+	for pi, other := range m.pages {
+		if pi != 2 && other != nil && slices.Max(other) != 0 {
+			t.Fatalf("writing slab 2 wrote into slab %d", pi)
+		}
+	}
+}
+
+// TestSpareOutlivesStrideChanges: a memory moved from 13-word records to
+// 4-word ones and back hands out blank slabs of the width asked for, from
+// kept slabs, the spare chunk and new chunks alike, though every word of
+// every slab was set before each Reset.
+func TestSpareOutlivesStrideChanges(t *testing.T) {
+	m := New(PageBytes)
+	for round, c := range []struct{ lineWords, pages int }{{12, 3}, {3, 9}, {12, 6}, {3, 20}} {
+		m.Reset(32*PageBytes, c.lineWords)
+		for pi := 0; pi < c.pages; pi++ {
+			l := uint64(pi*PageLines + round) // each round a different line of the page first
+			if rec := m.Record(l); len(rec) != c.lineWords+1 {
+				t.Fatalf("round %d: a %d-word record at width %d", round, len(rec), c.lineWords)
+			}
+			slab := m.pages[pi]
+			if len(slab) != PageWords+PageLines*(c.lineWords+1) || slices.Max(slab) != 0 {
+				t.Fatalf("round %d, width %d: page %d's slab is %d words and not blank", round, c.lineWords, pi, len(slab))
+			}
+			for i := range slab {
+				slab[i] = ^uint64(0)
+			}
+		}
+	}
+}
+
+// TestResetChangesWidth: slabs used at one width serve any width they are
+// big enough for, and one too small is dropped, not resliced; a record
+// read at the new width, on another page, is blank whatever the old one
+// left where.
+func TestResetChangesWidth(t *testing.T) {
+	m := New(PageBytes)
+	// fill resets m to records of lineWords words, requires the four
+	// pages of records from line first on to read blank, then dirties
+	// every word of their slabs.
+	fill := func(lineWords int, first uint64) {
+		m.Reset(16*PageBytes, lineWords)
+		for l := first; l < first+4*PageLines; l++ {
+			if rec := m.Record(l); slices.Max(rec) != 0 {
+				t.Fatalf("width %d: line %d reads %v after Reset", lineWords, l, rec)
+			}
+		}
+		for pi := first / PageLines; pi < first/PageLines+4; pi++ {
+			for i := range m.pages[pi] {
+				m.pages[pi][i] = ^uint64(0)
+			}
+		}
+	}
+	fill(6, 0)
+	fill(9, PageLines) // the 6-wide slabs are too small: dropped, not resliced
+	if len(m.free) != 0 {
+		t.Fatalf("%d slabs too small for the new width were kept", len(m.free))
+	}
+	for i, lineWords := range []int{6, 3, 9} {
+		first := uint64(i+2) * PageLines
+		fill(lineWords, first)
+		if got, want := cap(m.pages[first/PageLines]), PageWords+PageLines*(9+1); got != want {
+			t.Fatalf("width %d: page %d is a slab of %d words, not a reused 9-wide one of %d", lineWords, first/PageLines, got, want)
+		}
+	}
+}
+
+// TestUFOBitsShareTheFlagWord: SetUFO changes the flag word's UFO bits
+// alone, and the record's other words and the flag word's other bits are
+// the user's: no store to them moves the UFO bits.
+func TestUFOBitsShareTheFlagWord(t *testing.T) {
+	m := New(PageBytes)
+	m.Reset(PageBytes, 3)
+	rec := m.Record(5)
+	for i := range rec {
+		rec[i] = ^uint64(0) &^ uint64(UFOFaultAll)
+	}
+	if m.UFO(5*LineBytes) != UFONone {
+		t.Fatalf("the user's bits read as UFO bits %v", m.UFO(5*LineBytes))
+	}
+	for _, b := range []UFOBits{UFOFaultOnWrite, UFOFaultAll, UFONone, UFOFaultOnRead} {
+		m.SetUFO(5*LineBytes+8, b)
+		if got := UFOOf(rec); got != b || m.UFO(5*LineBytes) != b {
+			t.Fatalf("SetUFO(%v) reads back %v", b, got)
+		}
+		if rec[0] != ^uint64(UFOFaultAll) || rec[3]|uint64(UFOFaultAll) != ^uint64(0) {
+			t.Fatalf("SetUFO(%v) moved the user's bits: %x", b, rec)
+		}
 	}
 }

@@ -2,8 +2,9 @@
 // the paper's UFO extension (§3.2, §4): two user-fault-on bits
 // (fault-on-read and fault-on-write) per 64-byte line that travel with
 // the data through caches and DRAM; here a page's words and its lines'
-// bits are one record behind one index. Appendix A's swap path, which
-// keeps the bits across swap, is not modelled (DESIGN.md §7).
+// records — the bits, and beside them the directory state package cache
+// keeps per line — are one slab behind one index. Appendix A's swap path,
+// which keeps the bits across swap, is not modelled (DESIGN.md §7).
 //
 // Addresses are byte addresses; data is accessed at 64-bit-word
 // granularity and must be 8-byte aligned. The UFO bits here are the single
@@ -25,6 +26,8 @@ const (
 	PageBytes = 4096
 	// PageLines is the number of lines per page.
 	PageLines = PageBytes / LineBytes
+	// PageWords is the number of words per page.
+	PageWords = PageBytes / WordBytes
 )
 
 // UFOBits is the per-line protection state (Table 2 of the paper).
@@ -61,60 +64,50 @@ func LineOf(addr uint64) uint64 { return addr / LineBytes }
 // LineAddr returns the base byte address of line index l.
 func LineAddr(l uint64) uint64 { return l * LineBytes }
 
-const (
-	// PageWords is the number of words per page.
-	PageWords = PageBytes / WordBytes
-)
-
-// Memory is the simulated physical memory plus per-line UFO bit storage.
-// The zero value is not usable; call New.
+// Memory is the simulated physical memory: its words, and per line a
+// record of the UFO bits and whatever its user keeps beside them (package
+// cache: the directory's record). The zero value is empty; Reset sizes it.
 //
-// Storage is page-granular and materialized on first touch: a page's
-// words and the UFO bits of its lines sit in one record, reached through
-// one index. A nil record reads as all-zero words and all-clear UFO bits
-// and is materialized only on the first write that needs it. Simulations
-// configure tens of megabytes of architectural memory per sweep cell but
-// touch a small fraction of it. Records are allocated in chunks that
-// double from one record up to chunkPages, so a memory that touches n
-// pages makes O(log n + n/chunkPages) allocations, not n.
-//
-// A Memory can be reused: Reset keeps the records its last user touched,
-// and the index, for the next one, and a first touch blanks the kept
-// record it takes, so a run on a reused Memory pays for what it touches
-// and not for what it configures or what its predecessor touched.
+// A page is one slab, materialized on first touch and reached through one
+// index: PageWords words, then PageLines records, each the user's words
+// (as many as Reset says) and a flag word whose UFOFaultAll bits are the
+// line's UFO bits, its other bits the user's. A nil slab reads as zero
+// words and blank records; a cell configures megabytes and touches a
+// fraction. Slabs are cut from chunks that double up to chunkPages, so n
+// touched pages make O(log n + n/chunkPages) allocations. Reset keeps the
+// slabs and the index for the next user, and a first touch blanks the
+// kept slab it takes: a run pays for what it touches, not for what it or
+// its predecessor configured.
 type Memory struct {
-	pages []*page // nil = untouched: zero words, clear bits
-	size  uint64  // architectural size in bytes
-	brk   uint64  // sbrk-style allocation frontier, in bytes
-	free  []*page // kept records, not yet blanked, awaiting a first touch
-	spare []page  // blank records of the last chunk, never handed out; cap is its size
+	pages [][]uint64 // nil = untouched: zero words, blank records
+	rec   int        // words per line record: the user's, then the flag word
+	size  uint64     // architectural size in bytes
+	brk   uint64     // sbrk-style allocation frontier, in bytes
+	free  [][]uint64 // slabs Reset kept, not yet blanked, for the next first touch
+	spare []uint64   // blank words of the last chunk, never handed out; cap is its size
 }
 
-// chunkPages caps the records one chunk holds: a small memory pays for
+// chunkPages caps the slabs one chunk holds: a small memory pays for
 // little more than it touches, a large one for one allocation per 64
 // pages.
 const chunkPages = 64
 
-// page is one page of memory: the UFO bits travel with the data.
-type page struct {
-	words [PageWords]uint64
-	ufo   [PageLines]UFOBits
-}
-
 // New creates a memory of the given size in bytes (rounded up to a whole
-// page). No pages are allocated until first written.
+// page) whose records are the flag word alone. No pages are allocated
+// until first written.
 func New(sizeBytes uint64) *Memory {
 	m := new(Memory)
-	m.Reset(sizeBytes)
+	m.Reset(sizeBytes, 0)
 	return m
 }
 
 // Reset returns m to the state New(sizeBytes) builds — every word zero,
-// every UFO bit clear, nothing allocated by Sbrk — by unlinking the pages
-// that were materialized. It clears nothing: the records are kept as
-// they are, the index is resized in place, and a later first touch
-// blanks a kept record before it allocates one.
-func (m *Memory) Reset(sizeBytes uint64) {
+// every record blank, nothing allocated by Sbrk — with records of
+// lineWords words before the flag word, by unlinking the pages that were
+// materialized. It clears nothing: the slabs are kept as they are, the
+// index is resized in place, and a later first touch blanks a kept slab
+// before it allocates one.
+func (m *Memory) Reset(sizeBytes uint64, lineWords int) {
 	for _, pg := range m.pages {
 		if pg != nil {
 			m.free = append(m.free, pg)
@@ -123,6 +116,7 @@ func (m *Memory) Reset(sizeBytes uint64) {
 	if sizeBytes == 0 {
 		sizeBytes = PageBytes
 	}
+	m.rec = lineWords + 1
 	m.size, m.brk = 0, 0
 	m.resize((sizeBytes + PageBytes - 1) / PageBytes * PageBytes)
 }
@@ -131,7 +125,7 @@ func (m *Memory) Reset(sizeBytes uint64) {
 // its capacity allows; the new tail is nil.
 func (m *Memory) resize(size uint64) {
 	keep, pages := m.size/PageBytes, size/PageBytes
-	m.pages = append(m.pages[:keep], make([]*page, pages-keep)...)
+	m.pages = append(m.pages[:keep], make([][]uint64, pages-keep)...)
 	m.size = size
 }
 
@@ -168,20 +162,24 @@ func (m *Memory) badAddr(addr uint64) {
 	panic(fmt.Sprintf("mem: access at %#x beyond memory size %#x", addr, m.size))
 }
 
-// materialize gives page pi a blank record: one that Reset kept, blanked
-// here, just before the write that needs it, else the next of the spare
-// chunk's, which a new chunk twice the last one's size refills.
-func (m *Memory) materialize(pi uint64) *page {
-	var pg *page
+// materialize gives page pi a blank slab: a kept one, blanked over the
+// words this width needs (one too small is dropped), else the spare
+// chunk's last words, capped so that it cannot grow into its neighbour.
+func (m *Memory) materialize(pi uint64) []uint64 {
+	var pg []uint64
 	if k := len(m.free); k > 0 {
 		pg, m.free = m.free[k-1], m.free[:k-1]
-		*pg = page{}
+	}
+	need := PageWords + PageLines*m.rec
+	if cap(pg) >= need {
+		pg = pg[:need]
+		clear(pg)
 	} else {
-		if len(m.spare) == 0 {
-			m.spare = make([]page, min(max(2*cap(m.spare), 1), chunkPages))
+		if len(m.spare) < need {
+			m.spare = make([]uint64, min(max(2*cap(m.spare), need), chunkPages*need))
 		}
-		k := len(m.spare) - 1
-		pg, m.spare = &m.spare[k], m.spare[:k]
+		k := len(m.spare) - need
+		pg, m.spare = m.spare[k:k+need:k+need], m.spare[:k]
 	}
 	m.pages[pi] = pg
 	return pg
@@ -194,49 +192,77 @@ func (m *Memory) Read64(addr uint64) uint64 {
 	if pg == nil {
 		return 0
 	}
-	return pg.words[addr%PageBytes/WordBytes]
+	return pg[addr%PageBytes/WordBytes]
+}
+
+// slab returns page pi's slab, materializing it unless it is untouched
+// and the store about to be made is of zero, which changes nothing there:
+// then it is nil. It inlines.
+func (m *Memory) slab(pi uint64, zero bool) []uint64 {
+	pg := m.pages[pi]
+	if pg == nil && !zero {
+		pg = m.materialize(pi)
+	}
+	return pg
 }
 
 // Write64 stores a committed word at addr.
 func (m *Memory) Write64(addr, val uint64) {
 	m.CheckAddr(addr)
-	pg := m.pages[addr/PageBytes]
-	if pg == nil {
-		if val == 0 {
-			return // writing zero to an untouched page changes nothing
-		}
-		pg = m.materialize(addr / PageBytes)
+	if pg := m.slab(addr/PageBytes, val == 0); pg != nil {
+		pg[addr%PageBytes/WordBytes] = val
 	}
-	pg.words[addr%PageBytes/WordBytes] = val
 }
 
-// UFO returns the UFO bits for the line containing addr: the state the
+// Record returns line's record, materializing its page, capped at its own
+// words; it stays valid, and names the same record, until Reset. Check an
+// address of the line first.
+func (m *Memory) Record(line uint64) []uint64 {
+	return m.record(m.slab(line/PageLines, false), line)
+}
+
+func (m *Memory) record(pg []uint64, line uint64) []uint64 {
+	off := PageWords + int(line%PageLines)*m.rec
+	return pg[off : off+m.rec : off+m.rec]
+}
+
+// Records visits the record of every line of every materialized page, in
+// line order (for consistency checking).
+func (m *Memory) Records(f func(line uint64, rec []uint64)) {
+	for pi, pg := range m.pages {
+		for l := uint64(pi) * PageLines; pg != nil && l < uint64(pi+1)*PageLines; l++ {
+			f(l, m.record(pg, l))
+		}
+	}
+}
+
+// UFOOf returns the UFO bits held in rec's flag word: the state the
 // machine's fault check reads, at no simulated cost.
+func UFOOf(rec []uint64) UFOBits { return UFOBits(rec[len(rec)-1]) & UFOFaultAll }
+
+// UFO returns the UFO bits for the line containing addr.
 func (m *Memory) UFO(addr uint64) UFOBits {
 	pg := m.pages[addr/PageBytes]
 	if pg == nil {
 		return UFONone
 	}
-	return pg.ufo[addr%PageBytes/LineBytes]
+	return UFOOf(m.record(pg, LineOf(addr)))
 }
 
 // SetUFO replaces the UFO bits for the line containing addr
-// (set_ufo_bits). Coherence actions are the cache layer's job.
+// (set_ufo_bits), leaving the flag word's other bits as they are.
+// Coherence actions are the cache layer's job.
 func (m *Memory) SetUFO(addr uint64, bits UFOBits) {
-	pg := m.pages[addr/PageBytes]
-	if pg == nil {
-		if bits == UFONone {
-			return
-		}
-		pg = m.materialize(addr / PageBytes)
+	if pg := m.slab(addr/PageBytes, bits == UFONone); pg != nil {
+		rec := m.record(pg, LineOf(addr))
+		rec[len(rec)-1] = rec[len(rec)-1]&^uint64(UFOFaultAll) | uint64(bits)
 	}
-	pg.ufo[addr%PageBytes/LineBytes] = bits
 }
 
-// Faults reports whether an access of the given kind to addr would raise
-// a UFO fault, assuming UFO faults are enabled on the accessing thread.
-func (m *Memory) Faults(addr uint64, write bool) bool {
-	b := m.UFO(addr)
+// Faults reports whether an access of the given kind to a line holding
+// bits would raise a UFO fault, assuming UFO faults are enabled on the
+// accessing thread.
+func (b UFOBits) Faults(write bool) bool {
 	if write {
 		return b&UFOFaultOnWrite != 0
 	}

@@ -61,10 +61,10 @@ func TestUFOBitsPerLine(t *testing.T) {
 		if m.UFO(a) != UFOFaultOnWrite {
 			t.Fatalf("UFO(%d) = %v", a, m.UFO(a))
 		}
-		if m.Faults(a, false) {
+		if m.UFO(a).Faults(false) {
 			t.Fatal("read should not fault under fault-on-write")
 		}
-		if !m.Faults(a, true) {
+		if !m.UFO(a).Faults(true) {
 			t.Fatal("write should fault under fault-on-write")
 		}
 	}
@@ -87,11 +87,11 @@ func TestFaultsMatrix(t *testing.T) {
 	}
 	for _, c := range cases {
 		m.SetUFO(0, c.bits)
-		if m.Faults(0, false) != c.read {
-			t.Errorf("bits %v: read fault = %v, want %v", c.bits, m.Faults(0, false), c.read)
+		if m.UFO(0).Faults(false) != c.read {
+			t.Errorf("bits %v: read fault = %v, want %v", c.bits, m.UFO(0).Faults(false), c.read)
 		}
-		if m.Faults(0, true) != c.write {
-			t.Errorf("bits %v: write fault = %v, want %v", c.bits, m.Faults(0, true), c.write)
+		if m.UFO(0).Faults(true) != c.write {
+			t.Errorf("bits %v: write fault = %v, want %v", c.bits, m.UFO(0).Faults(true), c.write)
 		}
 	}
 }

@@ -121,8 +121,7 @@ func (s *System) Exec(p *machine.Proc) tm.Exec {
 	if fresh {
 		e.sw = tm.Lazy{D: &e.Driver, Miss: e.swLoad, StoreCycles: BarrierCycles}
 		e.Driver = tm.Driver{Tx: hwTx{e.HW(), e}, Begin: e.subscribe, PreCommit: e.notifySoftware,
-			Committed: e.noteWriter, Software: e.RunSW}
-		e.SW = e
+			Committed: e.noteWriter, SW: e}
 	}
 	*e = exec{Driver: e.Rebind(p, &s.Handler), s: s, sw: e.sw.Rebind(), valuelog: e.valuelog[:0]}
 	return e

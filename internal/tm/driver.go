@@ -160,10 +160,12 @@ type Driver struct {
 	// Committed, when set, runs after a hardware commit has been marked
 	// and the contention manager told, before the deferred closures.
 	Committed func()
-	// Software runs the transaction to commit on the software path. Nil
-	// means there is none: hardware attempts retry until one commits.
+	// Software runs the transaction to commit on the software path, when
+	// that is more than RunSW over SW. Nil with SW nil too means there is
+	// none: hardware attempts retry until one commits.
 	Software func(age uint64, body func(Tx))
-	// SW is the software path RunSW drives, and Atomic when Tx is nil.
+	// SW is the software path RunSW drives: Atomic's when Tx is nil, and
+	// its failover's when Software is nil.
 	SW SWPath
 
 	deferred []func()
@@ -205,7 +207,7 @@ func (d *Driver) Atomic(body func(Tx)) {
 		d.untilCommit(age, machine.PathSW, body)
 		d.committed(age)
 		return
-	case d.Software == nil:
+	case d.Software == nil && d.SW == nil:
 		d.untilCommit(age, machine.PathHTM, body)
 		d.committed(age)
 		return
@@ -252,7 +254,11 @@ attempts:
 	// is why software transactions are almost always older than the
 	// hardware transactions they meet (§4.4).
 	p.Machine().Count.Failovers++
-	d.Software(age, body)
+	if d.Software != nil {
+		d.Software(age, body)
+	} else {
+		d.RunSW(age, body)
+	}
 	cmgr.TxDone(age)
 }
 

@@ -293,6 +293,7 @@ func TestDriverRetryNowSkipsTheHandler(t *testing.T) {
 
 func TestDriverWithoutSoftwareRetriesUntilCommit(t *testing.T) {
 	r := newRig(1, false)
+	r.d.SW = nil // no software path at all: hardware-only
 	r.policy(cm.KindSerialize)
 	const age = 1 // the machine's first transaction
 	const k = cm.DefaultStarveK

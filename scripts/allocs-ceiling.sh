@@ -31,7 +31,10 @@ cd "$(git rev-parse --show-toplevel)"
 # 8,308 / 17,193 (oltp-open, vacation-t16, fig5-small, scale-256) once
 # tl2's and hybrid-norec's software paths stopped binding two method
 # values per processor; layer-micro's 2,596 is inside its spread.
-ceilings="oltp-open:21500 vacation-t16:2500 fig5-small:9150 scale-256:18950 layer-micro:2950"
+# 19,521 / 2,233 / 8,289 / 17,237 / 2,601 once a page's words and its
+# lines' directory records shared one slab (scale-256's ceiling is
+# already under 10 % over its count, so it stays).
+ceilings="oltp-open:21450 vacation-t16:2450 fig5-small:9100 scale-256:18950 layer-micro:2850"
 
 status=0
 for pair in $ceilings; do
