@@ -1,17 +1,18 @@
 // Package cache models the parts of the cache hierarchy that the paper's
 // results depend on: a per-processor set-associative L1 occupancy model
-// (which determines BTM's transactional capacity and therefore its
-// overflow aborts) and a directory holding one record per line: which
-// processors cache a copy (invalidations, transfer timing) and, beside
-// that coherence state as in the paper's BTM, which hold the line in a
-// hardware transaction's read or write set (the SR/SW bits, from which
-// the machine nominates the parties to a conflict). A record is sized
-// to the machine it serves: ⌈P/64⌉ words per mask, so a line costs 32
-// bytes on a machine of up to 64 processors and 104 at MaxProcs.
+// of tags alone, each set kept in LRU order (which determines BTM's
+// transactional capacity and therefore its overflow aborts), and a
+// directory holding one record per line: which processors cache a copy
+// (invalidations, transfer timing) and, beside that coherence state as
+// in the paper's BTM, which hold the line in a hardware transaction's
+// read or write set (the SR/SW bits, from which the machine nominates
+// the parties to a conflict). A record is sized to the machine it
+// serves: ⌈P/64⌉ words per mask, so a line costs 32 bytes on a machine
+// of up to 64 processors and 104 at MaxProcs.
 //
 // The directory stores nothing: its records are package mem's line
-// records, beside the page's words, ending in mem's flag word (the UFO
-// bits, and the directory's Warm bit). With processors serialized per
+// records, each after its line's words, ending in mem's flag word (the
+// UFO bits, and the directory's Warm bit). With processors serialized per
 // memory operation, caches model presence, not values.
 //
 // Paper: §3.1 (L1 capacity bounds BTM; SR/SW bits on the line) and §5.1
@@ -25,22 +26,18 @@ import (
 	"repro/internal/mem"
 )
 
-// L1 is a set-associative occupancy model with LRU replacement.
+// L1 is a set-associative occupancy model with LRU replacement. A way
+// is its tag, the resident line plus one (zero: invalid), and a set keeps
+// its ways most recently used first, so a 4-way set is 32 bytes and LRU
+// needs no stamps: a hit moves its way to the front, and a miss takes
+// the hole nearest the back, else evicts the last way (DESIGN.md §54).
 type L1 struct {
 	ways   int
 	sets   int
-	mask   uint64 // sets - 1: a line's set is line & mask
-	all    []way  // set s is all[s*ways : (s+1)*ways]
-	clock  uint64
+	mask   uint64   // sets - 1: a line's set is line & mask
+	all    []uint64 // set s is all[s*ways : (s+1)*ways]
 	misses uint64
 	hits   uint64
-}
-
-// way is 16 bytes so that a 4-way set is exactly one 64-byte host cache
-// line: tag is the resident line plus one, and zero marks the way invalid.
-type way struct {
-	tag uint64
-	lru uint64
 }
 
 // NewL1 builds a cache of sizeBytes with the given associativity over
@@ -64,7 +61,7 @@ func NewL1s(n, sizeBytes, lineBytes, ways int) []L1 {
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d sets is not a power of two", sets))
 	}
-	cs, all := make([]L1, n), make([]way, n*lines)
+	cs, all := make([]L1, n), make([]uint64, n*lines)
 	for i := range cs {
 		cs[i] = L1{ways: ways, sets: sets, mask: uint64(sets - 1), all: all[i*lines : (i+1)*lines : (i+1)*lines]}
 	}
@@ -77,15 +74,15 @@ func (c *L1) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *L1) Ways() int { return c.ways }
 
-func (c *L1) set(line uint64) []way {
+func (c *L1) set(line uint64) []uint64 {
 	i := int(line&c.mask) * c.ways
 	return c.all[i : i+c.ways]
 }
 
 // Contains reports whether line is resident.
 func (c *L1) Contains(line uint64) bool {
-	for _, w := range c.set(line) {
-		if w.tag == line+1 {
+	for _, tag := range c.set(line) {
+		if tag == line+1 {
 			return true
 		}
 	}
@@ -95,39 +92,45 @@ func (c *L1) Contains(line uint64) bool {
 // Touch references line, returning whether it hit and, on a miss that
 // required replacement, the victim line that was evicted.
 func (c *L1) Touch(line uint64) (hit bool, victim uint64, evicted bool) {
-	c.clock++
-	set := c.set(line)
-	var lruIdx int
-	var freeIdx = -1
-	for i := range set {
-		w := &set[i]
-		if w.tag == line+1 {
-			w.lru = c.clock
+	tag, set := line+1, c.set(line)
+	if set[0] == tag {
+		c.hits++
+		return true, 0, false
+	}
+	hole := -1 // the hole nearest the back
+	for i, w := range set {
+		if w == tag {
+			toFront(set, i, tag)
 			c.hits++
 			return true, 0, false
 		}
-		if w.tag == 0 {
-			freeIdx = i
-		} else if set[lruIdx].lru > w.lru || set[lruIdx].tag == 0 {
-			lruIdx = i
+		if w == 0 {
+			hole = i
 		}
 	}
 	c.misses++
-	if freeIdx >= 0 {
-		set[freeIdx] = way{tag: line + 1, lru: c.clock}
-		return false, 0, false
+	if hole < 0 { // the least recently used way makes room
+		hole = len(set) - 1
+		victim, evicted = set[hole]-1, true
 	}
-	victim = set[lruIdx].tag - 1
-	set[lruIdx] = way{tag: line + 1, lru: c.clock}
-	return false, victim, true
+	toFront(set, hole, tag)
+	return false, victim, evicted
 }
 
-// Invalidate removes line if resident.
+// toFront moves the ways in front of way i back by one, over it, and
+// puts tag in front: the most recently used way.
+func toFront(set []uint64, i int, tag uint64) {
+	copy(set[1:i+1], set[:i])
+	set[0] = tag
+}
+
+// Invalidate removes line if resident, leaving a hole where it was: the
+// other ways keep their order.
 func (c *L1) Invalidate(line uint64) {
 	set := c.set(line)
-	for i := range set {
-		if w := &set[i]; w.tag == line+1 {
-			w.tag = 0
+	for i, tag := range set {
+		if tag == line+1 {
+			set[i] = 0
 			return
 		}
 	}
@@ -137,7 +140,7 @@ func (c *L1) Invalidate(line uint64) {
 // and the reference counts zero.
 func (c *L1) Reset() {
 	clear(c.all)
-	c.clock, c.misses, c.hits = 0, 0, 0
+	c.misses, c.hits = 0, 0
 }
 
 // Hits and Misses report reference counts since construction or Reset.
@@ -283,9 +286,9 @@ func (d Directory) HeldBy(line uint64, p int) bool { return d.Line(line).Sharers
 // Lines returns every resident line (for consistency checking).
 func (c *L1) Lines() []uint64 {
 	var out []uint64
-	for _, w := range c.all {
-		if w.tag != 0 {
-			out = append(out, w.tag-1)
+	for _, tag := range c.all {
+		if tag != 0 {
+			out = append(out, tag-1)
 		}
 	}
 	return out

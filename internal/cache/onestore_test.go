@@ -26,7 +26,7 @@ type refMemory struct {
 }
 
 type refPage struct {
-	words [mem.PageWords]uint64
+	words [mem.PageBytes / mem.WordBytes]uint64
 	ufo   [mem.PageLines]mem.UFOBits
 }
 

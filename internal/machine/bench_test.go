@@ -40,3 +40,33 @@ func BenchmarkUFOSetClear(b *testing.B) {
 		}
 	}})
 }
+
+// BenchmarkAccessStream measures the access path at an L1 it overflows:
+// one processor's non-transactional loads and stores (one in four) at
+// words drawn by a fixed LCG from four times as many lines as its L1
+// holds, so the stream has hits, misses into holes and evictions.
+func BenchmarkAccessStream(b *testing.B) {
+	params := testParams(1)
+	lines := uint64(4 * params.L1Bytes / 64)
+	m := New(params)
+	m.Run([]func(*Proc){func(p *Proc) {
+		x := uint64(1)
+		next := func() uint64 {
+			x = x*6364136223846793005 + 1442695040888963407
+			return x >> 33
+		}
+		for l := uint64(0); l < lines; l++ {
+			p.NTWrite(l*64, l) // every page first-touched before the timer starts
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := next()
+			addr := r%lines*64 + r/lines%8*8
+			if i%4 == 3 {
+				p.NTWrite(addr, r)
+			} else {
+				p.NTRead(addr)
+			}
+		}
+	}})
+}

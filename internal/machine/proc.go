@@ -333,11 +333,16 @@ func (p *Proc) killHWFrom(aggressor int, victim *Proc, reason AbortReason, addr 
 	p.conflict(aggressor, victim, reason, addr, hasAddr, 0)
 	t.pendingAbort = reason
 	// Speculatively written lines are invalidated on abort (they were
-	// never globally visible); the read set simply loses its SR bits.
+	// never globally visible), losing the copy and the SW bit from one
+	// fetch of the record; the read set simply loses its SR bits.
+	id := victim.ID()
 	for _, l := range t.writes {
 		victim.l1.Invalidate(l)
-		p.m.dir.Remove(l, victim.ID())
+		rec := p.m.dir.Line(l)
+		rec.Sharers().Clear(id)
+		rec.Writers().Clear(id)
 	}
+	t.writes = t.writes[:0]
 	t.release()
 }
 
@@ -362,12 +367,14 @@ func (p *Proc) checkPending() (Outcome, bool) {
 // access performs the full architectural sequence for one memory
 // operation: UFO protection check, conflict detection and resolution
 // against other processors' hardware transactions, and cache/coherence
-// timing. tx marks the access as part of p's hardware transaction.
-func (p *Proc) access(addr uint64, write, tx bool) Outcome {
-	p.m.Mem.CheckAddr(addr) // before the line's record is indexed by it
+// timing. tx marks the access as part of p's hardware transaction. When
+// the outcome is OK, word is the committed word at addr, for the caller
+// to load or store at this same schedule slot.
+func (p *Proc) access(addr uint64, write, tx bool) (word *uint64, _ Outcome) {
+	p.m.Mem.CheckAddr(addr) // before the line's block is indexed by it
 	if tx {
 		if out, aborted := p.checkPending(); aborted {
-			return out
+			return nil, out
 		}
 		if p.hw == nil {
 			panic("machine: transactional access with no transaction")
@@ -377,10 +384,11 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 		panic("machine: non-transactional access inside a hardware transaction")
 	}
 
-	// The line's record, fetched once, holds the UFO bits and the
-	// directory state; it never moves, so it outlives charge's yield.
+	// The line's block, fetched once, holds the word, the UFO bits and
+	// the directory state; it never moves, so it outlives charge's yield.
 	line := mem.LineOf(addr)
-	rec := p.m.dir.Line(line)
+	word, flat := p.m.Mem.Block(addr)
+	rec := cache.Line(flat)
 
 	// 1. UFO protection check: the fault is raised before the access
 	// completes, so a faulting access has no architectural effect.
@@ -388,12 +396,12 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 		p.m.Count.UFOFaults++
 		p.emit(TraceEvent{Kind: TraceUFOFault, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
 		p.sp.Elapse(L1HitCycles) // the tag check that detected the fault
-		return Outcome{Kind: UFOFault}
+		return nil, Outcome{Kind: UFOFault}
 	}
 
 	// 2. Conflict detection against other processors' HW transactions.
 	if out, resolved := p.resolveConflicts(line, rec, write, tx); !resolved {
-		return out
+		return nil, out
 	}
 
 	// 3. Track the transactional footprint before the timing charge: the
@@ -410,9 +418,9 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 	p.charge(line, rec, write)
 	if tx {
 		if out, aborted := p.checkPending(); aborted {
-			return out
+			return nil, out
 		}
-		return okOutcome
+		return word, okOutcome
 	}
 	// 5. Completion-time conflict re-check: the charge above yields, and a
 	// hardware transaction may have touched this line while the miss was in
@@ -436,9 +444,9 @@ func (p *Proc) access(addr uint64, write, tx bool) Outcome {
 		// retry will hit in L1.
 		p.m.Count.UFOFaults++
 		p.emit(TraceEvent{Kind: TraceUFOFault, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
-		return Outcome{Kind: UFOFault}
+		return nil, Outcome{Kind: UFOFault}
 	}
-	return okOutcome
+	return word, okOutcome
 }
 
 // resolveConflicts applies the machine's contention policy to every
@@ -565,7 +573,7 @@ func (p *Proc) charge(line uint64, rec cache.Line, write bool) {
 // TxRead performs a transactional load: conflict detection, footprint
 // update, and data read are atomic at this processor's schedule slot.
 func (p *Proc) TxRead(addr uint64) (uint64, Outcome) {
-	out := p.access(addr, false, true)
+	word, out := p.access(addr, false, true)
 	if out.Kind != OK {
 		return 0, out
 	}
@@ -575,12 +583,12 @@ func (p *Proc) TxRead(addr uint64) (uint64, Outcome) {
 			return v, okOutcome
 		}
 	}
-	return p.m.Mem.Read64(addr), okOutcome
+	return *word, okOutcome
 }
 
 // TxWrite performs a transactional store into the speculative buffer.
 func (p *Proc) TxWrite(addr, val uint64) Outcome {
-	out := p.access(addr, true, true)
+	_, out := p.access(addr, true, true)
 	if out.Kind != OK {
 		return out
 	}
@@ -590,20 +598,20 @@ func (p *Proc) TxWrite(addr, val uint64) Outcome {
 
 // NTRead performs a non-transactional load.
 func (p *Proc) NTRead(addr uint64) (uint64, Outcome) {
-	out := p.access(addr, false, false)
+	word, out := p.access(addr, false, false)
 	if out.Kind != OK {
 		return 0, out
 	}
-	return p.m.Mem.Read64(addr), okOutcome
+	return *word, okOutcome
 }
 
 // NTWrite performs a non-transactional store.
 func (p *Proc) NTWrite(addr, val uint64) Outcome {
-	out := p.access(addr, true, false)
+	word, out := p.access(addr, true, false)
 	if out.Kind != OK {
 		return out
 	}
-	p.m.Mem.Write64(addr, val)
+	*word = val
 	if p.m.out.want.Has(TraceMemWrite) {
 		p.wrote(addr, val)
 	}

@@ -224,9 +224,9 @@ func TestResetBlanksAndReuses(t *testing.T) {
 
 // TestChunkedRecordsAreBlank: a first touch takes its slab from the
 // free list, else from the spare chunk, else from a new chunk; across two
-// Resets, a slab from each of the three reads as all-zero words and blank
-// records, though every word of every slab was set before the Reset, and
-// no slab is handed out twice.
+// Resets, a slab from each of the three is PageLines line blocks of zero
+// words and blank records, though every word of every slab was set
+// before the Reset, and no slab is handed out twice.
 func TestChunkedRecordsAreBlank(t *testing.T) {
 	m := New(PageBytes)
 	var fromFree, fromSpare, fromChunk int
@@ -256,10 +256,10 @@ func TestChunkedRecordsAreBlank(t *testing.T) {
 				t.Fatalf("touch %d: page %d was given the slab page %d holds", touch, pi, q)
 			}
 			holder[&pg[0]] = pi
-			want := make([]uint64, PageWords+PageLines*4)
+			want := make([]uint64, PageLines*(LineWords+4))
 			switch pi % 3 {
 			case 0:
-				want[PageWords+3] = uint64(UFOFaultOnRead)
+				want[LineWords+3] = uint64(UFOFaultOnRead) // line 0's flag word
 			case 1:
 				want[0] = 1
 			}
@@ -319,9 +319,9 @@ func TestSlabsAreCutApart(t *testing.T) {
 	if len(rec) != 4 || cap(rec) != 4 || &rec[3] != &slab[len(slab)-1] {
 		t.Fatalf("the last record of a slab is %d words of capacity %d, not the slab's last 4", len(rec), cap(rec))
 	}
-	_ = append(m.Record(2*PageLines), ^uint64(0)) // into its neighbour record, were it not capped
+	_ = append(m.Record(2*PageLines), ^uint64(0)) // into the next line's words, were it not capped
 	if slices.Max(slab) != 0 {
-		t.Fatal("appending to a record wrote into the next one")
+		t.Fatal("appending to a record wrote into the next line block")
 	}
 	for i := range slab {
 		slab[i] = ^uint64(0)
@@ -348,7 +348,7 @@ func TestSpareOutlivesStrideChanges(t *testing.T) {
 				t.Fatalf("round %d: a %d-word record at width %d", round, len(rec), c.lineWords)
 			}
 			slab := m.pages[pi]
-			if len(slab) != PageWords+PageLines*(c.lineWords+1) || slices.Max(slab) != 0 {
+			if len(slab) != PageLines*(LineWords+c.lineWords+1) || slices.Max(slab) != 0 {
 				t.Fatalf("round %d, width %d: page %d's slab is %d words and not blank", round, c.lineWords, pi, len(slab))
 			}
 			for i := range slab {
@@ -388,7 +388,7 @@ func TestResetChangesWidth(t *testing.T) {
 	for i, lineWords := range []int{6, 3, 9} {
 		first := uint64(i+2) * PageLines
 		fill(lineWords, first)
-		if got, want := cap(m.pages[first/PageLines]), PageWords+PageLines*(9+1); got != want {
+		if got, want := cap(m.pages[first/PageLines]), PageLines*(LineWords+9+1); got != want {
 			t.Fatalf("width %d: page %d is a slab of %d words, not a reused 9-wide one of %d", lineWords, first/PageLines, got, want)
 		}
 	}
@@ -414,6 +414,65 @@ func TestUFOBitsShareTheFlagWord(t *testing.T) {
 		}
 		if rec[0] != ^uint64(UFOFaultAll) || rec[3]|uint64(UFOFaultAll) != ^uint64(0) {
 			t.Fatalf("SetUFO(%v) moved the user's bits: %x", b, rec)
+		}
+	}
+}
+
+// TestLineBlocksDoNotAlias: at record widths 1, 4 and 13, every word of
+// a page and every word of its records is its own storage, whichever way
+// it is reached — Read64 and Write64, Record, UFO and SetUFO, or Block,
+// the word and record an access takes from one lookup.
+func TestLineBlocksDoNotAlias(t *testing.T) {
+	for _, rec := range []int{1, 4, 13} {
+		m := New(PageBytes)
+		m.Reset(3*PageBytes, rec-1)
+		const base = PageBytes // a page with neighbours on both sides
+		wordVal := func(addr uint64) uint64 { return addr<<8 | 0x5a }
+		recVal := func(line uint64, i int) uint64 { return (line<<8 | uint64(i)) << 2 } // UFO bits clear
+		for addr := uint64(base); addr < 2*PageBytes; addr += WordBytes {
+			m.Write64(addr, wordVal(addr))
+		}
+		for line := LineOf(base); line < LineOf(2*PageBytes); line++ {
+			r := m.Record(line)
+			if len(r) != rec {
+				t.Fatalf("width %d: a %d-word record", rec, len(r))
+			}
+			for i := range r {
+				r[i] = recVal(line, i)
+			}
+			m.SetUFO(LineAddr(line), UFOBits(line%4))
+		}
+		for addr := uint64(0); addr < m.Size(); addr += WordBytes {
+			line, in := LineOf(addr), addr >= base && addr < 2*PageBytes
+			wantV, wantB := uint64(0), UFONone
+			if in {
+				wantV, wantB = wordVal(addr), UFOBits(line%4)
+			}
+			if v, b := m.Read64(addr), m.UFO(addr); v != wantV || b != wantB {
+				t.Fatalf("width %d: %#x reads %#x with bits %v, want %#x with %v", rec, addr, v, b, wantV, wantB)
+			}
+			if !in {
+				continue
+			}
+			word, r := m.Block(addr)
+			if *word != wantV || &r[0] != &m.Record(line)[0] || len(r) != rec || cap(r) != rec {
+				t.Fatalf("width %d: Block(%#x) gives word %#x and a %d-word record of capacity %d, not Read64's word and Record's record", rec, addr, *word, len(r), cap(r))
+			}
+			for i := range r {
+				want := recVal(line, i)
+				if i == rec-1 {
+					want |= uint64(wantB)
+				}
+				if r[i] != want {
+					t.Fatalf("width %d: line %d record word %d is %#x, want %#x", rec, line, i, r[i], want)
+				}
+			}
+		}
+		// A store through Block's word is a store to the word at addr alone.
+		word, _ := m.Block(base + 3*WordBytes)
+		*word = 7
+		if m.Read64(base+3*WordBytes) != 7 || m.Read64(base+2*WordBytes) != wordVal(base+2*WordBytes) || m.Read64(base+4*WordBytes) != wordVal(base+4*WordBytes) {
+			t.Fatalf("width %d: a store through Block's word is not Read64's word alone", rec)
 		}
 	}
 }

@@ -1,10 +1,11 @@
 // Package mem models the simulated machine's physical memory, including
 // the paper's UFO extension (§3.2, §4): two user-fault-on bits
 // (fault-on-read and fault-on-write) per 64-byte line that travel with
-// the data through caches and DRAM; here a page's words and its lines'
-// records — the bits, and beside them the directory state package cache
-// keeps per line — are one slab behind one index. Appendix A's swap path,
-// which keeps the bits across swap, is not modelled (DESIGN.md §7).
+// the data through caches and DRAM; here each line's words and its
+// record — the bits, and beside them the directory state package cache
+// keeps per line — are one block of its page's slab, behind one index.
+// Appendix A's swap path, which keeps the bits across swap, is not
+// modelled (DESIGN.md §7).
 //
 // Addresses are byte addresses; data is accessed at 64-bit-word
 // granularity and must be 8-byte aligned. The UFO bits here are the single
@@ -26,8 +27,6 @@ const (
 	PageBytes = 4096
 	// PageLines is the number of lines per page.
 	PageLines = PageBytes / LineBytes
-	// PageWords is the number of words per page.
-	PageWords = PageBytes / WordBytes
 )
 
 // UFOBits is the per-line protection state (Table 2 of the paper).
@@ -69,10 +68,12 @@ func LineAddr(l uint64) uint64 { return l * LineBytes }
 // cache: the directory's record). The zero value is empty; Reset sizes it.
 //
 // A page is one slab, materialized on first touch and reached through one
-// index: PageWords words, then PageLines records, each the user's words
-// (as many as Reset says) and a flag word whose UFOFaultAll bits are the
-// line's UFO bits, its other bits the user's. A nil slab reads as zero
-// words and blank records; a cell configures megabytes and touches a
+// index: PageLines line blocks, each the line's LineWords words and then
+// its record — the user's words (as many as Reset says) and a flag word
+// whose UFOFaultAll bits are the line's UFO bits, its other bits the
+// user's — so an access finds its word in the host cache line that holds
+// its record, or the one beside it (DESIGN.md §54). A nil slab reads as
+// zero words and blank records; a cell configures megabytes and touches a
 // fraction. Slabs are cut from chunks that double up to chunkPages, so n
 // touched pages make O(log n + n/chunkPages) allocations. Reset keeps the
 // slabs and the index for the next user, and a first touch blanks the
@@ -81,6 +82,7 @@ func LineAddr(l uint64) uint64 { return l * LineBytes }
 type Memory struct {
 	pages [][]uint64 // nil = untouched: zero words, blank records
 	rec   int        // words per line record: the user's, then the flag word
+	block int        // words per line block: LineWords, then the record
 	size  uint64     // architectural size in bytes
 	brk   uint64     // sbrk-style allocation frontier, in bytes
 	free  [][]uint64 // slabs Reset kept, not yet blanked, for the next first touch
@@ -117,6 +119,7 @@ func (m *Memory) Reset(sizeBytes uint64, lineWords int) {
 		sizeBytes = PageBytes
 	}
 	m.rec = lineWords + 1
+	m.block = LineWords + m.rec
 	m.size, m.brk = 0, 0
 	m.resize((sizeBytes + PageBytes - 1) / PageBytes * PageBytes)
 }
@@ -170,7 +173,7 @@ func (m *Memory) materialize(pi uint64) []uint64 {
 	if k := len(m.free); k > 0 {
 		pg, m.free = m.free[k-1], m.free[:k-1]
 	}
-	need := PageWords + PageLines*m.rec
+	need := PageLines * m.block
 	if cap(pg) >= need {
 		pg = pg[:need]
 		clear(pg)
@@ -192,7 +195,12 @@ func (m *Memory) Read64(addr uint64) uint64 {
 	if pg == nil {
 		return 0
 	}
-	return pg[addr%PageBytes/WordBytes]
+	return pg[m.word(addr)]
+}
+
+// word returns addr's index in its page's slab.
+func (m *Memory) word(addr uint64) int {
+	return int(addr%PageBytes/LineBytes)*m.block + int(addr%LineBytes/WordBytes)
 }
 
 // slab returns page pi's slab, materializing it unless it is untouched
@@ -210,7 +218,7 @@ func (m *Memory) slab(pi uint64, zero bool) []uint64 {
 func (m *Memory) Write64(addr, val uint64) {
 	m.CheckAddr(addr)
 	if pg := m.slab(addr/PageBytes, val == 0); pg != nil {
-		pg[addr%PageBytes/WordBytes] = val
+		pg[m.word(addr)] = val
 	}
 }
 
@@ -222,8 +230,18 @@ func (m *Memory) Record(line uint64) []uint64 {
 }
 
 func (m *Memory) record(pg []uint64, line uint64) []uint64 {
-	off := PageWords + int(line%PageLines)*m.rec
+	off := int(line%PageLines)*m.block + LineWords
 	return pg[off : off+m.rec : off+m.rec]
+}
+
+// Block returns the word at addr and its line's record, materializing
+// the page: the two parts of one line block, found by one index lookup.
+// Both stay valid, and name the same storage, until Reset. Check the
+// address first.
+func (m *Memory) Block(addr uint64) (word *uint64, rec []uint64) {
+	pg := m.slab(addr/PageBytes, false)
+	at := int(addr%PageBytes/LineBytes) * m.block
+	return &pg[at+int(addr%LineBytes/WordBytes)], pg[at+LineWords : at+m.block : at+m.block]
 }
 
 // Records visits the record of every line of every materialized page, in

@@ -33,8 +33,9 @@ cd "$(git rev-parse --show-toplevel)"
 # values per processor; layer-micro's 2,596 is inside its spread.
 # 19,521 / 2,233 / 8,289 / 17,237 / 2,601 once a page's words and its
 # lines' directory records shared one slab (scale-256's ceiling is
-# already under 10 % over its count, so it stays).
-ceilings="oltp-open:21450 vacation-t16:2450 fig5-small:9100 scale-256:18950 layer-micro:2850"
+# already under 10 % over its count, so it stays). layer-micro 2,554
+# once an L1's ways were tags alone.
+ceilings="oltp-open:21450 vacation-t16:2450 fig5-small:9100 scale-256:18950 layer-micro:2800"
 
 status=0
 for pair in $ceilings; do
