@@ -89,6 +89,17 @@ func (c *L1) Contains(line uint64) bool {
 	return false
 }
 
+// HitMRU reports whether line is in its set's most recently used way,
+// counting the hit if so: then Touch would hit without moving a way. It
+// inlines, for the machine's common access.
+func (c *L1) HitMRU(line uint64) bool {
+	if c.all[int(line&c.mask)*c.ways] != line+1 {
+		return false
+	}
+	c.hits++
+	return true
+}
+
 // Touch references line, returning whether it hit and, on a miss that
 // required replacement, the victim line that was evicted.
 func (c *L1) Touch(line uint64) (hit bool, victim uint64, evicted bool) {
@@ -240,6 +251,24 @@ func (l Line) Readers() ProcSet { w := len(l) / 3; return ProcSet(l[w : 2*w]) }
 
 // Writers is the SW bits.
 func (l Line) Writers() ProcSet { w := len(l) / 3; return ProcSet(l[2*w : 3*w]) }
+
+// Held reports whether some processor's hardware transaction holds the
+// line in a way an access conflicts with: any SW bit, and for a write any
+// SR bit too (the accessor's own included). It reads the SW words, or the
+// SR and SW words, and inlines; a line nobody holds needs nothing more.
+func (l Line) Held(write bool) bool {
+	w := len(l) / 3
+	from := 2 * w
+	if write {
+		from = w
+	}
+	for _, x := range l[from : 3*w] {
+		if x != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // warm is the Warm bit: the flag word's first bit above mem's UFO bits.
 const warm = uint64(mem.UFOFaultAll) + 1

@@ -279,11 +279,13 @@ func compareStores(t *testing.T, when string, m *mem.Memory, d Directory, ref *r
 	if m.Size() != ref.size || m.Sbrk(0) != ref.brk {
 		t.Fatalf("%s: size %d brk %d, want %d and %d", when, m.Size(), m.Sbrk(0), ref.size, ref.brk)
 	}
+	ufo := map[uint64]mem.UFOBits{} // by line, from the materialized pages' records
+	m.Records(func(line uint64, rec []uint64) { ufo[line] = mem.UFOOf(rec) })
 	for addr := uint64(0); addr < m.Size(); addr += mem.WordBytes {
 		if got, want := m.Read64(addr), ref.Read64(addr); got != want {
 			t.Fatalf("%s: word %#x = %#x, want %#x", when, addr, got, want)
 		}
-		if got, want := m.UFO(addr), ref.UFO(addr); got != want {
+		if got, want := ufo[mem.LineOf(addr)], ref.UFO(addr); got != want {
 			t.Fatalf("%s: UFO(%#x) = %v, want %v", when, addr, got, want)
 		}
 	}

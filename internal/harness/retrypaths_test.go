@@ -134,7 +134,7 @@ func (r *retryReach) Event(e machine.TraceEvent) {
 			r.faulted[p] = true
 		}
 	case machine.TraceMemWrite:
-		if p == r.prober && r.m.Mem.UFO(e.Addr).Faults(true) {
+		if p == r.prober && mem.UFOOf(r.m.Mem.Record(mem.LineOf(e.Addr))).Faults(true) {
 			r.maskedNT++
 		}
 	case machine.TraceConflict:

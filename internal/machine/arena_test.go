@@ -12,9 +12,10 @@ import (
 
 // TestReleasedArenaIsBlank: whatever a run left behind — committed
 // data, UFO bits still set, L1 contents and counts, and, when it was
-// killed mid-transaction, SR/SW bits and half-installed protection — the
-// machine built next on the released arena finds none of it, although it
-// is handed the same storage: recycled data pages read zero and recycled
+// killed mid-transaction, SR/SW bits, the open transaction's marked lines
+// and half-installed protection — the machine built next on the released
+// arena finds none of it, although it is handed the same storage (and no
+// marked line outlives the Release): recycled data pages read zero and recycled
 // UFO pages clear wherever they land, the directory names no processor,
 // the L1s are empty with zero counts, and the engine and processors —
 // clocks, step counts, hooks, random streams, the hardware transaction
@@ -81,12 +82,15 @@ func TestReleasedArenaIsBlank(t *testing.T) {
 					specBits++
 				}
 			})
-			if specBits == 0 {
-				t.Fatal("the killed run left no SW bits: the scenario tests nothing")
+			if specBits == 0 || m.HeldLines() == 0 {
+				t.Fatal("the killed run left no SW bits or marked lines: the scenario tests nothing")
 			}
 		}
 		l1s := []*cache.L1{m.Proc(0).L1(), m.Proc(3).L1()}
 		m.Release()
+		if n := m.HeldLines(); n != 0 { // each pair views a page slab the Release unlinked
+			t.Fatalf("killed=%v: %d marked lines survive the Release", killed, n)
+		}
 
 		m2 := arena.New(params)
 		fresh := machine.New(params)
@@ -116,12 +120,14 @@ func TestReleasedArenaIsBlank(t *testing.T) {
 			m2.Mem.SetUFO(a+2*mem.PageBytes, mem.UFOFaultOnRead)
 			m2.Directory().Line(mem.LineOf(a + 2*mem.PageBytes)).SetWarm()
 		}
+		ufo := map[uint64]mem.UFOBits{} // by line, from the materialized pages' records
+		m2.Mem.Records(func(line uint64, rec []uint64) { ufo[line] = mem.UFOOf(rec) })
 		for a := uint64(0); a < m2.Mem.Size(); a += mem.WordBytes {
 			first := a >= region+2*mem.PageBytes && a < region+2*mem.PageBytes+3*lines*mem.LineBytes && a%mem.PageBytes < mem.LineBytes
 			if got := m2.Mem.Read64(a); got != 0 && !(first && a%mem.PageBytes == 0 && got == 1) {
 				t.Fatalf("killed=%v: word %#x reads %#x on the reused memory", killed, a, got)
 			}
-			if got := m2.Mem.UFO(a); got != mem.UFONone && !(first && got == mem.UFOFaultOnRead) {
+			if got := ufo[mem.LineOf(a)]; got != mem.UFONone && !(first && got == mem.UFOFaultOnRead) {
 				t.Fatalf("killed=%v: line %#x carries %v on the reused memory", killed, a, got)
 			}
 		}

@@ -70,3 +70,57 @@ func BenchmarkAccessStream(b *testing.B) {
 		}
 	}})
 }
+
+// BenchmarkAccessStreamShared measures the access path where processors
+// meet: four interleaved processors at words drawn by a fixed LCG each
+// from one pool of shared lines, one access in four a store, and
+// processor 3's accesses inside BTM transactions of eight, so lines have
+// holders, stores and misses kill them, and charges hand the token off.
+// An op is one access by any processor.
+func BenchmarkAccessStreamShared(b *testing.B) {
+	const procs, lines, txLen = 4, 256, 8
+	m := New(testParams(procs))
+	for l := uint64(0); l < lines; l++ {
+		m.Mem.Write64(l*64, l+1) // every page first-touched before the timer starts
+	}
+	n := (b.N + procs - 1) / procs
+	work := make([]func(*Proc), procs)
+	for i := range work {
+		work[i] = func(p *Proc) {
+			x := uint64(p.ID() + 1)
+			for k := 0; k < n; k++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				r := x >> 33
+				addr, write := r%lines*64+r/lines%8*8, k%4 == 3
+				if p.ID() != procs-1 {
+					if write {
+						p.NTWrite(addr, r)
+					} else {
+						p.NTRead(addr)
+					}
+					continue
+				}
+				if p.HW() == nil {
+					p.BeginHW(m.NextAge(), true)
+				}
+				var out Outcome
+				if write {
+					out = p.TxWrite(addr, r)
+				} else {
+					_, out = p.TxRead(addr)
+				}
+				if out.Kind == Nacked {
+					p.Elapse(NackCycles)
+				}
+				if p.HW() != nil && k%txLen == txLen-1 {
+					p.CommitHW()
+				}
+			}
+			if p.HW() != nil {
+				p.CommitHW()
+			}
+		}
+	}
+	b.ResetTimer()
+	m.Run(work)
+}

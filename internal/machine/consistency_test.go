@@ -156,7 +156,7 @@ func TestBeginHWRejectsLeftoverState(t *testing.T) {
 	run1(t, testParams(1), func(p *Proc) {
 		p.BeginHW(1, true)
 		p.CommitHW()
-		p.hwBuf.reads = append(p.hwBuf.reads, 7)
+		p.hwBuf.reads = append(p.hwBuf.reads, heldLine{7, p.m.dir.Line(7)})
 		defer func() {
 			if recover() == nil {
 				t.Error("BeginHW accepted a line list the last transaction left behind")
@@ -177,7 +177,8 @@ func TestCheckConsistencyFindsStrayBits(t *testing.T) {
 		{"bit for a processor with no transaction", func(m *Machine, p *Proc) { m.dir.Line(9).Readers().Set(1) }},
 		{"bit on a line the transaction does not list", func(m *Machine, p *Proc) { m.dir.Line(9).Writers().Set(0) }},
 		{"listed line whose bit is clear", func(m *Machine, p *Proc) { m.dir.Line(1).Readers().Clear(0) }},
-		{"line listed twice", func(m *Machine, p *Proc) { p.hw.reads = append(p.hw.reads, 1) }},
+		{"line listed twice", func(m *Machine, p *Proc) { p.hw.reads = append(p.hw.reads, p.hw.reads[0]) }},
+		{"line held with another line's record", func(m *Machine, p *Proc) { p.hw.reads[0].rec = m.dir.Line(3) }},
 		{"bit that outlives a kill", func(m *Machine, p *Proc) {
 			p.killHW(p, AbortExplicit, 0, false)
 			m.dir.Line(1).Readers().Set(0)

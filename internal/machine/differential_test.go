@@ -160,7 +160,7 @@ func (c *diffCell) txAccess(p *Proc, addr uint64, write bool) {
 		want := c.deliver(id)
 		c.expectOutcome(what, do(), want)
 		return
-	case p.UFOEnabled() && c.m.Mem.UFO(addr).Faults(write):
+	case p.UFOEnabled() && ufoAt(c.m, addr).Faults(write):
 		out := do()
 		c.interrupted(id, before, p.Now())
 		c.expectOutcome(what, out, Outcome{Kind: UFOFault})
@@ -199,7 +199,7 @@ func (c *diffCell) txAccess(p *Proc, addr uint64, write bool) {
 // ntAccess predicts and performs one non-transactional load or store.
 func (c *diffCell) ntAccess(p *Proc, addr uint64, write bool) {
 	id, line := p.ID(), mem.LineOf(addr)
-	faults := p.UFOEnabled() && c.m.Mem.UFO(addr).Faults(write)
+	faults := p.UFOEnabled() && ufoAt(c.m, addr).Faults(write)
 	if !faults {
 		for _, v := range c.victims(id, line, write) {
 			c.kill(id, v, AbortNonTConflict, mem.LineAddr(line), true)
@@ -221,7 +221,7 @@ func (c *diffCell) ntAccess(p *Proc, addr uint64, write bool) {
 // ufoOp predicts and performs one set_ufo_bits.
 func (c *diffCell) ufoOp(p *Proc, addr uint64, bits mem.UFOBits) {
 	id, line := p.ID(), mem.LineOf(addr)
-	old := c.m.Mem.UFO(addr)
+	old := ufoAt(c.m, addr)
 	downgrade, fowOnly := bits&^old == 0, bits&^old == mem.UFOFaultOnWrite
 	if !(c.m.LazyUFOClear && downgrade) {
 		shared := c.m.OwnerStateUFO && fowOnly

@@ -11,6 +11,17 @@ import (
 // Directory exposes the machine's directory to the external tests.
 func (m *Machine) Directory() cache.Directory { return m.dir }
 
+// HeldLines returns how many marked lines, each a (line, record) pair,
+// the processors' hardware transaction buffers hold.
+func (m *Machine) HeldLines() (n int) {
+	for _, p := range m.procs {
+		if t := p.hwBuf; t != nil {
+			n += len(t.reads) + len(t.writes)
+		}
+	}
+	return n
+}
+
 // Kept renders the state a machine's engine and processors may carry
 // over from an earlier machine on their arena: every field of the
 // engine, of each Proc and of its sim.Proc, with pointers, funcs and

@@ -441,10 +441,10 @@ func (m *Machine) CheckConsistency() error {
 			if (p.hw == nil || t.pendingAbort != AbortNone) && len(t.reads)+len(t.writes)+t.Spec.Len() != 0 {
 				return fmt.Errorf("machine: proc %d keeps speculative state with no live transaction", p.ID())
 			}
-			if err := listedOnce(t.reads, t.Reads); err != nil {
+			if err := listedOnce(m.dir, t.reads, t.Reads); err != nil {
 				return fmt.Errorf("machine: proc %d read set: %v", p.ID(), err)
 			}
-			if err := listedOnce(t.writes, t.Writes); err != nil {
+			if err := listedOnce(m.dir, t.writes, t.Writes); err != nil {
 				return fmt.Errorf("machine: proc %d write set: %v", p.ID(), err)
 			}
 			t.Spec.Words(func(addr, _ uint64) {
@@ -464,10 +464,16 @@ func (m *Machine) CheckConsistency() error {
 	return nil
 }
 
-// listedOnce checks that no line is on list twice and that marked holds
-// for every line on it.
-func listedOnce(list []uint64, marked func(uint64) bool) error {
-	sorted := slices.Clone(list)
+// listedOnce checks that every line on list is held with its own record
+// in dir, that none is on it twice and that marked holds for each.
+func listedOnce(dir cache.Directory, list []heldLine, marked func(uint64) bool) error {
+	sorted := make([]uint64, len(list))
+	for i, h := range list {
+		if &h.rec[0] != &dir.Line(h.line)[0] {
+			return fmt.Errorf("line %d is held with another line's record", h.line)
+		}
+		sorted[i] = h.line
+	}
 	slices.Sort(sorted)
 	for i, l := range sorted {
 		if i > 0 && l == sorted[i-1] || !marked(l) {

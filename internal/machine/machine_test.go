@@ -19,6 +19,11 @@ func testParams(procs int) Params {
 	return p
 }
 
+// ufoAt returns the UFO bits of the line holding addr.
+func ufoAt(m *Machine, addr uint64) mem.UFOBits {
+	return mem.UFOOf(m.Mem.Record(mem.LineOf(addr)))
+}
+
 // run1 runs a single-processor workload.
 func run1(t *testing.T, params Params, body func(*Proc)) *Machine {
 	t.Helper()
@@ -272,6 +277,75 @@ func TestNonTAccessAbortsHWTx(t *testing.T) {
 	}
 	if m.Mem.Read64(0) != 5 {
 		t.Fatal("nonT write lost")
+	}
+}
+
+// TestCompletionRecheckAfterYield: a non-transactional access re-checks
+// its line at completion only if its charge handed the token away, and
+// then still kills a transaction that read the line during the miss.
+// (a) At two processors, under both schedulers, p0's store to a cold line
+// yields inside its 300-cycle miss; p1 opens a BTM transaction and reads
+// the line meanwhile, and p0's completion kills it. (b) The same store on
+// one processor crosses quantum boundaries inside its charge: the
+// interrupt hook runs, but nothing yields, nobody is killed, no event is
+// emitted, and the store lands.
+func TestCompletionRecheckAfterYield(t *testing.T) {
+	const addr = 0x1000
+	for _, reference := range []bool{false, true} {
+		params := testParams(2)
+		params.ReferenceScheduler = reference
+		m := New(params)
+		var reader Outcome
+		var yields uint64
+		m.Run([]func(*Proc){
+			func(p *Proc) {
+				y := p.sp.Yields()
+				if out := p.NTWrite(addr, 5); out.Kind != OK {
+					t.Errorf("reference=%v: store outcome %+v", reference, out)
+				}
+				yields = p.sp.Yields() - y
+			},
+			func(p *Proc) {
+				p.Elapse(10)
+				p.BeginHW(m.NextAge(), true)
+				if _, out := p.TxRead(addr); out.Kind != OK {
+					t.Errorf("reference=%v: the read inside the miss found %+v", reference, out)
+				}
+				p.Elapse(1000) // p0's store completes meanwhile
+				reader = p.CommitHW()
+			},
+		})
+		if yields == 0 {
+			t.Errorf("reference=%v: the store's miss did not yield: the scenario tests nothing", reference)
+		}
+		if reader.Kind != HWAborted || reader.Reason != AbortNonTConflict {
+			t.Errorf("reference=%v: the reader ended %+v, want a nonT-conflict abort at the store's completion", reference, reader)
+		}
+		if got := m.Mem.Read64(addr); got != 5 {
+			t.Errorf("reference=%v: the store left %d", reference, got)
+		}
+	}
+
+	params := testParams(1)
+	params.Quantum = 100
+	m := New(params)
+	events := observe(m, AllKinds&^KindSet(TraceMemWrite)) // a conflict or a fault, say
+	m.Run([]func(*Proc){func(p *Proc) {
+		if out := p.NTWrite(addr, 7); out.Kind != OK {
+			t.Errorf("lone store outcome %+v", out)
+		}
+		if now := p.Now(); now < 3*params.Quantum {
+			t.Errorf("the store's charge ended at %d, inside the first quanta: the scenario tests nothing", now)
+		}
+		if y := p.sp.Yields(); y != 0 {
+			t.Errorf("a lone processor's store yielded %d times", y)
+		}
+	}})
+	if len(events.events) != 0 || m.Count.HWAbortsByReason != [NumAbortReasons]uint64{} {
+		t.Errorf("the lone store emitted %v and aborted %v", events.events, m.Count.HWAbortsByReason)
+	}
+	if got := m.Mem.Read64(addr); got != 7 {
+		t.Errorf("the lone store left %d", got)
 	}
 }
 
@@ -544,7 +618,7 @@ func TestLazyUFOClearSparesReaders(t *testing.T) {
 	if victim.Kind != OK {
 		t.Fatalf("victim = %+v: lazy clear must not kill readers", victim)
 	}
-	if m.Mem.UFO(0) != mem.UFONone {
+	if ufoAt(m, 0) != mem.UFONone {
 		t.Fatal("clear not applied")
 	}
 }

@@ -13,25 +13,34 @@ import (
 // bit in the Readers and Writers masks of the directory's per-line
 // records (there, not in the cache array, so the unbounded HTM shares the
 // implementation). The transaction keeps only the lines whose bit it
-// holds, to clear them in O(footprint), and the speculative store buffer
-// that stands in for speculatively-dirty cache lines.
+// holds, each with its record, to clear them in O(footprint) without
+// looking a record up again, and the speculative store buffer that stands
+// in for speculatively-dirty cache lines.
 type HWTx struct {
 	Age     uint64
 	Bounded bool        // true for BTM (L1-limited), false for the unbounded HTM
 	Spec    mem.WordLog // speculative word values
 
 	owner  *Proc
-	reads  []uint64 // lines whose Readers bit this transaction holds, each once
-	writes []uint64 // likewise for Writers
+	reads  []heldLine // lines whose Readers bit this transaction holds, each once
+	writes []heldLine // likewise for Writers
 
 	pendingAbort AbortReason
 }
 
+// heldLine is a line a transaction has marked, with its record: a view
+// that stays valid until the memory is Reset, so commit, kill and Release
+// empty the lists before then.
+type heldLine struct {
+	line uint64
+	rec  cache.Line
+}
+
 // Footprint returns the number of distinct lines read or written.
 func (t *HWTx) Footprint() int {
-	n := len(t.reads)
-	for _, l := range t.writes {
-		if !t.Reads(l) {
+	n, id := len(t.reads), t.owner.ID()
+	for _, h := range t.writes {
+		if !h.rec.Readers().Has(id) {
 			n++
 		}
 	}
@@ -56,7 +65,7 @@ func (t *HWTx) mark(line uint64, rec cache.Line, write bool) {
 	}
 	if id := t.owner.ID(); !set.Has(id) {
 		set.Set(id)
-		*list = append(*list, line)
+		*list = append(*list, heldLine{line, rec})
 	}
 }
 
@@ -64,12 +73,12 @@ func (t *HWTx) mark(line uint64, rec cache.Line, write bool) {
 // and at kill: a bit left behind in a shared record would be a phantom
 // conflict for everyone else.
 func (t *HWTx) release() {
-	dir, id := t.owner.m.dir, t.owner.ID()
-	for _, l := range t.reads {
-		dir.Line(l).Readers().Clear(id)
+	id := t.owner.ID()
+	for _, h := range t.reads {
+		h.rec.Readers().Clear(id)
 	}
-	for _, l := range t.writes {
-		dir.Line(l).Writers().Clear(id)
+	for _, h := range t.writes {
+		h.rec.Writers().Clear(id)
 	}
 	t.reads, t.writes = t.reads[:0], t.writes[:0]
 	t.Spec.Reset()
@@ -333,14 +342,13 @@ func (p *Proc) killHWFrom(aggressor int, victim *Proc, reason AbortReason, addr 
 	p.conflict(aggressor, victim, reason, addr, hasAddr, 0)
 	t.pendingAbort = reason
 	// Speculatively written lines are invalidated on abort (they were
-	// never globally visible), losing the copy and the SW bit from one
-	// fetch of the record; the read set simply loses its SR bits.
+	// never globally visible), losing the copy and the SW bit in the
+	// record the list holds; the read set simply loses its SR bits.
 	id := victim.ID()
-	for _, l := range t.writes {
-		victim.l1.Invalidate(l)
-		rec := p.m.dir.Line(l)
-		rec.Sharers().Clear(id)
-		rec.Writers().Clear(id)
+	for _, h := range t.writes {
+		victim.l1.Invalidate(h.line)
+		h.rec.Sharers().Clear(id)
+		h.rec.Writers().Clear(id)
 	}
 	t.writes = t.writes[:0]
 	t.release()
@@ -399,9 +407,13 @@ func (p *Proc) access(addr uint64, write, tx bool) (word *uint64, _ Outcome) {
 		return nil, Outcome{Kind: UFOFault}
 	}
 
-	// 2. Conflict detection against other processors' HW transactions.
-	if out, resolved := p.resolveConflicts(line, rec, write, tx); !resolved {
-		return nil, out
+	// 2. Conflict detection against other processors' HW transactions,
+	// for a line some transaction holds at all (nearly every access finds
+	// none and skips it).
+	if rec.Held(write) {
+		if out, resolved := p.resolveConflicts(line, rec, write, tx); !resolved {
+			return nil, out
+		}
 	}
 
 	// 3. Track the transactional footprint before the timing charge: the
@@ -414,15 +426,30 @@ func (p *Proc) access(addr uint64, write, tx bool) (word *uint64, _ Outcome) {
 
 	// 4. Cache and coherence timing. This can self-abort (set overflow),
 	// race with a timer interrupt, or lose the line to a concurrent
-	// conflictor, so pending aborts are delivered before data moves.
-	p.charge(line, rec, write)
+	// conflictor, so pending aborts are delivered before data moves. A hit
+	// in the most recently used way that invalidates no one is the L1 hit
+	// charge would charge, without its scan.
+	yields := p.sp.Yields()
+	if (!write || !rec.Sharers().AnyBut(p.ID())) && p.l1.HitMRU(line) {
+		p.sp.Elapse(L1HitCycles)
+	} else {
+		p.charge(line, rec, write)
+	}
 	if tx {
 		if out, aborted := p.checkPending(); aborted {
 			return nil, out
 		}
 		return word, okOutcome
 	}
-	// 5. Completion-time conflict re-check: the charge above yields, and a
+	if p.sp.Yields() == yields {
+		// No other processor ran since step 2 killed every holder the
+		// access conflicts with, and neither the charge nor the timer
+		// interrupt (this processor's transaction only: it has none)
+		// touches another's SR/SW bits or a UFO bit, so steps 5 and 6
+		// would find nothing (DESIGN.md §55).
+		return word, okOutcome
+	}
+	// 5. Completion-time conflict re-check: the charge above yielded, and a
 	// hardware transaction may have touched this line while the miss was in
 	// flight — its footprint was empty at the issue-time check, but this
 	// access's data lands now. In hardware the store's invalidation (or the
@@ -432,7 +459,9 @@ func (p *Proc) access(addr uint64, write, tx bool) (word *uint64, _ Outcome) {
 	// non-transactional store's miss and commit having seen both the old
 	// and the new value. Victims killed at issue already carry a pending
 	// abort and are skipped.
-	p.resolveConflicts(line, rec, write, false)
+	if rec.Held(write) {
+		p.resolveConflicts(line, rec, write, false)
+	}
 	if p.ufo && mem.UFOOf(rec).Faults(write) {
 		// 6. Protection re-check, same window: a software transaction may
 		// have installed UFO protection on (and eagerly written) this line
@@ -454,17 +483,13 @@ func (p *Proc) access(addr uint64, write, tx bool) (word *uint64, _ Outcome) {
 // line's record nominates them — a set bit means a live, un-killed
 // transaction — and they are visited in ascending processor order.
 // resolved=false means the access must not proceed (NACK or own abort).
+// The caller has found a holder (Line.Held).
 func (p *Proc) resolveConflicts(line uint64, rec cache.Line, write, tx bool) (Outcome, bool) {
-	// Nearly every access finds no speculative holder at all; leave
-	// before building the candidate set.
-	writers, readers := rec.Writers(), cache.ProcSet(nil)
+	readers := cache.ProcSet(nil)
 	if write { // readers conflict with a write only
 		readers = rec.Readers()
 	}
-	if writers.Empty() && readers.Empty() {
-		return okOutcome, true
-	}
-	victims := p.others(writers, readers)
+	victims := p.others(rec.Writers(), readers)
 	if !tx {
 		// A non-transactional (or STM) access always serializes against
 		// hardware transactions by aborting them: HTMs are strongly atomic
@@ -509,12 +534,15 @@ func (p *Proc) classifySTMConflict(q *Proc) {
 // invalidateOthers removes every cached copy of line but p's own and
 // reports whether there was one.
 func (p *Proc) invalidateOthers(line uint64, rec cache.Line) bool {
+	if !rec.Sharers().AnyBut(p.ID()) {
+		return false // the common write hit, and most installs
+	}
 	others := p.others(rec.Sharers(), nil)
 	for i := others.Next(0); i >= 0; i = others.Next(i + 1) {
 		p.m.procs[i].l1.Invalidate(line)
 		rec.Sharers().Clear(i)
 	}
-	return !others.Empty()
+	return true
 }
 
 // Table 4's latencies (DESIGN.md §4). The paper fixes one machine, so
@@ -635,7 +663,9 @@ func (p *Proc) wrote(addr, val uint64) {
 func (p *Proc) SetUFO(addr uint64, bits mem.UFOBits) {
 	p.m.Mem.CheckAddr(addr)
 	line := mem.LineOf(addr)
-	old := p.m.Mem.UFO(addr)
+	_, flat := p.m.Mem.Block(addr)
+	rec := cache.Line(flat)
+	old := mem.UFOOf(rec)
 	cost := UFOOpCycles
 
 	// The paper's two proposed mitigations for false UFO/BTM conflicts:
@@ -646,7 +676,7 @@ func (p *Proc) SetUFO(addr uint64, bits mem.UFOBits) {
 	downgrade := bits&^old == 0 // no new protection added
 	fowOnly := bits&^old == mem.UFOFaultOnWrite
 	if p.m.LazyUFOClear && downgrade {
-		p.m.Mem.SetUFO(addr, bits)
+		mem.SetUFOOf(rec, bits)
 		p.sp.Elapse(cost)
 		return
 	}
@@ -654,7 +684,6 @@ func (p *Proc) SetUFO(addr uint64, bits mem.UFOBits) {
 
 	// Exclusive permission: invalidate all other copies (unless the
 	// owner-state optimization keeps read-sharers valid).
-	rec := p.m.dir.Line(line)
 	if !sharedInstall && p.invalidateOthers(line, rec) {
 		cost += TransferCycles
 	}
@@ -677,7 +706,7 @@ func (p *Proc) SetUFO(addr uint64, bits mem.UFOBits) {
 		p.classifySTMConflict(q)
 		p.killHW(q, AbortUFOKill, mem.LineAddr(line), true)
 	}
-	p.m.Mem.SetUFO(addr, bits)
+	mem.SetUFOOf(rec, bits)
 	p.emit(TraceEvent{Kind: TraceUFOSet, Proc: p.ID(), Addr: addr, Flags: FlagAddr})
 	p.sp.Elapse(cost)
 }

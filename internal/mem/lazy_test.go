@@ -27,10 +27,10 @@ func TestUntouchedPagesReadZero(t *testing.T) {
 		if v := m.Read64(addr); v != 0 {
 			t.Fatalf("Read64(%#x) = %d on untouched memory", addr, v)
 		}
-		if b := m.UFO(addr); b != UFONone {
+		if b := ufoAt(m, addr); b != UFONone {
 			t.Fatalf("UFO(%#x) = %v on untouched memory", addr, b)
 		}
-		if m.UFO(addr).Faults(false) || m.UFO(addr).Faults(true) {
+		if ufoAt(m, addr).Faults(false) || ufoAt(m, addr).Faults(true) {
 			t.Fatalf("Faults(%#x) true on untouched memory", addr)
 		}
 	}
@@ -43,7 +43,7 @@ func TestZeroWriteDoesNotMaterialize(t *testing.T) {
 	if n := materialized(m); n != 0 {
 		t.Fatalf("a zero write and a UFONone install materialized %d pages", n)
 	}
-	if m.Read64(PageBytes+64) != 0 || m.UFO(PageBytes+64) != UFONone {
+	if m.Read64(PageBytes+64) != 0 || ufoAt(m, PageBytes+64) != UFONone {
 		t.Fatal("the line no longer reads zero and clear")
 	}
 }
@@ -85,11 +85,11 @@ func TestUFOWriteMaterializesUFOPageOnly(t *testing.T) {
 		if LineOf(addr) == LineOf(PageBytes+LineBytes) {
 			want = UFOFaultOnRead
 		}
-		if v, b := m.Read64(addr), m.UFO(addr); v != 0 || b != want {
+		if v, b := m.Read64(addr), ufoAt(m, addr); v != 0 || b != want {
 			t.Fatalf("%#x reads %d with bits %v, want 0 with %v", addr, v, b, want)
 		}
 	}
-	if !m.UFO(PageBytes+LineBytes).Faults(false) || m.UFO(PageBytes+LineBytes).Faults(true) {
+	if !ufoAt(m, PageBytes+LineBytes).Faults(false) || ufoAt(m, PageBytes+LineBytes).Faults(true) {
 		t.Fatal("Faults disagrees with fault-on-read")
 	}
 	// Reset keeps the record: the next user of it, at another address and
@@ -124,7 +124,7 @@ func TestUFOWriteMaterializesUFOPageOnly(t *testing.T) {
 			if LineOf(addr) == LineOf(touched) {
 				wantB = c.bits
 			}
-			if v, b := m.Read64(addr), m.UFO(addr); v != wantV || b != wantB {
+			if v, b := m.Read64(addr), ufoAt(m, addr); v != wantV || b != wantB {
 				t.Fatalf("after Reset %#x reads %d with bits %v, want %d with %v", addr, v, b, wantV, wantB)
 			}
 		}
@@ -146,7 +146,7 @@ func TestGrowSharesMaterializedPages(t *testing.T) {
 	if v := m.Read64(0); v != 7 {
 		t.Fatalf("data lost across grow: %d", v)
 	}
-	if b := m.UFO(64); b != UFOFaultOnWrite {
+	if b := ufoAt(m, 64); b != UFOFaultOnWrite {
 		t.Fatalf("UFO bits lost across grow: %v", b)
 	}
 	// New tail is lazily untouched.
@@ -216,7 +216,7 @@ func TestResetBlanksAndReuses(t *testing.T) {
 		if got := m.Read64(addr); got != want {
 			t.Fatalf("Read64(%#x) = %#x, want %d: a recycled page kept old data", addr, got, want)
 		}
-		if got := m.UFO(addr); got != wantUFO {
+		if got := ufoAt(m, addr); got != wantUFO {
 			t.Fatalf("UFO(%#x) = %v, want %v: a recycled UFO page kept old bits", addr, got, wantUFO)
 		}
 	}
@@ -404,12 +404,16 @@ func TestUFOBitsShareTheFlagWord(t *testing.T) {
 	for i := range rec {
 		rec[i] = ^uint64(0) &^ uint64(UFOFaultAll)
 	}
-	if m.UFO(5*LineBytes) != UFONone {
-		t.Fatalf("the user's bits read as UFO bits %v", m.UFO(5*LineBytes))
+	if ufoAt(m, 5*LineBytes) != UFONone {
+		t.Fatalf("the user's bits read as UFO bits %v", ufoAt(m, 5*LineBytes))
 	}
-	for _, b := range []UFOBits{UFOFaultOnWrite, UFOFaultAll, UFONone, UFOFaultOnRead} {
-		m.SetUFO(5*LineBytes+8, b)
-		if got := UFOOf(rec); got != b || m.UFO(5*LineBytes) != b {
+	for i, b := range []UFOBits{UFOFaultOnWrite, UFOFaultAll, UFONone, UFOFaultOnRead, UFOFaultAll, UFONone} {
+		if i%2 == 0 {
+			m.SetUFO(5*LineBytes+8, b)
+		} else {
+			SetUFOOf(rec, b)
+		}
+		if got := UFOOf(rec); got != b || ufoAt(m, 5*LineBytes) != b {
 			t.Fatalf("SetUFO(%v) reads back %v", b, got)
 		}
 		if rec[0] != ^uint64(UFOFaultAll) || rec[3]|uint64(UFOFaultAll) != ^uint64(0) {
@@ -420,7 +424,7 @@ func TestUFOBitsShareTheFlagWord(t *testing.T) {
 
 // TestLineBlocksDoNotAlias: at record widths 1, 4 and 13, every word of
 // a page and every word of its records is its own storage, whichever way
-// it is reached — Read64 and Write64, Record, UFO and SetUFO, or Block,
+// it is reached — Read64 and Write64, Record, UFOOf and SetUFO, or Block,
 // the word and record an access takes from one lookup.
 func TestLineBlocksDoNotAlias(t *testing.T) {
 	for _, rec := range []int{1, 4, 13} {
@@ -448,7 +452,7 @@ func TestLineBlocksDoNotAlias(t *testing.T) {
 			if in {
 				wantV, wantB = wordVal(addr), UFOBits(line%4)
 			}
-			if v, b := m.Read64(addr), m.UFO(addr); v != wantV || b != wantB {
+			if v, b := m.Read64(addr), ufoAt(m, addr); v != wantV || b != wantB {
 				t.Fatalf("width %d: %#x reads %#x with bits %v, want %#x with %v", rec, addr, v, b, wantV, wantB)
 			}
 			if !in {

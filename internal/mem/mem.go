@@ -258,13 +258,10 @@ func (m *Memory) Records(f func(line uint64, rec []uint64)) {
 // machine's fault check reads, at no simulated cost.
 func UFOOf(rec []uint64) UFOBits { return UFOBits(rec[len(rec)-1]) & UFOFaultAll }
 
-// UFO returns the UFO bits for the line containing addr.
-func (m *Memory) UFO(addr uint64) UFOBits {
-	pg := m.pages[addr/PageBytes]
-	if pg == nil {
-		return UFONone
-	}
-	return UFOOf(m.record(pg, LineOf(addr)))
+// SetUFOOf replaces the UFO bits held in rec's flag word, leaving its
+// other bits as they are.
+func SetUFOOf(rec []uint64, bits UFOBits) {
+	rec[len(rec)-1] = rec[len(rec)-1]&^uint64(UFOFaultAll) | uint64(bits)
 }
 
 // SetUFO replaces the UFO bits for the line containing addr
@@ -272,8 +269,7 @@ func (m *Memory) UFO(addr uint64) UFOBits {
 // Coherence actions are the cache layer's job.
 func (m *Memory) SetUFO(addr uint64, bits UFOBits) {
 	if pg := m.slab(addr/PageBytes, bits == UFONone); pg != nil {
-		rec := m.record(pg, LineOf(addr))
-		rec[len(rec)-1] = rec[len(rec)-1]&^uint64(UFOFaultAll) | uint64(bits)
+		SetUFOOf(m.record(pg, LineOf(addr)), bits)
 	}
 }
 

@@ -5,6 +5,16 @@ import (
 	"testing/quick"
 )
 
+// ufoAt returns the UFO bits of the line holding addr, read from its
+// record without materializing an untouched page, which reads UFONone.
+func ufoAt(m *Memory, addr uint64) UFOBits {
+	pg := m.pages[addr/PageBytes]
+	if pg == nil {
+		return UFONone
+	}
+	return UFOOf(m.record(pg, LineOf(addr)))
+}
+
 func TestReadWriteRoundTrip(t *testing.T) {
 	m := New(1 << 16)
 	m.Write64(0, 42)
@@ -58,18 +68,18 @@ func TestUFOBitsPerLine(t *testing.T) {
 	m.SetUFO(64, UFOFaultOnWrite)
 	// Every address within the line shares the bits.
 	for a := uint64(64); a < 128; a += 8 {
-		if m.UFO(a) != UFOFaultOnWrite {
-			t.Fatalf("UFO(%d) = %v", a, m.UFO(a))
+		if ufoAt(m, a) != UFOFaultOnWrite {
+			t.Fatalf("UFO(%d) = %v", a, ufoAt(m, a))
 		}
-		if m.UFO(a).Faults(false) {
+		if ufoAt(m, a).Faults(false) {
 			t.Fatal("read should not fault under fault-on-write")
 		}
-		if !m.UFO(a).Faults(true) {
+		if !ufoAt(m, a).Faults(true) {
 			t.Fatal("write should fault under fault-on-write")
 		}
 	}
 	// Neighboring lines are unaffected.
-	if m.UFO(0) != UFONone || m.UFO(128) != UFONone {
+	if ufoAt(m, 0) != UFONone || ufoAt(m, 128) != UFONone {
 		t.Fatal("UFO bits leaked to neighbor lines")
 	}
 }
@@ -87,11 +97,11 @@ func TestFaultsMatrix(t *testing.T) {
 	}
 	for _, c := range cases {
 		m.SetUFO(0, c.bits)
-		if m.UFO(0).Faults(false) != c.read {
-			t.Errorf("bits %v: read fault = %v, want %v", c.bits, m.UFO(0).Faults(false), c.read)
+		if ufoAt(m, 0).Faults(false) != c.read {
+			t.Errorf("bits %v: read fault = %v, want %v", c.bits, ufoAt(m, 0).Faults(false), c.read)
 		}
-		if m.UFO(0).Faults(true) != c.write {
-			t.Errorf("bits %v: write fault = %v, want %v", c.bits, m.UFO(0).Faults(true), c.write)
+		if ufoAt(m, 0).Faults(true) != c.write {
+			t.Errorf("bits %v: write fault = %v, want %v", c.bits, ufoAt(m, 0).Faults(true), c.write)
 		}
 	}
 }
@@ -146,7 +156,7 @@ func TestGrowPreservesUFO(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m.Sbrk(PageBytes) // force several grows
 	}
-	if m.UFO(0) != UFOFaultAll || m.Read64(0) != 123 {
+	if ufoAt(m, 0) != UFOFaultAll || m.Read64(0) != 123 {
 		t.Fatal("grow lost data or UFO bits")
 	}
 }

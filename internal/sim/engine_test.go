@@ -397,3 +397,80 @@ func TestStoppedElapseDoesNotSwitch(t *testing.T) {
 		})
 	}
 }
+
+// TestYieldsCountsHandoffs: Yields moves across an Elapse or a Block
+// exactly when another processor ran meanwhile — a crossing Elapse, or a
+// park that switches — by one while no workload has ended, and stays put
+// across a fast-path Elapse or a reference-scheduler park that picks its
+// own processor again, so the two schedulers count in the same places.
+// A lone processor never yields.
+func TestYieldsCountsHandoffs(t *testing.T) {
+	var logs [2][]string
+	for i, ref := range []bool{false, true} {
+		e := New(Config{Procs: 3, Reference: ref})
+		var segs, ended, kept, moved int // segs: stretches of execution begun by any processor
+		check := func(p *Proc, op string, do func()) {
+			y, s, before := p.Yields(), segs, ended
+			do()
+			ran := segs != s
+			segs++
+			d := p.Yields() - y
+			logs[i] = append(logs[i], fmt.Sprintf("p%d %s at %d: moved %v", p.ID(), op, p.Now(), d != 0))
+			switch {
+			case (d != 0) != ran:
+				t.Errorf("reference=%v: p%d %s at %d: Yields moved by %d, another processor ran: %v", ref, p.ID(), op, p.Now(), d, ran)
+			case ran && before == ended && d != 1:
+				t.Errorf("reference=%v: p%d %s at %d: Yields moved by %d for one handoff", ref, p.ID(), op, p.Now(), d)
+			case ran:
+				moved++
+			default:
+				kept++
+			}
+		}
+		sleeper := e.Proc(2)
+		e.Run([]func(*Proc){
+			func(p *Proc) {
+				segs++
+				for k := 0; k < 30; k++ {
+					check(p, "elapse", func() { p.Elapse(1) })
+					if k == 12 {
+						p.Wake(sleeper)
+					}
+				}
+				ended++
+			},
+			func(p *Proc) {
+				segs++
+				for k := 0; k < 5; k++ {
+					check(p, "elapse", func() { p.Elapse(7) })
+				}
+				ended++
+			},
+			func(p *Proc) {
+				segs++
+				check(p, "block", p.Block)
+				for k := 0; k < 5; k++ {
+					check(p, "elapse", func() { p.Elapse(2) })
+				}
+				ended++
+			},
+		})
+		if kept == 0 || moved == 0 {
+			t.Errorf("reference=%v: %d operations kept the token and %d handed it off: the script tests nothing", ref, kept, moved)
+		}
+
+		lone := New(Config{Procs: 1, Reference: ref})
+		lone.Run([]func(*Proc){func(p *Proc) {
+			for k := 0; k < 100; k++ {
+				p.Elapse(3)
+			}
+		}})
+		if y := lone.Proc(0).Yields(); y != 0 {
+			t.Errorf("reference=%v: a lone processor yielded %d times", ref, y)
+		}
+	}
+	if strings.Join(logs[0], "\n") != strings.Join(logs[1], "\n") {
+		t.Errorf("the schedulers count handoffs in different places:\nrun-ahead:\n%s\nreference:\n%s",
+			strings.Join(logs[0], "\n"), strings.Join(logs[1], "\n"))
+	}
+}

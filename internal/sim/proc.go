@@ -25,6 +25,7 @@ type Proc struct {
 	nextQuantum uint64 // next timer-interrupt time; 0 when Config.Quantum is 0
 	interrupt   func()
 	fastSkips   uint32
+	yields      uint64 // switches out of this processor's goroutine: see Yields
 }
 
 // ID returns the processor number.
@@ -33,6 +34,14 @@ func (p *Proc) ID() int { return p.id }
 // Now returns the processor's local clock in cycles. Only this
 // processor's Elapse (and a Wake while it is blocked) advances it.
 func (p *Proc) Now() uint64 { return p.now }
+
+// Yields returns how many times this processor has handed the execution
+// token to another: each crossing Elapse, and each park that switches.
+// An Elapse on the fast path, or a reference-scheduler park that picks
+// this processor again, does not count, so the count moves in the same
+// places under both schedulers. While it has not moved, no other
+// processor has run.
+func (p *Proc) Yields() uint64 { return p.yields }
 
 // SetNote attaches a diagnostic label that appears in engine state
 // dumps. The note is proc-local; it never influences the schedule, and
@@ -96,6 +105,7 @@ func (p *Proc) Elapse(cycles uint64) {
 				e.failure, x = e.budgetHalt(), &e.caller
 			}
 			e.cur = x
+			p.yields++
 			s := x.in
 			p.in = s
 			if s.yieldNext = !s.yieldNext; s.yieldNext {
@@ -166,6 +176,7 @@ func (p *Proc) park() {
 func (p *Proc) switchTo(x *Proc) {
 	e := p.eng
 	for e.cur = x; x != p; x = e.cur {
+		p.yields++
 		s := x.in
 		p.in = s
 		if s.yieldNext = !s.yieldNext; s.yieldNext {

@@ -10,6 +10,11 @@ import (
 	"repro/internal/tmtest"
 )
 
+// ufoAt returns the UFO bits of the line holding addr.
+func ufoAt(m *machine.Machine, addr uint64) mem.UFOBits {
+	return mem.UFOOf(m.Mem.Record(mem.LineOf(addr)))
+}
+
 func testMachine(procs int) *machine.Machine {
 	p := machine.DefaultParams(procs)
 	p.MemBytes = 1 << 22
@@ -45,7 +50,7 @@ func TestSingleThreadCommit(t *testing.T) {
 		t.Fatalf("SWCommits = %d", m.Count.SWCommits)
 	}
 	// All otable entries must be released and UFO bits cleared.
-	if m.Mem.UFO(0) != mem.UFONone || m.Mem.UFO(64) != mem.UFONone {
+	if ufoAt(m, 0) != mem.UFONone || ufoAt(m, 64) != mem.UFONone {
 		t.Fatal("UFO bits leaked after commit")
 	}
 }
@@ -58,11 +63,11 @@ func TestStrongAtomicityInstallsUFOBitsDuringTx(t *testing.T) {
 		ex.Atomic(func(tx tm.Tx) {
 			tx.Load(0)      // read barrier: fault-on-write
 			tx.Store(64, 1) // write barrier: fault-on-read|write
-			if m.Mem.UFO(0) != mem.UFOFaultOnWrite {
-				t.Errorf("read-held line UFO = %v", m.Mem.UFO(0))
+			if ufoAt(m, 0) != mem.UFOFaultOnWrite {
+				t.Errorf("read-held line UFO = %v", ufoAt(m, 0))
 			}
-			if m.Mem.UFO(64) != mem.UFOFaultAll {
-				t.Errorf("write-held line UFO = %v", m.Mem.UFO(64))
+			if ufoAt(m, 64) != mem.UFOFaultAll {
+				t.Errorf("write-held line UFO = %v", ufoAt(m, 64))
 			}
 		})
 	}})
@@ -75,7 +80,7 @@ func TestWeakModeInstallsNoUFOBits(t *testing.T) {
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		ex.Atomic(func(tx tm.Tx) {
 			tx.Store(0, 1)
-			if m.Mem.UFO(0) != mem.UFONone {
+			if ufoAt(m, 0) != mem.UFONone {
 				t.Error("weak USTM set UFO bits")
 			}
 		})
@@ -89,11 +94,11 @@ func TestReadUpgradeToWrite(t *testing.T) {
 	m.Run([]func(*machine.Proc){func(p *machine.Proc) {
 		ex.Atomic(func(tx tm.Tx) {
 			_ = tx.Load(0)
-			if m.Mem.UFO(0) != mem.UFOFaultOnWrite {
+			if ufoAt(m, 0) != mem.UFOFaultOnWrite {
 				t.Error("after read: want fault-on-write")
 			}
 			tx.Store(0, 5)
-			if m.Mem.UFO(0) != mem.UFOFaultAll {
+			if ufoAt(m, 0) != mem.UFOFaultAll {
 				t.Error("after upgrade: want fault-all")
 			}
 		})
@@ -614,12 +619,12 @@ func TestNestedAbortKeepsOwnershipUntilEnd(t *testing.T) {
 				tx.Store(256, 9)
 				tx.Abort()
 			})
-			if m.Mem.UFO(256) == mem.UFONone {
+			if ufoAt(m, 256) == mem.UFONone {
 				t.Error("ownership released at nested abort (should be lazy)")
 			}
 		})
 	}})
-	if m.Mem.UFO(256) != mem.UFONone {
+	if ufoAt(m, 256) != mem.UFONone {
 		t.Fatal("ownership leaked past commit")
 	}
 	if m.Mem.Read64(256) != 0 {
