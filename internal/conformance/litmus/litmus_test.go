@@ -626,8 +626,9 @@ func TestKnownDefectPhTMSoftwarePhaseIsWeak(t *testing.T) {
 // systems the fuzz target found with the strong check. t2's guard reads
 // x=0 and retries, so t2 is the only owner of x's read entry and it is
 // retrying: t1's faulting NT store then completes with faults masked
-// (ustm.NTStore). t0's software transaction joins the entry while that
-// store's miss is in flight, and the store lands inside t0's window — t0
+// (the store arm of ustm.ntAccess's masked path). t0's software
+// transaction joins the entry while that store's miss is in flight, and
+// the store lands inside t0's window — t0
 // reads x twice and writes it, around a store that is not ordered with
 // it. The state is outside the oracle, so the old oracle check would
 // fail it too; no curated or enumerated program holds a guard. When the

@@ -131,10 +131,17 @@ type hwTx struct {
 	e *exec
 }
 
-func (h hwTx) Load(addr uint64) uint64 {
+func (h hwTx) Load(addr uint64) uint64 { return h.access(addr, false, 0) }
+
+func (h hwTx) Store(addr, val uint64) { h.access(addr, true, val) }
+
+// access is a hardware load or store under the UFO fault handler: a
+// faulting access runs the handler, then completes masked, stalls and
+// re-issues, or aborts.
+func (h hwTx) access(addr uint64, write bool, val uint64) uint64 {
 	e := h.e
 	for {
-		v, out := h.TxRead(addr)
+		v, out := h.Access(addr, write, val)
 		switch out.Kind {
 		case machine.OK:
 			e.ufoFaultTries = 0
@@ -144,34 +151,12 @@ func (h hwTx) Load(addr uint64) uint64 {
 		case machine.UFOFault:
 			if e.faultAllowsMaskedAccess(addr) {
 				e.P.SetUFOEnabled(false)
-				v, out = h.TxRead(addr)
+				v, out = h.Access(addr, write, val)
 				e.P.SetUFOEnabled(true)
 				mustCompleteMasked(out)
 				return v
 			}
 			// Stalled; loop retries the access.
-		}
-	}
-}
-
-func (h hwTx) Store(addr, val uint64) {
-	e := h.e
-	for {
-		out := h.TxWrite(addr, val)
-		switch out.Kind {
-		case machine.OK:
-			e.ufoFaultTries = 0
-			return
-		case machine.HWAborted:
-			tm.Unwind(out.Reason)
-		case machine.UFOFault:
-			if e.faultAllowsMaskedAccess(addr) {
-				e.P.SetUFOEnabled(false)
-				out = h.TxWrite(addr, val)
-				e.P.SetUFOEnabled(true)
-				mustCompleteMasked(out)
-				return
-			}
 		}
 	}
 }

@@ -159,7 +159,7 @@ func runInjected(t *testing.T, sys tm.System, m *machine.Machine, reason machine
 			tx.Store(0, tx.Load(0)+1)
 			if p.HW() != nil && injected < n {
 				injected++
-				p.AbortHW(reason)
+				p.AbortHW(reason, -1, 0, false)
 				tm.Unwind(reason)
 			}
 		})
@@ -512,7 +512,7 @@ func TestTxLifeSequences(t *testing.T) {
 					return
 				}
 				if p.HW() != nil {
-					p.AbortHW(machine.AbortInterrupt)
+					p.AbortHW(machine.AbortInterrupt, -1, 0, false)
 					tm.Unwind(machine.AbortInterrupt)
 				}
 				tx.Abort()

@@ -108,8 +108,8 @@ func TestConflictEventNonTWrite(t *testing.T) {
 	}
 }
 
-// TestConflictEventAttributedAbort: AbortHWAttributed self-aborts but
-// attributes the edge to the named peer; aggressor -1 falls back to self.
+// TestConflictEventAttributedAbort: AbortHW with an aggressor self-aborts
+// but attributes the edge to the named peer; aggressor -1 falls back to self.
 func TestConflictEventAttributedAbort(t *testing.T) {
 	m := New(testParams(2))
 	rec, _ := observeConflicts(m)
@@ -117,10 +117,10 @@ func TestConflictEventAttributedAbort(t *testing.T) {
 		func(p *Proc) {
 			p.BeginHW(p.Machine().NextAge(), true)
 			p.TxRead(0)
-			p.AbortHWAttributed(AbortExplicit, 1, 0x140)
+			p.AbortHW(AbortExplicit, 1, 0x140, true)
 			p.BeginHW(p.Machine().NextAge(), true)
 			p.TxRead(64)
-			p.AbortHWAttributed(AbortExplicit, -1, 0x180)
+			p.AbortHW(AbortExplicit, -1, 0x180, true)
 		},
 		func(p *Proc) {},
 	})

@@ -39,7 +39,7 @@ func TestConsistencyAfterRandomStress(t *testing.T) {
 					// Aborted/nacked transactions are cleaned up below.
 				case 4:
 					if p.HW() != nil {
-						p.AbortHW(AbortExplicit)
+						p.AbortHW(AbortExplicit, -1, 0, false)
 					}
 				case 5:
 					if p.HW() == nil {
@@ -61,7 +61,7 @@ func TestConsistencyAfterRandomStress(t *testing.T) {
 				}
 			}
 			if p.HW() != nil {
-				p.AbortHW(AbortExplicit)
+				p.AbortHW(AbortExplicit, -1, 0, false)
 			}
 		})
 	}

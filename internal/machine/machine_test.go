@@ -120,7 +120,7 @@ func TestHWTxAbortDiscardsWrites(t *testing.T) {
 		p.Machine().Mem.Write64(128, 1)
 		p.BeginHW(p.Machine().NextAge(), true)
 		p.TxWrite(128, 42)
-		p.AbortHW(AbortExplicit)
+		p.AbortHW(AbortExplicit, -1, 0, false)
 	})
 	if m.Mem.Read64(128) != 1 {
 		t.Fatal("aborted store reached memory")
@@ -188,7 +188,7 @@ func TestConflictYoungerRequesterNacked(t *testing.T) {
 			p.BeginHW(p.Machine().NextAge(), true) // younger (age 2)
 			_, out = p.TxRead(0)
 			if p.HW() != nil {
-				p.AbortHW(AbortExplicit)
+				p.AbortHW(AbortExplicit, -1, 0, false)
 			}
 		},
 	})
@@ -437,7 +437,7 @@ func TestHWTxUFOFaultOutcome(t *testing.T) {
 		if out := p.TxWrite(64, 1); out.Kind != UFOFault {
 			t.Fatalf("write of FoW line: %v, want UFO fault", out)
 		}
-		p.AbortHW(AbortUFOFault)
+		p.AbortHW(AbortUFOFault, -1, 0, false)
 	}})
 	if m.Count.HWAbortsByReason[AbortUFOFault] != 1 {
 		t.Fatal("ufo-fault abort not counted")

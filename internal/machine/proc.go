@@ -254,31 +254,20 @@ func (p *Proc) RecordSWFootprint(lines int) {
 	p.m.Count.SWFootprint.Observe(uint64(lines))
 }
 
-// AbortHW aborts the in-flight transaction for a self-inflicted reason
-// (explicit abort, syscall, nesting). Speculative state is discarded; the
-// caller unwinds with the reason returned, which is a peer's if its kill
-// was already pending.
-func (p *Proc) AbortHW(reason AbortReason) AbortReason {
+// AbortHW aborts the in-flight transaction (btm_abort) and returns the
+// reason the hardware retired, which is a peer's if its kill was already
+// pending; speculative state is discarded and the caller unwinds. The
+// who-aborted-whom edge names aggressor over addr (hasAddr): -1 for a
+// self-inflicted abort (explicit, syscall, nesting), or another processor
+// when a software barrier detects a conflict on a software transaction's
+// behalf (HyTM's otable check, PhTM's phase counter, SLE's held lock
+// word): the abort is architecturally self-inflicted, but the contention
+// belongs to the peer.
+func (p *Proc) AbortHW(reason AbortReason, aggressor int, addr uint64, hasAddr bool) AbortReason {
 	if p.hw == nil {
 		panic("machine: AbortHW with no transaction")
 	}
-	p.killHW(p, reason, 0, false)
-	return p.consumeAbort().Reason
-}
-
-// AbortHWAttributed aborts the in-flight transaction like AbortHW, but
-// attributes the who-aborted-whom edge to another processor and a
-// conflicting line. Hybrid TMs use it when a software barrier detects a
-// conflict on behalf of a software transaction running elsewhere (HyTM's
-// otable check, PhTM's phase counter, SLE's held lock word): the abort is
-// architecturally self-inflicted, but the contention belongs to the peer.
-// aggressor -1 falls back to self-attribution. Like AbortHW it returns
-// the reason the hardware retired.
-func (p *Proc) AbortHWAttributed(reason AbortReason, aggressor int, addr uint64) AbortReason {
-	if p.hw == nil {
-		panic("machine: AbortHWAttributed with no transaction")
-	}
-	p.killHWFrom(aggressor, p, reason, addr, true)
+	p.killHWFrom(aggressor, p, reason, addr, hasAddr)
 	return p.consumeAbort().Reason
 }
 
@@ -330,7 +319,7 @@ func (p *Proc) killHW(victim *Proc, reason AbortReason, addr uint64, hasAddr boo
 // attribution edge. p is always the processor performing the kill (whose
 // clock timestamps the edge); aggressor may name another processor when a
 // software barrier detects a conflict on that processor's behalf
-// (AbortHWAttributed), or -1 for self-attribution.
+// (AbortHW), or -1 for self-attribution.
 func (p *Proc) killHWFrom(aggressor int, victim *Proc, reason AbortReason, addr uint64, hasAddr bool) {
 	t := victim.hw
 	if t == nil || t.pendingAbort != AbortNone {
@@ -598,12 +587,18 @@ func (p *Proc) charge(line uint64, rec cache.Line, write bool) {
 
 // --- Data-path operations ---
 
-// TxRead performs a transactional load: conflict detection, footprint
-// update, and data read are atomic at this processor's schedule slot.
-func (p *Proc) TxRead(addr uint64) (uint64, Outcome) {
-	word, out := p.access(addr, false, true)
-	if out.Kind != OK {
+// TxAccess performs a transactional load or store: conflict detection,
+// footprint update and the data's move are atomic at this processor's
+// schedule slot. A load returns the word, from the store buffer if this
+// transaction wrote it; a store goes into the buffer.
+func (p *Proc) TxAccess(addr uint64, write bool, val uint64) (uint64, Outcome) {
+	word, out := p.access(addr, write, true)
+	switch {
+	case out.Kind != OK:
 		return 0, out
+	case write:
+		p.hw.Spec.Put(addr, val)
+		return 0, okOutcome
 	}
 	// Only a transaction that has written can have buffered the word.
 	if p.hw.Spec.Len() != 0 {
@@ -614,36 +609,33 @@ func (p *Proc) TxRead(addr uint64) (uint64, Outcome) {
 	return *word, okOutcome
 }
 
-// TxWrite performs a transactional store into the speculative buffer.
-func (p *Proc) TxWrite(addr, val uint64) Outcome {
-	_, out := p.access(addr, true, true)
-	if out.Kind != OK {
-		return out
-	}
-	p.hw.Spec.Put(addr, val)
-	return okOutcome
-}
-
-// NTRead performs a non-transactional load.
-func (p *Proc) NTRead(addr uint64) (uint64, Outcome) {
-	word, out := p.access(addr, false, false)
-	if out.Kind != OK {
+// NTAccess performs a non-transactional load or store.
+func (p *Proc) NTAccess(addr uint64, write bool, val uint64) (uint64, Outcome) {
+	word, out := p.access(addr, write, false)
+	switch {
+	case out.Kind != OK:
 		return 0, out
-	}
-	return *word, okOutcome
-}
-
-// NTWrite performs a non-transactional store.
-func (p *Proc) NTWrite(addr, val uint64) Outcome {
-	word, out := p.access(addr, true, false)
-	if out.Kind != OK {
-		return out
+	case !write:
+		return *word, okOutcome
 	}
 	*word = val
 	if p.m.out.want.Has(TraceMemWrite) {
 		p.wrote(addr, val)
 	}
-	return okOutcome
+	return 0, okOutcome
+}
+
+// TxRead, TxWrite, NTRead and NTWrite are TxAccess and NTAccess for one
+// direction each, kept for the benchmark module's layer-micro entries.
+func (p *Proc) TxRead(addr uint64) (uint64, Outcome) { return p.TxAccess(addr, false, 0) }
+func (p *Proc) TxWrite(addr, val uint64) Outcome {
+	_, out := p.TxAccess(addr, true, val)
+	return out
+}
+func (p *Proc) NTRead(addr uint64) (uint64, Outcome) { return p.NTAccess(addr, false, 0) }
+func (p *Proc) NTWrite(addr, val uint64) Outcome {
+	_, out := p.NTAccess(addr, true, val)
+	return out
 }
 
 // wrote puts one store that reached memory on the event stream.

@@ -19,7 +19,7 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 		p.TxLifeAttempt(PathHTM)
 		p.BeginHW(age, true)
 		p.TxWrite(0, 1)
-		p.TxLifeAbort(PathHTM, p.AbortHW(AbortExplicit), false)
+		p.TxLifeAbort(PathHTM, p.AbortHW(AbortExplicit, -1, 0, false), false)
 		p.TxLifeAttempt(PathHTM)
 		p.BeginHW(age, true)
 		p.TxWrite(0, 2)

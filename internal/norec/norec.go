@@ -190,17 +190,9 @@ func (e *exec) noteWriter() {
 
 // BeginSW implements tm.SWPath.
 func (e *exec) BeginSW(age uint64) tm.Tx {
-	// Wait out any in-progress write-back, then snapshot both counters:
-	// the value log is valid exactly as long as neither moves.
-	for {
-		lv := e.Load(e.s.lockAddr)
-		if lv&1 == 0 {
-			e.lockSnap = lv
-			break
-		}
-		e.P.Machine().Count.SWStalls++
-		e.P.Elapse(LockSpinCycles)
-	}
+	// Snapshot both counters: the value log is valid exactly as long as
+	// neither moves.
+	e.lockSnap = e.unlocked()
 	e.htmSnap = e.Load(e.s.htmAddr)
 	e.sw.Reset()
 	e.valuelog = e.valuelog[:0]
@@ -239,12 +231,7 @@ func (e *exec) swLoad(addr uint64) uint64 {
 // values (NOrec's snapshot extension).
 func (e *exec) revalidate() {
 	for {
-		lv := e.Load(e.s.lockAddr)
-		if lv&1 == 1 {
-			e.P.Machine().Count.SWStalls++
-			e.P.Elapse(LockSpinCycles)
-			continue
-		}
+		lv := e.unlocked()
 		hv := e.Load(e.s.htmAddr)
 		e.P.Elapse(ValidateCycles)
 		for _, ent := range e.valuelog {
@@ -257,6 +244,19 @@ func (e *exec) revalidate() {
 			e.lockSnap, e.htmSnap = lv, hv
 			return
 		}
+	}
+}
+
+// unlocked waits out any in-progress write-back and returns the seqlock's
+// value, even.
+func (e *exec) unlocked() uint64 {
+	for {
+		lv := e.Load(e.s.lockAddr)
+		if lv&1 == 0 {
+			return lv
+		}
+		e.P.Machine().Count.SWStalls++
+		e.P.Elapse(LockSpinCycles)
 	}
 }
 
@@ -280,7 +280,10 @@ func (e *exec) swCommit() bool {
 	}
 	// 1. Acquire the seqlock (odd = held). The NT write invalidates the
 	// line in every subscribed hardware transaction's read set, aborting
-	// them before the write-back begins.
+	// them before the write-back begins. This is not unlocked()'s wait: a
+	// committer names itself in lockOwner before its odd store lands (the
+	// store's miss may yield), so an even word with an owner is a
+	// write-back about to begin, which a second committer must not enter.
 	for {
 		lv := e.Load(e.s.lockAddr)
 		if lv&1 == 0 && e.s.lockOwner == -1 {

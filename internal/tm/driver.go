@@ -101,19 +101,18 @@ type NT struct{ P *machine.Proc }
 func (n NT) Proc() *machine.Proc { return n.P }
 
 // Load implements Exec.
-func (n NT) Load(addr uint64) uint64 {
-	v, out := n.P.NTRead(addr)
-	if out.Kind != machine.OK {
-		panic("tm: non-transactional read outcome " + out.Kind.String())
-	}
-	return v
-}
+func (n NT) Load(addr uint64) uint64 { return mustOK(n.P.NTAccess(addr, false, 0)) }
 
 // Store implements Exec.
-func (n NT) Store(addr, val uint64) {
-	if out := n.P.NTWrite(addr, val); out.Kind != machine.OK {
-		panic("tm: non-transactional write outcome " + out.Kind.String())
+func (n NT) Store(addr, val uint64) { mustOK(n.P.NTAccess(addr, true, val)) }
+
+// mustOK returns a plain access's word: one that cannot fault, be NACKed or
+// abort, so any other outcome is a bug.
+func mustOK(v uint64, out machine.Outcome) uint64 {
+	if out.Kind != machine.OK {
+		panic("tm: non-transactional access outcome " + out.Kind.String())
 	}
+	return v
 }
 
 // SWPath is a software transaction path with no fallback of its own, as
@@ -409,13 +408,13 @@ var _ Tx = HW{}
 // HW returns the driver's plain hardware handle.
 func (d *Driver) HW() HW { return HW{D: d} }
 
-// TxRead is the transactional load, re-requested after every NACK (the
-// paper's 20-cycle retry). Its outcome is OK, UFOFault or HWAborted,
-// never Nacked.
-func (h HW) TxRead(addr uint64) (uint64, machine.Outcome) {
+// Access is the transactional load or store, re-requested after every
+// NACK (the paper's 20-cycle retry). Its outcome is OK, UFOFault or
+// HWAborted, never Nacked.
+func (h HW) Access(addr uint64, write bool, val uint64) (uint64, machine.Outcome) {
 	p := h.D.P
 	for {
-		v, out := p.TxRead(addr)
+		v, out := p.TxAccess(addr, write, val)
 		if out.Kind != machine.Nacked {
 			return v, out
 		}
@@ -423,23 +422,12 @@ func (h HW) TxRead(addr uint64) (uint64, machine.Outcome) {
 	}
 }
 
-// TxWrite is the transactional store, with TxRead's NACK handling.
-func (h HW) TxWrite(addr, val uint64) machine.Outcome {
-	p := h.D.P
-	for {
-		out := p.TxWrite(addr, val)
-		if out.Kind != machine.Nacked {
-			return out
-		}
-		p.Elapse(machine.NackCycles)
-	}
-}
-
-// ok unwinds the body if the access found the transaction aborted.
-func (h HW) ok(out machine.Outcome) {
+// ok returns the access's word, or unwinds the body if the access found
+// the transaction aborted.
+func (h HW) ok(v uint64, out machine.Outcome) uint64 {
 	switch out.Kind {
 	case machine.OK:
-		return
+		return v
 	case machine.HWAborted:
 		Unwind(out.Reason)
 	}
@@ -447,22 +435,19 @@ func (h HW) ok(out machine.Outcome) {
 }
 
 // Load implements Tx.
-func (h HW) Load(addr uint64) uint64 {
-	v, out := h.TxRead(addr)
-	h.ok(out)
-	return v
-}
+func (h HW) Load(addr uint64) uint64 { return h.ok(h.Access(addr, false, 0)) }
 
 // Store implements Tx.
-func (h HW) Store(addr, val uint64) { h.ok(h.TxWrite(addr, val)) }
+func (h HW) Store(addr, val uint64) { h.ok(h.Access(addr, true, val)) }
 
 // OnCommit implements Tx.
 func (h HW) OnCommit(f func()) { h.D.OnCommit(f) }
 
-// abort aborts the attempt for reason (btm_abort) and returns the reason
-// the hardware retired; the caller unwinds the body.
-func (h HW) abort(reason machine.AbortReason) machine.AbortReason {
-	reason = h.D.P.AbortHW(reason)
+// abort aborts the attempt for reason (btm_abort), attributed as
+// machine.Proc.AbortHW says, and returns the reason the hardware retired;
+// the caller unwinds the body.
+func (h HW) abort(reason machine.AbortReason, aggressor int, addr uint64, hasAddr bool) machine.AbortReason {
+	reason = h.D.P.AbortHW(reason, aggressor, addr, hasAddr)
 	h.D.P.Elapse(HWAbortCycles)
 	return reason
 }
@@ -470,7 +455,7 @@ func (h HW) abort(reason machine.AbortReason) machine.AbortReason {
 // AbortFor aborts the attempt for reason and unwinds the body with the
 // reason the hardware retired: a peer's kill that was already pending
 // wins over the one asked for.
-func (h HW) AbortFor(reason machine.AbortReason) { Unwind(h.abort(reason)) }
+func (h HW) AbortFor(reason machine.AbortReason) { Unwind(h.abort(reason, -1, 0, false)) }
 
 // Abort implements Tx.
 func (h HW) Abort() { h.AbortFor(machine.AbortExplicit) }
@@ -478,9 +463,7 @@ func (h HW) Abort() { h.AbortFor(machine.AbortExplicit) }
 // AbortBy aborts the attempt on another party's behalf: the conflict
 // edge is attributed to processor aggressor (-1 for unknown) over addr.
 func (h HW) AbortBy(reason machine.AbortReason, aggressor int, addr uint64) {
-	reason = h.D.P.AbortHWAttributed(reason, aggressor, addr)
-	h.D.P.Elapse(HWAbortCycles)
-	Unwind(reason)
+	Unwind(h.abort(reason, aggressor, addr, true))
 }
 
 // Nested implements Tx: hardware transactions flatten closed nesting (as
@@ -503,7 +486,7 @@ func (h HW) Nested(body func()) bool {
 // Retry implements Tx: hardware cannot wait, so the attempt aborts and
 // the request unwinds to the driver.
 func (h HW) Retry() {
-	h.abort(machine.AbortExplicit)
+	h.abort(machine.AbortExplicit, -1, 0, false)
 	UnwindRetry()
 }
 

@@ -11,7 +11,7 @@ import (
 
 // These tests hold BTM's ISA-level behaviour (§3.1, Table 1) as the
 // driver runs it: hardware attempts through the rig's driver, accesses
-// through tm.HW's outcome-returning TxRead and TxWrite.
+// through tm.HW's outcome-returning Access.
 
 // smallL1 is a rig machine whose L1 holds four lines, one per set.
 func smallL1() machine.Params {
@@ -26,11 +26,11 @@ func TestBeginEndRoundTrip(t *testing.T) {
 	r.run(func() {
 		r.d.Atomic(func(tm.Tx) {
 			hw := r.d.HW()
-			if out := hw.TxWrite(0, 7); out.Kind != machine.OK {
-				t.Fatalf("TxWrite: %v", out)
+			if _, out := hw.Access(0, true, 7); out.Kind != machine.OK {
+				t.Fatalf("store: %v", out)
 			}
-			if v, out := hw.TxRead(0); out.Kind != machine.OK || v != 7 {
-				t.Fatalf("TxRead = %d/%v", v, out)
+			if v, out := hw.Access(0, false, 0); out.Kind != machine.OK || v != 7 {
+				t.Fatalf("load = %d/%v", v, out)
 			}
 		})
 	})
@@ -114,36 +114,43 @@ func TestExplicitAbortStatusRegisters(t *testing.T) {
 	}
 }
 
+// TestNackRetryEventuallySucceeds: a younger transaction's load or store
+// of a line an older one has written is NACKed and re-requested until the
+// older commits, then completes: the load reads the committed value, and
+// the store commits after it.
 func TestNackRetryEventuallySucceeds(t *testing.T) {
-	r := newRig(2, true)
-	younger := r.driver(1, true)
-	var got uint64
-	r.m.Run([]func(*machine.Proc){
-		func(p *machine.Proc) {
-			r.d.Atomic(func(tx tm.Tx) { // older: holds line 0
-				tx.Store(0, 77)
-				p.Elapse(2000)
-			})
-		},
-		func(p *machine.Proc) {
-			p.Elapse(100)
-			younger.Atomic(func(tm.Tx) { // NACKed until the older commits
-				v, out := younger.HW().TxRead(0)
-				if out.Kind != machine.OK {
-					t.Errorf("younger load: %v", out)
-				}
-				got = v
-			})
-		},
-	})
-	if got != 77 {
-		t.Fatalf("younger read %d, want the committed 77", got)
-	}
-	if r.m.Count.Nacks == 0 {
-		t.Fatal("no NACKs recorded")
-	}
-	if r.stats().HWCommits != 2 {
-		t.Fatalf("stats %+v, want both committed in hardware", r.stats())
+	for _, write := range []bool{false, true} {
+		r := newRig(2, true)
+		younger := r.driver(1, true)
+		var got uint64
+		r.m.Run([]func(*machine.Proc){
+			func(p *machine.Proc) {
+				r.d.Atomic(func(tx tm.Tx) { // older: holds line 0
+					tx.Store(0, 77)
+					p.Elapse(2000)
+				})
+			},
+			func(p *machine.Proc) {
+				p.Elapse(100)
+				younger.Atomic(func(tm.Tx) { // NACKed until the older commits
+					v, out := younger.HW().Access(0, write, 88)
+					if out.Kind != machine.OK {
+						t.Errorf("younger access (write %v): %v", write, out)
+					}
+					got = v
+				})
+			},
+		})
+		switch {
+		case !write && got != 77:
+			t.Fatalf("younger read %d, want the committed 77", got)
+		case write && r.m.Mem.Read64(0) != 88:
+			t.Fatalf("memory holds %d, want the younger store's 88 over the older's 77", r.m.Mem.Read64(0))
+		case r.m.Count.Nacks == 0:
+			t.Fatalf("write %v: no NACKs recorded", write)
+		case r.stats().HWCommits != 2:
+			t.Fatalf("write %v: stats %+v, want both committed in hardware", write, r.stats())
+		}
 	}
 }
 
@@ -160,8 +167,8 @@ func overflow(t *testing.T, first, evictor uint64) (machine.Outcome, []machine.T
 	r.run(func() {
 		r.d.Atomic(func(tm.Tx) {
 			hw := r.d.HW()
-			hw.TxWrite(first*64, 1)
-			if out = hw.TxWrite(evictor*64, 2); out.Kind == machine.HWAborted {
+			hw.Access(first*64, true, 1)
+			if _, out = hw.Access(evictor*64, true, 2); out.Kind == machine.HWAborted {
 				if r.d.P.HW() != nil {
 					t.Error("the transaction survived its overflow")
 				}
@@ -196,7 +203,7 @@ func TestUnboundedHandlerIgnoresCapacity(t *testing.T) {
 	r.run(func() {
 		r.d.Atomic(func(tm.Tx) {
 			for i := uint64(0); i < 32; i++ {
-				if out := r.d.HW().TxWrite(i*64, i); out.Kind != machine.OK {
+				if _, out := r.d.HW().Access(i*64, true, i); out.Kind != machine.OK {
 					t.Fatalf("store %d: %v", i, out)
 				}
 			}
@@ -225,18 +232,18 @@ func TestMaskedAccessBypassesUFO(t *testing.T) {
 		p.SetUFOEnabled(true)
 		r.d.Atomic(func(tm.Tx) {
 			hw := r.d.HW()
-			if _, out := hw.TxRead(0); out.Kind != machine.UFOFault {
+			if _, out := hw.Access(0, false, 0); out.Kind != machine.UFOFault {
 				t.Fatalf("unmasked load: %v, want fault", out)
 			}
 			p.SetUFOEnabled(false)
-			if _, out := hw.TxRead(0); out.Kind != machine.OK {
+			if _, out := hw.Access(0, false, 0); out.Kind != machine.OK {
 				t.Fatalf("masked load: %v", out)
 			}
-			if out := hw.TxWrite(0, 5); out.Kind != machine.OK {
+			if _, out := hw.Access(0, true, 5); out.Kind != machine.OK {
 				t.Fatalf("masked store: %v", out)
 			}
 			p.SetUFOEnabled(true)
-			if _, out := hw.TxRead(64); out.Kind != machine.UFOFault {
+			if _, out := hw.Access(64, false, 0); out.Kind != machine.UFOFault {
 				t.Fatalf("load after re-enabling: %v, want fault", out)
 			}
 		})

@@ -14,75 +14,54 @@ type exec struct {
 	t *Thread
 }
 
-// Load implements tm.Exec's non-transactional read. Under strong
-// atomicity a UFO fault means a software transaction holds the line with
-// write permission; the registered handler stalls until the protection is
-// removed (or, for lines held only by retrying transactions, wakes them).
-func (e *exec) Load(addr uint64) uint64 {
-	return NTLoad(e.t.stm, e.t.p, addr)
-}
+// Load implements tm.Exec's non-transactional read.
+func (e *exec) Load(addr uint64) uint64 { return ntAccess(e.t.stm, e.t.p, addr, false, 0) }
 
 // Store implements tm.Exec's non-transactional write.
-func (e *exec) Store(addr, val uint64) {
-	NTStore(e.t.stm, e.t.p, addr, val)
-}
+func (e *exec) Store(addr, val uint64) { ntAccess(e.t.stm, e.t.p, addr, true, val) }
 
 // NTLoad performs a non-transactional read with USTM's fault-handler
 // policy. Shared by every system built on USTM.
-func NTLoad(s *STM, p *machine.Proc, addr uint64) uint64 {
+func NTLoad(s *STM, p *machine.Proc, addr uint64) uint64 { return ntAccess(s, p, addr, false, 0) }
+
+// NTStore performs a non-transactional write with USTM's fault-handler
+// policy.
+func NTStore(s *STM, p *machine.Proc, addr, val uint64) { ntAccess(s, p, addr, true, val) }
+
+// ntAccess is a non-transactional load or store under strong atomicity.
+// A UFO fault means a software transaction owns the line; the registered
+// handler stalls until the protection is removed, or, for a line owned
+// only by retrying transactions, completes the access masked.
+func ntAccess(s *STM, p *machine.Proc, addr uint64, write bool, val uint64) uint64 {
 	for {
-		v, out := p.NTRead(addr)
+		v, out := p.NTAccess(addr, write, val)
 		switch out.Kind {
 		case machine.OK:
 			return v
 		case machine.UFOFault:
 			if handleNTFault(s, p, addr) {
-				// Retrying owners hold at most read permission, so a
-				// faulting read here is a leftover protection edge; the
-				// data is stable and may be read under masked faults.
+				// All owners were retrying: their ownership does not
+				// isolate data (a retrier holds at most read permission),
+				// so complete the access with faults masked.
 				p.SetUFOEnabled(false)
-				v, out = p.NTRead(addr)
+				v, out = p.NTAccess(addr, write, val)
 				p.SetUFOEnabled(true)
 				if out.Kind != machine.OK {
-					panic("ustm: masked nonT read failed: " + out.Kind.String())
+					panic("ustm: masked non-transactional access failed: " + out.Kind.String())
+				}
+				if write {
+					// A store wakes the line's owners now, to re-check the
+					// world (wake passes over any no longer retrying).
+					if e := s.ot.find(mem.LineOf(addr)); e != nil {
+						for _, o := range e.owners {
+							o.wake(p)
+						}
+					}
 				}
 				return v
 			}
 		default:
-			panic("ustm: unexpected non-transactional read outcome " + out.Kind.String())
-		}
-	}
-}
-
-// NTStore performs a non-transactional write with USTM's fault-handler
-// policy.
-func NTStore(s *STM, p *machine.Proc, addr, val uint64) {
-	for {
-		out := p.NTWrite(addr, val)
-		switch out.Kind {
-		case machine.OK:
-			return
-		case machine.UFOFault:
-			if handleNTFault(s, p, addr) {
-				// All owners were retrying: their ownership does not
-				// isolate data, so complete the access with faults
-				// masked, then let the sleepers re-check the world.
-				p.SetUFOEnabled(false)
-				if out := p.NTWrite(addr, val); out.Kind != machine.OK {
-					panic("ustm: masked nonT write failed: " + out.Kind.String())
-				}
-				p.SetUFOEnabled(true)
-				// Wake the line's owners now (wake passes over any that
-				// is no longer retrying).
-				if e := s.ot.find(mem.LineOf(addr)); e != nil {
-					for _, o := range e.owners {
-						o.wake(p)
-					}
-				}
-				return
-			}
-		default:
-			panic("ustm: unexpected non-transactional write outcome " + out.Kind.String())
+			panic("ustm: unexpected non-transactional access outcome " + out.Kind.String())
 		}
 	}
 }

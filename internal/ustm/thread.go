@@ -23,6 +23,7 @@ const (
 type Thread struct {
 	stm *STM
 	p   *machine.Proc
+	nt  tm.NT // the STM's own accesses: UFO faults are off inside a transaction
 
 	status status
 	age    uint64
@@ -206,7 +207,7 @@ func (t *Thread) barrier(addr uint64, write bool) {
 		t.checkKilled()
 		// Inspect the row head (one otable memory reference plus the
 		// barrier's fixed logic).
-		t.ntReadMustOK(rowAddr)
+		t.nt.Load(rowAddr)
 		t.p.Elapse(BarrierCycles)
 		if r.locked {
 			t.stall()
@@ -222,7 +223,7 @@ func (t *Thread) barrier(addr uint64, write bool) {
 			// around an entry it already holds.
 			t.stm.ot.Dirty(idx)
 			r.locked = true
-			t.ntWriteMustOK(rowAddr, 1)
+			t.nt.Store(rowAddr, 1)
 			t.p.Elapse(CASCycles)
 			t.stm.ot.insert(r, line, write, t)
 			t.owned = append(t.owned, ownedRec{line: line, write: write})
@@ -411,7 +412,7 @@ func (t *Thread) releaseAll() {
 	for _, rec := range t.owned {
 		idx := t.stm.ot.index(rec.line)
 		r := t.stm.ot.row(idx)
-		t.ntWriteMustOK(t.stm.ot.rowAddr(idx), 1)
+		t.nt.Store(t.stm.ot.rowAddr(idx), 1)
 		t.p.Elapse(ReleaseCycles)
 		e := r.find(rec.line)
 		if e == nil || !e.hasOwner(t) {
@@ -432,7 +433,7 @@ func (t *Thread) releaseAll() {
 // Load implements tm.Tx: read barrier + data read.
 func (t *Thread) Load(addr uint64) uint64 {
 	t.barrier(addr, false)
-	return t.ntReadMustOK(addr)
+	return t.nt.Load(addr)
 }
 
 // Store implements tm.Tx: write barrier + undo logging + in-place data
@@ -443,11 +444,11 @@ func (t *Thread) Store(addr, val uint64) {
 	if t.stm.cfg.LineGranularUndo {
 		t.logLine(mem.LineOf(addr))
 	} else {
-		old := t.ntReadMustOK(addr)
+		old := t.nt.Load(addr)
 		t.undo = append(t.undo, undoRec{addr: addr, old: old})
 		t.p.Elapse(LogCycles)
 	}
-	t.ntWriteMustOK(addr, val)
+	t.nt.Store(addr, val)
 }
 
 // logLine checkpoints every word of line once per transaction.
@@ -460,7 +461,7 @@ func (t *Thread) logLine(line uint64) {
 	base := mem.LineAddr(line)
 	for w := uint64(0); w < mem.LineWords; w++ {
 		a := base + w*8
-		t.undo = append(t.undo, undoRec{addr: a, old: t.ntReadMustOK(a)})
+		t.undo = append(t.undo, undoRec{addr: a, old: t.nt.Load(a)})
 		t.p.Elapse(LogCycles)
 	}
 }
@@ -504,7 +505,7 @@ func (t *Thread) Syscall() { t.p.Elapse(tm.SyscallCycles) }
 func (t *Thread) undoTo(save int) {
 	for i := len(t.undo) - 1; i >= save; i-- {
 		r := t.undo[i]
-		t.ntWriteMustOK(r.addr, r.old)
+		t.nt.Store(r.addr, r.old)
 		t.p.Elapse(LogCycles)
 	}
 	t.undo = t.undo[:save]
@@ -553,23 +554,4 @@ func (t *Thread) wake(from *machine.Proc) {
 	}
 	t.wakePending = true
 	from.Wake(t.p)
-}
-
-// --- helpers ---
-
-// ntReadMustOK performs a non-transactional read that must succeed (UFO
-// faults are disabled inside software transactions; non-transactional
-// reads are never NACKed).
-func (t *Thread) ntReadMustOK(addr uint64) uint64 {
-	v, out := t.p.NTRead(addr)
-	if out.Kind != machine.OK {
-		panic(fmt.Sprintf("ustm: unexpected outcome %v for STM-internal read at %#x", out, addr))
-	}
-	return v
-}
-
-func (t *Thread) ntWriteMustOK(addr, val uint64) {
-	if out := t.p.NTWrite(addr, val); out.Kind != machine.OK {
-		panic(fmt.Sprintf("ustm: unexpected outcome %v for STM-internal write at %#x", out, addr))
-	}
 }

@@ -103,7 +103,7 @@ func (s *STM) Thread(p *machine.Proc) *Thread {
 		return t
 	}
 	t, _ := machine.ContextOf[Thread](p)
-	*t = Thread{stm: s, p: p, undo: t.undo[:0], owned: t.owned[:0], toWake: machine.Emptied(t.toWake),
+	*t = Thread{stm: s, p: p, nt: tm.NT{P: p}, undo: t.undo[:0], owned: t.owned[:0], toWake: machine.Emptied(t.toWake),
 		active: machine.Emptied(t.active), onCommit: machine.Emptied(t.onCommit), nestSave: t.nestSave[:0]}
 	s.threads[p.ID()] = t
 	return t

@@ -365,6 +365,62 @@ func TestRetryWaitsForWriter(t *testing.T) {
 	}
 }
 
+// TestMaskedNTAccessOnRetriersLine holds the two arms of the
+// non-transactional fault handler's masked path (Section 6), which share
+// one loop: on a line whose every owner is retrying, a faulting load reads
+// the committed value and leaves the retriers blocked, and a faulting
+// store lands and wakes each of them. A retrier's line is normally
+// fault-on-write only; fault-all protection stands in for the leftover
+// edge that makes a load fault there.
+func TestMaskedNTAccessOnRetriersLine(t *testing.T) {
+	m := testMachine(3)
+	s := testSTM(m, true)
+	m.Mem.Write64(8, 42) // word 1 of line 0
+	retriers := []*Thread{s.Thread(m.Proc(0)), s.Thread(m.Proc(1))}
+	var got [2]uint64
+	retry := func(i int) func(*machine.Proc) {
+		ex := s.Exec(m.Proc(i))
+		return func(p *machine.Proc) {
+			ex.Atomic(func(tx tm.Tx) {
+				if tx.Load(0) == 0 {
+					tx.Retry()
+				}
+				got[i] = tx.Load(0)
+			})
+		}
+	}
+	m.Run([]func(*machine.Proc){retry(0), retry(1), func(p *machine.Proc) {
+		p.Elapse(20_000)
+		for i, r := range retriers {
+			if r.status != statusRetrying {
+				t.Fatalf("proc %d is not retrying", i)
+			}
+		}
+		p.SetUFO(0, mem.UFOFaultAll)
+		faults := m.Count.UFOFaults
+		if v := NTLoad(s, p, 8); v != 42 {
+			t.Errorf("masked load read %d, want the committed 42", v)
+		}
+		for i, r := range retriers {
+			if r.status != statusRetrying || r.wakePending {
+				t.Errorf("masked load woke proc %d", i)
+			}
+		}
+		NTStore(s, p, 0, 5)
+		for i, r := range retriers {
+			if !r.wakePending {
+				t.Errorf("masked store did not wake proc %d", i)
+			}
+		}
+		if n := m.Count.UFOFaults - faults; n != 2 || m.Count.NTStalls != 0 {
+			t.Errorf("%d faults and %d stalls, want 2 masked faults and no stall", n, m.Count.NTStalls)
+		}
+	}})
+	if got != [2]uint64{5, 5} {
+		t.Fatalf("retriers read %v after waking, want the stored 5", got)
+	}
+}
+
 func TestOTableChainCollisions(t *testing.T) {
 	m := testMachine(1)
 	cfg := DefaultConfig()
